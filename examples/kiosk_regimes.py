@@ -51,7 +51,7 @@ def main() -> None:
     for t, observed in kiosk.observations(horizon, frame_period=2.0, noise_prob=0.08):
         record = switcher.observe(t, observed)
         if record is not None:
-            ch = record.change
+            ch = record.cause
             print(f"  t={t:7.1f}s  {ch.old['n_models']} -> {ch.new['n_models']} people: "
                   f"switch to L={record.new_solution.latency:.3f}s / "
                   f"II={record.new_solution.period:.3f}s schedule "

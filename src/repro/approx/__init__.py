@@ -40,7 +40,6 @@ from repro.approx.policy import (
     PolicyLadder,
     SolvePolicy,
     resolve_policy,
-    solve_states,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "ListPolicy",
     "PolicyLadder",
     "resolve_policy",
-    "solve_states",
     "LazyScheduleTable",
     "neighbor_states",
     "recost_schedule",

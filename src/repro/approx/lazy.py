@@ -10,12 +10,13 @@ pre-fill solves the *neighbor* states (the likely next regimes) right
 after each miss, optionally on a background thread so the caller never
 waits for speculation.
 
-The class duck-types :class:`~repro.core.table.ScheduleTable`'s read
-surface (``lookup`` / ``in`` / ``states`` / ``solutions``), so every
-existing consumer — :class:`~repro.core.table.RegimeSwitcher`, the
+The class is a :class:`~repro.core.table.ScheduleTable` that starts
+empty, so every consumer — :class:`~repro.core.table.RegimeSwitcher`, the
 dynamic executor's regime path, experiment drivers — takes one without
 modification; a miss that used to raise ``ScheduleLookupError`` becomes
-a solve.  Misses warm-start from the nearest already-solved state's
+a solve.  What it adds to the base class is when entries appear and the
+lock that makes that safe: ``lookup`` and the read surface are overridden
+to take it.  Misses warm-start from the nearest already-solved state's
 re-costed schedule (:mod:`repro.approx.incremental`).
 """
 
@@ -27,15 +28,15 @@ from typing import Iterator, Optional, Union
 from repro.approx.incremental import neighbor_states, warm_start_from
 from repro.approx.policy import SolvePolicy, resolve_policy
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.parallel import execute_request
-from repro.errors import ScheduleLookupError
+from repro.core.parallel import solve_many
+from repro.core.table import ScheduleTable
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State, StateSpace
 
 __all__ = ["LazyScheduleTable"]
 
 
-class LazyScheduleTable:
+class LazyScheduleTable(ScheduleTable):
     """A schedule table that fills ``(state)`` entries on demand.
 
     Parameters
@@ -48,7 +49,8 @@ class LazyScheduleTable:
         :class:`~repro.approx.policy.SolvePolicy`; default exact).
     cache:
         Optional shared :class:`~repro.core.cache.ScheduleCache`; misses
-        fetch before solving and store after.
+        fetch before solving and store after
+        (:func:`~repro.core.parallel.solve_many`'s ``cache=``).
     prefill:
         Neighbor states solved speculatively after each miss (0 = off).
     background:
@@ -84,7 +86,7 @@ class LazyScheduleTable:
         self._lock = threading.RLock()
         self._threads: list[threading.Thread] = []
 
-    # -- the read surface (ScheduleTable-compatible) ------------------------
+    # -- the read surface, under the fill lock --------------------------------
 
     def lookup(self, state: State) -> ScheduleSolution:
         """The solution for ``state``, solving on first miss.
@@ -99,7 +101,7 @@ class LazyScheduleTable:
                 self._observe_lazy("hit")
                 return solution
             if state not in self.space:
-                raise ScheduleLookupError(state, self._solutions)
+                raise self._miss(state)
             solution = self._solve(state)
             self._solutions[state] = solution
             self._observe_lazy("miss")
@@ -135,26 +137,17 @@ class LazyScheduleTable:
         with self._lock:
             return list(self._solutions.values())
 
-    def summary(self) -> str:
-        """Multi-line human-readable table of the solved entries."""
-        return "\n".join(sol.summary() for sol in self.solutions())
-
     # -- filling ------------------------------------------------------------
 
     def _solve(self, state: State) -> ScheduleSolution:
-        """One miss: policy request, neighbor warm start, cache, solve."""
+        """One miss: policy request, neighbor warm start, cached solve."""
         request = self.policy.request(self.scheduler, self.graph, state)
-        if self.cache is not None:
-            hit = self.cache.fetch(request)
-            if hit is not None:
-                self._observe_solve(hit)
-                return hit
         warmed = self._nearest_solved(state)
         if warmed is not None:
+            # An accelerator only: the incumbent is not part of the
+            # request's cache digest, so a hit is still a hit.
             warm_start_from(request, warmed.iteration)
-        solution = execute_request(request)
-        if self.cache is not None and isinstance(solution, ScheduleSolution):
-            self.cache.store(request, solution)
+        (solution,) = solve_many([request], workers=1, cache=self.cache)
         self._observe_solve(solution)
         return solution
 

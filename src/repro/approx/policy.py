@@ -29,10 +29,10 @@ ShapeTable, fleet width banks — runs any rung unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Union
 
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.parallel import SolveRequest, execute_request, make_request, solve_many
+from repro.core.parallel import SolveRequest, make_request, solve_many
 from repro.errors import ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State
@@ -44,7 +44,6 @@ __all__ = [
     "ListPolicy",
     "PolicyLadder",
     "resolve_policy",
-    "solve_states",
 ]
 
 #: Default ε for the bounded rung when a spec string names no budget.
@@ -79,14 +78,7 @@ class SolvePolicy:
     ) -> ScheduleSolution:
         """Execute the policy in-process, through the cache when wired."""
         request = self.request(scheduler, graph, state)
-        if cache is not None:
-            hit = cache.fetch(request)
-            if hit is not None:
-                return hit
-        solution = execute_request(request)
-        if cache is not None and isinstance(solution, ScheduleSolution):
-            cache.store(request, solution)
-        return solution
+        return solve_many([request], workers=1, cache=cache)[0]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -238,35 +230,3 @@ def resolve_policy(
         f"unknown solve policy {spec!r} "
         "(expected exact | bounded[:eps] | list | ladder[:eps])"
     )
-
-
-def solve_states(
-    graph: TaskGraph,
-    states: Sequence[State],
-    scheduler: OptimalScheduler,
-    policy: Union[None, str, SolvePolicy] = None,
-    cache=None,
-    workers: Optional[int] = None,
-) -> list[ScheduleSolution]:
-    """Solve a batch of states under one policy, cache- and pool-aware.
-
-    The batched analogue of :meth:`SolvePolicy.solve` — the same
-    fetch-pending-store dance :meth:`ScheduleTable.build` runs, exposed
-    for callers that want solutions without a table.
-    """
-    pol = resolve_policy(policy)
-    requests = [pol.request(scheduler, graph, state) for state in states]
-    results: list[Optional[ScheduleSolution]] = [None] * len(requests)
-    pending: list[int] = []
-    for i, request in enumerate(requests):
-        hit = cache.fetch(request) if cache is not None else None
-        if hit is not None:
-            results[i] = hit
-        else:
-            pending.append(i)
-    solved = solve_many([requests[i] for i in pending], workers=workers)
-    for i, solution in zip(pending, solved):
-        results[i] = solution
-        if cache is not None:
-            cache.store(requests[i], solution)
-    return results  # type: ignore[return-value]

@@ -310,6 +310,7 @@ def solve_many(
     workers: Optional[int] = None,
     return_exceptions: bool = False,
     start_method: Optional[str] = None,
+    cache=None,
 ) -> list:
     """Execute a batch of solve requests, results in request order.
 
@@ -337,8 +338,36 @@ def solve_many(
         platform lacks it); ``"spawn"`` works because every
         :class:`SolveRequest` is pure picklable data — see
         ``tests/core/test_spawn_pickling.py``.
+    cache:
+        Optional :class:`~repro.core.cache.ScheduleCache`.  Requests that
+        digest to a cached entry skip the solve entirely; only the misses
+        are dispatched, and their fresh solutions are stored back.  This
+        is the one place the fetch / solve / store sequence lives — the
+        table builders, the lazy table and :meth:`SolvePolicy.solve` all
+        pass their ``cache`` down to here.
     """
     reqs = list(requests)
+    results: list = [None] * len(reqs)
+    if cache is not None:
+        results = [cache.fetch(request) for request in reqs]
+    pending = [i for i, hit in enumerate(results) if hit is None]
+    solved = _dispatch(
+        [reqs[i] for i in pending], workers, return_exceptions, start_method
+    )
+    for i, outcome in zip(pending, solved):
+        results[i] = outcome
+        if cache is not None and isinstance(outcome, ScheduleSolution):
+            cache.store(reqs[i], outcome)
+    return results
+
+
+def _dispatch(
+    reqs: list,
+    workers: Optional[int],
+    return_exceptions: bool,
+    start_method: Optional[str],
+) -> list:
+    """Run the cache misses of :func:`solve_many`, in-process or pooled."""
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(reqs) <= 1:

@@ -110,6 +110,19 @@ class RegimeDetector:
         self.changes.append(change)
         return change
 
+    def retract(self, change: RegimeChange) -> None:
+        """Undo the latest confirmed ``change``: its consumer could not act on it.
+
+        The detector goes back to ``change.old`` with nothing pending, so
+        the rejected value has to be confirmed again before it is reported
+        again — and ``changes`` lists only the changes that took effect.
+        """
+        if not self.changes or self.changes[-1] is not change:
+            raise RegimeError(f"{change} is not the latest confirmed change")
+        self.changes.pop()
+        self.current = change.old
+        self._since_change = change.observations
+
     @property
     def change_count(self) -> int:
         """Number of confirmed regime changes so far."""

@@ -1,33 +1,42 @@
-"""Per-state schedule tables and the run-time switcher.
+"""The keyed schedule table and the regime controller.
 
 §3.4: "We pre-compute the optimal schedule for each of the states.  The
 actions required on a state change are: perform a table look-up to
 determine the new schedule for the new state; perform a transition to the
 new schedule."
 
-:class:`ScheduleTable` is the off-line artifact (built once per cluster
-configuration); :class:`RegimeSwitcher` is the on-line component that
-reacts to confirmed regime changes by looking up the new schedule and
-accounting for the transition.
+That sentence is implemented once here.  :class:`ScheduleTable` is the
+off-line artifact: pre-computed solutions under a key.  The key is an
+application state here; a degraded cluster shape
+(:class:`~repro.faults.failover.ShapeTable`) and a demand-filled state
+(:class:`~repro.approx.lazy.LazyScheduleTable`) are subclasses that change
+only how a key is canonicalised or when an entry is solved.
+:class:`RegimeController` is the on-line half: it holds the ``active``
+solution and accounts every transition to a new one.  What differs between
+a state change, a node failure and cost drift is only where the new
+solution comes from, so :class:`RegimeSwitcher` (detector → state key),
+:class:`~repro.faults.failover.FailoverController` (cluster view → shape
+key) and :class:`~repro.obs.recalibrate.CalibrationController` (drift →
+re-built table) are thin adapters over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
-from repro.errors import RegimeError, ScheduleLookupError
+from repro.errors import RegimeError, ReproError, ScheduleLookupError
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.regime import RegimeChange, RegimeDetector
+from repro.core.regime import RegimeDetector
 from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State, StateSpace
 
-__all__ = ["ScheduleTable", "SwitchRecord", "RegimeSwitcher"]
+__all__ = ["ScheduleTable", "SwitchRecord", "RegimeController", "RegimeSwitcher"]
 
 
 class ScheduleTable:
-    """Pre-computed optimal schedules, one per application state.
+    """Pre-computed optimal schedules, one per key — here an application state.
 
     >>> from repro.graph.builders import chain_graph
     >>> from repro.sim.cluster import SINGLE_NODE_SMP
@@ -41,10 +50,19 @@ class ScheduleTable:
     2
     """
 
-    def __init__(self, solutions: dict[State, ScheduleSolution]) -> None:
+    def __init__(self, solutions: dict[Any, ScheduleSolution]) -> None:
         if not solutions:
             raise RegimeError("schedule table needs at least one state")
         self._solutions = dict(solutions)
+
+    @staticmethod
+    def _key(key: Any) -> Any:
+        """The canonical form ``key`` is filed under (a state is its own)."""
+        return key
+
+    def _miss(self, key: Any) -> Exception:
+        """The typed error a look-up of the uncovered ``key`` raises."""
+        return ScheduleLookupError(key, self._solutions)
 
     @classmethod
     def build(
@@ -85,41 +103,40 @@ class ScheduleTable:
             :class:`~repro.core.optimal.GapCertificate` stating its
             certified optimality gap.
         """
-        from repro.core.parallel import solve_many  # deferred: avoids import cycle
+        from repro.approx import resolve_policy  # deferred: leaf package
 
         states = list(space)
-        if policy is None:
-            requests = [scheduler.request(graph, state) for state in states]
-        else:
-            from repro.approx import resolve_policy  # deferred: leaf package
-
-            pol = resolve_policy(policy)
-            requests = [pol.request(scheduler, graph, state) for state in states]
-        solutions: dict[State, Optional[ScheduleSolution]] = {
-            state: None for state in states
-        }
-        pending = []
-        if cache is not None:
-            for state, request in zip(states, requests):
-                hit = cache.fetch(request)
-                if hit is not None:
-                    solutions[state] = hit
-                else:
-                    pending.append((state, request))
-        else:
-            pending = list(zip(states, requests))
-        solved = solve_many([req for _, req in pending], workers=parallel)
-        for (state, request), sol in zip(pending, solved):
-            solutions[state] = sol
-            if cache is not None:
-                cache.store(request, sol)
-        if progress is not None:
-            for state in states:
-                progress(state, solutions[state])
-        table = cls(solutions)
+        rung = resolve_policy(policy)
+        requests = [rung.request(scheduler, graph, state) for state in states]
+        table = cls(cls._solve_keyed(states, requests, parallel, cache, progress))
         if verify:
             table.verify(graph, space, scheduler.cluster, comm=scheduler.comm)
         return table
+
+    @classmethod
+    def _solve_keyed(cls, keys, requests, parallel, cache, progress, skip=()) -> dict:
+        """The one builder path: solve ``requests``, file each under its key.
+
+        ``parallel`` of ``None`` or ``1`` solves in-process; ``cache`` hits
+        skip the solve (see :func:`~repro.core.parallel.solve_many`).  A
+        domain error of a type in ``skip`` leaves its key out of the table
+        instead of aborting the build.
+        """
+        from repro.core.parallel import solve_many  # deferred: avoids import cycle
+
+        outcomes = solve_many(
+            requests, workers=parallel or 1, cache=cache, return_exceptions=bool(skip)
+        )
+        solutions = {}
+        for key, outcome in zip(keys, outcomes):
+            if isinstance(outcome, skip):
+                continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            solutions[cls._key(key)] = outcome
+            if progress is not None:
+                progress(key, outcome)
+        return solutions
 
     def verify(self, graph, space, cluster, comm=None) -> None:
         """Run analysis passes 1-3 and 5 over this table; raise on ERRORs.
@@ -128,71 +145,142 @@ class ScheduleTable:
         (placement legality, precedence, re-derived latency L), table
         totality over ``space``, transition resolvability, and the STM
         protocol under each schedule — then model-checks the channel
-        configuration (one exploration covers every state: the transition
-        system depends on wiring, capacities and declarations, not on the
-        per-state timings) and downgrades pass-3 heuristics it proves
-        safe.  Raises :class:`~repro.errors.AnalysisError` carrying the
-        full :class:`~repro.analysis.findings.AnalysisReport` when any
-        ERROR finding is present.
+        configuration and downgrades pass-3 heuristics it proves safe.
+        Raises :class:`~repro.errors.AnalysisError` carrying the full
+        :class:`~repro.analysis.findings.AnalysisReport` when any ERROR
+        finding is present.
         """
         # Deferred import: repro.analysis imports this module's collaborators.
-        from repro.analysis import check_model, check_stm, lint_graph, verify_schedule_table
-        from repro.errors import AnalysisError
+        from repro.analysis import lint_graph, verify_schedule_table
 
         report = lint_graph(graph, states=space)
         verify_schedule_table(self, graph, space, cluster, comm=comm, report=report)
-        for state in self.states():
-            check_stm(graph, self.lookup(state), report=report)
+        self._verify_entries(graph, report)
+
+    def _verify_entries(self, graph, report) -> None:
+        """The tail every keyed table's ``verify`` shares.
+
+        STM protocol under each entry's schedule, then one model check —
+        one exploration covers every entry: the transition system depends
+        on wiring, capacities and declarations, not on per-entry timings.
+        """
+        from repro.analysis import check_model, check_stm
+        from repro.errors import AnalysisError
+
+        for solution in self.solutions():
+            check_stm(graph, solution, report=report)
         check_model(graph, solutions=self.solutions(), report=report)
         if not report.ok():
             raise AnalysisError(report)
 
-    def lookup(self, state: State) -> ScheduleSolution:
-        """The pre-computed solution for ``state`` (exact match).
+    def lookup(self, key: Any) -> ScheduleSolution:
+        """The pre-computed solution for ``key`` (canonical exact match).
 
         Raises :class:`~repro.errors.ScheduleLookupError` (a
         :class:`~repro.errors.RegimeError`) naming the missing state and
         the covered states on a miss.
         """
         try:
-            return self._solutions[state]
+            return self._solutions[self._key(key)]
         except KeyError:
-            raise ScheduleLookupError(state, self._solutions) from None
+            raise self._miss(key) from None
 
-    def __contains__(self, state: State) -> bool:
-        return state in self._solutions
+    def __contains__(self, key: Any) -> bool:
+        return self._key(key) in self._solutions
 
     def __len__(self) -> int:
         return len(self._solutions)
 
-    def __iter__(self) -> Iterator[State]:
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._solutions)
 
     def states(self) -> list[State]:
-        """All covered states."""
+        """All covered keys, in insertion order."""
         return list(self._solutions)
 
     def solutions(self) -> list[ScheduleSolution]:
-        """All solutions, in state insertion order."""
+        """All solutions, in key insertion order."""
         return list(self._solutions.values())
 
     def summary(self) -> str:
         """Multi-line human-readable table."""
-        return "\n".join(sol.summary() for sol in self._solutions.values())
+        return "\n".join(sol.summary() for sol in self.solutions())
 
 
 @dataclass(frozen=True)
 class SwitchRecord:
-    """One executed schedule switch with its accounted cost."""
+    """One executed schedule switch with its accounted cost.
+
+    ``cause`` is whatever made the key change: a
+    :class:`~repro.core.regime.RegimeChange`, a failure
+    :class:`~repro.faults.detect.Detection`, a drift
+    :class:`~repro.obs.recalibrate.Recalibration`.
+    """
 
     time: float
-    change: RegimeChange
+    cause: Any
     effect: TransitionEffect
+    old_solution: ScheduleSolution
     new_solution: ScheduleSolution
 
+    def summary(self) -> str:
+        """One-line human-readable description."""
+        old, new = self.old_solution, self.new_solution
+        return (
+            f"[{self.time:.3f}s] {self.cause}: "
+            f"II {old.period:.4g}s -> {new.period:.4g}s, "
+            f"L {old.latency:.4g}s -> {new.latency:.4g}s, "
+            f"stall {self.effect.stall:.4g}s"
+        )
 
-class RegimeSwitcher:
-    """On-line component: detector + table look-up + transition accounting.
+
+class RegimeController:
+    """§3.4's on-line half: the active solution plus transition accounting.
+
+    ``active`` is the solution to run.  :meth:`switch` is the only way it
+    changes: it prices the move through the
+    :class:`~repro.core.transition.TransitionPolicy`, logs a
+    :class:`SwitchRecord` and adds the effect to the running totals.  How
+    the new solution was found (which table, which key) is the adapter's
+    business, not the controller's.
+    """
+
+    def __init__(
+        self, active: ScheduleSolution, policy: Optional[TransitionPolicy] = None
+    ) -> None:
+        self.active = active
+        self.policy = policy or DrainTransition()
+        self.records: list[SwitchRecord] = []
+        self.total_stall = 0.0
+        self.total_lost_iterations = 0
+        self.total_replayed_iterations = 0
+
+    def switch(self, time: float, cause: Any, new: ScheduleSolution) -> SwitchRecord:
+        """Transition from ``active`` to ``new`` and account for it."""
+        old = self.active
+        effect = self.policy.effect(old, new)
+        self.active = new
+        record = SwitchRecord(time, cause, effect, old, new)
+        self.records.append(record)
+        self.total_stall += effect.stall
+        self.total_lost_iterations += effect.lost_iterations
+        self.total_replayed_iterations += effect.replayed_iterations
+        return record
+
+    @property
+    def switch_count(self) -> int:
+        """Number of schedule switches executed."""
+        return len(self.records)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(active={self.active.state}, "
+            f"switches={len(self.records)}, stall={self.total_stall:g}s)"
+        )
+
+
+class RegimeSwitcher(RegimeController):
+    """State changes: detector → state key → table look-up → switch.
 
     Feed raw observations via :meth:`observe`; the switcher keeps
     ``active`` pointing at the solution for the confirmed regime and logs a
@@ -210,36 +298,24 @@ class RegimeSwitcher:
             raise RegimeError(
                 f"detector's initial state {detector.current} not in the table"
             )
+        super().__init__(table.lookup(detector.current), policy)
         self.table = table
         self.detector = detector
-        self.policy = policy or DrainTransition()
-        self.active: ScheduleSolution = table.lookup(detector.current)
-        self.switches: list[SwitchRecord] = []
-        self.total_stall = 0.0
-        self.total_lost_iterations = 0
 
     def observe(self, time: float, value) -> Optional[SwitchRecord]:
-        """Process one raw observation; returns a record iff a switch ran."""
+        """Process one raw observation; returns a record iff a switch ran.
+
+        A confirmed state the table cannot serve raises the table's
+        look-up error with the detector rolled back to the regime still
+        running, so the two never disagree and the uncovered state is
+        reported again when it is next confirmed.
+        """
         change = self.detector.observe(time, value)
         if change is None:
             return None
-        old = self.active
-        new = self.table.lookup(change.new)
-        effect = self.policy.effect(old, new)
-        self.active = new
-        record = SwitchRecord(time=time, change=change, effect=effect, new_solution=new)
-        self.switches.append(record)
-        self.total_stall += effect.stall
-        self.total_lost_iterations += effect.lost_iterations
-        return record
-
-    @property
-    def switch_count(self) -> int:
-        """Number of schedule switches executed."""
-        return len(self.switches)
-
-    def __repr__(self) -> str:
-        return (
-            f"RegimeSwitcher(active={self.active.state}, "
-            f"switches={len(self.switches)}, stall={self.total_stall:g}s)"
-        )
+        try:
+            new = self.table.lookup(change.new)
+        except ReproError:
+            self.detector.retract(change)
+            raise
+        return self.switch(time, change, new)

@@ -38,7 +38,6 @@ from repro.faults.inject import AppliedFault, FaultInjector
 from repro.faults.detect import Detection, FailureDetector
 from repro.faults.failover import (
     FailoverController,
-    FailoverRecord,
     ShapeTable,
     reachable_shapes,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Detection",
     "FailureDetector",
     "FailoverController",
-    "FailoverRecord",
     "ShapeTable",
     "reachable_shapes",
     "RetryPolicy",

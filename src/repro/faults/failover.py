@@ -1,31 +1,36 @@
-"""Failover: degraded cluster shapes as schedule regimes.
+"""Failover: degraded cluster shapes as schedule-table keys.
 
 §3.4 of the paper: pre-compute the optimal schedule for each state, then on
 a state change "perform a table look-up to determine the new schedule ...
 perform a transition to the new schedule".  A partial cluster failure *is*
 such a state change — infrequent, detectable (heartbeats), and drawn from
 a small set (single-node loss, single-processor loss, slowdown regimes) —
-so failover reuses the machinery verbatim:
+so failover adds only the key, not the machinery:
 
-* :class:`ShapeTable` is the off-line artifact: one
-  :class:`~repro.core.optimal.ScheduleSolution` per *reachable degraded
-  shape*, keyed canonically (losing node 0 of a homogeneous cluster is the
-  same scheduling problem as losing node 3, so the table stays small).
-* :class:`FailoverController` is the on-line component: it subscribes to a
-  :class:`~repro.faults.detect.FailureDetector`, and on each confirmed
-  detection performs the table look-up plus a transition through any
-  :class:`~repro.core.transition.TransitionPolicy` — including the new
-  :class:`~repro.core.transition.CheckpointTransition`, which replays the
-  timestamps that were in flight when the node died from their STM items.
+* :class:`ShapeTable` is a :class:`~repro.core.table.ScheduleTable` keyed
+  by *reachable degraded shape*, canonically (losing node 0 of a
+  homogeneous cluster is the same scheduling problem as losing node 3, so
+  the table stays small).  It supplies the shape requests, the failover
+  coverage check and shape-typed errors; building, caching, look-up and
+  the shared verify tail are the base class's.
+* :class:`FailoverController` is a
+  :class:`~repro.core.table.RegimeController` adapter: on each confirmed
+  :class:`~repro.faults.detect.Detection` it looks up the cluster view's
+  current shape and, when the schedule or the processor mapping changed,
+  switches through any :class:`~repro.core.transition.TransitionPolicy` —
+  including :class:`~repro.core.transition.CheckpointTransition`, which
+  replays the timestamps that were in flight when the node died from
+  their STM items.  It adds ``mapping`` and ``resume_at``; the records and
+  totals are the base controller's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
+from repro.core.table import RegimeController, ScheduleTable, SwitchRecord
+from repro.core.transition import TransitionPolicy
 from repro.errors import (
     InfeasibleSchedule,
     ScheduleError,
@@ -38,7 +43,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.state import State
 
-__all__ = ["reachable_shapes", "ShapeTable", "FailoverRecord", "FailoverController"]
+__all__ = ["reachable_shapes", "ShapeTable", "FailoverController"]
 
 
 def reachable_shapes(
@@ -75,10 +80,10 @@ def reachable_shapes(
     return list(seen.values())
 
 
-class ShapeTable:
+class ShapeTable(ScheduleTable):
     """Pre-computed optimal schedules, one per degraded cluster shape.
 
-    The cluster-shape analogue of :class:`~repro.core.table.ScheduleTable`
+    The cluster-shape keying of :class:`~repro.core.table.ScheduleTable`
     (which is keyed by application state): same application state, varying
     platform.
 
@@ -95,7 +100,14 @@ class ShapeTable:
     def __init__(self, solutions: dict[tuple, ScheduleSolution]) -> None:
         if not solutions:
             raise ShapeUnschedulable("shape table needs at least one shape")
-        self._solutions = dict(solutions)
+        super().__init__(solutions)
+
+    @staticmethod
+    def _key(shape: ClusterSpec) -> tuple:
+        return shape.shape_key()
+
+    def _miss(self, shape: ClusterSpec) -> Exception:
+        return ShapeLookupError(shape, covered=len(self._solutions))
 
     @classmethod
     def build(
@@ -133,49 +145,19 @@ class ShapeTable:
         a bounded failover schedule still ships a verified gap
         certificate.
         """
-        from repro.core.parallel import solve_many  # deferred: avoids import cycle
+        from repro.approx import resolve_policy  # deferred: leaf package
 
-        factory = scheduler_factory or (lambda spec: OptimalScheduler(spec))
+        factory = scheduler_factory or OptimalScheduler
         shapes = reachable_shapes(base, max_node_failures, proc_failures)
-        if policy is None:
-            requests = [factory(spec).request(graph, state) for spec in shapes]
-        else:
-            from repro.approx import resolve_policy  # deferred: leaf package
-
-            pol = resolve_policy(policy)
-            requests = [
-                pol.request(factory(spec), graph, state) for spec in shapes
-            ]
-        results: list = [None] * len(shapes)
-        pending: list[int] = []
-        if cache is not None:
-            for i, request in enumerate(requests):
-                hit = cache.fetch(request)
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    pending.append(i)
-        else:
-            pending = list(range(len(shapes)))
+        rung = resolve_policy(policy)
+        requests = [rung.request(factory(spec), graph, state) for spec in shapes]
         # Infeasible shapes are expected (a failed node can strand a
-        # mandatory data-parallel width), so collect domain errors
-        # per-shape instead of aborting the batch.
-        solved = solve_many(
-            [requests[i] for i in pending], workers=parallel, return_exceptions=True
+        # mandatory data-parallel width), so those are left out of the
+        # table instead of aborting the build.
+        solutions = cls._solve_keyed(
+            shapes, requests, parallel, cache, progress,
+            skip=(InfeasibleSchedule, ScheduleError),
         )
-        for i, outcome in zip(pending, solved):
-            results[i] = outcome
-            if cache is not None and isinstance(outcome, ScheduleSolution):
-                cache.store(requests[i], outcome)
-        solutions: dict[tuple, ScheduleSolution] = {}
-        for spec, outcome in zip(shapes, results):
-            if isinstance(outcome, (InfeasibleSchedule, ScheduleError)):
-                continue
-            if isinstance(outcome, Exception):
-                raise outcome
-            solutions[spec.shape_key()] = outcome
-            if progress is not None:
-                progress(spec, outcome)
         if not solutions:
             raise ShapeUnschedulable(
                 f"no reachable shape of {base!r} can run the application"
@@ -200,18 +182,15 @@ class ShapeTable:
     ) -> None:
         """Run analysis passes 1-3 and 5 over this table; raise on ERRORs.
 
-        Checks graph structure, every per-shape schedule certificate, the
-        STM protocol under each schedule, and failover coverage for all
-        node-failure shapes within ``max_node_failures`` — then
-        model-checks the channel configuration once (the transition
-        system is shape-independent; every degraded schedule shares the
-        wiring and capacities) and downgrades pass-3 heuristics it proves
-        safe.  Raises :class:`~repro.errors.AnalysisError` with the full
-        report when any ERROR finding is present.
+        Checks graph structure, every per-shape schedule certificate and
+        failover coverage for all node-failure shapes within
+        ``max_node_failures`` — then the tail every keyed table shares
+        (STM protocol under each schedule, one model check of the channel
+        configuration).  Raises :class:`~repro.errors.AnalysisError` with
+        the full report when any ERROR finding is present.
         """
         # Deferred import: repro.analysis imports this module.
-        from repro.analysis import check_model, check_stm, lint_graph, verify_shape_table
-        from repro.errors import AnalysisError
+        from repro.analysis import lint_graph, verify_shape_table
 
         states = {sol.state for sol in self.solutions()}
         report = lint_graph(graph, states=sorted(states, key=repr))
@@ -224,36 +203,7 @@ class ShapeTable:
             proc_failures=proc_failures,
             report=report,
         )
-        for sol in self.solutions():
-            check_stm(graph, sol, report=report)
-        check_model(graph, solutions=self.solutions(), report=report)
-        if not report.ok():
-            raise AnalysisError(report)
-
-    def lookup(self, shape: ClusterSpec) -> ScheduleSolution:
-        """The pre-computed solution for a degraded shape (canonical match).
-
-        Raises :class:`~repro.errors.ShapeLookupError` (a
-        :class:`~repro.errors.ShapeUnschedulable`) naming the uncovered
-        shape on a miss.
-        """
-        try:
-            return self._solutions[shape.shape_key()]
-        except KeyError:
-            raise ShapeLookupError(shape, covered=len(self._solutions)) from None
-
-    def __contains__(self, shape: ClusterSpec) -> bool:
-        return shape.shape_key() in self._solutions
-
-    def __len__(self) -> int:
-        return len(self._solutions)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._solutions)
-
-    def solutions(self) -> list[ScheduleSolution]:
-        """All pre-computed solutions (arbitrary but stable order)."""
-        return list(self._solutions.values())
+        self._verify_entries(graph, report)
 
     def summary(self) -> str:
         """Multi-line human-readable table."""
@@ -264,18 +214,8 @@ class ShapeTable:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class FailoverRecord:
-    """One executed failover with its accounted transition cost."""
-
-    time: float
-    detection: Detection
-    effect: TransitionEffect
-    new_solution: ScheduleSolution
-
-
-class FailoverController:
-    """On-line failover: detection -> table look-up -> transition.
+class FailoverController(RegimeController):
+    """On-line failover: detection -> shape key -> table look-up -> switch.
 
     The controller is runtime-agnostic: executors read ``active`` (the
     solution to run), ``mapping`` (shape index -> physical processor) and
@@ -289,52 +229,27 @@ class FailoverController:
         view: ClusterView,
         policy: Optional[TransitionPolicy] = None,
     ) -> None:
+        super().__init__(table.lookup(view.shape()), policy)
         self.table = table
         self.view = view
-        self.policy = policy or DrainTransition()
-        self.active: ScheduleSolution = table.lookup(view.shape())
         self.mapping: dict[int, int] = view.shape_to_physical()
         self.resume_at: float = 0.0
-        self.failovers: list[FailoverRecord] = []
-        self.total_stall = 0.0
-        self.total_lost_iterations = 0
-        self.total_replayed_iterations = 0
 
     def attach(self, detector) -> None:
         """Subscribe to a :class:`~repro.faults.detect.FailureDetector`."""
         detector.subscribe(self.on_detection)
 
-    def on_detection(self, det: Detection) -> Optional[FailoverRecord]:
+    def on_detection(self, det: Detection) -> Optional[SwitchRecord]:
         """React to one confirmed detection; returns a record iff we switched."""
         new = self.table.lookup(self.view.shape())
         mapping = self.view.shape_to_physical()
         if new is self.active and mapping == self.mapping:
             return None
-        old = self.active
-        effect = self.policy.effect(old, new)
-        self.active = new
+        record = self.switch(det.time, det, new)
         self.mapping = mapping
-        self.resume_at = max(self.resume_at, det.time + effect.stall)
-        record = FailoverRecord(
-            time=det.time, detection=det, effect=effect, new_solution=new
-        )
-        self.failovers.append(record)
-        self.total_stall += effect.stall
-        self.total_lost_iterations += effect.lost_iterations
-        self.total_replayed_iterations += effect.replayed_iterations
+        self.resume_at = max(self.resume_at, det.time + record.effect.stall)
         return record
 
     def physical_procs(self, shape_procs: tuple[int, ...]) -> tuple[int, ...]:
         """Translate a placement's shape-indexed processors to physical ones."""
         return tuple(self.mapping[p] for p in shape_procs)
-
-    @property
-    def failover_count(self) -> int:
-        """Number of schedule switches executed."""
-        return len(self.failovers)
-
-    def __repr__(self) -> str:
-        return (
-            f"FailoverController(failovers={len(self.failovers)}, "
-            f"stall={self.total_stall:g}s, policy={self.policy!r})"
-        )

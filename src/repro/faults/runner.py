@@ -413,8 +413,8 @@ class FaultTolerantExecutor:
             epoch_start = 0.0
             j = 0
             while next_ts < iterations or replay_q or outstanding[0] > 0:
-                if controller.failover_count != seen_failovers:
-                    seen_failovers = controller.failover_count
+                if controller.switch_count != seen_failovers:
+                    seen_failovers = controller.switch_count
                     epoch_start = max(sim.now, controller.resume_at)
                     j = 0
                 if sim.now < controller.resume_at - _EPS:
@@ -469,7 +469,7 @@ class FaultTolerantExecutor:
             frames_lost_crash=len(crash_lost),
             frames_lost_transition=len(transition_lost),
             frames_replayed=len(set(replayed)),
-            failovers=controller.failover_count,
+            failovers=controller.switch_count,
             total_stall=controller.total_stall,
         )
         return ExecutionResult(
@@ -497,7 +497,7 @@ class FaultTolerantExecutor:
                         r.effect.lost_iterations,
                         r.effect.replayed_iterations,
                     )
-                    for r in controller.failovers
+                    for r in controller.records
                 ],
                 "unschedulable_detections": [
                     (d.time, d.kind, d.node) for d in unschedulable

@@ -18,11 +18,11 @@ The pieces map onto the existing machinery deliberately:
   shared :class:`~repro.faults.view.ClusterView`.
 * :class:`~repro.fleet.admission.AdmissionQueue` — priority-FIFO
   admission control: queue or reject when the packing has no floor left.
-* :class:`~repro.fleet.repack.RepackController` — tenant churn handled
-  exactly like a §3.4 regime change, modeled on
-  :class:`~repro.faults.failover.FailoverController`: look up (pre-build)
-  the new schedules, transition with accounted stall, demote over-quota
-  tenants to degraded-width schedules instead of killing them.
+* :class:`~repro.fleet.repack.RepackController` — tenant churn as a §3.4
+  regime change, fleet-wide: re-pack, look up (pre-build) the new
+  schedules, transition each moved tenant with accounted stall
+  (:meth:`Tenant.switch <repro.fleet.tenant.Tenant.switch>`), demote
+  over-quota tenants to degraded-width schedules instead of killing them.
 * :class:`~repro.fleet.manager.FleetManager` — the service facade tying
   the above together, with an F001 packing verifier
   (:func:`repro.analysis.verify_packing`) for independent re-checks.

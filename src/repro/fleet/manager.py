@@ -218,17 +218,13 @@ class FleetManager:
         old_demand = tenant.demand()
         tenant.state = new_state
         if tenant.demand() == old_demand and tenant.granted > 0:
-            old_sol = tenant.active
             new_sol = tenant.solution(
                 cache=self.cache,
                 workers=self.workers,
                 solve_policy=self.solve_policy,
             )
-            if old_sol is not None and new_sol is not old_sol:
-                effect = self.controller.policy.effect(old_sol, new_sol)
-                tenant.total_stall += effect.stall
-                tenant.slips += effect.lost_iterations + effect.replayed_iterations
-            tenant.active = new_sol
+            if new_sol is not tenant.active:
+                tenant.switch(new_sol, self.controller.policy)
             return None
         return self.controller.repack(time, cause="regime")
 

@@ -1,15 +1,18 @@
 """Re-packing: tenant churn as a §3.4 regime change, fleet-wide.
 
-:class:`RepackController` is the fleet analogue of
-:class:`~repro.faults.failover.FailoverController`.  Where failover
-answers one detection with one table look-up, a repack answers one fleet
-event — tenant arrival, departure, per-tenant regime change, node loss —
-with a whole new packing:
+A :class:`RepackController` is *not* a
+:class:`~repro.core.table.RegimeController`: packing is not a table
+look-up.  Where a regime controller answers one event with one look-up, a
+repack answers one fleet event — tenant arrival, departure, per-tenant
+regime change, node loss — with a whole new packing.  What it shares with
+the regime controllers is the step after the look-up: every tenant whose
+schedule changes goes through :meth:`~repro.fleet.tenant.Tenant.switch`,
+the fleet's one copy of per-tenant transition accounting.  A repack
 
-1. re-run the fair-share placer over the surviving capacity,
-2. pre-build any missing ``(state, width)`` schedules through the shared
+1. re-runs the fair-share placer over the surviving capacity,
+2. pre-builds any missing ``(state, width)`` schedules through the shared
    :class:`~repro.core.cache.ScheduleCache` (the look-up step),
-3. migrate every tenant whose carve or schedule changed through a
+3. migrates every tenant whose carve or schedule changed through a
    :class:`~repro.core.transition.TransitionPolicy`, accounting stall and
    slipped iterations per tenant (the transition step).
 
@@ -133,17 +136,13 @@ class RepackController:
                 workers=self.workers,
                 solve_policy=self.solve_policy,
             )
-            old_sol = tenant.active
             old_carve = old_carves.get(tid)
             carve_changed = old_carve is None or old_carve.procs != carve.procs
-            schedule_changed = old_sol is not new_sol
-            if old_sol is not None and (carve_changed or schedule_changed):
-                effect = self.policy.effect(old_sol, new_sol)
-                stall += effect.stall
-                tenant.total_stall += effect.stall
-                tenant.slips += effect.lost_iterations + effect.replayed_iterations
-                tenant.migrations += 1
-                moved += 1
+            if carve_changed or tenant.active is not new_sol:
+                if tenant.active is not None:
+                    tenant.migrations += 1
+                    moved += 1
+                stall += tenant.switch(new_sol, self.policy)
             was_degraded = old_carve is not None and old_carve.degraded
             shrank = old_carve is not None and carve.width < old_carve.width
             grew = old_carve is not None and carve.width > old_carve.width
@@ -154,7 +153,6 @@ class RepackController:
                 tenant.promotions += 1
                 promoted += 1
             tenant.granted = carve.width
-            tenant.active = new_sol
 
         # Tenants that lost even the one-processor floor (only possible
         # when capacity shrank under the fleet, e.g. node crashes).

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.table import ScheduleTable
+from repro.core.transition import TransitionPolicy
 from repro.errors import TenantError
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
@@ -193,6 +194,22 @@ class Tenant:
         return self.ensure_width(
             w, cache=cache, workers=workers, solve_policy=solve_policy
         ).lookup(state)
+
+    def switch(self, new: ScheduleSolution, policy: TransitionPolicy) -> float:
+        """Make ``new`` the active solution; returns the transition's stall.
+
+        The fleet's one copy of per-tenant switch accounting: a tenant that
+        was already running pays ``policy``'s effect (stall, slipped
+        iterations); a freshly placed one just starts.
+        """
+        stall = 0.0
+        if self.active is not None:
+            effect = policy.effect(self.active, new)
+            stall = effect.stall
+            self.total_stall += stall
+            self.slips += effect.lost_iterations + effect.replayed_iterations
+        self.active = new
+        return stall
 
     def __repr__(self) -> str:
         mode = "degraded" if 0 < self.granted < self.demand() else "nominal"

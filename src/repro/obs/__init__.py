@@ -54,7 +54,7 @@ from repro.obs.metrics import (
     Snapshotter,
     parse_prometheus_text,
 )
-from repro.obs.recalibrate import CalibrationController, RebuildRecord
+from repro.obs.recalibrate import CalibrationController, Recalibration
 from repro.obs.tracing import Span, SpanTracer
 
 __all__ = [
@@ -89,7 +89,7 @@ __all__ = [
     "node_class_of",
     "tier_name",
     "CalibrationController",
-    "RebuildRecord",
+    "Recalibration",
 ]
 
 

@@ -8,10 +8,11 @@ becomes a re-build: the :class:`CalibrationController` re-runs the
 off-line optimizer over the state space with the calibrator's corrected
 costs — through the warm :meth:`~repro.core.table.ScheduleTable.build`
 path (``parallel`` workers, :class:`~repro.core.cache.ScheduleCache`
-reuse for any state whose solve request is unchanged) — and then switches
-to the re-built schedule under a standard
-:class:`~repro.core.transition.TransitionPolicy`, accounting the stall
-and lost work exactly like a state switch.
+reuse for any state whose solve request is unchanged) — and looks the
+current state up in the re-built table.  The transition itself is the
+base :class:`~repro.core.table.RegimeController`'s: one ``switch`` under a
+standard :class:`~repro.core.transition.TransitionPolicy`, recorded and
+accounted exactly like a state switch.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.table import ScheduleTable
-from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
+from repro.core.optimal import OptimalScheduler
+from repro.core.table import RegimeController, ScheduleTable, SwitchRecord
+from repro.core.transition import DrainTransition, TransitionPolicy
 from repro.obs.calibrate import CostCalibrator
 from repro.obs.drift import DriftDetected
 from repro.state import StateSpace
@@ -30,34 +31,25 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.schedule import PipelinedSchedule
     from repro.runtime.result import ExecutionResult
 
-__all__ = ["RebuildRecord", "CalibrationController"]
+__all__ = ["Recalibration", "CalibrationController"]
 
 
 @dataclass(frozen=True)
-class RebuildRecord:
-    """One executed recalibration: drift signals, re-built table, switch cost."""
+class Recalibration:
+    """The cause of a calibration switch: drift signals and applied factors."""
 
-    time: float
     drifts: tuple[DriftDetected, ...]
     scale_factors: dict
-    effect: TransitionEffect
-    old_solution: ScheduleSolution
-    new_solution: ScheduleSolution
 
-    def summary(self) -> str:
+    def __str__(self) -> str:
         factors = ", ".join(
             f"{t}x{f:.2f}" for t, f in sorted(self.scale_factors.items())
         )
-        return (
-            f"[{self.time:.3f}s] recalibrated ({factors}): "
-            f"II {self.old_solution.period:.4g}s -> {self.new_solution.period:.4g}s, "
-            f"L {self.old_solution.latency:.4g}s -> {self.new_solution.latency:.4g}s, "
-            f"stall {self.effect.stall:.4g}s"
-        )
+        return f"recalibrated ({factors})"
 
 
-@dataclass
-class CalibrationController:
+@dataclass(repr=False)
+class CalibrationController(RegimeController):
     """Watch execution results; on confirmed drift, re-build and switch.
 
     Parameters
@@ -91,18 +83,16 @@ class CalibrationController:
     cache: object = None
     solve_policy: object = None
     min_rel_change: float = 0.05
-    records: list[RebuildRecord] = field(default_factory=list)
-    total_stall: float = 0.0
 
     def __post_init__(self) -> None:
-        self.active: ScheduleSolution = self.table.lookup(self.calibrator.state)
+        super().__init__(self.table.lookup(self.calibrator.state), self.policy)
 
     def process(
         self,
         result: "ExecutionResult",
         time: float = 0.0,
         schedule: Optional["PipelinedSchedule"] = None,
-    ) -> Optional[RebuildRecord]:
+    ) -> Optional[SwitchRecord]:
         """Ingest a run's trace; recalibrate iff it confirms new drift."""
         new_drifts = self.calibrator.observe_result(
             result, schedule if schedule is not None else self.active.pipelined
@@ -113,7 +103,7 @@ class CalibrationController:
 
     def recalibrate(
         self, time: float, drifts: tuple[DriftDetected, ...] | list[DriftDetected]
-    ) -> RebuildRecord:
+    ) -> SwitchRecord:
         """Re-build the table with calibrated costs and switch to it."""
         factors = {
             t: f
@@ -129,35 +119,12 @@ class CalibrationController:
             cache=self.cache,
             policy=self.solve_policy,
         )
-        old = self.active
         new = new_table.lookup(self.calibrator.state)
-        effect = self.policy.effect(old, new)
         self.table = new_table
-        self.active = new
         # Re-baseline the calibrator against the corrected model: future
         # observations are judged against the re-built costs, so the
         # detector's disarmed keys see their error collapse and re-arm
         # (hysteresis), keeping detection infrequent.
         self.calibrator.graph = calibrated
         self.calibrator._modeled_exec.clear()
-        record = RebuildRecord(
-            time=time,
-            drifts=tuple(drifts),
-            scale_factors=factors,
-            effect=effect,
-            old_solution=old,
-            new_solution=new,
-        )
-        self.records.append(record)
-        self.total_stall += effect.stall
-        return record
-
-    @property
-    def rebuild_count(self) -> int:
-        return len(self.records)
-
-    def __repr__(self) -> str:
-        return (
-            f"CalibrationController(active={self.active.state}, "
-            f"rebuilds={len(self.records)}, stall={self.total_stall:g}s)"
-        )
+        return self.switch(time, Recalibration(tuple(drifts), factors), new)

@@ -12,10 +12,10 @@ from repro.approx import (
     ListPolicy,
     PolicyLadder,
     resolve_policy,
-    solve_states,
 )
 from repro.core.cache import ScheduleCache, request_digest
 from repro.core.optimal import OptimalScheduler
+from repro.core.parallel import solve_many
 from repro.core.serialize import solution_to_dict
 from repro.errors import ScheduleError
 from repro.graph.builders import random_dag
@@ -199,18 +199,16 @@ def test_certificate_serialization_roundtrip(tracker, scheduler, tmp_path):
     assert hit.certificate.policy == "list"
 
 
-def test_solve_states_batch(tracker, scheduler, exact_by_state, tmp_path):
+def test_solve_many_cached_batch(tracker, scheduler, exact_by_state, tmp_path):
     cache = ScheduleCache(tmp_path / "sched")
     states = list(TRACKER_STATES)[:4]
-    sols = solve_states(
-        tracker, states, scheduler, policy="bounded:0.0", cache=cache
-    )
+    rung = resolve_policy("bounded:0.0")
+    requests = [rung.request(scheduler, tracker, state) for state in states]
+    sols = solve_many(requests, workers=1, cache=cache)
     assert [s.latency for s in sols] == [
         exact_by_state[st].latency for st in states
     ]
-    again = solve_states(
-        tracker, states, scheduler, policy="bounded:0.0", cache=cache
-    )
+    again = solve_many(requests, workers=1, cache=cache)
     assert cache.stats.hits == len(states)
     assert [solution_to_dict(s) for s in again] == [
         solution_to_dict(s) for s in sols

@@ -141,3 +141,30 @@ def test_table_build_progress_order_preserved(cluster):
         parallel=2,
     )
     assert seen == list(space)
+
+
+def test_default_table_builds_fork_no_pool(monkeypatch, cluster):
+    """``parallel=None`` is documented as in-process, for both builders."""
+    import repro.core.parallel as parallel_mod
+    from repro.faults.failover import ShapeTable
+
+    pools = []
+
+    class RecordingPool(parallel_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingPool)
+    graph = chain_graph([1.0, 0.5])
+    table = ScheduleTable.build(
+        graph, StateSpace.range("n_models", 1, 3), OptimalScheduler(cluster)
+    )
+    assert len(table) == 3
+    assert len(ShapeTable.build(graph, State(n_models=1), cluster)) >= 2
+    assert pools == []
+    # solve_many's own contract is unchanged: None there means every CPU.
+    monkeypatch.setattr(parallel_mod, "default_workers", lambda: 2)
+    sched = OptimalScheduler(cluster)
+    solve_many([sched.request(graph, State(n_models=m)) for m in (1, 2)])
+    assert len(pools) == 1

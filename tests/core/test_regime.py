@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RegimeError
+from repro.errors import RegimeError, ScheduleLookupError
 from repro.core.optimal import OptimalScheduler
 from repro.core.regime import RegimeDetector
 from repro.core.table import RegimeSwitcher, ScheduleTable
@@ -121,7 +121,7 @@ class TestRegimeSwitcher:
     def test_drain_stall_accounting(self):
         sw = self.make_switcher(policy=DrainTransition(setup=0.5))
         record = sw.observe(1.0, 3)
-        assert record.effect.stall == pytest.approx(record.change and 2.0 + 0.5)
+        assert record.effect.stall == pytest.approx(record.cause and 2.0 + 0.5)
         assert record.effect.lost_iterations == 0
         assert sw.total_stall == pytest.approx(2.5)
 
@@ -141,3 +141,40 @@ class TestRegimeSwitcher:
         detector = RegimeDetector("n_models", State(n_models=7))
         with pytest.raises(RegimeError):
             RegimeSwitcher(table, detector)
+
+    @pytest.mark.parametrize("confirm", [1, 2])
+    def test_lookup_miss_keeps_detector_and_switcher_in_step(self, confirm):
+        """An uncovered state raises every time it is confirmed, and neither
+        side moves: never a silent wrong schedule."""
+        table = ScheduleTable.build(
+            chain_graph([1.0, 1.0]),
+            StateSpace.range("n_models", 1, 2),
+            OptimalScheduler(SINGLE_NODE_SMP(2)),
+        )
+        detector = RegimeDetector("n_models", State(n_models=1), confirm=confirm)
+        sw = RegimeSwitcher(table, detector)
+        t = 0.0
+        for _attempt in range(2):
+            for _ in range(confirm - 1):
+                t += 1.0
+                assert sw.observe(t, 3) is None
+            t += 1.0
+            with pytest.raises(ScheduleLookupError):
+                sw.observe(t, 3)
+            assert detector.current == sw.active.state == State(n_models=1)
+            assert detector.changes == [] and sw.switch_count == 0
+        # a covered state still switches afterwards, with an honest count
+        for _ in range(confirm - 1):
+            assert sw.observe(t + 1.0, 2) is None
+        record = sw.observe(t + 2.0, 2)
+        assert record.cause is detector.changes[-1]
+        assert detector.current == sw.active.state == State(n_models=2)
+        assert detector.change_count == sw.switch_count == 1
+
+    def test_retract_rejects_anything_but_the_latest_change(self):
+        d = RegimeDetector("n_models", State(n_models=1))
+        first = d.observe(1.0, 2)
+        d.observe(2.0, 3)
+        with pytest.raises(RegimeError):
+            d.retract(first)
+        assert d.change_count == 2 and d.current == State(n_models=3)

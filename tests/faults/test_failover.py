@@ -121,7 +121,7 @@ class TestFailoverController:
         view, ctl = self.make(graph, state, DrainTransition())
         assert ctl.active.latency == pytest.approx(2.0)
         assert ctl.mapping == {0: 0, 1: 1}
-        assert ctl.failover_count == 0
+        assert ctl.switch_count == 0
 
     def test_failover_on_node_crash(self, graph, state):
         view, ctl = self.make(graph, state, DrainTransition(setup=0.5))
@@ -129,7 +129,7 @@ class TestFailoverController:
         view.kill_node(0)
         record = ctl.on_detection(Detection(time=3.0, kind="node-failure", node=0))
         assert record is not None
-        assert ctl.failover_count == 1
+        assert ctl.switch_count == 1
         assert ctl.active is not old
         assert ctl.mapping == {0: 1}
         # Drain: stall covers the old latency plus setup.
@@ -146,7 +146,7 @@ class TestFailoverController:
     def test_detection_without_shape_change_is_noop(self, graph, state):
         view, ctl = self.make(graph, state, DrainTransition())
         assert ctl.on_detection(Detection(time=1.0, kind="slowdown", node=0)) is None
-        assert ctl.failover_count == 0
+        assert ctl.switch_count == 0
 
     def test_failback_on_recovery(self, graph, state):
         view, ctl = self.make(graph, state, DrainTransition())
@@ -155,5 +155,5 @@ class TestFailoverController:
         view.recover_node(0)
         record = ctl.on_detection(Detection(time=8.0, kind="node-recovery", node=0))
         assert record is not None
-        assert ctl.failover_count == 2
+        assert ctl.switch_count == 2
         assert ctl.mapping == {0: 0, 1: 1}

@@ -58,8 +58,8 @@ class TestCalibrationController:
 
         record = controller.recalibrate(time=10.0, drifts=drifts)
         assert controller.records == [record]
-        assert controller.rebuild_count == 1
-        assert record.scale_factors["T4"] == pytest.approx(2.5)
+        assert controller.switch_count == 1
+        assert record.cause.scale_factors["T4"] == pytest.approx(2.5)
         # the honest schedule must slow down to the true bottleneck
         assert record.new_solution.period > record.old_solution.period
         assert controller.active is record.new_solution
@@ -82,7 +82,7 @@ class TestCalibrationController:
         assert corrected == pytest.approx(2.5 * modeled)
         for i in range(6):
             assert cal.observe_exec("T4", "serial", corrected, time=20.0 + i) is None
-        assert controller.rebuild_count == 1
+        assert controller.switch_count == 1
 
     def test_process_without_drift_is_a_noop(self, setup):
         graph, cluster, space, scheduler, table = setup
@@ -93,7 +93,7 @@ class TestCalibrationController:
             graph, State(n_models=2), cluster, controller.active
         ).run(4)
         assert controller.process(result, time=result.horizon) is None
-        assert controller.rebuild_count == 0
+        assert controller.switch_count == 0
 
     def test_rebuild_uses_cache(self, setup):
         cache = ScheduleCache(tempfile.mkdtemp(prefix="repro-test-obs-cache-"))
