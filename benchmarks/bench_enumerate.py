@@ -1,9 +1,9 @@
 """Benchmark: the off-line phase accelerations, measured end to end.
 
 Times cold vs. warm-started vs. cached table builds (tracker graph x
-8-state space on a 2x4 cluster, plus the faults ShapeTable sweep), prints
-explored-node counts, and emits a ``BENCH_enumerate.json`` summary next
-to this file.
+8-state space on a 2x4 cluster, plus the faults ShapeTable sweep) and
+Figure 6 step 3 on its own (``pipeline_step``), prints explored-node
+counts, and emits a ``BENCH_enumerate.json`` summary next to this file.
 
 Timings are taken with ``time.perf_counter`` directly (not the
 pytest-benchmark fixture), so the module runs — and keeps its assertions
@@ -20,6 +20,8 @@ What is *asserted* vs. merely *recorded*:
 * asserted — tables serialize bitwise-identically across ``workers=1``
   and ``workers=2``, and across cache-cold and cache-warm builds;
 * asserted — the second cached build hits on every state;
+* asserted — step 3 runs at most one exact II search per member of S and
+  shift, and returns a conflict-free M;
 * recorded — wall-clock speedups.  Process-pool speedup in particular is
   reported honestly for whatever machine runs this: on a single-CPU
   container it will be <= 1 (pure overhead), and that number still
@@ -37,7 +39,8 @@ import pytest
 from _schema import write_bench
 from repro.core.cache import ScheduleCache
 from repro.core.enumerate import enumerate_schedules
-from repro.core.optimal import OptimalScheduler
+from repro.core.optimal import OptimalScheduler, solution_from_enumeration
+from repro.core.pipeline import PipelineSearch
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.faults.failover import ShapeTable
@@ -122,6 +125,49 @@ def test_explored_reduction_tracker_m8(tracker_graph):
         )
     RESULTS["explored_reduction"] = rows
     assert rows["comm"]["ratio"] >= 3.0
+
+
+def test_pipeline_step_tracker_m8(tracker_graph, monkeypatch):
+    """Figure 6 step 3 alone: S of the tracker at m=8 -> the pipelined M.
+
+    ``wall_s`` (fastest of seven, so the trajectory's 10 % gate sees the
+    code and not the host) and ``ii_searches`` (exact per-shift searches
+    actually run: members of S the incumbent screens out run none) are
+    both gated by ``trajectory.py``.
+    """
+    cluster = _cluster()
+    state = State(n_models=8)
+    rows = {}
+    for label, cm in [("comm", _comm(cluster)), ("free_comm", None)]:
+        result = enumerate_schedules(tracker_graph, state, cluster, comm=cm)
+        searches = []
+        exact = PipelineSearch.min_ii
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                PipelineSearch, "min_ii",
+                lambda self, shift: searches.append(shift) or exact(self, shift),
+            )
+            solution = solution_from_enumeration(result, cluster)
+        solution.pipelined.validate_conflict_free()
+        members = len(result.schedules)
+        assert cluster.total_processors <= len(searches) <= (
+            members * cluster.total_processors)
+        wall = min(
+            _timed(solution_from_enumeration, result, cluster)[1] for _ in range(7)
+        )
+        rows[label] = {
+            "members_of_S": members,
+            "ii_searches": len(searches),
+            "wall_s": wall,
+            "period": solution.period,
+            "shift": solution.pipelined.shift,
+        }
+        print(
+            f"\n  pipeline step m=8 2x4 [{label}]: |S|={members} "
+            f"ii_searches={len(searches)} wall={wall * 1e3:.2f}ms "
+            f"II={solution.period:.4f} shift={solution.pipelined.shift}"
+        )
+    RESULTS["pipeline_step"] = rows
 
 
 def test_table_build_sequential_vs_parallel(tracker_graph):

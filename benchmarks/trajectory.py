@@ -14,9 +14,9 @@ appends it to ``BENCH_trajectory.json``.  ``check`` compares the newest
 entry against the most recent *comparable* previous entry — same
 platform/CPU fingerprint and same quick-mode flag, so a laptop run never
 gates against a CI runner — and exits non-zero when a lower-is-better
-metric (wall seconds, latency, round trips) grew by more than the
-tolerance, or a higher-is-better metric (speedup, reduction ratio)
-shrank by more than it.
+metric (wall seconds, latency, round trips, II searches run by the
+``pipeline_step`` row) grew by more than the tolerance, or a
+higher-is-better metric (speedup, reduction ratio) shrank by more than it.
 
 Only steady metrics gate: keys matching :data:`GATED_PATTERNS` below.
 Raw wall-clock numbers from ladder rungs the host could not parallelize
@@ -48,6 +48,7 @@ TRAJECTORY_NAME = "BENCH_trajectory.json"
 #: ``"lower"`` fails when the value grows, ``"higher"`` when it shrinks.
 GATED_PATTERNS: tuple[tuple[str, str], ...] = (
     ("wall_s", "lower"),
+    ("ii_searches", "lower"),  # Figure 6 step 3: exact searches per solve
     ("latency", "lower"),
     ("roundtrips_per_frame", "lower"),
     ("reduction_ratio", "higher"),

@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core.enumerate import EnumerationResult, enumerate_schedules
 from repro.errors import InfeasibleSchedule
-from repro.core.pipeline import best_pipelined
+from repro.core.pipeline import PipelineSearch, best_pipelined
 from repro.core.schedule import IterationSchedule, PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
@@ -174,11 +174,20 @@ def solution_from_enumeration(
     solutions.  ``dp_cap`` is the data-parallel width cap the search
     problem was built with (recorded in the certificate; defaults to the
     cluster's processors per node, which is what every table build uses).
+
+    A member of S none of whose shifts has a feasible II below the
+    incumbent's period (less the tie tolerance) cannot replace it — the
+    period its search returns is one of those per-shift minima — so it is
+    dropped before its search is finished; one that may is searched in full,
+    so which member wins a tie is unchanged.
     """
     best: Optional[PipelinedSchedule] = None
     best_iter: Optional[IterationSchedule] = None
     for candidate in result.schedules:
-        piped = best_pipelined(candidate, cluster, name=f"M[{candidate.name}]")
+        search = PipelineSearch(candidate, cluster.total_processors)
+        if best is not None and not search.beats(best.period - _EPS):
+            continue
+        piped = search.best(name=f"M[{candidate.name}]")
         if best is None or piped.period < best.period - _EPS:
             best = piped
             best_iter = candidate

@@ -10,10 +10,29 @@ Two constructions from §3.3:
 * :func:`best_pipelined` — the last step of Figure 6: given a minimal-
   latency iteration schedule, find the smallest initiation interval II (and
   processor shift) such that successive iterations never collide on a
-  processor.  Throughput is 1/II.  The minimization is exact: for each
-  candidate shift the feasible II values change only at *critical values*
-  derived from span-pair separations, so testing those candidates in
-  ascending order yields the true minimum.
+  processor.  Throughput is 1/II.
+
+Why the search is exact.  Fix a shift.  Span ``b`` of iteration ``k`` meets
+span ``a`` of iteration 0 on a processor exactly when ``k * II`` lies
+strictly between ``start_a - end_b`` and ``end_a - start_b``, so the
+infeasible IIs are a union of open intervals ``((start_a - end_b) / k,
+(end_a - start_b) / k)``, and the feasible set above the busy-time lower
+bound is closed: its minimum is the lower bound itself or the right end of
+one of those intervals.  Testing these *critical values* in ascending order
+therefore yields the true minimum (feasibility is not monotone in II, so a
+bisection would not).
+
+How it is indexed.  Iteration ``k`` is the base pattern rotated by
+``(k * shift) % P`` processors, so which span pairs can meet depends on
+``(k, shift)`` only through that rotation.  :class:`PipelineSearch` builds,
+once per iteration schedule in ``O(n^2)`` for ``n`` spans, the separations
+and the collision tests of the span pairs of every rotation; all ``P``
+shifts, and every ``k``, index into them.  Per member of S that replaces
+``P`` independent searches, each scanning all ``n^2`` pairs with a modulo
+test for every ``k <= latency / lower bound`` and regrouping the spans by
+processor for every feasibility test, by one table build plus, per shift
+and ``k``, a walk over the distinct separations of one rotation that stops
+at the lower bound.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.state import State
 
-__all__ = ["naive_pipeline", "min_initiation_interval", "best_pipelined"]
+__all__ = ["naive_pipeline", "PipelineSearch", "min_initiation_interval", "best_pipelined"]
 
 _EPS = 1e-9
 
@@ -64,30 +83,158 @@ def naive_pipeline(
                              n_procs=P, name="naive-pipeline")
 
 
-def _feasible(
-    spans: list[tuple[int, float, float]],
-    P: int,
-    shift: int,
-    period: float,
-    latency: float,
-) -> bool:
-    """Check that iteration 0 never collides with any later iteration."""
-    if period <= 0:
-        return False
-    K = int(latency / period) + P + 1
-    by_proc: dict[int, list[tuple[float, float]]] = {}
-    for proc, s, e in spans:
-        by_proc.setdefault(proc, []).append((s, e))
-    for k in range(1, K + 1):
-        off = k * period
-        if off >= latency - _EPS:
-            break
+def _rotating_first(n_procs: int) -> list[int]:
+    """Every cyclic shift, the rotating patterns before the fixed one."""
+    return [*range(1, n_procs), 0]
+
+
+class PipelineSearch:
+    """The exact II search over one iteration schedule on ``n_procs`` processors.
+
+    Holds the rotation-indexed span-pair tables (see the module docstring).
+    For rotation ``r``, over the span pairs with ``(proc_a - proc_b) % P ==
+    r`` — ``a`` in iteration 0, ``b`` in the later iteration:
+
+    * ``seps[r]`` — the distinct positive separations ``end_a - start_b``
+      and ``start_a - end_b``, descending; ``sep / k`` is a critical value;
+    * ``hits[r]`` — the distinct collision tests ``(start_b, end_b,
+      start_a, end_a - eps)``.
+
+    :meth:`best` is the search; :meth:`beats` is the same ascending scans cut
+    off at a bound, for callers comparing many iterations against an
+    incumbent.  Candidate lists are computed once per shift and shared.
+    """
+
+    def __init__(self, iteration: IterationSchedule, n_procs: int) -> None:
+        spans = [
+            (proc, p.start, p.end)
+            for p in iteration.placements
+            for proc in p.procs
+            if p.duration > 0
+        ]
+        latency = iteration.latency
+        if not spans or latency <= 0:
+            raise InvalidSchedule("cannot pipeline an empty or zero-length iteration")
+        self.iteration = iteration
+        self.n_procs = n_procs
+        self.latency = latency
+        self.mean_busy = sum(e - s for _, s, e in spans) / n_procs
+        per_proc: dict[int, float] = {}
         for proc, s, e in spans:
-            target = (proc + k * shift) % P
-            for (s0, e0) in by_proc.get(target, ()):
-                if s + off < e0 - _EPS and s0 < e + off - _EPS:
+            per_proc[proc] = per_proc.get(proc, 0.0) + (e - s)
+        self.max_busy = max(per_proc.values())
+        seps: list[set[float]] = [set() for _ in range(n_procs)]
+        hits: list[set[tuple[float, float, float, float]]] = [
+            set() for _ in range(n_procs)
+        ]
+        for proc_a, sa, ea in spans:
+            if not 0 <= proc_a < n_procs:
+                continue  # no rotation of an in-range processor lands here
+            ea_eps = ea - _EPS
+            for proc_b, sb, eb in spans:
+                r = (proc_a - proc_b) % n_procs
+                hits[r].add((sb, eb, sa, ea_eps))
+                # A separation <= 0 yields a critical value below the
+                # (positive) lower bound, which is a candidate anyway.
+                for sep in (ea - sb, sa - eb):
+                    if sep > 0:
+                        seps[r].add(sep)
+        self.seps = [sorted(s, reverse=True) for s in seps]
+        self.hits = [list(h) for h in hits]
+        self._candidates: dict[int, list[float]] = {}
+
+    def feasible(self, shift: int, period: float) -> bool:
+        """Check that iteration 0 never collides with any later iteration."""
+        if period <= 0:
+            return False
+        P, latency, hits = self.n_procs, self.latency, self.hits
+        K = int(latency / period) + P + 1
+        for k in range(1, K + 1):
+            off = k * period
+            if off >= latency - _EPS:
+                break
+            for s, e, s0, e0m in hits[(k * shift) % P]:
+                if s + off < e0m and s0 < e + off - _EPS:
                     return False
-    return True
+        return True
+
+    def candidates(self, shift: int) -> list[float]:
+        """The critical II values for ``shift``, ascending (computed once)."""
+        cached = self._candidates.get(shift)
+        if cached is not None:
+            return cached
+        P, latency, seps = self.n_procs, self.latency, self.seps
+        if not 0 <= shift < P:
+            raise InvalidSchedule(f"shift {shift} out of range 0..{P - 1}")
+        # Busy time per physical processor per period: with a shift the work
+        # rotates, so the binding bound is the mean; without a shift it is the
+        # per-processor busy time.
+        lb = self.mean_busy
+        if shift == 0:
+            lb = max(lb, self.max_busy)
+
+        candidates: set[float] = {lb, latency}
+        # Any candidate below lb is infeasible, so k never needs to exceed
+        # latency / lb (capped defensively for degenerate lb).
+        Kmax = max(1, min(int(math.ceil(latency / max(lb, _EPS))) + P, 10_000))
+        for k in range(1, Kmax + 1):
+            for sep in seps[(k * shift) % P]:
+                crit = sep / k
+                if crit < lb - _EPS:
+                    break  # descending: the rest are smaller still
+                if crit <= latency + _EPS:
+                    candidates.add(max(crit, lb))
+        out = self._candidates[shift] = [c for c in sorted(candidates) if c > 0]
+        return out
+
+    def min_ii(self, shift: int) -> float:
+        """Exact minimal II for a fixed processor shift."""
+        for cand in self.candidates(shift):
+            if self.feasible(shift, cand):
+                return cand
+        return self.latency  # pragma: no cover - latency is always feasible
+
+    def beats(self, period: float) -> bool:
+        """Whether some shift has a feasible II below ``period``.
+
+        The same ascending scans as :meth:`min_ii`, each stopped at
+        ``period``: ``False`` means every per-shift minimum, hence the
+        period :meth:`best` would return, is at least ``period``.
+        """
+        for shift in _rotating_first(self.n_procs):
+            for cand in self.candidates(shift):
+                if cand >= period:
+                    break
+                if self.feasible(shift, cand):
+                    return True
+        return False
+
+    def best(
+        self, shifts: Optional[list[int]] = None, name: str = "pipelined"
+    ) -> PipelinedSchedule:
+        """The throughput-maximizing pipelined schedule over processor shifts.
+
+        Tries every cyclic shift (or the given subset), takes the smallest
+        feasible initiation interval, and returns the resulting
+        :class:`PipelinedSchedule`.  Ties are broken toward a *rotating*
+        pattern (smallest nonzero shift) — the paper's schedules shift one
+        processor per timestamp so successive iterations wrap around, which
+        also spreads the work evenly across processors.  The result is
+        re-validated for conflicts as a safety net.
+        """
+        best: Optional[tuple[float, int]] = None
+        for s in shifts if shifts is not None else _rotating_first(self.n_procs):
+            ii = self.min_ii(s)
+            if best is None or ii < best[0] - _EPS:
+                best = (ii, s)
+        if best is None:
+            raise ScheduleError("no shifts to try")
+        period, shift = best
+        sched = PipelinedSchedule(
+            self.iteration, period=period, shift=shift, n_procs=self.n_procs, name=name
+        )
+        sched.validate_conflict_free()
+        return sched
 
 
 def min_initiation_interval(
@@ -103,47 +250,7 @@ def min_initiation_interval(
     smallest feasible candidate is returned; ``latency`` itself is always
     feasible (iterations fully separated), so the search cannot fail.
     """
-    spans = [
-        (proc, p.start, p.end)
-        for p in iteration.placements
-        for proc in p.procs
-        if p.duration > 0
-    ]
-    latency = iteration.latency
-    if not spans or latency <= 0:
-        raise InvalidSchedule("cannot pipeline an empty or zero-length iteration")
-    if not 0 <= shift < n_procs:
-        raise InvalidSchedule(f"shift {shift} out of range 0..{n_procs - 1}")
-
-    area = sum(e - s for _, s, e in spans)
-    lb = area / n_procs
-    # Busy time per physical processor per period: with a shift the work
-    # rotates, so the binding bound is the mean; without a shift it is the
-    # per-processor busy time.
-    if shift == 0:
-        per_proc: dict[int, float] = {}
-        for proc, s, e in spans:
-            per_proc[proc] = per_proc.get(proc, 0.0) + (e - s)
-        lb = max(lb, max(per_proc.values()))
-
-    candidates: set[float] = {lb, latency}
-    # Any candidate below lb is infeasible, so k never needs to exceed
-    # latency / lb (capped defensively for degenerate lb).
-    Kmax = max(1, min(int(math.ceil(latency / max(lb, _EPS))) + n_procs, 10_000))
-    for k in range(1, Kmax + 1):
-        for proc_a, sa, ea in spans:
-            for proc_b, sb, eb in spans:
-                if (proc_b + k * shift) % n_procs != proc_a:
-                    continue
-                for crit in ((ea - sb) / k, (sa - eb) / k):
-                    if lb - _EPS <= crit <= latency + _EPS:
-                        candidates.add(max(crit, lb))
-    for cand in sorted(candidates):
-        if cand <= 0:
-            continue
-        if _feasible(spans, n_procs, shift, cand, latency):
-            return cand
-    return latency  # pragma: no cover - latency is always feasible
+    return PipelineSearch(iteration, n_procs).min_ii(shift)
 
 
 def best_pipelined(
@@ -154,24 +261,6 @@ def best_pipelined(
 ) -> PipelinedSchedule:
     """The throughput-maximizing pipelined schedule over processor shifts.
 
-    Tries every cyclic shift (or the given subset), takes the smallest
-    feasible initiation interval, and returns the resulting
-    :class:`PipelinedSchedule`.  Ties are broken toward a *rotating*
-    pattern (smallest nonzero shift) — the paper's schedules shift one
-    processor per timestamp so successive iterations wrap around, which
-    also spreads the work evenly across processors.  The result is
-    re-validated for conflicts as a safety net.
+    One-shot form of :meth:`PipelineSearch.best`.
     """
-    P = cluster.total_processors
-    trial_shifts = shifts if shifts is not None else [*range(1, P), 0]
-    best: Optional[tuple[float, int]] = None
-    for s in trial_shifts:
-        ii = min_initiation_interval(iteration, P, s)
-        if best is None or ii < best[0] - _EPS:
-            best = (ii, s)
-    if best is None:
-        raise ScheduleError("no shifts to try")
-    period, shift = best
-    sched = PipelinedSchedule(iteration, period=period, shift=shift, n_procs=P, name=name)
-    sched.validate_conflict_free()
-    return sched
+    return PipelineSearch(iteration, cluster.total_processors).best(shifts, name)

@@ -102,6 +102,8 @@ class IterationSchedule:
             if p.task in self._by_task:
                 raise InvalidSchedule(f"task {p.task!r} placed twice in {name!r}")
             self._by_task[p.task] = p
+        #: Time from iteration origin to the last placement's end.
+        self.latency: float = max((p.end for p in self.placements), default=0.0)
 
     # -- basic queries -------------------------------------------------------
 
@@ -120,11 +122,6 @@ class IterationSchedule:
 
     def __contains__(self, task: str) -> bool:
         return task in self._by_task
-
-    @property
-    def latency(self) -> float:
-        """Time from iteration origin to the last placement's end."""
-        return max((p.end for p in self.placements), default=0.0)
 
     @property
     def span(self) -> float:
@@ -297,26 +294,49 @@ class PipelinedSchedule:
         """Check that no two iterations collide on any processor.
 
         Checks iteration 0 against iterations ``1..K`` where ``K`` covers
-        the full overlap window; by periodicity this covers all pairs.
+        the full overlap window; by periodicity this covers all pairs.  A
+        zero-length placement occupies no processor time and cannot
+        collide.  Iteration ``k`` is not instantiated: processor sets are
+        bitmasks, iteration ``k``'s rotated by ``(k * shift) % P``, and the
+        placement pairs sharing a processor are found once per rotation.
         """
-        if not self.iteration.placements:
+        P = self.n_procs
+        everywhere = (1 << P) - 1
+        # (task, processor mask, start, duration); adding an iteration's
+        # offset, 0.0 for iteration 0, turns a start of -0.0 into 0.0.
+        rows = [
+            (p.task, sum(1 << q for q in p.procs), p.start + 0.0, p.duration)
+            for p in self.iteration.placements
+            if p.duration > 0
+        ]
+        if not rows:
             return
         K = iterations
         if K is None:
-            K = int(self.latency / self.period) + self.n_procs + 1
-        base = self.instantiate(0)
+            K = int(self.latency / self.period) + P + 1
+        sharing: dict[int, list[tuple]] = {}  # rotation -> [(a, b, common mask)]
         for k in range(1, K + 1):
-            other = self.instantiate(k)
-            for a in base:
-                for b in other:
-                    if set(a.procs) & set(b.procs):
-                        if a.start < b.end - _EPS and b.start < a.end - _EPS:
-                            raise InvalidSchedule(
-                                f"iterations 0 and {k} collide: {a.task!r} "
-                                f"[{a.start:g},{a.end:g}) vs {b.task!r} "
-                                f"[{b.start:g},{b.end:g}) on procs "
-                                f"{sorted(set(a.procs) & set(b.procs))}"
-                            )
+            r = (k * self.shift) % P
+            pairs = sharing.get(r)
+            if pairs is None:
+                pairs = sharing[r] = []
+                for a in rows:
+                    for b in rows:
+                        common = a[1] & (b[1] << r | b[1] >> (P - r)) & everywhere
+                        if common:
+                            pairs.append((a, b, common))
+            off = k * self.period
+            for (a_task, _, a_start, a_dur), (b_task, _, b_base, b_dur), common in pairs:
+                a_end = a_start + a_dur
+                b_start = b_base + off
+                b_end = b_start + b_dur
+                if a_start < b_end - _EPS and b_start < a_end - _EPS:
+                    raise InvalidSchedule(
+                        f"iterations 0 and {k} collide: {a_task!r} "
+                        f"[{a_start:g},{a_end:g}) vs {b_task!r} "
+                        f"[{b_start:g},{b_end:g}) on procs "
+                        f"{[q for q in range(P) if common >> q & 1]}"
+                    )
 
     def __repr__(self) -> str:
         return (

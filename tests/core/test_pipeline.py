@@ -109,6 +109,19 @@ class TestBestPipelined:
         piped.validate_conflict_free()
         assert piped.period <= res.best.latency + 1e-9
 
+    def test_zero_duration_placement_occupies_no_processor_time(self):
+        """The II search ignores a zero-length span, so the safety-net
+        validation must too: this legal iteration used to raise
+        ``'a' [0,4) vs 'z' [3.5,3.5)``."""
+        it = IterationSchedule(
+            [Placement("a", (0,), 0.0, 4.0), Placement("z", (1,), 1.5, 0.0)]
+        )
+        piped = best_pipelined(it, SINGLE_NODE_SMP(2))
+        assert (piped.period, piped.shift) == (2.0, 1)
+        # ... while a real collision next to it is still reported
+        with pytest.raises(InvalidSchedule, match="'a' .* vs 'a'"):
+            PipelinedSchedule(it, period=1.0, shift=1, n_procs=2).validate_conflict_free()
+
     def test_prefers_rotating_pattern_on_tie(self):
         """A one-span iteration pipelines equally at any shift; the
         tie-break must pick a rotating pattern (the paper's wrap-around)."""

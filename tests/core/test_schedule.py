@@ -122,6 +122,19 @@ class TestIterationSchedule:
     def test_canonical_key_stable(self):
         assert self.chain_schedule().canonical_key() == self.chain_schedule().canonical_key()
 
+    def test_latency_computed_once_and_survives_round_trips(self):
+        import pickle
+
+        from repro.core.serialize import iteration_from_dict, iteration_to_dict
+
+        it = self.chain_schedule()
+        assert it.latency == max(p.end for p in it.placements)
+        assert IterationSchedule([]).latency == 0.0
+        for copy in (pickle.loads(pickle.dumps(it)),
+                     iteration_from_dict(iteration_to_dict(it))):
+            assert copy.latency == it.latency
+            assert copy.canonical_key() == it.canonical_key()
+
 
 class TestPipelinedSchedule:
     def one_proc_iteration(self):

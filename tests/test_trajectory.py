@@ -116,6 +116,22 @@ class TestAppendAndCheck:
         failures = trajectory.check_regression(out)
         assert any("reduction_ratio" in f for f in failures)
 
+    def test_pipeline_step_row_is_gated(self, tmp_path):
+        """bench_enumerate's step-3 row: its seconds and its search count."""
+        def step(wall_s, searches):
+            return {"quick": True, "pipeline_step": {"free_comm": {
+                "members_of_S": 56, "ii_searches": searches, "wall_s": wall_s}}}
+
+        make_envelope(tmp_path, "enumerate", step(0.006, 16))
+        out = tmp_path / trajectory.TRAJECTORY_NAME
+        trajectory.append_entry(tmp_path, out)
+        make_envelope(tmp_path, "enumerate", step(0.007, 448))
+        trajectory.append_entry(tmp_path, out)
+        failures = trajectory.check_regression(out)
+        assert len(failures) == 2
+        assert any("pipeline_step.free_comm.wall_s" in f for f in failures)
+        assert any("pipeline_step.free_comm.ii_searches" in f for f in failures)
+
     def test_within_tolerance_passes(self, tmp_path):
         out = self.run_cycle(tmp_path, SAMPLE)
         make_envelope(tmp_path, "substrates",
