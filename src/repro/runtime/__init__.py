@@ -11,21 +11,27 @@
   readiness) hold in execution.
 * :mod:`repro.runtime.result` — the uniform result object both executors
   produce: trace + channel registry + per-timestamp latency accounting.
+* :mod:`repro.runtime.live` — what the two live runtimes share: the one
+  per-task frame loop (:func:`~repro.runtime.live.run_frames`, a *step*
+  per frame), the configuration checks and
+  :class:`~repro.runtime.live.LiveResult`.
 * :mod:`repro.runtime.threaded` — the live runtime running real kernels on
-  real Python threads over :class:`~repro.stm.threaded.ThreadedChannel`.
+  real Python threads; its step is inline
+  :class:`~repro.stm.threaded.ThreadedChannel` operations.
 * :mod:`repro.runtime.process` — the live runtime running real kernels on
   worker *processes* (one per scheduled cluster node, chunk pools for
-  data-parallel variants) over :class:`~repro.stm.process.ProcessChannel`.
+  data-parallel variants); its step is one
+  :class:`~repro.stm.process.StepBatch` round trip to the broker.
 """
 
 from repro.runtime.result import ExecutionResult
 from repro.runtime.dynamic import DynamicExecutor
 from repro.runtime.static_exec import StaticExecutor
+from repro.runtime.live import LiveResult
 from repro.runtime.threaded import ThreadedRuntime
 from repro.runtime.process import (
     KernelFault,
     ProcessFaultPlan,
-    ProcessResult,
     ProcessRuntime,
 )
 
@@ -33,9 +39,9 @@ __all__ = [
     "ExecutionResult",
     "DynamicExecutor",
     "StaticExecutor",
+    "LiveResult",
     "ThreadedRuntime",
     "KernelFault",
     "ProcessFaultPlan",
-    "ProcessResult",
     "ProcessRuntime",
 ]

@@ -18,9 +18,11 @@ This module compiles those walks once, up front:
   operation over the whole iteration, and ``primary(task, k)`` answers
   the per-edge primary-processor query from an int array.
 
-Every executor substrate (sim, threaded, process) dispatches through
-these tables; conformance tests pin their equivalence to the original
-object walks.
+Every executor substrate dispatches through these tables: the sim loop
+through both, the threaded runtime and the process runtime's workers
+through the :class:`TaskPlan` their shared frame loop
+(:func:`repro.runtime.live.run_frames`) is handed; conformance tests pin
+their equivalence to the original object walks.
 """
 
 from __future__ import annotations

@@ -1,0 +1,162 @@
+"""What the two live substrates share: one frame loop, one result type.
+
+Stampede's execution model (§3.3) is one loop per task — get, compute,
+put, consume per timestamp through STM.  The live unit of that loop is
+the *step*: hand over frame ``ts - 1``'s puts and consumes, fetch frame
+``ts``'s gets.  :func:`run_frames` is that loop, written once; a substrate
+supplies only its ``exchange`` — :class:`~repro.runtime.threaded.
+ThreadedRuntime` runs the channel operations inline, :class:`~repro.
+runtime.process.ProcessRuntime` ships each step as one broker round trip
+(:class:`~repro.stm.process.StepBatch`).
+
+Beside the loop sit the pieces both runtimes (and ``StaticExecutor``'s
+live adapter) need exactly once: the configuration checks, the
+terminal-channel list, the per-frame completion merge, and
+:class:`LiveResult`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
+
+from repro.errors import ExecutorConfigError, ReproError
+from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import TaskPlan
+from repro.sim.trace import ExecSpan
+
+__all__ = [
+    "LiveResult",
+    "check_static_inputs",
+    "check_timestamps",
+    "merge_completion",
+    "run_frames",
+    "terminal_channels",
+]
+
+#: ``(timestamp, kernel result)`` of the frame a step hands over.
+Done = Optional[tuple[int, dict]]
+
+
+@dataclass
+class LiveResult:
+    """What a live run produced, on either substrate.
+
+    Attributes
+    ----------
+    outputs:
+        ``{channel: {timestamp: value}}`` for every *terminal* channel
+        (streaming channels no task consumes — e.g. ``model_locations``).
+    wall_time:
+        Wall-clock seconds for the whole run.
+    channel_stats:
+        Per-channel put/get/consume/collected counters.
+    digitize_times / completion_times:
+        Per-frame wall-clock seconds relative to run start: when the
+        source emitted the frame, and when every terminal channel had
+        received it — the live counterparts of the simulated executors'
+        fields, so latency metrics apply across substrates.
+    spans:
+        One :class:`~repro.sim.trace.ExecSpan` per kernel execution,
+        wall-clock relative to run start; ``proc`` is the task's index on
+        threads and its scheduled primary processor on processes.
+    respawns / kernel_retries:
+        Fault-recovery counters (process substrate; 0 on threads).
+    meta:
+        Substrate-specific extras (the process runtime's placement and
+        broker accounting).
+    """
+
+    outputs: dict[str, dict[int, Any]]
+    wall_time: float
+    channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
+    digitize_times: dict[int, float] = field(default_factory=dict)
+    completion_times: dict[int, float] = field(default_factory=dict)
+    spans: list[ExecSpan] = field(default_factory=list)
+    respawns: int = 0
+    kernel_retries: int = 0
+    meta: dict = field(default_factory=dict)
+
+
+def check_static_inputs(graph: TaskGraph, static_inputs: dict[str, Any]) -> None:
+    """Every static channel of ``graph`` has a value to be filled with."""
+    for spec in graph.channels:
+        if spec.static and spec.name not in static_inputs:
+            raise ExecutorConfigError(
+                f"static channel {spec.name!r} needs a value in static_inputs"
+            )
+
+
+def check_timestamps(timestamps: int) -> None:
+    if timestamps < 1:
+        raise ExecutorConfigError(f"timestamps must be >= 1, got {timestamps}")
+
+
+def terminal_channels(graph: TaskGraph) -> list[str]:
+    """Streaming channels some task produces and none consumes.
+
+    The runtime drains these itself (one collector each) and returns
+    their items as the run's outputs.
+    """
+    return [
+        spec.name
+        for spec in graph.channels
+        if not spec.static and not graph.consumers(spec.name)
+        and graph.producers(spec.name)
+    ]
+
+
+def merge_completion(arrivals: dict[str, dict[int, float]]) -> dict[int, float]:
+    """Per-frame completion: when the *last* terminal channel received it.
+
+    ``arrivals`` is ``{terminal channel: {timestamp: arrival time}}``; a
+    frame counts only once every terminal channel has it.
+    """
+    if not arrivals:
+        return {}
+    common = set.intersection(*(set(times) for times in arrivals.values()))
+    return {ts: max(times[ts] for times in arrivals.values()) for ts in common}
+
+
+def run_frames(
+    plan: TaskPlan,
+    exchange: Callable[[Done, Optional[int]], Optional[dict]],
+    kernel: Optional[Callable[[dict, int], Any]],
+    first: int,
+    stop: int,
+) -> None:
+    """One task's frame loop over timestamps ``first .. stop - 1``.
+
+    ``exchange(done, ts)`` is the substrate's step: ``done`` is the
+    ``(timestamp, result)`` of the frame just computed (``None`` on the
+    first call) whose outputs it puts and whose streaming inputs it
+    consumes; ``ts`` is the frame whose merged inputs it returns (``None``
+    on the final call, which only flushes).  It is called once per frame
+    and once more to flush: ``(None, first), (first, first + 1), ...,
+    (stop - 1, None)``.
+
+    ``kernel(inputs, ts)`` computes one frame; ``None`` passes the merged
+    inputs through to every output.  Its result is checked here, before
+    anything is handed to the next exchange.
+    """
+    done: Done = None
+    for ts in range(first, stop):
+        inputs = exchange(done, ts)
+        if kernel is None:
+            result = {ch: inputs for ch in plan.outputs}
+        else:
+            result = kernel(inputs, ts)
+            if not isinstance(result, dict):
+                raise ReproError(
+                    f"kernel of {plan.name!r} returned "
+                    f"{type(result).__name__}, expected dict"
+                )
+            for ch in plan.outputs:
+                if ch not in result:
+                    raise ReproError(
+                        f"kernel of {plan.name!r} produced no value for "
+                        f"channel {ch!r}"
+                    )
+        done = ts, result
+    if done is not None:
+        exchange(done, None)

@@ -8,10 +8,12 @@ rung between the simulator and real hardware:
 * every scheduled cluster *node* becomes a worker ``multiprocessing``
   process (fork-based, mirroring :mod:`repro.core.parallel`);
 * each worker runs its node's task assignments as threads inside the
-  worker, exactly the threaded runtime's task body, but over
-  :class:`~repro.stm.process.ProcessChannel` proxies — STM items cross
-  nodes through the parent's :class:`~repro.stm.process.ChannelBroker`
-  (shared-memory transport for array payloads, pickle otherwise);
+  worker, each thread the same :func:`~repro.runtime.live.run_frames`
+  loop the threaded runtime runs, its exchange one
+  :class:`~repro.stm.process.StepBatch` round trip per frame — STM items
+  cross nodes through the parent's
+  :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
+  array payloads, pickle otherwise);
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
@@ -32,13 +34,22 @@ import os
 import threading
 import time as _time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.schedule import PipelinedSchedule
 from repro.errors import ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import TaskPlan, build_task_plans
+from repro.runtime.live import (
+    LiveResult,
+    check_static_inputs,
+    check_timestamps,
+    merge_completion,
+    run_frames,
+    terminal_channels,
+)
 from repro.sim.trace import ExecSpan
 from repro.state import State
 from repro.stm.process import (
@@ -58,7 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 __all__ = [
     "KernelFault",
     "ProcessFaultPlan",
-    "ProcessResult",
     "ProcessRuntime",
 ]
 
@@ -120,32 +130,6 @@ class ProcessFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Result
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProcessResult:
-    """What a process-parallel run produced.
-
-    ``digitize_times`` / ``completion_times`` are wall-clock seconds
-    relative to the run start (comparable to the simulated executors'
-    fields for latency/uniformity metrics); ``spans`` are the merged
-    per-worker kernel executions.
-    """
-
-    outputs: dict[str, dict[int, Any]]
-    wall_time: float
-    channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
-    digitize_times: dict[int, float] = field(default_factory=dict)
-    completion_times: dict[int, float] = field(default_factory=dict)
-    spans: list[ExecSpan] = field(default_factory=list)
-    respawns: int = 0
-    kernel_retries: int = 0
-    meta: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
 
@@ -157,8 +141,8 @@ class _WorkerSpec:
     worker_id: int
     node: int
     tasks: list[Task]
+    plans: dict[str, TaskPlan]
     state: State
-    static_channels: frozenset[str]
     conns_in: dict[str, dict[str, int]]
     conns_out: dict[str, dict[str, int]]
     resume: dict[str, int]
@@ -172,8 +156,6 @@ class _WorkerSpec:
     kernel_retries: int
     replay: bool
     t0: float
-    record_spans: bool = True
-    coalesce: bool = True
 
 
 #: Chunkable tasks of THIS worker, read by forked pool children.
@@ -244,9 +226,6 @@ def _worker_main(spec: _WorkerSpec) -> None:
     errors_lock = threading.Lock()
     fired: set[tuple[str, int]] = set()
 
-    def channel_for(name: str) -> ProcessChannel:
-        return ProcessChannel(name, link, replay=spec.replay)
-
     def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
         """One (task, timestamp) execution, chunk-parallel when planned."""
         fault = next(
@@ -289,124 +268,66 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 retries[0] += 1
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def run_kernel(task: Task, inputs: dict, ts: int, variant: str,
-                   proc: int) -> dict:
-        """Invoke + validate one kernel execution (shared by both loops)."""
-        if task.compute is not None or task.compute_chunk is not None:
-            k0 = _time.perf_counter() - spec.t0
-            result = invoke_kernel(task, inputs, ts)
-            k1 = _time.perf_counter() - spec.t0
-            if spec.record_spans:
-                spans.append((task.name, variant, ts, k0, k1, proc))
-            if not isinstance(result, dict):
-                raise ReproError(
-                    f"kernel of {task.name!r} returned "
-                    f"{type(result).__name__}, expected dict"
-                )
-        else:
-            result = {ch: inputs for ch in task.outputs}
-        for ch in task.outputs:
-            if ch not in result:
-                raise ReproError(
-                    f"kernel of {task.name!r} produced no value for "
-                    f"channel {ch!r}"
-                )
-        return result
-
     def task_body(task: Task) -> None:
         try:
-            ins = {ch: channel_for(ch) for ch in task.inputs}
-            outs = {ch: channel_for(ch) for ch in task.outputs}
+            plan = spec.plans[task.name]
+            chans = {ch: ProcessChannel(ch, link, replay=spec.replay)
+                     for ch in task.inputs + task.outputs}
             conns_in = spec.conns_in[task.name]
             conns_out = spec.conns_out[task.name]
-            # Flat dispatch: channel classification resolved once, before
-            # the frame loop.
-            stream_inputs = [ch for ch in task.inputs
-                             if ch not in spec.static_channels]
-            static_inputs = [ch for ch in task.inputs
-                             if ch in spec.static_channels]
             variant = spec.dp_plan.get(task.name, (1, "serial", ()))[1]
             proc = spec.primary_proc.get(task.name, spec.node)
-            start_ts = spec.resume.get(task.name, 0)
-            if spec.coalesce:
-                run_coalesced(task, ins, outs, conns_in, conns_out,
-                              stream_inputs, static_inputs, variant, proc,
-                              start_ts)
-            else:
-                statics = {
-                    ch: ins[ch].get(conns_in[ch], 0,
-                                    timeout=spec.op_timeout)[1]
-                    for ch in static_inputs
-                }
-                for ts in range(start_ts, spec.timestamps):
-                    inputs = dict(statics)
-                    for ch in stream_inputs:
-                        _, value = ins[ch].get(conns_in[ch], ts,
-                                               timeout=spec.op_timeout)
-                        inputs[ch] = value
-                    result = run_kernel(task, inputs, ts, variant, proc)
-                    for ch in task.outputs:
-                        outs[ch].put(conns_out[ch], ts, result[ch],
-                                     timeout=spec.op_timeout)
-                    for ch in stream_inputs:
-                        ins[ch].consume(conns_in[ch], ts)
-            for ch in list(ins.values()) + list(outs.values()):
+            statics: dict[str, Any] = {}
+            unread_statics = list(plan.static_inputs)
+
+            def exchange(done, ts):
+                """The step as ONE broker round trip.
+
+                The finished frame's puts and consumes ride with the next
+                frame's gets (and, on the task's first step, its static
+                inputs).  The broker applies a step's consumes at once
+                even when its puts or gets park, so the deferral cannot
+                deadlock bounded channels.
+                """
+                batch = StepBatch(link, replay=spec.replay)
+                if done is not None:
+                    done_ts, result = done
+                    for ch in plan.outputs:
+                        batch.put(chans[ch], conns_out[ch], done_ts, result[ch])
+                    for ch in plan.stream_inputs:
+                        batch.consume(chans[ch], conns_in[ch], done_ts)
+                if ts is None:
+                    batch.commit(timeout=spec.op_timeout)
+                    return None
+                for ch in unread_statics:
+                    batch.get(chans[ch], conns_in[ch], 0)
+                for ch in plan.stream_inputs:
+                    batch.get(chans[ch], conns_in[ch], ts)
+                values = [v for _, v in batch.commit(timeout=spec.op_timeout)]
+                n_statics = len(unread_statics)
+                statics.update(zip(unread_statics, values))
+                unread_statics.clear()
+                inputs = dict(statics)
+                inputs.update(zip(plan.stream_inputs, values[n_statics:]))
+                return inputs
+
+            def run_kernel(inputs: dict, ts: int):
+                k0 = _time.perf_counter() - spec.t0
+                result = invoke_kernel(task, inputs, ts)
+                k1 = _time.perf_counter() - spec.t0
+                spans.append((task.name, variant, ts, k0, k1, proc))
+                return result
+
+            has_kernel = task.compute is not None or task.compute_chunk is not None
+            run_frames(plan, exchange, run_kernel if has_kernel else None,
+                       spec.resume.get(task.name, 0), spec.timestamps)
+            for ch in chans.values():
                 ch.close()
         except ChannelPoisoned:
             pass
         except BaseException:  # noqa: BLE001 - shipped to the parent
             with errors_lock:
                 errors.append(traceback.format_exc())
-
-    def run_coalesced(task: Task, ins, outs, conns_in, conns_out,
-                      stream_inputs, static_inputs, variant, proc,
-                      start_ts) -> None:
-        """The batched frame loop: ONE broker round trip per frame.
-
-        Frame ``ts``'s puts and consumes are deferred and ride in the
-        same step as frame ``ts+1``'s gets; a final flush step ships the
-        last frame's.  The broker applies a step's consumes immediately
-        even when its puts/gets park, so the deferral cannot deadlock
-        bounded channels.  Item streams and kernel results are identical
-        to the per-op loop (pinned by the conformance tests); the trade
-        is one kernel execution of extra pipeline latency per stage for
-        an op_timeout's worth fewer queue crossings.
-        """
-        prev_result: Optional[dict] = None
-        prev_ts = -1
-        statics: dict[str, Any] = {}
-        for ts in range(start_ts, spec.timestamps):
-            batch = StepBatch(link, replay=spec.replay)
-            if prev_result is not None:
-                for ch in task.outputs:
-                    batch.put(outs[ch], conns_out[ch], prev_ts,
-                              prev_result[ch])
-                for ch in stream_inputs:
-                    batch.consume(ins[ch], conns_in[ch], prev_ts)
-            if ts == start_ts:
-                for ch in static_inputs:
-                    batch.get(ins[ch], conns_in[ch], 0)
-            for ch in stream_inputs:
-                batch.get(ins[ch], conns_in[ch], ts)
-            got = batch.commit(timeout=spec.op_timeout)
-            i = 0
-            if ts == start_ts:
-                for ch in static_inputs:
-                    statics[ch] = got[i][1]
-                    i += 1
-            inputs = dict(statics)
-            for ch in stream_inputs:
-                inputs[ch] = got[i][1]
-                i += 1
-            prev_result = run_kernel(task, inputs, ts, variant, proc)
-            prev_ts = ts
-        if prev_result is not None:
-            flush = StepBatch(link, replay=spec.replay)
-            for ch in task.outputs:
-                flush.put(outs[ch], conns_out[ch], prev_ts, prev_result[ch])
-            for ch in stream_inputs:
-                flush.consume(ins[ch], conns_in[ch], prev_ts)
-            flush.commit(timeout=spec.op_timeout)
 
     threads = [
         threading.Thread(target=task_body, args=(t,), name=f"task:{t.name}",
@@ -464,14 +385,6 @@ class ProcessRuntime:
         process from the parent).
     faults:
         Optional :class:`ProcessFaultPlan`.
-    coalesce:
-        Batch each task's adjacent STM operations (previous frame's
-        puts + consumes, next frame's gets) into one broker "step"
-        round trip per frame.  ``None`` (default) reads the
-        ``REPRO_COALESCE`` environment variable — on unless set to
-        ``0``/``false``/``off``.  Item streams and outputs are
-        identical either way; only the number of queue crossings
-        changes.
     start_method:
         ``multiprocessing`` start method; only ``"fork"`` supports
         kernels that are closures (the default everywhere this runtime
@@ -490,7 +403,6 @@ class ProcessRuntime:
         obs: Optional["Observability"] = None,
         faults: Optional[ProcessFaultPlan] = None,
         start_method: str = "fork",
-        coalesce: Optional[bool] = None,
     ) -> None:
         graph.validate()
         from repro.core.optimal import ScheduleSolution
@@ -508,16 +420,7 @@ class ProcessRuntime:
         self.obs = obs
         self.faults = faults
         self.start_method = start_method
-        if coalesce is None:
-            coalesce = os.environ.get(
-                "REPRO_COALESCE", "1"
-            ).lower() not in ("0", "false", "off")
-        self.coalesce = coalesce
-        for spec in graph.channels:
-            if spec.static and spec.name not in self.static_inputs:
-                raise ReproError(
-                    f"static channel {spec.name!r} needs a value in static_inputs"
-                )
+        check_static_inputs(graph, self.static_inputs)
         self.assignment, self.dp_plan = self._derive_assignment(placement)
 
     def _derive_assignment(self, placement):
@@ -538,14 +441,13 @@ class ProcessRuntime:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, timestamps: int) -> ProcessResult:
+    def run(self, timestamps: int) -> LiveResult:
         """Process ``timestamps`` frames in order across the worker fleet."""
         import multiprocessing
 
         from multiprocessing.connection import wait as _wait
 
-        if timestamps < 1:
-            raise ReproError(f"timestamps must be >= 1, got {timestamps}")
+        check_timestamps(timestamps)
         try:
             ctx = multiprocessing.get_context(self.start_method)
         except ValueError as exc:  # pragma: no cover - exotic platform
@@ -565,15 +467,8 @@ class ProcessRuntime:
             t.name: {ch: broker.attach_output(ch, t.name) for ch in t.outputs}
             for t in self.graph.tasks
         }
-        static_channels = frozenset(
-            spec.name for spec in self.graph.channels if spec.static
-        )
-        terminal = [
-            spec.name
-            for spec in self.graph.channels
-            if not spec.static and not self.graph.consumers(spec.name)
-            and self.graph.producers(spec.name)
-        ]
+        plans = build_task_plans(self.graph)
+        terminal = terminal_channels(self.graph)
         collector_conns = {ch: broker.attach_input(ch, "-collector-")
                            for ch in terminal}
         for name, value in self.static_inputs.items():
@@ -596,7 +491,7 @@ class ProcessRuntime:
         def collector_body(ch_name: str) -> None:
             # Collectors live in the broker's process, so they read STM
             # state directly under the broker lock — zero queue round
-            # trips for terminal traffic, in both coalescing modes.
+            # trips for terminal traffic.
             conn = collector_conns[ch_name]
             try:
                 for ts in range(timestamps):
@@ -612,6 +507,17 @@ class ProcessRuntime:
                 collector_errors.append(f"{ch_name}: {exc}")
 
         kernel_retries = self.faults.kernel_retries if self.faults else 0
+        # Exit faults a dead worker already executed.  A respawned worker
+        # must not see them again: it would re-run the fatal frame, hit the
+        # same injected exit, and crash-loop until the respawn budget
+        # drained.  Local to this run — the caller's plan is never edited.
+        fired_exits: set[KernelFault] = set()
+
+        def pending_faults(node_tasks) -> list[KernelFault]:
+            if self.faults is None:
+                return []
+            return [e for e in self.faults.events_for(t.name for t in node_tasks)
+                    if e not in fired_exits]
 
         def make_spec(worker_id: int, node: int, resume: dict[str, int],
                       replay: bool) -> _WorkerSpec:
@@ -620,8 +526,8 @@ class ProcessRuntime:
                 worker_id=worker_id,
                 node=node,
                 tasks=node_tasks,
+                plans=plans,
                 state=self.state,
-                static_channels=static_channels,
                 conns_in={t.name: conns_in[t.name] for t in node_tasks},
                 conns_out={t.name: conns_out[t.name] for t in node_tasks},
                 resume=resume,
@@ -633,12 +539,10 @@ class ProcessRuntime:
                          if t.name in self.dp_plan},
                 primary_proc={t.name: primary_proc.get(t.name, node)
                               for t in node_tasks},
-                fault_events=(self.faults.events_for(
-                    [t.name for t in node_tasks]) if self.faults else []),
+                fault_events=pending_faults(node_tasks),
                 kernel_retries=kernel_retries,
                 replay=replay,
                 t0=broker._t0,
-                coalesce=self.coalesce,
             )
 
         broker.start()
@@ -692,13 +596,17 @@ class ProcessRuntime:
                         )
                         break
                     respawns += 1
-                    resume = self._resume_map(broker, conns_in, conns_out,
-                                              tasks_by_node[node])
+                    resume = self._resume_map(broker, plans, conns_in,
+                                              conns_out, tasks_by_node[node])
                     detected = broker.now
                     if self.obs is not None:
                         self.obs.on_detection(detected, "worker-death",
                                               detail=f"node{node}")
-                    self._drop_fired_exits(tasks_by_node[node], resume)
+                    fired_exits.update(
+                        e for e in pending_faults(tasks_by_node[node])
+                        if e.kind == "exit"
+                        and e.timestamp <= resume.get(e.task, 0)
+                    )
                     spec = make_spec(next_worker_id, node, resume, replay=True)
                     newp = ctx.Process(target=_worker_main, args=(spec,),
                                        name=f"node{node}r{respawns}",
@@ -761,17 +669,13 @@ class ProcessRuntime:
                                                               proc_idx))
         spans.sort(key=lambda s: (s.start, s.proc))
 
-        completion: dict[int, float] = {}
-        if completion_raw:
-            common = set.intersection(*(set(d) for d in completion_raw.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in completion_raw.values())
+        completion = merge_completion(completion_raw)
         if self.obs is not None:
             for ts in sorted(completion):
                 if ts in digitize:
                     self.obs.on_frame(ts, completion[ts] - digitize[ts])
 
-        return ProcessResult(
+        return LiveResult(
             outputs=outputs,
             wall_time=wall,
             channel_stats=stats,
@@ -786,7 +690,6 @@ class ProcessRuntime:
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
                 "gc_collected": gc_collected,
                 "live_item_high_water": high_water,
-                "coalesce": self.coalesce,
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,
             },
@@ -794,7 +697,8 @@ class ProcessRuntime:
 
     # -- recovery helpers ---------------------------------------------------
 
-    def _resume_map(self, broker: ChannelBroker, conns_in, conns_out,
+    @staticmethod
+    def _resume_map(broker: ChannelBroker, plans, conns_in, conns_out,
                     node_tasks) -> dict[str, int]:
         """First incomplete frame per task, recovered from STM state.
 
@@ -805,8 +709,7 @@ class ProcessRuntime:
         """
         resume: dict[str, int] = {}
         for t in node_tasks:
-            streaming = [ch for ch in t.inputs
-                         if not self.graph.channel(ch).static]
+            streaming = plans[t.name].stream_inputs
             if streaming:
                 resume[t.name] = min(
                     broker.conn(conns_in[t.name][ch]).virtual_time
@@ -820,22 +723,6 @@ class ProcessRuntime:
             else:
                 resume[t.name] = 0
         return resume
-
-    def _drop_fired_exits(self, node_tasks, resume: dict[str, int]) -> None:
-        """Remove exit faults the dead worker already executed.
-
-        Without this, the respawned worker would re-run the fatal frame,
-        hit the same injected exit, and crash-loop until the respawn
-        budget drained.
-        """
-        if self.faults is None:
-            return
-        names = {t.name for t in node_tasks}
-        self.faults.events = tuple(
-            e for e in self.faults.events
-            if not (e.kind == "exit" and e.task in names
-                    and e.timestamp <= resume.get(e.task, 0))
-        )
 
     def _digitize_times(self, broker: ChannelBroker) -> dict[int, float]:
         """Frame emission times: the put instants on source output channels."""

@@ -414,42 +414,25 @@ class StaticExecutor:
         unchanged — they just measure the real machine instead of the
         cost model.
         """
-        trace = TraceRecorder()
         if self.runtime == "threaded":
             from repro.runtime.threaded import ThreadedRuntime
 
-            res = ThreadedRuntime(
+            live = ThreadedRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
                 obs=self.obs, analysis=self.analysis,
-            ).run(iterations)
-            for (task, ts, start, end, proc) in res.spans:
-                trace.record_span(ExecSpan(proc, task, ts, start, end))
-            gc_collected = sum(
-                s.get("collected", 0) for s in res.channel_stats.values()
             )
-            high_water = 0
-            extra = {}
         else:
             from repro.runtime.process import ProcessRuntime
 
-            res = ProcessRuntime(
+            live = ProcessRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
                 schedule=self.schedule, cluster=self.cluster,
                 obs=self.obs, faults=self.faults,
-            ).run(iterations)
-            for span in res.spans:
-                trace.record_span(span)
-            gc_collected = res.meta["gc_collected"]
-            high_water = res.meta["live_item_high_water"]
-            extra = {
-                "respawns": res.respawns,
-                "kernel_retries": res.kernel_retries,
-                "nodes": res.meta["nodes"],
-                "dp_plan": res.meta["dp_plan"],
-                "coalesce": res.meta["coalesce"],
-                "broker_ops": res.meta["broker_ops"],
-                "broker_roundtrips": res.meta["broker_roundtrips"],
-            }
+            )
+        res = live.run(iterations)
+        trace = TraceRecorder()
+        for span in res.spans:
+            trace.record_span(span)
         return ExecutionResult(
             graph=self.graph,
             state=self.state,
@@ -458,14 +441,18 @@ class StaticExecutor:
             completion_times=res.completion_times,
             horizon=res.wall_time,
             emitted=iterations,
-            gc_collected=gc_collected,
-            live_item_high_water=high_water,
+            gc_collected=sum(
+                s.get("collected", 0) for s in res.channel_stats.values()
+            ),
+            live_item_high_water=res.meta.get("live_item_high_water", 0),
             meta={
                 "substrate": self.runtime,
                 "wall_time": res.wall_time,
                 "channel_stats": res.channel_stats,
                 "outputs": res.outputs,
                 "period": self.schedule.period,
-                **extra,
+                "respawns": res.respawns,
+                "kernel_retries": res.kernel_retries,
+                **res.meta,
             },
         )

@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import ExecutorConfigError, ReproError
+from repro.errors import ReproError
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
+from repro.runtime.live import (
+    LiveResult,
+    check_static_inputs,
+    check_timestamps,
+    merge_completion,
+    run_frames,
+    terminal_channels,
+)
+from repro.sim.trace import ExecSpan
 from repro.state import State
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
@@ -30,38 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.analysis.race import RaceChecker
     from repro.obs import Observability
 
-__all__ = ["ThreadedResult", "ThreadedRuntime"]
-
-
-@dataclass
-class ThreadedResult:
-    """What a live run produced.
-
-    Attributes
-    ----------
-    outputs:
-        ``{channel: {timestamp: value}}`` for every *terminal* channel
-        (streaming channels no task consumes — e.g. ``model_locations``).
-    wall_time:
-        Wall-clock seconds for the whole run.
-    channel_stats:
-        Per-channel put/get/consume/collected counters.
-    digitize_times / completion_times:
-        Per-frame wall-clock seconds relative to run start: when the
-        source emitted the frame, and when every terminal channel had
-        received it — the live counterparts of the simulated executors'
-        fields, so latency metrics apply across substrates.
-    spans:
-        ``(task, timestamp, start, end, thread_index)`` kernel
-        executions, wall-clock relative to run start.
-    """
-
-    outputs: dict[str, dict[int, Any]]
-    wall_time: float
-    channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
-    digitize_times: dict[int, float] = field(default_factory=dict)
-    completion_times: dict[int, float] = field(default_factory=dict)
-    spans: list[tuple] = field(default_factory=list)
+__all__ = ["ThreadedRuntime"]
 
 
 class ThreadedRuntime:
@@ -108,20 +85,11 @@ class ThreadedRuntime:
         self.op_timeout = op_timeout
         self.obs = obs
         self.analysis = analysis
-        for spec in graph.channels:
-            if spec.static and spec.name not in self.static_inputs:
-                raise ExecutorConfigError(
-                    f"static channel {spec.name!r} needs a value in static_inputs"
-                )
+        check_static_inputs(graph, self.static_inputs)
 
-    def run(self, timestamps: int, source_period: float = 0.0) -> ThreadedResult:
-        """Process ``timestamps`` frames in order; returns terminal outputs.
-
-        ``source_period`` adds a real sleep between source firings (useful
-        for demos; keep 0.0 in tests).
-        """
-        if timestamps < 1:
-            raise ExecutorConfigError(f"timestamps must be >= 1, got {timestamps}")
+    def run(self, timestamps: int) -> LiveResult:
+        """Process ``timestamps`` frames in order; returns terminal outputs."""
+        check_timestamps(timestamps)
         obs = self.obs
         checker = self.analysis
         channels: dict[str, ThreadedChannel] = {
@@ -130,18 +98,12 @@ class ThreadedRuntime:
             )
             for spec in self.graph.channels
         }
-        task_index = {t.name: i for i, t in enumerate(self.graph.tasks)}
         # Static configuration channels are filled before any thread starts.
         for name, value in self.static_inputs.items():
             conn = channels[name].attach_output("-env-")
             channels[name].put(conn, 0, value)
 
-        terminal = [
-            spec.name
-            for spec in self.graph.channels
-            if not spec.static and not self.graph.consumers(spec.name)
-            and self.graph.producers(spec.name)
-        ]
+        terminal = terminal_channels(self.graph)
         outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
@@ -150,7 +112,7 @@ class ThreadedRuntime:
         t0_box = [0.0]
         digitize_times: dict[int, float] = {}
         completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
-        spans: list[tuple] = []
+        spans: list[ExecSpan] = []
         timing_lock = threading.Lock()
 
         def record_error(exc: BaseException) -> None:
@@ -189,47 +151,45 @@ class ThreadedRuntime:
                     ch: channels[ch].get(ins[ch], 0, timeout=self.op_timeout)[1]
                     for ch in plan.static_inputs
                 }
-                for ts in range(timestamps):
-                    if task.is_source and source_period > 0:
-                        _time.sleep(source_period)
+
+                def exchange(done, ts):
+                    """The step, inline: put, digitize stamp, consume, get."""
+                    if done is not None:
+                        done_ts, result = done
+                        for ch, channel, conn in out_pairs:
+                            channel.put(conn, done_ts, result[ch],
+                                        timeout=self.op_timeout)
+                        if plan.is_source:
+                            with timing_lock:
+                                digitize_times[done_ts] = max(
+                                    digitize_times.get(done_ts, 0.0),
+                                    _time.perf_counter() - t0_box[0],
+                                )
+                        for ch, channel, conn in stream_pairs:
+                            channel.consume(conn, done_ts)
+                    if ts is None:
+                        return None
                     inputs = dict(statics)
                     for ch, channel, conn in stream_pairs:
-                        _, value = channel.get(conn, ts, timeout=self.op_timeout)
-                        inputs[ch] = value
-                    if task.compute is not None:
-                        k0 = _time.perf_counter()
-                        result = task.compute(self.state, inputs)
-                        k1 = _time.perf_counter()
-                        with timing_lock:
-                            spans.append((task.name, ts, k0 - t0_box[0],
-                                          k1 - t0_box[0], task_index[task.name]))
-                        if obs is not None:
-                            obs.on_exec(
-                                task.name, k0, k1,
-                                proc=task_index[task.name], timestamp=ts,
-                            )
-                        if not isinstance(result, dict):
-                            raise ReproError(
-                                f"kernel of {task.name!r} returned "
-                                f"{type(result).__name__}, expected dict"
-                            )
-                    else:
-                        result = {ch: inputs for ch in plan.outputs}
-                    for ch, channel, conn in out_pairs:
-                        if ch not in result:
-                            raise ReproError(
-                                f"kernel of {task.name!r} produced no value for "
-                                f"channel {ch!r}"
-                            )
-                        channel.put(conn, ts, result[ch], timeout=self.op_timeout)
-                    if task.is_source:
-                        with timing_lock:
-                            digitize_times[ts] = max(
-                                digitize_times.get(ts, 0.0),
-                                _time.perf_counter() - t0_box[0],
-                            )
-                    for ch, channel, conn in stream_pairs:
-                        channel.consume(conn, ts)
+                        inputs[ch] = channel.get(
+                            conn, ts, timeout=self.op_timeout)[1]
+                    return inputs
+
+                def run_kernel(inputs, ts):
+                    k0 = _time.perf_counter()
+                    result = task.compute(self.state, inputs)
+                    k1 = _time.perf_counter()
+                    with timing_lock:
+                        spans.append(ExecSpan(plan.index, task.name, ts,
+                                              k0 - t0_box[0], k1 - t0_box[0]))
+                    if obs is not None:
+                        obs.on_exec(task.name, k0, k1, proc=plan.index,
+                                    timestamp=ts)
+                    return result
+
+                run_frames(plan, exchange,
+                           run_kernel if task.compute is not None else None,
+                           0, timestamps)
             except ChannelPoisoned:
                 pass
             except BaseException as exc:  # noqa: BLE001 - reported to caller
@@ -288,17 +248,12 @@ class ThreadedRuntime:
             with end_lock:
                 for token in end_tokens:
                     checker.adopt(token)
-        completion: dict[int, float] = {}
-        if completion_raw:
-            common = set.intersection(*(set(d) for d in completion_raw.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in completion_raw.values())
-        spans.sort(key=lambda s: s[2])
-        return ThreadedResult(
+        spans.sort(key=lambda s: s.start)
+        return LiveResult(
             outputs=outputs,
             wall_time=wall,
             channel_stats={name: ch.stats for name, ch in channels.items()},
             digitize_times=dict(sorted(digitize_times.items())),
-            completion_times=completion,
+            completion_times=merge_completion(completion_raw),
             spans=spans,
         )

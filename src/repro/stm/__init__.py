@@ -21,9 +21,11 @@ appendix, Figures 7-8).  This package implements the full API:
 * :mod:`repro.stm.threaded` — a thread-safe blocking wrapper used by the
   live (real-thread) runtime and examples.
 * :mod:`repro.stm.process` — the cross-process transport: a parent-side
-  :class:`~repro.stm.process.ChannelBroker` owning real channels plus the
-  worker-side :class:`~repro.stm.process.ProcessChannel` proxy, with a
-  shared-memory ring for array payloads.
+  :class:`~repro.stm.process.ChannelBroker` owning real channels and
+  serving one op (the *step*), the worker-side
+  :class:`~repro.stm.process.StepBatch` / :class:`~repro.stm.process.
+  ProcessChannel` that issue it, and a shared-memory ring for array
+  payloads.
 """
 
 from repro.stm.item import Item

@@ -7,25 +7,30 @@ spaces.  This module supplies the two halves of that transport:
 * :class:`ChannelBroker` — lives in the parent.  One service thread owns
   the real :class:`~repro.stm.channel.STMChannel` objects (a single
   source of truth, exactly like the condition-variable wrapper in
-  :mod:`repro.stm.threaded` owns its channel), services requests from
-  every worker, parks blocked gets/puts until a mutation can satisfy
-  them, and runs reference-count GC after each consume.  Because the
-  broker literally reuses ``STMChannel``, the timestamp/consume
-  semantics — wildcards, virtual-time advancement, born-consumed items,
-  and the ``try_get`` rule that a born-consumed item is a *miss* rather
-  than an error — are identical across the threaded and process
+  :mod:`repro.stm.threaded` owns its channel) and serves every worker
+  through ONE replying op, the *step*: a batch of consumes, puts and
+  gets that the broker applies as each becomes possible, parking the
+  step until all have landed, and running reference-count GC after each
+  consume.  Because the broker literally reuses ``STMChannel``, the
+  timestamp/consume semantics — wildcards, virtual-time advancement,
+  born-consumed items — are identical across the threaded and process
   substrates by construction.
 
-* :class:`ProcessChannel` — the worker-side proxy with the same blocking
-  surface as :class:`~repro.stm.threaded.ThreadedChannel` (``put`` /
-  ``get`` / ``try_get`` / ``consume``, timeouts on the blocking pair,
-  :class:`~repro.stm.threaded.ChannelPoisoned` on shutdown).
+* :class:`StepBatch` — the worker-side builder of one step: a task's
+  frame loop queues the previous frame's puts and consumes plus the next
+  frame's gets and ships them as one round trip.
+
+* :class:`ProcessChannel` — the worker-side proxy with the blocking
+  surface of :class:`~repro.stm.threaded.ThreadedChannel` (``put`` /
+  ``get`` / ``consume`` with timeouts,
+  :class:`~repro.stm.threaded.ChannelPoisoned` on shutdown); each call is
+  the one-entry form of a step.
 
 Payloads travel on two planes.  ``numpy`` arrays ride a shared-memory
 ring: each producer connection recycles a small set of
 :mod:`multiprocessing.shared_memory` segments, reusing a slot once the
 broker reports the item that occupied it was garbage collected (the
-put reply piggybacks the freed timestamps, so recycling costs no extra
+step reply piggybacks the freed timestamps, so recycling costs no extra
 round trip).  Everything else — python scalars, lists, dicts, arbitrary
 pickles — travels inline in the request message.  Consumers always copy
 out of shared memory before returning, so a segment is never read after
@@ -193,7 +198,7 @@ class ShmRing:
     One ring per producer connection.  ``acquire`` hands back a free
     segment of sufficient size (or creates one); ``occupy`` ties the
     segment to the timestamp it carries; ``release`` — fed from the
-    broker's put replies — returns collected timestamps' segments to the
+    broker's step replies — returns collected timestamps' segments to the
     free list.  Segment *unlinking* is centralized in the broker (which
     tracks every name it has ever seen), so a producer crash never leaks
     /dev/shm entries past the run.
@@ -287,45 +292,31 @@ def decode_value(encoded) -> Any:
 # Wire protocol
 # ---------------------------------------------------------------------------
 #
-# Request (worker -> broker): (worker_id, seq, op, channel, conn_id, args)
-#   ops with a reply:   put, get, try_get, consume, step
-#   fire-and-forget:    fatal (exc text), done (merged buffers), detach
+# Request (worker -> broker): (worker_id, seq, op, args)
+#   the one op with a reply:  step
+#   fire-and-forget:          fatal (exc text), done (merged buffers)
+#   anything else:            "error" reply
 # Reply (broker -> worker): (seq, status, data)
-#   status: "ok" | "miss" | "timeout" | "poisoned" | "error"
-#   put "ok" data:   tuple of this connection's timestamps collected since
-#                    the previous reply (ring recycling feed)
-#   get "ok" data:   (ts, encoded_value)
+#   status: "ok" | "timeout" | "poisoned" | "error"
 #   step args:       (consumes, puts, gets, timeout, replay) — one frame's
-#                    coalesced traffic.  consumes: ((channel, conn, ts),...)
-#                    applied IMMEDIATELY on arrival (even while the step
-#                    waits — withholding them would deadlock pipelines);
+#                    traffic (or a single blocking channel call).
+#                    consumes: ((channel, conn, ts),...) applied
+#                    IMMEDIATELY on arrival (even while the step waits —
+#                    withholding them would deadlock pipelines);
 #                    puts: ((channel, conn, ts, encoded, size),...) and
 #                    gets: ((channel, conn, ts),...) applied as they
 #                    become possible, each exactly once.
 #   step "ok" data:  (get results aligned with the request,
-#                     ((channel, conn, freed_timestamps),...) ring feed)
+#                     ((channel, conn, freed_timestamps),...) ring feed —
+#                     each producer connection's timestamps collected
+#                     since its previous reply)
 
-_STOP = ("-stop-", -1, "stop", "", 0, ())
-
-
-@dataclass
-class _Waiter:
-    """One parked blocking request inside the broker."""
-
-    worker: int
-    seq: int
-    conn_id: int
-    deadline: Optional[float]
-    op: str
-    ts: Any = None
-    encoded: Any = None
-    size: int = 0
-    replay: bool = False
+_STOP = ("-stop-", -1, "stop", ())
 
 
 @dataclass
 class _StepWaiter:
-    """One coalesced frame-step parked inside the broker.
+    """One step in flight inside the broker.
 
     ``consumes`` are applied once, on first dispatch; ``puts`` entries
     are ``[channel, conn_id, ts, encoded, size, applied]`` and ``gets``
@@ -356,10 +347,9 @@ class _BrokerChannel:
     stm: STMChannel
     gc_stats: GCStats = field(default_factory=GCStats)
     poisoned: bool = False
-    waiters: list[_Waiter] = field(default_factory=list)
     #: every shm segment name an item of this channel ever used
     segment_names: set[str] = field(default_factory=set)
-    #: producer conn -> timestamps collected since its last put reply
+    #: producer conn -> timestamps collected since its last step reply
     freed: dict[int, list[int]] = field(default_factory=dict)
     #: ts -> (producer conn, encoding) for live items (segment reclaim)
     producers: dict[int, tuple[int, Any]] = field(default_factory=dict)
@@ -412,7 +402,7 @@ class ChannelBroker:
         self._lock = threading.Lock()
         #: parent-side waiters (zero-round-trip collector path) sleep here
         self._cond = threading.Condition(self._lock)
-        #: parked coalesced steps, retried to fixpoint after every mutation
+        #: parked steps, retried to fixpoint after every mutation
         self._steps: list[_StepWaiter] = []
         #: requests served, by op — the broker round-trip accounting the
         #: scaling benchmark reads (local_* entries are lock-path calls
@@ -457,22 +447,6 @@ class ChannelBroker:
 
     # -- local (parent-side) channel access ---------------------------------
 
-    def local_get(self, channel: str, conn_id: int, ts: Timestamp):
-        """Parent-side non-blocking get, decoding the payload (collector path).
-
-        A born-consumed item is a miss, not an error — under a saturated
-        schedule frames complete out of order, and a drain that consumed a
-        later timestamp already declared this one dead (skipping).
-        """
-        with self._lock:
-            bc = self.channels[channel]
-            try:
-                got_ts, encoded = bc.stm.get(self.conn(conn_id), ts)
-            except (ItemUnavailable, ItemConsumed):
-                return None
-            self._observe(channel, "get", got_ts, self.conn(conn_id).task)
-            return got_ts, decode_value(encoded)
-
     def local_get_blocking(self, channel: str, conn_id: int, ts: Timestamp,
                            timeout: Optional[float] = None) -> tuple[int, Any]:
         """Blocking parent-side get with ZERO broker round trips.
@@ -516,17 +490,15 @@ class ChannelBroker:
             self.op_counts["local_consume"] = (
                 self.op_counts.get("local_consume", 0) + 1
             )
-            # A parent-side consume frees capacity like any other: blocked
-            # putters and parked steps must get their retry.
-            self._wake_waiters(self.channels[channel])
+            # A parent-side consume frees capacity like any other: parked
+            # steps must get their retry.
             self._retry_steps()
             self._cond.notify_all()
 
     def roundtrips(self) -> int:
         """Total queue round trips served (requests that got a reply)."""
         with self._lock:
-            return sum(self.op_counts.get(op, 0)
-                       for op in ("put", "get", "try_get", "consume", "step"))
+            return self.op_counts.get("step", 0)
 
     def put_time(self, channel: str, ts: int) -> Optional[float]:
         """Wall-clock time (relative to broker start) ``ts`` was put."""
@@ -586,7 +558,7 @@ class ChannelBroker:
                 msg = self.requests.get(timeout=0.02)
             except queue.Empty:
                 with self._cond:
-                    self._expire_waiters()
+                    self._expire_steps()
                     self._cond.notify_all()
                 continue
             if msg[2] == "stop":
@@ -597,7 +569,7 @@ class ChannelBroker:
                 with self._cond:
                     self._dispatch(msg)
                     self._retry_steps()
-                    self._expire_waiters()
+                    self._expire_steps()
                     self._cond.notify_all()
             except Exception as exc:  # pragma: no cover - broker bug guard
                 self.errors.append(f"broker: {exc!r}")
@@ -616,7 +588,7 @@ class ChannelBroker:
             self.obs.on_item(self.now, channel, kind, ts, task=task)
 
     def _dispatch(self, msg) -> None:
-        worker, seq, op, channel, conn_id, args = msg
+        worker, seq, op, args = msg
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
         if op == "fatal":
             self.errors.append(args)
@@ -639,60 +611,14 @@ class ChannelBroker:
             if not completed:
                 self._steps.append(st)
             return
-        bc = self.channels[channel]
-        if op == "put":
-            ts, encoded, size, timeout, replay = args
-            self._try_put(bc, _Waiter(
-                worker, seq, conn_id, self._deadline(timeout), "put",
-                ts=ts, encoded=encoded, size=size, replay=replay,
-            ))
-        elif op == "get":
-            ts, timeout = args
-            self._try_get(bc, _Waiter(
-                worker, seq, conn_id, self._deadline(timeout), "get", ts=ts,
-            ))
-        elif op == "try_get":
-            (ts,) = args
-            if bc.poisoned:
-                self._reply(worker, seq, "poisoned")
-                return
-            try:
-                got_ts, encoded = bc.stm.get(self.conn(conn_id), ts)
-            except (ItemUnavailable, ItemConsumed):
-                # Born-consumed items are misses: a consumer whose virtual
-                # time already passed ts (drain skipping under saturation)
-                # sees "nothing there", same as the hub/threaded rule.
-                self._reply(worker, seq, "miss")
-                return
-            self._observe(channel, "get", got_ts, self.conn(conn_id).task)
-            self._reply(worker, seq, "ok", (got_ts, encoded))
-        elif op == "consume":
-            (ts,) = args
-            if bc.poisoned:
-                self._reply(worker, seq, "poisoned")
-                return
-            try:
-                self._consume_locked(channel, conn_id, ts)
-            except STMError as exc:
-                self._reply(worker, seq, "error", pickle.dumps(exc))
-                return
-            self._reply(worker, seq, "ok")
-            self._wake_waiters(bc)
-        elif op == "detach":
-            ch, conn = self._conns.pop(conn_id, (None, None))
-            if conn is not None:
-                bc.stm.detach(conn)
-                self._collect(bc)
-                self._wake_waiters(bc)
-        else:  # pragma: no cover - protocol guard
-            self._reply(worker, seq, "error",
-                        pickle.dumps(STMError(f"unknown op {op!r}")))
+        self._reply(worker, seq, "error",
+                    pickle.dumps(STMError(f"unknown op {op!r}")))
 
     @staticmethod
     def _deadline(timeout: Optional[float]) -> Optional[float]:
         return None if timeout is None else _time.monotonic() + timeout
 
-    # -- blocking semantics -------------------------------------------------
+    # -- steps --------------------------------------------------------------
 
     def _apply_put(self, bc: _BrokerChannel, conn_id: int, ts: int,
                    encoded: Any, size: int, replay: bool) -> None:
@@ -720,39 +646,6 @@ class ChannelBroker:
             bc.segment_names.add(encoded[1])
         self._observe(bc.stm.name, "put", ts, conn.task)
 
-    def _try_put(self, bc: _BrokerChannel, w: _Waiter) -> None:
-        if bc.poisoned:
-            self._reply(w.worker, w.seq, "poisoned")
-            return
-        if bc.stm.is_full:
-            bc.waiters.append(w)
-            return
-        try:
-            self._apply_put(bc, w.conn_id, w.ts, w.encoded, w.size, w.replay)
-        except STMError as exc:
-            self._reply(w.worker, w.seq, "error", pickle.dumps(exc))
-            return
-        self._reply(w.worker, w.seq, "ok", tuple(bc.freed.pop(w.conn_id, ())))
-        self._wake_waiters(bc)
-
-    def _try_get(self, bc: _BrokerChannel, w: _Waiter) -> None:
-        if bc.poisoned:
-            self._reply(w.worker, w.seq, "poisoned")
-            return
-        conn = self.conn(w.conn_id)
-        try:
-            got_ts, encoded = bc.stm.get(conn, w.ts)
-        except ItemUnavailable:
-            bc.waiters.append(w)
-            return
-        except ItemConsumed as exc:
-            self._reply(w.worker, w.seq, "error", pickle.dumps(exc))
-            return
-        self._observe(bc.stm.name, "get", got_ts, conn.task)
-        self._reply(w.worker, w.seq, "ok", (got_ts, encoded))
-
-    # -- coalesced steps ----------------------------------------------------
-
     def _try_step(self, st: _StepWaiter) -> tuple[bool, bool]:
         """Advance one step as far as possible: ``(completed, progressed)``.
 
@@ -769,18 +662,13 @@ class ChannelBroker:
                 return True, True
         if not st.consumed:
             st.consumed = True
-            touched = set()
             for channel, conn_id, ts in st.consumes:
                 try:
                     self._consume_locked(channel, conn_id, ts)
                 except STMError as exc:
                     self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
                     return True, True
-                touched.add(channel)
-            if touched:
                 progressed = True
-                for name in touched:
-                    self._wake_waiters(self.channels[name])
         for entry in st.puts:
             if entry[5]:
                 continue
@@ -795,7 +683,6 @@ class ChannelBroker:
                 return True, True
             entry[5] = True
             progressed = True
-            self._wake_waiters(bc)
         for entry in st.gets:
             if entry[3] is not None:
                 continue
@@ -832,8 +719,7 @@ class ChannelBroker:
 
         One step's progress (a consume freeing capacity, a put landing an
         item) can unblock another, so the loop runs until a full pass
-        makes no progress.  Each pass also re-wakes legacy per-channel
-        waiters through :meth:`_try_step`'s internal calls.
+        makes no progress.
         """
         while self._steps:
             progressed_any = False
@@ -867,32 +753,15 @@ class ChannelBroker:
                 bc.freed.setdefault(producer[0], []).append(ts)
         bc.gc_stats.bytes_freed += freed_bytes
 
-    def _wake_waiters(self, bc: _BrokerChannel) -> None:
-        """Retry every parked request after a mutation."""
-        pending, bc.waiters = bc.waiters, []
-        for w in pending:
-            if w.op == "put":
-                self._try_put(bc, w)
-            else:
-                self._try_get(bc, w)
-
-    def _expire_waiters(self) -> None:
+    def _expire_steps(self) -> None:
         now = _time.monotonic()
-        for bc in self.channels.values():
-            keep = []
-            for w in bc.waiters:
-                if w.deadline is not None and now >= w.deadline:
-                    self._reply(w.worker, w.seq, "timeout")
-                else:
-                    keep.append(w)
-            bc.waiters = keep
-        keep_steps = []
+        keep = []
         for st in self._steps:
             if st.deadline is not None and now >= st.deadline:
                 self._reply(st.worker, st.seq, "timeout")
             else:
-                keep_steps.append(st)
-        self._steps = keep_steps
+                keep.append(st)
+        self._steps = keep
 
     def _poison_locked(self, name: str) -> None:
         bc = self.channels[name]
@@ -900,9 +769,6 @@ class ChannelBroker:
             return
         bc.poisoned = True
         bc.stm.close()
-        for w in bc.waiters:
-            self._reply(w.worker, w.seq, "poisoned")
-        bc.waiters = []
         still = []
         for st in self._steps:
             if name in st.channels():
@@ -985,28 +851,53 @@ class WorkerLink:
 
     def notify(self, op: str, payload: Any) -> None:
         """Fire-and-forget message (``fatal`` / ``done``)."""
-        self.requests.put((self.worker_id, 0, op, "", 0, payload))
+        self.requests.put((self.worker_id, 0, op, payload))
 
-    def call(self, op: str, channel: str, conn_id: int, args,
-             timeout: Optional[float]) -> tuple[str, Any]:
+    def call(self, op: str, args, timeout: Optional[float]) -> tuple[str, Any]:
         seq = next(self._seq)
         event = threading.Event()
         slot: list = []
         with self._lock:
             self._pending[seq] = (event, slot)
-        self.requests.put((self.worker_id, seq, op, channel, conn_id, args))
+        self.requests.put((self.worker_id, seq, op, args))
         # The broker enforces the request timeout; the local wait only
         # guards against the broker itself dying, hence the grace margin.
         grace = 30.0 if timeout is None else timeout + 30.0
         if not event.wait(grace):
             with self._lock:
                 self._pending.pop(seq, None)
-            raise BrokerDied(f"no broker reply to {op} on {channel!r}")
+            raise BrokerDied(f"no broker reply to {op}")
         return slot[0], slot[1]
+
+
+def _step(link: WorkerLink, consumes=(), puts=(), gets=(),
+          timeout: Optional[float] = None, replay: bool = False):
+    """One ``step`` round trip: ``(encoded get results, ring feed)``."""
+    status, data = link.call(
+        "step", (tuple(consumes), tuple(puts), tuple(gets), timeout, replay),
+        timeout,
+    )
+    if status == "ok":
+        return data
+    if status == "poisoned":
+        raise ChannelPoisoned("step hit a poisoned channel")
+    if status == "timeout":
+        raise TimeoutError("step timed out")
+    if status == "error":
+        raise pickle.loads(data)
+    raise STMError(  # pragma: no cover - protocol guard
+        f"step: unexpected reply {status!r}"
+    )
 
 
 class ProcessChannel:
     """Worker-side blocking STM proxy — the ThreadedChannel surface over IPC.
+
+    Each call is the one-entry form of a step, so a blocking ``get`` is
+    answered the moment its item lands and the
+    :data:`~repro.stm.channel.NEWEST` / ``OLDEST`` wildcards keep their
+    meaning here (a multi-entry :class:`StepBatch` takes exact timestamps
+    only).
 
     ``conn_id`` handles come from the parent's pre-fork attachment (the
     reference-count GC contract requires every input connection to exist
@@ -1025,73 +916,47 @@ class ProcessChannel:
             timeout: Optional[float] = None) -> None:
         """Insert an item, blocking while the channel is at capacity."""
         encoded = encode_value(value, self._ring, ts)
-        status, data = self._link.call(
-            "put", self.name, conn_id, (ts, encoded, size, timeout, self._replay),
-            timeout,
-        )
-        if status == "ok":
-            self._ring.release(data or ())
-            return
-        self._raise(status, data, f"put to {self.name!r}")
+        _, freed = _step(self._link,
+                         puts=[(self.name, conn_id, ts, encoded, size)],
+                         timeout=timeout, replay=self._replay)
+        for _channel, _conn, timestamps in freed:
+            self._ring.release(timestamps)
 
     def get(self, conn_id: int, ts: Timestamp,
             timeout: Optional[float] = None) -> tuple[int, Any]:
         """Retrieve ``(timestamp, value)``, blocking until available."""
-        status, data = self._link.call("get", self.name, conn_id, (ts, timeout),
-                                       timeout)
-        if status == "ok":
-            got_ts, encoded = data
-            return got_ts, decode_value(encoded)
-        self._raise(status, data, f"get from {self.name!r}")
-
-    def try_get(self, conn_id: int, ts: Timestamp) -> Optional[tuple[int, Any]]:
-        """Non-blocking get: None on a miss (born-consumed items included)."""
-        status, data = self._link.call("try_get", self.name, conn_id, (ts,), None)
-        if status == "ok":
-            got_ts, encoded = data
-            return got_ts, decode_value(encoded)
-        if status == "miss":
-            return None
-        self._raise(status, data, f"try_get from {self.name!r}")
+        results, _ = _step(self._link, gets=[(self.name, conn_id, ts)],
+                           timeout=timeout)
+        got_ts, encoded = results[0]
+        return got_ts, decode_value(encoded)
 
     def consume(self, conn_id: int, ts: int) -> None:
         """Mark ``ts`` consumed; the broker garbage-collects immediately."""
-        status, data = self._link.call("consume", self.name, conn_id, (ts,), None)
-        if status != "ok":
-            self._raise(status, data, f"consume on {self.name!r}")
+        _step(self._link, consumes=[(self.name, conn_id, ts)])
 
     def close(self) -> None:
         self._ring.close()
-
-    def _raise(self, status: str, data: Any, what: str) -> None:
-        if status == "poisoned":
-            raise ChannelPoisoned(f"channel {self.name!r} poisoned")
-        if status == "timeout":
-            raise TimeoutError(f"{what} timed out")
-        if status == "error":
-            raise pickle.loads(data)
-        raise STMError(f"{what}: unexpected reply {status!r}")  # pragma: no cover
 
     def __repr__(self) -> str:
         return f"ProcessChannel({self.name!r})"
 
 
 class StepBatch:
-    """Coalesce one frame's STM traffic into a single broker round trip.
+    """One frame's STM traffic as a single broker round trip.
 
     A task's frame loop queues the previous frame's puts and consumes
     plus the current frame's gets, then :meth:`commit` ships them as one
     ``step`` request.  The broker applies the consumes immediately (even
-    while the step waits for capacity or data — so coalescing can never
+    while the step waits for capacity or data — so batching can never
     withhold resources and deadlock a pipeline), lands puts and gets as
     they become possible, and replies once everything has been applied.
     The reply carries the get results plus the per-producer freed-
     timestamp feed, which is routed back to each channel's shm ring.
 
-    Gets are restricted to exact integer timestamps: a cached wildcard
-    resolution could go stale between the park and the retry, exact
-    timestamps cannot — and exact gets are all the schedule-driven
-    runtimes ever issue.
+    Gets are restricted to exact integer timestamps: a wildcard resolved
+    while the rest of the batch is still parked could be stale by the
+    time the reply leaves, exact timestamps cannot — and exact gets are
+    all the schedule-driven runtimes ever issue.
     """
 
     def __init__(self, link: WorkerLink, replay: bool = False) -> None:
@@ -1117,37 +982,19 @@ class StepBatch:
     def get(self, chan: ProcessChannel, conn_id: int, ts: int) -> None:
         if not isinstance(ts, int):
             raise STMError(
-                f"coalesced gets need exact timestamps, got {ts!r}"
+                f"batched gets need exact timestamps, got {ts!r}"
             )
         self._gets.append((chan.name, conn_id, ts))
 
     def commit(self, timeout: Optional[float] = None) -> list[tuple[int, Any]]:
         """Ship the batch; returns decoded get results in queue order."""
-        if not (self._consumes or self._puts or self._gets):
+        if not len(self):
             return []
-        status, data = self._link.call(
-            "step", "", 0,
-            (tuple(self._consumes), tuple(self._puts), tuple(self._gets),
-             timeout, self._replay),
-            timeout,
-        )
-        if status == "ok":
-            results, freed = data
-            for channel, conn_id, timestamps in freed:
-                chan = self._rings.get((channel, conn_id))
-                if chan is not None:
-                    chan._ring.release(timestamps)
-            out = [(got_ts, decode_value(encoded)) for got_ts, encoded in results]
-            self._consumes.clear()
-            self._puts.clear()
-            self._gets.clear()
-            return out
-        if status == "poisoned":
-            raise ChannelPoisoned("coalesced step hit a poisoned channel")
-        if status == "timeout":
-            raise TimeoutError("coalesced step timed out")
-        if status == "error":
-            raise pickle.loads(data)
-        raise STMError(  # pragma: no cover - protocol guard
-            f"step: unexpected reply {status!r}"
-        )
+        results, freed = _step(self._link, self._consumes, self._puts,
+                               self._gets, timeout, self._replay)
+        for channel, conn_id, timestamps in freed:
+            self._rings[(channel, conn_id)]._ring.release(timestamps)
+        self._consumes.clear()
+        self._puts.clear()
+        self._gets.clear()
+        return [(got_ts, decode_value(encoded)) for got_ts, encoded in results]

@@ -161,9 +161,8 @@ class ThreadedChannel:
         """Non-blocking get: None on a miss.
 
         A born-consumed item is a miss too, not an error — same rule as
-        :meth:`repro.runtime.hub.ChannelHub.try_get` and the process
-        broker, so a drain that skipped ahead under saturation behaves
-        identically on every substrate.
+        :meth:`repro.runtime.hub.ChannelHub.try_get`, so a drain that
+        skipped ahead under saturation behaves identically on both.
         """
         with self._lock:
             if self._analysis is not None:

@@ -4,11 +4,11 @@ The same tracker graph and the same schedule run on all three substrates
 behind ``StaticExecutor(runtime=...)``; the STM item streams they produce
 must be indistinguishable — identical per-channel put/consume/collect
 counts, identical completed-frame sets, and (between the live
-substrates) identical output values.  The process runtime runs twice,
-with broker round-trip coalescing on and off — coalescing is a transport
-optimization and must be invisible in the item streams.  Two schedules
-are covered: a fully serial placement and a data-parallel one (T4 as
-``dp2``), so the chunked execution path is held to the same contract.
+substrates) identical output values.  The process runtime batches each
+frame's STM traffic into one broker step — a transport detail that must
+be invisible in the item streams.  Two schedules are covered: a fully
+serial placement and a data-parallel one (T4 as ``dp2``), so the chunked
+execution path is held to the same contract.
 
 The same contract is then applied to every :mod:`repro.workloads`
 family (matmul, fusion, webinfer): serial and dp schedules, sim ==
@@ -16,8 +16,6 @@ threaded == process item streams, bitwise-identical live outputs.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -33,8 +31,8 @@ pytestmark = pytest.mark.slow
 
 N_FRAMES = 4
 N_MODELS = 2
-SUBSTRATES = ("sim", "threaded", "process", "process_uncoalesced")
-LIVE = ("threaded", "process", "process_uncoalesced")
+SUBSTRATES = ("sim", "threaded", "process")
+LIVE = ("threaded", "process")
 
 
 def _fresh_setup():
@@ -79,24 +77,11 @@ def run_on(substrate: str, make_schedule) -> object:
     live, statics = _fresh_setup()
     state = State(n_models=N_MODELS)
     sched = make_schedule(live, state)
-    runtime = substrate
-    env_coalesce = None
-    if substrate == "process_uncoalesced":
-        runtime = "process"
-        env_coalesce = os.environ.get("REPRO_COALESCE")
-        os.environ["REPRO_COALESCE"] = "0"
-    try:
-        ex = StaticExecutor(
-            live, state, SINGLE_NODE_SMP(4), sched,
-            runtime=runtime, static_inputs=statics,
-        )
-        return ex.run(N_FRAMES)
-    finally:
-        if substrate == "process_uncoalesced":
-            if env_coalesce is None:
-                del os.environ["REPRO_COALESCE"]
-            else:
-                os.environ["REPRO_COALESCE"] = env_coalesce
+    ex = StaticExecutor(
+        live, state, SINGLE_NODE_SMP(4), sched,
+        runtime=substrate, static_inputs=statics,
+    )
+    return ex.run(N_FRAMES)
 
 
 @pytest.fixture(scope="module", params=["serial", "dp"])
@@ -142,12 +127,11 @@ class TestItemStreams:
             assert item_counts(results[sub]) == reference, sub
 
     def test_live_channel_stats_identical(self, runs):
-        """All live runs see the same full counter set — including the
-        process runtime in both coalescing modes, so batching ops into
-        step messages provably changes no put/get/consume/collect."""
+        """All live runs see the same full counter set, so batching ops
+        into step messages provably changes no put/get/consume/collect."""
         _, results = runs
         t_stats = results["threaded"].meta["channel_stats"]
-        for sub in ("process", "process_uncoalesced"):
+        for sub in ("process",):
             p_stats = results[sub].meta["channel_stats"]
             for ch in streaming_channels(results["threaded"]):
                 assert t_stats[ch] == p_stats[ch], (sub, ch)
@@ -161,23 +145,10 @@ class TestItemStreams:
     def test_live_substrates_agree_on_values(self, runs):
         _, results = runs
         t_locs = results["threaded"].meta["outputs"]["model_locations"]
-        for sub in ("process", "process_uncoalesced"):
+        for sub in ("process",):
             p_locs = results[sub].meta["outputs"]["model_locations"]
             for ts in range(N_FRAMES):
                 assert t_locs[ts] == p_locs[ts], (sub, ts)
-
-    def test_coalescing_modes_actually_differ(self, runs):
-        """The two process runs took different transports (or the
-        comparison above proved nothing): coalescing on uses step
-        messages and strictly fewer round trips."""
-        _, results = runs
-        on = results["process"].meta
-        off = results["process_uncoalesced"].meta
-        assert on["coalesce"] is True
-        assert off["coalesce"] is False
-        assert "step" in on["broker_ops"]
-        assert "step" not in off["broker_ops"]
-        assert on["broker_roundtrips"] < off["broker_roundtrips"]
 
     def test_gc_reclaims_equally(self, runs):
         _, results = runs

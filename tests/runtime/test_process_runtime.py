@@ -13,7 +13,7 @@ import pytest
 from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
 from repro.apps.video import VideoSource
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
-from repro.errors import ReproError
+from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
@@ -84,42 +84,25 @@ class TestBasicRun:
         assert by_task["dbl"] == set(range(4))
 
 
-class TestCoalescing:
-    def test_defaults_on(self):
-        rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                            placement={"src": 0, "dbl": 1})
-        assert rt.coalesce is True
+class TestBrokerRoundTrips:
+    def test_tracker_marginal_roundtrips_per_frame(self):
+        """Five tasks, one step each per frame: the marginal broker cost
+        of a frame is <= 5 round trips, every one of them a ``step``.
 
-    def test_env_var_turns_it_off(self, monkeypatch):
-        for value in ("0", "false", "off"):
-            monkeypatch.setenv("REPRO_COALESCE", value)
-            rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                                placement={"src": 0, "dbl": 1})
-            assert rt.coalesce is False, value
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COALESCE", "0")
-        rt = ProcessRuntime(chain_graph_live(), State(n_models=1),
-                            placement={"src": 0, "dbl": 1}, coalesce=True)
-        assert rt.coalesce is True
-
-    def test_modes_agree_and_coalescing_saves_roundtrips(self):
-        results = {}
-        for coalesce in (True, False):
-            res = ProcessRuntime(
-                chain_graph_live(), State(n_models=1), op_timeout=30.0,
-                placement={"src": 0, "dbl": 1}, coalesce=coalesce,
-            ).run(5)
-            assert sorted(res.outputs["b"]) == list(range(5))
-            results[coalesce] = res
-        on, off = results[True], results[False]
-        for ts in range(5):
-            np.testing.assert_array_equal(on.outputs["b"][ts],
-                                          off.outputs["b"][ts])
-        assert on.channel_stats == off.channel_stats
-        assert on.meta["broker_roundtrips"] < off.meta["broker_roundtrips"]
-        assert "step" in on.meta["broker_ops"]
-        assert "step" not in off.meta["broker_ops"]
+        Two run lengths cancel the fixed costs (static reads, the flush
+        step per task)."""
+        trips = {}
+        for frames in (4, 8):
+            live, statics, state = tracker_setup()
+            res = StaticExecutor(
+                live, state, SINGLE_NODE_SMP(4), dp2_schedule(),
+                runtime="process", static_inputs=statics,
+            ).run(frames)
+            ops = res.meta["broker_ops"]
+            assert set(ops) <= {"step", "done", "local_get", "local_consume"}
+            assert res.meta["broker_roundtrips"] == ops["step"]
+            trips[frames] = res.meta["broker_roundtrips"]
+        assert (trips[8] - trips[4]) / 4 <= 5.0
 
 
 class TestScheduleDriven:
@@ -197,6 +180,20 @@ class TestFaults:
         snap = obs.snapshot()
         assert snap["repro_failovers_total"]["series"][0]["value"] == 1
 
+    def test_run_leaves_the_fault_plan_alone(self):
+        """One plan drives two runs: fired exits are run-local state."""
+        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "exit")],
+                                max_respawns=2)
+        events = plan.events
+        for _ in range(2):
+            res = ProcessRuntime(
+                chain_graph_live(), State(n_models=1), op_timeout=30.0,
+                placement={"src": 0, "dbl": 1}, faults=plan,
+            ).run(5)
+            assert sorted(res.outputs["b"]) == list(range(5))
+            assert res.respawns == 1
+            assert plan.events == events
+
     def test_respawn_budget_exhaustion_raises(self):
         plan = ProcessFaultPlan(events=[KernelFault("dbl", 1, "exit")],
                                 max_respawns=0)
@@ -216,6 +213,14 @@ class TestFaults:
 
 
 class TestExecutorGuards:
+    def test_config_errors_are_typed_like_the_threaded_runtime(self):
+        g = chain_graph_live()
+        g.add_channel(ChannelSpec("cfg", static=True))
+        with pytest.raises(ExecutorConfigError, match="static channel 'cfg'"):
+            ProcessRuntime(g, State(n_models=1))
+        with pytest.raises(ExecutorConfigError, match=">= 1"):
+            ProcessRuntime(chain_graph_live(), State(n_models=1)).run(0)
+
     def test_unknown_runtime_rejected(self):
         live, statics, state = tracker_setup()
         with pytest.raises(ReproError):

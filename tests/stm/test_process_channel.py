@@ -1,10 +1,14 @@
-"""Unit tests for the process-substrate STM transport (broker + proxy).
+"""ThreadedChannel equivalence of the process-substrate proxy.
 
-The broker's service thread owns real :class:`~repro.stm.channel.STMChannel`
-objects, so most semantics tests can run the worker-side
-:class:`~repro.stm.process.ProcessChannel` proxy in the parent process over
-an in-process :class:`~repro.stm.process.WorkerLink` — the wire protocol is
-exercised end to end without forking.  One test forks for real to cover the
+:class:`~repro.stm.process.ProcessChannel` offers ThreadedChannel's
+blocking ``put`` / ``get`` / ``consume``; each call is a one-entry
+``step``, the same broker op the process runtime's frame loop issues, so
+these tests hold the production path to the threaded channel's blocking,
+timeout, wildcard and poison behaviour.  The broker's service thread owns
+real :class:`~repro.stm.channel.STMChannel` objects, so most tests run the
+proxy in the parent process over an in-process
+:class:`~repro.stm.process.WorkerLink` — the wire protocol is exercised end
+to end without forking.  One test forks for real to cover the
 cross-process shared-memory path.
 """
 
@@ -121,16 +125,6 @@ class TestProxyRoundtrip:
         rig.chan.put(rig.out, 3, "b")
         assert rig.chan.get(rig.inp, NEWEST, timeout=5.0) == (3, "b")
 
-    def test_try_get_miss_on_empty(self, rig):
-        assert rig.chan.try_get(rig.inp, 0) is None
-
-    def test_try_get_born_consumed_is_miss(self, rig):
-        """Same rule as ThreadedChannel / hub: consumed ts is a miss."""
-        rig.chan.put(rig.out, 0, "x")
-        rig.chan.get(rig.inp, 0, timeout=5.0)
-        rig.chan.consume(rig.inp, 0)
-        assert rig.chan.try_get(rig.inp, 0) is None
-
     def test_get_of_consumed_ts_raises(self, rig):
         # A second input conn keeps the item alive past conn 1's consume,
         # so the blocking get sees "consumed" (an error), not "missing".
@@ -147,8 +141,8 @@ class TestProxyRoundtrip:
             target=lambda: got.append(rig.chan.get(rig.inp, 0, timeout=5.0))
         )
         t.start()
-        # The waiter parks inside the broker once the request arrives.
-        wait_until(lambda: rig.broker.channels["c"].waiters)
+        # The step parks inside the broker once the request arrives.
+        wait_until(lambda: rig.broker._steps)
         assert not got
         rig.chan.put(rig.out, 0, "late")
         t.join(timeout=5.0)
@@ -170,7 +164,7 @@ class TestProxyRoundtrip:
             rig.chan.put(rig.out, ts, np.zeros((64, 64)))
             rig.chan.get(rig.inp, ts, timeout=5.0)
             rig.chan.consume(rig.inp, ts)
-        # Each put reply returns the previously collected timestamps, so
+        # Each step reply returns the previously collected timestamps, so
         # the producer-side ring reuses segments instead of growing.
         assert rig.chan._ring.recycled >= 4
         assert rig.chan._ring.created <= 2
@@ -186,7 +180,7 @@ class TestCapacityAndPoison:
             )
         )
         t.start()
-        wait_until(lambda: bounded.broker.channels["c"].waiters)
+        wait_until(lambda: bounded.broker._steps)
         assert not done
         bounded.chan.get(bounded.inp, 0, timeout=5.0)
         bounded.chan.consume(bounded.inp, 0)

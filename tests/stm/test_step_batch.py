@@ -1,15 +1,16 @@
-"""Unit tests for broker round-trip coalescing and shm calibration.
+"""Unit tests for the broker's one op, the step, and shm calibration.
 
-The ``step`` op batches one frame's consumes + puts + gets into a single
-broker request.  Its contract: byte-identical STM effects to issuing the
-ops one by one (same counters, same errors), with consumes applied
-immediately on first dispatch — even while the step's puts or gets are
-parked — so coalescing can never withhold capacity and deadlock a
-bounded pipeline.
+The ``step`` op carries one frame's consumes + puts + gets in a single
+broker request (a blocking ``ProcessChannel`` call is its one-entry
+form).  Its contract: byte-identical STM effects to issuing the ops one
+by one (same counters, same errors), with consumes applied immediately
+on first dispatch — even while the step's puts or gets are parked — so
+batching can never withhold capacity and deadlock a bounded pipeline.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestStepSemantics:
 
     def test_self_unblocking_put_after_consume(self, bounded):
         """One step both frees capacity-1 channel ``a`` (consume ts=0)
-        and refills it (put ts=1) — the per-op loop's frame pattern."""
+        and refills it (put ts=1) — a frame step's pattern."""
         bounded.chans["a"].put(bounded.out["a"], 0, "v0")
         bounded.chans["a"].get(bounded.inp["a"], 0, timeout=5.0)
         batch = bounded.batch()
@@ -232,6 +233,24 @@ class TestStepSemantics:
             batch.commit(timeout=5.0)
         assert rig.chans["a"]._ring.recycled >= 3
         assert rig.chans["a"]._ring.created <= 2
+
+    def test_blocking_channel_calls_are_one_step_each(self, rig):
+        """put / get / consume on the proxy speak the same one op."""
+        chan = rig.chans["a"]
+        chan.put(rig.out["a"], 0, "x", timeout=5.0)
+        assert chan.get(rig.inp["a"], 0, timeout=5.0) == (0, "x")
+        chan.consume(rig.inp["a"], 0)
+        assert rig.broker.op_counts == {"step": 3}
+        assert rig.broker.roundtrips() == 3
+
+    def test_unknown_op_gets_error_reply(self, rig):
+        """The retired per-op protocol is refused, not left hanging."""
+        status, data = rig.link.call(
+            "put", ("a", rig.out["a"], 0, ("pickle", b""), 0), 5.0)
+        assert status == "error"
+        with pytest.raises(STMError, match="unknown op 'put'"):
+            raise pickle.loads(data)
+        assert rig.broker.stats()["a"]["puts"] == 0
 
     def test_roundtrips_counts_queue_ops_only(self, rig):
         batch = rig.batch()

@@ -39,7 +39,6 @@ SAMPLE = {
     },
     "broker_roundtrips": {
         "coalesced": {"marginal_roundtrips_per_frame": 5.0},
-        "reduction_ratio": 3.4,
     },
 }
 
@@ -48,7 +47,8 @@ class TestFlatten:
     def test_numeric_leaves_dotted_paths(self):
         flat = trajectory.flatten_metrics(SAMPLE)
         assert flat["substrates.threaded.wall_s"] == 2.0
-        assert flat["broker_roundtrips.reduction_ratio"] == 3.4
+        assert flat[
+            "broker_roundtrips.coalesced.marginal_roundtrips_per_frame"] == 5.0
 
     def test_booleans_dropped(self):
         flat = trajectory.flatten_metrics(SAMPLE)
@@ -110,11 +110,11 @@ class TestAppendAndCheck:
         out = self.run_cycle(tmp_path, SAMPLE)
         make_envelope(
             tmp_path, "substrates",
-            self._mutated("broker_roundtrips.reduction_ratio", 0.5),
+            self._mutated("substrates.ladder.4.speedup_over_threaded", 0.5),
         )
         trajectory.append_entry(tmp_path, out)
         failures = trajectory.check_regression(out)
-        assert any("reduction_ratio" in f for f in failures)
+        assert any("speedup_over_threaded" in f for f in failures)
 
     def test_pipeline_step_row_is_gated(self, tmp_path):
         """bench_enumerate's step-3 row: its seconds and its search count."""
