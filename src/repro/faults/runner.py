@@ -11,6 +11,11 @@ pre-computed for the degraded shape, the transition policy decides what
 happens to the frames in flight (drain / abandon / replay-from-STM), and
 a new epoch starts on the survivors after the transition stall.
 
+The simulated world itself — channels, collectors, connections, the frame
+ledger and the result — is the :class:`~repro.runtime.hub.SimWorld` the
+static and dynamic executors also run in; what lives here is only what a
+failure adds: epochs, abandon / death / retry and the loss accounting.
+
 Loss accounting distinguishes the two ways a frame dies:
 
 * **crash loss** — a placement ran on (or was headed for) a processor
@@ -37,10 +42,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import (
+    ExecutorConfigError,
     FaultTimeout,
     FrameLost,
     ItemConsumed,
-    ReproError,
     ShapeUnschedulable,
 )
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
@@ -53,12 +58,13 @@ from repro.faults.retry import RetryPolicy, get_with_retry, put_with_retry
 from repro.faults.view import ClusterView
 from repro.graph.taskgraph import TaskGraph
 from repro.metrics.recovery import recovery_stats
-from repro.runtime.hub import build_hubs
+from repro.runtime.dispatch import build_task_plans
+from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.network import CommModel
-from repro.sim.trace import ExecSpan, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -176,17 +182,19 @@ class FaultTolerantExecutor:
                 ),
             )
 
-    def run(self, iterations: int, deadline: Optional[float] = None) -> ExecutionResult:
+    def run(self, iterations: int) -> ExecutionResult:
         """Execute ``iterations`` timestamps through crashes and failovers."""
         if iterations < 1:
-            raise ReproError(f"iterations must be >= 1, got {iterations}")
+            raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
         obs = self.obs
-        if obs is not None:
-            from repro.obs.calibrate import node_class_of
-
+        retry = self.faults.retry
         sim = Simulator()
         trace = TraceRecorder()
-        hubs = build_hubs(sim, self.graph, trace, obs=obs)
+        world = SimWorld(
+            self.graph, self.state, self.cluster, sim, trace,
+            build_hubs(sim, self.graph, trace, obs=obs),
+            build_task_plans(self.graph), obs,
+        )
 
         view = ClusterView(sim, self.cluster)
         injector = FaultInjector(sim, view, self.faults.plan)
@@ -207,11 +215,6 @@ class FaultTolerantExecutor:
         transition_lost: list[int] = []
         replayed: list[int] = []
         unschedulable: list[Detection] = []
-        digitize_times: dict[int, float] = {}
-        sink_names = set(self.graph.sink_tasks())
-        sink_done: dict[str, dict[int, float]] = {s: {} for s in sink_names}
-        completion: dict[int, float] = {}
-        sources = set(self.graph.source_tasks())
         preds = {t.name: self.graph.predecessors(t.name) for t in self.graph.tasks}
         edge_bytes = {
             (p, t.name): self.graph.comm_bytes(p, t.name, self.state)
@@ -256,48 +259,13 @@ class FaultTolerantExecutor:
 
         detector.subscribe(on_detection)
 
-        # Static configuration channels are populated once, up front.
-        for spec in self.graph.channels:
-            if spec.static:
-                conn = hubs[spec.name].stm.attach_output("-env-")
-                hubs[spec.name].stm.put(conn, 0, {"state": self.state})
-
-        collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
-        conns_in = {
-            t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
-
-        def frame_resolved(frame: _Frame) -> None:
-            outstanding[0] -= 1
-            if not frame.lost:
-                if all(frame.ts in sink_done[s] for s in sink_names):
-                    completion[frame.ts] = max(
-                        sink_done[s][frame.ts] for s in sink_names
-                    )
-                    if obs is not None and frame.ts in digitize_times:
-                        obs.on_frame(
-                            frame.ts, completion[frame.ts] - digitize_times[frame.ts]
-                        )
-            # A checkpoint replay may have re-registered this timestamp
-            # while the first attempt was still unwinding.
-            if frames.get(frame.ts) is frame:
-                del frames[frame.ts]
+        def put(hub, conn, ts, value, size):
+            if not hub.stm.holds(ts):  # replays reuse surviving items
+                yield from put_with_retry(hub, conn, ts, value, size=size, policy=retry)
 
         def run_placement(frame: _Frame, pl, pred_primary: dict[str, int]):
             ts = frame.ts
             phys = pl.procs  # already translated to physical indices
-            task = self.graph.task(pl.task)
             try:
                 ready = pl.start
                 for pred in preds[pl.task]:
@@ -316,13 +284,9 @@ class FaultTolerantExecutor:
                     raise FrameLost(ts, "crash")
                 # Fetch streaming inputs through the retrying STM wrapper —
                 # a dead producer costs the backoff budget, not forever.
-                for ch in task.inputs:
-                    if self.graph.channel(ch).static:
-                        continue
+                for hub, conn in world.stream_in[pl.task]:
                     try:
-                        yield from get_with_retry(
-                            hubs[ch], conns_in[pl.task][ch], ts, self.faults.retry
-                        )
+                        yield from get_with_retry(hub, conn, ts, retry)
                     except ItemConsumed:
                         pass  # a replay of work this connection already saw
                 start = sim.now
@@ -331,62 +295,33 @@ class FaultTolerantExecutor:
                     events += [view.death_event(p) for p in phys]
                     got = yield sim.any_of(events)
                     if got[0] != 0:
-                        for p in phys:
-                            trace.record_span(
-                                ExecSpan(p, pl.task, ts, start, sim.now, preempted=True)
-                            )
+                        world.record_exec(
+                            pl.task, ts, phys, start, sim.now, pl.variant,
+                            preempted=True,
+                        )
                         cause = "abandoned" if got[0] == 1 else "crash"
                         raise FrameLost(ts, frame.cause or cause)
                 end = sim.now
-                for p in phys:
-                    trace.record_span(ExecSpan(p, pl.task, ts, start, end))
-                if obs is not None:
-                    obs.on_exec(
-                        pl.task,
-                        start,
-                        end,
-                        proc=phys[0],
-                        variant=pl.variant,
-                        timestamp=ts,
-                        node_class=node_class_of(self.cluster, phys[0]),
-                    )
-                for ch in task.outputs:
-                    hub = hubs[ch]
-                    if not hub.stm.holds(ts):  # replays reuse surviving items
-                        size = self.graph.channel(ch).item_size(self.state)
-                        yield from put_with_retry(
-                            hub, conns_out[pl.task][ch], ts, {"ts": ts},
-                            size=size, policy=self.faults.retry,
-                        )
-                    collector = collector_conns.get(ch)
-                    if collector is not None:
-                        hub.try_get(collector, ts)
-                        hub.consume(collector, ts)
-                if pl.task in sources:
-                    digitize_times.setdefault(ts, sim.now)
-                for ch in task.inputs:
-                    if self.graph.channel(ch).static:
-                        continue
-                    hubs[ch].consume(conns_in[pl.task][ch], ts)
-                if pl.task in sink_names:
-                    sink_done[pl.task][ts] = end
+                world.record_exec(pl.task, ts, phys, start, end, pl.variant)
+                yield from world.emit(pl.task, ts, put)
+                world.retire(pl.task, ts, end)
                 frame.done[pl.task].succeed(end)
-            except FrameLost:
+            except (FrameLost, FaultTimeout) as exc:
                 if not frame.lost:
                     crash_lost.append(ts)
-                    frame.mark_lost("crash")
-                if not frame.done[pl.task].triggered:
-                    frame.done[pl.task].fail(FrameLost(ts, frame.cause))
-            except FaultTimeout:
-                if not frame.lost:
-                    crash_lost.append(ts)
-                    frame.mark_lost("stm-timeout")
+                    frame.mark_lost(
+                        "stm-timeout" if isinstance(exc, FaultTimeout) else "crash"
+                    )
                 if not frame.done[pl.task].triggered:
                     frame.done[pl.task].fail(FrameLost(ts, frame.cause))
             finally:
                 frame.remaining -= 1
                 if frame.remaining == 0:
-                    frame_resolved(frame)
+                    outstanding[0] -= 1
+                    # A checkpoint replay may have re-registered this
+                    # timestamp while the first attempt was still unwinding.
+                    if frames.get(ts) is frame:
+                        del frames[ts]
 
         def launch(ts: int, j: int, sol: ScheduleSolution, epoch_start: float) -> None:
             mapping = dict(controller.mapping)
@@ -442,12 +377,10 @@ class FaultTolerantExecutor:
         detector.start()
         pump_proc = sim.process(pump(), name="frame-pump")
 
-        hard_deadline = (
-            deadline if deadline is not None else self._default_deadline(iterations)
-        )
+        hard_deadline = self._default_deadline(iterations)
         # Heartbeat processes beat forever, so the heap never drains; drive
         # the simulation until the pump and every frame have resolved.
-        while sim._heap:
+        while sim.peek() is not None:
             if not pump_proc.alive and outstanding[0] == 0:
                 break
             if sim.now > hard_deadline:  # pragma: no cover - safety valve
@@ -457,32 +390,10 @@ class FaultTolerantExecutor:
             sim.step()
 
         base_solution = self.table.lookup(self.cluster)
-        gc_total = sum(h.gc_stats.collected for h in hubs.values())
-        high_water = sum(h.gc_stats.high_water_items for h in hubs.values())
-        crash_times = injector.crash_times()
-        stats = recovery_stats(
-            completions=sorted(completion.values()),
-            period=base_solution.period,
-            horizon=trace.makespan,
-            crash_times=[t for t, _n in crash_times],
-            detection_latencies=detector.detection_latencies(crash_times),
-            frames_lost_crash=len(crash_lost),
-            frames_lost_transition=len(transition_lost),
-            frames_replayed=len(set(replayed)),
-            failovers=controller.switch_count,
-            total_stall=controller.total_stall,
-        )
-        return ExecutionResult(
-            graph=self.graph,
-            state=self.state,
-            trace=trace,
-            digitize_times=digitize_times,
-            completion_times=completion,
-            horizon=trace.makespan,
-            emitted=iterations,
-            gc_collected=gc_total,
-            live_item_high_water=high_water,
-            meta={
+        result = world.result(
+            trace.makespan,
+            iterations,
+            {
                 "policy": repr(self.faults.policy),
                 "shape_table_size": len(self.table),
                 "period": base_solution.period,
@@ -505,9 +416,22 @@ class FaultTolerantExecutor:
                 "frames_lost_crash": sorted(crash_lost),
                 "frames_lost_transition": sorted(transition_lost),
                 "frames_replayed": sorted(set(replayed)),
-                "recovery": stats,
             },
         )
+        crash_times = injector.crash_times()
+        result.meta["recovery"] = recovery_stats(
+            completions=result.completion_sequence(),
+            period=base_solution.period,
+            horizon=trace.makespan,
+            crash_times=[t for t, _n in crash_times],
+            detection_latencies=detector.detection_latencies(crash_times),
+            frames_lost_crash=len(crash_lost),
+            frames_lost_transition=len(transition_lost),
+            frames_replayed=len(set(replayed)),
+            failovers=controller.switch_count,
+            total_stall=controller.total_stall,
+        )
+        return result
 
     def _default_deadline(self, iterations: int) -> float:
         """Generous upper bound on how long a sane run can take."""

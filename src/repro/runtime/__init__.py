@@ -1,7 +1,11 @@
 """Runtimes: execute a task graph on the simulated cluster (or real threads).
 
 * :mod:`repro.runtime.hub` — STM channels wired into the simulator with
-  change notification and flow-control blocking.
+  change notification and flow-control blocking, and
+  :class:`~repro.runtime.hub.SimWorld`: the one simulated world (STM
+  wiring, frame ledger, result builder) the dynamic, static and
+  fault-tolerant executors all run in, so that only their scheduling
+  policy differs.
 * :mod:`repro.runtime.dynamic` — the *dynamic* executor: every task is a
   free-running thread scheduled by an on-line scheduler
   (:class:`~repro.sched.online.PthreadScheduler` is the paper's baseline).
@@ -9,8 +13,8 @@
   pre-computed :class:`~repro.core.schedule.PipelinedSchedule`, verifying
   as it goes that the schedule's promises (resource exclusivity, data
   readiness) hold in execution.
-* :mod:`repro.runtime.result` — the uniform result object both executors
-  produce: trace + channel registry + per-timestamp latency accounting.
+* :mod:`repro.runtime.result` — the uniform result object every executor
+  produces: trace + per-timestamp latency accounting + GC totals.
 * :mod:`repro.runtime.live` — what the two live runtimes share: the one
   per-task frame loop (:func:`~repro.runtime.live.run_frames`, a *step*
   per frame), the configuration checks and

@@ -27,14 +27,15 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.hub import build_hubs
+from repro.runtime.dispatch import build_task_plans
+from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sched.online import OnlineScheduler
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
-from repro.sim.trace import ExecSpan, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.state import State
-from repro.stm.connection import Connection
+from repro.stm.channel import STMChannel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.faults.events import FaultPlan
@@ -97,10 +98,6 @@ class DynamicExecutor:
         self.faults = faults
         self.obs = obs
         self._speed = {p.index: p.speed for p in cluster.processors}
-        self._view = None
-        self._fault_preemptions = 0
-
-    # -- public API ----------------------------------------------------------
 
     def run(
         self,
@@ -112,199 +109,142 @@ class DynamicExecutor:
             raise ExecutorConfigError(f"horizon must be positive, got {horizon}")
         sim = Simulator()
         trace = TraceRecorder()
-        hubs = build_hubs(sim, self.graph, trace, self.capacity_override, obs=self.obs)
-        injector = None
-        self._view = None
-        self._fault_preemptions = 0
+        obs = self.obs
+        scheduler = self.scheduler
+        world = SimWorld(
+            self.graph, self.state, self.cluster, sim, trace,
+            build_hubs(sim, self.graph, trace, self.capacity_override, obs=obs),
+            build_task_plans(self.graph), obs,
+        )
+        view = injector = None
         if self.faults is not None:
             from repro.faults.inject import FaultInjector
             from repro.faults.view import ClusterView
 
-            self._view = ClusterView(sim, self.cluster)
-            injector = FaultInjector(sim, self._view, self.faults)
+            view = ClusterView(sim, self.cluster)
+            injector = FaultInjector(sim, view, self.faults)
             injector.start()
-            self.scheduler.bind(sim, self.cluster, view=self._view)
-        else:
-            self.scheduler.bind(sim, self.cluster)
-
-        digitize_times: dict[int, float] = {}
-        sink_done: dict[str, dict[int, float]] = {s: {} for s in self.graph.sink_tasks()}
+        scheduler.bind(sim, self.cluster, view=view)
         emitted = [0]
+        fault_preemptions = [0]
 
-        # Static (configuration) channels are populated once, up front.
-        for spec in self.graph.channels:
-            if spec.static:
-                hub = hubs[spec.name]
-                conn = hub.stm.attach_output("-env-")
-                hub.stm.put(conn, 0, {"state": self.state}, size=spec.item_size(self.state))
+        def execute(name: str, ts: int, nominal: float):
+            """Run ``nominal`` seconds of work in scheduler quanta (generator)."""
+            remaining = nominal
+            busy = 0.0
+            while True:
+                proc = yield scheduler.acquire(name, priority=float(ts))
+                speed = view.speed(proc) if view is not None else self._speed[proc]
+                slice_time = min(scheduler.quantum, remaining / speed)
+                start = sim.now
+                if slice_time > 0:
+                    if view is not None:
+                        idx, _val = yield sim.any_of(
+                            [sim.timeout(slice_time), view.death_event(proc)]
+                        )
+                        if idx == 1:
+                            # The processor died under the thread: the partial
+                            # quantum is lost and the thread migrates, redoing
+                            # this slice on whatever survives.
+                            world.record_exec(
+                                name, ts, (proc,), start, sim.now,
+                                preempted=True, calibrate=False,
+                            )
+                            fault_preemptions[0] += 1
+                            scheduler.invalidate(name, proc)
+                            continue
+                    else:
+                        yield sim.timeout(slice_time)
+                remaining -= slice_time * speed
+                busy += slice_time
+                done = remaining <= 1e-12
+                world.record_exec(
+                    name, ts, (proc,), start, sim.now,
+                    preempted=not done, calibrate=False,
+                )
+                if done and obs is not None:
+                    obs.on_cost_sample(name, "serial", busy, time=sim.now)
+                if not done and hasattr(scheduler, "preemptions"):
+                    scheduler.preemptions += 1
+                scheduler.release(name, proc)
+                if done:
+                    return
 
-        # Terminal channels (streams no task consumes, e.g. model_locations)
-        # are drained by an implicit collector — the application's output
-        # side (DECface reads the locations in the real system).  Without
-        # this, a capacity-bounded terminal channel would fill and block
-        # the sink task forever.
-        self._collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
+        def source(task: Task):
+            ts = 0
+            cost = task.cost(self.state)
+            if task.period is None and cost <= 0:
+                raise ReproError(
+                    f"source {task.name!r} has no period and zero cost; "
+                    "it would flood the simulation at a single instant"
+                )
+            while max_timestamps is None or ts < max_timestamps:
+                if task.period is not None:
+                    target = ts * task.period
+                    if sim.now < target:
+                        yield sim.timeout(target - sim.now)
+                yield from execute(task.name, ts, cost)
+                yield from world.emit(task.name, ts)
+                world.retire(task.name, ts, sim.now)
+                emitted[0] = ts + 1
+                ts += 1
 
-        conns_in: dict[str, dict[str, Connection]] = {}
-        conns_out: dict[str, dict[str, Connection]] = {}
-        streaming_in: dict[str, list[str]] = {}
-        for t in self.graph.tasks:
-            conns_in[t.name] = {
-                ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs
-            }
-            conns_out[t.name] = {
-                ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs
-            }
-            streaming_in[t.name] = [
-                ch for ch in t.inputs if not self.graph.channel(ch).static
+        def consumer(task: Task):
+            last = -1
+            cost = task.cost(self.state)
+            statics = world.plans[task.name].static_inputs
+            inputs = [
+                (world.hubs[ch], conn, ch in statics)
+                for ch, conn in world.conns_in[task.name].items()
             ]
+            streams = [hub for hub, _conn in world.stream_in[task.name]]
+            chans = [hub.stm for hub in streams]
+            while True:
+                ts = self._pick_timestamp(chans, last)
+                if ts is None:
+                    yield sim.any_of([hub.wait_change() for hub in streams])
+                    continue
+                # Retrieve inputs (streaming at ts; static at their only item).
+                ok = True
+                for hub, conn, static in inputs:
+                    if static:
+                        hub.try_get(conn, hub.stm.newest_timestamp() or 0)
+                    elif hub.try_get(conn, ts) is None:
+                        # defensive: item vanished between pick and get
+                        ok = False
+                        break
+                if not ok:
+                    last = ts  # skip the frame; guarantees loop progress
+                    continue
+                yield from execute(task.name, ts, cost)
+                yield from world.emit(task.name, ts)
+                world.retire(task.name, ts, sim.now)
+                last = ts
 
         sources = set(self.graph.source_tasks())
         for t in self.graph.tasks:
             if t.name in sources:
-                sim.process(
-                    self._source_proc(
-                        sim, trace, hubs, t, conns_in[t.name], conns_out[t.name],
-                        digitize_times, emitted, max_timestamps, sink_done,
-                    ),
-                    name=f"src:{t.name}",
-                )
+                sim.process(source(t), name=f"src:{t.name}")
             else:
-                sim.process(
-                    self._consumer_proc(
-                        sim, trace, hubs, t, conns_in[t.name], conns_out[t.name],
-                        streaming_in[t.name], sink_done,
-                    ),
-                    name=f"task:{t.name}",
-                )
+                sim.process(consumer(t), name=f"task:{t.name}")
 
         sim.run(until=horizon)
 
-        completion: dict[int, float] = {}
-        if sink_done:
-            common = set.intersection(*(set(d) for d in sink_done.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in sink_done.values())
-        if self.obs is not None:
-            for ts in sorted(completion):
-                if ts in digitize_times:
-                    self.obs.on_frame(ts, completion[ts] - digitize_times[ts])
-
-        gc_total = sum(h.gc_stats.collected for h in hubs.values())
-        high_water = sum(h.gc_stats.high_water_items for h in hubs.values())
-        return ExecutionResult(
-            graph=self.graph,
-            state=self.state,
-            trace=trace,
-            digitize_times=digitize_times,
-            completion_times=completion,
-            horizon=horizon,
-            emitted=emitted[0],
-            gc_collected=gc_total,
-            live_item_high_water=high_water,
-            meta={
-                "scheduler": repr(self.scheduler),
+        return world.result(
+            horizon,
+            emitted[0],
+            {
+                "scheduler": repr(scheduler),
                 "policy": self.input_policy,
                 "faults_applied": len(injector.applied) if injector else 0,
-                "fault_preemptions": self._fault_preemptions,
-                "dead_procs": sorted(self._view.dead_procs) if self._view else [],
+                "fault_preemptions": fault_preemptions[0],
+                "dead_procs": sorted(view.dead_procs) if view else [],
             },
         )
 
-    # -- task processes -------------------------------------------------------
-
-    def _execute_on_cpu(self, sim: Simulator, trace: TraceRecorder, name: str,
-                        ts: int, nominal: float):
-        """Run ``nominal`` seconds of work in scheduler quanta (generator)."""
-        remaining = nominal
-        view = self._view
-        obs = self.obs
-        busy = 0.0
-        while True:
-            proc = yield self.scheduler.acquire(name, priority=float(ts))
-            speed = view.speed(proc) if view is not None else self._speed[proc]
-            slice_time = min(self.scheduler.quantum, remaining / speed)
-            start = sim.now
-            if slice_time > 0:
-                if view is not None:
-                    idx, _val = yield sim.any_of(
-                        [sim.timeout(slice_time), view.death_event(proc)]
-                    )
-                    if idx == 1:
-                        # The processor died under the thread: the partial
-                        # quantum is lost and the thread migrates, redoing
-                        # this slice on whatever survives.
-                        trace.record_span(
-                            ExecSpan(proc, name, ts, start, sim.now, preempted=True)
-                        )
-                        if obs is not None:
-                            obs.on_exec(
-                                name, start, sim.now, proc=proc, timestamp=ts,
-                                preempted=True, calibrate=False,
-                            )
-                        self._fault_preemptions += 1
-                        self.scheduler.invalidate(name, proc)
-                        continue
-                else:
-                    yield sim.timeout(slice_time)
-            remaining -= slice_time * speed
-            busy += slice_time
-            done = remaining <= 1e-12
-            trace.record_span(
-                ExecSpan(proc, name, ts, start, sim.now, preempted=not done)
-            )
-            if obs is not None:
-                obs.on_exec(
-                    name, start, sim.now, proc=proc, timestamp=ts,
-                    preempted=not done, calibrate=False,
-                )
-                if done:
-                    obs.on_cost_sample(name, "serial", busy, time=sim.now)
-            if not done and hasattr(self.scheduler, "preemptions"):
-                self.scheduler.preemptions += 1
-            self.scheduler.release(name, proc)
-            if done:
-                return
-
-    def _put_outputs(self, sim, hubs, task: Task, conns_out, ts: int):
-        for ch in task.outputs:
-            size = self.graph.channel(ch).item_size(self.state)
-            yield from hubs[ch].put(conns_out[ch], ts, {"ts": ts}, size=size)
-            collector = self._collector_conns.get(ch)
-            if collector is not None:
-                hubs[ch].try_get(collector, ts)
-                hubs[ch].consume(collector, ts)
-
-    def _source_proc(self, sim, trace, hubs, task: Task, conns_in, conns_out,
-                     digitize_times, emitted, max_timestamps, sink_done):
-        ts = 0
-        cost = task.cost(self.state)
-        if task.period is None and cost <= 0:
-            raise ReproError(
-                f"source {task.name!r} has no period and zero cost; "
-                "it would flood the simulation at a single instant"
-            )
-        while max_timestamps is None or ts < max_timestamps:
-            if task.period is not None:
-                target = ts * task.period
-                if sim.now < target:
-                    yield sim.timeout(target - sim.now)
-            yield from self._execute_on_cpu(sim, trace, task.name, ts, cost)
-            yield from self._put_outputs(sim, hubs, task, conns_out, ts)
-            digitize_times[ts] = sim.now
-            emitted[0] = ts + 1
-            if task.name in sink_done:  # degenerate single-task graph
-                sink_done[task.name][ts] = sim.now
-            ts += 1
-
-    def _pick_timestamp(self, hubs, streaming: list[str], last: int) -> Optional[int]:
-        chans = [hubs[ch].stm for ch in streaming]
+    def _pick_timestamp(self, chans: list[STMChannel], last: int) -> Optional[int]:
+        """The next timestamp to process from streaming channels ``chans``
+        under the input policy, or None if none is ready."""
         newests = [c.newest_timestamp() for c in chans]
         if any(n is None for n in newests):
             return None
@@ -322,34 +262,3 @@ class DynamicExecutor:
             if all(c.holds(ts) for c in chans[1:]):
                 return ts
         return None
-
-    def _consumer_proc(self, sim, trace, hubs, task: Task, conns_in, conns_out,
-                       streaming: list[str], sink_done):
-        last = -1
-        cost = task.cost(self.state)
-        while True:
-            ts = self._pick_timestamp(hubs, streaming, last)
-            if ts is None:
-                yield sim.any_of([hubs[ch].wait_change() for ch in streaming])
-                continue
-            # Retrieve inputs (streaming at ts; static at their only item).
-            ok = True
-            for ch in task.inputs:
-                hub = hubs[ch]
-                if self.graph.channel(ch).static:
-                    hub.try_get(conns_in[ch], hub.stm.newest_timestamp() or 0)
-                else:
-                    got = hub.try_get(conns_in[ch], ts)
-                    if got is None:  # defensive: item vanished between pick and get
-                        ok = False
-                        break
-            if not ok:
-                last = ts  # skip the frame; guarantees loop progress
-                continue
-            yield from self._execute_on_cpu(sim, trace, task.name, ts, cost)
-            yield from self._put_outputs(sim, hubs, task, conns_out, ts)
-            for ch in streaming:
-                hubs[ch].consume(conns_in[ch], ts)
-            if task.name in sink_done:
-                sink_done[task.name][ts] = sim.now
-            last = ts

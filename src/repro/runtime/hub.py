@@ -1,4 +1,5 @@
-"""STM channels wired into the discrete-event simulator.
+"""STM channels wired into the discrete-event simulator, and the one
+simulated world the three DES executors run in.
 
 A :class:`ChannelHub` couples one synchronous
 :class:`~repro.stm.channel.STMChannel` with the simulation clock:
@@ -11,15 +12,29 @@ A :class:`ChannelHub` couples one synchronous
 * every mutation is recorded in the trace as an
   :class:`~repro.sim.trace.ItemEvent`, and garbage collection runs after
   each consume.
+
+A :class:`SimWorld` is the DES counterpart of :mod:`repro.runtime.live`:
+everything :class:`~repro.runtime.static_exec.StaticExecutor`,
+:class:`~repro.runtime.dynamic.DynamicExecutor` and
+:class:`~repro.faults.runner.FaultTolerantExecutor` share for one run —
+the STM wiring, the frame ledger and the result builder — so that the
+three differ only in their scheduling policy (the paper's controlled
+comparison, §3.2 / §3.3 / §3.4).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.errors import ItemConsumed, ItemUnavailable
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import TaskPlan
+from repro.runtime.live import merge_completion, terminal_channels
+from repro.runtime.result import ExecutionResult
+from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimEvent, Simulator
-from repro.sim.trace import ItemEvent, TraceRecorder
+from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
+from repro.state import State
 from repro.stm.channel import STMChannel, Timestamp
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats, collect_channel
@@ -27,7 +42,7 @@ from repro.stm.gc import GCStats, collect_channel
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs import Observability
 
-__all__ = ["ChannelHub", "build_hubs"]
+__all__ = ["ChannelHub", "SimWorld", "build_hubs"]
 
 
 class ChannelHub:
@@ -92,8 +107,6 @@ class ChannelHub:
         consuming ts may declare earlier, still-in-flight timestamps dead
         (they arrive "born consumed") — that is skipping, not an error.
         """
-        from repro.errors import ItemConsumed, ItemUnavailable
-
         try:
             got_ts, value = self.stm.get(conn, ts)
         except (ItemConsumed, ItemUnavailable):
@@ -119,12 +132,6 @@ class ChannelHub:
         self._notify()
         return collected
 
-    def put_time(self, ts: int) -> Optional[float]:
-        """Simulated time at which ``ts`` was put (None if unknown/GC'd)."""
-        if self.stm.holds(ts):
-            return self.stm._items[ts].put_time
-        return None
-
     def __repr__(self) -> str:
         return f"ChannelHub({self.name!r}, live={len(self.stm)})"
 
@@ -149,3 +156,177 @@ def build_hubs(
             sim, STMChannel(spec.name, capacity=cap), trace, obs=obs
         )
     return hubs
+
+
+class SimWorld:
+    """One run's simulated world: what the three DES executors share.
+
+    The executor builds the simulator, the trace, the hubs
+    (:func:`build_hubs`) and the task plans
+    (:func:`~repro.runtime.dispatch.build_task_plans`) and hands them
+    over; the world then owns the STM wiring — static channels filled
+    once, one ``-collector-`` per terminal channel, one connection per
+    task and channel — the frame ledger (``digitize_times``,
+    ``sink_done``) and the :class:`~repro.runtime.result.ExecutionResult`
+    builder.  What is left to an executor is its scheduling policy.
+
+    Attributes
+    ----------
+    conns_in:
+        ``{task: {channel: Connection}}`` over every input, streaming and
+        static, in declared order.
+    stream_in:
+        ``{task: ((hub, connection), ...)}`` over the task's streaming
+        inputs — what a placement gets and, in :meth:`retire`, consumes.
+    digitize_times:
+        ``{timestamp: time}`` of the *last* source's put of the frame.  A
+        source stamps a timestamp once, so a checkpoint replay keeps the
+        first attempt's time.
+    sink_done:
+        ``{sink task: {timestamp: time}}``; a frame is complete once
+        every sink has it (:func:`~repro.runtime.live.merge_completion`).
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        state: State,
+        cluster: ClusterSpec,
+        sim: Simulator,
+        trace: TraceRecorder,
+        hubs: dict[str, ChannelHub],
+        plans: dict[str, TaskPlan],
+        obs: Optional["Observability"] = None,
+    ) -> None:
+        self.graph = graph
+        self.state = state
+        self.cluster = cluster
+        self.sim = sim
+        self.trace = trace
+        self.hubs = hubs
+        self.plans = plans
+        self.obs = obs
+        if obs is not None:
+            # Deferred: repro.obs imports the table and schedule modules.
+            from repro.obs.calibrate import node_class_of
+
+            self._node_class_of = node_class_of
+        for spec in graph.channels:
+            if spec.static:
+                stm = hubs[spec.name].stm
+                stm.put(
+                    stm.attach_output("-env-"), 0, {"state": state},
+                    size=spec.item_size(state),
+                )
+        # Terminal channels are drained by an implicit collector — the
+        # application's output side (DECface reads the locations in the
+        # real system); without it a capacity-bounded terminal channel
+        # would fill and block the sink task forever.
+        collectors = {
+            ch: hubs[ch].stm.attach_input("-collector-")
+            for ch in terminal_channels(graph)
+        }
+        self.conns_in = {
+            t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
+            for t in graph.tasks
+        }
+        self.stream_in = {
+            name: tuple((hubs[ch], self.conns_in[name][ch]) for ch in plan.stream_inputs)
+            for name, plan in plans.items()
+        }
+        self._outputs = {
+            name: tuple(
+                (
+                    hubs[ch],
+                    hubs[ch].stm.attach_output(name),
+                    graph.channel(ch).item_size(state),
+                    collectors.get(ch),
+                )
+                for ch in plan.outputs
+            )
+            for name, plan in plans.items()
+        }
+        self.digitize_times: dict[int, float] = {}
+        self.sink_done: dict[str, dict[int, float]] = {
+            s: {} for s in graph.sink_tasks()
+        }
+        self._digitized: dict[str, set[int]] = {
+            s: set() for s in graph.source_tasks()
+        }
+
+    def record_exec(
+        self,
+        task: str,
+        ts: int,
+        procs: tuple[int, ...],
+        start: float,
+        end: float,
+        variant: str = "serial",
+        preempted: bool = False,
+        calibrate: bool = True,
+    ) -> None:
+        """One execution of ``task`` for frame ``ts``: a trace span per
+        processor and one observability span on the primary."""
+        for proc in procs:
+            self.trace.record_span(
+                ExecSpan(proc, task, ts, start, end, preempted=preempted)
+            )
+        if self.obs is not None:
+            self.obs.on_exec(
+                task, start, end, proc=procs[0], variant=variant, timestamp=ts,
+                node_class=self._node_class_of(self.cluster, procs[0]),
+                preempted=preempted, calibrate=calibrate,
+            )
+
+    def emit(self, task: str, ts: int, put=None):
+        """Put ``task``'s outputs for frame ``ts``, draining terminal
+        channels behind them (generator: a put blocks at capacity).
+
+        ``put(hub, conn, ts, value, size)`` replaces the plain blocking
+        :meth:`ChannelHub.put` — the fault runner's bounded, replay-aware
+        one.
+        """
+        for hub, conn, size, collector in self._outputs[task]:
+            if put is None:
+                yield from hub.put(conn, ts, {"ts": ts}, size=size)
+            else:
+                yield from put(hub, conn, ts, {"ts": ts}, size)
+            if collector is not None:
+                hub.try_get(collector, ts)
+                hub.consume(collector, ts)
+
+    def retire(self, task: str, ts: int, end: float) -> None:
+        """``task`` is through with frame ``ts``: consume its streaming
+        inputs and stamp the ledger (digitize if a source, done at ``end``
+        if a sink)."""
+        for hub, conn in self.stream_in[task]:
+            hub.consume(conn, ts)
+        digitized = self._digitized.get(task)
+        if digitized is not None and ts not in digitized:
+            digitized.add(ts)
+            self.digitize_times[ts] = self.sim.now
+        done = self.sink_done.get(task)
+        if done is not None:
+            done[ts] = end
+
+    def result(self, horizon: float, emitted: int, meta: dict) -> ExecutionResult:
+        """The run's :class:`ExecutionResult`: the ledger merged into
+        completion times, frames reported, GC totals summed over the hubs."""
+        completion = merge_completion(self.sink_done)
+        if self.obs is not None:
+            for ts in sorted(completion):
+                if ts in self.digitize_times:
+                    self.obs.on_frame(ts, completion[ts] - self.digitize_times[ts])
+        hubs = self.hubs.values()
+        return ExecutionResult(
+            graph=self.graph,
+            state=self.state,
+            trace=self.trace,
+            digitize_times=self.digitize_times,
+            completion_times=completion,
+            horizon=horizon,
+            emitted=emitted,
+            gc_collected=sum(h.gc_stats.collected for h in hubs),
+            live_item_high_water=sum(h.gc_stats.high_water_items for h in hubs),
+            meta=meta,
+        )

@@ -12,7 +12,8 @@ becomes a process that
    resources, so an invalid schedule deadlocks or slips instead of
    silently double-booking),
 4. executes, puts its outputs into STM, consumes its inputs, and signals
-   completion.
+   completion (the STM wiring, the frame ledger and the result are the
+   :class:`~repro.runtime.hub.SimWorld` every DES executor shares).
 
 Any positive difference between the actual and scheduled start is recorded
 as a *slip*; a correct schedule executes with zero slips, and tests assert
@@ -28,13 +29,13 @@ from repro.core.optimal import ScheduleSolution
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
-from repro.runtime.hub import build_hubs
+from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import CommModel
 from repro.sim.resources import Resource
-from repro.sim.trace import ExecSpan, TraceRecorder
+from repro.sim.trace import TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
@@ -209,12 +210,19 @@ class StaticExecutor:
             ).run(iterations)
         obs = self.obs
         if obs is not None:
-            from repro.obs.calibrate import node_class_of, tier_name
+            from repro.obs.calibrate import tier_name
 
             obs.on_period(self.schedule.period)
         sim = Simulator()
         trace = TraceRecorder()
-        hubs = build_hubs(sim, self.graph, trace, obs=obs)
+        # Flat dispatch tables: schedule lookups and channel classification
+        # compiled once, outside the per-iteration loop.
+        flat = FlatSchedule(self.schedule)
+        world = SimWorld(
+            self.graph, self.state, self.cluster, sim, trace,
+            build_hubs(sim, self.graph, trace, obs=obs),
+            build_task_plans(self.graph), obs,
+        )
         fabric = None
         if self.contended:
             from repro.sim.fabric import LinkFabric
@@ -225,40 +233,11 @@ class StaticExecutor:
             for p in self.cluster.processors
         }
 
-        # Populate static configuration channels once.
-        for spec in self.graph.channels:
-            if spec.static:
-                conn = hubs[spec.name].stm.attach_output("-env-")
-                hubs[spec.name].stm.put(conn, 0, {"state": self.state})
-
-        # Terminal channels are drained by an implicit collector (the
-        # application's output side), mirroring the dynamic executor.
-        collector_conns = {
-            spec.name: hubs[spec.name].stm.attach_input("-collector-")
-            for spec in self.graph.channels
-            if not spec.static
-            and self.graph.producers(spec.name)
-            and not self.graph.consumers(spec.name)
-        }
-
-        conns_in = {
-            t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: hubs[ch].stm.attach_output(t.name) for ch in t.outputs}
-            for t in self.graph.tasks
-        }
-
         done: dict[tuple[int, str], "object"] = {}
         for k in range(iterations):
             for pl in self.schedule.iteration.placements:
                 done[(k, pl.task)] = sim.event(f"done:{k}:{pl.task}")
 
-        digitize_times: dict[int, float] = {}
-        sink_names = set(self.graph.sink_tasks())
-        sink_done: dict[str, dict[int, float]] = {s: {} for s in sink_names}
-        sources = set(self.graph.source_tasks())
         slips = [0]
         max_slip = [0.0]
 
@@ -268,10 +247,6 @@ class StaticExecutor:
             for t in self.graph.tasks
             for p in preds[t.name]
         }
-        # Flat dispatch tables: schedule lookups and channel classification
-        # compiled once, outside the per-iteration loop.
-        flat = FlatSchedule(self.schedule)
-        plans = build_task_plans(self.graph)
         edge_channels = {
             (p, t.name): "+".join(
                 ch.name for ch in self.graph.channels_between(p, t.name)
@@ -279,10 +254,7 @@ class StaticExecutor:
             for t in self.graph.tasks
             for p in preds[t.name]
         }
-
-        item_sizes = {
-            spec.name: spec.item_size(self.state) for spec in self.graph.channels
-        }
+        record_exec, emit, retire = world.record_exec, world.emit, world.retire
 
         def run_placement(k: int, pl: FlatPlacement):
             # ``pl`` comes from instantiate(k): start is absolute, procs are
@@ -336,35 +308,11 @@ class StaticExecutor:
             if pl.duration > 0:
                 yield sim.timeout(pl.duration)
             end = sim.now
-            for proc in pl.procs:
-                trace.record_span(ExecSpan(proc, pl.task, k, start, end))
-            if obs is not None:
-                obs.on_exec(
-                    pl.task,
-                    start,
-                    end,
-                    proc=pl.procs[0],
-                    variant=pl.variant,
-                    timestamp=k,
-                    node_class=node_class_of(self.cluster, pl.procs[0]),
-                )
+            record_exec(pl.task, k, pl.procs, start, end, pl.variant)
             for proc, grant in grants:
                 procs[proc].release(grant)
-            plan = plans[pl.task]
-            for ch in plan.outputs:
-                yield from hubs[ch].put(
-                    conns_out[pl.task][ch], k, {"ts": k}, size=item_sizes[ch]
-                )
-                collector = collector_conns.get(ch)
-                if collector is not None:
-                    hubs[ch].try_get(collector, k)
-                    hubs[ch].consume(collector, k)
-            if pl.task in sources:
-                digitize_times[k] = sim.now
-            for ch in plan.stream_inputs:
-                hubs[ch].consume(conns_in[pl.task][ch], k)
-            if pl.task in sink_names:
-                sink_done[pl.task][k] = end
+            yield from emit(pl.task, k)
+            retire(pl.task, k, end)
             done[(k, pl.task)].succeed(end)
 
         for k, rows in flat.iter_iterations(iterations):
@@ -375,28 +323,10 @@ class StaticExecutor:
 
         sim.run(check_deadlock=True)
 
-        completion: dict[int, float] = {}
-        if sink_done:
-            common = set.intersection(*(set(d) for d in sink_done.values()))
-            for ts in common:
-                completion[ts] = max(d[ts] for d in sink_done.values())
-        if obs is not None:
-            for ts in sorted(completion):
-                if ts in digitize_times:
-                    obs.on_frame(ts, completion[ts] - digitize_times[ts])
-        gc_total = sum(h.gc_stats.collected for h in hubs.values())
-        high_water = sum(h.gc_stats.high_water_items for h in hubs.values())
-        return ExecutionResult(
-            graph=self.graph,
-            state=self.state,
-            trace=trace,
-            digitize_times=digitize_times,
-            completion_times=completion,
-            horizon=trace.makespan,
-            emitted=iterations,
-            gc_collected=gc_total,
-            live_item_high_water=high_water,
-            meta={
+        return world.result(
+            trace.makespan,
+            iterations,
+            {
                 "slips": slips[0],
                 "max_slip": max_slip[0],
                 "period": self.schedule.period,

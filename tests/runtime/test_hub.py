@@ -95,7 +95,7 @@ class TestTraceIntegration:
         assert trace.items[0].task == "p"
 
     def test_put_time_tracked(self, hub):
-        sim, h, _ = hub
+        sim, h, trace = hub
         out = h.stm.attach_output("p")
 
         def putter(sim):
@@ -104,8 +104,7 @@ class TestTraceIntegration:
 
         sim.process(putter(sim))
         sim.run()
-        assert h.put_time(7) == 3.0
-        assert h.put_time(99) is None
+        assert [(e.kind, e.timestamp, e.time) for e in trace.items] == [("put", 7, 3.0)]
 
     def test_gc_stats_accumulate(self, hub):
         sim, h, _ = hub
