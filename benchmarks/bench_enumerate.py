@@ -38,8 +38,9 @@ import pytest
 
 from _schema import write_bench
 from repro.core.cache import ScheduleCache
-from repro.core.enumerate import enumerate_schedules
+from repro.core.enumerate import enumerate_schedules, search_schedules
 from repro.core.optimal import OptimalScheduler, solution_from_enumeration
+from repro.core.parallel import execute_request, make_request
 from repro.core.pipeline import PipelineSearch
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
@@ -91,17 +92,20 @@ def test_explored_reduction_tracker_m8(tracker_graph):
     state = State(n_models=8)
     rows = {}
     for label, cm in [("comm", comm), ("free_comm", None)]:
-        cold = enumerate_schedules(
-            tracker_graph, state, cluster, comm=cm,
-            warm_start=False, dominance=False, max_solutions=4096,
+        # The two accelerations are switched off only at the search core,
+        # on the request's own snapshot and HEFT incumbent.
+        request = make_request(
+            tracker_graph, state, cluster, cm,
+            mode="enumerate", max_solutions=4096,
         )
-        warm = enumerate_schedules(
-            tracker_graph, state, cluster, comm=cm,
-            warm_start=True, dominance=False, max_solutions=4096,
+        cold, warm = (
+            search_schedules(
+                request.problem, state, cluster, cm,
+                incumbent=incumbent, dominance=False, max_solutions=4096,
+            )
+            for incumbent in (None, request.incumbent)
         )
-        fast = enumerate_schedules(
-            tracker_graph, state, cluster, comm=cm, max_solutions=4096,
-        )
+        fast = execute_request(request)
         assert cold.latency == warm.latency == fast.latency
         keys = lambda r: {s.canonical_key() for s in r.schedules}
         assert keys(cold) == keys(warm) == keys(fast)

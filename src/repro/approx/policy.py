@@ -24,7 +24,12 @@ independently — approximation stays as auditable as exactness.
 A policy is *request-shaped*: it turns ``(scheduler, graph, state)`` into
 one picklable :class:`~repro.core.parallel.SolveRequest`, so every
 existing fan-out path — process-pool table builds, the on-disk cache,
-ShapeTable, fleet width banks — runs any rung unchanged.
+ShapeTable, fleet width banks — runs any rung unchanged.  There is one
+request builder, :meth:`OptimalScheduler.request
+<repro.core.optimal.OptimalScheduler.request>`; a rung is only the
+:func:`~repro.core.parallel.make_request` keywords it changes
+(:attr:`SolvePolicy.overrides`), so every rung inherits the scheduler's
+cluster, communication model and caps from the same place.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Union
 
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.parallel import SolveRequest, make_request, solve_many
+from repro.core.parallel import SolveRequest, solve_many
 from repro.errors import ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State
@@ -53,11 +58,14 @@ DEFAULT_EPSILON = 0.1
 class SolvePolicy:
     """One rung (or composition of rungs) of the solver ladder.
 
-    Subclasses override :meth:`request`; :meth:`solve` is the shared
-    in-process convenience path (used by the lazy table on a miss).
+    A subclass contributes :attr:`overrides` — the
+    :func:`~repro.core.parallel.make_request` keywords in which its
+    request differs from the scheduler's exact one; :meth:`solve` is the
+    shared in-process convenience path (used by the lazy table on a miss).
     """
 
     name: str = "abstract"
+    overrides: dict = {}
 
     def request(
         self,
@@ -67,7 +75,7 @@ class SolvePolicy:
         tag: Any = None,
     ) -> SolveRequest:
         """A picklable request that executes this policy for one state."""
-        raise NotImplementedError
+        return scheduler.request(graph, state, tag=tag, **self.overrides)
 
     def solve(
         self,
@@ -89,9 +97,6 @@ class ExactPolicy(SolvePolicy):
 
     name = "exact"
 
-    def request(self, scheduler, graph, state, tag=None) -> SolveRequest:
-        return scheduler.request(graph, state, tag=tag)
-
 
 class BoundedPolicy(SolvePolicy):
     """Rung 2: weighted branch and bound, certified within ``(1 + ε)``.
@@ -107,22 +112,7 @@ class BoundedPolicy(SolvePolicy):
         if epsilon < 0.0:
             raise ScheduleError(f"epsilon must be >= 0, got {epsilon}")
         self.epsilon = float(epsilon)
-
-    def request(self, scheduler, graph, state, tag=None) -> SolveRequest:
-        return make_request(
-            graph,
-            state,
-            scheduler.cluster,
-            scheduler.comm,
-            mode="solve",
-            max_workers=scheduler.max_workers,
-            max_solutions=scheduler.max_solutions,
-            node_limit=scheduler.node_limit,
-            warm_start=scheduler.warm_start,
-            dominance=scheduler.dominance,
-            bound_inflation=self.epsilon,
-            tag=tag,
-        )
+        self.overrides = {"bound_inflation": self.epsilon}
 
     def __repr__(self) -> str:
         return f"BoundedPolicy(epsilon={self.epsilon:g})"
@@ -132,21 +122,7 @@ class ListPolicy(SolvePolicy):
     """Rung 3: HEFT list scheduling; gap reported against the root bound."""
 
     name = "list"
-
-    def request(self, scheduler, graph, state, tag=None) -> SolveRequest:
-        return make_request(
-            graph,
-            state,
-            scheduler.cluster,
-            scheduler.comm,
-            mode="list",
-            max_workers=scheduler.max_workers,
-            max_solutions=scheduler.max_solutions,
-            node_limit=scheduler.node_limit,
-            warm_start=scheduler.warm_start,
-            dominance=scheduler.dominance,
-            tag=tag,
-        )
+    overrides = {"mode": "list"}
 
 
 class PolicyLadder(SolvePolicy):
@@ -175,22 +151,10 @@ class PolicyLadder(SolvePolicy):
         self.epsilon = float(epsilon)
         self.exact_budget = int(exact_budget)
         self.bounded_budget = int(bounded_budget)
-
-    def request(self, scheduler, graph, state, tag=None) -> SolveRequest:
-        return make_request(
-            graph,
-            state,
-            scheduler.cluster,
-            scheduler.comm,
-            mode="solve",
-            max_workers=scheduler.max_workers,
-            max_solutions=scheduler.max_solutions,
-            node_limit=self.exact_budget,
-            warm_start=scheduler.warm_start,
-            dominance=scheduler.dominance,
-            ladder=((self.epsilon, self.bounded_budget),),
-            tag=tag,
-        )
+        self.overrides = {
+            "node_limit": self.exact_budget,
+            "ladder": ((self.epsilon, self.bounded_budget),),
+        }
 
     def __repr__(self) -> str:
         return (

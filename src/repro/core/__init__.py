@@ -40,7 +40,6 @@ from repro.core.schedule import Placement, IterationSchedule, PipelinedSchedule
 from repro.core.enumerate import (
     enumerate_schedules,
     search_schedules,
-    warm_incumbent,
     EnumerationResult,
     SearchProblem,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "PipelinedSchedule",
     "enumerate_schedules",
     "search_schedules",
-    "warm_incumbent",
     "EnumerationResult",
     "SearchProblem",
     "naive_pipeline",

@@ -16,9 +16,9 @@ of everything that determines its answer:
   budgets).
 
 Deliberately *excluded* from the key: the graph's display name, the
-warm-start incumbent and the dominance flag (both are proven
-semantics-preserving — they change how fast the answer is found, never
-the answer), and ``node_limit`` (a safety valve, not a result parameter).
+warm-start incumbent (proven semantics-preserving — it changes how fast
+the answer is found, never the answer), and ``node_limit`` (a safety
+valve, not a result parameter).
 
 Entries are one JSON file per digest, written atomically
 (temp-file-then-rename), layered on :mod:`repro.core.serialize` for the
@@ -72,8 +72,8 @@ def request_digest(request: SolveRequest) -> str:
     """Stable hex digest identifying a request's *answer*.
 
     Two requests with equal digests are guaranteed the same solution; the
-    digest is insensitive to accelerator settings (warm start, dominance)
-    and to the graph's name.
+    digest is insensitive to the warm-start incumbent and to the graph's
+    name.
     """
     comm = request.comm
     if comm is None:

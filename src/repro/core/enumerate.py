@@ -28,9 +28,9 @@ Three accelerations keep the off-line phase affordable at scale, all of
 them semantics-preserving (same L, same set S up to canonical order):
 
 * **warm start** — the HEFT-style list scheduler
-  (:mod:`repro.sched.listsched`) provides an incumbent upper bound before
-  the search begins, so the lower-bound prune bites from node 1 instead of
-  only after the first complete leaf;
+  (:func:`repro.sched.listsched.heft_schedule`) provides an incumbent upper
+  bound before the search begins, so the lower-bound prune bites from node
+  1 instead of only after the first complete leaf;
 * **transposition table** — different interleavings of independent tasks
   reach the *same* partial placement; each such state is explored once
   (the dominance cut keyed on the full canonicalized placement set is
@@ -39,11 +39,21 @@ them semantics-preserving (same L, same set S up to canonical order):
   per-speed variant durations are computed once per ready-task expansion
   instead of once per placement attempt.
 
+The first two are always on for every caller in ``src/``: the only place
+they can be switched off is :func:`search_schedules` itself
+(``incumbent=None``, ``dominance=False``), which is the cold reference of
+``tests/core/test_enumerate_diff.py`` and where an ablation toggles them.
+
 The search core (:func:`search_schedules`) operates on a pure-data
 :class:`SearchProblem` snapshot in which every cost callable has already
-been evaluated, so problems pickle cheaply for the process-pool fan-out in
+been evaluated — the one cost table Figure 6 takes as input.  The list
+scheduler reads the same snapshot, so a request evaluates each cost once;
+problems pickle cheaply for the process-pool fan-out in
 :mod:`repro.core.parallel` and digest stably for the on-disk cache in
-:mod:`repro.core.cache`.
+:mod:`repro.core.cache`.  :func:`enumerate_schedules` is the
+``(graph, state, cluster)`` convenience over that one path
+(:func:`~repro.core.parallel.make_request` →
+:func:`~repro.core.parallel.execute_request`).
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import InfeasibleSchedule, ReproError, ScheduleError
+from repro.errors import InfeasibleSchedule, ScheduleError
 from repro.core.schedule import IterationSchedule, Placement
 from repro.graph.task import Variant
 from repro.graph.taskgraph import TaskGraph
@@ -66,7 +76,6 @@ __all__ = [
     "enumerate_schedules",
     "search_schedules",
     "static_lower_bound",
-    "warm_incumbent",
 ]
 
 _EPS = 1e-9
@@ -265,28 +274,6 @@ def static_lower_bound(problem: SearchProblem, cluster: ClusterSpec) -> float:
     return bound if bound >= load else load
 
 
-def warm_incumbent(
-    graph: TaskGraph,
-    state: State,
-    cluster: ClusterSpec,
-    comm: Optional[CommModel] = None,
-    max_workers: Optional[int] = None,
-) -> Optional[float]:
-    """Latency of the HEFT-style list schedule — an upper bound on L.
-
-    Returns ``None`` when the heuristic cannot produce a legal schedule;
-    the search then simply starts cold.
-    """
-    from repro.sched.listsched import list_schedule  # deferred: avoids import cycle
-
-    try:
-        return list_schedule(
-            graph, state, cluster, comm=comm, max_workers=max_workers
-        ).latency
-    except (ReproError, AssertionError):
-        return None
-
-
 def enumerate_schedules(
     graph: TaskGraph,
     state: State,
@@ -297,9 +284,6 @@ def enumerate_schedules(
     node_limit: int = 2_000_000,
     tolerance: float = 1e-9,
     latency_slack: float = 0.0,
-    warm_start: bool = True,
-    dominance: bool = True,
-    bound_inflation: float = 0.0,
 ) -> EnumerationResult:
     """Compute L and S for one application state.
 
@@ -331,41 +315,22 @@ def enumerate_schedules(
         paper's S).  Used by the latency/throughput frontier
         (:mod:`repro.core.frontier`) to trade latency for initiation
         interval the way [13] (Subhlok & Vondran) explores.
-    warm_start:
-        Seed the search with the list scheduler's latency as an incumbent
-        upper bound.  Never changes L or S — only how much of the tree is
-        visited.
-    dominance:
-        Enable the transposition table.  Exact with respect to L and the
-        full set S; when |S| exceeds ``max_solutions`` the *materialized
-        subset* may differ from a cold run (both runs materialize some
-        ``max_solutions``-sized subset of the same S).
-    bound_inflation:
-        ε for bounded-suboptimality search (weighted branch-and-bound):
-        subtrees are pruned when ``lower_bound * (1 + ε)`` exceeds the
-        cutoff, and the search stops early once the incumbent is within
-        ``(1 + ε)`` of the root bound.  The returned latency is certified
-        within ``(1 + ε)`` of the true optimum L* (see
-        :attr:`EnumerationResult.lower_bound`).  ``0.0`` (the default) is
-        the exact search, bit-for-bit.
     """
-    dp_cap = max_workers if max_workers is not None else cluster.procs_per_node
-    problem = SearchProblem.from_graph(graph, state, max_workers=dp_cap)
-    incumbent = None
-    if warm_start and problem.order_names:
-        incumbent = warm_incumbent(graph, state, cluster, comm=comm, max_workers=dp_cap)
-    return search_schedules(
-        problem,
-        state,
-        cluster,
-        comm,
-        max_solutions=max_solutions,
-        node_limit=node_limit,
-        tolerance=tolerance,
-        latency_slack=latency_slack,
-        incumbent=incumbent,
-        dominance=dominance,
-        bound_inflation=bound_inflation,
+    from repro.core.parallel import execute_request, make_request  # deferred: import cycle
+
+    return execute_request(
+        make_request(
+            graph,
+            state,
+            cluster,
+            comm,
+            mode="enumerate",
+            max_workers=max_workers,
+            max_solutions=max_solutions,
+            node_limit=node_limit,
+            tolerance=tolerance,
+            latency_slack=latency_slack,
+        )
     )
 
 
@@ -391,7 +356,14 @@ def search_schedules(
 
     ``incumbent`` is an optional upper bound on L (a legal schedule's
     latency); it tightens pruning from the first node without affecting
-    which schedules are ultimately collected.
+    which schedules are ultimately collected.  ``dominance`` enables the
+    transposition table: exact with respect to L and the full set S; when
+    |S| exceeds ``max_solutions`` the *materialized subset* may differ
+    from a run without it (both materialize some ``max_solutions``-sized
+    subset of the same S).  These two are the oracle arguments — requests
+    always run with the HEFT incumbent and the table on; passing
+    ``incumbent=None, dominance=False`` here is the cold reference the
+    differential tests (and an ablation) compare against.
 
     ``bound_inflation`` (ε > 0) turns the search into weighted
     branch-and-bound: every admissible lower bound is multiplied by

@@ -6,7 +6,7 @@ Parallel Pipelines") characterizes the whole trade-off curve.  This module
 computes that curve with the Figure 6 machinery:
 
 1. enumerate all schedules within a latency slack of the optimum
-   (``enumerate_schedules(latency_slack=...)``),
+   (a ``mode="enumerate"`` request with ``latency_slack=...``),
 2. pipeline each one (minimal initiation interval over shifts),
 3. keep the Pareto-optimal (latency, throughput) pairs.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.enumerate import EnumerationResult, enumerate_schedules
+from repro.core.enumerate import EnumerationResult
 from repro.core.pipeline import best_pipelined, naive_pipeline
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
@@ -69,16 +69,17 @@ def latency_throughput_frontier(
     max_solutions:
         Cap on candidate iteration schedules materialized per call.
     """
-    result = enumerate_schedules(
+    return frontier_sweep(
         graph,
-        state,
+        [state],
         cluster,
-        comm=comm,
-        max_workers=max_workers,
-        max_solutions=max_solutions,
+        comm,
         latency_slack=latency_slack,
-    )
-    return _points_from_result(result, graph, state, cluster, include_naive)
+        max_solutions=max_solutions,
+        include_naive=include_naive,
+        max_workers=max_workers,
+        workers=1,
+    )[0]
 
 
 def _points_from_result(

@@ -86,7 +86,9 @@ class InterpolatingTable:
             return self.table.lookup(state)
         self.interpolations += 1
         base = self.table.lookup(self.nearest_covered(state))
-        replayed_iter = replay_with_state(base.iteration, self.graph, state, self.comm)
+        replayed_iter = replay_with_state(
+            base.iteration, self.graph, state, self.cluster, self.comm
+        )
         replayed_piped = replay_pipelined(
             base.iteration, self.graph, state, self.cluster, self.comm
         )

@@ -6,11 +6,21 @@
     Compute the multi-iteration schedule, M, created from multiple
         instances of a schedule from S
 
-Step 1 and 2 are :func:`repro.core.enumerate.enumerate_schedules`; step 3
-picks, among the members of S, the iteration schedule whose pipelined form
-has the smallest initiation interval — i.e. maximal throughput subject to
-minimal latency, the paper's stated priority ("without sacrificing latency,
-of course we would like to attain maximum possible throughput").
+Steps 1 and 2 are :func:`repro.core.enumerate.search_schedules`; step 3
+(:func:`solution_from_enumeration`) picks, among the members of S, the
+iteration schedule whose pipelined form has the smallest initiation
+interval — i.e. maximal throughput subject to minimal latency, the paper's
+stated priority ("without sacrificing latency, of course we would like to
+attain maximum possible throughput").
+
+There is one road from ``(graph, state, cluster)`` to an answer:
+:meth:`OptimalScheduler.request` snapshots the costs into a picklable
+:class:`~repro.core.parallel.SolveRequest` and
+:func:`~repro.core.parallel.execute_request` runs it — the only caller of
+the search and of step 3.  :meth:`OptimalScheduler.solve` and
+:meth:`~OptimalScheduler.enumerate` are those two calls in-process; table
+builds, the solver ladder and the sweeps ship the same requests through
+:func:`~repro.core.parallel.solve_many`.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.enumerate import EnumerationResult, enumerate_schedules
+from repro.core.enumerate import EnumerationResult
 from repro.errors import InfeasibleSchedule
 from repro.core.pipeline import PipelineSearch, best_pipelined
 from repro.core.schedule import IterationSchedule, PipelinedSchedule
@@ -139,25 +149,28 @@ class ScheduleSolution:
         )
 
 
-def _certificate_from_result(
-    result: EnumerationResult, dp_cap: int
+def _certificate(
+    policy: str,
+    epsilon: float,
+    latency: float,
+    lower_bound: float,
+    root_bound: float,
+    dp_cap: int,
 ) -> Optional[GapCertificate]:
-    """Build the gap certificate an enumeration result supports.
+    """The gap certificate a served latency and its bounds support.
 
-    Results lacking bound information (hand-built in tests, or produced
-    by a pre-certificate build) get ``None`` — no claim is better than an
-    unverifiable one.
+    Without positive bounds (a result hand-built in tests, a pre-certificate
+    build, an all-zero-cost graph) there is ``None`` — no claim is better
+    than an unverifiable one.
     """
-    if result.root_bound <= 0.0 or result.lower_bound <= 0.0:
+    if root_bound <= 0.0 or lower_bound <= 0.0:
         return None
-    policy = "bounded" if result.bound_inflation > 0.0 else "exact"
-    gap = result.latency / result.lower_bound - 1.0
     return GapCertificate(
         policy=policy,
-        epsilon=result.bound_inflation,
-        lower_bound=result.lower_bound,
-        root_bound=result.root_bound,
-        gap_bound=max(0.0, gap),
+        epsilon=epsilon,
+        lower_bound=lower_bound,
+        root_bound=root_bound,
+        gap_bound=max(0.0, latency / lower_bound - 1.0),
         dp_cap=dp_cap,
     )
 
@@ -169,11 +182,10 @@ def solution_from_enumeration(
 ) -> ScheduleSolution:
     """Step 3 of Figure 6: pick the throughput-best pipelining of a member of S.
 
-    Shared by :meth:`OptimalScheduler.solve` and the process-pool workers
-    of :mod:`repro.core.parallel`, so both paths produce bit-identical
-    solutions.  ``dp_cap`` is the data-parallel width cap the search
-    problem was built with (recorded in the certificate; defaults to the
-    cluster's processors per node, which is what every table build uses).
+    Called from :func:`repro.core.parallel.execute_request` only.
+    ``dp_cap`` is the data-parallel width cap the search problem was built
+    with (recorded in the certificate; defaults to the cluster's processors
+    per node, the cap of a request built without ``max_workers``).
 
     A member of S none of whose shifts has a feasible II below the
     incumbent's period (less the tie tolerance) cannot replace it — the
@@ -195,14 +207,20 @@ def solution_from_enumeration(
         raise InfeasibleSchedule(
             f"enumeration for {result.state!r} produced no schedules to pipeline"
         )
-    cap = dp_cap if dp_cap is not None else cluster.procs_per_node
     return ScheduleSolution(
         state=result.state,
         iteration=best_iter,
         pipelined=best,
         alternatives=result.optimal_count,
         explored=result.explored,
-        certificate=_certificate_from_result(result, cap),
+        certificate=_certificate(
+            "bounded" if result.bound_inflation > 0.0 else "exact",
+            result.bound_inflation,
+            result.latency,
+            result.lower_bound,
+            result.root_bound,
+            dp_cap if dp_cap is not None else cluster.procs_per_node,
+        ),
     )
 
 
@@ -229,25 +247,20 @@ def solution_from_fallback(
     lb = root_bound
     if policy == "bounded" and epsilon > 0.0:
         lb = max(lb, schedule.latency / (1.0 + epsilon))
-    gap = schedule.latency / lb - 1.0 if lb > 0.0 else 0.0
-    cert = None
-    if lb > 0.0:
-        cap = dp_cap if dp_cap is not None else cluster.procs_per_node
-        cert = GapCertificate(
-            policy=policy,
-            epsilon=epsilon,
-            lower_bound=lb,
-            root_bound=root_bound,
-            gap_bound=max(0.0, gap),
-            dp_cap=cap,
-        )
     return ScheduleSolution(
         state=state,
         iteration=schedule,
         pipelined=piped,
         alternatives=1,
         explored=explored,
-        certificate=cert,
+        certificate=_certificate(
+            policy,
+            epsilon,
+            schedule.latency,
+            lb,
+            root_bound,
+            dp_cap if dp_cap is not None else cluster.procs_per_node,
+        ),
     )
 
 
@@ -272,54 +285,43 @@ class OptimalScheduler:
         max_workers: Optional[int] = None,
         max_solutions: int = 64,
         node_limit: int = 2_000_000,
-        warm_start: bool = True,
-        dominance: bool = True,
     ) -> None:
         self.cluster = cluster
         self.comm = comm
         self.max_workers = max_workers
         self.max_solutions = max_solutions
         self.node_limit = node_limit
-        self.warm_start = warm_start
-        self.dominance = dominance
 
-    def enumerate(self, graph: TaskGraph, state: State) -> EnumerationResult:
-        """Steps 1-2 of Figure 6: minimal latency L and the set S."""
-        return enumerate_schedules(
-            graph,
-            state,
-            self.cluster,
-            comm=self.comm,
-            max_workers=self.max_workers,
-            max_solutions=self.max_solutions,
-            node_limit=self.node_limit,
-            warm_start=self.warm_start,
-            dominance=self.dominance,
-        )
-
-    def request(self, graph: TaskGraph, state: State, tag=None):
+    def request(self, graph: TaskGraph, state: State, tag=None, **overrides):
         """A picklable :class:`~repro.core.parallel.SolveRequest` for this solve.
 
         The request snapshots all costs, so it can be executed in a worker
         process (:func:`repro.core.parallel.solve_many`) or digested into a
         cache key (:mod:`repro.core.cache`) without re-touching the graph.
+        ``overrides`` are :func:`~repro.core.parallel.make_request` keywords
+        (``mode``, ``bound_inflation``, ``ladder``, ...) layered over this
+        scheduler's own settings — what a solver-ladder rung contributes.
         """
         from repro.core.parallel import make_request  # deferred: avoids import cycle
 
+        params = {
+            "max_workers": self.max_workers,
+            "max_solutions": self.max_solutions,
+            "node_limit": self.node_limit,
+            **overrides,
+        }
         return make_request(
-            graph,
-            state,
-            self.cluster,
-            self.comm,
-            mode="solve",
-            max_workers=self.max_workers,
-            max_solutions=self.max_solutions,
-            node_limit=self.node_limit,
-            warm_start=self.warm_start,
-            dominance=self.dominance,
-            tag=tag,
+            graph, state, self.cluster, self.comm, tag=tag, **params
         )
+
+    def enumerate(self, graph: TaskGraph, state: State) -> EnumerationResult:
+        """Steps 1-2 of Figure 6: minimal latency L and the set S."""
+        from repro.core.parallel import execute_request  # deferred: avoids import cycle
+
+        return execute_request(self.request(graph, state, mode="enumerate"))
 
     def solve(self, graph: TaskGraph, state: State) -> ScheduleSolution:
         """All three steps: the throughput-best pipelining of a member of S."""
-        return solution_from_enumeration(self.enumerate(graph, state), self.cluster)
+        from repro.core.parallel import execute_request  # deferred: avoids import cycle
+
+        return execute_request(self.request(graph, state))

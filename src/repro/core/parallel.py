@@ -1,11 +1,26 @@
-"""Batch fan-out of independent off-line solves.
+"""The off-line solve path: request → execute, one at a time or in batches.
+
+Every answer the off-line phase produces comes through two functions.
+:func:`make_request` reads the inputs of Figure 6 once — it evaluates
+every cost callable into a :class:`~repro.core.enumerate.SearchProblem`
+snapshot, runs the HEFT list scheduler *on that snapshot* for the
+warm-start incumbent (and, for approximate requests, the fallback
+schedule) and packs the result as a picklable :class:`SolveRequest`.
+:func:`execute_request` runs one request to completion and is the only
+caller of :func:`~repro.core.enumerate.search_schedules` (steps 1-2) and
+:func:`~repro.core.optimal.solution_from_enumeration` (step 3); both are
+resolved through this module's namespace at call time, which is the
+by-name contract ``benchmarks/e2e`` wraps its spans around (and where an
+ablation would swap in a cold search).  ``OptimalScheduler.solve`` /
+``.enumerate``, ``enumerate_schedules``, the frontier and sensitivity
+sweeps, the table builders and every solver-ladder rung are these two
+calls.
 
 The off-line phase is embarrassingly parallel across *problems*: every
 state of a :class:`~repro.state.StateSpace`, every degraded shape of a
 :class:`~repro.faults.failover.ShapeTable`, every slack level of a
-frontier sweep is an independent branch-and-bound.  This module packages
-one solve as a picklable :class:`SolveRequest` and runs batches of them
-through a ``ProcessPoolExecutor``.
+frontier sweep is an independent branch-and-bound, so :func:`solve_many`
+runs batches of requests through a ``ProcessPoolExecutor``.
 
 Determinism is the contract: ``solve_many`` executes the *same* code path
 (:func:`execute_request`) whether it runs in-process or in worker
@@ -31,7 +46,6 @@ from repro.core.enumerate import (
     SearchProblem,
     search_schedules,
     static_lower_bound,
-    warm_incumbent,
 )
 from repro.core.optimal import (
     ScheduleSolution,
@@ -93,7 +107,6 @@ class SolveRequest:
     tolerance: float = 1e-9
     latency_slack: float = 0.0
     incumbent: Optional[float] = None
-    dominance: bool = True
     bound_inflation: float = 0.0
     ladder: tuple = ()
     fallback: Optional[IterationSchedule] = None
@@ -119,38 +132,40 @@ def make_request(
     node_limit: int = 2_000_000,
     tolerance: float = 1e-9,
     latency_slack: float = 0.0,
-    warm_start: bool = True,
-    dominance: bool = True,
     bound_inflation: float = 0.0,
     ladder: tuple = (),
     tag: Any = None,
 ) -> SolveRequest:
     """Snapshot one (graph, state, cluster) solve into a :class:`SolveRequest`.
 
-    The warm-start incumbent is computed *here*, in the parent process —
-    the list scheduler is linear-time, and workers then need nothing but
-    the pure-data request.  When the request is approximate (``mode=
-    "list"``, ``bound_inflation`` > 0, or escalation ``ladder`` stages),
-    the *full* list schedule rides along as the fallback rung.
+    The costs are read once, into the :class:`SearchProblem`; the HEFT
+    list schedule is computed *here*, in the parent process, from that
+    snapshot — it is linear-time, and workers then need nothing but the
+    pure-data request.  Its latency is the warm-start incumbent; when the
+    request is approximate (``mode="list"``, ``bound_inflation`` > 0, or
+    escalation ``ladder`` stages), the *full* schedule rides along as the
+    fallback rung.  A heuristic that cannot produce a legal schedule
+    leaves both unset and the search simply starts cold.
     """
+    from repro.sched.listsched import heft_schedule  # deferred: avoids import cycle
+
     dp_cap = max_workers if max_workers is not None else cluster.procs_per_node
     problem = SearchProblem.from_graph(graph, state, max_workers=dp_cap)
     if mode == "list" and not problem.order_names:
         mode = "solve"  # empty graph: the search's trivial result is exact
-    needs_fallback = bound_inflation > 0.0 or bool(ladder) or mode == "list"
-    incumbent = None
-    fallback = None
-    if problem.order_names and (warm_start or needs_fallback):
-        fallback = _list_fallback(graph, state, cluster, comm, dp_cap)
-        if fallback is not None and warm_start:
-            incumbent = fallback.latency
-    if mode == "list" and fallback is None:
+    heft = None
+    if problem.order_names:
+        try:
+            heft = heft_schedule(problem, state, cluster, comm)
+            heft.validate(graph, state, cluster, comm)
+        except (ReproError, AssertionError):
+            heft = None
+    if mode == "list" and heft is None:
         raise InfeasibleSchedule(
             f"list scheduler produced no legal schedule for "
             f"{graph.name!r} in {state!r} on {cluster!r}"
         )
-    if not needs_fallback:
-        fallback = None
+    approximate = bound_inflation > 0.0 or bool(ladder) or mode == "list"
     return SolveRequest(
         problem=problem,
         state=state,
@@ -161,36 +176,13 @@ def make_request(
         node_limit=node_limit,
         tolerance=tolerance,
         latency_slack=latency_slack,
-        incumbent=incumbent,
-        dominance=dominance,
+        incumbent=heft.latency if heft is not None else None,
         bound_inflation=bound_inflation,
         ladder=tuple(ladder),
-        fallback=fallback,
+        fallback=heft if approximate else None,
         dp_cap=dp_cap,
         tag=tag,
     )
-
-
-def _list_fallback(
-    graph: TaskGraph,
-    state: State,
-    cluster: ClusterSpec,
-    comm: Optional[CommModel],
-    dp_cap: int,
-) -> Optional[IterationSchedule]:
-    """The full HEFT list schedule, or ``None`` when the heuristic fails.
-
-    Same schedule :func:`~repro.core.enumerate.warm_incumbent` takes the
-    latency of — kept whole here so approximate requests can *serve* it.
-    """
-    from repro.sched.listsched import list_schedule  # deferred: avoids import cycle
-
-    try:
-        return list_schedule(
-            graph, state, cluster, comm=comm, max_workers=dp_cap
-        )
-    except (ReproError, AssertionError):
-        return None
 
 
 def execute_request(
@@ -223,7 +215,6 @@ def execute_request(
                 tolerance=request.tolerance,
                 latency_slack=request.latency_slack,
                 incumbent=request.incumbent,
-                dominance=request.dominance,
                 bound_inflation=eps,
             )
             break

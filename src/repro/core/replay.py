@@ -53,20 +53,24 @@ def replay_with_state(
     iteration: IterationSchedule,
     graph: TaskGraph,
     state: State,
+    cluster: ClusterSpec,
     comm: Optional[CommModel] = None,
 ) -> IterationSchedule:
     """Re-time a fixed schedule structure under new task durations.
 
     Placement order, processor assignments and variant choices are kept;
-    start times are recomputed with list-execution semantics.  The result
-    is a valid schedule for ``state`` (it is re-validated before being
-    returned when a comm model is supplied).
+    start times are recomputed with list-execution semantics, each
+    duration being the variant's cost over the speed of the node its
+    primary processor sits on — the same timing rule as the search, the
+    list scheduler and the ``S`` verification rules, so a schedule
+    replayed under its own state keeps its latency on any cluster.
     """
     free: dict[int, float] = {}
     done: dict[str, Placement] = {}
     new_placements: list[Placement] = []
     for pl in iteration.placements:  # already sorted by original start
-        dur = variant_duration(graph, pl.task, pl.variant, state)
+        speed = cluster.node_speeds[cluster.node_of(pl.procs[0])]
+        dur = variant_duration(graph, pl.task, pl.variant, state) / speed
         est = max((free.get(p, 0.0) for p in pl.procs), default=0.0)
         for pred in graph.predecessors(pl.task):
             if pred not in done:
@@ -86,8 +90,7 @@ def replay_with_state(
         done[pl.task] = new_pl
         for p in pl.procs:
             free[p] = new_pl.end
-    replayed = IterationSchedule(new_placements, name=f"{iteration.name}@{state}")
-    return replayed
+    return IterationSchedule(new_placements, name=f"{iteration.name}@{state}")
 
 
 def replay_pipelined(
@@ -103,5 +106,5 @@ def replay_pipelined(
     runtime must slow the digitizer to the new sustainable rate, or frames
     would back up exactly as in the saturated tuning-curve region).
     """
-    replayed = replay_with_state(iteration, graph, state, comm)
+    replayed = replay_with_state(iteration, graph, state, cluster, comm)
     return best_pipelined(replayed, cluster, name=f"M[{replayed.name}]")

@@ -6,7 +6,7 @@ module quantifies how robust a pre-computed schedule is to such drift:
 
 * :func:`perturbed_latency` — re-time a schedule's structure with every
   task cost scaled by independent factors and report the achieved latency
-  (list-execution semantics, like :mod:`repro.core.replay`);
+  (:func:`repro.core.replay.replay_with_state` on the perturbed graph);
 * :func:`sensitivity_profile` — Monte-Carlo sweep over seeded
   perturbations: how much latency degrades at a given cost-error level,
   and how often the perturbed-optimal schedule differs structurally.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ScheduleError
-from repro.core.replay import variant_duration
-from repro.core.schedule import IterationSchedule, Placement
+from repro.core.replay import replay_with_state
+from repro.core.schedule import IterationSchedule
 from repro.graph.cost import CallableCost
 from repro.graph.task import DataParallelSpec, Task
 from repro.graph.taskgraph import TaskGraph
@@ -91,31 +91,13 @@ def perturbed_latency(
     iteration: IterationSchedule,
     graph: TaskGraph,
     state: State,
+    cluster: ClusterSpec,
     factors: dict[str, float],
     comm: Optional[CommModel] = None,
 ) -> float:
     """Latency of a fixed schedule structure under perturbed costs."""
     noisy = perturbed_graph(graph, factors)
-    # Re-time with list semantics (same as replay, on the noisy graph).
-    free: dict[int, float] = {}
-    done: dict[str, Placement] = {}
-    for pl in iteration.placements:
-        dur = variant_duration(noisy, pl.task, pl.variant, state)
-        est = max((free.get(p, 0.0) for p in pl.procs), default=0.0)
-        for pred in noisy.predecessors(pl.task):
-            delay = 0.0
-            if comm is not None:
-                delay = comm.transfer_time(
-                    noisy.comm_bytes(pred, pl.task, state),
-                    done[pred].primary,
-                    pl.procs[0],
-                )
-            est = max(est, done[pred].end + delay)
-        new_pl = Placement(pl.task, pl.procs, est, dur, variant=pl.variant)
-        done[pl.task] = new_pl
-        for p in pl.procs:
-            free[p] = new_pl.end
-    return max(p.end for p in done.values())
+    return replay_with_state(iteration, noisy, state, cluster, comm).latency
 
 
 @dataclass(frozen=True)
@@ -177,7 +159,7 @@ def sensitivity_profile(
         for _ in range(trials)
     ]
     fixed_latencies = [
-        perturbed_latency(iteration, graph, state, factors, comm)
+        perturbed_latency(iteration, graph, state, cluster, factors, comm)
         for factors in all_factors
     ]
     requests = [

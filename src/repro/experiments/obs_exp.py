@@ -290,7 +290,7 @@ def run_obs(
     # 2. The stale run: same structure, true costs, stale (too-fast) period.
     #    Every frame slips a little further behind — §3.1's saturation.
     stale = PipelinedSchedule(
-        replay_with_state(sol.iteration, true, state),
+        replay_with_state(sol.iteration, true, state, cluster),
         period=sol.period,
         shift=sol.pipelined.shift,
         n_procs=sol.pipelined.n_procs,

@@ -9,13 +9,19 @@ variants, producing a legal :class:`~repro.core.schedule.IterationSchedule`
 quickly but without optimality guarantees.
 
 Used as a comparison point in the benchmarks (how close does the heuristic
-get to the exhaustive optimum, and how much cheaper is it?).
+get to the exhaustive optimum, and how much cheaper is it?), as the
+warm-start incumbent of every exact search and as rung 3 of the solver
+ladder.  The heuristic reads the same
+:class:`~repro.core.enumerate.SearchProblem` cost snapshot as the search:
+:func:`heft_schedule` is the core, :func:`list_schedule` the
+``(graph, state, cluster)`` convenience that builds the snapshot first.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.enumerate import SearchProblem
 from repro.core.schedule import IterationSchedule, Placement
 from repro.errors import InfeasibleSchedule
 from repro.graph.taskgraph import TaskGraph
@@ -23,7 +29,7 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
 from repro.state import State
 
-__all__ = ["list_schedule"]
+__all__ = ["heft_schedule", "list_schedule"]
 
 
 def list_schedule(
@@ -34,23 +40,41 @@ def list_schedule(
     max_workers: Optional[int] = None,
 ) -> IterationSchedule:
     """Greedy earliest-finish-time schedule with upward-rank priorities."""
-    graph.validate()
+    dp_cap = max_workers if max_workers is not None else cluster.procs_per_node
+    problem = SearchProblem.from_graph(graph, state, max_workers=dp_cap)
+    sched = heft_schedule(problem, state, cluster, comm)
+    sched.validate(graph, state, cluster, comm)
+    return sched
+
+
+def heft_schedule(
+    problem: SearchProblem,
+    state: State,
+    cluster: ClusterSpec,
+    comm: Optional[CommModel] = None,
+) -> IterationSchedule:
+    """The HEFT core, on a cost snapshot (same leading arguments as the search).
+
+    Reads no cost callable: every duration and byte count comes from
+    ``problem``, so a request builder that already holds the snapshot
+    (:func:`repro.core.parallel.make_request`) pays for the costs once.
+    The result is *not* validated against the graph — both callers do that.
+    """
     if comm is None:
         comm = CommModel.free(cluster)
-    dp_cap = max_workers if max_workers is not None else cluster.procs_per_node
+    names = problem.order_names
+    variants = problem.variants
+    preds = problem.preds
+    edge_bytes = problem.edge_bytes
 
     # Upward rank on best-variant durations (mean comm is folded into rank
     # via the worst-case tier, a standard HEFT simplification).
-    names = graph.topo_order()
-    best_dur = {
-        n: graph.task(n).best_variant(state, dp_cap).duration for n in names
-    }
+    best_dur = {n: min(v.duration for v in variants[n]) for n in names}
     rank: dict[str, float] = {}
     for n in reversed(names):
         tail = 0.0
-        for s in graph.successors(n):
-            nbytes = graph.comm_bytes(n, s, state)
-            tail = max(tail, comm.worst_case(nbytes) + rank[s])
+        for s in problem.succs[n]:
+            tail = max(tail, comm.worst_case(edge_bytes[(n, s)]) + rank[s])
         rank[n] = best_dur[n] + tail
 
     order = sorted(names, key=lambda n: (-rank[n], n))
@@ -59,7 +83,7 @@ def list_schedule(
     remaining = list(order)
     while remaining:
         for i, n in enumerate(remaining):
-            if all(p in placed_order for p in graph.predecessors(n)):
+            if all(p in placed_order for p in preds[n]):
                 placed_order.append(n)
                 del remaining[i]
                 break
@@ -73,12 +97,9 @@ def list_schedule(
     placements: dict[str, Placement] = {}
 
     for n in placed_order:
-        task = graph.task(n)
-        pred_primaries = sorted(
-            {placements[p].primary for p in graph.predecessors(n)}
-        )
+        pred_primaries = sorted({placements[p].primary for p in preds[n]})
         best: Optional[Placement] = None
-        for var in task.variants(state, dp_cap):
+        for var in variants[n]:
             if var.workers > cluster.procs_per_node:
                 continue
             for nd in range(cluster.nodes):
@@ -96,10 +117,10 @@ def list_schedule(
                 for chosen in choices:
                     dur = var.duration / cluster.node_speeds[nd]
                     est = max((free[p] for p in chosen), default=0.0)
-                    for pred in graph.predecessors(n):
+                    for pred in preds[n]:
                         pp = placements[pred]
                         delay = comm.transfer_time(
-                            graph.comm_bytes(pred, n, state), pp.primary, chosen[0]
+                            edge_bytes[(pred, n)], pp.primary, chosen[0]
                         )
                         est = max(est, pp.end + delay)
                     cand = Placement(n, chosen, est, dur, variant=var.label)
@@ -114,6 +135,4 @@ def list_schedule(
         for p in best.procs:
             free[p] = best.end
 
-    sched = IterationSchedule(placements.values(), name="heft")
-    sched.validate(graph, state, cluster, comm)
-    return sched
+    return IterationSchedule(placements.values(), name="heft")

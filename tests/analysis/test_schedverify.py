@@ -173,6 +173,14 @@ def test_s013_genuine_bounded_and_list_certificates_verify_clean(chain, smp2):
         assert not report.findings, f"{spec}: {report.summary()}"
 
 
+def test_s013_width_capped_scheduler_certifies_its_own_cap(tracker_graph, m8, smp4):
+    """``dp_cap`` is the request's (the parent stamped the cluster's 4 on a search capped at 1)."""
+    sol = OptimalScheduler(smp4, max_workers=1).solve(tracker_graph, m8)
+    assert sol.certificate.dp_cap == 1
+    report = verify_solution(sol, tracker_graph, smp4)
+    assert "S013" not in rules(report), report.summary()
+
+
 def test_s013_forged_lower_bound_above_latency(solution, chain, smp2):
     cert = replace(
         solution.certificate, lower_bound=solution.latency * 2, gap_bound=0.0

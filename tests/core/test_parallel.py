@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import pickle
+from collections import Counter
+from unittest.mock import Mock
 
 import pytest
 
-from repro.core.enumerate import enumerate_schedules
+from repro.core.enumerate import SearchProblem, enumerate_schedules
+from repro.core.frontier import latency_throughput_frontier
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import (
     SolveRequest,
     default_workers,
-    execute_request,
     make_request,
     solve_many,
 )
@@ -19,6 +21,7 @@ from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.errors import ScheduleError
 from repro.graph.builders import chain_graph, fork_join_graph
+from repro.graph.cost import CallableCost
 from repro.sim.cluster import ClusterSpec, SINGLE_NODE_SMP
 from repro.state import State, StateSpace
 
@@ -43,27 +46,74 @@ def test_request_pickles_roundtrip(tracker_graph, cluster):
     assert clone.tag == ("m", 4)
 
 
-def test_execute_request_matches_direct_solve(tracker_graph, cluster):
-    state = State(n_models=4)
-    sched = OptimalScheduler(cluster)
-    direct = sched.solve(tracker_graph, state)
-    via_request = execute_request(sched.request(tracker_graph, state))
-    assert via_request.latency == direct.latency
-    assert via_request.period == direct.period
-    assert (
-        via_request.iteration.canonical_key() == direct.iteration.canonical_key()
+def _each(solve_one):
+    return lambda graph, states, cluster: [
+        solve_one(graph, state, cluster) for state in states
+    ]
+
+
+def _table(policy):
+    return lambda graph, states, cluster: ScheduleTable.build(
+        graph, StateSpace(states), OptimalScheduler(cluster), policy=policy
     )
 
 
-def test_enumerate_mode_returns_enumeration_result(tracker_graph, cluster):
-    state = State(n_models=2)
-    req = make_request(tracker_graph, state, cluster, mode="enumerate")
-    result = execute_request(req)
-    direct = enumerate_schedules(tracker_graph, state, cluster)
-    assert result.latency == direct.latency
-    assert {s.canonical_key() for s in result.schedules} == {
-        s.canonical_key() for s in direct.schedules
-    }
+# name -> (entry point over a list of states, searches it runs per state)
+ENTRY_POINTS = {
+    "solve": (_each(lambda g, s, c: OptimalScheduler(c).solve(g, s)), 1),
+    "enumerate": (_each(lambda g, s, c: OptimalScheduler(c).enumerate(g, s)), 1),
+    "enumerate_schedules": (_each(enumerate_schedules), 1),
+    "frontier": (
+        _each(lambda g, s, c: latency_throughput_frontier(g, s, c, include_naive=False)),
+        1,
+    ),
+    "table-exact": (_table("exact"), 1),
+    "table-bounded": (_table("bounded:0.1"), 1),
+    "table-list": (_table("list"), 0),
+    "table-ladder": (_table("ladder"), 1),  # the exact stage's budget holds here
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_is_one_request(monkeypatch, cluster, name):
+    """One snapshot, one HEFT, one search a stage, each cost read once per state.
+
+    There is one road to an answer (request -> execute), so the direct
+    entry points and the table builders must show the same call profile.
+    At the parent every task's cost was evaluated three times a request.
+    """
+    import repro.core.parallel as parallel_mod
+    import repro.sched.listsched as listsched_mod
+
+    entry, searches = ENTRY_POINTS[name]
+    spies = {}
+    for owner, attr in (
+        (SearchProblem, "from_graph"),
+        (listsched_mod, "heft_schedule"),
+        (parallel_mod, "search_schedules"),
+    ):
+        spies[attr] = Mock(wraps=getattr(owner, attr))
+        monkeypatch.setattr(owner, attr, spies[attr])
+    cost_reads = Counter()
+
+    def counted(task, seconds):
+        def fn(state):
+            cost_reads[task] += 1
+            return seconds * state.n_models
+        return CallableCost(fn, label=task)
+
+    graph = fork_join_graph(
+        counted("s", 0.2), [counted("a", 1.0), counted("b", 0.5)], counted("j", 0.2)
+    )
+    states = [State(n_models=m) for m in (1, 2, 3)]
+
+    entry(graph, states, cluster)
+
+    n = len(states)
+    assert spies["from_graph"].call_count == n
+    assert spies["heft_schedule"].call_count == n
+    assert spies["search_schedules"].call_count == searches * n
+    assert cost_reads == {task: n for task in ("s", "a", "b", "j")}
 
 
 def test_unknown_mode_rejected(tracker_graph, cluster):

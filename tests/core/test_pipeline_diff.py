@@ -309,19 +309,24 @@ def test_random_dag_step3_identical(seed):
     assert_same_step3(result, cluster)
 
 
-# Taken on the commit before the rotation-indexed search (PR 13).
+# Taken on the commit before the rotation-indexed search (PR 13); the "list"
+# row on the commit before HEFT read the cost snapshot (PR 16) — it pins the
+# list scheduler's placements bitwise.
 GOLDEN_TRACKER_TABLES = {
-    "2x4": (ClusterSpec(2, 4),
+    "2x4": (ClusterSpec(2, 4), None,
             "0b3d20c7ea8b920c25d7aa1282de43e0dccb85483dd3386e204cfc7942f6389f"),
-    "smp4": (SINGLE_NODE_SMP(4),
+    "smp4": (SINGLE_NODE_SMP(4), None,
              "56616a72668230e09fa6ff05a6a374102be24bc6bbe97a818cf49bba7d85abc5"),
+    "2x4-list": (ClusterSpec(2, 4), "list",
+                 "6f398c02d5f7d8bc795f55c7987a4198913c88add10a8159b388028adbc8b5c3"),
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_TRACKER_TABLES)
 def test_tracker_table_golden_digest(name):
-    cluster, digest = GOLDEN_TRACKER_TABLES[name]
+    cluster, policy, digest = GOLDEN_TRACKER_TABLES[name]
     table = ScheduleTable.build(
-        build_tracker_graph(), TRACKER_STATES, OptimalScheduler(cluster), parallel=1
+        build_tracker_graph(), TRACKER_STATES, OptimalScheduler(cluster),
+        parallel=1, policy=policy,
     )
     assert hashlib.sha256(table_to_json(table).encode()).hexdigest() == digest

@@ -8,7 +8,9 @@ from repro.errors import ScheduleError
 from repro.core.optimal import OptimalScheduler
 from repro.core.replay import replay_pipelined, replay_with_state, variant_duration
 from repro.core.schedule import IterationSchedule, Placement
+from repro.core.sensitivity import perturbed_latency
 from repro.graph.builders import chain_graph
+from repro.sim.cluster import ClusterSpec, SINGLE_NODE_SMP
 from repro.state import State
 
 
@@ -32,14 +34,14 @@ class TestVariantDuration:
 class TestReplay:
     def test_identity_at_same_state(self, tracker_graph, m8, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, m8)
-        replayed = replay_with_state(sol.iteration, tracker_graph, m8)
+        replayed = replay_with_state(sol.iteration, tracker_graph, m8, smp4)
         assert replayed.latency == pytest.approx(sol.latency)
 
     def test_replayed_schedule_is_valid(self, tracker_graph, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, State(n_models=2))
         for m in (1, 4, 8):
             replayed = replay_with_state(
-                sol.iteration, tracker_graph, State(n_models=m)
+                sol.iteration, tracker_graph, State(n_models=m), smp4
             )
             replayed.validate(tracker_graph, State(n_models=m), smp4)
 
@@ -49,7 +51,7 @@ class TestReplay:
         for m in (1, 4, 8):
             exact = sched.solve(tracker_graph, State(n_models=m)).latency
             replayed = replay_with_state(
-                sol2.iteration, tracker_graph, State(n_models=m)
+                sol2.iteration, tracker_graph, State(n_models=m), smp4
             ).latency
             assert replayed >= exact - 1e-9
 
@@ -60,7 +62,17 @@ class TestReplay:
             [Placement("t1", (0,), 0.0, 1.0), Placement("t0", (1,), 0.5, 1.0)]
         )
         with pytest.raises(ScheduleError, match="predecessor"):
-            replay_with_state(bad, g, m1)
+            replay_with_state(bad, g, m1, SINGLE_NODE_SMP(2))
+
+    def test_half_speed_nodes_keep_the_solved_latency(self, m1):
+        """Durations are cost / node speed, as in the search (2.0 at the parent)."""
+        g = chain_graph([1.0, 1.0])
+        slow = ClusterSpec(procs_by_node=[1, 1], node_speeds=[0.5, 0.5])
+        sol = OptimalScheduler(slow).solve(g, m1)
+        assert sol.latency == 4.0
+        assert replay_with_state(sol.iteration, g, m1, slow).latency == 4.0
+        assert perturbed_latency(sol.iteration, g, m1, slow, {}) == 4.0
+        assert replay_pipelined(sol.iteration, g, m1, slow).latency == 4.0
 
     def test_replay_pipelined_recomputes_period(self, tracker_graph, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, State(n_models=1))

@@ -42,18 +42,18 @@ class TestPerturbedGraph:
 class TestPerturbedLatency:
     def test_identity_factors(self, tracker_graph, m8, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, m8)
-        lat = perturbed_latency(sol.iteration, tracker_graph, m8, {})
+        lat = perturbed_latency(sol.iteration, tracker_graph, m8, smp4, {})
         assert lat == pytest.approx(sol.latency)
 
     def test_uniform_scaling_scales_latency(self, tracker_graph, m8, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, m8)
         factors = {t.name: 1.5 for t in tracker_graph.tasks}
-        lat = perturbed_latency(sol.iteration, tracker_graph, m8, factors)
+        lat = perturbed_latency(sol.iteration, tracker_graph, m8, smp4, factors)
         assert lat == pytest.approx(1.5 * sol.latency)
 
     def test_slower_critical_task_hurts(self, tracker_graph, m8, smp4):
         sol = OptimalScheduler(smp4).solve(tracker_graph, m8)
-        lat = perturbed_latency(sol.iteration, tracker_graph, m8, {"T4": 1.3})
+        lat = perturbed_latency(sol.iteration, tracker_graph, m8, smp4, {"T4": 1.3})
         assert lat > sol.latency
 
 
