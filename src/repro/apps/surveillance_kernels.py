@@ -16,7 +16,6 @@ import numpy as np
 from repro.apps.tracker.kernels import change_detection
 from repro.apps.video import VideoSource
 from repro.errors import ReproError
-from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State
 
@@ -175,16 +174,6 @@ def attach_surveillance_kernels(
             compute = fuse_compute
         elif t.name == "alarm":
             compute = alarm_compute
-        out.add_task(
-            Task(
-                t.name,
-                cost=t.cost,
-                inputs=t.inputs,
-                outputs=t.outputs,
-                data_parallel=t.data_parallel,
-                period=t.period,
-                compute=compute,
-            )
-        )
+        out.add_task(t.replace(compute=compute))
     out.validate()
     return out

@@ -143,8 +143,6 @@ def attach_kernels(
     ``t4_work_scale`` scales T4's compute (identical outputs) to emulate
     the paper's Table 1 cost on modern hardware — benchmarks only.
     """
-    from repro.graph.task import Task
-
     computes = {
         "T1": kernels.make_digitizer_kernel(video),
         "T2": kernels.make_change_detection_kernel(),
@@ -172,13 +170,7 @@ def attach_kernels(
     for t in graph.tasks:
         chunk_fn, join_fn = chunked.get(t.name, (t.compute_chunk, t.compute_join))
         out.add_task(
-            Task(
-                t.name,
-                cost=t.cost,
-                inputs=t.inputs,
-                outputs=t.outputs,
-                data_parallel=t.data_parallel,
-                period=t.period,
+            t.replace(
                 compute=computes.get(t.name, t.compute),
                 compute_chunk=chunk_fn,
                 compute_join=join_fn,

@@ -5,14 +5,16 @@ the property that small changes in states result in small changes in
 desired scheduling strategy ... However, in our case, a seemingly small
 state change could alter scheduling strategy dramatically."
 
-:class:`InterpolatingTable` implements that well-known technique so the
-ablation (and any downstream user with a *large or unknown* state space,
-where the paper concedes interpolation is the right tool) can use it: a
-lookup for an uncovered state replays the nearest covered state's schedule
+:class:`InterpolatingTable` implements that well-known technique for a
+downstream user with a *large or unknown* state space, where the paper
+concedes interpolation is the right tool: a :class:`ScheduleTable` whose
+miss, instead of raising, replays the nearest covered state's schedule
 structure under the requested state's costs and re-pipelines it.
 
-The interpolation ablation quantifies when this loses to the exact table;
-:class:`ScheduleTable` remains the paper's recommended mechanism.
+The interpolation ablation (which calls
+:func:`~repro.core.replay.replay_pipelined` directly) quantifies when this
+loses to the exact table; :class:`ScheduleTable` remains the paper's
+recommended mechanism.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from repro.errors import RegimeError
 from repro.core.optimal import ScheduleSolution
-from repro.core.replay import replay_pipelined, replay_with_state
+from repro.core.replay import replay_pipelined
 from repro.core.table import ScheduleTable
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
@@ -31,13 +33,14 @@ from repro.state import State
 __all__ = ["InterpolatingTable"]
 
 
-class InterpolatingTable:
-    """Schedule lookup that falls back to the nearest covered state.
+class InterpolatingTable(ScheduleTable):
+    """A schedule table whose miss falls back to the nearest covered state.
 
     Parameters
     ----------
     table:
-        The underlying exact per-state table (sparse coverage allowed).
+        The exact per-state table whose entries this one serves (sparse
+        coverage allowed).
     graph / cluster / comm:
         Needed to re-time a borrowed schedule structure under the
         requested state.
@@ -53,12 +56,12 @@ class InterpolatingTable:
         comm: Optional[CommModel] = None,
         variable: str = "n_models",
     ) -> None:
-        self.table = table
+        super().__init__(dict(zip(table.states(), table.solutions())))
         self.graph = graph
         self.cluster = cluster
         self.comm = comm
         self.variable = variable
-        covered = [s for s in table.states() if variable in s]
+        covered = [s for s in self.states() if variable in s]
         if not covered:
             raise RegimeError(f"table has no states keyed by {variable!r}")
         self._covered = sorted(covered, key=lambda s: s[variable])
@@ -82,20 +85,18 @@ class InterpolatingTable:
         but its structure is the neighbour's — which is precisely what
         interpolation means and where it can lose badly.
         """
-        if state in self.table:
-            return self.table.lookup(state)
+        if state in self:
+            return super().lookup(state)
         self.interpolations += 1
-        base = self.table.lookup(self.nearest_covered(state))
-        replayed_iter = replay_with_state(
-            base.iteration, self.graph, state, self.cluster, self.comm
-        )
-        replayed_piped = replay_pipelined(
+        base = super().lookup(self.nearest_covered(state))
+        # One replay: the re-pipelined schedule carries the re-timed iteration.
+        replayed = replay_pipelined(
             base.iteration, self.graph, state, self.cluster, self.comm
         )
         return ScheduleSolution(
             state=state,
-            iteration=replayed_iter,
-            pipelined=replayed_piped,
+            iteration=replayed.iteration,
+            pipelined=replayed,
             alternatives=base.alternatives,
             explored=0,  # nothing was searched for this state
         )

@@ -28,7 +28,7 @@ from repro.errors import ScheduleError
 from repro.core.replay import replay_with_state
 from repro.core.schedule import IterationSchedule
 from repro.graph.cost import CallableCost
-from repro.graph.task import DataParallelSpec, Task
+from repro.graph.task import DataParallelSpec
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
@@ -72,17 +72,7 @@ def perturbed_graph(
                 per_chunk_overhead=dp.per_chunk_overhead * f,
                 chunks_for=dp.chunks_for,
             )
-        out.add_task(
-            Task(
-                t.name,
-                cost=cost,
-                inputs=t.inputs,
-                outputs=t.outputs,
-                data_parallel=dp,
-                period=t.period,
-                compute=t.compute,
-            )
-        )
+        out.add_task(t.replace(cost=cost, data_parallel=dp))
     out.validate()
     return out
 

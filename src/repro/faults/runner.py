@@ -11,9 +11,13 @@ pre-computed for the degraded shape, the transition policy decides what
 happens to the frames in flight (drain / abandon / replay-from-STM), and
 a new epoch starts on the survivors after the transition stall.
 
-The simulated world itself — channels, collectors, connections, the frame
-ledger and the result — is the :class:`~repro.runtime.hub.SimWorld` the
-static and dynamic executors also run in; what lives here is only what a
+The simulated world itself — channels, collectors, connections, the edge
+table, the frame ledger and the result — is the
+:class:`~repro.runtime.hub.SimWorld` the static and dynamic executors also
+run in, and an epoch's iterations are lowered through the same
+:class:`~repro.runtime.dispatch.FlatSchedule` as the static executor's
+(one per active solution; each row is then mapped from shape to physical
+processors and offset by the epoch start).  What lives here is only what a
 failure adds: epochs, abandon / death / retry and the loss accounting.
 
 Loss accounting distinguishes the two ways a frame dies:
@@ -48,7 +52,7 @@ from repro.errors import (
     ItemConsumed,
     ShapeUnschedulable,
 )
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
 from repro.core.transition import DrainTransition, TransitionPolicy
 from repro.faults.detect import Detection, FailureDetector
 from repro.faults.events import FaultPlan
@@ -58,7 +62,7 @@ from repro.faults.retry import RetryPolicy, get_with_retry, put_with_retry
 from repro.faults.view import ClusterView
 from repro.graph.taskgraph import TaskGraph
 from repro.metrics.recovery import recovery_stats
-from repro.runtime.dispatch import build_task_plans
+from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
 from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
@@ -215,12 +219,6 @@ class FaultTolerantExecutor:
         transition_lost: list[int] = []
         replayed: list[int] = []
         unschedulable: list[Detection] = []
-        preds = {t.name: self.graph.predecessors(t.name) for t in self.graph.tasks}
-        edge_bytes = {
-            (p, t.name): self.graph.comm_bytes(p, t.name, self.state)
-            for t in self.graph.tasks
-            for p in preds[t.name]
-        }
 
         # The transition policy's verdict on in-flight work is applied to
         # the frames *actually* in flight at the failover instant, not just
@@ -263,16 +261,14 @@ class FaultTolerantExecutor:
             if not hub.stm.holds(ts):  # replays reuse surviving items
                 yield from put_with_retry(hub, conn, ts, value, size=size, policy=retry)
 
-        def run_placement(frame: _Frame, pl, pred_primary: dict[str, int]):
+        def run_placement(frame: _Frame, pl: FlatPlacement, pred_primary: dict[str, int]):
             ts = frame.ts
             phys = pl.procs  # already translated to physical indices
             try:
                 ready = pl.start
-                for pred in preds[pl.task]:
+                for pred, nbytes, _channels in world.edges[pl.task]:
                     pend = yield frame.done[pred]  # raises FrameLost on cascade
-                    delay = self.comm.transfer_time(
-                        edge_bytes[(pred, pl.task)], pred_primary[pred], phys[0]
-                    )
+                    delay = self.comm.transfer_time(nbytes, pred_primary[pred], phys[0])
                     ready = max(ready, pend + delay)
                 if sim.now < ready - _EPS:
                     got = yield sim.any_of([sim.timeout(ready - sim.now), frame.abandon])
@@ -323,23 +319,19 @@ class FaultTolerantExecutor:
                     if frames.get(ts) is frame:
                         del frames[ts]
 
-        def launch(ts: int, j: int, sol: ScheduleSolution, epoch_start: float) -> None:
-            mapping = dict(controller.mapping)
-            physical = [
-                pl.__class__(
-                    task=pl.task,
-                    procs=tuple(mapping[q] for q in pl.procs),
-                    start=pl.start + epoch_start,
-                    duration=pl.duration,
-                    variant=pl.variant,
-                )
-                for pl in sol.pipelined.instantiate(j)
-            ]
-            pred_primary = {pl.task: pl.procs[0] for pl in physical}
-            frame = _Frame(sim, ts, [pl.task for pl in physical])
+        def launch(ts: int, j: int, flat: FlatSchedule, epoch_start: float) -> None:
+            # Iteration j of the epoch's pattern, lowered like the static
+            # executor's, then moved onto the survivors: shape processors
+            # become physical ones and times count from the epoch start.
+            rows = flat.instantiate(j)
+            for pl in rows:
+                pl.procs = controller.physical_procs(pl.procs)
+                pl.start += epoch_start
+            pred_primary = {pl.task: pl.procs[0] for pl in rows}
+            frame = _Frame(sim, ts, [pl.task for pl in rows])
             frames[ts] = frame
             outstanding[0] += 1
-            for pl in physical:
+            for pl in rows:
                 sim.process(run_placement(frame, pl, pred_primary), name=f"{pl.task}@{ts}")
 
         def pump():
@@ -347,21 +339,22 @@ class FaultTolerantExecutor:
             seen_failovers = 0
             epoch_start = 0.0
             j = 0
+            flat = FlatSchedule(controller.active.pipelined)
             while next_ts < iterations or replay_q or outstanding[0] > 0:
                 if controller.switch_count != seen_failovers:
                     seen_failovers = controller.switch_count
                     epoch_start = max(sim.now, controller.resume_at)
                     j = 0
+                    flat = FlatSchedule(controller.active.pipelined)
                 if sim.now < controller.resume_at - _EPS:
                     yield sim.timeout(controller.resume_at - sim.now)
                     continue
-                sol = controller.active
                 if next_ts >= iterations and not replay_q:
                     # Nothing to launch; idle one interval in case a late
                     # failover re-queues in-flight frames for replay.
-                    yield sim.timeout(sol.period)
+                    yield sim.timeout(flat.period)
                     continue
-                slot = epoch_start + j * sol.period
+                slot = epoch_start + j * flat.period
                 if sim.now < slot - _EPS:
                     yield sim.timeout(slot - sim.now)
                     continue
@@ -370,7 +363,7 @@ class FaultTolerantExecutor:
                 else:
                     ts = next_ts
                     next_ts += 1
-                launch(ts, j, sol, epoch_start)
+                launch(ts, j, flat, epoch_start)
                 j += 1
 
         injector.start()

@@ -181,6 +181,26 @@ class Task:
                 f"task {name!r}: compute_chunk without compute_join"
             )
 
+    def replace(self, **changes) -> "Task":
+        """A copy of this task with the named constructor fields changed.
+
+        Every field not named is carried over — the kernels included, so a
+        derived graph cannot silently lose ``compute_chunk`` /
+        ``compute_join`` and fall back to serial execution.
+        """
+        fields = dict(
+            name=self.name,
+            cost=self.cost,
+            inputs=self.inputs,
+            outputs=self.outputs,
+            data_parallel=self.data_parallel,
+            period=self.period,
+            compute=self.compute,
+            compute_chunk=self.compute_chunk,
+            compute_join=self.compute_join,
+        )
+        return Task(**{**fields, **changes})
+
     # -- variants ---------------------------------------------------------
 
     def variants(self, state: State, max_workers: Optional[int] = None) -> list[Variant]:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, TYPE_CHECKING
 
 from repro.core.replay import variant_duration
 from repro.graph.cost import CostFn
-from repro.graph.task import DataParallelSpec, Task
+from repro.graph.task import DataParallelSpec
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.drift import DriftDetected, DriftDetector
 from repro.sim.cluster import ClusterSpec
@@ -166,17 +166,7 @@ def graph_with_costs(
                 per_chunk_overhead=dp.per_chunk_overhead,
                 chunks_for=dp.chunks_for,
             )
-        out.add_task(
-            Task(
-                t.name,
-                cost=new_cost,
-                inputs=t.inputs,
-                outputs=t.outputs,
-                data_parallel=dp,
-                period=t.period,
-                compute=t.compute,
-            )
-        )
+        out.add_task(t.replace(cost=new_cost, data_parallel=dp))
     return out
 
 

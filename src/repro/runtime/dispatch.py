@@ -2,34 +2,35 @@
 
 The executors used to re-derive the same facts on every quantum: the sim
 loop called :meth:`PipelinedSchedule.instantiate` per iteration (building
-validated :class:`Placement` objects and re-doing the rotation modulo per
-processor), and the live runtimes asked ``graph.channel(ch).static`` per
-timestamp per input.  Both are dictionary walks over immutable data.
+validated :class:`Placement` objects), and the live runtimes asked
+``graph.channel(ch).static`` per timestamp per input.  Both are walks over
+immutable data.
 
 This module compiles those walks once, up front:
 
 * :class:`TaskPlan` — per-task channel classification (static inputs,
   streaming inputs, outputs) as plain tuples, so a runtime's frame loop
   iterates precomputed name lists instead of consulting the graph;
-* :class:`FlatSchedule` — a :class:`PipelinedSchedule` lowered to
-  preallocated numpy arrays (starts, durations, flattened processor
-  lists with offsets).  ``instantiate(k)`` returns lightweight rows with
-  the rotation ``(proc + k * shift) % n_procs`` applied in one vectorized
-  operation over the whole iteration, and ``primary(task, k)`` answers
-  the per-edge primary-processor query from an int array.
+* :class:`FlatSchedule` — a :class:`PipelinedSchedule` lowered once to
+  plain tuples.  ``instantiate(k)`` is one comprehension over them that
+  returns unvalidated :class:`FlatPlacement` rows (Figure 6 step 3: the
+  same pattern every II, processors rotated), and ``primary(task, k)``
+  answers the per-edge primary-processor query without building rows.
 
-Every executor substrate dispatches through these tables: the sim loop
-through both, the threaded runtime and the process runtime's workers
-through the :class:`TaskPlan` their shared frame loop
-(:func:`repro.runtime.live.run_frames`) is handed; conformance tests pin
-their equivalence to the original object walks.
+:class:`FlatSchedule` is the one schedule lowering under both
+schedule-driven DES executors (:class:`~repro.runtime.static_exec.
+StaticExecutor` and :class:`~repro.faults.runner.FaultTolerantExecutor`);
+the threaded runtime and the process runtime's workers dispatch through
+the :class:`TaskPlan` their shared frame loop
+(:func:`repro.runtime.live.run_frames`) is handed.  The rows are plain
+Python on purpose: at five placements on eight processors a numpy
+"vectorised" rotation cost twice what the comprehension does (ISSUE 18's
+measurement), so numpy is not imported here.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
-
-import numpy as np
 
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
@@ -108,10 +109,11 @@ class FlatPlacement:
     without the frozen-dataclass validation cost.
 
     Carries absolute ``start`` and already-rotated ``procs`` for its
-    iteration, plus the rotated ``primary`` (== ``procs[0]``).
+    iteration.  A plain mutable row: the fault runner rewrites ``procs``
+    (shape → physical processors) and ``start`` (epoch offset) in place.
     """
 
-    __slots__ = ("task", "procs", "start", "duration", "variant", "primary")
+    __slots__ = ("task", "procs", "start", "duration", "variant")
 
     def __init__(
         self,
@@ -126,11 +128,14 @@ class FlatPlacement:
         self.start = start
         self.duration = duration
         self.variant = variant
-        self.primary = procs[0]
 
     @property
     def end(self) -> float:
         return self.start + self.duration
+
+    @property
+    def primary(self) -> int:
+        return self.procs[0]
 
     @property
     def workers(self) -> int:
@@ -144,80 +149,50 @@ class FlatPlacement:
 
 
 class FlatSchedule:
-    """A :class:`PipelinedSchedule` compiled to flat arrays.
+    """A :class:`PipelinedSchedule` compiled once to plain tuples.
 
-    The base iteration's placements are lowered once into:
-
-    * ``starts`` / ``durations`` — float64 arrays, placement order;
-    * a single flattened int64 processor array plus per-placement
-      offsets (placement ``i`` owns ``flat_procs[offsets[i]:offsets[i+1]]``);
-    * ``primaries`` — int64 array of each placement's base primary.
-
-    ``instantiate(k)`` applies the cyclic rotation and time offset to the
-    whole iteration with two vectorized numpy expressions and yields
-    :class:`FlatPlacement` rows; ``primary(task, k)`` and
-    ``procs_for(task, k)`` answer point queries without building rows at
-    all.  Results are exactly those of
-    :meth:`PipelinedSchedule.instantiate` / ``proc_for`` — pinned by
-    ``tests/runtime/test_dispatch.py``.
+    ``rows`` holds the base iteration as ``(task, procs, start, duration,
+    variant)`` tuples in placement order.  ``instantiate(k)`` applies
+    exactly :meth:`PipelinedSchedule.instantiate`'s arithmetic —
+    ``start + k * period`` and ``(q + k * shift) % n_procs`` — so its rows
+    are bitwise those of the reference (pinned by
+    ``tests/runtime/test_dispatch.py``), minus the validated
+    :class:`Placement` construction; ``primary(task, k)`` answers the
+    point query without building rows at all.
     """
 
     def __init__(self, schedule: PipelinedSchedule) -> None:
         placements = schedule.iteration.placements
-        self.schedule = schedule
         self.period = schedule.period
         self.shift = schedule.shift
         self.n_procs = schedule.n_procs
-        self.tasks: tuple[str, ...] = tuple(p.task for p in placements)
-        self.variants: tuple[str, ...] = tuple(p.variant for p in placements)
-        self.starts = np.array([p.start for p in placements], dtype=np.float64)
-        self.durations = np.array([p.duration for p in placements], dtype=np.float64)
-        offsets = [0]
-        flat: list[int] = []
-        for p in placements:
-            flat.extend(p.procs)
-            offsets.append(len(flat))
-        self.flat_procs = np.array(flat, dtype=np.int64)
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.primaries = np.array([p.procs[0] for p in placements], dtype=np.int64)
-        self._row_of = {task: i for i, task in enumerate(self.tasks)}
+        self.rows = tuple(
+            (p.task, p.procs, p.start, p.duration, p.variant) for p in placements
+        )
+        self._primary = {p.task: p.procs[0] for p in placements}
 
     def __len__(self) -> int:
-        return len(self.tasks)
-
-    def row(self, task: str) -> int:
-        """Placement-row index of ``task`` (raises ``KeyError`` if absent)."""
-        return self._row_of[task]
+        return len(self.rows)
 
     def primary(self, task: str, k: int) -> int:
         """Rotated primary processor of ``task`` in iteration ``k``."""
-        base = int(self.primaries[self._row_of[task]])
-        return (base + k * self.shift) % self.n_procs
-
-    def procs_for(self, task: str, k: int) -> tuple[int, ...]:
-        """Rotated processor tuple of ``task`` in iteration ``k``."""
-        i = self._row_of[task]
-        band = self.flat_procs[self.offsets[i]: self.offsets[i + 1]]
-        return tuple(((band + k * self.shift) % self.n_procs).tolist())
+        return (self._primary[task] + k * self.shift) % self.n_procs
 
     def instantiate(self, k: int) -> list[FlatPlacement]:
-        """Absolute rows for iteration ``k`` — two vectorized ops, no
-        :class:`Placement` construction."""
-        starts = self.starts + k * self.period
-        rotated = (self.flat_procs + k * self.shift) % self.n_procs
-        rot_list = rotated.tolist()
-        starts_list = starts.tolist()
-        durs = self.durations.tolist()
-        offs = self.offsets.tolist()
+        """Absolute rows for iteration ``k`` — no :class:`Placement`
+        construction."""
+        offset = k * self.period
+        rotation = k * self.shift
+        n_procs = self.n_procs
         return [
             FlatPlacement(
-                task=self.tasks[i],
-                procs=tuple(rot_list[offs[i]: offs[i + 1]]),
-                start=starts_list[i],
-                duration=durs[i],
-                variant=self.variants[i],
+                task,
+                tuple([(q + rotation) % n_procs for q in procs]),
+                start + offset,
+                duration,
+                variant,
             )
-            for i in range(len(self.tasks))
+            for task, procs, start, duration, variant in self.rows
         ]
 
     def iter_iterations(self, iterations: int) -> Iterable[tuple[int, list[FlatPlacement]]]:
@@ -227,6 +202,6 @@ class FlatSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FlatSchedule(tasks={len(self.tasks)}, period={self.period:g}, "
+            f"FlatSchedule(tasks={len(self.rows)}, period={self.period:g}, "
             f"shift={self.shift}, n_procs={self.n_procs})"
         )

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.errors import ItemConsumed, ItemUnavailable
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan
-from repro.runtime.live import merge_completion, terminal_channels
+from repro.runtime.live import merge_completion, report_frames, terminal_channels
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimEvent, Simulator
@@ -178,6 +178,11 @@ class SimWorld:
     stream_in:
         ``{task: ((hub, connection), ...)}`` over the task's streaming
         inputs — what a placement gets and, in :meth:`retire`, consumes.
+    edges:
+        ``{task: ((predecessor, bytes, channel label), ...)}`` — the one
+        per-edge table of a run: whose completion a placement waits for,
+        how many bytes the transfer is charged for in this state, and the
+        ``+``-joined channel names it is reported under.
     digitize_times:
         ``{timestamp: time}`` of the *last* source's put of the frame.  A
         source stamps a timestamp once, so a checkpoint replay keeps the
@@ -246,6 +251,17 @@ class SimWorld:
             )
             for name, plan in plans.items()
         }
+        self.edges = {
+            t.name: tuple(
+                (
+                    pred,
+                    graph.comm_bytes(pred, t.name, state),
+                    "+".join(ch.name for ch in graph.channels_between(pred, t.name)),
+                )
+                for pred in graph.predecessors(t.name)
+            )
+            for t in graph.tasks
+        }
         self.digitize_times: dict[int, float] = {}
         self.sink_done: dict[str, dict[int, float]] = {
             s: {} for s in graph.sink_tasks()
@@ -313,10 +329,7 @@ class SimWorld:
         """The run's :class:`ExecutionResult`: the ledger merged into
         completion times, frames reported, GC totals summed over the hubs."""
         completion = merge_completion(self.sink_done)
-        if self.obs is not None:
-            for ts in sorted(completion):
-                if ts in self.digitize_times:
-                    self.obs.on_frame(ts, completion[ts] - self.digitize_times[ts])
+        report_frames(self.obs, self.digitize_times, completion)
         hubs = self.hubs.values()
         return ExecutionResult(
             graph=self.graph,

@@ -30,6 +30,7 @@ __all__ = [
     "check_static_inputs",
     "check_timestamps",
     "merge_completion",
+    "report_frames",
     "run_frames",
     "terminal_channels",
 ]
@@ -116,6 +117,18 @@ def merge_completion(arrivals: dict[str, dict[int, float]]) -> dict[int, float]:
         return {}
     common = set.intersection(*(set(times) for times in arrivals.values()))
     return {ts: max(times[ts] for times in arrivals.values()) for ts in common}
+
+
+def report_frames(
+    obs, digitize_times: dict[int, float], completion_times: dict[int, float]
+) -> None:
+    """Report every completed frame to ``obs`` (``None`` = nobody listens)
+    with its latency, completion minus digitize — on every substrate."""
+    if obs is None:
+        return
+    for ts in sorted(completion_times):
+        if ts in digitize_times:
+            obs.on_frame(ts, completion_times[ts] - digitize_times[ts])
 
 
 def run_frames(

@@ -47,6 +47,7 @@ from repro.runtime.live import (
     check_static_inputs,
     check_timestamps,
     merge_completion,
+    report_frames,
     run_frames,
     terminal_channels,
 )
@@ -670,10 +671,7 @@ class ProcessRuntime:
         spans.sort(key=lambda s: (s.start, s.proc))
 
         completion = merge_completion(completion_raw)
-        if self.obs is not None:
-            for ts in sorted(completion):
-                if ts in digitize:
-                    self.obs.on_frame(ts, completion[ts] - digitize[ts])
+        report_frames(self.obs, digitize, completion)
 
         return LiveResult(
             outputs=outputs,

@@ -241,19 +241,7 @@ class StaticExecutor:
         slips = [0]
         max_slip = [0.0]
 
-        preds = {t.name: self.graph.predecessors(t.name) for t in self.graph.tasks}
-        edge_bytes = {
-            (p, t.name): self.graph.comm_bytes(p, t.name, self.state)
-            for t in self.graph.tasks
-            for p in preds[t.name]
-        }
-        edge_channels = {
-            (p, t.name): "+".join(
-                ch.name for ch in self.graph.channels_between(p, t.name)
-            )
-            for t in self.graph.tasks
-            for p in preds[t.name]
-        }
+        edges = world.edges
         record_exec, emit, retire = world.record_exec, world.emit, world.retire
 
         def run_placement(k: int, pl: FlatPlacement):
@@ -265,19 +253,17 @@ class StaticExecutor:
             # before the scheduled start.
             if fabric is None:
                 ready = scheduled_start
-                for pred in preds[pl.task]:
+                for pred, nbytes, channels in edges[pl.task]:
                     pred_end = yield done[(k, pred)]
                     src_primary = flat.primary(pred, k)
-                    delay = self.comm.transfer_time(
-                        edge_bytes[(pred, pl.task)], src_primary, pl.procs[0]
-                    )
+                    delay = self.comm.transfer_time(nbytes, src_primary, pl.procs[0])
                     if obs is not None and delay > 0:
                         obs.on_comm(
-                            edge_channels[(pred, pl.task)],
+                            channels,
                             tier_name(self.cluster, src_primary, pl.procs[0]),
                             pred_end,
                             delay,
-                            nbytes=edge_bytes[(pred, pl.task)],
+                            nbytes=nbytes,
                             timestamp=k,
                         )
                     ready = max(ready, pred_end + delay)
@@ -286,11 +272,10 @@ class StaticExecutor:
             else:
                 # Contended mode: fetch each input over the shared links
                 # (sequentially — a task pulls its inputs one by one).
-                for pred in preds[pl.task]:
+                for pred, nbytes, _channels in edges[pl.task]:
                     yield done[(k, pred)]
-                    src_primary = flat.primary(pred, k)
                     yield from fabric.transfer(
-                        edge_bytes[(pred, pl.task)], src_primary, pl.procs[0]
+                        nbytes, flat.primary(pred, k), pl.procs[0]
                     )
             if sim.now < scheduled_start:
                 yield sim.timeout(scheduled_start - sim.now)
@@ -316,8 +301,7 @@ class StaticExecutor:
             done[(k, pl.task)].succeed(end)
 
         for k, rows in flat.iter_iterations(iterations):
-            # Instantiate iteration k: same pattern, rotated processors —
-            # vectorized over the whole iteration by the flat tables.
+            # Iteration k: same pattern, rotated processors (Figure 6 step 3).
             for pl in rows:
                 sim.process(run_placement(k, pl), name=f"{pl.task}@{k}")
 

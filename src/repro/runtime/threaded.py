@@ -27,6 +27,7 @@ from repro.runtime.live import (
     check_static_inputs,
     check_timestamps,
     merge_completion,
+    report_frames,
     run_frames,
     terminal_channels,
 )
@@ -58,8 +59,9 @@ class ThreadedRuntime:
         hanging on bugs).
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  Kernel
-        invocations become wall-clock spans (one per (task, timestamp))
-        and channel traffic is counted; this is the live-measurement path
+        invocations become wall-clock spans (one per (task, timestamp)),
+        channel traffic is counted and every completed frame is reported
+        with its latency after the run; this is the live-measurement path
         behind kernel calibration, so the hooks are deliberately thin —
         the ``obs`` experiment reports the measured overhead.
     analysis:
@@ -249,11 +251,13 @@ class ThreadedRuntime:
                 for token in end_tokens:
                     checker.adopt(token)
         spans.sort(key=lambda s: s.start)
+        completion = merge_completion(completion_raw)
+        report_frames(obs, digitize_times, completion)
         return LiveResult(
             outputs=outputs,
             wall_time=wall,
             channel_stats={name: ch.stats for name, ch in channels.items()},
             digitize_times=dict(sorted(digitize_times.items())),
-            completion_times=merge_completion(completion_raw),
+            completion_times=completion,
             spans=spans,
         )

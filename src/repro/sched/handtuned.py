@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.result import ExecutionResult
 from repro.sched.online import PthreadScheduler
@@ -69,17 +68,7 @@ def with_source_period(graph: TaskGraph, period: Optional[float]) -> TaskGraph:
     sources = set(graph.source_tasks())
     for t in graph.tasks:
         if t.name in sources:
-            out.add_task(
-                Task(
-                    t.name,
-                    cost=t.cost,
-                    inputs=t.inputs,
-                    outputs=t.outputs,
-                    data_parallel=t.data_parallel,
-                    period=period,
-                    compute=t.compute,
-                )
-            )
+            out.add_task(t.replace(period=period))
         else:
             out.add_task(t)
     out.validate()

@@ -26,21 +26,21 @@ spaces.  This module supplies the two halves of that transport:
   :class:`~repro.stm.threaded.ChannelPoisoned` on shutdown); each call is
   the one-entry form of a step.
 
-Payloads travel on two planes.  ``numpy`` arrays ride a shared-memory
+Payloads travel on two planes.  ``numpy`` arrays of at least
+:data:`SHM_THRESHOLD_BYTES` (4 KiB, a constant) ride a shared-memory
 ring: each producer connection recycles a small set of
 :mod:`multiprocessing.shared_memory` segments, reusing a slot once the
 broker reports the item that occupied it was garbage collected (the
 step reply piggybacks the freed timestamps, so recycling costs no extra
-round trip).  Everything else — python scalars, lists, dicts, arbitrary
-pickles — travels inline in the request message.  Consumers always copy
-out of shared memory before returning, so a segment is never read after
-its item is collected.
+round trip).  Everything else — smaller arrays, python scalars, lists,
+dicts, arbitrary pickles — travels inline in the request message.
+Consumers always copy out of shared memory before returning, so a segment
+is never read after its item is collected.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import queue
 import threading
@@ -69,101 +69,23 @@ __all__ = [
     "ShmRing",
     "StepBatch",
     "WorkerLink",
-    "calibrate_shm_threshold",
     "decode_value",
     "resolve_shm_threshold",
 ]
 
-#: Fallback pickle/shm crossover when calibration is unavailable.  The
-#: *active* threshold is resolved at broker start (see
-#: :func:`resolve_shm_threshold`): ``REPRO_SHM_THRESHOLD`` wins, else a
-#: micro-calibration measures where shared memory actually beats pickling
-#: on this host, else this default.
+#: The pickle/shm crossover: ndarray payloads of at least this many bytes
+#: ride a shared-memory segment, everything smaller is pickled onto the
+#: queue.  A constant, not a per-host calibration: what shared memory saves
+#: is the queue hop of the pickled bytes (pipe write, feeder thread, pipe
+#: read), which timing the two codecs side by side cannot see — codec
+#: against codec pickling wins up to 64 KiB, while end to end pickling the
+#: 57.6 KB tracker frames costs ``live_process`` ~40 % of its frames/s.
 SHM_THRESHOLD_BYTES = 4096
 
-#: Cached calibration result (module global so forked workers inherit it).
-_ACTIVE_SHM_THRESHOLD: Optional[int] = None
 
-
-def calibrate_shm_threshold(
-    sizes: tuple[int, ...] = (1 << 10, 2 << 10, 4 << 10, 8 << 10,
-                              16 << 10, 64 << 10),
-    repeats: int = 3,
-) -> int:
-    """Measure the pickle/shared-memory crossover point on this host.
-
-    For each candidate size, times a pickle round trip (dumps + loads)
-    against the shm transport's real per-item work: copy the array into a
-    segment, then attach + copy out + detach on the consumer side
-    (segment *creation* is excluded — the ring recycles segments, so it
-    amortizes away).  Returns the smallest size where shm wins, clamped
-    to ``[1 KiB, 1 MiB]``; returns :data:`SHM_THRESHOLD_BYTES` when shm
-    never wins in the sweep or shared memory is unavailable.
-    """
-    if _shm is None:  # pragma: no cover - platforms without shm
-        return SHM_THRESHOLD_BYTES
-    import numpy as np
-
-    seg = _shm.SharedMemory(create=True, size=max(sizes))
-    try:
-        for size in sorted(sizes):
-            arr = np.arange(size, dtype=np.uint8)
-            t_pickle = min(
-                _timed(lambda: pickle.loads(
-                    pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)))
-                for _ in range(repeats)
-            )
-
-            def _shm_roundtrip() -> None:
-                view = np.frombuffer(seg.buf, dtype=np.uint8, count=size)
-                np.copyto(view, arr)
-                del view
-                peer = _shm.SharedMemory(name=seg.name)
-                try:
-                    out = np.frombuffer(peer.buf, dtype=np.uint8,
-                                        count=size).copy()
-                    del out
-                finally:
-                    peer.close()
-
-            t_shm = min(_timed(_shm_roundtrip) for _ in range(repeats))
-            if t_shm < t_pickle:
-                return max(1 << 10, min(size, 1 << 20))
-        return SHM_THRESHOLD_BYTES
-    finally:
-        seg.close()
-        seg.unlink()
-
-
-def _timed(fn) -> float:
-    t0 = _time.perf_counter()
-    fn()
-    return _time.perf_counter() - t0
-
-
-def resolve_shm_threshold(force_calibrate: bool = False) -> int:
-    """The active pickle/shm crossover in bytes.
-
-    Priority: the ``REPRO_SHM_THRESHOLD`` environment variable (tests and
-    deployments pin it for determinism), then the cached
-    :func:`calibrate_shm_threshold` measurement, then the
-    :data:`SHM_THRESHOLD_BYTES` default.  :class:`ChannelBroker` resolves
-    this once at construction — before any worker forks — so the whole
-    worker fleet inherits one consistent threshold.
-    """
-    global _ACTIVE_SHM_THRESHOLD
-    env = os.environ.get("REPRO_SHM_THRESHOLD")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    if _ACTIVE_SHM_THRESHOLD is None or force_calibrate:
-        try:
-            _ACTIVE_SHM_THRESHOLD = calibrate_shm_threshold()
-        except Exception:  # pragma: no cover - calibration is best-effort
-            _ACTIVE_SHM_THRESHOLD = SHM_THRESHOLD_BYTES
-    return _ACTIVE_SHM_THRESHOLD
+def resolve_shm_threshold() -> int:
+    """The pickle/shm crossover in bytes (:data:`SHM_THRESHOLD_BYTES`)."""
+    return SHM_THRESHOLD_BYTES
 
 
 class BrokerDied(STMError):
@@ -186,7 +108,7 @@ def _as_shmable(value: Any):
     if (
         isinstance(value, np.ndarray)
         and not value.dtype.hasobject
-        and value.nbytes >= resolve_shm_threshold()
+        and value.nbytes >= SHM_THRESHOLD_BYTES
     ):
         return np.ascontiguousarray(value)
     return None
@@ -381,10 +303,6 @@ class ChannelBroker:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-        # Resolve the pickle/shm crossover NOW, before any worker forks:
-        # children inherit the calibrated module global, so the whole
-        # fleet encodes with one consistent threshold.
-        self.shm_threshold = resolve_shm_threshold()
         self.requests = _mp_context().Queue()
         self._replies: dict[int, Any] = {}
         self.channels: dict[str, _BrokerChannel] = {

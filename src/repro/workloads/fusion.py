@@ -241,13 +241,7 @@ class FusionFamily(WorkloadFamily):
                 (fuse_chunk, fuse_join) if t.name == "fuse" else (None, None)
             )
             out.add_task(
-                Task(
-                    t.name,
-                    cost=t.cost,
-                    inputs=t.inputs,
-                    outputs=t.outputs,
-                    data_parallel=t.data_parallel,
-                    period=t.period,
+                t.replace(
                     compute=computes[t.name],
                     compute_chunk=chunk_fn,
                     compute_join=join_fn,

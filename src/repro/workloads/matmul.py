@@ -243,13 +243,7 @@ class MatMulFamily(WorkloadFamily):
                 (multiply_chunk, multiply_join) if t.name == "multiply" else (None, None)
             )
             out.add_task(
-                Task(
-                    t.name,
-                    cost=t.cost,
-                    inputs=t.inputs,
-                    outputs=t.outputs,
-                    data_parallel=t.data_parallel,
-                    period=t.period,
+                t.replace(
                     compute=computes[t.name],
                     compute_chunk=chunk_fn,
                     compute_join=join_fn,

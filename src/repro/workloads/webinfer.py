@@ -247,13 +247,7 @@ class WebInferFamily(WorkloadFamily):
                 (infer_chunk, infer_join) if t.name == "infer" else (None, None)
             )
             out.add_task(
-                Task(
-                    t.name,
-                    cost=t.cost,
-                    inputs=t.inputs,
-                    outputs=t.outputs,
-                    data_parallel=t.data_parallel,
-                    period=t.period,
+                t.replace(
                     compute=computes[t.name],
                     compute_chunk=chunk_fn,
                     compute_join=join_fn,

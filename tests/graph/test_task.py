@@ -38,6 +38,61 @@ class TestTaskValidation:
             Task("t", cost=1.0, period=0.0)
 
 
+class TestReplace:
+    def test_every_field_not_named_is_carried(self):
+        dp = DataParallelSpec([2])
+        fns = [lambda *a: {} for _ in range(3)]
+        t = Task("t", cost=1.0, inputs=["a"], outputs=["b"], data_parallel=dp,
+                 period=None, compute=fns[0], compute_chunk=fns[1],
+                 compute_join=fns[2])
+        r = t.replace(cost=2.0)
+        assert r is not t and r.cost(State(n=1)) == 2.0
+        for field in ("name", "inputs", "outputs", "data_parallel", "period",
+                      "compute", "compute_chunk", "compute_join"):
+            assert getattr(r, field) == getattr(t, field)
+
+    def test_replacement_is_validated_like_a_new_task(self):
+        with pytest.raises(GraphError):
+            Task("src", cost=1.0, outputs=["c"]).replace(period=-1.0)
+        with pytest.raises(TypeError):
+            Task("src", cost=1.0).replace(colour="red")
+
+    def test_graph_clones_keep_the_live_tracker_kernels(self):
+        """``graph_with_costs`` and ``perturbed_graph`` used to re-type the
+        constructor without ``compute_chunk`` / ``compute_join``: the
+        process runtime then ran T4's dp placements serially, silently."""
+        from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
+        from repro.apps.video import VideoSource
+        from repro.core.sensitivity import perturbed_graph
+        from repro.obs.calibrate import ScaledCost, graph_with_costs
+        from repro.sched.handtuned import with_source_period
+
+        live, _statics = attach_kernels(
+            build_tracker_graph(frame_shape=(48, 64), digitizer_period=0.5),
+            VideoSource(n_targets=2, height=48, width=64, seed=5),
+        )
+        t4 = live.task("T4")
+        assert t4.compute_chunk is not None and t4.data_parallel is not None
+        clones = {
+            "with_source_period": with_source_period(live, 0.5),
+            "graph_with_costs": graph_with_costs(
+                live, {t.name: ScaledCost(t.cost, 1.2) for t in live.tasks}
+            ),
+            "perturbed_graph": perturbed_graph(
+                live, {t.name: 1.2 for t in live.tasks}
+            ),
+        }
+        for helper, clone in clones.items():
+            for t in live.tasks:
+                c = clone.task(t.name)
+                for field in ("compute", "compute_chunk", "compute_join"):
+                    assert getattr(c, field) is getattr(t, field), (helper, t.name, field)
+                assert c.period == t.period, (helper, t.name)
+                assert (c.data_parallel is None) == (t.data_parallel is None)
+                if t.data_parallel is not None:
+                    assert c.data_parallel.worker_counts == t.data_parallel.worker_counts
+
+
 class TestVariant:
     def test_area(self):
         assert Variant("t", 4, 2.0).area == 8.0

@@ -109,6 +109,33 @@ class TestThreadedRuntimeInstrumentation:
         assert sum(exec_counts) >= 4  # at least one execution per frame
 
 
+class TestFramesReportedOnEverySubstrate:
+    @pytest.mark.slow  # the process substrate forks a worker
+    def test_same_frame_count_on_sim_threaded_and_process(self):
+        from repro.apps.tracker.graph import attach_kernels
+        from repro.apps.video import VideoSource
+
+        state = State(n_models=2)
+        cluster = SINGLE_NODE_SMP(4)
+        reported = {}
+        for runtime in ("sim", "threaded", "process"):
+            video = VideoSource(n_targets=2, height=48, width=64, seed=5)
+            live, statics = attach_kernels(
+                build_tracker_graph(frame_shape=(48, 64)), video
+            )
+            obs = Observability()
+            StaticExecutor(
+                live, state, cluster, OptimalScheduler(cluster).solve(live, state),
+                runtime=runtime, static_inputs=statics, obs=obs,
+            ).run(6)
+            samples = parse_prometheus_text(obs.prometheus())
+            reported[runtime] = (
+                samples[("repro_frames_completed_total", ())],
+                samples[("repro_frame_latency_seconds_count", ())],
+            )
+        assert reported == {r: (6, 6) for r in ("sim", "threaded", "process")}
+
+
 class TestFaultHooks:
     def test_detection_and_failover_metrics(self):
         obs = Observability()

@@ -34,14 +34,6 @@ from repro.stm.process import (
 from repro.stm.threaded import ChannelPoisoned
 
 
-@pytest.fixture(autouse=True)
-def _pinned_shm_threshold(monkeypatch):
-    """Pin the pickle/shm crossover: these tests assert which transport a
-    given payload size takes, so the host micro-calibration must not
-    decide it."""
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", str(SHM_THRESHOLD_BYTES))
-
-
 class Rig:
     """One broker + one in-parent proxy link, with conns pre-attached."""
 

@@ -1,4 +1,4 @@
-"""Unit tests for the broker's one op, the step, and shm calibration.
+"""Unit tests for the broker's one op, the step, and the shm threshold.
 
 The ``step`` op carries one frame's consumes + puts + gets in a single
 broker request (a blocking ``ProcessChannel`` call is its one-entry
@@ -24,17 +24,10 @@ from repro.stm.process import (
     ShmRing,
     StepBatch,
     WorkerLink,
-    calibrate_shm_threshold,
     encode_value,
     resolve_shm_threshold,
 )
 from repro.stm.threaded import ChannelPoisoned
-
-
-@pytest.fixture(autouse=True)
-def _pinned_shm_threshold(monkeypatch):
-    """Pin the pickle/shm crossover so transport choice is deterministic."""
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", str(SHM_THRESHOLD_BYTES))
 
 
 class Rig:
@@ -295,36 +288,14 @@ class TestLocalCollectorPath:
 
 
 class TestShmThreshold:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "12345")
-        assert resolve_shm_threshold() == 12345
-
-    def test_env_override_floors_at_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
-        assert resolve_shm_threshold() == 1
-
-    def test_garbage_env_falls_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "not-a-number")
-        assert resolve_shm_threshold() >= 1
-
-    def test_calibration_returns_clamped_bytes(self):
-        value = calibrate_shm_threshold(sizes=(1 << 10, 8 << 10),
-                                        repeats=1)
-        assert (1 << 10) <= value <= (1 << 20)
-
-    def test_threshold_selects_transport(self, monkeypatch):
-        arr = np.zeros(8192, dtype=np.uint8)
+    def test_threshold_selects_transport(self):
+        assert resolve_shm_threshold() == SHM_THRESHOLD_BYTES == 4096
         ring = ShmRing()
         try:
-            monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1024")
-            assert encode_value(arr, ring, 0)[0] == "shm"
+            at = np.zeros(SHM_THRESHOLD_BYTES, dtype=np.uint8)
+            assert encode_value(at, ring, 0)[0] == "shm"
             ring.release([0])
-            monkeypatch.setenv("REPRO_SHM_THRESHOLD", str(1 << 20))
-            assert encode_value(arr, ring, 1)[0] == "pickle"
+            below = np.zeros(SHM_THRESHOLD_BYTES - 1, dtype=np.uint8)
+            assert encode_value(below, ring, 1)[0] == "pickle"
         finally:
             ring.close()
-
-    def test_broker_resolves_threshold_at_init(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "777")
-        broker = ChannelBroker({})
-        assert broker.shm_threshold == 777
