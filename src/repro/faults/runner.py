@@ -115,8 +115,10 @@ class _Frame:
 
     def __init__(self, sim: Simulator, ts: int, tasks: list[str]) -> None:
         self.ts = ts
-        self.abandon: SimEvent = sim.event(f"abandon:{ts}")
-        self.done: dict[str, SimEvent] = {t: sim.event(f"done:{ts}:{t}") for t in tasks}
+        self.abandon: SimEvent = sim.event(("abandon:{}", ts))
+        self.done: dict[str, SimEvent] = {
+            t: sim.event(("done:{}:{}", ts, t)) for t in tasks
+        }
         self.remaining = len(tasks)
         self.lost = False
         self.cause = ""

@@ -5,10 +5,15 @@ A :class:`ChannelHub` couples one synchronous
 :class:`~repro.stm.channel.STMChannel` with the simulation clock:
 
 * ``wait_change()`` hands out an event that fires at the channel's next
-  mutation, so consumer processes can sleep until new data might exist;
-* puts respect the channel's capacity by *blocking the producer process*
+  mutation, so consumer processes can sleep until new data might exist.
+  The event is made when somebody asks for it and a mutation fires only an
+  event that was asked for: a replay in which nobody waits pays nothing;
+* puts respect the channel's capacity by *blocking the producer*
   (the flow-control mechanism §3.3 shows to be "totally inadequate" as a
-  scheduling strategy — reproduced faithfully for the ablation);
+  scheduling strategy — reproduced faithfully for the ablation).
+  ``try_put`` is the one put body: it refuses at capacity, and the caller
+  waits for the next change its own way — the generator ``put`` yields
+  ``wait_change()``, a callback hangs itself on it;
 * every mutation is recorded in the trace as an
   :class:`~repro.sim.trace.ItemEvent`, and garbage collection runs after
   each consume.
@@ -65,7 +70,7 @@ class ChannelHub:
         self.trace = trace
         self.obs = obs
         self.gc_stats = GCStats()
-        self._changed: SimEvent = sim.event(f"{channel.name}-changed")
+        self._changed: Optional[SimEvent] = None  # made by wait_change()
 
     @property
     def name(self) -> str:
@@ -75,29 +80,38 @@ class ChannelHub:
 
     def wait_change(self) -> SimEvent:
         """Event firing at the channel's next mutation."""
+        if self._changed is None:
+            self._changed = self.sim.event(("{}-changed", self.name))
         return self._changed
 
     def _notify(self) -> None:
-        old, self._changed = self._changed, self.sim.event(f"{self.name}-changed")
-        old.succeed()
+        waited, self._changed = self._changed, None
+        if waited is not None:
+            waited.succeed()
 
     # -- operations ----------------------------------------------------------
+
+    def try_put(self, conn: Connection, ts: int, value: Any, size: int = 0) -> bool:
+        """Put unless the channel is at capacity; False means "full, wait
+        for the next change and call again"."""
+        if self.stm.is_full:
+            return False
+        now = self.sim.now
+        self.stm.put(conn, ts, value, size=size, time=now)
+        if self.trace is not None:
+            self.trace.record_item(ItemEvent(now, self.name, "put", ts, task=conn.task))
+        if self.obs is not None:
+            self.obs.on_item(now, self.name, "put", ts, task=conn.task)
+        self._notify()
+        return True
 
     def put(self, conn: Connection, ts: int, value: Any, size: int = 0):
         """Producer-side put as a generator: blocks while at capacity.
 
         Usage inside a process: ``yield from hub.put(conn, ts, value)``.
         """
-        while self.stm.is_full:
+        while not self.try_put(conn, ts, value, size):
             yield self.wait_change()
-        self.stm.put(conn, ts, value, size=size, time=self.sim.now)
-        if self.trace is not None:
-            self.trace.record_item(
-                ItemEvent(self.sim.now, self.name, "put", ts, task=conn.task)
-            )
-        if self.obs is not None:
-            self.obs.on_item(self.sim.now, self.name, "put", ts, task=conn.task)
-        self._notify()
 
     def try_get(self, conn: Connection, ts: Timestamp) -> Optional[tuple[int, Any]]:
         """Non-blocking get; records the access in the trace on a hit.
@@ -308,8 +322,26 @@ class SimWorld:
             else:
                 yield from put(hub, conn, ts, {"ts": ts}, size)
             if collector is not None:
-                hub.try_get(collector, ts)
-                hub.consume(collector, ts)
+                self._drain(hub, collector, ts)
+
+    def try_emit(self, task: str, ts: int, first: int = 0) -> Optional[tuple[int, ChannelHub]]:
+        """:meth:`emit` for a caller that is not a generator: put the
+        outputs from position ``first`` on and return None, or stop at the
+        first full channel and return ``(position, hub)`` — call again with
+        that position at the hub's next change."""
+        outputs = self._outputs[task]
+        for at in range(first, len(outputs)):
+            hub, conn, size, collector = outputs[at]
+            if not hub.try_put(conn, ts, {"ts": ts}, size):
+                return at, hub
+            if collector is not None:
+                self._drain(hub, collector, ts)
+        return None
+
+    @staticmethod
+    def _drain(hub: ChannelHub, collector: Connection, ts: int) -> None:
+        hub.try_get(collector, ts)
+        hub.consume(collector, ts)
 
     def retire(self, task: str, ts: int, end: float) -> None:
         """``task`` is through with frame ``ts``: consume its streaming

@@ -2,29 +2,46 @@
 
 The paper implements its optimal schedules "by creating additional
 dependencies" so the underlying scheduler "does the right thing"; this
-executor is the simulation equivalent: every (iteration, placement) pair
-becomes a process that
+executor is the simulation equivalent.  Nothing is decided while it runs —
+the schedule is one fixed pattern repeated every II with rotated
+processors (Figure 6 step 3) — so a placement is not a process but four
+plain calls on the simulator's heap
+(:meth:`~repro.sim.engine.Simulator.call_at`), each made by the one before
+it.  Iteration *k* is launched at ``k * II``; every one of its placements
 
-1. sleeps until its scheduled start ``k * II + placement.start``,
-2. additionally waits for its predecessors' completion events plus the
-   communication delay between the placements' primary processors,
-3. acquires exactly its scheduled processors (through capacity-1
-   resources, so an invalid schedule deadlocks or slips instead of
-   silently double-booking),
-4. executes, puts its outputs into STM, consumes its inputs, and signals
-   completion (the STM wiring, the frame ledger and the result are the
+1. **gathers** its predecessors: it parks on one that has not settled, and
+   is charged the communication delay between the two primary processors
+   from the moment one has (under ``contended=True`` the delay is a
+   :meth:`~repro.sim.fabric.LinkFabric.transfer` process it waits for);
+   it is ready at the later of that and ``k * II + placement.start``;
+2. **acquires** exactly its scheduled processors, each of capacity one and
+   served FIFO, so an invalid schedule slips (or deadlocks) instead of
+   silently double-booking;
+3. **finishes** ``duration`` later: the execution is recorded and the
+   processors pass to whoever queued behind it;
+4. **settles**: puts its outputs into STM (waiting for the next change of
+   a channel that is full), consumes its inputs and resumes the placements
+   parked on it (the STM wiring, the frame ledger and the result are the
    :class:`~repro.runtime.hub.SimWorld` every DES executor shares).
 
-Any positive difference between the actual and scheduled start is recorded
-as a *slip*; a correct schedule executes with zero slips, and tests assert
-this for every schedule the optimizers produce.
+Heap and memory therefore follow the frames in flight, not the length of
+the run.  Any positive difference between the actual and scheduled start is
+recorded as a *slip*; a correct schedule executes with zero slips, and
+tests assert this for every schedule the optimizers produce.  A run whose
+heap drains with placements still parked raises
+:class:`~repro.errors.SimDeadlock` naming them ``<task>@<iteration>``.
+
+The generator body this replaced (one ``Process`` per placement per
+iteration) is kept in ``tests/runtime/static_generator_oracle.py`` as the
+differential oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.errors import ExecutorConfigError
+from repro.errors import ExecutorConfigError, SimDeadlock
 from repro.core.optimal import ScheduleSolution
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
@@ -34,7 +51,6 @@ from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import CommModel
-from repro.sim.resources import Resource
 from repro.sim.trace import TraceRecorder
 from repro.state import State
 
@@ -46,6 +62,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
 __all__ = ["StaticExecutor"]
 
 _EPS = 1e-9
+
+
+class _Frame:
+    """One iteration in flight: the end time of each placement that has
+    settled, and the placements parked on one that has not."""
+
+    __slots__ = ("k", "ends", "parked")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.ends: dict[str, float] = {}
+        # predecessor -> [(placement, index of the edge it waits at, ready)]
+        self.parked: dict[str, list[tuple[FlatPlacement, int, float]]] = {}
 
 
 class StaticExecutor:
@@ -228,91 +257,134 @@ class StaticExecutor:
             from repro.sim.fabric import LinkFabric
 
             fabric = LinkFabric(sim, self.cluster, self.comm)
-        procs = {
-            p.index: Resource(sim, capacity=1, name=f"cpu{p.index}")
-            for p in self.cluster.processors
-        }
-
-        done: dict[tuple[int, str], "object"] = {}
-        for k in range(iterations):
-            for pl in self.schedule.iteration.placements:
-                done[(k, pl.task)] = sim.event(f"done:{k}:{pl.task}")
-
-        slips = [0]
-        max_slip = [0.0]
-
+        comm, cluster = self.comm, self.cluster
+        call_at = sim.call_at
         edges = world.edges
-        record_exec, emit, retire = world.record_exec, world.emit, world.retire
+        record_exec, try_emit, retire = world.record_exec, world.try_emit, world.retire
 
-        def run_placement(k: int, pl: FlatPlacement):
-            # ``pl`` comes from instantiate(k): start is absolute, procs are
-            # already rotated for iteration k.
-            scheduled_start = pl.start
-            # Wait for predecessor data plus communication; transfers begin
-            # the moment a predecessor finishes, overlapping any slack
-            # before the scheduled start.
-            if fabric is None:
-                ready = scheduled_start
-                for pred, nbytes, channels in edges[pl.task]:
-                    pred_end = yield done[(k, pred)]
-                    src_primary = flat.primary(pred, k)
-                    delay = self.comm.transfer_time(nbytes, src_primary, pl.procs[0])
-                    if obs is not None and delay > 0:
-                        obs.on_comm(
-                            channels,
-                            tier_name(self.cluster, src_primary, pl.procs[0]),
-                            pred_end,
-                            delay,
-                            nbytes=nbytes,
-                            timestamp=k,
-                        )
-                    ready = max(ready, pred_end + delay)
-                if sim.now < ready:
-                    yield sim.timeout(ready - sim.now)
-            else:
-                # Contended mode: fetch each input over the shared links
-                # (sequentially — a task pulls its inputs one by one).
-                for pred, nbytes, _channels in edges[pl.task]:
-                    yield done[(k, pred)]
-                    yield from fabric.transfer(
-                        nbytes, flat.primary(pred, k), pl.procs[0]
-                    )
-            if sim.now < scheduled_start:
-                yield sim.timeout(scheduled_start - sim.now)
-            # Acquire scheduled processors (ascending order avoids deadlock).
-            grants = []
-            for proc in sorted(pl.procs):
-                grant = yield procs[proc].request()
-                grants.append((proc, grant))
-            start = sim.now
-            if start > scheduled_start + _EPS:
-                slips[0] += 1
-                max_slip[0] = max(max_slip[0], start - scheduled_start)
-                if obs is not None:
-                    obs.on_slip(pl.task, start, start - scheduled_start, timestamp=k)
-            if pl.duration > 0:
-                yield sim.timeout(pl.duration)
-            end = sim.now
-            record_exec(pl.task, k, pl.procs, start, end, pl.variant)
-            for proc, grant in grants:
-                procs[proc].release(grant)
-            yield from emit(pl.task, k)
-            retire(pl.task, k, end)
-            done[(k, pl.task)].succeed(end)
+        # Capacity-1 processors: held by one placement, FIFO behind it.
+        busy: set[int] = set()
+        queued: dict[int, deque] = {p.index: deque() for p in cluster.processors}
+        in_flight: dict[int, _Frame] = {}
+        n_rows = len(flat)
+        slips = 0
+        max_slip = 0.0
 
-        for k, rows in flat.iter_iterations(iterations):
+        def launch(k: int) -> None:
             # Iteration k: same pattern, rotated processors (Figure 6 step 3).
-            for pl in rows:
-                sim.process(run_placement(k, pl), name=f"{pl.task}@{k}")
+            in_flight[k] = frame = _Frame(k)
+            for pl in flat.instantiate(k):
+                gather(frame, pl, 0, pl.start)
+            if k + 1 < iterations:
+                call_at((k + 1) * flat.period, launch, k + 1)
 
-        sim.run(check_deadlock=True)
+        def gather(frame: _Frame, pl: FlatPlacement, at: int, ready: float) -> None:
+            # Step 1.  Walk the incoming edges from ``at``: park on a
+            # predecessor that has not settled (its settle() resumes here),
+            # charge the transfer from one that has.  A transfer begins the
+            # moment the predecessor finishes, overlapping any slack before
+            # the scheduled start.
+            incoming = edges[pl.task]
+            while at < len(incoming):
+                pred, nbytes, channels = incoming[at]
+                pred_end = frame.ends.get(pred)
+                if pred_end is None:
+                    frame.parked.setdefault(pred, []).append((pl, at, ready))
+                    return
+                src = flat.primary(pred, frame.k)
+                at += 1
+                if fabric is not None:
+                    # Contended mode: fetch the input over the shared links
+                    # (sequentially — a task pulls its inputs one by one).
+                    sim.process(
+                        fabric.transfer(nbytes, src, pl.procs[0]),
+                        name=f"{pl.task}@{frame.k}",
+                    ).add_callback(lambda _done, at=at: gather(frame, pl, at, ready))
+                    return
+                delay = comm.transfer_time(nbytes, src, pl.procs[0])
+                if obs is not None and delay > 0:
+                    obs.on_comm(
+                        channels, tier_name(cluster, src, pl.procs[0]), pred_end,
+                        delay, nbytes=nbytes, timestamp=frame.k,
+                    )
+                ready = max(ready, pred_end + delay)
+            call_at(max(ready, sim.now), acquire, frame, pl, 0)
+
+        def acquire(frame: _Frame, pl: FlatPlacement, held: int) -> None:
+            # Step 2.  Take the scheduled processors — an invalid schedule
+            # slips here instead of silently double-booking.  All of them at
+            # once when all are free (a valid schedule's only case).  Else
+            # one at a time in ascending order (which avoids deadlock), a
+            # busy one FIFO behind its holder and every grant a heap entry,
+            # so that placements contending at one instant interleave grant
+            # by grant, as requests to capacity-1 resources would.
+            nonlocal slips, max_slip
+            if held == 0 and busy.isdisjoint(pl.procs):
+                busy.update(pl.procs)
+            elif held < len(pl.procs):
+                proc = sorted(pl.procs)[held]
+                if proc in busy:
+                    queued[proc].append((frame, pl, held + 1))
+                else:
+                    busy.add(proc)
+                    call_at(sim.now, acquire, frame, pl, held + 1)
+                return
+            start = sim.now
+            if start > pl.start + _EPS:
+                slips += 1
+                max_slip = max(max_slip, start - pl.start)
+                if obs is not None:
+                    obs.on_slip(pl.task, start, start - pl.start, timestamp=frame.k)
+            if pl.duration > 0:
+                call_at(start + pl.duration, finish, frame, pl, start)
+            else:
+                finish(frame, pl, start)
+
+        def finish(frame: _Frame, pl: FlatPlacement, start: float) -> None:
+            # Step 3.  Execution over: record it and hand each processor to
+            # the placement queued behind this one, if any.
+            end = sim.now
+            record_exec(pl.task, frame.k, pl.procs, start, end, pl.variant)
+            for proc in sorted(pl.procs):
+                if queued[proc]:
+                    call_at(end, acquire, *queued[proc].popleft())
+                else:
+                    busy.remove(proc)
+            settle(frame, pl, end, 0)
+
+        def settle(frame: _Frame, pl: FlatPlacement, end: float, first: int) -> None:
+            # Step 4.  Outputs into STM (a full channel holds this up until
+            # its next change), inputs consumed, successors resumed.
+            full = try_emit(pl.task, frame.k, first)
+            if full is not None:
+                first, hub = full
+                hub.wait_change().add_callback(
+                    lambda _changed: settle(frame, pl, end, first)
+                )
+                return
+            retire(pl.task, frame.k, end)
+            frame.ends[pl.task] = end
+            if len(frame.ends) == n_rows:
+                del in_flight[frame.k]
+            for waiting in frame.parked.pop(pl.task, ()):
+                gather(frame, *waiting)
+
+        launch(0)
+        sim.run()
+        if in_flight:
+            raise SimDeadlock([
+                f"{task}@{k}"
+                for k, frame in in_flight.items()
+                for task, *_row in flat.rows
+                if task not in frame.ends
+            ])
 
         return world.result(
             trace.makespan,
             iterations,
             {
-                "slips": slips[0],
-                "max_slip": max_slip[0],
+                "slips": slips,
+                "max_slip": max_slip,
                 "period": self.schedule.period,
                 "shift": self.schedule.shift,
                 "contended_time": fabric.contended_time if fabric else 0.0,

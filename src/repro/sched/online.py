@@ -137,7 +137,7 @@ class PthreadScheduler(OnlineScheduler):
             raise ProcessError("scheduler not bound to a simulation")
         if thread in self._held:
             raise ProcessError(f"thread {thread!r} already holds processor {self._held[thread]}")
-        ev = self._sim.event(f"cpu-grant:{thread}")
+        ev = self._sim.event(("cpu-grant:{}", thread))
         if self._view is not None:
             self._free = [p for p in self._free if self._view.alive(p)]
         if self._free:

@@ -5,8 +5,9 @@ have that hardware (nor would wall-clock Python threading be faithful to it,
 given the GIL), so the entire evaluation runs on this deterministic
 discrete-event simulator:
 
-* :mod:`repro.sim.engine` — event queue, simulated clock, generator-based
-  processes (a minimal, dependency-free simpy-like kernel).
+* :mod:`repro.sim.engine` — event queue, simulated clock, plain timed
+  calls and generator-based processes (a minimal, dependency-free
+  simpy-like kernel).
 * :mod:`repro.sim.resources` — capacity-limited resources (processors) and
   blocking stores (queues).
 * :mod:`repro.sim.cluster` — the cluster shape: nodes, processors per node,

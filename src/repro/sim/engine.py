@@ -22,6 +22,22 @@ Concepts
     a :class:`Timeout`, which is an event pre-scheduled to fire after a
     delay).  The process resumes with the event's value when it fires.
 
+Two ways to wait on one heap
+----------------------------
+
+A heap entry is ``(time, seq, fn, args)`` and firing it is ``fn(*args)``.
+:meth:`Simulator.call_at` puts a plain call there — absolute time, no
+:class:`SimEvent`, no :class:`Process`, no name — which is all a replay
+needs when nothing is decided at run time (the static executor: every wait
+has one known continuation).  A generator :class:`Process` is for code
+whose next wait depends on what it finds when it wakes (the dynamic
+executor's scheduler quanta, the fault runner's abandon / death races); an
+event firing is the same kind of heap entry, ``(time, seq, ev._fire, ())``.
+
+An event's ``name`` is only ever read by ``repr``, :class:`ProcessError`
+and :class:`SimDeadlock`, so it may be given as ``(template, *args)`` and is
+formatted when first read, not per event created.
+
 Example
 -------
 
@@ -39,10 +55,13 @@ Example
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.errors import ProcessError, SimDeadlock, SimTimeError
+
+#: An event name: the string, or ``(template, *args)`` formatted on first read.
+Name = Union[str, tuple]
 
 __all__ = [
     "Simulator",
@@ -76,11 +95,13 @@ class SimEvent:
     resumes the waiter immediately (at the current simulated time).
     """
 
-    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_fired", "value", "_ok")
+    __slots__ = ("sim", "_name", "_callbacks", "_triggered", "_fired", "value", "_ok")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: Name = "") -> None:
         self.sim = sim
-        self.name = name or f"event-{sim._next_seq()}"
+        # An unnamed event is "event-<seq>": the number is taken now, the
+        # string made when somebody reads it.
+        self._name = name or sim._next_seq()
         self._callbacks: list[Callable[["SimEvent"], None]] = []
         self._triggered = False
         self._fired = False
@@ -88,6 +109,18 @@ class SimEvent:
         self._ok = True
 
     # -- state inspection ---------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """The event's name, formatted on first read (see the module notes)."""
+        name = self._name
+        if type(name) is not str:
+            if type(name) is tuple:
+                name = name[0].format(*name[1:])
+            else:
+                name = f"event-{name}"
+            self._name = name
+        return name
 
     @property
     def triggered(self) -> bool:
@@ -156,7 +189,7 @@ class Timeout(SimEvent):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimTimeError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"timeout({delay:g})")
+        super().__init__(sim, name=("timeout({:g})", delay))
         self.delay = delay
         self._triggered = True
         self.value = value
@@ -237,9 +270,7 @@ class Process(SimEvent):
         self.alive = True
         # Kick off at current time, but via the event queue so creation
         # order and time ordering stay deterministic.
-        kick = SimEvent(sim, name=f"{self.name}-start")
-        kick.add_callback(lambda ev: self._resume(None, None))
-        kick.succeed()
+        sim.call_at(sim.now, self._resume, None, None)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -249,9 +280,7 @@ class Process(SimEvent):
         if target is not None:
             # Detach: when the original event fires later, ignore it.
             self._waiting_on = None
-        kick = SimEvent(self.sim, name=f"{self.name}-interrupt")
-        kick.add_callback(lambda ev: self._resume(None, Interrupt(cause)))
-        kick.succeed()
+        self.sim.call_at(self.sim.now, self._resume, None, Interrupt(cause))
 
     # -- internals -------------------------------------------------------------
 
@@ -265,16 +294,16 @@ class Process(SimEvent):
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
-            self.alive = False
+            self._exit()
             self.succeed(stop.value)
             return
         except Interrupt:
             # Process chose not to handle the interrupt: treat as death.
-            self.alive = False
+            self._exit()
             self.succeed(None)
             return
         except BaseException as err:
-            self.alive = False
+            self._exit()
             if self._callbacks:
                 self.fail(err)
             else:
@@ -283,13 +312,19 @@ class Process(SimEvent):
         finally:
             self.sim._active_process = None
         if not isinstance(target, SimEvent):
-            self.alive = False
+            self._exit()
             raise ProcessError(
                 f"process {self.name} yielded {target!r}; "
                 "processes must yield SimEvent instances"
             )
         self._waiting_on = target
         target.add_callback(self._on_event)
+
+    def _exit(self) -> None:
+        """The generator is finished: the simulator forgets the process (and
+        with it the generator frame), so a long run holds only live ones."""
+        self.alive = False
+        self.sim._processes.pop(self, None)
 
     def _on_event(self, ev: SimEvent) -> None:
         if self._waiting_on is not ev:
@@ -315,14 +350,16 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self.now: float = float(start)
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = 0
-        self._processes: list[Process] = []
+        # Live registered processes, in creation order (Process._exit drops
+        # a finished one): what run(check_deadlock=True) reports.
+        self._processes: dict[Process, None] = {}
         self._active_process: Optional[Process] = None
 
     # -- construction helpers ---------------------------------------------------
 
-    def event(self, name: str = "") -> SimEvent:
+    def event(self, name: Name = "") -> SimEvent:
         """Create a fresh pending event."""
         return SimEvent(self, name)
 
@@ -333,7 +370,7 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Register a generator as a simulated process and start it."""
         proc = Process(self, gen, name=name)
-        self._processes.append(proc)
+        self._processes[proc] = None
         return proc
 
     def all_of(self, events: Iterable[SimEvent]) -> AllOf:
@@ -353,19 +390,33 @@ class Simulator:
     def _schedule(self, delay: float, ev: SimEvent) -> None:
         if delay < 0:
             raise SimTimeError(f"cannot schedule event {ev.name} {delay}s in the past")
-        heapq.heappush(self._heap, (self.now + delay, self._next_seq(), ev))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, ev._fire, ()))
+
+    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` when the clock reaches the absolute ``time``.
+
+        The lean way onto the heap: no :class:`SimEvent`, no
+        :class:`Process`, no name.  Calls for one instant run in the order
+        they were made, interleaved with the events of that instant by the
+        same sequence number.
+        """
+        if time < self.now:
+            raise SimTimeError(f"cannot call {fn!r} at {time}: the clock reads {self.now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, fn, args))
 
     # -- running --------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Fire the next event.  Returns False if the heap is empty."""
+        """Fire the next heap entry.  Returns False if the heap is empty."""
         if not self._heap:
             return False
-        time, _seq, ev = heapq.heappop(self._heap)
-        if time < self.now:  # pragma: no cover - guarded by _schedule
+        time, _seq, fn, args = heappop(self._heap)
+        if time < self.now:  # pragma: no cover - guarded by _schedule / call_at
             raise SimTimeError(f"time went backwards: {time} < {self.now}")
         self.now = time
-        ev._fire()
+        fn(*args)
         return True
 
     def run(self, until: Optional[float] = None, *, check_deadlock: bool = False) -> float:
@@ -382,7 +433,7 @@ class Simulator:
                 return self.now
             self.step()
         if check_deadlock:
-            blocked = [p.name for p in self._processes if p.alive]
+            blocked = [p.name for p in self._processes]
             if blocked:
                 raise SimDeadlock(blocked)
         if until is not None and until > self.now:

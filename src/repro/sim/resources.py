@@ -67,7 +67,7 @@ class Resource:
 
     def request(self) -> SimEvent:
         """Return an event that fires (with a grant token) when a unit frees."""
-        ev = self.sim.event(f"{self.name}-request")
+        ev = self.sim.event(("{}-request", self.name))
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(ev)
@@ -127,7 +127,7 @@ class Store:
 
     def put(self, item: Any) -> SimEvent:
         """Return an event that fires once ``item`` is in the store."""
-        ev = self.sim.event(f"{self.name}-put")
+        ev = self.sim.event(("{}-put", self.name))
         if self._getters:
             # Hand the item straight to the oldest getter.
             getter = self._getters.popleft()
@@ -142,7 +142,7 @@ class Store:
 
     def get(self) -> SimEvent:
         """Return an event that fires with the oldest item."""
-        ev = self.sim.event(f"{self.name}-get")
+        ev = self.sim.event(("{}-get", self.name))
         if self._items:
             item = self._items.popleft()
             ev.succeed(item)

@@ -20,6 +20,11 @@ Implements both halves of Figure 8's API:
 This class is a synchronous data structure — blocking behaviour belongs to
 the runtimes (the simulator wraps it with events; the threaded runtime with
 condition variables).
+
+Nothing is rebuilt or re-summed per operation: ``attach`` / ``detach``
+maintain the index of input connections that ``put`` (born-consumed
+marking) and ``collectible`` read, and the live bytes are a running total
+kept by ``put`` and ``_remove``.  All three substrates share this class.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class STMChannel:
         self._items: dict[int, Item] = {}
         self._order: list[int] = []  # sorted timestamps present
         self._connections: dict[int, Connection] = {}
+        # The attached input connections by id, kept by attach / detach:
+        # whose consumption an item waits for.
+        self._inputs: dict[int, Connection] = {}
+        self._live_bytes = 0
         self._closed = False
         self.total_puts = 0
         self.total_gets = 0
@@ -90,6 +99,8 @@ class STMChannel:
         """Create a new connection for ``task`` in the given direction."""
         conn = Connection(task, direction)
         self._connections[conn.conn_id] = conn
+        if conn.is_input:
+            self._inputs[conn.conn_id] = conn
         return conn
 
     def attach_input(self, task: str) -> Connection:
@@ -105,11 +116,12 @@ class STMChannel:
         if conn.conn_id not in self._connections:
             raise ConnectionError_(f"connection {conn.conn_id} not attached to {self.name!r}")
         del self._connections[conn.conn_id]
+        self._inputs.pop(conn.conn_id, None)
         conn.attached = False
 
     def input_conn_ids(self) -> set[int]:
         """IDs of all currently attached input connections."""
-        return {c.conn_id for c in self._connections.values() if c.is_input}
+        return set(self._inputs)
 
     @property
     def connections(self) -> list[Connection]:
@@ -189,11 +201,12 @@ class STMChannel:
         # An input connection whose virtual time has passed ``ts`` already
         # declared this timestamp dead; the late item is born consumed for
         # it (otherwise it could never be garbage collected).
-        for c in self._connections.values():
-            if c.is_input and c.virtual_time > ts:
+        for c in self._inputs.values():
+            if c.virtual_time > ts:
                 item.mark_consumed(c.conn_id)
         self._items[ts] = item
         insort(self._order, ts)
+        self._live_bytes += size
         self.total_puts += 1
         return item
 
@@ -277,19 +290,20 @@ class STMChannel:
         i = bisect_left(self._order, ts)
         assert self._order[i] == ts
         del self._order[i]
+        self._live_bytes -= item.size
         self.total_collected += 1
         return item
 
     def collectible(self) -> list[int]:
         """Timestamps whose items every input connection has consumed."""
-        inputs = self.input_conn_ids()
+        inputs = self._inputs.keys()
         if not inputs:
             return []
         return [ts for ts in self._order if self._items[ts].fully_consumed(inputs)]
 
     def live_bytes(self) -> int:
         """Total size of live items — the paper's 'space requirement'."""
-        return sum(self._items[ts].size for ts in self._order)
+        return self._live_bytes
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import AbstractSet, Any
 
 __all__ = ["Item"]
 
@@ -40,9 +40,9 @@ class Item:
         self.consumed_by.add(conn_id)
         self.gotten_by.add(conn_id)
 
-    def fully_consumed(self, input_conn_ids: set[int]) -> bool:
+    def fully_consumed(self, input_conn_ids: AbstractSet[int]) -> bool:
         """True once every listed input connection has consumed the item."""
-        return input_conn_ids.issubset(self.consumed_by)
+        return input_conn_ids <= self.consumed_by
 
     def __repr__(self) -> str:
         return (

@@ -1,0 +1,153 @@
+"""What a frame costs the kernel: heap occupancy and registered processes
+that do not grow with the run, and hub mutations that push nothing when
+nobody waits.
+
+The timing side of this lives in ``benchmarks/e2e`` (``sim_online``); these
+are the counts behind it, which repeat exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import repro.faults.runner as fault_runner
+import repro.runtime.static_exec as static_exec
+from repro.apps.tracker.graph import build_tracker_graph
+from repro.core.optimal import OptimalScheduler
+from repro.faults import FaultPlan, FaultRuntime, FaultTolerantExecutor
+from repro.graph.builders import chain_graph
+from repro.runtime.dispatch import build_task_plans
+from repro.runtime.hub import ChannelHub, SimWorld, build_hubs
+from repro.runtime.static_exec import StaticExecutor
+from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
+from repro.state import State
+from repro.stm.channel import STMChannel
+
+from . import static_generator_oracle as oracle
+
+
+class WatchedSimulator(Simulator):
+    """Records the most pending heap entries and the most registered
+    processes seen at any step."""
+
+    last = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.peak = self.peak_processes = self.steps = 0
+        WatchedSimulator.last = self
+
+    def step(self) -> bool:
+        self.peak = max(self.peak, len(self._heap))
+        self.peak_processes = max(self.peak_processes, len(self._processes))
+        self.steps += 1
+        return super().step()
+
+
+class TestRunLengthIndependence:
+    @pytest.fixture
+    def tracker(self):
+        cluster, state = SINGLE_NODE_SMP(4), State(n_models=3)
+        graph = build_tracker_graph()
+        return graph, state, cluster, OptimalScheduler(cluster).solve(graph, state)
+
+    def test_pending_heap_entries_follow_frames_in_flight(self, monkeypatch, tracker):
+        graph, state, cluster, solution = tracker
+        monkeypatch.setattr(static_exec, "Simulator", WatchedSimulator)
+        monkeypatch.setattr(oracle, "Simulator", WatchedSimulator)
+        placements = len(solution.pipelined.iteration.placements)
+        in_flight = math.ceil(solution.latency / solution.period) + 1
+        peaks = {}
+        for frames in (50, 400):
+            result = StaticExecutor(graph, state, cluster, solution).run(frames)
+            assert result.completed == list(range(frames))
+            peaks[frames] = WatchedSimulator.last.peak
+            # a launch, and a start and a finish per placement (plus the
+            # hand-over when a processor is taken at the instant it frees)
+            assert WatchedSimulator.last.steps <= 15 * frames
+        assert peaks[400] == peaks[50] <= 2 * placements * in_flight
+        # the body this replaced started every process of the run at t = 0
+        oracle.GeneratorStaticExecutor(graph, state, cluster, solution).run(400)
+        assert WatchedSimulator.last.peak >= 400 * placements
+
+    def test_fault_run_holds_frames_in_flight_not_frames_run(self, monkeypatch):
+        """The executor that stays on generators spawns a process per
+        placement per frame; the simulator forgets each as it finishes."""
+        monkeypatch.setattr(fault_runner, "Simulator", WatchedSimulator)
+        result = FaultTolerantExecutor(
+            chain_graph([1.0, 1.0]), State(n_models=1), ClusterSpec(2, 1),
+            FaultRuntime(plan=FaultPlan([])),
+        ).run(300)
+        assert result.completed == list(range(300))
+        # 300 frames x 2 placements ran; a handful are ever alive at once
+        # (frames in flight, the pump, the injector, one heartbeat a node).
+        assert WatchedSimulator.last.peak_processes <= 16
+        assert len(WatchedSimulator.last._processes) <= 8
+
+
+class TestIdleNotification:
+    @pytest.fixture
+    def hub(self):
+        sim = Simulator()
+        return sim, ChannelHub(sim, STMChannel("c", capacity=2), TraceRecorder())
+
+    def test_mutations_with_no_waiter_push_no_heap_entry(self, hub):
+        sim, h = hub
+        out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
+        for ts in range(100):
+            assert h.try_put(out, ts, ts)
+            assert h.try_get(inp, ts) == (ts, ts)
+            assert h.consume(inp, ts) == 1
+        assert sim.peek() is None and sim._seq == 0
+        assert h.gc_stats.collected == 100
+
+    def test_an_event_asked_for_fires_at_the_next_mutation_only(self, hub):
+        sim, h = hub
+        out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
+        h.try_put(out, 0, "x")
+        waited = h.wait_change()
+        assert h.wait_change() is waited and not waited.triggered
+        h.consume(inp, 0)
+        assert waited.triggered and len(sim._heap) == 1
+        h.try_put(out, 1, "y")  # nobody asked again: nothing pushed
+        assert len(sim._heap) == 1
+        sim.run()
+        assert waited.fired
+
+    def test_try_put_refuses_at_capacity_and_the_generator_put_waits(self, hub):
+        sim, h = hub
+        out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
+        assert h.try_put(out, 0, "a") and h.try_put(out, 1, "b")
+        assert not h.try_put(out, 2, "c")
+        assert len(h.stm) == 2 and [e.kind for e in h.trace.items] == ["put", "put"]
+        landed = []
+
+        def producer():
+            yield from h.put(out, 2, "c")
+            landed.append(sim.now)
+
+        sim.process(producer())
+        sim.call_at(4.0, h.consume, inp, 0)
+        sim.run()
+        assert landed == [4.0] and h.stm.timestamps() == [1, 2]
+
+
+class TestTryEmit:
+    def test_stops_at_the_full_channel_and_resumes_from_it(self):
+        graph = chain_graph([1.0, 1.0])
+        graph.channel("c0").capacity = 1
+        sim, trace = Simulator(), TraceRecorder()
+        world = SimWorld(
+            graph, State(n_models=1), SINGLE_NODE_SMP(2), sim, trace,
+            build_hubs(sim, graph, trace), build_task_plans(graph),
+        )
+        assert world.try_emit("t0", 0) is None
+        at, hub = world.try_emit("t0", 1)
+        assert (at, hub) == (0, world.hubs["c0"])
+        world.retire("t1", 0, 2.0)  # t1 consumes frame 0: room again
+        assert world.try_emit("t0", 1, at) is None
+        assert hub.stm.timestamps() == [1]

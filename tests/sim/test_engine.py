@@ -291,6 +291,174 @@ class TestRun:
         assert Simulator().step() is False
 
 
+class TestCallAt:
+    """``Simulator.call_at``: a plain call on the (time, seq) heap."""
+
+    def test_runs_at_the_absolute_time_with_its_arguments(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(2.5, lambda *args: seen.append((sim.now, args)), "a", 1)
+        sim.call_at(1.0, seen.append, "first")
+        assert sim.peek() == 1.0
+        sim.run()
+        assert seen == ["first", (2.5, ("a", 1))]
+
+    def test_same_instant_interleaves_with_events_in_call_order(self):
+        sim = Simulator()
+        order = []
+        sim.call_at(1.0, order.append, "call-1")
+        sim.timeout(1.0).add_callback(lambda ev: order.append("timeout"))
+        sim.call_at(1.0, order.append, "call-2")
+        sim.run()
+        assert order == ["call-1", "timeout", "call-2"]
+
+    def test_a_call_may_schedule_calls_for_the_same_instant(self):
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.call_at(sim.now, order.append, "nested")
+
+        sim.call_at(1.0, first)
+        sim.call_at(1.0, order.append, "second")
+        sim.run()
+        assert order == ["first", "second", "nested"]
+
+    def test_the_past_is_rejected(self):
+        sim = Simulator(start=5.0)
+        with pytest.raises(SimTimeError):
+            sim.call_at(4.0, print)
+        sim.call_at(5.0, print)  # now is fine
+
+    def test_pushes_one_heap_entry_and_makes_no_event(self):
+        sim = Simulator()
+        seq = sim._seq
+        sim.call_at(1.0, print)
+        assert len(sim._heap) == 1 and sim._seq == seq + 1
+
+
+class TestNamesOnDemand:
+    """A name is formatted when it is read — by ``repr``, ``ProcessError``
+    or ``SimDeadlock`` — and reads exactly as when it was formatted per
+    event created."""
+
+    @staticmethod
+    def triggered_twice(ev):
+        with pytest.raises(ProcessError) as exc:
+            ev.succeed()
+            ev.succeed()
+        return str(exc.value)
+
+    def test_timeout_names(self):
+        sim = Simulator()
+        assert self.triggered_twice(sim.timeout(0.5)) == "event timeout(0.5) triggered twice"
+        assert self.triggered_twice(sim.timeout(2)) == "event timeout(2) triggered twice"
+        assert self.triggered_twice(sim.timeout(1e-7)) == (
+            "event timeout(1e-07) triggered twice"
+        )
+        assert repr(sim.timeout(0.25)) == "<SimEvent timeout(0.25) triggered>"
+
+    def test_unnamed_events_are_numbered_by_creation(self):
+        sim = Simulator()
+        sim.timeout(1.0)  # takes sequence number 1
+        first, second = sim.event(), sim.event()
+        # read in the other order: the number was taken at creation
+        assert second.name == "event-3" and first.name == "event-2"
+        assert self.triggered_twice(sim.event("named")) == "event named triggered twice"
+
+    def test_resource_store_and_hub_names(self):
+        from repro.runtime.hub import ChannelHub
+        from repro.sim.resources import Resource, Store
+        from repro.stm.channel import STMChannel
+
+        sim = Simulator()
+        cpu = Resource(sim, capacity=1, name="cpu3")
+        assert self.triggered_twice(cpu.request()) == "event cpu3-request triggered twice"
+        assert repr(cpu.request()) == "<SimEvent cpu3-request pending>"
+        store = Store(sim, capacity=1, name="q")
+        assert self.triggered_twice(store.put(1)) == "event q-put triggered twice"
+        assert repr(store.put(2)) == "<SimEvent q-put pending>"
+        assert self.triggered_twice(store.get()) == "event q-get triggered twice"
+        hub = ChannelHub(sim, STMChannel("frames"))
+        assert repr(hub.wait_change()) == "<SimEvent frames-changed pending>"
+
+    def test_process_error_and_deadlock_texts(self):
+        sim = Simulator()
+
+        def stuck():
+            yield sim.event("never")
+
+        def bad():
+            yield 3
+
+        sim.process(stuck(), name="T1@4")
+        sim.process(bad(), name="oops")
+        with pytest.raises(ProcessError) as exc:
+            sim.run()
+        assert str(exc.value) == (
+            "process oops yielded 3; processes must yield SimEvent instances"
+        )
+        with pytest.raises(SimDeadlock) as dead:
+            sim.run(check_deadlock=True)
+        assert str(dead.value) == "simulation deadlock: blocked = [T1@4]"
+
+    def test_a_deferred_name_is_not_formatted_until_read(self):
+        class Loud:
+            reads = 0
+
+            def __format__(self, spec):
+                Loud.reads += 1
+                return "loud"
+
+        sim = Simulator()
+        ev = sim.event(("{}-changed", Loud()))
+        ev.succeed()
+        sim.run()
+        assert Loud.reads == 0
+        assert ev.name == "loud-changed" and ev.name == "loud-changed"
+        assert Loud.reads == 1
+
+
+class TestLiveProcessesOnly:
+    """The simulator references a process while its generator runs, not
+    for ever after (the fault runner spawns one per placement per frame)."""
+
+    def test_finished_processes_are_forgotten(self):
+        sim = Simulator()
+
+        def worker(delay):
+            yield sim.timeout(delay)
+
+        def dies():
+            yield sim.timeout(0.5)
+            raise Interrupt("unhandled")
+
+        for i in range(50):
+            sim.process(worker(1.0 + i))
+        sim.process(dies())
+        assert len(sim._processes) == 51
+        sim.run(until=10.5)
+        assert len(sim._processes) == 40
+        sim.run(check_deadlock=True)
+        assert len(sim._processes) == 0
+
+    def test_deadlock_lists_live_processes_in_creation_order(self):
+        sim = Simulator()
+
+        def stuck():
+            yield sim.event("never")
+
+        def fine():
+            yield sim.timeout(1.0)
+
+        for name, body in [("a", stuck), ("b", fine), ("c", stuck), ("d", fine)]:
+            sim.process(body(), name=name)
+        with pytest.raises(SimDeadlock) as exc:
+            sim.run(check_deadlock=True)
+        assert exc.value.blocked == ["a", "c"]
+
+
 class TestDeterminismUnderFailure:
     """Same seed + same fault plan => bit-identical simulation.
 

@@ -40,6 +40,34 @@ class TestCollect:
         chan.detach(b)  # b's obligation disappears with it
         assert collect_channel(chan) == 1
 
+    def test_late_attached_input_blocks_collection_until_it_consumes(self):
+        """The input index is kept by attach / detach, not frozen at the
+        first put: a connection attached after items exist owes them too."""
+        chan = STMChannel("c")
+        out = chan.attach_output("p")
+        early = chan.attach_input("early")
+        for ts in range(3):
+            chan.put(out, ts, ts, size=10)
+        chan.consume(early, 2)
+        late = chan.attach_input("late")
+        assert chan.collectible() == [] and collect_channel(chan) == 0
+        chan.consume(late, 0)
+        assert chan.collectible() == [0]
+        chan.consume(late, 2)
+        assert collect_channel(chan) == 3 and chan.live_bytes() == 0
+
+    def test_detached_input_leaves_the_index(self):
+        chan = STMChannel("c")
+        out = chan.attach_output("p")
+        a, b = chan.attach_input("a"), chan.attach_input("b")
+        chan.consume(b, 5)  # b is past ts 0..5
+        chan.detach(b)
+        assert chan.input_conn_ids() == {a.conn_id}
+        item = chan.put(out, 3, "x")  # not born consumed for the detached b
+        assert item.consumed_by == set()
+        chan.detach(out)  # an output connection was never in the index
+        assert chan.input_conn_ids() == {a.conn_id}
+
     def test_skipped_frames_freed_by_implicit_consume(self):
         """A consumer that jumps to the newest frame frees the skipped ones."""
         chan = STMChannel("c")

@@ -6,7 +6,9 @@ channel; invariants are checked after each step:
 * live timestamps match the model exactly;
 * an item is collectible iff every attached input connection has consumed
   it (directly or via a later consume);
-* counters never decrease; neighbour queries agree with the model.
+* counters never decrease; neighbour queries agree with the model;
+* ``live_bytes()`` (a running total) equals the sizes of the live items
+  summed afresh, however puts and collections interleave.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ class STMMachine(RuleBasedStateMachine):
         self.collected: set[int] = set()
         self.vt = [0, 0]
 
-    @rule(ts=st.integers(0, 30))
-    def put(self, ts):
+    @rule(ts=st.integers(0, 30), size=st.integers(0, 1000))
+    def put(self, ts, size):
         if ts in self.model:
             try:
-                self.chan.put(self.out, ts, ts)
+                self.chan.put(self.out, ts, ts, size=size)
                 raise AssertionError("duplicate accepted")
             except DuplicateTimestamp:
                 return
-        self.chan.put(self.out, ts, ts)
+        self.chan.put(self.out, ts, ts, size=size)
         # A late put is born consumed for connections already past it.
         self.model[ts] = {c for c in (0, 1) if self.vt[c] > ts}
 
@@ -93,6 +95,11 @@ class STMMachine(RuleBasedStateMachine):
             t for t, consumers in self.model.items() if consumers == {0, 1}
         )
         assert self.chan.collectible() == expected
+
+    @invariant()
+    def live_bytes_is_the_sum_of_live_sizes(self):
+        chan = self.chan
+        assert chan.live_bytes() == sum(chan._items[ts].size for ts in chan._order)
 
     @invariant()
     def neighbours_consistent(self):
