@@ -190,34 +190,6 @@ class FaultPlanError(FaultError):
     """A fault plan is malformed (bad times, unknown targets, conflicts)."""
 
 
-class FaultTimeout(FaultError):
-    """A retried STM operation exhausted its retry budget.
-
-    Raised instead of deadlocking when a consumer waits for an item whose
-    producer died mid-iteration.  Carries the channel and timestamp so the
-    caller can skip the frame and move on.
-    """
-
-    def __init__(self, channel: str, timestamp, attempts: int, waited: float):
-        self.channel = channel
-        self.timestamp = timestamp
-        self.attempts = attempts
-        self.waited = waited
-        super().__init__(
-            f"gave up on channel {channel!r} ts={timestamp!r} after "
-            f"{attempts} attempts ({waited:g}s simulated)"
-        )
-
-
-class FrameLost(FaultError):
-    """A frame in flight was lost to a failure (carried by failed events)."""
-
-    def __init__(self, timestamp: int, cause: str = "fault"):
-        self.timestamp = timestamp
-        self.cause = cause
-        super().__init__(f"frame {timestamp} lost ({cause})")
-
-
 class ShapeUnschedulable(FaultError):
     """No pre-computed schedule covers the degraded cluster shape."""
 

@@ -18,11 +18,11 @@ handles it.  This package supplies the pieces:
 * :mod:`~repro.faults.failover` — :class:`ShapeTable` (one pre-computed
   optimal schedule per reachable degraded shape) and
   :class:`FailoverController` (detection → look-up → transition).
-* :mod:`~repro.faults.retry` — backoff wrappers bounding STM waits so a
-  dead producer costs a timeout, not a deadlock.
 * :mod:`~repro.faults.runner` — :class:`FaultTolerantExecutor`, the
   integration: inject → detect → fail over → recover, with per-cause
-  frame-loss accounting.
+  frame-loss accounting.  It has no placement body of its own: a fault is
+  an event (``lose(frame, cause)``) on the one the static executor runs,
+  :class:`~repro.runtime.static_exec.PlacementReplay`.
 """
 
 from repro.faults.events import (
@@ -41,7 +41,6 @@ from repro.faults.failover import (
     ShapeTable,
     reachable_shapes,
 )
-from repro.faults.retry import RetryPolicy, get_with_retry, put_with_retry
 from repro.faults.runner import FaultRuntime, FaultTolerantExecutor
 
 __all__ = [
@@ -59,9 +58,6 @@ __all__ = [
     "FailoverController",
     "ShapeTable",
     "reachable_shapes",
-    "RetryPolicy",
-    "get_with_retry",
-    "put_with_retry",
     "FaultRuntime",
     "FaultTolerantExecutor",
 ]

@@ -8,35 +8,57 @@ solution's iteration pattern is launched every initiation interval; when
 the :class:`~repro.faults.detect.FailureDetector` confirms a failure, the
 :class:`~repro.faults.failover.FailoverController` looks up the schedule
 pre-computed for the degraded shape, the transition policy decides what
-happens to the frames in flight (drain / abandon / replay-from-STM), and
+happens to the frames in flight (drain / abandon / replay), and
 a new epoch starts on the survivors after the transition stall.
 
 The simulated world itself — channels, collectors, connections, the edge
 table, the frame ledger and the result — is the
 :class:`~repro.runtime.hub.SimWorld` the static and dynamic executors also
-run in, and an epoch's iterations are lowered through the same
+run in, an epoch's iterations are lowered through the same
 :class:`~repro.runtime.dispatch.FlatSchedule` as the static executor's
 (one per active solution; each row is then mapped from shape to physical
-processors and offset by the epoch start).  What lives here is only what a
-failure adds: epochs, abandon / death / retry and the loss accounting.
+processors and offset by the epoch start), and every iteration is started
+through the same placement body,
+:class:`~repro.runtime.static_exec.PlacementReplay`: gather → acquire →
+finish → settle as plain calls on the heap, processors acquired and slips
+counted (``meta["slips"]`` / ``meta["max_slip"]``) exactly as in a static
+run.  What lives here is only what a failure adds — injector, detector,
+controller, the epoch *pump* (a generator: its next wait depends on the
+controller's state), ``on_detection`` and the loss lists — because a fault
+is an event on that body, not a second body.  The event is
+``lose(frame, cause)``: the frame leaves the set in flight at once, what it
+is executing is recorded as pre-empted, its processors pass on and its
+remaining heap entries fire as no-ops.  It is called
+
+* by the body, when a placement's processors are not all alive at the
+  moment it would start (``"crash"``) or when it has waited
+  :data:`~repro.runtime.static_exec.PUT_WAIT` at a full channel whose
+  consumer is gone (``"stm-timeout"``) — the one STM wait a placement can
+  make, bounded so that a fault run always ends;
+* one heap entry after a kill, for every frame executing on a dead
+  processor (``"crash"``) — one entry later, so that a placement finishing
+  at the kill instant has finished;
+* by ``on_detection``, for every frame in flight when the transition policy
+  abandons (``"transition"``) or replays (``"replayed"``) them.
 
 Loss accounting distinguishes the two ways a frame dies:
 
 * **crash loss** — a placement ran on (or was headed for) a processor
-  that died before the failure was detected.  Proportional to detection
-  latency; no transition policy can prevent it.
+  that died before the failure was detected (``stm-timeout`` losses are
+  counted here too).  Proportional to detection latency; no transition
+  policy can prevent it.
 * **transition loss** — an in-flight frame abandoned by an
   :class:`~repro.core.transition.ImmediateTransition`.  A
   :class:`~repro.core.transition.CheckpointTransition` converts these
-  into *replays* instead: the timestamps re-execute, reusing whatever
-  items the first attempt already left in STM.
+  into *replays* instead: the timestamps are started again as second
+  attempts.  A second attempt re-executes every placement; its puts skip
+  the outputs STM still holds from the first attempt (a first attempt
+  never skips: a duplicate put stays
+  :class:`~repro.errors.DuplicateTimestamp`), and it reads nothing back
+  from STM — precedence within a frame is the frame ledger's.
 
-Unlike the plain static executor, placements here do not acquire
-capacity-1 processor resources: each epoch executes one validated
-schedule, and the transition stall separates epochs in time, so the
-no-overlap guarantee is inherited from schedule validation rather than
-re-enforced at run time (a deliberate trade — dead processors would
-otherwise hold their resource grants forever).
+The generator body this replaced is kept in
+``tests/faults/fault_generator_oracle.py`` as the differential oracle.
 """
 
 from __future__ import annotations
@@ -45,28 +67,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import (
-    ExecutorConfigError,
-    FaultTimeout,
-    FrameLost,
-    ItemConsumed,
-    ShapeUnschedulable,
-)
+from repro.errors import ExecutorConfigError, ShapeUnschedulable
 from repro.core.optimal import OptimalScheduler
 from repro.core.transition import DrainTransition, TransitionPolicy
 from repro.faults.detect import Detection, FailureDetector
 from repro.faults.events import FaultPlan
 from repro.faults.failover import FailoverController, ShapeTable
 from repro.faults.inject import FaultInjector
-from repro.faults.retry import RetryPolicy, get_with_retry, put_with_retry
 from repro.faults.view import ClusterView
 from repro.graph.taskgraph import TaskGraph
 from repro.metrics.recovery import recovery_stats
-from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
+from repro.runtime.dispatch import FlatSchedule, build_task_plans
 from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
+from repro.runtime.static_exec import PUT_WAIT, PlacementReplay
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import SimEvent, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import CommModel
 from repro.sim.trace import TraceRecorder
 from repro.state import State
@@ -96,8 +112,6 @@ class FaultRuntime:
         Pre-built :class:`~repro.faults.failover.ShapeTable`; built on
         demand (single-node-loss plus single-processor-loss shapes) when
         None.
-    retry:
-        Backoff budget for STM operations issued by frame placements.
     """
 
     plan: FaultPlan
@@ -105,35 +119,6 @@ class FaultRuntime:
     heartbeat_interval: float = 0.1
     detect_timeout: float = 0.3
     table: Optional[ShapeTable] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-
-class _Frame:
-    """Book-keeping for one in-flight iteration (one stream timestamp)."""
-
-    __slots__ = ("ts", "abandon", "done", "remaining", "lost", "cause", "launched_at")
-
-    def __init__(self, sim: Simulator, ts: int, tasks: list[str]) -> None:
-        self.ts = ts
-        self.abandon: SimEvent = sim.event(("abandon:{}", ts))
-        self.done: dict[str, SimEvent] = {
-            t: sim.event(("done:{}:{}", ts, t)) for t in tasks
-        }
-        self.remaining = len(tasks)
-        self.lost = False
-        self.cause = ""
-        self.launched_at = sim.now
-
-    @property
-    def abandoned(self) -> bool:
-        return self.abandon.triggered
-
-    def mark_lost(self, cause: str) -> None:
-        if not self.lost:
-            self.lost = True
-            self.cause = cause
-        if not self.abandon.triggered:
-            self.abandon.succeed(cause)
 
 
 class FaultTolerantExecutor:
@@ -193,7 +178,6 @@ class FaultTolerantExecutor:
         if iterations < 1:
             raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
         obs = self.obs
-        retry = self.faults.retry
         sim = Simulator()
         trace = TraceRecorder()
         world = SimWorld(
@@ -215,12 +199,31 @@ class FaultTolerantExecutor:
             obs.on_period(controller.active.period)
 
         replay_q: deque[int] = deque()
-        frames: dict[int, _Frame] = {}
-        outstanding = [0]
         crash_lost: list[int] = []
         transition_lost: list[int] = []
         replayed: list[int] = []
         unschedulable: list[Detection] = []
+
+        def on_loss(ts: int, cause: str) -> None:
+            if cause == "replayed":
+                replay_q.append(ts)
+                replayed.append(ts)
+            elif cause == "transition":
+                transition_lost.append(ts)
+            else:  # crash, stm-timeout, deadline
+                crash_lost.append(ts)
+
+        replay = PlacementReplay(world, self.comm, dead=view.dead_procs, on_loss=on_loss)
+        in_flight, lose = replay.in_flight, replay.lose
+
+        def on_kill(kind: str, _target: int) -> None:
+            # A kill pre-empts what executes on the dead processors one heap
+            # entry later: a placement finishing at this very instant (its
+            # entry is already on the heap) has finished.
+            if kind in ("crash", "proc-loss"):
+                sim.call_at(sim.now, replay.preempt_dead)
+
+        view.on_change(on_kill)
 
         # The transition policy's verdict on in-flight work is applied to
         # the frames *actually* in flight at the failover instant, not just
@@ -247,79 +250,11 @@ class FaultTolerantExecutor:
                 obs.on_period(controller.active.period)
             effect = record.effect
             if effect.lost_iterations > 0 or effect.replayed_iterations > 0:
-                for frame in list(frames.values()):
-                    if frame.remaining > 0 and not frame.lost:
-                        if effect.replayed_iterations > 0:
-                            replay_q.append(frame.ts)
-                            replayed.append(frame.ts)
-                            frame.mark_lost("replayed")
-                        else:
-                            transition_lost.append(frame.ts)
-                            frame.mark_lost("transition")
+                cause = "replayed" if effect.replayed_iterations > 0 else "transition"
+                for frame in list(in_flight.values()):
+                    lose(frame, cause)
 
         detector.subscribe(on_detection)
-
-        def put(hub, conn, ts, value, size):
-            if not hub.stm.holds(ts):  # replays reuse surviving items
-                yield from put_with_retry(hub, conn, ts, value, size=size, policy=retry)
-
-        def run_placement(frame: _Frame, pl: FlatPlacement, pred_primary: dict[str, int]):
-            ts = frame.ts
-            phys = pl.procs  # already translated to physical indices
-            try:
-                ready = pl.start
-                for pred, nbytes, _channels in world.edges[pl.task]:
-                    pend = yield frame.done[pred]  # raises FrameLost on cascade
-                    delay = self.comm.transfer_time(nbytes, pred_primary[pred], phys[0])
-                    ready = max(ready, pend + delay)
-                if sim.now < ready - _EPS:
-                    got = yield sim.any_of([sim.timeout(ready - sim.now), frame.abandon])
-                    if got[0] != 0:
-                        raise FrameLost(ts, frame.cause or "abandoned")
-                if frame.abandoned:
-                    raise FrameLost(ts, frame.cause or "abandoned")
-                if any(not view.alive(p) for p in phys):
-                    raise FrameLost(ts, "crash")
-                # Fetch streaming inputs through the retrying STM wrapper —
-                # a dead producer costs the backoff budget, not forever.
-                for hub, conn in world.stream_in[pl.task]:
-                    try:
-                        yield from get_with_retry(hub, conn, ts, retry)
-                    except ItemConsumed:
-                        pass  # a replay of work this connection already saw
-                start = sim.now
-                if pl.duration > 0:
-                    events = [sim.timeout(pl.duration), frame.abandon]
-                    events += [view.death_event(p) for p in phys]
-                    got = yield sim.any_of(events)
-                    if got[0] != 0:
-                        world.record_exec(
-                            pl.task, ts, phys, start, sim.now, pl.variant,
-                            preempted=True,
-                        )
-                        cause = "abandoned" if got[0] == 1 else "crash"
-                        raise FrameLost(ts, frame.cause or cause)
-                end = sim.now
-                world.record_exec(pl.task, ts, phys, start, end, pl.variant)
-                yield from world.emit(pl.task, ts, put)
-                world.retire(pl.task, ts, end)
-                frame.done[pl.task].succeed(end)
-            except (FrameLost, FaultTimeout) as exc:
-                if not frame.lost:
-                    crash_lost.append(ts)
-                    frame.mark_lost(
-                        "stm-timeout" if isinstance(exc, FaultTimeout) else "crash"
-                    )
-                if not frame.done[pl.task].triggered:
-                    frame.done[pl.task].fail(FrameLost(ts, frame.cause))
-            finally:
-                frame.remaining -= 1
-                if frame.remaining == 0:
-                    outstanding[0] -= 1
-                    # A checkpoint replay may have re-registered this
-                    # timestamp while the first attempt was still unwinding.
-                    if frames.get(ts) is frame:
-                        del frames[ts]
 
         def launch(ts: int, j: int, flat: FlatSchedule, epoch_start: float) -> None:
             # Iteration j of the epoch's pattern, lowered like the static
@@ -329,12 +264,7 @@ class FaultTolerantExecutor:
             for pl in rows:
                 pl.procs = controller.physical_procs(pl.procs)
                 pl.start += epoch_start
-            pred_primary = {pl.task: pl.procs[0] for pl in rows}
-            frame = _Frame(sim, ts, [pl.task for pl in rows])
-            frames[ts] = frame
-            outstanding[0] += 1
-            for pl in rows:
-                sim.process(run_placement(frame, pl, pred_primary), name=f"{pl.task}@{ts}")
+            replay.start(ts, rows, second=ts in replayed)
 
         def pump():
             next_ts = 0
@@ -342,7 +272,7 @@ class FaultTolerantExecutor:
             epoch_start = 0.0
             j = 0
             flat = FlatSchedule(controller.active.pipelined)
-            while next_ts < iterations or replay_q or outstanding[0] > 0:
+            while next_ts < iterations or replay_q or in_flight:
                 if controller.switch_count != seen_failovers:
                     seen_failovers = controller.switch_count
                     epoch_start = max(sim.now, controller.resume_at)
@@ -374,13 +304,12 @@ class FaultTolerantExecutor:
 
         hard_deadline = self._default_deadline(iterations)
         # Heartbeat processes beat forever, so the heap never drains; drive
-        # the simulation until the pump and every frame have resolved.
-        while sim.peek() is not None:
-            if not pump_proc.alive and outstanding[0] == 0:
-                break
+        # the simulation until the pump has ended, which it does once every
+        # frame has resolved.
+        while pump_proc.alive and sim.peek() is not None:
             if sim.now > hard_deadline:  # pragma: no cover - safety valve
-                for frame in list(frames.values()):
-                    frame.mark_lost("deadline")
+                for frame in list(in_flight.values()):
+                    lose(frame, "deadline")
                 break
             sim.step()
 
@@ -411,6 +340,8 @@ class FaultTolerantExecutor:
                 "frames_lost_crash": sorted(crash_lost),
                 "frames_lost_transition": sorted(transition_lost),
                 "frames_replayed": sorted(set(replayed)),
+                "slips": replay.slips,
+                "max_slip": replay.max_slip,
             },
         )
         crash_times = injector.crash_times()
@@ -434,7 +365,7 @@ class FaultTolerantExecutor:
         worst_period = max(s.period for s in sols)
         worst_latency = max(s.latency for s in sols)
         last_fault = max((e.time for e in self.faults.plan), default=0.0)
-        per_failover = worst_latency + self.faults.retry.budget + 1.0
+        per_failover = worst_latency + PUT_WAIT + 1.0
         return (
             10.0
             + last_fault

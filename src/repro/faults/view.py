@@ -13,8 +13,9 @@ The view is the single source of truth every fault-aware component reads:
 * the injector mutates it,
 * heartbeats consult it (a dead node stops beating),
 * schedulers refuse to grant dead processors through it,
-* executors race its per-processor death events to model work lost
-  mid-placement.
+* the dynamic executor races its per-processor death events, and the
+  fault runner subscribes to its changes (:meth:`ClusterView.on_change`)
+  and reads ``dead_procs``, to model work lost mid-placement.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class ClusterView:
     def death_event(self, proc: int) -> SimEvent:
         """Event firing when ``proc`` dies (fresh per up-period).
 
-        Executors race this against their work timeouts so a processor
-        dying mid-placement loses exactly the work in flight.  While the
+        The dynamic executor races this against its work timeouts so a
+        processor dying mid-slice loses exactly the work in flight.  While the
         processor is dead, the already-fired event is returned (waiting on
         it resumes immediately — dead is dead).
         """

@@ -13,7 +13,8 @@ A :class:`ChannelHub` couples one synchronous
   scheduling strategy — reproduced faithfully for the ablation).
   ``try_put`` is the one put body: it refuses at capacity, and the caller
   waits for the next change its own way — the generator ``put`` yields
-  ``wait_change()``, a callback hangs itself on it;
+  ``wait_change()``, the placement body's settle step hangs itself on it
+  (for ever in a static run, for a bounded time in a fault run);
 * every mutation is recorded in the trace as an
   :class:`~repro.sim.trace.ItemEvent`, and garbage collection runs after
   each consume.
@@ -24,7 +25,10 @@ everything :class:`~repro.runtime.static_exec.StaticExecutor`,
 :class:`~repro.faults.runner.FaultTolerantExecutor` share for one run —
 the STM wiring, the frame ledger and the result builder — so that the
 three differ only in their scheduling policy (the paper's controlled
-comparison, §3.2 / §3.3 / §3.4).
+comparison, §3.2 / §3.3 / §3.4).  The two schedule-driven ones also share
+their placement body (:class:`~repro.runtime.static_exec.PlacementReplay`),
+which drives the world through :meth:`SimWorld.try_emit`; the generator
+:meth:`SimWorld.emit` is the dynamic executor's.
 """
 
 from __future__ import annotations
@@ -191,7 +195,7 @@ class SimWorld:
         static, in declared order.
     stream_in:
         ``{task: ((hub, connection), ...)}`` over the task's streaming
-        inputs — what a placement gets and, in :meth:`retire`, consumes.
+        inputs — what :meth:`retire` consumes for a finished placement.
     edges:
         ``{task: ((predecessor, bytes, channel label), ...)}`` — the one
         per-edge table of a run: whose completion a placement waits for,
@@ -308,31 +312,32 @@ class SimWorld:
                 preempted=preempted, calibrate=calibrate,
             )
 
-    def emit(self, task: str, ts: int, put=None):
+    def emit(self, task: str, ts: int):
         """Put ``task``'s outputs for frame ``ts``, draining terminal
-        channels behind them (generator: a put blocks at capacity).
-
-        ``put(hub, conn, ts, value, size)`` replaces the plain blocking
-        :meth:`ChannelHub.put` — the fault runner's bounded, replay-aware
-        one.
-        """
+        channels behind them (generator: a put blocks at capacity)."""
         for hub, conn, size, collector in self._outputs[task]:
-            if put is None:
-                yield from hub.put(conn, ts, {"ts": ts}, size=size)
-            else:
-                yield from put(hub, conn, ts, {"ts": ts}, size)
+            yield from hub.put(conn, ts, {"ts": ts}, size=size)
             if collector is not None:
                 self._drain(hub, collector, ts)
 
-    def try_emit(self, task: str, ts: int, first: int = 0) -> Optional[tuple[int, ChannelHub]]:
+    def try_emit(
+        self, task: str, ts: int, first: int = 0, second: bool = False
+    ) -> Optional[tuple[int, ChannelHub]]:
         """:meth:`emit` for a caller that is not a generator: put the
         outputs from position ``first`` on and return None, or stop at the
         first full channel and return ``(position, hub)`` — call again with
-        that position at the hub's next change."""
+        that position at the hub's next change.
+
+        A ``second`` attempt at ``ts`` (a checkpoint replay) skips the
+        outputs its channel still holds from the first; a first attempt
+        never does, so a duplicate put stays the error it is
+        (:class:`~repro.errors.DuplicateTimestamp`)."""
         outputs = self._outputs[task]
         for at in range(first, len(outputs)):
             hub, conn, size, collector = outputs[at]
-            if not hub.try_put(conn, ts, {"ts": ts}, size):
+            if not (second and hub.stm.holds(ts)) and not hub.try_put(
+                conn, ts, {"ts": ts}, size
+            ):
                 return at, hub
             if collector is not None:
                 self._drain(hub, collector, ts)

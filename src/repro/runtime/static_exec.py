@@ -7,7 +7,9 @@ the schedule is one fixed pattern repeated every II with rotated
 processors (Figure 6 step 3) — so a placement is not a process but four
 plain calls on the simulator's heap
 (:meth:`~repro.sim.engine.Simulator.call_at`), each made by the one before
-it.  Iteration *k* is launched at ``k * II``; every one of its placements
+it: :class:`PlacementReplay`, the one placement body of the schedule-driven
+DES executors.  Iteration *k* is launched at ``k * II``; every one of its
+placements
 
 1. **gathers** its predecessors: it parks on one that has not settled, and
    is charged the communication delay between the two primary processors
@@ -31,6 +33,10 @@ tests assert this for every schedule the optimizers produce.  A run whose
 heap drains with placements still parked raises
 :class:`~repro.errors.SimDeadlock` naming them ``<task>@<iteration>``.
 
+:class:`~repro.faults.runner.FaultTolerantExecutor` starts its iterations
+through the same body — a failure is an event on it (``lose(frame,
+cause)``), not a second body: see :class:`PlacementReplay`.
+
 The generator body this replaced (one ``Process`` per placement per
 iteration) is kept in ``tests/runtime/static_generator_oracle.py`` as the
 differential oracle.
@@ -39,7 +45,7 @@ differential oracle.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Callable, Optional, Union
 
 from repro.errors import ExecutorConfigError, SimDeadlock
 from repro.core.optimal import ScheduleSolution
@@ -58,23 +64,232 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.analysis.race import RaceChecker
     from repro.faults.runner import FaultRuntime
     from repro.obs import Observability
+    from repro.sim.fabric import LinkFabric
 
 __all__ = ["StaticExecutor"]
 
 _EPS = 1e-9
 
 
+#: How long a fault run's placement waits at a full channel before its frame
+#: is lost as ``stm-timeout``: a consumer that died never frees the slot.
+PUT_WAIT = 1.55
+
+
 class _Frame:
-    """One iteration in flight: the end time of each placement that has
-    settled, and the placements parked on one that has not."""
+    """One iteration in flight: its rows by task, the end time of each
+    placement that has settled, the placements parked on one that has not,
+    the start time of each one executing — and, under faults, whether it is
+    a second attempt at its timestamp and whether it has been lost."""
 
-    __slots__ = ("k", "ends", "parked")
+    __slots__ = ("ts", "rows", "ends", "parked", "running", "second", "lost")
 
-    def __init__(self, k: int) -> None:
-        self.k = k
+    def __init__(self, ts: int, rows: list[FlatPlacement], second: bool) -> None:
+        self.ts = ts
+        self.rows = {pl.task: pl for pl in rows}
         self.ends: dict[str, float] = {}
         # predecessor -> [(placement, index of the edge it waits at, ready)]
         self.parked: dict[str, list[tuple[FlatPlacement, int, float]]] = {}
+        self.running: dict[str, float] = {}
+        self.second = second
+        self.lost = False
+
+
+class PlacementReplay:
+    """The one placement body of the schedule-driven DES executors.
+
+    ``start(ts, rows)`` puts one iteration in flight — ``rows`` are its
+    absolute :class:`~repro.runtime.dispatch.FlatPlacement` rows — and every
+    placement then runs the four calls of the module notes (gather →
+    acquire → finish → settle) on ``world.sim``'s heap.  ``in_flight`` maps
+    the timestamp of each unfinished iteration to its :class:`_Frame`;
+    ``slips`` / ``max_slip`` count late starts.
+
+    A fault run hands over two more things, and with them a failure is an
+    event on this body, not a second body:
+
+    ``dead``
+        The live set of dead processors.  A placement whose processors are
+        not all alive when it would start loses its frame as a ``"crash"``.
+    ``on_loss(ts, cause)``
+        Told of every lost frame; its presence also bounds the wait at a
+        full channel by :data:`PUT_WAIT` (``"stm-timeout"``).
+
+    ``lose(frame, cause)`` is the one way a frame is lost: it leaves
+    ``in_flight`` at once, whatever it is executing is recorded as
+    pre-empted and those processors pass on, and its remaining heap entries
+    fire as no-ops (each step checks ``frame.lost`` on entry and hands back
+    the processors it was granted meanwhile).  ``start(..., second=True)``
+    begins a second attempt at a timestamp (a checkpoint replay): its
+    settle skips the outputs STM still holds from the first.
+    ``preempt_dead()`` loses every frame that is executing on a dead
+    processor — the runner calls it one heap entry after a kill, so that a
+    placement finishing at the kill instant has finished.
+    """
+
+    def __init__(
+        self,
+        world: SimWorld,
+        comm: CommModel,
+        fabric: Optional["LinkFabric"] = None,
+        dead: AbstractSet[int] = frozenset(),
+        on_loss: Optional[Callable[[int, str], None]] = None,
+    ) -> None:
+        sim, obs, cluster = world.sim, world.obs, world.cluster
+        if obs is not None:
+            from repro.obs.calibrate import tier_name
+        call_at = sim.call_at
+        edges = world.edges
+        record_exec, try_emit, retire = world.record_exec, world.try_emit, world.retire
+
+        # Capacity-1 processors: held by one placement, FIFO behind it.
+        busy: set[int] = set()
+        queued: dict[int, deque] = {p.index: deque() for p in cluster.processors}
+        self.in_flight = in_flight = {}
+        self.slips = 0
+        self.max_slip = 0.0
+
+        def start(ts: int, rows: list[FlatPlacement], second: bool = False) -> None:
+            in_flight[ts] = frame = _Frame(ts, rows, second)
+            for pl in rows:
+                gather(frame, pl, 0, pl.start)
+
+        def gather(frame: _Frame, pl: FlatPlacement, at: int, ready: float) -> None:
+            # Step 1.  Walk the incoming edges from ``at``: park on a
+            # predecessor that has not settled (its settle() resumes here),
+            # charge the transfer from one that has.  A transfer begins the
+            # moment the predecessor finishes, overlapping any slack before
+            # the scheduled start.  (Only ever entered for a live frame.)
+            incoming = edges[pl.task]
+            while at < len(incoming):
+                pred, nbytes, channels = incoming[at]
+                pred_end = frame.ends.get(pred)
+                if pred_end is None:
+                    frame.parked.setdefault(pred, []).append((pl, at, ready))
+                    return
+                src = frame.rows[pred].procs[0]
+                at += 1
+                if fabric is not None:
+                    # Contended mode: fetch the input over the shared links
+                    # (sequentially — a task pulls its inputs one by one).
+                    sim.process(
+                        fabric.transfer(nbytes, src, pl.procs[0]),
+                        name=f"{pl.task}@{frame.ts}",
+                    ).add_callback(lambda _done, at=at: gather(frame, pl, at, ready))
+                    return
+                delay = comm.transfer_time(nbytes, src, pl.procs[0])
+                if obs is not None and delay > 0:
+                    obs.on_comm(
+                        channels, tier_name(cluster, src, pl.procs[0]), pred_end,
+                        delay, nbytes=nbytes, timestamp=frame.ts,
+                    )
+                ready = max(ready, pred_end + delay)
+            call_at(max(ready, sim.now), acquire, frame, pl, 0)
+
+        def release(procs) -> None:
+            # Hand each processor to the placement queued behind, if any.
+            now = sim.now
+            for proc in sorted(procs):
+                if queued[proc]:
+                    call_at(now, acquire, *queued[proc].popleft())
+                else:
+                    busy.remove(proc)
+
+        def acquire(frame: _Frame, pl: FlatPlacement, held: int) -> None:
+            # Step 2.  Take the scheduled processors — an invalid schedule
+            # slips here instead of silently double-booking.  All of them at
+            # once when all are free (a valid schedule's only case).  Else
+            # one at a time in ascending order (which avoids deadlock), a
+            # busy one FIFO behind its holder and every grant a heap entry,
+            # so that placements contending at one instant interleave grant
+            # by grant, as requests to capacity-1 resources would.
+            if frame.lost:
+                release(sorted(pl.procs)[:held])
+                return
+            if held == 0 and busy.isdisjoint(pl.procs):
+                busy.update(pl.procs)
+            elif held < len(pl.procs):
+                proc = sorted(pl.procs)[held]
+                if proc in busy:
+                    queued[proc].append((frame, pl, held + 1))
+                else:
+                    busy.add(proc)
+                    call_at(sim.now, acquire, frame, pl, held + 1)
+                return
+            if not dead.isdisjoint(pl.procs):
+                release(pl.procs)
+                lose(frame, "crash")
+                return
+            start = sim.now
+            if start > pl.start + _EPS:
+                self.slips += 1
+                self.max_slip = max(self.max_slip, start - pl.start)
+                if obs is not None:
+                    obs.on_slip(pl.task, start, start - pl.start, timestamp=frame.ts)
+            if pl.duration > 0:
+                frame.running[pl.task] = start
+                call_at(start + pl.duration, finish, frame, pl, start)
+            else:
+                finish(frame, pl, start)
+
+        def finish(frame: _Frame, pl: FlatPlacement, start: float) -> None:
+            # Step 3.  Execution over: record it and pass the processors on.
+            if frame.lost:
+                return
+            end = sim.now
+            frame.running.pop(pl.task, None)
+            record_exec(pl.task, frame.ts, pl.procs, start, end, pl.variant)
+            release(pl.procs)
+            settle(frame, pl, end, 0)
+
+        def settle(
+            frame: _Frame, pl: FlatPlacement, end: float, first: int, waited: bool = False
+        ) -> None:
+            # Step 4.  Outputs into STM (a full channel holds this up until
+            # its next change), inputs consumed, successors resumed.
+            if frame.lost:
+                return
+            full = try_emit(pl.task, frame.ts, first, frame.second)
+            if full is not None:
+                first, hub = full
+                if on_loss is not None and not waited:
+                    call_at(sim.now + PUT_WAIT, give_up, frame, pl)
+                hub.wait_change().add_callback(
+                    lambda _changed: settle(frame, pl, end, first, True)
+                )
+                return
+            retire(pl.task, frame.ts, end)
+            frame.ends[pl.task] = end
+            if len(frame.ends) == len(frame.rows):
+                del in_flight[frame.ts]
+            for waiting in frame.parked.pop(pl.task, ()):
+                gather(frame, *waiting)
+
+        def give_up(frame: _Frame, pl: FlatPlacement) -> None:
+            if not frame.lost and pl.task not in frame.ends:
+                lose(frame, "stm-timeout")
+
+        def lose(frame: _Frame, cause: str) -> None:
+            frame.lost = True
+            del in_flight[frame.ts]
+            for task, start in frame.running.items():
+                pl = frame.rows[task]
+                record_exec(
+                    task, frame.ts, pl.procs, start, sim.now, pl.variant, preempted=True
+                )
+                release(pl.procs)
+            on_loss(frame.ts, cause)
+
+        def preempt_dead() -> None:
+            # What executes on a processor that has died goes with its frame.
+            for frame in list(in_flight.values()):
+                if any(
+                    not dead.isdisjoint(frame.rows[task].procs)
+                    for task in frame.running
+                ):
+                    lose(frame, "crash")
+
+        self.start, self.lose, self.preempt_dead = start, lose, preempt_dead
 
 
 class StaticExecutor:
@@ -239,8 +454,6 @@ class StaticExecutor:
             ).run(iterations)
         obs = self.obs
         if obs is not None:
-            from repro.obs.calibrate import tier_name
-
             obs.on_period(self.schedule.period)
         sim = Simulator()
         trace = TraceRecorder()
@@ -257,125 +470,21 @@ class StaticExecutor:
             from repro.sim.fabric import LinkFabric
 
             fabric = LinkFabric(sim, self.cluster, self.comm)
-        comm, cluster = self.comm, self.cluster
-        call_at = sim.call_at
-        edges = world.edges
-        record_exec, try_emit, retire = world.record_exec, world.try_emit, world.retire
-
-        # Capacity-1 processors: held by one placement, FIFO behind it.
-        busy: set[int] = set()
-        queued: dict[int, deque] = {p.index: deque() for p in cluster.processors}
-        in_flight: dict[int, _Frame] = {}
-        n_rows = len(flat)
-        slips = 0
-        max_slip = 0.0
+        replay = PlacementReplay(world, self.comm, fabric)
 
         def launch(k: int) -> None:
             # Iteration k: same pattern, rotated processors (Figure 6 step 3).
-            in_flight[k] = frame = _Frame(k)
-            for pl in flat.instantiate(k):
-                gather(frame, pl, 0, pl.start)
+            replay.start(k, flat.instantiate(k))
             if k + 1 < iterations:
-                call_at((k + 1) * flat.period, launch, k + 1)
-
-        def gather(frame: _Frame, pl: FlatPlacement, at: int, ready: float) -> None:
-            # Step 1.  Walk the incoming edges from ``at``: park on a
-            # predecessor that has not settled (its settle() resumes here),
-            # charge the transfer from one that has.  A transfer begins the
-            # moment the predecessor finishes, overlapping any slack before
-            # the scheduled start.
-            incoming = edges[pl.task]
-            while at < len(incoming):
-                pred, nbytes, channels = incoming[at]
-                pred_end = frame.ends.get(pred)
-                if pred_end is None:
-                    frame.parked.setdefault(pred, []).append((pl, at, ready))
-                    return
-                src = flat.primary(pred, frame.k)
-                at += 1
-                if fabric is not None:
-                    # Contended mode: fetch the input over the shared links
-                    # (sequentially — a task pulls its inputs one by one).
-                    sim.process(
-                        fabric.transfer(nbytes, src, pl.procs[0]),
-                        name=f"{pl.task}@{frame.k}",
-                    ).add_callback(lambda _done, at=at: gather(frame, pl, at, ready))
-                    return
-                delay = comm.transfer_time(nbytes, src, pl.procs[0])
-                if obs is not None and delay > 0:
-                    obs.on_comm(
-                        channels, tier_name(cluster, src, pl.procs[0]), pred_end,
-                        delay, nbytes=nbytes, timestamp=frame.k,
-                    )
-                ready = max(ready, pred_end + delay)
-            call_at(max(ready, sim.now), acquire, frame, pl, 0)
-
-        def acquire(frame: _Frame, pl: FlatPlacement, held: int) -> None:
-            # Step 2.  Take the scheduled processors — an invalid schedule
-            # slips here instead of silently double-booking.  All of them at
-            # once when all are free (a valid schedule's only case).  Else
-            # one at a time in ascending order (which avoids deadlock), a
-            # busy one FIFO behind its holder and every grant a heap entry,
-            # so that placements contending at one instant interleave grant
-            # by grant, as requests to capacity-1 resources would.
-            nonlocal slips, max_slip
-            if held == 0 and busy.isdisjoint(pl.procs):
-                busy.update(pl.procs)
-            elif held < len(pl.procs):
-                proc = sorted(pl.procs)[held]
-                if proc in busy:
-                    queued[proc].append((frame, pl, held + 1))
-                else:
-                    busy.add(proc)
-                    call_at(sim.now, acquire, frame, pl, held + 1)
-                return
-            start = sim.now
-            if start > pl.start + _EPS:
-                slips += 1
-                max_slip = max(max_slip, start - pl.start)
-                if obs is not None:
-                    obs.on_slip(pl.task, start, start - pl.start, timestamp=frame.k)
-            if pl.duration > 0:
-                call_at(start + pl.duration, finish, frame, pl, start)
-            else:
-                finish(frame, pl, start)
-
-        def finish(frame: _Frame, pl: FlatPlacement, start: float) -> None:
-            # Step 3.  Execution over: record it and hand each processor to
-            # the placement queued behind this one, if any.
-            end = sim.now
-            record_exec(pl.task, frame.k, pl.procs, start, end, pl.variant)
-            for proc in sorted(pl.procs):
-                if queued[proc]:
-                    call_at(end, acquire, *queued[proc].popleft())
-                else:
-                    busy.remove(proc)
-            settle(frame, pl, end, 0)
-
-        def settle(frame: _Frame, pl: FlatPlacement, end: float, first: int) -> None:
-            # Step 4.  Outputs into STM (a full channel holds this up until
-            # its next change), inputs consumed, successors resumed.
-            full = try_emit(pl.task, frame.k, first)
-            if full is not None:
-                first, hub = full
-                hub.wait_change().add_callback(
-                    lambda _changed: settle(frame, pl, end, first)
-                )
-                return
-            retire(pl.task, frame.k, end)
-            frame.ends[pl.task] = end
-            if len(frame.ends) == n_rows:
-                del in_flight[frame.k]
-            for waiting in frame.parked.pop(pl.task, ()):
-                gather(frame, *waiting)
+                sim.call_at((k + 1) * flat.period, launch, k + 1)
 
         launch(0)
         sim.run()
-        if in_flight:
+        if replay.in_flight:
             raise SimDeadlock([
                 f"{task}@{k}"
-                for k, frame in in_flight.items()
-                for task, *_row in flat.rows
+                for k, frame in replay.in_flight.items()
+                for task in frame.rows
                 if task not in frame.ends
             ])
 
@@ -383,8 +492,8 @@ class StaticExecutor:
             trace.makespan,
             iterations,
             {
-                "slips": slips,
-                "max_slip": max_slip,
+                "slips": replay.slips,
+                "max_slip": replay.max_slip,
                 "period": self.schedule.period,
                 "shift": self.schedule.shift,
                 "contended_time": fabric.contended_time if fabric else 0.0,

@@ -19,7 +19,7 @@ discrete-event simulator:
   latency bookkeeping, consumed by metrics and figures.
 """
 
-from repro.sim.engine import Simulator, Process, SimEvent, Timeout, Interrupt
+from repro.sim.engine import Simulator, Process, SimEvent, Timeout
 from repro.sim.resources import Resource, Store
 from repro.sim.cluster import ClusterSpec, Processor
 from repro.sim.network import CommModel, CommCost
@@ -31,7 +31,6 @@ __all__ = [
     "Process",
     "SimEvent",
     "Timeout",
-    "Interrupt",
     "Resource",
     "Store",
     "ClusterSpec",

@@ -28,11 +28,13 @@ Two ways to wait on one heap
 A heap entry is ``(time, seq, fn, args)`` and firing it is ``fn(*args)``.
 :meth:`Simulator.call_at` puts a plain call there — absolute time, no
 :class:`SimEvent`, no :class:`Process`, no name — which is all a replay
-needs when nothing is decided at run time (the static executor: every wait
-has one known continuation).  A generator :class:`Process` is for code
-whose next wait depends on what it finds when it wakes (the dynamic
-executor's scheduler quanta, the fault runner's abandon / death races); an
-event firing is the same kind of heap entry, ``(time, seq, ev._fire, ())``.
+needs when nothing is decided at run time (the placement body of the static
+and the fault-tolerant executor: every wait has one known continuation, and
+a lost frame's entries fire as no-ops).  A generator :class:`Process` is for
+code whose next wait depends on what it finds when it wakes (the dynamic
+executor's scheduler quanta, the fault runner's epoch pump, the injector
+and the detector's heartbeats); an event firing is the same kind of heap
+entry, ``(time, seq, ev._fire, ())``.
 
 An event's ``name`` is only ever read by ``repr``, :class:`ProcessError`
 and :class:`SimDeadlock`, so it may be given as ``(template, *args)`` and is
@@ -68,22 +70,8 @@ __all__ = [
     "SimEvent",
     "Timeout",
     "Process",
-    "Interrupt",
-    "AllOf",
     "AnyOf",
 ]
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        self.cause = cause
-        super().__init__(cause)
 
 
 class SimEvent:
@@ -196,36 +184,6 @@ class Timeout(SimEvent):
         sim._schedule(delay, self)
 
 
-class AllOf(SimEvent):
-    """Fires once every child event has fired; value is the list of values."""
-
-    __slots__ = ("_pending_count", "_children")
-
-    def __init__(self, sim: "Simulator", events: Iterable[SimEvent]) -> None:
-        super().__init__(sim, name="allof")
-        self._children = list(events)
-        self._pending_count = 0
-        if not self._children:
-            self.succeed([])
-            return
-        for ev in self._children:
-            if not ev.fired:
-                self._pending_count += 1
-                ev.add_callback(self._child_fired)
-        if self._pending_count == 0:
-            self.succeed([c.value for c in self._children])
-
-    def _child_fired(self, ev: SimEvent) -> None:
-        if self._triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
-        self._pending_count -= 1
-        if self._pending_count == 0:
-            self.succeed([c.value for c in self._children])
-
-
 class AnyOf(SimEvent):
     """Fires as soon as any child event fires; value is (index, value)."""
 
@@ -256,7 +214,7 @@ class Process(SimEvent):
     by yielding the :class:`Process` object.
     """
 
-    __slots__ = ("gen", "_waiting_on", "alive")
+    __slots__ = ("gen", "alive")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -266,28 +224,16 @@ class Process(SimEvent):
             )
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
-        self._waiting_on: Optional[SimEvent] = None
         self.alive = True
         # Kick off at current time, but via the event queue so creation
         # order and time ordering stay deterministic.
         sim.call_at(sim.now, self._resume, None, None)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.alive:
-            return
-        target = self._waiting_on
-        if target is not None:
-            # Detach: when the original event fires later, ignore it.
-            self._waiting_on = None
-        self.sim.call_at(self.sim.now, self._resume, None, Interrupt(cause))
 
     # -- internals -------------------------------------------------------------
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
         if not self.alive:
             return
-        self.sim._active_process = self
         try:
             if exc is not None:
                 target = self.gen.throw(exc)
@@ -297,11 +243,6 @@ class Process(SimEvent):
             self._exit()
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # Process chose not to handle the interrupt: treat as death.
-            self._exit()
-            self.succeed(None)
-            return
         except BaseException as err:
             self._exit()
             if self._callbacks:
@@ -309,15 +250,12 @@ class Process(SimEvent):
             else:
                 raise
             return
-        finally:
-            self.sim._active_process = None
         if not isinstance(target, SimEvent):
             self._exit()
             raise ProcessError(
                 f"process {self.name} yielded {target!r}; "
                 "processes must yield SimEvent instances"
             )
-        self._waiting_on = target
         target.add_callback(self._on_event)
 
     def _exit(self) -> None:
@@ -327,9 +265,6 @@ class Process(SimEvent):
         self.sim._processes.pop(self, None)
 
     def _on_event(self, ev: SimEvent) -> None:
-        if self._waiting_on is not ev:
-            return  # interrupted while waiting; stale wake-up
-        self._waiting_on = None
         if ev.ok:
             self._resume(ev.value, None)
         else:
@@ -355,7 +290,6 @@ class Simulator:
         # Live registered processes, in creation order (Process._exit drops
         # a finished one): what run(check_deadlock=True) reports.
         self._processes: dict[Process, None] = {}
-        self._active_process: Optional[Process] = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -372,10 +306,6 @@ class Simulator:
         proc = Process(self, gen, name=name)
         self._processes[proc] = None
         return proc
-
-    def all_of(self, events: Iterable[SimEvent]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[SimEvent]) -> AnyOf:
         """Event that fires when the first of ``events`` fires."""
@@ -443,11 +373,6 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the heap is empty."""
         return self._heap[0][0] if self._heap else None
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None outside a resume)."""
-        return self._active_process
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now:g} pending={len(self._heap)}>"

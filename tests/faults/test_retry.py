@@ -1,14 +1,24 @@
-"""Retry/backoff wrappers: bounded STM waits instead of deadlocks."""
+"""Retry/backoff wrappers: bounded STM waits instead of deadlocks.
+
+The wrappers left ``src/`` with the generator fault body that used them;
+they are part of the differential oracle now (``fault_generator_oracle.py``)
+and these tests keep that reference honest.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import FaultTimeout
-from repro.faults import RetryPolicy, get_with_retry, put_with_retry
 from repro.runtime.hub import ChannelHub
 from repro.sim.engine import Simulator
 from repro.stm.channel import STMChannel
+
+from .fault_generator_oracle import (
+    FaultTimeout,
+    RetryPolicy,
+    get_with_retry,
+    put_with_retry,
+)
 
 
 def make_hub(capacity=None) -> tuple[Simulator, ChannelHub]:

@@ -16,6 +16,7 @@ import repro.faults.runner as fault_runner
 import repro.runtime.static_exec as static_exec
 from repro.apps.tracker.graph import build_tracker_graph
 from repro.core.optimal import OptimalScheduler
+from repro.errors import DuplicateTimestamp
 from repro.faults import FaultPlan, FaultRuntime, FaultTolerantExecutor
 from repro.graph.builders import chain_graph
 from repro.runtime.dispatch import build_task_plans
@@ -75,18 +76,27 @@ class TestRunLengthIndependence:
         assert WatchedSimulator.last.peak >= 400 * placements
 
     def test_fault_run_holds_frames_in_flight_not_frames_run(self, monkeypatch):
-        """The executor that stays on generators spawns a process per
-        placement per frame; the simulator forgets each as it finishes."""
+        """The fault runner starts no process per placement: whatever the
+        run length, the live processes are the pump, the injector, the
+        monitor and one heartbeat a processor, and a frame costs the heap
+        what it costs the static replay, on top of the heartbeat grid."""
         monkeypatch.setattr(fault_runner, "Simulator", WatchedSimulator)
-        result = FaultTolerantExecutor(
-            chain_graph([1.0, 1.0]), State(n_models=1), ClusterSpec(2, 1),
-            FaultRuntime(plan=FaultPlan([])),
-        ).run(300)
-        assert result.completed == list(range(300))
-        # 300 frames x 2 placements ran; a handful are ever alive at once
-        # (frames in flight, the pump, the injector, one heartbeat a node).
-        assert WatchedSimulator.last.peak_processes <= 16
-        assert len(WatchedSimulator.last._processes) <= 8
+        cluster = ClusterSpec(2, 1)
+        faults = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1, recover_at=20.0))
+        peaks = {}
+        for frames in (50, 300):
+            result = FaultTolerantExecutor(
+                chain_graph([1.0, 1.0]), State(n_models=1), cluster, faults
+            ).run(frames)
+            assert result.completed_count == frames - 1  # one lost to the crash
+            sim = WatchedSimulator.last
+            assert sim.peak_processes == 3 + cluster.total_processors
+            beats = (cluster.total_processors + 1) * (
+                sim.now / faults.heartbeat_interval + 1
+            )
+            assert sim.steps <= 15 * frames + beats
+            peaks[frames] = sim.peak
+        assert peaks[300] == peaks[50] <= 12
 
 
 class TestIdleNotification:
@@ -151,3 +161,18 @@ class TestTryEmit:
         world.retire("t1", 0, 2.0)  # t1 consumes frame 0: room again
         assert world.try_emit("t0", 1, at) is None
         assert hub.stm.timestamps() == [1]
+
+    def test_a_second_attempt_skips_what_stm_still_holds_a_first_never_does(self):
+        graph = chain_graph([1.0, 1.0])
+        sim, trace = Simulator(), TraceRecorder()
+        world = SimWorld(
+            graph, State(n_models=1), SINGLE_NODE_SMP(2), sim, trace,
+            build_hubs(sim, graph, trace), build_task_plans(graph),
+        )
+        assert world.try_emit("t0", 0) is None
+        with pytest.raises(DuplicateTimestamp):
+            world.try_emit("t0", 0)
+        assert world.try_emit("t0", 0, second=True) is None
+        world.retire("t1", 0, 2.0)  # consumed and collected: a replay puts anew
+        assert world.try_emit("t0", 0, second=True) is None
+        assert [e.kind for e in trace.items] == ["put", "consume", "put"]

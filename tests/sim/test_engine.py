@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessError, SimDeadlock, SimTimeError
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Simulator
 
 
 class TestSimEvent:
@@ -164,78 +164,8 @@ class TestProcesses:
         sim.run()
         assert caught == ["bad"] and p.value == "recovered"
 
-    def test_interrupt_resumes_with_exception(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                log.append((sim.now, i.cause))
-            return "done"
-
-        def interrupter(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt("wake up")
-
-        p = sim.process(sleeper(sim))
-        sim.process(interrupter(sim, p))
-        sim.run()
-        assert log == [(2.0, "wake up")] and p.value == "done"
-
-    def test_interrupt_dead_process_is_noop(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(0.1)
-
-        p = sim.process(quick(sim))
-        sim.run()
-        p.interrupt()  # must not raise
-        sim.run()
-
-    def test_stale_wakeup_after_interrupt_ignored(self):
-        sim = Simulator()
-        resumed = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(5.0)
-                resumed.append("timeout")
-            except Interrupt:
-                resumed.append("interrupt")
-            yield sim.timeout(10.0)
-            resumed.append("second")
-
-        p = sim.process(sleeper(sim))
-
-        def interrupter(sim):
-            yield sim.timeout(1.0)
-            p.interrupt()
-
-        sim.process(interrupter(sim))
-        sim.run()
-        # Original 5s timeout firing at t=5 must not resume the process again.
-        assert resumed == ["interrupt", "second"]
-        assert sim.now == 11.0
-
 
 class TestCombinators:
-    def test_all_of_collects_values(self):
-        sim = Simulator()
-        events = [sim.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
-        combo = sim.all_of(events)
-        sim.run()
-        assert combo.fired and combo.value == [3.0, 1.0, 2.0]
-        assert sim.now == 3.0
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        combo = sim.all_of([])
-        sim.run()
-        assert combo.fired and combo.value == []
-
     def test_any_of_fires_on_first(self):
         sim = Simulator()
         events = [sim.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
@@ -422,7 +352,7 @@ class TestNamesOnDemand:
 
 class TestLiveProcessesOnly:
     """The simulator references a process while its generator runs, not
-    for ever after (the fault runner spawns one per placement per frame)."""
+    for ever after (a contended static replay spawns one per transfer)."""
 
     def test_finished_processes_are_forgotten(self):
         sim = Simulator()
@@ -430,13 +360,13 @@ class TestLiveProcessesOnly:
         def worker(delay):
             yield sim.timeout(delay)
 
-        def dies():
+        def leaves_early():
             yield sim.timeout(0.5)
-            raise Interrupt("unhandled")
+            return "gone"
 
         for i in range(50):
             sim.process(worker(1.0 + i))
-        sim.process(dies())
+        sim.process(leaves_early())
         assert len(sim._processes) == 51
         sim.run(until=10.5)
         assert len(sim._processes) == 40

@@ -41,15 +41,6 @@ class TestEngineFailurePaths:
         sim.run()
         assert caught == ["inner"]
 
-    def test_all_of_propagates_failure(self):
-        sim = Simulator()
-        good = sim.timeout(1.0)
-        bad = sim.event()
-        combo = sim.all_of([good, bad])
-        bad.fail(ValueError("nope"), delay=0.5)
-        sim.run()
-        assert not combo.ok and isinstance(combo.value, ValueError)
-
 
 class TestStoreCorners:
     def test_drain_admits_blocked_putters(self):
