@@ -10,7 +10,8 @@ pre-computed optimal schedules exactly as §3.4 describes:
 
 Prints the schedule table, each confirmed regime change with its
 transition cost, and the closing comparison against the best fixed
-schedule.
+schedule — whose regime-switched row is executed: one simulated hour in
+one world, every state change an epoch of the same run.
 
 Run:  python examples/kiosk_regimes.py
 """
@@ -61,9 +62,19 @@ def main() -> None:
           f"({switcher.total_stall / horizon:.2%} of the run).")
     print()
 
-    print("Policy comparison over a full hour (analytic aggregation):")
+    print("Policy comparison over a full hour "
+          "(regime-switched row executed, fixed-k and oracle rows modelled):")
     result = run_regime(horizon=3600.0, cluster=cluster, kiosk=kiosk)
     print(result.render())
+    print()
+
+    print("The first three switches of that run, frame by frame:")
+    run = result.executed
+    for resume_at, first, state in run.meta["epochs"][1:4]:
+        print(f"  frame {first - 1} finished on the old schedule at "
+              f"{run.completion_times[first - 1]:.3f}s; resume_at {resume_at:.3f}s; "
+              f"frame {first} ({state['n_models']} people) finished on the new one "
+              f"at {run.completion_times[first]:.3f}s")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,10 @@ application state here; a degraded cluster shape
 (:class:`~repro.approx.lazy.LazyScheduleTable`) are subclasses that change
 only how a key is canonicalised or when an entry is solved.
 :class:`RegimeController` is the on-line half: it holds the ``active``
-solution and accounts every transition to a new one.  What differs between
+solution, accounts every transition to a new one and says when the new one
+may start (``resume_at``) — all an executor reads
+(:class:`~repro.runtime.static_exec.EpochDriver` runs any of them).  What
+differs between
 a state change, a node failure and cost drift is only where the new
 solution comes from, so :class:`RegimeSwitcher` (detector → state key),
 :class:`~repro.faults.failover.FailoverController` (cluster view → shape
@@ -240,9 +243,13 @@ class RegimeController:
     ``active`` is the solution to run.  :meth:`switch` is the only way it
     changes: it prices the move through the
     :class:`~repro.core.transition.TransitionPolicy`, logs a
-    :class:`SwitchRecord` and adds the effect to the running totals.  How
-    the new solution was found (which table, which key) is the adapter's
-    business, not the controller's.
+    :class:`SwitchRecord`, adds the effect to the running totals and moves
+    ``resume_at`` — the end of the transition stall, before which an
+    executor starts no iteration of the new schedule (the epoch driver,
+    :class:`~repro.runtime.static_exec.EpochDriver`, reads nothing else of
+    a controller but ``active``, ``switch_count`` and this).  How the new
+    solution was found (which table, which key) is the adapter's business,
+    not the controller's.
     """
 
     def __init__(
@@ -254,6 +261,7 @@ class RegimeController:
         self.total_stall = 0.0
         self.total_lost_iterations = 0
         self.total_replayed_iterations = 0
+        self.resume_at = 0.0
 
     def switch(self, time: float, cause: Any, new: ScheduleSolution) -> SwitchRecord:
         """Transition from ``active`` to ``new`` and account for it."""
@@ -265,6 +273,7 @@ class RegimeController:
         self.total_stall += effect.stall
         self.total_lost_iterations += effect.lost_iterations
         self.total_replayed_iterations += effect.replayed_iterations
+        self.resume_at = max(self.resume_at, time + effect.stall)
         return record
 
     @property

@@ -9,24 +9,37 @@ simulated hour at the kiosk:
 * generate a customer arrival/departure trace (1..5 people);
 * compare three policies over the trace:
 
-  1. **fixed-k** — run the schedule pre-computed for state k the whole
-     time.  A fixed schedule fixes both its *structure* (replayed under
-     the actual state's durations, :mod:`repro.core.replay`) and its
-     *initiation interval* (the digitizer keeps firing at state k's
-     rate).  When the actual state is heavier than k the fixed period
-     under-estimates the sustainable interval and the pipeline saturates —
-     exactly the tuning curve's backlogged regime, adding a buffered
-     queueing delay on top of the stretched latency.  When the actual
-     state is lighter, latency is fine but the digitizer fires too slowly
-     and throughput is wasted.
-  2. **regime-switched** — the paper's approach, paying a drain-style
-     stall at every state change;
-  3. **oracle** — regime switching with free transitions (upper bound).
+  1. **fixed-k** (*modelled*) — run the schedule pre-computed for state k
+     the whole time.  A fixed schedule fixes both its *structure*
+     (replayed under the actual state's durations,
+     :mod:`repro.core.replay`) and its *initiation interval* (the
+     digitizer keeps firing at state k's rate).  When the actual state is
+     heavier than k the fixed period under-estimates the sustainable
+     interval and the pipeline saturates — exactly the tuning curve's
+     backlogged regime, adding a buffered queueing delay on top of the
+     stretched latency.  When the actual state is lighter, latency is fine
+     but the digitizer fires too slowly and throughput is wasted.
+  2. **regime-switched** (*executed*) — the paper's approach, run: one
+     :class:`~repro.runtime.static_exec.EpochDriver` world for the whole
+     trace, every state change of the trace an event on its heap that a
+     :class:`~repro.core.table.RegimeSwitcher` observes, looks up and
+     switches on, the transition policy's stall and its verdict on the
+     frames in flight applied by the driver.  The row is read off the
+     :class:`~repro.runtime.result.ExecutionResult`: frames completed,
+     their mean and worst latency from launch slot to completion (so the
+     mean is frame-weighted), switches, stall, frames lost at switches,
+     slips.
+  3. **oracle** (*modelled*, a bound) — regime switching with free
+     transitions.  It cannot be executed: with no stall the new pattern's
+     first frames collide with old ones still in flight (on the default
+     hour 26 475 slips, 5 307 of 5 554 frames late).
 
-The saturation model is calibrated against the Figure 3 measurements: with
+The modelled rows multiply ``perf[(k, m)]`` by interval lengths.  Their
+saturation model is calibrated against the Figure 3 measurements: with
 channel capacity 2 the simulated saturated latency is the service latency
 plus ``BUFFERED_FRAMES`` extra initiation intervals of queueing (the
-in-flight frames held in the bounded channels).
+in-flight frames held in the bounded channels).  Executing the fixed-k rows
+needs a source that blocks on bounded channels (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -37,14 +50,18 @@ from typing import Optional
 from repro.apps.kiosk import KioskEnvironment, StateInterval
 from repro.apps.tracker.graph import build_tracker_graph
 from repro.core.optimal import OptimalScheduler
+from repro.core.regime import RegimeDetector
 from repro.core.replay import replay_pipelined
-from repro.core.table import ScheduleTable
+from repro.core.table import RegimeSwitcher, ScheduleTable
 from repro.core.transition import DrainTransition, TransitionPolicy
 from repro.errors import ExperimentError
 from repro.experiments.report import format_table
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.result import ExecutionResult
+from repro.runtime.static_exec import EpochDriver
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
-from repro.state import State, StateSpace
+from repro.sim.network import CommModel
+from repro.state import StateSpace
 
 __all__ = ["PolicyOutcome", "RegimeResult", "run_regime", "BUFFERED_FRAMES"]
 
@@ -62,9 +79,9 @@ class PolicyOutcome:
     """Aggregate performance of one scheduling policy over the trace."""
 
     name: str
-    mean_latency: float       # time-weighted over the trace
+    mean_latency: float       # modelled: time-weighted; executed: per frame
     worst_latency: float
-    frames_processed: float   # sum over intervals of duration / rate
+    frames_processed: float   # modelled: sum of duration / rate; executed: completed
     saturated_time: float     # seconds spent in the backlogged regime
     switches: int
     total_stall: float
@@ -83,11 +100,14 @@ class PolicyOutcome:
 
 @dataclass
 class RegimeResult:
-    """All policies over one kiosk trace."""
+    """All policies over one kiosk trace; ``executed`` is the run behind
+    the regime-switched row (``meta["epochs"]``, ``"frames_lost_transition"``,
+    ``"slips"``)."""
 
     horizon: float
     intervals: list[StateInterval]
     outcomes: list[PolicyOutcome]
+    executed: ExecutionResult
 
     def outcome(self, name: str) -> PolicyOutcome:
         for o in self.outcomes:
@@ -129,11 +149,36 @@ class RegimeResult:
             rows,
             title=f"Regime switching over a {self.horizon:.0f}s kiosk trace",
         )
+        run = self.executed
         return (
             f"occupancy trace (first intervals): {occupancy}\n\n{table}\n"
+            f"executed: regime-switched — one world, {len(run.meta['epochs'])} "
+            f"epochs, {run.emitted} frames started, "
+            f"{len(run.meta['frames_lost_transition'])} lost at switches, "
+            f"{run.meta['slips']} slips\n"
+            f"modelled: fixed-k, oracle (a bound: a zero-stall switch is not "
+            f"executable — new-pattern frames collide with old ones in flight)\n"
             f"regime switching beats every fixed schedule: "
             f"{self.switching_beats_all_fixed()}"
         )
+
+
+def frame_latencies(run: ExecutionResult, table: ScheduleTable) -> dict[int, float]:
+    """Launch slot -> completion, for every frame ``run`` completed.
+
+    Frame ``ts`` of the epoch ``(start, first, state)`` was launched at
+    ``start + (ts - first) * II(state)``: an epoch starts its timestamps in
+    order, replayed ones first.
+    """
+    epochs = run.meta["epochs"]
+    latencies = {}
+    for i, (start, first, state) in enumerate(epochs):
+        until = epochs[i + 1][1] if i + 1 < len(epochs) else run.emitted
+        period = table.lookup(state).period
+        for ts in range(first, until):
+            if ts in run.completion_times:
+                latencies[ts] = run.completion_times[ts] - (start + (ts - first) * period)
+    return latencies
 
 
 def run_regime(
@@ -143,13 +188,14 @@ def run_regime(
     policy: Optional[TransitionPolicy] = None,
     kiosk: Optional[KioskEnvironment] = None,
     graph: Optional[TaskGraph] = None,
-    buffered_frames: float = BUFFERED_FRAMES,
     workers: Optional[int] = None,
 ) -> RegimeResult:
     """Run the regime-switching comparison over a kiosk trace.
 
-    ``workers`` parallelizes the off-line table build (same table for
-    every worker count).
+    ``policy`` is the transition the executed regime-switched row pays at
+    every state change (default: drain plus 0.25 s of set-up).  ``workers``
+    parallelizes the off-line table build (same table for every worker
+    count).
     """
     cluster = cluster or SINGLE_NODE_SMP(4)
     space = space or StateSpace.range("n_models", 1, 5)
@@ -181,72 +227,62 @@ def run_regime(
                 replayed = replay_pipelined(sol.iteration, graph, m_state, cluster)
                 perf[(k, m)] = (replayed.latency, replayed.period)
 
-    def interval_effect(period: float, k: int, m: int, duration: float):
-        """(latency, frames, saturated_seconds) for one interval."""
-        service_latency, sustainable_ii = perf[(k, m)]
-        if period < sustainable_ii - _EPS:
-            # Digitizer outpaces the pipeline: bounded channels fill and
-            # every frame queues behind the in-flight backlog.
-            latency = service_latency + buffered_frames * sustainable_ii
-            return latency, duration / sustainable_ii, duration
-        return service_latency, duration / period, 0.0
-
-    outcomes: list[PolicyOutcome] = []
-
-    for k_state in space:
-        k = k_state["n_models"]
-        period_k = table.lookup(k_state).period
+    def modelled(name: str, fixed: Optional[int], switches: int) -> PolicyOutcome:
+        """The trace multiplied out under schedule ``fixed`` throughout, or —
+        ``None`` — under each interval's own (free, instantaneous switches)."""
         lat_weighted = worst = frames = saturated = 0.0
         for iv in intervals:
-            lat, fr, sat = interval_effect(period_k, k, iv.n_people, iv.duration)
-            lat_weighted += lat * iv.duration
-            worst = max(worst, lat)
-            frames += fr
-            saturated += sat
-        outcomes.append(
-            PolicyOutcome(
-                name=f"fixed-{k}",
-                mean_latency=lat_weighted / horizon,
-                worst_latency=worst,
-                frames_processed=frames,
-                saturated_time=saturated,
-                switches=0,
-                total_stall=0.0,
-            )
+            k = fixed or iv.n_people
+            period = perf[(k, k)][1]
+            latency, sustainable_ii = perf[(k, iv.n_people)]
+            if period < sustainable_ii - _EPS:
+                # Digitizer outpaces the pipeline: bounded channels fill and
+                # every frame queues behind the in-flight backlog.
+                latency += BUFFERED_FRAMES * sustainable_ii
+                period = sustainable_ii
+                saturated += iv.duration
+            lat_weighted += latency * iv.duration
+            worst = max(worst, latency)
+            frames += iv.duration / period
+        return PolicyOutcome(
+            name=name,
+            mean_latency=lat_weighted / horizon,
+            worst_latency=worst,
+            frames_processed=frames,
+            saturated_time=saturated,
+            switches=switches,
+            total_stall=0.0,
         )
 
-    for name, pay_stall in (("regime-switched", True), ("oracle", False)):
-        lat_weighted = worst = frames = saturated = stall_total = 0.0
-        switches = 0
-        prev: Optional[int] = None
-        for iv in intervals:
-            k = iv.n_people
-            lat, period = perf[(k, k)]
-            duration = iv.duration
-            if prev is not None and prev != k:
-                switches += 1
-                if pay_stall:
-                    effect = policy.effect(
-                        table.lookup(State(n_models=prev)),
-                        table.lookup(State(n_models=k)),
-                    )
-                    stall = min(effect.stall, duration)
-                    stall_total += stall
-                    duration -= stall  # no new frames start while draining
-            lat_weighted += lat * iv.duration
-            worst = max(worst, lat)
-            frames += max(duration, 0.0) / period
-            prev = k
-        outcomes.append(
-            PolicyOutcome(
-                name=name,
-                mean_latency=lat_weighted / horizon,
-                worst_latency=worst,
-                frames_processed=frames,
-                saturated_time=saturated,
-                switches=switches,
-                total_stall=stall_total,
-            )
-        )
+    outcomes = [modelled(f"fixed-{s['n_models']}", s["n_models"], 0) for s in space]
 
-    return RegimeResult(horizon=horizon, intervals=intervals, outcomes=outcomes)
+    # The paper's mechanism, executed: one world for the whole trace, each
+    # state change an observation on its heap.
+    switcher = RegimeSwitcher(
+        table, RegimeDetector("n_models", intervals[0].state()), policy
+    )
+    lost: list[int] = []
+    driver = EpochDriver(graph, intervals[0].state(), cluster, CommModel.free(cluster))
+    for iv in intervals[1:]:
+        driver.at(iv.start, switcher.observe, iv.start, iv.n_people)
+    driver.start(switcher, horizon=horizon, on_loss=lambda ts, _cause: lost.append(ts))
+    driver.sim.run()
+    executed = driver.result({"frames_lost_transition": sorted(lost)})
+    latencies = frame_latencies(executed, table).values()
+    outcomes.append(
+        PolicyOutcome(
+            name="regime-switched",
+            mean_latency=sum(latencies) / len(latencies),
+            worst_latency=max(latencies),
+            frames_processed=float(len(latencies)),
+            saturated_time=0.0,
+            switches=switcher.switch_count,
+            total_stall=switcher.total_stall,
+        )
+    )
+
+    outcomes.append(modelled("oracle", None, len(intervals) - 1))
+
+    return RegimeResult(
+        horizon=horizon, intervals=intervals, outcomes=outcomes, executed=executed
+    )

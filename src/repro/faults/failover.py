@@ -20,8 +20,8 @@ so failover adds only the key, not the machinery:
   switches through any :class:`~repro.core.transition.TransitionPolicy` —
   including :class:`~repro.core.transition.CheckpointTransition`, which
   replays the timestamps that were in flight when the node died from
-  their STM items.  It adds ``mapping`` and ``resume_at``; the records and
-  totals are the base controller's.
+  their STM items.  It adds ``mapping``; the records, the totals and
+  ``resume_at`` are the base controller's.
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ class FailoverController(RegimeController):
     """On-line failover: detection -> shape key -> table look-up -> switch.
 
     The controller is runtime-agnostic: executors read ``active`` (the
-    solution to run), ``mapping`` (shape index -> physical processor) and
-    ``resume_at`` (end of the current transition stall), all of which the
-    controller updates at the simulated instant a detection arrives.
+    solution to run), ``resume_at`` (end of the current transition stall;
+    both the base controller's) and ``mapping`` (shape index -> physical
+    processor), all updated at the simulated instant a detection arrives.
     """
 
     def __init__(
@@ -233,7 +233,6 @@ class FailoverController(RegimeController):
         self.table = table
         self.view = view
         self.mapping: dict[int, int] = view.shape_to_physical()
-        self.resume_at: float = 0.0
 
     def attach(self, detector) -> None:
         """Subscribe to a :class:`~repro.faults.detect.FailureDetector`."""
@@ -247,7 +246,6 @@ class FailoverController(RegimeController):
             return None
         record = self.switch(det.time, det, new)
         self.mapping = mapping
-        self.resume_at = max(self.resume_at, det.time + record.effect.stall)
         return record
 
     def physical_procs(self, shape_procs: tuple[int, ...]) -> tuple[int, ...]:

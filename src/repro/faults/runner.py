@@ -11,24 +11,25 @@ pre-computed for the degraded shape, the transition policy decides what
 happens to the frames in flight (drain / abandon / replay), and
 a new epoch starts on the survivors after the transition stall.
 
-The simulated world itself — channels, collectors, connections, the edge
-table, the frame ledger and the result — is the
-:class:`~repro.runtime.hub.SimWorld` the static and dynamic executors also
-run in, an epoch's iterations are lowered through the same
-:class:`~repro.runtime.dispatch.FlatSchedule` as the static executor's
-(one per active solution; each row is then mapped from shape to physical
-processors and offset by the epoch start), and every iteration is started
-through the same placement body,
-:class:`~repro.runtime.static_exec.PlacementReplay`: gather → acquire →
-finish → settle as plain calls on the heap, processors acquired and slips
-counted (``meta["slips"]`` / ``meta["max_slip"]``) exactly as in a static
-run.  What lives here is only what a failure adds — injector, detector,
-controller, the epoch *pump* (a generator: its next wait depends on the
-controller's state), ``on_detection`` and the loss lists — because a fault
-is an event on that body, not a second body.  The event is
-``lose(frame, cause)``: the frame leaves the set in flight at once, what it
-is executing is recorded as pre-empted, its processors pass on and its
-remaining heap entries fire as no-ops.  It is called
+Nothing of that loop lives here.  The simulated world
+(:class:`~repro.runtime.hub.SimWorld`), the lowering of each epoch's pattern
+(:class:`~repro.runtime.dispatch.FlatSchedule`, rows mapped from shape to
+physical processors and offset by the epoch start), the launch of iteration
+*j* at ``epoch_start + j * II``, the placement body
+(:class:`~repro.runtime.static_exec.PlacementReplay`: processors acquired
+and slips counted exactly as in a static run) and the transition policy's
+verdict on the frames in flight are the one
+:class:`~repro.runtime.static_exec.EpochDriver` the static executor and the
+regime experiment also run on: to the driver a failover is a switch like any
+other.  What lives here is only what a failure adds — the cluster view, the
+injector, the detector, the :class:`~repro.faults.failover.FailoverController`,
+``on_kill``, ``on_detection`` with its unschedulable list, the loss lists,
+the stepping loop with its hard deadline (heartbeats never let the heap
+drain) and ``recovery_stats`` — because a fault is an event on that body,
+not a second body.  The event is ``lose(frame, cause)``: the frame leaves
+the set in flight at once, what it is executing is recorded as pre-empted,
+its processors pass on and its remaining heap entries fire as no-ops.  It is
+called
 
 * by the body, when a placement's processors are not all alive at the
   moment it would start (``"crash"``) or when it has waited
@@ -38,8 +39,9 @@ remaining heap entries fire as no-ops.  It is called
 * one heap entry after a kill, for every frame executing on a dead
   processor (``"crash"``) — one entry later, so that a placement finishing
   at the kill instant has finished;
-* by ``on_detection``, for every frame in flight when the transition policy
-  abandons (``"transition"``) or replays (``"replayed"``) them.
+* by the driver's ``switched``, which ``on_detection`` hands every failover
+  record, for every frame in flight when the transition policy abandons
+  (``"transition"``) or replays (``"replayed"``) them.
 
 Loss accounting distinguishes the two ways a frame dies:
 
@@ -63,7 +65,6 @@ The generator body this replaced is kept in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -77,23 +78,16 @@ from repro.faults.inject import FaultInjector
 from repro.faults.view import ClusterView
 from repro.graph.taskgraph import TaskGraph
 from repro.metrics.recovery import recovery_stats
-from repro.runtime.dispatch import FlatSchedule, build_task_plans
-from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
-from repro.runtime.static_exec import PUT_WAIT, PlacementReplay
+from repro.runtime.static_exec import PUT_WAIT, EpochDriver
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Simulator
 from repro.sim.network import CommModel
-from repro.sim.trace import TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs import Observability
 
 __all__ = ["FaultRuntime", "FaultTolerantExecutor"]
-
-_EPS = 1e-9
-
 
 @dataclass
 class FaultRuntime:
@@ -178,13 +172,8 @@ class FaultTolerantExecutor:
         if iterations < 1:
             raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
         obs = self.obs
-        sim = Simulator()
-        trace = TraceRecorder()
-        world = SimWorld(
-            self.graph, self.state, self.cluster, sim, trace,
-            build_hubs(sim, self.graph, trace, obs=obs),
-            build_task_plans(self.graph), obs,
-        )
+        driver = EpochDriver(self.graph, self.state, self.cluster, self.comm, obs)
+        sim = driver.sim
 
         view = ClusterView(sim, self.cluster)
         injector = FaultInjector(sim, view, self.faults.plan)
@@ -195,40 +184,24 @@ class FaultTolerantExecutor:
             timeout=self.faults.detect_timeout,
         )
         controller = FailoverController(self.table, view, self.faults.policy)
-        if obs is not None:
-            obs.on_period(controller.active.period)
 
-        replay_q: deque[int] = deque()
-        crash_lost: list[int] = []
-        transition_lost: list[int] = []
-        replayed: list[int] = []
+        # Lost frames by cause; an stm-timeout or a deadline loss counts as
+        # a crash loss.  A timestamp can be replayed more than once.
+        lost: dict[str, list[int]] = {"crash": [], "transition": [], "replayed": []}
         unschedulable: list[Detection] = []
 
         def on_loss(ts: int, cause: str) -> None:
-            if cause == "replayed":
-                replay_q.append(ts)
-                replayed.append(ts)
-            elif cause == "transition":
-                transition_lost.append(ts)
-            else:  # crash, stm-timeout, deadline
-                crash_lost.append(ts)
-
-        replay = PlacementReplay(world, self.comm, dead=view.dead_procs, on_loss=on_loss)
-        in_flight, lose = replay.in_flight, replay.lose
+            lost.get(cause, lost["crash"]).append(ts)
 
         def on_kill(kind: str, _target: int) -> None:
             # A kill pre-empts what executes on the dead processors one heap
             # entry later: a placement finishing at this very instant (its
             # entry is already on the heap) has finished.
             if kind in ("crash", "proc-loss"):
-                sim.call_at(sim.now, replay.preempt_dead)
+                sim.call_at(sim.now, driver.replay.preempt_dead)
 
         view.on_change(on_kill)
 
-        # The transition policy's verdict on in-flight work is applied to
-        # the frames *actually* in flight at the failover instant, not just
-        # accounted analytically: immediate abandons them, checkpoint
-        # re-queues their timestamps for replay.
         def on_detection(det: Detection) -> None:
             if obs is not None:
                 obs.on_detection(det.time, det.kind, detail=f"node={det.node}")
@@ -239,84 +212,33 @@ class FaultTolerantExecutor:
                 # current schedule and let crash losses tell the story.
                 unschedulable.append(det)
                 return
-            if record is None:
-                return
-            if obs is not None:
+            if record is not None and obs is not None:
                 obs.on_failover(
                     record.time,
                     controller.resume_at,
                     detail=f"{det.kind}:{det.node}",
                 )
-                obs.on_period(controller.active.period)
-            effect = record.effect
-            if effect.lost_iterations > 0 or effect.replayed_iterations > 0:
-                cause = "replayed" if effect.replayed_iterations > 0 else "transition"
-                for frame in list(in_flight.values()):
-                    lose(frame, cause)
+            driver.switched(record)
 
         detector.subscribe(on_detection)
 
-        def launch(ts: int, j: int, flat: FlatSchedule, epoch_start: float) -> None:
-            # Iteration j of the epoch's pattern, lowered like the static
-            # executor's, then moved onto the survivors: shape processors
-            # become physical ones and times count from the epoch start.
-            rows = flat.instantiate(j)
-            for pl in rows:
-                pl.procs = controller.physical_procs(pl.procs)
-                pl.start += epoch_start
-            replay.start(ts, rows, second=ts in replayed)
-
-        def pump():
-            next_ts = 0
-            seen_failovers = 0
-            epoch_start = 0.0
-            j = 0
-            flat = FlatSchedule(controller.active.pipelined)
-            while next_ts < iterations or replay_q or in_flight:
-                if controller.switch_count != seen_failovers:
-                    seen_failovers = controller.switch_count
-                    epoch_start = max(sim.now, controller.resume_at)
-                    j = 0
-                    flat = FlatSchedule(controller.active.pipelined)
-                if sim.now < controller.resume_at - _EPS:
-                    yield sim.timeout(controller.resume_at - sim.now)
-                    continue
-                if next_ts >= iterations and not replay_q:
-                    # Nothing to launch; idle one interval in case a late
-                    # failover re-queues in-flight frames for replay.
-                    yield sim.timeout(flat.period)
-                    continue
-                slot = epoch_start + j * flat.period
-                if sim.now < slot - _EPS:
-                    yield sim.timeout(slot - sim.now)
-                    continue
-                if replay_q:
-                    ts = replay_q.popleft()
-                else:
-                    ts = next_ts
-                    next_ts += 1
-                launch(ts, j, flat, epoch_start)
-                j += 1
-
         injector.start()
         detector.start()
-        pump_proc = sim.process(pump(), name="frame-pump")
+        driver.start(controller, iterations, dead=view.dead_procs, on_loss=on_loss)
 
         hard_deadline = self._default_deadline(iterations)
         # Heartbeat processes beat forever, so the heap never drains; drive
-        # the simulation until the pump has ended, which it does once every
+        # the simulation until the driver is done, which it is once every
         # frame has resolved.
-        while pump_proc.alive and sim.peek() is not None:
+        while not driver.done and sim.peek() is not None:
             if sim.now > hard_deadline:  # pragma: no cover - safety valve
-                for frame in list(in_flight.values()):
-                    lose(frame, "deadline")
+                for frame in list(driver.replay.in_flight.values()):
+                    driver.replay.lose(frame, "deadline")
                 break
             sim.step()
 
         base_solution = self.table.lookup(self.cluster)
-        result = world.result(
-            trace.makespan,
-            iterations,
+        result = driver.result(
             {
                 "policy": repr(self.faults.policy),
                 "shape_table_size": len(self.table),
@@ -337,23 +259,21 @@ class FaultTolerantExecutor:
                 "unschedulable_detections": [
                     (d.time, d.kind, d.node) for d in unschedulable
                 ],
-                "frames_lost_crash": sorted(crash_lost),
-                "frames_lost_transition": sorted(transition_lost),
-                "frames_replayed": sorted(set(replayed)),
-                "slips": replay.slips,
-                "max_slip": replay.max_slip,
+                "frames_lost_crash": sorted(lost["crash"]),
+                "frames_lost_transition": sorted(lost["transition"]),
+                "frames_replayed": sorted(set(lost["replayed"])),
             },
         )
         crash_times = injector.crash_times()
         result.meta["recovery"] = recovery_stats(
             completions=result.completion_sequence(),
             period=base_solution.period,
-            horizon=trace.makespan,
+            horizon=driver.trace.makespan,
             crash_times=[t for t, _n in crash_times],
             detection_latencies=detector.detection_latencies(crash_times),
-            frames_lost_crash=len(crash_lost),
-            frames_lost_transition=len(transition_lost),
-            frames_replayed=len(set(replayed)),
+            frames_lost_crash=len(lost["crash"]),
+            frames_lost_transition=len(lost["transition"]),
+            frames_replayed=len(set(lost["replayed"])),
             failovers=controller.switch_count,
             total_stall=controller.total_stall,
         )

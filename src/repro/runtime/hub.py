@@ -26,9 +26,12 @@ everything :class:`~repro.runtime.static_exec.StaticExecutor`,
 the STM wiring, the frame ledger and the result builder — so that the
 three differ only in their scheduling policy (the paper's controlled
 comparison, §3.2 / §3.3 / §3.4).  The two schedule-driven ones also share
-their placement body (:class:`~repro.runtime.static_exec.PlacementReplay`),
-which drives the world through :meth:`SimWorld.try_emit`; the generator
-:meth:`SimWorld.emit` is the dynamic executor's.
+their launch loop (:class:`~repro.runtime.static_exec.EpochDriver`, which
+builds the world and tells it, with :meth:`SimWorld.enter`, the state each
+epoch runs in) and their placement body
+(:class:`~repro.runtime.static_exec.PlacementReplay`), which drives the
+world through :meth:`SimWorld.try_emit`; the generator :meth:`SimWorld.emit`
+is the dynamic executor's.
 """
 
 from __future__ import annotations
@@ -199,8 +202,9 @@ class SimWorld:
     edges:
         ``{task: ((predecessor, bytes, channel label), ...)}`` — the one
         per-edge table of a run: whose completion a placement waits for,
-        how many bytes the transfer is charged for in this state, and the
-        ``+``-joined channel names it is reported under.
+        how many bytes the transfer is charged for in the current state
+        (:meth:`enter`), and the ``+``-joined channel names it is reported
+        under.
     digitize_times:
         ``{timestamp: time}`` of the *last* source's put of the frame.  A
         source stamps a timestamp once, so a checkpoint replay keeps the
@@ -257,14 +261,11 @@ class SimWorld:
             name: tuple((hubs[ch], self.conns_in[name][ch]) for ch in plan.stream_inputs)
             for name, plan in plans.items()
         }
+        # Sizes and bytes are what the world charges for its state: left
+        # empty here and derived by :meth:`enter`, below and at every epoch.
         self._outputs = {
             name: tuple(
-                (
-                    hubs[ch],
-                    hubs[ch].stm.attach_output(name),
-                    graph.channel(ch).item_size(state),
-                    collectors.get(ch),
-                )
+                (hubs[ch], hubs[ch].stm.attach_output(name), 0, collectors.get(ch))
                 for ch in plan.outputs
             )
             for name, plan in plans.items()
@@ -273,13 +274,14 @@ class SimWorld:
             t.name: tuple(
                 (
                     pred,
-                    graph.comm_bytes(pred, t.name, state),
+                    0,
                     "+".join(ch.name for ch in graph.channels_between(pred, t.name)),
                 )
                 for pred in graph.predecessors(t.name)
             )
             for t in graph.tasks
         }
+        self.enter(state)
         self.digitize_times: dict[int, float] = {}
         self.sink_done: dict[str, dict[int, float]] = {
             s: {} for s in graph.sink_tasks()
@@ -287,6 +289,24 @@ class SimWorld:
         self._digitized: dict[str, set[int]] = {
             s: set() for s in graph.source_tasks()
         }
+
+    def enter(self, state: State) -> None:
+        """The application is in ``state`` from now on: re-derive, in place,
+        the two things the world charges by state — the size of every item
+        a task puts and the bytes of every edge.  The epoch driver calls
+        this at an epoch boundary, where it also re-lowers the schedule."""
+        self.state = state
+        graph = self.graph
+        for task, outputs in self._outputs.items():
+            self._outputs[task] = tuple(
+                (hub, conn, graph.channel(hub.name).item_size(state), collector)
+                for hub, conn, _size, collector in outputs
+            )
+        for task, incoming in self.edges.items():
+            self.edges[task] = tuple(
+                (pred, graph.comm_bytes(pred, task, state), label)
+                for pred, _bytes, label in incoming
+            )
 
     def record_exec(
         self,

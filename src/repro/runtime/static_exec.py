@@ -8,8 +8,10 @@ processors (Figure 6 step 3) — so a placement is not a process but four
 plain calls on the simulator's heap
 (:meth:`~repro.sim.engine.Simulator.call_at`), each made by the one before
 it: :class:`PlacementReplay`, the one placement body of the schedule-driven
-DES executors.  Iteration *k* is launched at ``k * II``; every one of its
-placements
+DES executors.  Beside it is their one launch loop, :class:`EpochDriver`:
+iteration *j* of an epoch is launched at ``epoch_start + j * II`` — for a
+schedule that is never switched, iteration *k* at ``k * II`` — and every one
+of its placements
 
 1. **gathers** its predecessors: it parks on one that has not settled, and
    is charged the communication delay between the two primary processors
@@ -33,9 +35,12 @@ tests assert this for every schedule the optimizers produce.  A run whose
 heap drains with placements still parked raises
 :class:`~repro.errors.SimDeadlock` naming them ``<task>@<iteration>``.
 
-:class:`~repro.faults.runner.FaultTolerantExecutor` starts its iterations
-through the same body — a failure is an event on it (``lose(frame,
-cause)``), not a second body: see :class:`PlacementReplay`.
+A schedule switch — whatever caused it — is an *epoch* on that loop, and a
+failure is an event on that body (``lose(frame, cause)``), not a second
+one: :class:`~repro.faults.runner.FaultTolerantExecutor` is the driver plus
+injector and detector, :func:`~repro.experiments.regime.run_regime` the
+driver fed a trace of state changes, :meth:`StaticExecutor.run` the driver
+over a controller that never switches.
 
 The generator body this replaced (one ``Process`` per placement per
 iteration) is kept in ``tests/runtime/static_generator_oracle.py`` as the
@@ -44,12 +49,14 @@ differential oracle.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import TYPE_CHECKING, AbstractSet, Callable, Optional, Union
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Optional, Union
 
 from repro.errors import ExecutorConfigError, SimDeadlock
 from repro.core.optimal import ScheduleSolution
 from repro.core.schedule import PipelinedSchedule
+from repro.core.table import RegimeController, SwitchRecord
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
 from repro.runtime.hub import SimWorld, build_hubs
@@ -66,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.obs import Observability
     from repro.sim.fabric import LinkFabric
 
-__all__ = ["StaticExecutor"]
+__all__ = ["StaticExecutor", "EpochDriver"]
 
 _EPS = 1e-9
 
@@ -123,8 +130,8 @@ class PlacementReplay:
     begins a second attempt at a timestamp (a checkpoint replay): its
     settle skips the outputs STM still holds from the first.
     ``preempt_dead()`` loses every frame that is executing on a dead
-    processor — the runner calls it one heap entry after a kill, so that a
-    placement finishing at the kill instant has finished.
+    processor — the fault runner calls it one heap entry after a kill, so
+    that a placement finishing at the kill instant has finished.
     """
 
     def __init__(
@@ -292,6 +299,174 @@ class PlacementReplay:
         self.start, self.lose, self.preempt_dead = start, lose, preempt_dead
 
 
+class EpochDriver:
+    """The one launch loop of the schedule-driven DES executors.
+
+    A run proceeds in *epochs*: within one, iteration *j* of the
+    controller's active schedule is started at ``epoch_start + j * II``
+    through :class:`PlacementReplay`; when the controller has switched, a
+    new epoch begins at ``max(now, controller.resume_at)`` — the schedule
+    is lowered again (:class:`~repro.runtime.dispatch.FlatSchedule`, once
+    per epoch), the world is told the new state
+    (:meth:`~repro.runtime.hub.SimWorld.enter`) and ``j`` counts from zero.
+    The loop is a plain call on the heap that re-arms itself at the next
+    slot, so a controller that never switches launches frame *k* at exactly
+    ``k * II``: that is :meth:`StaticExecutor.run`.  What makes a
+    controller switch is not the driver's business — a failure detection
+    (:class:`~repro.faults.runner.FaultTolerantExecutor`), an observed
+    state change put on the heap with :meth:`at`
+    (:func:`~repro.experiments.regime.run_regime`) — but every cause hands
+    its :class:`~repro.core.table.SwitchRecord` to ``switched``, the one
+    place the transition policy's verdict is applied to the frames
+    *actually* in flight: an immediate transition loses them
+    (``"transition"``), a checkpoint loses them as ``"replayed"`` and their
+    timestamps are started again, as second attempts, before any new one.
+
+    The constructor builds the world (simulator, trace, STM wiring, frame
+    ledger); :meth:`start` arms the loop over a controller and provides
+    ``switched(record)`` (a None record — the cause switched nothing — is
+    ignored).  A run ends after ``iterations`` frames or when the next slot
+    would fall at or after ``horizon``; ``done`` turns true once nothing is
+    left to start.  ``dead`` and ``on_loss`` are :class:`PlacementReplay`'s.
+    With a loss sink a lost frame may come back, so the loop keeps polling,
+    one interval at a time, while anything is in flight; without one it
+    ends with the last launch and a run that cannot finish drains the heap
+    (the static executor's :class:`~repro.errors.SimDeadlock`).
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        state: State,
+        cluster: ClusterSpec,
+        comm: CommModel,
+        obs: Optional["Observability"] = None,
+        contended: bool = False,
+    ) -> None:
+        self.sim = sim = Simulator()
+        self.trace = trace = TraceRecorder()
+        self.world = SimWorld(
+            graph, state, cluster, sim, trace,
+            build_hubs(sim, graph, trace, obs=obs), build_task_plans(graph), obs,
+        )
+        self.comm = comm
+        self.fabric = None
+        if contended:
+            from repro.sim.fabric import LinkFabric
+
+            self.fabric = LinkFabric(sim, cluster, comm)
+        self.epochs: list[tuple[float, int, State]] = []
+        self.launched = 0
+        self.done = False
+
+    def start(
+        self,
+        controller: RegimeController,
+        iterations: float = math.inf,
+        horizon: float = math.inf,
+        dead: AbstractSet[int] = frozenset(),
+        on_loss: Optional[Callable[[int, str], None]] = None,
+    ) -> None:
+        """Arm the launch loop over ``controller`` at the current instant."""
+        sim, world, obs = self.sim, self.world, self.world.obs
+        call_at = sim.call_at
+        self.replay = replay = PlacementReplay(
+            world, self.comm, self.fabric, dead, on_loss
+        )
+        in_flight = replay.in_flight
+        # Timestamps lost as "replayed": each is started again, as a second
+        # attempt, before any new one.
+        replay_q: deque[int] = deque()
+        # Shape -> physical processors, when the controller has a mapping.
+        physical = getattr(controller, "physical_procs", None)
+        if obs is not None:
+            obs.on_period(controller.active.period)
+        seen = j = 0
+        epoch_start = 0.0
+        # Flat dispatch tables: schedule lookups and channel classification
+        # compiled once an epoch, outside the per-iteration loop.
+        flat = FlatSchedule(controller.active.pipelined)
+
+        def tick() -> None:
+            nonlocal seen, j, epoch_start, flat
+            while True:
+                if controller.switch_count != seen:
+                    seen = controller.switch_count
+                    epoch_start = max(sim.now, controller.resume_at)
+                    j = 0
+                    flat = FlatSchedule(controller.active.pipelined)
+                slot = epoch_start + j * flat.period
+                more = self.launched < iterations and slot < horizon
+                if not (more or replay_q or (on_loss is not None and in_flight)):
+                    self.done = True
+                    return
+                if sim.now < controller.resume_at - _EPS:
+                    return call_at(controller.resume_at, tick)
+                if not more and not replay_q:
+                    # Nothing to launch; idle one interval in case a late
+                    # switch re-queues frames in flight.
+                    return call_at(sim.now + flat.period, tick)
+                if sim.now < slot - _EPS:
+                    return call_at(slot, tick)
+                again = bool(replay_q)
+                if again:
+                    ts = replay_q.popleft()
+                else:
+                    ts = self.launched
+                    self.launched += 1
+                # Iteration j: same pattern, rotated processors (Figure 6
+                # step 3), moved onto the survivors and the epoch's clock.
+                rows = flat.instantiate(j)
+                if physical is not None:
+                    for pl in rows:
+                        pl.procs = physical(pl.procs)
+                if epoch_start:
+                    for pl in rows:
+                        pl.start += epoch_start
+                if j == 0:
+                    state = controller.active.state
+                    if state != world.state:
+                        world.enter(state)
+                    self.epochs.append((epoch_start, ts, state))
+                replay.start(ts, rows, again)
+                j += 1
+
+        def switched(record: Optional[SwitchRecord]) -> None:
+            if record is None:
+                return
+            if obs is not None:
+                obs.on_period(controller.active.period)
+            effect = record.effect
+            again = effect.replayed_iterations > 0
+            if again or effect.lost_iterations > 0:
+                for frame in list(in_flight.values()):
+                    if again:
+                        replay_q.append(frame.ts)
+                    replay.lose(frame, "replayed" if again else "transition")
+
+        self.switched = switched
+        call_at(sim.now, tick)
+
+    def at(self, time: float, cause: Callable[..., Optional[SwitchRecord]], *args: Any) -> None:
+        """Put a cause of change on the heap: ``cause(*args)`` runs at
+        ``time`` and its switch record, if it made one, is acted on."""
+        self.sim.call_at(time, lambda: self.switched(cause(*args)))
+
+    def result(self, meta: dict) -> ExecutionResult:
+        """The run so far as an :class:`ExecutionResult`: ``meta`` plus the
+        slip counts and one ``(start, first timestamp, state)`` per epoch."""
+        return self.world.result(
+            self.trace.makespan,
+            self.launched,
+            {
+                **meta,
+                "slips": self.replay.slips,
+                "max_slip": self.replay.max_slip,
+                "epochs": self.epochs,
+            },
+        )
+
+
 class StaticExecutor:
     """Execute a :class:`~repro.core.schedule.PipelinedSchedule` in simulation.
 
@@ -391,11 +566,21 @@ class StaticExecutor:
                 "the race checker (analysis=) instruments real threads; "
                 "it requires runtime='threaded'"
             )
-        solution = schedule if isinstance(schedule, ScheduleSolution) else None
         if isinstance(schedule, ScheduleSolution):
-            schedule = schedule.pipelined
+            solution, schedule = schedule, schedule.pipelined
+        else:
+            # A bare PipelinedSchedule carries no provenance; wrap it so the
+            # verifier can re-derive its claims — and a controller hold it —
+            # all the same.
+            solution = ScheduleSolution(
+                state=state,
+                iteration=schedule.iteration,
+                pipelined=schedule,
+                alternatives=0,
+                explored=0,
+            )
         if verify:
-            self._verify_startup(graph, state, cluster, schedule, solution, comm)
+            self._verify_startup(graph, state, cluster, solution, comm)
         if schedule.n_procs > cluster.total_processors:
             raise ExecutorConfigError(
                 f"schedule needs {schedule.n_procs} processors, cluster has "
@@ -405,6 +590,7 @@ class StaticExecutor:
         self.state = state
         self.cluster = cluster
         self.schedule = schedule
+        self.solution = solution
         self.comm = comm or CommModel.free(cluster)
         self.contended = contended
         self.faults = faults
@@ -414,7 +600,7 @@ class StaticExecutor:
         self.analysis = analysis
 
     @staticmethod
-    def _verify_startup(graph, state, cluster, schedule, solution, comm) -> None:
+    def _verify_startup(graph, state, cluster, solution, comm) -> None:
         """Opt-in ``verify=`` gate: analysis passes 1-3 and 5 on this
         executor's inputs; raises :class:`~repro.errors.AnalysisError` on
         ERROR findings before anything runs."""
@@ -422,16 +608,6 @@ class StaticExecutor:
         from repro.analysis import check_model, check_stm, lint_graph, verify_solution
         from repro.errors import AnalysisError
 
-        if solution is None:
-            # A bare PipelinedSchedule carries no provenance; wrap it so
-            # the verifier can re-derive its claims all the same.
-            solution = ScheduleSolution(
-                state=state,
-                iteration=schedule.iteration,
-                pipelined=schedule,
-                alternatives=0,
-                explored=0,
-            )
         report = lint_graph(graph, states=[state])
         verify_solution(solution, graph, cluster, comm=comm, report=report)
         check_stm(graph, solution, report=report)
@@ -452,54 +628,26 @@ class StaticExecutor:
                 self.graph, self.state, self.cluster, self.faults, comm=self.comm,
                 obs=self.obs,
             ).run(iterations)
-        obs = self.obs
-        if obs is not None:
-            obs.on_period(self.schedule.period)
-        sim = Simulator()
-        trace = TraceRecorder()
-        # Flat dispatch tables: schedule lookups and channel classification
-        # compiled once, outside the per-iteration loop.
-        flat = FlatSchedule(self.schedule)
-        world = SimWorld(
-            self.graph, self.state, self.cluster, sim, trace,
-            build_hubs(sim, self.graph, trace, obs=obs),
-            build_task_plans(self.graph), obs,
+        # The epoch driver over a controller that is never switched.
+        driver = EpochDriver(
+            self.graph, self.state, self.cluster, self.comm, self.obs, self.contended
         )
-        fabric = None
-        if self.contended:
-            from repro.sim.fabric import LinkFabric
-
-            fabric = LinkFabric(sim, self.cluster, self.comm)
-        replay = PlacementReplay(world, self.comm, fabric)
-
-        def launch(k: int) -> None:
-            # Iteration k: same pattern, rotated processors (Figure 6 step 3).
-            replay.start(k, flat.instantiate(k))
-            if k + 1 < iterations:
-                sim.call_at((k + 1) * flat.period, launch, k + 1)
-
-        launch(0)
-        sim.run()
-        if replay.in_flight:
+        driver.start(RegimeController(self.solution), iterations)
+        driver.sim.run()
+        if driver.replay.in_flight:
             raise SimDeadlock([
                 f"{task}@{k}"
-                for k, frame in replay.in_flight.items()
+                for k, frame in driver.replay.in_flight.items()
                 for task in frame.rows
                 if task not in frame.ends
             ])
-
-        return world.result(
-            trace.makespan,
-            iterations,
-            {
-                "slips": replay.slips,
-                "max_slip": replay.max_slip,
-                "period": self.schedule.period,
-                "shift": self.schedule.shift,
-                "contended_time": fabric.contended_time if fabric else 0.0,
-                "transfers": fabric.transfers if fabric else 0,
-            },
-        )
+        fabric = driver.fabric
+        return driver.result({
+            "period": self.schedule.period,
+            "shift": self.schedule.shift,
+            "contended_time": fabric.contended_time if fabric else 0.0,
+            "transfers": fabric.transfers if fabric else 0,
+        })
 
     def _run_live(self, iterations: int) -> ExecutionResult:
         """Execute on a live substrate and adapt to :class:`ExecutionResult`.

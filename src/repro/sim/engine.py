@@ -28,13 +28,13 @@ Two ways to wait on one heap
 A heap entry is ``(time, seq, fn, args)`` and firing it is ``fn(*args)``.
 :meth:`Simulator.call_at` puts a plain call there — absolute time, no
 :class:`SimEvent`, no :class:`Process`, no name — which is all a replay
-needs when nothing is decided at run time (the placement body of the static
-and the fault-tolerant executor: every wait has one known continuation, and
-a lost frame's entries fire as no-ops).  A generator :class:`Process` is for
-code whose next wait depends on what it finds when it wakes (the dynamic
-executor's scheduler quanta, the fault runner's epoch pump, the injector
-and the detector's heartbeats); an event firing is the same kind of heap
-entry, ``(time, seq, ev._fire, ())``.
+needs when nothing is decided at run time (the placement body and the
+launch loop of the static and the fault-tolerant executor: every wait has
+one known continuation, and a lost frame's entries fire as no-ops).  A
+generator :class:`Process` is for code whose next wait depends on what it
+finds when it wakes (the dynamic executor's scheduler quanta, contended
+link transfers, the fault injector and the detector's heartbeats); an event
+firing is the same kind of heap entry, ``(time, seq, ev._fire, ())``.
 
 An event's ``name`` is only ever read by ``repr``, :class:`ProcessError`
 and :class:`SimDeadlock`, so it may be given as ``(template, *args)`` and is

@@ -118,8 +118,17 @@ class TestCalibration:
         assert isinstance(calibration.t4, LinearCost)
         assert isinstance(calibration.t5, LinearCost)
 
-    def test_t4_grows_with_models(self, calibration):
-        assert calibration.t4(State(n_models=8)) > calibration.t4(State(n_models=1))
+    def test_t4_grows_with_models(self):
+        # These kernels run for tens of microseconds, so one wall-clock fit
+        # can come out flat on a busy host: judge the median of five.
+        growth = sorted(
+            fit.t4(State(n_models=8)) - fit.t4(State(n_models=1))
+            for fit in (
+                calibrate_kernels(frame_shape=(32, 48), model_counts=(1, 2, 4), repeats=3)
+                for _ in range(5)
+            )
+        )
+        assert growth[2] > 0
 
     def test_t4_dominates_t5(self, calibration):
         m8 = State(n_models=8)

@@ -144,7 +144,11 @@ class TestRegime:
         oracle = result.outcome("oracle")
         switched = result.outcome("regime-switched")
         assert switched.frames_processed <= oracle.frames_processed + 1e-9
-        assert switched.mean_latency == pytest.approx(oracle.mean_latency)
+        # The switched row is executed, so its mean is over frames; the
+        # oracle's is over time, and the light states run more frames a
+        # second at a lower latency.
+        assert switched.mean_latency <= oracle.mean_latency + 1e-9
+        assert switched.worst_latency == pytest.approx(oracle.worst_latency)
 
     def test_light_fixed_schedules_saturate(self, result):
         assert result.outcome("fixed-1").saturated_time > 0

@@ -106,6 +106,7 @@ def test_switch_accounting_contract(make, policy):
     controller, steps = make(policy)
     assert isinstance(controller, RegimeController)
     assert controller.switch_count == 0 and controller.total_stall == 0.0
+    assert controller.resume_at == 0.0
     previous = controller.active
     for n, step in enumerate(steps, 1):
         record = step()
@@ -122,6 +123,9 @@ def test_switch_accounting_contract(make, policy):
         )
         assert controller.total_replayed_iterations == sum(
             e.replayed_iterations for e in effects
+        )
+        assert controller.resume_at == max(
+            r.time + r.effect.stall for r in controller.records
         )
     assert controller.switch_count >= 2
     assert [r.time for r in controller.records] == sorted(

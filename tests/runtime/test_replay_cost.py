@@ -12,10 +12,12 @@ import math
 
 import pytest
 
-import repro.faults.runner as fault_runner
 import repro.runtime.static_exec as static_exec
 from repro.apps.tracker.graph import build_tracker_graph
 from repro.core.optimal import OptimalScheduler
+from repro.core.regime import RegimeDetector
+from repro.core.table import RegimeSwitcher, ScheduleTable
+from repro.core.transition import DrainTransition
 from repro.errors import DuplicateTimestamp
 from repro.faults import FaultPlan, FaultRuntime, FaultTolerantExecutor
 from repro.graph.builders import chain_graph
@@ -24,8 +26,9 @@ from repro.runtime.hub import ChannelHub, SimWorld, build_hubs
 from repro.runtime.static_exec import StaticExecutor
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.sim.engine import Simulator
+from repro.sim.network import CommModel
 from repro.sim.trace import TraceRecorder
-from repro.state import State
+from repro.state import State, StateSpace
 from repro.stm.channel import STMChannel
 
 from . import static_generator_oracle as oracle
@@ -76,11 +79,12 @@ class TestRunLengthIndependence:
         assert WatchedSimulator.last.peak >= 400 * placements
 
     def test_fault_run_holds_frames_in_flight_not_frames_run(self, monkeypatch):
-        """The fault runner starts no process per placement: whatever the
-        run length, the live processes are the pump, the injector, the
-        monitor and one heartbeat a processor, and a frame costs the heap
-        what it costs the static replay, on top of the heartbeat grid."""
-        monkeypatch.setattr(fault_runner, "Simulator", WatchedSimulator)
+        """The fault runner starts no process per placement and none for
+        its launch loop (the epoch driver is a call on the heap): whatever
+        the run length, the live processes are the injector, the monitor
+        and one heartbeat a processor, and a frame costs the heap what it
+        costs the static replay, on top of the heartbeat grid."""
+        monkeypatch.setattr(static_exec, "Simulator", WatchedSimulator)
         cluster = ClusterSpec(2, 1)
         faults = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1, recover_at=20.0))
         peaks = {}
@@ -90,13 +94,48 @@ class TestRunLengthIndependence:
             ).run(frames)
             assert result.completed_count == frames - 1  # one lost to the crash
             sim = WatchedSimulator.last
-            assert sim.peak_processes == 3 + cluster.total_processors
+            assert sim.peak_processes == 2 + cluster.total_processors
             beats = (cluster.total_processors + 1) * (
                 sim.now / faults.heartbeat_interval + 1
             )
             assert sim.steps <= 15 * frames + beats
             peaks[frames] = sim.peak
         assert peaks[300] == peaks[50] <= 12
+
+    def test_state_change_run_holds_frames_in_flight_not_frames_run(
+        self, monkeypatch
+    ):
+        """Ten state changes on the epoch driver's heap, spread over a run
+        of 200 and of 2 000 frames: the most entries ever pending and the
+        most frames ever in flight are the same."""
+        monkeypatch.setattr(static_exec, "Simulator", WatchedSimulator)
+        graph, cluster = build_tracker_graph(), SINGLE_NODE_SMP(4)
+        table = ScheduleTable.build(
+            graph, StateSpace.range("n_models", 1, 3), OptimalScheduler(cluster)
+        )
+        peaks = {}
+        for frames in (200, 2000):
+            switcher = RegimeSwitcher(
+                table, RegimeDetector("n_models", State(n_models=1)),
+                DrainTransition(setup=0.25),
+            )
+            driver = static_exec.EpochDriver(
+                graph, State(n_models=1), cluster, CommModel.free(cluster)
+            )
+            for i in range(1, 11):
+                t = i * frames * 0.05
+                driver.at(t, switcher.observe, t, 1 + i % 3)
+            driver.start(switcher, iterations=frames, on_loss=lambda ts, cause: None)
+            deepest = 0
+            while not driver.done:
+                deepest = max(deepest, len(driver.replay.in_flight))
+                assert driver.sim.step()
+            result = driver.result({})
+            assert result.completed == list(range(frames))
+            assert switcher.switch_count == 10 == len(result.meta["epochs"]) - 1
+            assert result.meta["slips"] == 0
+            peaks[frames] = (WatchedSimulator.last.peak, deepest)
+        assert peaks[2000] == peaks[200]
 
 
 class TestIdleNotification:
