@@ -25,7 +25,9 @@ together with the set **S** of distinct optimal schedules (capped at
 ``max_solutions`` for memory; the total count is still reported).
 
 Three accelerations keep the off-line phase affordable at scale, all of
-them semantics-preserving (same L, same set S up to canonical order):
+them semantics-preserving (same L, same set S up to canonical order; the
+third changes no node, prune or float — ``tests/core/test_search_diff.py``
+holds the body it replaced as the oracle):
 
 * **warm start** — the HEFT-style list scheduler
   (:func:`repro.sched.listsched.heft_schedule`) provides an incumbent upper
@@ -35,9 +37,22 @@ them semantics-preserving (same L, same set S up to canonical order):
   reach the *same* partial placement; each such state is explored once
   (the dominance cut keyed on the full canonicalized placement set is
   exact, so no member of S is lost);
-* **hoisted inner loops** — candidate nodes, per-node processor orders and
-  per-speed variant durations are computed once per ready-task expansion
-  instead of once per placement attempt.
+* **a node costs what it changes** — the running maximum end, sum(free),
+  the remaining minimal work and the placed signature set are passed down
+  rather than recomputed; each placement signature is interned once to a
+  small int, so the transposition key is a ``frozenset`` of ints; the
+  prune cut-off is a variable refreshed only when L improves; a transfer
+  delay is asked of the communication model once per (edge, src, dst);
+  candidate nodes and per-node processor orders are computed once per
+  node, the successor ready list once per ready task; and a placed task is
+  a plain row until its leaf is *kept* — ``Placement`` /
+  ``IterationSchedule`` / ``canonical_key`` are built only for leaves that
+  enter the materialized set.  A leaf that arrives while the set is full
+  is counted without being built, and that is exact: it reached the
+  record step, so the transposition table has just proved its signature
+  set new, and a schedule's canonical key is that same set in start order
+  — the key cannot be in the set already.  (With the table off — the cold
+  oracle — nothing proves that, and every leaf's key is built and tested.)
 
 The first two are always on for every caller in ``src/``: the only place
 they can be switched off is :func:`search_schedules` itself
@@ -314,7 +329,10 @@ def enumerate_schedules(
         ``(1 + latency_slack) * L`` are collected (0.0 = exactly the
         paper's S).  Used by the latency/throughput frontier
         (:mod:`repro.core.frontier`) to trade latency for initiation
-        interval the way [13] (Subhlok & Vondran) explores.
+        interval the way [13] (Subhlok & Vondran) explores.  When the
+        within-slack set outgrows ``max_solutions``, a latency-L schedule
+        displaces the worst member that is not one, so ``.best`` always
+        has latency L.
     """
     from repro.core.parallel import execute_request, make_request  # deferred: import cycle
 
@@ -420,25 +438,28 @@ def search_schedules(
         for name, vs in variants.items()
     }
 
-    # Communication helper (primary-processor to primary-processor).
+    # Communication (primary-processor to primary-processor).  A delay
+    # depends only on (edge, src, dst), so each edge memoizes it:
+    # ``delays[edge][src * P + dst]``, filled from ``transfer_time``.
     if comm is None:
         comm = CommModel.free(cluster)
     transfer_time = comm.transfer_time
+    delays = {edge: [None] * (P * P) for edge in edge_bytes}
 
-    # Search state.
+    # Search state.  A placed task is a plain row ``(end, procs, start,
+    # duration, label)``; what a node inherits unchanged — the running
+    # maximum end, the signature set, sum(free) and the remaining minimal
+    # work — is passed down, and only ``free`` is mutated and restored.
+    n_tasks = len(order_names)
     free = [0.0] * P
-    sum_free = [0.0]
-    rem_work = [sum(min_work.values())]
-    placed: dict[str, Placement] = {}
+    free_of = free.__getitem__
+    placed: dict[str, tuple] = {}
     n_unscheduled_preds = {name: len(preds[name]) for name in order_names}
     ready = sorted(n for n in order_names if n_unscheduled_preds[n] == 0)
 
-    best_latency = [float("inf")]
+    best_latency = float("inf")
     solutions: dict[tuple, tuple[float, IterationSchedule]] = {}
-    optimal_count = [0]
-    explored = [0]
-    pruned_bound = [0]
-    pruned_dominance = [0]
+    optimal_count = explored = pruned_bound = pruned_dominance = 0
 
     nodes = cluster.nodes
     node_procs = [[p.index for p in cluster.node_processors(n)] for n in range(nodes)]
@@ -446,16 +467,15 @@ def search_schedules(
     node_speed = cluster.node_speeds
     procs_per_node = cluster.procs_per_node
 
-    # Variant durations pre-resolved per node speed, and node-unplaceable
-    # variants dropped once — both hoisted out of the placement loop.
-    var_durs = {
-        name: tuple(
-            (v, tuple(v.duration / node_speed[n] for n in range(nodes)))
-            for v in vs
-            if v.workers <= procs_per_node
-        )
-        for name, vs in variants.items()
-    }
+    # Per variant: label, width, and the duration (and its rounded form,
+    # for the signature) on every node; node-unplaceable variants dropped.
+    var_rows = {}
+    for name, vs in variants.items():
+        var_rows[name] = rows = []
+        for v in vs:
+            if v.workers <= procs_per_node:
+                durs = [v.duration / node_speed[n] for n in range(nodes)]
+                rows.append((v.label, v.workers, durs, [round(d, 12) for d in durs]))
 
     slack_factor = 1.0 + latency_slack
     # Weighted branch-and-bound: bounds are inflated by (1 + ε) before
@@ -475,49 +495,67 @@ def search_schedules(
         ) * slack_factor + tolerance
     else:
         inc_cutoff = float("inf")
+    # Bound for subtree pruning: best-so-far (within slack) or the warm
+    # incumbent, whichever is lower; refreshed only when L improves.
+    cutoff = inc_cutoff
 
-    # Transposition table: canonical signatures of partial placements
-    # already expanded.  A partial placement set fully determines the
-    # remaining subproblem (free times and ready sets are derivable from
-    # it), so a repeat visit is an identical subtree.
+    # Transposition table: signature sets of partial placements already
+    # expanded.  A partial placement set fully determines the remaining
+    # subproblem (free times and ready sets are derivable from it), so a
+    # repeat visit is an identical subtree.  Each placement signature
+    # ``(task, procs, round(start, 12), round(duration, 12), variant)`` —
+    # a schedule's canonical-key element — is interned to a small int.
     seen_states: set[frozenset] = set()
-    placed_sig: dict[str, tuple] = {}
+    sig_ids: dict[tuple, int] = {}
 
-    def admit_threshold() -> float:
-        """Latency below which a finished schedule joins the solution set."""
-        return best_latency[0] * slack_factor + tolerance
-
-    def prune_cutoff() -> float:
-        """Bound for subtree pruning: best-so-far or the warm incumbent."""
-        cut = best_latency[0] * slack_factor + tolerance
-        return cut if cut < inc_cutoff else inc_cutoff
-
-    def record_solution() -> None:
-        lat = max(p.end for p in placed.values())
-        if lat < best_latency[0] - tolerance:
-            best_latency[0] = lat
+    def record_solution(lat: float) -> None:
+        nonlocal best_latency, cutoff, optimal_count
+        if lat < best_latency - tolerance:
+            best_latency = lat
             # Tightened threshold may evict previously admitted schedules.
-            cutoff = admit_threshold()
-            for key in [k for k, (l, _) in solutions.items() if l > cutoff]:
+            admit = lat * slack_factor + tolerance
+            cutoff = admit if admit < inc_cutoff else inc_cutoff
+            for key in [k for k, (l, _) in solutions.items() if l > admit]:
                 del solutions[key]
-            optimal_count[0] = sum(
-                1 for l, _ in solutions.values() if l <= best_latency[0] + tolerance
+            optimal_count = sum(
+                1 for l, _ in solutions.values() if l <= lat + tolerance
             )
-        if lat <= admit_threshold():
-            sched = IterationSchedule(placed.values(), name=f"opt[{len(solutions)}]")
-            key = sched.canonical_key()
-            if key not in solutions:
-                if lat <= best_latency[0] + tolerance:
-                    optimal_count[0] += 1
-                if len(solutions) < max_solutions:
+        if lat <= best_latency * slack_factor + tolerance:
+            optimal = lat <= best_latency + tolerance
+            room = len(solutions) < max_solutions
+            # A full set takes a latency-L leaf in place of its worst member
+            # when that member is not one (under slack only: at slack 0
+            # every member is within tolerance of L).
+            worst = None
+            if optimal and not room and latency_slack > 0.0:
+                worst = max(solutions, key=lambda k: (solutions[k][0], k))
+                if solutions[worst][0] <= best_latency + tolerance:
+                    worst = None
+            # With the table on a full set counts a leaf without building
+            # it: the table has just proved its signature set new, and its
+            # canonical key is that set in start order.
+            new = dominance and not room and worst is None
+            if not new:
+                sched = IterationSchedule([
+                    Placement(name, procs, start, dur, variant=label)
+                    for name, (_end, procs, start, dur, label) in placed.items()
+                ])
+                key = sched.canonical_key()
+                new = key not in solutions
+                if new and worst is not None:
+                    del solutions[worst]
+                if new and len(solutions) < max_solutions:
                     solutions[key] = (lat, sched)
-        if stop_bound is not None and best_latency[0] <= stop_bound:
+            if new and optimal:
+                optimal_count += 1
+        if stop_bound is not None and best_latency <= stop_bound:
             raise _EarlyStop
 
-    def lower_bound(current_max_end: float) -> float:
+    def lower_bound(lb: float, sum_free: float, rem_work: float) -> float:
         """Admissible bound on the best completed latency below this node.
 
-        Two halves, both exact lower bounds:
+        ``lb`` comes in as the node's maximum placed end.  Two halves, both
+        exact lower bounds:
 
         * **critical path** — earliest-start estimates propagated through
           every unplaced task (placed predecessors contribute their actual
@@ -527,177 +565,169 @@ def search_schedules(
           current free time, so ``P * latency >= sum(free) + remaining
           minimal work``.
         """
-        lb = current_max_end
-        est_b: dict[str, float] = {}
+        fin_b: dict[str, float] = {}
         for name in order_names:
             if name in placed:
                 continue
             est = 0.0
             for p in preds[name]:
-                pl = placed.get(p)
-                if pl is not None:
-                    if pl.end > est:
-                        est = pl.end
-                else:
-                    cand = est_b[p] + best_dur[p]
-                    if cand > est:
-                        est = cand
-            est_b[name] = est
+                row = placed.get(p)
+                fin = row[0] if row is not None else fin_b[p]
+                if fin > est:
+                    est = fin
+            fin_b[name] = est + best_dur[name]
             path = est + rem_cp[name]
             if path > lb:
                 lb = path
-        if rem_work[0] > 0.0:
-            load = (sum_free[0] + rem_work[0]) / P
+        if rem_work > 0.0:
+            load = (sum_free + rem_work) / P
             if load > lb:
                 lb = load
         return lb
 
-    def candidate_nodes() -> list[int]:
-        """One representative node per identical (free-times, speed) class."""
-        seen: set[tuple] = set()
-        out: list[int] = []
-        for n in range(nodes):
-            key = (tuple(sorted(free[p] for p in node_procs[n])), node_speed[n])
-            if key not in seen:
-                seen.add(key)
-                out.append(n)
-        return out
-
-    def place_and_recurse(name: str, ready_rest: list[str]) -> None:
-        data_ready_base = [(p, placed[p].end, placed[p].primary) for p in preds[name]]
-        pred_primaries = sorted({pprimary for _, _, pprimary in data_ready_base})
-        rem = rem_cp[name]
-        # Loop-invariant across variants and placement choices: the free
-        # profile only changes inside deeper recursion (and is restored),
-        # so candidate nodes and per-node processor orders are computed
-        # once per ready-task expansion.
-        cand_nodes = candidate_nodes()
-        sorted_procs = {
-            node: sorted(node_procs[node], key=lambda p: (free[p], p))
-            for node in cand_nodes
-        }
-        for var, durs in var_durs[name]:
-            w = var.workers
-            for node in cand_nodes:
-                procs_here = sorted_procs[node]
-                if w > len(procs_here):
-                    continue
-                # Candidate processor sets for this node: the w earliest-free
-                # processors (optimal when communication is tier-uniform),
-                # plus — for serial placements — each predecessor's own
-                # processor, where the transfer is free (the same-proc tier
-                # can beat earlier availability under expensive intra-node
-                # communication).
-                choices = [tuple(procs_here[:w])]
-                if w == 1:
-                    for pp in pred_primaries:
-                        if pp in node_proc_sets[node] and (pp,) not in choices:
-                            choices.append((pp,))
-                dur = durs[node]
-                for chosen in choices:
-                    _try_placement(name, var, dur, chosen, data_ready_base,
-                                   ready_rest, rem)
-
-    def _try_placement(name, var, dur, chosen, data_ready_base, ready_rest, rem):
-        primary = chosen[0]
-        est = max((free[p] for p in chosen), default=0.0)
-        for pred, pend, pprimary in data_ready_base:
-            delay = transfer_time(edge_bytes[(pred, name)], pprimary, primary)
-            est = max(est, pend + delay)
-        cutoff = prune_cutoff()
-        # Lower bound, part 1: this task's own remaining chain from est.
-        if (est + rem) * infl > cutoff:
-            pruned_bound[0] += 1
-            return
-        end = est + dur
-        saved = [free[p] for p in chosen]
-        # Lower bound, part 2 (load): committing this placement raises each
-        # chosen processor's free time to `end`; all remaining work can only
-        # land after the free times, so P * latency >= sum(free) + the
-        # minimal processor-time of the still-unplaced tasks.  This is what
-        # prices out inefficient data-parallel variants and idle-inducing
-        # placements early.
-        new_sum = sum_free[0] - sum(saved) + end * len(chosen)
-        new_rem = rem_work[0] - min_work[name]
-        if (new_sum + new_rem) / P * infl > cutoff:
-            pruned_bound[0] += 1
-            return
-        placement = Placement(name, chosen, est, dur, variant=var.label)
-        old_sum, old_rem = sum_free[0], rem_work[0]
-        for p in chosen:
-            free[p] = end
-        sum_free[0] = new_sum
-        rem_work[0] = new_rem
-        placed[name] = placement
-        placed_sig[name] = (name, chosen, round(est, 12), round(dur, 12), var.label)
-        newly_ready = []
-        for s in succs[name]:
-            n_unscheduled_preds[s] -= 1
-            if n_unscheduled_preds[s] == 0:
-                newly_ready.append(s)
-        next_ready = sorted(ready_rest + newly_ready)
-        recurse(next_ready)
-        for s in succs[name]:
-            n_unscheduled_preds[s] += 1
-        del placed[name]
-        del placed_sig[name]
-        for p, t in zip(chosen, saved):
-            free[p] = t
-        sum_free[0], rem_work[0] = old_sum, old_rem
-
-    def recurse(ready_now: list[str]) -> None:
-        explored[0] += 1
-        if explored[0] > node_limit:
+    def recurse(ready_now, max_end, sig, sum_free, rem_work) -> None:
+        nonlocal explored, pruned_bound, pruned_dominance
+        explored += 1
+        if explored > node_limit:
             raise ScheduleError(
                 f"enumeration exceeded node_limit={node_limit}; "
                 "reduce variants or raise the limit"
             )
-        if dominance and placed_sig:
-            sig = frozenset(placed_sig.values())
+        if dominance and sig:
             if sig in seen_states:
-                pruned_dominance[0] += 1
+                pruned_dominance += 1
                 return
             seen_states.add(sig)
         if not ready_now:
-            if len(placed) == len(order_names):
-                record_solution()
+            if len(placed) == n_tasks:
+                record_solution(max_end)
             return
-        current_max = max((pl.end for pl in placed.values()), default=0.0)
-        if lower_bound(current_max) * infl > prune_cutoff():
-            pruned_bound[0] += 1
+        if lower_bound(max_end, sum_free, rem_work) * infl > cutoff:
+            pruned_bound += 1
             return
+        # The free profile only changes inside deeper recursion (and is
+        # restored), so one representative node per identical (free-times,
+        # speed) class and each one's processors in (free, index) order are
+        # computed once per node, for every ready task.
+        cand_nodes = []
+        classes: set[tuple] = set()
+        for node in range(nodes):
+            by_free = sorted(node_procs[node], key=free_of)
+            cls = (tuple([free[p] for p in by_free]), node_speed[node])
+            if cls not in classes:
+                classes.add(cls)
+                cand_nodes.append((node, by_free))
         for i, name in enumerate(ready_now):
-            place_and_recurse(name, ready_now[:i] + ready_now[i + 1 :])
+            data_ready = [
+                (placed[p][0], placed[p][1][0], delays[(p, name)], edge_bytes[(p, name)])
+                for p in preds[name]
+            ]
+            pred_primaries = sorted({src for _, src, _, _ in data_ready})
+            rem = rem_cp[name]
+            new_rem = rem_work - min_work[name]
+            # The ready list is re-sorted only when a successor became ready.
+            next_ready = ready_now[:i] + ready_now[i + 1 :]
+            newly_ready = False
+            for s in succs[name]:
+                n_unscheduled_preds[s] -= 1
+                if n_unscheduled_preds[s] == 0:
+                    next_ready.append(s)
+                    newly_ready = True
+            if newly_ready:
+                next_ready.sort()
+            for label, w, durs, durs12 in var_rows[name]:
+                for node, by_free in cand_nodes:
+                    if w > len(by_free):
+                        continue
+                    # Candidate processor sets for this node: the w earliest-free
+                    # processors (optimal when communication is tier-uniform),
+                    # plus — for serial placements — each predecessor's own
+                    # processor, where the transfer is free (the same-proc tier
+                    # can beat earlier availability under expensive intra-node
+                    # communication).
+                    choices = [tuple(by_free[:w])]
+                    if w == 1:
+                        for pp in pred_primaries:
+                            if pp in node_proc_sets[node] and (pp,) not in choices:
+                                choices.append((pp,))
+                    dur = durs[node]
+                    for chosen in choices:
+                        primary = chosen[0]
+                        est = free[chosen[-1]]  # the latest-free of the w earliest
+                        for pend, src, memo, nbytes in data_ready:
+                            delay = memo[src * P + primary]
+                            if delay is None:
+                                delay = memo[src * P + primary] = transfer_time(
+                                    nbytes, src, primary
+                                )
+                            if pend + delay > est:
+                                est = pend + delay
+                        # Lower bound, part 1: this task's own remaining chain from est.
+                        if (est + rem) * infl > cutoff:
+                            pruned_bound += 1
+                            continue
+                        end = est + dur
+                        saved = [free[p] for p in chosen]
+                        # Lower bound, part 2 (load): committing this placement
+                        # raises each chosen processor's free time to `end`; all
+                        # remaining work can only land after the free times, so
+                        # P * latency >= sum(free) + the minimal processor-time
+                        # of the still-unplaced tasks.  This is what prices out
+                        # inefficient data-parallel variants and idle-inducing
+                        # placements early.
+                        new_sum = sum_free - sum(saved) + end * w
+                        if (new_sum + new_rem) / P * infl > cutoff:
+                            pruned_bound += 1
+                            continue
+                        for p in chosen:
+                            free[p] = end
+                        placed[name] = (end, chosen, est, dur, label)
+                        sid = sig_ids.setdefault(
+                            (name, chosen, round(est, 12), durs12[node], label),
+                            len(sig_ids),
+                        )
+                        recurse(
+                            next_ready,
+                            end if end > max_end else max_end,
+                            sig | {sid},
+                            new_sum,
+                            new_rem,
+                        )
+                        del placed[name]
+                        for p, t in zip(chosen, saved):
+                            free[p] = t
+            for s in succs[name]:
+                n_unscheduled_preds[s] += 1
 
     try:
-        recurse(ready)
+        recurse(ready, 0.0, frozenset(), 0.0, sum(min_work.values()))
     except _EarlyStop:
         pass
     if not solutions:
         raise InfeasibleSchedule(
             f"no legal schedule for graph {problem.graph_name!r} on {cluster!r}"
         )
-    ranked = sorted(solutions.values(), key=lambda pair: (pair[0], pair[1].canonical_key()))
-    ordered = [
-        IterationSchedule(s.placements, name=f"opt[{i}]")
-        for i, (_lat, s) in enumerate(ranked)
-    ]
+    ordered = []
+    for key in sorted(solutions, key=lambda k: (solutions[k][0], k)):
+        sched = solutions[key][1]
+        sched.name = f"opt[{len(ordered)}]"
+        ordered.append(sched)
     # Certified lower bound on L*: an exact search proves its own latency
     # optimal; a bounded one proves L* > U / (1 + ε) by the pruning
     # argument above (never weaker than the static root bound).
     if bound_inflation > 0.0:
-        cert_lb = max(root_bound, best_latency[0] / infl)
+        cert_lb = max(root_bound, best_latency / infl)
     else:
-        cert_lb = best_latency[0]
+        cert_lb = best_latency
     return EnumerationResult(
-        latency=best_latency[0],
+        latency=best_latency,
         schedules=ordered,
-        optimal_count=optimal_count[0],
-        explored=explored[0],
+        optimal_count=optimal_count,
+        explored=explored,
         state=state,
         elapsed_s=time.perf_counter() - t0,
-        pruned_bound=pruned_bound[0],
-        pruned_dominance=pruned_dominance[0],
+        pruned_bound=pruned_bound,
+        pruned_dominance=pruned_dominance,
         lower_bound=cert_lb,
         root_bound=root_bound,
         bound_inflation=bound_inflation,

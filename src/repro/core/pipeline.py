@@ -32,7 +32,13 @@ shifts, and every ``k``, index into them.  Per member of S that replaces
 test for every ``k <= latency / lower bound`` and regrouping the spans by
 processor for every feasibility test, by one table build plus, per shift
 and ``k``, a walk over the distinct separations of one rotation that stops
-at the lower bound.
+at the lower bound — and ``k`` itself stops once the largest separation of
+any rotation, divided by it, is under that bound.  The walk takes an upper
+bound as well: the incumbent screen (:meth:`PipelineSearch.beats`) asks only
+for the critical values below the incumbent's period, so a member that
+cannot win — most of S — never has its full candidate lists built; the
+unbounded list is built, and shared, only where :meth:`PipelineSearch.best`
+runs.
 """
 
 from __future__ import annotations
@@ -100,9 +106,11 @@ class PipelineSearch:
     * ``hits[r]`` — the distinct collision tests ``(start_b, end_b,
       start_a, end_a - eps)``.
 
-    :meth:`best` is the search; :meth:`beats` is the same ascending scans cut
-    off at a bound, for callers comparing many iterations against an
-    incumbent.  Candidate lists are computed once per shift and shared.
+    ``max_sep`` is the largest separation of any rotation.  :meth:`best` is
+    the search; :meth:`beats` is the same ascending scans cut off at a bound,
+    for callers comparing many iterations against an incumbent — it asks
+    :meth:`candidates` only for the values below that bound.  The unbounded
+    candidate list of a shift is computed once and shared.
     """
 
     def __init__(self, iteration: IterationSchedule, n_procs: int) -> None:
@@ -136,10 +144,12 @@ class PipelineSearch:
                 hits[r].add((sb, eb, sa, ea_eps))
                 # A separation <= 0 yields a critical value below the
                 # (positive) lower bound, which is a candidate anyway.
-                for sep in (ea - sb, sa - eb):
-                    if sep > 0:
-                        seps[r].add(sep)
+                if ea - sb > 0:
+                    seps[r].add(ea - sb)
+                if sa - eb > 0:
+                    seps[r].add(sa - eb)
         self.seps = [sorted(s, reverse=True) for s in seps]
+        self.max_sep = max((s[0] for s in self.seps if s), default=0.0)
         self.hits = [list(h) for h in hits]
         self._candidates: dict[int, list[float]] = {}
 
@@ -158,8 +168,13 @@ class PipelineSearch:
                     return False
         return True
 
-    def candidates(self, shift: int) -> list[float]:
-        """The critical II values for ``shift``, ascending (computed once)."""
+    def candidates(self, shift: int, below: float = math.inf) -> list[float]:
+        """The critical II values for ``shift`` below ``below``, ascending.
+
+        The unbounded list is computed once and shared; a bounded call
+        (:meth:`beats`) returns it when it exists and otherwise generates
+        only the values under its bound.
+        """
         cached = self._candidates.get(shift)
         if cached is not None:
             return cached
@@ -172,19 +187,29 @@ class PipelineSearch:
         lb = self.mean_busy
         if shift == 0:
             lb = max(lb, self.max_busy)
-
+        if lb >= below:
+            return []  # lb is the smallest candidate
         candidates: set[float] = {lb, latency}
         # Any candidate below lb is infeasible, so k never needs to exceed
         # latency / lb (capped defensively for degenerate lb).
         Kmax = max(1, min(int(math.ceil(latency / max(lb, _EPS))) + P, 10_000))
+        low, high = lb - _EPS, latency + _EPS
+        rotation = 0  # (k * shift) % P, accumulated
         for k in range(1, Kmax + 1):
-            for sep in seps[(k * shift) % P]:
+            if self.max_sep / k < low:
+                break  # every rotation's largest critical value is below lb
+            rotation += shift
+            if rotation >= P:
+                rotation -= P
+            for sep in seps[rotation]:
                 crit = sep / k
-                if crit < lb - _EPS:
+                if crit < low:
                     break  # descending: the rest are smaller still
-                if crit <= latency + _EPS:
-                    candidates.add(max(crit, lb))
-        out = self._candidates[shift] = [c for c in sorted(candidates) if c > 0]
+                if crit < below and crit <= high:
+                    candidates.add(lb if lb > crit else crit)
+        out = sorted(c for c in candidates if 0 < c < below)
+        if below == math.inf:
+            self._candidates[shift] = out
         return out
 
     def min_ii(self, shift: int) -> float:
@@ -202,9 +227,9 @@ class PipelineSearch:
         period :meth:`best` would return, is at least ``period``.
         """
         for shift in _rotating_first(self.n_procs):
-            for cand in self.candidates(shift):
+            for cand in self.candidates(shift, period):
                 if cand >= period:
-                    break
+                    break  # a shared unbounded list runs past the bound
                 if self.feasible(shift, cand):
                     return True
         return False

@@ -5,13 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ScheduleError
-from repro.core.enumerate import enumerate_schedules
-from repro.graph.builders import chain_graph, fork_join_graph
+from repro.core.enumerate import enumerate_schedules, search_schedules
+from repro.core.parallel import make_request
+from repro.graph.builders import chain_graph, fork_join_graph, random_dag
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import DataParallelSpec, Task
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.sim.network import CommCost, CommModel
+from repro.state import State
 
 
 class TestKnownOptima:
@@ -130,6 +132,27 @@ class TestSetS:
         res = enumerate_schedules(tracker_graph, m8, smp4)
         for s in res.schedules:
             s.validate(tracker_graph, m8, smp4)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_full_set_under_slack_keeps_a_latency_L_schedule(self, seed):
+        """A set already full of within-slack members must still take a leaf
+        that improves or equals L: ``schedules`` always holds a member of
+        latency ``result.latency`` and ``.best`` is one (it used to count
+        such a leaf without storing it — 116 of these 360 combinations)."""
+        graph, state = random_dag(5, seed, dp_prob=0.3), State(n_models=4)
+        cluster = ClusterSpec(nodes=2, procs_per_node=2)
+        for slack in (0.1, 0.3):
+            for cap in (2, 8, 64):
+                req = make_request(graph, state, cluster, mode="enumerate",
+                                   max_solutions=cap, latency_slack=slack)
+                for incumbent in (req.incumbent, None):
+                    res = search_schedules(
+                        req.problem, state, cluster, None, max_solutions=cap,
+                        latency_slack=slack, incumbent=incumbent,
+                    )
+                    assert len(res.schedules) <= cap
+                    assert min(s.latency for s in res.schedules) == res.latency
+                    assert res.best.latency == res.latency
 
 
 class TestGuards:

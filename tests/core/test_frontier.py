@@ -8,7 +8,7 @@ from repro.core.frontier import latency_throughput_frontier
 from repro.core.optimal import OptimalScheduler
 from repro.core.pipeline import naive_pipeline
 from repro.graph.builders import chain_graph, random_dag
-from repro.sim.cluster import SINGLE_NODE_SMP
+from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.state import State
 
 
@@ -92,3 +92,13 @@ class TestFrontierGeneral:
         lats = [p.latency for p in front]
         thrs = [p.throughput for p in front]
         assert lats == sorted(lats) and thrs == sorted(thrs)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_leftmost_point_has_the_minimal_latency(self, seed):
+        """With the defaults (slack 1.0, 256 members) the within-slack set
+        fills before the search reaches L on seeds 1, 3 and 8; the leftmost
+        point must be the paper's operating point all the same."""
+        g, state = random_dag(5, seed, dp_prob=0.3), State(n_models=4)
+        cluster = ClusterSpec(nodes=2, procs_per_node=2)
+        front = latency_throughput_frontier(g, state, cluster, include_naive=False)
+        assert front[0].latency == OptimalScheduler(cluster).solve(g, state).latency

@@ -1,0 +1,110 @@
+"""What Figure 6 costs per node, per leaf and per member of S — as counts.
+
+The timing side lives in ``benchmarks/e2e`` (``offline_cold``); these are the
+counts behind it, which repeat exactly: schedule objects are built for the
+leaves that enter the materialized set and for no other, a transfer delay is
+asked of the communication model once per (edge, src, dst), and step 3's
+incumbent screen builds no unbounded candidate list.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import repro.core.enumerate as enumerate_mod
+from repro.core.optimal import OptimalScheduler
+from repro.core.parallel import execute_request, make_request
+from repro.core.pipeline import PipelineSearch
+from repro.core.schedule import IterationSchedule, Placement
+from repro.sim.network import CommModel
+from repro.workloads import get_family, load_dataset
+
+E2E_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+CAP = 64
+
+
+def _fusion_problem():
+    """A frozen fusion state with 552 optimal schedules of six tasks."""
+    family = get_family("fusion")
+    inst = load_dataset("fusion")[0]
+    graph, cluster = family.build_graph(inst), family.cluster(inst)
+    return graph, family.state_space(inst)[0], cluster
+
+
+def test_schedule_objects_are_built_for_kept_leaves_only(monkeypatch):
+    built: list[IterationSchedule] = []
+    placements = [0]
+
+    def counting_schedule(*args, **kwargs):
+        built.append(IterationSchedule(*args, **kwargs))
+        return built[-1]
+
+    def counting_placement(*args, **kwargs):
+        placements[0] += 1
+        return Placement(*args, **kwargs)
+
+    monkeypatch.setattr(enumerate_mod, "IterationSchedule", counting_schedule)
+    monkeypatch.setattr(enumerate_mod, "Placement", counting_placement)
+    graph, state, cluster = _fusion_problem()
+    result = execute_request(make_request(
+        graph, state, cluster, mode="enumerate", max_solutions=CAP,
+    ))
+    assert result.optimal_count > CAP == len(result.schedules)
+    assert result.explored > 10 * CAP
+    # At slack 0 a member leaves the set only by eviction, when L improves:
+    # whatever was built and is above the final L has been evicted.
+    evicted = sum(1 for s in built if s.latency > result.latency + 1e-9)
+    assert len(built) <= len(result.schedules) + evicted
+    assert placements[0] <= len(built) * len(graph.task_names)
+    assert {id(s) for s in result.schedules} <= {id(s) for s in built}
+
+
+def test_transfer_time_is_asked_once_per_edge_and_processor_pair(monkeypatch):
+    graph, state, cluster = _fusion_problem()
+    asked: list[tuple] = []
+    transfer_time = CommModel.transfer_time
+
+    def counting(self, nbytes, src, dst):
+        asked.append((nbytes, src, dst))
+        return transfer_time(self, nbytes, src, dst)
+
+    request = make_request(graph, state, cluster, mode="enumerate")
+    monkeypatch.setattr(CommModel, "transfer_time", counting)
+    result = execute_request(request)
+    pairs = len(request.problem.edge_bytes) * cluster.total_processors ** 2
+    assert result.explored > pairs  # one call a placement tried would be more
+    assert 0 < len(asked) <= pairs
+
+
+def test_the_screen_builds_no_unbounded_candidate_list(monkeypatch):
+    """An unbounded list exists only on a member whose ``best()`` ran: each
+    state's first member plus those that pass the screen."""
+    if str(E2E_DIR) not in sys.path:  # workloads imports its siblings by bare name
+        sys.path.insert(0, str(E2E_DIR))
+    import workloads
+
+    searches: list[PipelineSearch] = []
+    searched: set[int] = set()
+    init, best = PipelineSearch.__init__, PipelineSearch.best
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        searches.append(self)
+
+    def recording_best(self, *args, **kwargs):
+        searched.add(id(self))
+        return best(self, *args, **kwargs)
+
+    monkeypatch.setattr(PipelineSearch, "__init__", recording_init)
+    monkeypatch.setattr(PipelineSearch, "best", recording_best)
+    states = 0
+    for item in workloads.offline_instances(8):
+        scheduler = OptimalScheduler(item["cluster"])
+        for state in item["space"]:
+            scheduler.solve(item["graph"], state)
+            states += 1
+    assert len(searches) == 2041
+    assert len(searched) == 123 and len(searched) >= states
+    for search in searches:
+        assert bool(search._candidates) == (id(search) in searched)
