@@ -40,7 +40,7 @@ from _schema import write_bench
 from repro.core.cache import ScheduleCache
 from repro.core.enumerate import enumerate_schedules, search_schedules
 from repro.core.optimal import OptimalScheduler, solution_from_enumeration
-from repro.core.parallel import execute_request, make_request
+from repro.core.parallel import execute_request, incumbent_of, make_request
 from repro.core.pipeline import PipelineSearch
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
@@ -103,7 +103,7 @@ def test_explored_reduction_tracker_m8(tracker_graph):
                 request.problem, state, cluster, cm,
                 incumbent=incumbent, dominance=False, max_solutions=4096,
             )
-            for incumbent in (None, request.incumbent)
+            for incumbent in (None, incumbent_of(request)[0])
         )
         fast = execute_request(request)
         assert cold.latency == warm.latency == fast.latency

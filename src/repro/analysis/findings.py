@@ -127,6 +127,9 @@ class AnalysisReport:
     def __init__(self, findings: Iterable[Finding] = ()) -> None:
         self.findings: list[Finding] = list(findings)
         self.waivers_applied: list[Waiver] = []
+        # Written by :func:`~repro.analysis.stmcheck.check_stm` only: the
+        # (graph, tasks, channels) whose wiring findings are already in here.
+        self._stm_wiring: list[tuple] = []
 
     # -- building -----------------------------------------------------------
 
@@ -156,6 +159,7 @@ class AnalysisReport:
         """Merge another report's findings (and applied waivers) into this one."""
         self.findings.extend(other.findings)
         self.waivers_applied.extend(other.waivers_applied)
+        self._stm_wiring.extend(other._stm_wiring)
         return self
 
     def apply_waivers(self, waivers: Iterable[Waiver]) -> int:

@@ -119,14 +119,32 @@ def check_stm(
     Without a ``solution`` only the wiring-level rules run (wait cycles,
     consume leaks, born-consumed hazards); with one, the schedule bounds
     each channel's in-flight item count and ``P002`` checks it against the
-    declared capacity.
+    declared capacity.  The wiring rules never read the solution, so a
+    ``report`` that already holds their findings for this graph as it is
+    wired now — a table ``verify`` calls this once per entry — gets only
+    ``P002`` added; a graph edited since is analyzed afresh.
     """
     report = report if report is not None else AnalysisReport()
     loc = f"graph:{graph.name}"
     streaming = _streaming_channels(graph)
+    # All the wiring rules read: the graph's tasks (fixed once built, so
+    # compared by identity) and channel specs (compared by value).
+    seen = (graph, graph.tasks, graph.channels)
+    wiring = seen not in report._stm_wiring
+    if wiring:
+        report._stm_wiring.append(seen)
+        _wait_cycles(graph, streaming, loc, report)
+    if solution is not None:
+        _capacity(graph, solution, streaming, loc, report)
+    if wiring:
+        _consumers(graph, streaming, loc, report)
+    return report
 
-    # -- wait-for graph: get-waits (consumer -> producer) plus capacity
-    # back-pressure (producer -> consumer, bounded channels only).
+
+def _wait_cycles(graph, streaming, loc, report) -> None:
+    """P001 over the wait-for graph."""
+    # Get-waits (consumer -> producer) plus capacity back-pressure
+    # (producer -> consumer, bounded channels only).
     edges: dict[str, set[str]] = {t.name: set() for t in graph.tasks}
     edge_channels: dict[tuple[str, str], set[str]] = {}
     for ch in streaming:
@@ -160,24 +178,29 @@ def check_stm(
                 "can deadlock",
             )
 
-    # P002 — schedule-derived in-flight count vs declared capacity.  Item k
-    # of a channel is live from its producer's end until the last
-    # consumer's end, k*II later for each successive timestamp.
-    if solution is not None:
-        live = schedule_in_flight(graph, solution)
-        for ch in streaming:
-            if ch.capacity is None or ch.name not in live:
-                continue
-            in_flight = live[ch.name]
-            if in_flight > ch.capacity:
-                report.add(
-                    "P002",
-                    f"{loc}/channel:{ch.name}",
-                    f"schedule keeps {in_flight} items of {ch.name!r} in "
-                    f"flight (II={solution.period:g}s) but capacity is "
-                    f"{ch.capacity}",
-                )
 
+def _capacity(graph, solution, streaming, loc, report) -> None:
+    """P002 — the one rule here that reads the schedule."""
+    # Schedule-derived in-flight count vs declared capacity.  Item k of a
+    # channel is live from its producer's end until the last consumer's
+    # end, k*II later for each successive timestamp.
+    live = schedule_in_flight(graph, solution)
+    for ch in streaming:
+        if ch.capacity is None or ch.name not in live:
+            continue
+        in_flight = live[ch.name]
+        if in_flight > ch.capacity:
+            report.add(
+                "P002",
+                f"{loc}/channel:{ch.name}",
+                f"schedule keeps {in_flight} items of {ch.name!r} in "
+                f"flight (II={solution.period:g}s) but capacity is "
+                f"{ch.capacity}",
+            )
+
+
+def _consumers(graph, streaming, loc, report) -> None:
+    """P003 and P004 over each channel's consumer set."""
     # P003 — produced-never-consumed channels leak items forever.  Terminal
     # outputs of sink tasks are exempt: every runtime drains those with
     # implicit collectors (they are the application's results).
@@ -209,7 +232,7 @@ def check_stm(
     try:
         order = graph.topo_order()
     except Exception:
-        return report  # cyclic graphs are pass-1 findings (G001)
+        return  # cyclic graphs are pass-1 findings (G001)
     ancestors: dict[str, set[str]] = {}
     for name in order:
         anc: set[str] = set()
@@ -235,4 +258,3 @@ def check_stm(
                     break
             if flagged:
                 break
-    return report

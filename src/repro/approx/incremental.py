@@ -105,12 +105,17 @@ def warm_start_from(
     request: SolveRequest,
     neighbor: IterationSchedule,
 ) -> bool:
-    """Tighten ``request`` in place with a neighbor's re-costed schedule.
+    """Supply ``request`` with a neighbor's re-costed schedule as its bound.
 
-    Returns True when the neighbor actually improved the incumbent.  For
-    approximate requests the re-costed schedule also replaces the HEFT
-    fallback when it is strictly better, so an ε-prune-everything outcome
-    serves the tighter of the two.
+    The request carries no HEFT schedule — that is computed on a miss, by
+    :func:`~repro.core.parallel.incumbent_of`, which keeps the tighter of
+    the two: the bound a miss searches under is ``min(HEFT, neighbor)``,
+    and for approximate requests the better of the two schedules is the
+    fallback, so an ε-prune-everything outcome serves the tighter one.
+    A neighbor no better than HEFT therefore never becomes the bound.
+
+    Returns True when the re-costed schedule was attached: the replay was
+    legal under the new state and beat any bound the request already held.
     """
     warm = recost_schedule(
         neighbor, request.problem, request.cluster, request.comm
@@ -120,6 +125,5 @@ def warm_start_from(
     if request.incumbent is not None and warm.latency >= request.incumbent:
         return False
     request.incumbent = warm.latency
-    if request.fallback is not None and warm.latency < request.fallback.latency:
-        request.fallback = warm
+    request.fallback = warm
     return True

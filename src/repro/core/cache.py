@@ -17,8 +17,12 @@ of everything that determines its answer:
 
 Deliberately *excluded* from the key: the graph's display name, the
 warm-start incumbent (proven semantics-preserving — it changes how fast
-the answer is found, never the answer), and ``node_limit`` (a safety
-valve, not a result parameter).
+the answer is found, never the answer — and not even computed until a
+fetch has missed: :func:`~repro.core.parallel.make_request` runs no
+scheduler, so a hit costs digest → fetch → deserialize), and
+``node_limit`` (a safety valve, not a result parameter).  Nothing about a
+past verification is stored either: an entry is a solution, and every
+``verify`` re-checks it.
 
 Entries are one JSON file per digest, written atomically
 (temp-file-then-rename), layered on :mod:`repro.core.serialize` for the
@@ -207,7 +211,10 @@ class ScheduleCache:
             "digest": request_digest(request),
             "solution": solution_to_dict(solution),
         }
-        blob = json.dumps(payload, indent=2)
+        # Only a machine reads an entry: compact separators keep the C
+        # encoder (``indent`` forces the pure-Python one).  ``fetch`` parses
+        # either layout, so indented entries from older builds still hit.
+        blob = json.dumps(payload, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

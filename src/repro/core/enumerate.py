@@ -216,6 +216,20 @@ class SearchProblem:
             edge_bytes=edge_bytes,
         )
 
+    # -- the three reads IterationSchedule.validate makes of a graph --------
+
+    @property
+    def task_names(self) -> list[str]:
+        return list(self.order_names)
+
+    def predecessors(self, task: str) -> list[str]:
+        """As :meth:`TaskGraph.predecessors` (same names, same order)."""
+        return list(self.preds[task])
+
+    def comm_bytes(self, src: str, dst: str, state: State) -> int:
+        """As :meth:`TaskGraph.comm_bytes`; ``state`` is the snapshot's own."""
+        return self.edge_bytes[(src, dst)]
+
     def digest_payload(self) -> dict:
         """A JSON-safe, content-only description used for cache keys.
 

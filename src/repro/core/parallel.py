@@ -3,11 +3,15 @@
 Every answer the off-line phase produces comes through two functions.
 :func:`make_request` reads the inputs of Figure 6 once — it evaluates
 every cost callable into a :class:`~repro.core.enumerate.SearchProblem`
-snapshot, runs the HEFT list scheduler *on that snapshot* for the
-warm-start incumbent (and, for approximate requests, the fallback
-schedule) and packs the result as a picklable :class:`SolveRequest`.
-:func:`execute_request` runs one request to completion and is the only
-caller of :func:`~repro.core.enumerate.search_schedules` (steps 1-2) and
+snapshot — and packs the result as a picklable :class:`SolveRequest`; it
+runs no scheduler, so everything before :meth:`ScheduleCache.fetch
+<repro.core.cache.ScheduleCache.fetch>` is the snapshot and its digest.
+:func:`execute_request` — the miss path, in whichever process the miss
+runs — first computes the warm-start incumbent (:func:`incumbent_of`: the
+HEFT list schedule of that snapshot, validated against it, and for
+approximate requests the fallback schedule), then runs the request to
+completion.  It is the only caller of
+:func:`~repro.core.enumerate.search_schedules` (steps 1-2) and
 :func:`~repro.core.optimal.solution_from_enumeration` (step 3); both are
 resolved through this module's namespace at call time, which is the
 by-name contract ``benchmarks/e2e`` wraps its spans around (and where an
@@ -62,6 +66,7 @@ from repro.state import State
 __all__ = [
     "SolveRequest",
     "make_request",
+    "incumbent_of",
     "execute_request",
     "solve_many",
     "default_workers",
@@ -83,15 +88,21 @@ class SolveRequest:
     * ``"enumerate"`` — the raw
       :class:`~repro.core.enumerate.EnumerationResult` (steps 1-2 only),
       used by the frontier and sensitivity sweeps that inspect S itself;
-    * ``"list"`` — no search at all: the pre-computed HEFT ``fallback``
-      schedule wrapped as a solution with a root-bound gap certificate
-      (rung 3 of the :mod:`repro.approx` ladder).
+    * ``"list"`` — no search at all: the HEFT list schedule wrapped as a
+      solution with a root-bound gap certificate (rung 3 of the
+      :mod:`repro.approx` ladder).
 
     ``bound_inflation`` (ε) makes the search bounded-suboptimal, and
     ``ladder`` appends escalation stages ``(ε, node_limit)`` tried in
-    order when a stage blows its node budget — with the ``fallback``
-    schedule as the final rung.  All of it is pure picklable data, so a
-    whole policy ladder ships to a worker as one request.
+    order when a stage blows its node budget — with the list schedule as
+    the final rung.  All of it is pure picklable data, so a whole policy
+    ladder ships to a worker as one request.
+
+    ``incumbent`` / ``fallback`` are an upper bound the caller already
+    holds and the legal schedule that attains it (the lazy table's
+    re-costed neighbor, :func:`repro.approx.incremental.warm_start_from`);
+    :func:`make_request` leaves both unset.  The bound a miss searches
+    under is :func:`incumbent_of`'s: HEFT's, tightened by this one.
 
     ``tag`` is an opaque caller label (a state, a shape key, a trial
     index) carried through untouched; ``solve_many`` never looks at it.
@@ -116,8 +127,6 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.mode not in ("solve", "enumerate", "list"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
-        if self.mode == "list" and self.fallback is None:
-            raise ValueError("mode='list' requires a fallback schedule")
 
 
 def make_request(
@@ -138,34 +147,18 @@ def make_request(
 ) -> SolveRequest:
     """Snapshot one (graph, state, cluster) solve into a :class:`SolveRequest`.
 
-    The costs are read once, into the :class:`SearchProblem`; the HEFT
-    list schedule is computed *here*, in the parent process, from that
-    snapshot — it is linear-time, and workers then need nothing but the
-    pure-data request.  Its latency is the warm-start incumbent; when the
-    request is approximate (``mode="list"``, ``bound_inflation`` > 0, or
-    escalation ``ladder`` stages), the *full* schedule rides along as the
-    fallback rung.  A heuristic that cannot produce a legal schedule
-    leaves both unset and the search simply starts cold.
+    The costs are read once, into the :class:`SearchProblem`, and nothing
+    else happens here: no list schedule, no search.  The request is the
+    cache key's whole input, so a builder digests and fetches before any
+    scheduler runs; the warm-start incumbent is :func:`execute_request`'s
+    business, on a miss.  That is also where ``mode="list"`` reports a
+    graph the list scheduler cannot place (:class:`InfeasibleSchedule`,
+    at execute time — a batch that skips infeasible keys skips it too).
     """
-    from repro.sched.listsched import heft_schedule  # deferred: avoids import cycle
-
     dp_cap = max_workers if max_workers is not None else cluster.procs_per_node
     problem = SearchProblem.from_graph(graph, state, max_workers=dp_cap)
     if mode == "list" and not problem.order_names:
         mode = "solve"  # empty graph: the search's trivial result is exact
-    heft = None
-    if problem.order_names:
-        try:
-            heft = heft_schedule(problem, state, cluster, comm)
-            heft.validate(graph, state, cluster, comm)
-        except (ReproError, AssertionError):
-            heft = None
-    if mode == "list" and heft is None:
-        raise InfeasibleSchedule(
-            f"list scheduler produced no legal schedule for "
-            f"{graph.name!r} in {state!r} on {cluster!r}"
-        )
-    approximate = bound_inflation > 0.0 or bool(ladder) or mode == "list"
     return SolveRequest(
         problem=problem,
         state=state,
@@ -176,13 +169,53 @@ def make_request(
         node_limit=node_limit,
         tolerance=tolerance,
         latency_slack=latency_slack,
-        incumbent=heft.latency if heft is not None else None,
         bound_inflation=bound_inflation,
         ladder=tuple(ladder),
-        fallback=heft if approximate else None,
         dp_cap=dp_cap,
         tag=tag,
     )
+
+
+def incumbent_of(
+    request: SolveRequest,
+) -> tuple[Optional[float], Optional[IterationSchedule]]:
+    """The ``(upper bound, fallback schedule)`` a miss of ``request`` runs under.
+
+    The HEFT list schedule of the request's snapshot — linear-time, and
+    validated against that same snapshot (task set, processor range and
+    exclusivity, precedence with communication) before its latency bounds
+    anything.  A heuristic that cannot produce a legal schedule yields
+    ``(None, None)`` and the search simply starts cold.  A bound the
+    caller supplied (``request.incumbent``) replaces HEFT's when it is
+    strictly tighter, and its schedule then replaces HEFT's as the
+    fallback.  The fallback is kept for approximate requests only
+    (``mode="list"``, ``bound_inflation`` > 0, ``ladder`` stages) — the
+    rungs that may serve it.
+    """
+    from repro.sched.listsched import heft_schedule  # deferred: avoids import cycle
+
+    heft: Optional[IterationSchedule] = None
+    if request.problem.order_names:
+        try:
+            heft = heft_schedule(
+                request.problem, request.state, request.cluster, request.comm
+            )
+            heft.validate(
+                request.problem, request.state, request.cluster, request.comm
+            )
+        except (ReproError, AssertionError):
+            heft = None
+    bound = heft.latency if heft is not None else None
+    fallback = heft
+    supplied = request.incumbent
+    if supplied is not None and (bound is None or supplied < bound):
+        bound = supplied
+        if heft is not None and request.fallback is not None:
+            fallback = request.fallback
+    approximate = (
+        request.bound_inflation > 0.0 or bool(request.ladder) or request.mode == "list"
+    )
+    return bound, fallback if approximate else None
 
 
 def execute_request(
@@ -190,15 +223,28 @@ def execute_request(
 ) -> Union[ScheduleSolution, EnumerationResult]:
     """Run one request to completion (works in any process).
 
+    This is the miss path, and the one place a list schedule is computed:
+    :func:`incumbent_of` gives the bound every stage searches under and
+    the fallback the approximate rungs may serve.  ``mode="list"`` serves
+    that fallback directly and raises :class:`InfeasibleSchedule` when
+    the list scheduler placed nothing legal.
+
     Approximate requests escalate deterministically: the primary stage
     (``bound_inflation``, ``node_limit``), then each ``ladder`` stage
     when the previous one blows its node budget, and finally — for a
     bounded stage whose ε-pruning eliminated every leaf, or a ladder that
-    exhausted all stages — the pre-computed ``fallback`` list schedule,
-    wrapped with a sound gap certificate.
+    exhausted all stages — the ``fallback`` list schedule, wrapped with a
+    sound gap certificate.
     """
+    incumbent, fallback = incumbent_of(request)
     if request.mode == "list":
-        return _serve_fallback(request, policy="list")
+        if fallback is None:
+            raise InfeasibleSchedule(
+                f"list scheduler produced no legal schedule for "
+                f"{request.problem.graph_name!r} in {request.state!r} "
+                f"on {request.cluster!r}"
+            )
+        return _serve_fallback(request, fallback, policy="list")
     stages = [(request.bound_inflation, request.node_limit)]
     stages += [(float(eps), int(limit)) for eps, limit in request.ladder]
     last_error: Optional[ScheduleError] = None
@@ -214,22 +260,24 @@ def execute_request(
                 node_limit=limit,
                 tolerance=request.tolerance,
                 latency_slack=request.latency_slack,
-                incumbent=request.incumbent,
+                incumbent=incumbent,
                 bound_inflation=eps,
             )
             break
         except InfeasibleSchedule:
-            if eps > 0.0 and request.fallback is not None:
+            if eps > 0.0 and fallback is not None:
                 # ε-pruning cut every leaf *against the incumbent*:
                 # anything better than fallback/(1+ε) was provably pruned,
                 # so serving the incumbent is within the bounded contract.
-                return _serve_fallback(request, policy="bounded", epsilon=eps)
+                return _serve_fallback(
+                    request, fallback, policy="bounded", epsilon=eps
+                )
             raise
         except ScheduleError as exc:
             last_error = exc  # node budget blown: try the next rung
     if result is None:
-        if request.fallback is not None:
-            return _serve_fallback(request, policy="list")
+        if fallback is not None:
+            return _serve_fallback(request, fallback, policy="list")
         raise last_error if last_error is not None else ScheduleError(
             "solve request produced no result"
         )
@@ -241,16 +289,15 @@ def execute_request(
 
 
 def _serve_fallback(
-    request: SolveRequest, policy: str, epsilon: float = 0.0
+    request: SolveRequest,
+    fallback: IterationSchedule,
+    policy: str,
+    epsilon: float = 0.0,
 ) -> ScheduleSolution:
     """The request's list-schedule fallback as a certified solution."""
-    if request.fallback is None:
-        raise InfeasibleSchedule(
-            f"no fallback schedule available for {request.state!r}"
-        )
     root = static_lower_bound(request.problem, request.cluster)
     return solution_from_fallback(
-        request.fallback,
+        fallback,
         request.state,
         request.cluster,
         root_bound=root,

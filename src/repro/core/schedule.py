@@ -20,13 +20,16 @@ legality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.errors import InvalidSchedule
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
 from repro.state import State
+
+if TYPE_CHECKING:  # enumerate imports this module
+    from repro.core.enumerate import SearchProblem
 
 __all__ = ["Placement", "IterationSchedule", "PipelinedSchedule"]
 
@@ -163,12 +166,18 @@ class IterationSchedule:
 
     def validate(
         self,
-        graph: TaskGraph,
+        graph: Union[TaskGraph, "SearchProblem"],
         state: State,
         cluster: ClusterSpec,
         comm: Optional[CommModel] = None,
     ) -> None:
         """Raise :class:`~repro.errors.InvalidSchedule` on any violation.
+
+        ``graph`` is read through ``task_names``, ``predecessors(name)``
+        and ``comm_bytes(pred, name, state)`` only, so the
+        :class:`~repro.core.enumerate.SearchProblem` snapshot of a graph
+        stands in for it (the off-line solve path holds nothing else) and
+        gives the same verdict and the same message.
 
         Checks performed:
 
@@ -178,8 +187,9 @@ class IterationSchedule:
            ``u -> v``, ``start(v) >= end(u) + comm(bytes, primary(u),
            primary(v))``.
         """
-        missing = set(graph.task_names) - set(self._by_task)
-        extra = set(self._by_task) - set(graph.task_names)
+        names = set(graph.task_names)
+        missing = names - set(self._by_task)
+        extra = set(self._by_task) - names
         if missing:
             raise InvalidSchedule(f"schedule {self.name!r} misses tasks {sorted(missing)}")
         if extra:
@@ -205,9 +215,11 @@ class IterationSchedule:
                         f"processor {proc}: {a.task!r} [{a.start:g},{a.end:g}) overlaps "
                         f"{b.task!r} [{b.start:g},{b.end:g})"
                     )
-        # Precedence with communication delay.
-        for name in graph.task_names:
-            v = self._by_task[name]
+        # Precedence with communication delay, in the schedule's own
+        # (start-time) order: the first violation reported does not depend
+        # on the order ``graph`` happens to list its tasks in.
+        for v in self.placements:
+            name = v.task
             for pred in graph.predecessors(name):
                 u = self._by_task[pred]
                 delay = 0.0

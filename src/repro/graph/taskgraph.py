@@ -12,7 +12,7 @@ not induce precedence — they are readable at any time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import (
     CycleError,
@@ -30,6 +30,18 @@ __all__ = ["TaskGraph"]
 class TaskGraph:
     """A validated macro-dataflow graph of tasks and channels.
 
+    The structure every consumer asks about — who produces and consumes
+    each channel (from which a task's successors and predecessors are a
+    few look-ups), the topological order, and whether :meth:`validate`
+    passed — is derived on first use and kept on the instance: a table
+    build asks the same questions for every state of a graph that does
+    not change.  :meth:`add_task`,
+    :meth:`add_channel` and :meth:`remove_task` are the only writers of
+    the graph and each drops everything derived (tasks and channel specs
+    are themselves fixed once constructed).  Only answers are remembered,
+    never failures: an invalid graph raises the same error on every call.
+    Every query returns a fresh list, so a caller may mutate its result.
+
     >>> g = TaskGraph()
     >>> g.add_channel(ChannelSpec("c", item_bytes=100))
     >>> g.add_task(Task("producer", cost=1.0, outputs=["c"]))
@@ -43,6 +55,14 @@ class TaskGraph:
         self.name = name
         self._tasks: dict[str, Task] = {}
         self._channels: dict[str, ChannelSpec] = {}
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop everything derived from ``_tasks`` / ``_channels``."""
+        # channel -> (producers, consumers), built for all channels at once
+        self._wiring: Optional[dict[str, tuple[list[Task], list[Task]]]] = None
+        self._topo: Optional[list[str]] = None
+        self._valid = False
 
     # -- construction ---------------------------------------------------------
 
@@ -51,6 +71,7 @@ class TaskGraph:
         if task.name in self._tasks or task.name in self._channels:
             raise DuplicateNameError(f"name {task.name!r} already used in graph {self.name!r}")
         self._tasks[task.name] = task
+        self._forget()
         return task
 
     def add_channel(self, channel: ChannelSpec) -> ChannelSpec:
@@ -60,14 +81,17 @@ class TaskGraph:
                 f"name {channel.name!r} already used in graph {self.name!r}"
             )
         self._channels[channel.name] = channel
+        self._forget()
         return channel
 
     def remove_task(self, name: str) -> Task:
         """Remove and return a task."""
         try:
-            return self._tasks.pop(name)
+            task = self._tasks.pop(name)
         except KeyError:
             raise UnknownNameError(f"no task named {name!r}") from None
+        self._forget()
+        return task
 
     # -- lookup -----------------------------------------------------------------
 
@@ -114,43 +138,47 @@ class TaskGraph:
 
     # -- connectivity --------------------------------------------------------------
 
+    def _ends(self, channel: str) -> tuple[Sequence[Task], Sequence[Task]]:
+        """``channel``'s (producers, consumers), from one scan of the tasks."""
+        self.channel(channel)
+        wiring = self._wiring
+        if wiring is None:
+            wiring = {}
+            for t in self._tasks.values():
+                for ch in t.outputs:  # a Task lists a channel at most once
+                    wiring.setdefault(ch, ([], []))[0].append(t)
+                for ch in t.inputs:
+                    wiring.setdefault(ch, ([], []))[1].append(t)
+            self._wiring = wiring
+        return wiring.get(channel, ((), ()))
+
     def producers(self, channel: str) -> list[Task]:
         """Tasks that put to ``channel``."""
-        self.channel(channel)
-        return [t for t in self._tasks.values() if channel in t.outputs]
+        return list(self._ends(channel)[0])
 
     def consumers(self, channel: str) -> list[Task]:
         """Tasks that get from ``channel``."""
-        self.channel(channel)
-        return [t for t in self._tasks.values() if channel in t.inputs]
+        return list(self._ends(channel)[1])
 
     def successors(self, task: str) -> list[str]:
         """Tasks consuming any streaming channel this task produces."""
         t = self.task(task)
-        out: list[str] = []
-        seen: set[str] = set()
-        for ch in t.outputs:
-            if self.channel(ch).static:
-                continue
-            for c in self.consumers(ch):
-                if c.name not in seen:
-                    seen.add(c.name)
-                    out.append(c.name)
-        return out
+        return list(dict.fromkeys(
+            c.name
+            for ch in t.outputs
+            if not self.channel(ch).static
+            for c in self._ends(ch)[1]
+        ))
 
     def predecessors(self, task: str) -> list[str]:
         """Tasks producing any streaming channel this task consumes."""
         t = self.task(task)
-        out: list[str] = []
-        seen: set[str] = set()
-        for ch in t.inputs:
-            if self.channel(ch).static:
-                continue
-            for p in self.producers(ch):
-                if p.name not in seen:
-                    seen.add(p.name)
-                    out.append(p.name)
-        return out
+        return list(dict.fromkeys(
+            p.name
+            for ch in t.inputs
+            if not self.channel(ch).static
+            for p in self._ends(ch)[0]
+        ))
 
     def channels_between(self, src: str, dst: str) -> list[ChannelSpec]:
         """Streaming channels produced by ``src`` and consumed by ``dst``."""
@@ -178,7 +206,7 @@ class TaskGraph:
         out = []
         for t in self._tasks.values():
             streaming_out = [ch for ch in t.outputs if not self._channels[ch].static]
-            if all(not self.consumers(ch) for ch in streaming_out):
+            if all(not self._ends(ch)[1] for ch in streaming_out):
                 out.append(t.name)
         return out
 
@@ -192,6 +220,8 @@ class TaskGraph:
         class uses single-writer streams); the precedence relation is
         acyclic; the graph has at least one source.
         """
+        if self._valid:
+            return
         for t in self._tasks.values():
             for ch in (*t.inputs, *t.outputs):
                 if ch not in self._channels:
@@ -199,10 +229,10 @@ class TaskGraph:
                         f"task {t.name!r} references undeclared channel {ch!r}"
                     )
         for ch in self._channels.values():
-            prods = self.producers(ch.name)
             if ch.static:
                 continue
-            if len(prods) == 0 and self.consumers(ch.name):
+            prods, cons = self._ends(ch.name)
+            if len(prods) == 0 and cons:
                 raise GraphError(f"streaming channel {ch.name!r} has consumers but no producer")
             if len(prods) > 1:
                 raise GraphError(
@@ -212,12 +242,15 @@ class TaskGraph:
         self.topo_order()  # raises CycleError on cycles
         if self._tasks and not self.source_tasks():
             raise GraphError(f"graph {self.name!r} has no source task")
+        self._valid = True
 
     def topo_order(self) -> list[str]:
         """Task names in a deterministic topological order (Kahn's algorithm).
 
         Ties are broken by insertion order, so the result is stable.
         """
+        if self._topo is not None:
+            return list(self._topo)
         indeg = {name: 0 for name in self._tasks}
         succs: dict[str, list[str]] = {name: [] for name in self._tasks}
         for name in self._tasks:
@@ -236,7 +269,8 @@ class TaskGraph:
         if len(order) != len(self._tasks):
             stuck = sorted(set(self._tasks) - set(order))
             raise CycleError(f"task graph {self.name!r} has a cycle among {stuck}")
-        return order
+        self._topo = order
+        return list(order)
 
     # -- analysis ---------------------------------------------------------------------
 

@@ -56,9 +56,10 @@ def heft_schedule(
     """The HEFT core, on a cost snapshot (same leading arguments as the search).
 
     Reads no cost callable: every duration and byte count comes from
-    ``problem``, so a request builder that already holds the snapshot
-    (:func:`repro.core.parallel.make_request`) pays for the costs once.
-    The result is *not* validated against the graph — both callers do that.
+    ``problem``, so the off-line solve path, which holds only the snapshot
+    (:func:`repro.core.parallel.incumbent_of`, on a cache miss), pays for
+    the costs once.  The result is *not* validated here — both callers do
+    that, against the graph or against the snapshot itself.
     """
     if comm is None:
         comm = CommModel.free(cluster)

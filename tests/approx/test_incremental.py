@@ -6,7 +6,8 @@ from repro.approx import neighbor_states, recost_schedule, warm_start_from
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.enumerate import SearchProblem
 from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import execute_request, make_request
+from repro.core.parallel import execute_request, incumbent_of, make_request
+from repro.core.schedule import IterationSchedule, Placement
 from repro.core.serialize import solution_to_dict
 from repro.graph.builders import chain_graph
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -74,9 +75,12 @@ def test_warm_start_tightens_the_incumbent():
     cluster = ClusterSpec(nodes=2, procs_per_node=2)
     neighbor = OptimalScheduler(cluster).solve(graph, State(n_models=3))
     request = make_request(graph, State(n_models=4), cluster, mode="solve")
-    request.incumbent = None
+    heft_bound, _ = incumbent_of(request)
+    assert request.incumbent is None  # HEFT is computed on a miss, not carried
     assert warm_start_from(request, neighbor.iteration)
     assert request.incumbent is not None
+    # The miss searches under the tighter of the two, never a looser one.
+    assert incumbent_of(request)[0] == min(heft_bound, request.incumbent)
     # The warm-started search still finds the true optimum.
     warm = execute_request(request)
     cold = OptimalScheduler(cluster).solve(graph, State(n_models=4))
@@ -92,6 +96,23 @@ def test_warm_start_never_loosens():
     request.incumbent = tight
     assert not warm_start_from(request, neighbor.iteration)
     assert request.incumbent == tight
+    assert incumbent_of(request)[0] == tight
+
+
+def test_a_neighbor_no_better_than_heft_does_not_become_the_bound():
+    graph = build_tracker_graph()
+    cluster = SINGLE_NODE_SMP(4)
+    request = make_request(graph, State(n_models=3), cluster, bound_inflation=0.1)
+    heft_bound, heft = incumbent_of(request)
+    serial = IterationSchedule(  # everything on one processor: legal, slow
+        [Placement(name, (0,), float(i), 1.0)
+         for i, name in enumerate(request.problem.order_names)]
+    )
+    assert warm_start_from(request, serial)  # legal, so it rides along ...
+    assert request.incumbent > heft_bound
+    bound, fallback = incumbent_of(request)
+    assert bound == heft_bound  # ... but HEFT's bound and fallback stand
+    assert fallback.canonical_key() == heft.canonical_key()
 
 
 def test_warm_start_across_every_tracker_adjacency():

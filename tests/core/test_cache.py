@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.cache import ScheduleCache, default_cache_dir, request_digest
 from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import execute_request, make_request
+from repro.core.parallel import execute_request, incumbent_of, make_request
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.graph.builders import chain_graph
@@ -49,9 +49,14 @@ def test_digest_stable_across_processes_and_names(tracker_graph, cluster):
     a = _request(tracker_graph, State(n_models=2), cluster)
     b = _request(tracker_graph, State(n_models=2), cluster)
     assert request_digest(a) == request_digest(b)
-    # The incumbent never changes the answer, so it never changes the key.
-    assert b.incumbent is not None
-    b.incumbent = None
+    # The incumbent never changes the answer, so it never changes the key:
+    # a request is built without one, and supplying one (as the lazy table's
+    # warm start does, schedule included) leaves the digest alone.
+    assert a.incumbent is None and a.fallback is None
+    b.incumbent, b.fallback = incumbent_of(
+        _request(tracker_graph, State(n_models=2), cluster, mode="list")
+    )
+    assert b.incumbent is not None and b.fallback is not None
     assert request_digest(a) == request_digest(b)
 
 
@@ -92,6 +97,34 @@ def test_digest_ignores_graph_name(cluster):
     assert request_digest(_request(g1, s, cluster)) == request_digest(
         _request(g2, s, cluster)
     )
+
+
+def test_entries_are_compact_and_an_indented_one_still_hits(
+    tracker_graph, cluster, cache
+):
+    """``store`` writes compact JSON; the version did not move, so an entry
+    an older build wrote with ``indent=2`` — same payload, same file name —
+    is still a hit, and reads back as the same solution."""
+    from repro.core.serialize import solution_to_dict
+
+    req = _request(tracker_graph, State(n_models=3), cluster)
+    solution = execute_request(req)
+    cache.store(req, solution)
+    path = cache._path(request_digest(req))
+    compact = path.read_text()
+    assert "\n" not in compact and ": " not in compact
+    payload = {
+        "format": "repro.schedule_solution",
+        "version": 2,
+        "digest": request_digest(req),
+        "solution": solution_to_dict(solution),
+    }
+    assert json.loads(compact) == payload
+    path.write_text(json.dumps(payload, indent=2))  # the older layout, by hand
+    assert len(path.read_text()) > len(compact)
+    hit = cache.fetch(req)
+    assert hit is not None and cache.stats.invalidations == 0
+    assert solution_to_dict(hit) == solution_to_dict(solution)
 
 
 def test_corrupt_entry_invalidated(tracker_graph, cluster, cache):

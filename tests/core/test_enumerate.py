@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.core.enumerate import enumerate_schedules, search_schedules
-from repro.core.parallel import make_request
+from repro.core.parallel import incumbent_of, make_request
 from repro.graph.builders import chain_graph, fork_join_graph, random_dag
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import DataParallelSpec, Task
@@ -145,7 +145,7 @@ class TestSetS:
             for cap in (2, 8, 64):
                 req = make_request(graph, state, cluster, mode="enumerate",
                                    max_solutions=cap, latency_slack=slack)
-                for incumbent in (req.incumbent, None):
+                for incumbent in (incumbent_of(req)[0], None):
                     res = search_schedules(
                         req.problem, state, cluster, None, max_solutions=cap,
                         latency_slack=slack, incumbent=incumbent,

@@ -14,6 +14,7 @@ from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import (
     SolveRequest,
     default_workers,
+    incumbent_of,
     make_request,
     solve_many,
 )
@@ -40,9 +41,14 @@ def test_state_pickles_roundtrip():
 
 def test_request_pickles_roundtrip(tracker_graph, cluster):
     req = make_request(tracker_graph, State(n_models=4), cluster, tag=("m", 4))
+    # A supplied bound and its schedule (the lazy table's warm start) ship too.
+    req.incumbent, req.fallback = incumbent_of(
+        make_request(tracker_graph, State(n_models=4), cluster, mode="list")
+    )
     clone = pickle.loads(pickle.dumps(req))
     assert clone.problem.order_names == req.problem.order_names
-    assert clone.incumbent == req.incumbent
+    assert clone.incumbent == req.incumbent is not None
+    assert clone.fallback.canonical_key() == req.fallback.canonical_key()
     assert clone.tag == ("m", 4)
 
 

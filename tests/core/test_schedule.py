@@ -103,6 +103,29 @@ class TestIterationSchedule:
         with pytest.raises(InvalidSchedule, match="precedence"):
             s.validate(g, m1, SINGLE_NODE_SMP(2))
 
+    def test_validate_reports_the_earliest_starting_violation_first(self, m1):
+        """Several precedence violations: the schedule's start order decides.
+
+        ``t2`` starts before ``t1``, so it is reported although the graph
+        lists ``t1`` first — and the graph's cost snapshot, which lists its
+        tasks in topological order, names the same violation.
+        """
+        from repro.core.enumerate import SearchProblem
+
+        g = chain_graph([1.0, 1.0, 1.0])
+        s = IterationSchedule(
+            [
+                Placement("t0", (0,), 0.0, 1.0),
+                Placement("t1", (1,), 0.5, 1.0),  # before t0 ends
+                Placement("t2", (2,), 0.2, 1.0),  # before t1 ends, and earlier
+            ]
+        )
+        first = "precedence violated: 't2' starts at 0.2 but 't1' ends at 1.5"
+        for view in (g, SearchProblem.from_graph(g, m1, max_workers=1)):
+            with pytest.raises(InvalidSchedule) as err:
+                s.validate(view, m1, SINGLE_NODE_SMP(3))
+            assert str(err.value).startswith(first)
+
     def test_validate_includes_comm_delay(self, m1):
         g = chain_graph([1.0, 1.0], item_bytes=1000)
         cluster = ClusterSpec(nodes=2, procs_per_node=1)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.enumerate import search_schedules
-from repro.core.parallel import make_request
+from repro.core.parallel import incumbent_of, make_request
 from repro.errors import InfeasibleSchedule, ScheduleError
 from repro.graph.builders import random_dag
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -32,7 +32,9 @@ from repro.workloads import get_family, load_dataset
 from . import search_reference_oracle as oracle
 
 M4 = State(n_models=4)
-#: (incumbent, dominance) as every request runs, and the cold reference.
+#: (HEFT incumbent, dominance on) as every request runs — the bound is
+#: ``incumbent_of(request)``'s, ``make_request`` carries none — and the cold
+#: reference.
 WARM, COLD = "warm", "cold"
 
 
@@ -53,7 +55,7 @@ def _fingerprint(result):
 
 def _run(search, req, mode, **kw):
     flags = (
-        dict(incumbent=req.incumbent) if mode == WARM
+        dict(incumbent=incumbent_of(req)[0]) if mode == WARM
         else dict(incumbent=None, dominance=False)
     )
     try:

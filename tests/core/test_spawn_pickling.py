@@ -17,7 +17,7 @@ import pytest
 from repro.core.cache import ScheduleCache
 from repro.core.enumerate import SearchProblem
 from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import make_request, solve_many
+from repro.core.parallel import incumbent_of, make_request, solve_many
 from repro.graph.builders import chain_graph
 from repro.sim.cluster import SINGLE_NODE_SMP
 
@@ -36,10 +36,16 @@ class TestPickleRoundTrips:
 
     def test_solve_request_round_trips(self, tracker_graph, m8):
         request = make_request(tracker_graph, m8, SINGLE_NODE_SMP(4))
+        # make_request carries no bound; supply one, schedule included, as
+        # the lazy table's warm start does before shipping to a worker.
+        request.incumbent, request.fallback = incumbent_of(
+            make_request(tracker_graph, m8, SINGLE_NODE_SMP(4), mode="list")
+        )
         clone = pickle.loads(pickle.dumps(request))
         assert clone.problem == request.problem
         assert clone.state == request.state
-        assert clone.incumbent == request.incumbent
+        assert clone.incumbent == request.incumbent is not None
+        assert clone.fallback.canonical_key() == request.fallback.canonical_key()
 
     def test_schedule_cache_round_trips(self, tmp_path):
         cache = ScheduleCache(tmp_path)
