@@ -234,41 +234,57 @@ def test_broker_roundtrips_per_frame():
     Runs the real tracker graph at work_scale=1 (transport-dominated)
     for 4 and 8 frames; the *marginal* rate ``(rt(8) - rt(4)) / 4``
     excludes one-time costs (static gets, the final flush), so it is the
-    steady-state queue crossings per frame.  One step per task per frame
-    makes that 5 for the five-task tracker — this holds on any host, CPU
-    count is irrelevant to message counts.  (The per-op protocol this
-    replaced measured 17.0; see CHANGES.md, ISSUE 15.)
+    steady-state queue crossings per frame.  A channel whose every
+    endpoint is scheduled on one node stays inside that node's worker, so
+    the rate is exactly the number of tasks that own a channel the broker
+    hosts: 1 on one node (T5's put of the terminal channel), 5 on the
+    two-node split below (only ``back_projections`` stays local) — on any
+    host, CPU count is irrelevant to message counts.  (Every channel at
+    the broker measured 5.0 on one node, the per-op protocol before it
+    17.0; see CHANGES.md, ISSUEs 24 and 15.)
     """
     from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
     from repro.runtime.process import ProcessRuntime
     from repro.state import State
 
     n_models = 2
-    per_frames: dict[int, int] = {}
-    ops: dict[int, dict] = {}
-    for frames in (4, 8):
-        video = VideoSource(n_targets=n_models, height=48, width=64, seed=23)
-        live, statics = attach_kernels(
-            build_tracker_graph(frame_shape=(48, 64)), video
-        )
-        res = ProcessRuntime(live, State(n_models=n_models),
-                             static_inputs=statics).run(frames)
-        per_frames[frames] = res.meta["broker_roundtrips"]
-        ops[frames] = res.meta["broker_ops"]
-    marginal = (per_frames[8] - per_frames[4]) / 4
-    # keyed "coalesced" so the committed BENCH_trajectory.json baseline
-    # keeps gating this number
-    RESULTS["broker_roundtrips"] = {
-        "coalesced": {
+    # the one-node row is keyed "coalesced" so the committed
+    # BENCH_trajectory.json baseline keeps gating this number
+    placements = {
+        "coalesced": None,
+        "two_nodes": {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1},
+    }
+    expected = {"coalesced": 1.0, "two_nodes": 5.0}
+    rows: dict[str, dict] = {}
+    for label, placement in placements.items():
+        per_frames: dict[int, int] = {}
+        ops: dict[int, dict] = {}
+        for frames in (4, 8):
+            video = VideoSource(n_targets=n_models, height=48, width=64,
+                                seed=23)
+            live, statics = attach_kernels(
+                build_tracker_graph(frame_shape=(48, 64)), video
+            )
+            res = ProcessRuntime(live, State(n_models=n_models),
+                                 static_inputs=statics,
+                                 placement=placement).run(frames)
+            per_frames[frames] = res.meta["broker_roundtrips"]
+            ops[frames] = res.meta["broker_ops"]
+        rows[label] = {
             "roundtrips": {str(f): n for f, n in per_frames.items()},
             "ops_at_8_frames": ops[8],
-            "marginal_roundtrips_per_frame": marginal,
-        },
-    }
-    print(f"\n  per-frame round trips: {marginal:.1f}")
-    assert marginal <= 5.0, (
-        f"{marginal:.2f} broker round trips per frame (need <= 5)"
-    )
+            "node_local_channels": res.meta["node_local_channels"],
+            "marginal_roundtrips_per_frame":
+                (per_frames[8] - per_frames[4]) / 4,
+        }
+    RESULTS["broker_roundtrips"] = rows
+    for label, row in rows.items():
+        marginal = row["marginal_roundtrips_per_frame"]
+        print(f"\n  per-frame round trips, {label}: {marginal:.1f}")
+        assert marginal == expected[label], (
+            f"{marginal:.2f} broker round trips per frame on {label} "
+            f"(need exactly {expected[label]})"
+        )
 
 
 def test_dynamic_executor_simulation_rate(benchmark, tracker_graph, smp4, m8):

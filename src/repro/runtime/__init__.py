@@ -17,15 +17,19 @@
   produces: trace + per-timestamp latency accounting + GC totals.
 * :mod:`repro.runtime.live` — what the two live runtimes share: the one
   per-task frame loop (:func:`~repro.runtime.live.run_frames`, a *step*
-  per frame), the configuration checks and
+  per frame), the one step body
+  (:func:`~repro.runtime.live.make_exchange`: local channel ends inline,
+  boundary ends on one batch), the configuration checks and
   :class:`~repro.runtime.live.LiveResult`.
 * :mod:`repro.runtime.threaded` — the live runtime running real kernels on
-  real Python threads; its step is inline
+  real Python threads; every channel end is local, inline
   :class:`~repro.stm.threaded.ThreadedChannel` operations.
 * :mod:`repro.runtime.process` — the live runtime running real kernels on
   worker *processes* (one per scheduled cluster node, chunk pools for
-  data-parallel variants); its step is one
-  :class:`~repro.stm.process.StepBatch` round trip to the broker.
+  data-parallel variants); a channel scheduled entirely on one node is a
+  ``ThreadedChannel`` inside that node's worker, an edge that crosses
+  nodes costs one :class:`~repro.stm.process.StepBatch` round trip to the
+  broker per frame and task.
 """
 
 from repro.runtime.result import ExecutionResult

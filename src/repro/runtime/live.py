@@ -1,24 +1,32 @@
-"""What the two live substrates share: one frame loop, one result type.
+"""What the two live substrates share: one frame loop, one step, one result.
 
 Stampede's execution model (§3.3) is one loop per task — get, compute,
 put, consume per timestamp through STM.  The live unit of that loop is
 the *step*: hand over frame ``ts - 1``'s puts and consumes, fetch frame
-``ts``'s gets.  :func:`run_frames` is that loop, written once; a substrate
-supplies only its ``exchange`` — :class:`~repro.runtime.threaded.
-ThreadedRuntime` runs the channel operations inline, :class:`~repro.
-runtime.process.ProcessRuntime` ships each step as one broker round trip
-(:class:`~repro.stm.process.StepBatch`).
+``ts``'s gets.  :func:`run_frames` is that loop and :func:`make_exchange`
+that step, each written once.  The step runs a task's *local* channel
+ends inline (:class:`~repro.stm.threaded.ThreadedChannel`: the channel
+lives in the task's own process) and ships its *boundary* ends — the
+channels some other process shares — as one batch
+(:class:`~repro.stm.process.StepBatch`, one broker round trip), committed
+only when it holds something.  :class:`~repro.runtime.threaded.
+ThreadedRuntime` is the case "every channel is local"; a
+:class:`~repro.runtime.process.ProcessRuntime` worker splits a task's ends
+by where the schedule put the channel's other endpoints, so a frame
+crosses the broker only where its data crosses a node boundary.
 
 Beside the loop sit the pieces both runtimes (and ``StaticExecutor``'s
-live adapter) need exactly once: the configuration checks, the
-terminal-channel list, the per-frame completion merge, and
+live adapter) need exactly once: the digitize stamps, the configuration
+checks, the terminal-channel list, the per-frame completion merge, and
 :class:`LiveResult`.
 """
 
 from __future__ import annotations
 
+import threading
+import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.taskgraph import TaskGraph
@@ -26,9 +34,12 @@ from repro.runtime.dispatch import TaskPlan
 from repro.sim.trace import ExecSpan
 
 __all__ = [
+    "ChannelEnds",
+    "FrameStamps",
     "LiveResult",
     "check_static_inputs",
     "check_timestamps",
+    "make_exchange",
     "merge_completion",
     "report_frames",
     "run_frames",
@@ -129,6 +140,109 @@ def report_frames(
     for ts in sorted(completion_times):
         if ts in digitize_times:
             obs.on_frame(ts, completion_times[ts] - digitize_times[ts])
+
+
+class ChannelEnds(NamedTuple):
+    """One task's channel ends on one side of the process boundary.
+
+    ``outs`` and ``ins`` are ``(name, channel, conn)`` triples in the
+    plan's declared order; ``ins`` holds the *streaming* inputs only
+    (static inputs are read once, before the loop).  Local triples carry a
+    :class:`~repro.stm.threaded.ThreadedChannel` and its connection,
+    boundary triples whatever the batch's ``put`` / ``consume`` / ``get``
+    take for a channel and a connection.
+    """
+
+    outs: tuple = ()
+    ins: tuple = ()
+
+    @classmethod
+    def of(cls, plan: TaskPlan, channels, conns_in, conns_out) -> "ChannelEnds":
+        """``plan``'s ends on the channels in the mapping ``channels``
+        (channels it does not hold are somebody else's side)."""
+        return cls(
+            outs=tuple((ch, channels[ch], conns_out[ch])
+                       for ch in plan.outputs if ch in channels),
+            ins=tuple((ch, channels[ch], conns_in[ch])
+                      for ch in plan.stream_inputs if ch in channels),
+        )
+
+
+class FrameStamps:
+    """Digitize stamps taken by one process's source tasks.
+
+    ``times[ts]`` is when frame ``ts`` was emitted, in seconds since
+    ``t0``: after *all* of a source's puts for the frame, and the latest
+    one when a graph has several sources.
+    """
+
+    def __init__(self, t0: float = 0.0) -> None:
+        self.t0 = t0
+        self.times: dict[int, float] = {}
+        self._lock = threading.Lock()
+
+    def stamp(self, ts: int) -> None:
+        now = _time.perf_counter() - self.t0
+        with self._lock:
+            if now > self.times.get(ts, 0.0):
+                self.times[ts] = now
+
+
+def make_exchange(
+    plan: TaskPlan,
+    local: ChannelEnds,
+    statics: dict[str, Any],
+    op_timeout: float,
+    stamps: FrameStamps,
+    boundary: ChannelEnds = ChannelEnds(),
+    new_batch: Optional[Callable[[], Any]] = None,
+) -> Callable[[Done, Optional[int]], Optional[dict]]:
+    """The step of one task, as :func:`run_frames` calls it.
+
+    For the frame handed over and the frame fetched: puts, consumes, then
+    gets — local ends inline, boundary ends queued on one ``new_batch()``
+    that is committed after the local consumes and before the local gets
+    (an empty batch costs no round trip; a task with no boundary end
+    never builds one).  A source's digitize stamp follows the commit, so
+    it is taken after *all* of its puts on either side.  Every put of a
+    frame precedes every consume of it, as on threads, and the broker
+    applies a batch's consumes on arrival even while its puts or gets
+    park — so bounded channels cannot deadlock on the deferral in either
+    half.
+
+    ``statics`` is merged under every frame's streaming inputs.
+    """
+    fetched = [name for name, _, _ in boundary.ins]
+    crosses = bool(boundary.outs or boundary.ins)
+
+    def exchange(done: Done, ts: Optional[int]) -> Optional[dict]:
+        batch = new_batch() if crosses else None
+        if done is not None:
+            done_ts, result = done
+            for name, channel, conn in local.outs:
+                channel.put(conn, done_ts, result[name], timeout=op_timeout)
+            for name, channel, conn in boundary.outs:
+                batch.put(channel, conn, done_ts, result[name])
+            for _, channel, conn in local.ins:
+                channel.consume(conn, done_ts)
+            for _, channel, conn in boundary.ins:
+                batch.consume(channel, conn, done_ts)
+        if ts is not None:
+            for _, channel, conn in boundary.ins:
+                batch.get(channel, conn, ts)
+        values = batch.commit(timeout=op_timeout) if crosses else []
+        if done is not None and plan.is_source:
+            stamps.stamp(done_ts)
+        if ts is None:
+            return None
+        inputs = dict(statics)
+        if crosses:
+            inputs.update(zip(fetched, (value for _, value in values)))
+        for name, channel, conn in local.ins:
+            inputs[name] = channel.get(conn, ts, timeout=op_timeout)[1]
+        return inputs
+
+    return exchange
 
 
 def run_frames(

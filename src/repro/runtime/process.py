@@ -9,23 +9,46 @@ rung between the simulator and real hardware:
   process (fork-based, mirroring :mod:`repro.core.parallel`);
 * each worker runs its node's task assignments as threads inside the
   worker, each thread the same :func:`~repro.runtime.live.run_frames`
-  loop the threaded runtime runs, its exchange one
-  :class:`~repro.stm.process.StepBatch` round trip per frame — STM items
-  cross nodes through the parent's
+  loop and the same step (:func:`~repro.runtime.live.make_exchange`) the
+  threaded runtime runs;
+* STM follows the schedule's node boundaries — the paper's intra- versus
+  inter-node communication distinction (Figure 6).  A streaming channel
+  whose every producer and consumer is scheduled on one node is a
+  :class:`~repro.stm.threaded.ThreadedChannel` inside that node's
+  process; only the edges that cross nodes (and the terminal and static
+  channels, which the parent drains and fills) are hosted by the parent's
   :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
-  array payloads, pickle otherwise);
+  array payloads, pickle otherwise), where a task's boundary traffic for
+  a frame is one :class:`~repro.stm.process.StepBatch` round trip.  A
+  one-node schedule therefore crosses the broker once a frame (the put of
+  the terminal channel), and a task with no boundary channel never.  What
+  the parent can then no longer read off the broker — the node-local
+  channels' counters and GC totals, the digitize stamps, ``obs`` item
+  events — rides each worker's ``done`` message with its kernel spans;
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
-* ``obs=`` instrumentation keeps working: channel traffic is observed at
-  the broker, kernel spans are buffered per worker and merged into the
-  bundle at join;
+* ``obs=`` instrumentation keeps working: boundary traffic is observed at
+  the broker, node-local traffic and kernel spans are buffered per worker
+  and merged into the bundle at join;
 * ``faults=`` injection keeps working: a :class:`ProcessFaultPlan` can
   make a kernel raise (covered by bounded in-worker retries) or kill a
   whole worker mid-run — the parent detects the death through the
   process sentinel, respawns the node, and the tasks resume from the
   timestamps recorded in STM (puts replay idempotently), which is §3.4's
-  "failures as detectable regime changes" on a live substrate.
+  "failures as detectable regime changes" on a live substrate.  Resume
+  points are read from STM that outlives the worker, so a run that may
+  respawn (``max_respawns > 0``) keeps *every* channel at the broker —
+  the one case where locality is not a function of the schedule
+  (:meth:`ProcessRuntime._node_local_channels`).  What a dead worker had
+  not shipped dies with it: its kernel spans and the digitize stamps of
+  the frames its sources emitted;
+* a failure that is not recovered ends the run at once, not after
+  ``op_timeout``: a task thread that raises reports to the parent
+  immediately and poisons its node's own channels, the parent poisons the
+  broker's, and every blocked sibling — on a node-local channel or parked
+  on a step from another node — wakes with
+  :class:`~repro.stm.threaded.ChannelPoisoned`.
 """
 
 from __future__ import annotations
@@ -43,9 +66,12 @@ from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan, build_task_plans
 from repro.runtime.live import (
+    ChannelEnds,
+    FrameStamps,
     LiveResult,
     check_static_inputs,
     check_timestamps,
+    make_exchange,
     merge_completion,
     report_frames,
     run_frames,
@@ -60,7 +86,7 @@ from repro.stm.process import (
     StepBatch,
     WorkerLink,
 )
-from repro.stm.threaded import ChannelPoisoned
+from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.optimal import ScheduleSolution
@@ -144,8 +170,11 @@ class _WorkerSpec:
     tasks: list[Task]
     plans: dict[str, TaskPlan]
     state: State
+    #: broker connection ids of the tasks' boundary (and static) channels
     conns_in: dict[str, dict[str, int]]
     conns_out: dict[str, dict[str, int]]
+    #: ``{channel: capacity}`` of the channels this node keeps to itself
+    local_channels: dict[str, Optional[int]]
     resume: dict[str, int]
     timestamps: int
     op_timeout: float
@@ -156,7 +185,29 @@ class _WorkerSpec:
     fault_events: list[KernelFault]
     kernel_retries: int
     replay: bool
+    observe: bool
     t0: float
+
+
+class _ItemLog:
+    """Where a worker's node-local channels report their item events.
+
+    The ``obs`` bundle lives in the parent, so a worker's ``ThreadedChannel``
+    objects are handed this instead: it stamps on the run's clock and keeps the events, which the
+    parent replays into the bundle at join — as it does kernel spans.
+    """
+
+    def __init__(self, t0: float) -> None:
+        self.t0 = t0
+        self.tracer = self  # ThreadedChannel stamps with obs.tracer.clock()
+        self.events: list[tuple] = []
+
+    def clock(self) -> float:
+        return _time.perf_counter() - self.t0
+
+    def on_item(self, time: float, channel: str, kind: str,
+                timestamp: int = -1, task: str = "") -> None:
+        self.events.append((time, channel, kind, timestamp, task))
 
 
 #: Chunkable tasks of THIS worker, read by forked pool children.
@@ -221,6 +272,27 @@ def _worker_main(spec: _WorkerSpec) -> None:
             pool = None  # chunked tasks fall back to their serial kernel
     link.start()
 
+    # Node-local STM: every endpoint of these channels is a thread of this
+    # process.  All their connections are attached here, before any task
+    # thread starts — reference-count GC considers only attached input
+    # connections (the contract ThreadedRuntime states).
+    item_log = _ItemLog(spec.t0) if spec.observe else None
+    local = {
+        name: ThreadedChannel(name, capacity=capacity, obs=item_log)
+        for name, capacity in spec.local_channels.items()
+    }
+    local_in = {
+        t.name: {ch: local[ch].attach_input(t.name)
+                 for ch in t.inputs if ch in local}
+        for t in spec.tasks
+    }
+    local_out = {
+        t.name: {ch: local[ch].attach_output(t.name)
+                 for ch in t.outputs if ch in local}
+        for t in spec.tasks
+    }
+    stamps = FrameStamps(spec.t0)
+
     spans: list[tuple] = []
     retries = [0]
     errors: list[str] = []
@@ -269,48 +341,49 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 retries[0] += 1
         raise AssertionError("unreachable")  # pragma: no cover
 
+    def leave(error: Optional[str] = None) -> None:
+        """A task thread is leaving early: let no sibling wait it out.
+
+        Poisoning the node's own channels wakes the threads blocked on
+        them; an error goes to the parent at once, where the broker
+        poisons every boundary channel — so threads parked on a step, here
+        or on another node, are woken too instead of running into
+        ``op_timeout``.
+        """
+        for channel in local.values():
+            channel.poison()
+        if error is not None:
+            with errors_lock:
+                errors.append(error)
+                first = len(errors) == 1
+            if first:
+                link.notify("fatal", error)
+
     def task_body(task: Task) -> None:
         try:
             plan = spec.plans[task.name]
-            chans = {ch: ProcessChannel(ch, link, replay=spec.replay)
-                     for ch in task.inputs + task.outputs}
-            conns_in = spec.conns_in[task.name]
-            conns_out = spec.conns_out[task.name]
+            proxies = {ch: ProcessChannel(ch, link, replay=spec.replay)
+                       for ch in task.inputs + task.outputs if ch not in local}
             variant = spec.dp_plan.get(task.name, (1, "serial", ()))[1]
             proc = spec.primary_proc.get(task.name, spec.node)
-            statics: dict[str, Any] = {}
-            unread_statics = list(plan.static_inputs)
 
-            def exchange(done, ts):
-                """The step as ONE broker round trip.
-
-                The finished frame's puts and consumes ride with the next
-                frame's gets (and, on the task's first step, its static
-                inputs).  The broker applies a step's consumes at once
-                even when its puts or gets park, so the deferral cannot
-                deadlock bounded channels.
-                """
-                batch = StepBatch(link, replay=spec.replay)
-                if done is not None:
-                    done_ts, result = done
-                    for ch in plan.outputs:
-                        batch.put(chans[ch], conns_out[ch], done_ts, result[ch])
-                    for ch in plan.stream_inputs:
-                        batch.consume(chans[ch], conns_in[ch], done_ts)
-                if ts is None:
-                    batch.commit(timeout=spec.op_timeout)
-                    return None
-                for ch in unread_statics:
-                    batch.get(chans[ch], conns_in[ch], 0)
-                for ch in plan.stream_inputs:
-                    batch.get(chans[ch], conns_in[ch], ts)
-                values = [v for _, v in batch.commit(timeout=spec.op_timeout)]
-                n_statics = len(unread_statics)
-                statics.update(zip(unread_statics, values))
-                unread_statics.clear()
-                inputs = dict(statics)
-                inputs.update(zip(plan.stream_inputs, values[n_statics:]))
-                return inputs
+            here = ChannelEnds.of(plan, local, local_in[task.name],
+                                  local_out[task.name])
+            across = ChannelEnds.of(plan, proxies, spec.conns_in[task.name],
+                                    spec.conns_out[task.name])
+            # Static inputs live at the broker: one round trip for all of
+            # them, before the loop (none for a task that reads none).
+            batch = StepBatch(link)
+            for ch in plan.static_inputs:
+                batch.get(proxies[ch], spec.conns_in[task.name][ch], 0)
+            statics = dict(zip(
+                plan.static_inputs,
+                (value for _, value in batch.commit(timeout=spec.op_timeout)),
+            ))
+            exchange = make_exchange(
+                plan, here, statics, spec.op_timeout, stamps, across,
+                lambda: StepBatch(link, replay=spec.replay),
+            )
 
             def run_kernel(inputs: dict, ts: int):
                 k0 = _time.perf_counter() - spec.t0
@@ -322,13 +395,12 @@ def _worker_main(spec: _WorkerSpec) -> None:
             has_kernel = task.compute is not None or task.compute_chunk is not None
             run_frames(plan, exchange, run_kernel if has_kernel else None,
                        spec.resume.get(task.name, 0), spec.timestamps)
-            for ch in chans.values():
+            for ch in proxies.values():
                 ch.close()
         except ChannelPoisoned:
-            pass
+            leave()
         except BaseException:  # noqa: BLE001 - shipped to the parent
-            with errors_lock:
-                errors.append(traceback.format_exc())
+            leave(traceback.format_exc())
 
     threads = [
         threading.Thread(target=task_body, args=(t,), name=f"task:{t.name}",
@@ -341,15 +413,22 @@ def _worker_main(spec: _WorkerSpec) -> None:
         th.join()
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
-    if errors:
-        link.notify("fatal", errors[0])
+    if errors:  # reported by leave(), when it happened
         exitcode = 1
     else:
+        # What the parent can no longer read off the broker rides here.
         link.notify("done", {
             "worker": spec.worker_id,
             "node": spec.node,
             "spans": spans,
             "kernel_retries": retries[0],
+            "channel_stats": {name: ch.stats for name, ch in local.items()},
+            "gc_collected": sum(ch.gc_stats.collected
+                                for ch in local.values()),
+            "live_item_high_water": sum(ch.gc_stats.high_water_items
+                                        for ch in local.values()),
+            "digitize_times": stamps.times,
+            "item_events": item_log.events if item_log is not None else [],
         })
         exitcode = 0
     link.stop()
@@ -440,6 +519,34 @@ class ProcessRuntime:
             raise ReproError(f"schedule places no tasks {missing}")
         return assignment, dp_plan
 
+    def _node_local_channels(self) -> dict[int, dict[str, Optional[int]]]:
+        """``{node: {channel: capacity}}`` of the channels that stay in a worker.
+
+        A streaming channel is *node-local* when it has a consumer and all
+        its producers and consumers are assigned to one node; it then lives
+        in that node's process as a ``ThreadedChannel``.  Everything else —
+        a channel whose ends sit on different nodes, a terminal channel
+        (the parent collects it), a static channel (the parent fills it) —
+        is a *boundary* channel, hosted by the broker.
+
+        Locality is a function of the schedule, with one exception decided
+        here: recovery by respawn reads its resume points from STM that
+        outlives the worker, so a run that may respawn keeps every channel
+        at the broker.
+        """
+        local: dict[int, dict[str, Optional[int]]] = {}
+        if self.faults is not None and self.faults.max_respawns > 0:
+            return local
+        for spec in self.graph.channels:
+            consumers = self.graph.consumers(spec.name)
+            if spec.static or not consumers:
+                continue
+            nodes = {self.assignment[t.name]
+                     for t in consumers + self.graph.producers(spec.name)}
+            if len(nodes) == 1:
+                local.setdefault(nodes.pop(), {})[spec.name] = spec.capacity
+        return local
+
     # -- execution ----------------------------------------------------------
 
     def run(self, timestamps: int) -> LiveResult:
@@ -456,16 +563,23 @@ class ProcessRuntime:
                 f"start method {self.start_method!r} unavailable: {exc}"
             ) from None
 
+        # The broker carries only the edges that cross nodes (and what the
+        # parent itself fills or drains); intra-node STM stays in the worker.
+        local_by_node = self._node_local_channels()
+        node_local = {ch for chans in local_by_node.values() for ch in chans}
         broker = ChannelBroker(
-            {spec.name: spec.capacity for spec in self.graph.channels},
+            {spec.name: spec.capacity for spec in self.graph.channels
+             if spec.name not in node_local},
             obs=self.obs,
         )
         conns_in = {
-            t.name: {ch: broker.attach_input(ch, t.name) for ch in t.inputs}
+            t.name: {ch: broker.attach_input(ch, t.name)
+                     for ch in t.inputs if ch not in node_local}
             for t in self.graph.tasks
         }
         conns_out = {
-            t.name: {ch: broker.attach_output(ch, t.name) for ch in t.outputs}
+            t.name: {ch: broker.attach_output(ch, t.name)
+                     for ch in t.outputs if ch not in node_local}
             for t in self.graph.tasks
         }
         plans = build_task_plans(self.graph)
@@ -531,6 +645,7 @@ class ProcessRuntime:
                 state=self.state,
                 conns_in={t.name: conns_in[t.name] for t in node_tasks},
                 conns_out={t.name: conns_out[t.name] for t in node_tasks},
+                local_channels=local_by_node.get(node, {}),
                 resume=resume,
                 timestamps=timestamps,
                 op_timeout=self.op_timeout,
@@ -543,6 +658,7 @@ class ProcessRuntime:
                 fault_events=pending_faults(node_tasks),
                 kernel_retries=kernel_retries,
                 replay=replay,
+                observe=self.obs is not None,
                 t0=broker._t0,
             )
 
@@ -643,7 +759,6 @@ class ProcessRuntime:
         gc_collected, high_water = broker.gc_totals()
         broker_ops = dict(broker.op_counts)
         broker_roundtrips = broker.roundtrips()
-        digitize = self._digitize_times(broker)
         broker.stop()
         if failed:
             raise ReproError(f"process runtime failed: {failed}")
@@ -655,10 +770,20 @@ class ProcessRuntime:
         if still:
             raise ReproError(f"collectors did not finish: {still}")
 
+        # Each worker's share of the run: what happened on its node-local
+        # channels, the stamps its sources took, its kernel spans.
         spans: list[ExecSpan] = []
         retries_total = 0
+        digitize: dict[int, float] = {}
         for payload in done.values():
             retries_total += payload.get("kernel_retries", 0)
+            stats.update(payload["channel_stats"])
+            gc_collected += payload["gc_collected"]
+            high_water += payload["live_item_high_water"]
+            for ts, at in payload["digitize_times"].items():
+                digitize[ts] = max(digitize.get(ts, 0.0), at)
+            for at, channel, kind, ts, task in payload["item_events"]:
+                self.obs.on_item(at, channel, kind, ts, task=task)
             for (task, variant, ts, start, end, proc_idx) in payload["spans"]:
                 spans.append(ExecSpan(proc_idx, task, ts, start, end))
                 if self.obs is not None:
@@ -670,6 +795,7 @@ class ProcessRuntime:
                                                               proc_idx))
         spans.sort(key=lambda s: (s.start, s.proc))
 
+        digitize = dict(sorted(digitize.items()))
         completion = merge_completion(completion_raw)
         report_frames(self.obs, digitize, completion)
 
@@ -686,6 +812,7 @@ class ProcessRuntime:
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
+                "node_local_channels": sorted(node_local),
                 "gc_collected": gc_collected,
                 "live_item_high_water": high_water,
                 "broker_ops": broker_ops,
@@ -721,15 +848,3 @@ class ProcessRuntime:
             else:
                 resume[t.name] = 0
         return resume
-
-    def _digitize_times(self, broker: ChannelBroker) -> dict[int, float]:
-        """Frame emission times: the put instants on source output channels."""
-        digitize: dict[int, float] = {}
-        for name in self.graph.source_tasks():
-            task = self.graph.task(name)
-            for ch in task.outputs:
-                for ts, t in broker.channels[ch].put_times.items():
-                    if ts not in digitize or t > digitize[ts]:
-                        digitize[ts] = t
-                break  # first output channel is the frame stream
-        return digitize

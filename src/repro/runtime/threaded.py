@@ -23,9 +23,12 @@ from repro.errors import ReproError
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
+    ChannelEnds,
+    FrameStamps,
     LiveResult,
     check_static_inputs,
     check_timestamps,
+    make_exchange,
     merge_completion,
     report_frames,
     run_frames,
@@ -109,10 +112,9 @@ class ThreadedRuntime:
         outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
-        # Wall-clock capture, all relative to t0 (set just before threads
-        # start; the closures only read it after starting).
-        t0_box = [0.0]
-        digitize_times: dict[int, float] = {}
+        # Wall-clock capture, all relative to stamps.t0 (set just before
+        # threads start; the closures only read it after starting).
+        stamps = FrameStamps()
         completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
         spans: list[ExecSpan] = []
         timing_lock = threading.Lock()
@@ -144,38 +146,15 @@ class ThreadedRuntime:
                 outs = conns_out[task.name]
                 plan = plans[task.name]
                 # Flat dispatch: channel classification and (channel, conn)
-                # pairs resolved once, outside the frame loop.
-                stream_pairs = [
-                    (ch, channels[ch], ins[ch]) for ch in plan.stream_inputs
-                ]
-                out_pairs = [(ch, channels[ch], outs[ch]) for ch in plan.outputs]
+                # triples resolved once, outside the frame loop.  Every
+                # channel lives in this process, so every end is local.
+                ends = ChannelEnds.of(plan, channels, ins, outs)
                 statics = {
                     ch: channels[ch].get(ins[ch], 0, timeout=self.op_timeout)[1]
                     for ch in plan.static_inputs
                 }
-
-                def exchange(done, ts):
-                    """The step, inline: put, digitize stamp, consume, get."""
-                    if done is not None:
-                        done_ts, result = done
-                        for ch, channel, conn in out_pairs:
-                            channel.put(conn, done_ts, result[ch],
-                                        timeout=self.op_timeout)
-                        if plan.is_source:
-                            with timing_lock:
-                                digitize_times[done_ts] = max(
-                                    digitize_times.get(done_ts, 0.0),
-                                    _time.perf_counter() - t0_box[0],
-                                )
-                        for ch, channel, conn in stream_pairs:
-                            channel.consume(conn, done_ts)
-                    if ts is None:
-                        return None
-                    inputs = dict(statics)
-                    for ch, channel, conn in stream_pairs:
-                        inputs[ch] = channel.get(
-                            conn, ts, timeout=self.op_timeout)[1]
-                    return inputs
+                exchange = make_exchange(plan, ends, statics,
+                                         self.op_timeout, stamps)
 
                 def run_kernel(inputs, ts):
                     k0 = _time.perf_counter()
@@ -183,7 +162,7 @@ class ThreadedRuntime:
                     k1 = _time.perf_counter()
                     with timing_lock:
                         spans.append(ExecSpan(plan.index, task.name, ts,
-                                              k0 - t0_box[0], k1 - t0_box[0]))
+                                              k0 - stamps.t0, k1 - stamps.t0))
                     if obs is not None:
                         obs.on_exec(task.name, k0, k1, proc=plan.index,
                                     timestamp=ts)
@@ -203,7 +182,7 @@ class ThreadedRuntime:
                 for ts in range(timestamps):
                     got_ts, value = channels[ch_name].get(conn, ts, timeout=self.op_timeout)
                     outputs[ch_name][got_ts] = value
-                    completion_raw[ch_name][got_ts] = _time.perf_counter() - t0_box[0]
+                    completion_raw[ch_name][got_ts] = _time.perf_counter() - stamps.t0
                     channels[ch_name].consume(conn, got_ts)
             except ChannelPoisoned:
                 pass
@@ -233,7 +212,7 @@ class ThreadedRuntime:
 
         threads = [spawn(f"task:{t.name}", task_body, t) for t in self.graph.tasks]
         threads += [spawn(f"collect:{ch}", collector_body, ch) for ch in terminal]
-        t0 = t0_box[0] = _time.perf_counter()
+        t0 = stamps.t0 = _time.perf_counter()
         for th in threads:
             th.start()
         for th in threads:
@@ -252,12 +231,13 @@ class ThreadedRuntime:
                     checker.adopt(token)
         spans.sort(key=lambda s: s.start)
         completion = merge_completion(completion_raw)
+        digitize_times = dict(sorted(stamps.times.items()))
         report_frames(obs, digitize_times, completion)
         return LiveResult(
             outputs=outputs,
             wall_time=wall,
             channel_stats={name: ch.stats for name, ch in channels.items()},
-            digitize_times=dict(sorted(digitize_times.items())),
+            digitize_times=digitize_times,
             completion_times=completion,
             spans=spans,
         )

@@ -19,8 +19,10 @@ appendix, Figures 7-8).  This package implements the full API:
   location tags (which node "homes" a channel) for communication-cost
   accounting.
 * :mod:`repro.stm.threaded` — a thread-safe blocking wrapper used by the
-  live (real-thread) runtime and examples.
-* :mod:`repro.stm.process` — the cross-process transport: a parent-side
+  live (real-thread) runtime, by the process runtime's workers for the
+  channels scheduled entirely on their node, and by the examples.
+* :mod:`repro.stm.process` — the cross-process transport, for the edges
+  that cross nodes: a parent-side
   :class:`~repro.stm.process.ChannelBroker` owning real channels and
   serving one op (the *step*), the worker-side
   :class:`~repro.stm.process.StepBatch` / :class:`~repro.stm.process.

@@ -1,8 +1,11 @@
 """Cross-process STM transport for the process-parallel runtime.
 
 The process runtime (:mod:`repro.runtime.process`) maps each scheduled
-cluster node to a worker *process*, so STM items must cross address
-spaces.  This module supplies the two halves of that transport:
+cluster node to a worker *process*, so the STM items of an edge that
+crosses nodes must cross address spaces.  (A channel whose every endpoint
+is scheduled on one node never comes here: it is a
+:class:`~repro.stm.threaded.ThreadedChannel` inside that node's worker.)
+This module supplies the two halves of the inter-node transport:
 
 * :class:`ChannelBroker` — lives in the parent.  One service thread owns
   the real :class:`~repro.stm.channel.STMChannel` objects (a single
@@ -17,8 +20,9 @@ spaces.  This module supplies the two halves of that transport:
   substrates by construction.
 
 * :class:`StepBatch` — the worker-side builder of one step: a task's
-  frame loop queues the previous frame's puts and consumes plus the next
-  frame's gets and ships them as one round trip.
+  frame loop queues, for its boundary channels, the previous frame's puts
+  and consumes plus the next frame's gets and ships them as one round
+  trip (none when nothing was queued).
 
 * :class:`ProcessChannel` — the worker-side proxy with the blocking
   surface of :class:`~repro.stm.threaded.ThreadedChannel` (``put`` /
@@ -275,8 +279,6 @@ class _BrokerChannel:
     freed: dict[int, list[int]] = field(default_factory=dict)
     #: ts -> (producer conn, encoding) for live items (segment reclaim)
     producers: dict[int, tuple[int, Any]] = field(default_factory=dict)
-    #: wall-clock put times (digitize/latency accounting), never GC'd
-    put_times: dict[int, float] = field(default_factory=dict)
 
 
 class ChannelBroker:
@@ -418,10 +420,6 @@ class ChannelBroker:
         with self._lock:
             return self.op_counts.get("step", 0)
 
-    def put_time(self, channel: str, ts: int) -> Optional[float]:
-        """Wall-clock time (relative to broker start) ``ts`` was put."""
-        return self.channels[channel].put_times.get(ts)
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
@@ -557,7 +555,6 @@ class ChannelBroker:
                 return
             raise
         bc.producers[ts] = (conn_id, encoded)
-        bc.put_times[ts] = self.now
         if ts > self._put_hw.get(conn_id, -1):
             self._put_hw[conn_id] = ts
         if encoded[0] == "shm":

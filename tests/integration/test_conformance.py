@@ -4,11 +4,14 @@ The same tracker graph and the same schedule run on all three substrates
 behind ``StaticExecutor(runtime=...)``; the STM item streams they produce
 must be indistinguishable — identical per-channel put/consume/collect
 counts, identical completed-frame sets, and (between the live
-substrates) identical output values.  The process runtime batches each
-frame's STM traffic into one broker step — a transport detail that must
-be invisible in the item streams.  Two schedules are covered: a fully
-serial placement and a data-parallel one (T4 as ``dp2``), so the chunked
-execution path is held to the same contract.
+substrates) identical output values.  The process runtime keeps a
+channel inside a worker when all its endpoints are scheduled on one node
+and batches what crosses nodes into one broker step per frame — transport
+details that must be invisible in the item streams.  Two schedules are
+covered: a fully serial placement and a data-parallel one (T4 as ``dp2``),
+so the chunked execution path is held to the same contract; a placement
+axis then moves the node boundary through the graph (all on one node,
+split in two, one task per node).
 
 The same contract is then applied to every :mod:`repro.workloads`
 family (matmul, fusion, webinfer): serial and dp schedules, sim ==
@@ -23,7 +26,7 @@ from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
 from repro.apps.video import VideoSource
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
 from repro.runtime.static_exec import StaticExecutor
-from repro.sim.cluster import SINGLE_NODE_SMP
+from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.state import State
 from repro.workloads import get_family
 
@@ -174,6 +177,102 @@ class TestLatencyInvariants:
         if which != "dp":
             pytest.skip("serial schedule has no dp placement")
         assert results["process"].meta["dp_plan"]["T4"] == (2, "dp2")
+
+
+# ---------------------------------------------------------------------------
+# The placement axis: where the node boundary falls must not show
+# ---------------------------------------------------------------------------
+
+TASKS = ("T1", "T2", "T3", "T4", "T5")
+#: task -> node; with one processor a node, also task -> processor
+PLACEMENTS = {
+    "one-node": dict.fromkeys(TASKS, 0),
+    "two-nodes": {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1},
+    "node-per-task": {name: i for i, name in enumerate(TASKS)},
+}
+#: what the process substrate must keep inside its workers on each
+NODE_LOCAL = {
+    "one-node": ["back_projections", "frame", "histogram", "motion_mask"],
+    "two-nodes": ["back_projections"],
+    "node-per-task": [],
+}
+
+
+def placed_schedule(nodes: dict[str, int]):
+    """One task after the other, each on its node's processor, with a
+    second between them for the simulated inter-node transfers."""
+    def make(graph, state) -> PipelinedSchedule:
+        placements, t = [], 0.0
+        for name in TASKS:
+            d = graph.task(name).cost(state)
+            placements.append(Placement(name, (nodes[name],), t, d))
+            t += d + 1.0
+        return PipelinedSchedule(
+            IterationSchedule(placements), period=t, shift=0,
+            n_procs=len(TASKS),
+        )
+    return make
+
+
+@pytest.fixture(scope="module", params=list(PLACEMENTS))
+def placed_runs(request):
+    cluster = ClusterSpec(nodes=len(TASKS), procs_per_node=1)
+    make = placed_schedule(PLACEMENTS[request.param])
+    results = {}
+    for sub in SUBSTRATES:
+        live, statics = _fresh_setup()
+        state = State(n_models=N_MODELS)
+        results[sub] = StaticExecutor(
+            live, state, cluster, make(live, state),
+            runtime=sub, static_inputs=statics,
+        ).run(N_FRAMES)
+    return request.param, results
+
+
+class TestPlacementAxis:
+    def test_locality_follows_the_schedule(self, placed_runs):
+        which, results = placed_runs
+        meta = results["process"].meta
+        assert meta["node_local_channels"] == NODE_LOCAL[which]
+        assert meta["nodes"] == sorted(set(PLACEMENTS[which].values()))
+
+    def test_item_streams_identical(self, placed_runs):
+        _, results = placed_runs
+        reference = item_counts(results["sim"])
+        for sub in LIVE:
+            assert item_counts(results[sub]) == reference, sub
+
+    def test_live_channel_stats_identical(self, placed_runs):
+        """put / get / consume / collected, channel by channel — node-local
+        channels report through the worker's done message, boundary ones
+        through the broker, and the sum is the threaded run's."""
+        _, results = placed_runs
+        t_stats = results["threaded"].meta["channel_stats"]
+        p_stats = results["process"].meta["channel_stats"]
+        assert set(p_stats) == set(t_stats)
+        for ch in streaming_channels(results["threaded"]):
+            assert t_stats[ch] == p_stats[ch], ch
+
+    def test_terminal_outputs_bitwise_equal(self, placed_runs):
+        _, results = placed_runs
+        t_locs = results["threaded"].meta["outputs"]["model_locations"]
+        p_locs = results["process"].meta["outputs"]["model_locations"]
+        for ts in range(N_FRAMES):
+            assert t_locs[ts] == p_locs[ts], ts
+
+    def test_every_frame_completes_and_is_stamped(self, placed_runs):
+        _, results = placed_runs
+        for sub, res in results.items():
+            assert res.completed == list(range(N_FRAMES)), sub
+            assert set(res.digitize_times) == set(range(N_FRAMES)), sub
+        live = results["process"]
+        for ts in live.completed:
+            assert live.completion_times[ts] >= live.digitize_times[ts]
+
+    def test_gc_reclaims_equally(self, placed_runs):
+        _, results = placed_runs
+        collected = {sub: res.gc_collected for sub, res in results.items()}
+        assert len(set(collected.values())) == 1, collected
 
 
 # ---------------------------------------------------------------------------

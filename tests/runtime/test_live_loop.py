@@ -10,8 +10,11 @@ from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
+    ChannelEnds,
+    FrameStamps,
     check_static_inputs,
     check_timestamps,
+    make_exchange,
     merge_completion,
     run_frames,
     terminal_channels,
@@ -85,6 +88,176 @@ class TestRunFrames:
         with pytest.raises(ReproError, match="expected dict"):
             run_frames(plan, exchange, lambda ins, ts: 42, 0, 3)
         assert exchange.calls == [(None, 0)]
+
+
+def join_graph() -> TaskGraph:
+    """One task with a static input, two streaming inputs, two outputs."""
+    g = TaskGraph("join")
+    g.add_channel(ChannelSpec("cfg", static=True))
+    for name in ("x", "y", "b", "c"):
+        g.add_channel(ChannelSpec(name))
+    g.add_task(Task("src", cost=0.0, outputs=["x", "y"]))
+    g.add_task(Task("join", cost=0.0, inputs=["cfg", "x", "y"],
+                    outputs=["b", "c"]))
+    g.validate()
+    return g
+
+
+class RecordingChannel:
+    """Logs ``(op, channel, ts)``; a get returns ``"<channel>@<ts>"``."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def put(self, conn, ts, value, timeout=None):
+        self.log.append(("put", self.name, ts, value))
+
+    def consume(self, conn, ts):
+        self.log.append(("consume", self.name, ts))
+
+    def get(self, conn, ts, timeout=None):
+        self.log.append(("get", self.name, ts))
+        return ts, f"{self.name}@{ts}"
+
+
+class RecordingBatch:
+    """The batch surface over the same channels: a call is logged when it
+    is queued, ``commit`` answers the queued gets — and, like
+    ``StepBatch``, is a round trip only when something was queued."""
+
+    def __init__(self, log):
+        self.log = log
+        self.queued = 0
+        self.gets = []
+
+    def put(self, chan, conn, ts, value):
+        self.queued += 1
+        chan.put(conn, ts, value)
+
+    def consume(self, chan, conn, ts):
+        self.queued += 1
+        chan.consume(conn, ts)
+
+    def get(self, chan, conn, ts):
+        self.queued += 1
+        self.gets.append(chan.get(conn, ts))
+
+    def commit(self, timeout=None):
+        if self.queued:
+            self.log.append(("commit",))
+        return self.gets
+
+
+class LoggingStamps(FrameStamps):
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def stamp(self, ts):
+        self.log.append(("stamp", ts))
+        super().stamp(ts)
+
+
+class TestExchange:
+    """The lifted step: the same calls wherever a channel lives."""
+
+    LOCAL = {"x", "y", "b", "c"}
+
+    def drive(self, local_names, plan_name="join"):
+        """Log and per-frame inputs of a three-frame loop whose channels in
+        ``local_names`` are local ends and the rest boundary ends."""
+        plan = build_task_plans(join_graph())[plan_name]
+        log = []
+        chans = {ch: RecordingChannel(ch, log)
+                 for ch in plan.stream_inputs + plan.outputs}
+
+        conns = dict.fromkeys(chans)
+
+        def ends(keep):
+            return ChannelEnds.of(
+                plan, {ch: c for ch, c in chans.items() if keep(ch)},
+                conns, conns)
+
+        here = ends(lambda ch: ch in local_names)
+        across = ends(lambda ch: ch not in local_names)
+        stamps = LoggingStamps(log)
+        built = []
+        exchange = make_exchange(
+            plan, here, {"cfg": 7}, 1.0, stamps, across,
+            lambda: built.append(1) or RecordingBatch(log),
+        )
+        self.batches_built = built
+        seen = []
+        run_frames(plan, exchange,
+                   lambda ins, ts: seen.append(ins) or {
+                       ch: (ch, ts) for ch in plan.outputs},
+                   0, 3)
+        return log, seen, stamps
+
+    @staticmethod
+    def steps(log):
+        """The channel calls of each step, in order, commits dropped."""
+        calls = [entry for entry in log if entry != ("commit",)]
+        by_step = {}
+        for entry in calls:
+            # a step hands over frame ts (put / consume) and fetches ts + 1
+            step = entry[2] + 1 if entry[0] != "get" else entry[2]
+            by_step.setdefault(step, []).append(entry)
+        return [by_step[k] for k in sorted(by_step)]
+
+    def test_all_local_is_the_threaded_order(self):
+        log, seen, _ = self.drive(self.LOCAL)
+        assert ("commit",) not in log and not self.batches_built
+        assert self.steps(log)[1] == [
+            ("put", "b", 0, ("b", 0)), ("put", "c", 0, ("c", 0)),
+            ("consume", "x", 0), ("consume", "y", 0),
+            ("get", "x", 1), ("get", "y", 1),
+        ]
+        assert seen == [{"cfg": 7, "x": f"x@{ts}", "y": f"y@{ts}"}
+                        for ts in range(3)]
+
+    def test_all_boundary_makes_the_same_calls_one_commit_a_step(self):
+        local_log, local_seen, _ = self.drive(self.LOCAL)
+        log, seen, _ = self.drive(set())
+        assert [e for e in log if e != ("commit",)] == local_log
+        assert log.count(("commit",)) == 4  # three frames and the flush
+        assert seen == local_seen
+
+    def test_mixed_keeps_the_phases_and_commits_between_consume_and_get(self):
+        local_log, local_seen, _ = self.drive(self.LOCAL)
+        log, seen, _ = self.drive({"x", "b"})
+        assert seen == local_seen
+        for mixed, local in zip(self.steps(log), self.steps(local_log)):
+            assert [e[0] for e in mixed] == [e[0] for e in local]
+            assert sorted(mixed) == sorted(local)
+        step = log[log.index(("put", "b", 0, ("b", 0))):
+                   log.index(("get", "x", 1)) + 1]
+        assert step == [
+            ("put", "b", 0, ("b", 0)), ("put", "c", 0, ("c", 0)),
+            ("consume", "x", 0), ("consume", "y", 0),
+            ("get", "y", 1), ("commit",),   # boundary get rides the batch
+            ("get", "x", 1),                # local get after the commit
+        ]
+
+    def test_source_is_stamped_after_all_its_puts_on_either_side(self):
+        for local_names, commit in ((self.LOCAL, []), (set(), [("commit",)]),
+                                    ({"x"}, [("commit",)])):
+            log, _, stamps = self.drive(local_names, plan_name="src")
+            assert sorted(stamps.times) == [0, 1, 2]
+            assert [e[:3] for e in log] == [
+                entry for ts in range(3)
+                for entry in [("put", "x", ts), ("put", "y", ts), *commit,
+                              ("stamp", ts)]
+            ]
+
+    def test_stamp_keeps_the_latest_source(self):
+        stamps = FrameStamps(t0=0.0)
+        stamps.stamp(0)
+        first = stamps.times[0]
+        stamps.times[0] = first + 1e9  # a later source already stamped
+        stamps.stamp(0)
+        assert stamps.times[0] == first + 1e9
 
 
 class TestSharedPieces:

@@ -84,25 +84,122 @@ class TestBasicRun:
         assert by_task["dbl"] == set(range(4))
 
 
-class TestBrokerRoundTrips:
-    def test_tracker_marginal_roundtrips_per_frame(self):
-        """Five tasks, one step each per frame: the marginal broker cost
-        of a frame is <= 5 round trips, every one of them a ``step``.
+TWO_NODE_SPLIT = {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1}
 
-        Two run lengths cancel the fixed costs (static reads, the flush
-        step per task)."""
-        trips = {}
-        for frames in (4, 8):
+
+@pytest.fixture
+def brokers(monkeypatch):
+    """Every ``ChannelBroker`` a run builds, with what only it can tell:
+    the channels it hosts and which of them ever carried a shm segment."""
+    import repro.runtime.process as process_module
+
+    built = []
+
+    class SpyBroker(process_module.ChannelBroker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shm_channels: set[str] = set()
+            built.append(self)
+
+        def _unlink_all(self):
+            self.shm_channels |= {name for name, bc in self.channels.items()
+                                  if bc.segment_names}
+            super()._unlink_all()
+
+    monkeypatch.setattr(process_module, "ChannelBroker", SpyBroker)
+    return built
+
+
+def boundary_owners(graph, node_local) -> int:
+    """Tasks with at least one streaming channel hosted by the broker."""
+    return sum(
+        any(ch not in node_local and not graph.channel(ch).static
+            for ch in t.inputs + t.outputs)
+        for t in graph.tasks
+    )
+
+
+def marginal_roundtrips(make_runtime) -> tuple[float, dict]:
+    """``(round trips per extra frame, meta of the longer run)``: two run
+    lengths cancel the fixed costs (static reads, the flush step)."""
+    trips, meta = {}, {}
+    for frames in (4, 8):
+        res = make_runtime().run(frames)
+        meta = res.meta
+        ops = meta["broker_ops"]
+        assert set(ops) <= {"step", "done", "local_get", "local_consume"}
+        assert meta["broker_roundtrips"] == ops["step"]
+        trips[frames] = meta["broker_roundtrips"]
+    return (trips[8] - trips[4]) / 4, meta
+
+
+class TestBrokerRoundTrips:
+    """A frame crosses the broker once per task that owns a boundary
+    channel — exact counts, independent of host and seed."""
+
+    def test_tracker_marginal_roundtrips_per_frame(self, brokers):
+        """Five tasks on one node: only T5's put of the terminal channel
+        leaves the worker."""
+        def make():
             live, statics, state = tracker_setup()
-            res = StaticExecutor(
+            return StaticExecutor(
                 live, state, SINGLE_NODE_SMP(4), dp2_schedule(),
                 runtime="process", static_inputs=statics,
-            ).run(frames)
-            ops = res.meta["broker_ops"]
-            assert set(ops) <= {"step", "done", "local_get", "local_consume"}
-            assert res.meta["broker_roundtrips"] == ops["step"]
-            trips[frames] = res.meta["broker_roundtrips"]
-        assert (trips[8] - trips[4]) / 4 <= 5.0
+            )
+
+        marginal, meta = marginal_roundtrips(make)
+        assert marginal == 1.0
+        assert meta["node_local_channels"] == [
+            "back_projections", "frame", "histogram", "motion_mask"]
+        assert set(brokers[-1].channels) == {"model_locations", "color_model"}
+
+    def test_two_node_split_crosses_once_per_boundary_owner(self, brokers):
+        def make():
+            live, statics, state = tracker_setup()
+            return ProcessRuntime(live, state, static_inputs=statics,
+                                  placement=TWO_NODE_SPLIT, op_timeout=30.0)
+
+        marginal, meta = marginal_roundtrips(make)
+        live, _, _ = tracker_setup()
+        assert meta["node_local_channels"] == ["back_projections"]
+        assert boundary_owners(live, meta["node_local_channels"]) == 5
+        assert marginal == 5.0
+        assert set(brokers[-1].channels) == {
+            "frame", "motion_mask", "histogram", "model_locations",
+            "color_model"}
+
+    def test_task_with_no_boundary_channel_never_crosses(self, brokers):
+        """src -> mid on node 0, sink on node 1: ``a`` stays in node 0's
+        worker, so src adds nothing to the marginal rate."""
+        def make():
+            g = chain_graph_live()
+            g.add_channel(ChannelSpec("c"))
+            g.add_task(Task("sink", cost=0.01, inputs=["b"], outputs=["c"],
+                            compute=lambda s, ins: {"c": ins["b"] + 1}))
+            return ProcessRuntime(
+                g, State(n_models=1), op_timeout=30.0,
+                placement={"src": 0, "dbl": 0, "sink": 1})
+
+        marginal, meta = marginal_roundtrips(make)
+        assert meta["node_local_channels"] == ["a"]
+        assert marginal == 2.0  # dbl (puts b) and sink (gets b, puts c)
+        assert set(brokers[-1].channels) == {"b", "c"}
+
+    @pytest.mark.parametrize("placement, frame_at_broker", [
+        (None, False), (TWO_NODE_SPLIT, True)])
+    def test_frame_rides_shm_only_across_nodes(self, brokers, placement,
+                                               frame_at_broker):
+        """The 57.6 KB frame takes the shared-memory path when — and only
+        when — its channel is a boundary."""
+        live, statics, state = tracker_setup(shape=(120, 160))
+        res = ProcessRuntime(live, state, static_inputs=statics,
+                             placement=placement, op_timeout=30.0).run(3)
+        assert sorted(res.outputs["model_locations"]) == [0, 1, 2]
+        broker = brokers[-1]
+        assert ("frame" in broker.channels) == frame_at_broker
+        assert ("frame" in broker.shm_channels) == frame_at_broker
+        if not frame_at_broker:
+            assert broker.shm_channels == set()
 
 
 class TestScheduleDriven:
@@ -154,6 +251,27 @@ class TestObservability:
         assert frames == 4
 
 
+    def test_node_local_item_events_are_replayed_at_join(self):
+        """One node: channel ``a`` never reaches the broker, yet its put /
+        get / consume events arrive in the bundle, stamped inside the run."""
+        obs = Observability()
+        res = ProcessRuntime(
+            chain_graph_live(), State(n_models=1), op_timeout=30.0, obs=obs,
+        ).run(4)
+        assert res.meta["node_local_channels"] == ["a"]
+        events = [s for s in obs.tracer.spans()
+                  if s.cat == "stm" and s.track == "a"]
+        kinds = [s.name.split(":")[0] for s in events]
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "put": 4, "get": 4, "consume": 4}
+        assert {s.timestamp for s in events} == set(range(4))
+        # worker clocks count from the broker's start, a moment before
+        # the run's own t0
+        assert all(0.0 < s.start <= res.wall_time + 0.05 for s in events)
+        snap = obs.snapshot()
+        assert snap["repro_frames_completed_total"]["series"][0]["value"] == 4
+
+
 class TestFaults:
     def test_error_fault_absorbed_by_retry(self):
         plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "error")],
@@ -203,6 +321,22 @@ class TestFaults:
                 placement={"src": 0, "dbl": 1}, faults=plan,
             ).run(4)
 
+    def test_respawn_plan_on_one_node_takes_the_broker_hosted_path(self):
+        """Recovery reads resume points from STM that outlives the worker,
+        so a run that may respawn keeps every channel at the broker."""
+        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "exit")],
+                                max_respawns=1)
+        res = ProcessRuntime(
+            chain_graph_live(), State(n_models=1), op_timeout=30.0,
+            faults=plan,
+        ).run(6)
+        assert sorted(res.outputs["b"]) == list(range(6))
+        assert res.respawns == 1
+        assert res.meta["nodes"] == [0]
+        assert res.meta["node_local_channels"] == []
+        # one step per task per frame, not one per frame
+        assert res.meta["broker_roundtrips"] >= 2 * 6
+
     def test_fault_plan_validation(self):
         with pytest.raises(ReproError):
             KernelFault("t", -1)
@@ -210,6 +344,81 @@ class TestFaults:
             KernelFault("t", 0, kind="meteor")
         with pytest.raises(ReproError):
             ProcessFaultPlan(kernel_retries=-1)
+
+
+def bounded_chain(raising: str = "") -> TaskGraph:
+    """src -> dbl -> sink over capacity-1 channels: whenever one kernel
+    fails, its neighbours are blocked in a put or a get.  The kernel of
+    ``raising`` raises a plain exception (not a ``ReproError``: no retry
+    applies) on its third frame."""
+    def kernel(name, compute):
+        calls = []
+
+        def run(state, ins):
+            calls.append(1)
+            if name == raising and len(calls) == 3:
+                raise ValueError("kernel bug")
+            return compute(ins)
+
+        return run
+
+    g = TaskGraph("bounded-chain")
+    for name in ("a", "b", "c"):
+        g.add_channel(ChannelSpec(name, capacity=1))
+    g.add_task(Task("src", cost=0.01, outputs=["a"], compute=kernel(
+        "src", lambda ins: {"a": np.full((100, 100), 1.0)})))
+    g.add_task(Task("dbl", cost=0.01, inputs=["a"], outputs=["b"],
+                    compute=kernel("dbl", lambda ins: {"b": ins["a"] * 2})))
+    g.add_task(Task("sink", cost=0.01, inputs=["b"], outputs=["c"],
+                    compute=kernel("sink", lambda ins: {"c": ins["b"] + 1})))
+    return g
+
+
+ONE_NODE = {"src": 0, "dbl": 0, "sink": 0}
+TWO_NODES = {"src": 0, "dbl": 0, "sink": 1}
+
+
+class TestBoundedFailure:
+    """A failure ends the run in a typed error well inside ``op_timeout``
+    — never a hang — wherever the blocked siblings are waiting: on a
+    node-local channel, or on the broker from another node."""
+
+    OP_TIMEOUT = 30.0
+    WELL_INSIDE = 10.0
+
+    def failing_run(self, graph, placement, faults=None) -> str:
+        import time
+
+        t0 = time.monotonic()
+        with pytest.raises(ReproError) as err:
+            ProcessRuntime(graph, State(n_models=1), placement=placement,
+                           op_timeout=self.OP_TIMEOUT, faults=faults).run(50)
+        assert time.monotonic() - t0 < self.WELL_INSIDE
+        return str(err.value)
+
+    @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
+                             ids=["one-node", "two-nodes"])
+    @pytest.mark.parametrize("task", ["dbl", "sink"])
+    def test_worker_killed_mid_run(self, placement, task):
+        plan = ProcessFaultPlan(events=[KernelFault(task, 2, "exit")],
+                                max_respawns=0)
+        message = self.failing_run(bounded_chain(), placement, plan)
+        assert "respawn budget" in message
+
+    @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
+                             ids=["one-node", "two-nodes"])
+    @pytest.mark.parametrize("task", ["src", "dbl", "sink"])
+    def test_kernel_raises_while_siblings_block(self, placement, task):
+        message = self.failing_run(bounded_chain(raising=task), placement)
+        assert "process runtime failed" in message
+
+    @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
+                             ids=["one-node", "two-nodes"])
+    def test_injected_error_with_no_retry_left(self, placement):
+        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "error")],
+                                kernel_retries=0, max_respawns=0)
+        message = self.failing_run(bounded_chain(), placement, plan)
+        assert "process runtime failed" in message
 
 
 class TestExecutorGuards:
