@@ -130,6 +130,10 @@ class AnalysisReport:
         # Written by :func:`~repro.analysis.stmcheck.check_stm` only: the
         # (graph, tasks, channels) whose wiring findings are already in here.
         self._stm_wiring: list[tuple] = []
+        # Written by ``check_stm``'s P002, read by ``check_model``'s M003:
+        # each solution's ``schedule_in_flight`` counts, by ``id(solution)``
+        # -> (solution, (graph, tasks, channels), counts).
+        self._in_flight: dict[int, tuple] = {}
 
     # -- building -----------------------------------------------------------
 
@@ -160,6 +164,7 @@ class AnalysisReport:
         self.findings.extend(other.findings)
         self.waivers_applied.extend(other.waivers_applied)
         self._stm_wiring.extend(other._stm_wiring)
+        self._in_flight.update(other._in_flight)
         return self
 
     def apply_waivers(self, waivers: Iterable[Waiver]) -> int:

@@ -818,10 +818,10 @@ def check_model(
     # M003 — minimal-capacity certificates for every bounded channel.
     in_flight: dict[str, int] = {}
     if sols:
-        from repro.analysis.stmcheck import schedule_in_flight
+        from repro.analysis.stmcheck import _in_flight_for
 
         for sol in sols:
-            for name, w in schedule_in_flight(graph, sol).items():
+            for name, w in _in_flight_for(graph, sol, report).items():
                 in_flight[name] = max(in_flight.get(name, 0), w)
     min_caps: dict[str, Optional[int]] = {}
     for name, ch in sorted(model.channels.items()):

@@ -11,14 +11,27 @@ Table-level checks add totality: every state of the state space has a
 schedule-table entry (``S010``), every pair of covered states has a
 resolvable transition (``S011``), and every single-node-failure shape has
 a failover entry (``S012``).
+
+Every cost an entry's rules read — edge bytes (``S005``), variant
+durations (``S006``/``S007``), the critical-path bound (``S008``) and the
+static root bound (``S013``) — comes from one cost snapshot, a
+:class:`~repro.core.enumerate.SearchProblem`: the same evaluation of the
+graph's cost callables that the solve request digested.  A table build
+hands in the snapshots its requests already hold (``snapshots``, keyed by
+``(state, dp_cap)``); a standalone call builds each one it needs once, from
+the graph (``_snapshot_source``).  Either way the bounds come out of the same
+bodies over the same numbers, so every finding is the same float — and
+the verifier still re-derives each bound itself, reading nothing the
+search produced (schedules, L, S, incumbent).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.analysis.findings import AnalysisReport
+from repro.core.enumerate import SearchProblem, static_lower_bound
 from repro.core.optimal import ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
@@ -31,25 +44,76 @@ __all__ = ["verify_solution", "verify_schedule_table", "verify_shape_table"]
 
 _EPS = 1e-9
 
+#: Cost snapshots by ``(state, dp_cap)`` — what ``ScheduleTable.build``'s
+#: requests computed (``request.problem`` under ``(state, request.dp_cap)``).
+Snapshots = Mapping[tuple[State, int], SearchProblem]
+
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _snapshot_source(
+    graph: TaskGraph, state: State, snapshots: Optional[Snapshots]
+) -> Callable[[int], Optional[SearchProblem]]:
+    """``cap -> snapshot`` for one entry: handed in, else built once here.
+
+    ``None`` when the graph cannot be snapshotted — graph-level faults
+    (cycles, undeclared channels, a raising cost model) are pass-1
+    findings, and the rules that need the snapshot skip.
+    """
+    built: dict[int, Optional[SearchProblem]] = {}
+
+    def snapshot(cap: int) -> Optional[SearchProblem]:
+        if snapshots is not None and (state, cap) in snapshots:
+            return snapshots[(state, cap)]
+        if cap not in built:
+            try:
+                built[cap] = SearchProblem.from_graph(graph, state, max_workers=cap)
+            except Exception:
+                built[cap] = None
+        return built[cap]
+
+    return snapshot
+
+
+def _critical_path(problem: SearchProblem) -> float:
+    """``TaskGraph.critical_path(use_best_variants=True)`` over a snapshot.
+
+    Same topological order, same predecessor order, same best variant
+    (fewest workers on a duration tie), same sums — the same float.
+    """
+    dist: dict[str, float] = {}
+    for name in problem.order_names:
+        base = max((dist[p] for p in problem.preds[name]), default=0.0)
+        best = min(problem.variants[name], key=lambda v: (v.duration, v.workers))
+        dist[name] = base + best.duration
+    return max(dist.values(), default=0.0)
+
+
 def _expected_duration(
-    graph: TaskGraph, cluster: ClusterSpec, placement, state: State
+    graph: TaskGraph,
+    cluster: ClusterSpec,
+    placement,
+    state: State,
+    problem: Optional[SearchProblem],
 ) -> Optional[float]:
     """Model duration of ``placement``: variant duration over node speed.
 
-    Returns None when the variant label is unknown (reported as S006 by the
-    caller).
+    The variant comes from the snapshot; a label it does not hold (a width
+    above the snapshot's cap, or no snapshot) is looked for among the
+    task's uncapped variants.  Returns None when the cost model does not
+    produce the label at all (reported as S006 by the caller).
     """
-    task = graph.task(placement.task)
-    for var in task.variants(state):
-        if var.label == placement.variant:
-            speed = cluster.node_speeds[cluster.node_of(placement.primary)]
-            return var.duration / speed
-    return None
+    def labelled(variants):
+        return next((v for v in variants if v.label == placement.variant), None)
+
+    found = None if problem is None else labelled(problem.variants[placement.task])
+    if found is None:
+        found = labelled(graph.task(placement.task).variants(state))
+    if found is None:
+        return None
+    return found.duration / cluster.node_speeds[cluster.node_of(placement.primary)]
 
 
 def verify_solution(
@@ -59,17 +123,23 @@ def verify_solution(
     comm: Optional[CommModel] = None,
     location: str = "",
     report: Optional[AnalysisReport] = None,
+    snapshots: Optional[Snapshots] = None,
 ) -> AnalysisReport:
     """Re-verify one :class:`ScheduleSolution` against graph + cluster.
 
     ``comm`` must be the model the schedule was built with; ``None`` checks
     precedence without communication delays (a weaker but still sound
-    check, since delays only tighten the constraint).
+    check, since delays only tighten the constraint).  ``snapshots`` are
+    cost snapshots the caller already holds, by ``(state, dp_cap)``; any
+    this entry needs and is not handed is built here, once.
     """
     report = report if report is not None else AnalysisReport()
     state = solution.state
     sched = solution.iteration
     loc = location or f"schedule:{sched.name}/state:{state!r}"
+    snapshot = _snapshot_source(graph, state, snapshots)
+    # S005-S008 read the costs under the cluster's own width cap.
+    costs = snapshot(cluster.procs_per_node)
 
     # S001 — task-set equality.
     placed = {p.task for p in sched}
@@ -123,6 +193,7 @@ def verify_solution(
             )
 
     # S005 — precedence with communication delay.
+    edge_costs = costs if costs is not None else graph
     for name in graph.task_names:
         if name not in sched:
             continue
@@ -134,7 +205,7 @@ def verify_solution(
             delay = 0.0
             if comm is not None:
                 try:
-                    nbytes = graph.comm_bytes(pred, name, state)
+                    nbytes = edge_costs.comm_bytes(pred, name, state)
                     delay = comm.transfer_time(nbytes, u.primary, v.primary)
                 except Exception:
                     delay = 0.0  # size-model faults are pass-1 findings (G007)
@@ -152,7 +223,7 @@ def verify_solution(
     for p in in_range:
         if p.task not in graph:
             continue
-        expected = _expected_duration(graph, cluster, p, state)
+        expected = _expected_duration(graph, cluster, p, state, costs)
         if expected is None:
             report.add(
                 "S006",
@@ -180,9 +251,9 @@ def verify_solution(
 
     # S008 — the critical-path certificate: L can never beat the bound.
     try:
-        bound = graph.critical_path(
-            state, use_best_variants=True, max_workers=cluster.procs_per_node
-        ) / max(cluster.node_speeds)
+        bound = 0.0
+        if costs is not None:
+            bound = _critical_path(costs) / max(cluster.node_speeds)
     except Exception:
         bound = 0.0  # graph-level faults are pass-1 findings
     if solution.latency < bound - max(_EPS, 1e-9 * bound):
@@ -217,8 +288,6 @@ def verify_solution(
     # certificate (exact legacy artifacts) are exempt.
     cert = solution.certificate
     if cert is not None:
-        from repro.core.enumerate import SearchProblem, static_lower_bound
-
         tol = max(_EPS, 1e-9 * max(solution.latency, 1.0))
         if cert.policy not in ("exact", "bounded", "list"):
             report.add("S013", loc, f"unknown ladder policy {cert.policy!r}")
@@ -230,13 +299,9 @@ def verify_solution(
                 "S013", loc, f"certificate carries non-finite or negative fields: {cert}"
             )
         else:
+            problem = snapshot(cert.dp_cap or cluster.procs_per_node)
             try:
-                problem = SearchProblem.from_graph(
-                    graph,
-                    state,
-                    max_workers=cert.dp_cap or cluster.procs_per_node,
-                )
-                root = static_lower_bound(problem, cluster)
+                root = None if problem is None else static_lower_bound(problem, cluster)
             except Exception:
                 root = None  # graph-level faults are pass-1 findings
             if root is not None and cert.root_bound > root + tol:
@@ -300,8 +365,12 @@ def verify_schedule_table(
     comm: Optional[CommModel] = None,
     policy: Optional[TransitionPolicy] = None,
     report: Optional[AnalysisReport] = None,
+    snapshots: Optional[Snapshots] = None,
 ) -> AnalysisReport:
-    """Verify a full per-state table: every entry, totality, transitions."""
+    """Verify a full per-state table: every entry, totality, transitions.
+
+    ``snapshots`` are passed on to :func:`verify_solution` for every entry.
+    """
     report = report if report is not None else AnalysisReport()
     tloc = f"table:{graph.name}"
     states = list(space)
@@ -324,6 +393,7 @@ def verify_schedule_table(
             comm=comm,
             location=f"{tloc}/state:{state!r}",
             report=report,
+            snapshots=snapshots,
         )
 
     # S011 — every covered transition resolves to a sane effect.

@@ -57,6 +57,24 @@ def schedule_in_flight(
     return out
 
 
+def _in_flight_for(
+    graph: TaskGraph, solution: ScheduleSolution, report: AnalysisReport
+) -> dict[str, int]:
+    """:func:`schedule_in_flight`, once per solution and graph wiring per report.
+
+    ``P002`` and ``M003`` read the same counts for every entry of a table;
+    the first to ask computes them and files them in ``report``, the
+    second finds them there unless the graph was re-wired in between.
+    """
+    seen = (graph, graph.tasks, graph.channels)
+    held = report._in_flight.get(id(solution))
+    if held is not None and held[0] is solution and held[1] == seen:
+        return held[2]
+    live = schedule_in_flight(graph, solution)
+    report._in_flight[id(solution)] = (solution, seen, live)
+    return live
+
+
 def _streaming_channels(graph: TaskGraph):
     return [ch for ch in graph.channels if not ch.static]
 
@@ -184,7 +202,7 @@ def _capacity(graph, solution, streaming, loc, report) -> None:
     # Schedule-derived in-flight count vs declared capacity.  Item k of a
     # channel is live from its producer's end until the last consumer's
     # end, k*II later for each successive timestamp.
-    live = schedule_in_flight(graph, solution)
+    live = _in_flight_for(graph, solution, report)
     for ch in streaming:
         if ch.capacity is None or ch.name not in live:
             continue

@@ -11,12 +11,24 @@ Round-tripping preserves everything the runtime needs (placements,
 variants, periods, shifts, per-state latencies); re-solving is never
 required to *execute*.  Loading re-validates shapes and raises
 :class:`~repro.errors.ScheduleError` on malformed input rather than
-producing a half-built schedule.
+producing a half-built schedule — a wrongly typed field, a table that is
+not a JSON object, or one that lists a state twice.
+
+A table is written as ``json.dumps(payload, indent=2)`` would write it,
+byte for byte, but not by ``json``: an indent switches the standard
+library's C encoder off, and its pure-Python fallback was the largest
+single cost of rebuilding a table from the cache.  :func:`table_to_json`
+emits the same text directly — strings through ``json``'s own C
+``encode_basestring_ascii``, floats through ``float.__repr__`` with
+``json``'s ``NaN`` / ``Infinity`` spellings, ints through ``int.__repr__``
+(``tests/core/test_serialize_golden.py`` holds ``json.dumps`` as the
+oracle).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from repro.errors import ScheduleError
@@ -152,17 +164,25 @@ def solution_to_dict(solution: ScheduleSolution) -> dict:
 
 
 def solution_from_dict(data: dict) -> ScheduleSolution:
-    """Rebuild a :class:`ScheduleSolution` (certificate key is optional)."""
-    state_vars = _require(data, "state", "solution")
-    raw_cert = data.get("certificate")
-    return ScheduleSolution(
-        state=State(**state_vars),
-        iteration=iteration_from_dict(_require(data, "iteration", "solution")),
-        pipelined=pipelined_from_dict(_require(data, "pipelined", "solution")),
-        alternatives=int(data.get("alternatives", 1)),
-        explored=int(data.get("explored", 0)),
-        certificate=certificate_from_dict(raw_cert) if raw_cert else None,
-    )
+    """Rebuild a :class:`ScheduleSolution` (certificate key is optional).
+
+    A field of the wrong type anywhere inside — a state that is not an
+    object, ``procs`` that is not a list, a non-numeric ``start`` — raises
+    :class:`~repro.errors.ScheduleError`, like a missing one.
+    """
+    try:
+        state_vars = _require(data, "state", "solution")
+        raw_cert = data.get("certificate")
+        return ScheduleSolution(
+            state=State(**state_vars),
+            iteration=iteration_from_dict(_require(data, "iteration", "solution")),
+            pipelined=pipelined_from_dict(_require(data, "pipelined", "solution")),
+            alternatives=int(data.get("alternatives", 1)),
+            explored=int(data.get("explored", 0)),
+            certificate=certificate_from_dict(raw_cert) if raw_cert else None,
+        )
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ScheduleError(f"malformed solution: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +190,17 @@ def solution_from_dict(data: dict) -> ScheduleSolution:
 # ---------------------------------------------------------------------------
 
 
-def table_to_json(table: ScheduleTable, indent: int | None = 2) -> str:
-    """Serialize a whole per-state table to a JSON string."""
+def table_to_json(table: ScheduleTable) -> str:
+    """Serialize a whole per-state table to a JSON string.
+
+    The text is ``json.dumps(payload, indent=2)``'s, byte for byte.
+    """
     payload = {
         "format": "repro.schedule_table",
         "version": _FORMAT_VERSION,
         "entries": [solution_to_dict(sol) for sol in table.solutions()],
     }
-    return json.dumps(payload, indent=indent)
+    return _dumps(payload)
 
 
 def table_from_json(text: str) -> ScheduleTable:
@@ -186,6 +209,10 @@ def table_from_json(text: str) -> ScheduleTable:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScheduleError(f"schedule table is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise ScheduleError(
+            f"not a schedule table (a JSON {type(payload).__name__}, not an object)"
+        )
     if payload.get("format") != "repro.schedule_table":
         raise ScheduleError(
             f"not a schedule table (format={payload.get('format')!r})"
@@ -195,8 +222,135 @@ def table_from_json(text: str) -> ScheduleTable:
             f"unsupported table version {payload.get('version')!r} "
             f"(this build reads version {_FORMAT_VERSION})"
         )
+    entries = _require(payload, "entries", "schedule table")
+    if not isinstance(entries, list):
+        raise ScheduleError(
+            f"malformed schedule table: 'entries' is a {type(entries).__name__}, "
+            "not a list"
+        )
     solutions = {}
-    for entry in _require(payload, "entries", "schedule table"):
+    for entry in entries:
         sol = solution_from_dict(entry)
+        if sol.state in solutions:
+            raise ScheduleError(f"schedule table lists {sol.state!r} twice")
         solutions[sol.state] = sol
     return ScheduleTable(solutions)
+
+
+# ---------------------------------------------------------------------------
+# The indented JSON emitter
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """``json``'s spelling of a float (``allow_nan`` is its default, true)."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as ``json`` writes it: coerced to a string, then quoted."""
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _float_text(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+        )
+    return encode_basestring_ascii(text)
+
+
+def _dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2)``, written without ``json``'s encoder.
+
+    One recursive walk appends text pieces to a list.  The exact types that
+    make up nearly all of a table payload are tested first, by identity;
+    everything else (``None``, bools, tuples, subclasses) takes ``json``'s
+    own ``isinstance`` order, so a subclass is spelled as ``json`` spells
+    it.  Unlike ``json`` there is no circular-reference check — a payload
+    built by :func:`solution_to_dict` has no cycles.
+    """
+    parts: list[str] = []
+    append = parts.append
+    breaks = ["\n"]  # breaks[d]: newline plus the indent of depth d
+
+    def array(items, depth: int) -> None:
+        if not items:
+            append("[]")
+            return
+        if len(breaks) <= depth + 1:
+            breaks.append(breaks[-1] + "  ")
+        head = "[" + breaks[depth + 1]
+        sep = "," + breaks[depth + 1]
+        for item in items:
+            append(head)
+            head = sep
+            value(item, depth + 1)
+        append(breaks[depth] + "]")
+
+    def mapping(items, depth: int) -> None:
+        if not items:
+            append("{}")
+            return
+        if len(breaks) <= depth + 1:
+            breaks.append(breaks[-1] + "  ")
+        head = "{" + breaks[depth + 1]
+        sep = "," + breaks[depth + 1]
+        for key, item in items.items():
+            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+            append(head + key + ": ")
+            head = sep
+            value(item, depth + 1)
+        append(breaks[depth] + "}")
+
+    def value(o: Any, depth: int) -> None:
+        kind = type(o)
+        if kind is str:
+            append(encode_basestring_ascii(o))
+        elif kind is float:
+            append(_float_text(o))
+        elif kind is int:
+            append(int.__repr__(o))
+        elif kind is dict:
+            mapping(o, depth)
+        elif kind is list:
+            array(o, depth)
+        elif isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            array(o, depth)
+        elif isinstance(o, dict):
+            mapping(o, depth)
+        else:
+            raise TypeError(
+                f"Object of type {kind.__name__} is not JSON serializable"
+            )
+
+    value(obj, 0)
+    return "".join(parts)

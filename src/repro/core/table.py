@@ -113,7 +113,10 @@ class ScheduleTable:
         requests = [rung.request(scheduler, graph, state) for state in states]
         table = cls(cls._solve_keyed(states, requests, parallel, cache, progress))
         if verify:
-            table.verify(graph, space, scheduler.cluster, comm=scheduler.comm)
+            table.verify(
+                graph, space, scheduler.cluster, comm=scheduler.comm,
+                snapshots={(r.state, r.dp_cap): r.problem for r in requests},
+            )
         return table
 
     @classmethod
@@ -141,7 +144,7 @@ class ScheduleTable:
                 progress(key, outcome)
         return solutions
 
-    def verify(self, graph, space, cluster, comm=None) -> None:
+    def verify(self, graph, space, cluster, comm=None, snapshots=None) -> None:
         """Run analysis passes 1-3 and 5 over this table; raise on ERRORs.
 
         Checks the graph's structure, every per-state schedule certificate
@@ -151,13 +154,18 @@ class ScheduleTable:
         configuration and downgrades pass-3 heuristics it proves safe.
         Raises :class:`~repro.errors.AnalysisError` carrying the full
         :class:`~repro.analysis.findings.AnalysisReport` when any ERROR
-        finding is present.
+        finding is present.  ``snapshots`` — the cost snapshots a build's
+        requests already hold, by ``(state, dp_cap)`` — spare the
+        certificates a second read of each state's costs (see
+        :mod:`repro.analysis.schedverify`).
         """
         # Deferred import: repro.analysis imports this module's collaborators.
         from repro.analysis import lint_graph, verify_schedule_table
 
         report = lint_graph(graph, states=space)
-        verify_schedule_table(self, graph, space, cluster, comm=comm, report=report)
+        verify_schedule_table(
+            self, graph, space, cluster, comm=comm, report=report, snapshots=snapshots
+        )
         self._verify_entries(graph, report)
 
     def _verify_entries(self, graph, report) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import json
+
 import pytest
 
 from repro.errors import RegimeError, ScheduleError
@@ -18,6 +21,7 @@ from repro.core.serialize import (
     table_to_json,
 )
 from repro.core.table import ScheduleTable
+from repro.graph.builders import chain_graph
 from repro.sim.cluster import SINGLE_NODE_SMP
 from repro.state import State, StateSpace
 
@@ -94,6 +98,57 @@ class TestMalformedInput:
             iteration_from_dict({"name": "x"})
         with pytest.raises(ScheduleError, match="missing"):
             pipelined_from_dict({"period": 1.0})
+
+
+class TestHostileTables:
+    """Every malformed table raises ``ScheduleError``, never an untyped error."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        table = ScheduleTable.build(
+            chain_graph([1.0, 2.0]),
+            StateSpace.range("n_models", 1, 2),
+            OptimalScheduler(SINGLE_NODE_SMP(2)),
+        )
+        return json.loads(table_to_json(table))
+
+    def load(self, payload):
+        return table_from_json(json.dumps(payload))
+
+    def test_the_untouched_payload_loads(self, payload):
+        assert len(self.load(payload)) == 2
+
+    def test_top_level_array(self, payload):
+        with pytest.raises(ScheduleError, match="not a schedule table"):
+            self.load([payload])
+
+    def test_entries_not_a_list(self, payload):
+        with pytest.raises(ScheduleError, match="entries"):
+            self.load({**payload, "entries": 5})
+
+    def test_state_not_an_object(self, payload):
+        bad = copy.deepcopy(payload)
+        bad["entries"][0]["state"] = [1, 2]
+        with pytest.raises(ScheduleError, match="malformed solution"):
+            self.load(bad)
+
+    def test_procs_not_a_list(self, payload):
+        bad = copy.deepcopy(payload)
+        bad["entries"][0]["iteration"]["placements"][0]["procs"] = 0
+        with pytest.raises(ScheduleError, match="malformed solution"):
+            self.load(bad)
+
+    def test_start_not_a_number(self, payload):
+        bad = copy.deepcopy(payload)
+        bad["entries"][0]["iteration"]["placements"][0]["start"] = "x"
+        with pytest.raises(ScheduleError, match="malformed solution"):
+            self.load(bad)
+
+    def test_same_state_twice(self, payload):
+        bad = copy.deepcopy(payload)
+        bad["entries"].append(copy.deepcopy(bad["entries"][0]))
+        with pytest.raises(ScheduleError, match="twice"):
+            self.load(bad)
 
 
 class TestInterpolatingTable:

@@ -16,11 +16,13 @@ from unittest.mock import Mock
 import pytest
 
 import repro.analysis.schedverify as schedverify_mod
+import repro.analysis.stmcheck as stmcheck_mod
 import repro.core.parallel as parallel_mod
 import repro.sched.listsched as listsched_mod
 from repro.approx.lazy import LazyScheduleTable
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.cache import ScheduleCache
+from repro.core.enumerate import SearchProblem
 from repro.core.optimal import OptimalScheduler
 from repro.core.table import ScheduleTable
 from repro.graph.taskgraph import TaskGraph
@@ -74,6 +76,29 @@ def test_an_all_hit_build_runs_no_scheduler(tmp_path, spies):
     assert (cache.stats.hits, cache.stats.misses) == (n + 1, n)
     assert first.latency == warm.lookup(TRACKER_STATES[0]).latency
     assert [s.latency for s in warm.solutions()] == [s.latency for s in cold.solutions()]
+
+
+def test_a_warm_verified_build_reads_each_states_costs_once(tmp_path, monkeypatch):
+    """One cost snapshot and one in-flight count per entry (both were 2n).
+
+    The request's ``SearchProblem`` serves the certificates too (S005-S008
+    and S013's root bound), and P002's in-flight counts serve M003.
+    """
+    graph, n = build_tracker_graph(), len(TRACKER_STATES)
+    cache = ScheduleCache(tmp_path)
+    ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
+                        cache=cache, verify=True)
+
+    snapshots = Mock(wraps=SearchProblem.from_graph)
+    monkeypatch.setattr(SearchProblem, "from_graph", snapshots)
+    in_flight = Mock(wraps=stmcheck_mod.schedule_in_flight)
+    monkeypatch.setattr(stmcheck_mod, "schedule_in_flight", in_flight)
+    warm = ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
+                               cache=cache, verify=True)
+    assert cache.stats.hits == n
+    assert all(sol.certificate is not None for sol in warm.solutions())
+    assert snapshots.call_count == n
+    assert in_flight.call_count == n
 
 
 class _CountedTasks(dict):
