@@ -4,16 +4,18 @@ generator body it replaced.
 ``FaultTolerantExecutor.run`` starts every iteration through
 :class:`repro.runtime.static_exec.PlacementReplay`, the four-call body the
 static executor runs, and expresses a failure as ``lose(frame, cause)`` on
-it; the body it had before — a generator ``Process`` per placement racing
-``AnyOf`` waits, every STM access behind the bounded-retry helpers — is
-kept verbatim in ``fault_generator_oracle.py``.  Both run here over
-{chain2, chain3, fork-join 2x2, tracker 2x2} x 8 fault plans x 3 transition
-policies under ``CommModel(cluster)`` and must agree on everything a result
-reports — times to 1e-9, loss lists, detections, failovers, the span
-multiset, GC totals.
+it.  The body it had before — a generator ``Process`` per placement racing
+``AnyOf`` waits, every STM access behind bounded-retry helpers — was run
+over {chain2, chain3, fork-join 2x2, tracker 2x2} x 8 fault plans x 3
+transition policies under ``CommModel(cluster)``, and on the two
+bounded-channel runs at the end, and its results frozen in
+``golden_faults.json`` (every float as ``float.hex()``; see
+``tests/golden.py``) before it was deleted.  The runner must agree with
+them on everything a result reports — times to 1e-9, loss lists,
+detections, failovers, the span multiset, GC totals.
 
-Sixteen of the 96 cases are *allowed* to differ, and only in the direction
-of the two defects the second body had:
+Sixteen of the 96 grid cases are *allowed* to differ, and only in the
+direction of the two defects the generator body had:
 
 * it re-read STM the frame ledger had already ordered, so a checkpoint
   replay waited out its retry budget on an item its own connection had
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +46,8 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
 from repro.state import State
 
+from .. import golden
 from ..runtime.test_static_diff import with_capacity
-from .fault_generator_oracle import GeneratorFaultExecutor
 
 TOL = 1e-9
 FRAMES = 25
@@ -79,8 +82,13 @@ POLICIES = {
 }
 SINGLE_CRASH = ("crash5.0", "crash5.3", "crash7.7+recover")
 GRID = [(g, p, pol) for g in GRAPHS for p in PLANS for pol in POLICIES]
+#: The two bounded-channel runs: (channel capacity, transition policy).
+BOUNDED = {
+    "bounded/1/drain": (1, DrainTransition(setup=0.5)),
+    "bounded/2/checkpoint": (2, CheckpointTransition(setup=0.5)),
+}
 
-# The only cases that may differ from the oracle (see the module notes).
+# The only cases that may differ from the frozen body (see the module notes).
 CHECKPOINT_FIXED = {
     (g, p, "checkpoint")
     for g, ps in {
@@ -90,6 +98,11 @@ CHECKPOINT_FIXED = {
     for p in ps
 }
 PROCLOSS_FIXED = {(g, "procloss", pol) for g in ("forkjoin", "tracker") for pol in POLICIES}
+
+LOSSES = ("frames_lost_crash", "frames_lost_transition", "frames_replayed")
+DECISIONS = ("detections", "failovers")
+META = LOSSES + DECISIONS
+GOLDEN = golden.load(Path(__file__).with_name("golden_faults.json"))
 
 
 @lru_cache(maxsize=None)
@@ -102,72 +115,104 @@ def setting(graph_name):
     return graph, state, cluster, comm, table
 
 
-@lru_cache(maxsize=None)
-def run_both(graph_name, plan_name, policy_name):
+def grid_inputs(graph_name, plan_name, policy_name):
+    """``(graph, state, cluster, faults, comm)`` of one grid case."""
     graph, state, cluster, comm, table = setting(graph_name)
     faults = FaultRuntime(
         plan=PLANS[plan_name](cluster), policy=POLICIES[policy_name], table=table
     )
-    return tuple(
-        executor(graph, state, cluster, faults, comm=comm).run(FRAMES)
-        for executor in (FaultTolerantExecutor, GeneratorFaultExecutor)
+    return graph, state, cluster, faults, comm
+
+
+def bounded_inputs(key):
+    capacity, policy = BOUNDED[key]
+    faults = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1, recover_at=15.0), policy=policy)
+    graph = with_capacity(chain_graph([1.0, 1.0, 1.0]), capacity)
+    return graph, State(n_models=1), ClusterSpec(3, 1), faults, None
+
+
+@lru_cache(maxsize=None)
+def run_case(graph_name, plan_name, policy_name):
+    """The runner's result on one grid case and the frozen generator run."""
+    graph, state, cluster, faults, comm = grid_inputs(graph_name, plan_name, policy_name)
+    new = FaultTolerantExecutor(graph, state, cluster, faults, comm=comm).run(FRAMES)
+    return new, GOLDEN["-".join((graph_name, plan_name, policy_name))]
+
+
+def spans_of(result):
+    return sorted(
+        (s.proc, s.task, s.timestamp, s.preempted, s.start, s.end)
+        for s in result.trace.spans
     )
 
 
-def overlaps(result, preempted=True):
+def frozen_spans(old):
+    return [
+        (p, task, ts, pre, float.fromhex(a), float.fromhex(b))
+        for p, task, ts, pre, a, b in old["spans"]
+    ]
+
+
+def overlaps(spans, preempted=True):
     """Pairs of consecutive spans on one processor that overlap."""
     by_proc = {}
-    for s in result.trace.spans:
-        if preempted or not s.preempted:
-            by_proc.setdefault(s.proc, []).append((s.start, s.end, s.task, s.timestamp))
+    for proc, task, ts, pre, start, end in spans:
+        if preempted or not pre:
+            by_proc.setdefault(proc, []).append((start, end, task, ts))
     return [
         (proc, a, b)
-        for proc, spans in by_proc.items()
-        for a, b in zip(sorted(spans), sorted(spans)[1:])
+        for proc, rows in by_proc.items()
+        for a, b in zip(sorted(rows), sorted(rows)[1:])
         if b[0] < a[1] - TOL
     ]
 
 
+def completed_count(old):
+    return len(old["completion_times"])
+
+
 def assert_same_times(new, old, tol=TOL):
-    assert sorted(new.completion_times) == sorted(old.completion_times)
-    assert sorted(new.digitize_times) == sorted(old.digitize_times)
-    for mine, theirs in (
-        (new.completion_times, old.completion_times),
-        (new.digitize_times, old.digitize_times),
+    for mine, frozen in (
+        (new.completion_times, golden.times(old["completion_times"])),
+        (new.digitize_times, golden.times(old["digitize_times"])),
     ):
-        for ts, t in theirs.items():
+        assert sorted(mine) == sorted(frozen)
+        for ts, t in frozen.items():
             assert mine[ts] == pytest.approx(t, abs=tol), ts
-    assert new.horizon == pytest.approx(old.horizon, abs=tol)
+    assert new.horizon == pytest.approx(float.fromhex(old["horizon"]), abs=tol)
 
 
 def assert_same_losses(new, old, keys):
     for key in keys:
-        assert new.meta[key] == old.meta[key], key
-
-
-LOSSES = ("frames_lost_crash", "frames_lost_transition", "frames_replayed")
-DECISIONS = ("detections", "failovers")
+        assert golden.encode(new.meta[key]) == old["meta"][key], key
 
 
 def assert_same_run(new, old):
     assert_same_times(new, old)
     assert_same_losses(new, old, LOSSES + DECISIONS)
-    key = lambda s: (s.proc, s.task, s.timestamp, s.preempted)
-    assert Counter(map(key, new.trace.spans)) == Counter(map(key, old.trace.spans))
-    full = lambda s: key(s) + (s.start, s.end)
-    for a, b in zip(sorted(new.trace.spans, key=full), sorted(old.trace.spans, key=full)):
+    key = lambda s: s[:4]
+    mine, frozen = spans_of(new), frozen_spans(old)
+    assert Counter(map(key, mine)) == Counter(map(key, frozen))
+    for a, b in zip(mine, frozen):
         assert key(a) == key(b)
-        assert a.start == pytest.approx(b.start, abs=TOL)
-        assert a.end == pytest.approx(b.end, abs=TOL)
-    assert new.gc_collected == old.gc_collected
-    assert new.live_item_high_water == old.live_item_high_water
-    # put / consume / GC accounting is the oracle's; only its per-placement
-    # ``get`` item events are gone (precedence is the frame ledger's).
-    ops = lambda res: Counter(
-        (e.channel, e.kind, e.task) for e in res.trace.items if e.kind != "get"
+        assert a[4] == pytest.approx(b[4], abs=TOL)
+        assert a[5] == pytest.approx(b[5], abs=TOL)
+    assert new.gc_collected == old["gc_collected"]
+    assert new.live_item_high_water == old["live_item_high_water"]
+    # put / consume / GC accounting is the frozen body's; only its
+    # per-placement ``get`` item events are gone (precedence is the frame
+    # ledger's).
+    ops = Counter(
+        (e.channel, e.kind, e.task) for e in new.trace.items if e.kind != "get"
     )
-    assert ops(new) == ops(old)
+    assert ops == Counter(
+        {(ch, kind, task): n for ch, kind, task, n in old["ops"] if kind != "get"}
+    )
     assert new.meta["slips"] == 0
+
+
+def test_the_fixture_has_one_entry_per_grid_case():
+    assert sorted(GOLDEN) == sorted(["-".join(case) for case in GRID] + list(BOUNDED))
 
 
 class TestSameRunAsTheGeneratorBody:
@@ -177,7 +222,7 @@ class TestSameRunAsTheGeneratorBody:
         ids="-".join,
     )
     def test_equal_to_the_oracle(self, case):
-        assert_same_run(*run_both(*case))
+        assert_same_run(*run_case(*case))
 
     def test_the_grid_has_sixteen_exceptions(self):
         assert len(GRID) == 96
@@ -185,41 +230,43 @@ class TestSameRunAsTheGeneratorBody:
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_FIXED), ids="-".join)
     def test_checkpoint_replays_are_no_longer_lost(self, case):
-        """The oracle loses frames it replayed (their second attempt times
-        out on a consumed item); the change loses strictly fewer, and the
-        controller saw the same failures on both sides."""
-        new, old = run_both(*case)
+        """The frozen body loses frames it replayed (their second attempt
+        times out on a consumed item); the runner loses strictly fewer, and
+        the controller saw the same failures on both sides."""
+        new, old = run_case(*case)
         assert_same_losses(new, old, ("frames_lost_transition",) + DECISIONS)
-        lost, oracle_lost = (set(r.meta["frames_lost_crash"]) for r in (new, old))
-        assert set(old.meta["frames_replayed"]) & oracle_lost
+        lost = set(new.meta["frames_lost_crash"])
+        oracle_lost = set(old["meta"]["frames_lost_crash"])
+        assert set(old["meta"]["frames_replayed"]) & oracle_lost
         assert len(lost) < len(oracle_lost)
-        assert len(new.completion_times) > len(old.completion_times)
+        assert len(new.completion_times) > completed_count(old)
         if case[1] in SINGLE_CRASH + ("procloss",):
             # One failure: nothing can kill a replay, so every replayed
             # frame completes and no new loss appears.  (Under the Poisson
             # plans a later crash may legitimately catch a replay.)
             assert lost < oracle_lost
-            assert new.meta["frames_replayed"] == old.meta["frames_replayed"]
+            assert new.meta["frames_replayed"] == old["meta"]["frames_replayed"]
             assert set(new.meta["frames_replayed"]) <= set(new.completion_times)
 
     @pytest.mark.parametrize("case", sorted(PROCLOSS_FIXED), ids="-".join)
     def test_double_booking_becomes_slips(self, case):
-        """After the failover the oracle runs two placements at once on one
-        processor; on the shared body the second waits (a slip), which
+        """After the failover the frozen body ran two placements at once on
+        one processor; on the shared body the second waits (a slip), which
         shifts what follows by no more than the largest slip."""
-        new, old = run_both(*case)
-        assert overlaps(old, preempted=False) and not overlaps(new)
+        new, old = run_case(*case)
+        assert overlaps(frozen_spans(old), preempted=False)
+        assert not overlaps(spans_of(new))
         assert new.meta["slips"] > 0
         assert_same_losses(new, old, DECISIONS + ("frames_lost_transition",))
         if case not in CHECKPOINT_FIXED:
             assert_same_losses(new, old, LOSSES)
             assert_same_times(new, old, tol=new.meta["max_slip"] + TOL)
-            assert new.gc_collected == old.gc_collected
+            assert new.gc_collected == old["gc_collected"]
 
     @pytest.mark.parametrize("case", GRID, ids="-".join)
     def test_no_two_spans_overlap_on_one_processor(self, case):
-        new, _old = run_both(*case)
-        assert overlaps(new) == []
+        new, _old = run_case(*case)
+        assert overlaps(spans_of(new)) == []
 
 
 class TestCheckpointReplayCompletes:
@@ -228,15 +275,15 @@ class TestCheckpointReplayCompletes:
     @pytest.mark.parametrize("plan", SINGLE_CRASH)
     @pytest.mark.parametrize("graph", ["chain3", "forkjoin", "tracker"])
     def test_replayed_frames_complete(self, graph, plan):
-        new, _old = run_both(graph, plan, "checkpoint")
+        new, _old = run_case(graph, plan, "checkpoint")
         replayed = set(new.meta["frames_replayed"])
         assert replayed
         assert replayed & set(new.meta["frames_lost_crash"]) == set()
         assert replayed <= set(new.completion_times)
 
     def test_the_tracker_keeps_the_frames_it_replays(self):
-        new, old = run_both("tracker", "crash7.7+recover", "checkpoint")
-        assert old.meta["frames_lost_crash"] == [13, 14, 21]
+        new, old = run_case("tracker", "crash7.7+recover", "checkpoint")
+        assert old["meta"]["frames_lost_crash"] == [13, 14, 21]
         assert new.meta["frames_lost_crash"] == [13]
         assert new.meta["frames_replayed"] == [14, 21]
 
@@ -258,29 +305,21 @@ class TestBoundedChannelsStillEnd:
     ``PUT_WAIT`` and then costs the frame (``stm-timeout``, counted with the
     crash losses) — a typed loss inside the hard deadline, never a hang."""
 
-    def run_both(self, capacity, policy):
-        faults = FaultRuntime(
-            plan=FaultPlan.crash_at(5.0, node=1, recover_at=15.0), policy=policy
-        )
-        return tuple(
-            executor(
-                with_capacity(chain_graph([1.0, 1.0, 1.0]), capacity),
-                State(n_models=1), ClusterSpec(3, 1), faults,
-            ).run(FRAMES)
-            for executor in (FaultTolerantExecutor, GeneratorFaultExecutor)
-        )
+    def run_case(self, key):
+        graph, state, cluster, faults, _comm = bounded_inputs(key)
+        return FaultTolerantExecutor(graph, state, cluster, faults).run(FRAMES), GOLDEN[key]
 
     def test_capacity_one_loses_every_later_frame_on_both_sides(self):
         """A lost frame's items are never retired, so behind one a
         capacity-1 channel stays full: 21 of 25 frames go, here as in the
-        oracle (ROADMAP item 5 — not fixed by moving bodies)."""
-        new, old = self.run_both(1, DrainTransition(setup=0.5))
+        frozen body (ROADMAP item 1 — not fixed by moving bodies)."""
+        new, old = self.run_case("bounded/1/drain")
         assert_same_run(new, old)
         assert new.meta["frames_lost_crash"] == list(range(4, 25))
         assert new.horizon == pytest.approx(32.6)
 
     def test_capacity_two_checkpoint_completes_what_it_replays(self):
-        new, old = self.run_both(2, CheckpointTransition(setup=0.5))
-        assert (new.completed_count, old.completed_count) == (24, 3)
+        new, old = self.run_case("bounded/2/checkpoint")
+        assert (new.completed_count, completed_count(old)) == (24, 3)
         assert new.meta["frames_lost_crash"] == [4]
         assert set(new.meta["frames_replayed"]) <= set(new.completion_times)
