@@ -40,16 +40,16 @@ RESULTS: dict = {"quick": QUICK}
 
 
 def test_event_throughput(benchmark):
-    """Fire 10k chained timeout events."""
+    """Fire 10k chained heap calls, each arming the next 1 ms on."""
 
     def run():
         sim = Simulator()
 
-        def ticker(sim, n):
-            for _ in range(n):
-                yield sim.timeout(0.001)
+        def tick(left):
+            if left:
+                sim.call_at(sim.now + 0.001, tick, left - 1)
 
-        sim.process(ticker(sim, 10_000))
+        sim.call_at(0.0, tick, 10_000)
         sim.run()
         return sim.now
 

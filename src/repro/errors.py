@@ -27,7 +27,8 @@ class SimTimeError(SimulationError):
 
 
 class SimDeadlock(SimulationError):
-    """The simulation ran out of events while processes were still blocked."""
+    """The simulation's heap drained with work still blocked (a static
+    replay's parked placements, named ``<task>@<iteration>``)."""
 
     def __init__(self, blocked: list[str] | None = None) -> None:
         self.blocked = list(blocked or [])
@@ -36,7 +37,8 @@ class SimDeadlock(SimulationError):
 
 
 class ProcessError(SimulationError):
-    """A simulated process raised or was used incorrectly."""
+    """The simulation kernel or an on-line scheduler was used incorrectly
+    (an event triggered twice, a grant released by the wrong thread, ...)."""
 
 
 # ---------------------------------------------------------------------------

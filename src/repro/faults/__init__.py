@@ -12,9 +12,10 @@ handles it.  This package supplies the pieces:
 * :mod:`~repro.faults.view` — :class:`ClusterView`, the mutable degraded
   view of an immutable :class:`~repro.sim.cluster.ClusterSpec`.
 * :mod:`~repro.faults.inject` — :class:`FaultInjector`, replaying a plan
-  against the view inside the simulation.
+  against the view inside the simulation, one heap call per event time.
 * :mod:`~repro.faults.detect` — :class:`FailureDetector`, heartbeat
-  monitoring with configurable, bounded detection latency.
+  monitoring with configurable, bounded detection latency (every heartbeat
+  and the monitor a heap call that re-arms itself).
 * :mod:`~repro.faults.failover` — :class:`ShapeTable` (one pre-computed
   optimal schedule per reachable degraded shape) and
   :class:`FailoverController` (detection → look-up → transition).

@@ -4,9 +4,10 @@ The paper's constrained dynamism requires that "state changes are
 detectable".  For application states the kiosk uses vision; for cluster
 states the standard mechanism is the heartbeat: every processor beats
 every ``heartbeat_interval`` seconds while alive, and a monitor declares a
-processor failed once its last beat is older than ``timeout``.
-
-Detection latency is therefore *configurable and bounded*:
+processor failed once its last beat is older than ``timeout`` (each
+heartbeat and the monitor is a plain call on the simulator's heap that
+re-arms itself an interval on).  Detection latency is therefore
+*configurable and bounded*:
 
     crash_time + timeout  <=  detection  <  crash_time + timeout + interval
 
@@ -110,15 +111,17 @@ class FailureDetector:
         self._subscribers.append(fn)
 
     def start(self) -> None:
-        """Register heartbeat + monitor processes (before ``sim.run``)."""
+        """Arm one heartbeat per processor and the monitor, one heap entry
+        from now (before ``sim.run``)."""
         if self._started:
             return
         self._started = True
+        sim = self.sim
         for p in self.view.base.processors:
-            self._last_beat[p.index] = self.sim.now
+            self._last_beat[p.index] = sim.now
             self._node_speed_seen.setdefault(p.node, self.view.base.node_speeds[p.node])
-            self.sim.process(self._heartbeat(p.index), name=f"heartbeat:cpu{p.index}")
-        self.sim.process(self._monitor(), name="failure-monitor")
+            sim.call_at(sim.now, self._heartbeat, p.index, p.node)
+        sim.call_at(sim.now, self._arm_monitor)
 
     # -- detection log helpers ------------------------------------------------
 
@@ -136,16 +139,14 @@ class FailureDetector:
                     break
         return out
 
-    # -- simulated processes ---------------------------------------------------
+    # -- calls on the heap, each re-arming itself --------------------------------
 
-    def _heartbeat(self, proc: int):
-        """Beat forever while alive; fall silent while dead."""
-        node = self.view.base.node_of(proc)
-        while True:
-            if self.view.alive(proc):
-                self._last_beat[proc] = self.sim.now
-                self._observe_speed(node, self.view.speed(proc))
-            yield self.sim.timeout(self.heartbeat_interval)
+    def _heartbeat(self, proc: int, node: int) -> None:
+        """Beat while alive, fall silent while dead; again an interval on."""
+        if self.view.alive(proc):
+            self._last_beat[proc] = self.sim.now
+            self._observe_speed(node, self.view.speed(proc))
+        self.sim.call_at(self.sim.now + self.heartbeat_interval, self._heartbeat, proc, node)
 
     def _observe_speed(self, node: int, speed: float) -> None:
         if self.confirm_slowdown < 1:
@@ -168,38 +169,41 @@ class FailureDetector:
         else:
             self._node_speed_pending[node] = (speed, count)
 
-    def _monitor(self):
+    def _arm_monitor(self) -> None:
+        self.sim.call_at(self.sim.now + self.heartbeat_interval, self._monitor)
+
+    def _monitor(self) -> None:
+        """Check every processor's last beat, then again an interval on."""
         base = self.view.base
-        while True:
-            yield self.sim.timeout(self.heartbeat_interval)
-            now = self.sim.now
-            newly_dead: list[int] = []
-            for p in base.processors:
-                i = p.index
-                if i in self._declared_dead:
-                    # A beat after declared death = the processor came back.
-                    if now - self._last_beat[i] <= self.timeout + _GRID_EPS:
-                        self._declared_dead.discard(i)
-                        if all(
-                            q.index not in self._declared_dead
-                            for q in base.node_processors(p.node)
-                        ):
-                            self._emit(Detection(now, "node-recovery", p.node))
-                elif now - self._last_beat[i] > self.timeout + _GRID_EPS:
-                    self._declared_dead.add(i)
-                    newly_dead.append(i)
-            # Aggregate: a whole node silent = node failure; else per-proc.
-            nodes_reported: set[int] = set()
-            for i in newly_dead:
-                node = base.node_of(i)
-                if node in nodes_reported:
-                    continue
-                node_procs = {q.index for q in base.node_processors(node)}
-                if node_procs <= self._declared_dead:
-                    nodes_reported.add(node)
-                    self._emit(Detection(now, "node-failure", node))
-                else:
-                    self._emit(Detection(now, "proc-failure", node, proc=i))
+        now = self.sim.now
+        newly_dead: list[int] = []
+        for p in base.processors:
+            i = p.index
+            if i in self._declared_dead:
+                # A beat after declared death = the processor came back.
+                if now - self._last_beat[i] <= self.timeout + _GRID_EPS:
+                    self._declared_dead.discard(i)
+                    if all(
+                        q.index not in self._declared_dead
+                        for q in base.node_processors(p.node)
+                    ):
+                        self._emit(Detection(now, "node-recovery", p.node))
+            elif now - self._last_beat[i] > self.timeout + _GRID_EPS:
+                self._declared_dead.add(i)
+                newly_dead.append(i)
+        # Aggregate: a whole node silent = node failure; else per-proc.
+        nodes_reported: set[int] = set()
+        for i in newly_dead:
+            node = base.node_of(i)
+            if node in nodes_reported:
+                continue
+            node_procs = {q.index for q in base.node_processors(node)}
+            if node_procs <= self._declared_dead:
+                nodes_reported.add(node)
+                self._emit(Detection(now, "node-failure", node))
+            else:
+                self._emit(Detection(now, "proc-failure", node, proc=i))
+        self._arm_monitor()
 
     def _emit(self, det: Detection) -> None:
         self.detections.append(det)

@@ -58,9 +58,6 @@ Loss accounting distinguishes the two ways a frame dies:
   never skips: a duplicate put stays
   :class:`~repro.errors.DuplicateTimestamp`), and it reads nothing back
   from STM — precedence within a frame is the frame ledger's.
-
-The generator body this replaced is kept in
-``tests/faults/fault_generator_oracle.py`` as the differential oracle.
 """
 
 from __future__ import annotations
@@ -227,7 +224,7 @@ class FaultTolerantExecutor:
         driver.start(controller, iterations, dead=view.dead_procs, on_loss=on_loss)
 
         hard_deadline = self._default_deadline(iterations)
-        # Heartbeat processes beat forever, so the heap never drains; drive
+        # Heartbeats re-arm themselves forever, so the heap never drains; drive
         # the simulation until the driver is done, which it is once every
         # frame has resolved.
         while not driver.done and sim.peek() is not None:

@@ -71,10 +71,10 @@ class ClusterView:
     def death_event(self, proc: int) -> SimEvent:
         """Event firing when ``proc`` dies (fresh per up-period).
 
-        The dynamic executor races this against its work timeouts so a
+        The dynamic executor races this against the end of each slice so a
         processor dying mid-slice loses exactly the work in flight.  While the
-        processor is dead, the already-fired event is returned (waiting on
-        it resumes immediately — dead is dead).
+        processor is dead, the already-fired event is returned (a callback
+        added to it runs at once — dead is dead).
         """
         self.base.processor(proc)
         ev = self._death_events.get(proc)

@@ -5,16 +5,17 @@ A :class:`ChannelHub` couples one synchronous
 :class:`~repro.stm.channel.STMChannel` with the simulation clock:
 
 * ``wait_change()`` hands out an event that fires at the channel's next
-  mutation, so consumer processes can sleep until new data might exist.
-  The event is made when somebody asks for it and a mutation fires only an
-  event that was asked for: a replay in which nobody waits pays nothing;
+  mutation, so a consumer can hang its next look on it until new data
+  might exist.  The event is made when somebody asks for it and a mutation
+  fires only an event that was asked for: a replay in which nobody waits
+  pays nothing;
 * puts respect the channel's capacity by *blocking the producer*
   (the flow-control mechanism §3.3 shows to be "totally inadequate" as a
   scheduling strategy — reproduced faithfully for the ablation).
-  ``try_put`` is the one put body: it refuses at capacity, and the caller
-  waits for the next change its own way — the generator ``put`` yields
-  ``wait_change()``, the placement body's settle step hangs itself on it
-  (for ever in a static run, for a bounded time in a fault run);
+  ``put`` refuses at capacity and the caller hangs its retry on
+  ``wait_change()`` — the placement body's settle step (for ever in a
+  static run, for a bounded time in a fault run) and the dynamic
+  executor's threads alike, both through :meth:`SimWorld.try_emit`;
 * every mutation is recorded in the trace as an
   :class:`~repro.sim.trace.ItemEvent`, and garbage collection runs after
   each consume.
@@ -29,9 +30,8 @@ comparison, §3.2 / §3.3 / §3.4).  The two schedule-driven ones also share
 their launch loop (:class:`~repro.runtime.static_exec.EpochDriver`, which
 builds the world and tells it, with :meth:`SimWorld.enter`, the state each
 epoch runs in) and their placement body
-(:class:`~repro.runtime.static_exec.PlacementReplay`), which drives the
-world through :meth:`SimWorld.try_emit`; the generator :meth:`SimWorld.emit`
-is the dynamic executor's.
+(:class:`~repro.runtime.static_exec.PlacementReplay`).  All three put a
+task's outputs through the one emit body, :meth:`SimWorld.try_emit`.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ChannelHub:
 
     # -- operations ----------------------------------------------------------
 
-    def try_put(self, conn: Connection, ts: int, value: Any, size: int = 0) -> bool:
+    def put(self, conn: Connection, ts: int, value: Any, size: int = 0) -> bool:
         """Put unless the channel is at capacity; False means "full, wait
         for the next change and call again"."""
         if self.stm.is_full:
@@ -111,14 +111,6 @@ class ChannelHub:
             self.obs.on_item(now, self.name, "put", ts, task=conn.task)
         self._notify()
         return True
-
-    def put(self, conn: Connection, ts: int, value: Any, size: int = 0):
-        """Producer-side put as a generator: blocks while at capacity.
-
-        Usage inside a process: ``yield from hub.put(conn, ts, value)``.
-        """
-        while not self.try_put(conn, ts, value, size):
-            yield self.wait_change()
 
     def try_get(self, conn: Connection, ts: Timestamp) -> Optional[tuple[int, Any]]:
         """Non-blocking get; records the access in the trace on a hit.
@@ -332,21 +324,13 @@ class SimWorld:
                 preempted=preempted, calibrate=calibrate,
             )
 
-    def emit(self, task: str, ts: int):
-        """Put ``task``'s outputs for frame ``ts``, draining terminal
-        channels behind them (generator: a put blocks at capacity)."""
-        for hub, conn, size, collector in self._outputs[task]:
-            yield from hub.put(conn, ts, {"ts": ts}, size=size)
-            if collector is not None:
-                self._drain(hub, collector, ts)
-
     def try_emit(
         self, task: str, ts: int, first: int = 0, second: bool = False
     ) -> Optional[tuple[int, ChannelHub]]:
-        """:meth:`emit` for a caller that is not a generator: put the
-        outputs from position ``first`` on and return None, or stop at the
-        first full channel and return ``(position, hub)`` — call again with
-        that position at the hub's next change.
+        """Put ``task``'s outputs for frame ``ts``, draining terminal
+        channels behind them: from position ``first`` on, and return None,
+        or stop at the first full channel and return ``(position, hub)`` —
+        call again with that position at the hub's next change.
 
         A ``second`` attempt at ``ts`` (a checkpoint replay) skips the
         outputs its channel still holds from the first; a first attempt
@@ -355,7 +339,7 @@ class SimWorld:
         outputs = self._outputs[task]
         for at in range(first, len(outputs)):
             hub, conn, size, collector = outputs[at]
-            if not (second and hub.stm.holds(ts)) and not hub.try_put(
+            if not (second and hub.stm.holds(ts)) and not hub.put(
                 conn, ts, {"ts": ts}, size
             ):
                 return at, hub

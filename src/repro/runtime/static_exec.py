@@ -4,8 +4,8 @@ The paper implements its optimal schedules "by creating additional
 dependencies" so the underlying scheduler "does the right thing"; this
 executor is the simulation equivalent.  Nothing is decided while it runs —
 the schedule is one fixed pattern repeated every II with rotated
-processors (Figure 6 step 3) — so a placement is not a process but four
-plain calls on the simulator's heap
+processors (Figure 6 step 3) — so a placement is four plain calls on the
+simulator's heap
 (:meth:`~repro.sim.engine.Simulator.call_at`), each made by the one before
 it: :class:`PlacementReplay`, the one placement body of the schedule-driven
 DES executors.  Beside it is their one launch loop, :class:`EpochDriver`:
@@ -16,7 +16,8 @@ of its placements
 1. **gathers** its predecessors: it parks on one that has not settled, and
    is charged the communication delay between the two primary processors
    from the moment one has (under ``contended=True`` the delay is a
-   :meth:`~repro.sim.fabric.LinkFabric.transfer` process it waits for);
+   :meth:`~repro.sim.fabric.LinkFabric.transfer`, which calls it back once
+   the data has crossed the shared link);
    it is ready at the later of that and ``k * II + placement.start``;
 2. **acquires** exactly its scheduled processors, each of capacity one and
    served FIFO, so an invalid schedule slips (or deadlocks) instead of
@@ -41,10 +42,6 @@ one: :class:`~repro.faults.runner.FaultTolerantExecutor` is the driver plus
 injector and detector, :func:`~repro.experiments.regime.run_regime` the
 driver fed a trace of state changes, :meth:`StaticExecutor.run` the driver
 over a controller that never switches.
-
-The generator body this replaced (one ``Process`` per placement per
-iteration) is kept in ``tests/runtime/static_generator_oracle.py`` as the
-differential oracle.
 """
 
 from __future__ import annotations
@@ -179,10 +176,9 @@ class PlacementReplay:
                 if fabric is not None:
                     # Contended mode: fetch the input over the shared links
                     # (sequentially — a task pulls its inputs one by one).
-                    sim.process(
-                        fabric.transfer(nbytes, src, pl.procs[0]),
-                        name=f"{pl.task}@{frame.ts}",
-                    ).add_callback(lambda _done, at=at: gather(frame, pl, at, ready))
+                    fabric.transfer(
+                        nbytes, src, pl.procs[0], lambda at=at: gather(frame, pl, at, ready)
+                    )
                     return
                 delay = comm.transfer_time(nbytes, src, pl.procs[0])
                 if obs is not None and delay > 0:

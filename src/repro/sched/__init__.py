@@ -4,7 +4,9 @@ The paper's comparison points:
 
 * :mod:`repro.sched.online` — the general on-line scheduler (the pthread
   package's behaviour): per-quantum time slicing, a FIFO ready queue, no
-  knowledge of task dependencies, one processor per thread at a time.
+  knowledge of task dependencies, one processor per thread at a time;
+  :mod:`repro.sched.priority` orders the same body's ready queue by
+  stream timestamp instead.
 * :mod:`repro.sched.handtuned` — §3.1's hand tuning: sweep the digitizer
   period and measure the latency/throughput trade-off (the Figure 3 tuning
   curve).
@@ -13,13 +15,12 @@ The paper's comparison points:
   per-state table when exhaustive enumeration is unaffordable.
 """
 
-from repro.sched.online import OnlineScheduler, PthreadScheduler
+from repro.sched.online import PthreadScheduler
 from repro.sched.priority import TimestampPriorityScheduler
 from repro.sched.listsched import list_schedule
 from repro.sched.handtuned import TuningPoint, tuning_curve
 
 __all__ = [
-    "OnlineScheduler",
     "PthreadScheduler",
     "TimestampPriorityScheduler",
     "list_schedule",

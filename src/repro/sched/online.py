@@ -18,14 +18,18 @@ The scheduler is deterministic by default (FIFO queue, lowest-index free
 processor).  ``jitter_seed`` enables seeded random victim selection, which
 reproduces the "fairly erratic" timings the paper observed in the
 saturated region of the tuning curve.
+
+:class:`PthreadScheduler` is the one on-line scheduler body — the free
+pool, grants, releases, fault awareness.  Its ready queue is two methods,
+``_queue`` and ``_next``; :class:`~repro.sched.priority.
+TimestampPriorityScheduler` overrides only those.
 """
 
 from __future__ import annotations
 
-import abc
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ProcessError
 from repro.sim.cluster import ClusterSpec
@@ -34,58 +38,16 @@ from repro.sim.engine import SimEvent, Simulator
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.faults.view import ClusterView
 
-__all__ = ["OnlineScheduler", "PthreadScheduler"]
+__all__ = ["PthreadScheduler"]
 
 
-class OnlineScheduler(abc.ABC):
-    """Interface the dynamic executor uses to obtain processors."""
-
-    @abc.abstractmethod
-    def bind(
-        self,
-        sim: Simulator,
-        cluster: ClusterSpec,
-        view: Optional["ClusterView"] = None,
-    ) -> None:
-        """Attach to a simulation and cluster before execution starts.
-
-        ``view`` (optional) is a live :class:`~repro.faults.view.ClusterView`;
-        a fault-aware scheduler must never grant a processor the view
-        reports dead, and should re-pool processors on node recovery.
-        """
-
-    @abc.abstractmethod
-    def acquire(self, thread: str, priority: Optional[float] = None) -> SimEvent:
-        """Event firing with a processor index granted to ``thread``.
-
-        ``priority`` carries the stream timestamp the thread is about to
-        work on; schedulers modelling priority-blind systems (the pthread
-        baseline) ignore it.
-        """
-
-    @abc.abstractmethod
-    def release(self, thread: str, proc: int) -> None:
-        """Give the processor back (end of quantum or of work item)."""
-
-    def invalidate(self, thread: str, proc: int) -> None:
-        """Drop ``thread``'s grant because ``proc`` died mid-slice.
-
-        Unlike :meth:`release`, the processor is *not* handed to the next
-        waiting thread — it is dead.  Recovery re-pools it via the bound
-        view's change notifications.
-        """
-        raise ProcessError(
-            f"{type(self).__name__} is not fault-aware; bind() it without a view"
-        )
-
-    @property
-    @abc.abstractmethod
-    def quantum(self) -> float:
-        """Maximum uninterrupted execution slice in seconds."""
-
-
-class PthreadScheduler(OnlineScheduler):
+class PthreadScheduler:
     """FIFO ready queue + free-processor pool + fixed quantum.
+
+    The dynamic executor asks it for processors: ``acquire`` returns an
+    event that fires with the processor granted, ``release`` gives one back
+    at the end of a quantum or of a work item, and ``invalidate`` drops a
+    grant whose processor died mid-slice.
 
     Parameters
     ----------
@@ -105,13 +67,14 @@ class PthreadScheduler(OnlineScheduler):
         self._sim: Optional[Simulator] = None
         self._view: Optional["ClusterView"] = None
         self._free: list[int] = []
-        self._ready: Deque[tuple[str, SimEvent]] = deque()
+        self._ready = deque()
         self._held: dict[str, int] = {}
         self.grants = 0
         self.preemptions = 0
 
     @property
     def quantum(self) -> float:
+        """Maximum uninterrupted execution slice in seconds."""
         return self._quantum
 
     def bind(
@@ -120,6 +83,12 @@ class PthreadScheduler(OnlineScheduler):
         cluster: ClusterSpec,
         view: Optional["ClusterView"] = None,
     ) -> None:
+        """Attach to a simulation and cluster before execution starts.
+
+        ``view`` (optional) is a live :class:`~repro.faults.view.ClusterView`:
+        a processor it reports dead is never granted, and the processors of
+        a recovered node rejoin the pool.
+        """
         self._sim = sim
         self._view = view
         self._free = sorted(p.index for p in cluster.processors)
@@ -132,7 +101,12 @@ class PthreadScheduler(OnlineScheduler):
         return self._view is None or self._view.alive(proc)
 
     def acquire(self, thread: str, priority: Optional[float] = None) -> SimEvent:
-        # The pthread model is priority-blind: ``priority`` is ignored.
+        """Event firing with a processor index granted to ``thread``.
+
+        ``priority`` carries the stream timestamp the thread is about to
+        work on; only the ready queue reads it (the pthread model's is
+        priority-blind).
+        """
         if self._sim is None:
             raise ProcessError("scheduler not bound to a simulation")
         if thread in self._held:
@@ -146,10 +120,11 @@ class PthreadScheduler(OnlineScheduler):
             self.grants += 1
             ev.succeed(proc)
         else:
-            self._ready.append((thread, ev))
+            self._queue(thread, ev, priority)
         return ev
 
     def release(self, thread: str, proc: int) -> None:
+        """Give the processor back (end of quantum or of work item)."""
         held = self._held.pop(thread, None)
         if held != proc:
             raise ProcessError(
@@ -160,23 +135,38 @@ class PthreadScheduler(OnlineScheduler):
         self._grant_next(proc)
 
     def invalidate(self, thread: str, proc: int) -> None:
+        """Drop ``thread``'s grant because ``proc`` died mid-slice.
+
+        Unlike :meth:`release`, the processor is *not* handed to the next
+        waiting thread — it is dead.  Recovery re-pools it via the bound
+        view's change notifications.
+        """
         held = self._held.pop(thread, None)
         if held != proc:
             raise ProcessError(
                 f"thread {thread!r} invalidated processor {proc} but held {held}"
             )
-        # The dead processor goes nowhere; recovery re-pools it.
+
+    def _queue(self, thread: str, ev: SimEvent, priority: Optional[float]) -> None:
+        """Put a waiting thread on the ready queue (the pthread model is
+        priority-blind: ``priority`` is ignored)."""
+        self._ready.append((thread, ev))
+
+    def _next(self) -> tuple[str, SimEvent]:
+        """Take the thread that runs next off the (non-empty) ready queue."""
+        ready = self._ready
+        if self._rng is None or len(ready) == 1:
+            return ready.popleft()
+        idx = self._rng.randrange(len(ready))
+        ready.rotate(-idx)
+        nxt = ready.popleft()
+        ready.rotate(idx)
+        return nxt
 
     def _grant_next(self, proc: int) -> None:
         """Hand ``proc`` to the next ready thread, or back to the pool."""
         if self._ready:
-            if self._rng is not None and len(self._ready) > 1:
-                idx = self._rng.randrange(len(self._ready))
-                self._ready.rotate(-idx)
-                nxt_thread, nxt_ev = self._ready.popleft()
-                self._ready.rotate(idx)
-            else:
-                nxt_thread, nxt_ev = self._ready.popleft()
+            nxt_thread, nxt_ev = self._next()
             self._held[nxt_thread] = proc
             self.grants += 1
             nxt_ev.succeed(proc)
@@ -202,4 +192,4 @@ class PthreadScheduler(OnlineScheduler):
         return len(self._ready)
 
     def __repr__(self) -> str:
-        return f"PthreadScheduler(quantum={self._quantum:g}, grants={self.grants})"
+        return f"{type(self).__name__}(quantum={self._quantum:g}, grants={self.grants})"

@@ -5,22 +5,22 @@ have that hardware (nor would wall-clock Python threading be faithful to it,
 given the GIL), so the entire evaluation runs on this deterministic
 discrete-event simulator:
 
-* :mod:`repro.sim.engine` — event queue, simulated clock, plain timed
-  calls and generator-based processes (a minimal, dependency-free
-  simpy-like kernel).
-* :mod:`repro.sim.resources` — capacity-limited resources (processors) and
-  blocking stores (queues).
+* :mod:`repro.sim.engine` — the simulated clock and one heap of plain
+  timed calls, plus one-shot events that callbacks wait on (a minimal,
+  dependency-free kernel with no coroutines).
+* :mod:`repro.sim.resources` — capacity-limited FIFO resources.
 * :mod:`repro.sim.cluster` — the cluster shape: nodes, processors per node,
   relative processor speeds.
 * :mod:`repro.sim.network` — communication cost model distinguishing
   same-processor, intra-node (shared memory) and inter-node (network)
   transfers.
+* :mod:`repro.sim.fabric` — the opt-in contended links over that model.
 * :mod:`repro.sim.trace` — execution traces: Gantt spans and per-timestamp
   latency bookkeeping, consumed by metrics and figures.
 """
 
-from repro.sim.engine import Simulator, Process, SimEvent, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Simulator, SimEvent
+from repro.sim.resources import Resource
 from repro.sim.cluster import ClusterSpec, Processor
 from repro.sim.network import CommModel, CommCost
 from repro.sim.trace import TraceRecorder, ExecSpan, ItemEvent
@@ -28,11 +28,8 @@ from repro.sim.fabric import LinkFabric
 
 __all__ = [
     "Simulator",
-    "Process",
     "SimEvent",
-    "Timeout",
     "Resource",
-    "Store",
     "ClusterSpec",
     "Processor",
     "CommModel",

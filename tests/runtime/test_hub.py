@@ -23,24 +23,15 @@ class TestNotification:
         sim, h, _ = hub
         out = h.stm.attach_output("p")
         ev = h.wait_change()
-
-        def putter(sim):
-            yield from h.put(out, 0, "x")
-
-        sim.process(putter(sim))
+        sim.call_at(1.0, h.put, out, 0, "x")
         sim.run()
-        assert ev.fired
+        assert ev.fired and sim.now == 1.0
 
     def test_consume_fires_change_event(self, hub):
         sim, h, _ = hub
         out = h.stm.attach_output("p")
         inp = h.stm.attach_input("q")
-
-        def putter(sim):
-            yield from h.put(out, 0, "x")
-
-        sim.process(putter(sim))
-        sim.run()
+        assert h.put(out, 0, "x")
         ev = h.wait_change()
         h.consume(inp, 0)
         assert ev.triggered
@@ -61,18 +52,19 @@ class TestBlockingPut:
         inp = h.stm.attach_input("q")
         done = []
 
-        def producer(sim):
-            yield from h.put(out, 0, "a")
-            yield from h.put(out, 1, "b")  # blocks: capacity 1
-            done.append(sim.now)
+        def producer(_changed=None):
+            if h.put(out, 1, "b"):
+                done.append(sim.now)
+            else:  # capacity 1: retry at the next change
+                h.wait_change().add_callback(producer)
 
-        def consumer(sim):
-            yield sim.timeout(5.0)
+        def consumer():
             h.try_get(inp, 0)
             h.consume(inp, 0)  # GC frees the slot -> producer resumes
 
-        sim.process(producer(sim))
-        sim.process(consumer(sim))
+        assert h.put(out, 0, "a")
+        producer()
+        sim.call_at(5.0, consumer)
         sim.run()
         assert done == [5.0]
 
@@ -82,14 +74,9 @@ class TestTraceIntegration:
         sim, h, trace = hub
         out = h.stm.attach_output("p")
         inp = h.stm.attach_input("q")
-
-        def flow(sim):
-            yield from h.put(out, 0, "x")
-            h.try_get(inp, 0)
-            h.consume(inp, 0)
-
-        sim.process(flow(sim))
-        sim.run()
+        h.put(out, 0, "x")
+        h.try_get(inp, 0)
+        h.consume(inp, 0)
         kinds = [e.kind for e in trace.items]
         assert kinds == ["put", "get", "consume"]
         assert trace.items[0].task == "p"
@@ -97,12 +84,7 @@ class TestTraceIntegration:
     def test_put_time_tracked(self, hub):
         sim, h, trace = hub
         out = h.stm.attach_output("p")
-
-        def putter(sim):
-            yield sim.timeout(3.0)
-            yield from h.put(out, 7, "x")
-
-        sim.process(putter(sim))
+        sim.call_at(3.0, h.put, out, 7, "x")
         sim.run()
         assert [(e.kind, e.timestamp, e.time) for e in trace.items] == [("put", 7, 3.0)]
 
@@ -110,15 +92,10 @@ class TestTraceIntegration:
         sim, h, _ = hub
         out = h.stm.attach_output("p")
         inp = h.stm.attach_input("q")
-
-        def flow(sim):
-            for ts in range(3):
-                yield from h.put(out, ts, ts)
-                h.try_get(inp, ts)
-                h.consume(inp, ts)
-
-        sim.process(flow(sim))
-        sim.run()
+        for ts in range(3):
+            h.put(out, ts, ts)
+            h.try_get(inp, ts)
+            h.consume(inp, ts)
         assert h.gc_stats.collected == 3
 
 

@@ -1,5 +1,5 @@
-"""What a frame costs the kernel: heap occupancy and registered processes
-that do not grow with the run, and hub mutations that push nothing when
+"""What a frame costs the kernel: heap occupancy that does not grow with
+the run, no process ever started, and hub mutations that push nothing when
 nobody waits.
 
 The timing side of this lives in ``benchmarks/e2e`` (``sim_online``); these
@@ -31,25 +31,26 @@ from repro.sim.trace import TraceRecorder
 from repro.state import State, StateSpace
 from repro.stm.channel import STMChannel
 
-from . import static_generator_oracle as oracle
-
 
 class WatchedSimulator(Simulator):
-    """Records the most pending heap entries and the most registered
-    processes seen at any step."""
+    """Records the most pending heap entries seen at any step, the steps
+    taken and the processes started."""
 
     last = None
 
     def __init__(self) -> None:
         super().__init__()
-        self.peak = self.peak_processes = self.steps = 0
+        self.peak = self.steps = self.processes = 0
         WatchedSimulator.last = self
 
     def step(self) -> bool:
         self.peak = max(self.peak, len(self._heap))
-        self.peak_processes = max(self.peak_processes, len(self._processes))
         self.steps += 1
         return super().step()
+
+    def process(self, gen, name=""):
+        self.processes += 1
+        return super().process(gen, name)
 
 
 class TestRunLengthIndependence:
@@ -62,7 +63,6 @@ class TestRunLengthIndependence:
     def test_pending_heap_entries_follow_frames_in_flight(self, monkeypatch, tracker):
         graph, state, cluster, solution = tracker
         monkeypatch.setattr(static_exec, "Simulator", WatchedSimulator)
-        monkeypatch.setattr(oracle, "Simulator", WatchedSimulator)
         placements = len(solution.pipelined.iteration.placements)
         in_flight = math.ceil(solution.latency / solution.period) + 1
         peaks = {}
@@ -74,16 +74,12 @@ class TestRunLengthIndependence:
             # hand-over when a processor is taken at the instant it frees)
             assert WatchedSimulator.last.steps <= 15 * frames
         assert peaks[400] == peaks[50] <= 2 * placements * in_flight
-        # the body this replaced started every process of the run at t = 0
-        oracle.GeneratorStaticExecutor(graph, state, cluster, solution).run(400)
-        assert WatchedSimulator.last.peak >= 400 * placements
 
     def test_fault_run_holds_frames_in_flight_not_frames_run(self, monkeypatch):
-        """The fault runner starts no process per placement and none for
-        its launch loop (the epoch driver is a call on the heap): whatever
-        the run length, the live processes are the injector, the monitor
-        and one heartbeat a processor, and a frame costs the heap what it
-        costs the static replay, on top of the heartbeat grid."""
+        """The fault runner starts no process at all — placements, launch
+        loop, injector, monitor and heartbeats are calls on the heap — and
+        whatever the run length a frame costs the heap what it costs the
+        static replay, on top of the heartbeat grid."""
         monkeypatch.setattr(static_exec, "Simulator", WatchedSimulator)
         cluster = ClusterSpec(2, 1)
         faults = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1, recover_at=20.0))
@@ -94,7 +90,7 @@ class TestRunLengthIndependence:
             ).run(frames)
             assert result.completed_count == frames - 1  # one lost to the crash
             sim = WatchedSimulator.last
-            assert sim.peak_processes == 2 + cluster.total_processors
+            assert sim.processes == 0
             beats = (cluster.total_processors + 1) * (
                 sim.now / faults.heartbeat_interval + 1
             )
@@ -148,7 +144,7 @@ class TestIdleNotification:
         sim, h = hub
         out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
         for ts in range(100):
-            assert h.try_put(out, ts, ts)
+            assert h.put(out, ts, ts)
             assert h.try_get(inp, ts) == (ts, ts)
             assert h.consume(inp, ts) == 1
         assert sim.peek() is None and sim._seq == 0
@@ -157,29 +153,33 @@ class TestIdleNotification:
     def test_an_event_asked_for_fires_at_the_next_mutation_only(self, hub):
         sim, h = hub
         out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
-        h.try_put(out, 0, "x")
+        h.put(out, 0, "x")
         waited = h.wait_change()
         assert h.wait_change() is waited and not waited.triggered
         h.consume(inp, 0)
         assert waited.triggered and len(sim._heap) == 1
-        h.try_put(out, 1, "y")  # nobody asked again: nothing pushed
+        h.put(out, 1, "y")  # nobody asked again: nothing pushed
         assert len(sim._heap) == 1
         sim.run()
         assert waited.fired
 
     def test_try_put_refuses_at_capacity_and_the_generator_put_waits(self, hub):
+        """``put`` refuses at capacity; a producer that hangs its retry on
+        the next change lands the item the moment a consume frees a slot."""
         sim, h = hub
         out, inp = h.stm.attach_output("p"), h.stm.attach_input("q")
-        assert h.try_put(out, 0, "a") and h.try_put(out, 1, "b")
-        assert not h.try_put(out, 2, "c")
+        assert h.put(out, 0, "a") and h.put(out, 1, "b")
+        assert not h.put(out, 2, "c")
         assert len(h.stm) == 2 and [e.kind for e in h.trace.items] == ["put", "put"]
         landed = []
 
-        def producer():
-            yield from h.put(out, 2, "c")
-            landed.append(sim.now)
+        def producer(_changed=None):
+            if h.put(out, 2, "c"):
+                landed.append(sim.now)
+            else:
+                h.wait_change().add_callback(producer)
 
-        sim.process(producer())
+        sim.call_at(0.0, producer)
         sim.call_at(4.0, h.consume, inp, 0)
         sim.run()
         assert landed == [4.0] and h.stm.timestamps() == [1, 2]

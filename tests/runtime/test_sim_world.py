@@ -148,17 +148,10 @@ class TestTerminalCollector:
     def test_capacity_one_terminal_channel_never_blocks_its_producer(self):
         graph = terminal_graph(capacity=1)
         sim, world = make_world(graph)
-        finished = []
-
-        def sink():
-            for ts in range(5):
-                yield from world.emit("T5", ts)
-                finished.append((ts, sim.now))
-
-        sim.process(sink())
-        sim.run(check_deadlock=True)
-        assert finished == [(ts, 0.0) for ts in range(5)]
+        # every put lands at once: the collector drains behind it
+        assert [world.try_emit("T5", ts) for ts in range(5)] == [None] * 5
         assert len(world.hubs["model_locations"].stm) == 0
+        assert sim.peek() is None
 
     def test_static_executor_runs_on_a_capacity_one_terminal_channel(self):
         graph = terminal_graph(capacity=1)
@@ -177,38 +170,30 @@ class TestLedger:
         g.add_task(Task("k2", cost=0.1, inputs=["c"]))
         g.validate()
         sim, world = make_world(g)
-
-        def frames():
-            for ts in (0, 1):
-                yield from world.emit("src", ts)
-                world.retire("src", ts, sim.now)
-            world.retire("k1", 0, 1.0)
-            world.retire("k2", 0, 2.0)
-            world.retire("k1", 1, 3.0)
-
-        sim.process(frames())
-        sim.run()
+        for ts in (0, 1):
+            assert world.try_emit("src", ts) is None
+            world.retire("src", ts, sim.now)
+        world.retire("k1", 0, 1.0)
+        world.retire("k2", 0, 2.0)
+        world.retire("k1", 1, 3.0)
         res = world.result(3.0, 2, {})
         assert res.completion_times == {0: 2.0}
         assert res.emitted == 2 and res.horizon == 3.0
 
     def test_digitize_is_the_last_source_and_a_replay_keeps_the_first_stamp(self):
         sim, world = make_world(two_source_graph(), cluster=SMP2)
+        seen = []
 
-        def attempt_then_replay():
-            yield sim.timeout(1.0)
-            world.retire("s1", 0, sim.now)
-            assert world.digitize_times == {0: 1.0}
-            yield sim.timeout(1.5)
-            world.retire("s2", 0, sim.now)
-            assert world.digitize_times == {0: 2.5}
-            yield sim.timeout(4.0)
-            world.retire("s1", 0, sim.now)  # checkpoint replay of frame 0
-            world.retire("s2", 0, sim.now)
+        def retire(*tasks):
+            for task in tasks:
+                world.retire(task, 0, sim.now)
+            seen.append(dict(world.digitize_times))
 
-        sim.process(attempt_then_replay())
+        sim.call_at(1.0, retire, "s1")
+        sim.call_at(2.5, retire, "s2")
+        sim.call_at(6.5, retire, "s1", "s2")  # checkpoint replay of frame 0
         sim.run()
-        assert world.digitize_times == {0: 2.5}
+        assert seen == [{0: 1.0}, {0: 2.5}, {0: 2.5}]
 
     def test_result_sums_gc_accounting_over_the_hubs(self):
         graph = terminal_graph()
@@ -219,15 +204,10 @@ class TestLedger:
         world = SimWorld(
             graph, STATE, SMP4, sim, trace, hubs, build_task_plans(graph)
         )
-
-        def frame(ts):
-            for pl in solution.pipelined.iteration.placements:
-                yield from world.emit(pl.task, ts)
-                world.retire(pl.task, ts, sim.now)
-
         for ts in range(4):
-            sim.process(frame(ts))
-        sim.run()
+            for pl in solution.pipelined.iteration.placements:
+                assert world.try_emit(pl.task, ts) is None
+                world.retire(pl.task, ts, sim.now)
         res = world.result(0.0, 4, {"k": 1})
         assert res.meta == {"k": 1}
         assert res.gc_collected == sum(h.gc_stats.collected for h in hubs.values())

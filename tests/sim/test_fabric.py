@@ -22,70 +22,55 @@ def make_fabric(nodes=2, procs=2, inter_latency=1.0, **kw):
     return sim, LinkFabric(sim, cluster, comm, **kw)
 
 
+def transfers(sim, fabric, *pairs):
+    """Start one 100-byte transfer per ``(src, dst)`` now; returns the list
+    the end times land in, in completion order."""
+    ends = []
+    for src, dst in pairs:
+        fabric.transfer(100, src, dst, lambda: ends.append(sim.now))
+    sim.run()
+    return ends
+
+
 class TestTransferTiming:
     def test_same_proc_free(self):
         sim, fabric = make_fabric()
-
-        def go(sim):
-            yield from fabric.transfer(100, 0, 0)
-            return sim.now
-
-        p = sim.process(go(sim))
-        sim.run()
-        assert p.value == 0.0
+        assert transfers(sim, fabric, (0, 0)) == [0.0]
 
     def test_uncontended_transfer_takes_cost_time(self):
         sim, fabric = make_fabric()
-
-        def go(sim):
-            yield from fabric.transfer(100, 0, 2)  # inter-node
-            return sim.now
-
-        p = sim.process(go(sim))
-        sim.run()
-        assert p.value == pytest.approx(1.0)
+        assert transfers(sim, fabric, (0, 2)) == pytest.approx([1.0])  # inter-node
 
     def test_concurrent_transfers_serialize_on_shared_link(self):
         sim, fabric = make_fabric()
-        ends = []
-
-        def go(sim, src, dst):
-            yield from fabric.transfer(100, src, dst)
-            ends.append(sim.now)
-
         # Both transfers cross the same node pair (0 <-> 1).
-        sim.process(go(sim, 0, 2))
-        sim.process(go(sim, 1, 3))
-        sim.run()
-        assert sorted(ends) == pytest.approx([1.0, 2.0])
+        assert transfers(sim, fabric, (0, 2), (1, 3)) == pytest.approx([1.0, 2.0])
         assert fabric.contended_time == pytest.approx(1.0)
 
     def test_independent_buses_do_not_contend(self):
         sim, fabric = make_fabric()
-        ends = []
-
-        def go(sim, src, dst):
-            yield from fabric.transfer(100, src, dst)
-            ends.append(sim.now)
-
-        sim.process(go(sim, 0, 1))  # node 0 bus
-        sim.process(go(sim, 2, 3))  # node 1 bus
-        sim.run()
-        assert ends == pytest.approx([0.5, 0.5])
+        # node 0 bus, node 1 bus
+        assert transfers(sim, fabric, (0, 1), (2, 3)) == pytest.approx([0.5, 0.5])
         assert fabric.contended_time == 0.0
 
     def test_link_capacity_two_allows_pairs(self):
         sim, fabric = make_fabric(link_capacity=2)
-        ends = []
+        assert transfers(sim, fabric, (0, 2), (0, 2)) == pytest.approx([1.0, 1.0])
 
-        def go(sim, src, dst):
-            yield from fabric.transfer(100, src, dst)
-            ends.append(sim.now)
-
-        for _ in range(2):
-            sim.process(go(sim, 0, 2))
+    def test_then_runs_one_heap_entry_after_the_link_is_released(self):
+        """The places a transfer takes in the heap's order: it requests its
+        link one entry after the call (what was already queued for the
+        instant comes first), and ``then`` runs one entry after the release
+        (a call for the release instant made while the data was crossing
+        comes between the two)."""
+        sim, fabric = make_fabric()
+        link = fabric._links[(0, 1)]
+        order = []
+        sim.call_at(0.0, lambda: order.append(("links in use", link.in_use)))
+        fabric.transfer(100, 0, 2, lambda: order.append(("then", sim.now)))
+        sim.call_at(0.5, sim.call_at, 1.0, order.append, ("made at 0.5", 1.0))
         sim.run()
-        assert ends == pytest.approx([1.0, 1.0])
+        assert order == [("links in use", 0), ("made at 0.5", 1.0), ("then", 1.0)]
 
     def test_invalid_capacity(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ProcessError
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -22,14 +22,18 @@ class TestResource:
         r = Resource(sim, capacity=1)
         order = []
 
-        def job(sim, r, name, work):
-            grant = yield r.request()
-            yield sim.timeout(work)
-            order.append(name)
-            r.release(grant)
+        def job(name, work):
+            def granted(grant):
+                sim.call_at(sim.now + work, done, grant)
+
+            def done(grant):
+                order.append(name)
+                r.release(grant)
+
+            r.request().add_callback(granted)
 
         for name in ("a", "b", "c"):
-            sim.process(job(sim, r, name, 1.0))
+            job(name, 1.0)
         sim.run()
         assert order == ["a", "b", "c"] and sim.now == 3.0
 
@@ -43,15 +47,6 @@ class TestResource:
         with pytest.raises(ProcessError):
             Resource(Simulator(), capacity=0)
 
-    def test_cancel_pending_request(self):
-        sim = Simulator()
-        r = Resource(sim, capacity=1)
-        r.request()
-        pending = r.request()
-        assert r.cancel(pending) is True
-        assert r.cancel(pending) is False  # already removed
-        assert r.queue_length == 0
-
     def test_available_accounting(self):
         sim = Simulator()
         r = Resource(sim, capacity=3)
@@ -59,100 +54,3 @@ class TestResource:
         assert r.available == 2
         r.release(g)
         assert r.available == 3
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        s = Store(sim)
-        s.put("x")
-        got = s.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        s = Store(sim)
-        result = []
-
-        def consumer(sim, s):
-            item = yield s.get()
-            result.append((sim.now, item))
-
-        def producer(sim, s):
-            yield sim.timeout(2.0)
-            yield s.put("late")
-
-        sim.process(consumer(sim, s))
-        sim.process(producer(sim, s))
-        sim.run()
-        assert result == [(2.0, "late")]
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        s = Store(sim)
-        for i in range(5):
-            s.put(i)
-        values = [s.get().value for _ in range(5)]
-        assert values == [0, 1, 2, 3, 4]
-
-    def test_bounded_put_blocks(self):
-        sim = Simulator()
-        s = Store(sim, capacity=1)
-        done = []
-
-        def producer(sim, s):
-            yield s.put("a")
-            yield s.put("b")   # blocks until consumer gets "a"
-            done.append(sim.now)
-
-        def consumer(sim, s):
-            yield sim.timeout(3.0)
-            yield s.get()
-
-        sim.process(producer(sim, s))
-        sim.process(consumer(sim, s))
-        sim.run()
-        assert done == [3.0]
-
-    def test_is_full(self):
-        sim = Simulator()
-        s = Store(sim, capacity=2)
-        s.put(1)
-        assert not s.is_full
-        s.put(2)
-        assert s.is_full
-
-    def test_try_get(self):
-        sim = Simulator()
-        s = Store(sim)
-        assert s.try_get() == (False, None)
-        s.put("v")
-        assert s.try_get() == (True, "v")
-
-    def test_peek_does_not_remove(self):
-        sim = Simulator()
-        s = Store(sim)
-        s.put("head")
-        assert s.peek() == "head"
-        assert len(s) == 1
-
-    def test_drain(self):
-        sim = Simulator()
-        s = Store(sim)
-        for i in range(3):
-            s.put(i)
-        assert s.drain() == [0, 1, 2]
-        assert len(s) == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ProcessError):
-            Store(Simulator(), capacity=0)
-
-    def test_handoff_to_waiting_getter(self):
-        sim = Simulator()
-        s = Store(sim, capacity=1)
-        got = s.get()           # waits
-        assert not got.triggered
-        put = s.put("direct")   # hand straight to the getter
-        assert put.triggered and got.triggered and got.value == "direct"
-        assert len(s) == 0

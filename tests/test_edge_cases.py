@@ -5,54 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import Store
 from repro.state import State
 
 
 class TestEngineFailurePaths:
     def test_unhandled_process_exception_propagates_from_run(self):
+        """A call on the heap that raises stops the run with its error, at
+        its instant."""
         sim = Simulator()
 
-        def boom(sim):
-            yield sim.timeout(1.0)
+        def boom(_fired):
             raise RuntimeError("task crashed")
 
-        sim.process(boom(sim))
+        sim.timeout(1.0).add_callback(boom)
         with pytest.raises(RuntimeError, match="task crashed"):
             sim.run()
-
-    def test_watched_process_exception_delivered_to_waiter(self):
-        sim = Simulator()
-
-        def boom(sim):
-            yield sim.timeout(1.0)
-            raise RuntimeError("inner")
-
-        caught = []
-
-        def watcher(sim, child):
-            try:
-                yield child
-            except RuntimeError as e:
-                caught.append(str(e))
-
-        child = sim.process(boom(sim))
-        sim.process(watcher(sim, child))
-        sim.run()
-        assert caught == ["inner"]
-
-
-class TestStoreCorners:
-    def test_drain_admits_blocked_putters(self):
-        sim = Simulator()
-        s = Store(sim, capacity=1)
-        s.put("a")
-        blocked = s.put("b")
-        assert not blocked.triggered
-        drained = s.drain()
-        assert drained == ["a"]
-        assert blocked.triggered  # "b" admitted into the freed slot
-        assert s.peek() == "b"
+        assert sim.now == 1.0
 
 
 class TestHeterogeneousDynamicExecution:
