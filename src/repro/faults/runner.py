@@ -79,6 +79,7 @@ from repro.runtime.result import ExecutionResult
 from repro.runtime.static_exec import PUT_WAIT, EpochDriver
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
+from repro.sim.trace import Mark
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -126,9 +127,11 @@ class FaultTolerantExecutor:
         When a shape table is built on demand, each degraded shape gets a
         comm model with the same tier costs rebuilt over its topology.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle: failure
-        detections, failover transitions (with their stall window),
-        executed placements and STM item traffic are reported live.
+        Optional :class:`~repro.obs.Observability` bundle, subscribed to
+        the run's trace: executed placements, STM item traffic, failure
+        detections and failover transitions (with their stall window) —
+        the last two are :class:`~repro.sim.trace.Mark` records of every
+        fault run — reach it as they are recorded.
     """
 
     def __init__(
@@ -168,9 +171,8 @@ class FaultTolerantExecutor:
         """Execute ``iterations`` timestamps through crashes and failovers."""
         if iterations < 1:
             raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
-        obs = self.obs
-        driver = EpochDriver(self.graph, self.state, self.cluster, self.comm, obs)
-        sim = driver.sim
+        driver = EpochDriver(self.graph, self.state, self.cluster, self.comm, self.obs)
+        sim, record_mark = driver.sim, driver.trace.record_mark
 
         view = ClusterView(sim, self.cluster)
         injector = FaultInjector(sim, view, self.faults.plan)
@@ -200,8 +202,7 @@ class FaultTolerantExecutor:
         view.on_change(on_kill)
 
         def on_detection(det: Detection) -> None:
-            if obs is not None:
-                obs.on_detection(det.time, det.kind, detail=f"node={det.node}")
+            record_mark(Mark.detection(det.time, det.kind, f"node={det.node}"))
             try:
                 record = controller.on_detection(det)
             except ShapeUnschedulable:
@@ -209,12 +210,10 @@ class FaultTolerantExecutor:
                 # current schedule and let crash losses tell the story.
                 unschedulable.append(det)
                 return
-            if record is not None and obs is not None:
-                obs.on_failover(
-                    record.time,
-                    controller.resume_at,
-                    detail=f"{det.kind}:{det.node}",
-                )
+            if record is not None:
+                record_mark(Mark.failover(
+                    record.time, controller.resume_at, f"{det.kind}:{det.node}"
+                ))
             driver.switched(record)
 
         detector.subscribe(on_detection)

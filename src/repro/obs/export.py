@@ -1,37 +1,62 @@
-"""Exporters for :class:`~repro.obs.tracing.Span` streams.
+"""JSONL streaming of a run's trace records.
 
-Two formats:
-
-* **JSONL** — one JSON object per span, written the moment the span is
-  recorded (:class:`JsonlSpanSink` plugs into ``SpanTracer(sink=...)``).
-  Memory use is O(1): spans go straight to the file handle.
-* **Chrome trace** — the ``chrome://tracing`` / Perfetto event-array
-  format, built from whatever spans the ring buffer still holds
-  (:func:`chrome_trace_events` / :func:`write_chrome_trace`).  Tracks are
-  named rows; instants render as markers.
+:class:`JsonlSpanSink` is a :class:`~repro.sim.trace.TraceRecorder`
+listener: ``trace.subscribe(JsonlSpanSink(path))`` writes every record —
+:class:`~repro.sim.trace.ExecSpan`, :class:`~repro.sim.trace.ItemEvent`
+and :class:`~repro.sim.trace.Mark` — as one JSON object the moment it is
+recorded, so the file holds a run of any length.  :func:`read_jsonl_spans`
+loads the records back.  The Chrome-trace exporter is
+:meth:`TraceRecorder.to_chrome_trace`, over the same records.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Union
 
-from repro.obs.tracing import Span, SpanTracer
+from repro.sim.trace import ExecSpan, ItemEvent, Mark, Record
 
 __all__ = [
     "JsonlSpanSink",
     "read_jsonl_spans",
-    "chrome_trace_events",
-    "write_chrome_trace",
+    "record_to_dict",
+    "record_from_dict",
 ]
+
+_KINDS = {"span": ExecSpan, "item": ItemEvent, "mark": Mark}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+
+def record_to_dict(record: Record) -> dict:
+    """One JSONL line's object: the record's kind and every field that
+    differs from its default."""
+    out = {"record": _KIND_OF[type(record)]}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.default_factory is not dataclasses.MISSING:
+            if value != f.default_factory():
+                out[f.name] = value
+        elif value != f.default:
+            out[f.name] = value
+    return out
+
+
+def record_from_dict(d: dict) -> Record:
+    """Inverse of :func:`record_to_dict` (an object without a kind is a
+    :class:`~repro.sim.trace.Mark`)."""
+    fields = dict(d)
+    return _KINDS[fields.pop("record", "mark")](**fields)
 
 
 class JsonlSpanSink:
-    """Streaming JSONL exporter: each recorded span becomes one line.
+    """Streaming JSONL exporter: each recorded record becomes one line.
 
     Accepts a path (opened for append) or an open text handle.  Use as
-    ``SpanTracer(sink=JsonlSpanSink(path))``; call :meth:`close` (or use
-    as a context manager) to flush and release the file.
+    ``trace.subscribe(JsonlSpanSink(path))``; call :meth:`close` (or use
+    as a context manager) to flush and release the file.  Write errors
+    propagate: a broken exporter should fail the run loudly, not rot
+    silently.
     """
 
     def __init__(self, target: Union[str, IO[str]], flush_every: int = 64) -> None:
@@ -42,8 +67,8 @@ class JsonlSpanSink:
         self._flush_every = flush_every
         self.written = 0
 
-    def __call__(self, span: Span) -> None:
-        self._fh.write(json.dumps(span.to_dict()) + "\n")
+    def __call__(self, record: Record) -> None:
+        self._fh.write(json.dumps(record_to_dict(record)) + "\n")
         self.written += 1
         if self.written % self._flush_every == 0:
             self._fh.flush()
@@ -60,93 +85,12 @@ class JsonlSpanSink:
         self.close()
 
 
-def read_jsonl_spans(fh: Union[str, IO[str]]) -> list[Span]:
-    """Load spans back from a JSONL file (inverse of :class:`JsonlSpanSink`)."""
+def read_jsonl_spans(fh: Union[str, IO[str]]) -> list[Record]:
+    """Load records back from a JSONL file (inverse of :class:`JsonlSpanSink`)."""
     own = isinstance(fh, str)
     handle: IO[str] = open(fh) if isinstance(fh, str) else fh
     try:
-        spans = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            spans.append(
-                Span(
-                    name=d["name"],
-                    cat=d["cat"],
-                    start=d["start"],
-                    end=d["end"],
-                    track=d.get("track", "0"),
-                    timestamp=d.get("timestamp", -1),
-                    args=d.get("args", {}),
-                )
-            )
-        return spans
+        return [record_from_dict(json.loads(line)) for line in handle if line.strip()]
     finally:
         if own:
             handle.close()
-
-
-def chrome_trace_events(
-    spans: Union[Iterable[Span], SpanTracer],
-    time_scale: float = 1_000_000.0,
-    pid: int = 0,
-    process_name: str = "obs",
-) -> list[dict]:
-    """Convert spans to Chrome tracing events (one named row per track).
-
-    Durations become complete (``"X"``) events, instants become ``"i"``
-    markers; rows are ordered by first appearance.  Serialize with
-    ``json.dump({"traceEvents": events}, fh)``.
-    """
-    if isinstance(spans, SpanTracer):
-        spans = spans.spans()
-    events: list[dict] = [
-        {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-         "args": {"name": process_name}}
-    ]
-    tids: dict[str, int] = {}
-    body: list[dict] = []
-    for s in spans:
-        tid = tids.get(s.track)
-        if tid is None:
-            tid = len(tids)
-            tids[s.track] = tid
-            events.append(
-                {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                 "args": {"name": s.track}}
-            )
-        args = dict(s.args)
-        if s.timestamp >= 0:
-            args["timestamp"] = s.timestamp
-        if s.is_instant:
-            body.append(
-                {"ph": "i", "name": s.name, "cat": s.cat, "pid": pid, "tid": tid,
-                 "ts": s.start * time_scale, "s": "t", "args": args}
-            )
-        else:
-            body.append(
-                {"ph": "X", "name": s.name, "cat": s.cat, "pid": pid, "tid": tid,
-                 "ts": s.start * time_scale, "dur": s.duration * time_scale,
-                 "args": args}
-            )
-    return events + body
-
-
-def write_chrome_trace(
-    spans: Union[Iterable[Span], SpanTracer],
-    target: Union[str, IO[str]],
-    time_scale: float = 1_000_000.0,
-    process_name: str = "obs",
-) -> int:
-    """Write spans as a Chrome trace JSON file; returns the event count."""
-    events = chrome_trace_events(spans, time_scale=time_scale, process_name=process_name)
-    own = isinstance(target, str)
-    fh: Optional[IO[str]] = open(target, "w") if isinstance(target, str) else target
-    try:
-        json.dump({"traceEvents": events}, fh)
-    finally:
-        if own and fh is not None:
-            fh.close()
-    return len(events)

@@ -28,7 +28,6 @@ from repro.obs.drift import DriftDetected
 from repro.state import StateSpace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.core.schedule import PipelinedSchedule
     from repro.runtime.result import ExecutionResult
 
 __all__ = ["Recalibration", "CalibrationController"]
@@ -87,16 +86,9 @@ class CalibrationController(RegimeController):
     def __post_init__(self) -> None:
         super().__init__(self.table.lookup(self.calibrator.state), self.policy)
 
-    def process(
-        self,
-        result: "ExecutionResult",
-        time: float = 0.0,
-        schedule: Optional["PipelinedSchedule"] = None,
-    ) -> Optional[SwitchRecord]:
+    def process(self, result: "ExecutionResult", time: float = 0.0) -> Optional[SwitchRecord]:
         """Ingest a run's trace; recalibrate iff it confirms new drift."""
-        new_drifts = self.calibrator.observe_result(
-            result, schedule if schedule is not None else self.active.pipelined
-        )
+        new_drifts = self.calibrator.observe_result(result)
         if not new_drifts:
             return None
         return self.recalibrate(time, new_drifts)

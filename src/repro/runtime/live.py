@@ -18,7 +18,12 @@ crosses the broker only where its data crosses a node boundary.
 Beside the loop sit the pieces both runtimes (and ``StaticExecutor``'s
 live adapter) need exactly once: the digitize stamps, the configuration
 checks, the terminal-channel list, the per-frame completion merge, and
-:class:`LiveResult`.
+:class:`LiveResult`.  A live run's records go into its own
+:class:`~repro.sim.trace.TraceRecorder`, on the run's clock (seconds since
+it started): one :class:`~repro.sim.trace.ExecSpan` per kernel execution
+always, and — only when an ``obs`` bundle listens, so that an unobserved
+run does no per-operation work for it — one
+:class:`~repro.sim.trace.ItemEvent` per STM operation.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan
-from repro.sim.trace import ExecSpan
+from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "ChannelEnds",
@@ -68,10 +73,13 @@ class LiveResult:
         source emitted the frame, and when every terminal channel had
         received it — the live counterparts of the simulated executors'
         fields, so latency metrics apply across substrates.
-    spans:
-        One :class:`~repro.sim.trace.ExecSpan` per kernel execution,
-        wall-clock relative to run start; ``proc`` is the task's index on
-        threads and its scheduled primary processor on processes.
+    trace:
+        The run's :class:`~repro.sim.trace.TraceRecorder`: one
+        :class:`~repro.sim.trace.ExecSpan` per kernel execution, seconds
+        since run start (``proc`` is the task's index on threads and its
+        scheduled primary processor on processes), the process
+        substrate's detection and failover marks, and the item events of
+        an observed run.
     respawns / kernel_retries:
         Fault-recovery counters (process substrate; 0 on threads).
     meta:
@@ -84,7 +92,7 @@ class LiveResult:
     channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     digitize_times: dict[int, float] = field(default_factory=dict)
     completion_times: dict[int, float] = field(default_factory=dict)
-    spans: list[ExecSpan] = field(default_factory=list)
+    trace: TraceRecorder = field(default_factory=TraceRecorder)
     respawns: int = 0
     kernel_retries: int = 0
     meta: dict = field(default_factory=dict)

@@ -23,14 +23,16 @@ rung between the simulator and real hardware:
   one-node schedule therefore crosses the broker once a frame (the put of
   the terminal channel), and a task with no boundary channel never.  What
   the parent can then no longer read off the broker — the node-local
-  channels' counters and GC totals, the digitize stamps, ``obs`` item
-  events — rides each worker's ``done`` message with its kernel spans;
+  channels' counters and GC totals, the digitize stamps, its trace
+  records — rides each worker's ``done`` message;
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
-* ``obs=`` instrumentation keeps working: boundary traffic is observed at
-  the broker, node-local traffic and kernel spans are buffered per worker
-  and merged into the bundle at join;
+* the run has one :class:`~repro.sim.trace.TraceRecorder`, in the
+  parent, that ``obs=`` listens to: boundary traffic is recorded at the
+  broker as it happens; each worker records its kernel spans (and, when
+  observed, its node-local traffic) into a trace of its own, on the same
+  clock, whose raw records the parent replays into the run's at join;
 * ``faults=`` injection keeps working: a :class:`ProcessFaultPlan` can
   make a kernel raise (covered by bounded in-worker retries) or kill a
   whole worker mid-run — the parent detects the death through the
@@ -77,7 +79,7 @@ from repro.runtime.live import (
     run_frames,
     terminal_channels,
 )
-from repro.sim.trace import ExecSpan
+from repro.sim.trace import ExecSpan, Mark, TraceRecorder
 from repro.state import State
 from repro.stm.process import (
     BrokerDied,
@@ -189,27 +191,6 @@ class _WorkerSpec:
     t0: float
 
 
-class _ItemLog:
-    """Where a worker's node-local channels report their item events.
-
-    The ``obs`` bundle lives in the parent, so a worker's ``ThreadedChannel``
-    objects are handed this instead: it stamps on the run's clock and keeps the events, which the
-    parent replays into the bundle at join — as it does kernel spans.
-    """
-
-    def __init__(self, t0: float) -> None:
-        self.t0 = t0
-        self.tracer = self  # ThreadedChannel stamps with obs.tracer.clock()
-        self.events: list[tuple] = []
-
-    def clock(self) -> float:
-        return _time.perf_counter() - self.t0
-
-    def on_item(self, time: float, channel: str, kind: str,
-                timestamp: int = -1, task: str = "") -> None:
-        self.events.append((time, channel, kind, timestamp, task))
-
-
 #: Chunkable tasks of THIS worker, read by forked pool children.
 _CHUNK_TASKS: dict[str, Task] = {}
 
@@ -276,11 +257,14 @@ def _worker_main(spec: _WorkerSpec) -> None:
     # process.  All their connections are attached here, before any task
     # thread starts — reference-count GC considers only attached input
     # connections (the contract ThreadedRuntime states).
-    item_log = _ItemLog(spec.t0) if spec.observe else None
+    trace = TraceRecorder()
     local = {
-        name: ThreadedChannel(name, capacity=capacity, obs=item_log)
+        name: ThreadedChannel(name, capacity=capacity)
         for name, capacity in spec.local_channels.items()
     }
+    if spec.observe:
+        for ch in local.values():
+            ch.record_into(trace, spec.t0)
     local_in = {
         t.name: {ch: local[ch].attach_input(t.name)
                  for ch in t.inputs if ch in local}
@@ -293,7 +277,6 @@ def _worker_main(spec: _WorkerSpec) -> None:
     }
     stamps = FrameStamps(spec.t0)
 
-    spans: list[tuple] = []
     retries = [0]
     errors: list[str] = []
     errors_lock = threading.Lock()
@@ -389,7 +372,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 k0 = _time.perf_counter() - spec.t0
                 result = invoke_kernel(task, inputs, ts)
                 k1 = _time.perf_counter() - spec.t0
-                spans.append((task.name, variant, ts, k0, k1, proc))
+                trace.record_span(ExecSpan(proc, task.name, ts, k0, k1, variant=variant))
                 return result
 
             has_kernel = task.compute is not None or task.compute_chunk is not None
@@ -420,7 +403,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
         link.notify("done", {
             "worker": spec.worker_id,
             "node": spec.node,
-            "spans": spans,
+            "spans": trace.spans,
             "kernel_retries": retries[0],
             "channel_stats": {name: ch.stats for name, ch in local.items()},
             "gc_collected": sum(ch.gc_stats.collected
@@ -428,7 +411,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
             "live_item_high_water": sum(ch.gc_stats.high_water_items
                                         for ch in local.values()),
             "digitize_times": stamps.times,
-            "item_events": item_log.events if item_log is not None else [],
+            "items": trace.items,
         })
         exitcode = 0
     link.stop()
@@ -569,8 +552,7 @@ class ProcessRuntime:
         node_local = {ch for chans in local_by_node.values() for ch in chans}
         broker = ChannelBroker(
             {spec.name: spec.capacity for spec in self.graph.channels
-             if spec.name not in node_local},
-            obs=self.obs,
+             if spec.name not in node_local}
         )
         conns_in = {
             t.name: {ch: broker.attach_input(ch, t.name)
@@ -588,6 +570,10 @@ class ProcessRuntime:
                            for ch in terminal}
         for name, value in self.static_inputs.items():
             broker.put_static(name, value)
+        trace = TraceRecorder()
+        if self.obs is not None:
+            trace.subscribe(self.obs.on_record)
+            broker.record_into(trace)
 
         nodes = sorted(set(self.assignment.values()))
         tasks_by_node = {
@@ -663,7 +649,6 @@ class ProcessRuntime:
             )
 
         broker.start()
-        t_start = _time.perf_counter()
 
         next_worker_id = 1
         workers: dict[int, tuple[Any, int]] = {}  # worker_id -> (Process, node)
@@ -716,9 +701,8 @@ class ProcessRuntime:
                     resume = self._resume_map(broker, plans, conns_in,
                                               conns_out, tasks_by_node[node])
                     detected = broker.now
-                    if self.obs is not None:
-                        self.obs.on_detection(detected, "worker-death",
-                                              detail=f"node{node}")
+                    trace.record_mark(
+                        Mark.detection(detected, "worker-death", f"node{node}"))
                     fired_exits.update(
                         e for e in pending_faults(tasks_by_node[node])
                         if e.kind == "exit"
@@ -731,9 +715,8 @@ class ProcessRuntime:
                     newp.start()
                     workers[next_worker_id] = (newp, node)
                     next_worker_id += 1
-                    if self.obs is not None:
-                        self.obs.on_failover(detected, broker.now,
-                                             detail=f"respawn node{node}")
+                    trace.record_mark(
+                        Mark.failover(detected, broker.now, f"respawn node{node}"))
                 if failed:
                     break
         finally:
@@ -745,7 +728,7 @@ class ProcessRuntime:
                     proc.terminate()
             for th in collectors:
                 th.join(timeout=self.op_timeout)
-        wall = _time.perf_counter() - t_start
+        wall = broker.now  # the run's one clock, which every record is on
 
         # Worker exit races the broker draining its "done" message; wait for
         # every cleanly-exited worker's buffers before merging.
@@ -782,18 +765,12 @@ class ProcessRuntime:
             high_water += payload["live_item_high_water"]
             for ts, at in payload["digitize_times"].items():
                 digitize[ts] = max(digitize.get(ts, 0.0), at)
-            for at, channel, kind, ts, task in payload["item_events"]:
-                self.obs.on_item(at, channel, kind, ts, task=task)
-            for (task, variant, ts, start, end, proc_idx) in payload["spans"]:
-                spans.append(ExecSpan(proc_idx, task, ts, start, end))
-                if self.obs is not None:
-                    from repro.obs.calibrate import node_class_of
-
-                    self.obs.on_exec(task, start, end, proc=proc_idx,
-                                     variant=variant, timestamp=ts,
-                                     node_class=node_class_of(self.cluster,
-                                                              proc_idx))
+            for event in payload["items"]:
+                trace.record_item(event)
+            spans += payload["spans"]
         spans.sort(key=lambda s: (s.start, s.proc))
+        for span in spans:
+            trace.record_span(span)
 
         digitize = dict(sorted(digitize.items()))
         completion = merge_completion(completion_raw)
@@ -805,7 +782,7 @@ class ProcessRuntime:
             channel_stats=stats,
             digitize_times=digitize,
             completion_times=completion,
-            spans=spans,
+            trace=trace,
             respawns=respawns,
             kernel_retries=retries_total,
             meta={

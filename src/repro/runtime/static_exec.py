@@ -60,8 +60,8 @@ from repro.runtime.hub import SimWorld, build_hubs
 from repro.runtime.result import ExecutionResult
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
-from repro.sim.network import CommModel
-from repro.sim.trace import TraceRecorder
+from repro.sim.network import CommModel, tier_name
+from repro.sim.trace import Mark, TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
@@ -139,9 +139,7 @@ class PlacementReplay:
         dead: AbstractSet[int] = frozenset(),
         on_loss: Optional[Callable[[int, str], None]] = None,
     ) -> None:
-        sim, obs, cluster = world.sim, world.obs, world.cluster
-        if obs is not None:
-            from repro.obs.calibrate import tier_name
+        sim, cluster, record_mark = world.sim, world.cluster, world.trace.record_mark
         call_at = sim.call_at
         edges = world.edges
         record_exec, try_emit, retire = world.record_exec, world.try_emit, world.retire
@@ -181,11 +179,11 @@ class PlacementReplay:
                     )
                     return
                 delay = comm.transfer_time(nbytes, src, pl.procs[0])
-                if obs is not None and delay > 0:
-                    obs.on_comm(
+                if delay > 0:
+                    record_mark(Mark.comm(
                         channels, tier_name(cluster, src, pl.procs[0]), pred_end,
-                        delay, nbytes=nbytes, timestamp=frame.ts,
-                    )
+                        pred_end + delay, nbytes, frame.ts,
+                    ))
                 ready = max(ready, pred_end + delay)
             call_at(max(ready, sim.now), acquire, frame, pl, 0)
 
@@ -227,8 +225,7 @@ class PlacementReplay:
             if start > pl.start + _EPS:
                 self.slips += 1
                 self.max_slip = max(self.max_slip, start - pl.start)
-                if obs is not None:
-                    obs.on_slip(pl.task, start, start - pl.start, timestamp=frame.ts)
+                record_mark(Mark.slip(pl.task, start, start - pl.start, frame.ts))
             if pl.duration > 0:
                 frame.running[pl.task] = start
                 call_at(start + pl.duration, finish, frame, pl, start)
@@ -343,7 +340,7 @@ class EpochDriver:
         self.trace = trace = TraceRecorder()
         self.world = SimWorld(
             graph, state, cluster, sim, trace,
-            build_hubs(sim, graph, trace, obs=obs), build_task_plans(graph), obs,
+            build_hubs(sim, graph, trace), build_task_plans(graph), obs,
         )
         self.comm = comm
         self.fabric = None
@@ -491,11 +488,12 @@ class StaticExecutor:
         changes selecting among them (§3.4).  Incompatible with
         ``contended``.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle.  When set,
-        every placement execution, inter-placement transfer, slip and
-        completed frame is reported to the live metrics/tracing layer —
-        and, if the bundle carries a calibrator, feeds cost-model drift
-        detection.
+        Optional :class:`~repro.obs.Observability` bundle, subscribed to
+        the run's trace on every substrate: every placement execution,
+        STM operation, inter-placement transfer and slip the run records
+        reaches its metrics — and, if the bundle carries a calibrator,
+        cost-model drift detection — and every completed frame is
+        reported.
     runtime:
         Which substrate executes the schedule: ``"sim"`` (default, the
         discrete-event simulation above), ``"threaded"`` (real kernels on
@@ -669,13 +667,10 @@ class StaticExecutor:
                 obs=self.obs, faults=self.faults,
             )
         res = live.run(iterations)
-        trace = TraceRecorder()
-        for span in res.spans:
-            trace.record_span(span)
         return ExecutionResult(
             graph=self.graph,
             state=self.state,
-            trace=trace,
+            trace=res.trace,
             digitize_times=res.digitize_times,
             completion_times=res.completion_times,
             horizon=res.wall_time,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.errors import ClusterError
 from repro.sim.cluster import ClusterSpec
 
-__all__ = ["CommCost", "CommModel"]
+__all__ = ["CommCost", "CommModel", "tier_name"]
 
 
 @dataclass(frozen=True)
@@ -118,3 +118,12 @@ class CommModel:
             f"CommModel(intra={self.intra_node.latency:g}s+{self.intra_node.bandwidth:g}B/s, "
             f"inter={self.inter_node.latency:g}s+{self.inter_node.bandwidth:g}B/s)"
         )
+
+
+def tier_name(cluster: ClusterSpec, src_proc: int, dst_proc: int) -> str:
+    """The communication tier label between two processors."""
+    if src_proc == dst_proc:
+        return "same_proc"
+    if cluster.same_node(src_proc, dst_proc):
+        return "intra_node"
+    return "inter_node"

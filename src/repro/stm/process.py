@@ -50,16 +50,14 @@ import queue
 import threading
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable, STMError
+from repro.sim.trace import ItemEvent, TraceRecorder
 from repro.stm.channel import STMChannel, Timestamp
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats
 from repro.stm.threaded import ChannelPoisoned
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.obs import Observability
 
 try:  # pragma: no cover - exercised indirectly everywhere below
     from multiprocessing import shared_memory as _shm
@@ -288,14 +286,14 @@ class ChannelBroker:
     ----------
     channel_specs:
         ``{name: capacity}`` for every channel to host.
-    obs:
-        Optional :class:`~repro.obs.Observability`; every put/get/consume
-        is reported with the broker's wall clock (relative to ``start``),
-        mirroring the threaded runtime's instrumentation point.
+
+    After :meth:`record_into`, every put/get/consume is an
+    :class:`~repro.sim.trace.ItemEvent` stamped with the broker's clock
+    (:attr:`now`, seconds since :meth:`start`), mirroring the threaded
+    runtime's instrumentation point.
     """
 
-    def __init__(self, channel_specs: dict[str, Optional[int]],
-                 obs: Optional["Observability"] = None) -> None:
+    def __init__(self, channel_specs: dict[str, Optional[int]]) -> None:
         if _shm is not None:
             # Start the resource tracker *before* any worker forks: children
             # then inherit its pipe and every segment register/unregister
@@ -311,7 +309,7 @@ class ChannelBroker:
             name: _BrokerChannel(stm=STMChannel(name, capacity=cap))
             for name, cap in channel_specs.items()
         }
-        self.obs = obs
+        self._trace: Optional[TraceRecorder] = None
         self._conns: dict[int, tuple[str, Connection]] = {}
         self._put_hw: dict[int, int] = {}
         self.errors: list[str] = []
@@ -499,9 +497,13 @@ class ChannelBroker:
         if q is not None:
             q.put((seq, status, data))
 
+    def record_into(self, trace: TraceRecorder) -> None:
+        """Record every operation from now on into ``trace``."""
+        self._trace = trace
+
     def _observe(self, channel: str, kind: str, ts: int, task: str) -> None:
-        if self.obs is not None:
-            self.obs.on_item(self.now, channel, kind, ts, task=task)
+        if self._trace is not None:
+            self._trace.record_item(ItemEvent(self.now, channel, kind, ts, task))
 
     def _dispatch(self, msg) -> None:
         worker, seq, op, args = msg

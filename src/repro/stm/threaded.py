@@ -26,13 +26,13 @@ import time as _time
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable, STMError
+from repro.sim.trace import ItemEvent, TraceRecorder
 from repro.stm.channel import STMChannel, Timestamp
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats, collect_channel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.analysis.race import RaceChecker
-    from repro.obs import Observability
 
 __all__ = ["ChannelPoisoned", "ThreadedChannel"]
 
@@ -47,10 +47,10 @@ class ThreadedChannel:
     All methods are thread-safe.  The wrapped synchronous channel is not
     exposed for mutation; inspection helpers proxy through the lock.
 
-    ``obs`` optionally reports every put/get/consume to a (thread-safe)
-    :class:`~repro.obs.Observability` bundle, stamped with its wall
-    clock; the call happens *outside* the channel lock so telemetry never
-    extends the critical section.
+    After :meth:`record_into`, every put/get/consume is an
+    :class:`~repro.sim.trace.ItemEvent` of a run's trace; it is recorded
+    *outside* the channel lock so telemetry never extends the critical
+    section.
 
     ``analysis`` optionally threads a
     :class:`~repro.analysis.race.RaceChecker` through the channel: the
@@ -64,7 +64,6 @@ class ThreadedChannel:
         self,
         name: str,
         capacity: Optional[int] = None,
-        obs: Optional["Observability"] = None,
         analysis: Optional["RaceChecker"] = None,
     ) -> None:
         self._chan = STMChannel(name, capacity=capacity)
@@ -74,15 +73,23 @@ class ThreadedChannel:
             self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._poisoned = False
-        self._obs = obs
+        self._trace: Optional[TraceRecorder] = None
+        self._t0 = 0.0
         self._analysis = analysis
         self._race_loc = f"channel:{name}"
         self.gc_stats = GCStats()
 
+    def record_into(self, trace: TraceRecorder, t0: float) -> None:
+        """Record every operation from now on into ``trace``, stamped in
+        seconds since ``t0`` (a ``time.perf_counter()`` reading)."""
+        self._trace, self._t0 = trace, t0
+
     def _observe(self, kind: str, ts: int, task: str) -> None:
-        obs = self._obs
-        if obs is not None:
-            obs.on_item(obs.tracer.clock(), self.name, kind, ts, task=task)
+        trace = self._trace
+        if trace is not None:
+            trace.record_item(
+                ItemEvent(_time.perf_counter() - self._t0, self.name, kind, ts, task)
+            )
 
     @property
     def name(self) -> str:

@@ -1,4 +1,5 @@
-"""Unit tests for the JSONL and Chrome-trace span exporters."""
+"""Unit tests for JSONL streaming of trace records and the Chrome-trace
+export of marks."""
 
 from __future__ import annotations
 
@@ -6,41 +7,54 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    JsonlSpanSink,
-    chrome_trace_events,
-    read_jsonl_spans,
-    write_chrome_trace,
-)
-from repro.obs.tracing import Span, SpanTracer
+from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.graph.builders import chain_graph
+from repro.obs.export import JsonlSpanSink, read_jsonl_spans
+from repro.runtime.static_exec import StaticExecutor
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import CommModel
+from repro.sim.trace import ExecSpan, ItemEvent, Mark, TraceRecorder
+from repro.state import State
 
 
-def sample_spans() -> list[Span]:
+def sample_records() -> list:
     return [
-        Span("T1", "exec", 0.0, 0.5, track="proc0", timestamp=0, args={"variant": "serial"}),
-        Span("put:frame", "stm", 0.5, 0.5, track="frame", timestamp=0),
-        Span("T2", "exec", 0.5, 1.5, track="proc1", timestamp=0),
+        ExecSpan(0, "T1", 0, 0.0, 0.5, variant="dp2"),
+        ItemEvent(0.5, "frame", "put", 0, task="T1"),
+        Mark.comm("frame", "inter_node", 0.5, 0.75, nbytes=64, timestamp=0),
+        ExecSpan(1, "T2", 0, 0.75, 1.5, preempted=True),
     ]
+
+
+def replay(records, trace: TraceRecorder) -> None:
+    for r in records:
+        if isinstance(r, ExecSpan):
+            trace.record_span(r)
+        elif isinstance(r, ItemEvent):
+            trace.record_item(r)
+        else:
+            trace.record_mark(r)
 
 
 class TestJsonl:
     def test_round_trip_through_file(self, tmp_path):
         path = str(tmp_path / "spans.jsonl")
         with JsonlSpanSink(path, flush_every=1) as sink:
-            tracer = SpanTracer(sink=sink)
-            for s in sample_spans():
-                tracer.record(s)
-        assert read_jsonl_spans(path) == sample_spans()
+            trace = TraceRecorder()
+            trace.subscribe(sink)
+            replay(sample_records(), trace)
+        assert read_jsonl_spans(path) == sample_records()
 
     def test_streaming_is_o1_memory(self, tmp_path):
-        # spans evicted from the ring buffer are still on disk
-        path = str(tmp_path / "spans.jsonl")
-        with JsonlSpanSink(path, flush_every=1) as sink:
-            tracer = SpanTracer(capacity=1, sink=sink)
-            for s in sample_spans():
-                tracer.record(s)
-            assert len(tracer) == 1
-        assert len(read_jsonl_spans(path)) == 3
+        # each record is on disk the moment it is recorded, not at close
+        path = tmp_path / "spans.jsonl"
+        with JsonlSpanSink(str(path), flush_every=1) as sink:
+            trace = TraceRecorder()
+            trace.subscribe(sink)
+            replay(sample_records()[:2], trace)
+            assert len(path.read_text().splitlines()) == 2
+            replay(sample_records()[2:], trace)
+        assert len(read_jsonl_spans(str(path))) == 4
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "gap.jsonl"
@@ -55,35 +69,55 @@ class TestJsonl:
 
 class TestChromeTrace:
     def test_events_structure(self):
-        events = chrome_trace_events(sample_spans())
-        meta = [e for e in events if e["ph"] == "M"]
-        assert {m["args"]["name"] for m in meta if m["name"] == "thread_name"} == {
-            "proc0", "frame", "proc1"
+        trace = TraceRecorder()
+        replay(sample_records(), trace)
+        trace.record_mark(Mark.slip("T2", 0.75, 0.25, timestamp=0))
+        events = trace.to_chrome_trace()
+        marks = [e for e in events if e["pid"] == 2]
+        assert {m["args"]["name"] for m in marks if m["name"] == "thread_name"} == {
+            "comm:inter_node", "schedule"
         }
-        durs = [e for e in events if e["ph"] == "X"]
-        instants = [e for e in events if e["ph"] == "i"]
-        assert [d["name"] for d in durs] == ["T1", "T2"]
-        assert [i["name"] for i in instants] == ["put:frame"]
-        t1 = durs[0]
-        assert t1["ts"] == 0.0 and t1["dur"] == pytest.approx(500_000.0)
-        assert t1["args"]["variant"] == "serial"
-        assert t1["args"]["timestamp"] == 0
+        (xfer,) = [e for e in marks if e["ph"] == "X"]
+        (slip,) = [e for e in marks if e["ph"] == "i"]
+        assert xfer["name"] == "xfer:frame" and slip["name"] == "slip:T2"
+        assert xfer["ts"] == 500_000.0 and xfer["dur"] == pytest.approx(250_000.0)
+        assert xfer["args"]["bytes"] == 64 and xfer["args"]["timestamp"] == 0
+        assert slip["args"]["amount"] == 0.25
 
     def test_tracks_share_tids(self):
-        spans = [Span("a", "t", 0.0, 1.0, track="x"), Span("b", "t", 1.0, 2.0, track="x")]
-        events = chrome_trace_events(spans)
-        xs = [e for e in events if e["ph"] == "X"]
+        trace = TraceRecorder()
+        trace.record_mark(Mark("a", "t", 0.0, 1.0, track="x"))
+        trace.record_mark(Mark("b", "t", 1.0, 2.0, track="x"))
+        xs = [e for e in trace.to_chrome_trace() if e["ph"] == "X"]
         assert xs[0]["tid"] == xs[1]["tid"]
 
     def test_accepts_tracer_directly(self):
-        tr = SpanTracer()
-        tr.record(sample_spans()[0])
-        assert any(e["ph"] == "X" for e in chrome_trace_events(tr))
+        """A run's own trace exports as is: processor rows, channel rows
+        and a row per mark track (here the transfer between the nodes)."""
+        cluster = ClusterSpec(2, 1)
+        sched = PipelinedSchedule(
+            IterationSchedule(
+                [Placement("t0", (0,), 0.0, 1.0), Placement("t1", (1,), 1.5, 1.0)]
+            ),
+            period=3.0, shift=0, n_procs=2,
+        )
+        result = StaticExecutor(
+            chain_graph([1.0, 1.0]), State(n_models=1), cluster, sched,
+            comm=CommModel.uniform(cluster, 0.5, float("inf")),
+        ).run(2)
+        events = result.trace.to_chrome_trace()
+        assert {e["pid"] for e in events} == {0, 1, 2}
+        xfers = [e for e in events if e["pid"] == 2 and e["ph"] == "X"]
+        assert [x["args"]["timestamp"] for x in xfers] == [0, 1]
+        assert all(x["dur"] == pytest.approx(500_000.0) for x in xfers)
 
     def test_write_chrome_trace_file_parses(self, tmp_path):
-        path = str(tmp_path / "trace.json")
-        n = write_chrome_trace(sample_spans(), path)
+        trace = TraceRecorder()
+        replay(sample_records(), trace)
+        path = tmp_path / "trace.json"
+        with open(path, "w") as fh:
+            json.dump({"traceEvents": trace.to_chrome_trace()}, fh)
         with open(path) as fh:
             doc = json.load(fh)
-        assert len(doc["traceEvents"]) == n
-        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+        assert doc["traceEvents"] == trace.to_chrome_trace()
+        assert any(e.get("ph") == "X" and e["pid"] == 2 for e in doc["traceEvents"])

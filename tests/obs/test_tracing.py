@@ -1,82 +1,77 @@
-"""Unit tests for the span tracer ring buffer."""
+"""Unit tests for the trace's marks and its listeners."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.obs.tracing import Span, SpanTracer
+from repro.obs.export import record_to_dict
+from repro.sim.trace import ExecSpan, ItemEvent, Mark, TraceRecorder
 
 
 class TestSpan:
     def test_duration_and_instant(self):
-        s = Span("work", "exec", 1.0, 3.5)
+        s = Mark("work", "exec", 1.0, 3.5)
         assert s.duration == 2.5
         assert not s.is_instant
-        assert Span("mark", "sched", 2.0, 2.0).is_instant
+        assert Mark("mark", "sched", 2.0, 2.0).is_instant
 
     def test_equality(self):
-        a = Span("n", "c", 0.0, 1.0, track="t", timestamp=3, args={"k": 1})
-        b = Span("n", "c", 0.0, 1.0, track="t", timestamp=3, args={"k": 1})
+        a = Mark("n", "c", 0.0, 1.0, track="t", timestamp=3, args={"k": 1})
+        b = Mark("n", "c", 0.0, 1.0, track="t", timestamp=3, args={"k": 1})
         assert a == b
-        assert a != Span("n", "c", 0.0, 2.0, track="t", timestamp=3)
+        assert a != Mark("n", "c", 0.0, 2.0, track="t", timestamp=3)
 
     def test_to_dict_omits_defaults(self):
-        d = Span("n", "c", 0.0, 1.0).to_dict()
+        d = record_to_dict(Mark("n", "c", 0.0, 1.0))
         assert "timestamp" not in d and "args" not in d
-        full = Span("n", "c", 0.0, 1.0, timestamp=2, args={"x": 1}).to_dict()
+        full = record_to_dict(Mark("n", "c", 0.0, 1.0, timestamp=2, args={"x": 1}))
         assert full["timestamp"] == 2 and full["args"] == {"x": 1}
 
 
 class TestSpanTracer:
     def test_record_and_read(self):
-        tr = SpanTracer()
-        tr.complete("a", "exec", 0.0, 1.0, track=3)
-        tr.instant("b", "sched", 2.0)
-        spans = tr.spans()
-        assert [s.name for s in spans] == ["a", "b"]
-        assert spans[0].track == "3"  # tracks normalize to strings
-        assert len(tr) == 2 and tr.dropped == 0
-
-    def test_ring_buffer_evicts_oldest(self):
-        tr = SpanTracer(capacity=3)
-        for i in range(5):
-            tr.instant(f"s{i}", "t", float(i))
-        assert [s.name for s in tr.spans()] == ["s2", "s3", "s4"]
-        assert tr.recorded == 5
-        assert tr.dropped == 2
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            SpanTracer(capacity=0)
+        tr = TraceRecorder()
+        heard = []
+        tr.subscribe(heard.append)
+        span = ExecSpan(3, "a", 0, 0.0, 1.0)
+        item = ItemEvent(1.0, "frame", "put", 0, task="a")
+        mark = Mark.slip("a", 2.0, 0.5, timestamp=0)
+        tr.record_span(span)
+        tr.record_item(item)
+        tr.record_mark(mark)
+        assert heard == [span, item, mark]
+        assert (tr.spans, tr.items, tr.marks) == ([span], [item], [mark])
+        assert tr.spans_on(3) == [span] and tr.timestamps() == [0]
 
     def test_sink_streams_every_span_even_evicted(self):
+        """A listener hears every record, also those ``clear`` drops
+        later; listeners stay subscribed across it."""
         seen = []
-        tr = SpanTracer(capacity=1, sink=seen.append)
-        tr.instant("a", "t", 0.0)
-        tr.instant("b", "t", 1.0)
-        assert [s.name for s in seen] == ["a", "b"]
-        assert [s.name for s in tr.spans()] == ["b"]
+        tr = TraceRecorder()
+        tr.subscribe(seen.append)
+        tr.record_mark(Mark("a", "t", 0.0, 0.0))
+        tr.clear()
+        tr.record_mark(Mark("b", "t", 1.0, 1.0))
+        assert [m.name for m in seen] == ["a", "b"]
+        assert [m.name for m in tr.marks] == ["b"]
 
-    def test_span_context_manager_times_body(self):
-        ticks = iter([1.0, 3.5])
-        tr = SpanTracer(clock=lambda: next(ticks))
-        with tr.span("work", cat="test", track="w"):
-            pass
-        (s,) = tr.spans()
-        assert (s.start, s.end, s.track) == (1.0, 3.5, "w")
-
-    def test_span_context_manager_records_errors(self):
-        ticks = iter([0.0, 1.0])
-        tr = SpanTracer(clock=lambda: next(ticks))
-        with pytest.raises(RuntimeError):
-            with tr.span("boom", cat="test"):
-                raise RuntimeError("nope")
-        (s,) = tr.spans()
-        assert s.args["error"] == "RuntimeError"
+    def test_views_index_spans_recorded_after_a_read(self):
+        tr = TraceRecorder()
+        tr.record_span(ExecSpan(0, "a", 0, 0.0, 1.0))
+        assert tr.tasks() == ["a"]
+        tr.record_span(ExecSpan(1, "b", 1, 1.0, 2.0))
+        assert tr.tasks() == ["a", "b"] and tr.processors() == [0, 1]
+        assert tr.completion_time(1) == 2.0
 
     def test_clear_keeps_counters(self):
-        tr = SpanTracer()
-        tr.instant("a", "t", 0.0)
+        """``clear`` drops every record and index but keeps the listeners,
+        and the views index what is recorded after it."""
+        tr = TraceRecorder()
+        heard = []
+        tr.subscribe(heard.append)
+        tr.record_span(ExecSpan(0, "a", 0, 0.0, 1.0))
+        tr.record_item(ItemEvent(1.0, "frame", "put", 0))
+        assert tr.tasks() == ["a"]
         tr.clear()
-        assert len(tr) == 0
-        assert tr.recorded == 1
+        assert (tr.spans, tr.items, tr.marks) == ([], [], [])
+        assert tr.tasks() == [] and tr.completion_time(0) is None
+        tr.record_span(ExecSpan(1, "b", 1, 1.0, 2.0))
+        assert tr.tasks() == ["b"] and len(heard) == 3

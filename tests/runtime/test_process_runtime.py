@@ -78,7 +78,7 @@ class TestBasicRun:
             placement={"src": 0, "dbl": 1},
         ).run(4)
         by_task = {}
-        for s in res.spans:
+        for s in res.trace.spans:
             by_task.setdefault(s.task, set()).add(s.timestamp)
         assert by_task["src"] == set(range(4))
         assert by_task["dbl"] == set(range(4))
@@ -241,14 +241,13 @@ class TestObservability:
             placement={"src": 0, "dbl": 1}, obs=obs,
         ).run(4)
         assert sorted(res.outputs["b"]) == list(range(4))
-        spans = obs.tracer.spans()
-        execs = [s for s in spans if s.cat == "exec"]
-        assert {s.name for s in execs} == {"src", "dbl"}
-        stm = [s for s in spans if s.cat == "stm"]
-        assert {s.name.split(":")[0] for s in stm} >= {"put", "get", "consume"}
+        assert {s.task for s in res.trace.spans} == {"src", "dbl"}
+        assert {e.kind for e in res.trace.items} >= {"put", "get", "consume"}
         snap = obs.snapshot()
         frames = snap["repro_frames_completed_total"]["series"][0]["value"]
         assert frames == 4
+        items = snap["repro_stm_items_total"]["series"]
+        assert sum(s["value"] for s in items) == len(res.trace.items)
 
 
     def test_node_local_item_events_are_replayed_at_join(self):
@@ -259,15 +258,14 @@ class TestObservability:
             chain_graph_live(), State(n_models=1), op_timeout=30.0, obs=obs,
         ).run(4)
         assert res.meta["node_local_channels"] == ["a"]
-        events = [s for s in obs.tracer.spans()
-                  if s.cat == "stm" and s.track == "a"]
-        kinds = [s.name.split(":")[0] for s in events]
+        events = [e for e in res.trace.items if e.channel == "a"]
+        kinds = [e.kind for e in events]
         assert {k: kinds.count(k) for k in set(kinds)} == {
             "put": 4, "get": 4, "consume": 4}
         assert {s.timestamp for s in events} == set(range(4))
         # worker clocks count from the broker's start, a moment before
         # the run's own t0
-        assert all(0.0 < s.start <= res.wall_time + 0.05 for s in events)
+        assert all(0.0 < e.time <= res.wall_time + 0.05 for e in events)
         snap = obs.snapshot()
         assert snap["repro_frames_completed_total"]["series"][0]["value"] == 4
 

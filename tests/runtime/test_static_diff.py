@@ -342,12 +342,31 @@ class TestBlockingBranches:
         assert_same_run(new, old)
 
 
+def reported_records(trace):
+    """The ``(cat, name, timestamp)`` multiset the frozen body reported to
+    its observability bundle, read off the one trace: an execution once
+    however many processors ran it, an STM operation as ``kind:channel``,
+    a transfer or slip by its mark's name."""
+    reported = Counter()
+    last = None
+    for s in trace.spans:
+        key = (s.task, s.timestamp, s.start, s.end)
+        if key != last:
+            reported["exec", s.task, s.timestamp] += 1
+        last = key
+    for e in trace.items:
+        reported["stm", f"{e.kind}:{e.channel}", e.timestamp] += 1
+    for m in trace.marks:
+        reported[m.cat, m.name, m.timestamp] += 1
+    return reported
+
+
 class TestObservability:
     def test_same_items_execs_and_transfers_reported(self):
         obs = Observability()
         new, old = run_case("observability", obs=obs)
         assert_same_run(new, old)
-        reported = Counter((s.cat, s.name, s.timestamp) for s in obs.tracer.spans())
+        reported = reported_records(new.trace)
         assert reported == Counter(
             {(cat, name, ts): n for cat, name, ts, n in old["reported"]}
         )
