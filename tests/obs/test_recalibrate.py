@@ -18,6 +18,7 @@ from repro.core.table import ScheduleTable
 from repro.obs import CalibrationController, CostCalibrator, ScaledCost
 from repro.obs.drift import DriftDetector
 from repro.sim.cluster import SINGLE_NODE_SMP
+from repro.sim.network import CommCost, CommModel
 from repro.state import State, StateSpace
 
 
@@ -94,6 +95,25 @@ class TestCalibrationController:
         ).run(4)
         assert controller.process(result, time=result.horizon) is None
         assert controller.switch_count == 0
+
+    def test_process_confirms_communication_drift(self, setup):
+        # Transfers cost 1 ms more than the calibrator's model; every task
+        # runs at its modeled cost.  The replayed transfer marks alone
+        # confirm the drift.
+        graph, cluster, space, scheduler, table = setup
+        controller = make_controller(setup)
+        controller.calibrator.comm = CommModel(cluster)
+        from repro.runtime.static_exec import StaticExecutor
+
+        slow = CommModel(cluster, intra_node=CommCost(latency=1e-3, bandwidth=100e6))
+        result = StaticExecutor(
+            graph, State(n_models=2), cluster, controller.active, comm=slow
+        ).run(12)
+        record = controller.process(result, time=result.horizon)
+        assert record is not None
+        drifts = record.cause.drifts
+        assert drifts and {d.key[0] for d in drifts} == {"comm"}
+        assert record.cause.scale_factors == {}
 
     def test_rebuild_uses_cache(self, setup):
         cache = ScheduleCache(tempfile.mkdtemp(prefix="repro-test-obs-cache-"))
