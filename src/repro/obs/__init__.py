@@ -6,7 +6,7 @@ story:
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry`
   (counters, gauges, histograms, labeled series) with Prometheus-text
-  and JSON exposition plus periodic snapshotting;
+  and JSON exposition;
 * :mod:`repro.obs.export` — JSONL streaming of a run's trace records
   (the records themselves, and their one Chrome-trace exporter, are
   :mod:`repro.sim.trace`'s);
@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    Snapshotter,
     parse_prometheus_text,
 )
 from repro.obs.recalibrate import CalibrationController, Recalibration
@@ -63,7 +62,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Snapshotter",
     "DEFAULT_BUCKETS",
     "parse_prometheus_text",
     # trace streaming

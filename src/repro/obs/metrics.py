@@ -21,19 +21,14 @@ threaded tracker).
 it to prove the exposition round-trips, and it doubles as a tiny scrape
 parser for the experiments.
 
-:class:`Snapshotter` provides periodic snapshotting against either clock:
-call :meth:`Snapshotter.maybe` from simulation code with ``sim.now``, or
-:meth:`Snapshotter.start` to spawn a wall-clock background thread (the
-live-runtime mode).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ReproError
 
@@ -44,7 +39,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus_text",
-    "Snapshotter",
     "DEFAULT_BUCKETS",
 ]
 
@@ -427,98 +421,3 @@ def parse_prometheus_text(text: str) -> dict[tuple[str, tuple[tuple[str, str], .
         samples[(name, tuple(sorted(labels)))] = value
     return samples
 
-
-class Snapshotter:
-    """Periodic registry snapshots, against a simulated or wall clock.
-
-    Parameters
-    ----------
-    registry:
-        The registry to snapshot.
-    interval:
-        Seconds between snapshots (in whichever clock drives it).
-    sink:
-        Optional callable receiving each ``{"time": t, "metrics": ...}``
-        record; when a string path is given, records are appended to the
-        file as JSON lines.  Snapshots are always kept in
-        :attr:`snapshots` as well (bounded by ``keep``).
-    keep:
-        Maximum snapshots retained in memory (oldest dropped first).
-
-    Simulated-time use: call :meth:`maybe` with the current simulated time
-    wherever convenient (e.g. once per launched frame).  Wall-clock use:
-    :meth:`start` spawns a daemon thread calling :meth:`force` every
-    ``interval`` wall seconds until :meth:`stop`.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        interval: float,
-        sink: "Optional[Callable[[dict], None] | str]" = None,
-        keep: int = 256,
-    ) -> None:
-        if interval <= 0:
-            raise MetricsError(f"snapshot interval must be positive, got {interval}")
-        self.registry = registry
-        self.interval = float(interval)
-        self.snapshots: list[dict] = []
-        self.keep = keep
-        self._last: Optional[float] = None
-        self._path: Optional[str] = None
-        self._sink: Optional[Callable[[dict], None]] = None
-        if isinstance(sink, str):
-            self._path = sink
-        elif sink is not None:
-            self._sink = sink
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-
-    def force(self, now: float) -> dict:
-        """Take a snapshot unconditionally and deliver it to the sink."""
-        record = {"time": now, "metrics": self.registry.snapshot()}
-        self.snapshots.append(record)
-        if len(self.snapshots) > self.keep:
-            del self.snapshots[: len(self.snapshots) - self.keep]
-        self._last = now
-        if self._sink is not None:
-            self._sink(record)
-        if self._path is not None:
-            with open(self._path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-        return record
-
-    def maybe(self, now: float) -> Optional[dict]:
-        """Snapshot iff ``interval`` has elapsed since the last one."""
-        if self._last is None or now - self._last >= self.interval:
-            return self.force(now)
-        return None
-
-    # -- wall-clock mode -----------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn a daemon thread snapshotting every ``interval`` wall seconds."""
-        import time as _time
-
-        if self._thread is not None:
-            raise MetricsError("snapshotter already started")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval):
-                self.force(_time.time())
-
-        self._thread = threading.Thread(target=loop, name="obs-snapshotter", daemon=True)
-        self._thread.start()
-
-    def stop(self, final: bool = True) -> None:
-        """Stop the background thread (taking one last snapshot by default)."""
-        import time as _time
-
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        if final:
-            self.force(_time.time())

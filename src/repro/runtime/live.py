@@ -1,51 +1,68 @@
-"""What the two live substrates share: one frame loop, one step, one result.
+"""What the two live substrates share: one node body, one frame loop, one result.
 
 Stampede's execution model (§3.3) is one loop per task — get, compute,
-put, consume per timestamp through STM.  The live unit of that loop is
-the *step*: hand over frame ``ts - 1``'s puts and consumes, fetch frame
-``ts``'s gets.  :func:`run_frames` is that loop and :func:`make_exchange`
-that step, each written once.  The step runs a task's *local* channel
-ends inline (:class:`~repro.stm.threaded.ThreadedChannel`: the channel
-lives in the task's own process) and ships its *boundary* ends — the
-channels some other process shares — as one batch
-(:class:`~repro.stm.process.StepBatch`, one broker round trip), committed
-only when it holds something.  :class:`~repro.runtime.threaded.
-ThreadedRuntime` is the case "every channel is local"; a
-:class:`~repro.runtime.process.ProcessRuntime` worker splits a task's ends
-by where the schedule put the channel's other endpoints, so a frame
-crosses the broker only where its data crosses a node boundary.
+put, consume per timestamp through STM — each task a thread on an SMP
+node.  The live unit of that loop is the *step*: hand over frame
+``ts - 1``'s puts and consumes, fetch frame ``ts``'s gets.
+:func:`run_frames` is that loop and :func:`make_exchange` that step, each
+written once.  The step runs a task's *local* channel ends inline
+(:class:`~repro.stm.threaded.ThreadedChannel`: the channel lives in the
+task's own process) and ships its *boundary* ends — the channels some
+other process shares — as one batch (:class:`~repro.stm.process.
+StepBatch`, one broker round trip), committed only when it holds
+something.
 
-Beside the loop sit the pieces both runtimes (and ``StaticExecutor``'s
-live adapter) need exactly once: the digitize stamps, the configuration
-checks, the terminal-channel list, the per-frame completion merge, and
-:class:`LiveResult`.  A live run's records go into its own
-:class:`~repro.sim.trace.TraceRecorder`, on the run's clock (seconds since
-it started): one :class:`~repro.sim.trace.ExecSpan` per kernel execution
-always, and — only when an ``obs`` bundle listens, so that an unobserved
-run does no per-operation work for it — one
-:class:`~repro.sim.trace.ItemEvent` per STM operation.
+:class:`LiveNode` is one process's share of a live run: its channels,
+its tasks as threads through the one task body, and the
+:class:`NodeReport` it returns after joining them.  A
+:class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
+every channel local; a :class:`~repro.runtime.process.ProcessRuntime`
+worker is one node whose boundary ends reach the parent's broker, so a
+frame crosses the broker only where its data crosses a node boundary.
+:func:`merge_reports` turns node reports into the run's
+:class:`LiveResult` on both.
+
+Beside them sit the pieces both runtimes (and ``StaticExecutor``'s live
+adapter) need exactly once: the digitize stamps, the configuration
+checks, the terminal-channel list and the per-frame completion merge.  A
+live run's records go into its own :class:`~repro.sim.trace.
+TraceRecorder`, on the run's clock (seconds since it started): one
+:class:`~repro.sim.trace.ExecSpan` per kernel execution always, and —
+only when an ``obs`` bundle listens, so that an unobserved run does no
+per-operation work for it — one :class:`~repro.sim.trace.ItemEvent` per
+STM operation.
 """
-
 from __future__ import annotations
 
 import threading
 import time as _time
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from repro.errors import ExecutorConfigError, ReproError
+from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
+from repro.state import State
+from repro.stm.process import ProcessChannel, StepBatch, WorkerLink
+from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.analysis.race import RaceChecker
 
 __all__ = [
     "ChannelEnds",
     "FrameStamps",
+    "LiveNode",
     "LiveResult",
+    "NodeReport",
     "check_static_inputs",
     "check_timestamps",
     "make_exchange",
     "merge_completion",
+    "merge_reports",
     "report_frames",
     "run_frames",
     "terminal_channels",
@@ -295,3 +312,273 @@ def run_frames(
         done = ts, result
     if done is not None:
         exchange(done, None)
+
+
+@dataclass
+class NodeReport:
+    """One node's share of a live run, as :meth:`LiveNode.run` returns it
+    (and a process worker ships it to the parent in its ``done`` message):
+    what the run can read off no broker."""
+
+    channel_stats: dict[str, dict[str, int]]
+    gc_collected: int
+    live_item_high_water: int
+    digitize_times: dict[int, float]
+    spans: list[ExecSpan]
+    items: list[ItemEvent]
+    kernel_retries: int = 0
+
+
+@dataclass(eq=False)
+class LiveNode:
+    """One process's share of a live run: its tasks, one thread each.
+
+    Builds one :class:`~repro.stm.threaded.ThreadedChannel` per entry of
+    ``capacities`` (``{name: capacity}``) and attaches every task's
+    connections to them at once — before any thread starts, because
+    reference-count GC considers only attached input connections, so a
+    consumer that attached late could find its items already collected.
+    A task's channel that is not the node's is a *boundary* channel, at the
+    broker behind :meth:`run`'s ``link``, reached through the broker
+    connection ids in ``remote`` (``{task: {channel: conn id}}``).
+
+    Each task thread reads its static inputs, builds its local and
+    boundary :class:`ChannelEnds`, and runs :func:`make_exchange` and
+    :func:`run_frames` from ``resume`` (``{task: first timestamp}``; a node
+    that resumes is a respawned worker, whose boundary puts replay
+    idempotently), recording one :class:`~repro.sim.trace.ExecSpan` per
+    kernel call into :attr:`trace` on the run's clock: seconds since ``t0``
+    (the start of :meth:`run` when ``None``).  ``where`` is ``{task:
+    (proc, variant)}`` for those spans; without it ``proc`` is the task's
+    row, filed under the ``"nominal"`` node class.  ``observe`` records
+    the node's channel operations too.  ``analysis`` threads a
+    :class:`~repro.analysis.race.RaceChecker` through: tracked channel
+    locks, and fork/adopt edges at thread start and join.
+
+    A thread that leaves early poisons the node's channels, so no sibling
+    waits out ``op_timeout``; one that raises also reports to the broker
+    at once (``fatal``), which poisons the boundary channels.
+    """
+
+    tasks: list[Task]
+    plans: dict[str, TaskPlan]
+    capacities: dict[str, Optional[int]]
+    state: State
+    timestamps: int
+    op_timeout: float
+    remote: dict[str, dict[str, int]] = field(default_factory=dict)
+    resume: Optional[dict[str, int]] = None
+    where: Optional[dict[str, tuple[int, str]]] = None
+    t0: Optional[float] = None
+    observe: bool = False
+    analysis: Optional["RaceChecker"] = None
+
+    def __post_init__(self) -> None:
+        self.channels = {
+            name: ThreadedChannel(name, capacity=capacity, analysis=self.analysis)
+            for name, capacity in self.capacities.items()
+        }
+        #: each task's connections to the node's channels, by channel
+        self.conns = {
+            t.name: {
+                **{ch: self.channels[ch].attach_input(t.name)
+                   for ch in t.inputs if ch in self.channels},
+                **{ch: self.channels[ch].attach_output(t.name)
+                   for ch in t.outputs if ch in self.channels},
+            }
+            for t in self.tasks
+        }
+        self.trace = TraceRecorder()
+        self.stamps = FrameStamps()
+        self.kernel_retries = 0
+        self.errors: list[BaseException] = []
+        self._lock = threading.Lock()
+        self._link: Optional[WorkerLink] = None
+
+    def run(
+        self,
+        link: Optional[WorkerLink] = None,
+        invoke: Optional[Callable[[Task, dict, int], dict]] = None,
+        extra: tuple = (),
+    ) -> NodeReport:
+        """Run every task to the last frame; returns the node's report.
+
+        ``invoke(task, inputs, ts)`` executes one kernel call (default:
+        ``task.compute(state, inputs)``).  ``extra`` holds ``(thread name,
+        body, *args)`` entries run beside the tasks under the same guard
+        (the threaded runtime's collectors).  Raises the first error a
+        thread raised, or :class:`~repro.errors.ReproError` when threads
+        outlive ``op_timeout`` per frame.
+        """
+        self._link = link
+        invoke = invoke or (
+            lambda task, inputs, ts: task.compute(self.state, inputs))
+        checker = self.analysis
+        end_tokens: list = []
+
+        def spawn(name: str, body, *args) -> threading.Thread:
+            # Fork/join happens-before edges for the race checker: setup
+            # before start (the static fill) happens-before the thread's
+            # work, and its work happens-before post-join reads.
+            token = checker.fork() if checker is not None else None
+
+            def guarded() -> None:
+                if token is not None:
+                    checker.adopt(token)
+                try:
+                    body(*args)
+                except ChannelPoisoned:
+                    self._leave()
+                except BaseException as exc:  # noqa: BLE001 - re-raised by run
+                    self._leave(exc)
+                if checker is not None:
+                    with self._lock:
+                        end_tokens.append(checker.fork())
+
+            return threading.Thread(target=guarded, name=name, daemon=True)
+
+        threads = [spawn(f"task:{t.name}", self._task_body, t, invoke)
+                   for t in self.tasks]
+        threads += [spawn(*entry) for entry in extra]
+        t0 = self.stamps.t0 = (
+            _time.perf_counter() if self.t0 is None else self.t0
+        )
+        if self.observe:
+            # after any static fill: configuration is not a frame's traffic
+            for ch in self.channels.values():
+                ch.record_into(self.trace, t0)
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=self.op_timeout * (self.timestamps + 2))
+        alive = [th.name for th in threads if th.is_alive()]
+        if alive:
+            for ch in self.channels.values():
+                ch.poison()
+            raise ReproError(f"threads did not finish: {alive}")
+        if self.errors:
+            raise self.errors[0]
+        for token in end_tokens:
+            checker.adopt(token)
+        channels = self.channels.values()
+        return NodeReport(
+            channel_stats={name: ch.stats for name, ch in self.channels.items()},
+            gc_collected=sum(ch.gc_stats.collected for ch in channels),
+            live_item_high_water=sum(ch.gc_stats.high_water_items
+                                     for ch in channels),
+            digitize_times=self.stamps.times,
+            spans=self.trace.spans,
+            items=self.trace.items,
+            kernel_retries=self.kernel_retries,
+        )
+
+    def _leave(self, error: Optional[BaseException] = None) -> None:
+        """A thread is leaving early: let no sibling wait it out."""
+        for ch in self.channels.values():
+            ch.poison()
+        if error is None:
+            return
+        with self._lock:
+            self.errors.append(error)
+            first = len(self.errors) == 1
+        if first and self._link is not None:
+            self._link.notify("fatal", "".join(traceback.format_exception(error)))
+
+    def _task_body(self, task: Task,
+                   invoke: Callable[[Task, dict, int], dict]) -> None:
+        plan = self.plans[task.name]
+        local, timeout = self.channels, self.op_timeout
+        conns, remote = self.conns[task.name], self.remote.get(task.name, {})
+        replay = self.resume is not None
+        proxies = {ch: ProcessChannel(ch, self._link, replay=replay)
+                   for ch in task.inputs + task.outputs if ch not in local}
+        new_batch = lambda: StepBatch(self._link, replay=replay)
+        # Static inputs: local ones read inline, the broker's in one round
+        # trip for all of them (none for a task that reads none).
+        statics = {ch: local[ch].get(conns[ch], 0, timeout=timeout)[1]
+                   for ch in plan.static_inputs if ch in local}
+        far = [ch for ch in plan.static_inputs if ch not in local]
+        if far:
+            batch = new_batch()
+            for ch in far:
+                batch.get(proxies[ch], remote[ch], 0)
+            statics.update(zip(far, (v for _, v in batch.commit(timeout=timeout))))
+        exchange = make_exchange(
+            plan, ChannelEnds.of(plan, local, conns, conns), statics, timeout,
+            self.stamps, ChannelEnds.of(plan, proxies, remote, remote), new_batch,
+        )
+        if self.where is None:
+            proc, variant, node_class = plan.index, "serial", "nominal"
+        else:
+            (proc, variant), node_class = self.where[task.name], None
+        t0, trace = self.stamps.t0, self.trace
+
+        def run_kernel(inputs: dict, ts: int) -> dict:
+            k0 = _time.perf_counter() - t0
+            result = invoke(task, inputs, ts)
+            k1 = _time.perf_counter() - t0
+            trace.record_span(ExecSpan(proc, task.name, ts, k0, k1,
+                                       variant=variant, node_class=node_class))
+            return result
+
+        has_kernel = task.compute is not None or task.compute_chunk is not None
+        run_frames(plan, exchange, run_kernel if has_kernel else None,
+                   (self.resume or {}).get(task.name, 0), self.timestamps)
+        for ch in proxies.values():
+            ch.close()
+
+
+def merge_reports(
+    reports,
+    trace: TraceRecorder,
+    outputs: dict[str, dict[int, Any]],
+    arrivals: dict[str, dict[int, float]],
+    wall_time: float,
+    obs=None,
+    *,
+    channel_stats: Optional[dict[str, dict[str, int]]] = None,
+    gc: tuple[int, int] = (0, 0),
+    respawns: int = 0,
+    meta: Optional[dict] = None,
+) -> LiveResult:
+    """The run's :class:`LiveResult` from its nodes' reports.
+
+    ``channel_stats`` and ``gc`` (items collected, live-item high water)
+    are what the run counted outside its nodes (the broker's channels);
+    the nodes' counters, stamps (latest source wins) and retries are added
+    to them, their item events and their spans (by start) recorded into
+    ``trace``, and every completed frame reported to ``obs``.
+    """
+    stats = dict(channel_stats or {})
+    collected, high_water = gc
+    retries = 0
+    digitize: dict[int, float] = {}
+    spans: list[ExecSpan] = []
+    for report in reports:
+        stats.update(report.channel_stats)
+        collected += report.gc_collected
+        high_water += report.live_item_high_water
+        retries += report.kernel_retries
+        for ts, at in report.digitize_times.items():
+            digitize[ts] = max(digitize.get(ts, 0.0), at)
+        for event in report.items:
+            trace.record_item(event)
+        spans += report.spans
+    spans.sort(key=lambda s: (s.start, s.proc))
+    for span in spans:
+        trace.record_span(span)
+    digitize = dict(sorted(digitize.items()))
+    completion = merge_completion(arrivals)
+    report_frames(obs, digitize, completion)
+    return LiveResult(
+        outputs=outputs,
+        wall_time=wall_time,
+        channel_stats=stats,
+        digitize_times=digitize,
+        completion_times=completion,
+        trace=trace,
+        respawns=respawns,
+        kernel_retries=retries,
+        meta={**(meta or {}), "gc_collected": collected,
+              "live_item_high_water": high_water},
+    )

@@ -7,10 +7,13 @@ rung between the simulator and real hardware:
 
 * every scheduled cluster *node* becomes a worker ``multiprocessing``
   process (fork-based, mirroring :mod:`repro.core.parallel`);
-* each worker runs its node's task assignments as threads inside the
-  worker, each thread the same :func:`~repro.runtime.live.run_frames`
-  loop and the same step (:func:`~repro.runtime.live.make_exchange`) the
-  threaded runtime runs;
+* each worker is one :class:`~repro.runtime.live.LiveNode` — the body a
+  threaded run is the one-node case of: its node's tasks as threads, each
+  through the one task body.  The parent builds the node (channels made,
+  connections attached) and the worker inherits it through the fork; the
+  worker adds only what is its own: the chunk pool, forked before any
+  task thread starts, its :class:`~repro.stm.process.WorkerLink`, and the
+  kernel invocation with its data-parallel fan-out and injected faults;
 * STM follows the schedule's node boundaries — the paper's intra- versus
   inter-node communication distinction (Figure 6).  A streaming channel
   whose every producer and consumer is scheduled on one node is a
@@ -24,7 +27,9 @@ rung between the simulator and real hardware:
   the terminal channel), and a task with no boundary channel never.  What
   the parent can then no longer read off the broker — the node-local
   channels' counters and GC totals, the digitize stamps, its trace
-  records — rides each worker's ``done`` message;
+  records — is the node's :class:`~repro.runtime.live.NodeReport`, which
+  rides each worker's ``done`` message into
+  :func:`~repro.runtime.live.merge_reports`;
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
@@ -47,10 +52,10 @@ rung between the simulator and real hardware:
   the frames its sources emitted;
 * a failure that is not recovered ends the run at once, not after
   ``op_timeout``: a task thread that raises reports to the parent
-  immediately and poisons its node's own channels, the parent poisons the
-  broker's, and every blocked sibling — on a node-local channel or parked
-  on a step from another node — wakes with
-  :class:`~repro.stm.threaded.ChannelPoisoned`.
+  immediately and poisons its node's own channels (the node body does
+  both), the parent poisons the broker's, and every blocked sibling — on
+  a node-local channel or parked on a step from another node — wakes
+  with :class:`~repro.stm.threaded.ChannelPoisoned`.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from __future__ import annotations
 import os
 import threading
 import time as _time
-import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Union
 
@@ -66,29 +70,19 @@ from repro.core.schedule import PipelinedSchedule
 from repro.errors import ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.dispatch import TaskPlan, build_task_plans
+from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
-    ChannelEnds,
-    FrameStamps,
+    LiveNode,
     LiveResult,
     check_static_inputs,
     check_timestamps,
-    make_exchange,
-    merge_completion,
-    report_frames,
-    run_frames,
+    merge_reports,
     terminal_channels,
 )
-from repro.sim.trace import ExecSpan, Mark, TraceRecorder
+from repro.sim.trace import Mark, TraceRecorder
 from repro.state import State
-from repro.stm.process import (
-    BrokerDied,
-    ChannelBroker,
-    ProcessChannel,
-    StepBatch,
-    WorkerLink,
-)
-from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
+from repro.stm.process import BrokerDied, ChannelBroker, WorkerLink
+from repro.stm.threaded import ChannelPoisoned
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.optimal import ScheduleSolution
@@ -163,34 +157,6 @@ class ProcessFaultPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _WorkerSpec:
-    """Everything one node worker needs (fork-inherited, never pickled)."""
-
-    worker_id: int
-    node: int
-    tasks: list[Task]
-    plans: dict[str, TaskPlan]
-    state: State
-    #: broker connection ids of the tasks' boundary (and static) channels
-    conns_in: dict[str, dict[str, int]]
-    conns_out: dict[str, dict[str, int]]
-    #: ``{channel: capacity}`` of the channels this node keeps to itself
-    local_channels: dict[str, Optional[int]]
-    resume: dict[str, int]
-    timestamps: int
-    op_timeout: float
-    requests: Any
-    replies: Any
-    dp_plan: dict[str, tuple[int, str, tuple[int, ...]]]
-    primary_proc: dict[str, int]
-    fault_events: list[KernelFault]
-    kernel_retries: int
-    replay: bool
-    observe: bool
-    t0: float
-
-
 #: Chunkable tasks of THIS worker, read by forked pool children.
 _CHUNK_TASKS: dict[str, Task] = {}
 
@@ -226,16 +192,21 @@ def _fail_stop(requests) -> None:
     os._exit(13)
 
 
-def _worker_main(spec: _WorkerSpec) -> None:
-    """Entry point of one node worker (runs in the forked child)."""
-    link = WorkerLink(spec.worker_id, spec.requests, spec.replies)
+def _worker_main(node: LiveNode, worker_id: int, requests, replies,
+                 dp_plan: dict[str, tuple[int, str, tuple[int, ...]]],
+                 fault_events: list[KernelFault], kernel_retries: int) -> None:
+    """Entry point of one node worker (runs in the forked child).
+
+    ``node`` was built in the parent — channels made, connections attached
+    — and is inherited through the fork, never pickled.
+    """
     pool = None
     # The chunk pool must fork while this process is still single-threaded
     # (forking with live threads can inherit held locks).  Warmup submits
     # force the pool children into existence before any task thread starts.
     chunked = [
-        t for t in spec.tasks
-        if t.compute_chunk is not None and spec.dp_plan.get(t.name, (1,))[0] > 1
+        t for t in node.tasks
+        if t.compute_chunk is not None and dp_plan.get(t.name, (1,))[0] > 1
     ]
     if chunked:
         import multiprocessing
@@ -243,7 +214,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
 
         for t in chunked:
             _CHUNK_TASKS[t.name] = t
-        width = max(spec.dp_plan[t.name][0] for t in chunked)
+        width = max(dp_plan[t.name][0] for t in chunked)
         try:
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(max_workers=width, mp_context=ctx)
@@ -251,175 +222,58 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 f.result(timeout=60)
         except Exception:  # pragma: no cover - no fork / broken pool
             pool = None  # chunked tasks fall back to their serial kernel
+    link = WorkerLink(worker_id, requests, replies)
     link.start()
-
-    # Node-local STM: every endpoint of these channels is a thread of this
-    # process.  All their connections are attached here, before any task
-    # thread starts — reference-count GC considers only attached input
-    # connections (the contract ThreadedRuntime states).
-    trace = TraceRecorder()
-    local = {
-        name: ThreadedChannel(name, capacity=capacity)
-        for name, capacity in spec.local_channels.items()
-    }
-    if spec.observe:
-        for ch in local.values():
-            ch.record_into(trace, spec.t0)
-    local_in = {
-        t.name: {ch: local[ch].attach_input(t.name)
-                 for ch in t.inputs if ch in local}
-        for t in spec.tasks
-    }
-    local_out = {
-        t.name: {ch: local[ch].attach_output(t.name)
-                 for ch in t.outputs if ch in local}
-        for t in spec.tasks
-    }
-    stamps = FrameStamps(spec.t0)
-
-    retries = [0]
-    errors: list[str] = []
-    errors_lock = threading.Lock()
     fired: set[tuple[str, int]] = set()
+    retry_lock = threading.Lock()  # task threads retry concurrently
 
     def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
         """One (task, timestamp) execution, chunk-parallel when planned."""
-        fault = next(
-            (e for e in spec.fault_events
-             if e.task == task.name and e.timestamp == ts
-             and (task.name, ts) not in fired),
-            None,
-        )
-        attempts = spec.kernel_retries + 1
-        for attempt in range(attempts):
-            if fault is not None and (task.name, ts) not in fired:
-                fired.add((task.name, ts))
-                if fault.kind == "exit":
-                    _fail_stop(spec.requests)
-                raise_injected = True
-            else:
-                raise_injected = False
+        fault = next((e for e in fault_events
+                      if e.task == task.name and e.timestamp == ts), None)
+        for attempt in range(kernel_retries + 1):
             try:
-                if raise_injected:
+                if fault is not None and (task.name, ts) not in fired:
+                    fired.add((task.name, ts))
+                    if fault.kind == "exit":
+                        _fail_stop(requests)
                     raise ReproError(
                         f"injected kernel fault: {task.name} at ts={ts}"
                     )
-                workers, _label, _procs = spec.dp_plan.get(
-                    task.name, (1, "serial", ())
-                )
+                workers = dp_plan.get(task.name, (1,))[0]
                 if workers > 1 and task.compute_chunk is not None and pool is not None:
                     futures = [
-                        pool.submit(_exec_chunk, task.name, spec.state, inputs,
+                        pool.submit(_exec_chunk, task.name, node.state, inputs,
                                     i, workers)
                         for i in range(workers)
                     ]
-                    partials = [f.result(timeout=spec.op_timeout) for f in futures]
+                    partials = [f.result(timeout=node.op_timeout) for f in futures]
                     if task.compute_join is not None:
-                        return task.compute_join(spec.state, inputs, partials)
+                        return task.compute_join(node.state, inputs, partials)
                     return partials[-1]
-                return task.compute(spec.state, inputs)
+                return task.compute(node.state, inputs)
             except ReproError:
-                if attempt + 1 >= attempts:
+                if attempt == kernel_retries:
                     raise
-                retries[0] += 1
+                with retry_lock:
+                    node.kernel_retries += 1
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def leave(error: Optional[str] = None) -> None:
-        """A task thread is leaving early: let no sibling wait it out.
-
-        Poisoning the node's own channels wakes the threads blocked on
-        them; an error goes to the parent at once, where the broker
-        poisons every boundary channel — so threads parked on a step, here
-        or on another node, are woken too instead of running into
-        ``op_timeout``.
-        """
-        for channel in local.values():
-            channel.poison()
-        if error is not None:
-            with errors_lock:
-                errors.append(error)
-                first = len(errors) == 1
-            if first:
-                link.notify("fatal", error)
-
-    def task_body(task: Task) -> None:
-        try:
-            plan = spec.plans[task.name]
-            proxies = {ch: ProcessChannel(ch, link, replay=spec.replay)
-                       for ch in task.inputs + task.outputs if ch not in local}
-            variant = spec.dp_plan.get(task.name, (1, "serial", ()))[1]
-            proc = spec.primary_proc.get(task.name, spec.node)
-
-            here = ChannelEnds.of(plan, local, local_in[task.name],
-                                  local_out[task.name])
-            across = ChannelEnds.of(plan, proxies, spec.conns_in[task.name],
-                                    spec.conns_out[task.name])
-            # Static inputs live at the broker: one round trip for all of
-            # them, before the loop (none for a task that reads none).
-            batch = StepBatch(link)
-            for ch in plan.static_inputs:
-                batch.get(proxies[ch], spec.conns_in[task.name][ch], 0)
-            statics = dict(zip(
-                plan.static_inputs,
-                (value for _, value in batch.commit(timeout=spec.op_timeout)),
-            ))
-            exchange = make_exchange(
-                plan, here, statics, spec.op_timeout, stamps, across,
-                lambda: StepBatch(link, replay=spec.replay),
-            )
-
-            def run_kernel(inputs: dict, ts: int):
-                k0 = _time.perf_counter() - spec.t0
-                result = invoke_kernel(task, inputs, ts)
-                k1 = _time.perf_counter() - spec.t0
-                trace.record_span(ExecSpan(proc, task.name, ts, k0, k1, variant=variant))
-                return result
-
-            has_kernel = task.compute is not None or task.compute_chunk is not None
-            run_frames(plan, exchange, run_kernel if has_kernel else None,
-                       spec.resume.get(task.name, 0), spec.timestamps)
-            for ch in proxies.values():
-                ch.close()
-        except ChannelPoisoned:
-            leave()
-        except BaseException:  # noqa: BLE001 - shipped to the parent
-            leave(traceback.format_exc())
-
-    threads = [
-        threading.Thread(target=task_body, args=(t,), name=f"task:{t.name}",
-                         daemon=True)
-        for t in spec.tasks
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    try:
+        report = node.run(link, invoke_kernel)
+    except BaseException:  # noqa: BLE001 - a task's error went out as "fatal"
+        report = None  # and exit code 1 reports the worker's failure
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
-    if errors:  # reported by leave(), when it happened
-        exitcode = 1
-    else:
+    if report is not None:
         # What the parent can no longer read off the broker rides here.
-        link.notify("done", {
-            "worker": spec.worker_id,
-            "node": spec.node,
-            "spans": trace.spans,
-            "kernel_retries": retries[0],
-            "channel_stats": {name: ch.stats for name, ch in local.items()},
-            "gc_collected": sum(ch.gc_stats.collected
-                                for ch in local.values()),
-            "live_item_high_water": sum(ch.gc_stats.high_water_items
-                                        for ch in local.values()),
-            "digitize_times": stamps.times,
-            "items": trace.items,
-        })
-        exitcode = 0
+        link.notify("done", report)
     link.stop()
     # Flush the queue's feeder thread so the final message survives the
     # hard exit (os._exit skips atexit handlers, including queue joins).
-    spec.requests.close()
-    spec.requests.join_thread()
-    os._exit(exitcode)
+    requests.close()
+    requests.join_thread()
+    os._exit(0 if report is not None else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +408,14 @@ class ProcessRuntime:
             {spec.name: spec.capacity for spec in self.graph.channels
              if spec.name not in node_local}
         )
-        conns_in = {
-            t.name: {ch: broker.attach_input(ch, t.name)
-                     for ch in t.inputs if ch not in node_local}
-            for t in self.graph.tasks
-        }
-        conns_out = {
-            t.name: {ch: broker.attach_output(ch, t.name)
-                     for ch in t.outputs if ch not in node_local}
+        #: each task's boundary channels: {task: {channel: broker conn id}}
+        remote = {
+            t.name: {
+                **{ch: broker.attach_input(ch, t.name)
+                   for ch in t.inputs if ch not in node_local},
+                **{ch: broker.attach_output(ch, t.name)
+                   for ch in t.outputs if ch not in node_local},
+            }
             for t in self.graph.tasks
         }
         plans = build_task_plans(self.graph)
@@ -580,10 +434,12 @@ class ProcessRuntime:
             n: [t for t in self.graph.tasks if self.assignment[t.name] == n]
             for n in nodes
         }
-        primary_proc = {
-            task: plan[2][0] if plan[2] else self.assignment[task]
-            for task, plan in self.dp_plan.items()
-        }
+        #: span labels: the placement's primary processor and variant
+        where = {}
+        for task in self.graph.tasks:
+            _, variant, procs = self.dp_plan.get(task.name, (1, "serial", ()))
+            where[task.name] = (procs[0] if procs else self.assignment[task.name],
+                                variant)
 
         outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
         completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
@@ -620,45 +476,35 @@ class ProcessRuntime:
             return [e for e in self.faults.events_for(t.name for t in node_tasks)
                     if e not in fired_exits]
 
-        def make_spec(worker_id: int, node: int, resume: dict[str, int],
-                      replay: bool) -> _WorkerSpec:
-            node_tasks = tasks_by_node[node]
-            return _WorkerSpec(
-                worker_id=worker_id,
-                node=node,
-                tasks=node_tasks,
-                plans=plans,
-                state=self.state,
-                conns_in={t.name: conns_in[t.name] for t in node_tasks},
-                conns_out={t.name: conns_out[t.name] for t in node_tasks},
-                local_channels=local_by_node.get(node, {}),
-                resume=resume,
-                timestamps=timestamps,
-                op_timeout=self.op_timeout,
-                requests=broker.requests,
-                replies=broker.register_worker(worker_id),
-                dp_plan={t.name: self.dp_plan[t.name] for t in node_tasks
-                         if t.name in self.dp_plan},
-                primary_proc={t.name: primary_proc.get(t.name, node)
-                              for t in node_tasks},
-                fault_events=pending_faults(node_tasks),
-                kernel_retries=kernel_retries,
-                replay=replay,
-                observe=self.obs is not None,
-                t0=broker._t0,
-            )
-
-        broker.start()
-
         next_worker_id = 1
         workers: dict[int, tuple[Any, int]] = {}  # worker_id -> (Process, node)
-        for node in nodes:
-            spec = make_spec(next_worker_id, node, {}, replay=False)
-            proc = ctx.Process(target=_worker_main, args=(spec,),
-                               name=f"node{node}", daemon=True)
+
+        def spawn(node: int, name: str,
+                  resume: Optional[dict[str, int]] = None) -> None:
+            """Fork one worker for ``node`` (a respawn when given ``resume``);
+            its LiveNode is built here, channels made and connections
+            attached, and inherited by the child."""
+            nonlocal next_worker_id
+            worker_id, next_worker_id = next_worker_id, next_worker_id + 1
+            node_tasks = tasks_by_node[node]
+            live = LiveNode(
+                node_tasks, plans, local_by_node.get(node, {}), self.state,
+                timestamps, self.op_timeout, remote=remote, resume=resume,
+                where=where, t0=broker._t0,
+                observe=self.obs is not None,
+            )
+            proc = ctx.Process(
+                target=_worker_main, name=name, daemon=True,
+                args=(live, worker_id, broker.requests,
+                      broker.register_worker(worker_id), self.dp_plan,
+                      pending_faults(node_tasks), kernel_retries),
+            )
             proc.start()
-            workers[next_worker_id] = (proc, node)
-            next_worker_id += 1
+            workers[worker_id] = (proc, node)
+
+        broker.start()
+        for node in nodes:
+            spawn(node, f"node{node}")
 
         collectors = [
             threading.Thread(target=collector_body, args=(ch,),
@@ -698,8 +544,8 @@ class ProcessRuntime:
                         )
                         break
                     respawns += 1
-                    resume = self._resume_map(broker, plans, conns_in,
-                                              conns_out, tasks_by_node[node])
+                    resume = self._resume_map(broker, plans, remote,
+                                              tasks_by_node[node])
                     detected = broker.now
                     trace.record_mark(
                         Mark.detection(detected, "worker-death", f"node{node}"))
@@ -708,13 +554,7 @@ class ProcessRuntime:
                         if e.kind == "exit"
                         and e.timestamp <= resume.get(e.task, 0)
                     )
-                    spec = make_spec(next_worker_id, node, resume, replay=True)
-                    newp = ctx.Process(target=_worker_main, args=(spec,),
-                                       name=f"node{node}r{respawns}",
-                                       daemon=True)
-                    newp.start()
-                    workers[next_worker_id] = (newp, node)
-                    next_worker_id += 1
+                    spawn(node, f"node{node}r{respawns}", resume)
                     trace.record_mark(
                         Mark.failover(detected, broker.now, f"respawn node{node}"))
                 if failed:
@@ -737,9 +577,9 @@ class ProcessRuntime:
                and not completed_ok.issubset(broker.done_payloads)
                and _time.monotonic() < wait_until):
             _time.sleep(0.005)
-        done = dict(broker.done_payloads)
+        reports = list(broker.done_payloads.values())
         stats = broker.stats()
-        gc_collected, high_water = broker.gc_totals()
+        gc = broker.gc_totals()
         broker_ops = dict(broker.op_counts)
         broker_roundtrips = broker.roundtrips()
         broker.stop()
@@ -752,46 +592,16 @@ class ProcessRuntime:
         still = [th.name for th in collectors if th.is_alive()]
         if still:
             raise ReproError(f"collectors did not finish: {still}")
-
-        # Each worker's share of the run: what happened on its node-local
-        # channels, the stamps its sources took, its kernel spans.
-        spans: list[ExecSpan] = []
-        retries_total = 0
-        digitize: dict[int, float] = {}
-        for payload in done.values():
-            retries_total += payload.get("kernel_retries", 0)
-            stats.update(payload["channel_stats"])
-            gc_collected += payload["gc_collected"]
-            high_water += payload["live_item_high_water"]
-            for ts, at in payload["digitize_times"].items():
-                digitize[ts] = max(digitize.get(ts, 0.0), at)
-            for event in payload["items"]:
-                trace.record_item(event)
-            spans += payload["spans"]
-        spans.sort(key=lambda s: (s.start, s.proc))
-        for span in spans:
-            trace.record_span(span)
-
-        digitize = dict(sorted(digitize.items()))
-        completion = merge_completion(completion_raw)
-        report_frames(self.obs, digitize, completion)
-
-        return LiveResult(
-            outputs=outputs,
-            wall_time=wall,
-            channel_stats=stats,
-            digitize_times=digitize,
-            completion_times=completion,
-            trace=trace,
-            respawns=respawns,
-            kernel_retries=retries_total,
+        # Each worker's share of the run (its node-local channels, the
+        # stamps its sources took, its kernel spans) joins the broker's.
+        return merge_reports(
+            reports, trace, outputs, completion_raw, wall, self.obs,
+            channel_stats=stats, gc=gc, respawns=respawns,
             meta={
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
                 "node_local_channels": sorted(node_local),
-                "gc_collected": gc_collected,
-                "live_item_high_water": high_water,
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,
             },
@@ -800,7 +610,7 @@ class ProcessRuntime:
     # -- recovery helpers ---------------------------------------------------
 
     @staticmethod
-    def _resume_map(broker: ChannelBroker, plans, conns_in, conns_out,
+    def _resume_map(broker: ChannelBroker, plans, remote,
                     node_tasks) -> dict[str, int]:
         """First incomplete frame per task, recovered from STM state.
 
@@ -814,12 +624,12 @@ class ProcessRuntime:
             streaming = plans[t.name].stream_inputs
             if streaming:
                 resume[t.name] = min(
-                    broker.conn(conns_in[t.name][ch]).virtual_time
+                    broker.conn(remote[t.name][ch]).virtual_time
                     for ch in streaming
                 )
             elif t.outputs:
                 resume[t.name] = min(
-                    broker.conn_put_next(conns_out[t.name][ch])
+                    broker.conn_put_next(remote[t.name][ch])
                     for ch in t.outputs
                 )
             else:

@@ -15,9 +15,6 @@ appendix, Figures 7-8).  This package implements the full API:
 * :mod:`repro.stm.gc` — reference-count garbage collection: an item is
   reclaimed once every attached input connection has consumed it or moved
   its virtual time past it.
-* :mod:`repro.stm.registry` — the cluster-wide channel namespace with
-  location tags (which node "homes" a channel) for communication-cost
-  accounting.
 * :mod:`repro.stm.threaded` — a thread-safe blocking wrapper used by the
   live (real-thread) runtime, by the process runtime's workers for the
   channels scheduled entirely on their node, and by the examples.
@@ -34,7 +31,6 @@ from repro.stm.item import Item
 from repro.stm.connection import Connection, Direction
 from repro.stm.channel import STMChannel, TS, NEWEST, OLDEST, NEWEST_UNSEEN
 from repro.stm.gc import collect_channel, GCStats
-from repro.stm.registry import STMRegistry
 from repro.stm.threaded import ThreadedChannel, ChannelPoisoned
 from repro.stm.process import (
     BrokerDied,
@@ -55,7 +51,6 @@ __all__ = [
     "NEWEST_UNSEEN",
     "collect_channel",
     "GCStats",
-    "STMRegistry",
     "ThreadedChannel",
     "ChannelPoisoned",
     "BrokerDied",

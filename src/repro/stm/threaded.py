@@ -10,7 +10,9 @@ with a condition variable so that
   (end-of-stream shutdown), and
 * garbage collection runs opportunistically after each consume.
 
-Timeouts are supported on both operations so tests never hang.
+Timeouts are supported on both operations so tests never hang; each
+operation's timeout is one deadline, however often the channel changes
+while it waits.
 
 Note on fidelity: the GIL serializes Python bytecode, so wall-clock
 latencies measured through this runtime do not model a real SMP — that is
@@ -112,6 +114,26 @@ class ThreadedChannel:
 
     # -- blocking API ----------------------------------------------------------
 
+    def _wait(self, deadline: Optional[float], timeout: Optional[float],
+              op: str, why: str = "") -> Optional[float]:
+        """Sleep (lock held) until the channel changes; returns the deadline.
+
+        An operation has one absolute deadline, taken when it first has to
+        wait, so wake-ups by unrelated puts and consumes do not restart its
+        ``timeout`` — and an operation that never waits reads no clock.
+        """
+        if timeout is None:
+            self._changed.wait()
+            return None
+        now = _time.monotonic()
+        if deadline is None:
+            deadline = now + timeout
+        if now >= deadline or not self._changed.wait(deadline - now):
+            raise TimeoutError(
+                f"{op} {self.name!r} timed out after {timeout}s{why}"
+            )
+        return deadline
+
     def put(
         self,
         conn: Connection,
@@ -121,6 +143,7 @@ class ThreadedChannel:
         timeout: Optional[float] = None,
     ) -> None:
         """Insert an item, blocking while the channel is at capacity."""
+        deadline = None
         with self._changed:
             while True:
                 if self._poisoned:
@@ -133,10 +156,7 @@ class ThreadedChannel:
                         self._analysis.on_put(self.name, ts)
                     self._changed.notify_all()
                     break
-                if not self._changed.wait(timeout):
-                    raise TimeoutError(
-                        f"put to {self.name!r} timed out after {timeout}s (full)"
-                    )
+                deadline = self._wait(deadline, timeout, "put to", " (full)")
         self._observe("put", ts, conn.task)
 
     def get(
@@ -146,21 +166,20 @@ class ThreadedChannel:
         timeout: Optional[float] = None,
     ) -> tuple[int, Any]:
         """Retrieve ``(timestamp, value)``, blocking until available."""
+        deadline = None
         with self._changed:
             while True:
                 if self._poisoned:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
                 try:
                     got = self._chan.get(conn, ts)
-                    if self._analysis is not None:
-                        self._analysis.on_read(self._race_loc)
-                        self._analysis.on_get(self.name, got[0])
-                    break
                 except ItemUnavailable:
-                    if not self._changed.wait(timeout):
-                        raise TimeoutError(
-                            f"get from {self.name!r} timed out after {timeout}s"
-                        ) from None
+                    deadline = self._wait(deadline, timeout, "get from")
+                    continue
+                if self._analysis is not None:
+                    self._analysis.on_read(self._race_loc)
+                    self._analysis.on_get(self.name, got[0])
+                break
         self._observe("get", got[0], conn.task)
         return got
 

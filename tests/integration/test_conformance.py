@@ -158,6 +158,16 @@ class TestItemStreams:
         collected = {sub: res.gc_collected for sub, res in results.items()}
         assert len(set(collected.values())) == 1, collected
 
+    def test_one_span_per_kernel_execution_everywhere(self, runs):
+        """Both live substrates run one task body, which records each
+        kernel call as exactly one span — a ``dp2`` placement included."""
+        _, results = runs
+        expected = sorted((task, ts) for task in ("T1", "T2", "T3", "T4", "T5")
+                          for ts in range(N_FRAMES))
+        for sub in LIVE:
+            spans = results[sub].trace.spans
+            assert sorted((s.task, s.timestamp) for s in spans) == expected, sub
+
 
 class TestLatencyInvariants:
     def test_sim_replays_with_zero_slips(self, runs):

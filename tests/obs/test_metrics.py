@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsError,
     MetricsRegistry,
-    Snapshotter,
     parse_prometheus_text,
 )
 
@@ -182,48 +181,3 @@ class TestParsePrometheusText:
     def test_comments_and_blanks_skipped(self):
         assert parse_prometheus_text("# HELP x y\n\n# TYPE x counter\n") == {}
 
-
-class TestSnapshotter:
-    def test_simulated_time_interval(self):
-        reg = MetricsRegistry()
-        c = reg.counter("ticks_total")
-        snap = Snapshotter(reg, interval=1.0)
-        c.inc()
-        assert snap.maybe(0.0) is not None     # first call always snapshots
-        assert snap.maybe(0.5) is None         # too soon
-        c.inc()
-        rec = snap.maybe(1.0)
-        assert rec is not None
-        assert rec["time"] == 1.0
-        assert rec["metrics"]["ticks_total"]["series"][0]["value"] == 2
-        assert len(snap.snapshots) == 2
-
-    def test_jsonl_sink_path(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc()
-        path = tmp_path / "snaps.jsonl"
-        snap = Snapshotter(reg, interval=1.0, sink=str(path))
-        snap.force(1.0)
-        snap.force(2.0)
-        lines = [json.loads(x) for x in path.read_text().splitlines()]
-        assert [r["time"] for r in lines] == [1.0, 2.0]
-
-    def test_keep_bounds_memory(self):
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, interval=1.0, keep=3)
-        for t in range(10):
-            snap.force(float(t))
-        assert [r["time"] for r in snap.snapshots] == [7.0, 8.0, 9.0]
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(MetricsError):
-            Snapshotter(MetricsRegistry(), interval=0.0)
-
-    def test_wall_clock_thread_start_stop(self):
-        reg = MetricsRegistry()
-        snap = Snapshotter(reg, interval=0.01)
-        snap.start()
-        with pytest.raises(MetricsError):
-            snap.start()
-        snap.stop(final=True)
-        assert len(snap.snapshots) >= 1

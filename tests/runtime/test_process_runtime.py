@@ -20,6 +20,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.obs import Observability
 from repro.runtime.process import KernelFault, ProcessFaultPlan, ProcessRuntime
 from repro.runtime.static_exec import StaticExecutor
+from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP
 from repro.state import State
 
@@ -409,6 +410,18 @@ class TestBoundedFailure:
     def test_kernel_raises_while_siblings_block(self, placement, task):
         message = self.failing_run(bounded_chain(raising=task), placement)
         assert "process runtime failed" in message
+
+    @pytest.mark.parametrize("task", ["src", "dbl", "sink"])
+    def test_kernel_raises_while_siblings_block_on_threads(self, task):
+        """The same chain on threads — one node holding every channel, the
+        body a process worker runs — ends in the kernel's own error."""
+        import time
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="kernel bug"):
+            ThreadedRuntime(bounded_chain(raising=task), State(n_models=1),
+                            op_timeout=self.OP_TIMEOUT).run(50)
+        assert time.monotonic() - t0 < self.WELL_INSIDE
 
     @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
                              ids=["one-node", "two-nodes"])

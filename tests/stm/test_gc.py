@@ -1,14 +1,9 @@
-"""Unit tests for STM garbage collection and the registry."""
+"""Unit tests for STM garbage collection."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import DuplicateNameError, STMError, UnknownNameError
-from repro.graph.builders import chain_graph
 from repro.stm.channel import STMChannel
 from repro.stm.gc import GCStats, collect_all, collect_channel
-from repro.stm.registry import STMRegistry
 
 
 class TestCollect:
@@ -105,38 +100,3 @@ class TestCollect:
             chans.append(c)
         assert collect_all(chans) == 3
 
-
-class TestRegistry:
-    def test_create_and_lookup(self):
-        reg = STMRegistry()
-        reg.create("a", capacity=2)
-        assert "a" in reg and reg.channel("a").capacity == 2
-
-    def test_duplicate_rejected(self):
-        reg = STMRegistry()
-        reg.create("a")
-        with pytest.raises(DuplicateNameError):
-            reg.create("a")
-
-    def test_unknown_rejected(self):
-        with pytest.raises(UnknownNameError):
-            STMRegistry().channel("ghost")
-
-    def test_home_nodes(self):
-        reg = STMRegistry(nodes=2)
-        reg.create("a", home_node=1)
-        assert reg.home_node("a") == 1
-        with pytest.raises(STMError):
-            reg.create("b", home_node=5)
-
-    def test_from_graph(self):
-        g = chain_graph([1.0, 1.0, 1.0])
-        reg = STMRegistry.from_graph(g)
-        assert len(reg) == 2 and "c0" in reg and "c1" in reg
-
-    def test_live_accounting(self):
-        reg = STMRegistry()
-        c = reg.create("a")
-        out = c.attach_output("p")
-        c.put(out, 0, "x", size=64)
-        assert reg.live_bytes() == 64 and reg.live_items() == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -70,6 +71,41 @@ class TestBlockingPut:
         chan.put(out, 0, "a")
         with pytest.raises(TimeoutError):
             chan.put(out, 1, "b", timeout=0.05)
+
+
+
+class TestOneDeadline:
+    """An operation's ``timeout`` is one deadline: wake-ups by changes that
+    do not satisfy it (here a connection attached and detached every
+    20 ms) must not restart it."""
+
+    @pytest.mark.parametrize("op", ["get", "put"])
+    def test_unrelated_changes_do_not_extend_the_timeout(self, op):
+        chan = ThreadedChannel("c", capacity=1)
+        out = chan.attach_output("p")
+        inp = chan.attach_input("q")
+        if op == "put":
+            chan.put(out, 0, "a")  # full: the next put blocks
+            blocked = lambda: chan.put(out, 1, "b", timeout=0.2)
+        else:
+            blocked = lambda: chan.get(inp, 10**6, timeout=0.2)
+        waited = []
+
+        def waiter():
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                blocked()
+            waited.append(time.monotonic() - t0)
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        pace = threading.Event()  # never set: wait(dt) is the pacing
+        stop = time.monotonic() + 1.5
+        while t.is_alive() and time.monotonic() < stop:
+            chan.detach(chan.attach_output("noise"))  # notifies every waiter
+            pace.wait(0.02)
+        t.join(timeout=5.0)
+        assert waited and waited[0] < 1.0, waited
 
 
 class TestPoison:
