@@ -52,13 +52,21 @@ Counterexample traces are minimized to their causal core (program order
 plus put-enables-get and consume-releases-put dependencies) and can be
 *validated* against the real threaded runtime by
 :mod:`repro.analysis.replay`.
+
+**One exploration per channel structure.**  Nothing :func:`build_model`
+reads is a cost: a table's states, a recalibrated graph and a warm rebuild
+share one transition system.  :func:`check_model` therefore remembers, per
+process, what exploring a structure proved (verdict, counterexample,
+minimal safe capacities), keyed by exactly what the model is built from,
+and writes every finding afresh from it for the graph it was handed.
 """
 
 from __future__ import annotations
 
+import threading
 import time as _time
 from bisect import bisect_right
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
@@ -84,6 +92,11 @@ DEFAULT_BUDGET = 200_000
 #: default up; nothing in this model needs more iterations than this to
 #: reach its steady state).
 MAX_HORIZON = 64
+
+#: Channel structures whose exploration :func:`check_model` keeps (least
+#: recently used first out).  A table build asks about one; the analyzer's
+#: sweep over every shipped configuration about ten.
+_PROOFS_KEPT = 64
 
 _GET, _PUT, _CONSUME = "get", "put", "consume"
 
@@ -760,22 +773,29 @@ def check_model(
 
     On ``M004`` (budget exceeded) nothing is proved: no downgrades, and
     the finding says exactly how far exploration got.
+
+    The exploration — :func:`build_model`, :meth:`StmModel.explore` and
+    one :func:`minimal_capacity` scan per bounded channel — runs once per
+    process for each channel structure: every task's name, inputs and
+    outputs, every channel's name, ``static`` flag and capacity, and the
+    ``decls`` / ``capacities`` / ``horizon`` / ``budget`` of the call.
+    A repeated call (every build of one graph, a graph whose costs were
+    recalibrated) reads that verdict back; the last 64 structures are
+    kept, as verdict data only, never a graph.  Everything else is
+    this call's: locations carry this graph's name, M003's in-flight notes
+    come from this call's solutions, the downgrades apply to this
+    ``report``, and each finding has the text a fresh exploration writes.
     """
     report = report if report is not None else AnalysisReport()
+    decls = tuple(decls)  # read by the exploration, the scans and the key
     loc = f"graph:{graph.name}"
     sols = list(solutions) if solutions is not None else []
     if solution is not None:
         sols.insert(0, solution)
-    try:
-        model = build_model(
-            graph, capacities=capacities, decls=decls, horizon=horizon
-        )
-    except Exception:
-        return report  # structural defects are pass-1 findings
-    if not model.channels:
-        return report
-    decls = tuple(decls)
-    result = model.explore(budget=budget)
+    proof = _prove(graph, decls, capacities, horizon, budget)
+    if proof is None:
+        return report  # unbuildable (pass-1 findings) or nothing streams
+    result = proof.result
 
     if result.verdict == "budget":
         report.add(
@@ -823,19 +843,7 @@ def check_model(
         for sol in sols:
             for name, w in _in_flight_for(graph, sol, report).items():
                 in_flight[name] = max(in_flight.get(name, 0), w)
-    min_caps: dict[str, Optional[int]] = {}
-    for name, ch in sorted(model.channels.items()):
-        if ch.capacity is None:
-            continue
-        min_cap = minimal_capacity(
-            graph,
-            name,
-            capacities=capacities,
-            decls=decls,
-            horizon=horizon,
-            budget=budget,
-        )
-        min_caps[name] = min_cap
+    for name, (capacity, min_cap) in proof.bounded.items():
         cloc = f"{loc}/channel:{name}"
         slip = in_flight.get(name)
         slip_note = (
@@ -847,49 +855,107 @@ def check_model(
             report.add(
                 "M003",
                 cloc,
-                f"no capacity up to horizon {model.horizon} makes "
+                f"no capacity up to horizon {result.horizon} makes "
                 f"{name!r} safe — the wedge is not capacity-induced"
                 + slip_note,
                 severity=Severity.ERROR,
             )
-        elif ch.capacity < min_cap:
+        elif capacity < min_cap:
             report.add(
                 "M003",
                 cloc,
-                f"declared capacity {ch.capacity} is below the minimal safe "
+                f"declared capacity {capacity} is below the minimal safe "
                 f"capacity {min_cap}; the model finds a reachable wedge"
                 + slip_note,
                 severity=Severity.ERROR,
             )
-        elif ch.capacity > max(min_cap, slip or 0):
+        elif capacity > max(min_cap, slip or 0):
             report.add(
                 "M003",
                 cloc,
-                f"declared capacity {ch.capacity} exceeds the minimal safe "
+                f"declared capacity {capacity} exceeds the minimal safe "
                 f"capacity {min_cap} (over-provisioned)" + slip_note,
             )
         else:
             report.add(
                 "M003",
                 cloc,
-                f"declared capacity {ch.capacity} is certified: minimal safe "
+                f"declared capacity {capacity} is certified: minimal safe "
                 f"capacity is {min_cap}" + slip_note,
             )
 
     if result.ok:
-        _reconcile(report, loc, model, result, min_caps)
+        _reconcile(report, loc, proof)
     return report
 
 
-def _reconcile(
-    report: AnalysisReport,
-    loc: str,
-    model: StmModel,
-    result: ModelResult,
-    min_caps: dict[str, Optional[int]],
-) -> None:
+@dataclass(frozen=True)
+class _Proof:
+    """What exploring one channel structure established — names, no graph.
+
+    ``bounded`` maps each bounded channel, by name, to its capacity in the
+    model and the least capacity proving it safe (``None``: none does).
+    """
+
+    result: ModelResult
+    bounded: dict[str, tuple[int, Optional[int]]]
+
+
+_proofs: OrderedDict[tuple, Optional[_Proof]] = OrderedDict()
+_proofs_lock = threading.Lock()
+
+
+def _prove(
+    graph: TaskGraph,
+    decls: tuple[ChannelDecl, ...],
+    capacities: Optional[dict[str, Optional[int]]],
+    horizon: Optional[int],
+    budget: int,
+) -> Optional[_Proof]:
+    """The exploration of ``graph``'s channel structure, run once per process.
+
+    ``None`` when nothing streams, or when the model cannot be built — a
+    structural defect is pass 1's to report, and a failure is never kept.
+    """
+    key = (
+        tuple((t.name, t.inputs, t.outputs) for t in graph.tasks),
+        tuple((ch.name, ch.static, ch.capacity) for ch in graph.channels),
+        decls,
+        tuple(sorted((capacities or {}).items())),
+        horizon,
+        budget,
+    )
+    with _proofs_lock:
+        if key in _proofs:
+            _proofs.move_to_end(key)
+            return _proofs[key]
+    try:
+        model = build_model(graph, capacities=capacities, decls=decls, horizon=horizon)
+    except Exception:
+        return None
+    proof = None
+    if model.channels:
+        result = model.explore(budget=budget)
+        bounded: dict[str, tuple[int, Optional[int]]] = {}
+        if result.verdict != "budget":
+            for name, ch in sorted(model.channels.items()):
+                if ch.capacity is not None:
+                    bounded[name] = (ch.capacity, minimal_capacity(
+                        graph, name, capacities=capacities, decls=decls,
+                        horizon=horizon, budget=budget,
+                    ))
+        proof = _Proof(result, bounded)
+    with _proofs_lock:
+        _proofs[key] = proof
+        if len(_proofs) > _PROOFS_KEPT:
+            _proofs.popitem(last=False)
+    return proof
+
+
+def _reconcile(report: AnalysisReport, loc: str, proof: _Proof) -> None:
     """Downgrade P001/P002 heuristics the exploration just proved safe."""
-    proof = (
+    result = proof.result
+    note = (
         f"[M: model-checked deadlock-free — {result.states} states, "
         f"horizon {result.horizon}]"
     )
@@ -902,20 +968,19 @@ def _reconcile(
             report.findings[i] = replace(
                 f,
                 severity=Severity.INFO,
-                message=f"{f.message} {proof}",
+                message=f"{f.message} {note}",
             )
         elif f.rule == "P002":
             name = f.location.rsplit("channel:", 1)[-1]
-            ch = model.channels.get(name)
-            min_cap = min_caps.get(name)
-            if ch is None or ch.capacity is None or min_cap is None:
+            capacity, min_cap = proof.bounded.get(name, (None, None))
+            if min_cap is None:
                 continue
-            if ch.capacity >= min_cap:
+            if capacity >= min_cap:
                 report.findings[i] = replace(
                     f,
                     severity=Severity.INFO,
                     message=(
-                        f"{f.message} [M003: capacity {ch.capacity} >= minimal "
+                        f"{f.message} [M003: capacity {capacity} >= minimal "
                         f"safe {min_cap} — worst case is back-pressure slip, "
                         "not deadlock]"
                     ),

@@ -29,7 +29,7 @@ from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
 from repro.state import State, StateSpace
 
-__all__ = ["recost_schedule", "neighbor_states", "warm_start_from"]
+__all__ = ["recost_schedule", "neighbor_states", "tighter_recost", "warm_start_from"]
 
 
 def recost_schedule(
@@ -101,6 +101,28 @@ def neighbor_states(space: StateSpace, state: State) -> list[State]:
     return out
 
 
+def tighter_recost(
+    request: SolveRequest,
+    neighbor: IterationSchedule,
+) -> Optional[IterationSchedule]:
+    """``neighbor`` re-costed under ``request``'s snapshot, if it bounds tighter.
+
+    ``None`` when the replay is not legal under the request's state, or
+    when the request already holds a bound at least as tight.  Both ways a
+    neighbor reaches a search use it: :func:`warm_start_from` at once, and
+    :func:`~repro.core.parallel.incumbent_of` for a request that carries
+    the schedule un-priced (``request.neighbor``), on a cache miss only.
+    """
+    warm = recost_schedule(
+        neighbor, request.problem, request.cluster, request.comm
+    )
+    if warm is None:
+        return None
+    if request.incumbent is not None and warm.latency >= request.incumbent:
+        return None
+    return warm
+
+
 def warm_start_from(
     request: SolveRequest,
     neighbor: IterationSchedule,
@@ -113,16 +135,15 @@ def warm_start_from(
     and for approximate requests the better of the two schedules is the
     fallback, so an ε-prune-everything outcome serves the tighter one.
     A neighbor no better than HEFT therefore never becomes the bound.
+    The re-cost runs here, before any cache fetch; a caller that may hit
+    the cache sets ``request.neighbor`` instead, and the re-cost happens
+    only on a miss.
 
     Returns True when the re-costed schedule was attached: the replay was
     legal under the new state and beat any bound the request already held.
     """
-    warm = recost_schedule(
-        neighbor, request.problem, request.cluster, request.comm
-    )
+    warm = tighter_recost(request, neighbor)
     if warm is None:
-        return False
-    if request.incumbent is not None and warm.latency >= request.incumbent:
         return False
     request.incumbent = warm.latency
     request.fallback = warm

@@ -17,7 +17,8 @@ modification; a miss that used to raise ``ScheduleLookupError`` becomes
 a solve.  What it adds to the base class is when entries appear and the
 lock that makes that safe: ``lookup`` and the read surface are overridden
 to take it.  Misses warm-start from the nearest already-solved state's
-re-costed schedule (:mod:`repro.approx.incremental`).
+re-costed schedule (:mod:`repro.approx.incremental`); the re-cost runs on
+a cache miss only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Iterator, Optional, Union
 
-from repro.approx.incremental import neighbor_states, warm_start_from
+from repro.approx.incremental import neighbor_states
 from repro.approx.policy import SolvePolicy, resolve_policy
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import solve_many
@@ -144,9 +145,9 @@ class LazyScheduleTable(ScheduleTable):
         request = self.policy.request(self.scheduler, self.graph, state)
         warmed = self._nearest_solved(state)
         if warmed is not None:
-            # An accelerator only: the incumbent is not part of the
-            # request's cache digest, so a hit is still a hit.
-            warm_start_from(request, warmed.iteration)
+            # An accelerator only, and not part of the cache digest:
+            # ``incumbent_of`` re-costs it on a miss, a hit never does.
+            request.neighbor = warmed.iteration
         (solution,) = solve_many([request], workers=1, cache=self.cache)
         self._observe_solve(solution)
         return solution

@@ -99,10 +99,12 @@ class SolveRequest:
     ladder ships to a worker as one request.
 
     ``incumbent`` / ``fallback`` are an upper bound the caller already
-    holds and the legal schedule that attains it (the lazy table's
-    re-costed neighbor, :func:`repro.approx.incremental.warm_start_from`);
-    :func:`make_request` leaves both unset.  The bound a miss searches
-    under is :func:`incumbent_of`'s: HEFT's, tightened by this one.
+    holds and the legal schedule that attains it (a re-costed neighbor,
+    :func:`repro.approx.incremental.warm_start_from`); ``neighbor`` is a
+    schedule of a nearby state not yet re-costed under this one (the lazy
+    table's), which :func:`incumbent_of` prices on a miss only.
+    :func:`make_request` leaves all three unset.  The bound a miss
+    searches under is :func:`incumbent_of`'s: HEFT's, tightened by these.
 
     ``tag`` is an opaque caller label (a state, a shape key, a trial
     index) carried through untouched; ``solve_many`` never looks at it.
@@ -123,6 +125,7 @@ class SolveRequest:
     fallback: Optional[IterationSchedule] = None
     dp_cap: Optional[int] = None
     tag: Any = field(default=None, compare=False)
+    neighbor: Optional[IterationSchedule] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("solve", "enumerate", "list"):
@@ -186,13 +189,17 @@ def incumbent_of(
     exclusivity, precedence with communication) before its latency bounds
     anything.  A heuristic that cannot produce a legal schedule yields
     ``(None, None)`` and the search simply starts cold.  A bound the
-    caller supplied (``request.incumbent``) replaces HEFT's when it is
-    strictly tighter, and its schedule then replaces HEFT's as the
+    caller supplied (``request.incumbent``, or ``request.neighbor``
+    re-costed here under the snapshot by
+    :func:`~repro.approx.incremental.tighter_recost`) replaces HEFT's when
+    it is strictly tighter, and its schedule then replaces HEFT's as the
     fallback.  The fallback is kept for approximate requests only
     (``mode="list"``, ``bound_inflation`` > 0, ``ladder`` stages) — the
     rungs that may serve it.
     """
-    from repro.sched.listsched import heft_schedule  # deferred: avoids import cycle
+    # Deferred: avoids import cycles (repro.approx imports this module).
+    from repro.approx.incremental import tighter_recost
+    from repro.sched.listsched import heft_schedule
 
     heft: Optional[IterationSchedule] = None
     if request.problem.order_names:
@@ -207,11 +214,15 @@ def incumbent_of(
             heft = None
     bound = heft.latency if heft is not None else None
     fallback = heft
-    supplied = request.incumbent
+    supplied, schedule = request.incumbent, request.fallback
+    if request.neighbor is not None:
+        warm = tighter_recost(request, request.neighbor)
+        if warm is not None:
+            supplied, schedule = warm.latency, warm
     if supplied is not None and (bound is None or supplied < bound):
         bound = supplied
-        if heft is not None and request.fallback is not None:
-            fallback = request.fallback
+        if heft is not None and schedule is not None:
+            fallback = schedule
     approximate = (
         request.bound_inflation > 0.0 or bool(request.ladder) or request.mode == "list"
     )

@@ -154,6 +154,21 @@ class TestCheckModel:
         assert "no deadlock-freedom claim" in m4.message
         assert "M003" not in rules(report)
 
+    @pytest.mark.parametrize("once", [list, iter], ids=["list", "iterator"])
+    def test_one_shot_decls_reach_the_capacity_scan(self, once):
+        # The window-3 sink wedges a capacity-2 channel; the M003 scan must
+        # see the declaration too, or it certifies capacity 1 beside M001.
+        from repro.analysis import model as model_mod
+
+        model_mod._proofs.clear()  # explore afresh, whatever ran before
+        report = check_model(
+            _bounded_chain(2), decls=once([ChannelDecl("B", "c", window=3)])
+        )
+        assert "M001" in rules(report)
+        (m3,) = by_rule(report, "M003")
+        assert m3.severity is Severity.ERROR
+        assert "below the minimal safe capacity 3" in m3.message
+
     def test_unbounded_graph_is_silent(self):
         g = TaskGraph("unbounded")
         g.add_channel(ChannelSpec("c"))

@@ -17,15 +17,19 @@ import pytest
 
 import repro.analysis.schedverify as schedverify_mod
 import repro.analysis.stmcheck as stmcheck_mod
+import repro.approx.incremental as incremental_mod
 import repro.core.parallel as parallel_mod
 import repro.sched.listsched as listsched_mod
+from repro.analysis.model import StmModel
 from repro.approx.lazy import LazyScheduleTable
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.cache import ScheduleCache
 from repro.core.enumerate import SearchProblem
 from repro.core.optimal import OptimalScheduler
+from repro.core.serialize import solution_to_dict
 from repro.core.table import ScheduleTable
 from repro.graph.taskgraph import TaskGraph
+from repro.obs.calibrate import ScaledCost, graph_with_costs
 from repro.sim.cluster import ClusterSpec
 from repro.state import StateSpace
 
@@ -99,6 +103,55 @@ def test_a_warm_verified_build_reads_each_states_costs_once(tmp_path, monkeypatc
     assert all(sol.certificate is not None for sol in warm.solutions())
     assert snapshots.call_count == n
     assert in_flight.call_count == n
+
+
+def test_a_warm_verified_build_explores_no_model(tmp_path, monkeypatch):
+    """The STM proof is one per channel structure, not one per build.
+
+    Costs are not part of the transition system, so a recalibrated graph
+    (a cold build: every state misses the cache) is proved already too.
+    """
+    graph = build_tracker_graph()
+    cache = ScheduleCache(tmp_path)
+    ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
+                        cache=cache, verify=True)
+    explored = []
+    real = StmModel.explore
+
+    def counted(self, *args, **kwargs):
+        explored.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StmModel, "explore", counted)
+    ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
+                        cache=cache, verify=True)
+    assert cache.stats.hits == len(TRACKER_STATES)
+    slower = graph_with_costs(graph, {t.name: ScaledCost(t.cost, 1.5) for t in graph})
+    ScheduleTable.build(slower, StateSpace.range("n_models", 1, 2),
+                        OptimalScheduler(CLUSTER), verify=True)
+    assert explored == []
+
+
+def test_a_lazy_hit_beside_a_solved_neighbor_recosts_nothing(tmp_path, monkeypatch):
+    """The neighbor's schedule is re-costed on a miss only (``incumbent_of``)."""
+    graph, n = build_tracker_graph(), len(TRACKER_STATES)
+    cache = ScheduleCache(tmp_path)
+    ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER), cache=cache)
+    recost = Mock(wraps=incremental_mod.recost_schedule)
+    monkeypatch.setattr(incremental_mod, "recost_schedule", recost)
+
+    lazy = LazyScheduleTable(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
+                             cache=cache)
+    lazy.lookup(TRACKER_STATES[0])
+    lazy.lookup(TRACKER_STATES[1])  # TRACKER_STATES[0] is its solved neighbor
+    assert recost.call_count == 0
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (2, n, n)
+
+    cold = LazyScheduleTable(graph, TRACKER_STATES, OptimalScheduler(CLUSTER))
+    cold.lookup(TRACKER_STATES[0])
+    warmed = cold.lookup(TRACKER_STATES[1])  # a miss still warm-starts
+    assert recost.call_count == 1
+    assert solution_to_dict(warmed) == solution_to_dict(lazy.lookup(TRACKER_STATES[1]))
 
 
 class _CountedTasks(dict):
