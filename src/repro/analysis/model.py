@@ -24,6 +24,9 @@ The model mirrors :class:`~repro.runtime.threaded.ThreadedRuntime`
 exactly: every task is an agent performing, per timestamp, its stream
 *gets* (input order), its *puts* (output order), then its *consumes*;
 every terminal channel gets a collector agent that gets-then-consumes.
+That agent mirrors one runtime body too: on both live substrates a
+collector is a sink task, run by the same node body as every task
+(:class:`~repro.runtime.live.LiveNode`).
 :class:`ChannelDecl` generalizes the access pattern — a consumer may hold
 a *window* of items before consuming the oldest, and either side may
 touch only a strided subset of timestamps — which is how real deadlocks

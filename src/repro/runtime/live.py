@@ -9,16 +9,20 @@ written once.  The step runs a task's *local* channel ends inline
 (:class:`~repro.stm.threaded.ThreadedChannel`: the channel lives in the
 task's own process) and ships its *boundary* ends — the channels some
 other process shares — as one batch (:class:`~repro.stm.process.
-StepBatch`, one broker round trip), committed only when it holds
-something.
+StepBatch`, one step of the broker's one op), committed only when it
+holds something.
 
 :class:`LiveNode` is one process's share of a live run: its channels,
 its tasks as threads through the one task body, and the
-:class:`NodeReport` it returns after joining them.  A
-:class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
-every channel local; a :class:`~repro.runtime.process.ProcessRuntime`
-worker is one node whose boundary ends reach the parent's broker, so a
-frame crosses the broker only where its data crosses a node boundary.
+:class:`NodeReport` it returns after joining them.  A collector — the
+reader that drains a terminal channel into the run's outputs — is a sink
+task: the same body, whose kernel keeps each value and when it arrived.
+A :class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
+every channel local that collects itself; a
+:class:`~repro.runtime.process.ProcessRuntime` worker is one node whose
+boundary ends reach the parent's broker, so a frame crosses the broker
+only where its data crosses a node boundary, and the parent runs one
+more node, with no tasks, whose collectors reach the broker in-process.
 :func:`merge_reports` turns node reports into the run's
 :class:`LiveResult` on both.
 
@@ -46,7 +50,7 @@ from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan
 from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
 from repro.state import State
-from repro.stm.process import ProcessChannel, StepBatch, WorkerLink
+from repro.stm.process import StepBatch
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -70,6 +74,9 @@ __all__ = [
 
 #: ``(timestamp, kernel result)`` of the frame a step hands over.
 Done = Optional[tuple[int, dict]]
+
+#: The task name a collector attaches under, on every substrate.
+COLLECTOR = "-collector-"
 
 
 @dataclass
@@ -132,8 +139,8 @@ def check_timestamps(timestamps: int) -> None:
 def terminal_channels(graph: TaskGraph) -> list[str]:
     """Streaming channels some task produces and none consumes.
 
-    The runtime drains these itself (one collector each) and returns
-    their items as the run's outputs.
+    The runtime drains these itself (one collector, a sink task, each)
+    and returns their items as the run's outputs.
     """
     return [
         spec.name
@@ -197,8 +204,10 @@ class FrameStamps:
     """Digitize stamps taken by one process's source tasks.
 
     ``times[ts]`` is when frame ``ts`` was emitted, in seconds since
-    ``t0``: after *all* of a source's puts for the frame, and the latest
-    one when a graph has several sources.
+    ``t0``: when the last of a source's puts for the frame landed, and the
+    latest one when a graph has several sources.  A landing, not the
+    moment the source got round to stamping, so every completion is at or
+    after its frame's digitize stamp by causality.
     """
 
     def __init__(self, t0: float = 0.0) -> None:
@@ -206,11 +215,13 @@ class FrameStamps:
         self.times: dict[int, float] = {}
         self._lock = threading.Lock()
 
-    def stamp(self, ts: int) -> None:
-        now = _time.perf_counter() - self.t0
+    def stamp(self, ts: int, landed: float) -> None:
+        """Frame ``ts``'s last put landed at ``landed`` (a
+        ``time.perf_counter()`` reading)."""
+        at = landed - self.t0
         with self._lock:
-            if now > self.times.get(ts, 0.0):
-                self.times[ts] = now
+            if at > self.times.get(ts, 0.0):
+                self.times[ts] = at
 
 
 def make_exchange(
@@ -225,27 +236,30 @@ def make_exchange(
     """The step of one task, as :func:`run_frames` calls it.
 
     For the frame handed over and the frame fetched: puts, consumes, then
-    gets — local ends inline, boundary ends queued on one ``new_batch()``
-    that is committed after the local consumes and before the local gets
-    (an empty batch costs no round trip; a task with no boundary end
-    never builds one).  A source's digitize stamp follows the commit, so
-    it is taken after *all* of its puts on either side.  Every put of a
-    frame precedes every consume of it, as on threads, and the broker
-    applies a batch's consumes on arrival even while its puts or gets
-    park — so bounded channels cannot deadlock on the deferral in either
-    half.
+    gets — local ends inline, boundary ends queued on the batch
+    ``new_batch()`` returns, committed after the local consumes and before
+    the local gets (an empty batch costs no round trip; a task with no
+    boundary end never asks for one).  A source stamps the frame with
+    when its last put landed: the batch's at the broker (``batch.landed``;
+    a batch that reports none leaves the local one) when it has boundary
+    outputs, else its last local one.  Every put of a frame
+    precedes every consume of it, as on threads, and the broker applies a
+    batch's consumes on arrival even while its puts or gets park — so
+    bounded channels cannot deadlock on the deferral in either half.
 
     ``statics`` is merged under every frame's streaming inputs.
     """
     fetched = [name for name, _, _ in boundary.ins]
     crosses = bool(boundary.outs or boundary.ins)
+    stamped = plan.is_source and bool(plan.outputs)
 
     def exchange(done: Done, ts: Optional[int]) -> Optional[dict]:
         batch = new_batch() if crosses else None
+        landed = None
         if done is not None:
             done_ts, result = done
             for name, channel, conn in local.outs:
-                channel.put(conn, done_ts, result[name], timeout=op_timeout)
+                landed = channel.put(conn, done_ts, result[name], timeout=op_timeout)
             for name, channel, conn in boundary.outs:
                 batch.put(channel, conn, done_ts, result[name])
             for _, channel, conn in local.ins:
@@ -256,8 +270,10 @@ def make_exchange(
             for _, channel, conn in boundary.ins:
                 batch.get(channel, conn, ts)
         values = batch.commit(timeout=op_timeout) if crosses else []
-        if done is not None and plan.is_source:
-            stamps.stamp(done_ts)
+        if done is not None and stamped:
+            if boundary.outs:
+                landed = getattr(batch, "landed", landed)
+            stamps.stamp(done_ts, landed)
         if ts is None:
             return None
         inputs = dict(statics)
@@ -316,17 +332,21 @@ def run_frames(
 
 @dataclass
 class NodeReport:
-    """One node's share of a live run, as :meth:`LiveNode.run` returns it
+    """One node's share of a live run, as :meth:`LiveNode.join` returns it
     (and a process worker ships it to the parent in its ``done`` message):
-    what the run can read off no broker."""
+    its channels' counters, its sources' stamps, its kernel spans and item
+    events, and what its collectors drained (``outputs`` / ``arrivals``,
+    by terminal channel).  The process broker's counters are one more."""
 
     channel_stats: dict[str, dict[str, int]]
     gc_collected: int
     live_item_high_water: int
-    digitize_times: dict[int, float]
-    spans: list[ExecSpan]
-    items: list[ItemEvent]
+    digitize_times: dict[int, float] = field(default_factory=dict)
+    spans: list[ExecSpan] = field(default_factory=list)
+    items: list[ItemEvent] = field(default_factory=list)
     kernel_retries: int = 0
+    outputs: dict[str, dict[int, Any]] = field(default_factory=dict)
+    arrivals: dict[str, dict[int, float]] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -339,19 +359,24 @@ class LiveNode:
     reference-count GC considers only attached input connections, so a
     consumer that attached late could find its items already collected.
     A task's channel that is not the node's is a *boundary* channel, at the
-    broker behind :meth:`run`'s ``link``, reached through the broker
+    broker behind :meth:`start`'s ``link``, reached through the broker
     connection ids in ``remote`` (``{task: {channel: conn id}}``).
 
-    Each task thread reads its static inputs, builds its local and
-    boundary :class:`ChannelEnds`, and runs :func:`make_exchange` and
+    ``collect`` names the terminal channels the node drains: one collector
+    each, a sink task attached as ``-collector-`` (its boundary conn ids
+    under that name in ``remote``) whose kernel keeps each value and when
+    it arrived, on the run's clock, and records no span.
+
+    Each thread reads its static inputs, builds its local and boundary
+    :class:`ChannelEnds`, and runs :func:`make_exchange` and
     :func:`run_frames` from ``resume`` (``{task: first timestamp}``; a node
     that resumes is a respawned worker, whose boundary puts replay
-    idempotently), recording one :class:`~repro.sim.trace.ExecSpan` per
-    kernel call into :attr:`trace` on the run's clock: seconds since ``t0``
-    (the start of :meth:`run` when ``None``).  ``where`` is ``{task:
-    (proc, variant)}`` for those spans; without it ``proc`` is the task's
-    row, filed under the ``"nominal"`` node class.  ``observe`` records
-    the node's channel operations too.  ``analysis`` threads a
+    idempotently), a task recording one :class:`~repro.sim.trace.ExecSpan`
+    per kernel call into :attr:`trace` on the run's clock: seconds since
+    ``t0`` (the moment of :meth:`start` when ``None``).  ``where`` is
+    ``{task: (proc, variant)}`` for those spans; without it ``proc`` is the
+    task's row, filed under the ``"nominal"`` node class.  ``observe``
+    records the node's channel operations too.  ``analysis`` threads a
     :class:`~repro.analysis.race.RaceChecker` through: tracked channel
     locks, and fork/adopt edges at thread start and join.
 
@@ -367,6 +392,7 @@ class LiveNode:
     timestamps: int
     op_timeout: float
     remote: dict[str, dict[str, int]] = field(default_factory=dict)
+    collect: tuple[str, ...] = ()
     resume: Optional[dict[str, int]] = None
     where: Optional[dict[str, tuple[int, str]]] = None
     t0: Optional[float] = None
@@ -388,33 +414,44 @@ class LiveNode:
             }
             for t in self.tasks
         }
+        self.conns[COLLECTOR] = {ch: self.channels[ch].attach_input(COLLECTOR)
+                                 for ch in self.collect if ch in self.channels}
         self.trace = TraceRecorder()
         self.stamps = FrameStamps()
         self.kernel_retries = 0
         self.errors: list[BaseException] = []
         self._lock = threading.Lock()
-        self._link: Optional[WorkerLink] = None
+        self._link = None
+        self._threads: list[threading.Thread] = []
+        self._end_tokens: list = []
+        self._outputs: dict[str, dict[int, Any]] = {ch: {} for ch in self.collect}
+        self._arrivals: dict[str, dict[int, float]] = {ch: {} for ch in self.collect}
 
     def run(
         self,
-        link: Optional[WorkerLink] = None,
+        link=None,
         invoke: Optional[Callable[[Task, dict, int], dict]] = None,
-        extra: tuple = (),
     ) -> NodeReport:
-        """Run every task to the last frame; returns the node's report.
+        """:meth:`start` then :meth:`join`."""
+        self.start(link, invoke)
+        return self.join()
 
-        ``invoke(task, inputs, ts)`` executes one kernel call (default:
-        ``task.compute(state, inputs)``).  ``extra`` holds ``(thread name,
-        body, *args)`` entries run beside the tasks under the same guard
-        (the threaded runtime's collectors).  Raises the first error a
-        thread raised, or :class:`~repro.errors.ReproError` when threads
-        outlive ``op_timeout`` per frame.
+    def start(
+        self,
+        link=None,
+        invoke: Optional[Callable[[Task, dict, int], dict]] = None,
+    ) -> None:
+        """Start every task and collector thread.
+
+        ``link`` reaches the broker (a :class:`~repro.stm.process.
+        WorkerLink` or :class:`~repro.stm.process.LocalLink`; none when
+        every channel is the node's).  ``invoke(task, inputs, ts)`` executes
+        one kernel call (default: ``task.compute(state, inputs)``).
         """
         self._link = link
         invoke = invoke or (
             lambda task, inputs, ts: task.compute(self.state, inputs))
         checker = self.analysis
-        end_tokens: list = []
 
         def spawn(name: str, body, *args) -> threading.Thread:
             # Fork/join happens-before edges for the race checker: setup
@@ -429,17 +466,18 @@ class LiveNode:
                     body(*args)
                 except ChannelPoisoned:
                     self._leave()
-                except BaseException as exc:  # noqa: BLE001 - re-raised by run
+                except BaseException as exc:  # noqa: BLE001 - re-raised by join
                     self._leave(exc)
                 if checker is not None:
                     with self._lock:
-                        end_tokens.append(checker.fork())
+                        self._end_tokens.append(checker.fork())
 
             return threading.Thread(target=guarded, name=name, daemon=True)
 
-        threads = [spawn(f"task:{t.name}", self._task_body, t, invoke)
-                   for t in self.tasks]
-        threads += [spawn(*entry) for entry in extra]
+        self._threads = [spawn(f"task:{t.name}", self._task_body, t, invoke)
+                         for t in self.tasks]
+        self._threads += [spawn(f"collect:{ch}", self._collect_body, ch)
+                          for ch in self.collect]
         t0 = self.stamps.t0 = (
             _time.perf_counter() if self.t0 is None else self.t0
         )
@@ -447,19 +485,27 @@ class LiveNode:
             # after any static fill: configuration is not a frame's traffic
             for ch in self.channels.values():
                 ch.record_into(self.trace, t0)
-        for th in threads:
+        for th in self._threads:
             th.start()
-        for th in threads:
+
+    def join(self) -> NodeReport:
+        """Wait for every thread; returns the node's report.
+
+        Raises the first error a thread raised, or
+        :class:`~repro.errors.ReproError` when threads outlive
+        ``op_timeout`` per frame.
+        """
+        for th in self._threads:
             th.join(timeout=self.op_timeout * (self.timestamps + 2))
-        alive = [th.name for th in threads if th.is_alive()]
+        alive = [th.name for th in self._threads if th.is_alive()]
         if alive:
             for ch in self.channels.values():
                 ch.poison()
             raise ReproError(f"threads did not finish: {alive}")
         if self.errors:
             raise self.errors[0]
-        for token in end_tokens:
-            checker.adopt(token)
+        for token in self._end_tokens:
+            self.analysis.adopt(token)
         channels = self.channels.values()
         return NodeReport(
             channel_stats={name: ch.stats for name, ch in self.channels.items()},
@@ -470,6 +516,8 @@ class LiveNode:
             spans=self.trace.spans,
             items=self.trace.items,
             kernel_retries=self.kernel_retries,
+            outputs=self._outputs,
+            arrivals=self._arrivals,
         )
 
     def _leave(self, error: Optional[BaseException] = None) -> None:
@@ -487,26 +535,6 @@ class LiveNode:
     def _task_body(self, task: Task,
                    invoke: Callable[[Task, dict, int], dict]) -> None:
         plan = self.plans[task.name]
-        local, timeout = self.channels, self.op_timeout
-        conns, remote = self.conns[task.name], self.remote.get(task.name, {})
-        replay = self.resume is not None
-        proxies = {ch: ProcessChannel(ch, self._link, replay=replay)
-                   for ch in task.inputs + task.outputs if ch not in local}
-        new_batch = lambda: StepBatch(self._link, replay=replay)
-        # Static inputs: local ones read inline, the broker's in one round
-        # trip for all of them (none for a task that reads none).
-        statics = {ch: local[ch].get(conns[ch], 0, timeout=timeout)[1]
-                   for ch in plan.static_inputs if ch in local}
-        far = [ch for ch in plan.static_inputs if ch not in local]
-        if far:
-            batch = new_batch()
-            for ch in far:
-                batch.get(proxies[ch], remote[ch], 0)
-            statics.update(zip(far, (v for _, v in batch.commit(timeout=timeout))))
-        exchange = make_exchange(
-            plan, ChannelEnds.of(plan, local, conns, conns), statics, timeout,
-            self.stamps, ChannelEnds.of(plan, proxies, remote, remote), new_batch,
-        )
         if self.where is None:
             proc, variant, node_class = plan.index, "serial", "nominal"
         else:
@@ -522,40 +550,72 @@ class LiveNode:
             return result
 
         has_kernel = task.compute is not None or task.compute_chunk is not None
-        run_frames(plan, exchange, run_kernel if has_kernel else None,
-                   (self.resume or {}).get(task.name, 0), self.timestamps)
-        for ch in proxies.values():
-            ch.close()
+        self._run(plan, run_kernel if has_kernel else None)
+
+    def _collect_body(self, channel: str) -> None:
+        values, arrivals = self._outputs[channel], self._arrivals[channel]
+        t0 = self.stamps.t0
+
+        def keep(inputs: dict, ts: int) -> dict:
+            values[ts] = inputs[channel]
+            arrivals[ts] = _time.perf_counter() - t0
+            return {}
+
+        self._run(TaskPlan(COLLECTOR, (), (channel,), (), -1, False), keep)
+
+    def _run(self, plan: TaskPlan, kernel) -> None:
+        """One thread's frames: static reads, then :func:`run_frames` over
+        :func:`make_exchange`, the boundary ends on one
+        :class:`~repro.stm.process.StepBatch`."""
+        local, timeout = self.channels, self.op_timeout
+        conns, remote = self.conns[plan.name], self.remote.get(plan.name, {})
+        batch = StepBatch(self._link, replay=self.resume is not None) if remote else None
+        # Static inputs: local ones read inline, the broker's in one step
+        # for all of them (none for a task that reads none).
+        statics = {ch: local[ch].get(conns[ch], 0, timeout=timeout)[1]
+                   for ch in plan.static_inputs if ch in local}
+        far = [ch for ch in plan.static_inputs if ch not in local]
+        if far:
+            for ch in far:
+                batch.get(ch, remote[ch], 0)
+            statics.update(zip(far, (v for _, v in batch.commit(timeout=timeout))))
+        exchange = make_exchange(
+            plan, ChannelEnds.of(plan, local, conns, conns), statics, timeout,
+            self.stamps, ChannelEnds.of(plan, dict(zip(remote, remote)), remote, remote),
+            lambda: batch,
+        )
+        run_frames(plan, exchange, kernel,
+                   (self.resume or {}).get(plan.name, 0), self.timestamps)
+        if batch is not None:
+            batch.close()
 
 
 def merge_reports(
     reports,
     trace: TraceRecorder,
-    outputs: dict[str, dict[int, Any]],
-    arrivals: dict[str, dict[int, float]],
     wall_time: float,
     obs=None,
     *,
-    channel_stats: Optional[dict[str, dict[str, int]]] = None,
-    gc: tuple[int, int] = (0, 0),
     respawns: int = 0,
     meta: Optional[dict] = None,
 ) -> LiveResult:
     """The run's :class:`LiveResult` from its nodes' reports.
 
-    ``channel_stats`` and ``gc`` (items collected, live-item high water)
-    are what the run counted outside its nodes (the broker's channels);
-    the nodes' counters, stamps (latest source wins) and retries are added
-    to them, their item events and their spans (by start) recorded into
-    ``trace``, and every completed frame reported to ``obs``.
+    Counters, collected outputs and arrivals are unioned and summed,
+    stamps merged (latest source wins), the item events and the spans (by
+    start) recorded into ``trace``, and every completed frame reported to
+    ``obs``.
     """
-    stats = dict(channel_stats or {})
-    collected, high_water = gc
-    retries = 0
+    stats: dict[str, dict[str, int]] = {}
+    outputs: dict[str, dict[int, Any]] = {}
+    arrivals: dict[str, dict[int, float]] = {}
+    collected = high_water = retries = 0
     digitize: dict[int, float] = {}
     spans: list[ExecSpan] = []
     for report in reports:
         stats.update(report.channel_stats)
+        outputs.update(report.outputs)
+        arrivals.update(report.arrivals)
         collected += report.gc_collected
         high_water += report.live_item_high_water
         retries += report.kernel_retries

@@ -22,14 +22,22 @@ rung between the simulator and real hardware:
   channels, which the parent drains and fills) are hosted by the parent's
   :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
   array payloads, pickle otherwise), where a task's boundary traffic for
-  a frame is one :class:`~repro.stm.process.StepBatch` round trip.  A
-  one-node schedule therefore crosses the broker once a frame (the put of
-  the terminal channel), and a task with no boundary channel never.  What
-  the parent can then no longer read off the broker — the node-local
-  channels' counters and GC totals, the digitize stamps, its trace
-  records — is the node's :class:`~repro.runtime.live.NodeReport`, which
-  rides each worker's ``done`` message into
-  :func:`~repro.runtime.live.merge_reports`;
+  a frame is one :class:`~repro.stm.process.StepBatch` step — the
+  broker's one op.  A one-node schedule therefore crosses the broker once
+  a frame (the put of the terminal channel), and a task with no boundary
+  channel never.  What the parent can then no longer read off the broker
+  — the node-local channels' counters and GC totals, the digitize stamps,
+  its trace records — is the node's :class:`~repro.runtime.live.
+  NodeReport`, which rides each worker's ``done`` message into
+  :func:`~repro.runtime.live.merge_reports`, beside the broker's own
+  counters as one more report;
+* the parent drains the terminal channels with one more node, with no
+  tasks: a collector is a sink task, through the same node body, whose
+  boundary ends reach the broker over a :class:`~repro.stm.process.
+  LocalLink` — the same step, served inline under the broker lock and
+  counted as ``local_step``, not as a queue round trip.  It runs while
+  the parent watches the workers, and a collector that fails reports
+  ``fatal`` like any task thread, so the run fails at once;
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
@@ -72,8 +80,10 @@ from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
+    COLLECTOR,
     LiveNode,
     LiveResult,
+    NodeReport,
     check_static_inputs,
     check_timestamps,
     merge_reports,
@@ -81,8 +91,7 @@ from repro.runtime.live import (
 )
 from repro.sim.trace import Mark, TraceRecorder
 from repro.state import State
-from repro.stm.process import BrokerDied, ChannelBroker, WorkerLink
-from repro.stm.threaded import ChannelPoisoned
+from repro.stm.process import ChannelBroker, WorkerLink
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.optimal import ScheduleSolution
@@ -179,8 +188,8 @@ def _fail_stop(requests) -> None:
     producer; its write side is guarded by a semaphore that lives in
     shared memory.  ``os._exit`` at an arbitrary instant can kill the
     process while its queue feeder thread holds that semaphore mid-write,
-    which wedges every other producer — parent collectors and respawned
-    workers alike — until the runtime's hard deadline.  Closing and
+    which wedges every other producer — sibling and respawned workers
+    alike — until the runtime's hard deadline.  Closing and
     joining the feeder flushes in-flight writes and releases the lock, so
     the injected failure is a clean fail-stop at a kernel boundary.
     """
@@ -420,8 +429,8 @@ class ProcessRuntime:
         }
         plans = build_task_plans(self.graph)
         terminal = terminal_channels(self.graph)
-        collector_conns = {ch: broker.attach_input(ch, "-collector-")
-                           for ch in terminal}
+        remote[COLLECTOR] = {ch: broker.attach_input(ch, COLLECTOR)
+                             for ch in terminal}
         for name, value in self.static_inputs.items():
             broker.put_static(name, value)
         trace = TraceRecorder()
@@ -440,28 +449,6 @@ class ProcessRuntime:
             _, variant, procs = self.dp_plan.get(task.name, (1, "serial", ()))
             where[task.name] = (procs[0] if procs else self.assignment[task.name],
                                 variant)
-
-        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
-        completion_raw: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
-        collector_errors: list[str] = []
-
-        def collector_body(ch_name: str) -> None:
-            # Collectors live in the broker's process, so they read STM
-            # state directly under the broker lock — zero queue round
-            # trips for terminal traffic.
-            conn = collector_conns[ch_name]
-            try:
-                for ts in range(timestamps):
-                    got_ts, value = broker.local_get_blocking(
-                        ch_name, conn, ts, timeout=self.op_timeout
-                    )
-                    outputs[ch_name][got_ts] = value
-                    completion_raw[ch_name][got_ts] = broker.now
-                    broker.local_consume(ch_name, conn, got_ts)
-            except ChannelPoisoned:
-                pass
-            except (TimeoutError, BrokerDied) as exc:
-                collector_errors.append(f"{ch_name}: {exc}")
 
         kernel_retries = self.faults.kernel_retries if self.faults else 0
         # Exit faults a dead worker already executed.  A respawned worker
@@ -506,13 +493,10 @@ class ProcessRuntime:
         for node in nodes:
             spawn(node, f"node{node}")
 
-        collectors = [
-            threading.Thread(target=collector_body, args=(ch,),
-                             name=f"collect:{ch}", daemon=True)
-            for ch in terminal
-        ]
-        for th in collectors:
-            th.start()
+        #: the parent's own node: no tasks, the collectors
+        drain = LiveNode([], plans, {}, self.state, timestamps, self.op_timeout,
+                         remote=remote, collect=tuple(terminal), t0=broker._t0)
+        drain.start(broker.local_link())
 
         respawns = 0
         completed_ok: set[int] = set()
@@ -566,8 +550,10 @@ class ProcessRuntime:
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
-            for th in collectors:
-                th.join(timeout=self.op_timeout)
+        try:
+            drained = drain.join()
+        except Exception as exc:  # noqa: BLE001 - fails the run below
+            failed = failed or (broker.errors or [repr(exc)])[0]
         wall = broker.now  # the run's one clock, which every record is on
 
         # Worker exit races the broker draining its "done" message; wait for
@@ -577,26 +563,19 @@ class ProcessRuntime:
                and not completed_ok.issubset(broker.done_payloads)
                and _time.monotonic() < wait_until):
             _time.sleep(0.005)
-        reports = list(broker.done_payloads.values())
-        stats = broker.stats()
-        gc = broker.gc_totals()
+        # The broker's counters, then each worker's share of the run (its
+        # node-local channels, the stamps its sources took, its kernel
+        # spans), then what the parent's collectors drained.
+        reports = [NodeReport(broker.stats(), *broker.gc_totals()),
+                   *broker.done_payloads.values()]
         broker_ops = dict(broker.op_counts)
         broker_roundtrips = broker.roundtrips()
         broker.stop()
         if failed:
             raise ReproError(f"process runtime failed: {failed}")
-        if collector_errors:
-            raise ReproError(
-                f"terminal channels timed out: {collector_errors}"
-            )
-        still = [th.name for th in collectors if th.is_alive()]
-        if still:
-            raise ReproError(f"collectors did not finish: {still}")
-        # Each worker's share of the run (its node-local channels, the
-        # stamps its sources took, its kernel spans) joins the broker's.
+        reports.append(drained)
         return merge_reports(
-            reports, trace, outputs, completion_raw, wall, self.obs,
-            channel_stats=stats, gc=gc, respawns=respawns,
+            reports, trace, wall, self.obs, respawns=respawns,
             meta={
                 "nodes": nodes,
                 "assignment": dict(self.assignment),

@@ -5,9 +5,10 @@ through STM — run for real: a threaded run is one
 :class:`~repro.runtime.live.LiveNode` holding every channel (a
 :class:`~repro.stm.threaded.ThreadedChannel` each), every task a Python
 thread through the node's one task body, and each task's ``compute``
-kernel (real NumPy code for the tracker) actually executes.  What is this
-runtime's own: the static fill, one collector thread per terminal
-channel, and the race checker it threads through the node.
+kernel (real NumPy code for the tracker) actually executes.  The node
+collects itself: each terminal channel is drained by a collector, a sink
+task through the same body.  What is this runtime's own: the static fill
+and the race checker it threads through the node.
 
 This runtime demonstrates the programming model end to end and powers the
 kernel-calibration path; it is *not* used for latency experiments, because
@@ -97,31 +98,15 @@ class ThreadedRuntime:
             self.graph.tasks, build_task_plans(self.graph),
             {spec.name: spec.capacity for spec in self.graph.channels},
             self.state, timestamps, self.op_timeout,
+            collect=tuple(terminal_channels(self.graph)),
             observe=self.obs is not None, analysis=self.analysis,
         )
         # Static configuration channels are filled before any thread starts.
         for name, value in self.static_inputs.items():
             channel = node.channels[name]
             channel.put(channel.attach_output("-env-"), 0, value)
-
-        terminal = terminal_channels(self.graph)
-        outputs: dict[str, dict[int, Any]] = {ch: {} for ch in terminal}
-        arrivals: dict[str, dict[int, float]] = {ch: {} for ch in terminal}
-        collector_conns = {ch: node.channels[ch].attach_input("-collector-")
-                           for ch in terminal}
-
-        def collect(name: str) -> None:
-            channel, conn = node.channels[name], collector_conns[name]
-            for ts in range(timestamps):
-                got_ts, value = channel.get(conn, ts, timeout=self.op_timeout)
-                outputs[name][got_ts] = value
-                arrivals[name][got_ts] = _time.perf_counter() - node.stamps.t0
-                channel.consume(conn, got_ts)
-
         if self.obs is not None:
             node.trace.subscribe(self.obs.on_record)
-        report = node.run(extra=tuple((f"collect:{ch}", collect, ch)
-                                      for ch in terminal))
+        report = node.run()
         wall = _time.perf_counter() - node.stamps.t0
-        return merge_reports([report], TraceRecorder(), outputs, arrivals,
-                             wall, self.obs)
+        return merge_reports([report], TraceRecorder(), wall, self.obs)

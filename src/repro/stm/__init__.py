@@ -20,11 +20,12 @@ appendix, Figures 7-8).  This package implements the full API:
   channels scheduled entirely on their node, and by the examples.
 * :mod:`repro.stm.process` — the cross-process transport, for the edges
   that cross nodes: a parent-side
-  :class:`~repro.stm.process.ChannelBroker` owning real channels and
-  serving one op (the *step*), the worker-side
-  :class:`~repro.stm.process.StepBatch` / :class:`~repro.stm.process.
-  ProcessChannel` that issue it, and a shared-memory ring for array
-  payloads.
+  :class:`~repro.stm.process.ChannelBroker` owning real channels, and the
+  broker serves one op (the *step*); :class:`~repro.stm.process.StepBatch`
+  issues it, from a worker over a :class:`~repro.stm.process.WorkerLink`
+  or from the parent's collectors — a collector is a sink task — over a
+  :class:`~repro.stm.process.LocalLink`; a shared-memory ring carries
+  array payloads.
 """
 
 from repro.stm.item import Item
@@ -35,7 +36,6 @@ from repro.stm.threaded import ThreadedChannel, ChannelPoisoned
 from repro.stm.process import (
     BrokerDied,
     ChannelBroker,
-    ProcessChannel,
     ShmRing,
     WorkerLink,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "ChannelPoisoned",
     "BrokerDied",
     "ChannelBroker",
-    "ProcessChannel",
     "ShmRing",
     "WorkerLink",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.stm.channel import STMChannel
 
-__all__ = ["GCStats", "collect_channel", "collect_all"]
+__all__ = ["GCStats", "collect_channel"]
 
 
 @dataclass
@@ -56,7 +56,3 @@ def collect_channel(channel: STMChannel, stats: GCStats | None = None) -> int:
         stats.bytes_freed += freed
     return n
 
-
-def collect_all(channels: list[STMChannel], stats: GCStats | None = None) -> int:
-    """Run :func:`collect_channel` over every channel; return total collected."""
-    return sum(collect_channel(ch, stats) for ch in channels)

@@ -10,25 +10,27 @@ This module supplies the two halves of the inter-node transport:
 * :class:`ChannelBroker` — lives in the parent.  One service thread owns
   the real :class:`~repro.stm.channel.STMChannel` objects (a single
   source of truth, exactly like the condition-variable wrapper in
-  :mod:`repro.stm.threaded` owns its channel) and serves every worker
-  through ONE replying op, the *step*: a batch of consumes, puts and
-  gets that the broker applies as each becomes possible, parking the
-  step until all have landed, and running reference-count GC after each
-  consume.  Because the broker literally reuses ``STMChannel``, the
-  timestamp/consume semantics — wildcards, virtual-time advancement,
-  born-consumed items — are identical across the threaded and process
-  substrates by construction.
+  :mod:`repro.stm.threaded` owns its channel), and the broker serves ONE
+  op, the *step*: a batch of consumes, puts and gets that the broker
+  applies as each becomes possible, parking the step until all have
+  landed, and running reference-count GC after each consume.  Because
+  the broker literally reuses ``STMChannel``, the timestamp/consume
+  semantics — virtual-time advancement, born-consumed items — are
+  identical across the threaded and process substrates by construction.
 
-* :class:`StepBatch` — the worker-side builder of one step: a task's
-  frame loop queues, for its boundary channels, the previous frame's puts
-  and consumes plus the next frame's gets and ships them as one round
-  trip (none when nothing was queued).
+* :class:`StepBatch` — the one client of that op, made once per task
+  thread: a task's frame loop queues, for its boundary channels, the
+  previous frame's puts and consumes plus the next frame's gets and ships
+  them as one step (none when nothing was queued).  It owns the
+  shared-memory rings of its producer connections and decodes the reply.
 
-* :class:`ProcessChannel` — the worker-side proxy with the blocking
-  surface of :class:`~repro.stm.threaded.ThreadedChannel` (``put`` /
-  ``get`` / ``consume`` with timeouts,
-  :class:`~repro.stm.threaded.ChannelPoisoned` on shutdown); each call is
-  the one-entry form of a step.
+A step reaches the broker over a link.  A worker's is a
+:class:`WorkerLink` (a request queue, a reply queue): a queue round trip,
+counted as ``step``.  The parent's own threads — the collectors that drain
+the terminal channels, which are sink tasks like any other — use a
+:class:`LocalLink`: the same step, dispatched inline under the broker
+lock and counted as ``local_step``, so :meth:`ChannelBroker.roundtrips`
+counts queue round trips only.
 
 Payloads travel on two planes.  ``numpy`` arrays of at least
 :data:`SHM_THRESHOLD_BYTES` (4 KiB, a constant) ride a shared-memory
@@ -54,7 +56,7 @@ from typing import Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable, STMError
 from repro.sim.trace import ItemEvent, TraceRecorder
-from repro.stm.channel import STMChannel, Timestamp
+from repro.stm.channel import STMChannel
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats
 from repro.stm.threaded import ChannelPoisoned
@@ -67,7 +69,7 @@ except ImportError:  # pragma: no cover - platforms without shm
 __all__ = [
     "BrokerDied",
     "ChannelBroker",
-    "ProcessChannel",
+    "LocalLink",
     "ShmRing",
     "StepBatch",
     "WorkerLink",
@@ -217,13 +219,13 @@ def decode_value(encoded) -> Any:
 # ---------------------------------------------------------------------------
 #
 # Request (worker -> broker): (worker_id, seq, op, args)
-#   the one op with a reply:  step
-#   fire-and-forget:          fatal (exc text), done (merged buffers)
+#   the one op with a reply:  step (local_step when a LocalLink sends it)
+#   fire-and-forget:          fatal (exc text), done (the node's report)
 #   anything else:            "error" reply
 # Reply (broker -> worker): (seq, status, data)
 #   status: "ok" | "timeout" | "poisoned" | "error"
 #   step args:       (consumes, puts, gets, timeout, replay) — one frame's
-#                    traffic (or a single blocking channel call).
+#                    traffic.
 #                    consumes: ((channel, conn, ts),...) applied
 #                    IMMEDIATELY on arrival (even while the step waits —
 #                    withholding them would deadlock pipelines);
@@ -233,7 +235,9 @@ def decode_value(encoded) -> Any:
 #   step "ok" data:  (get results aligned with the request,
 #                     ((channel, conn, freed_timestamps),...) ring feed —
 #                     each producer connection's timestamps collected
-#                     since its previous reply)
+#                     since its previous reply,
+#                     when the step's last put landed: a
+#                     time.perf_counter() reading, None without puts)
 
 _STOP = ("-stop-", -1, "stop", ())
 
@@ -256,6 +260,7 @@ class _StepWaiter:
     gets: list
     replay: bool = False
     consumed: bool = False
+    landed: Optional[float] = None
 
     def channels(self) -> set[str]:
         names = {c[0] for c in self.consumes}
@@ -318,13 +323,14 @@ class ChannelBroker:
         self._t0 = _time.perf_counter()
         # analysis: waive D003 repro/stm/process.py -- broker-internal mutexes guard cross-process queues the vector-clock checker cannot observe; per-process channel state is single-threaded
         self._lock = threading.Lock()
-        #: parent-side waiters (zero-round-trip collector path) sleep here
+        #: a LocalLink's parked step waits here; notified after every
+        #: request served, every expiry and every poison
         self._cond = threading.Condition(self._lock)
         #: parked steps, retried to fixpoint after every mutation
         self._steps: list[_StepWaiter] = []
         #: requests served, by op — the broker round-trip accounting the
-        #: scaling benchmark reads (local_* entries are lock-path calls
-        #: that cost no queue round trip)
+        #: scaling benchmark reads (``local_step`` is a LocalLink's step,
+        #: which costs no queue round trip)
         self.op_counts: dict[str, int] = {}
 
     # -- parent-side setup --------------------------------------------------
@@ -334,6 +340,11 @@ class ChannelBroker:
         q = _mp_context().Queue()
         self._replies[worker_id] = q
         return q
+
+    def local_link(self) -> "LocalLink":
+        """The link for threads of this process (worker id 0), shared by
+        them like a worker's threads share its :class:`WorkerLink`."""
+        return self._replies.setdefault(LocalLink.worker_id, LocalLink(self))
 
     def attach_input(self, channel: str, task: str) -> int:
         conn = self.channels[channel].stm.attach_input(task)
@@ -362,56 +373,6 @@ class ChannelBroker:
         conn_id = self.attach_output(channel, "-env-")
         bc = self.channels[channel]
         bc.stm.put(self.conn(conn_id), 0, encode_value(value), size=size)
-
-    # -- local (parent-side) channel access ---------------------------------
-
-    def local_get_blocking(self, channel: str, conn_id: int, ts: Timestamp,
-                           timeout: Optional[float] = None) -> tuple[int, Any]:
-        """Blocking parent-side get with ZERO broker round trips.
-
-        The parent shares the broker's address space, so collector threads
-        wait on the broker's condition variable (notified after every
-        served request) instead of sending get requests through the queue
-        — the per-frame reply traffic for terminal channels disappears.
-        Raises :class:`TimeoutError` / :class:`ChannelPoisoned` /
-        :class:`~repro.errors.ItemConsumed` like the proxy's ``get``.
-        """
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._cond:
-            while True:
-                bc = self.channels[channel]
-                if bc.poisoned:
-                    raise ChannelPoisoned(f"channel {channel!r} poisoned")
-                conn = self.conn(conn_id)
-                try:
-                    got_ts, encoded = bc.stm.get(conn, ts)
-                except ItemUnavailable:
-                    pass
-                else:
-                    self._observe(channel, "get", got_ts, conn.task)
-                    self.op_counts["local_get"] = (
-                        self.op_counts.get("local_get", 0) + 1
-                    )
-                    return got_ts, decode_value(encoded)
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - _time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"local get from {channel!r} timed out"
-                        )
-                self._cond.wait(remaining if remaining is not None else 0.1)
-
-    def local_consume(self, channel: str, conn_id: int, ts: int) -> None:
-        with self._cond:
-            self._consume_locked(channel, conn_id, ts)
-            self.op_counts["local_consume"] = (
-                self.op_counts.get("local_consume", 0) + 1
-            )
-            # A parent-side consume frees capacity like any other: parked
-            # steps must get their retry.
-            self._retry_steps()
-            self._cond.notify_all()
 
     def roundtrips(self) -> int:
         """Total queue round trips served (requests that got a reply)."""
@@ -481,16 +442,20 @@ class ChannelBroker:
                 return
             try:
                 with self._cond:
-                    self._dispatch(msg)
-                    self._retry_steps()
-                    self._expire_steps()
-                    self._cond.notify_all()
+                    self._serve_locked(msg)
             except Exception as exc:  # pragma: no cover - broker bug guard
                 self.errors.append(f"broker: {exc!r}")
                 with self._cond:
                     for name in self.channels:
                         self._poison_locked(name)
                     self._cond.notify_all()
+
+    def _serve_locked(self, msg) -> None:
+        """Serve one request (lock held) and wake every waiter."""
+        self._dispatch(msg)
+        self._retry_steps()
+        self._expire_steps()
+        self._cond.notify_all()
 
     def _reply(self, worker: int, seq: int, status: str, data: Any = None) -> None:
         q = self._replies.get(worker)
@@ -516,7 +481,7 @@ class ChannelBroker:
         if op == "done":
             self.done_payloads[worker] = args
             return
-        if op == "step":
+        if op in ("step", "local_step"):
             consumes, puts, gets, timeout, replay = args
             st = _StepWaiter(
                 worker=worker, seq=seq, deadline=self._deadline(timeout),
@@ -599,6 +564,7 @@ class ChannelBroker:
                 self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
                 return True, True
             entry[5] = True
+            st.landed = _time.perf_counter()
             progressed = True
         for entry in st.gets:
             if entry[3] is not None:
@@ -627,7 +593,7 @@ class ChannelBroker:
                 if timestamps:
                     freed.append((entry[0], entry[1], timestamps))
             self._reply(st.worker, st.seq, "ok",
-                        (tuple(e[3] for e in st.gets), tuple(freed)))
+                        (tuple(e[3] for e in st.gets), tuple(freed), st.landed))
             return True, True
         return False, progressed
 
@@ -731,12 +697,10 @@ class WorkerLink:
     task threads waiting on them.
     """
 
-    def __init__(self, worker_id: int, requests, replies,
-                 default_timeout: Optional[float] = None) -> None:
+    def __init__(self, worker_id: int, requests, replies) -> None:
         self.worker_id = worker_id
         self.requests = requests
         self.replies = replies
-        self.default_timeout = default_timeout
         self._seq = itertools.count(1)
         self._pending: dict[int, tuple[threading.Event, list]] = {}
         # analysis: waive D003 repro/stm/process.py -- worker reply-client mutex pairs a queue with an Event across the process boundary; no STM connection state crosses it
@@ -787,88 +751,68 @@ class WorkerLink:
         return slot[0], slot[1]
 
 
-def _step(link: WorkerLink, consumes=(), puts=(), gets=(),
-          timeout: Optional[float] = None, replay: bool = False):
-    """One ``step`` round trip: ``(encoded get results, ring feed)``."""
-    status, data = link.call(
-        "step", (tuple(consumes), tuple(puts), tuple(gets), timeout, replay),
-        timeout,
-    )
-    if status == "ok":
-        return data
-    if status == "poisoned":
-        raise ChannelPoisoned("step hit a poisoned channel")
-    if status == "timeout":
-        raise TimeoutError("step timed out")
-    if status == "error":
-        raise pickle.loads(data)
-    raise STMError(  # pragma: no cover - protocol guard
-        f"step: unexpected reply {status!r}"
-    )
 
+class LocalLink:
+    """A link for threads of the broker's own process: the parent's
+    collectors, which drain the terminal channels.
 
-class ProcessChannel:
-    """Worker-side blocking STM proxy — the ThreadedChannel surface over IPC.
-
-    Each call is the one-entry form of a step, so a blocking ``get`` is
-    answered the moment its item lands and the
-    :data:`~repro.stm.channel.NEWEST` / ``OLDEST`` wildcards keep their
-    meaning here (a multi-entry :class:`StepBatch` takes exact timestamps
-    only).
-
-    ``conn_id`` handles come from the parent's pre-fork attachment (the
-    reference-count GC contract requires every input connection to exist
-    before any item flows, exactly as the threaded runtime attaches all
-    connections before starting threads).
+    The same step a :class:`WorkerLink` ships over two queues, served
+    without them: the calling thread dispatches it itself, under the broker
+    lock, as ``local_step`` (no queue round trip, so
+    :meth:`ChannelBroker.roundtrips` does not count it).  A step that parks
+    is completed, expired or poisoned by the broker's one step path like any
+    other; the caller waits on the broker's condition, which each of those
+    notifies, so its reply takes no thread hop.  Made by
+    :meth:`ChannelBroker.local_link`.
     """
 
-    def __init__(self, name: str, link: WorkerLink, ring: Optional[ShmRing] = None,
-                 replay: bool = False) -> None:
-        self.name = name
-        self._link = link
-        self._ring = ring if ring is not None else ShmRing()
-        self._replay = replay
+    worker_id = 0
 
-    def put(self, conn_id: int, ts: int, value: Any, size: int = 0,
-            timeout: Optional[float] = None) -> None:
-        """Insert an item, blocking while the channel is at capacity."""
-        encoded = encode_value(value, self._ring, ts)
-        _, freed = _step(self._link,
-                         puts=[(self.name, conn_id, ts, encoded, size)],
-                         timeout=timeout, replay=self._replay)
-        for _channel, _conn, timestamps in freed:
-            self._ring.release(timestamps)
+    def __init__(self, broker: ChannelBroker) -> None:
+        self._broker = broker
+        self._seq = itertools.count(1)
+        self._replies: dict[int, tuple[str, Any]] = {}
 
-    def get(self, conn_id: int, ts: Timestamp,
-            timeout: Optional[float] = None) -> tuple[int, Any]:
-        """Retrieve ``(timestamp, value)``, blocking until available."""
-        results, _ = _step(self._link, gets=[(self.name, conn_id, ts)],
-                           timeout=timeout)
-        got_ts, encoded = results[0]
-        return got_ts, decode_value(encoded)
+    def put(self, reply) -> None:
+        """The broker's reply (called with its lock held)."""
+        seq, status, data = reply
+        self._replies[seq] = (status, data)
 
-    def consume(self, conn_id: int, ts: int) -> None:
-        """Mark ``ts`` consumed; the broker garbage-collects immediately."""
-        _step(self._link, consumes=[(self.name, conn_id, ts)])
+    def notify(self, op: str, payload: Any) -> None:
+        """Fire-and-forget message (``fatal``)."""
+        with self._broker._cond:
+            self._broker._serve_locked((self.worker_id, 0, op, payload))
 
-    def close(self) -> None:
-        self._ring.close()
-
-    def __repr__(self) -> str:
-        return f"ProcessChannel({self.name!r})"
+    def call(self, op: str, args, timeout: Optional[float]) -> tuple[str, Any]:
+        seq = next(self._seq)
+        # As on a WorkerLink, the broker enforces the request timeout; the
+        # wait here only guards against its service thread being gone.
+        deadline = _time.monotonic() + (30.0 if timeout is None else timeout + 30.0)
+        cond = self._broker._cond
+        with cond:
+            self._broker._serve_locked((self.worker_id, seq, f"local_{op}", args))
+            while seq not in self._replies:
+                remaining = deadline - _time.monotonic()
+                if remaining <= 0:
+                    raise BrokerDied(f"no broker reply to local {op}")
+                cond.wait(remaining)
+            return self._replies.pop(seq)
 
 
 class StepBatch:
-    """One frame's STM traffic as a single broker round trip.
+    """One task thread's boundary traffic, one step per frame.
 
     A task's frame loop queues the previous frame's puts and consumes
     plus the current frame's gets, then :meth:`commit` ships them as one
-    ``step`` request.  The broker applies the consumes immediately (even
+    ``step`` request over ``link`` (a :class:`WorkerLink` or a
+    :class:`LocalLink`).  The broker applies the consumes immediately (even
     while the step waits for capacity or data — so batching can never
     withhold resources and deadlock a pipeline), lands puts and gets as
     they become possible, and replies once everything has been applied.
-    The reply carries the get results plus the per-producer freed-
-    timestamp feed, which is routed back to each channel's shm ring.
+    The reply carries the get results, the per-producer freed-timestamp
+    feed, which recycles the batch's shared-memory rings (one per producer
+    connection it has put through), and when the last put landed
+    (:attr:`landed`).  A thread makes one batch and commits it every frame.
 
     Gets are restricted to exact integer timestamps: a wildcard resolved
     while the rest of the batch is still parked could be stale by the
@@ -876,42 +820,57 @@ class StepBatch:
     all the schedule-driven runtimes ever issue.
     """
 
-    def __init__(self, link: WorkerLink, replay: bool = False) -> None:
+    def __init__(self, link, replay: bool = False) -> None:
         self._link = link
         self._replay = replay
         self._consumes: list[tuple[str, int, int]] = []
         self._puts: list[tuple[str, int, int, Any, int]] = []
         self._gets: list[tuple[str, int, int]] = []
-        self._rings: dict[tuple[str, int], ProcessChannel] = {}
+        self._rings: dict[tuple[str, int], ShmRing] = {}
+        #: when the last commit's last put landed at the broker (a
+        #: ``time.perf_counter()`` reading; None for a commit without puts)
+        self.landed: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._consumes) + len(self._puts) + len(self._gets)
 
-    def consume(self, chan: ProcessChannel, conn_id: int, ts: int) -> None:
-        self._consumes.append((chan.name, conn_id, ts))
+    def consume(self, channel: str, conn_id: int, ts: int) -> None:
+        self._consumes.append((channel, conn_id, ts))
 
-    def put(self, chan: ProcessChannel, conn_id: int, ts: int, value: Any,
+    def put(self, channel: str, conn_id: int, ts: int, value: Any,
             size: int = 0) -> None:
-        encoded = encode_value(value, chan._ring, ts)
-        self._puts.append((chan.name, conn_id, ts, encoded, size))
-        self._rings[(chan.name, conn_id)] = chan
+        ring = self._rings.setdefault((channel, conn_id), ShmRing())
+        self._puts.append((channel, conn_id, ts, encode_value(value, ring, ts), size))
 
-    def get(self, chan: ProcessChannel, conn_id: int, ts: int) -> None:
+    def get(self, channel: str, conn_id: int, ts: int) -> None:
         if not isinstance(ts, int):
             raise STMError(
                 f"batched gets need exact timestamps, got {ts!r}"
             )
-        self._gets.append((chan.name, conn_id, ts))
+        self._gets.append((channel, conn_id, ts))
 
     def commit(self, timeout: Optional[float] = None) -> list[tuple[int, Any]]:
         """Ship the batch; returns decoded get results in queue order."""
         if not len(self):
             return []
-        results, freed = _step(self._link, self._consumes, self._puts,
-                               self._gets, timeout, self._replay)
-        for channel, conn_id, timestamps in freed:
-            self._rings[(channel, conn_id)]._ring.release(timestamps)
+        args = (tuple(self._consumes), tuple(self._puts), tuple(self._gets),
+                timeout, self._replay)
         self._consumes.clear()
         self._puts.clear()
         self._gets.clear()
+        status, data = self._link.call("step", args, timeout)
+        if status == "poisoned":
+            raise ChannelPoisoned("step hit a poisoned channel")
+        if status == "timeout":
+            raise TimeoutError("step timed out")
+        if status == "error":
+            raise pickle.loads(data)
+        results, freed, self.landed = data
+        for channel, conn_id, timestamps in freed:
+            self._rings[(channel, conn_id)].release(timestamps)
         return [(got_ts, decode_value(encoded)) for got_ts, encoded in results]
+
+    def close(self) -> None:
+        """Drop the rings' local mappings (the broker owns unlinking)."""
+        for ring in self._rings.values():
+            ring.close()

@@ -141,16 +141,19 @@ class ThreadedChannel:
         value: Any,
         size: int = 0,
         timeout: Optional[float] = None,
-    ) -> None:
-        """Insert an item, blocking while the channel is at capacity."""
+    ) -> float:
+        """Insert an item, blocking while the channel is at capacity.
+
+        Returns when it landed (a ``time.perf_counter()`` reading).
+        """
         deadline = None
         with self._changed:
             while True:
                 if self._poisoned:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
                 if not self._chan.is_full:
-                    self._chan.put(conn, ts, value, size=size,
-                                   time=_time.perf_counter())
+                    landed = _time.perf_counter()
+                    self._chan.put(conn, ts, value, size=size, time=landed)
                     if self._analysis is not None:
                         self._analysis.on_write(self._race_loc)
                         self._analysis.on_put(self.name, ts)
@@ -158,6 +161,7 @@ class ThreadedChannel:
                     break
                 deadline = self._wait(deadline, timeout, "put to", " (full)")
         self._observe("put", ts, conn.task)
+        return landed
 
     def get(
         self,

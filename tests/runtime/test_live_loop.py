@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import ExecutorConfigError, ReproError
@@ -154,9 +156,10 @@ class LoggingStamps(FrameStamps):
         super().__init__()
         self.log = log
 
-    def stamp(self, ts):
+    def stamp(self, ts, landed):
         self.log.append(("stamp", ts))
-        super().stamp(ts)
+        # the recording channels report no landing time
+        super().stamp(ts, time.perf_counter())
 
 
 class TestExchange:
@@ -253,10 +256,10 @@ class TestExchange:
 
     def test_stamp_keeps_the_latest_source(self):
         stamps = FrameStamps(t0=0.0)
-        stamps.stamp(0)
+        stamps.stamp(0, 1.0)
         first = stamps.times[0]
         stamps.times[0] = first + 1e9  # a later source already stamped
-        stamps.stamp(0)
+        stamps.stamp(0, 1.0)
         assert stamps.times[0] == first + 1e9
 
 

@@ -128,7 +128,7 @@ def marginal_roundtrips(make_runtime) -> tuple[float, dict]:
         res = make_runtime().run(frames)
         meta = res.meta
         ops = meta["broker_ops"]
-        assert set(ops) <= {"step", "done", "local_get", "local_consume"}
+        assert set(ops) <= {"step", "local_step", "done"}
         assert meta["broker_roundtrips"] == ops["step"]
         trips[frames] = meta["broker_roundtrips"]
     return (trips[8] - trips[4]) / 4, meta
@@ -201,6 +201,26 @@ class TestBrokerRoundTrips:
         assert ("frame" in broker.shm_channels) == frame_at_broker
         if not frame_at_broker:
             assert broker.shm_channels == set()
+
+
+class TestOneBrokerOp:
+    """The parent's collectors are sink tasks: the broker serves them the
+    one step, inline, as ``local_step``."""
+
+    @pytest.mark.parametrize("placement", [None, TWO_NODE_SPLIT],
+                             ids=["one-node", "two-nodes"])
+    def test_broker_ops_are_steps_one_local_step_a_frame(self, placement):
+        live, statics, state = tracker_setup()
+        frames = 5
+        res = ProcessRuntime(live, state, static_inputs=statics,
+                             placement=placement, op_timeout=30.0).run(frames)
+        ops = res.meta["broker_ops"]
+        assert set(ops) <= {"step", "local_step", "done"}
+        # one terminal channel: a step per frame (consume ts-1, get ts)
+        # and the flush (consume the last frame)
+        assert ops["local_step"] == frames + 1
+        assert res.meta["broker_roundtrips"] == ops["step"]
+        assert sorted(res.outputs["model_locations"]) == list(range(frames))
 
 
 class TestScheduleDriven:

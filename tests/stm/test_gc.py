@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.stm.channel import STMChannel
-from repro.stm.gc import GCStats, collect_all, collect_channel
+from repro.stm.gc import GCStats, collect_channel
 
 
 class TestCollect:
@@ -88,15 +88,3 @@ class TestCollect:
         assert stats.high_water_bytes == 400
         assert stats.bytes_freed == 400
         assert stats.calls == 1
-
-    def test_collect_all(self):
-        chans = []
-        for i in range(3):
-            c = STMChannel(f"c{i}")
-            o = c.attach_output("p")
-            q = c.attach_input("q")
-            c.put(o, 0, "x")
-            c.consume(q, 0)
-            chans.append(c)
-        assert collect_all(chans) == 3
-

@@ -1,15 +1,15 @@
-"""ThreadedChannel equivalence of the process-substrate proxy.
+"""ThreadedChannel equivalence of the process substrate's one op.
 
-:class:`~repro.stm.process.ProcessChannel` offers ThreadedChannel's
-blocking ``put`` / ``get`` / ``consume``; each call is a one-entry
-``step``, the same broker op the process runtime's frame loop issues, so
-these tests hold the production path to the threaded channel's blocking,
-timeout, wildcard and poison behaviour.  The broker's service thread owns
-real :class:`~repro.stm.channel.STMChannel` objects, so most tests run the
-proxy in the parent process over an in-process
-:class:`~repro.stm.process.WorkerLink` — the wire protocol is exercised end
-to end without forking.  One test forks for real to cover the
-cross-process shared-memory path.
+A worker reaches a boundary channel only through a
+:class:`~repro.stm.process.StepBatch` step; a one-entry step is a blocking
+``put`` / ``get`` / ``consume``.  These tests hold that path to the
+threaded channel's blocking, timeout and poison behaviour.  The broker's
+service thread owns real :class:`~repro.stm.channel.STMChannel` objects,
+so most tests run the batches in the parent process over an in-process
+:class:`~repro.stm.process.WorkerLink` — the wire protocol is exercised
+end to end without forking.  One test forks for real to cover the
+cross-process shared-memory path, its consumer on the parent's
+:class:`~repro.stm.process.LocalLink`.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ItemConsumed
-from repro.stm.channel import NEWEST
 from repro.stm.process import (
     SHM_THRESHOLD_BYTES,
     ChannelBroker,
-    ProcessChannel,
     ShmRing,
+    StepBatch,
     WorkerLink,
     _mp_context,
     decode_value,
@@ -35,7 +34,12 @@ from repro.stm.threaded import ChannelPoisoned
 
 
 class Rig:
-    """One broker + one in-parent proxy link, with conns pre-attached."""
+    """One broker + one in-parent worker link, with conns pre-attached.
+
+    ``put`` / ``get`` / ``consume`` are one-entry steps.  Puts go through
+    one producer batch, which owns the producer connection's ring; gets and
+    consumes through a fresh batch each, as separate threads would.
+    """
 
     def __init__(self, capacity=None):
         self.broker = ChannelBroker({"c": capacity})
@@ -45,11 +49,29 @@ class Rig:
         self.broker.start()
         self.link = WorkerLink(1, self.broker.requests, replies)
         self.link.start()
-        self.chan = ProcessChannel("c", self.link)
+        self.producer = StepBatch(self.link)
+
+    def put(self, ts, value, timeout=None):
+        self.producer.put("c", self.out, ts, value)
+        self.producer.commit(timeout=timeout)
+
+    def get(self, ts, timeout=None):
+        batch = StepBatch(self.link)
+        batch.get("c", self.inp, ts)
+        return batch.commit(timeout=timeout)[0]
+
+    def consume(self, ts):
+        batch = StepBatch(self.link)
+        batch.consume("c", self.inp, ts)
+        batch.commit()
+
+    @property
+    def ring(self) -> ShmRing:
+        return self.producer._rings[("c", self.out)]
 
     def close(self):
         self.link.stop()
-        self.chan.close()
+        self.producer.close()
         self.broker.stop()
 
 
@@ -102,99 +124,93 @@ class TestEncoding:
 
 
 class TestProxyRoundtrip:
+    """One-entry steps: the blocking channel calls of the process
+    substrate."""
+
     def test_put_get_consume(self, rig):
-        rig.chan.put(rig.out, 0, {"v": 7})
-        ts, value = rig.chan.get(rig.inp, 0, timeout=5.0)
-        assert (ts, value) == (0, {"v": 7})
-        rig.chan.consume(rig.inp, 0)
+        rig.put(0, {"v": 7})
+        assert rig.get(0, timeout=5.0) == (0, {"v": 7})
+        rig.consume(0)
         stats = rig.broker.stats()["c"]
         assert stats["puts"] == 1
         assert stats["consumed"] == 1
         assert stats["collected"] == 1
 
-    def test_newest_wildcard(self, rig):
-        rig.chan.put(rig.out, 0, "a")
-        rig.chan.put(rig.out, 3, "b")
-        assert rig.chan.get(rig.inp, NEWEST, timeout=5.0) == (3, "b")
-
     def test_get_of_consumed_ts_raises(self, rig):
         # A second input conn keeps the item alive past conn 1's consume,
         # so the blocking get sees "consumed" (an error), not "missing".
         rig.broker.attach_input("c", "other")
-        rig.chan.put(rig.out, 0, "x")
-        rig.chan.get(rig.inp, 0, timeout=5.0)
-        rig.chan.consume(rig.inp, 0)
+        rig.put(0, "x")
+        rig.get(0, timeout=5.0)
+        rig.consume(0)
         with pytest.raises(ItemConsumed):
-            rig.chan.get(rig.inp, 0, timeout=1.0)
+            rig.get(0, timeout=1.0)
 
     def test_blocked_get_unblocks_on_put(self, rig, wait_until):
         got = []
-        t = threading.Thread(
-            target=lambda: got.append(rig.chan.get(rig.inp, 0, timeout=5.0))
-        )
+        t = threading.Thread(target=lambda: got.append(rig.get(0, timeout=5.0)))
         t.start()
         # The step parks inside the broker once the request arrives.
         wait_until(lambda: rig.broker._steps)
         assert not got
-        rig.chan.put(rig.out, 0, "late")
+        rig.put(0, "late")
         t.join(timeout=5.0)
         assert got == [(0, "late")]
 
     def test_get_timeout(self, rig):
         with pytest.raises(TimeoutError):
-            rig.chan.get(rig.inp, 0, timeout=0.05)
+            rig.get(0, timeout=0.05)
 
     def test_shm_payload_roundtrip(self, rig):
         arr = np.random.default_rng(0).random((64, 64))
-        rig.chan.put(rig.out, 0, arr)
-        ts, out = rig.chan.get(rig.inp, 0, timeout=5.0)
+        rig.put(0, arr)
+        ts, out = rig.get(0, timeout=5.0)
         np.testing.assert_array_equal(out, arr)
-        rig.chan.consume(rig.inp, 0)
+        rig.consume(0)
 
     def test_put_replies_feed_ring_recycling(self, rig):
         for ts in range(6):
-            rig.chan.put(rig.out, ts, np.zeros((64, 64)))
-            rig.chan.get(rig.inp, ts, timeout=5.0)
-            rig.chan.consume(rig.inp, ts)
+            rig.put(ts, np.zeros((64, 64)))
+            rig.get(ts, timeout=5.0)
+            rig.consume(ts)
         # Each step reply returns the previously collected timestamps, so
         # the producer-side ring reuses segments instead of growing.
-        assert rig.chan._ring.recycled >= 4
-        assert rig.chan._ring.created <= 2
+        assert rig.ring.recycled >= 4
+        assert rig.ring.created <= 2
 
 
 class TestCapacityAndPoison:
     def test_put_blocks_then_unblocks(self, bounded, wait_until):
-        bounded.chan.put(bounded.out, 0, "a")
+        bounded.put(0, "a")
         done = []
         t = threading.Thread(
-            target=lambda: done.append(
-                bounded.chan.put(bounded.out, 1, "b", timeout=5.0)
-            )
+            target=lambda: done.append(bounded.put(1, "b", timeout=5.0))
         )
         t.start()
         wait_until(lambda: bounded.broker._steps)
         assert not done
-        bounded.chan.get(bounded.inp, 0, timeout=5.0)
-        bounded.chan.consume(bounded.inp, 0)
+        bounded.get(0, timeout=5.0)
+        bounded.consume(0)
         t.join(timeout=5.0)
         assert len(done) == 1
 
     def test_put_timeout_when_full(self, bounded):
-        bounded.chan.put(bounded.out, 0, "a")
+        bounded.put(0, "a")
         with pytest.raises(TimeoutError):
-            bounded.chan.put(bounded.out, 1, "b", timeout=0.05)
+            bounded.put(1, "b", timeout=0.05)
 
-    def test_poison_wakes_blocked_getter(self, rig):
+    def test_poison_wakes_blocked_getter(self, rig, wait_until):
         seen = []
 
         def getter():
             try:
-                rig.chan.get(rig.inp, 0, timeout=5.0)
+                rig.get(0, timeout=5.0)
             except ChannelPoisoned:
                 seen.append("poisoned")
 
         t = threading.Thread(target=getter)
         t.start()
+        wait_until(lambda: rig.broker._steps)
         rig.broker.poison_all()
         t.join(timeout=5.0)
         assert seen == ["poisoned"]
@@ -202,15 +218,16 @@ class TestCapacityAndPoison:
     def test_operations_after_poison_raise(self, rig):
         rig.broker.poison_all()
         with pytest.raises(ChannelPoisoned):
-            rig.chan.put(rig.out, 0, "x")
+            rig.put(0, "x")
 
 
 def _child_producer(requests, replies, conn_out):
     link = WorkerLink(7, requests, replies)
     link.start()
-    chan = ProcessChannel("c", link)
+    batch = StepBatch(link)
     for ts in range(3):
-        chan.put(conn_out, ts, np.full((64, 64), float(ts)), timeout=10.0)
+        batch.put("c", conn_out, ts, np.full((64, 64), float(ts)))
+        batch.commit(timeout=10.0)
     link.notify("done", {})
     link.stop()
     import os
@@ -227,9 +244,7 @@ class TestCrossProcess:
         conn_in = broker.attach_input("c", "cons")
         child_replies = broker.register_worker(7)
         broker.start()
-        replies = broker.register_worker(0)
-        link = WorkerLink(0, broker.requests, replies)
-        link.start()
+        consumer = StepBatch(broker.local_link())
         try:
             ctx = _mp_context()
             p = ctx.Process(
@@ -237,17 +252,20 @@ class TestCrossProcess:
                 args=(broker.requests, child_replies, conn_out),
             )
             p.start()
-            chan = ProcessChannel("c", link)
             for ts in range(3):
-                got_ts, val = chan.get(conn_in, ts, timeout=10.0)
+                if ts:
+                    consumer.consume("c", conn_in, ts - 1)
+                consumer.get("c", conn_in, ts)
+                [(got_ts, val)] = consumer.commit(timeout=10.0)
                 assert got_ts == ts
                 assert val[0, 0] == float(ts)
-                chan.consume(conn_in, ts)
+            consumer.consume("c", conn_in, 2)
+            consumer.commit(timeout=10.0)
             p.join(10.0)
             assert p.exitcode == 0
             stats = broker.stats()["c"]
             assert stats["puts"] == 3
             assert stats["collected"] == 3
+            assert broker.op_counts["local_step"] == 4
         finally:
-            link.stop()
             broker.stop()

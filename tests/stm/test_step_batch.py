@@ -1,11 +1,14 @@
 """Unit tests for the broker's one op, the step, and the shm threshold.
 
 The ``step`` op carries one frame's consumes + puts + gets in a single
-broker request (a blocking ``ProcessChannel`` call is its one-entry
-form).  Its contract: byte-identical STM effects to issuing the ops one
-by one (same counters, same errors), with consumes applied immediately
-on first dispatch — even while the step's puts or gets are parked — so
-batching can never withhold capacity and deadlock a bounded pipeline.
+broker request (a one-entry step is a blocking channel call).  Its
+contract: byte-identical STM effects to issuing the ops one by one (same
+counters, same errors), with consumes applied immediately on first
+dispatch — even while the step's puts or gets are parked — so batching
+can never withhold capacity and deadlock a bounded pipeline.  The
+parent's collectors send the same step over a
+:class:`~repro.stm.process.LocalLink`: served inline, counted as
+``local_step``, never as a queue round trip.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.errors import DuplicateTimestamp, ItemConsumed, STMError
 from repro.stm.process import (
     SHM_THRESHOLD_BYTES,
     ChannelBroker,
-    ProcessChannel,
     ShmRing,
     StepBatch,
     WorkerLink,
@@ -31,7 +33,11 @@ from repro.stm.threaded import ChannelPoisoned
 
 
 class Rig:
-    """Broker + one in-parent link over two channels ``a`` -> ``b``."""
+    """Broker + one in-parent link over two channels ``a`` -> ``b``.
+
+    ``put`` / ``get`` / ``consume`` are one-entry steps, each on a batch
+    of its own.
+    """
 
     def __init__(self, capacity=None):
         self.broker = ChannelBroker({"a": capacity, "b": capacity})
@@ -43,15 +49,32 @@ class Rig:
         self.broker.start()
         self.link = WorkerLink(1, self.broker.requests, replies)
         self.link.start()
-        self.chans = {ch: ProcessChannel(ch, self.link) for ch in ("a", "b")}
+        self.batches: list[StepBatch] = []
 
-    def batch(self, replay=False) -> StepBatch:
-        return StepBatch(self.link, replay=replay)
+    def batch(self, replay=False, link=None) -> StepBatch:
+        batch = StepBatch(link or self.link, replay=replay)
+        self.batches.append(batch)
+        return batch
+
+    def put(self, ch, ts, value):
+        batch = self.batch()
+        batch.put(ch, self.out[ch], ts, value)
+        batch.commit(timeout=5.0)
+
+    def get(self, ch, ts):
+        batch = self.batch()
+        batch.get(ch, self.inp[ch], ts)
+        return batch.commit(timeout=5.0)[0]
+
+    def consume(self, ch, ts):
+        batch = self.batch()
+        batch.consume(ch, self.inp[ch], ts)
+        batch.commit(timeout=5.0)
 
     def close(self):
         self.link.stop()
-        for ch in self.chans.values():
-            ch.close()
+        for batch in self.batches:
+            batch.close()
         self.broker.stop()
 
 
@@ -72,8 +95,8 @@ def bounded():
 class TestStepSemantics:
     def test_put_and_get_in_one_roundtrip(self, rig):
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, {"v": 7})
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.put("a", rig.out["a"], 0, {"v": 7})
+        batch.get("a", rig.inp["a"], 0)
         got = batch.commit(timeout=5.0)
         assert got == [(0, {"v": 7})]
         assert rig.broker.op_counts["step"] == 1
@@ -84,15 +107,15 @@ class TestStepSemantics:
 
     def test_results_in_queue_order_across_channels(self, rig):
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "va")
-        batch.put(rig.chans["b"], rig.out["b"], 0, "vb")
-        batch.get(rig.chans["b"], rig.inp["b"], 0)
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.put("a", rig.out["a"], 0, "va")
+        batch.put("b", rig.out["b"], 0, "vb")
+        batch.get("b", rig.inp["b"], 0)
+        batch.get("a", rig.inp["a"], 0)
         assert batch.commit(timeout=5.0) == [(0, "vb"), (0, "va")]
 
     def test_commit_clears_batch_for_reuse(self, rig):
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "x")
+        batch.put("a", rig.out["a"], 0, "x")
         batch.commit(timeout=5.0)
         assert len(batch) == 0
         assert batch.commit(timeout=5.0) == []  # empty batch: no round trip
@@ -103,34 +126,34 @@ class TestStepSemantics:
 
         batch = rig.batch()
         with pytest.raises(STMError, match="exact timestamps"):
-            batch.get(rig.chans["a"], rig.inp["a"], NEWEST)
+            batch.get("a", rig.inp["a"], NEWEST)
 
     def test_parked_step_completes_on_later_put(self, rig, wait_until):
         got = []
 
         def committer():
             batch = rig.batch()
-            batch.get(rig.chans["a"], rig.inp["a"], 0)
+            batch.get("a", rig.inp["a"], 0)
             got.extend(batch.commit(timeout=5.0))
 
         t = threading.Thread(target=committer)
         t.start()
         wait_until(lambda: rig.broker._steps)
         assert not got
-        rig.chans["a"].put(rig.out["a"], 0, "late")
+        rig.put("a", 0, "late")
         t.join(timeout=5.0)
         assert got == [(0, "late")]
 
     def test_consumes_apply_while_step_is_parked(self, rig, wait_until):
         """The deadlock-freedom guarantee: a parked step's consumes have
         already landed, releasing items (and capacity) to other tasks."""
-        rig.chans["a"].put(rig.out["a"], 0, "x")
-        rig.chans["a"].get(rig.inp["a"], 0, timeout=5.0)
+        rig.put("a", 0, "x")
+        rig.get("a", 0)
 
         def committer():
             batch = rig.batch()
-            batch.consume(rig.chans["a"], rig.inp["a"], 0)
-            batch.get(rig.chans["b"], rig.inp["b"], 0)  # parks: b is empty
+            batch.consume("a", rig.inp["a"], 0)
+            batch.get("b", rig.inp["b"], 0)  # parks: b is empty
             batch.commit(timeout=5.0)
 
         t = threading.Thread(target=committer)
@@ -138,23 +161,23 @@ class TestStepSemantics:
         wait_until(lambda: rig.broker._steps)
         # Step is parked on the get, but the consume already happened.
         assert rig.broker.stats()["a"]["consumed"] == 1
-        rig.chans["b"].put(rig.out["b"], 0, "unblock")
+        rig.put("b", 0, "unblock")
         t.join(timeout=5.0)
 
     def test_self_unblocking_put_after_consume(self, bounded):
         """One step both frees capacity-1 channel ``a`` (consume ts=0)
         and refills it (put ts=1) — a frame step's pattern."""
-        bounded.chans["a"].put(bounded.out["a"], 0, "v0")
-        bounded.chans["a"].get(bounded.inp["a"], 0, timeout=5.0)
+        bounded.put("a", 0, "v0")
+        bounded.get("a", 0)
         batch = bounded.batch()
-        batch.consume(bounded.chans["a"], bounded.inp["a"], 0)
-        batch.put(bounded.chans["a"], bounded.out["a"], 1, "v1")
-        batch.get(bounded.chans["a"], bounded.inp["a"], 1)
+        batch.consume("a", bounded.inp["a"], 0)
+        batch.put("a", bounded.out["a"], 1, "v1")
+        batch.get("a", bounded.inp["a"], 1)
         assert batch.commit(timeout=5.0) == [(1, "v1")]
 
     def test_step_timeout(self, rig):
         batch = rig.batch()
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.get("a", rig.inp["a"], 0)
         with pytest.raises(TimeoutError):
             batch.commit(timeout=0.05)
         assert not rig.broker._steps  # expired step was reaped
@@ -162,7 +185,7 @@ class TestStepSemantics:
     def test_step_against_poisoned_channel(self, rig):
         rig.broker.poison_all()
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "x")
+        batch.put("a", rig.out["a"], 0, "x")
         with pytest.raises(ChannelPoisoned):
             batch.commit(timeout=5.0)
 
@@ -171,7 +194,7 @@ class TestStepSemantics:
 
         def committer():
             batch = rig.batch()
-            batch.get(rig.chans["a"], rig.inp["a"], 0)
+            batch.get("a", rig.inp["a"], 0)
             try:
                 batch.commit(timeout=5.0)
             except ChannelPoisoned:
@@ -185,19 +208,19 @@ class TestStepSemantics:
         assert seen == ["poisoned"]
 
     def test_duplicate_put_raises_without_replay(self, rig):
-        rig.chans["a"].put(rig.out["a"], 0, "x")
+        rig.put("a", 0, "x")
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "again")
+        batch.put("a", rig.out["a"], 0, "again")
         with pytest.raises(DuplicateTimestamp):
             batch.commit(timeout=5.0)
 
     def test_duplicate_put_idempotent_with_replay(self, rig):
         """Respawned workers replay their frame steps; puts must land
         exactly once."""
-        rig.chans["a"].put(rig.out["a"], 0, "x")
+        rig.put("a", 0, "x")
         batch = rig.batch(replay=True)
-        batch.put(rig.chans["a"], rig.out["a"], 0, "x")
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.put("a", rig.out["a"], 0, "x")
+        batch.get("a", rig.inp["a"], 0)
         assert batch.commit(timeout=5.0) == [(0, "x")]
         assert rig.broker.stats()["a"]["puts"] == 1
 
@@ -205,34 +228,35 @@ class TestStepSemantics:
         # Second input conn keeps the item alive past cons's consume, so
         # the step's get sees "consumed" (an error), not "missing".
         rig.broker.attach_input("a", "other")
-        rig.chans["a"].put(rig.out["a"], 0, "x")
-        rig.chans["a"].get(rig.inp["a"], 0, timeout=5.0)
-        rig.chans["a"].consume(rig.inp["a"], 0)
+        rig.put("a", 0, "x")
+        rig.get("a", 0)
+        rig.consume("a", 0)
         batch = rig.batch()
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.get("a", rig.inp["a"], 0)
         with pytest.raises(ItemConsumed):
             batch.commit(timeout=1.0)
 
     def test_freed_feed_recycles_shm_segments(self, rig):
-        """Step replies carry the collected-timestamp feed, so producer
-        rings reuse segments exactly like per-op put replies."""
+        """Step replies carry the collected-timestamp feed, so the rings a
+        thread's batch owns reuse segments frame after frame."""
         arr = np.zeros((64, 64))
+        batch = rig.batch()
         for ts in range(6):
-            batch = rig.batch()
             if ts > 0:
-                batch.consume(rig.chans["a"], rig.inp["a"], ts - 1)
-            batch.put(rig.chans["a"], rig.out["a"], ts, arr)
-            batch.get(rig.chans["a"], rig.inp["a"], ts)
+                batch.consume("a", rig.inp["a"], ts - 1)
+            batch.put("a", rig.out["a"], ts, arr)
+            batch.get("a", rig.inp["a"], ts)
             batch.commit(timeout=5.0)
-        assert rig.chans["a"]._ring.recycled >= 3
-        assert rig.chans["a"]._ring.created <= 2
+        ring = batch._rings[("a", rig.out["a"])]
+        assert ring.recycled >= 3
+        assert ring.created <= 2
 
     def test_blocking_channel_calls_are_one_step_each(self, rig):
-        """put / get / consume on the proxy speak the same one op."""
-        chan = rig.chans["a"]
-        chan.put(rig.out["a"], 0, "x", timeout=5.0)
-        assert chan.get(rig.inp["a"], 0, timeout=5.0) == (0, "x")
-        chan.consume(rig.inp["a"], 0)
+        """put / get / consume, each a one-entry batch, speak the same one
+        op."""
+        rig.put("a", 0, "x")
+        assert rig.get("a", 0) == (0, "x")
+        rig.consume("a", 0)
         assert rig.broker.op_counts == {"step": 3}
         assert rig.broker.roundtrips() == 3
 
@@ -247,44 +271,87 @@ class TestStepSemantics:
 
     def test_roundtrips_counts_queue_ops_only(self, rig):
         batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "x")
-        batch.get(rig.chans["a"], rig.inp["a"], 0)
+        batch.put("a", rig.out["a"], 0, "x")
+        batch.get("a", rig.inp["a"], 0)
         batch.commit(timeout=5.0)
-        rig.broker.local_get_blocking("a", rig.broker.attach_input("a", "lo"),
-                                      0, timeout=5.0)
+        local = rig.batch(link=rig.broker.local_link())
+        local.get("a", rig.broker.attach_input("a", "lo"), 0)
+        assert local.commit(timeout=5.0) == [(0, "x")]
         assert rig.broker.roundtrips() == 1
-        assert rig.broker.op_counts["local_get"] == 1
+        assert rig.broker.op_counts["local_step"] == 1
 
 
 class TestLocalCollectorPath:
-    def test_local_get_blocking_woken_by_step_put(self, rig):
-        conn = rig.broker.attach_input("a", "collector")
-        got = []
+    """The parent's collectors: the same step over a LocalLink."""
 
+    @pytest.fixture
+    def drain(self, rig):
+        """A collector's batch on ``a``: ``(batch, conn)``."""
+        conn = rig.broker.attach_input("a", "-collector-")
+        return rig.batch(link=rig.broker.local_link()), conn
+
+    def park(self, batch, conn, out, timeout=5.0):
+        """Commit a get of ``a`` at 0 on its own thread; ``out`` gets the
+        result or the exception's type."""
         def collect():
-            got.append(rig.broker.local_get_blocking("a", conn, 0,
-                                                     timeout=5.0))
+            batch.get("a", conn, 0)
+            try:
+                out.extend(batch.commit(timeout=timeout))
+            except (TimeoutError, ChannelPoisoned) as exc:
+                out.append(type(exc))
 
         t = threading.Thread(target=collect)
         t.start()
-        batch = rig.batch()
-        batch.put(rig.chans["a"], rig.out["a"], 0, "via-step")
-        batch.commit(timeout=5.0)
+        return t
+
+    def test_local_step_woken_by_worker_put(self, rig, drain, wait_until):
+        """A parked local step completes when a worker's step puts."""
+        batch, conn = drain
+        got = []
+        t = self.park(batch, conn, got)
+        wait_until(lambda: rig.broker._steps)
+        assert not got
+        rig.put("a", 0, "via-step")
         t.join(timeout=5.0)
         assert got == [(0, "via-step")]
-        rig.broker.local_consume("a", conn, 0)
+        batch.consume("a", conn, 0)
+        batch.commit(timeout=5.0)
         assert rig.broker.stats()["a"]["consumed"] == 1
 
-    def test_local_get_timeout(self, rig):
-        conn = rig.broker.attach_input("a", "collector")
-        with pytest.raises(TimeoutError):
-            rig.broker.local_get_blocking("a", conn, 0, timeout=0.05)
+    def test_local_get_timeout(self, rig, drain, wait_until):
+        """A parked local step times out on the broker's expiry."""
+        batch, conn = drain
+        seen = []
+        t = self.park(batch, conn, seen, timeout=0.05)
+        t.join(timeout=5.0)
+        assert seen == [TimeoutError]
+        assert not rig.broker._steps  # expired step was reaped
 
-    def test_local_get_poisoned(self, rig):
-        conn = rig.broker.attach_input("a", "collector")
+    def test_local_get_poisoned(self, rig, drain):
+        batch, conn = drain
         rig.broker.poison_all()
+        batch.get("a", conn, 0)
         with pytest.raises(ChannelPoisoned):
-            rig.broker.local_get_blocking("a", conn, 0, timeout=5.0)
+            batch.commit(timeout=5.0)
+
+    def test_poison_wakes_parked_local_step(self, rig, drain, wait_until):
+        batch, conn = drain
+        seen = []
+        t = self.park(batch, conn, seen)
+        wait_until(lambda: rig.broker._steps)
+        rig.broker.poison_all()
+        t.join(timeout=5.0)
+        assert seen == [ChannelPoisoned]
+
+    def test_local_step_counts_apart_from_roundtrips(self, rig, drain):
+        batch, conn = drain
+        rig.put("a", 0, "x")
+        batch.get("a", conn, 0)
+        assert batch.commit(timeout=5.0) == [(0, "x")]
+        batch.consume("a", conn, 0)
+        batch.commit(timeout=5.0)
+        assert rig.broker.op_counts == {"step": 1, "local_step": 2}
+        assert rig.broker.roundtrips() == 1
 
 
 class TestShmThreshold:
