@@ -78,6 +78,11 @@ class VideoSource:
             )
         if target_size >= min(height, width):
             raise ReproError("target_size must be smaller than the frame")
+        if noise_level > 255:
+            raise ReproError(
+                f"noise_level must be at most 255 (it saturates every pixel "
+                f"beyond), got {noise_level}"
+            )
         self.height = height
         self.width = width
         self.n_targets = n_targets
@@ -110,13 +115,18 @@ class VideoSource:
         """Render frame ``ts`` — deterministic for a given source."""
         if ts < 0:
             raise ReproError(f"timestamps are non-negative, got {ts}")
-        img = self._background.copy()
         if self.noise_level > 0:
             rng = np.random.default_rng((self._noise_seed, ts))
             noise = rng.integers(
-                -self.noise_level, self.noise_level + 1, size=img.shape
+                -self.noise_level, self.noise_level + 1, size=self._background.shape
             )
-            img = np.clip(img.astype(np.int16) + noise, 0, 255).astype(np.uint8)
+            # pixel + noise lies in [-255, 510]: add and clip in int16, in place
+            img16 = noise.astype(np.int16)
+            img16 += self._background
+            np.clip(img16, 0, 255, out=img16)
+            img = img16.astype(np.uint8)
+        else:
+            img = self._background.copy()
         s = self.target_size
         for t in self.targets:
             y, x = t.position(ts, self.height, self.width)
