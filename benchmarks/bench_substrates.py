@@ -235,13 +235,15 @@ def test_broker_roundtrips_per_frame():
     for 4 and 8 frames; the *marginal* rate ``(rt(8) - rt(4)) / 4``
     excludes one-time costs (static gets, the final flush), so it is the
     steady-state queue crossings per frame.  A channel whose every
-    endpoint is scheduled on one node stays inside that node's worker, so
-    the rate is exactly the number of tasks that own a channel the broker
-    hosts: 1 on one node (T5's put of the terminal channel), 5 on the
-    two-node split below (only ``back_projections`` stays local) — on any
-    host, CPU count is irrelevant to message counts.  (Every channel at
-    the broker measured 5.0 on one node, the per-op protocol before it
-    17.0; see CHANGES.md, ISSUEs 24 and 15.)
+    endpoint is scheduled on one node stays inside that node's worker, and
+    a terminal channel is collected on its producers' node, so the rate is
+    exactly the number of tasks that own a channel the broker hosts: 0 on
+    one node (only T4's one static read crosses, a fixed cost), 4 on the
+    two-node split below (``back_projections`` and ``model_locations``
+    stay on node 1, so T5 owns no boundary channel) — on any host, CPU
+    count is irrelevant to message counts.  (The parent collecting the
+    terminal channel measured 1.0 and 5.0; every channel at the broker
+    5.0 on one node; the per-op protocol before it 17.0.)
     """
     from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
     from repro.runtime.process import ProcessRuntime
@@ -254,7 +256,7 @@ def test_broker_roundtrips_per_frame():
         "coalesced": None,
         "two_nodes": {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1},
     }
-    expected = {"coalesced": 1.0, "two_nodes": 5.0}
+    expected = {"coalesced": 0.0, "two_nodes": 4.0}
     rows: dict[str, dict] = {}
     for label, placement in placements.items():
         per_frames: dict[int, int] = {}

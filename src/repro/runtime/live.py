@@ -20,9 +20,11 @@ task: the same body, whose kernel keeps each value and when it arrived.
 A :class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
 every channel local that collects itself; a
 :class:`~repro.runtime.process.ProcessRuntime` worker is one node whose
-boundary ends reach the parent's broker, so a frame crosses the broker
-only where its data crosses a node boundary, and the parent runs one
-more node, with no tasks, whose collectors reach the broker in-process.
+boundary ends reach the parent's broker and that collects the terminal
+channels its own tasks produce, so a frame crosses the broker only where
+its data crosses a node boundary.  The parent runs one more node, with
+no tasks, whose collectors drain the terminal channels left at the
+broker in-process.
 :func:`merge_reports` turns node reports into the run's
 :class:`LiveResult` on both.
 

@@ -18,26 +18,30 @@ rung between the simulator and real hardware:
   inter-node communication distinction (Figure 6).  A streaming channel
   whose every producer and consumer is scheduled on one node is a
   :class:`~repro.stm.threaded.ThreadedChannel` inside that node's
-  process; only the edges that cross nodes (and the terminal and static
-  channels, which the parent drains and fills) are hosted by the parent's
+  process, and so is a terminal channel whose producers all are: its
+  collector (a sink task) counts as one more end, placed on its
+  producers' node.  Only the edges that cross nodes (and the static
+  channels, which the parent fills) are hosted by the parent's
   :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
   array payloads, pickle otherwise), where a task's boundary traffic for
   a frame is one :class:`~repro.stm.process.StepBatch` step — the
-  broker's one op.  A one-node schedule therefore crosses the broker once
-  a frame (the put of the terminal channel), and a task with no boundary
-  channel never.  What the parent can then no longer read off the broker
-  — the node-local channels' counters and GC totals, the digitize stamps,
-  its trace records — is the node's :class:`~repro.runtime.live.
-  NodeReport`, which rides each worker's ``done`` message into
-  :func:`~repro.runtime.live.merge_reports`, beside the broker's own
-  counters as one more report;
-* the parent drains the terminal channels with one more node, with no
-  tasks: a collector is a sink task, through the same node body, whose
-  boundary ends reach the broker over a :class:`~repro.stm.process.
-  LocalLink` — the same step, served inline under the broker lock and
-  counted as ``local_step``, not as a queue round trip.  It runs while
-  the parent watches the workers, and a collector that fails reports
-  ``fatal`` like any task thread, so the run fails at once;
+  broker's one op.  A one-node schedule therefore crosses the broker
+  only for its static reads, never per frame, and a task with no
+  boundary channel never.  What the parent can then no longer read off
+  the broker — the node-local channels' counters and GC totals, the
+  digitize stamps, its trace records, what its collectors drained — is
+  the node's :class:`~repro.runtime.live.NodeReport`, which rides each
+  worker's ``done`` message into :func:`~repro.runtime.live.
+  merge_reports`, beside the broker's own counters as one more report.
+  A worker that exits cleanly without that report fails the run;
+* the parent drains the terminal channels left at the broker with one
+  more node, with no tasks: a collector is a sink task, through the same
+  node body, whose boundary ends reach the broker over a
+  :class:`~repro.stm.process.LocalLink` — the same step, served inline
+  under the broker lock and counted as ``local_step``, not as a queue
+  round trip.  It runs while the parent watches the workers, and a
+  collector that fails reports ``fatal`` like any task thread, so the run
+  fails at once;
 * a task placed with a data-parallel variant (``dp4``) fans its chunks
   out over the node's own process pool — the paper's FP/MP
   decompositions finally execute concurrently;
@@ -55,7 +59,9 @@ rung between the simulator and real hardware:
   points are read from STM that outlives the worker, so a run that may
   respawn (``max_respawns > 0``) keeps *every* channel at the broker —
   the one case where locality is not a function of the schedule
-  (:meth:`ProcessRuntime._node_local_channels`).  What a dead worker had
+  (:meth:`ProcessRuntime._node_local_channels`), and the one case where
+  the parent collects every terminal channel, so its outputs outlive a
+  worker too.  What a dead worker had
   not shipped dies with it: its kernel spans and the digitize stamps of
   the frames its sources emitted;
 * a failure that is not recovered ends the run at once, not after
@@ -368,12 +374,13 @@ class ProcessRuntime:
     def _node_local_channels(self) -> dict[int, dict[str, Optional[int]]]:
         """``{node: {channel: capacity}}`` of the channels that stay in a worker.
 
-        A streaming channel is *node-local* when it has a consumer and all
-        its producers and consumers are assigned to one node; it then lives
-        in that node's process as a ``ThreadedChannel``.  Everything else —
-        a channel whose ends sit on different nodes, a terminal channel
-        (the parent collects it), a static channel (the parent fills it) —
-        is a *boundary* channel, hosted by the broker.
+        A streaming channel is *node-local* when all its ends are assigned
+        to one node; it then lives in that node's process as a
+        ``ThreadedChannel``.  A terminal channel's collector is one of its
+        ends, placed on its producers' node: a terminal channel whose
+        producers share a node is collected there.  Everything else — a
+        channel whose ends sit on different nodes, a static channel (the
+        parent fills it) — is a *boundary* channel, hosted by the broker.
 
         Locality is a function of the schedule, with one exception decided
         here: recovery by respawn reads its resume points from STM that
@@ -384,11 +391,11 @@ class ProcessRuntime:
         if self.faults is not None and self.faults.max_respawns > 0:
             return local
         for spec in self.graph.channels:
-            consumers = self.graph.consumers(spec.name)
-            if spec.static or not consumers:
+            ends = (self.graph.consumers(spec.name)
+                    + self.graph.producers(spec.name))
+            if spec.static or not ends:
                 continue
-            nodes = {self.assignment[t.name]
-                     for t in consumers + self.graph.producers(spec.name)}
+            nodes = {self.assignment[t.name] for t in ends}
             if len(nodes) == 1:
                 local.setdefault(nodes.pop(), {})[spec.name] = spec.capacity
         return local
@@ -429,8 +436,10 @@ class ProcessRuntime:
         }
         plans = build_task_plans(self.graph)
         terminal = terminal_channels(self.graph)
+        # A terminal channel at the broker is drained by the parent; a
+        # node-local one by its producers' worker.
         remote[COLLECTOR] = {ch: broker.attach_input(ch, COLLECTOR)
-                             for ch in terminal}
+                             for ch in terminal if ch not in node_local}
         for name, value in self.static_inputs.items():
             broker.put_static(name, value)
         trace = TraceRecorder()
@@ -474,10 +483,12 @@ class ProcessRuntime:
             nonlocal next_worker_id
             worker_id, next_worker_id = next_worker_id, next_worker_id + 1
             node_tasks = tasks_by_node[node]
+            local = local_by_node.get(node, {})
             live = LiveNode(
-                node_tasks, plans, local_by_node.get(node, {}), self.state,
-                timestamps, self.op_timeout, remote=remote, resume=resume,
-                where=where, t0=broker._t0,
+                node_tasks, plans, local, self.state,
+                timestamps, self.op_timeout, remote=remote,
+                collect=tuple(ch for ch in terminal if ch in local),
+                resume=resume, where=where, t0=broker._t0,
                 observe=self.obs is not None,
             )
             proc = ctx.Process(
@@ -493,13 +504,14 @@ class ProcessRuntime:
         for node in nodes:
             spawn(node, f"node{node}")
 
-        #: the parent's own node: no tasks, the collectors
+        #: the parent's own node: no tasks, the broker's terminal channels
         drain = LiveNode([], plans, {}, self.state, timestamps, self.op_timeout,
-                         remote=remote, collect=tuple(terminal), t0=broker._t0)
+                         remote=remote, collect=tuple(remote[COLLECTOR]),
+                         t0=broker._t0)
         drain.start(broker.local_link())
 
         respawns = 0
-        completed_ok: set[int] = set()
+        completed_ok: dict[int, int] = {}  # worker_id -> node, exit code 0
         respawn_budget = self.faults.max_respawns if self.faults else 0
         hard_deadline = _time.monotonic() + self.op_timeout * (timestamps + 4)
         failed: Optional[str] = None
@@ -519,7 +531,7 @@ class ProcessRuntime:
                     proc, node = workers.pop(wid)
                     proc.join()
                     if proc.exitcode == 0:
-                        completed_ok.add(wid)
+                        completed_ok[wid] = node
                         continue
                     if respawns >= respawn_budget:
                         failed = (
@@ -557,15 +569,21 @@ class ProcessRuntime:
         wall = broker.now  # the run's one clock, which every record is on
 
         # Worker exit races the broker draining its "done" message; wait for
-        # every cleanly-exited worker's buffers before merging.
+        # every cleanly-exited worker's report before merging.  A report
+        # that never comes fails the run: it holds the node's outputs.
         wait_until = _time.monotonic() + 10.0
         while (not failed
-               and not completed_ok.issubset(broker.done_payloads)
+               and not completed_ok.keys() <= broker.done_payloads.keys()
                and _time.monotonic() < wait_until):
             _time.sleep(0.005)
+        missing = [node for wid, node in completed_ok.items()
+                   if wid not in broker.done_payloads]
+        if missing and not failed:
+            failed = f"worker for node {missing[0]} exited without its done report"
         # The broker's counters, then each worker's share of the run (its
         # node-local channels, the stamps its sources took, its kernel
-        # spans), then what the parent's collectors drained.
+        # spans, what its collectors drained), then what the parent's
+        # collectors drained.
         reports = [NodeReport(broker.stats(), *broker.gc_totals()),
                    *broker.done_payloads.values()]
         broker_ops = dict(broker.op_counts)

@@ -27,10 +27,13 @@ This module supplies the two halves of the inter-node transport:
 A step reaches the broker over a link.  A worker's is a
 :class:`WorkerLink` (a request queue, a reply queue): a queue round trip,
 counted as ``step``.  The parent's own threads — the collectors that drain
-the terminal channels, which are sink tasks like any other — use a
-:class:`LocalLink`: the same step, dispatched inline under the broker
-lock and counted as ``local_step``, so :meth:`ChannelBroker.roundtrips`
-counts queue round trips only.
+the terminal channels left at the broker, which are sink tasks like any
+other — use a :class:`LocalLink`: the same step, dispatched inline under
+the broker lock and counted as ``local_step``, so
+:meth:`ChannelBroker.roundtrips` counts queue round trips only.  (A
+terminal channel whose producers share a node is collected in that
+node's worker and never comes here; only a run that may respawn keeps
+them all at the broker.)
 
 Payloads travel on two planes.  ``numpy`` arrays of at least
 :data:`SHM_THRESHOLD_BYTES` (4 KiB, a constant) ride a shared-memory
@@ -754,7 +757,7 @@ class WorkerLink:
 
 class LocalLink:
     """A link for threads of the broker's own process: the parent's
-    collectors, which drain the terminal channels.
+    collectors, which drain the terminal channels left at the broker.
 
     The same step a :class:`WorkerLink` ships over two queues, served
     without them: the calling thread dispatches it itself, under the broker

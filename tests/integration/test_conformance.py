@@ -202,9 +202,10 @@ PLACEMENTS = {
 }
 #: what the process substrate must keep inside its workers on each
 NODE_LOCAL = {
-    "one-node": ["back_projections", "frame", "histogram", "motion_mask"],
-    "two-nodes": ["back_projections"],
-    "node-per-task": [],
+    "one-node": ["back_projections", "frame", "histogram", "model_locations",
+                 "motion_mask"],
+    "two-nodes": ["back_projections", "model_locations"],
+    "node-per-task": ["model_locations"],
 }
 
 

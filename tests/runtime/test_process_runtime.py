@@ -139,8 +139,9 @@ class TestBrokerRoundTrips:
     channel — exact counts, independent of host and seed."""
 
     def test_tracker_marginal_roundtrips_per_frame(self, brokers):
-        """Five tasks on one node: only T5's put of the terminal channel
-        leaves the worker."""
+        """Five tasks on one node: the terminal channel is collected in the
+        worker too, so no frame leaves it (T4's one static read is a fixed
+        cost)."""
         def make():
             live, statics, state = tracker_setup()
             return StaticExecutor(
@@ -149,10 +150,11 @@ class TestBrokerRoundTrips:
             )
 
         marginal, meta = marginal_roundtrips(make)
-        assert marginal == 1.0
+        assert marginal == 0.0
         assert meta["node_local_channels"] == [
-            "back_projections", "frame", "histogram", "motion_mask"]
-        assert set(brokers[-1].channels) == {"model_locations", "color_model"}
+            "back_projections", "frame", "histogram", "model_locations",
+            "motion_mask"]
+        assert set(brokers[-1].channels) == {"color_model"}
 
     def test_two_node_split_crosses_once_per_boundary_owner(self, brokers):
         def make():
@@ -162,16 +164,18 @@ class TestBrokerRoundTrips:
 
         marginal, meta = marginal_roundtrips(make)
         live, _, _ = tracker_setup()
-        assert meta["node_local_channels"] == ["back_projections"]
-        assert boundary_owners(live, meta["node_local_channels"]) == 5
-        assert marginal == 5.0
+        assert meta["node_local_channels"] == [
+            "back_projections", "model_locations"]
+        # T5 reads back_projections and puts model_locations, both on node 1
+        assert boundary_owners(live, meta["node_local_channels"]) == 4
+        assert marginal == 4.0
         assert set(brokers[-1].channels) == {
-            "frame", "motion_mask", "histogram", "model_locations",
-            "color_model"}
+            "frame", "motion_mask", "histogram", "color_model"}
 
     def test_task_with_no_boundary_channel_never_crosses(self, brokers):
         """src -> mid on node 0, sink on node 1: ``a`` stays in node 0's
-        worker, so src adds nothing to the marginal rate."""
+        worker and the terminal ``c`` in node 1's, so src adds nothing to
+        the marginal rate."""
         def make():
             g = chain_graph_live()
             g.add_channel(ChannelSpec("c"))
@@ -182,9 +186,9 @@ class TestBrokerRoundTrips:
                 placement={"src": 0, "dbl": 0, "sink": 1})
 
         marginal, meta = marginal_roundtrips(make)
-        assert meta["node_local_channels"] == ["a"]
-        assert marginal == 2.0  # dbl (puts b) and sink (gets b, puts c)
-        assert set(brokers[-1].channels) == {"b", "c"}
+        assert meta["node_local_channels"] == ["a", "c"]
+        assert marginal == 2.0  # dbl (puts b) and sink (gets b)
+        assert set(brokers[-1].channels) == {"b"}
 
     @pytest.mark.parametrize("placement, frame_at_broker", [
         (None, False), (TWO_NODE_SPLIT, True)])
@@ -204,23 +208,74 @@ class TestBrokerRoundTrips:
 
 
 class TestOneBrokerOp:
-    """The parent's collectors are sink tasks: the broker serves them the
-    one step, inline, as ``local_step``."""
+    """The broker serves one op, the step.  A terminal channel is collected
+    on its producers' node; only a run that may respawn keeps it at the
+    broker, where the parent's collector (a sink task) is served inline as
+    ``local_step``."""
 
     @pytest.mark.parametrize("placement", [None, TWO_NODE_SPLIT],
                              ids=["one-node", "two-nodes"])
-    def test_broker_ops_are_steps_one_local_step_a_frame(self, placement):
+    def test_terminal_channel_is_collected_in_its_producers_worker(
+            self, placement):
         live, statics, state = tracker_setup()
         frames = 5
         res = ProcessRuntime(live, state, static_inputs=statics,
                              placement=placement, op_timeout=30.0).run(frames)
+        ops = res.meta["broker_ops"]
+        assert set(ops) <= {"step", "done"}  # no local_step served
+        assert res.meta["broker_roundtrips"] == ops["step"]
+        assert "model_locations" in res.meta["node_local_channels"]
+        assert sorted(res.outputs["model_locations"]) == list(range(frames))
+        assert sorted(res.completion_times) == list(range(frames))
+
+    def test_broker_ops_are_steps_one_local_step_a_frame(self):
+        """A respawn-capable plan with no events: every channel at the
+        broker, drained by the parent's collector."""
+        live, statics, state = tracker_setup()
+        frames = 5
+        res = ProcessRuntime(live, state, static_inputs=statics,
+                             op_timeout=30.0,
+                             faults=ProcessFaultPlan()).run(frames)
         ops = res.meta["broker_ops"]
         assert set(ops) <= {"step", "local_step", "done"}
         # one terminal channel: a step per frame (consume ts-1, get ts)
         # and the flush (consume the last frame)
         assert ops["local_step"] == frames + 1
         assert res.meta["broker_roundtrips"] == ops["step"]
+        assert res.meta["node_local_channels"] == []
         assert sorted(res.outputs["model_locations"]) == list(range(frames))
+        assert sorted(res.completion_times) == list(range(frames))
+
+    def test_missing_done_report_fails_at_the_parent(self, monkeypatch):
+        """A worker that exits cleanly but never sends its report would
+        leave the run short of the outputs it collected: a typed failure
+        naming the node, not a short result."""
+        from repro.stm.process import WorkerLink
+
+        notify = WorkerLink.notify
+        # patched before the fork, so the worker inherits it
+        monkeypatch.setattr(
+            WorkerLink, "notify",
+            lambda link, op, payload: None if op == "done"
+            else notify(link, op, payload))
+        runtime = ProcessRuntime(chain_graph_live(), State(n_models=1),
+                                 op_timeout=30.0)
+        with pytest.raises(ReproError, match="node 0 exited without its done"):
+            runtime.run(3)
+
+    def test_big_terminal_items_return_bitwise(self):
+        """The 80 KB arrays of a node-local terminal channel come home in
+        the worker's report, not on the shared-memory ring, unchanged."""
+        res = ProcessRuntime(chain_graph_live(), State(n_models=1),
+                             op_timeout=30.0).run(4)
+        ref = ThreadedRuntime(chain_graph_live(), State(n_models=1)).run(4)
+        assert res.meta["node_local_channels"] == ["a", "b"]
+        assert sorted(res.outputs["b"]) == list(range(4))
+        for ts, value in ref.outputs["b"].items():
+            got = res.outputs["b"][ts]
+            assert got.nbytes >= 4096
+            assert (got.dtype, got.shape) == (value.dtype, value.shape)
+            assert got.tobytes() == value.tobytes()
 
 
 class TestScheduleDriven:
@@ -278,7 +333,7 @@ class TestObservability:
         res = ProcessRuntime(
             chain_graph_live(), State(n_models=1), op_timeout=30.0, obs=obs,
         ).run(4)
-        assert res.meta["node_local_channels"] == ["a"]
+        assert res.meta["node_local_channels"] == ["a", "b"]
         events = [e for e in res.trace.items if e.channel == "a"]
         kinds = [e.kind for e in events]
         assert {k: kinds.count(k) for k in set(kinds)} == {
