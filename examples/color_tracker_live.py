@@ -28,12 +28,15 @@ def main(n_people: int = 3, n_frames: int = 10) -> None:
     print(f"Tracking {n_people} synthetic people over {n_frames} frames "
           f"({video.height}x{video.width})...")
     result = runtime.run(n_frames)
-    print(f"Processed {n_frames} frames in {result.wall_time:.3f}s wall time.\n")
+    # The one result every substrate returns: the horizon is the wall time
+    # on a live run, the terminal channels' items are meta["outputs"].
+    print(f"Processed {n_frames} frames in {result.horizon:.3f}s wall time.\n")
 
     hits = 0
     total = 0
-    for ts in sorted(result.outputs["model_locations"]):
-        locations = result.outputs["model_locations"][ts]
+    outputs = result.meta["outputs"]["model_locations"]
+    for ts in sorted(outputs):
+        locations = outputs[ts]
         truth = video.positions(ts)
         marks = []
         for (r, c, score), (tr, tc) in zip(locations, truth):
@@ -48,7 +51,7 @@ def main(n_people: int = 3, n_frames: int = 10) -> None:
               f"truth {' '.join(f'({r:3d},{c:3d})' for r, c in truth)}")
     print(f"\n{hits}/{total} detections inside the true target patch "
           f"(* = hit, ! = miss).")
-    stats = result.channel_stats["frame"]
+    stats = result.meta["channel_stats"]["frame"]
     print(f"STM 'frame' channel: {stats['puts']} puts, {stats['gets']} gets, "
           f"{stats['collected']} items garbage-collected.")
 

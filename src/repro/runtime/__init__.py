@@ -13,14 +13,16 @@
   pre-computed :class:`~repro.core.schedule.PipelinedSchedule`, verifying
   as it goes that the schedule's promises (resource exclusivity, data
   readiness) hold in execution.
-* :mod:`repro.runtime.result` — the uniform result object every executor
-  produces: trace + per-timestamp latency accounting + GC totals.
+* :mod:`repro.runtime.result` — the one result object every executor and
+  both live runtimes return: trace + per-timestamp latency accounting +
+  GC totals.
 * :mod:`repro.runtime.live` — what the two live runtimes share: the one
   per-task frame loop (:func:`~repro.runtime.live.run_frames`, a *step*
   per frame), the one step body
   (:func:`~repro.runtime.live.make_exchange`: local channel ends inline,
-  boundary ends on one batch), the configuration checks and
-  :class:`~repro.runtime.live.LiveResult`.
+  boundary ends on one batch), the configuration checks and the report
+  merge (:func:`~repro.runtime.live.merge_reports`) that builds the run's
+  :class:`~repro.runtime.result.ExecutionResult`.
 * :mod:`repro.runtime.threaded` — the live runtime running real kernels on
   real Python threads; every channel end is local, inline
   :class:`~repro.stm.threaded.ThreadedChannel` operations.
@@ -35,7 +37,6 @@
 from repro.runtime.result import ExecutionResult
 from repro.runtime.dynamic import DynamicExecutor
 from repro.runtime.static_exec import StaticExecutor
-from repro.runtime.live import LiveResult
 from repro.runtime.threaded import ThreadedRuntime
 from repro.runtime.process import (
     KernelFault,
@@ -47,7 +48,6 @@ __all__ = [
     "ExecutionResult",
     "DynamicExecutor",
     "StaticExecutor",
-    "LiveResult",
     "ThreadedRuntime",
     "KernelFault",
     "ProcessFaultPlan",

@@ -26,13 +26,13 @@ its data crosses a node boundary.  The parent runs one more node, with
 no tasks, whose collectors drain the terminal channels left at the
 broker in-process.
 :func:`merge_reports` turns node reports into the run's
-:class:`LiveResult` on both.
+:class:`~repro.runtime.result.ExecutionResult` on both — the result every
+substrate returns, the DES included.
 
-Beside them sit the pieces both runtimes (and ``StaticExecutor``'s live
-adapter) need exactly once: the digitize stamps, the configuration
-checks, the terminal-channel list and the per-frame completion merge.  A
-live run's records go into its own :class:`~repro.sim.trace.
-TraceRecorder`, on the run's clock (seconds since it started): one
+Beside them sit the pieces both runtimes need exactly once: the digitize
+stamps, the configuration checks, the terminal-channel list and the
+per-frame completion merge.  A live run's records go into its own
+:class:`~repro.sim.trace.TraceRecorder`, on the run's clock (seconds since it started): one
 :class:`~repro.sim.trace.ExecSpan` per kernel execution always, and —
 only when an ``obs`` bundle listens, so that an unobserved run does no
 per-operation work for it — one :class:`~repro.sim.trace.ItemEvent` per
@@ -50,6 +50,7 @@ from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import TaskPlan
+from repro.runtime.result import ExecutionResult
 from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
 from repro.state import State
 from repro.stm.process import StepBatch
@@ -62,7 +63,6 @@ __all__ = [
     "ChannelEnds",
     "FrameStamps",
     "LiveNode",
-    "LiveResult",
     "NodeReport",
     "check_static_inputs",
     "check_timestamps",
@@ -81,56 +81,18 @@ Done = Optional[tuple[int, dict]]
 COLLECTOR = "-collector-"
 
 
-@dataclass
-class LiveResult:
-    """What a live run produced, on either substrate.
-
-    Attributes
-    ----------
-    outputs:
-        ``{channel: {timestamp: value}}`` for every *terminal* channel
-        (streaming channels no task consumes — e.g. ``model_locations``).
-    wall_time:
-        Wall-clock seconds for the whole run.
-    channel_stats:
-        Per-channel put/get/consume/collected counters.
-    digitize_times / completion_times:
-        Per-frame wall-clock seconds relative to run start: when the
-        source emitted the frame, and when every terminal channel had
-        received it — the live counterparts of the simulated executors'
-        fields, so latency metrics apply across substrates.
-    trace:
-        The run's :class:`~repro.sim.trace.TraceRecorder`: one
-        :class:`~repro.sim.trace.ExecSpan` per kernel execution, seconds
-        since run start (``proc`` is the task's index on threads and its
-        scheduled primary processor on processes), the process
-        substrate's detection and failover marks, and the item events of
-        an observed run.
-    respawns / kernel_retries:
-        Fault-recovery counters (process substrate; 0 on threads).
-    meta:
-        Substrate-specific extras (the process runtime's placement and
-        broker accounting).
-    """
-
-    outputs: dict[str, dict[int, Any]]
-    wall_time: float
-    channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
-    digitize_times: dict[int, float] = field(default_factory=dict)
-    completion_times: dict[int, float] = field(default_factory=dict)
-    trace: TraceRecorder = field(default_factory=TraceRecorder)
-    respawns: int = 0
-    kernel_retries: int = 0
-    meta: dict = field(default_factory=dict)
-
-
 def check_static_inputs(graph: TaskGraph, static_inputs: dict[str, Any]) -> None:
-    """Every static channel of ``graph`` has a value to be filled with."""
-    for spec in graph.channels:
-        if spec.static and spec.name not in static_inputs:
+    """``static_inputs`` holds a value for every static channel of ``graph``
+    and for nothing else: no streaming channel, no unknown name."""
+    static = {spec.name for spec in graph.channels if spec.static}
+    for name in sorted(static ^ static_inputs.keys()):
+        if name in static:
             raise ExecutorConfigError(
-                f"static channel {spec.name!r} needs a value in static_inputs"
+                f"static channel {name!r} needs a value in static_inputs"
             )
+        raise ExecutorConfigError(
+            f"static_inputs names {name!r}, not a static channel of the graph"
+        )
 
 
 def check_timestamps(timestamps: int) -> None:
@@ -593,20 +555,26 @@ class LiveNode:
 
 
 def merge_reports(
+    graph: TaskGraph,
+    state: State,
+    timestamps: int,
     reports,
     trace: TraceRecorder,
     wall_time: float,
     obs=None,
     *,
     respawns: int = 0,
-    meta: Optional[dict] = None,
-) -> LiveResult:
-    """The run's :class:`LiveResult` from its nodes' reports.
+    meta: dict,
+) -> ExecutionResult:
+    """The run's :class:`~repro.runtime.result.ExecutionResult` from its
+    nodes' reports.
 
     Counters, collected outputs and arrivals are unioned and summed,
     stamps merged (latest source wins), the item events and the spans (by
     start) recorded into ``trace``, and every completed frame reported to
-    ``obs``.
+    ``obs``.  The horizon is the wall time; ``meta`` holds the terminal
+    ``outputs``, the ``channel_stats``, ``wall_time``, ``respawns`` and
+    ``kernel_retries``, plus the caller's ``meta`` (its ``substrate``).
     """
     stats: dict[str, dict[str, int]] = {}
     outputs: dict[str, dict[int, Any]] = {}
@@ -632,15 +600,22 @@ def merge_reports(
     digitize = dict(sorted(digitize.items()))
     completion = merge_completion(arrivals)
     report_frames(obs, digitize, completion)
-    return LiveResult(
-        outputs=outputs,
-        wall_time=wall_time,
-        channel_stats=stats,
+    return ExecutionResult(
+        graph=graph,
+        state=state,
+        trace=trace,
         digitize_times=digitize,
         completion_times=completion,
-        trace=trace,
-        respawns=respawns,
-        kernel_retries=retries,
-        meta={**(meta or {}), "gc_collected": collected,
-              "live_item_high_water": high_water},
+        horizon=wall_time,
+        emitted=timestamps,
+        gc_collected=collected,
+        live_item_high_water=high_water,
+        meta={
+            "outputs": outputs,
+            "channel_stats": stats,
+            "wall_time": wall_time,
+            "respawns": respawns,
+            "kernel_retries": retries,
+            **meta,
+        },
     )

@@ -88,13 +88,13 @@ from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
     COLLECTOR,
     LiveNode,
-    LiveResult,
     NodeReport,
     check_static_inputs,
     check_timestamps,
     merge_reports,
     terminal_channels,
 )
+from repro.runtime.result import ExecutionResult
 from repro.sim.trace import Mark, TraceRecorder
 from repro.state import State
 from repro.stm.process import ChannelBroker, WorkerLink
@@ -317,10 +317,10 @@ class ProcessRuntime:
         process from the parent).
     faults:
         Optional :class:`ProcessFaultPlan`.
-    start_method:
-        ``multiprocessing`` start method; only ``"fork"`` supports
-        kernels that are closures (the default everywhere this runtime
-        targets).  Platforms without fork raise.
+
+    Workers are forked: each inherits its node, kernels and closures
+    included, and nothing is pickled, so a platform without ``fork``
+    raises :class:`~repro.errors.ReproError` at :meth:`run`.
     """
 
     def __init__(
@@ -334,7 +334,6 @@ class ProcessRuntime:
         op_timeout: float = 60.0,
         obs: Optional["Observability"] = None,
         faults: Optional[ProcessFaultPlan] = None,
-        start_method: str = "fork",
     ) -> None:
         graph.validate()
         from repro.core.optimal import ScheduleSolution
@@ -351,7 +350,6 @@ class ProcessRuntime:
         self.op_timeout = op_timeout
         self.obs = obs
         self.faults = faults
-        self.start_method = start_method
         check_static_inputs(graph, self.static_inputs)
         self.assignment, self.dp_plan = self._derive_assignment(placement)
 
@@ -402,7 +400,7 @@ class ProcessRuntime:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, timestamps: int) -> LiveResult:
+    def run(self, timestamps: int) -> ExecutionResult:
         """Process ``timestamps`` frames in order across the worker fleet."""
         import multiprocessing
 
@@ -410,11 +408,9 @@ class ProcessRuntime:
 
         check_timestamps(timestamps)
         try:
-            ctx = multiprocessing.get_context(self.start_method)
+            ctx = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - exotic platform
-            raise ReproError(
-                f"start method {self.start_method!r} unavailable: {exc}"
-            ) from None
+            raise ReproError(f"the process runtime needs fork: {exc}") from None
 
         # The broker carries only the edges that cross nodes (and what the
         # parent itself fills or drains); intra-node STM stays in the worker.
@@ -593,8 +589,10 @@ class ProcessRuntime:
             raise ReproError(f"process runtime failed: {failed}")
         reports.append(drained)
         return merge_reports(
-            reports, trace, wall, self.obs, respawns=respawns,
+            self.graph, self.state, timestamps, reports, trace, wall, self.obs,
+            respawns=respawns,
             meta={
+                "substrate": "process",
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
                 "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},

@@ -1,4 +1,4 @@
-"""The uniform result object produced by every executor."""
+"""The one result object: every executor and both live runtimes return it."""
 
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ __all__ = ["ExecutionResult"]
 class ExecutionResult:
     """Everything an execution produced, ready for the metrics layer.
 
+    Times are on the run's clock: simulated seconds on the DES, wall-clock
+    seconds since the run started on a live substrate.
+
     Attributes
     ----------
     graph / state:
@@ -23,21 +26,23 @@ class ExecutionResult:
     trace:
         Every execution span and channel item event.
     digitize_times:
-        Map ``timestamp -> simulated time`` the source task emitted the
+        Map ``timestamp -> time`` the source task emitted the
         frame.  Latency for a timestamp is measured from here (the paper:
         "the time interval between placing a frame into the Video Frame
         channel and reading all of its detected target locations").
     completion_times:
-        Map ``timestamp -> simulated time`` the final sink finished it.
+        Map ``timestamp -> time`` the final sink finished it.
     horizon:
-        Simulated time the execution covered.
+        Time the execution covered (a live run's wall time).
     emitted:
         Total timestamps the source produced (>= completed; the difference
         is skipped/unfinished frames).
     gc_collected / live_item_high_water:
-        Space-footprint accounting from the channel hubs.
+        Space-footprint accounting from the channels.
     meta:
-        Executor-specific extras (scheduler stats, slip counts, ...).
+        Executor-specific extras (scheduler stats, slip counts, ...; a
+        live run's terminal ``outputs``, ``channel_stats``, ``wall_time``,
+        ``respawns``, ``kernel_retries`` and ``substrate``).
     """
 
     graph: TaskGraph

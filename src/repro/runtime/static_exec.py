@@ -57,7 +57,9 @@ from repro.core.table import RegimeController, SwitchRecord
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
 from repro.runtime.hub import SimWorld, build_hubs
+from repro.runtime.process import ProcessFaultPlan, ProcessRuntime
 from repro.runtime.result import ExecutionResult
+from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import CommModel, tier_name
@@ -66,7 +68,6 @@ from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
     from repro.analysis.race import RaceChecker
-    from repro.faults.runner import FaultRuntime
     from repro.obs import Observability
     from repro.sim.fabric import LinkFabric
 
@@ -480,13 +481,11 @@ class StaticExecutor:
         cost table, so contention shows up as slips —
         ``meta["contended_time"]`` reports the total link-wait.
     faults:
-        Optional :class:`~repro.faults.runner.FaultRuntime`.  When set,
-        :meth:`run` delegates to the fault-tolerance subsystem's
-        :class:`~repro.faults.runner.FaultTolerantExecutor`: the schedule
-        passed here is superseded by a table of optimal schedules, one per
-        reachable degraded cluster shape, and failures become regime
-        changes selecting among them (§3.4).  Incompatible with
-        ``contended``.
+        Optional :class:`~repro.runtime.process.ProcessFaultPlan`, on
+        ``runtime="process"`` only: injected kernel errors and worker
+        deaths, recovered by retries and respawns.  A simulated fault run
+        (§3.4: failures as regime changes over a table of per-shape
+        schedules) is :class:`~repro.faults.runner.FaultTolerantExecutor`.
     obs:
         Optional :class:`~repro.obs.Observability` bundle, subscribed to
         the run's trace on every substrate: every placement execution,
@@ -499,8 +498,10 @@ class StaticExecutor:
         discrete-event simulation above), ``"threaded"`` (real kernels on
         Python threads) or ``"process"`` (real kernels on one worker
         process per scheduled cluster node — genuine parallelism).  The
-        live substrates need ``compute`` kernels on the tasks and report
-        wall-clock times in the result's digitize/completion fields.
+        live substrates need ``compute`` kernels on the tasks and return
+        the runtime's own result: wall-clock digitize/completion times,
+        the terminal channels' items in ``meta["outputs"]``, plus
+        ``meta["period"]``.
     static_inputs:
         Values for static configuration channels, required by the live
         substrates (e.g. ``{"color_model": models}``); the simulation
@@ -525,7 +526,7 @@ class StaticExecutor:
         schedule: Union[PipelinedSchedule, ScheduleSolution],
         comm: Optional[CommModel] = None,
         contended: bool = False,
-        faults: Optional["FaultRuntime"] = None,
+        faults: Optional[ProcessFaultPlan] = None,
         obs: Optional["Observability"] = None,
         runtime: str = "sim",
         static_inputs: Optional[dict] = None,
@@ -537,24 +538,18 @@ class StaticExecutor:
             raise ExecutorConfigError(
                 f"unknown runtime {runtime!r}; pick sim, threaded or process"
             )
-        if faults is not None and contended:
+        if runtime != "sim" and contended:
             raise ExecutorConfigError(
-                "contended transfers are not supported under fault injection"
+                "contended transfers exist only on the sim substrate"
             )
-        if runtime != "sim":
-            from repro.runtime.process import ProcessFaultPlan
-
-            if contended:
-                raise ExecutorConfigError(
-                    "contended transfers exist only on the sim substrate"
-                )
-            if faults is not None and not (
-                runtime == "process" and isinstance(faults, ProcessFaultPlan)
-            ):
-                raise ExecutorConfigError(
-                    "live substrates take faults as a ProcessFaultPlan "
-                    "(process runtime only)"
-                )
+        if faults is not None and not (
+            runtime == "process" and isinstance(faults, ProcessFaultPlan)
+        ):
+            raise ExecutorConfigError(
+                "faults= takes a ProcessFaultPlan on runtime='process'; a "
+                "simulated fault run is FaultTolerantExecutor(graph, state, "
+                "cluster, FaultRuntime(...))"
+            )
         if analysis is not None and runtime != "threaded":
             raise ExecutorConfigError(
                 "the race checker (analysis=) instruments real threads; "
@@ -615,13 +610,6 @@ class StaticExecutor:
             raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
         if self.runtime != "sim":
             return self._run_live(iterations)
-        if self.faults is not None:
-            from repro.faults.runner import FaultTolerantExecutor
-
-            return FaultTolerantExecutor(
-                self.graph, self.state, self.cluster, self.faults, comm=self.comm,
-                obs=self.obs,
-            ).run(iterations)
         # The epoch driver over a controller that is never switched.
         driver = EpochDriver(
             self.graph, self.state, self.cluster, self.comm, self.obs, self.contended
@@ -644,49 +632,19 @@ class StaticExecutor:
         })
 
     def _run_live(self, iterations: int) -> ExecutionResult:
-        """Execute on a live substrate and adapt to :class:`ExecutionResult`.
-
-        Live digitize/completion times are wall-clock seconds relative to
-        run start, so ``latencies()`` and the uniformity metrics apply
-        unchanged — they just measure the real machine instead of the
-        cost model.
-        """
+        """Execute on the live substrate: its runtime's result, plus the
+        schedule's ``period``."""
         if self.runtime == "threaded":
-            from repro.runtime.threaded import ThreadedRuntime
-
             live = ThreadedRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
                 obs=self.obs, analysis=self.analysis,
             )
         else:
-            from repro.runtime.process import ProcessRuntime
-
             live = ProcessRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
                 schedule=self.schedule, cluster=self.cluster,
                 obs=self.obs, faults=self.faults,
             )
-        res = live.run(iterations)
-        return ExecutionResult(
-            graph=self.graph,
-            state=self.state,
-            trace=res.trace,
-            digitize_times=res.digitize_times,
-            completion_times=res.completion_times,
-            horizon=res.wall_time,
-            emitted=iterations,
-            gc_collected=sum(
-                s.get("collected", 0) for s in res.channel_stats.values()
-            ),
-            live_item_high_water=res.meta.get("live_item_high_water", 0),
-            meta={
-                "substrate": self.runtime,
-                "wall_time": res.wall_time,
-                "channel_stats": res.channel_stats,
-                "outputs": res.outputs,
-                "period": self.schedule.period,
-                "respawns": res.respawns,
-                "kernel_retries": res.kernel_retries,
-                **res.meta,
-            },
-        )
+        result = live.run(iterations)
+        result.meta["period"] = self.schedule.period
+        return result

@@ -27,12 +27,12 @@ from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
     LiveNode,
-    LiveResult,
     check_static_inputs,
     check_timestamps,
     merge_reports,
     terminal_channels,
 )
+from repro.runtime.result import ExecutionResult
 from repro.sim.trace import TraceRecorder
 from repro.state import State
 
@@ -91,8 +91,9 @@ class ThreadedRuntime:
         self.analysis = analysis
         check_static_inputs(graph, self.static_inputs)
 
-    def run(self, timestamps: int) -> LiveResult:
-        """Process ``timestamps`` frames in order; returns terminal outputs."""
+    def run(self, timestamps: int) -> ExecutionResult:
+        """Process ``timestamps`` frames in order; the terminal channels'
+        items are ``meta["outputs"]`` of the result."""
         check_timestamps(timestamps)
         node = LiveNode(
             self.graph.tasks, build_task_plans(self.graph),
@@ -109,4 +110,6 @@ class ThreadedRuntime:
             node.trace.subscribe(self.obs.on_record)
         report = node.run()
         wall = _time.perf_counter() - node.stamps.t0
-        return merge_reports([report], TraceRecorder(), wall, self.obs)
+        return merge_reports(self.graph, self.state, timestamps, [report],
+                             TraceRecorder(), wall, self.obs,
+                             meta={"substrate": "threaded"})

@@ -305,6 +305,15 @@ class STMChannel:
         """Total size of live items — the paper's 'space requirement'."""
         return self._live_bytes
 
+    def stats(self) -> dict[str, int]:
+        """Counters snapshot: puts/gets/consumed/collected."""
+        return {
+            "puts": self.total_puts,
+            "gets": self.total_gets,
+            "consumed": self.total_consumed,
+            "collected": self.total_collected,
+        }
+
     def __repr__(self) -> str:
         return (
             f"STMChannel({self.name!r}, live={len(self._order)}, "

@@ -410,15 +410,7 @@ class ChannelBroker:
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-channel put/get/consume/collected counters."""
         with self._lock:
-            return {
-                name: {
-                    "puts": bc.stm.total_puts,
-                    "gets": bc.stm.total_gets,
-                    "consumed": bc.stm.total_consumed,
-                    "collected": bc.stm.total_collected,
-                }
-                for name, bc in self.channels.items()
-            }
+            return {name: bc.stm.stats() for name, bc in self.channels.items()}
 
     def gc_totals(self) -> tuple[int, int]:
         """(items collected, live-item high water) summed over channels."""

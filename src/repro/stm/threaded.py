@@ -251,12 +251,7 @@ class ThreadedChannel:
     def stats(self) -> dict[str, int]:
         """Counters snapshot: puts/gets/consumed/collected."""
         with self._lock:
-            return {
-                "puts": self._chan.total_puts,
-                "gets": self._chan.total_gets,
-                "consumed": self._chan.total_consumed,
-                "collected": self._chan.total_collected,
-            }
+            return self._chan.stats()
 
     def __repr__(self) -> str:
         return f"ThreadedChannel({self.name!r})"

@@ -198,7 +198,7 @@ class TestRuntimeIntegration:
             chain_graph([0.0, 0.0, 0.0]), State(n_models=1), analysis=checker
         )
         result = rt.run(timestamps=6)
-        assert result.wall_time >= 0.0
+        assert result.meta["wall_time"] >= 0.0
         report = checker.report()
         assert checker.race_count == 0 and not report.findings, report.summary()
 
@@ -226,6 +226,6 @@ class TestRuntimeIntegration:
             graph, State(n_models=2), static_inputs=statics, analysis=checker
         )
         result = rt.run(timestamps=3)
-        assert sorted(result.outputs["model_locations"]) == [0, 1, 2]
+        assert sorted(result.meta["outputs"]["model_locations"]) == [0, 1, 2]
         report = checker.report()
         assert checker.race_count == 0 and not report.findings, report.summary()

@@ -105,5 +105,5 @@ class TestKioskGraph:
         rt = ThreadedRuntime(live, State(n_models=2), static_inputs=statics,
                              op_timeout=30)
         res = rt.run(6)
-        targets = [res.outputs["gaze"][ts]["target"] for ts in range(6)]
+        targets = [res.meta["outputs"]["gaze"][ts]["target"] for ts in range(6)]
         assert all(t in (0, 1) for t in targets)

@@ -107,8 +107,8 @@ class TestLiveSurveillance:
         for ts in range(1, 6):  # ts 0 is the bootstrap all-motion frame
             truth_r, truth_c = videos[0].positions(ts)[0]
             center = (truth_r + half, truth_c + half)
-            tracks = res.outputs["tracks"][ts] if "tracks" in res.outputs else None
-            alarms = res.outputs["alarms"][ts]
+            tracks = res.meta["outputs"]["tracks"][ts] if "tracks" in res.meta["outputs"] else None
+            alarms = res.meta["outputs"]["alarms"][ts]
             # Either channel may be terminal depending on consumers; use alarms.
             in_zone = center[1] < 40  # zone is the left 40 columns
             if in_zone:

@@ -2,8 +2,9 @@
 
 The subsystem is reachable from both execution models:
 
-* ``StaticExecutor(..., faults=...)`` delegates to the fault-tolerant
-  executor (regime-change failover, §3.4);
+* ``FaultTolerantExecutor`` runs the regime-change failover (§3.4);
+  ``StaticExecutor`` refuses a ``FaultRuntime`` and names it — its
+  ``faults=`` is the process runtime's ``ProcessFaultPlan`` only;
 * ``DynamicExecutor(..., faults=...)`` binds its on-line scheduler to a
   live cluster view — threads migrate off dead processors but nothing
   fails over (the §3.2 baseline merely survives).
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.optimal import OptimalScheduler
 from repro.core.transition import DrainTransition
-from repro.errors import ProcessError, ReproError
+from repro.errors import ExecutorConfigError, ProcessError, ReproError
 from repro.faults import ClusterView, FaultPlan, FaultRuntime
 from repro.graph.builders import chain_graph
 from repro.runtime.dynamic import DynamicExecutor
@@ -36,12 +37,10 @@ class TestStaticExecutorDelegation:
         sol = OptimalScheduler(CLUSTER).solve(graph, STATE)
         return StaticExecutor(graph, STATE, CLUSTER, sol, faults=faults)
 
-    def test_run_delegates_to_fault_tolerant_executor(self):
+    def test_fault_runtime_refused(self):
         rt = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1), policy=DrainTransition())
-        res = self.make(rt).run(15)
-        assert res.meta["recovery"].crashes == 1
-        assert len(res.meta["failovers"]) == 1
-        assert res.completed_count < 15  # the crash cost frames
+        with pytest.raises(ExecutorConfigError, match="FaultTolerantExecutor"):
+            self.make(rt)
 
     def test_without_faults_static_path_unchanged(self):
         res = self.make(None).run(5)

@@ -64,14 +64,14 @@ class TestBasicRun:
             chain_graph_live(), State(n_models=1), op_timeout=30.0,
             placement={"src": 0, "dbl": 1},
         ).run(5)
-        assert sorted(res.outputs["b"]) == list(range(5))
-        assert all(v[0, 0] == 2.0 for v in res.outputs["b"].values())
+        assert sorted(res.meta["outputs"]["b"]) == list(range(5))
+        assert all(v[0, 0] == 2.0 for v in res.meta["outputs"]["b"].values())
         assert len(res.digitize_times) == 5
         assert len(res.completion_times) == 5
         for ts in res.completion_times:
             assert res.completion_times[ts] >= res.digitize_times[ts]
-        assert res.channel_stats["a"]["collected"] == 5
-        assert res.channel_stats["b"]["collected"] == 5
+        assert res.meta["channel_stats"]["a"]["collected"] == 5
+        assert res.meta["channel_stats"]["b"]["collected"] == 5
 
     def test_spans_cover_every_frame(self):
         res = ProcessRuntime(
@@ -199,7 +199,7 @@ class TestBrokerRoundTrips:
         live, statics, state = tracker_setup(shape=(120, 160))
         res = ProcessRuntime(live, state, static_inputs=statics,
                              placement=placement, op_timeout=30.0).run(3)
-        assert sorted(res.outputs["model_locations"]) == [0, 1, 2]
+        assert sorted(res.meta["outputs"]["model_locations"]) == [0, 1, 2]
         broker = brokers[-1]
         assert ("frame" in broker.channels) == frame_at_broker
         assert ("frame" in broker.shm_channels) == frame_at_broker
@@ -225,7 +225,7 @@ class TestOneBrokerOp:
         assert set(ops) <= {"step", "done"}  # no local_step served
         assert res.meta["broker_roundtrips"] == ops["step"]
         assert "model_locations" in res.meta["node_local_channels"]
-        assert sorted(res.outputs["model_locations"]) == list(range(frames))
+        assert sorted(res.meta["outputs"]["model_locations"]) == list(range(frames))
         assert sorted(res.completion_times) == list(range(frames))
 
     def test_broker_ops_are_steps_one_local_step_a_frame(self):
@@ -243,7 +243,7 @@ class TestOneBrokerOp:
         assert ops["local_step"] == frames + 1
         assert res.meta["broker_roundtrips"] == ops["step"]
         assert res.meta["node_local_channels"] == []
-        assert sorted(res.outputs["model_locations"]) == list(range(frames))
+        assert sorted(res.meta["outputs"]["model_locations"]) == list(range(frames))
         assert sorted(res.completion_times) == list(range(frames))
 
     def test_missing_done_report_fails_at_the_parent(self, monkeypatch):
@@ -270,9 +270,9 @@ class TestOneBrokerOp:
                              op_timeout=30.0).run(4)
         ref = ThreadedRuntime(chain_graph_live(), State(n_models=1)).run(4)
         assert res.meta["node_local_channels"] == ["a", "b"]
-        assert sorted(res.outputs["b"]) == list(range(4))
-        for ts, value in ref.outputs["b"].items():
-            got = res.outputs["b"][ts]
+        assert sorted(res.meta["outputs"]["b"]) == list(range(4))
+        for ts, value in ref.meta["outputs"]["b"].items():
+            got = res.meta["outputs"]["b"][ts]
             assert got.nbytes >= 4096
             assert (got.dtype, got.shape) == (value.dtype, value.shape)
             assert got.tobytes() == value.tobytes()
@@ -316,7 +316,7 @@ class TestObservability:
             chain_graph_live(), State(n_models=1), op_timeout=30.0,
             placement={"src": 0, "dbl": 1}, obs=obs,
         ).run(4)
-        assert sorted(res.outputs["b"]) == list(range(4))
+        assert sorted(res.meta["outputs"]["b"]) == list(range(4))
         assert {s.task for s in res.trace.spans} == {"src", "dbl"}
         assert {e.kind for e in res.trace.items} >= {"put", "get", "consume"}
         snap = obs.snapshot()
@@ -341,7 +341,7 @@ class TestObservability:
         assert {s.timestamp for s in events} == set(range(4))
         # worker clocks count from the broker's start, a moment before
         # the run's own t0
-        assert all(0.0 < e.time <= res.wall_time + 0.05 for e in events)
+        assert all(0.0 < e.time <= res.meta["wall_time"] + 0.05 for e in events)
         snap = obs.snapshot()
         assert snap["repro_frames_completed_total"]["series"][0]["value"] == 4
 
@@ -354,9 +354,9 @@ class TestFaults:
             chain_graph_live(), State(n_models=1), op_timeout=30.0,
             placement={"src": 0, "dbl": 1}, faults=plan,
         ).run(5)
-        assert sorted(res.outputs["b"]) == list(range(5))
-        assert res.kernel_retries == 1
-        assert res.respawns == 0
+        assert sorted(res.meta["outputs"]["b"]) == list(range(5))
+        assert res.meta["kernel_retries"] == 1
+        assert res.meta["respawns"] == 0
 
     def test_exit_fault_respawns_and_resumes(self):
         obs = Observability()
@@ -366,9 +366,9 @@ class TestFaults:
             chain_graph_live(), State(n_models=1), op_timeout=30.0,
             placement={"src": 0, "dbl": 1}, faults=plan, obs=obs,
         ).run(6)
-        assert sorted(res.outputs["b"]) == list(range(6))
-        assert all(v[0, 0] == 2.0 for v in res.outputs["b"].values())
-        assert res.respawns == 1
+        assert sorted(res.meta["outputs"]["b"]) == list(range(6))
+        assert all(v[0, 0] == 2.0 for v in res.meta["outputs"]["b"].values())
+        assert res.meta["respawns"] == 1
         snap = obs.snapshot()
         assert snap["repro_failovers_total"]["series"][0]["value"] == 1
 
@@ -382,8 +382,8 @@ class TestFaults:
                 chain_graph_live(), State(n_models=1), op_timeout=30.0,
                 placement={"src": 0, "dbl": 1}, faults=plan,
             ).run(5)
-            assert sorted(res.outputs["b"]) == list(range(5))
-            assert res.respawns == 1
+            assert sorted(res.meta["outputs"]["b"]) == list(range(5))
+            assert res.meta["respawns"] == 1
             assert plan.events == events
 
     def test_respawn_budget_exhaustion_raises(self):
@@ -404,8 +404,8 @@ class TestFaults:
             chain_graph_live(), State(n_models=1), op_timeout=30.0,
             faults=plan,
         ).run(6)
-        assert sorted(res.outputs["b"]) == list(range(6))
-        assert res.respawns == 1
+        assert sorted(res.meta["outputs"]["b"]) == list(range(6))
+        assert res.meta["respawns"] == 1
         assert res.meta["nodes"] == [0]
         assert res.meta["node_local_channels"] == []
         # one step per task per frame, not one per frame

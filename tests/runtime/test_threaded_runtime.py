@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ExecutorConfigError, ReproError
+from repro.graph.builders import chain_graph
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.threaded import ThreadedRuntime
 from repro.state import State
 
@@ -37,14 +39,14 @@ class TestBasicPipeline:
     def test_values_flow_in_order(self):
         rt = ThreadedRuntime(compute_chain_graph(), State(n_models=1), op_timeout=10)
         res = rt.run(8)
-        assert res.outputs["b"] == {ts: ts * 2 + 1 for ts in range(8)}
+        assert res.meta["outputs"]["b"] == {ts: ts * 2 + 1 for ts in range(8)}
 
     def test_channel_stats_balanced(self):
         rt = ThreadedRuntime(compute_chain_graph(), State(n_models=1), op_timeout=10)
         res = rt.run(5)
-        assert res.channel_stats["a"]["puts"] == 5
-        assert res.channel_stats["a"]["collected"] == 5
-        assert res.channel_stats["b"]["collected"] == 5
+        assert res.meta["channel_stats"]["a"]["puts"] == 5
+        assert res.meta["channel_stats"]["a"]["collected"] == 5
+        assert res.meta["channel_stats"]["b"]["collected"] == 5
 
     def test_passthrough_without_kernel(self):
         g = TaskGraph("passthrough")
@@ -56,7 +58,7 @@ class TestBasicPipeline:
         # Neither task has a compute kernel: inputs pass through as dicts.
         rt = ThreadedRuntime(g, State(n_models=1), op_timeout=10)
         res = rt.run(3)
-        assert set(res.outputs["b"]) == {0, 1, 2}
+        assert set(res.meta["outputs"]["b"]) == {0, 1, 2}
 
     def test_invalid_timestamps(self):
         rt = ThreadedRuntime(compute_chain_graph(), State(n_models=1))
@@ -108,6 +110,17 @@ class TestErrorPropagation:
         with pytest.raises(ReproError, match="static"):
             ThreadedRuntime(g, State(n_models=1))
 
+    @pytest.mark.parametrize("runtime", [ThreadedRuntime, ProcessRuntime],
+                             ids=["threaded", "process"])
+    @pytest.mark.parametrize("statics", [{"nope": 1}, {"c0": 5}],
+                             ids=["unknown", "streaming"])
+    def test_static_input_for_no_static_channel_rejected(self, runtime, statics):
+        # Refused at construction: before any thread starts or any fork.
+        [name] = statics
+        with pytest.raises(ExecutorConfigError, match=repr(name)):
+            runtime(chain_graph([1.0, 1.0]), State(n_models=1),
+                    static_inputs=statics)
+
 
 class TestStaticInputs:
     def test_static_value_visible_every_timestamp(self):
@@ -121,7 +134,7 @@ class TestStaticInputs:
         g.validate()
         rt = ThreadedRuntime(g, State(n_models=1), static_inputs={"cfg": 21})
         res = rt.run(3)
-        assert res.outputs["out"] == {0: 42, 1: 42, 2: 42}
+        assert res.meta["outputs"]["out"] == {0: 42, 1: 42, 2: 42}
 
 
 class TestLiveTracker:
@@ -134,7 +147,7 @@ class TestLiveTracker:
         rt = ThreadedRuntime(live, State(n_models=3), static_inputs=statics,
                              op_timeout=30)
         res = rt.run(4)
-        for ts, locations in res.outputs["model_locations"].items():
+        for ts, locations in res.meta["outputs"]["model_locations"].items():
             truth = video.positions(ts)
             for (r, c, score), (tr, tc) in zip(locations, truth):
                 # Peak must land inside the target patch.
