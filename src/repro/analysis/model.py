@@ -40,7 +40,7 @@ value).  Interleavings that reach the same counters hash to the same
 state by construction — that is the canonical-state hashing.
 
 **Partial-order reduction.**  Every enabling condition here is monotone:
-a ``get`` stays enabled once its item is put (reference-count GC cannot
+a ``get`` stays enabled once its item is put (watermark GC cannot
 collect it before this consumer consumes it), a ``put`` stays enabled
 once occupancy drops below capacity (other agents only decrease
 occupancy), and ``consume`` never blocks.  Enabled transitions are

@@ -143,7 +143,7 @@ def replay_trace(
         for name, ch in model.channels.items()
     }
     # Attach exactly the model's connection set before any thread starts,
-    # so reference-count GC (hence occupancy, hence is_full) matches the
+    # so watermark GC (hence occupancy, hence is_full) matches the
     # model's occupancy function.
     conns: dict[tuple[str, str, str], object] = {}
     for name, ch in model.channels.items():

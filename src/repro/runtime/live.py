@@ -320,7 +320,7 @@ class LiveNode:
     Builds one :class:`~repro.stm.threaded.ThreadedChannel` per entry of
     ``capacities`` (``{name: capacity}``) and attaches every task's
     connections to them at once — before any thread starts, because
-    reference-count GC considers only attached input connections, so a
+    watermark GC considers only attached input connections, so a
     consumer that attached late could find its items already collected.
     A task's channel that is not the node's is a *boundary* channel, at the
     broker behind :meth:`start`'s ``link``, reached through the broker

@@ -152,6 +152,10 @@ class PlacementReplay:
         self.slips = 0
         self.max_slip = 0.0
 
+        # Each distinct transfer is priced once a run: its delay and, for a
+        # delay that is charged, the tier its comm mark names.
+        prices: dict[tuple[int, int, int], tuple[float, str]] = {}
+
         def start(ts: int, rows: list[FlatPlacement], second: bool = False) -> None:
             in_flight[ts] = frame = _Frame(ts, rows, second)
             for pl in rows:
@@ -170,20 +174,24 @@ class PlacementReplay:
                 if pred_end is None:
                     frame.parked.setdefault(pred, []).append((pl, at, ready))
                     return
-                src = frame.rows[pred].procs[0]
+                src, dst = frame.rows[pred].procs[0], pl.procs[0]
                 at += 1
                 if fabric is not None:
                     # Contended mode: fetch the input over the shared links
                     # (sequentially — a task pulls its inputs one by one).
                     fabric.transfer(
-                        nbytes, src, pl.procs[0], lambda at=at: gather(frame, pl, at, ready)
+                        nbytes, src, dst, lambda at=at: gather(frame, pl, at, ready)
                     )
                     return
-                delay = comm.transfer_time(nbytes, src, pl.procs[0])
+                priced = prices.get((nbytes, src, dst))
+                if priced is None:
+                    delay = comm.transfer_time(nbytes, src, dst)
+                    priced = prices[nbytes, src, dst] = (
+                        delay, tier_name(cluster, src, dst) if delay > 0 else "")
+                delay, tier = priced
                 if delay > 0:
                     record_mark(Mark.comm(
-                        channels, tier_name(cluster, src, pl.procs[0]), pred_end,
-                        pred_end + delay, nbytes, frame.ts,
+                        channels, tier, pred_end, pred_end + delay, nbytes, frame.ts,
                     ))
                 ready = max(ready, pred_end + delay)
             call_at(max(ready, sim.now), acquire, frame, pl, 0)

@@ -4,17 +4,19 @@ STM is the Stampede runtime's "structured shared-memory abstraction ...
 a location-transparent collection of objects indexed by time" (paper
 appendix, Figures 7-8).  This package implements the full API:
 
-* :mod:`repro.stm.item` — timestamped items and their per-connection
-  consumption bookkeeping.
+* :mod:`repro.stm.item` — timestamped items (value, size, put time and
+  one "seen" flag; consumption is not recorded on items).
 * :mod:`repro.stm.connection` — attach/detach handles with direction and
-  per-connection virtual time.
+  per-connection virtual time, the one record of consumption: an item is
+  consumed by an input connection iff its timestamp is below it.
 * :mod:`repro.stm.channel` — the channel itself: ``put``, ``get`` with
   timestamp wildcards (newest / oldest / newest-unseen / exact), and
   ``consume``; misses report neighbouring timestamps exactly like
   ``spd_channel_get_item``'s ``ts_range``.
-* :mod:`repro.stm.gc` — reference-count garbage collection: an item is
-  reclaimed once every attached input connection has consumed it or moved
-  its virtual time past it.
+* :mod:`repro.stm.gc` — watermark garbage collection: an item is
+  reclaimed once it is below every attached input connection's virtual
+  time; :func:`~repro.stm.gc.collect_channel` pops that prefix, after
+  every consume, on every substrate.
 * :mod:`repro.stm.threaded` — a thread-safe blocking wrapper used by the
   live (real-thread) runtime, by the process runtime's workers for the
   channels scheduled entirely on their node, and by the examples.

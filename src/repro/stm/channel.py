@@ -14,23 +14,31 @@ Implements both halves of Figure 8's API:
     :class:`~repro.errors.ItemUnavailable`.
 
 ``consume(conn, ts)``
-    Declares the item dead for that connection; GC reclaims items consumed
-    by every input connection (see :mod:`repro.stm.gc`).
+    Declares every timestamp up to ``ts`` dead for that connection by
+    advancing its virtual time; GC reclaims items below every attached
+    input's virtual time (see :mod:`repro.stm.gc`).
 
 This class is a synchronous data structure — blocking behaviour belongs to
 the runtimes (the simulator wraps it with events; the threaded runtime with
 condition variables).
 
-Nothing is rebuilt or re-summed per operation: ``attach`` / ``detach``
-maintain the index of input connections that ``put`` (born-consumed
-marking) and ``collectible`` read, and the live bytes are a running total
-kept by ``put`` and ``_remove``.  All three substrates share this class.
+Consumption is recorded once, as each input connection's virtual time: an
+item is consumed by a connection iff its timestamp is below that
+connection's virtual time, so ``get``'s consumed check and the ``NEWEST`` /
+``OLDEST`` skips are one integer compare (or one bisection), ``consume`` is
+O(1), and the collectible items are the prefix of the live timestamps below
+the channel's *watermark*, the least virtual time over the attached inputs
+— the per-channel watermark :mod:`repro.analysis.model` proves the STM
+protocol over.  ``attach`` / ``detach`` maintain the index of input
+connections the watermark is taken over, and the live bytes are a running
+total kept by ``put`` and the collector.  All three substrates share this
+class.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Any, Optional, Union
 
 from repro.errors import (
@@ -84,7 +92,7 @@ class STMChannel:
         self._order: list[int] = []  # sorted timestamps present
         self._connections: dict[int, Connection] = {}
         # The attached input connections by id, kept by attach / detach:
-        # whose consumption an item waits for.
+        # the watermark is the least of their virtual times.
         self._inputs: dict[int, Connection] = {}
         self._live_bytes = 0
         self._closed = False
@@ -97,9 +105,9 @@ class STMChannel:
 
     def attach(self, task: str, direction: Direction) -> Connection:
         """Create a new connection for ``task`` in the given direction."""
-        conn = Connection(task, direction)
+        conn = Connection(task, direction, self)
         self._connections[conn.conn_id] = conn
-        if conn.is_input:
+        if conn.reads is self:
             self._inputs[conn.conn_id] = conn
         return conn
 
@@ -112,12 +120,17 @@ class STMChannel:
         return self.attach(task, Direction.OUTPUT)
 
     def detach(self, conn: Connection) -> None:
-        """Remove a connection; its consumption obligations disappear."""
-        if conn.conn_id not in self._connections:
+        """Remove a connection; its consumption obligations disappear.
+
+        An input's virtual time leaves the watermark with it; the items it
+        had consumed stay "seen" for ``NEWEST_UNSEEN``.
+        """
+        if self._connections.pop(conn.conn_id, None) is None:
             raise ConnectionError_(f"connection {conn.conn_id} not attached to {self.name!r}")
-        del self._connections[conn.conn_id]
-        self._inputs.pop(conn.conn_id, None)
-        conn.attached = False
+        if self._inputs.pop(conn.conn_id, None) is not None:
+            for t in self._order[:bisect_left(self._order, conn.virtual_time)]:
+                self._items[t].seen = True
+        conn.reads = conn.writes = None
 
     def input_conn_ids(self) -> set[int]:
         """IDs of all currently attached input connections."""
@@ -176,6 +189,22 @@ class STMChannel:
 
     # -- the API -----------------------------------------------------------------
 
+    def _refused(self, conn: Connection, reading: bool) -> ConnectionError_:
+        """Why ``conn`` may not read (or write) here: the slow path of the
+        one attribute test each operation makes."""
+        if not conn.attached:
+            return ConnectionError_(
+                f"connection {conn.conn_id} of task {conn.task!r} is detached"
+            )
+        if conn.is_input != reading:
+            return ConnectionError_(
+                f"task {conn.task!r} tried to "
+                f"{'read over an output' if reading else 'write over an input'} connection"
+            )
+        return ConnectionError_(
+            f"connection {conn.conn_id} of task {conn.task!r} is not attached to {self.name!r}"
+        )
+
     def put(
         self,
         conn: Connection,
@@ -184,12 +213,18 @@ class STMChannel:
         size: int = 0,
         time: float = 0.0,
     ) -> Item:
-        """Insert an item.  Raises on duplicates, closed channel, or overflow."""
-        conn.require_output()
+        """Insert an item.  Raises on duplicates, closed channel, or overflow.
+
+        An item put below an input connection's virtual time is "born
+        consumed" for it: that connection already declared the timestamp
+        dead, so the item is hidden from it and collectible without it.
+        """
+        if conn.writes is not self:
+            raise self._refused(conn, reading=False)
         if self._closed:
             raise ChannelClosed(f"channel {self.name!r} is closed")
-        if not isinstance(ts, int):
-            raise STMError(f"put needs an integer timestamp, got {ts!r}")
+        if type(ts) is not int or ts < 0:
+            raise STMError(f"put needs a non-negative integer timestamp, got {ts!r}")
         if ts in self._items:
             raise DuplicateTimestamp(f"channel {self.name!r} already holds ts={ts}")
         if self.is_full:
@@ -197,14 +232,9 @@ class STMChannel:
                 f"channel {self.name!r} is full "
                 f"({len(self._order)}/{self.capacity} items)"
             )
-        item = Item(ts, value, size=size, put_time=time)
-        # An input connection whose virtual time has passed ``ts`` already
-        # declared this timestamp dead; the late item is born consumed for
-        # it (otherwise it could never be garbage collected).
-        for c in self._inputs.values():
-            if c.virtual_time > ts:
-                item.mark_consumed(c.conn_id)
-        self._items[ts] = item
+        if size < 0:
+            raise STMError(f"item size must be >= 0, got {size}")
+        self._items[ts] = item = Item(ts, value, size, time)
         insort(self._order, ts)
         self._live_bytes += size
         self.total_puts += 1
@@ -214,92 +244,99 @@ class STMChannel:
         """Retrieve ``(timestamp, value)`` for an exact ts or a wildcard.
 
         Raises :class:`~repro.errors.ItemUnavailable` (with neighbour info)
-        when nothing satisfies the request.  Getting does not remove the
-        item — call :meth:`consume` when done with it.
+        when nothing satisfies the request, and
+        :class:`~repro.errors.ItemConsumed` for an exact ``ts`` below the
+        connection's virtual time.  Getting does not remove the item — call
+        :meth:`consume` when done with it.
         """
-        conn.require_input()
-        resolved = self._resolve(conn, ts)
-        if resolved is None:
-            if isinstance(ts, int):
-                below, above = self.neighbours(ts)
-                raise ItemUnavailable(ts, below, above)
-            raise ItemUnavailable(None, self.oldest_timestamp(), self.newest_timestamp())
-        item = self._items[resolved]
-        item.mark_gotten(conn.conn_id)
-        conn.last_gotten = resolved
+        if conn.reads is not self:
+            raise self._refused(conn, reading=True)
+        vt = conn.virtual_time
+        order = self._order
+        if type(ts) is int:
+            if ts < 0:
+                raise STMError(f"get needs a non-negative integer timestamp, got {ts!r}")
+            item = self._items.get(ts)
+            if item is None:
+                raise ItemUnavailable(ts, *self.neighbours(ts))
+            if ts < vt:
+                raise ItemConsumed(
+                    f"task {conn.task!r} already consumed ts={ts} on {self.name!r}"
+                )
+        else:
+            # Items below the connection's virtual time are dead to it.
+            if ts is TS.NEWEST:
+                found = order[-1] if order and order[-1] >= vt else None
+            elif ts is TS.OLDEST:
+                i = bisect_left(order, vt)
+                found = order[i] if i < len(order) else None
+            elif ts is TS.NEWEST_UNSEEN:
+                found = self._newest_unseen()
+            else:
+                raise STMError(
+                    f"get needs a non-negative integer timestamp or a TS wildcard, got {ts!r}"
+                )
+            if found is None:
+                raise ItemUnavailable(None, self.oldest_timestamp(), self.newest_timestamp())
+            ts = found
+            item = self._items[ts]
+        item.seen = True
+        conn.last_gotten = ts
         self.total_gets += 1
-        return resolved, item.value
+        return ts, item.value
 
-    def _resolve(self, conn: Connection, ts: Timestamp) -> Optional[int]:
-        if isinstance(ts, int):
-            if ts in self._items:
-                if conn.conn_id in self._items[ts].consumed_by:
-                    raise ItemConsumed(
-                        f"task {conn.task!r} already consumed ts={ts} on {self.name!r}"
-                    )
-                return ts
-            return None
-        if not self._order:
-            return None
-        if ts is TS.NEWEST:
-            # Items this connection already consumed are dead to it.
-            for t in reversed(self._order):
-                if conn.conn_id not in self._items[t].consumed_by:
-                    return t
-            return None
-        if ts is TS.OLDEST:
-            for t in self._order:
-                if conn.conn_id not in self._items[t].consumed_by:
-                    return t
-            return None
-        if ts is TS.NEWEST_UNSEEN:
-            # Newest item never gotten over ANY connection (Figure 8's
-            # "newest value not previously gotten over any connection").
-            for t in reversed(self._order):
-                if not self._items[t].gotten_by:
-                    return t
-            return None
-        raise STMError(f"unknown timestamp wildcard {ts!r}")
+    def _newest_unseen(self) -> Optional[int]:
+        # Figure 8's "newest value not previously gotten over any
+        # connection": an item is seen once gotten, or once consumed by any
+        # input connection — below an attached one's virtual time (born
+        # consumed included), or marked when one that had consumed it
+        # detached.
+        seen_below = max((c.virtual_time for c in self._inputs.values()), default=0)
+        items = self._items
+        for t in reversed(self._order):
+            if t < seen_below:
+                return None
+            if not items[t].seen:
+                return t
+        return None
 
     def consume(self, conn: Connection, ts: int) -> None:
-        """Mark ``ts`` finished for this connection; advances virtual time.
+        """Declare every timestamp up to ``ts`` dead for this connection.
 
-        Consuming also releases every *older* item for this connection —
-        a consumer that skipped frames (got only the newest) thereby frees
-        the frames it skipped, which is how "a downstream task may restrict
-        its processing to only the most recent data" avoids unbounded
-        growth.
+        Consuming advances the connection's virtual time past ``ts``, so it
+        also releases every *older* item for this connection — a consumer
+        that skipped frames (got only the newest) thereby frees the frames
+        it skipped, which is how "a downstream task may restrict its
+        processing to only the most recent data" avoids unbounded growth.
         """
-        conn.require_input()
-        if not isinstance(ts, int):
-            raise STMError(f"consume needs an integer timestamp, got {ts!r}")
-        item = self._items.get(ts)
-        if item is not None:
-            item.mark_consumed(conn.conn_id)
-        # Everything at or below ts is dead to this connection.
-        conn.advance_virtual_time(ts + 1)
-        cutoff = bisect_right(self._order, ts)
-        for t in self._order[:cutoff]:
-            self._items[t].mark_consumed(conn.conn_id)
+        if conn.reads is not self:
+            raise self._refused(conn, reading=True)
+        if type(ts) is not int or ts < 0:
+            raise STMError(f"consume needs a non-negative integer timestamp, got {ts!r}")
+        if ts >= conn.virtual_time:
+            conn.virtual_time = ts + 1
         self.total_consumed += 1
 
     # -- reclamation (used by repro.stm.gc) -----------------------------------------
 
-    def _remove(self, ts: int) -> Item:
-        item = self._items.pop(ts)
-        i = bisect_left(self._order, ts)
-        assert self._order[i] == ts
-        del self._order[i]
-        self._live_bytes -= item.size
-        self.total_collected += 1
-        return item
+    def watermark(self) -> Optional[int]:
+        """Least virtual time over the attached inputs (None without any):
+        every item below it is consumed by every input."""
+        inputs = self._inputs
+        if not inputs:
+            return None
+        if len(inputs) == 1:
+            for c in inputs.values():
+                return c.virtual_time
+        return min(c.virtual_time for c in inputs.values())
 
     def collectible(self) -> list[int]:
-        """Timestamps whose items every input connection has consumed."""
-        inputs = self._inputs.keys()
-        if not inputs:
+        """Timestamps whose items every input connection has consumed:
+        the prefix of the live timestamps below :meth:`watermark`."""
+        low = self.watermark()
+        if low is None:
             return []
-        return [ts for ts in self._order if self._items[ts].fully_consumed(inputs)]
+        return self._order[:bisect_left(self._order, low)]
 
     def live_bytes(self) -> int:
         """Total size of live items — the paper's 'space requirement'."""

@@ -3,18 +3,21 @@
 A task "names the various channels it touches and designates them as input
 or output channels (from the perspective of this task)".  A
 :class:`Connection` is one such designation.  Input connections carry a
-*virtual time*: the channel guarantees items at or below a connection's
-virtual time minus one are no longer needed by it, which is what makes
-reference-count GC safe.
+*virtual time*: every timestamp strictly below it is dead to the
+connection.  It is the channel's only record of consumption — an item is
+consumed by an input connection iff its timestamp is below that
+connection's virtual time — so garbage collection is safe below the least
+virtual time of a channel's attached inputs (see :mod:`repro.stm.gc`).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConnectionError_
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.stm.channel import STMChannel
 
 __all__ = ["Direction", "Connection"]
 
@@ -41,22 +44,29 @@ class Connection:
         :class:`Direction` of data flow from the task's perspective.
     virtual_time:
         For input connections: all timestamps strictly below this value are
-        guaranteed consumed.  Starts at 0 (nothing consumed).
+        consumed.  Starts at 0 (nothing consumed); only the channel's
+        ``consume`` advances it.
     last_gotten:
         Timestamp of the most recent item retrieved over this connection
         (None before the first get) — supports rate-decoupled consumers
         that "restrict processing to only the most recent data".
+    reads / writes:
+        The channel this connection reads from (an input) or writes to (an
+        output) while it is attached, else None — what the channel's
+        operations check the connection against, one attribute each.
     """
 
-    __slots__ = ("conn_id", "task", "direction", "virtual_time", "last_gotten", "attached")
+    __slots__ = ("conn_id", "task", "direction", "virtual_time", "last_gotten",
+                 "reads", "writes")
 
-    def __init__(self, task: str, direction: Direction) -> None:
+    def __init__(self, task: str, direction: Direction, channel: "STMChannel") -> None:
         self.conn_id: int = next(_conn_ids)
         self.task = task
         self.direction = direction
         self.virtual_time: int = 0
         self.last_gotten: Optional[int] = None
-        self.attached = True
+        self.reads = channel if direction is Direction.INPUT else None
+        self.writes = channel if direction is Direction.OUTPUT else None
 
     @property
     def is_input(self) -> bool:
@@ -66,33 +76,9 @@ class Connection:
     def is_output(self) -> bool:
         return self.direction is Direction.OUTPUT
 
-    def require_attached(self) -> None:
-        """Raise if the connection has been detached."""
-        if not self.attached:
-            raise ConnectionError_(
-                f"connection {self.conn_id} of task {self.task!r} is detached"
-            )
-
-    def require_input(self) -> None:
-        """Raise unless this is an attached input connection."""
-        self.require_attached()
-        if not self.is_input:
-            raise ConnectionError_(
-                f"task {self.task!r} tried to read over an output connection"
-            )
-
-    def require_output(self) -> None:
-        """Raise unless this is an attached output connection."""
-        self.require_attached()
-        if not self.is_output:
-            raise ConnectionError_(
-                f"task {self.task!r} tried to write over an input connection"
-            )
-
-    def advance_virtual_time(self, ts: int) -> None:
-        """Declare all timestamps < ``ts`` consumed (monotone)."""
-        if ts > self.virtual_time:
-            self.virtual_time = ts
+    @property
+    def attached(self) -> bool:
+        return self.reads is not None or self.writes is not None
 
     def __repr__(self) -> str:
         return (

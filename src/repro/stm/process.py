@@ -13,7 +13,8 @@ This module supplies the two halves of the inter-node transport:
   :mod:`repro.stm.threaded` owns its channel), and the broker serves ONE
   op, the *step*: a batch of consumes, puts and gets that the broker
   applies as each becomes possible, parking the step until all have
-  landed, and running reference-count GC after each consume.  Because
+  landed, and running :func:`~repro.stm.gc.collect_channel` — the one
+  collector — after each consume.  Because
   the broker literally reuses ``STMChannel``, the timestamp/consume
   semantics — virtual-time advancement, born-consumed items — are
   identical across the threaded and process substrates by construction.
@@ -61,7 +62,7 @@ from repro.errors import ItemConsumed, ItemUnavailable, STMError
 from repro.sim.trace import ItemEvent, TraceRecorder
 from repro.stm.channel import STMChannel
 from repro.stm.connection import Connection
-from repro.stm.gc import GCStats
+from repro.stm.gc import GCStats, collect_channel
 from repro.stm.threaded import ChannelPoisoned
 
 try:  # pragma: no cover - exercised indirectly everywhere below
@@ -613,23 +614,16 @@ class ChannelBroker:
 
     def _consume_locked(self, channel: str, conn_id: int, ts: int) -> None:
         bc = self.channels[channel]
-        bc.stm.consume(self.conn(conn_id), ts)
-        self._observe(channel, "consume", ts, self.conn(conn_id).task)
-        self._collect(bc)
-
-    def _collect(self, bc: _BrokerChannel) -> None:
-        """GC fully-consumed items; feed freed timestamps back to producers."""
-        bc.gc_stats.observe(bc.stm)
-        bc.gc_stats.calls += 1
-        freed_bytes = 0
-        for ts in bc.stm.collectible():
-            item = bc.stm._remove(ts)
-            freed_bytes += item.size
-            bc.gc_stats.collected += 1
-            producer = bc.producers.pop(ts, None)
+        conn = self.conn(conn_id)
+        bc.stm.consume(conn, ts)
+        self._observe(channel, "consume", ts, conn.task)
+        # Feed what the collector is about to free, ascending, back to its
+        # producers (segment reclaim), then collect.
+        for dead in bc.stm.collectible():
+            producer = bc.producers.pop(dead, None)
             if producer is not None:
-                bc.freed.setdefault(producer[0], []).append(ts)
-        bc.gc_stats.bytes_freed += freed_bytes
+                bc.freed.setdefault(producer[0], []).append(dead)
+        collect_channel(bc.stm, bc.gc_stats)
 
     def _expire_steps(self) -> None:
         now = _time.monotonic()

@@ -194,3 +194,77 @@ class TestAccounting:
         chan.attach_output("b")
         i2 = chan.attach_input("c")
         assert chan.input_conn_ids() == {i1.conn_id, i2.conn_id}
+
+
+class TestTypedRefusals:
+    """A timestamp is a non-negative ``int``, never a ``bool``, and an item
+    size is non-negative: put / get / consume refuse anything else with
+    ``STMError`` and change nothing.  (A negative timestamp used to be born
+    consumed for every input at virtual time 0, and ``True`` aliased
+    timestamp 1.)"""
+
+    BAD_TIMESTAMPS = [-1, -7, True, False]
+
+    @staticmethod
+    def snapshot(chan, *conns):
+        return (chan.timestamps(), chan.collectible(), chan.live_bytes(), chan.stats(),
+                [(c.virtual_time, c.last_gotten) for c in conns])
+
+    @pytest.mark.parametrize("ts", BAD_TIMESTAMPS)
+    def test_put_refuses_negative_and_bool_timestamps(self, wired, ts):
+        chan, out, inp = wired
+        chan.put(out, 1, "one")
+        before = self.snapshot(chan, out, inp)
+        with pytest.raises(STMError, match="non-negative integer timestamp"):
+            chan.put(out, ts, "x")
+        assert self.snapshot(chan, out, inp) == before
+        assert chan.get(inp, 1) == (1, "one")  # True did not alias ts 1
+
+    @pytest.mark.parametrize("ts", BAD_TIMESTAMPS)
+    def test_get_refuses_negative_and_bool_timestamps(self, wired, ts):
+        chan, out, inp = wired
+        chan.put(out, 0, "zero")
+        chan.put(out, 1, "one")
+        before = self.snapshot(chan, out, inp)
+        with pytest.raises(STMError, match="non-negative integer timestamp"):
+            chan.get(inp, ts)
+        assert self.snapshot(chan, out, inp) == before
+
+    @pytest.mark.parametrize("ts", BAD_TIMESTAMPS)
+    def test_consume_refuses_negative_and_bool_timestamps(self, wired, ts):
+        chan, out, inp = wired
+        chan.put(out, 0, "zero")
+        before = self.snapshot(chan, out, inp)
+        with pytest.raises(STMError, match="non-negative integer timestamp"):
+            chan.consume(inp, ts)
+        assert self.snapshot(chan, out, inp) == before
+        assert inp.virtual_time == 0
+
+    def test_negative_timestamp_is_not_collected_behind_the_consumers(self, wired):
+        chan, out, inp = wired
+        with pytest.raises(STMError):
+            chan.put(out, -1, "x")
+        chan.consume(inp, 0)
+        assert chan.stats()["collected"] == 0 and len(chan) == 0
+
+    def test_negative_size_is_an_stm_error(self, wired):
+        chan, out, inp = wired
+        with pytest.raises(STMError, match="size"):
+            chan.put(out, 0, "x", size=-1)
+        assert len(chan) == 0 and chan.live_bytes() == 0 and chan.total_puts == 0
+
+    def test_unknown_wildcard_refused_even_when_empty(self, wired):
+        chan, _, inp = wired
+        with pytest.raises(STMError, match="wildcard"):
+            chan.get(inp, "newest")  # type: ignore[arg-type]
+
+    def test_connection_of_another_channel_refused(self, wired):
+        chan, out, inp = wired
+        other = STMChannel("other")
+        their_out, their_in = other.attach_output("p"), other.attach_input("q")
+        chan.put(out, 0, "x")
+        for op, conn, args in (("put", their_out, (1, "y")), ("get", their_in, (0,)),
+                               ("consume", their_in, (0,))):
+            with pytest.raises(ConnectionError_, match="not attached to 'c'"):
+                getattr(chan, op)(conn, *args)
+        assert their_in.virtual_time == 0 and chan.timestamps() == [0]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.stm.channel import STMChannel
+from repro.stm.channel import NEWEST_UNSEEN, STMChannel
 from repro.stm.gc import GCStats, collect_channel
 
 
@@ -58,8 +58,10 @@ class TestCollect:
         chan.consume(b, 5)  # b is past ts 0..5
         chan.detach(b)
         assert chan.input_conn_ids() == {a.conn_id}
-        item = chan.put(out, 3, "x")  # not born consumed for the detached b
-        assert item.consumed_by == set()
+        chan.put(out, 3, "x")  # not born consumed for the detached b
+        assert chan.collectible() == [] and collect_channel(chan) == 0
+        assert chan.get(a, NEWEST_UNSEEN) == (3, "x")  # hidden from no one
+        assert chan.get(a, 3) == (3, "x")
         chan.detach(out)  # an output connection was never in the index
         assert chan.input_conn_ids() == {a.conn_id}
 
