@@ -149,7 +149,9 @@ def check_regression(
     """Regression messages for the newest entry vs its comparable past.
 
     Empty list means pass.  An entry with no comparable predecessor
-    passes vacuously (first run on a host seeds the baseline).
+    passes vacuously (first run on a host seeds the baseline).  A
+    lower-is-better metric whose baseline is 0 has no relative tolerance:
+    it must stay zero (a one-node run's broker round trips per frame).
     """
     entries = load_trajectory(path)
     if not entries:
@@ -176,6 +178,9 @@ def check_regression(
                 continue
             base = previous["metrics"][metric]
             if base <= 0:
+                if direction == "lower" and base == 0 and value > 0:
+                    failures.append(
+                        f"{name}:{metric} must stay zero, got {value:.4g}")
                 continue
             if direction == "lower" and value > base * (1 + tolerance):
                 failures.append(

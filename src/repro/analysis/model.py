@@ -20,13 +20,15 @@ states:
 * ``M004`` — the state-space budget was exceeded (explicit, never
   silent; no verdicts or downgrades are claimed on a truncated run).
 
-The model mirrors :class:`~repro.runtime.threaded.ThreadedRuntime`
-exactly: every task is an agent performing, per timestamp, its stream
-*gets* (input order), its *puts* (output order), then its *consumes*;
-every terminal channel gets a collector agent that gets-then-consumes.
-That agent mirrors one runtime body too: on both live substrates a
-collector is a sink task, run by the same node body as every task
-(:class:`~repro.runtime.live.LiveNode`).
+The model mirrors a schedule-less
+:class:`~repro.runtime.threaded.ThreadedRuntime`, one lane per task:
+every task is an agent performing, per timestamp, its stream *gets*
+(input order), its *puts* (output order), then its *consumes*; every
+terminal channel gets a collector agent that gets-then-consumes.  A
+node given a schedule runs several agents' programs in one lane thread
+(:class:`~repro.runtime.live.LiveNode`), in a fixed order, so its
+executions are among the agents' interleavings; :mod:`repro.runtime.live`
+argues why that order adds no deadlock.
 :class:`ChannelDecl` generalizes the access pattern — a consumer may hold
 a *window* of items before consuming the oldest, and either side may
 touch only a strided subset of timestamps — which is how real deadlocks

@@ -17,8 +17,10 @@
   both live runtimes return: trace + per-timestamp latency accounting +
   GC totals.
 * :mod:`repro.runtime.live` — what the two live runtimes share: the one
-  per-task frame loop (:func:`~repro.runtime.live.run_frames`, a *step*
-  per frame), the one step body
+  reading of a schedule (:func:`~repro.runtime.live.schedule_slots`: one
+  thread per *lane*, the tasks placed on one processor), the one lane
+  frame loop (:func:`~repro.runtime.live.run_frames`, a *step* per
+  placement), the one step body
   (:func:`~repro.runtime.live.make_exchange`: local channel ends inline,
   boundary ends on one batch), the configuration checks and the report
   merge (:func:`~repro.runtime.live.merge_reports`) that builds the run's

@@ -1,22 +1,50 @@
 """What the two live substrates share: one node body, one frame loop, one result.
 
 Stampede's execution model (§3.3) is one loop per task — get, compute,
-put, consume per timestamp through STM — each task a thread on an SMP
-node.  The live unit of that loop is the *step*: hand over frame
-``ts - 1``'s puts and consumes, fetch frame ``ts``'s gets.
-:func:`run_frames` is that loop and :func:`make_exchange` that step, each
-written once.  The step runs a task's *local* channel ends inline
+put, consume per timestamp through STM.  A live node runs that loop for
+its schedule's *processors*, not its tasks.  A *lane* is the tasks whose
+placement has the same primary processor (``procs[0]`` of the iteration
+pattern; the shift only rotates it), in start order, ties in topological
+order; one thread per lane walks the frames in order and runs its
+placements in turn — the paper's virtual processor that "processes one
+time-stamp through all its tasks" (Figure 4(b)).  :func:`schedule_slots`
+reads what a schedule tells a live node (each task's node, lane, variant
+and width) once, for both runtimes; without a schedule every task is its
+own lane.
+
+The live unit of the loop is the *step*: hand over one placement's puts
+and consumes, fetch the next placement's gets — in a one-task lane, the
+same task's next frame.  :func:`run_frames` is that loop and
+:func:`make_exchange` that step, each written once.  The step runs a
+placement's *local* channel ends inline
 (:class:`~repro.stm.threaded.ThreadedChannel`: the channel lives in the
-task's own process) and ships its *boundary* ends — the channels some
+lane's own process) and ships its *boundary* ends — the channels some
 other process shares — as one batch (:class:`~repro.stm.process.
 StepBatch`, one step of the broker's one op), committed only when it
-holds something.
+holds something: local puts, local consumes, the commit, local gets.  So
+a lane pays one round trip per placement that owns a boundary end, plus
+one where a placement without any is followed by one that reads a
+boundary channel.
+
+Lanes cannot deadlock a run of a valid schedule.  A get waits only on a
+placement with an earlier start in the same frame: earlier in its own
+lane, and so already handed over, or in another lane.  A put blocked at
+capacity waits only on consumes of older frames, and a lane hands over
+frame ``ts - 1`` before it starts ``ts``.  So the blocked operation
+least in (frame, start) order waits on nothing that is itself waiting.
+The broker lands each put and get of a step as soon as it can and
+applies its consumes on arrival, so a batch carrying one placement's
+hand-over and the next one's fetch cannot park on itself.  A respawned
+node resumes each task at its own ``resume`` frame; the lane skips the
+task until then.
 
 :class:`LiveNode` is one process's share of a live run: its channels,
-its tasks as threads through the one task body, and the
+one thread per lane through the one lane body, and the
 :class:`NodeReport` it returns after joining them.  A collector — the
-reader that drains a terminal channel into the run's outputs — is a sink
-task: the same body, whose kernel keeps each value and when it arrived.
+reader that drains a terminal channel into the run's outputs — runs in
+its producer's lane, right after it, when the channel has one producer
+on the node; otherwise it is a sink task in a lane of its own, whose
+kernel keeps each value and when it arrived.
 A :class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
 every channel local that collects itself; a
 :class:`~repro.runtime.process.ProcessRuntime` worker is one node whose
@@ -46,6 +74,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
+from repro.core.optimal import ScheduleSolution
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
@@ -64,6 +93,8 @@ __all__ = [
     "FrameStamps",
     "LiveNode",
     "NodeReport",
+    "Placed",
+    "Slot",
     "check_static_inputs",
     "check_timestamps",
     "make_exchange",
@@ -71,11 +102,13 @@ __all__ = [
     "merge_reports",
     "report_frames",
     "run_frames",
+    "schedule_slots",
     "terminal_channels",
 ]
 
-#: ``(timestamp, kernel result)`` of the frame a step hands over.
-Done = Optional[tuple[int, dict]]
+#: ``(lane position, timestamp, kernel result)`` of the placement a step
+#: hands over.
+Done = Optional[tuple[int, int, dict]]
 
 #: The task name a collector attaches under, on every substrate.
 COLLECTOR = "-collector-"
@@ -103,8 +136,8 @@ def check_timestamps(timestamps: int) -> None:
 def terminal_channels(graph: TaskGraph) -> list[str]:
     """Streaming channels some task produces and none consumes.
 
-    The runtime drains these itself (one collector, a sink task, each)
-    and returns their items as the run's outputs.
+    The runtime drains these itself (one collector each, in its
+    producer's lane) and returns their items as the run's outputs.
     """
     return [
         spec.name
@@ -112,6 +145,41 @@ def terminal_channels(graph: TaskGraph) -> list[str]:
         if not spec.static and not graph.consumers(spec.name)
         and graph.producers(spec.name)
     ]
+
+
+class Slot(NamedTuple):
+    """What a schedule tells a live node about one task: the cluster node
+    of its primary processor, that processor (its lane), its variant and
+    how many processors it occupies (its data-parallel width)."""
+
+    node: int
+    proc: int
+    variant: str
+    width: int
+
+
+def schedule_slots(graph: TaskGraph, schedule, cluster=None) -> dict[str, Slot]:
+    """Each task's :class:`Slot` under ``schedule`` (a
+    :class:`~repro.core.schedule.PipelinedSchedule` or a full
+    :class:`~repro.core.optimal.ScheduleSolution`), in lane order: by
+    start in the iteration pattern, ties in topological order, so a lane
+    never runs a consumer before a producer of a valid schedule.  The
+    shift is ignored: iteration *k* only rotates the pattern's processors.
+    ``node`` is ``cluster.node_of`` the primary processor, 0 without a
+    cluster."""
+    if isinstance(schedule, ScheduleSolution):
+        schedule = schedule.pipelined
+    placed = {pl.task: pl for pl in schedule.iteration.placements}
+    missing = [t.name for t in graph.tasks if t.name not in placed]
+    if missing:
+        raise ReproError(f"schedule places no tasks {missing}")
+    topo = {name: i for i, name in enumerate(graph.topo_order())}
+    node_of = cluster.node_of if cluster is not None else (lambda proc: 0)
+    slots = {}
+    for name in sorted(topo, key=lambda name: (placed[name].start, topo[name])):
+        pl = placed[name]
+        slots[name] = Slot(node_of(pl.primary), pl.primary, pl.variant, pl.workers)
+    return slots
 
 
 def merge_completion(arrivals: dict[str, dict[int, float]]) -> dict[int, float]:
@@ -188,62 +256,88 @@ class FrameStamps:
                 self.times[ts] = at
 
 
+class Placed(NamedTuple):
+    """One placement of a lane, as its step and frame loop see it.
+
+    ``kernel(inputs, ts)`` computes one frame (``None`` passes the merged
+    inputs through to every output); ``local`` / ``boundary`` are its
+    :class:`ChannelEnds` on either side of the process boundary;
+    ``statics`` is merged under every frame's streaming inputs; ``first``
+    is the first frame it runs (later than the lane's on a respawned
+    node).  ``taps`` are the collectors drained right after it: ``(local
+    channel, connection, keep)``, ``keep(ts, value)`` taking each item
+    before it is consumed.
+    """
+
+    plan: TaskPlan
+    kernel: Optional[Callable[[dict, int], Any]] = None
+    local: ChannelEnds = ChannelEnds()
+    boundary: ChannelEnds = ChannelEnds()
+    statics: dict = {}
+    first: int = 0
+    taps: tuple = ()
+
+
 def make_exchange(
-    plan: TaskPlan,
-    local: ChannelEnds,
-    statics: dict[str, Any],
+    lane: list[Placed],
     op_timeout: float,
     stamps: FrameStamps,
-    boundary: ChannelEnds = ChannelEnds(),
     new_batch: Optional[Callable[[], Any]] = None,
-) -> Callable[[Done, Optional[int]], Optional[dict]]:
-    """The step of one task, as :func:`run_frames` calls it.
+) -> Callable[[Done, Optional[int], Optional[int]], Optional[dict]]:
+    """The step of one lane, as :func:`run_frames` calls it.
 
-    For the frame handed over and the frame fetched: puts, consumes, then
-    gets — local ends inline, boundary ends queued on the batch
+    ``exchange(done, nxt, ts)`` hands over the placement ``done`` names
+    and fetches frame ``ts`` of placement ``lane[nxt]``: puts, consumes,
+    then gets — local ends inline, boundary ends queued on the batch
     ``new_batch()`` returns, committed after the local consumes and before
-    the local gets (an empty batch costs no round trip; a task with no
-    boundary end never asks for one).  A source stamps the frame with
-    when its last put landed: the batch's at the broker (``batch.landed``;
-    a batch that reports none leaves the local one) when it has boundary
-    outputs, else its last local one.  Every put of a frame
-    precedes every consume of it, as on threads, and the broker applies a
-    batch's consumes on arrival even while its puts or gets park — so
-    bounded channels cannot deadlock on the deferral in either half.
-
-    ``statics`` is merged under every frame's streaming inputs.
+    the local gets (an empty batch costs no round trip; a step whose two
+    placements have no boundary end never asks for one).  A source stamps
+    the frame with when its last put landed: the batch's at the broker
+    (``batch.landed``; a batch that reports none leaves the local one)
+    when it has boundary outputs, else its last local one.  The handed-
+    over placement's taps then drain its terminal items.  Every put of a
+    frame precedes every consume of it, as on threads, and the broker
+    applies a batch's consumes on arrival even while its puts or gets
+    park — so bounded channels cannot deadlock on the deferral in either
+    half.
     """
-    fetched = [name for name, _, _ in boundary.ins]
-    crosses = bool(boundary.outs or boundary.ins)
-    stamped = plan.is_source and bool(plan.outputs)
+    fetched = [[name for name, _, _ in placed.boundary.ins] for placed in lane]
+    crosses = [bool(placed.boundary.outs or placed.boundary.ins) for placed in lane]
+    stamped = [placed.plan.is_source and bool(placed.plan.outputs) for placed in lane]
 
-    def exchange(done: Done, ts: Optional[int]) -> Optional[dict]:
-        batch = new_batch() if crosses else None
+    def exchange(done: Done, nxt: Optional[int], ts: Optional[int]) -> Optional[dict]:
+        fetch = None if nxt is None else lane[nxt]
+        batch = (new_batch() if (done is not None and crosses[done[0]])
+                 or (fetch is not None and fetch.boundary.ins) else None)
         landed = None
         if done is not None:
-            done_ts, result = done
-            for name, channel, conn in local.outs:
+            i, done_ts, result = done
+            placed = lane[i]
+            for name, channel, conn in placed.local.outs:
                 landed = channel.put(conn, done_ts, result[name], timeout=op_timeout)
-            for name, channel, conn in boundary.outs:
+            for name, channel, conn in placed.boundary.outs:
                 batch.put(channel, conn, done_ts, result[name])
-            for _, channel, conn in local.ins:
+            for _, channel, conn in placed.local.ins:
                 channel.consume(conn, done_ts)
-            for _, channel, conn in boundary.ins:
+            for _, channel, conn in placed.boundary.ins:
                 batch.consume(channel, conn, done_ts)
-        if ts is not None:
-            for _, channel, conn in boundary.ins:
+        if fetch is not None:
+            for _, channel, conn in fetch.boundary.ins:
                 batch.get(channel, conn, ts)
-        values = batch.commit(timeout=op_timeout) if crosses else []
-        if done is not None and stamped:
-            if boundary.outs:
-                landed = getattr(batch, "landed", landed)
-            stamps.stamp(done_ts, landed)
-        if ts is None:
+        values = batch.commit(timeout=op_timeout) if batch is not None else []
+        if done is not None:
+            if stamped[i]:
+                if placed.boundary.outs:
+                    landed = getattr(batch, "landed", landed)
+                stamps.stamp(done_ts, landed)
+            for channel, conn, keep in placed.taps:
+                keep(done_ts, channel.get(conn, done_ts, timeout=op_timeout)[1])
+                channel.consume(conn, done_ts)
+        if fetch is None:
             return None
-        inputs = dict(statics)
-        if crosses:
-            inputs.update(zip(fetched, (value for _, value in values)))
-        for name, channel, conn in local.ins:
+        inputs = dict(fetch.statics)
+        inputs.update(zip(fetched[nxt], (value for _, value in values)))
+        for name, channel, conn in fetch.local.ins:
             inputs[name] = channel.get(conn, ts, timeout=op_timeout)[1]
         return inputs
 
@@ -251,47 +345,49 @@ def make_exchange(
 
 
 def run_frames(
-    plan: TaskPlan,
-    exchange: Callable[[Done, Optional[int]], Optional[dict]],
-    kernel: Optional[Callable[[dict, int], Any]],
-    first: int,
+    lane: list[Placed],
+    exchange: Callable[[Done, Optional[int], Optional[int]], Optional[dict]],
     stop: int,
 ) -> None:
-    """One task's frame loop over timestamps ``first .. stop - 1``.
+    """One lane's frame loop up to timestamp ``stop - 1``.
 
-    ``exchange(done, ts)`` is the substrate's step: ``done`` is the
-    ``(timestamp, result)`` of the frame just computed (``None`` on the
-    first call) whose outputs it puts and whose streaming inputs it
-    consumes; ``ts`` is the frame whose merged inputs it returns (``None``
-    on the final call, which only flushes).  It is called once per frame
-    and once more to flush: ``(None, first), (first, first + 1), ...,
-    (stop - 1, None)``.
+    Each frame runs the lane's placements in order, a placement from its
+    own ``first`` frame on.  ``exchange(done, nxt, ts)`` is the
+    substrate's step: ``done`` is the ``(lane position, timestamp,
+    result)`` of the placement just computed (``None`` on the first call)
+    whose outputs it puts and whose streaming inputs it consumes; ``nxt``
+    and ``ts`` name the placement and frame whose merged inputs it returns
+    (``None`` on the final call, which only flushes).  In a one-task lane
+    that is ``(None, first), (first, first + 1), ..., (stop - 1, None)``.
 
-    ``kernel(inputs, ts)`` computes one frame; ``None`` passes the merged
-    inputs through to every output.  Its result is checked here, before
-    anything is handed to the next exchange.
+    A placement's result is checked here, before anything is handed to
+    the next exchange.
     """
     done: Done = None
-    for ts in range(first, stop):
-        inputs = exchange(done, ts)
-        if kernel is None:
-            result = {ch: inputs for ch in plan.outputs}
-        else:
-            result = kernel(inputs, ts)
-            if not isinstance(result, dict):
-                raise ReproError(
-                    f"kernel of {plan.name!r} returned "
-                    f"{type(result).__name__}, expected dict"
-                )
-            for ch in plan.outputs:
-                if ch not in result:
+    for ts in range(min((placed.first for placed in lane), default=stop), stop):
+        for i, placed in enumerate(lane):
+            if ts < placed.first:
+                continue
+            inputs = exchange(done, i, ts)
+            plan = placed.plan
+            if placed.kernel is None:
+                result = {ch: inputs for ch in plan.outputs}
+            else:
+                result = placed.kernel(inputs, ts)
+                if not isinstance(result, dict):
                     raise ReproError(
-                        f"kernel of {plan.name!r} produced no value for "
-                        f"channel {ch!r}"
+                        f"kernel of {plan.name!r} returned "
+                        f"{type(result).__name__}, expected dict"
                     )
-        done = ts, result
+                for ch in plan.outputs:
+                    if ch not in result:
+                        raise ReproError(
+                            f"kernel of {plan.name!r} produced no value for "
+                            f"channel {ch!r}"
+                        )
+            done = i, ts, result
     if done is not None:
-        exchange(done, None)
+        exchange(done, None, None)
 
 
 @dataclass
@@ -315,7 +411,7 @@ class NodeReport:
 
 @dataclass(eq=False)
 class LiveNode:
-    """One process's share of a live run: its tasks, one thread each.
+    """One process's share of a live run: its tasks, one thread per lane.
 
     Builds one :class:`~repro.stm.threaded.ThreadedChannel` per entry of
     ``capacities`` (``{name: capacity}``) and attaches every task's
@@ -326,23 +422,30 @@ class LiveNode:
     broker behind :meth:`start`'s ``link``, reached through the broker
     connection ids in ``remote`` (``{task: {channel: conn id}}``).
 
-    ``collect`` names the terminal channels the node drains: one collector
-    each, a sink task attached as ``-collector-`` (its boundary conn ids
-    under that name in ``remote``) whose kernel keeps each value and when
-    it arrived, on the run's clock, and records no span.
+    ``slots`` is :func:`schedule_slots`' reading of the run's schedule:
+    the node's tasks run in lanes by ``proc``, in the slots' order, and
+    each kernel span carries its slot's ``proc`` and ``variant``.  Without
+    it every task is its own lane and a span's ``proc`` is the task's row,
+    filed under the ``"nominal"`` node class.
 
-    Each thread reads its static inputs, builds its local and boundary
-    :class:`ChannelEnds`, and runs :func:`make_exchange` and
-    :func:`run_frames` from ``resume`` (``{task: first timestamp}``; a node
-    that resumes is a respawned worker, whose boundary puts replay
-    idempotently), a task recording one :class:`~repro.sim.trace.ExecSpan`
-    per kernel call into :attr:`trace` on the run's clock: seconds since
-    ``t0`` (the moment of :meth:`start` when ``None``).  ``where`` is
-    ``{task: (proc, variant)}`` for those spans; without it ``proc`` is the
-    task's row, filed under the ``"nominal"`` node class.  ``observe``
-    records the node's channel operations too.  ``analysis`` threads a
-    :class:`~repro.analysis.race.RaceChecker` through: tracked channel
-    locks, and fork/adopt edges at thread start and join.
+    ``collect`` names the terminal channels the node drains, each through
+    a collector attached as ``-collector-`` (its boundary conn ids under
+    that name in ``remote``) that keeps each value and when it arrived,
+    on the run's clock, and records no span: a tap right after the
+    channel's producer in its lane when the node holds exactly one
+    producer, else a sink task in a lane of its own.
+
+    Each lane thread reads its placements' static inputs, builds their
+    local and boundary :class:`ChannelEnds`, and runs :func:`make_exchange`
+    and :func:`run_frames`, each task from ``resume`` (``{task: first
+    timestamp}``; a node that resumes is a respawned worker, whose
+    boundary puts replay idempotently), recording one
+    :class:`~repro.sim.trace.ExecSpan` per kernel call into :attr:`trace`
+    on the run's clock: seconds since ``t0`` (the moment of :meth:`start`
+    when ``None``).  ``observe`` records the node's channel operations
+    too.  ``analysis`` threads a :class:`~repro.analysis.race.RaceChecker`
+    through: tracked channel locks, and fork/adopt edges at thread start
+    and join.
 
     A thread that leaves early poisons the node's channels, so no sibling
     waits out ``op_timeout``; one that raises also reports to the broker
@@ -358,7 +461,7 @@ class LiveNode:
     remote: dict[str, dict[str, int]] = field(default_factory=dict)
     collect: tuple[str, ...] = ()
     resume: Optional[dict[str, int]] = None
-    where: Optional[dict[str, tuple[int, str]]] = None
+    slots: Optional[dict[str, Slot]] = None
     t0: Optional[float] = None
     observe: bool = False
     analysis: Optional["RaceChecker"] = None
@@ -405,7 +508,7 @@ class LiveNode:
         link=None,
         invoke: Optional[Callable[[Task, dict, int], dict]] = None,
     ) -> None:
-        """Start every task and collector thread.
+        """Start every lane's thread.
 
         ``link`` reaches the broker (a :class:`~repro.stm.process.
         WorkerLink` or :class:`~repro.stm.process.LocalLink`; none when
@@ -438,13 +541,11 @@ class LiveNode:
 
             return threading.Thread(target=guarded, name=name, daemon=True)
 
-        self._threads = [spawn(f"task:{t.name}", self._task_body, t, invoke)
-                         for t in self.tasks]
-        self._threads += [spawn(f"collect:{ch}", self._collect_body, ch)
-                          for ch in self.collect]
         t0 = self.stamps.t0 = (
             _time.perf_counter() if self.t0 is None else self.t0
         )
+        self._threads = [spawn(name, self._run, lane)
+                         for name, lane in self._lanes(invoke).items()]
         if self.observe:
             # after any static fill: configuration is not a frame's traffic
             for ch in self.channels.values():
@@ -496,13 +597,42 @@ class LiveNode:
         if first and self._link is not None:
             self._link.notify("fatal", "".join(traceback.format_exception(error)))
 
-    def _task_body(self, task: Task,
-                   invoke: Callable[[Task, dict, int], dict]) -> None:
-        plan = self.plans[task.name]
-        if self.where is None:
-            proc, variant, node_class = plan.index, "serial", "nominal"
+    def _lanes(self, invoke) -> dict[str, list[Placed]]:
+        """``{thread name: placements}``: the node's tasks in lanes (by slot
+        processor, in slot order; each its own without slots), then a lane
+        for each collector no producer's lane taps."""
+        tasks = {t.name: t for t in self.tasks}
+        taps: dict[str, list] = {}
+        collectors = {}
+        for ch in self.collect:
+            keep = self._keeper(ch)
+            producers = [t.name for t in self.tasks if ch in t.outputs]
+            if len(producers) == 1:
+                taps.setdefault(producers[0], []).append(
+                    (self.channels[ch], self.conns[COLLECTOR][ch], keep))
+            else:
+                sink = TaskPlan(COLLECTOR, (), (ch,), (), -1, False)
+                collectors[f"collect:{ch}"] = [Placed(
+                    sink, lambda inputs, ts, ch=ch, keep=keep: keep(ts, inputs[ch]) or {})]
+        lanes: dict[str, list[Placed]] = {}
+        order = [name for name in self.slots if name in tasks] if self.slots else tasks
+        for name in order:
+            lane = f"lane:{self.slots[name].proc if self.slots else name}"
+            lanes.setdefault(lane, []).append(Placed(
+                self.plans[name], self._kernel(tasks[name], invoke),
+                taps=tuple(taps.get(name, ()))))
+        return {**lanes, **collectors}
+
+    def _kernel(self, task: Task, invoke: Callable[[Task, dict, int], dict]):
+        """``task``'s kernel as its lane calls it, recording one span a
+        call (``None`` for a task without one: it passes inputs through)."""
+        if task.compute is None and task.compute_chunk is None:
+            return None
+        if self.slots is None:
+            proc, variant, node_class = self.plans[task.name].index, "serial", "nominal"
         else:
-            (proc, variant), node_class = self.where[task.name], None
+            slot, node_class = self.slots[task.name], None
+            proc, variant = slot.proc, slot.variant
         t0, trace = self.stamps.t0, self.trace
 
         def run_kernel(inputs: dict, ts: int) -> dict:
@@ -513,43 +643,48 @@ class LiveNode:
                                        variant=variant, node_class=node_class))
             return result
 
-        has_kernel = task.compute is not None or task.compute_chunk is not None
-        self._run(plan, run_kernel if has_kernel else None)
+        return run_kernel
 
-    def _collect_body(self, channel: str) -> None:
+    def _keeper(self, channel: str) -> Callable[[int, Any], None]:
+        """What a collector of ``channel`` does with each item: keep it
+        and when it arrived."""
         values, arrivals = self._outputs[channel], self._arrivals[channel]
         t0 = self.stamps.t0
 
-        def keep(inputs: dict, ts: int) -> dict:
-            values[ts] = inputs[channel]
+        def keep(ts: int, value: Any) -> None:
+            values[ts] = value
             arrivals[ts] = _time.perf_counter() - t0
-            return {}
 
-        self._run(TaskPlan(COLLECTOR, (), (channel,), (), -1, False), keep)
+        return keep
 
-    def _run(self, plan: TaskPlan, kernel) -> None:
-        """One thread's frames: static reads, then :func:`run_frames` over
+    def _run(self, placements: list[Placed]) -> None:
+        """One lane's frames: static reads, then :func:`run_frames` over
         :func:`make_exchange`, the boundary ends on one
         :class:`~repro.stm.process.StepBatch`."""
         local, timeout = self.channels, self.op_timeout
-        conns, remote = self.conns[plan.name], self.remote.get(plan.name, {})
-        batch = StepBatch(self._link, replay=self.resume is not None) if remote else None
-        # Static inputs: local ones read inline, the broker's in one step
-        # for all of them (none for a task that reads none).
-        statics = {ch: local[ch].get(conns[ch], 0, timeout=timeout)[1]
-                   for ch in plan.static_inputs if ch in local}
-        far = [ch for ch in plan.static_inputs if ch not in local]
+        batch = (StepBatch(self._link, replay=self.resume is not None)
+                 if any(self.remote.get(p.plan.name) for p in placements) else None)
+        lane, far = [], []
+        for placed in placements:
+            plan = placed.plan
+            conns, remote = self.conns[plan.name], self.remote.get(plan.name, {})
+            # Static inputs: local ones read inline, the broker's in one
+            # step for the whole lane (none for a lane that reads none).
+            statics = {ch: local[ch].get(conns[ch], 0, timeout=timeout)[1]
+                       for ch in plan.static_inputs if ch in local}
+            for ch in plan.static_inputs:
+                if ch not in local:
+                    batch.get(ch, remote[ch], 0)
+                    far.append((statics, ch))
+            lane.append(placed._replace(
+                local=ChannelEnds.of(plan, local, conns, conns),
+                boundary=ChannelEnds.of(plan, dict(zip(remote, remote)), remote, remote),
+                statics=statics, first=(self.resume or {}).get(plan.name, 0)))
         if far:
-            for ch in far:
-                batch.get(ch, remote[ch], 0)
-            statics.update(zip(far, (v for _, v in batch.commit(timeout=timeout))))
-        exchange = make_exchange(
-            plan, ChannelEnds.of(plan, local, conns, conns), statics, timeout,
-            self.stamps, ChannelEnds.of(plan, dict(zip(remote, remote)), remote, remote),
-            lambda: batch,
-        )
-        run_frames(plan, exchange, kernel,
-                   (self.resume or {}).get(plan.name, 0), self.timestamps)
+            for (statics, ch), (_, value) in zip(far, batch.commit(timeout=timeout)):
+                statics[ch] = value
+        run_frames(lane, make_exchange(lane, timeout, self.stamps, lambda: batch),
+                   self.timestamps)
         if batch is not None:
             batch.close()
 

@@ -8,12 +8,14 @@ rung between the simulator and real hardware:
 * every scheduled cluster *node* becomes a worker ``multiprocessing``
   process (fork-based, mirroring :mod:`repro.core.parallel`);
 * each worker is one :class:`~repro.runtime.live.LiveNode` — the body a
-  threaded run is the one-node case of: its node's tasks as threads, each
-  through the one task body.  The parent builds the node (channels made,
-  connections attached) and the worker inherits it through the fork; the
-  worker adds only what is its own: the chunk pool, forked before any
-  task thread starts, its :class:`~repro.stm.process.WorkerLink`, and the
-  kernel invocation with its data-parallel fan-out and injected faults;
+  threaded run is the one-node case of: its node's tasks in *lanes*, one
+  thread per processor the schedule puts them on (one per task under an
+  explicit ``placement``), each through the one lane body.  The parent
+  builds the node (channels made, connections attached) and the worker
+  inherits it through the fork; the worker adds only what is its own: the
+  chunk pool, forked before any lane thread starts, its
+  :class:`~repro.stm.process.WorkerLink`, and the kernel invocation with
+  its data-parallel fan-out and injected faults;
 * STM follows the schedule's node boundaries — the paper's intra- versus
   inter-node communication distinction (Figure 6).  A streaming channel
   whose every producer and consumer is scheduled on one node is a
@@ -23,8 +25,8 @@ rung between the simulator and real hardware:
   producers' node.  Only the edges that cross nodes (and the static
   channels, which the parent fills) are hosted by the parent's
   :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
-  array payloads, pickle otherwise), where a task's boundary traffic for
-  a frame is one :class:`~repro.stm.process.StepBatch` step — the
+  array payloads, pickle otherwise), where a placement's boundary traffic
+  for a frame is one :class:`~repro.stm.process.StepBatch` step — the
   broker's one op.  A one-node schedule therefore crosses the broker
   only for its static reads, never per frame, and a task with no
   boundary channel never.  What the parent can then no longer read off
@@ -54,7 +56,8 @@ rung between the simulator and real hardware:
   make a kernel raise (covered by bounded in-worker retries) or kill a
   whole worker mid-run — the parent detects the death through the
   process sentinel, respawns the node, and the tasks resume from the
-  timestamps recorded in STM (puts replay idempotently), which is §3.4's
+  timestamps recorded in STM (puts replay idempotently; a lane skips a
+  task until its own resume frame), which is §3.4's
   "failures as detectable regime changes" on a live substrate.  Resume
   points are read from STM that outlives the worker, so a run that may
   respawn (``max_respawns > 0``) keeps *every* channel at the broker —
@@ -65,7 +68,7 @@ rung between the simulator and real hardware:
   not shipped dies with it: its kernel spans and the digitize stamps of
   the frames its sources emitted;
 * a failure that is not recovered ends the run at once, not after
-  ``op_timeout``: a task thread that raises reports to the parent
+  ``op_timeout``: a lane thread that raises reports to the parent
   immediately and poisons its node's own channels (the node body does
   both), the parent poisons the broker's, and every blocked sibling — on
   a node-local channel or parked on a step from another node — wakes
@@ -92,6 +95,7 @@ from repro.runtime.live import (
     check_static_inputs,
     check_timestamps,
     merge_reports,
+    schedule_slots,
     terminal_channels,
 )
 from repro.runtime.result import ExecutionResult
@@ -208,7 +212,6 @@ def _fail_stop(requests) -> None:
 
 
 def _worker_main(node: LiveNode, worker_id: int, requests, replies,
-                 dp_plan: dict[str, tuple[int, str, tuple[int, ...]]],
                  fault_events: list[KernelFault], kernel_retries: int) -> None:
     """Entry point of one node worker (runs in the forked child).
 
@@ -216,12 +219,13 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
     — and is inherited through the fork, never pickled.
     """
     pool = None
+    widths = {t.name: node.slots[t.name].width for t in node.tasks} if node.slots else {}
     # The chunk pool must fork while this process is still single-threaded
     # (forking with live threads can inherit held locks).  Warmup submits
     # force the pool children into existence before any task thread starts.
     chunked = [
         t for t in node.tasks
-        if t.compute_chunk is not None and dp_plan.get(t.name, (1,))[0] > 1
+        if t.compute_chunk is not None and widths.get(t.name, 1) > 1
     ]
     if chunked:
         import multiprocessing
@@ -229,7 +233,7 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
 
         for t in chunked:
             _CHUNK_TASKS[t.name] = t
-        width = max(dp_plan[t.name][0] for t in chunked)
+        width = max(widths[t.name] for t in chunked)
         try:
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(max_workers=width, mp_context=ctx)
@@ -240,7 +244,7 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
     link = WorkerLink(worker_id, requests, replies)
     link.start()
     fired: set[tuple[str, int]] = set()
-    retry_lock = threading.Lock()  # task threads retry concurrently
+    retry_lock = threading.Lock()  # lane threads retry concurrently
 
     def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
         """One (task, timestamp) execution, chunk-parallel when planned."""
@@ -255,7 +259,7 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
                     raise ReproError(
                         f"injected kernel fault: {task.name} at ts={ts}"
                     )
-                workers = dp_plan.get(task.name, (1,))[0]
+                workers = widths.get(task.name, 1)
                 if workers > 1 and task.compute_chunk is not None and pool is not None:
                     futures = [
                         pool.submit(_exec_chunk, task.name, node.state, inputs,
@@ -306,15 +310,16 @@ class ProcessRuntime:
     schedule:
         Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
         :class:`~repro.core.optimal.ScheduleSolution`).  Placements
-        determine the task-to-node mapping and the data-parallel widths;
+        determine the task-to-node mapping, each node's lanes and the
+        data-parallel widths (:func:`~repro.runtime.live.schedule_slots`);
         requires ``cluster``.
     cluster:
         The :class:`~repro.sim.cluster.ClusterSpec` whose nodes the
         schedule refers to.
     placement:
-        Explicit ``{task: node}`` mapping (overrides ``schedule``).  With
-        neither, every task runs on node 0 (one worker, still a separate
-        process from the parent).
+        Explicit ``{task: node}`` mapping (overrides ``schedule``; every
+        task its own lane).  With neither, every task runs on node 0 (one
+        worker, still a separate process from the parent).
     faults:
         Optional :class:`ProcessFaultPlan`.
 
@@ -336,38 +341,24 @@ class ProcessRuntime:
         faults: Optional[ProcessFaultPlan] = None,
     ) -> None:
         graph.validate()
-        from repro.core.optimal import ScheduleSolution
-
-        if isinstance(schedule, ScheduleSolution):
-            schedule = schedule.pipelined
         if schedule is not None and cluster is None and placement is None:
             raise ReproError("a schedule-driven ProcessRuntime needs cluster=")
         self.graph = graph
         self.state = state
         self.static_inputs = dict(static_inputs or {})
-        self.schedule = schedule
         self.cluster = cluster
         self.op_timeout = op_timeout
         self.obs = obs
         self.faults = faults
         check_static_inputs(graph, self.static_inputs)
-        self.assignment, self.dp_plan = self._derive_assignment(placement)
-
-    def _derive_assignment(self, placement):
-        """(task -> node, task -> (workers, variant, procs)) from the schedule."""
-        dp_plan: dict[str, tuple[int, str, tuple[int, ...]]] = {}
+        #: the schedule's reading (None under an explicit placement)
+        self.slots = (schedule_slots(graph, schedule, cluster)
+                      if schedule is not None and placement is None else None)
         if placement is not None:
-            return dict(placement), dp_plan
-        if self.schedule is None:
-            return {t.name: 0 for t in self.graph.tasks}, dp_plan
-        assignment: dict[str, int] = {}
-        for pl in self.schedule.iteration.placements:
-            assignment[pl.task] = self.cluster.node_of(pl.procs[0])
-            dp_plan[pl.task] = (len(pl.procs), pl.variant, tuple(pl.procs))
-        missing = [t.name for t in self.graph.tasks if t.name not in assignment]
-        if missing:
-            raise ReproError(f"schedule places no tasks {missing}")
-        return assignment, dp_plan
+            self.assignment = dict(placement)
+        else:
+            self.assignment = {t.name: self.slots[t.name].node if self.slots else 0
+                               for t in graph.tasks}
 
     def _node_local_channels(self) -> dict[int, dict[str, Optional[int]]]:
         """``{node: {channel: capacity}}`` of the channels that stay in a worker.
@@ -448,13 +439,6 @@ class ProcessRuntime:
             n: [t for t in self.graph.tasks if self.assignment[t.name] == n]
             for n in nodes
         }
-        #: span labels: the placement's primary processor and variant
-        where = {}
-        for task in self.graph.tasks:
-            _, variant, procs = self.dp_plan.get(task.name, (1, "serial", ()))
-            where[task.name] = (procs[0] if procs else self.assignment[task.name],
-                                variant)
-
         kernel_retries = self.faults.kernel_retries if self.faults else 0
         # Exit faults a dead worker already executed.  A respawned worker
         # must not see them again: it would re-run the fatal frame, hit the
@@ -484,13 +468,13 @@ class ProcessRuntime:
                 node_tasks, plans, local, self.state,
                 timestamps, self.op_timeout, remote=remote,
                 collect=tuple(ch for ch in terminal if ch in local),
-                resume=resume, where=where, t0=broker._t0,
+                resume=resume, slots=self.slots, t0=broker._t0,
                 observe=self.obs is not None,
             )
             proc = ctx.Process(
                 target=_worker_main, name=name, daemon=True,
                 args=(live, worker_id, broker.requests,
-                      broker.register_worker(worker_id), self.dp_plan,
+                      broker.register_worker(worker_id),
                       pending_faults(node_tasks), kernel_retries),
             )
             proc.start()
@@ -595,7 +579,8 @@ class ProcessRuntime:
                 "substrate": "process",
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
-                "dp_plan": {k: v[:2] for k, v in self.dp_plan.items()},
+                "dp_plan": {task: (slot.width, slot.variant)
+                            for task, slot in (self.slots or {}).items()},
                 "node_local_channels": sorted(node_local),
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,

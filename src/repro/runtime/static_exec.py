@@ -645,7 +645,7 @@ class StaticExecutor:
         if self.runtime == "threaded":
             live = ThreadedRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
-                obs=self.obs, analysis=self.analysis,
+                schedule=self.schedule, obs=self.obs, analysis=self.analysis,
             )
         else:
             live = ProcessRuntime(

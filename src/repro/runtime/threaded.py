@@ -1,14 +1,18 @@
 """The live runtime: real Python threads over thread-safe STM channels.
 
-Stampede's execution model — "each task is a POSIX thread" communicating
-through STM — run for real: a threaded run is one
+Stampede's execution model — tasks communicating through STM on an SMP
+node — run for real: a threaded run is one
 :class:`~repro.runtime.live.LiveNode` holding every channel (a
-:class:`~repro.stm.threaded.ThreadedChannel` each), every task a Python
-thread through the node's one task body, and each task's ``compute``
-kernel (real NumPy code for the tracker) actually executes.  The node
-collects itself: each terminal channel is drained by a collector, a sink
-task through the same body.  What is this runtime's own: the static fill
-and the race checker it threads through the node.
+:class:`~repro.stm.threaded.ThreadedChannel` each), and each task's
+``compute`` kernel (real NumPy code for the tracker) actually executes.
+Given a schedule, the node runs one thread per *lane* — the tasks the
+schedule puts on one processor, in start order, one frame at a time
+through all of them — so a task cannot run ahead of the processor it
+shares; without one, every task is its own lane.  Why lanes cannot
+deadlock is argued in :mod:`repro.runtime.live`.  The node collects
+itself: a terminal channel is drained in its producer's lane.  What is
+this runtime's own: the static fill and the race checker it threads
+through the node.
 
 This runtime demonstrates the programming model end to end and powers the
 kernel-calibration path; it is *not* used for latency experiments, because
@@ -21,7 +25,7 @@ on failure so no thread is left blocked.
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import build_task_plans
@@ -30,6 +34,7 @@ from repro.runtime.live import (
     check_static_inputs,
     check_timestamps,
     merge_reports,
+    schedule_slots,
     terminal_channels,
 )
 from repro.runtime.result import ExecutionResult
@@ -38,6 +43,8 @@ from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.analysis.race import RaceChecker
+    from repro.core.optimal import ScheduleSolution
+    from repro.core.schedule import PipelinedSchedule
     from repro.obs import Observability
 
 __all__ = ["ThreadedRuntime"]
@@ -58,6 +65,12 @@ class ThreadedRuntime:
     op_timeout:
         Per-operation blocking timeout in seconds (keeps tests from
         hanging on bugs).
+    schedule:
+        Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
+        :class:`~repro.core.optimal.ScheduleSolution`) that places every
+        task: its placements' primary processors are the node's lanes, and
+        each kernel span carries its placement's processor and variant.
+        Without one every task is its own lane.
     obs:
         Optional :class:`~repro.obs.Observability` bundle, subscribed to
         the run's trace.  It hears every kernel invocation (one span per
@@ -79,6 +92,7 @@ class ThreadedRuntime:
         state: State,
         static_inputs: Optional[dict[str, Any]] = None,
         op_timeout: float = 60.0,
+        schedule: Optional[Union["PipelinedSchedule", "ScheduleSolution"]] = None,
         obs: Optional["Observability"] = None,
         analysis: Optional["RaceChecker"] = None,
     ) -> None:
@@ -89,6 +103,7 @@ class ThreadedRuntime:
         self.op_timeout = op_timeout
         self.obs = obs
         self.analysis = analysis
+        self.slots = None if schedule is None else schedule_slots(graph, schedule)
         check_static_inputs(graph, self.static_inputs)
 
     def run(self, timestamps: int) -> ExecutionResult:
@@ -99,7 +114,7 @@ class ThreadedRuntime:
             self.graph.tasks, build_task_plans(self.graph),
             {spec.name: spec.capacity for spec in self.graph.channels},
             self.state, timestamps, self.op_timeout,
-            collect=tuple(terminal_channels(self.graph)),
+            collect=tuple(terminal_channels(self.graph)), slots=self.slots,
             observe=self.obs is not None, analysis=self.analysis,
         )
         # Static configuration channels are filled before any thread starts.

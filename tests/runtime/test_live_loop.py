@@ -14,6 +14,7 @@ from repro.runtime.dispatch import build_task_plans
 from repro.runtime.live import (
     ChannelEnds,
     FrameStamps,
+    Placed,
     check_static_inputs,
     check_timestamps,
     make_exchange,
@@ -42,11 +43,16 @@ class RecordingExchange:
         self.calls = []
         self.handed_over = []
 
-    def __call__(self, done, ts):
-        self.calls.append((done and done[0], ts))
+    def __call__(self, done, nxt, ts):
+        self.calls.append((done and done[1], ts))
         if done is not None:
-            self.handed_over.append(done)
+            self.handed_over.append(done[1:])
         return None if ts is None else {"a": ts}
+
+
+def one_task(plan, kernel, first=0):
+    """A lane of one placement: the task-per-thread loop."""
+    return [Placed(plan, kernel, first=first)]
 
 
 @pytest.fixture
@@ -57,8 +63,8 @@ def plan():
 class TestRunFrames:
     def test_one_exchange_per_frame_and_one_flush(self, plan):
         exchange = RecordingExchange()
-        run_frames(plan, exchange, lambda ins, ts: {"b": ins["a"], "c": ts},
-                   0, 4)
+        run_frames(one_task(plan, lambda ins, ts: {"b": ins["a"], "c": ts}),
+                   exchange, 4)
         assert exchange.calls == [(None, 0), (0, 1), (1, 2), (2, 3), (3, None)]
         assert exchange.handed_over == [
             (ts, {"b": ts, "c": ts}) for ts in range(4)
@@ -66,29 +72,30 @@ class TestRunFrames:
 
     def test_resume_starts_at_first(self, plan):
         exchange = RecordingExchange()
-        run_frames(plan, exchange, lambda ins, ts: {"b": 0, "c": 0}, 2, 4)
+        run_frames(one_task(plan, lambda ins, ts: {"b": 0, "c": 0}, first=2),
+                   exchange, 4)
         assert exchange.calls == [(None, 2), (2, 3), (3, None)]
 
     def test_nothing_to_do_means_no_exchange(self, plan):
         exchange = RecordingExchange()
-        run_frames(plan, exchange, None, 4, 4)
+        run_frames(one_task(plan, None, first=4), exchange, 4)
         assert exchange.calls == []
 
     def test_no_kernel_passes_inputs_to_every_output(self, plan):
         exchange = RecordingExchange()
-        run_frames(plan, exchange, None, 0, 1)
+        run_frames(one_task(plan, None), exchange, 1)
         assert exchange.handed_over == [(0, {"b": {"a": 0}, "c": {"a": 0}})]
 
     def test_missing_output_raises_before_next_exchange(self, plan):
         exchange = RecordingExchange()
         with pytest.raises(ReproError, match="no value for channel 'c'"):
-            run_frames(plan, exchange, lambda ins, ts: {"b": 1}, 0, 3)
+            run_frames(one_task(plan, lambda ins, ts: {"b": 1}), exchange, 3)
         assert exchange.calls == [(None, 0)]
 
     def test_non_dict_result_raises_before_next_exchange(self, plan):
         exchange = RecordingExchange()
         with pytest.raises(ReproError, match="expected dict"):
-            run_frames(plan, exchange, lambda ins, ts: 42, 0, 3)
+            run_frames(one_task(plan, lambda ins, ts: 42), exchange, 3)
         assert exchange.calls == [(None, 0)]
 
 
@@ -186,16 +193,14 @@ class TestExchange:
         across = ends(lambda ch: ch not in local_names)
         stamps = LoggingStamps(log)
         built = []
+        seen = []
+        lane = [Placed(plan, lambda ins, ts: seen.append(ins) or {
+            ch: (ch, ts) for ch in plan.outputs}, here, across, {"cfg": 7})]
         exchange = make_exchange(
-            plan, here, {"cfg": 7}, 1.0, stamps, across,
-            lambda: built.append(1) or RecordingBatch(log),
+            lane, 1.0, stamps, lambda: built.append(1) or RecordingBatch(log),
         )
         self.batches_built = built
-        seen = []
-        run_frames(plan, exchange,
-                   lambda ins, ts: seen.append(ins) or {
-                       ch: (ch, ts) for ch in plan.outputs},
-                   0, 3)
+        run_frames(lane, exchange, 3)
         return log, seen, stamps
 
     @staticmethod

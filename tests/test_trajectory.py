@@ -132,6 +132,34 @@ class TestAppendAndCheck:
         assert any("pipeline_step.free_comm.wall_s" in f for f in failures)
         assert any("pipeline_step.free_comm.ii_searches" in f for f in failures)
 
+    @staticmethod
+    def one_node(marginal: float, speedup: float = 2.0) -> dict:
+        """A one-node broker row: 0 round trips a frame is its baseline."""
+        new = json.loads(json.dumps(SAMPLE))
+        new["broker_roundtrips"]["one_node"] = {
+            "marginal_roundtrips_per_frame": marginal}
+        new["substrates"]["ladder"]["4"]["speedup_over_threaded"] = speedup
+        return new
+
+    def test_zero_baseline_must_stay_zero(self, tmp_path):
+        out = self.run_cycle(tmp_path, self.one_node(0.0))
+        make_envelope(tmp_path, "substrates", self.one_node(0.25))
+        trajectory.append_entry(tmp_path, out)
+        assert trajectory.check_regression(out) == [
+            "substrates:broker_roundtrips.one_node.marginal_roundtrips_per_frame"
+            " must stay zero, got 0.25"]
+
+    def test_zero_baseline_that_stays_zero_passes(self, tmp_path):
+        out = self.run_cycle(tmp_path, self.one_node(0.0))
+        trajectory.append_entry(tmp_path, out)
+        assert trajectory.check_regression(out) == []
+
+    def test_zero_baseline_of_a_higher_is_better_metric_is_not_gated(self, tmp_path):
+        out = self.run_cycle(tmp_path, self.one_node(0.0, speedup=0.0))
+        make_envelope(tmp_path, "substrates", self.one_node(0.0, speedup=0.0))
+        trajectory.append_entry(tmp_path, out)
+        assert trajectory.check_regression(out) == []
+
     def test_within_tolerance_passes(self, tmp_path):
         out = self.run_cycle(tmp_path, SAMPLE)
         make_envelope(tmp_path, "substrates",
