@@ -125,7 +125,7 @@ def test_explored_reduction_tracker_m8(tracker_graph):
             f"\n  tracker m=8 2x4 [{label}]: cold={cold.explored} "
             f"warm={warm.explored} warm+dom={fast.explored} "
             f"({cold.explored / fast.explored:.2f}x fewer), "
-            f"L={fast.latency:.4f} |S|={fast.optimal_count}"
+            f"L={fast.latency:.4f} |S| counted to the cap={fast.optimal_count}"
         )
     RESULTS["explored_reduction"] = rows
     assert rows["comm"]["ratio"] >= 3.0

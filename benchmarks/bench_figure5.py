@@ -29,7 +29,8 @@ def test_enumerate_cost_per_state(benchmark, tracker_graph, smp4, n_models):
     """Steps 1-2 of Figure 6: exhaustive L and S for one state."""
     state = State(n_models=n_models)
     res = benchmark(enumerate_schedules, tracker_graph, state, smp4)
-    print(f"\n  m={n_models}: L={res.latency:.3f}s |S|={res.optimal_count} "
+    print(f"\n  m={n_models}: L={res.latency:.3f}s "
+          f"|S| counted to the cap={res.optimal_count} "
           f"explored={res.explored}")
 
 

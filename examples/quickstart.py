@@ -38,7 +38,8 @@ def main() -> None:
     print(f"  latency L          = {solution.latency:.3f} s")
     print(f"  initiation interval = {solution.period:.3f} s "
           f"(throughput {solution.throughput:.3f} frames/s)")
-    print(f"  optimal iteration schedules found (|S|) = {solution.alternatives}")
+    print(f"  optimal iteration schedules found (|S|, counted up to the cap) = "
+          f"{solution.alternatives}")
     for pl in solution.iteration.placements:
         print(f"    {pl.task:4s} on procs {list(pl.procs)} "
               f"at t={pl.start:.3f}s for {pl.duration:.3f}s ({pl.variant})")

@@ -21,8 +21,9 @@ over
 Schedules are *active*: each task starts as early as its resources and its
 predecessors (plus communication delay) allow.  The search prunes with a
 critical-path lower bound and returns the exact minimal latency **L**
-together with the set **S** of distinct optimal schedules (capped at
-``max_solutions`` for memory; the total count is still reported).
+together with the set **S** of distinct optimal schedules (the first
+``max_solutions`` in search order are kept, and |S| is counted up to the
+cap).
 
 Three accelerations keep the off-line phase affordable at scale, all of
 them semantics-preserving (same L, same set S up to canonical order; the
@@ -41,7 +42,8 @@ holds the body it replaced as the oracle):
   the remaining minimal work and the placed signature set are passed down
   rather than recomputed; each placement signature is interned once to a
   small int, so the transposition key is a ``frozenset`` of ints; the
-  prune cut-off is a variable refreshed only when L improves; a transfer
+  prune cut-off is a variable refreshed only when L improves (or the tie
+  cut below tightens it); a transfer
   delay is asked of the communication model once per (edge, src, dst);
   candidate nodes and per-node processor orders are computed once per
   node, the successor ready list once per ready task; and a placed task is
@@ -59,6 +61,33 @@ they can be switched off is :func:`search_schedules` itself
 (``incumbent=None``, ``dominance=False``), which is the cold reference of
 ``tests/core/test_enumerate_diff.py`` and where an ablation toggles them.
 
+**The tie cut.**  Once the kept set is full, the exact search (ε = 0, no
+slack) stops looking for ties, so |S| is counted up to the cap, not in
+full.  At slack 0 every member lies within ``tolerance`` of the current
+best B, and a full set changes only when a leaf improves L, i.e. lies below
+``B - tolerance``.  So the cutoff drops to ``B - tolerance``, raised by the
+incumbent's relative margin so that an ulp of bound arithmetic cannot prune
+such a leaf.  Every subtree this prunes holds only ties the set could not
+keep, whose one effect was the count.  L, both bounds and the kept members
+(names, order, every float) are those of the uncut search; ``explored``,
+the prune counters and ``optimal_count`` can only fall.  A bounded or slack
+search keeps the uncut tree: its members are not all ties of B.
+
+The transposition table opens one window, and the search closes it by
+rerunning.  A node inside a cut subtree is one the uncut search saw, so
+where the uncut search later prunes it by dominance, the cut search may
+explore it.  Its leaves all lie above ``B - tolerance``.  They matter only
+if L has since improved to an L′ that admits them, ``L′ + tolerance >
+B - tolerance``: an improvement by less than ``2·tolerance``.  Then such a
+leaf could enter the set where the uncut search kept it out.  When an
+improvement lands in that window the search reruns without the cut
+(:class:`_Reopen`); the rerun is the uncut tree.  An improvement by
+``2·tolerance`` or more closes the window: every leaf admitted from then on
+is at most ``L′ + tolerance <= B - tolerance``, below every leaf of every
+cut subtree, and a later cut at a lower B only lowers that line.  Without
+the table nothing is pruned by dominance and both searches walk a revisited
+subtree alike; the rerun rule is the same either way.
+
 The search core (:func:`search_schedules`) operates on a pure-data
 :class:`SearchProblem` snapshot in which every cost callable has already
 been evaluated — the one cost table Figure 6 takes as input.  The list
@@ -75,6 +104,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.errors import InfeasibleSchedule, ScheduleError
@@ -111,9 +141,13 @@ class EnumerationResult:
         The minimal single-iteration latency L.
     schedules:
         Distinct optimal :class:`IterationSchedule` objects (the set S),
-        capped at the requested maximum.
+        the first ``max_solutions`` in search order.
     optimal_count:
-        Total number of distinct optimal schedules found (>= len(schedules)).
+        Distinct optimal leaves the search reached (>= len(schedules)):
+        |S| counted up to the cap — exactly |S| while |S| <=
+        ``max_solutions``, at least ``max_solutions`` otherwise (the exact
+        search stops looking for ties once the set is full).  A bounded
+        or slack search counts every one it finds.
     explored:
         Branch-and-bound nodes visited — a cost diagnostic.
     state:
@@ -370,6 +404,10 @@ class _EarlyStop(Exception):
     """Internal: bounded search proved its incumbent within (1+ε) of L*."""
 
 
+class _Reopen(Exception):
+    """Internal: L improved by less than 2·tolerance after a tie cut."""
+
+
 def search_schedules(
     problem: SearchProblem,
     state: State,
@@ -408,12 +446,40 @@ def search_schedules(
     already holds; the rest of the tree cannot strengthen it).  At
     ε = 0 every comparison multiplies by exactly 1.0 and the early stop
     is disabled, so the search is bit-identical to the exact one.
+
+    The exact search (ε = 0, no slack) also cuts the ties it can no longer
+    keep once the set is full; see the module docstring for why that
+    leaves L and the kept set unchanged, and for the one window where it
+    reruns the search without the cut.
     """
     if bound_inflation < 0.0:
         raise ScheduleError(
             f"bound_inflation must be >= 0, got {bound_inflation}"
         )
     t0 = time.perf_counter()
+    run = partial(
+        _branch_and_bound, problem, state, cluster, comm,
+        max_solutions=max_solutions, node_limit=node_limit,
+        tolerance=tolerance, latency_slack=latency_slack,
+        incumbent=incumbent, dominance=dominance,
+        bound_inflation=bound_inflation,
+    )
+    try:
+        result = run(tie_cut=bound_inflation == 0.0 and latency_slack == 0.0)
+    except _Reopen:
+        result = run(tie_cut=False)
+    result.elapsed_s = time.perf_counter() - t0
+    return result
+
+
+def _branch_and_bound(
+    problem: SearchProblem, state: State, cluster: ClusterSpec,
+    comm: Optional[CommModel], *, max_solutions: int, node_limit: int,
+    tolerance: float, latency_slack: float, incumbent: Optional[float],
+    dominance: bool, bound_inflation: float, tie_cut: bool,
+) -> EnumerationResult:
+    """One run of :func:`search_schedules`' tree; ``tie_cut`` prunes ties
+    a full set cannot keep, raising :class:`_Reopen` where that is inexact."""
     order_names = problem.order_names
     if not order_names:
         return EnumerationResult(
@@ -422,7 +488,6 @@ def search_schedules(
             1,
             0,
             state,
-            elapsed_s=time.perf_counter() - t0,
             bound_inflation=bound_inflation,
         )
 
@@ -510,8 +575,12 @@ def search_schedules(
     else:
         inc_cutoff = float("inf")
     # Bound for subtree pruning: best-so-far (within slack) or the warm
-    # incumbent, whichever is lower; refreshed only when L improves.
+    # incumbent, whichever is lower; refreshed when L improves and, under
+    # the tie cut, when the set is full.
     cutoff = inc_cutoff
+    # L - tolerance at the last tie cut: an improvement to within
+    # 2·tolerance of that L is the window the cut cannot close.
+    cut_floor = float("inf")
 
     # Transposition table: signature sets of partial placements already
     # expanded.  A partial placement set fully determines the remaining
@@ -523,8 +592,10 @@ def search_schedules(
     sig_ids: dict[tuple, int] = {}
 
     def record_solution(lat: float) -> None:
-        nonlocal best_latency, cutoff, optimal_count
+        nonlocal best_latency, cutoff, optimal_count, cut_floor
         if lat < best_latency - tolerance:
+            if lat + tolerance > cut_floor:
+                raise _Reopen
             best_latency = lat
             # Tightened threshold may evict previously admitted schedules.
             admit = lat * slack_factor + tolerance
@@ -562,6 +633,13 @@ def search_schedules(
                     solutions[key] = (lat, sched)
             if new and optimal:
                 optimal_count += 1
+        if tie_cut and len(solutions) >= max_solutions:
+            # Full at L: only a leaf below L - tolerance can change the set
+            # now.  The cut keeps the incumbent's relative margin so an
+            # ulp of bound arithmetic cannot prune such a leaf.
+            tie = best_latency * (1.0 + _INCUMBENT_MARGIN) - tolerance
+            if tie < cutoff:
+                cutoff, cut_floor = tie, best_latency - tolerance
         if stop_bound is not None and best_latency <= stop_bound:
             raise _EarlyStop
 
@@ -739,7 +817,6 @@ def search_schedules(
         optimal_count=optimal_count,
         explored=explored,
         state=state,
-        elapsed_s=time.perf_counter() - t0,
         pruned_bound=pruned_bound,
         pruned_dominance=pruned_dominance,
         lower_bound=cert_lb,

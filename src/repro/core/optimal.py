@@ -111,7 +111,10 @@ class ScheduleSolution:
     pipelined:
         The multi-iteration schedule M built from it.
     alternatives:
-        Total count of distinct optimal iteration schedules (|S|).
+        Count of distinct optimal iteration schedules, |S| counted up to
+        the cap: exactly |S| while it is at most the request's
+        ``max_solutions``, at least that cap otherwise
+        (:attr:`~repro.core.enumerate.EnumerationResult.optimal_count`).
     explored:
         Branch-and-bound nodes visited while computing S.
     certificate:
@@ -142,10 +145,11 @@ class ScheduleSolution:
         return self.pipelined.throughput
 
     def summary(self) -> str:
-        """One-line human-readable description."""
+        """One-line human-readable description (|S| counted up to the cap)."""
         return (
             f"{self.state}: L={self.latency:.4g}s, II={self.period:.4g}s "
-            f"(throughput {self.throughput:.4g}/s), |S|={self.alternatives}"
+            f"(throughput {self.throughput:.4g}/s), |S|={self.alternatives} "
+            "(counted up to the cap)"
         )
 
 

@@ -130,6 +130,17 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.mode not in ("solve", "enumerate", "list"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
+        # Refused here, not in the search: execute_request reads a
+        # ScheduleError raised there as a stage's blown node budget.
+        if self.max_solutions < 1:
+            raise ScheduleError(
+                f"max_solutions must be >= 1, got {self.max_solutions}"
+            )
+        for name in ("tolerance", "latency_slack"):
+            if not getattr(self, name) >= 0.0:  # NaN is refused too
+                raise ScheduleError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
 
 
 def make_request(

@@ -10,9 +10,11 @@ Over the grid below this file pins that
   the ``SearchProblem`` snapshot, on the HEFT schedule and on broken copies;
 * the bound a miss searches under is ``float.hex()``-equal to the one the
   eager request carried (``eager_incumbent`` below is that code), so
-  ``explored`` and everything else the search reports is the same — also
-  against the kept reference body (``test_search_diff.py`` runs its whole
-  warm grid — ε, caps, slack, node limits — under ``incumbent_of``'s bound);
+  everything the search reports matches the kept reference body under
+  ``test_search_diff.py``'s rule — every counter while the kept set never
+  fills, L, the bounds and every kept member always (that file runs its
+  whole warm grid — ε, caps, slack, node limits — under ``incumbent_of``'s
+  bound);
 * ``request_digest`` of every request is what the parent computed
   (``GRID_DIGEST``), so a cache the parent populated still hits.
 """
@@ -35,8 +37,7 @@ from repro.sim.network import CommModel
 from repro.state import State
 from repro.workloads import get_family, load_dataset
 
-from . import search_reference_oracle as oracle
-from .test_search_diff import _comm_models, _fingerprint
+from .test_search_diff import WARM, _comm_models, _compare, _fingerprint, oracle_run
 
 #: SHA-256 over ``request_digest`` of every grid request, in grid order,
 #: computed at the parent commit (eager incumbent).
@@ -154,12 +155,12 @@ def test_a_miss_searches_under_the_bound_the_eager_request_carried():
             None if bound is None else bound.hex()
         )
         found = execute_request(request)
-        reference = oracle.search_schedules(
-            request.problem, state, cluster, comm, incumbent=bound,
+        # oracle_run searches under incumbent_of(request)'s bound: ``bound``
+        reference, fills = oracle_run(
+            request, WARM,
             max_solutions=request.max_solutions, tolerance=request.tolerance,
         )
-        assert found.explored == reference.explored
-        assert _fingerprint(found) == _fingerprint(reference)
+        _compare(_fingerprint(found), reference, fills, request.max_solutions)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -127,6 +127,21 @@ def test_unknown_mode_rejected(tracker_graph, cluster):
         make_request(tracker_graph, State(n_models=1), cluster, mode="wat")
 
 
+@pytest.mark.parametrize("setting", [
+    dict(max_solutions=0), dict(tolerance=-1.0), dict(latency_slack=-0.5),
+    dict(tolerance=float("nan")),
+], ids=["max_solutions", "tolerance", "latency_slack", "tolerance-nan"])
+def test_out_of_range_settings_are_refused_by_name(tracker_graph, setting):
+    """Not reported as an unschedulable graph: the request refuses them,
+    before any search could read its ScheduleError as a blown budget."""
+    (name,) = setting
+    state, smp = State(n_models=2), SINGLE_NODE_SMP(4)
+    with pytest.raises(ScheduleError, match=f"^{name} must be >= "):
+        enumerate_schedules(tracker_graph, state, smp, **setting)
+    with pytest.raises(ScheduleError, match=f"^{name} must be >= "):
+        make_request(tracker_graph, state, smp, ladder=((0.1, 1_000),), **setting)
+
+
 def test_solve_many_in_process_order(tracker_graph, cluster):
     sched = OptimalScheduler(cluster)
     states = [State(n_models=m) for m in (3, 1, 2)]

@@ -3,8 +3,9 @@
 The timing side lives in ``benchmarks/e2e`` (``offline_cold``); these are the
 counts behind it, which repeat exactly: schedule objects are built for the
 leaves that enter the materialized set and for no other, a transfer delay is
-asked of the communication model once per (edge, src, dst), and step 3's
-incumbent screen builds no unbounded candidate list.
+asked of the communication model once per (edge, src, dst), the exact search
+stops looking for ties once the set is full, and step 3's incumbent screen
+builds no unbounded candidate list.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from repro.core.optimal import OptimalScheduler
 from repro.core.parallel import execute_request, make_request
 from repro.core.pipeline import PipelineSearch
 from repro.core.schedule import IterationSchedule, Placement
+from repro.graph.builders import random_dag
+from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
+from repro.state import State
 from repro.workloads import get_family, load_dataset
 
 E2E_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
-CAP = 64
+#: Above the fusion state's |S| = 552: the set never fills, the whole tree.
+UNCAPPED = 1_000
 
 
 def _fusion_problem():
@@ -32,7 +37,26 @@ def _fusion_problem():
     return graph, family.state_space(inst)[0], cluster
 
 
+def test_a_full_set_stops_the_search_for_ties():
+    """At the default cap the fusion state counts |S| up to 64 and visits
+    under a fifth of the nodes the whole tree has; L and the bound are the same."""
+    graph, state, cluster = _fusion_problem()
+    capped, whole = (
+        execute_request(make_request(
+            graph, state, cluster, mode="enumerate", max_solutions=cap,
+        ))
+        for cap in (64, UNCAPPED)
+    )
+    assert whole.optimal_count == len(whole.schedules) == 552
+    assert capped.optimal_count == len(capped.schedules) == 64
+    assert 5 * capped.explored < whole.explored
+    assert capped.latency.hex() == whole.latency.hex()
+    assert capped.lower_bound.hex() == whole.lower_bound.hex()
+
+
 def test_schedule_objects_are_built_for_kept_leaves_only(monkeypatch):
+    """A DAG where ties still reach the record step after the set is full
+    (22 of them at cap 2): they are counted, never built."""
     built: list[IterationSchedule] = []
     placements = [0]
 
@@ -46,12 +70,14 @@ def test_schedule_objects_are_built_for_kept_leaves_only(monkeypatch):
 
     monkeypatch.setattr(enumerate_mod, "IterationSchedule", counting_schedule)
     monkeypatch.setattr(enumerate_mod, "Placement", counting_placement)
-    graph, state, cluster = _fusion_problem()
+    cap = 2
+    graph = random_dag(7, 33, dp_prob=0.3)
     result = execute_request(make_request(
-        graph, state, cluster, mode="enumerate", max_solutions=CAP,
+        graph, State(n_models=4), ClusterSpec(1, 2), mode="enumerate",
+        max_solutions=cap,
     ))
-    assert result.optimal_count > CAP == len(result.schedules)
-    assert result.explored > 10 * CAP
+    assert result.optimal_count > cap == len(result.schedules)
+    assert result.explored > 10 * cap
     # At slack 0 a member leaves the set only by eviction, when L improves:
     # whatever was built and is above the final L has been evicted.
     evicted = sum(1 for s in built if s.latency > result.latency + 1e-9)
@@ -69,9 +95,12 @@ def test_transfer_time_is_asked_once_per_edge_and_processor_pair(monkeypatch):
         asked.append((nbytes, src, dst))
         return transfer_time(self, nbytes, src, dst)
 
-    request = make_request(graph, state, cluster, mode="enumerate")
+    request = make_request(
+        graph, state, cluster, mode="enumerate", max_solutions=UNCAPPED,
+    )
     monkeypatch.setattr(CommModel, "transfer_time", counting)
     result = execute_request(request)
+    assert len(result.schedules) < UNCAPPED
     pairs = len(request.problem.edge_bytes) * cluster.total_processors ** 2
     assert result.explored > pairs  # one call a placement tried would be more
     assert 0 < len(asked) <= pairs
