@@ -12,11 +12,9 @@ until exactness becomes the latency bottleneck.  This package trades
   :class:`~repro.approx.policy.PolicyLadder`, which packs all rungs
   into one picklable request with per-rung node budgets;
 * :mod:`repro.approx.lazy` —
-  :class:`~repro.approx.lazy.LazyScheduleTable`, demand-filled tables
-  with budgeted (optionally background) neighbor pre-fill through the
-  shared :class:`~repro.core.cache.ScheduleCache`;
-* :mod:`repro.approx.incremental` — warm-starting a state's search from
-  the adjacent state's re-costed schedule.
+  :class:`~repro.approx.lazy.LazyScheduleTable`, a table that solves the
+  state it is asked for on its first look-up, through the shared
+  :class:`~repro.core.cache.ScheduleCache`.
 
 Every served schedule carries a
 :class:`~repro.core.optimal.GapCertificate`; rule ``S013``
@@ -26,11 +24,6 @@ wrong gap claim is a verifier ERROR, not a silent quality loss.
 
 from __future__ import annotations
 
-from repro.approx.incremental import (
-    neighbor_states,
-    recost_schedule,
-    warm_start_from,
-)
 from repro.approx.lazy import LazyScheduleTable
 from repro.approx.policy import (
     DEFAULT_EPSILON,
@@ -51,7 +44,4 @@ __all__ = [
     "PolicyLadder",
     "resolve_policy",
     "LazyScheduleTable",
-    "neighbor_states",
-    "recost_schedule",
-    "warm_start_from",
 ]

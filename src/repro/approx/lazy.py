@@ -1,14 +1,12 @@
-"""LazyScheduleTable: demand-filled per-state schedules with pre-fill.
+"""LazyScheduleTable: per-state schedules solved on first look-up.
 
 The paper pre-computes the whole table because its state set is small.
 When the space explodes (fleet widths × states × shapes), eager builds
-front-load hours of branch and bound for entries that may never be
-looked up.  The lazy table inverts that: entries are solved on first
-miss — through the shared :class:`~repro.core.cache.ScheduleCache`, under
-any :class:`~repro.approx.policy.SolvePolicy` rung — and a small budgeted
-pre-fill solves the *neighbor* states (the likely next regimes) right
-after each miss, optionally on a background thread so the caller never
-waits for speculation.
+front-load branch and bound for entries that may never be looked up.  The
+lazy table inverts that: an entry is solved on its first miss — through
+the shared :class:`~repro.core.cache.ScheduleCache`, under any
+:class:`~repro.approx.policy.SolvePolicy` rung — and only the state asked
+for is solved, from the same request an eager build makes for it.
 
 The class is a :class:`~repro.core.table.ScheduleTable` that starts
 empty, so every consumer — :class:`~repro.core.table.RegimeSwitcher`, the
@@ -16,17 +14,14 @@ dynamic executor's regime path, experiment drivers — takes one without
 modification; a miss that used to raise ``ScheduleLookupError`` becomes
 a solve.  What it adds to the base class is when entries appear and the
 lock that makes that safe: ``lookup`` and the read surface are overridden
-to take it.  Misses warm-start from the nearest already-solved state's
-re-costed schedule (:mod:`repro.approx.incremental`); the re-cost runs on
-a cache miss only.
+to take it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from repro.approx.incremental import neighbor_states
 from repro.approx.policy import SolvePolicy, resolve_policy
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import solve_many
@@ -52,11 +47,6 @@ class LazyScheduleTable(ScheduleTable):
         Optional shared :class:`~repro.core.cache.ScheduleCache`; misses
         fetch before solving and store after
         (:func:`~repro.core.parallel.solve_many`'s ``cache=``).
-    prefill:
-        Neighbor states solved speculatively after each miss (0 = off).
-    background:
-        Run the pre-fill on a daemon thread instead of synchronously.
-        ``drain()`` joins any in-flight speculation (tests and shutdown).
     obs:
         Optional :class:`~repro.obs.Observability`; lookups feed the
         ``repro_approx_lazy_total`` counter and every solve feeds the
@@ -71,8 +61,6 @@ class LazyScheduleTable(ScheduleTable):
         *,
         policy: Union[None, str, SolvePolicy] = None,
         cache=None,
-        prefill: int = 0,
-        background: bool = False,
         obs=None,
     ) -> None:
         self.graph = graph
@@ -80,12 +68,9 @@ class LazyScheduleTable(ScheduleTable):
         self.scheduler = scheduler
         self.policy = resolve_policy(policy)
         self.cache = cache
-        self.prefill_budget = max(0, int(prefill))
-        self.background = bool(background)
         self.obs = obs
         self._solutions: dict[State, ScheduleSolution] = {}
         self._lock = threading.RLock()
-        self._threads: list[threading.Thread] = []
 
     # -- the read surface, under the fill lock --------------------------------
 
@@ -106,15 +91,6 @@ class LazyScheduleTable(ScheduleTable):
             solution = self._solve(state)
             self._solutions[state] = solution
             self._observe_lazy("miss")
-        if self.prefill_budget > 0:
-            if self.background:
-                thread = threading.Thread(
-                    target=self._prefill_around, args=(state,), daemon=True
-                )
-                self._threads.append(thread)
-                thread.start()
-            else:
-                self._prefill_around(state)
         return solution
 
     def __contains__(self, state: object) -> bool:
@@ -141,49 +117,11 @@ class LazyScheduleTable(ScheduleTable):
     # -- filling ------------------------------------------------------------
 
     def _solve(self, state: State) -> ScheduleSolution:
-        """One miss: policy request, neighbor warm start, cached solve."""
+        """One miss: the policy's request for ``state``, through the cache."""
         request = self.policy.request(self.scheduler, self.graph, state)
-        warmed = self._nearest_solved(state)
-        if warmed is not None:
-            # An accelerator only, and not part of the cache digest:
-            # ``incumbent_of`` re-costs it on a miss, a hit never does.
-            request.neighbor = warmed.iteration
         (solution,) = solve_many([request], workers=1, cache=self.cache)
         self._observe_solve(solution)
         return solution
-
-    def _nearest_solved(self, state: State) -> Optional[ScheduleSolution]:
-        """The solved state closest to ``state`` in enumeration order."""
-        if not self._solutions:
-            return None
-        target = self.space.index(state)
-        best: Optional[ScheduleSolution] = None
-        best_dist = len(self.space) + 1
-        for other, solution in self._solutions.items():
-            dist = abs(self.space.index(other) - target)
-            if dist < best_dist:
-                best, best_dist = solution, dist
-        return best
-
-    def _prefill_around(self, state: State) -> int:
-        """Speculatively solve up to ``prefill`` unfilled neighbors."""
-        filled = 0
-        for neighbor in neighbor_states(self.space, state):
-            if filled >= self.prefill_budget:
-                break
-            with self._lock:
-                if neighbor in self._solutions:
-                    continue
-                self._solutions[neighbor] = self._solve(neighbor)
-                self._observe_lazy("prefill")
-            filled += 1
-        return filled
-
-    def drain(self) -> None:
-        """Join any in-flight background pre-fill threads."""
-        threads, self._threads = self._threads, []
-        for thread in threads:
-            thread.join()
 
     # -- instrumentation -----------------------------------------------------
 

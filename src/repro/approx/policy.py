@@ -109,7 +109,7 @@ class BoundedPolicy(SolvePolicy):
     name = "bounded"
 
     def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
-        if epsilon < 0.0:
+        if not epsilon >= 0.0:  # NaN is refused too
             raise ScheduleError(f"epsilon must be >= 0, got {epsilon}")
         self.epsilon = float(epsilon)
         self.overrides = {"bound_inflation": self.epsilon}
@@ -144,7 +144,7 @@ class PolicyLadder(SolvePolicy):
         exact_budget: int = 100_000,
         bounded_budget: int = 500_000,
     ) -> None:
-        if epsilon < 0.0:
+        if not epsilon >= 0.0:  # NaN is refused too
             raise ScheduleError(f"epsilon must be >= 0, got {epsilon}")
         if exact_budget < 1 or bounded_budget < 1:
             raise ScheduleError("ladder stage budgets must be >= 1")

@@ -23,8 +23,6 @@ Extensions beyond the paper's core (each motivated by its text):
   different state (what a stale schedule actually delivers).
 * :mod:`repro.core.serialize` — persist schedules/tables as JSON (the
   off-line artifact that "will be operating for months").
-* :mod:`repro.core.interpolate` — §2.1's interpolation alternative, for
-  large/unknown state spaces.
 * :mod:`repro.core.frontier` — the full latency/throughput trade-off
   curve (the related work's [13] question, answered with Figure 6
   machinery).
@@ -61,7 +59,6 @@ from repro.core.frontier import (
 from repro.core.parallel import SolveRequest, make_request, solve_many
 from repro.core.cache import CacheStats, ScheduleCache
 from repro.core.sensitivity import sensitivity_profile, SensitivityProfile
-from repro.core.interpolate import InterpolatingTable
 from repro.core.serialize import table_to_json, table_from_json
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "ScheduleCache",
     "sensitivity_profile",
     "SensitivityProfile",
-    "InterpolatingTable",
     "table_to_json",
     "table_from_json",
     "Placement",

@@ -76,8 +76,10 @@ def request_digest(request: SolveRequest) -> str:
     """Stable hex digest identifying a request's *answer*.
 
     Two requests with equal digests are guaranteed the same solution; the
-    digest is insensitive to the warm-start incumbent and to the graph's
-    name.
+    digest is insensitive to the graph's name and the caller's ``tag``.
+    A miss searches under the HEFT bound of the snapshot digested here and
+    nothing else, so the entry it stores does not depend on which look-up,
+    in which order, made it.
     """
     comm = request.comm
     if comm is None:

@@ -452,7 +452,7 @@ def search_schedules(
     leaves L and the kept set unchanged, and for the one window where it
     reruns the search without the cut.
     """
-    if bound_inflation < 0.0:
+    if not bound_inflation >= 0.0:  # NaN would switch bound pruning off
         raise ScheduleError(
             f"bound_inflation must be >= 0, got {bound_inflation}"
         )

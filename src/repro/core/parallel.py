@@ -98,13 +98,8 @@ class SolveRequest:
     the final rung.  All of it is pure picklable data, so a whole policy
     ladder ships to a worker as one request.
 
-    ``incumbent`` / ``fallback`` are an upper bound the caller already
-    holds and the legal schedule that attains it (a re-costed neighbor,
-    :func:`repro.approx.incremental.warm_start_from`); ``neighbor`` is a
-    schedule of a nearby state not yet re-costed under this one (the lazy
-    table's), which :func:`incumbent_of` prices on a miss only.
-    :func:`make_request` leaves all three unset.  The bound a miss
-    searches under is :func:`incumbent_of`'s: HEFT's, tightened by these.
+    The request carries no bound: a miss searches under
+    :func:`incumbent_of`'s, the validated HEFT schedule of the snapshot.
 
     ``tag`` is an opaque caller label (a state, a shape key, a trial
     index) carried through untouched; ``solve_many`` never looks at it.
@@ -119,13 +114,10 @@ class SolveRequest:
     node_limit: int = 2_000_000
     tolerance: float = 1e-9
     latency_slack: float = 0.0
-    incumbent: Optional[float] = None
     bound_inflation: float = 0.0
     ladder: tuple = ()
-    fallback: Optional[IterationSchedule] = None
     dp_cap: Optional[int] = None
     tag: Any = field(default=None, compare=False)
-    neighbor: Optional[IterationSchedule] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("solve", "enumerate", "list"):
@@ -136,11 +128,14 @@ class SolveRequest:
             raise ScheduleError(
                 f"max_solutions must be >= 1, got {self.max_solutions}"
             )
-        for name in ("tolerance", "latency_slack"):
+        for name in ("tolerance", "latency_slack", "bound_inflation"):
             if not getattr(self, name) >= 0.0:  # NaN is refused too
                 raise ScheduleError(
                     f"{name} must be >= 0, got {getattr(self, name)}"
                 )
+        for eps, _limit in self.ladder:
+            if not eps >= 0.0:
+                raise ScheduleError(f"ladder epsilon must be >= 0, got {eps}")
 
 
 def make_request(
@@ -199,17 +194,13 @@ def incumbent_of(
     validated against that same snapshot (task set, processor range and
     exclusivity, precedence with communication) before its latency bounds
     anything.  A heuristic that cannot produce a legal schedule yields
-    ``(None, None)`` and the search simply starts cold.  A bound the
-    caller supplied (``request.incumbent``, or ``request.neighbor``
-    re-costed here under the snapshot by
-    :func:`~repro.approx.incremental.tighter_recost`) replaces HEFT's when
-    it is strictly tighter, and its schedule then replaces HEFT's as the
-    fallback.  The fallback is kept for approximate requests only
-    (``mode="list"``, ``bound_inflation`` > 0, ``ladder`` stages) — the
-    rungs that may serve it.
+    ``(None, None)`` and the search simply starts cold.  The fallback is
+    kept for approximate requests only (``mode="list"``,
+    ``bound_inflation`` > 0, ``ladder`` stages) — the rungs that may
+    serve it.
     """
-    # Deferred: avoids import cycles (repro.approx imports this module).
-    from repro.approx.incremental import tighter_recost
+    # Deferred: repro.sched imports repro.core, and a wrap of
+    # listsched.heft_schedule by name must see this call.
     from repro.sched.listsched import heft_schedule
 
     heft: Optional[IterationSchedule] = None
@@ -224,20 +215,10 @@ def incumbent_of(
         except (ReproError, AssertionError):
             heft = None
     bound = heft.latency if heft is not None else None
-    fallback = heft
-    supplied, schedule = request.incumbent, request.fallback
-    if request.neighbor is not None:
-        warm = tighter_recost(request, request.neighbor)
-        if warm is not None:
-            supplied, schedule = warm.latency, warm
-    if supplied is not None and (bound is None or supplied < bound):
-        bound = supplied
-        if heft is not None and schedule is not None:
-            fallback = schedule
     approximate = (
         request.bound_inflation > 0.0 or bool(request.ladder) or request.mode == "list"
     )
-    return bound, fallback if approximate else None
+    return bound, heft if approximate else None
 
 
 def execute_request(

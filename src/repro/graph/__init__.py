@@ -18,7 +18,7 @@ data-parallel variants.  This package is that input:
   the splitter/worker/joiner subgraph of Figure 9.
 * :mod:`repro.graph.builders` — generic topology builders (chains,
   fork-joins, and the Figure 2 tracker shape).
-* :mod:`repro.graph.render` — DOT and ASCII rendering.
+* :mod:`repro.graph.render` — ASCII rendering.
 """
 
 from repro.graph.cost import (

@@ -150,23 +150,3 @@ def expand_data_parallel(
     )
     out.validate()
     return out
-
-
-def expansion_latency(
-    graph: TaskGraph, task_name: str, workers: int, state: State
-) -> float:
-    """Critical-path time through the expanded subgraph alone.
-
-    Equals ``split + max_worker_time + join`` and, by construction, matches
-    :meth:`DataParallelSpec.duration` when chunks divide evenly; with uneven
-    chunk counts the expansion is exact while the variant model rounds up to
-    whole waves (a conservative over-estimate).  Tests pin this relation.
-    """
-    expanded = expand_data_parallel(graph, task_name, workers)
-    spec = graph.task(task_name).data_parallel
-    if spec is None:
-        raise DecompositionError(f"task {task_name!r} has no data-parallel spec")
-    worker_times = [
-        expanded.task(f"{task_name}.w{i}").cost(state) for i in range(workers)
-    ]
-    return spec.split_cost + max(worker_times) + spec.join_cost

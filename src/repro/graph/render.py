@@ -1,4 +1,4 @@
-"""Rendering task graphs as DOT or indented ASCII.
+"""Rendering task graphs as indented ASCII.
 
 Purely presentational: experiments and examples print these so a reader can
 check the graph against Figure 2 of the paper without any plotting
@@ -9,24 +9,7 @@ from __future__ import annotations
 
 from repro.graph.taskgraph import TaskGraph
 
-__all__ = ["to_dot", "to_ascii"]
-
-
-def to_dot(graph: TaskGraph) -> str:
-    """GraphViz DOT text: ovals for tasks, boxes (cylinders) for channels."""
-    lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;"]
-    for t in graph.tasks:
-        lines.append(f'  "{t.name}" [shape=oval];')
-    for ch in graph.channels:
-        style = 'shape=cylinder, style=dashed' if ch.static else "shape=cylinder"
-        lines.append(f'  "{ch.name}" [{style}];')
-    for t in graph.tasks:
-        for ch in t.inputs:
-            lines.append(f'  "{ch}" -> "{t.name}";')
-        for ch in t.outputs:
-            lines.append(f'  "{t.name}" -> "{ch}";')
-    lines.append("}")
-    return "\n".join(lines)
+__all__ = ["to_ascii"]
 
 
 def to_ascii(graph: TaskGraph) -> str:

@@ -11,7 +11,6 @@ from repro.metrics.uniformity import UniformityStats, uniformity_stats
 from repro.metrics.gantt import render_gantt, render_schedule
 from repro.metrics.curves import CurvePoint, pareto_front, dominates
 from repro.metrics.recovery import RecoveryStats, recovery_stats
-from repro.metrics.summary import ExecutionSummary, summarize
 
 __all__ = [
     "LatencyStats",
@@ -26,6 +25,4 @@ __all__ = [
     "dominates",
     "RecoveryStats",
     "recovery_stats",
-    "ExecutionSummary",
-    "summarize",
 ]

@@ -235,7 +235,7 @@ class Observability:
         self._approx_gap.labels(policy).observe(gap)
 
     def on_lazy(self, kind: str) -> None:
-        """One lazy-table lookup outcome: ``hit`` / ``miss`` / ``prefill``."""
+        """One lazy-table lookup outcome: ``hit`` / ``miss``."""
         self._approx_lazy.labels(kind).inc()
 
     # -- exposition -----------------------------------------------------------

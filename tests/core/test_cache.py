@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.cache import ScheduleCache, default_cache_dir, request_digest
 from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import execute_request, incumbent_of, make_request
+from repro.core.parallel import execute_request, make_request
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.graph.builders import chain_graph
@@ -49,15 +49,9 @@ def test_digest_stable_across_processes_and_names(tracker_graph, cluster):
     a = _request(tracker_graph, State(n_models=2), cluster)
     b = _request(tracker_graph, State(n_models=2), cluster)
     assert request_digest(a) == request_digest(b)
-    # The incumbent never changes the answer, so it never changes the key:
-    # a request is built without one, and supplying one (as the lazy table's
-    # warm start does, schedule included) leaves the digest alone.
-    assert a.incumbent is None and a.fallback is None
-    b.incumbent, b.fallback = incumbent_of(
-        _request(tracker_graph, State(n_models=2), cluster, mode="list")
-    )
-    assert b.incumbent is not None and b.fallback is not None
-    assert request_digest(a) == request_digest(b)
+    # The caller's label never changes the answer, so it never changes the key.
+    tagged = _request(tracker_graph, State(n_models=2), cluster, tag="label")
+    assert request_digest(a) == request_digest(tagged)
 
 
 def test_digest_sensitive_to_inputs(tracker_graph, cluster):

@@ -147,7 +147,6 @@ def test_validate_reads_the_snapshot_as_it_reads_the_graph():
 def test_a_miss_searches_under_the_bound_the_eager_request_carried():
     for graph, state, cluster, comm in GRID:
         request = make_request(graph, state, cluster, comm, mode="enumerate")
-        assert request.incumbent is None and request.fallback is None
         eager = eager_incumbent(graph, request)
         bound, fallback = incumbent_of(request)
         assert fallback is None  # an exact request keeps no fallback
@@ -173,23 +172,6 @@ def test_approximate_requests_get_the_validated_heft_fallback(overrides):
         bound, fallback = incumbent_of(request)
         assert bound.hex() == eager.latency.hex()
         assert fallback.canonical_key() == eager.canonical_key()
-
-
-def test_a_supplied_bound_only_replaces_a_looser_heft():
-    graph, state, cluster, comm = GRID[0]
-    request = make_request(graph, state, cluster, comm, bound_inflation=0.1)
-    heft_bound, heft = incumbent_of(request)
-    worse = IterationSchedule(
-        [Placement(p.task, p.procs, p.start + 1.0, p.duration, p.variant)
-         for p in heft]
-    )
-    request.incumbent, request.fallback = worse.latency, worse
-    assert incumbent_of(request)[0] == heft_bound
-    assert incumbent_of(request)[1].canonical_key() == heft.canonical_key()
-    request.incumbent, request.fallback = heft_bound, worse  # a tie is not tighter
-    assert incumbent_of(request)[1].canonical_key() == heft.canonical_key()
-    request.incumbent = heft_bound / 2
-    assert incumbent_of(request) == (heft_bound / 2, worse)
 
 
 def test_request_digests_are_the_parents():

@@ -8,7 +8,8 @@ from unittest.mock import Mock
 
 import pytest
 
-from repro.core.enumerate import SearchProblem, enumerate_schedules
+from repro.approx.policy import BoundedPolicy, PolicyLadder, resolve_policy
+from repro.core.enumerate import SearchProblem, enumerate_schedules, search_schedules
 from repro.core.frontier import latency_throughput_frontier
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import (
@@ -127,19 +128,42 @@ def test_unknown_mode_rejected(tracker_graph, cluster):
         make_request(tracker_graph, State(n_models=1), cluster, mode="wat")
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("setting", [
     dict(max_solutions=0), dict(tolerance=-1.0), dict(latency_slack=-0.5),
-    dict(tolerance=float("nan")),
-], ids=["max_solutions", "tolerance", "latency_slack", "tolerance-nan"])
+    dict(tolerance=NAN), dict(bound_inflation=NAN), dict(ladder=((NAN, 1_000),)),
+    dict(epsilon=NAN),
+], ids=["max_solutions", "tolerance", "latency_slack", "tolerance-nan",
+        "bound_inflation-nan", "ladder-nan", "epsilon-nan"])
 def test_out_of_range_settings_are_refused_by_name(tracker_graph, setting):
     """Not reported as an unschedulable graph: the request refuses them,
-    before any search could read its ScheduleError as a blown budget."""
+    before any search could read its ScheduleError as a blown budget.  A
+    NaN ε is refused too: every prune comparison with it is false, so it
+    would switch bound pruning off."""
     (name,) = setting
     state, smp = State(n_models=2), SINGLE_NODE_SMP(4)
-    with pytest.raises(ScheduleError, match=f"^{name} must be >= "):
-        enumerate_schedules(tracker_graph, state, smp, **setting)
-    with pytest.raises(ScheduleError, match=f"^{name} must be >= "):
-        make_request(tracker_graph, state, smp, ladder=((0.1, 1_000),), **setting)
+
+    def refused():
+        return pytest.raises(ScheduleError, match=f"^{name}( epsilon)? must be >= ")
+
+    if name == "epsilon":  # a policy's ε, as a spec string and as an argument
+        for refuse in (lambda: resolve_policy("bounded:nan"),
+                       lambda: resolve_policy("ladder:nan"),
+                       lambda: BoundedPolicy(NAN), lambda: PolicyLadder(NAN)):
+            with refused():
+                refuse()
+        return
+    if name == "bound_inflation":
+        problem = SearchProblem.from_graph(tracker_graph, state, max_workers=4)
+        with refused():
+            search_schedules(problem, state, smp, **setting)
+    elif name != "ladder":  # enumerate_schedules takes no ε
+        with refused():
+            enumerate_schedules(tracker_graph, state, smp, **setting)
+    with refused():
+        make_request(tracker_graph, state, smp, **{"ladder": ((0.1, 1_000),), **setting})
 
 
 def test_solve_many_in_process_order(tracker_graph, cluster):

@@ -1,4 +1,4 @@
-"""Unit tests for schedule persistence and the interpolating table."""
+"""Unit tests for schedule persistence."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import json
 
 import pytest
 
-from repro.errors import RegimeError, ScheduleError
-from repro.core.interpolate import InterpolatingTable
+from repro.errors import ScheduleError
 from repro.core.optimal import OptimalScheduler
 from repro.core.serialize import (
     iteration_from_dict,
@@ -150,52 +149,3 @@ class TestHostileTables:
         with pytest.raises(ScheduleError, match="twice"):
             self.load(bad)
 
-
-class TestInterpolatingTable:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        from repro.apps.tracker.graph import build_tracker_graph
-
-        graph = build_tracker_graph()
-        cluster = SINGLE_NODE_SMP(4)
-        # Sparse coverage: only states 1 and 8.
-        table = ScheduleTable.build(
-            graph,
-            StateSpace(iter([State(n_models=1), State(n_models=8)])),
-            OptimalScheduler(cluster),
-        )
-        return graph, cluster, table
-
-    def test_exact_hit_passthrough(self, setup):
-        graph, cluster, table = setup
-        interp = InterpolatingTable(table, graph, cluster)
-        sol = interp.lookup(State(n_models=8))
-        assert sol is table.lookup(State(n_models=8))
-        assert interp.interpolations == 0
-
-    def test_interpolated_lookup_valid_for_state(self, setup):
-        graph, cluster, table = setup
-        interp = InterpolatingTable(table, graph, cluster)
-        sol = interp.lookup(State(n_models=4))
-        assert sol.state == State(n_models=4)
-        sol.iteration.validate(graph, State(n_models=4), cluster)
-        sol.pipelined.validate_conflict_free()
-        assert interp.interpolations == 1
-
-    def test_nearest_selection(self, setup):
-        graph, cluster, table = setup
-        interp = InterpolatingTable(table, graph, cluster)
-        assert interp.nearest_covered(State(n_models=2))["n_models"] == 1
-        assert interp.nearest_covered(State(n_models=7))["n_models"] == 8
-
-    def test_interpolated_never_beats_exact(self, setup):
-        graph, cluster, table = setup
-        interp = InterpolatingTable(table, graph, cluster)
-        exact = OptimalScheduler(cluster).solve(graph, State(n_models=4))
-        assert interp.lookup(State(n_models=4)).latency >= exact.latency - 1e-9
-
-    def test_missing_variable_rejected(self, setup):
-        graph, cluster, table = setup
-        interp = InterpolatingTable(table, graph, cluster)
-        with pytest.raises(RegimeError):
-            interp.lookup(State(other=3))

@@ -35,17 +35,22 @@ class TestPickleRoundTrips:
         assert clone.digest_payload() == tracker_problem.digest_payload()
 
     def test_solve_request_round_trips(self, tracker_graph, m8):
-        request = make_request(tracker_graph, m8, SINGLE_NODE_SMP(4))
-        # make_request carries no bound; supply one, schedule included, as
-        # the lazy table's warm start does before shipping to a worker.
-        request.incumbent, request.fallback = incumbent_of(
-            make_request(tracker_graph, m8, SINGLE_NODE_SMP(4), mode="list")
+        # A whole policy ladder ships as one request.
+        request = make_request(
+            tracker_graph, m8, SINGLE_NODE_SMP(4),
+            bound_inflation=0.1, ladder=((0.2, 1_000),),
         )
         clone = pickle.loads(pickle.dumps(request))
+        assert clone == request
         assert clone.problem == request.problem
         assert clone.state == request.state
-        assert clone.incumbent == request.incumbent is not None
-        assert clone.fallback.canonical_key() == request.fallback.canonical_key()
+        # The bound a miss searches under is the clone's to compute, and it
+        # is the original's, fallback schedule included.
+        (bound, fallback), (cbound, cfallback) = (
+            incumbent_of(request), incumbent_of(clone)
+        )
+        assert cbound == bound is not None
+        assert cfallback.canonical_key() == fallback.canonical_key()
 
     def test_schedule_cache_round_trips(self, tmp_path):
         cache = ScheduleCache(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.builders import chain_graph, fork_join_graph, tracker_shape_graph
 from repro.graph.channel import ChannelSpec
-from repro.graph.render import to_ascii, to_dot
+from repro.graph.render import to_ascii
 from repro.state import State
 
 
@@ -81,12 +81,6 @@ class TestTrackerShape:
 
 
 class TestRender:
-    def test_dot_contains_all_names(self, tracker_graph):
-        dot = to_dot(tracker_graph)
-        for name in (*tracker_graph.task_names, *tracker_graph.channel_names):
-            assert name in dot
-        assert dot.startswith("digraph")
-
     def test_ascii_topo_listing(self):
         text = to_ascii(chain_graph([1.0, 2.0]))
         assert "t0: [] -> [c0]" in text

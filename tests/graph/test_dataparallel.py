@@ -9,13 +9,11 @@ from repro.errors import DecompositionError
 from repro.graph.builders import chain_graph
 from repro.graph.dataparallel import (
     expand_data_parallel,
-    expansion_latency,
     worker_chunk_counts,
 )
 from repro.graph.task import DataParallelSpec, Task
 from repro.graph.channel import ChannelSpec
 from repro.graph.taskgraph import TaskGraph
-from repro.state import State
 
 
 def dp_graph(cost=8.0, worker_counts=(2, 4), **spec_kw) -> TaskGraph:
@@ -101,22 +99,3 @@ class TestExpansion:
         g = dp_graph()
         expand_data_parallel(g, "work", 2)
         assert "work" in g and "work.split" not in g.task_names
-
-    @given(workers=st.sampled_from([2, 4]), chunks=st.integers(1, 24))
-    def test_expansion_latency_matches_variant_when_waves_exact(self, workers, chunks):
-        """Critical path through the expansion == the Variant wave model
-        whenever chunks divide evenly into waves; otherwise the variant
-        model is a conservative upper bound (whole-wave rounding)."""
-        state = State(n_models=1)
-        spec_kw = dict(split_cost=0.25, join_cost=0.5, per_chunk_overhead=0.1)
-        g = dp_graph(cost=7.0, worker_counts=(workers,), **spec_kw)
-        task = g.task("work")
-        spec = task.data_parallel
-        assert spec is not None
-        spec.chunks_for = lambda s, w: chunks
-        exact = expansion_latency(g, "work", workers, state)
-        variant = spec.duration(task, state, workers)
-        if chunks % workers == 0:
-            assert variant == pytest.approx(exact)
-        else:
-            assert variant >= exact - 1e-9

@@ -1,11 +1,17 @@
-"""Unit tests for the execution summary."""
+"""The headline metrics of one execution, read off one result.
+
+Latency, throughput, uniformity and utilization are computed by their own
+functions in :mod:`repro.metrics`; these tests hold them together on one
+static run and on degenerate results.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.optimal import OptimalScheduler
-from repro.metrics.summary import summarize
+from repro.metrics.latency import latency_stats, throughput_from_completions
+from repro.metrics.uniformity import uniformity_stats
 from repro.runtime.static_exec import StaticExecutor
 from repro.sim.cluster import SINGLE_NODE_SMP
 from repro.state import State
@@ -20,32 +26,29 @@ class TestSummarize:
         m8 = State(n_models=8)
         cluster = SINGLE_NODE_SMP(4)
         sol = OptimalScheduler(cluster).solve(g, m8)
-        result = StaticExecutor(g, m8, cluster, sol).run(10)
-        return sol, summarize(result, warmup_fraction=0.2)
+        return sol, StaticExecutor(g, m8, cluster, sol).run(10)
 
     def test_headline_numbers_consistent(self, summary):
-        sol, s = summary
-        assert s.latency.mean == pytest.approx(
+        sol, result = summary
+        latency = latency_stats(result, warmup_fraction=0.2)
+        assert latency.mean == pytest.approx(
             sol.latency - sol.iteration.placement("T1").end
         )
-        assert s.throughput == pytest.approx(sol.throughput, rel=0.05)
-        assert s.slips == 0
+        throughput = throughput_from_completions(
+            result.completion_sequence(), result.horizon
+        )
+        assert throughput == pytest.approx(sol.throughput, rel=0.05)
+        assert result.meta.get("slips", 0) == 0
 
     def test_uniformity_perfect_for_static(self, summary):
-        _, s = summary
-        assert s.uniformity.coverage == 1.0
-        assert s.uniformity.max_gap == 0
+        _, result = summary
+        uniformity = uniformity_stats(result)
+        assert uniformity.coverage == 1.0
+        assert uniformity.max_gap == 0
 
     def test_utilization_in_range(self, summary):
-        _, s = summary
-        assert 0.0 < s.utilization <= 1.0
-
-    def test_render_mentions_everything(self, summary):
-        _, s = summary
-        text = s.render()
-        for key in ("latency:", "throughput:", "uniformity:", "utilization:",
-                    "space:", "slips:"):
-            assert key in text
+        _, result = summary
+        assert 0.0 < result.trace.utilization(result.trace.processors()) <= 1.0
 
 
 class TestSummarizeEdgeCases:
@@ -71,34 +74,40 @@ class TestSummarizeEdgeCases:
 
         result = self.make_result({}, {}, emitted=0)
         with pytest.raises(ExperimentError):
-            summarize(result)
+            latency_stats(result)
+        with pytest.raises(ExperimentError):
+            uniformity_stats(result)
 
     def test_emitted_but_nothing_completed_raises(self):
         from repro.errors import ExperimentError
 
         result = self.make_result({0: 0.0, 1: 0.5}, {}, emitted=2)
         with pytest.raises(ExperimentError):
-            summarize(result)
+            latency_stats(result)
+        with pytest.raises(ExperimentError):
+            uniformity_stats(result)
 
     def test_single_timestamp_run(self):
         result = self.make_result({0: 0.1}, {0: 0.6}, emitted=1, horizon=1.0)
-        s = summarize(result)
-        assert s.latency.count == 1
-        assert s.latency.mean == pytest.approx(0.5)
-        assert s.latency.stdev == 0.0
-        assert s.latency.spread == 0.0
-        assert s.uniformity.coverage == 1.0
-        assert s.uniformity.max_gap == 0
-        assert s.uniformity.interarrival_cv == 0.0
-        assert s.throughput == pytest.approx(1.0)  # count/horizon fallback
-        assert s.utilization == 0.0  # no spans on any processor
-        assert "over 1 frames" in s.render()
+        latency, uniformity = latency_stats(result), uniformity_stats(result)
+        assert latency.count == 1
+        assert latency.mean == pytest.approx(0.5)
+        assert latency.stdev == 0.0
+        assert latency.spread == 0.0
+        assert uniformity.coverage == 1.0
+        assert uniformity.max_gap == 0
+        assert uniformity.interarrival_cv == 0.0
+        throughput = throughput_from_completions(
+            result.completion_sequence(), result.horizon
+        )
+        assert throughput == pytest.approx(1.0)  # count/horizon fallback
+        # no spans on any processor
+        assert result.trace.utilization(result.trace.processors()) == 0.0
 
     def test_warmup_never_empties_the_window(self):
         # a huge warmup fraction must still leave at least one frame
         result = self.make_result({0: 0.0}, {0: 0.4}, emitted=1)
-        s = summarize(result, warmup_fraction=0.9)
-        assert s.latency.count == 1
+        assert latency_stats(result, warmup_fraction=0.9).count == 1
 
 
 class TestCLIOutputFile:
