@@ -18,8 +18,9 @@ static root bound (``S013``) — comes from one cost snapshot, a
 :class:`~repro.core.enumerate.SearchProblem`: the same evaluation of the
 graph's cost callables that the solve request digested.  A table build
 hands in the snapshots its requests already hold (``snapshots``, keyed by
-``(state, dp_cap)``); a standalone call builds each one it needs once, from
-the graph (``_snapshot_source``).  Either way the bounds come out of the same
+``(state, dp_cap)``); a shape table's verification builds each one once for
+the whole table; a standalone call builds each one it needs once, from the
+graph (``_snapshot_source``).  Either way the bounds come out of the same
 bodies over the same numbers, so every finding is the same float — and
 the verifier still re-derives each bound itself, reading nothing the
 search produced (schedules, L, S, incumbent).
@@ -53,25 +54,46 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _build_snapshot(graph: TaskGraph, state: State, cap: int) -> Optional[SearchProblem]:
+    """The cost snapshot of ``(state, cap)``, or ``None`` when the graph
+    cannot be snapshotted — graph-level faults (cycles, undeclared channels,
+    a raising cost model) are pass-1 findings, and the rules that need the
+    snapshot skip."""
+    try:
+        return SearchProblem.from_graph(graph, state, max_workers=cap)
+    except Exception:
+        return None
+
+
+class _TableSnapshots(dict):
+    """Snapshots for a whole table: each ``(state, cap)`` built from the
+    graph on first ask and kept for every later entry that asks."""
+
+    def __init__(self, graph: TaskGraph) -> None:
+        super().__init__()
+        self._graph = graph
+
+    def __contains__(self, key: object) -> bool:
+        return True  # any key is built on demand
+
+    def __missing__(self, key: tuple[State, int]) -> Optional[SearchProblem]:
+        state, cap = key
+        self[key] = snapshot = _build_snapshot(self._graph, state, cap)
+        return snapshot
+
+
 def _snapshot_source(
     graph: TaskGraph, state: State, snapshots: Optional[Snapshots]
 ) -> Callable[[int], Optional[SearchProblem]]:
-    """``cap -> snapshot`` for one entry: handed in, else built once here.
-
-    ``None`` when the graph cannot be snapshotted — graph-level faults
-    (cycles, undeclared channels, a raising cost model) are pass-1
-    findings, and the rules that need the snapshot skip.
-    """
+    """``cap -> snapshot`` for one entry: handed in, else built once here
+    (``None`` when the graph cannot be snapshotted)."""
     built: dict[int, Optional[SearchProblem]] = {}
 
     def snapshot(cap: int) -> Optional[SearchProblem]:
         if snapshots is not None and (state, cap) in snapshots:
             return snapshots[(state, cap)]
         if cap not in built:
-            try:
-                built[cap] = SearchProblem.from_graph(graph, state, max_workers=cap)
-            except Exception:
-                built[cap] = None
+            built[cap] = _build_snapshot(graph, state, cap)
         return built[cap]
 
     return snapshot
@@ -452,7 +474,9 @@ def verify_shape_table(
 
     # Per-entry certificates, against the same spec objects the builder
     # enumerated (shape keys are node-order canonical; verifying against a
-    # reconstruction could permute nodes and misjudge locality).
+    # reconstruction could permute nodes and misjudge locality).  Shapes
+    # share their state and mostly their width cap: one snapshot each.
+    snapshots = _TableSnapshots(graph)
     for key in table:
         spec = by_key.get(key)
         if spec is None:
@@ -468,5 +492,6 @@ def verify_shape_table(
             comm=comm,
             location=f"{tloc}/shape:[{shape}]/state:{sol.state!r}",
             report=report,
+            snapshots=snapshots,
         )
     return report

@@ -25,9 +25,9 @@ bisection would not).
 How it is indexed.  Iteration ``k`` is the base pattern rotated by
 ``(k * shift) % P`` processors, so which span pairs can meet depends on
 ``(k, shift)`` only through that rotation.  :class:`PipelineSearch` builds,
-once per iteration schedule in ``O(n^2)`` for ``n`` spans, the separations
-and the collision tests of the span pairs of every rotation; all ``P``
-shifts, and every ``k``, index into them.  Per member of S that replaces
+once per iteration schedule and on first need, in ``O(n^2)`` for ``n``
+spans, the separations and the collision tests of the span pairs of every
+rotation; all ``P`` shifts, and every ``k``, index into them.  Per member of S that replaces
 ``P`` independent searches, each scanning all ``n^2`` pairs with a modulo
 test for every ``k <= latency / lower bound`` and regrouping the spans by
 processor for every feasibility test, by one table build plus, per shift
@@ -39,12 +39,47 @@ for the critical values below the incumbent's period, so a member that
 cannot win — most of S — never has its full candidate lists built; the
 unbounded list is built, and shared, only where :meth:`PipelineSearch.best`
 runs.
+
+The relaxed collision screen.  Most of S cannot beat the incumbent, and
+proving it through the exact scan needs the ``O(n^2)`` tables, so the
+tables are built on first need and :meth:`PipelineSearch.beats` first runs
+a screen that reads only the per-processor span lists.  Per shift it
+starts ``x`` at the lower bound (or the latency, if smaller); for ``k = 1,
+2, 3`` it looks at each span pair (``a`` on processor ``q + k * shift``,
+``b`` on ``q``, mod P) whose forbidden interval ``((start_a - end_b + eps)
+/ k, (end_a - start_b - eps) / k)``, both ends pulled in by a margin,
+strictly contains ``x``, and moves ``x`` to that interval's right end,
+until no pair moves it.  If ``x`` reaches the incumbent's period on every
+shift, the member is dropped without a table; otherwise the exact scan
+runs unchanged and is the only judge.
+
+Why the screen is sound.  Every II from the starting point up to ``x``
+(exclusive) is infeasible — by induction, since ``x`` only moves from
+inside an interval to its right end — and it suffices that ``feasible()``
+rejects each of them:
+
+* every candidate is at least ``min(lb, latency)``, the screen's starting
+  point (the latency is always a candidate, and a busy-time sum may round
+  an ulp above it), so no candidate below the final ``x`` survives the
+  exact scan;
+* ``k * hi <= end_a - start_b - eps <= latency - eps`` (starts are clamped
+  at 0), so ``feasible()``, which tests every ``k`` until ``k * II`` reaches
+  ``latency - eps``, reaches every ``k`` the screen uses;
+* the pair is in ``hits[(k * shift) % P]``, tested with the same
+  inequalities: ``II`` strictly inside the interval is exactly
+  ``start_b + k * II < end_a - eps`` and ``start_a < end_b + k * II - eps``;
+* the margin, ``2**-40`` of the latency (the largest time in the
+  iteration) on both ends, is thousands of times the float rounding of
+  ``k * period`` and of those sums in ``feasible()`` and of the screen's
+  own arithmetic, so a value the screen puts strictly inside an interval is
+  one ``feasible()`` rejects.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from repro.errors import InvalidSchedule, ScheduleError
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
@@ -55,6 +90,8 @@ from repro.state import State
 __all__ = ["naive_pipeline", "PipelineSearch", "min_initiation_interval", "best_pipelined"]
 
 _EPS = 1e-9
+# The screen's margin on each interval end, relative to the latency.
+_SCREEN_MARGIN = 2.0 ** -40
 
 
 def naive_pipeline(
@@ -94,12 +131,21 @@ def _rotating_first(n_procs: int) -> list[int]:
     return [*range(1, n_procs), 0]
 
 
+class _RotationTables(NamedTuple):
+    seps: list[list[float]]
+    hits: list[list[tuple[float, float, float, float]]]
+    max_sep: float
+
+
 class PipelineSearch:
     """The exact II search over one iteration schedule on ``n_procs`` processors.
 
-    Holds the rotation-indexed span-pair tables (see the module docstring).
-    For rotation ``r``, over the span pairs with ``(proc_a - proc_b) % P ==
-    r`` — ``a`` in iteration 0, ``b`` in the later iteration:
+    Construction is linear: the spans, the busy-time bounds and the
+    screen's per-processor span lists.  The rotation-indexed span-pair
+    tables (``_tables``, see the module docstring) are built on first need,
+    by :meth:`candidates` or :meth:`feasible`, and shared.  For rotation
+    ``r``, over the span pairs with ``(proc_a - proc_b) % P == r`` — ``a``
+    in iteration 0, ``b`` in the later iteration:
 
     * ``seps[r]`` — the distinct positive separations ``end_a - start_b``
       and ``start_a - end_b``, descending; ``sep / k`` is a critical value;
@@ -108,9 +154,10 @@ class PipelineSearch:
 
     ``max_sep`` is the largest separation of any rotation.  :meth:`best` is
     the search; :meth:`beats` is the same ascending scans cut off at a bound,
-    for callers comparing many iterations against an incumbent — it asks
-    :meth:`candidates` only for the values below that bound.  The unbounded
-    candidate list of a shift is computed once and shared.
+    for callers comparing many iterations against an incumbent — it runs the
+    relaxed collision screen first, and asks :meth:`candidates` only for the
+    values below that bound.  The unbounded candidate list of a shift is
+    computed once and shared.
     """
 
     def __init__(self, iteration: IterationSchedule, n_procs: int) -> None:
@@ -125,21 +172,38 @@ class PipelineSearch:
             raise InvalidSchedule("cannot pipeline an empty or zero-length iteration")
         self.iteration = iteration
         self.n_procs = n_procs
+        self.spans = spans
         self.latency = latency
         self.mean_busy = sum(e - s for _, s, e in spans) / n_procs
+        # The screen's span lists, starts clamped at 0: ``(proc, start,
+        # end)`` in range, and per processor ``(start + pad, end - pad)``,
+        # pad = eps plus the margin.
+        pad = _EPS + _SCREEN_MARGIN * latency
+        self._lane_spans: list[tuple[int, float, float]] = []
+        self._padded: list[list[tuple[float, float]]] = [[] for _ in range(n_procs)]
         per_proc: dict[int, float] = {}
         for proc, s, e in spans:
             per_proc[proc] = per_proc.get(proc, 0.0) + (e - s)
+            if 0 <= proc < n_procs:
+                s = max(s, 0.0)
+                self._lane_spans.append((proc, s, e))
+                self._padded[proc].append((s + pad, e - pad))
         self.max_busy = max(per_proc.values())
+        self._candidates: dict[int, list[float]] = {}
+
+    @cached_property
+    def _tables(self) -> _RotationTables:
+        """The ``O(n^2)`` rotation tables, built on first need."""
+        n_procs = self.n_procs
         seps: list[set[float]] = [set() for _ in range(n_procs)]
         hits: list[set[tuple[float, float, float, float]]] = [
             set() for _ in range(n_procs)
         ]
-        for proc_a, sa, ea in spans:
+        for proc_a, sa, ea in self.spans:
             if not 0 <= proc_a < n_procs:
                 continue  # no rotation of an in-range processor lands here
             ea_eps = ea - _EPS
-            for proc_b, sb, eb in spans:
+            for proc_b, sb, eb in self.spans:
                 r = (proc_a - proc_b) % n_procs
                 hits[r].add((sb, eb, sa, ea_eps))
                 # A separation <= 0 yields a critical value below the
@@ -148,16 +212,51 @@ class PipelineSearch:
                     seps[r].add(ea - sb)
                 if sa - eb > 0:
                     seps[r].add(sa - eb)
-        self.seps = [sorted(s, reverse=True) for s in seps]
-        self.max_sep = max((s[0] for s in self.seps if s), default=0.0)
-        self.hits = [list(h) for h in hits]
-        self._candidates: dict[int, list[float]] = {}
+        sorted_seps = [sorted(s, reverse=True) for s in seps]
+        return _RotationTables(
+            seps=sorted_seps,
+            hits=[list(h) for h in hits],
+            max_sep=max((s[0] for s in sorted_seps if s), default=0.0),
+        )
+
+    def _lower_bound(self, shift: int) -> float:
+        """Busy time per physical processor per period: with a shift the work
+        rotates, so the binding bound is the mean; without a shift it is the
+        per-processor busy time."""
+        if shift == 0:
+            return max(self.mean_busy, self.max_busy)
+        return self.mean_busy
+
+    def screen_floor(self, shift: int, below: float = math.inf) -> float:
+        """The relaxed collision screen: an ``x`` with no feasible II in
+        ``[lower bound, x)`` for ``shift``, pushed from the lower bound past
+        the forbidden intervals of ``k = 1, 2, 3`` (see the module docstring)
+        and stopped once it reaches ``below``."""
+        P, lane_spans, padded = self.n_procs, self._lane_spans, self._padded
+        # The latency is a candidate too, and the bound may round above it.
+        x = min(self._lower_bound(shift), self.latency)
+        moved = True
+        while moved and x < below:
+            moved = False
+            for k in (1, 2, 3):
+                rotation = k * shift
+                X = start = k * x
+                for q, sb, eb in lane_spans:
+                    for sa_pad, ea_pad in padded[(q + rotation) % P]:
+                        if sa_pad - eb < X < ea_pad - sb:
+                            X = ea_pad - sb
+                # Only when pushed, and strictly up: X / k may round to x.
+                if X > start and X / k > x:
+                    x, moved = X / k, True
+                    if x >= below:
+                        return x
+        return x
 
     def feasible(self, shift: int, period: float) -> bool:
         """Check that iteration 0 never collides with any later iteration."""
         if period <= 0:
             return False
-        P, latency, hits = self.n_procs, self.latency, self.hits
+        P, latency, hits = self.n_procs, self.latency, self._tables.hits
         K = int(latency / period) + P + 1
         for k in range(1, K + 1):
             off = k * period
@@ -178,17 +277,13 @@ class PipelineSearch:
         cached = self._candidates.get(shift)
         if cached is not None:
             return cached
-        P, latency, seps = self.n_procs, self.latency, self.seps
+        P, latency = self.n_procs, self.latency
         if not 0 <= shift < P:
             raise InvalidSchedule(f"shift {shift} out of range 0..{P - 1}")
-        # Busy time per physical processor per period: with a shift the work
-        # rotates, so the binding bound is the mean; without a shift it is the
-        # per-processor busy time.
-        lb = self.mean_busy
-        if shift == 0:
-            lb = max(lb, self.max_busy)
+        lb = self._lower_bound(shift)
         if lb >= below:
             return []  # lb is the smallest candidate
+        seps, _, max_sep = self._tables
         candidates: set[float] = {lb, latency}
         # Any candidate below lb is infeasible, so k never needs to exceed
         # latency / lb (capped defensively for degenerate lb).
@@ -196,7 +291,7 @@ class PipelineSearch:
         low, high = lb - _EPS, latency + _EPS
         rotation = 0  # (k * shift) % P, accumulated
         for k in range(1, Kmax + 1):
-            if self.max_sep / k < low:
+            if max_sep / k < low:
                 break  # every rotation's largest critical value is below lb
             rotation += shift
             if rotation >= P:
@@ -222,11 +317,16 @@ class PipelineSearch:
     def beats(self, period: float) -> bool:
         """Whether some shift has a feasible II below ``period``.
 
-        The same ascending scans as :meth:`min_ii`, each stopped at
-        ``period``: ``False`` means every per-shift minimum, hence the
-        period :meth:`best` would return, is at least ``period``.
+        The relaxed collision screen first: when it pushes every shift's
+        floor to ``period``, no candidate below it is feasible and no table
+        is built.  Otherwise the same ascending scans as :meth:`min_ii`, each
+        stopped at ``period``: ``False`` means every per-shift minimum, hence
+        the period :meth:`best` would return, is at least ``period``.
         """
-        for shift in _rotating_first(self.n_procs):
+        shifts = _rotating_first(self.n_procs)
+        if all(self.screen_floor(shift, period) >= period for shift in shifts):
+            return False
+        for shift in shifts:
             for cand in self.candidates(shift, period):
                 if cand >= period:
                     break  # a shared unbounded list runs past the bound

@@ -246,6 +246,25 @@ def test_full_tables_verify_clean(chain, smp2):
     assert not verify_shape_table(shapes, chain, base).findings
 
 
+def test_shape_table_snapshots_each_state_and_cap_once(chain, monkeypatch):
+    """One cost snapshot per ``(state, cap)`` for the whole shape table,
+    not one per entry."""
+    from repro.core.enumerate import SearchProblem
+
+    base = ClusterSpec(nodes=2, procs_per_node=2)
+    shapes = ShapeTable.build(chain, State(n_models=1), base)
+    built = []
+    from_graph = SearchProblem.from_graph
+
+    def counting(graph, state, **kwargs):
+        built.append((state, kwargs["max_workers"]))
+        return from_graph(graph, state, **kwargs)
+
+    monkeypatch.setattr(SearchProblem, "from_graph", counting)
+    assert not verify_shape_table(shapes, chain, base).findings
+    assert built and len(set(built)) == len(built) < len(shapes)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_property_random_dag_solutions_verify(seed):
     """Schedules from the real optimizer always pass the verifier."""

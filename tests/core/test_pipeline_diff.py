@@ -10,6 +10,9 @@ Hypothesis-built iterations (data-parallel placements, idle gaps, 1..8
 processors, every shift), on hand-built colliding schedules, on every
 member of S of the tracker's table, and on Figure 6 step 3 end to end
 (which also covers the incumbent screen of ``solution_from_enumeration``).
+The relaxed collision screen inside ``PipelineSearch.beats`` is held to the
+oracle by a soundness property: what it rules out, the oracle finds
+infeasible.
 The tracker's serialized tables are pinned by digest besides, so that a
 later change that moves a served schedule by one ulp fails here.
 
@@ -29,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.enumerate import EnumerationResult
 from repro.core.optimal import OptimalScheduler, solution_from_enumeration
-from repro.core.pipeline import best_pipelined, min_initiation_interval
+from repro.core.pipeline import PipelineSearch, best_pipelined, min_initiation_interval
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
@@ -246,17 +249,78 @@ def test_generated_schedules_validate_identically(case, data):
         oracle_validate_conflict_free, sched, window)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(iterations(n_procs=4), min_size=2, max_size=6))
-def test_generated_sets_pick_identically(cases):
-    """Step 3 over an arbitrary candidate list (mixed areas and latencies,
-    repeats): the screen never changes which member wins or how."""
-    members = [iteration for iteration, _ in cases]
+def _scaled(iteration: IterationSchedule, factor: float) -> IterationSchedule:
+    """``iteration`` with every start and duration multiplied by ``factor``."""
+    return IterationSchedule([
+        Placement(p.task, p.procs, p.start * factor, p.duration * factor,
+                  variant=p.variant)
+        for p in iteration.placements
+    ])
+
+
+@st.composite
+def candidate_sets(draw):
+    """A list S on 1..8 processors: as drawn, sorted so that the winner
+    comes late (every member replaces the incumbent), or padded with copies
+    scaled so their periods lie within a few EPS of each other."""
+    n_procs = draw(st.integers(1, 8), label="P")
+    members = draw(st.lists(iterations(n_procs=n_procs).map(lambda c: c[0]),
+                            min_size=2, max_size=6), label="S")
+    order = draw(st.sampled_from(["drawn", "late", "near-ties"]), label="order")
+    cluster = SINGLE_NODE_SMP(n_procs)
+    if order == "late":
+        members.sort(key=lambda m: -oracle_best_pipelined(m, cluster).period)
+    elif order == "near-ties":
+        base = members[0]
+        period = oracle_best_pipelined(base, cluster).period
+        for gap in draw(st.lists(st.sampled_from(
+                [-2.0, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 1.5, 2.0]),
+                min_size=1, max_size=4), label="gaps in EPS"):
+            members.append(_scaled(base, 1.0 + gap * _EPS / period))
     members += members[:2]  # exact ties: the first must keep winning
+    return members, cluster
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidate_sets())
+def test_generated_sets_pick_identically(case):
+    """Step 3 over an arbitrary candidate list (mixed areas and latencies,
+    repeats, a moving incumbent, periods inside EPS of each other): the
+    screens never change which member wins or how."""
+    members, cluster = case
     result = EnumerationResult(latency=members[0].latency, schedules=members,
                                optimal_count=len(members), explored=0,
                                state=State(n_models=1))
-    assert_same_step3(result, SINGLE_NODE_SMP(4))
+    assert_same_step3(result, cluster)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=iterations(), scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+def test_collision_screen_is_sound(case, scale):
+    """The relaxed collision screen against the oracle: no shift's floor
+    passes that shift's exact minimum, and whenever the screen rules a
+    threshold out (every shift's floor reaches it) — thresholds at, and an
+    ulp, EPS and 2 EPS either side of, each shift's minimum — the oracle
+    finds no feasible II below it on any shift."""
+    iteration, n_procs = case
+    iteration = _scaled(iteration, scale)
+    search = PipelineSearch(iteration, n_procs)
+    minima = [oracle_min_initiation_interval(iteration, n_procs, shift)
+              for shift in range(n_procs)]
+    for shift, exact in enumerate(minima):
+        assert search.screen_floor(shift) <= exact, (shift, exact)
+    for exact in minima:
+        for threshold in (exact, math.nextafter(exact, math.inf),
+                          math.nextafter(exact, -math.inf), exact + _EPS,
+                          exact - _EPS, exact + 2 * _EPS, exact - 2 * _EPS):
+            floors = [search.screen_floor(shift, threshold)
+                      for shift in range(n_procs)]
+            for floor, shift_min in zip(floors, minima):
+                if floor >= threshold:
+                    assert shift_min >= threshold, (threshold, floor, shift_min)
+            if all(floor >= threshold for floor in floors):
+                assert min(minima) >= threshold
+                assert not search.beats(threshold)
 
 
 HAND_BUILT = [

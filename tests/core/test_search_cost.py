@@ -108,7 +108,9 @@ def test_transfer_time_is_asked_once_per_edge_and_processor_pair(monkeypatch):
 
 def test_the_screen_builds_no_unbounded_candidate_list(monkeypatch):
     """An unbounded list exists only on a member whose ``best()`` ran: each
-    state's first member plus those that pass the screen."""
+    state's first member plus those that pass the screen.  The rotation
+    tables exist only where the relaxed collision screen could not rule the
+    member out (or ``best()`` ran), so a table built eagerly fails here."""
     if str(E2E_DIR) not in sys.path:  # workloads imports its siblings by bare name
         sys.path.insert(0, str(E2E_DIR))
     import workloads
@@ -135,5 +137,6 @@ def test_the_screen_builds_no_unbounded_candidate_list(monkeypatch):
             states += 1
     assert len(searches) == 2041
     assert len(searched) == 123 and len(searched) >= states
+    assert sum("_tables" in vars(search) for search in searches) == 299
     for search in searches:
         assert bool(search._candidates) == (id(search) in searched)
