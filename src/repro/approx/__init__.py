@@ -1,16 +1,14 @@
-"""repro.approx — the bounded-suboptimality scheduling ladder.
+"""repro.approx — the bounded-suboptimality solver rungs.
 
 ROADMAP item 2: escape the enumeration cliff.  The paper's exhaustive
-branch and bound (Figure 6) stays the gold standard, but multi-tenancy,
-degraded shapes and heterogeneous widths multiply the number of solves
-until exactness becomes the latency bottleneck.  This package trades
-*certified* optimality gaps for solve time:
+branch and bound (Figure 6) stays the gold standard; where a table is
+built, a spec string may trade *certified* optimality gaps for solve
+time:
 
-* :mod:`repro.approx.policy` — the three-rung
-  :class:`~repro.approx.policy.SolvePolicy` ladder (exact → bounded
-  ``L*·(1+ε)`` → HEFT list fallback) plus
-  :class:`~repro.approx.policy.PolicyLadder`, which packs all rungs
-  into one picklable request with per-rung node budgets;
+* :mod:`repro.approx.policy` —
+  :func:`~repro.approx.policy.resolve_policy`, which maps a spec string
+  (``"exact"`` | ``"bounded[:ε]"`` | ``"list"``) to the request keywords
+  of its rung (exact → bounded ``L*·(1+ε)`` → HEFT list fallback);
 * :mod:`repro.approx.lazy` —
   :class:`~repro.approx.lazy.LazyScheduleTable`, a table that solves the
   state it is asked for on its first look-up, through the shared
@@ -25,23 +23,6 @@ wrong gap claim is a verifier ERROR, not a silent quality loss.
 from __future__ import annotations
 
 from repro.approx.lazy import LazyScheduleTable
-from repro.approx.policy import (
-    DEFAULT_EPSILON,
-    BoundedPolicy,
-    ExactPolicy,
-    ListPolicy,
-    PolicyLadder,
-    SolvePolicy,
-    resolve_policy,
-)
+from repro.approx.policy import DEFAULT_EPSILON, resolve_policy
 
-__all__ = [
-    "DEFAULT_EPSILON",
-    "SolvePolicy",
-    "ExactPolicy",
-    "BoundedPolicy",
-    "ListPolicy",
-    "PolicyLadder",
-    "resolve_policy",
-    "LazyScheduleTable",
-]
+__all__ = ["DEFAULT_EPSILON", "resolve_policy", "LazyScheduleTable"]

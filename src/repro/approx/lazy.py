@@ -1,12 +1,11 @@
 """LazyScheduleTable: per-state schedules solved on first look-up.
 
 The paper pre-computes the whole table because its state set is small.
-When the space explodes (fleet widths × states × shapes), eager builds
-front-load branch and bound for entries that may never be looked up.  The
-lazy table inverts that: an entry is solved on its first miss — through
-the shared :class:`~repro.core.cache.ScheduleCache`, under any
-:class:`~repro.approx.policy.SolvePolicy` rung — and only the state asked
-for is solved, from the same request an eager build makes for it.
+An eager build front-loads branch and bound for entries that may never be
+looked up; the lazy table inverts that: an entry is solved on its first
+miss — through the shared :class:`~repro.core.cache.ScheduleCache` — and
+only the state asked for is solved, from the scheduler's exact request,
+byte for byte the one an eager build makes for it.
 
 The class is a :class:`~repro.core.table.ScheduleTable` that starts
 empty, so every consumer — :class:`~repro.core.table.RegimeSwitcher`, the
@@ -20,9 +19,8 @@ to take it.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, Union
+from typing import Iterator
 
-from repro.approx.policy import SolvePolicy, resolve_policy
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.parallel import solve_many
 from repro.core.table import ScheduleTable
@@ -39,10 +37,7 @@ class LazyScheduleTable(ScheduleTable):
     ----------
     graph / space / scheduler:
         Exactly :meth:`ScheduleTable.build`'s inputs; the scheduler fixes
-        the cluster (for fleet tenants: the virtual width-w carve).
-    policy:
-        Ladder rung for misses (spec string or
-        :class:`~repro.approx.policy.SolvePolicy`; default exact).
+        the cluster.
     cache:
         Optional shared :class:`~repro.core.cache.ScheduleCache`; misses
         fetch before solving and store after
@@ -59,14 +54,12 @@ class LazyScheduleTable(ScheduleTable):
         space: StateSpace,
         scheduler: OptimalScheduler,
         *,
-        policy: Union[None, str, SolvePolicy] = None,
         cache=None,
         obs=None,
     ) -> None:
         self.graph = graph
         self.space = space
         self.scheduler = scheduler
-        self.policy = resolve_policy(policy)
         self.cache = cache
         self.obs = obs
         self._solutions: dict[State, ScheduleSolution] = {}
@@ -117,8 +110,8 @@ class LazyScheduleTable(ScheduleTable):
     # -- filling ------------------------------------------------------------
 
     def _solve(self, state: State) -> ScheduleSolution:
-        """One miss: the policy's request for ``state``, through the cache."""
-        request = self.policy.request(self.scheduler, self.graph, state)
+        """One miss: the scheduler's request for ``state``, through the cache."""
+        request = self.scheduler.request(self.graph, state)
         (solution,) = solve_many([request], workers=1, cache=self.cache)
         self._observe_solve(solution)
         return solution
@@ -135,7 +128,4 @@ class LazyScheduleTable(ScheduleTable):
             self.obs.on_approx_solve(cert.policy, cert.gap_bound)
 
     def __repr__(self) -> str:
-        return (
-            f"LazyScheduleTable({len(self)}/{len(self.space)} states filled, "
-            f"policy={self.policy!r})"
-        )
+        return f"LazyScheduleTable({len(self)}/{len(self.space)} states filled)"

@@ -12,15 +12,15 @@ of everything that determines its answer:
 * the communication model's tier costs,
 * the solver parameters that affect the result set
   (``max_solutions``, ``tolerance``, ``latency_slack``,
-  ``bound_inflation``, and — for ladder requests — the per-stage node
-  budgets).
+  ``bound_inflation``, and — for bounded requests — ``node_limit``).
 
 Deliberately *excluded* from the key: the graph's display name, the
 warm-start incumbent (proven semantics-preserving — it changes how fast
 the answer is found, never the answer — and not even computed until a
 fetch has missed: :func:`~repro.core.parallel.make_request` runs no
-scheduler, so a hit costs digest → fetch → deserialize), and
-``node_limit`` (a safety valve, not a result parameter).  Nothing about a
+scheduler, so a hit costs digest → fetch → deserialize), and the
+``node_limit`` of an exact or list request (a safety valve there, not a
+result parameter: an exact search that blows it raises).  Nothing about a
 past verification is stored either: an entry is a solution, and every
 ``verify`` re-checks it.
 
@@ -110,13 +110,10 @@ def request_digest(request: SolveRequest) -> str:
             "bound_inflation": request.bound_inflation,
         },
     }
-    if request.ladder:
-        # A ladder's answer depends on which stage succeeds, which the
-        # per-stage node budgets decide — so, unlike the plain safety
-        # valve, they become result parameters here.
-        payload["ladder"] = [
-            [request.bound_inflation, request.node_limit]
-        ] + [[float(eps), int(limit)] for eps, limit in request.ladder]
+    if request.bound_inflation > 0.0:
+        # A bounded search that blows its budget serves the HEFT fallback,
+        # so the budget decides the answer.
+        payload["node_limit"] = request.node_limit
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -303,8 +303,8 @@ class OptimalScheduler:
         process (:func:`repro.core.parallel.solve_many`) or digested into a
         cache key (:mod:`repro.core.cache`) without re-touching the graph.
         ``overrides`` are :func:`~repro.core.parallel.make_request` keywords
-        (``mode``, ``bound_inflation``, ``ladder``, ...) layered over this
-        scheduler's own settings — what a solver-ladder rung contributes.
+        (``mode``, ``bound_inflation``, ...) layered over this scheduler's
+        own settings — what a :mod:`repro.approx` rung contributes.
         """
         from repro.core.parallel import make_request  # deferred: avoids import cycle
 

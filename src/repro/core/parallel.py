@@ -17,8 +17,7 @@ resolved through this module's namespace at call time, which is the
 by-name contract ``benchmarks/e2e`` wraps its spans around (and where an
 ablation would swap in a cold search).  ``OptimalScheduler.solve`` /
 ``.enumerate``, ``enumerate_schedules``, the frontier and sensitivity
-sweeps, the table builders and every solver-ladder rung are these two
-calls.
+sweeps, the table builders and every solver rung are these two calls.
 
 The off-line phase is embarrassingly parallel across *problems*: every
 state of a :class:`~repro.state.StateSpace`, every degraded shape of a
@@ -89,14 +88,12 @@ class SolveRequest:
       :class:`~repro.core.enumerate.EnumerationResult` (steps 1-2 only),
       used by the frontier and sensitivity sweeps that inspect S itself;
     * ``"list"`` — no search at all: the HEFT list schedule wrapped as a
-      solution with a root-bound gap certificate (rung 3 of the
-      :mod:`repro.approx` ladder).
+      solution with a root-bound gap certificate (the list rung of
+      :mod:`repro.approx`).
 
-    ``bound_inflation`` (ε) makes the search bounded-suboptimal, and
-    ``ladder`` appends escalation stages ``(ε, node_limit)`` tried in
-    order when a stage blows its node budget — with the list schedule as
-    the final rung.  All of it is pure picklable data, so a whole policy
-    ladder ships to a worker as one request.
+    ``bound_inflation`` (ε) makes the search bounded-suboptimal; a
+    bounded search that blows ``node_limit`` serves the list schedule
+    instead.
 
     The request carries no bound: a miss searches under
     :func:`incumbent_of`'s, the validated HEFT schedule of the snapshot.
@@ -115,7 +112,6 @@ class SolveRequest:
     tolerance: float = 1e-9
     latency_slack: float = 0.0
     bound_inflation: float = 0.0
-    ladder: tuple = ()
     dp_cap: Optional[int] = None
     tag: Any = field(default=None, compare=False)
 
@@ -123,19 +119,20 @@ class SolveRequest:
         if self.mode not in ("solve", "enumerate", "list"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
         # Refused here, not in the search: execute_request reads a
-        # ScheduleError raised there as a stage's blown node budget.
-        if self.max_solutions < 1:
-            raise ScheduleError(
-                f"max_solutions must be >= 1, got {self.max_solutions}"
-            )
+        # ScheduleError raised there as a blown node budget.
+        for name in ("max_solutions", "node_limit"):
+            if getattr(self, name) < 1:
+                raise ScheduleError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         for name in ("tolerance", "latency_slack", "bound_inflation"):
             if not getattr(self, name) >= 0.0:  # NaN is refused too
                 raise ScheduleError(
                     f"{name} must be >= 0, got {getattr(self, name)}"
                 )
-        for eps, _limit in self.ladder:
-            if not eps >= 0.0:
-                raise ScheduleError(f"ladder epsilon must be >= 0, got {eps}")
+        # An infinite ε certifies nothing: S013 refuses its certificate.
+        if self.bound_inflation == float("inf"):
+            raise ScheduleError("bound_inflation must be finite, got inf")
 
 
 def make_request(
@@ -151,7 +148,6 @@ def make_request(
     tolerance: float = 1e-9,
     latency_slack: float = 0.0,
     bound_inflation: float = 0.0,
-    ladder: tuple = (),
     tag: Any = None,
 ) -> SolveRequest:
     """Snapshot one (graph, state, cluster) solve into a :class:`SolveRequest`.
@@ -179,7 +175,6 @@ def make_request(
         tolerance=tolerance,
         latency_slack=latency_slack,
         bound_inflation=bound_inflation,
-        ladder=tuple(ladder),
         dp_cap=dp_cap,
         tag=tag,
     )
@@ -196,8 +191,7 @@ def incumbent_of(
     anything.  A heuristic that cannot produce a legal schedule yields
     ``(None, None)`` and the search simply starts cold.  The fallback is
     kept for approximate requests only (``mode="list"``,
-    ``bound_inflation`` > 0, ``ladder`` stages) — the rungs that may
-    serve it.
+    ``bound_inflation`` > 0) — the rungs that may serve it.
     """
     # Deferred: repro.sched imports repro.core, and a wrap of
     # listsched.heft_schedule by name must see this call.
@@ -215,9 +209,7 @@ def incumbent_of(
         except (ReproError, AssertionError):
             heft = None
     bound = heft.latency if heft is not None else None
-    approximate = (
-        request.bound_inflation > 0.0 or bool(request.ladder) or request.mode == "list"
-    )
+    approximate = request.bound_inflation > 0.0 or request.mode == "list"
     return bound, heft if approximate else None
 
 
@@ -227,17 +219,14 @@ def execute_request(
     """Run one request to completion (works in any process).
 
     This is the miss path, and the one place a list schedule is computed:
-    :func:`incumbent_of` gives the bound every stage searches under and
+    :func:`incumbent_of` gives the bound the search runs under and
     the fallback the approximate rungs may serve.  ``mode="list"`` serves
     that fallback directly and raises :class:`InfeasibleSchedule` when
     the list scheduler placed nothing legal.
 
-    Approximate requests escalate deterministically: the primary stage
-    (``bound_inflation``, ``node_limit``), then each ``ladder`` stage
-    when the previous one blows its node budget, and finally — for a
-    bounded stage whose ε-pruning eliminated every leaf, or a ladder that
-    exhausted all stages — the ``fallback`` list schedule, wrapped with a
-    sound gap certificate.
+    A bounded search (``bound_inflation`` under ``node_limit``) serves
+    the ``fallback`` list schedule, wrapped with a sound gap certificate,
+    when its ε-pruning eliminated every leaf or it blew its node budget.
     """
     incumbent, fallback = incumbent_of(request)
     if request.mode == "list":
@@ -248,42 +237,31 @@ def execute_request(
                 f"on {request.cluster!r}"
             )
         return _serve_fallback(request, fallback, policy="list")
-    stages = [(request.bound_inflation, request.node_limit)]
-    stages += [(float(eps), int(limit)) for eps, limit in request.ladder]
-    last_error: Optional[ScheduleError] = None
-    result = None
-    for eps, limit in stages:
-        try:
-            result = search_schedules(
-                request.problem,
-                request.state,
-                request.cluster,
-                request.comm,
-                max_solutions=request.max_solutions,
-                node_limit=limit,
-                tolerance=request.tolerance,
-                latency_slack=request.latency_slack,
-                incumbent=incumbent,
-                bound_inflation=eps,
-            )
-            break
-        except InfeasibleSchedule:
-            if eps > 0.0 and fallback is not None:
-                # ε-pruning cut every leaf *against the incumbent*:
-                # anything better than fallback/(1+ε) was provably pruned,
-                # so serving the incumbent is within the bounded contract.
-                return _serve_fallback(
-                    request, fallback, policy="bounded", epsilon=eps
-                )
-            raise
-        except ScheduleError as exc:
-            last_error = exc  # node budget blown: try the next rung
-    if result is None:
-        if fallback is not None:
-            return _serve_fallback(request, fallback, policy="list")
-        raise last_error if last_error is not None else ScheduleError(
-            "solve request produced no result"
+    eps = request.bound_inflation
+    try:
+        result = search_schedules(
+            request.problem,
+            request.state,
+            request.cluster,
+            request.comm,
+            max_solutions=request.max_solutions,
+            node_limit=request.node_limit,
+            tolerance=request.tolerance,
+            latency_slack=request.latency_slack,
+            incumbent=incumbent,
+            bound_inflation=eps,
         )
+    except InfeasibleSchedule:
+        if eps > 0.0 and fallback is not None:
+            # ε-pruning cut every leaf *against the incumbent*: anything
+            # better than fallback/(1+ε) was provably pruned, so serving
+            # the incumbent is within the bounded contract.
+            return _serve_fallback(request, fallback, policy="bounded", epsilon=eps)
+        raise
+    except ScheduleError:
+        if fallback is None:
+            raise
+        return _serve_fallback(request, fallback, policy="list")  # budget blown
     if request.mode == "enumerate":
         return result
     return solution_from_enumeration(
@@ -384,8 +362,8 @@ def solve_many(
         digest to a cached entry skip the solve entirely; only the misses
         are dispatched, and their fresh solutions are stored back.  This
         is the one place the fetch / solve / store sequence lives — the
-        table builders, the lazy table and :meth:`SolvePolicy.solve` all
-        pass their ``cache`` down to here.
+        table builders and the lazy table pass their ``cache`` down to
+        here.
     """
     reqs = list(requests)
     results: list = [None] * len(reqs)

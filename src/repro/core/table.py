@@ -98,11 +98,10 @@ class ScheduleTable:
             protocol) over the finished table and raise
             :class:`~repro.errors.AnalysisError` on any ERROR finding.
         policy:
-            Solver-ladder rung for every per-state solve: a
-            :class:`~repro.approx.SolvePolicy` or a spec string
-            (``"exact"`` | ``"bounded[:eps]"`` | ``"list"`` |
-            ``"ladder[:eps]"``).  ``None`` keeps the exact search.  Every
-            non-exact entry carries a
+            Solver rung for every per-state solve, as a spec string
+            (``"exact"`` | ``"bounded[:eps]"`` | ``"list"``, see
+            :func:`~repro.approx.resolve_policy`).  ``None`` keeps the
+            exact search.  Every non-exact entry carries a
             :class:`~repro.core.optimal.GapCertificate` stating its
             certified optimality gap.
         """
@@ -110,7 +109,7 @@ class ScheduleTable:
 
         states = list(space)
         rung = resolve_policy(policy)
-        requests = [rung.request(scheduler, graph, state) for state in states]
+        requests = [scheduler.request(graph, state, **rung) for state in states]
         table = cls(cls._solve_keyed(states, requests, parallel, cache, progress))
         if verify:
             table.verify(

@@ -122,7 +122,6 @@ class ShapeTable(ScheduleTable):
         parallel: Optional[int] = None,
         cache=None,
         verify: bool = False,
-        policy=None,
     ) -> "ShapeTable":
         """Run the Figure 6 optimizer once per reachable degraded shape.
 
@@ -138,19 +137,11 @@ class ShapeTable(ScheduleTable):
         table — per-shape schedule certificates plus failover coverage for
         every node-failure shape — and raises
         :class:`~repro.errors.AnalysisError` on any ERROR finding.
-        ``policy`` selects a :mod:`repro.approx` solver-ladder rung for
-        every per-shape solve (spec string or
-        :class:`~repro.approx.SolvePolicy`; ``None`` = exact) — degraded
-        shapes are exactly where the exact search is at its slowest, and
-        a bounded failover schedule still ships a verified gap
-        certificate.
+        Every shape is solved by its scheduler's exact request.
         """
-        from repro.approx import resolve_policy  # deferred: leaf package
-
         factory = scheduler_factory or OptimalScheduler
         shapes = reachable_shapes(base, max_node_failures, proc_failures)
-        rung = resolve_policy(policy)
-        requests = [rung.request(factory(spec), graph, state) for spec in shapes]
+        requests = [factory(spec).request(graph, state) for spec in shapes]
         # Infeasible shapes are expected (a failed node can strand a
         # mandatory data-parallel width), so those are left out of the
         # table instead of aborting the build.

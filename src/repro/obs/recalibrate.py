@@ -63,12 +63,8 @@ class CalibrationController(RegimeController):
     policy:
         Transition policy for the switch (default: drain).
     parallel / cache:
-        Forwarded to :meth:`ScheduleTable.build` — the PR-2 warm path.
-    solve_policy:
-        :mod:`repro.approx` ladder rung for the re-build's solves
-        (``None`` = exact).  A drift re-build happens *on-line*, while
-        the application is stalled on the switch, so this is precisely
-        where a bounded-gap answer in a fraction of the time pays off.
+        Forwarded to :meth:`ScheduleTable.build` — the warm path; the
+        re-build makes the scheduler's exact requests.
     min_rel_change:
         Scale-factor dead band below which a task's cost is left alone.
     """
@@ -80,7 +76,6 @@ class CalibrationController(RegimeController):
     policy: TransitionPolicy = field(default_factory=DrainTransition)
     parallel: Optional[int] = None
     cache: object = None
-    solve_policy: object = None
     min_rel_change: float = 0.05
 
     def __post_init__(self) -> None:
@@ -109,7 +104,6 @@ class CalibrationController(RegimeController):
             self.scheduler,
             parallel=self.parallel,
             cache=self.cache,
-            policy=self.solve_policy,
         )
         new = new_table.lookup(self.calibrator.state)
         self.table = new_table

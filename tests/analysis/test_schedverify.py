@@ -165,9 +165,12 @@ def test_s013_genuine_exact_certificate_verifies_clean(solution, chain, smp2):
 
 def test_s013_genuine_bounded_and_list_certificates_verify_clean(chain, smp2):
     from repro.approx import resolve_policy
+    from repro.core.parallel import execute_request
 
+    scheduler = OptimalScheduler(smp2)
     for spec in ("bounded:0.5", "list"):
-        sol = resolve_policy(spec).solve(chain, State(n_models=1), OptimalScheduler(smp2))
+        request = scheduler.request(chain, State(n_models=1), **resolve_policy(spec))
+        sol = execute_request(request)
         assert sol.certificate is not None
         report = verify_solution(sol, chain, smp2)
         assert not report.findings, f"{spec}: {report.summary()}"

@@ -83,13 +83,6 @@ def test_lazy_through_shared_cache(chain, smp2, tmp_path):
     assert solution_to_dict(sol_a) == solution_to_dict(sol_b)
 
 
-def test_lazy_under_bounded_policy_certifies(chain, smp2):
-    lazy = make_lazy(chain, smp2, policy="bounded:0.5")
-    sol = lazy.lookup(State(n_models=2))
-    assert sol.certificate is not None
-    assert sol.certificate.gap_bound <= 0.5 + 1e-9
-
-
 def test_observability_counters(chain, smp2):
     obs = Observability()
     lazy = make_lazy(chain, smp2, obs=obs)

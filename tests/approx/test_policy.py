@@ -1,4 +1,4 @@
-"""The solver ladder: gap guarantees, ε=0 identity, escalation, caching."""
+"""The solver rungs: gap guarantees, ε=0 identity, blown budgets, caching."""
 
 from __future__ import annotations
 
@@ -6,16 +6,10 @@ import pytest
 
 from repro.analysis import verify_solution
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
-from repro.approx import (
-    BoundedPolicy,
-    ExactPolicy,
-    ListPolicy,
-    PolicyLadder,
-    resolve_policy,
-)
+from repro.approx import resolve_policy
 from repro.core.cache import ScheduleCache, request_digest
 from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import solve_many
+from repro.core.parallel import incumbent_of, solve_many
 from repro.core.serialize import solution_to_dict
 from repro.errors import ScheduleError
 from repro.graph.builders import random_dag
@@ -23,6 +17,12 @@ from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.state import State
 
 EPSILONS = (0.0, 0.1, 0.5)
+
+
+def solve(graph, state, scheduler, spec=None, cache=None):
+    """One request on rung ``spec``, in-process, through ``cache``."""
+    request = scheduler.request(graph, state, **resolve_policy(spec))
+    return solve_many([request], workers=1, cache=cache)[0]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def scheduler(cluster):
 @pytest.fixture(scope="module")
 def exact_by_state(tracker, scheduler):
     return {
-        state: ExactPolicy().solve(tracker, state, scheduler)
+        state: solve(tracker, state, scheduler)
         for state in TRACKER_STATES
     }
 
@@ -53,9 +53,8 @@ def test_bounded_rung_honors_epsilon_on_tracker_space(
     tracker, scheduler, cluster, exact_by_state, epsilon
 ):
     """Acceptance: rung 2 never serves a gap above ε, verified by S013."""
-    policy = BoundedPolicy(epsilon)
     for state in TRACKER_STATES:
-        sol = policy.solve(tracker, state, scheduler)
+        sol = solve(tracker, state, scheduler, f"bounded:{epsilon}")
         exact = exact_by_state[state]
         assert sol.latency <= exact.latency * (1.0 + epsilon) + 1e-9
         cert = sol.certificate
@@ -71,13 +70,12 @@ def test_epsilon_zero_is_bitwise_identical_to_exact(
     tracker, scheduler, exact_by_state
 ):
     """Acceptance: ε=0 degenerates to the exact search bit for bit."""
-    policy = BoundedPolicy(0.0)
     for state in TRACKER_STATES:
-        req_exact = ExactPolicy().request(scheduler, tracker, state)
-        req_zero = policy.request(scheduler, tracker, state)
+        req_exact = scheduler.request(tracker, state, **resolve_policy("exact"))
+        req_zero = scheduler.request(tracker, state, **resolve_policy("bounded:0"))
         assert req_exact == req_zero
         assert request_digest(req_exact) == request_digest(req_zero)
-        sol = policy.solve(tracker, state, scheduler)
+        sol = solve(tracker, state, scheduler, "bounded:0")
         assert solution_to_dict(sol) == solution_to_dict(exact_by_state[state])
 
 
@@ -90,9 +88,8 @@ def test_exact_certificate_claims_zero_gap(exact_by_state):
 
 
 def test_list_rung_serves_heft_with_certified_gap(tracker, scheduler, cluster):
-    policy = ListPolicy()
     for state in (State(n_models=1), State(n_models=4), State(n_models=8)):
-        sol = policy.solve(tracker, state, scheduler)
+        sol = solve(tracker, state, scheduler, "list")
         cert = sol.certificate
         assert cert is not None and cert.policy == "list"
         assert cert.lower_bound == cert.root_bound > 0.0
@@ -105,81 +102,53 @@ def test_bounded_never_beats_exact_latency(tracker, scheduler, exact_by_state):
     """Soundness sanity: no rung can serve below L*."""
     for epsilon in EPSILONS:
         for state in TRACKER_STATES:
-            sol = BoundedPolicy(epsilon).solve(tracker, state, scheduler)
+            sol = solve(tracker, state, scheduler, f"bounded:{epsilon}")
             assert sol.latency >= exact_by_state[state].latency - 1e-9
 
 
-def test_ladder_escalates_exact_to_bounded():
-    """A 1-node exact budget must escalate to the bounded stage."""
-    graph = random_dag(n_tasks=6, seed=3, dp_prob=0.3)
-    cluster = SINGLE_NODE_SMP(3)
-    scheduler = OptimalScheduler(cluster)
-    state = State(n_models=2)
-    exact = ExactPolicy().solve(graph, state, scheduler)
-    ladder = PolicyLadder(epsilon=0.5, exact_budget=1, bounded_budget=10_000_000)
-    sol = ladder.solve(graph, state, scheduler)
+def test_bounded_blown_budget_serves_list_fallback():
+    """A bounded search that blows its node budget serves the HEFT
+    schedule, certified as ``list``, and the verifier passes it."""
+    graph = random_dag(n_tasks=8, seed=8, dp_prob=0.3)
+    cluster = SINGLE_NODE_SMP(4)
+    scheduler = OptimalScheduler(cluster, node_limit=1)
+    request = scheduler.request(graph, State(n_models=4), **resolve_policy("bounded:0.01"))
+    sol = solve_many([request], workers=1)[0]
     cert = sol.certificate
-    assert cert is not None and cert.policy == "bounded"
-    assert cert.epsilon == 0.5
-    assert sol.latency <= exact.latency * 1.5 + 1e-9
-
-
-def test_ladder_exhausted_serves_list_fallback():
-    """Blowing every stage budget still serves a certified schedule."""
-    graph = random_dag(n_tasks=7, seed=5, dp_prob=0.3)
-    cluster = SINGLE_NODE_SMP(3)
-    scheduler = OptimalScheduler(cluster)
-    state = State(n_models=2)
-    ladder = PolicyLadder(epsilon=0.0, exact_budget=1, bounded_budget=1)
-    sol = ladder.solve(graph, state, scheduler)
-    cert = sol.certificate
-    assert cert is not None and cert.policy in ("bounded", "list")
+    assert cert is not None and cert.policy == "list"
+    _, heft = incumbent_of(request)
+    assert sol.iteration.canonical_key() == heft.canonical_key()
     report = verify_solution(sol, graph, cluster)
     assert not report.findings, report.summary()
 
 
-def test_ladder_with_room_matches_exact(tracker, scheduler, exact_by_state):
-    """Budgets nobody hits leave the exact stage in charge."""
-    ladder = PolicyLadder(epsilon=0.5)
-    state = State(n_models=3)
-    sol = ladder.solve(tracker, state, scheduler)
-    assert sol.latency == exact_by_state[state].latency
-    assert sol.certificate is not None and sol.certificate.policy == "exact"
-
-
 def test_resolve_policy_specs():
-    assert isinstance(resolve_policy(None), ExactPolicy)
-    assert isinstance(resolve_policy("exact"), ExactPolicy)
-    assert isinstance(resolve_policy("list"), ListPolicy)
-    bounded = resolve_policy("bounded:0.25")
-    assert isinstance(bounded, BoundedPolicy) and bounded.epsilon == 0.25
-    assert resolve_policy("bounded").epsilon == 0.1
-    ladder = resolve_policy("ladder:0.3")
-    assert isinstance(ladder, PolicyLadder) and ladder.epsilon == 0.3
-    passthrough = BoundedPolicy(0.7)
-    assert resolve_policy(passthrough) is passthrough
-    for bad in ("oracle", "bounded:abc", "exact:1", 42):
-        with pytest.raises(ScheduleError):
+    assert resolve_policy(None) == resolve_policy("exact") == {}
+    assert resolve_policy("list") == {"mode": "list"}
+    assert resolve_policy("bounded:0.25") == {"bound_inflation": 0.25}
+    assert resolve_policy("bounded") == {"bound_inflation": 0.1}
+    for bad in ("oracle", "bounded:abc", "bounded:", "exact:", "exact:1",
+                "list:1", "ladder", "ladder:0.3", 42):
+        with pytest.raises(ScheduleError, match=r"exact \| bounded\[:eps\] \| list"):
             resolve_policy(bad)
-    with pytest.raises(ScheduleError):
-        BoundedPolicy(-0.1)
+    with pytest.raises(ScheduleError, match="^bound_inflation must be >= 0"):
+        OptimalScheduler(SINGLE_NODE_SMP(2)).request(
+            random_dag(n_tasks=3, seed=1), State(n_models=1),
+            **resolve_policy("bounded:-0.1"),
+        )
 
 
 def test_policies_cache_and_digests_separate(tracker, scheduler, tmp_path):
     cache = ScheduleCache(tmp_path / "sched")
     state = State(n_models=2)
-    exact_req = ExactPolicy().request(scheduler, tracker, state)
-    bounded_req = BoundedPolicy(0.5).request(scheduler, tracker, state)
-    list_req = ListPolicy().request(scheduler, tracker, state)
     digests = {
-        request_digest(exact_req),
-        request_digest(bounded_req),
-        request_digest(list_req),
+        request_digest(scheduler.request(tracker, state, **resolve_policy(spec)))
+        for spec in ("exact", "bounded:0.5", "list")
     }
     assert len(digests) == 3  # each rung answers a different question
 
-    first = BoundedPolicy(0.5).solve(tracker, state, scheduler, cache=cache)
-    again = BoundedPolicy(0.5).solve(tracker, state, scheduler, cache=cache)
+    first = solve(tracker, state, scheduler, "bounded:0.5", cache=cache)
+    again = solve(tracker, state, scheduler, "bounded:0.5", cache=cache)
     assert cache.stats.hits == 1
     assert solution_to_dict(first) == solution_to_dict(again)
     assert again.certificate is not None and again.certificate.policy in (
@@ -192,8 +161,8 @@ def test_certificate_serialization_roundtrip(tracker, scheduler, tmp_path):
     """list-rung certificates survive the cache's JSON round trip."""
     cache = ScheduleCache(tmp_path / "sched")
     state = State(n_models=3)
-    sol = ListPolicy().solve(tracker, state, scheduler, cache=cache)
-    hit = ListPolicy().solve(tracker, state, scheduler, cache=cache)
+    sol = solve(tracker, state, scheduler, "list", cache=cache)
+    hit = solve(tracker, state, scheduler, "list", cache=cache)
     assert cache.stats.hits == 1
     assert hit.certificate == sol.certificate
     assert hit.certificate.policy == "list"
@@ -203,7 +172,7 @@ def test_solve_many_cached_batch(tracker, scheduler, exact_by_state, tmp_path):
     cache = ScheduleCache(tmp_path / "sched")
     states = list(TRACKER_STATES)[:4]
     rung = resolve_policy("bounded:0.0")
-    requests = [rung.request(scheduler, tracker, state) for state in states]
+    requests = [scheduler.request(tracker, state, **rung) for state in states]
     sols = solve_many(requests, workers=1, cache=cache)
     assert [s.latency for s in sols] == [
         exact_by_state[st].latency for st in states
@@ -213,18 +182,3 @@ def test_solve_many_cached_batch(tracker, scheduler, exact_by_state, tmp_path):
     assert [solution_to_dict(s) for s in again] == [
         solution_to_dict(s) for s in sols
     ]
-
-
-def test_shape_table_builds_on_the_bounded_rung(tracker, cluster):
-    """The faults layer's per-shape solves accept a ladder rung too."""
-    from repro.faults.failover import ShapeTable
-
-    exact = ShapeTable.build(tracker, State(n_models=2), cluster)
-    bounded = ShapeTable.build(
-        tracker, State(n_models=2), cluster, policy="bounded:0.5"
-    )
-    assert len(bounded) == len(exact)
-    for sol in bounded.solutions():
-        cert = sol.certificate
-        assert cert is not None and cert.policy == "bounded"
-        assert cert.gap_bound <= 0.5 + 1e-9

@@ -11,7 +11,7 @@ from repro.core.optimal import OptimalScheduler
 from repro.core.parallel import execute_request, make_request
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
-from repro.graph.builders import chain_graph
+from repro.graph.builders import chain_graph, random_dag
 from repro.sim.cluster import ClusterSpec, SINGLE_NODE_SMP
 from repro.sim.network import CommCost, CommModel
 from repro.state import State, StateSpace
@@ -73,6 +73,32 @@ def test_digest_sensitive_to_inputs(tracker_graph, cluster):
         tracker_graph, State(n_models=2), cluster, latency_slack=0.5
     )
     assert request_digest(base) != request_digest(other_params)
+
+
+@pytest.mark.parametrize("seed", [1, 8, 17])
+def test_bounded_digest_covers_node_limit(cache, seed):
+    """A bounded request that blows its budget serves the HEFT fallback, so
+    its node budget decides the answer and is part of its key: a
+    default-budget request is never served a tight-budget request's
+    ``list`` entry.  Exact and list requests still ignore the budget."""
+    graph = random_dag(8, seed=seed, dp_prob=0.3)
+    state, smp = State(n_models=4), SINGLE_NODE_SMP(4)
+    tight = _request(graph, state, smp, bound_inflation=0.01, node_limit=5)
+    roomy = _request(graph, state, smp, bound_inflation=0.01)
+    assert request_digest(tight) != request_digest(roomy)
+    for overrides in (dict(), dict(mode="list")):
+        assert request_digest(
+            _request(graph, state, smp, node_limit=5, **overrides)
+        ) == request_digest(_request(graph, state, smp, **overrides))
+
+    blown = execute_request(tight)
+    assert blown.certificate.policy == "list"
+    cache.store(tight, blown)
+    assert cache.fetch(tight) is not None
+    assert cache.fetch(roomy) is None
+    fresh = execute_request(roomy)
+    assert fresh.certificate.policy == "bounded"
+    assert fresh.latency < blown.latency
 
 
 def test_digest_sensitive_to_costs(cluster):

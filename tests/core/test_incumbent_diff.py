@@ -163,8 +163,8 @@ def test_a_miss_searches_under_the_bound_the_eager_request_carried():
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(mode="list"), dict(bound_inflation=0.1), dict(ladder=((0.1, 500_000),)),
-], ids=["list", "bounded", "ladder"])
+    dict(mode="list"), dict(bound_inflation=0.1),
+], ids=["list", "bounded"])
 def test_approximate_requests_get_the_validated_heft_fallback(overrides):
     for graph, state, cluster, comm in GRID[::7]:
         request = make_request(graph, state, cluster, comm, **overrides)

@@ -8,7 +8,7 @@ from unittest.mock import Mock
 
 import pytest
 
-from repro.approx.policy import BoundedPolicy, PolicyLadder, resolve_policy
+from repro.approx.policy import resolve_policy
 from repro.core.enumerate import SearchProblem, enumerate_schedules, search_schedules
 from repro.core.frontier import latency_throughput_frontier
 from repro.core.optimal import OptimalScheduler, ScheduleSolution
@@ -77,13 +77,12 @@ ENTRY_POINTS = {
     "table-exact": (_table("exact"), 1),
     "table-bounded": (_table("bounded:0.1"), 1),
     "table-list": (_table("list"), 0),
-    "table-ladder": (_table("ladder"), 1),  # the exact stage's budget holds here
 }
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_every_entry_point_is_one_request(monkeypatch, cluster, name):
-    """One snapshot, one HEFT, one search a stage, each cost read once per state.
+    """One snapshot, one HEFT, at most one search, each cost read once per state.
 
     There is one road to an answer (request -> execute), so the direct
     entry points and the table builders must show the same call profile.
@@ -132,38 +131,41 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("setting", [
-    dict(max_solutions=0), dict(tolerance=-1.0), dict(latency_slack=-0.5),
-    dict(tolerance=NAN), dict(bound_inflation=NAN), dict(ladder=((NAN, 1_000),)),
-    dict(epsilon=NAN),
-], ids=["max_solutions", "tolerance", "latency_slack", "tolerance-nan",
-        "bound_inflation-nan", "ladder-nan", "epsilon-nan"])
+    dict(max_solutions=0), dict(node_limit=0), dict(node_limit=-5),
+    dict(tolerance=-1.0), dict(latency_slack=-0.5),
+    dict(tolerance=NAN), dict(bound_inflation=NAN),
+    dict(epsilon="nan"), dict(epsilon="inf"), dict(epsilon="1e400"),
+], ids=["max_solutions", "node_limit", "node_limit-negative", "tolerance",
+        "latency_slack", "tolerance-nan", "bound_inflation-nan",
+        "epsilon-nan", "epsilon-inf", "epsilon-1e400"])
 def test_out_of_range_settings_are_refused_by_name(tracker_graph, setting):
     """Not reported as an unschedulable graph: the request refuses them,
-    before any search could read its ScheduleError as a blown budget.  A
-    NaN ε is refused too: every prune comparison with it is false, so it
-    would switch bound pruning off."""
+    before any search could read its ScheduleError as a blown budget (a
+    bounded request would serve the HEFT fallback for it).  A non-finite ε
+    is refused too: every prune comparison with a NaN is false, so it
+    would switch bound pruning off, and an infinite one certifies
+    nothing."""
     (name,) = setting
     state, smp = State(n_models=2), SINGLE_NODE_SMP(4)
 
-    def refused():
-        return pytest.raises(ScheduleError, match=f"^{name}( epsilon)? must be >= ")
+    def refused(name=name):
+        return pytest.raises(ScheduleError, match=f"^{name} must be ")
 
-    if name == "epsilon":  # a policy's ε, as a spec string and as an argument
-        for refuse in (lambda: resolve_policy("bounded:nan"),
-                       lambda: resolve_policy("ladder:nan"),
-                       lambda: BoundedPolicy(NAN), lambda: PolicyLadder(NAN)):
-            with refused():
-                refuse()
+    if name == "epsilon":  # a rung's ε, as a spec string and as a keyword
+        eps = setting[name]
+        for rung in (resolve_policy(f"bounded:{eps}"), dict(bound_inflation=float(eps))):
+            with refused("bound_inflation"):
+                make_request(tracker_graph, state, smp, **rung)
         return
     if name == "bound_inflation":
         problem = SearchProblem.from_graph(tracker_graph, state, max_workers=4)
         with refused():
             search_schedules(problem, state, smp, **setting)
-    elif name != "ladder":  # enumerate_schedules takes no ε
+    else:  # enumerate_schedules takes no ε
         with refused():
             enumerate_schedules(tracker_graph, state, smp, **setting)
     with refused():
-        make_request(tracker_graph, state, smp, **{"ladder": ((0.1, 1_000),), **setting})
+        make_request(tracker_graph, state, smp, **setting)
 
 
 def test_solve_many_in_process_order(tracker_graph, cluster):

@@ -35,10 +35,9 @@ class TestPickleRoundTrips:
         assert clone.digest_payload() == tracker_problem.digest_payload()
 
     def test_solve_request_round_trips(self, tracker_graph, m8):
-        # A whole policy ladder ships as one request.
+        # A bounded rung ships as one request.
         request = make_request(
-            tracker_graph, m8, SINGLE_NODE_SMP(4),
-            bound_inflation=0.1, ladder=((0.2, 1_000),),
+            tracker_graph, m8, SINGLE_NODE_SMP(4), bound_inflation=0.1
         )
         clone = pickle.loads(pickle.dumps(request))
         assert clone == request

@@ -159,29 +159,6 @@ class TestCalibrationController:
         controller.recalibrate(time=6.0, drifts=drifts)
         assert cache.stats.hits == hits_before + len(list(space))
 
-    def test_rebuild_under_bounded_solve_policy(self, setup):
-        """The drift re-build can run on the bounded rung, certified."""
-        graph, cluster, space, scheduler, table = setup
-        calibrator = CostCalibrator(
-            graph, State(n_models=2), cluster,
-            detector=DriftDetector(threshold=0.25, confirm=3, min_samples=3,
-                                   alpha=1.0, cooldown=0),
-        )
-        controller = CalibrationController(
-            table=table, space=space, scheduler=scheduler,
-            calibrator=calibrator, solve_policy="bounded:0.5",
-        )
-        modeled = calibrator.modeled_exec("T4", "serial")
-        drifts = [
-            s for i in range(4)
-            if (s := calibrator.observe_exec("T4", "serial", 2.0 * modeled,
-                                             time=float(i)))
-        ]
-        record = controller.recalibrate(time=5.0, drifts=drifts)
-        cert = record.new_solution.certificate
-        assert cert is not None
-        assert cert.gap_bound <= 0.5 + 1e-9
-
 
 class TestAcceptance:
     """ISSUE acceptance: perturbed >= 2x -> detected -> re-built -> faster."""
