@@ -47,14 +47,19 @@ holds the body it replaced as the oracle):
   delay is asked of the communication model once per (edge, src, dst);
   candidate nodes and per-node processor orders are computed once per
   node, the successor ready list once per ready task; and a placed task is
-  a plain row until its leaf is *kept* — ``Placement`` /
-  ``IterationSchedule`` / ``canonical_key`` are built only for leaves that
-  enter the materialized set.  A leaf that arrives while the set is full
-  is counted without being built, and that is exact: it reached the
-  record step, so the transposition table has just proved its signature
-  set new, and a schedule's canonical key is that same set in start order
-  — the key cannot be in the set already.  (With the table off — the cold
-  oracle — nothing proves that, and every leaf's key is built and tested.)
+  a plain row ``(end, procs, start, duration, variant, signature)``, the
+  signature being the tuple the transposition table interns.  A leaf's
+  key is its signatures in start order, which is the schedule's
+  ``canonical_key``, and a kept leaf *is* its rows: an
+  ``IterationSchedule`` that builds its ``Placement`` objects on the
+  first read of its placements.  Step 3 reads only a member's spans, so
+  only the members that reach ``PipelineSearch.best`` are ever built.
+  A leaf that arrives while the set is full is counted without its key
+  being built, and that is exact: it reached the record step, so the
+  transposition table has just proved its signature set new, and the
+  key is that same set in start order — it cannot be in the set
+  already.  (With the table off — the cold oracle — nothing proves that,
+  and every leaf's key is built and tested.)
 
 The first two are always on for every caller in ``src/``: the only place
 they can be switched off is :func:`search_schedules` itself
@@ -108,7 +113,7 @@ from functools import partial
 from typing import Optional
 
 from repro.errors import InfeasibleSchedule, ScheduleError
-from repro.core.schedule import IterationSchedule, Placement
+from repro.core.schedule import IterationSchedule
 from repro.graph.task import Variant
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
@@ -118,6 +123,7 @@ from repro.state import State
 __all__ = [
     "EnumerationResult",
     "SearchProblem",
+    "check_settings",
     "enumerate_schedules",
     "search_schedules",
     "static_lower_bound",
@@ -141,7 +147,10 @@ class EnumerationResult:
         The minimal single-iteration latency L.
     schedules:
         Distinct optimal :class:`IterationSchedule` objects (the set S),
-        the first ``max_solutions`` in search order.
+        the first ``max_solutions`` in search order.  Each holds the
+        search's rows and builds its :class:`Placement` objects when its
+        placements are first read; latency and ``canonical_key()`` need
+        no build.
     optimal_count:
         Distinct optimal leaves the search reached (>= len(schedules)):
         |S| counted up to the cap — exactly |S| while |S| <=
@@ -337,6 +346,42 @@ def static_lower_bound(problem: SearchProblem, cluster: ClusterSpec) -> float:
     return bound if bound >= load else load
 
 
+def check_settings(
+    *,
+    max_solutions: int,
+    node_limit: int,
+    tolerance: float,
+    latency_slack: float,
+    bound_inflation: float,
+) -> None:
+    """Refuse an out-of-range search setting by name.
+
+    Raises :class:`~repro.errors.ScheduleError` ``"<name> must be ..."``:
+    the caps must be at least 1, the tolerances and ε at least 0 (a NaN is
+    refused too: every comparison with it is false, so it would switch a
+    prune or the membership test off), and ε finite (an infinite one
+    certifies nothing).  :func:`search_schedules` and
+    :class:`~repro.core.parallel.SolveRequest` both call it.
+    """
+    for name, value in (("max_solutions", max_solutions), ("node_limit", node_limit)):
+        if value < 1:
+            raise ScheduleError(f"{name} must be >= 1, got {value}")
+    for name, value in (
+        ("tolerance", tolerance),
+        ("latency_slack", latency_slack),
+        ("bound_inflation", bound_inflation),
+    ):
+        if not value >= 0.0:
+            raise ScheduleError(f"{name} must be >= 0, got {value}")
+    if bound_inflation == float("inf"):
+        raise ScheduleError("bound_inflation must be finite, got inf")
+
+
+def _start_order(row: tuple) -> tuple[float, str]:
+    """A search row's place in an :class:`IterationSchedule`: (start, task)."""
+    return row[2], row[5][0]
+
+
 def enumerate_schedules(
     graph: TaskGraph,
     state: State,
@@ -452,10 +497,10 @@ def search_schedules(
     leaves L and the kept set unchanged, and for the one window where it
     reruns the search without the cut.
     """
-    if not bound_inflation >= 0.0:  # NaN would switch bound pruning off
-        raise ScheduleError(
-            f"bound_inflation must be >= 0, got {bound_inflation}"
-        )
+    check_settings(
+        max_solutions=max_solutions, node_limit=node_limit, tolerance=tolerance,
+        latency_slack=latency_slack, bound_inflation=bound_inflation,
+    )
     t0 = time.perf_counter()
     run = partial(
         _branch_and_bound, problem, state, cluster, comm,
@@ -526,7 +571,7 @@ def _branch_and_bound(
     delays = {edge: [None] * (P * P) for edge in edge_bytes}
 
     # Search state.  A placed task is a plain row ``(end, procs, start,
-    # duration, label)``; what a node inherits unchanged — the running
+    # duration, label, signature)``; what a node inherits unchanged — the running
     # maximum end, the signature set, sum(free) and the remaining minimal
     # work — is passed down, and only ``free`` is mutated and restored.
     n_tasks = len(order_names)
@@ -537,7 +582,7 @@ def _branch_and_bound(
     ready = sorted(n for n in order_names if n_unscheduled_preds[n] == 0)
 
     best_latency = float("inf")
-    solutions: dict[tuple, tuple[float, IterationSchedule]] = {}
+    solutions: dict[tuple, tuple[float, tuple]] = {}  # key -> (latency, rows)
     optimal_count = explored = pruned_bound = pruned_dominance = 0
 
     nodes = cluster.nodes
@@ -616,21 +661,18 @@ def _branch_and_bound(
                 worst = max(solutions, key=lambda k: (solutions[k][0], k))
                 if solutions[worst][0] <= best_latency + tolerance:
                     worst = None
-            # With the table on a full set counts a leaf without building
-            # it: the table has just proved its signature set new, and its
-            # canonical key is that set in start order.
+            # With the table on a full set counts a leaf without its key:
+            # the table has just proved its signature set new, and the key
+            # is that set in start order.
             new = dominance and not room and worst is None
             if not new:
-                sched = IterationSchedule([
-                    Placement(name, procs, start, dur, variant=label)
-                    for name, (_end, procs, start, dur, label) in placed.items()
-                ])
-                key = sched.canonical_key()
+                rows = tuple(sorted(placed.values(), key=_start_order))
+                key = tuple([row[5] for row in rows])
                 new = key not in solutions
                 if new and worst is not None:
                     del solutions[worst]
                 if new and len(solutions) < max_solutions:
-                    solutions[key] = (lat, sched)
+                    solutions[key] = (lat, rows)
             if new and optimal:
                 optimal_count += 1
         if tie_cut and len(solutions) >= max_solutions:
@@ -773,11 +815,9 @@ def _branch_and_bound(
                             continue
                         for p in chosen:
                             free[p] = end
-                        placed[name] = (end, chosen, est, dur, label)
-                        sid = sig_ids.setdefault(
-                            (name, chosen, round(est, 12), durs12[node], label),
-                            len(sig_ids),
-                        )
+                        signature = (name, chosen, round(est, 12), durs12[node], label)
+                        placed[name] = (end, chosen, est, dur, label, signature)
+                        sid = sig_ids.setdefault(signature, len(sig_ids))
                         recurse(
                             next_ready,
                             end if end > max_end else max_end,
@@ -799,11 +839,10 @@ def _branch_and_bound(
         raise InfeasibleSchedule(
             f"no legal schedule for graph {problem.graph_name!r} on {cluster!r}"
         )
-    ordered = []
-    for key in sorted(solutions, key=lambda k: (solutions[k][0], k)):
-        sched = solutions[key][1]
-        sched.name = f"opt[{len(ordered)}]"
-        ordered.append(sched)
+    ordered = [
+        IterationSchedule._from_rows(solutions[key][1], key, solutions[key][0], f"opt[{i}]")
+        for i, key in enumerate(sorted(solutions, key=lambda k: (solutions[k][0], k)))
+    ]
     # Certified lower bound on L*: an exact search proves its own latency
     # optimal; a bounded one proves L* > U / (1 + ε) by the pruning
     # argument above (never weaker than the static root bound).

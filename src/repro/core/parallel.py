@@ -47,6 +47,7 @@ from typing import Any, Optional, Sequence, Union
 from repro.core.enumerate import (
     EnumerationResult,
     SearchProblem,
+    check_settings,
     search_schedules,
     static_lower_bound,
 )
@@ -118,21 +119,13 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.mode not in ("solve", "enumerate", "list"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
-        # Refused here, not in the search: execute_request reads a
+        # Refused here as well as in the search: execute_request reads a
         # ScheduleError raised there as a blown node budget.
-        for name in ("max_solutions", "node_limit"):
-            if getattr(self, name) < 1:
-                raise ScheduleError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        for name in ("tolerance", "latency_slack", "bound_inflation"):
-            if not getattr(self, name) >= 0.0:  # NaN is refused too
-                raise ScheduleError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
-                )
-        # An infinite ε certifies nothing: S013 refuses its certificate.
-        if self.bound_inflation == float("inf"):
-            raise ScheduleError("bound_inflation must be finite, got inf")
+        check_settings(
+            max_solutions=self.max_solutions, node_limit=self.node_limit,
+            tolerance=self.tolerance, latency_slack=self.latency_slack,
+            bound_inflation=self.bound_inflation,
+        )
 
 
 def make_request(

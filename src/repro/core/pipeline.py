@@ -140,8 +140,12 @@ class _RotationTables(NamedTuple):
 class PipelineSearch:
     """The exact II search over one iteration schedule on ``n_procs`` processors.
 
-    Construction is linear: the spans, the busy-time bounds and the
-    screen's per-processor span lists.  The rotation-indexed span-pair
+    Construction is linear and reads only the iteration's spans
+    (:meth:`~repro.core.schedule.IterationSchedule.busy_spans`), so a member
+    of S kept as the search's rows builds no :class:`Placement` here: the
+    spans, the busy-time bounds and the screen's per-processor span lists.
+    Its placements are built when :meth:`best` hands it to
+    :class:`PipelinedSchedule`.  The rotation-indexed span-pair
     tables (``_tables``, see the module docstring) are built on first need,
     by :meth:`candidates` or :meth:`feasible`, and shared.  For rotation
     ``r``, over the span pairs with ``(proc_a - proc_b) % P == r`` — ``a``
@@ -161,12 +165,7 @@ class PipelineSearch:
     """
 
     def __init__(self, iteration: IterationSchedule, n_procs: int) -> None:
-        spans = [
-            (proc, p.start, p.end)
-            for p in iteration.placements
-            for proc in p.procs
-            if p.duration > 0
-        ]
+        spans = iteration.busy_spans()
         latency = iteration.latency
         if not spans or latency <= 0:
             raise InvalidSchedule("cannot pipeline an empty or zero-length iteration")

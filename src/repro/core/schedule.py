@@ -20,6 +20,7 @@ legality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.errors import InvalidSchedule
@@ -66,6 +67,10 @@ class Placement:
             raise InvalidSchedule(f"placement of {self.task!r} uses no processors")
         if len(set(self.procs)) != len(self.procs):
             raise InvalidSchedule(f"placement of {self.task!r} repeats a processor")
+        if min(self.procs) < 0:
+            raise InvalidSchedule(
+                f"placement of {self.task!r} uses negative processor {min(self.procs)}"
+            )
         if self.start < -_EPS or self.duration < -_EPS:
             raise InvalidSchedule(
                 f"placement of {self.task!r} has negative start/duration "
@@ -93,7 +98,17 @@ class IterationSchedule:
 
     Placements are stored in start-time order; each task appears exactly
     once.
+
+    A member of S kept by the search (:meth:`_from_rows`) holds the search's
+    own rows instead: its latency and canonical key are the search's, and
+    its :class:`Placement` objects are built, and validated, when
+    ``placements`` (or anything read through it) is first asked for.
     """
+
+    #: The search's rows ``(end, procs, start, duration, variant, key
+    #: element)`` in start order, until ``placements`` is built from them.
+    _rows: Optional[tuple[tuple, ...]] = None
+    _key: Optional[tuple] = None
 
     def __init__(self, placements: Iterable[Placement], name: str = "iteration") -> None:
         self.placements: tuple[Placement, ...] = tuple(
@@ -107,6 +122,33 @@ class IterationSchedule:
             self._by_task[p.task] = p
         #: Time from iteration origin to the last placement's end.
         self.latency: float = max((p.end for p in self.placements), default=0.0)
+
+    @classmethod
+    def _from_rows(
+        cls, rows: tuple[tuple, ...], key: tuple, latency: float, name: str
+    ) -> "IterationSchedule":
+        """A kept search leaf: ``rows`` in start order, each ``(end, procs,
+        start, duration, variant, key element)`` with ``end = start +
+        duration`` and the key element this placement's entry of
+        :meth:`canonical_key`; ``key`` is those elements in order and
+        ``latency`` the largest end."""
+        self = cls.__new__(cls)
+        self._rows, self._key = rows, key
+        self.name, self.latency = name, latency
+        return self
+
+    @cached_property
+    def placements(self) -> tuple[Placement, ...]:
+        placements = tuple(
+            Placement(elem[0], procs, start, dur, variant=label)
+            for _end, procs, start, dur, label, elem in self._rows
+        )
+        del self._rows  # the placements stand for them from here on
+        return placements
+
+    @cached_property
+    def _by_task(self) -> dict[str, Placement]:
+        return {p.task: p for p in self.placements}
 
     # -- basic queries -------------------------------------------------------
 
@@ -155,8 +197,27 @@ class IterationSchedule:
             return 0.0
         return 1.0 - self.busy_area() / (procs * self.latency)
 
+    def busy_spans(self) -> list[tuple[int, float, float]]:
+        """``(processor, start, end)`` of every placement of positive duration,
+        one per processor it occupies, in start order."""
+        if self._rows is not None:
+            return [
+                (proc, start, end)
+                for end, procs, start, dur, _label, _elem in self._rows
+                if dur > 0
+                for proc in procs
+            ]
+        return [
+            (proc, p.start, p.end)
+            for p in self.placements
+            if p.duration > 0
+            for proc in p.procs
+        ]
+
     def canonical_key(self) -> tuple:
         """A hashable identity used to deduplicate the set S."""
+        if self._key is not None:
+            return self._key
         return tuple(
             (p.task, p.procs, round(p.start, 12), round(p.duration, 12), p.variant)
             for p in self.placements

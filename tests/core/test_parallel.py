@@ -141,7 +141,8 @@ NAN = float("nan")
 def test_out_of_range_settings_are_refused_by_name(tracker_graph, setting):
     """Not reported as an unschedulable graph: the request refuses them,
     before any search could read its ScheduleError as a blown budget (a
-    bounded request would serve the HEFT fallback for it).  A non-finite ε
+    bounded request would serve the HEFT fallback for it), and the search
+    called directly refuses them with the same message.  A non-finite ε
     is refused too: every prune comparison with a NaN is false, so it
     would switch bound pruning off, and an infinite one certifies
     nothing."""
@@ -157,11 +158,12 @@ def test_out_of_range_settings_are_refused_by_name(tracker_graph, setting):
             with refused("bound_inflation"):
                 make_request(tracker_graph, state, smp, **rung)
         return
-    if name == "bound_inflation":
-        problem = SearchProblem.from_graph(tracker_graph, state, max_workers=4)
-        with refused():
-            search_schedules(problem, state, smp, **setting)
-    else:  # enumerate_schedules takes no ε
+    # The search refuses them by the same name, never as "no legal schedule"
+    # or a blown budget.
+    problem = SearchProblem.from_graph(tracker_graph, state, max_workers=4)
+    with refused():
+        search_schedules(problem, state, smp, **setting)
+    if name != "bound_inflation":  # enumerate_schedules takes no ε
         with refused():
             enumerate_schedules(tracker_graph, state, smp, **setting)
     with refused():

@@ -30,6 +30,16 @@ class TestPlacement:
         with pytest.raises(InvalidSchedule):
             Placement("t", (0,), 0.0, -1.0)
 
+    def test_negative_processor_rejected_by_name(self):
+        """Refused where it is made, naming the task and the index: a pipelined
+        schedule over it would wrap it round in ``instantiate`` and fail its
+        conflict check with a bare shift-count error."""
+        for procs in ((-1,), (0, -2)):
+            with pytest.raises(
+                InvalidSchedule, match=rf"^placement of 'a' uses negative processor {min(procs)}$"
+            ):
+                Placement("a", procs, 0.0, 1.0)
+
 
 class TestIterationSchedule:
     def chain_schedule(self):

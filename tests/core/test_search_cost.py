@@ -1,8 +1,9 @@
 """What Figure 6 costs per node, per leaf and per member of S — as counts.
 
 The timing side lives in ``benchmarks/e2e`` (``offline_cold``); these are the
-counts behind it, which repeat exactly: schedule objects are built for the
-leaves that enter the materialized set and for no other, a transfer delay is
+counts behind it, which repeat exactly: the search builds no ``Placement``
+(a kept leaf is the search's rows) and step 3 builds the placements of the
+members that reach ``best()`` and of no other, a transfer delay is
 asked of the communication model once per (edge, src, dst), the exact search
 stops looking for ties once the set is full, and step 3's incumbent screen
 builds no unbounded candidate list.
@@ -13,9 +14,9 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import repro.core.enumerate as enumerate_mod
-from repro.core.optimal import OptimalScheduler
-from repro.core.parallel import execute_request, make_request
+from repro.core.enumerate import search_schedules
+from repro.core.optimal import OptimalScheduler, solution_from_enumeration
+from repro.core.parallel import execute_request, incumbent_of, make_request
 from repro.core.pipeline import PipelineSearch
 from repro.core.schedule import IterationSchedule, Placement
 from repro.graph.builders import random_dag
@@ -56,34 +57,40 @@ def test_a_full_set_stops_the_search_for_ties():
 
 def test_schedule_objects_are_built_for_kept_leaves_only(monkeypatch):
     """A DAG where ties still reach the record step after the set is full
-    (22 of them at cap 2): they are counted, never built."""
-    built: list[IterationSchedule] = []
-    placements = [0]
-
-    def counting_schedule(*args, **kwargs):
-        built.append(IterationSchedule(*args, **kwargs))
-        return built[-1]
-
-    def counting_placement(*args, **kwargs):
-        placements[0] += 1
-        return Placement(*args, **kwargs)
-
-    monkeypatch.setattr(enumerate_mod, "IterationSchedule", counting_schedule)
-    monkeypatch.setattr(enumerate_mod, "Placement", counting_placement)
+    (22 of them at cap 2): the search builds no ``Placement`` at all — a kept
+    leaf is its rows — and step 3 builds the placements of the members that
+    reach ``best()``, the winner among them, and of no other."""
     cap = 2
-    graph = random_dag(7, 33, dp_prob=0.3)
-    result = execute_request(make_request(
-        graph, State(n_models=4), ClusterSpec(1, 2), mode="enumerate",
-        max_solutions=cap,
-    ))
+    graph, cluster = random_dag(7, 33, dp_prob=0.3), ClusterSpec(1, 2)
+    request = make_request(graph, State(n_models=4), cluster, max_solutions=cap)
+    incumbent, _ = incumbent_of(request)  # HEFT's own placements, not counted
+    built = [0]
+    searched: list[IterationSchedule] = []
+    post_init, best = Placement.__post_init__, PipelineSearch.best
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def recording_best(self, *args, **kwargs):
+        searched.append(self.iteration)
+        return best(self, *args, **kwargs)
+
+    monkeypatch.setattr(Placement, "__post_init__", counting_post_init)
+    monkeypatch.setattr(PipelineSearch, "best", recording_best)
+    result = search_schedules(
+        request.problem, request.state, cluster, max_solutions=cap,
+        incumbent=incumbent,
+    )
     assert result.optimal_count > cap == len(result.schedules)
     assert result.explored > 10 * cap
-    # At slack 0 a member leaves the set only by eviction, when L improves:
-    # whatever was built and is above the final L has been evicted.
-    evicted = sum(1 for s in built if s.latency > result.latency + 1e-9)
-    assert len(built) <= len(result.schedules) + evicted
-    assert placements[0] <= len(built) * len(graph.task_names)
-    assert {id(s) for s in result.schedules} <= {id(s) for s in built}
+    assert built[0] == 0
+    solution = solution_from_enumeration(result, cluster)
+    assert built[0] == len(searched) * len(graph.task_names)
+    assert any(solution.iteration is member for member in searched)
+    for member in result.schedules:
+        reached = any(member is other for other in searched)
+        assert ("placements" in vars(member)) == reached
 
 
 def test_transfer_time_is_asked_once_per_edge_and_processor_pair(monkeypatch):
@@ -140,3 +147,4 @@ def test_the_screen_builds_no_unbounded_candidate_list(monkeypatch):
     assert sum("_tables" in vars(search) for search in searches) == 299
     for search in searches:
         assert bool(search._candidates) == (id(search) in searched)
+        assert ("placements" in vars(search.iteration)) == (id(search) in searched)
