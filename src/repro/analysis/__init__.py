@@ -13,9 +13,8 @@ Six passes, one report model:
    re-checks carve exclusivity and shared-node capacity across tenants,
    then re-certifies every admitted tenant's schedule under its virtual
    sub-cluster.
-3. **STM protocol analysis** (:func:`check_stm`) — rules ``Pxxx``:
-   wait-for deadlock cycles, capacity vs in-flight items, consume leaks,
-   born-consumed ``try_get`` hazards.
+3. **STM channel wiring** (:func:`check_stm`) — rules ``P003`` /
+   ``P004``: consume leaks and born-consumed ``try_get`` hazards.
 4. **Dynamic race/deadlock detection** (:class:`RaceChecker`) — rules
    ``Rxxx``: a vector-clock happens-before checker threaded through the
    live runtime via the ``analysis=`` hook.
@@ -24,8 +23,10 @@ Six passes, one report model:
    compiled into a finite transition system and exhaustively explored;
    reachable deadlocks come back with minimized counterexample traces
    (validated against the real threaded runtime by :func:`replay_trace`),
-   bounded channels get minimal-capacity certificates, and a completed
-   exploration downgrades the pass-3 heuristics it proves safe.
+   and bounded channels get minimal-capacity certificates that quote the
+   schedule's in-flight count (:func:`schedule_in_flight`).  Where the
+   exploration proves nothing (budget exceeded), that count gates as
+   ``P002``.
 6. **Source determinism lint** (:func:`lint_sources`) — rules ``Dxxx``:
    unseeded RNGs, wall-clock reads inside kernels, bare locks in the STM
    layer the race checker cannot see.
@@ -33,7 +34,7 @@ Six passes, one report model:
 Passes 1-3 and 5 are wired into :meth:`ScheduleTable.build` /
 :meth:`ShapeTable.build` / :class:`StaticExecutor` behind their opt-in
 ``verify=`` parameter, and all static passes into CI as ``python -m
-repro.analysis --strict`` (with ``--sarif`` for code-scanning upload).
+repro.analysis --strict``.
 See ``docs/TUTORIAL.md`` §12 for the workflow and the waiver syntax, §16
 for reading model-checker counterexamples.
 """
@@ -49,18 +50,18 @@ from repro.analysis.model import (
     build_model,
     check_model,
     minimal_capacity,
+    schedule_in_flight,
 )
 from repro.analysis.race import RaceChecker, TrackedLock
 from repro.analysis.replay import ReplayOutcome, replay_trace
 from repro.analysis.rules import RULES, Rule, get_rule
-from repro.analysis.sarif import from_sarif, to_sarif, write_sarif
 from repro.analysis.schedverify import (
     verify_schedule_table,
     verify_shape_table,
     verify_solution,
 )
 from repro.analysis.srclint import lint_file, lint_sources
-from repro.analysis.stmcheck import check_stm, schedule_in_flight
+from repro.analysis.stmcheck import check_stm
 from repro.analysis.waivers import collect_waivers, parse_waiver_line
 
 __all__ = [
@@ -91,9 +92,6 @@ __all__ = [
     "replay_trace",
     "lint_file",
     "lint_sources",
-    "to_sarif",
-    "from_sarif",
-    "write_sarif",
     "collect_waivers",
     "parse_waiver_line",
 ]

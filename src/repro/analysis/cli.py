@@ -2,17 +2,20 @@
 
 The default target set covers everything the repository itself ships:
 
-* the calibrated tracker graph (bare and with live kernels attached),
-  every builder graph the examples use, one seeded instance per workload
-  family, and a small fleet tenant bank — pass 1 (graph lint), pass 3
-  (STM protocol) and pass 5 (explicit-state model checking with
-  minimal-capacity certificates);
+* the calibrated tracker graph (bare and with live kernels attached) and
+  every builder graph the examples use — pass 1 (graph lint), pass 3
+  (STM channel wiring) and pass 5 (explicit-state model checking with
+  minimal-capacity certificates); one seeded instance per workload family
+  and a small fleet tenant bank — pass 5;
 * a schedule table for the tracker over its full state space — pass 2
-  (schedule verification, including transition totality) plus the pass-5
-  schedule-derived checks (in-flight annotations, P-rule downgrades);
+  (schedule verification, including transition totality) plus pass 5
+  over its schedules (the certificates quote their in-flight counts);
 * a failover shape table — pass 2 coverage (``S012``) and the same
   model check over its degraded-shape solutions;
 * the package sources themselves — pass 6 (determinism lint, ``Dxxx``).
+
+Every run is the whole sweep; ``--no-schedules`` leaves out the table
+builds.
 
 Pass 4 (the race detector) is dynamic and runs from the test suite and
 the ``analysis=`` runtime hook, not from this CLI.
@@ -42,61 +45,42 @@ from repro.analysis.waivers import collect_waivers
 __all__ = ["repo_report", "main"]
 
 
-def _check_graph(
-    graph, states, report: AnalysisReport, *, model: bool, only_model: bool
-) -> None:
-    if not only_model:
-        lint_graph(graph, states=states, report=report)
-        check_stm(graph, report=report)
-    if model:
-        check_model(graph, report=report)
+def _check_graph(graph, states, report: AnalysisReport) -> None:
+    lint_graph(graph, states=states, report=report)
+    check_stm(graph, report=report)
+    check_model(graph, report=report)
 
 
-def repo_report(
-    schedules: bool = True,
-    model: bool = True,
-    srclint: bool = True,
-    only_model: bool = False,
-    progress=None,
-) -> AnalysisReport:
+def repo_report(schedules: bool = True, progress=None) -> AnalysisReport:
     """Analyze the repository's own artifacts; returns the full report.
 
-    ``schedules=False`` skips the (slower) pass-2 table builds;
-    ``model=False`` skips pass 5; ``srclint=False`` skips pass 6;
-    ``only_model=True`` restricts the sweep to pass 5 alone (the CI
-    model-check step).
+    ``schedules=False`` skips the (slower) pass-2 table builds.
     """
     from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
     from repro.graph.builders import chain_graph, fork_join_graph, random_dag
     from repro.state import State, StateSpace
 
-    if only_model:
-        model, srclint = True, False
-
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
-    def passes(base: str) -> str:
-        return "pass 5" if only_model else (f"{base}+5" if model else base)
-
     report = AnalysisReport()
 
-    note(f"{passes('pass 1+3')}: tracker graph")
+    note("pass 1+3+5: tracker graph")
     tracker = build_tracker_graph()
-    _check_graph(tracker, TRACKER_STATES, report, model=model, only_model=only_model)
+    _check_graph(tracker, TRACKER_STATES, report)
 
-    note(f"{passes('pass 1+3')}: live tracker graph (kernels attached)")
+    note("pass 1+3+5: live tracker graph (kernels attached)")
     try:
         from repro.apps.tracker.graph import attach_kernels
         from repro.apps.video import VideoSource
 
         live, _statics = attach_kernels(tracker, VideoSource(n_targets=2))
-        _check_graph(live, TRACKER_STATES, report, model=model, only_model=only_model)
+        _check_graph(live, TRACKER_STATES, report)
     except Exception as exc:  # numpy-free installs still get the other passes
         note(f"  skipped (kernels unavailable: {exc})")
 
-    note(f"{passes('pass 1+3')}: builder graphs")
+    note("pass 1+3+5: builder graphs")
     demo_states = StateSpace.range("n_models", 1, 4)
     chain = chain_graph([1.0, 2.0, 1.0])
     for g in (
@@ -104,34 +88,30 @@ def repo_report(
         fork_join_graph(0.1, [1.0, 1.2, 0.8], 0.2),
         random_dag(n_tasks=8, seed=7, dp_prob=0.3),
     ):
-        _check_graph(g, demo_states, report, model=model, only_model=only_model)
+        _check_graph(g, demo_states, report)
 
-    if model:
-        # Structural lint of workload graphs belongs to their own family
-        # verifiers (W rules); here they get the pass-5 protocol proof.
-        note("pass 5: workload families")
-        from repro.workloads import FAMILIES, load_dataset
+    # Structural lint of workload graphs belongs to their own family
+    # verifiers (W rules); here they get the pass-5 protocol proof.
+    note("pass 5: workload families")
+    from repro.workloads import FAMILIES, load_dataset
 
-        for fam_name, fam in sorted(FAMILIES.items()):
-            inst = load_dataset(fam_name)[0]
-            check_model(fam.build_graph(inst), report=report)
+    for fam_name, fam in sorted(FAMILIES.items()):
+        inst = load_dataset(fam_name)[0]
+        check_model(fam.build_graph(inst), report=report)
 
-    if model:
-        note("pass 5: fleet tenant bank")
-        from repro.fleet import Tenant, TenantSpec
+    note("pass 5: fleet tenant bank")
+    from repro.fleet import Tenant, TenantSpec
 
-        spec = TenantSpec(
-            name="kiosk",
-            graph=chain_graph([0.05, 0.1], name="kiosk"),
-            space=StateSpace.range("n_models", 1, 2),
-            initial=State(n_models=1),
-            max_width=2,
-        )
-        tenant = Tenant(id="kiosk-0", spec=spec, state=spec.initial)
-        bank = [
-            sol for w in (1, 2) for sol in tenant.ensure_width(w).solutions()
-        ]
-        check_model(spec.graph, solutions=bank, report=report)
+    spec = TenantSpec(
+        name="kiosk",
+        graph=chain_graph([0.05, 0.1], name="kiosk"),
+        space=StateSpace.range("n_models", 1, 2),
+        initial=State(n_models=1),
+        max_width=2,
+    )
+    tenant = Tenant(id="kiosk-0", spec=spec, state=spec.initial)
+    bank = [sol for w in (1, 2) for sol in tenant.ensure_width(w).solutions()]
+    check_model(spec.graph, solutions=bank, report=report)
 
     if schedules:
         from repro.core.optimal import OptimalScheduler
@@ -140,30 +120,25 @@ def repo_report(
         from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
         from repro.sim.network import CommModel
 
-        note(f"{'pass 5' if only_model else 'pass 2+5'}: tracker schedule table (8 states)")
+        note("pass 2+5: tracker schedule table (8 states)")
         cluster = SINGLE_NODE_SMP(4)
         comm = CommModel(cluster)
         table = ScheduleTable.build(
             tracker, TRACKER_STATES, OptimalScheduler(cluster, comm=comm)
         )
-        if not only_model:
-            verify_schedule_table(
-                table, tracker, TRACKER_STATES, cluster, comm=comm, report=report
-            )
-        if model:
-            check_model(tracker, solutions=table.solutions(), report=report)
+        verify_schedule_table(
+            table, tracker, TRACKER_STATES, cluster, comm=comm, report=report
+        )
+        check_model(tracker, solutions=table.solutions(), report=report)
 
-        note(f"{'pass 5' if only_model else 'pass 2+5'}: failover shape table")
+        note("pass 2+5: failover shape table")
         base = ClusterSpec(nodes=2, procs_per_node=2)
         shapes = ShapeTable.build(chain, State(n_models=1), base)
-        if not only_model:
-            verify_shape_table(shapes, chain, base, report=report)
-        if model:
-            check_model(chain, solutions=shapes.solutions(), report=report)
+        verify_shape_table(shapes, chain, base, report=report)
+        check_model(chain, solutions=shapes.solutions(), report=report)
 
-    if srclint:
-        note("pass 6: source determinism lint")
-        lint_sources(report=report)
+    note("pass 6: source determinism lint")
+    lint_sources(report=report)
 
     return report
 
@@ -185,22 +160,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json", metavar="PATH", help="write the machine-readable report to PATH"
     )
     parser.add_argument(
-        "--sarif", metavar="PATH", help="write a SARIF 2.1.0 log to PATH"
-    )
-    parser.add_argument(
         "--no-schedules",
         action="store_true",
         help="skip the schedule-table builds (structure and STM checks only)",
-    )
-    parser.add_argument(
-        "--no-model",
-        action="store_true",
-        help="skip pass 5 (explicit-state model checking)",
-    )
-    parser.add_argument(
-        "--model-check",
-        action="store_true",
-        help="run only pass 5: model-check every shipped graph and table",
     )
     parser.add_argument(
         "--no-waivers", action="store_true", help="ignore inline waiver comments"
@@ -216,9 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.model_check and args.no_model:
-        parser.error("--model-check and --no-model are mutually exclusive")
-
     if args.list_rules:
         for rule in RULES.values():
             print(f"{rule.id}  {rule.severity.name.lower():7s} {rule.name}")
@@ -229,12 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.quiet:
             print(msg, file=sys.stderr)
 
-    report = repo_report(
-        schedules=not args.no_schedules,
-        model=not args.no_model,
-        only_model=args.model_check,
-        progress=note,
-    )
+    report = repo_report(schedules=not args.no_schedules, progress=note)
 
     if not args.no_waivers:
         root = _repo_root()
@@ -247,12 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n", encoding="utf-8")
         note(f"report written to {args.json}")
-
-    if args.sarif:
-        from repro.analysis.sarif import write_sarif
-
-        write_sarif(report, Path(args.sarif))
-        note(f"SARIF log written to {args.sarif}")
 
     print(report.summary(show_waived=args.show_waived))
     return 0 if report.ok(strict=args.strict) else 1

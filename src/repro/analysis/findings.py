@@ -127,13 +127,6 @@ class AnalysisReport:
     def __init__(self, findings: Iterable[Finding] = ()) -> None:
         self.findings: list[Finding] = list(findings)
         self.waivers_applied: list[Waiver] = []
-        # Written by :func:`~repro.analysis.stmcheck.check_stm` only: the
-        # (graph, tasks, channels) whose wiring findings are already in here.
-        self._stm_wiring: list[tuple] = []
-        # Written by ``check_stm``'s P002, read by ``check_model``'s M003:
-        # each solution's ``schedule_in_flight`` counts, by ``id(solution)``
-        # -> (solution, (graph, tasks, channels), counts).
-        self._in_flight: dict[int, tuple] = {}
 
     # -- building -----------------------------------------------------------
 
@@ -163,8 +156,6 @@ class AnalysisReport:
         """Merge another report's findings (and applied waivers) into this one."""
         self.findings.extend(other.findings)
         self.waivers_applied.extend(other.waivers_applied)
-        self._stm_wiring.extend(other._stm_wiring)
-        self._in_flight.update(other._in_flight)
         return self
 
     def apply_waivers(self, waivers: Iterable[Waiver]) -> int:

@@ -1,8 +1,7 @@
 """Pass 5: explicit-state model checking of the STM protocol (rules ``Mxxx``).
 
-Passes 1-3 *warn* about the protocol: ``P001`` flags wait cycles that "can
-deadlock", ``P002`` compares an in-flight estimate against capacity.  This
-pass replaces those heuristics with verdicts.  It compiles a (graph,
+Whether a schedule deadlocks or wedges on capacity is a property of the
+channel protocol, and this pass decides it.  It compiles a (graph,
 channel-capacity, consume-declaration) configuration into a finite
 transition system — task quanta as transitions, channel occupancy and
 per-consumer cursors as state — and exhaustively explores the reachable
@@ -15,10 +14,14 @@ states:
   the capacity it waits for is never released);
 * ``M003`` — a minimal-capacity certificate per bounded channel: the
   least capacity proving deadlock-freedom, so over-provisioned channels
-  surface as INFO and under-provisioned ones as ERRORs the ``P002``
-  estimate missed;
+  surface as INFO and under-provisioned ones as ERRORs, each quoting the
+  schedule's slip-free in-flight count (:func:`schedule_in_flight`);
 * ``M004`` — the state-space budget was exceeded (explicit, never
-  silent; no verdicts or downgrades are claimed on a truncated run).
+  silent; no verdict is claimed on a truncated run).
+
+Where nothing is proved — the budget ran out, or the model cannot be
+built — the schedule's in-flight estimate gates instead: ``P002`` for
+each channel a given schedule keeps fuller than its capacity.
 
 The model mirrors a schedule-less
 :class:`~repro.runtime.threaded.ThreadedRuntime`, one lane per task:
@@ -32,8 +35,7 @@ argues why that order adds no deadlock.
 :class:`ChannelDecl` generalizes the access pattern — a consumer may hold
 a *window* of items before consuming the oldest, and either side may
 touch only a strided subset of timestamps — which is how real deadlocks
-arise (the default declarations on an acyclic graph are provably safe,
-and that proof is exactly what downgrades ``P001`` warnings to INFO).
+arise (the default declarations on an acyclic graph are provably safe).
 
 **State canonicalization.**  Each agent is sequential and deterministic,
 so a global state is fully described by the tuple of per-agent operation
@@ -72,10 +74,11 @@ import threading
 import time as _time
 from bisect import bisect_right
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.analysis.findings import AnalysisReport, Severity
+from repro.core.optimal import ScheduleSolution
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = [
@@ -86,6 +89,7 @@ __all__ = [
     "build_model",
     "minimal_capacity",
     "check_model",
+    "schedule_in_flight",
     "collector_name",
     "DEFAULT_BUDGET",
 ]
@@ -104,6 +108,8 @@ MAX_HORIZON = 64
 _PROOFS_KEPT = 64
 
 _GET, _PUT, _CONSUME = "get", "put", "consume"
+
+_EPS = 1e-9
 
 
 def collector_name(channel: str) -> str:
@@ -755,6 +761,38 @@ def minimal_capacity(
     return None
 
 
+def schedule_in_flight(
+    graph: TaskGraph, solution: ScheduleSolution
+) -> dict[str, int]:
+    """Schedule-derived live-item count per streaming channel.
+
+    Item k of a channel is live from its producer's end until the last
+    consumer's end, k*II later for each successive timestamp — the
+    slip-free capacity bound M003 certificates quote, and the estimate
+    ``P002`` gates on where nothing is proved.  Channels whose producer or
+    consumers are missing from the schedule are omitted (malformed
+    schedules are pass-2 findings).
+    """
+    out: dict[str, int] = {}
+    sched = solution.iteration
+    period = solution.period
+    if period <= _EPS:
+        return out
+    for ch in graph.channels:
+        if ch.static:
+            continue
+        prods = [t.name for t in graph.producers(ch.name)]
+        cons = [t.name for t in graph.consumers(ch.name)]
+        if not prods or not cons:
+            continue
+        if any(t not in sched for t in (*prods, *cons)):
+            continue
+        produced = min(sched.placement(p).end for p in prods)
+        drained = max(sched.placement(c).end for c in cons)
+        out[ch.name] = int((drained - produced + _EPS) / period) + 1
+    return out
+
+
 def check_model(
     graph: TaskGraph,
     solution=None,
@@ -768,16 +806,12 @@ def check_model(
 ) -> AnalysisReport:
     """Model-check ``graph``'s STM protocol; emit M-rules into ``report``.
 
-    When the exploration completes and finds the terminal state whole,
-    matching ``P001``/``P002`` findings *already in* ``report`` are
-    downgraded to INFO with a cross-reference to the M verdict — the
-    heuristic warned, the checker proved.  ``solution`` (or a sequence
-    via ``solutions``) only annotates M003 certificates with the
-    schedule's slip-free in-flight count; the model itself is
-    self-timed, like the runtime it mirrors.
-
-    On ``M004`` (budget exceeded) nothing is proved: no downgrades, and
-    the finding says exactly how far exploration got.
+    ``solution`` (or a sequence via ``solutions``) annotates M003
+    certificates with the schedule's slip-free in-flight count; the model
+    itself is self-timed, like the runtime it mirrors.  Where the check
+    proves nothing — ``M004`` (budget exceeded, and the finding says how
+    far exploration got), or a graph the model cannot be built from — each
+    channel a schedule keeps fuller than its capacity gets a ``P002``.
 
     The exploration — :func:`build_model`, :meth:`StmModel.explore` and
     one :func:`minimal_capacity` scan per bounded channel — runs once per
@@ -787,9 +821,9 @@ def check_model(
     A repeated call (every build of one graph, a graph whose costs were
     recalibrated) reads that verdict back; the last 64 structures are
     kept, as verdict data only, never a graph.  Everything else is
-    this call's: locations carry this graph's name, M003's in-flight notes
-    come from this call's solutions, the downgrades apply to this
-    ``report``, and each finding has the text a fresh exploration writes.
+    this call's: locations carry this graph's name, the in-flight counts
+    come from this call's solutions, and each finding has the text a
+    fresh exploration writes.
     """
     report = report if report is not None else AnalysisReport()
     decls = tuple(decls)  # read by the exploration, the scans and the key
@@ -797,20 +831,21 @@ def check_model(
     sols = list(solutions) if solutions is not None else []
     if solution is not None:
         sols.insert(0, solution)
+    live = [(sol, schedule_in_flight(graph, sol)) for sol in sols]
     proof = _prove(graph, decls, capacities, horizon, budget)
-    if proof is None:
-        return report  # unbuildable (pass-1 findings) or nothing streams
-    result = proof.result
-
-    if result.verdict == "budget":
-        report.add(
-            "M004",
-            loc,
-            f"state-space budget exceeded: explored {result.states} states "
-            f"(budget {result.budget}, horizon {result.horizon}); no "
-            "deadlock-freedom claim is made for this configuration",
-        )
+    if proof is None or proof.result.verdict == "budget":
+        _over_capacity(graph, live, loc, report)
+        if proof is not None:
+            result = proof.result
+            report.add(
+                "M004",
+                loc,
+                f"state-space budget exceeded: explored {result.states} states "
+                f"(budget {result.budget}, horizon {result.horizon}); no "
+                "deadlock-freedom claim is made for this configuration",
+            )
         return report
+    result = proof.result
 
     if result.deadlocked:
         stuck = ", ".join(
@@ -842,12 +877,9 @@ def check_model(
 
     # M003 — minimal-capacity certificates for every bounded channel.
     in_flight: dict[str, int] = {}
-    if sols:
-        from repro.analysis.stmcheck import _in_flight_for
-
-        for sol in sols:
-            for name, w in _in_flight_for(graph, sol, report).items():
-                in_flight[name] = max(in_flight.get(name, 0), w)
+    for _sol, counts in live:
+        for name, w in counts.items():
+            in_flight[name] = max(in_flight.get(name, 0), w)
     for name, (capacity, min_cap) in proof.bounded.items():
         cloc = f"{loc}/channel:{name}"
         slip = in_flight.get(name)
@@ -888,10 +920,24 @@ def check_model(
                 f"declared capacity {capacity} is certified: minimal safe "
                 f"capacity is {min_cap}" + slip_note,
             )
-
-    if result.ok:
-        _reconcile(report, loc, proof)
     return report
+
+
+def _over_capacity(graph: TaskGraph, live, loc: str, report: AnalysisReport) -> None:
+    """P002 for each (solution, in-flight counts) pair that overruns a channel."""
+    for sol, counts in live:
+        for ch in graph.channels:
+            in_flight = counts.get(ch.name)
+            if ch.capacity is None or in_flight is None:
+                continue
+            if in_flight > ch.capacity:
+                report.add(
+                    "P002",
+                    f"{loc}/channel:{ch.name}",
+                    f"schedule keeps {in_flight} items of {ch.name!r} in "
+                    f"flight (II={sol.period:g}s) but capacity is "
+                    f"{ch.capacity}",
+                )
 
 
 @dataclass(frozen=True)
@@ -955,38 +1001,3 @@ def _prove(
         if len(_proofs) > _PROOFS_KEPT:
             _proofs.popitem(last=False)
     return proof
-
-
-def _reconcile(report: AnalysisReport, loc: str, proof: _Proof) -> None:
-    """Downgrade P001/P002 heuristics the exploration just proved safe."""
-    result = proof.result
-    note = (
-        f"[M: model-checked deadlock-free — {result.states} states, "
-        f"horizon {result.horizon}]"
-    )
-    for i, f in enumerate(report.findings):
-        if f.waived or f.severity is Severity.INFO:
-            continue
-        if not f.location.startswith(loc + "/"):
-            continue
-        if f.rule == "P001":
-            report.findings[i] = replace(
-                f,
-                severity=Severity.INFO,
-                message=f"{f.message} {note}",
-            )
-        elif f.rule == "P002":
-            name = f.location.rsplit("channel:", 1)[-1]
-            capacity, min_cap = proof.bounded.get(name, (None, None))
-            if min_cap is None:
-                continue
-            if capacity >= min_cap:
-                report.findings[i] = replace(
-                    f,
-                    severity=Severity.INFO,
-                    message=(
-                        f"{f.message} [M003: capacity {capacity} >= minimal "
-                        f"safe {min_cap} — worst case is back-pressure slip, "
-                        "not deadlock]"
-                    ),
-                )

@@ -43,6 +43,54 @@ def _join(a: dict[int, int], b: dict[int, int]) -> None:
             a[k] = v
 
 
+def _sccs(nodes: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
+    """Strongly connected components (iterative Tarjan)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    out: list[list[str]] = []
+    counter = 0
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(edges.get(root, ()))))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(edges.get(w, ())))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
 class TrackedLock:
     """A mutex that reports acquire/release to a :class:`RaceChecker`.
 
@@ -240,8 +288,6 @@ class RaceChecker:
 
     def report(self, report: Optional[AnalysisReport] = None) -> AnalysisReport:
         """Findings accumulated so far (R001 races, R002 lock cycles)."""
-        from repro.analysis.stmcheck import _sccs
-
         report = report if report is not None else AnalysisReport()
         with self._mu:
             races = list(self._races)

@@ -9,7 +9,8 @@ Rule ids are stable and prefixed by pass:
   (:mod:`repro.analysis.fleetverify`);
 * ``Wxxx`` — pass 2c, workload service-requirement verification
   (:mod:`repro.workloads.verify`);
-* ``Pxxx`` — pass 3, STM protocol analysis (:mod:`repro.analysis.stmcheck`);
+* ``Pxxx`` — pass 3, STM channel wiring (:mod:`repro.analysis.stmcheck`),
+  and ``P002``, the capacity estimate pass 5 falls back on;
 * ``Rxxx`` — pass 4, dynamic race/deadlock detection
   (:mod:`repro.analysis.race`);
 * ``Mxxx`` — pass 5, explicit-state model checking
@@ -190,16 +191,13 @@ RULES: dict[str, Rule] = _catalog(
          "some state — the requirement is achievable (no W002) but this "
          "schedule misses it.",
          "re-solve with a tighter policy rung (lower epsilon or exact)"),
-    # -- pass 3: STM protocol ------------------------------------------------
-    Rule("P001", "stm-wait-cycle", W,
-         "Bounded channels create a wait cycle across different channels "
-         "(get-waits plus capacity back-pressure); under in-flight skew the "
-         "producer and consumer can block on each other forever.",
-         "raise the capacity, or verify a schedule that bounds skew"),
+    # -- pass 3: STM channel wiring; P002 is pass 5's fallback ---------------
     Rule("P002", "capacity-insufficient", E,
          "The pipelined schedule keeps more items live on a channel than "
-         "its declared capacity; the producer will block and the schedule "
-         "will slip or deadlock.",
+         "its declared capacity, and the model checker proved nothing "
+         "about the configuration (budget exceeded, or no model could be "
+         "built); the producer may block and the schedule slip or "
+         "deadlock.",
          "raise the capacity above the schedule's in-flight count"),
     Rule("P003", "consume-leak", W,
          "A channel is produced but consumed by no task in any regime, and "
@@ -234,10 +232,10 @@ RULES: dict[str, Rule] = _catalog(
          "align producer and consumer stride/offset declarations"),
     Rule("M003", "capacity-certificate", I,
          "The minimal-capacity certificate for a bounded channel: the "
-         "least capacity under which no wedge is reachable.  Declared "
-         "capacity below the minimum is an ERROR (a reachable wedge "
-         "P002's estimate can miss); above the slip-free bound it is "
-         "over-provisioned INFO.",
+         "least capacity under which no wedge is reachable, beside the "
+         "schedule's slip-free in-flight count.  Declared capacity below "
+         "the minimum is an ERROR (a reachable wedge); above both the "
+         "minimum and the slip-free bound it is over-provisioned INFO.",
          "set capacity between the minimal safe value and the schedule's "
          "slip-free bound"),
     Rule("M004", "state-budget-exceeded", W,

@@ -8,7 +8,8 @@ i.e. ``waive <RULE> <location-fragment> -- <reason>``.  The location
 fragment matches by substring against a finding's object path (see
 :class:`~repro.analysis.findings.Waiver`), so waivers stay short and
 survive graph renames that keep the channel/task name.  The reason is
-mandatory at ``--strict``: a waiver without one is itself reported.
+mandatory: a comment without ``-- <reason>`` is no waiver, and the finding
+it names keeps gating.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _WAIVER_RE = re.compile(
     r"#\s*analysis:\s*waive\s+"
     r"(?P<rule>[A-Z]\d{3})\s+"
     r"(?P<location>\S+)"
-    r"(?:\s+--\s+(?P<reason>.+?))?\s*$"
+    r"\s+--\s+(?P<reason>\S.*?)\s*$"
 )
 
 
@@ -37,7 +38,7 @@ def parse_waiver_line(line: str, origin: str = "") -> Union[Waiver, None]:
     return Waiver(
         rule=m.group("rule"),
         location=m.group("location"),
-        reason=(m.group("reason") or "").strip(),
+        reason=m.group("reason"),
         origin=origin,
     )
 

@@ -93,9 +93,9 @@ class ScheduleTable:
             whose solve request digests to a cached entry skip the
             branch-and-bound entirely, and fresh solves are stored back.
         verify:
-            Run the static analyzer (:mod:`repro.analysis` passes 1-3:
-            graph lint, schedule certificates, table totality, STM
-            protocol) over the finished table and raise
+            Run the static analyzer (:mod:`repro.analysis` passes 1-3
+            and 5: graph lint, schedule certificates, table totality, STM
+            wiring, model check) over the finished table and raise
             :class:`~repro.errors.AnalysisError` on any ERROR finding.
         policy:
             Solver rung for every per-state solve, as a spec string
@@ -148,9 +148,9 @@ class ScheduleTable:
 
         Checks the graph's structure, every per-state schedule certificate
         (placement legality, precedence, re-derived latency L), table
-        totality over ``space``, transition resolvability, and the STM
-        protocol under each schedule — then model-checks the channel
-        configuration and downgrades pass-3 heuristics it proves safe.
+        totality over ``space``, transition resolvability and the STM
+        channel wiring — then model-checks the channel configuration
+        under every entry's schedule.
         Raises :class:`~repro.errors.AnalysisError` carrying the full
         :class:`~repro.analysis.findings.AnalysisReport` when any ERROR
         finding is present.  ``snapshots`` — the cost snapshots a build's
@@ -170,15 +170,15 @@ class ScheduleTable:
     def _verify_entries(self, graph, report) -> None:
         """The tail every keyed table's ``verify`` shares.
 
-        STM protocol under each entry's schedule, then one model check —
-        one exploration covers every entry: the transition system depends
-        on wiring, capacities and declarations, not on per-entry timings.
+        The STM channel wiring, then one model check over every entry's
+        schedule — one exploration covers them all: the transition system
+        depends on wiring, capacities and declarations, not on per-entry
+        timings.
         """
         from repro.analysis import check_model, check_stm
         from repro.errors import AnalysisError
 
-        for solution in self.solutions():
-            check_stm(graph, solution, report=report)
+        check_stm(graph, report=report)
         check_model(graph, solutions=self.solutions(), report=report)
         if not report.ok():
             raise AnalysisError(report)

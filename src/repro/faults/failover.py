@@ -133,9 +133,9 @@ class ShapeTable(ScheduleTable):
         (``None``/``1`` = in-process; results are identical either way),
         and ``cache`` is an optional
         :class:`~repro.core.cache.ScheduleCache` consulted per shape.
-        ``verify`` runs the static analyzer (passes 1-3) over the finished
-        table — per-shape schedule certificates plus failover coverage for
-        every node-failure shape — and raises
+        ``verify`` runs the static analyzer (passes 1-3 and 5) over the
+        finished table — per-shape schedule certificates plus failover
+        coverage for every node-failure shape — and raises
         :class:`~repro.errors.AnalysisError` on any ERROR finding.
         Every shape is solved by its scheduler's exact request.
         """
@@ -176,8 +176,8 @@ class ShapeTable(ScheduleTable):
         Checks graph structure, every per-shape schedule certificate and
         failover coverage for all node-failure shapes within
         ``max_node_failures`` — then the tail every keyed table shares
-        (STM protocol under each schedule, one model check of the channel
-        configuration).  Raises :class:`~repro.errors.AnalysisError` with
+        (STM wiring, one model check of the channel configuration under
+        every schedule).  Raises :class:`~repro.errors.AnalysisError` with
         the full report when any ERROR finding is present.
         """
         # Deferred import: repro.analysis imports this module.

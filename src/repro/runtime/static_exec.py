@@ -515,9 +515,9 @@ class StaticExecutor:
         substrates (e.g. ``{"color_model": models}``); the simulation
         substrate fills statics with a stub and ignores this.
     verify:
-        Run analysis passes 1-3 (graph lint, schedule certificate, STM
-        protocol) over the inputs at construction time and raise
-        :class:`~repro.errors.AnalysisError` on any ERROR finding —
+        Run analysis passes 1-3 and 5 (graph lint, schedule certificate,
+        STM wiring, model check) over the inputs at construction time and
+        raise :class:`~repro.errors.AnalysisError` on any ERROR finding —
         misconfigurations surface before anything executes.
     analysis:
         Optional :class:`~repro.analysis.race.RaceChecker` (pass 4).
@@ -607,7 +607,7 @@ class StaticExecutor:
 
         report = lint_graph(graph, states=[state])
         verify_solution(solution, graph, cluster, comm=comm, report=report)
-        check_stm(graph, solution, report=report)
+        check_stm(graph, report=report)
         check_model(graph, solution, report=report)
         if not report.ok():
             raise AnalysisError(report)

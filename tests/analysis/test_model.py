@@ -1,4 +1,4 @@
-"""Pass 5 (model checker): M rules, counterexamples, replay, downgrades."""
+"""Pass 5 (model checker): M rules, counterexamples, replay."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.analysis import (
     Severity,
     build_model,
     check_model,
-    check_stm,
     minimal_capacity,
     replay_trace,
 )
@@ -175,55 +174,6 @@ class TestCheckModel:
         g.add_task(Task("A", 1.0, outputs=["c"]))
         g.add_task(Task("B", 1.0, inputs=["c"]))
         assert not check_model(g).findings
-
-
-class TestDowngrades:
-    def test_p001_downgraded_when_proved_safe(self):
-        # The two-channel wait cycle pass 3 warns about; the model proves
-        # the runtime's self-timed order never reaches the wedge.
-        g = TaskGraph("waits")
-        g.add_channel(ChannelSpec("c1", capacity=1))
-        g.add_channel(ChannelSpec("c2"))
-        g.add_task(Task("A", 1.0, outputs=["c1", "c2"]))
-        g.add_task(Task("B", 1.0, inputs=["c1", "c2"]))
-        report = check_stm(g)
-        (p1,) = by_rule(report, "P001")
-        assert p1.severity is Severity.WARNING
-        check_model(g, report=report)
-        (p1,) = by_rule(report, "P001")
-        assert p1.severity is Severity.INFO
-        assert "[M: model-checked deadlock-free" in p1.message
-        assert report.ok(strict=True)
-
-    def test_p002_downgraded_with_m003_cross_reference(self):
-        from repro.core.optimal import OptimalScheduler
-        from repro.sim.cluster import SINGLE_NODE_SMP
-        from repro.state import State
-
-        g = TaskGraph("pipe")
-        g.add_channel(ChannelSpec("ab", capacity=1))
-        g.add_task(Task("A", 1.0, outputs=["ab"]))
-        g.add_task(Task("B", 1.0, inputs=["ab"]))
-        sol = OptimalScheduler(SINGLE_NODE_SMP(2)).solve(g, State(n_models=1))
-        report = check_stm(g, sol)
-        (p2,) = by_rule(report, "P002")
-        assert p2.severity is Severity.ERROR
-        check_model(g, sol, report=report)
-        (p2,) = by_rule(report, "P002")
-        assert p2.severity is Severity.INFO
-        assert "[M003:" in p2.message and "back-pressure slip" in p2.message
-        assert report.ok(strict=True)
-
-    def test_no_downgrade_on_budget(self):
-        g = TaskGraph("waits")
-        g.add_channel(ChannelSpec("c1", capacity=1))
-        g.add_channel(ChannelSpec("c2"))
-        g.add_task(Task("A", 1.0, outputs=["c1", "c2"]))
-        g.add_task(Task("B", 1.0, inputs=["c1", "c2"]))
-        report = check_stm(g)
-        check_model(g, report=report, budget=3)
-        (p1,) = by_rule(report, "P001")
-        assert p1.severity is Severity.WARNING
 
 
 class TestReplay:

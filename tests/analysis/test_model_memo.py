@@ -4,8 +4,9 @@ What it remembers is keyed by what ``build_model`` reads — every task's
 name, inputs and outputs, every channel's name, ``static`` flag and
 capacity, and the call's decls / capacities / horizon / budget — and holds
 verdict data only.  Everything a call locates or annotates (the graph's
-name, the schedule's in-flight notes, the P001 / P002 downgrades) is
-written afresh, so a remembered verdict must read exactly like a fresh one.
+name, the schedule's in-flight notes, the P002 estimate where nothing is
+proved) is written afresh, so a remembered verdict must read exactly like a
+fresh one.
 Each test starts from an empty memo: none depends on what ran before it.
 """
 
@@ -61,7 +62,7 @@ def _chain(capacity, name="pipe"):
 
 
 def _waits(name="waits"):
-    """The two-channel wait cycle P001 warns about and the model proves safe."""
+    """A two-channel wait cycle the model proves safe."""
     g = TaskGraph(name)
     g.add_channel(ChannelSpec("c1", capacity=1))
     g.add_channel(ChannelSpec("c2"))
@@ -71,7 +72,7 @@ def _waits(name="waits"):
 
 
 def _pair():
-    """A capacity-1 channel whose schedule P002 flags and M003 downgrades."""
+    """A capacity-1 channel its schedule overruns and M003 certifies."""
     g = TaskGraph("pair")
     g.add_channel(ChannelSpec("ab", capacity=1))
     g.add_task(Task("A", 1.0, outputs=["ab"]))
@@ -115,10 +116,10 @@ CASES = {
     "deadlock": (lambda: _chain(1), False, {"decls": WINDOW2}),
     "starvation": (lambda: _chain(1), False,
                    {"decls": (ChannelDecl("A", "c", stride=2),)}),
-    "budget": (_waits, False, {"budget": 3}),
+    "budget": (_waits, True, {"budget": 3}),
     "capacities": (_waits, False, {"capacities": {"c1": 3}}),
     "decls": (lambda: _chain(4), False, {"decls": WINDOW2}),
-    "p002-downgrade": (_pair, True, {}),
+    "overrun": (_pair, True, {}),
     "horizon": (lambda: _chain(2), False, {"horizon": 6}),
 }
 
@@ -131,8 +132,7 @@ def findings(case, name=None):
         graph.name = name
     sols = [_solution(case)] if scheduled else []
     report = AnalysisReport()
-    for sol in sols or [None]:
-        check_stm(graph, sol, report=report)
+    check_stm(graph, report=report)
     check_model(graph, solutions=sols, report=report, **kwargs)
     return [(f.rule, f.severity, f.location, f.message) for f in report.findings]
 
@@ -148,12 +148,12 @@ def test_a_remembered_verdict_reads_like_a_fresh_one(case, explored):
     assert explored[0] == 0
 
 
-def test_the_cases_cover_every_m_rule_and_both_downgrades():
+def test_the_cases_cover_every_m_rule_and_the_fallback():
     every = [f for case in CASES for f in findings(case)]
-    assert {"M001", "M002", "M003", "M004", "P001", "P002"} <= {f[0] for f in every}
+    assert {"M001", "M002", "M003", "M004", "P002"} <= {f[0] for f in every}
     messages = [msg for *_, msg in every]
-    assert any("[M: model-checked deadlock-free" in m for m in messages)
-    assert any("[M003: capacity" in m for m in messages)
+    assert any("(slip-free bound)" in m for m in messages)
+    assert any("items of 'c1' in flight" in m for m in messages)
     assert any("counterexample" in m for m in messages)
 
 

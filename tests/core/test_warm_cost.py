@@ -15,8 +15,8 @@ from unittest.mock import Mock
 
 import pytest
 
+import repro.analysis.model as model_mod
 import repro.analysis.schedverify as schedverify_mod
-import repro.analysis.stmcheck as stmcheck_mod
 import repro.core.parallel as parallel_mod
 import repro.sched.listsched as listsched_mod
 from repro.analysis.model import StmModel
@@ -85,7 +85,8 @@ def test_a_warm_verified_build_reads_each_states_costs_once(tmp_path, monkeypatc
     """One cost snapshot and one in-flight count per entry (both were 2n).
 
     The request's ``SearchProblem`` serves the certificates too (S005-S008
-    and S013's root bound), and P002's in-flight counts serve M003.
+    and S013's root bound), and the model check counts each entry's items
+    in flight once.
     """
     graph, n = build_tracker_graph(), len(TRACKER_STATES)
     cache = ScheduleCache(tmp_path)
@@ -94,8 +95,8 @@ def test_a_warm_verified_build_reads_each_states_costs_once(tmp_path, monkeypatc
 
     snapshots = Mock(wraps=SearchProblem.from_graph)
     monkeypatch.setattr(SearchProblem, "from_graph", snapshots)
-    in_flight = Mock(wraps=stmcheck_mod.schedule_in_flight)
-    monkeypatch.setattr(stmcheck_mod, "schedule_in_flight", in_flight)
+    in_flight = Mock(wraps=model_mod.schedule_in_flight)
+    monkeypatch.setattr(model_mod, "schedule_in_flight", in_flight)
     warm = ScheduleTable.build(graph, TRACKER_STATES, OptimalScheduler(CLUSTER),
                                cache=cache, verify=True)
     assert cache.stats.hits == n

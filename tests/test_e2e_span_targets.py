@@ -104,5 +104,5 @@ def test_builders_resolve_wrapped_layers_at_call_time(monkeypatch, tmp_path):
     )
     assert seen == [
         "solve_many", "lint_graph", "verify_schedule_table",
-        "check_stm", "check_stm", "check_model",
+        "check_stm", "check_model",
     ]
