@@ -41,9 +41,11 @@ def lint_graph(
     loc = f"graph:{graph.name}"
     declared = set(graph.channel_names)
 
+    tasks = graph.tasks
+
     # G002 — undeclared channels.  Track them so connectivity below only
     # follows declared edges (an undeclared channel has no spec to consult).
-    for task in graph.tasks:
+    for task in tasks:
         for ch in (*task.inputs, *task.outputs):
             if ch not in declared:
                 report.add(
@@ -52,15 +54,13 @@ def lint_graph(
                     f"task {task.name!r} references undeclared channel {ch!r}",
                 )
 
-    def producers(ch: str) -> list[str]:
-        return [t.name for t in graph.tasks if ch in t.outputs]
-
-    def consumers(ch: str) -> list[str]:
-        return [t.name for t in graph.tasks if ch in t.inputs]
-
-    # G003/G004/G005/G008 — per-channel wiring.
+    # G003/G004/G005/G008 — per-channel wiring, from the producers and
+    # consumers the graph keeps.  Consumer names are kept for the successor
+    # relation below.
+    consumers: dict[str, list[str]] = {}
     for ch in graph.channels:
-        prods, cons = producers(ch.name), consumers(ch.name)
+        prods = [t.name for t in graph.producers(ch.name)]
+        cons = consumers[ch.name] = [t.name for t in graph.consumers(ch.name)]
         cloc = f"{loc}/channel:{ch.name}"
         if not prods and not cons:
             report.add(
@@ -92,12 +92,12 @@ def lint_graph(
             )
 
     # Streaming successor relation over *declared* channels only.
-    succs: dict[str, list[str]] = {t.name: [] for t in graph.tasks}
-    for task in graph.tasks:
+    succs: dict[str, list[str]] = {t.name: [] for t in tasks}
+    for task in tasks:
         for ch in task.outputs:
             if ch not in declared or graph.channel(ch).static:
                 continue
-            for c in consumers(ch):
+            for c in consumers[ch]:
                 if c not in succs[task.name]:
                     succs[task.name].append(c)
 
@@ -128,7 +128,7 @@ def lint_graph(
     # the cycle would double-report).
     sources = {
         t.name
-        for t in graph.tasks
+        for t in tasks
         if not t.inputs
         or all(ch in declared and graph.channel(ch).static for ch in t.inputs)
     }
@@ -141,7 +141,7 @@ def lint_graph(
                 if s not in reachable:
                     reachable.add(s)
                     frontier.append(s)
-        for t in graph.tasks:
+        for t in tasks:
             if t.name not in reachable:
                 report.add(
                     "G006",
@@ -163,7 +163,7 @@ def lint_graph(
                 break  # one finding per channel is enough
 
     # G009/G010/G011 — data-parallel consistency.
-    for task in graph.tasks:
+    for task in tasks:
         tloc = f"{loc}/task:{task.name}"
         spec = task.data_parallel
         if spec is None:

@@ -79,6 +79,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.analysis.findings import AnalysisReport, Severity
 from repro.core.optimal import ScheduleSolution
+from repro.errors import GraphError
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = [
@@ -774,21 +775,22 @@ def schedule_in_flight(
     schedules are pass-2 findings).
     """
     out: dict[str, int] = {}
-    sched = solution.iteration
+    placed = solution.iteration._by_task
     period = solution.period
     if period <= _EPS:
         return out
     for ch in graph.channels:
         if ch.static:
             continue
-        prods = [t.name for t in graph.producers(ch.name)]
-        cons = [t.name for t in graph.consumers(ch.name)]
+        prods = graph.producers(ch.name)
+        cons = graph.consumers(ch.name)
         if not prods or not cons:
             continue
-        if any(t not in sched for t in (*prods, *cons)):
+        try:
+            produced = min(placed[t.name].end for t in prods)
+            drained = max(placed[t.name].end for t in cons)
+        except KeyError:
             continue
-        produced = min(sched.placement(p).end for p in prods)
-        drained = max(sched.placement(c).end for c in cons)
         out[ch.name] = int((drained - produced + _EPS) / period) + 1
     return out
 
@@ -965,8 +967,10 @@ def _prove(
 ) -> Optional[_Proof]:
     """The exploration of ``graph``'s channel structure, run once per process.
 
-    ``None`` when nothing streams, or when the model cannot be built — a
-    structural defect is pass 1's to report, and a failure is never kept.
+    ``None`` when nothing streams, or when the graph is structurally
+    unsound (a :class:`~repro.errors.GraphError`: pass 1 reports it), and
+    a failure is never kept.  A ``ValueError`` from the call's own
+    ``decls`` / ``capacities`` reaches the caller.
     """
     key = (
         tuple((t.name, t.inputs, t.outputs) for t in graph.tasks),
@@ -982,7 +986,7 @@ def _prove(
             return _proofs[key]
     try:
         model = build_model(graph, capacities=capacities, decls=decls, horizon=horizon)
-    except Exception:
+    except GraphError:
         return None
     proof = None
     if model.channels:

@@ -24,11 +24,20 @@ graph (``_snapshot_source``).  Either way the bounds come out of the same
 bodies over the same numbers, so every finding is the same float — and
 the verifier still re-derives each bound itself, reading nothing the
 search produced (schedules, L, S, incumbent).
+
+What is fixed per table is derived once per table, not once per entry: a
+task's predecessors are kept on the graph, an entry's placements are read
+through the schedule's own task index, each processor's node is listed
+once per call, and a shape table's reachable shapes are enumerated once.
+``tests/analysis/schedverify_reference_oracle.py`` keeps the body this
+replaced; ``tests/analysis/test_verify_oracle.py`` requires the same
+findings, in the same order, from both.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.analysis.findings import AnalysisReport
@@ -48,6 +57,9 @@ _EPS = 1e-9
 #: Cost snapshots by ``(state, dp_cap)`` — what ``ScheduleTable.build``'s
 #: requests computed (``request.problem`` under ``(state, request.dp_cap)``).
 Snapshots = Mapping[tuple[State, int], SearchProblem]
+
+
+_start = attrgetter("start")
 
 
 def _close(a: float, b: float) -> bool:
@@ -115,12 +127,13 @@ def _critical_path(problem: SearchProblem) -> float:
 
 def _expected_duration(
     graph: TaskGraph,
-    cluster: ClusterSpec,
+    speed: float,
     placement,
     state: State,
     problem: Optional[SearchProblem],
 ) -> Optional[float]:
-    """Model duration of ``placement``: variant duration over node speed.
+    """Model duration of ``placement``: variant duration over ``speed``,
+    its primary processor's node speed.
 
     The variant comes from the snapshot; a label it does not hold (a width
     above the snapshot's cap, or no snapshot) is looked for among the
@@ -135,7 +148,7 @@ def _expected_duration(
         found = labelled(graph.task(placement.task).variants(state))
     if found is None:
         return None
-    return found.duration / cluster.node_speeds[cluster.node_of(placement.primary)]
+    return found.duration / speed
 
 
 def verify_solution(
@@ -158,15 +171,17 @@ def verify_solution(
     report = report if report is not None else AnalysisReport()
     state = solution.state
     sched = solution.iteration
+    by_task = sched._by_task  # task -> placement
     loc = location or f"schedule:{sched.name}/state:{state!r}"
     snapshot = _snapshot_source(graph, state, snapshots)
     # S005-S008 read the costs under the cluster's own width cap.
     costs = snapshot(cluster.procs_per_node)
+    node_of = [proc.node for proc in cluster.processors]  # by processor index
 
     # S001 — task-set equality.
-    placed = {p.task for p in sched}
-    missing = sorted(set(graph.task_names) - placed)
-    extra = sorted(placed - set(graph.task_names))
+    task_names = graph.task_names
+    missing = sorted(set(task_names).difference(by_task))
+    extra = sorted(set(by_task).difference(task_names))
     if missing:
         report.add("S001", loc, f"tasks never placed: {missing}")
     if extra:
@@ -176,16 +191,16 @@ def verify_solution(
     # geometric checks below (their node/speed is undefined).
     n_procs = cluster.total_processors
     in_range = []
-    for p in sched:
-        bad = [q for q in p.procs if not 0 <= q < n_procs]
-        if bad:
-            report.add(
-                "S002",
-                loc,
-                f"{p.task!r} uses processor(s) {bad} outside 0..{n_procs - 1}",
-            )
-        else:
+    for p in sched.placements:
+        if max(p.procs) < n_procs:  # a Placement holds no negative processor
             in_range.append(p)
+            continue
+        bad = [q for q in p.procs if not 0 <= q < n_procs]
+        report.add(
+            "S002",
+            loc,
+            f"{p.task!r} uses processor(s) {bad} outside 0..{n_procs - 1}",
+        )
 
     # S003 — exclusivity per processor.
     by_proc: dict[int, list] = {}
@@ -193,7 +208,7 @@ def verify_solution(
         for q in p.procs:
             by_proc.setdefault(q, []).append(p)
     for q, plist in sorted(by_proc.items()):
-        plist.sort(key=lambda p: p.start)
+        plist.sort(key=_start)
         for a, b in zip(plist, plist[1:]):
             if b.start < a.end - _EPS:
                 report.add(
@@ -205,7 +220,9 @@ def verify_solution(
 
     # S004 — data-parallel placements stay inside one SMP node.
     for p in in_range:
-        nodes = {cluster.node_of(q) for q in p.procs}
+        if len(p.procs) == 1:
+            continue
+        nodes = {node_of[q] for q in p.procs}
         if len(nodes) > 1:
             report.add(
                 "S004",
@@ -216,14 +233,14 @@ def verify_solution(
 
     # S005 — precedence with communication delay.
     edge_costs = costs if costs is not None else graph
-    for name in graph.task_names:
-        if name not in sched:
+    for name in task_names:
+        v = by_task.get(name)
+        if v is None:
             continue
-        v = sched.placement(name)
         for pred in graph.predecessors(name):
-            if pred not in sched:
+            u = by_task.get(pred)
+            if u is None:
                 continue
-            u = sched.placement(pred)
             delay = 0.0
             if comm is not None:
                 try:
@@ -245,7 +262,8 @@ def verify_solution(
     for p in in_range:
         if p.task not in graph:
             continue
-        expected = _expected_duration(graph, cluster, p, state, costs)
+        speed = cluster.node_speeds[node_of[p.primary]]
+        expected = _expected_duration(graph, speed, p, state, costs)
         if expected is None:
             report.add(
                 "S006",
@@ -454,17 +472,17 @@ def verify_shape_table(
     within ``max_node_failures`` — the failover contract — while entries
     for processor-failure shapes are verified when present.
     """
-    from repro.faults.failover import reachable_shapes
+    from repro.faults.failover import _reachable_shapes
 
     report = report if report is not None else AnalysisReport()
     tloc = f"shapetable:{graph.name}"
 
-    node_shapes = reachable_shapes(base, max_node_failures, proc_failures=False)
-    all_shapes = reachable_shapes(base, max_node_failures, proc_failures)
+    # One enumeration: the node-failure shapes are its prefix.
+    all_shapes, node_shapes = _reachable_shapes(base, max_node_failures, proc_failures)
     by_key = {spec.shape_key(): spec for spec in all_shapes}
 
     # S012 — failover coverage for every node-failure shape.
-    for spec in node_shapes:
+    for spec in all_shapes[:node_shapes]:
         if spec not in table:
             report.add(
                 "S012",

@@ -1,6 +1,6 @@
 """Inline waiver comments: accepted findings, declared next to their cause.
 
-Syntax, anywhere in a Python source line::
+Syntax, in a ``#`` comment anywhere in a Python source file::
 
     # analysis: waive G005 channel:debug_tap -- kept for the obs demo
 
@@ -9,12 +9,15 @@ fragment matches by substring against a finding's object path (see
 :class:`~repro.analysis.findings.Waiver`), so waivers stay short and
 survive graph renames that keep the channel/task name.  The reason is
 mandatory: a comment without ``-- <reason>`` is no waiver, and the finding
-it names keeps gating.
+it names keeps gating.  Only real comments count: the same text inside a
+string literal (like the example above) declares nothing.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -58,8 +61,22 @@ def collect_waivers(paths: Iterable[Union[str, Path]]) -> list[Waiver]:
             text = f.read_text(encoding="utf-8")
         except OSError:
             continue
-        for i, line in enumerate(text.splitlines(), start=1):
-            w = parse_waiver_line(line, origin=f"{f}:{i}")
+        for row, comment in _comments(text):
+            w = parse_waiver_line(comment, origin=f"{f}:{row}")
             if w is not None:
                 out.append(w)
+    return out
+
+
+def _comments(text: str) -> list[tuple[int, str]]:
+    """``(line, text)`` of every ``#`` comment in ``text`` — a string
+    literal that looks like one (a docstring's example) is not a comment.
+    A file that stops tokenizing keeps the comments before the fault."""
+    out: list[tuple[int, str]] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                out.append((tok.start[0], tok.string))
+    except (tokenize.TokenError, SyntaxError):
+        pass
     return out

@@ -366,40 +366,67 @@ class PipelinedSchedule:
     def validate_conflict_free(self, iterations: Optional[int] = None) -> None:
         """Check that no two iterations collide on any processor.
 
-        Checks iteration 0 against iterations ``1..K`` where ``K`` covers
-        the full overlap window; by periodicity this covers all pairs.  A
-        zero-length placement occupies no processor time and cannot
-        collide.  Iteration ``k`` is not instantiated: processor sets are
-        bitmasks, iteration ``k``'s rotated by ``(k * shift) % P``, and the
-        placement pairs sharing a processor are found once per rotation.
+        Checks iteration 0 against iterations ``1..K``, ``K = floor(L/II)
+        + 1``; by periodicity this covers all pairs.  Iteration ``k``
+        starts ``k * II`` after iteration 0 (no placement starts before
+        ``-ε``), and iteration 0 is over by ``L``, so once ``k * II >= L``
+        it cannot collide: ``K`` is one past the last iteration that can,
+        a full ``II`` of margin against rounding.  The checked iterations
+        go up in ``k``, so the collision reported is the first there is.
+        A zero-length placement occupies no processor time and cannot
+        collide.  Iteration ``k`` is not instantiated: on processor ``q``
+        it runs base processor ``(q - k * shift) % P``'s spans shifted by
+        ``k * II``, and those are held against iteration 0's spans on
+        ``q``.
         """
         P = self.n_procs
-        everywhere = (1 << P) - 1
-        # (task, processor mask, start, duration); adding an iteration's
-        # offset, 0.0 for iteration 0, turns a start of -0.0 into 0.0.
-        rows = [
-            (p.task, sum(1 << q for q in p.procs), p.start + 0.0, p.duration)
-            for p in self.iteration.placements
-            if p.duration > 0
-        ]
-        if not rows:
+        placed = [p for p in self.iteration.placements if p.duration > 0]
+        if not placed:
             return
         K = iterations
         if K is None:
-            K = int(self.latency / self.period) + P + 1
-        sharing: dict[int, list[tuple]] = {}  # rotation -> [(a, b, common mask)]
+            K = int(self.latency / self.period) + 1
+        # Iteration 0's (start, duration, end) on each processor; adding an
+        # iteration's offset, 0.0 for iteration 0, turns a start of -0.0
+        # into 0.0.
+        spans: list[list[tuple[float, float, float]]] = [[] for _ in range(P)]
+        for p in placed:
+            start = p.start + 0.0
+            span = (start, p.duration, start + p.duration)
+            for q in p.procs:
+                spans[q].append(span)
+        busy = [q for q in range(P) if spans[q]]
         for k in range(1, K + 1):
             r = (k * self.shift) % P
-            pairs = sharing.get(r)
-            if pairs is None:
-                pairs = sharing[r] = []
-                for a in rows:
-                    for b in rows:
-                        common = a[1] & (b[1] << r | b[1] >> (P - r)) & everywhere
-                        if common:
-                            pairs.append((a, b, common))
             off = k * self.period
-            for (a_task, _, a_start, a_dur), (b_task, _, b_base, b_dur), common in pairs:
+            for q in busy:
+                # Iteration k runs base processor (q - r) % P's spans on q.
+                for b_base, b_dur, _ in spans[(q - r) % P]:
+                    b_start = b_base + off
+                    b_end = b_start + b_dur
+                    for a_start, _, a_end in spans[q]:
+                        if a_start < b_end - _EPS and b_start < a_end - _EPS:
+                            self._report_collision(placed, k)
+
+    def _report_collision(self, placed: list[Placement], k: int) -> None:
+        """Raise the first collision between iterations 0 and ``k``.
+
+        Placement pairs are tried in order — ``a`` of iteration 0 by
+        placement, then ``b`` of iteration ``k`` — so the pair named, and
+        every processor it shares, do not depend on how the collision was
+        found.
+        """
+        P = self.n_procs
+        everywhere = (1 << P) - 1
+        r = (k * self.shift) % P
+        off = k * self.period
+        rows = [(p.task, sum(1 << q for q in p.procs), p.start + 0.0, p.duration)
+                for p in placed]
+        for a_task, a_mask, a_start, a_dur in rows:
+            for b_task, b_mask, b_base, b_dur in rows:
+                common = a_mask & (b_mask << r | b_mask >> (P - r)) & everywhere
+                if not common:
+                    continue
                 a_end = a_start + a_dur
                 b_start = b_base + off
                 b_end = b_start + b_dur

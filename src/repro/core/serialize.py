@@ -16,20 +16,29 @@ not a JSON object, or one that lists a state twice.
 
 A table is written as ``json.dumps(payload, indent=2)`` would write it,
 byte for byte, but not by ``json``: an indent switches the standard
-library's C encoder off, and its pure-Python fallback was the largest
+library's C encoder off, and its pure-Python fallback was once the largest
 single cost of rebuilding a table from the cache.  :func:`table_to_json`
 emits the same text directly — strings through ``json``'s own C
 ``encode_basestring_ascii``, floats through ``float.__repr__`` with
 ``json``'s ``NaN`` / ``Infinity`` spellings, ints through ``int.__repr__``
 (``tests/core/test_serialize_golden.py`` holds ``json.dumps`` as the
-oracle).
+oracle).  It builds :func:`solution_to_dict`'s payload, with each
+schedule's placement list, the bulk of the text, spelled as text by a
+direct emitter instead of built as dicts.
+
+A solution and its pipelined form share one :class:`IterationSchedule`
+(the solver builds them so), and loading keeps it so: when an entry's
+``pipelined.iteration`` dict equals its ``iteration`` dict,
+:func:`solution_from_dict` builds one schedule for both fields.  The
+writer spells a shared schedule's placements once and puts the text in
+both places, re-indented.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.errors import ScheduleError
 from repro.core.optimal import GapCertificate, ScheduleSolution
@@ -52,6 +61,9 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
+#: Gives an iteration schedule's ``"placements"`` value.
+_Placements = Callable[[IterationSchedule], Any]
+
 
 def _require(data: dict, key: str, context: str) -> Any:
     try:
@@ -67,18 +79,32 @@ def _require(data: dict, key: str, context: str) -> Any:
 
 def iteration_to_dict(schedule: IterationSchedule) -> dict:
     """JSON-safe representation of a single-iteration schedule."""
+    return _iteration_dict(schedule, _placement_dicts)
+
+
+# The ``_*_dict`` builders below take ``placements``, the function that
+# gives an iteration's ``"placements"`` value: the public ``*_to_dict``
+# hand in :func:`_placement_dicts`, and :func:`table_to_json` the text of
+# the list (:func:`_placements_text`).  A field added to an entry is added
+# here once and reaches both.
+
+
+def _iteration_dict(schedule: IterationSchedule, placements: _Placements) -> dict:
+    return {"name": schedule.name, "placements": placements(schedule)}
+
+
+def _placement_dicts(schedule: IterationSchedule) -> list[dict]:
+    return [_placement_dict(p) for p in schedule.placements]
+
+
+def _placement_dict(p: Placement) -> dict:
+    # _PLACEMENT spells these keys, in this order, for table_to_json.
     return {
-        "name": schedule.name,
-        "placements": [
-            {
-                "task": p.task,
-                "procs": list(p.procs),
-                "start": p.start,
-                "duration": p.duration,
-                "variant": p.variant,
-            }
-            for p in schedule.placements
-        ],
+        "task": p.task,
+        "procs": list(p.procs),
+        "start": p.start,
+        "duration": p.duration,
+        "variant": p.variant,
     }
 
 
@@ -105,8 +131,12 @@ def iteration_from_dict(data: dict) -> IterationSchedule:
 
 def pipelined_to_dict(schedule: PipelinedSchedule) -> dict:
     """JSON-safe representation of a pipelined (multi-iteration) schedule."""
+    return _pipelined_dict(schedule, _placement_dicts)
+
+
+def _pipelined_dict(schedule: PipelinedSchedule, placements: _Placements) -> dict:
     return {
-        "iteration": iteration_to_dict(schedule.iteration),
+        "iteration": _iteration_dict(schedule.iteration, placements),
         "period": schedule.period,
         "shift": schedule.shift,
         "n_procs": schedule.n_procs,
@@ -116,8 +146,22 @@ def pipelined_to_dict(schedule: PipelinedSchedule) -> dict:
 
 def pipelined_from_dict(data: dict) -> PipelinedSchedule:
     """Rebuild a :class:`PipelinedSchedule`."""
+    return _pipelined_from_dict(data)
+
+
+def _pipelined_from_dict(
+    data: dict, shared: Optional[tuple[dict, IterationSchedule]] = None
+) -> PipelinedSchedule:
+    """:func:`pipelined_from_dict`; ``shared`` is an iteration already
+    rebuilt, with the dict it was rebuilt from, and the schedule holds that
+    object when its own ``iteration`` dict equals that one."""
+    raw = _require(data, "iteration", "pipelined schedule")
+    if shared is not None and raw == shared[0]:
+        iteration = shared[1]
+    else:
+        iteration = iteration_from_dict(raw)
     return PipelinedSchedule(
-        iteration=iteration_from_dict(_require(data, "iteration", "pipelined schedule")),
+        iteration=iteration,
         period=float(_require(data, "period", "pipelined schedule")),
         shift=int(_require(data, "shift", "pipelined schedule")),
         n_procs=int(_require(data, "n_procs", "pipelined schedule")),
@@ -151,10 +195,14 @@ def certificate_from_dict(data: dict) -> GapCertificate:
 
 def solution_to_dict(solution: ScheduleSolution) -> dict:
     """JSON-safe representation of a full per-state solution."""
+    return _solution_dict(solution, _placement_dicts)
+
+
+def _solution_dict(solution: ScheduleSolution, placements: _Placements) -> dict:
     out = {
         "state": dict(solution.state),
-        "iteration": iteration_to_dict(solution.iteration),
-        "pipelined": pipelined_to_dict(solution.pipelined),
+        "iteration": _iteration_dict(solution.iteration, placements),
+        "pipelined": _pipelined_dict(solution.pipelined, placements),
         "alternatives": solution.alternatives,
         "explored": solution.explored,
     }
@@ -168,15 +216,23 @@ def solution_from_dict(data: dict) -> ScheduleSolution:
 
     A field of the wrong type anywhere inside — a state that is not an
     object, ``procs`` that is not a list, a non-numeric ``start`` — raises
-    :class:`~repro.errors.ScheduleError`, like a missing one.
+    :class:`~repro.errors.ScheduleError`, like a missing one.  When the
+    ``pipelined`` schedule's ``iteration`` dict equals the entry's
+    ``iteration`` dict (the solver shares one object, so every entry it
+    wrote), both fields hold one rebuilt :class:`IterationSchedule`.
     """
     try:
         state_vars = _require(data, "state", "solution")
         raw_cert = data.get("certificate")
+        state = State(**state_vars)
+        raw_iteration = _require(data, "iteration", "solution")
+        iteration = iteration_from_dict(raw_iteration)
         return ScheduleSolution(
-            state=State(**state_vars),
-            iteration=iteration_from_dict(_require(data, "iteration", "solution")),
-            pipelined=pipelined_from_dict(_require(data, "pipelined", "solution")),
+            state=state,
+            iteration=iteration,
+            pipelined=_pipelined_from_dict(
+                _require(data, "pipelined", "solution"), (raw_iteration, iteration)
+            ),
             alternatives=int(data.get("alternatives", 1)),
             explored=int(data.get("explored", 0)),
             certificate=certificate_from_dict(raw_cert) if raw_cert else None,
@@ -193,12 +249,24 @@ def solution_from_dict(data: dict) -> ScheduleSolution:
 def table_to_json(table: ScheduleTable) -> str:
     """Serialize a whole per-state table to a JSON string.
 
-    The text is ``json.dumps(payload, indent=2)``'s, byte for byte.
+    The text is ``json.dumps(payload, indent=2)``'s, byte for byte, where
+    the payload holds :func:`solution_to_dict` of every entry.  Each
+    schedule's placements are written once, as text
+    (:func:`_placements_text`): a solution and its pipelined form that
+    share a schedule share that text.
     """
+    texts: dict[IterationSchedule, _Text] = {}
+
+    def placements(schedule: IterationSchedule) -> _Text:
+        text = texts.get(schedule)
+        if text is None:
+            text = texts[schedule] = _Text(_placements_text(schedule))
+        return text
+
     payload = {
         "format": "repro.schedule_table",
         "version": _FORMAT_VERSION,
-        "entries": [solution_to_dict(sol) for sol in table.solutions()],
+        "entries": [_solution_dict(sol, placements) for sol in table.solutions()],
     }
     return _dumps(payload)
 
@@ -284,7 +352,8 @@ def _dumps(obj: Any) -> str:
     everything else (``None``, bools, tuples, subclasses) takes ``json``'s
     own ``isinstance`` order, so a subclass is spelled as ``json`` spells
     it.  Unlike ``json`` there is no circular-reference check — a payload
-    built by :func:`solution_to_dict` has no cycles.
+    built by :func:`solution_to_dict` has no cycles.  A :class:`_Text` is
+    written as its text, re-indented for the depth it sits at.
     """
     parts: list[str] = []
     append = parts.append
@@ -331,6 +400,8 @@ def _dumps(obj: Any) -> str:
             mapping(o, depth)
         elif kind is list:
             array(o, depth)
+        elif kind is _Text:
+            append(o.text.replace("\n", breaks[depth]))
         elif isinstance(o, str):
             append(encode_basestring_ascii(o))
         elif o is None:
@@ -354,3 +425,53 @@ def _dumps(obj: Any) -> str:
 
     value(obj, 0)
     return "".join(parts)
+
+
+class _Text:
+    """JSON text written at depth 0, which :func:`_dumps` puts in verbatim."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+# A placement object as an item of a list at depth 0, its five values as
+# ``%s`` (the keys of :func:`_placement_dict`), and the pieces of a
+# ``procs`` list at depth 2.
+_PLACEMENT = (
+    '{\n    "task": %s,\n    "procs": %s,\n    "start": %s,'
+    '\n    "duration": %s,\n    "variant": %s\n  }'
+)
+_PROCS_HEAD, _PROCS_SEP, _PROCS_TAIL = "[\n      ", ",\n      ", "\n    ]"
+
+
+def _placements_text(schedule: IterationSchedule) -> str:
+    """:func:`_placement_dicts` of ``schedule`` as :func:`_dumps` writes it.
+
+    The placements are where a table's text goes, so they are spelled here
+    directly; a placement holding any value that is not exactly a str,
+    float or int (an int ``start``, a numpy scalar) goes through
+    :func:`_dumps`, which spells it as ``json`` does.
+    """
+    items = []
+    for p in schedule.placements:
+        task, procs, start, duration, variant = (
+            p.task, p.procs, p.start, p.duration, p.variant
+        )
+        if (
+            type(start) is float and type(duration) is float
+            and type(task) is str and type(variant) is str
+            and all(type(q) is int for q in procs)
+        ):
+            items.append(_PLACEMENT % (
+                encode_basestring_ascii(task),
+                _PROCS_HEAD + _PROCS_SEP.join(map(int.__repr__, procs)) + _PROCS_TAIL
+                if procs else "[]",
+                _float_text(start),
+                _float_text(duration),
+                encode_basestring_ascii(variant),
+            ))
+        else:
+            items.append(_dumps(_placement_dict(p)).replace("\n", "\n  "))
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"

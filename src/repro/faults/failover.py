@@ -57,8 +57,17 @@ def reachable_shapes(
     node losses, and (optionally) one additional single-processor loss on
     top of each of those — the "small number of states" constrained
     dynamism needs.  Shapes identical up to node reordering are emitted
-    once.
+    once.  The node-loss shapes come first, in the order
+    ``proc_failures=False`` lists them.
     """
+    return _reachable_shapes(base, max_node_failures, proc_failures)[0]
+
+
+def _reachable_shapes(
+    base: ClusterSpec, max_node_failures: int, proc_failures: bool
+) -> tuple[list[ClusterSpec], int]:
+    """:func:`reachable_shapes`, and how many of them are node-loss shapes
+    (the prefix emitted before any processor loss)."""
     seen: dict[tuple, ClusterSpec] = {}
 
     def add(spec: ClusterSpec) -> None:
@@ -72,12 +81,16 @@ def reachable_shapes(
             node_losses(spec.without_node(n), budget - 1)
 
     node_losses(base, max_node_failures)
+    node_shapes = len(seen)
     if proc_failures:
         for spec in list(seen.values()):
             if spec.total_processors > 1:
-                for p in range(spec.total_processors):
-                    add(spec.without_processor(p))
-    return list(seen.values())
+                # Losing any processor of a node leaves one shape: each
+                # node's first processor stands for all of them.
+                for proc in spec.processors:
+                    if proc.slot == 0:
+                        add(spec.without_processor(proc.index))
+    return list(seen.values()), node_shapes
 
 
 class ShapeTable(ScheduleTable):

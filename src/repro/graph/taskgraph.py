@@ -31,11 +31,11 @@ class TaskGraph:
     """A validated macro-dataflow graph of tasks and channels.
 
     The structure every consumer asks about — who produces and consumes
-    each channel (from which a task's successors and predecessors are a
-    few look-ups), the topological order, and whether :meth:`validate`
+    each channel, each task's successors and predecessors (a few look-ups
+    in that), the topological order, and whether :meth:`validate`
     passed — is derived on first use and kept on the instance: a table
-    build asks the same questions for every state of a graph that does
-    not change.  :meth:`add_task`,
+    build asks the same questions for every state and every entry of a
+    graph that does not change.  :meth:`add_task`,
     :meth:`add_channel` and :meth:`remove_task` are the only writers of
     the graph and each drops everything derived (tasks and channel specs
     are themselves fixed once constructed).  Only answers are remembered,
@@ -61,6 +61,9 @@ class TaskGraph:
         """Drop everything derived from ``_tasks`` / ``_channels``."""
         # channel -> (producers, consumers), built for all channels at once
         self._wiring: Optional[dict[str, tuple[list[Task], list[Task]]]] = None
+        # task -> its predecessor / successor names, built per task on first ask
+        self._preds: dict[str, tuple[str, ...]] = {}
+        self._succs: dict[str, tuple[str, ...]] = {}
         self._topo: Optional[list[str]] = None
         self._valid = False
 
@@ -162,23 +165,29 @@ class TaskGraph:
 
     def successors(self, task: str) -> list[str]:
         """Tasks consuming any streaming channel this task produces."""
-        t = self.task(task)
-        return list(dict.fromkeys(
-            c.name
-            for ch in t.outputs
-            if not self.channel(ch).static
-            for c in self._ends(ch)[1]
-        ))
+        succs = self._succs.get(task)
+        if succs is None:
+            t = self.task(task)
+            succs = self._succs[task] = tuple(dict.fromkeys(
+                c.name
+                for ch in t.outputs
+                if not self.channel(ch).static
+                for c in self._ends(ch)[1]
+            ))
+        return list(succs)
 
     def predecessors(self, task: str) -> list[str]:
         """Tasks producing any streaming channel this task consumes."""
-        t = self.task(task)
-        return list(dict.fromkeys(
-            p.name
-            for ch in t.inputs
-            if not self.channel(ch).static
-            for p in self._ends(ch)[0]
-        ))
+        preds = self._preds.get(task)
+        if preds is None:
+            t = self.task(task)
+            preds = self._preds[task] = tuple(dict.fromkeys(
+                p.name
+                for ch in t.inputs
+                if not self.channel(ch).static
+                for p in self._ends(ch)[0]
+            ))
+        return list(preds)
 
     def channels_between(self, src: str, dst: str) -> list[ChannelSpec]:
         """Streaming channels produced by ``src`` and consumed by ``dst``."""

@@ -49,6 +49,28 @@ class TestWaiverParsing:
         assert waiver.rule == "G005"
         assert waiver.origin.endswith("mod.py:2")
 
+    def test_a_waiver_inside_a_string_literal_is_not_collected(self, tmp_path):
+        (tmp_path / "mod.py").write_text(
+            '"""Docs.\n\n    # analysis: waive G005 channel:doc -- an example\n"""\n'
+            'TEXT = "# analysis: waive G005 channel:str -- a literal"\n'
+            "x = 1  # analysis: waive G005 channel:real -- a comment\n",
+            encoding="utf-8",
+        )
+        (waiver,) = collect_waivers([tmp_path])
+        assert waiver.location == "channel:real"
+        assert waiver.origin.endswith("mod.py:6")
+
+    def test_the_shipped_waivers_are_the_four_comments(self):
+        src_root = Path(repro.__file__).resolve().parents[1]
+        found = collect_waivers([src_root])
+        assert sorted((w.rule, w.location) for w in found) == [
+            ("D003", "repro/stm/process.py"),
+            ("D003", "repro/stm/process.py"),
+            ("G009", "color-tracker/live/task:T3"),
+            ("G009", "color-tracker/live/task:T5"),
+        ]
+        assert not any("waivers.py" in w.origin for w in found)
+
 
 class TestCli:
     def test_repo_is_clean_at_strict(self, tmp_path, capsys):

@@ -168,6 +168,35 @@ class TestCheckModel:
         assert m3.severity is Severity.ERROR
         assert "below the minimal safe capacity 3" in m3.message
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(decls=(ChannelDecl("A", "nope"),)), "unknown"),
+            (dict(decls=(ChannelDecl("B", "c"), ChannelDecl("B", "c"))), "duplicate"),
+            (dict(capacities={"nope": 2}), "unknown channel"),
+        ],
+        ids=["unknown-pair", "duplicate-decl", "unknown-capacity"],
+    )
+    def test_a_bad_declaration_raises_instead_of_switching_the_check_off(
+        self, kwargs, match
+    ):
+        from repro.core.optimal import OptimalScheduler
+        from repro.sim.cluster import SINGLE_NODE_SMP
+        from repro.state import State
+
+        g = _bounded_chain(1)
+        sol = OptimalScheduler(SINGLE_NODE_SMP(2)).solve(g, State(n_models=1))
+        with pytest.raises(ValueError, match=match):
+            check_model(g, sol, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            check_model(g, **kwargs)
+
+    def test_a_structural_defect_is_left_to_pass_one(self):
+        g = TaskGraph("headless")
+        g.add_channel(ChannelSpec("c", capacity=1))
+        g.add_task(Task("B", 1.0, inputs=["c"]))
+        assert not check_model(g).findings
+
     def test_unbounded_graph_is_silent(self):
         g = TaskGraph("unbounded")
         g.add_channel(ChannelSpec("c"))

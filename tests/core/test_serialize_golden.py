@@ -13,13 +13,21 @@ from __future__ import annotations
 import json
 import json.encoder
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
 
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
-from repro.core.optimal import OptimalScheduler
-from repro.core.serialize import _dumps, solution_to_dict, table_to_json
+from repro.core.optimal import GapCertificate, OptimalScheduler, ScheduleSolution
+from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.core.serialize import (
+    _dumps,
+    solution_from_dict,
+    solution_to_dict,
+    table_from_json,
+    table_to_json,
+)
 from repro.core.table import ScheduleTable
 from repro.graph.builders import random_dag
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -156,3 +164,123 @@ def test_table_to_json_never_enters_the_pure_python_encoder():
         text = table_to_json(table)
     assert entered.call_count == 0
     assert text == oracle(table)
+
+
+# ---------------------------------------------------------------------------
+# Entries: placements spelled directly, every other field through _dumps
+# ---------------------------------------------------------------------------
+
+
+def _solution(placements, *, state=None, name="it", certificate=True, piped=None,
+              period=1.5, shift=0, n_procs=4, alternatives=1, explored=0):
+    iteration = IterationSchedule(placements, name=name)
+    cert = GapCertificate("exact", 0.0, 2.0, 1.5, 0.0, 4) if certificate else None
+    return ScheduleSolution(
+        state=State(n_models=1) if state is None else state,
+        iteration=iteration,
+        pipelined=PipelinedSchedule(piped or iteration, period=period, shift=shift,
+                                    n_procs=n_procs, name="M[" + name + "]"),
+        alternatives=alternatives,
+        explored=explored,
+        certificate=cert,
+    )
+
+
+PLAIN = [Placement("T1", (0,), 0.0, 1.0), Placement("T2", (1, 2), 1.0, 0.5, "dp2")]
+
+EMITTER_CASES = {
+    "int starts and durations": _solution([
+        Placement("T1", (0,), 0, 1), Placement("T2", (1,), 1, 2.5),
+        Placement("T3", (2, 3), 3.5, 0, "dp2"),
+    ]),
+    "non-ascii names": _solution(
+        [Placement("tâche-Ω", (0,), 0.0, 1.0, "dp1→😀"), Placement('a"b\\c', (1,), 0.0, 1.0)],
+        name="itération ", state=State(mode="naïve", n=2),
+    ),
+    "nan and inf": _solution(
+        [Placement("T1", (0,), 0.0, math.inf), Placement("T2", (1,), 0.0, math.nan)],
+        period=math.inf,
+    ),
+    "an empty iteration": _solution([], n_procs=1),
+    # A State needs a variable; the emitter writes any mapping it is given.
+    "an empty state": _solution(PLAIN, state={}),
+    "no certificate": _solution(PLAIN, certificate=False),
+    "an approximate certificate": replace(
+        _solution(PLAIN), certificate=GapCertificate("bounded", 0.5, 1.0, 0.75, 0.5, 2)),
+    "integer certificate fields": replace(
+        _solution(PLAIN), certificate=GapCertificate("list", 0, 1, 1, 0, 2)),
+    "state values of every kind": _solution(
+        PLAIN, state=State(flag=True, off=False, label="x", n=3, rate=2.5)),
+    "a distinct but equal pipelined iteration": _solution(
+        PLAIN, piped=IterationSchedule(list(PLAIN), name="it")),
+    "a different pipelined iteration": _solution(
+        PLAIN, piped=IterationSchedule([replace(p, start=p.start + 0.25) for p in PLAIN],
+                                       name="other")),
+    "bool and float processors": _solution([
+        Placement("T1", (True,), 0.0, 1.0), Placement("T2", (2.0, 3), 0.0, 1.0)]),
+    "subclassed values": _solution(
+        [Placement(type("Name", (str,), {})("T1"), (0,), 0.0, 1.0)],
+        alternatives=type("Count", (int,), {"__repr__": lambda self: "Count()"})(7),
+    ),
+    "big counters": _solution(PLAIN, alternatives=2 ** 70, explored=-1),
+}
+
+
+@pytest.mark.parametrize("name", list(EMITTER_CASES))
+def test_entry_emitter_cases(name):
+    assert_golden(ScheduleTable({State(n_models=1): EMITTER_CASES[name]}))
+
+
+def test_a_table_of_every_case_at_once():
+    table = ScheduleTable({State(case=i): sol for i, sol in enumerate(EMITTER_CASES.values())})
+    assert_golden(table)
+
+
+def test_values_json_cannot_write_raise_type_error_like_json():
+    bad = _solution(PLAIN, alternatives=object())
+    with pytest.raises(TypeError):
+        oracle(ScheduleTable({State(n_models=1): bad}))
+    with pytest.raises(TypeError):
+        table_to_json(ScheduleTable({State(n_models=1): bad}))
+
+
+# ---------------------------------------------------------------------------
+# The loader: one iteration for both fields when the two dicts are equal
+# ---------------------------------------------------------------------------
+
+
+def test_a_loaded_entry_shares_its_iteration_exactly_when_the_dicts_are_equal():
+    shared = solution_to_dict(EMITTER_CASES["no certificate"])
+    loaded = solution_from_dict(shared)
+    assert loaded.pipelined.iteration is loaded.iteration
+    assert solution_to_dict(loaded) == shared
+
+    equal = solution_to_dict(EMITTER_CASES["a distinct but equal pipelined iteration"])
+    assert equal["pipelined"]["iteration"] == equal["iteration"]
+    loaded = solution_from_dict(equal)
+    assert loaded.pipelined.iteration is loaded.iteration
+
+    data = solution_to_dict(EMITTER_CASES["a different pipelined iteration"])
+    assert data["pipelined"]["iteration"] != data["iteration"]
+    loaded = solution_from_dict(data)
+    assert loaded.pipelined.iteration is not loaded.iteration
+    assert solution_to_dict(loaded) == data
+
+    renamed = json.loads(json.dumps(shared))
+    renamed["pipelined"]["iteration"]["name"] = "renamed"
+    loaded = solution_from_dict(renamed)
+    assert loaded.pipelined.iteration is not loaded.iteration
+    assert loaded.pipelined.iteration.name == "renamed"
+    assert solution_to_dict(loaded) == renamed
+
+
+def test_a_table_written_by_an_older_build_loads_to_the_same_text():
+    """Entries the parent's writer produced (both iterations written out)
+    load to solutions whose table text is byte-identical."""
+    table = ScheduleTable.build(
+        build_tracker_graph(), TRACKER_STATES, OptimalScheduler(ClusterSpec(2, 4))
+    )
+    text = oracle(table)
+    loaded = table_from_json(text)
+    assert all(s.pipelined.iteration is s.iteration for s in loaded.solutions())
+    assert table_to_json(loaded) == text

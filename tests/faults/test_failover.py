@@ -29,6 +29,27 @@ def state():
     return State(n_models=1)
 
 
+def _every_processor_lost(base, max_node_failures, proc_failures):
+    """The enumeration that removed every processor in turn (oracle):
+    same shapes, same spec objects' values, same order."""
+    seen = {}
+
+    def node_losses(spec, budget):
+        seen.setdefault(spec.shape_key(), spec)
+        if budget > 0 and spec.nodes > 1:
+            for n in range(spec.nodes):
+                node_losses(spec.without_node(n), budget - 1)
+
+    node_losses(base, max_node_failures)
+    if proc_failures:
+        for spec in list(seen.values()):
+            if spec.total_processors > 1:
+                for p in range(spec.total_processors):
+                    seen.setdefault(spec.without_processor(p).shape_key(),
+                                    spec.without_processor(p))
+    return list(seen.values())
+
+
 class TestReachableShapes:
     def test_homogeneous_cluster_canonicalizes(self):
         base = ClusterSpec(nodes=3, procs_per_node=2)
@@ -51,6 +72,26 @@ class TestReachableShapes:
         base = ClusterSpec(nodes=3, procs_per_node=1)
         shapes = reachable_shapes(base, max_node_failures=2, proc_failures=False)
         assert {s.total_processors for s in shapes} == {3, 2, 1}
+
+    @pytest.mark.parametrize("base", [
+        ClusterSpec(nodes=1, procs_per_node=1),
+        ClusterSpec(nodes=2, procs_per_node=4),
+        ClusterSpec(nodes=3, procs_per_node=1),
+        ClusterSpec(procs_by_node=[4, 3, 2]),
+        ClusterSpec(procs_by_node=[2, 1, 2], node_speeds=[1.0, 2.0, 1.0]),
+    ], ids=["1x1", "2x4", "3x1", "4+3+2", "hetero"])
+    @pytest.mark.parametrize("failures", [0, 1, 2])
+    def test_node_loss_shapes_are_the_prefix(self, base, failures):
+        """What ``verify_shape_table`` reads S012's shapes off: one
+        enumeration, whose node-loss part is what a node-only one lists."""
+        from repro.faults.failover import _reachable_shapes
+
+        for proc_failures in (False, True):
+            shapes, node_shapes = _reachable_shapes(base, failures, proc_failures)
+            assert shapes == reachable_shapes(base, failures, proc_failures)
+            assert shapes == _every_processor_lost(base, failures, proc_failures)
+            assert shapes[:node_shapes] == reachable_shapes(
+                base, failures, proc_failures=False)
 
 
 class TestShapeTable:

@@ -214,3 +214,42 @@ def test_derived_graphs_answer_for_themselves():
                 assert task is derived.task(task.name)
                 assert task is not base.task(task.name)
     assert answers(base) == expected
+
+
+def test_neighbor_lists_are_kept_and_dropped_by_every_writer():
+    """``predecessors`` / ``successors`` are kept per task until a writer
+    runs, and a caller scribbling on a returned list changes nothing."""
+    g = _diamond()
+    assert g.predecessors("join") == ["left", "right"]
+    assert g.successors("src") == ["left", "right"]
+    g.predecessors("join").append("scribble")
+    g.successors("src").clear()
+    preds, succs = g.predecessors("join"), g.successors("src")
+    assert preds == ["left", "right"] and succs == ["left", "right"]
+    assert preds is not g.predecessors("join")  # a fresh list every call
+
+    g.add_channel(ChannelSpec("e", item_bytes=8))
+    g.add_task(Task("side", cost=1.0, inputs=["a"], outputs=["e"]))
+    assert g.successors("src") == ["left", "side", "right"]  # channel a, then b
+    g.add_task(Task("tail", cost=1.0, inputs=["d", "e"]))
+    assert g.predecessors("tail") == ["right", "side"]
+    assert g.successors("side") == ["tail"]
+    g.remove_task("side")
+    assert g.successors("src") == ["left", "right"]
+    assert g.predecessors("tail") == ["right"]
+    g.add_channel(ChannelSpec("f", item_bytes=8))  # a channel alone drops them too
+    assert g.predecessors("join") == ["left", "right"]
+    assert g.successors("right") == ["join", "tail"]
+    assert answers(g) == answers(rebuilt(g))
+
+
+def test_a_failed_neighbor_query_is_not_kept():
+    g = TaskGraph("half-declared")
+    g.add_channel(ChannelSpec("a", item_bytes=8))
+    g.add_task(Task("src", cost=1.0, outputs=["a"]))
+    g.add_task(Task("dst", cost=1.0, inputs=["a", "b"]))
+    for _ in range(2):
+        with pytest.raises(ReproError, match="'b'"):
+            g.predecessors("dst")
+    g.add_channel(ChannelSpec("b", item_bytes=8))
+    assert g.predecessors("dst") == ["src"]
