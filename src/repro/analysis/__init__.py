@@ -1,6 +1,6 @@
 """Static analysis & concurrency checking for schedules, graphs and STM.
 
-Six passes, one report model:
+Five passes, one report model:
 
 1. **Graph lint** (:func:`lint_graph`) — structural rules ``Gxxx``:
    cycles, dangling channels, unreachable tasks, data-parallel
@@ -27,19 +27,20 @@ Six passes, one report model:
    schedule's in-flight count (:func:`schedule_in_flight`).  Where the
    exploration proves nothing (budget exceeded), that count gates as
    ``P002``.
-6. **Source determinism lint** (:func:`lint_sources`) — rules ``Dxxx``:
-   unseeded RNGs, wall-clock reads inside kernels, bare locks in the STM
-   layer the race checker cannot see.
+
+The determinism lint (unseeded RNGs, wall-clock reads inside kernels, bare
+locks in the STM layer the race checker cannot see) is a test over the
+package sources, ``tests/test_determinism_lint.py``.
 
 Passes 1-3 and 5 are wired into :meth:`ScheduleTable.build` /
 :meth:`ShapeTable.build` / :class:`StaticExecutor` behind their opt-in
 ``verify=`` parameter, and all static passes into CI as ``python -m
 repro.analysis --strict``.
-See ``docs/TUTORIAL.md`` §12 for the workflow and the waiver syntax, §16
+See ``docs/TUTORIAL.md`` §12 for the workflow, §16
 for reading model-checker counterexamples.
 """
 
-from repro.analysis.findings import AnalysisReport, Finding, Severity, Waiver
+from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.fleetverify import verify_packing
 from repro.analysis.graphlint import lint_graph
 from repro.analysis.model import (
@@ -60,15 +61,12 @@ from repro.analysis.schedverify import (
     verify_shape_table,
     verify_solution,
 )
-from repro.analysis.srclint import lint_file, lint_sources
 from repro.analysis.stmcheck import check_stm
-from repro.analysis.waivers import collect_waivers, parse_waiver_line
 
 __all__ = [
     "AnalysisReport",
     "Finding",
     "Severity",
-    "Waiver",
     "Rule",
     "RULES",
     "get_rule",
@@ -90,8 +88,4 @@ __all__ = [
     "minimal_capacity",
     "ReplayOutcome",
     "replay_trace",
-    "lint_file",
-    "lint_sources",
-    "collect_waivers",
-    "parse_waiver_line",
 ]

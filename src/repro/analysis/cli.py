@@ -11,19 +11,17 @@ The default target set covers everything the repository itself ships:
   (schedule verification, including transition totality) plus pass 5
   over its schedules (the certificates quote their in-flight counts);
 * a failover shape table — pass 2 coverage (``S012``) and the same
-  model check over its degraded-shape solutions;
-* the package sources themselves — pass 6 (determinism lint, ``Dxxx``).
+  model check over its degraded-shape solutions.
 
 Every run is the whole sweep; ``--no-schedules`` leaves out the table
 builds.
 
 Pass 4 (the race detector) is dynamic and runs from the test suite and
-the ``analysis=`` runtime hook, not from this CLI.
+the ``analysis=`` runtime hook, not from this CLI; the determinism lint
+over the package sources is a test, ``tests/test_determinism_lint.py``.
 
-Waivers are collected from inline comments under ``src/``, ``examples/``
-and ``benchmarks/`` (see :mod:`repro.analysis.waivers`).  Exit status: 0
-when nothing gates, 1 when findings gate (ERROR, or WARNING under
-``--strict``), 2 on usage errors.
+Exit status: 0 when nothing gates, 1 when findings gate (ERROR, or
+WARNING under ``--strict``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -38,9 +36,7 @@ from repro.analysis.graphlint import lint_graph
 from repro.analysis.model import check_model
 from repro.analysis.rules import RULES
 from repro.analysis.schedverify import verify_schedule_table, verify_shape_table
-from repro.analysis.srclint import lint_sources
 from repro.analysis.stmcheck import check_stm
-from repro.analysis.waivers import collect_waivers
 
 __all__ = ["repo_report", "main"]
 
@@ -137,15 +133,7 @@ def repo_report(schedules: bool = True, progress=None) -> AnalysisReport:
         verify_shape_table(shapes, chain, base, report=report)
         check_model(chain, solutions=shapes.solutions(), report=report)
 
-    note("pass 6: source determinism lint")
-    lint_sources(report=report)
-
     return report
-
-
-def _repo_root() -> Path:
-    # src/repro/analysis/cli.py -> repo root is four levels up.
-    return Path(__file__).resolve().parents[3]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -163,12 +151,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-schedules",
         action="store_true",
         help="skip the schedule-table builds (structure and STM checks only)",
-    )
-    parser.add_argument(
-        "--no-waivers", action="store_true", help="ignore inline waiver comments"
-    )
-    parser.add_argument(
-        "--show-waived", action="store_true", help="list waived findings too"
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -190,19 +172,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report = repo_report(schedules=not args.no_schedules, progress=note)
 
-    if not args.no_waivers:
-        root = _repo_root()
-        roots = [root / "src", root / "examples", root / "benchmarks"]
-        waivers = collect_waivers(p for p in roots if p.exists())
-        n = report.apply_waivers(waivers)
-        if n:
-            note(f"applied {n} waiver(s)")
-
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n", encoding="utf-8")
         note(f"report written to {args.json}")
 
-    print(report.summary(show_waived=args.show_waived))
+    print(report.summary())
     return 0 if report.ok(strict=args.strict) else 1
 
 

@@ -5,23 +5,21 @@ an :class:`AnalysisReport`.  A finding names the violated rule, where the
 violation lives (a ``kind:name/kind:name`` object path, since the analyzer
 works on in-memory artifacts rather than source lines), what went wrong,
 and how to fix it.  The report serializes to JSON for the CI artifact and
-renders a human summary for the CLI.
-
-Waivers suppress accepted findings: a waived finding stays in the report
-(honesty over silence) but does not gate ``--strict``.
+renders a human summary for the CLI.  Nothing is waived: a finding that
+gates is fixed, or the code it names is deleted.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-__all__ = ["Severity", "Finding", "Waiver", "AnalysisReport"]
+__all__ = ["Severity", "Finding", "AnalysisReport"]
 
 #: Bumped when the JSON schema changes shape.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class Severity(enum.IntEnum):
@@ -30,13 +28,6 @@ class Severity(enum.IntEnum):
     INFO = 10
     WARNING = 20
     ERROR = 30
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,11 +47,7 @@ class Finding:
     message:
         What is wrong, with the offending names and numbers inline.
     hint:
-        How to fix it (or how to waive it, for accepted exceptions).
-    waived:
-        True once a waiver matched; waived findings never gate.
-    waiver_reason:
-        The waiver's stated justification, echoed into the report.
+        How to fix it.
     """
 
     rule: str
@@ -68,52 +55,15 @@ class Finding:
     location: str
     message: str
     hint: str = ""
-    waived: bool = False
-    waiver_reason: str = ""
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "rule": self.rule,
             "severity": self.severity.name.lower(),
             "location": self.location,
             "message": self.message,
             "hint": self.hint,
         }
-        if self.waived:
-            out["waived"] = True
-            out["waiver_reason"] = self.waiver_reason
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            rule=data["rule"],
-            severity=Severity.parse(data["severity"]),
-            location=data["location"],
-            message=data["message"],
-            hint=data.get("hint", ""),
-            waived=bool(data.get("waived", False)),
-            waiver_reason=data.get("waiver_reason", ""),
-        )
-
-
-@dataclass(frozen=True)
-class Waiver:
-    """An accepted finding: rule id + location fragment + justification.
-
-    A waiver matches a finding when the rule id is equal and ``location``
-    is a substring of the finding's location (so ``channel:debug_tap``
-    matches wherever that channel shows up).  Source files declare waivers
-    with an inline comment — see :mod:`repro.analysis.waivers`.
-    """
-
-    rule: str
-    location: str
-    reason: str = ""
-    origin: str = ""  # file:line of the waiver comment, for the report
-
-    def matches(self, finding: Finding) -> bool:
-        return finding.rule == self.rule and self.location in finding.location
 
 
 class AnalysisReport:
@@ -126,7 +76,6 @@ class AnalysisReport:
 
     def __init__(self, findings: Iterable[Finding] = ()) -> None:
         self.findings: list[Finding] = list(findings)
-        self.waivers_applied: list[Waiver] = []
 
     # -- building -----------------------------------------------------------
 
@@ -153,28 +102,9 @@ class AnalysisReport:
         return finding
 
     def extend(self, other: "AnalysisReport") -> "AnalysisReport":
-        """Merge another report's findings (and applied waivers) into this one."""
+        """Merge another report's findings into this one."""
         self.findings.extend(other.findings)
-        self.waivers_applied.extend(other.waivers_applied)
         return self
-
-    def apply_waivers(self, waivers: Iterable[Waiver]) -> int:
-        """Mark matching findings waived; returns how many were waived."""
-        waivers = list(waivers)
-        n = 0
-        for i, finding in enumerate(self.findings):
-            if finding.waived:
-                continue
-            for waiver in waivers:
-                if waiver.matches(finding):
-                    self.findings[i] = replace(
-                        finding, waived=True, waiver_reason=waiver.reason
-                    )
-                    if waiver not in self.waivers_applied:
-                        self.waivers_applied.append(waiver)
-                    n += 1
-                    break
-        return n
 
     # -- queries ------------------------------------------------------------
 
@@ -185,17 +115,10 @@ class AnalysisReport:
         return iter(self.findings)
 
     def active(self, min_severity: Severity = Severity.INFO) -> list[Finding]:
-        """Non-waived findings at or above ``min_severity``, worst first."""
-        out = [
-            f
-            for f in self.findings
-            if not f.waived and f.severity >= min_severity
-        ]
+        """Findings at or above ``min_severity``, worst first."""
+        out = [f for f in self.findings if f.severity >= min_severity]
         out.sort(key=lambda f: (-int(f.severity), f.rule, f.location))
         return out
-
-    def waived(self) -> list[Finding]:
-        return [f for f in self.findings if f.waived]
 
     @property
     def errors(self) -> list[Finding]:
@@ -211,12 +134,9 @@ class AnalysisReport:
         return not self.active(gate)
 
     def counts(self) -> dict[str, int]:
-        out = {"error": 0, "warning": 0, "info": 0, "waived": 0}
+        out = {"error": 0, "warning": 0, "info": 0}
         for f in self.findings:
-            if f.waived:
-                out["waived"] += 1
-            else:
-                out[f.severity.name.lower()] += 1
+            out[f.severity.name.lower()] += 1
         return out
 
     # -- serialization -------------------------------------------------------
@@ -231,11 +151,7 @@ class AnalysisReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        return cls(Finding.from_dict(f) for f in data.get("findings", ()))
-
-    def summary(self, show_waived: bool = False) -> str:
+    def summary(self) -> str:
         """Human-readable multi-line summary, worst findings first."""
         lines: list[str] = []
         for f in self.active():
@@ -243,16 +159,10 @@ class AnalysisReport:
                 f"{f.severity.name.lower():7s} {f.rule} {f.location}: {f.message}"
                 + (f"  [fix: {f.hint}]" if f.hint else "")
             )
-        if show_waived:
-            for f in self.waived():
-                lines.append(
-                    f"waived  {f.rule} {f.location}: {f.message}"
-                    + (f"  [{f.waiver_reason}]" if f.waiver_reason else "")
-                )
         c = self.counts()
         lines.append(
             f"{c['error']} error(s), {c['warning']} warning(s), "
-            f"{c['info']} info, {c['waived']} waived"
+            f"{c['info']} info"
         )
         return "\n".join(lines)
 
@@ -260,5 +170,5 @@ class AnalysisReport:
         c = self.counts()
         return (
             f"AnalysisReport(errors={c['error']}, warnings={c['warning']}, "
-            f"info={c['info']}, waived={c['waived']})"
+            f"info={c['info']})"
         )

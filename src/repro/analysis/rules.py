@@ -14,9 +14,11 @@ Rule ids are stable and prefixed by pass:
 * ``Rxxx`` — pass 4, dynamic race/deadlock detection
   (:mod:`repro.analysis.race`);
 * ``Mxxx`` — pass 5, explicit-state model checking
-  (:mod:`repro.analysis.model`);
-* ``Dxxx`` — pass 6, source determinism lint
-  (:mod:`repro.analysis.srclint`).
+  (:mod:`repro.analysis.model`).
+
+The determinism rules (unseeded RNG, wall clock in a kernel, untracked STM
+lock) are not in this catalog: they are a test over the package sources,
+``tests/test_determinism_lint.py``.
 
 Adding a rule is three steps: register it here (id, severity, description,
 fix hint), emit it from the owning pass via ``report.add(rule_id, ...)``,
@@ -244,23 +246,6 @@ RULES: dict[str, Rule] = _catalog(
          "checker is explicit about what it did not prove).",
          "raise the budget, shorten the horizon, or check a smaller "
          "configuration"),
-    # -- pass 6: source determinism lint (repro.analysis.srclint) ------------
-    Rule("D001", "unseeded-rng", W,
-         "Source constructs random.Random() with no seed or calls the "
-         "module-level random functions (shared, unseeded state); results "
-         "become irreproducible across runs.",
-         "construct random.Random(seed) from an explicit seed"),
-    Rule("D002", "wallclock-in-kernel", W,
-         "Kernel code reads the wall clock (time.time/perf_counter/"
-         "monotonic); kernels must be pure functions of their inputs so "
-         "every substrate produces bitwise-identical outputs.",
-         "hoist timing to the harness (obs spans) and keep kernels pure"),
-    Rule("D003", "untracked-lock", W,
-         "STM-layer code creates a bare threading.Lock; channel-adjacent "
-         "mutexes must come from RaceChecker.tracked_lock when analysis "
-         "is attached, or the race detector goes blind there.",
-         "take the lock from analysis.tracked_lock(...) when a checker is "
-         "attached (bare Lock is fine on the analysis=None branch)"),
 )
 
 

@@ -153,28 +153,13 @@ def attach_kernels(
     t4_chunk, t4_join = kernels.make_target_detection_chunk_kernels(
         bins, t4_work_scale
     )
-    # Chunk/join pairs for the row/model-band kernels.  T3 and T5 keep
-    # their serial DataParallelSpec-free task definitions — the chunk
-    # kernels are a runtime capability that only engages if a schedule
-    # places a dpN variant, so the enumeration search space is unchanged.
-    # analysis: waive G009 color-tracker/live/task:T3 -- chunk kernels are a runtime capability; a DataParallelSpec would widen the enumeration space
-    # analysis: waive G009 color-tracker/live/task:T5 -- chunk kernels are a runtime capability; a DataParallelSpec would widen the enumeration space
-    chunked = {
-        "T3": kernels.make_histogram_chunk_kernels(bins),
-        "T4": (t4_chunk, t4_join),
-        "T5": kernels.make_peak_detection_chunk_kernels(),
-    }
+    chunked = {"T4": {"compute_chunk": t4_chunk, "compute_join": t4_join}}
     out = TaskGraph(f"{graph.name}/live")
     for ch in graph.channels:
         out.add_channel(ch)
     for t in graph.tasks:
-        chunk_fn, join_fn = chunked.get(t.name, (t.compute_chunk, t.compute_join))
         out.add_task(
-            t.replace(
-                compute=computes.get(t.name, t.compute),
-                compute_chunk=chunk_fn,
-                compute_join=join_fn,
-            )
+            t.replace(compute=computes.get(t.name, t.compute), **chunked.get(t.name, {}))
         )
     out.validate()
     models = [

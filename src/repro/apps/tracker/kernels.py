@@ -27,11 +27,9 @@ __all__ = [
     "make_digitizer_kernel",
     "make_change_detection_kernel",
     "make_histogram_kernel",
-    "make_histogram_chunk_kernels",
     "make_target_detection_kernel",
     "make_target_detection_chunk_kernels",
     "make_peak_detection_kernel",
-    "make_peak_detection_chunk_kernels",
 ]
 
 _BINS = 8
@@ -199,33 +197,6 @@ def make_histogram_kernel(bins: int = _BINS):
     return compute
 
 
-def make_histogram_chunk_kernels(bins: int = _BINS):
-    """T3 chunk/join pair: per-row-band partial bincounts.
-
-    Each chunk bincounts one horizontal band of the quantized frame; the
-    join sums the integer partials and normalizes once.  Because the
-    partials are exact integer counts, the joined histogram is bitwise
-    identical to the serial :func:`frame_histogram`.
-    """
-
-    def compute_chunk(state: State, inputs: dict, chunk_index: int, n_chunks: int):
-        frame = inputs["frame"]
-        h = frame.shape[0]
-        lo = h * chunk_index // n_chunks
-        hi = h * (chunk_index + 1) // n_chunks
-        idx = quantize(frame[lo:hi], bins)
-        return np.bincount(idx.ravel(), minlength=bins**3)
-
-    def compute_join(state: State, inputs: dict, partials: list) -> dict:
-        hist = np.sum(partials, axis=0).astype(np.float64)
-        total = hist.sum()
-        if total == 0:
-            raise ReproError("empty image")
-        return {"histogram": hist / total}
-
-    return compute_chunk, compute_join
-
-
 def make_target_detection_kernel(bins: int = _BINS, work_scale: int = 1):
     """T4 compute (serial): back-projection planes for every model.
 
@@ -293,30 +264,3 @@ def make_peak_detection_kernel(min_score: float = 0.0):
         return {"model_locations": peak_detection(inputs["back_projections"], min_score)}
 
     return compute
-
-
-def make_peak_detection_chunk_kernels(min_score: float = 0.0):
-    """T5 chunk/join pair: argmax over model bands.
-
-    Chunks split the (M, H, W) planes along the model axis — each model's
-    argmax is independent — and the join concatenates the per-band
-    location lists, reproducing the serial :func:`peak_detection` exactly.
-    Bands may be empty when ``n_chunks > M``; they contribute nothing.
-    """
-
-    def compute_chunk(state: State, inputs: dict, chunk_index: int, n_chunks: int):
-        planes = inputs["back_projections"]
-        m = planes.shape[0]
-        lo = m * chunk_index // n_chunks
-        hi = m * (chunk_index + 1) // n_chunks
-        if lo == hi:
-            return []
-        return peak_detection(planes[lo:hi], min_score)
-
-    def compute_join(state: State, inputs: dict, partials: list) -> dict:
-        locations: list[tuple[int, int, float]] = []
-        for part in partials:
-            locations.extend(part)
-        return {"model_locations": locations}
-
-    return compute_chunk, compute_join

@@ -325,7 +325,6 @@ class ChannelBroker:
         self.done_payloads: dict[int, Any] = {}
         self._thread: Optional[threading.Thread] = None
         self._t0 = _time.perf_counter()
-        # analysis: waive D003 repro/stm/process.py -- broker-internal mutexes guard cross-process queues the vector-clock checker cannot observe; per-process channel state is single-threaded
         self._lock = threading.Lock()
         #: a LocalLink's parked step waits here; notified after every
         #: request served, every expiry and every poison
@@ -692,7 +691,6 @@ class WorkerLink:
         self.replies = replies
         self._seq = itertools.count(1)
         self._pending: dict[int, tuple[threading.Event, list]] = {}
-        # analysis: waive D003 repro/stm/process.py -- worker reply-client mutex pairs a queue with an Event across the process boundary; no STM connection state crosses it
         self._lock = threading.Lock()
         self._receiver: Optional[threading.Thread] = None
         self._stopped = False

@@ -128,6 +128,22 @@ def test_g009_spec_and_serial_kernel_without_chunk_kernels():
     assert "G009" in rules(lint_graph(g))
 
 
+def test_the_live_tracker_has_no_g009():
+    """Only T4 carries chunk kernels, and only T4 can run them."""
+    from repro.apps.tracker.graph import (
+        TRACKER_STATES,
+        attach_kernels,
+        build_tracker_graph,
+    )
+    from repro.apps.video import VideoSource
+
+    live, _statics = attach_kernels(build_tracker_graph(), VideoSource(n_targets=2))
+    assert "G009" not in rules(lint_graph(live, states=TRACKER_STATES))
+    assert [t.name for t in live.tasks if t.compute_chunk is not None] == ["T4"]
+    t4 = live.task("T4")
+    assert t4.compute_join is not None and t4.data_parallel is not None
+
+
 def test_g010_fewer_chunks_than_workers():
     spec = DataParallelSpec([1, 4], chunks_for=lambda state, w: 2)
     g = TaskGraph("narrow")

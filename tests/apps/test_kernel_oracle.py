@@ -187,7 +187,7 @@ class TestTargetDetection:
 
 
 class TestChunksReassembled:
-    """The T3 / T4 / T5 chunk kernels, joined, against the serial oracle."""
+    """The T4 chunk kernels, joined, against the serial oracle."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -202,15 +202,6 @@ class TestChunksReassembled:
         }
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
-    def test_histogram_chunks(self, inputs, n_chunks):
-        chunk, join = kernels.make_histogram_chunk_kernels()
-        st = State(n_models=5)
-        parts = [chunk(st, inputs, i, n_chunks) for i in range(n_chunks)]
-        counts = np.bincount(oracle.quantize(inputs["frame"]).ravel(), minlength=512)
-        same(join(st, inputs, parts)["histogram"],
-             counts.astype(np.float64) / counts.sum())
-
-    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
     @pytest.mark.parametrize("masked", [True, False])
     def test_target_detection_chunks(self, inputs, n_chunks, masked):
         inputs = dict(inputs, motion_mask=inputs["motion_mask"] if masked else None)
@@ -220,17 +211,3 @@ class TestChunksReassembled:
         same(join(st, inputs, parts)["back_projections"],
              oracle.target_detection(inputs["frame"], inputs["color_model"],
                                      inputs["histogram"], inputs["motion_mask"]))
-
-    @pytest.mark.parametrize("n_chunks", [1, 2, 5, 8])
-    def test_peak_detection_chunks(self, inputs, n_chunks):
-        planes = oracle.target_detection(inputs["frame"], inputs["color_model"],
-                                         inputs["histogram"], inputs["motion_mask"])
-        chunk, join = kernels.make_peak_detection_chunk_kernels()
-        st = State(n_models=5)
-        parts = [chunk(st, {"back_projections": planes}, i, n_chunks)
-                 for i in range(n_chunks)]
-        flat = planes.reshape(len(planes), -1)
-        args = flat.argmax(axis=1)
-        want = [(int(a) // planes.shape[2], int(a) % planes.shape[2],
-                 float(flat[m, a])) for m, a in enumerate(args)]
-        assert join(st, {}, parts)["model_locations"] == want
