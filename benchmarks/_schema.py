@@ -26,29 +26,25 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "host_info", "usable_cpus", "write_bench"]
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+__all__ = ["SCHEMA_VERSION", "host_info", "write_bench"]
 
 
 def host_info() -> dict:
+    try:  # CPUs this process may actually run on (affinity-aware)
+        cpus = len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux
+        cpus = os.cpu_count() or 1
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "cpus": usable_cpus(),
+        "cpus": cpus,
     }
 
 
 def write_bench(bench: str, results: dict, path: Path) -> Path:
     """Write ``results`` to ``path`` under the shared envelope.
 
-    ``bench`` is the short module name ("fleet", "substrates", ...);
+    ``bench`` is the short module name ("fleet", "analysis", ...);
     ``path`` is the target ``BENCH_<bench>.json``.  Returns ``path``.
     """
     payload = {

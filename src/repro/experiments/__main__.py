@@ -9,7 +9,6 @@
     python -m repro.experiments faults
     python -m repro.experiments obs
     python -m repro.experiments fleet
-    python -m repro.experiments workloads
     python -m repro.experiments all
     python -m repro.experiments all --output results.txt
 """
@@ -29,8 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=["table1", "figure3", "figure4", "figure5", "regime",
-                 "ablations", "frontier", "faults", "obs", "fleet",
-                 "workloads", "all"],
+                 "ablations", "frontier", "faults", "obs", "fleet", "all"],
         help="which experiment to run",
     )
     parser.add_argument(
@@ -65,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         "faults": _faults,
         "obs": _obs,
         "fleet": _fleet,
-        "workloads": _workloads,
     }
     names = list(runners) if args.experiment == "all" else [args.experiment]
     chunks: list[str] = []
@@ -162,14 +159,6 @@ def _fleet(
             solve_policy=solve_policy,
         ).render()
     return run_fleet(workers=workers, solve_policy=solve_policy).render()
-
-
-def _workloads(quick: bool, workers: int | None = None) -> str:
-    from repro.experiments.workloads_exp import run_workloads
-
-    return run_workloads(
-        instances_per_family=1 if quick else None, workers=workers
-    ).render()
 
 
 def _ablations(quick: bool, workers: int | None = None) -> str:

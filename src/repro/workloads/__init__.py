@@ -1,8 +1,7 @@
 """repro.workloads — the constrained-dynamic workload diversity suite.
 
 Three app-graph families beyond the color tracker, each with a seeded
-instance dataset, a method-independent verifier (W rules) and an online
-list-scheduler baseline:
+instance dataset and a method-independent verifier (W rules):
 
 * :mod:`~repro.workloads.matmul` — heterogeneous-platform blocked matrix
   multiply (regime: active row-band count);
@@ -22,7 +21,6 @@ from repro.workloads.base import (
     get_family,
     register_family,
 )
-from repro.workloads.baseline import PolicyScore, baseline_latencies, score_policy
 from repro.workloads.dataset import (
     DATASET_SEEDS,
     freeze_all,
@@ -56,9 +54,6 @@ __all__ = [
     "latency_bound",
     "certify_instance",
     "verify_workload_table",
-    "baseline_latencies",
-    "PolicyScore",
-    "score_policy",
     "DATASET_SEEDS",
     "load_dataset",
     "load_all",

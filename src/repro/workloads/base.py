@@ -111,7 +111,7 @@ class WorkloadFamily(abc.ABC):
 
     Subclasses define the graph shape, the regime variable, the platform
     and the seeded instance generator; everything downstream (tables,
-    substrates, verifier, baseline, benches) is family-agnostic.
+    substrates, verifier, e2e workloads) is family-agnostic.
     """
 
     #: Family name; also the registry key and the dataset file stem.

@@ -7,7 +7,7 @@ from repro.graph.builders import chain_graph, fork_join_graph
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import DataParallelSpec, Task
 from repro.graph.taskgraph import TaskGraph
-from repro.state import State, StateSpace
+from repro.state import StateSpace
 
 STATES = StateSpace.range("n_models", 1, 3)
 

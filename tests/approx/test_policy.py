@@ -10,7 +10,8 @@ from repro.approx import resolve_policy
 from repro.core.cache import ScheduleCache, request_digest
 from repro.core.optimal import OptimalScheduler
 from repro.core.parallel import incumbent_of, solve_many
-from repro.core.serialize import solution_to_dict
+from repro.core.serialize import solution_to_dict, table_to_json
+from repro.core.table import ScheduleTable
 from repro.errors import ScheduleError
 from repro.graph.builders import random_dag
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -77,6 +78,42 @@ def test_epsilon_zero_is_bitwise_identical_to_exact(
         assert request_digest(req_exact) == request_digest(req_zero)
         sol = solve(tracker, state, scheduler, "bounded:0")
         assert solution_to_dict(sol) == solution_to_dict(exact_by_state[state])
+
+
+@pytest.mark.parametrize("epsilon", EPSILONS)
+def test_bounded_tables_honor_epsilon_on_two_nodes_of_four(tracker, epsilon):
+    """Whole tables on 2x4: every entry within ε of the exact table's, as
+    realized and as certified; at ε=0 the table text is the exact one."""
+    scheduler = OptimalScheduler(ClusterSpec(nodes=2, procs_per_node=4))
+    exact = ScheduleTable.build(tracker, TRACKER_STATES, scheduler)
+    table = ScheduleTable.build(
+        tracker, TRACKER_STATES, scheduler, policy=f"bounded:{epsilon}"
+    )
+    for state in TRACKER_STATES:
+        sol = table.lookup(state)
+        assert sol.latency <= exact.lookup(state).latency * (1.0 + epsilon) + 1e-9
+        assert sol.certificate.gap_bound <= epsilon + 1e-9
+    if epsilon == 0.0:
+        assert table_to_json(table) == table_to_json(exact)
+
+
+@pytest.mark.parametrize("n_tasks", (6, 8))
+def test_rungs_certify_their_gap_on_random_dags(n_tasks):
+    """bounded:0.5 and list on a random DAG: the realized gap to the exact
+    optimum is within the certified one, bounded's within ε, S013-clean."""
+    graph = random_dag(n_tasks, seed=1, dp_prob=0.3)
+    cluster = ClusterSpec(nodes=2, procs_per_node=4)
+    scheduler = OptimalScheduler(cluster)
+    state = State(n_models=4)
+    exact = solve(graph, state, scheduler)
+    for spec in ("bounded:0.5", "list"):
+        sol = solve(graph, state, scheduler, spec)
+        realized = sol.latency / exact.latency - 1
+        assert realized <= sol.certificate.gap_bound + 1e-9
+        if spec == "bounded:0.5":
+            assert sol.certificate.gap_bound <= 0.5 + 1e-9
+        report = verify_solution(sol, graph, cluster)
+        assert report.ok(strict=True), report.summary()
 
 
 def test_exact_certificate_claims_zero_gap(exact_by_state):

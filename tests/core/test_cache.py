@@ -201,7 +201,8 @@ def test_table_build_cache_lossless(tracker_graph, cache):
     space = StateSpace.range("n_models", 1, 3)
     sched = OptimalScheduler(cluster)
     reference = table_to_json(ScheduleTable.build(tracker_graph, space, sched))
-    ScheduleTable.build(tracker_graph, space, sched, cache=cache)
+    first = ScheduleTable.build(tracker_graph, space, sched, cache=cache)
+    assert cache.stats.misses == cache.stats.stores == len(space)
     cached = ScheduleTable.build(tracker_graph, space, sched, cache=cache)
     assert cache.stats.hits == len(space)
-    assert table_to_json(cached) == reference
+    assert table_to_json(first) == table_to_json(cached) == reference

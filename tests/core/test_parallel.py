@@ -11,20 +11,23 @@ import pytest
 from repro.approx.policy import resolve_policy
 from repro.core.enumerate import SearchProblem, enumerate_schedules, search_schedules
 from repro.core.frontier import latency_throughput_frontier
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler, ScheduleSolution, solution_from_enumeration
 from repro.core.parallel import (
     SolveRequest,
     default_workers,
+    execute_request,
     incumbent_of,
     make_request,
     solve_many,
 )
+from repro.core.pipeline import PipelineSearch
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.errors import ScheduleError
 from repro.graph.builders import chain_graph, fork_join_graph
 from repro.graph.cost import CallableCost
 from repro.sim.cluster import ClusterSpec, SINGLE_NODE_SMP
+from repro.sim.network import CommCost, CommModel
 from repro.state import State, StateSpace
 
 
@@ -120,6 +123,59 @@ def test_every_entry_point_is_one_request(monkeypatch, cluster, name):
     assert spies["heft_schedule"].call_count == n
     assert spies["search_schedules"].call_count == searches * n
     assert cost_reads == {task: n for task in ("s", "a", "b", "j")}
+
+
+# comm model -> (explored cold / warm / warm + dominance, exact II searches of step 3)
+TRACKER_M8_SEARCH = {"comm": ((73, 36, 23), 8), "free_comm": ((309, 282, 186), 16)}
+
+
+@pytest.mark.parametrize("comm", TRACKER_M8_SEARCH)
+def test_warm_start_and_dominance_cut_the_tracker_m8_search(monkeypatch, tracker_graph, comm):
+    """Tracker m=8 on 2x4: each acceleration explores fewer nodes, same answer.
+
+    The cold and warm searches switch the accelerations off at the search
+    core, on the request's own snapshot and HEFT incumbent; the third is
+    ``execute_request`` itself.  The counts are exact: a change that moves
+    one has changed a prune decision or the node order.  Under the two-tier
+    network the accelerations cut the tree > 3x; with free communication
+    the optimum is degenerate (|S| = 56) and every member must be visited.
+    Step 3 then runs one exact II search per surviving (member, shift).
+    """
+    cluster = ClusterSpec(nodes=2, procs_per_node=4)
+    cm = None
+    if comm == "comm":
+        cm = CommModel(
+            cluster,
+            intra_node=CommCost(latency=0.0005, bandwidth=1e9),
+            inter_node=CommCost(latency=0.002, bandwidth=1e8),
+        )
+    state = State(n_models=8)
+    request = make_request(
+        tracker_graph, state, cluster, cm, mode="enumerate", max_solutions=4096
+    )
+    cold, warm = (
+        search_schedules(
+            request.problem, state, cluster, cm,
+            incumbent=incumbent, dominance=False, max_solutions=4096,
+        )
+        for incumbent in (None, incumbent_of(request)[0])
+    )
+    fast = execute_request(request)
+    explored, ii_searches = TRACKER_M8_SEARCH[comm]
+    assert (cold.explored, warm.explored, fast.explored) == explored
+    assert cold.latency == warm.latency == fast.latency
+    keys = lambda r: {s.canonical_key() for s in r.schedules}
+    assert keys(cold) == keys(warm) == keys(fast)
+
+    searches = []
+    exact = PipelineSearch.min_ii
+    monkeypatch.setattr(
+        PipelineSearch, "min_ii",
+        lambda self, shift: searches.append(shift) or exact(self, shift),
+    )
+    result = enumerate_schedules(tracker_graph, state, cluster, comm=cm)
+    solution_from_enumeration(result, cluster).pipelined.validate_conflict_free()
+    assert len(searches) == ii_searches
 
 
 def test_unknown_mode_rejected(tracker_graph, cluster):

@@ -14,9 +14,11 @@ import json
 
 import pytest
 
-from repro.workloads import load_all, load_dataset, regenerate
+from repro.core.optimal import OptimalScheduler
+from repro.core.table import ScheduleTable
+from repro.workloads import get_family, load_all, load_dataset, regenerate
 from repro.workloads.dataset import DATASET_SEEDS, dataset_path
-from repro.workloads.verify import certify_instance
+from repro.workloads.verify import certify_instance, verify_workload_table
 
 FAMILY_NAMES = ("matmul", "fusion", "webinfer")
 
@@ -55,6 +57,27 @@ class TestExpectedFindings:
         for inst in feasible:
             report = certify_instance(inst)
             assert report.ok(), f"{inst.name}: {report.summary()}"
+
+    def test_feasible_entries_verify_clean_on_every_rung(self, family):
+        """Every rung's table passes the W+S pass with no error; exact never
+        loses to list (HEFT) and bounded:0.5 stays within 1.5x of exact."""
+        fam = get_family(family)
+        for inst in (i for i in load_dataset(family) if not i.expected_findings):
+            graph, space = fam.build_graph(inst), fam.state_space(inst)
+            scheduler = OptimalScheduler(fam.cluster(inst))
+            tables = {
+                policy: ScheduleTable.build(graph, space, scheduler, policy=policy)
+                for policy in ("exact", "bounded:0.5", "list")
+            }
+            for policy, table in tables.items():
+                report = verify_workload_table(inst, table)
+                assert report.counts().get("error", 0) == 0, (
+                    f"{inst.name} on {policy}: {report.summary()}"
+                )
+            for state in space:
+                exact = tables["exact"].lookup(state).latency
+                assert exact <= tables["list"].lookup(state).latency + 1e-9
+                assert tables["bounded:0.5"].lookup(state).latency <= 1.5 * exact + 1e-9
 
     def test_each_family_ships_an_infeasible_entry(self, family):
         broken = [i for i in load_dataset(family) if i.expected_findings]
