@@ -126,7 +126,7 @@ RULES: dict[str, Rule] = _catalog(
          "rebuild the schedule; the optimizer never emits overlaps"),
     Rule("S004", "dp-spans-nodes", E,
          "A multi-worker placement spans SMP nodes; data-parallel variants "
-         "are intra-node by construction (shared-memory chunk pools).",
+         "are intra-node by construction (their chunks hand off in one node).",
          "rebuild with max_workers <= procs per node"),
     Rule("S005", "precedence-violation", E,
          "A task starts before a predecessor's end plus the communication "

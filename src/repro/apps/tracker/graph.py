@@ -138,8 +138,9 @@ def attach_kernels(
 
     Returns ``(graph_with_kernels, static_inputs)`` ready for the live
     runtimes: the static ``color_model`` channel carries one histogram per
-    video target, and T4 additionally carries the chunk/join kernel pair
-    so data-parallel placements execute for real on the process substrate.
+    video target, and T4 additionally carries the chunk/join kernel pair,
+    which a data-parallel placement runs in the lanes it occupies on both
+    live substrates.
     ``t4_work_scale`` scales T4's compute (identical outputs) to emulate
     the paper's Table 1 cost on modern hardware — benchmarks only.
     """

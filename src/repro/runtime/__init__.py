@@ -18,7 +18,8 @@
   GC totals.
 * :mod:`repro.runtime.live` — what the two live runtimes share: the one
   reading of a schedule (:func:`~repro.runtime.live.schedule_slots`: one
-  thread per *lane*, the tasks placed on one processor), the one lane
+  thread per *lane*, the placements occupying one processor, a
+  data-parallel one in each of its lanes), the one lane
   frame loop (:func:`~repro.runtime.live.run_frames`, a *step* per
   placement), the one step body
   (:func:`~repro.runtime.live.make_exchange`: local channel ends inline,
@@ -29,8 +30,7 @@
   real Python threads; every channel end is local, inline
   :class:`~repro.stm.threaded.ThreadedChannel` operations.
 * :mod:`repro.runtime.process` — the live runtime running real kernels on
-  worker *processes* (one per scheduled cluster node, chunk pools for
-  data-parallel variants); a channel scheduled entirely on one node is a
+  worker *processes* (one per scheduled cluster node); a channel scheduled entirely on one node is a
   ``ThreadedChannel`` inside that node's worker, an edge that crosses
   nodes costs one :class:`~repro.stm.process.StepBatch` round trip to the
   broker per frame and task.

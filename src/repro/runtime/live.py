@@ -2,15 +2,18 @@
 
 Stampede's execution model (§3.3) is one loop per task — get, compute,
 put, consume per timestamp through STM.  A live node runs that loop for
-its schedule's *processors*, not its tasks.  A *lane* is the tasks whose
-placement has the same primary processor (``procs[0]`` of the iteration
-pattern; the shift only rotates it), in start order, ties in topological
-order; one thread per lane walks the frames in order and runs its
-placements in turn — the paper's virtual processor that "processes one
-time-stamp through all its tasks" (Figure 4(b)).  :func:`schedule_slots`
-reads what a schedule tells a live node (each task's node, lane, variant
-and width) once, for both runtimes; without a schedule every task is its
-own lane.
+its schedule's *processors*, not its tasks.  A *lane* is the placements
+that occupy one processor, in start order, ties in topological order; one
+thread per lane walks the frames in order and runs its placements in turn
+— the paper's virtual processor that "processes one time-stamp through all
+its tasks" (Figure 4(b)).  A data-parallel placement (``dp2`` over
+processors ``(2, 3)``) is one step in each of its lanes, as Figure 9's
+splitter, workers and joiner: its *primary* lane (``procs[0]``) does the
+gets, hands the merged inputs to the others, runs chunk 0, collects their
+partials, joins and puts; every other lane runs its own chunk.
+:func:`schedule_slots` reads what a schedule tells a live node (each
+task's node, processors and variant) once, for both runtimes; without a
+schedule every task is its own lane.
 
 The live unit of the loop is the *step*: hand over one placement's puts
 and consumes, fetch the next placement's gets — in a one-task lane, the
@@ -30,12 +33,18 @@ Lanes cannot deadlock a run of a valid schedule.  A get waits only on a
 placement with an earlier start in the same frame: earlier in its own
 lane, and so already handed over, or in another lane.  A put blocked at
 capacity waits only on consumes of older frames, and a lane hands over
-frame ``ts - 1`` before it starts ``ts``.  So the blocked operation
-least in (frame, start) order waits on nothing that is itself waiting.
+frame ``ts - 1`` before it starts ``ts``.  Every lane of a data-parallel
+placement reaches it in the same (start, topological) order, after its
+own earlier starts of the frame, and the hand-off waits only on those: a
+chunk lane on its primary's hand-out, the primary on the chunks of the
+same frame; the hand-off channels are unbounded, and at most two frames
+of one are alive, since the primary joins a frame before it hands out
+the next.  So the blocked operation least in (frame, start) order waits
+on nothing that is itself waiting.
 The broker lands each put and get of a step as soon as it can and
 applies its consumes on arrival, so a batch carrying one placement's
 hand-over and the next one's fetch cannot park on itself.  A respawned
-node resumes each task at its own ``resume`` frame; the lane skips the
+node resumes each task at its own ``resume`` frame; its lanes skip the
 task until then.
 
 :class:`LiveNode` is one process's share of a live run: its channels,
@@ -61,7 +70,8 @@ Beside them sit the pieces both runtimes need exactly once: the digitize
 stamps, the configuration checks, the terminal-channel list and the
 per-frame completion merge.  A live run's records go into its own
 :class:`~repro.sim.trace.TraceRecorder`, on the run's clock (seconds since it started): one
-:class:`~repro.sim.trace.ExecSpan` per kernel execution always, and —
+:class:`~repro.sim.trace.ExecSpan` per processor a kernel execution
+occupies always, and —
 only when an ``obs`` bundle listens, so that an unobserved run does no
 per-operation work for it — one :class:`~repro.sim.trace.ItemEvent` per
 STM operation.
@@ -110,6 +120,10 @@ __all__ = [
 #: hands over.
 Done = Optional[tuple[int, int, dict]]
 
+#: ``invoke(task, run, inputs, ts)``: how a primary lane executes one
+#: placement, ``run(inputs, ts)`` (a process worker adds injected faults).
+Invoke = Callable[[Task, Callable[[dict, int], dict], dict, int], dict]
+
 #: The task name a collector attaches under, on every substrate.
 COLLECTOR = "-collector-"
 
@@ -149,13 +163,12 @@ def terminal_channels(graph: TaskGraph) -> list[str]:
 
 class Slot(NamedTuple):
     """What a schedule tells a live node about one task: the cluster node
-    of its primary processor, that processor (its lane), its variant and
-    how many processors it occupies (its data-parallel width)."""
+    of its primary processor, the processors it occupies (the primary's
+    lane first, one a chunk of a data-parallel variant) and its variant."""
 
     node: int
-    proc: int
+    procs: tuple[int, ...]
     variant: str
-    width: int
 
 
 def schedule_slots(graph: TaskGraph, schedule, cluster=None) -> dict[str, Slot]:
@@ -166,7 +179,13 @@ def schedule_slots(graph: TaskGraph, schedule, cluster=None) -> dict[str, Slot]:
     never runs a consumer before a producer of a valid schedule.  The
     shift is ignored: iteration *k* only rotates the pattern's processors.
     ``node`` is ``cluster.node_of`` the primary processor, 0 without a
-    cluster."""
+    cluster.
+
+    Refused with :class:`~repro.errors.ExecutorConfigError`, before any
+    thread or worker exists: a data-parallel placement whose processors
+    span nodes of ``cluster`` (rule S004: its chunks hand off through one
+    node's memory), and one of a task with a serial kernel but no
+    ``compute_chunk`` (its width could not run)."""
     if isinstance(schedule, ScheduleSolution):
         schedule = schedule.pipelined
     placed = {pl.task: pl for pl in schedule.iteration.placements}
@@ -177,8 +196,15 @@ def schedule_slots(graph: TaskGraph, schedule, cluster=None) -> dict[str, Slot]:
     node_of = cluster.node_of if cluster is not None else (lambda proc: 0)
     slots = {}
     for name in sorted(topo, key=lambda name: (placed[name].start, topo[name])):
-        pl = placed[name]
-        slots[name] = Slot(node_of(pl.primary), pl.primary, pl.variant, pl.workers)
+        pl, task = placed[name], graph.task(name)
+        nodes = sorted({node_of(proc) for proc in pl.procs})
+        if len(nodes) > 1:
+            raise ExecutorConfigError(f"S004: {name!r} ({pl.variant}) spans nodes {nodes} "
+                                      f"with procs {list(pl.procs)}")
+        if pl.workers > 1 and task.compute is not None and task.compute_chunk is None:
+            raise ExecutorConfigError(f"{name!r} is placed {pl.variant} but has no "
+                                      f"compute_chunk to run its width")
+        slots[name] = Slot(nodes[0], pl.procs, pl.variant)
     return slots
 
 
@@ -423,10 +449,11 @@ class LiveNode:
     connection ids in ``remote`` (``{task: {channel: conn id}}``).
 
     ``slots`` is :func:`schedule_slots`' reading of the run's schedule:
-    the node's tasks run in lanes by ``proc``, in the slots' order, and
-    each kernel span carries its slot's ``proc`` and ``variant``.  Without
-    it every task is its own lane and a span's ``proc`` is the task's row,
-    filed under the ``"nominal"`` node class.
+    the node's tasks run in lanes by processor, in the slots' order, a
+    data-parallel slot in each lane it occupies, and each kernel span
+    carries its slot's processor and ``variant``.  Without it every task
+    is its own lane and a span's ``proc`` is the task's row, filed under
+    the ``"nominal"`` node class.
 
     ``collect`` names the terminal channels the node drains, each through
     a collector attached as ``-collector-`` (its boundary conn ids under
@@ -440,16 +467,19 @@ class LiveNode:
     and :func:`run_frames`, each task from ``resume`` (``{task: first
     timestamp}``; a node that resumes is a respawned worker, whose
     boundary puts replay idempotently), recording one
-    :class:`~repro.sim.trace.ExecSpan` per kernel call into :attr:`trace`
-    on the run's clock: seconds since ``t0`` (the moment of :meth:`start`
-    when ``None``).  ``observe`` records the node's channel operations
-    too.  ``analysis`` threads a :class:`~repro.analysis.race.RaceChecker`
-    through: tracked channel locks, and fork/adopt edges at thread start
-    and join.
+    :class:`~repro.sim.trace.ExecSpan` per kernel call and processor it
+    occupies into :attr:`trace` on the run's clock: seconds since ``t0``
+    (the moment of :meth:`start` when ``None``).  A data-parallel slot's
+    chunks hand off through node-private channels (:meth:`_data_parallel`)
+    that no report counts.  ``observe`` records the node's channel
+    operations too.  ``analysis`` threads a
+    :class:`~repro.analysis.race.RaceChecker` through: tracked channel
+    locks, and fork/adopt edges at thread start and join.
 
-    A thread that leaves early poisons the node's channels, so no sibling
-    waits out ``op_timeout``; one that raises also reports to the broker
-    at once (``fatal``), which poisons the boundary channels.
+    A thread that leaves early poisons the node's channels, its hand-off
+    channels included, so no sibling waits out ``op_timeout``; one that
+    raises also reports to the broker at once (``fatal``), which poisons
+    the boundary channels.
     """
 
     tasks: list[Task]
@@ -487,6 +517,7 @@ class LiveNode:
         self.stamps = FrameStamps()
         self.kernel_retries = 0
         self.errors: list[BaseException] = []
+        self._handoff: list[ThreadedChannel] = []
         self._lock = threading.Lock()
         self._link = None
         self._threads: list[threading.Thread] = []
@@ -494,30 +525,23 @@ class LiveNode:
         self._outputs: dict[str, dict[int, Any]] = {ch: {} for ch in self.collect}
         self._arrivals: dict[str, dict[int, float]] = {ch: {} for ch in self.collect}
 
-    def run(
-        self,
-        link=None,
-        invoke: Optional[Callable[[Task, dict, int], dict]] = None,
-    ) -> NodeReport:
+    def run(self, link=None, invoke: Optional[Invoke] = None) -> NodeReport:
         """:meth:`start` then :meth:`join`."""
         self.start(link, invoke)
         return self.join()
 
-    def start(
-        self,
-        link=None,
-        invoke: Optional[Callable[[Task, dict, int], dict]] = None,
-    ) -> None:
+    def start(self, link=None, invoke: Optional[Invoke] = None) -> None:
         """Start every lane's thread.
 
         ``link`` reaches the broker (a :class:`~repro.stm.process.
         WorkerLink` or :class:`~repro.stm.process.LocalLink`; none when
-        every channel is the node's).  ``invoke(task, inputs, ts)`` executes
-        one kernel call (default: ``task.compute(state, inputs)``).
+        every channel is the node's).  ``invoke(task, run, inputs, ts)``
+        executes one placement of ``task`` at its primary lane, ``run(inputs,
+        ts)`` — the serial kernel, or a data-parallel slot's hand-out,
+        chunk 0 and join (default: calls it).
         """
         self._link = link
-        invoke = invoke or (
-            lambda task, inputs, ts: task.compute(self.state, inputs))
+        invoke = invoke or (lambda task, run, inputs, ts: run(inputs, ts))
         checker = self.analysis
 
         def spawn(name: str, body, *args) -> threading.Thread:
@@ -564,8 +588,7 @@ class LiveNode:
             th.join(timeout=self.op_timeout * (self.timestamps + 2))
         alive = [th.name for th in self._threads if th.is_alive()]
         if alive:
-            for ch in self.channels.values():
-                ch.poison()
+            self._leave()
             raise ReproError(f"threads did not finish: {alive}")
         if self.errors:
             raise self.errors[0]
@@ -587,7 +610,7 @@ class LiveNode:
 
     def _leave(self, error: Optional[BaseException] = None) -> None:
         """A thread is leaving early: let no sibling wait it out."""
-        for ch in self.channels.values():
+        for ch in (*self.channels.values(), *self._handoff):
             ch.poison()
         if error is None:
             return
@@ -597,10 +620,11 @@ class LiveNode:
         if first and self._link is not None:
             self._link.notify("fatal", "".join(traceback.format_exception(error)))
 
-    def _lanes(self, invoke) -> dict[str, list[Placed]]:
-        """``{thread name: placements}``: the node's tasks in lanes (by slot
-        processor, in slot order; each its own without slots), then a lane
-        for each collector no producer's lane taps."""
+    def _lanes(self, invoke: Invoke) -> dict[str, list[Placed]]:
+        """``{thread name: placements}``: the node's tasks in lanes (in slot
+        order, a slot in the lane of each processor it occupies; each task
+        its own without slots), then a lane for each collector no
+        producer's lane taps."""
         tasks = {t.name: t for t in self.tasks}
         taps: dict[str, list] = {}
         collectors = {}
@@ -617,33 +641,87 @@ class LiveNode:
         lanes: dict[str, list[Placed]] = {}
         order = [name for name in self.slots if name in tasks] if self.slots else tasks
         for name in order:
-            lane = f"lane:{self.slots[name].proc if self.slots else name}"
-            lanes.setdefault(lane, []).append(Placed(
-                self.plans[name], self._kernel(tasks[name], invoke),
-                taps=tuple(taps.get(name, ()))))
+            plan = self.plans[name]
+            procs = self.slots[name].procs if self.slots else (name,)
+            kernel, chunks = self._kernel(tasks[name], invoke)
+            lanes.setdefault(f"lane:{procs[0]}", []).append(
+                Placed(plan, kernel, taps=tuple(taps.get(name, ()))))
+            # A chunk lane's step has no channel end; its plan keeps the
+            # task's name, so it resumes with the task.
+            for proc, chunk in zip(procs[1:], chunks):
+                lanes.setdefault(f"lane:{proc}", []).append(
+                    Placed(TaskPlan(name, (), (), (), plan.index, False), chunk))
         return {**lanes, **collectors}
 
-    def _kernel(self, task: Task, invoke: Callable[[Task, dict, int], dict]):
-        """``task``'s kernel as its lane calls it, recording one span a
-        call (``None`` for a task without one: it passes inputs through)."""
+    def _kernel(self, task: Task, invoke: Invoke) -> tuple[Optional[Callable], list]:
+        """``task``'s kernel as its primary lane calls it, recording one span
+        a call and processor (``None`` for a task without one: it passes
+        inputs through), and the chunk kernels of its other lanes."""
         if task.compute is None and task.compute_chunk is None:
-            return None
-        if self.slots is None:
-            proc, variant, node_class = self.plans[task.name].index, "serial", "nominal"
-        else:
-            slot, node_class = self.slots[task.name], None
-            proc, variant = slot.proc, slot.variant
-        t0, trace = self.stamps.t0, self.trace
+            return None, []
+        node_class = None if self.slots else "nominal"
+        _, procs, variant = (self.slots[task.name] if self.slots
+                             else Slot(0, (self.plans[task.name].index,), "serial"))
+        state, t0, trace, lock = self.state, self.stamps.t0, self.trace, self._lock
+        run, chunks = (self._data_parallel(task, len(procs)) if len(procs) > 1
+                       else ((lambda inputs, ts: task.compute(state, inputs)), []))
 
         def run_kernel(inputs: dict, ts: int) -> dict:
             k0 = _time.perf_counter() - t0
-            result = invoke(task, inputs, ts)
+            result = invoke(task, run, inputs, ts)
             k1 = _time.perf_counter() - t0
-            trace.record_span(ExecSpan(proc, task.name, ts, k0, k1,
-                                       variant=variant, node_class=node_class))
+            # One span per processor, back to back as the DES writes them,
+            # so a listener counts the copies as one execution.
+            with lock:
+                for proc in procs:
+                    trace.record_span(ExecSpan(proc, task.name, ts, k0, k1,
+                                               variant=variant, node_class=node_class))
             return result
 
-        return run_kernel
+        return run_kernel, chunks
+
+    def _data_parallel(self, task: Task, width: int) -> tuple[Callable, list]:
+        """A dp-``width`` slot of ``task``: the primary's run and each other
+        lane's chunk kernel, handing off through node-private channels as
+        Figure 9's splitter, workers and joiner — one *work* channel the
+        primary puts each frame's merged inputs on, one *done* channel per
+        chunk lane for its partial.  They are poisoned with the node's and
+        count in no report."""
+        name, state, timeout = task.name, self.state, self.op_timeout
+        work = ThreadedChannel(f"{name}:work", analysis=self.analysis)
+        dones = [ThreadedChannel(f"{name}:done{i}", analysis=self.analysis)
+                 for i in range(1, width)]
+        self._handoff += [work, *dones]
+        hand_out = work.attach_output(name)
+        collect = [done.attach_input(name) for done in dones]
+        handed = [-1]  # the last frame handed out
+
+        def run(inputs: dict, ts: int) -> dict:
+            # A retry after the hand-out (a kernel error in chunk 0 or the
+            # join) re-runs those over the partials the chunks already put.
+            if handed[0] != ts:
+                work.put(hand_out, ts, inputs, timeout=timeout)
+                handed[0] = ts
+            partials = [task.compute_chunk(state, inputs, 0, width)]
+            partials += [done.get(conn, ts, timeout=timeout)[1]
+                         for done, conn in zip(dones, collect)]
+            result = task.compute_join(state, inputs, partials)
+            for done, conn in zip(dones, collect):
+                done.consume(conn, ts)
+            return result
+
+        chunks = []
+        for i, done in enumerate(dones, 1):
+            take, give = work.attach_input(f"{name}#{i}"), done.attach_output(f"{name}#{i}")
+
+            def chunk(_: dict, ts: int, i=i, done=done, take=take, give=give) -> dict:
+                inputs = work.get(take, ts, timeout=timeout)[1]
+                done.put(give, ts, task.compute_chunk(state, inputs, i, width), timeout=timeout)
+                work.consume(take, ts)
+                return {}
+
+            chunks.append(chunk)
+        return run, chunks
 
     def _keeper(self, channel: str) -> Callable[[int, Any], None]:
         """What a collector of ``channel`` does with each item: keep it

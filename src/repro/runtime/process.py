@@ -12,10 +12,9 @@ rung between the simulator and real hardware:
   thread per processor the schedule puts them on (one per task under an
   explicit ``placement``), each through the one lane body.  The parent
   builds the node (channels made, connections attached) and the worker
-  inherits it through the fork; the worker adds only what is its own: the
-  chunk pool, forked before any lane thread starts, its
-  :class:`~repro.stm.process.WorkerLink`, and the kernel invocation with
-  its data-parallel fan-out and injected faults;
+  inherits it through the fork; the worker adds only what is its own: its
+  :class:`~repro.stm.process.WorkerLink` and the kernel invocation with
+  its injected faults;
 * STM follows the schedule's node boundaries — the paper's intra- versus
   inter-node communication distinction (Figure 6).  A streaming channel
   whose every producer and consumer is scheduled on one node is a
@@ -44,9 +43,10 @@ rung between the simulator and real hardware:
   round trip.  It runs while the parent watches the workers, and a
   collector that fails reports ``fatal`` like any task thread, so the run
   fails at once;
-* a task placed with a data-parallel variant (``dp4``) fans its chunks
-  out over the node's own process pool — the paper's FP/MP
-  decompositions finally execute concurrently;
+* a task placed with a data-parallel variant (``dp4``) runs its chunks in
+  the four lanes it occupies, the node body's one data-parallel path
+  (:mod:`repro.runtime.live`), as on threads — which is why S004's
+  condition, a placement spanning nodes, is refused before any fork;
 * the run has one :class:`~repro.sim.trace.TraceRecorder`, in the
   parent, that ``obs=`` listens to: boundary traffic is recorded at the
   broker as it happens; each worker records its kernel spans (and, when
@@ -54,7 +54,9 @@ rung between the simulator and real hardware:
   clock, whose raw records the parent replays into the run's at join;
 * ``faults=`` injection keeps working: a :class:`ProcessFaultPlan` can
   make a kernel raise (covered by bounded in-worker retries) or kill a
-  whole worker mid-run — the parent detects the death through the
+  whole worker mid-run — on a data-parallel task at its primary lane,
+  before the inputs are handed out, so a retry re-runs the whole
+  placement — the parent detects the death through the
   process sentinel, respawns the node, and the tasks resume from the
   timestamps recorded in STM (puts replay idempotently; a lane skips a
   task until its own resume frame), which is §3.4's
@@ -176,21 +178,6 @@ class ProcessFaultPlan:
 # ---------------------------------------------------------------------------
 
 
-#: Chunkable tasks of THIS worker, read by forked pool children.
-_CHUNK_TASKS: dict[str, Task] = {}
-
-
-def _exec_chunk(task_name: str, state: State, inputs: dict,
-                chunk_index: int, n_chunks: int):
-    """Pool trampoline: run one data-parallel chunk of a task's kernel."""
-    task = _CHUNK_TASKS[task_name]
-    return task.compute_chunk(state, inputs, chunk_index, n_chunks)
-
-
-def _pool_warmup() -> int:
-    return os.getpid()
-
-
 def _fail_stop(requests) -> None:
     """Die with exit code 13, releasing shared IPC locks first.
 
@@ -216,38 +203,17 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
     """Entry point of one node worker (runs in the forked child).
 
     ``node`` was built in the parent — channels made, connections attached
-    — and is inherited through the fork, never pickled.
+    — and is inherited through the fork, never pickled.  The worker adds
+    its link to the broker and the injected faults: ``invoke_kernel``
+    wraps each placement its lanes run, a data-parallel one whole.
     """
-    pool = None
-    widths = {t.name: node.slots[t.name].width for t in node.tasks} if node.slots else {}
-    # The chunk pool must fork while this process is still single-threaded
-    # (forking with live threads can inherit held locks).  Warmup submits
-    # force the pool children into existence before any task thread starts.
-    chunked = [
-        t for t in node.tasks
-        if t.compute_chunk is not None and widths.get(t.name, 1) > 1
-    ]
-    if chunked:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        for t in chunked:
-            _CHUNK_TASKS[t.name] = t
-        width = max(widths[t.name] for t in chunked)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=width, mp_context=ctx)
-            for f in [pool.submit(_pool_warmup) for _ in range(width)]:
-                f.result(timeout=60)
-        except Exception:  # pragma: no cover - no fork / broken pool
-            pool = None  # chunked tasks fall back to their serial kernel
     link = WorkerLink(worker_id, requests, replies)
     link.start()
     fired: set[tuple[str, int]] = set()
     retry_lock = threading.Lock()  # lane threads retry concurrently
 
-    def invoke_kernel(task: Task, inputs: dict, ts: int) -> dict:
-        """One (task, timestamp) execution, chunk-parallel when planned."""
+    def invoke_kernel(task: Task, run, inputs: dict, ts: int) -> dict:
+        """One (task, timestamp) placement, its injected fault first."""
         fault = next((e for e in fault_events
                       if e.task == task.name and e.timestamp == ts), None)
         for attempt in range(kernel_retries + 1):
@@ -259,18 +225,7 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
                     raise ReproError(
                         f"injected kernel fault: {task.name} at ts={ts}"
                     )
-                workers = widths.get(task.name, 1)
-                if workers > 1 and task.compute_chunk is not None and pool is not None:
-                    futures = [
-                        pool.submit(_exec_chunk, task.name, node.state, inputs,
-                                    i, workers)
-                        for i in range(workers)
-                    ]
-                    partials = [f.result(timeout=node.op_timeout) for f in futures]
-                    if task.compute_join is not None:
-                        return task.compute_join(node.state, inputs, partials)
-                    return partials[-1]
-                return task.compute(node.state, inputs)
+                return run(inputs, ts)
             except ReproError:
                 if attempt == kernel_retries:
                     raise
@@ -282,8 +237,6 @@ def _worker_main(node: LiveNode, worker_id: int, requests, replies,
         report = node.run(link, invoke_kernel)
     except BaseException:  # noqa: BLE001 - a task's error went out as "fatal"
         report = None  # and exit code 1 reports the worker's failure
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
     if report is not None:
         # What the parent can no longer read off the broker rides here.
         link.notify("done", report)
@@ -310,9 +263,10 @@ class ProcessRuntime:
     schedule:
         Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
         :class:`~repro.core.optimal.ScheduleSolution`).  Placements
-        determine the task-to-node mapping, each node's lanes and the
-        data-parallel widths (:func:`~repro.runtime.live.schedule_slots`);
-        requires ``cluster``.
+        determine the task-to-node mapping and each node's lanes, a
+        data-parallel placement in each lane it occupies
+        (:func:`~repro.runtime.live.schedule_slots`, which refuses one that
+        spans nodes); requires ``cluster``.
     cluster:
         The :class:`~repro.sim.cluster.ClusterSpec` whose nodes the
         schedule refers to.
@@ -579,8 +533,6 @@ class ProcessRuntime:
                 "substrate": "process",
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
-                "dp_plan": {task: (slot.width, slot.variant)
-                            for task, slot in (self.slots or {}).items()},
                 "node_local_channels": sorted(node_local),
                 "broker_ops": broker_ops,
                 "broker_roundtrips": broker_roundtrips,

@@ -5,10 +5,11 @@ node — run for real: a threaded run is one
 :class:`~repro.runtime.live.LiveNode` holding every channel (a
 :class:`~repro.stm.threaded.ThreadedChannel` each), and each task's
 ``compute`` kernel (real NumPy code for the tracker) actually executes.
-Given a schedule, the node runs one thread per *lane* — the tasks the
-schedule puts on one processor, in start order, one frame at a time
-through all of them — so a task cannot run ahead of the processor it
-shares; without one, every task is its own lane.  Why lanes cannot
+Given a schedule, the node runs one thread per *lane* — the placements
+that occupy one processor, in start order, one frame at a time through
+all of them, a data-parallel placement's chunks in each of its lanes — so
+a task cannot run ahead of the processor it shares; without one, every
+task is its own lane.  Why lanes cannot
 deadlock is argued in :mod:`repro.runtime.live`.  The node collects
 itself: a terminal channel is drained in its producer's lane.  What is
 this runtime's own: the static fill and the race checker it threads
@@ -68,13 +69,14 @@ class ThreadedRuntime:
     schedule:
         Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
         :class:`~repro.core.optimal.ScheduleSolution`) that places every
-        task: its placements' primary processors are the node's lanes, and
-        each kernel span carries its placement's processor and variant.
+        task: its placements' processors are the node's lanes, and a
+        kernel execution records one span per processor it occupies,
+        carrying its placement's variant.
         Without one every task is its own lane.
     obs:
         Optional :class:`~repro.obs.Observability` bundle, subscribed to
         the run's trace.  It hears every kernel invocation (one span per
-        (task, timestamp)) and every channel operation as it is recorded,
+        processor it occupies, back to back) and every channel operation as it is recorded,
         on the run's clock, and every completed frame with its latency
         after the run; this is the live-measurement path behind kernel
         calibration — the ``obs`` experiment reports the measured

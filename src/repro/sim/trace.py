@@ -43,7 +43,9 @@ class ExecSpan:
     because the work finished — the paper's §3.2 "partial processing of
     items" pathology is visible as preempted spans.  ``variant`` is the
     placement's decomposition (``"serial"``, ``"dp4"``, ...); a
-    data-parallel placement writes one identical span per processor.
+    data-parallel placement writes one identical span per processor it
+    occupies, on every substrate: on a live one its primary lane records
+    them, from handing the inputs out to the join.
     ``cost`` is the execution's cost when it is not this span's duration:
     the dynamic executor's last quantum of a frame carries the frame's
     summed quanta, so that no single quantum is taken for a cost.

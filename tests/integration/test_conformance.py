@@ -8,10 +8,12 @@ substrates) identical output values.  The process runtime keeps a
 channel inside a worker when all its endpoints are scheduled on one node
 and batches what crosses nodes into one broker step per frame — transport
 details that must be invisible in the item streams.  Two schedules are
-covered: a fully serial placement and a data-parallel one (T4 as ``dp2``),
-so the chunked execution path is held to the same contract; a placement
-axis then moves the node boundary through the graph (all on one node,
-split in two, one task per node).
+covered: a fully serial placement and a data-parallel one (T4 as ``dp2``
+over processors 2 and 3, its chunks in both lanes), so the chunked
+execution path is held to the same contract — down to the spans, one per
+processor a placement occupies on every substrate; a placement axis then
+moves the node boundary through the graph (all on one node, split in two,
+one task per node).
 
 The same contract is then applied to every :mod:`repro.workloads`
 family (matmul, fusion, webinfer): serial and dp schedules, sim ==
@@ -122,6 +124,12 @@ def item_counts(result) -> dict[str, dict[str, int]]:
     return counts
 
 
+def span_labels(result) -> list[tuple]:
+    """Sorted ``(task, timestamp, proc, variant)`` of a run's spans."""
+    return sorted((s.task, s.timestamp, s.proc, s.variant)
+                  for s in result.trace.spans)
+
+
 class TestItemStreams:
     def test_per_channel_counts_identical(self, runs):
         _, results = runs
@@ -159,14 +167,19 @@ class TestItemStreams:
         assert len(set(collected.values())) == 1, collected
 
     def test_one_span_per_kernel_execution_everywhere(self, runs):
-        """Both live substrates run one task body, which records each
-        kernel call as exactly one span — a ``dp2`` placement included."""
-        _, results = runs
-        expected = sorted((task, ts) for task in ("T1", "T2", "T3", "T4", "T5")
-                          for ts in range(N_FRAMES))
+        """Every substrate records each kernel execution as one span per
+        processor it occupies — two for the ``dp2`` T4, on distinct
+        processors — and the live spans equal the DES's."""
+        which, results = runs
+        width = {"T4": 2} if which == "dp" else {}
+        expected = sorted((task, ts) for task in TASKS
+                          for ts in range(N_FRAMES)
+                          for _ in range(width.get(task, 1)))
+        reference = span_labels(results["sim"])
+        assert [(t, ts) for t, ts, _, _ in reference] == expected
+        assert len(set(reference)) == len(reference)
         for sub in LIVE:
-            spans = results[sub].trace.spans
-            assert sorted((s.task, s.timestamp) for s in spans) == expected, sub
+            assert span_labels(results[sub]) == reference, sub
 
 
 class TestLatencyInvariants:
@@ -183,10 +196,18 @@ class TestLatencyInvariants:
                 assert res.latency(ts) >= 0.0, (sub, ts)
 
     def test_dp_plan_reaches_process_runtime(self, runs):
+        """The process runtime runs T4 as the schedule places it: ``dp2``
+        over processors 2 and 3, or serially on processor 0."""
         which, results = runs
-        if which != "dp":
-            pytest.skip("serial schedule has no dp placement")
-        assert results["process"].meta["dp_plan"]["T4"] == (2, "dp2")
+        t4 = sorted({(s.proc, s.variant) for s in results["process"].trace.spans
+                     if s.task == "T4"})
+        sim_t4 = sorted({(s.proc, s.variant) for s in results["sim"].trace.spans
+                         if s.task == "T4"})
+        if which == "dp":
+            assert t4 == [(2, "dp2"), (3, "dp2")]
+        else:
+            assert [p for p, _ in t4] == [0]
+        assert t4 == sim_t4
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +419,15 @@ class TestWorkloadConformance:
         for ch in streaming_channels(results["threaded"]):
             assert t_stats[ch] == p_stats[ch], ch
 
-    def test_dp_plan_reaches_process_runtime(self, wl_runs):
+    def test_spans_equal_on_every_substrate(self, wl_runs):
         family, kind, results = wl_runs
-        if kind != "dp":
-            pytest.skip("serial schedule has no dp placement")
-        dp_task = get_family(family).dp_task
-        assert results["process"].meta["dp_plan"][dp_task] == (2, "dp2")
+        reference = span_labels(results["sim"])
+        if kind == "dp":
+            dp_task = get_family(family).dp_task
+            assert [(p, v) for t, ts, p, v in reference
+                    if t == dp_task and ts == 0] == [(0, "dp2"), (1, "dp2")]
+        for sub in ("threaded", "process"):
+            assert span_labels(results[sub]) == reference, sub
 
     def test_gc_reclaims_equally(self, wl_runs):
         _, _, results = wl_runs

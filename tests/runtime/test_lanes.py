@@ -1,10 +1,11 @@
 """Lanes: a live node runs one thread per processor of its schedule.
 
-A lane is the tasks whose placement has the same primary processor, in
-start order (ties in topological order).  Its thread walks the frames in
-order and runs its placements in turn; a terminal channel with one
-producer on the node is drained in that producer's lane.  Without a
-schedule every task is its own lane.  These tests pin the derivation, the
+A lane is the placements that occupy one processor, in start order (ties
+in topological order); a data-parallel one is in each of its lanes
+(``test_dp_lanes.py``).  Its thread walks the frames in order and runs its
+placements in turn; a terminal channel with one producer on the node is
+drained in that producer's lane.  Without a schedule every task is its own
+lane.  These tests pin the derivation, the
 threads a node starts, that lanes neither deadlock nor change a value, a
 channel count or a broker round trip, and that a threaded span names the
 schedule's processor.  Every run ends inside a bounded ``op_timeout``.
@@ -62,7 +63,7 @@ def schedule_of(rows, n_procs: int = 4, shift: int = 0) -> PipelinedSchedule:
 def lanes_of(slots: dict[str, Slot]) -> dict[int, list[str]]:
     lanes: dict[int, list[str]] = {}
     for task, slot in slots.items():
-        lanes.setdefault(slot.proc, []).append(task)
+        lanes.setdefault(slot.procs[0], []).append(task)
     return lanes
 
 
@@ -219,13 +220,15 @@ class TestLaneDerivation:
         assert lanes_of(base) == {0: ["T1", "T5"], 1: ["T2"], 2: ["T3", "T4"]}
 
     def test_data_parallel_lane_is_its_primary(self):
+        """A dp slot keeps its processors, the primary first: the node and
+        the lane that gets, joins and puts are its primary's."""
         graph, _, _ = tracker()
         rows = [("T1", (0,), 0), ("T2", (1,), 1), ("T3", (0,), 1),
-                ("T4", (3, 0), 2), ("T5", (0,), 3)]
+                ("T4", (3, 2), 2), ("T5", (0,), 3)]
         slots = schedule_slots(graph, schedule_of(rows),
                                ClusterSpec(nodes=2, procs_per_node=2))
-        assert slots["T4"] == Slot(node=1, proc=3, variant="dp2", width=2)
-        assert slots["T1"] == Slot(node=0, proc=0, variant="serial", width=1)
+        assert slots["T4"] == Slot(node=1, procs=(3, 2), variant="dp2")
+        assert slots["T1"] == Slot(node=0, procs=(0,), variant="serial")
 
     def test_unplaced_task_is_refused(self):
         graph, _, _ = tracker()
@@ -403,8 +406,9 @@ class TestLaneRoundTrips:
 
 
 class TestSpansNameTheProcessor:
-    """A threaded span carries its placement's primary processor and
-    variant under a schedule, its task's row and ``nominal`` without."""
+    """A threaded span carries its placement's processor and variant under
+    a schedule — a dp2 placement one span per processor it occupies — its
+    task's row and ``nominal`` without."""
 
     ROWS = [("T1", (0,), 0), ("T2", (1,), 1), ("T3", (2,), 1),
             ("T4", (2, 3), 2), ("T5", (0,), 3)]
@@ -421,7 +425,7 @@ class TestSpansNameTheProcessor:
         assert self.labels(res) == {
             ("T1", 0, "serial", None), ("T2", 1, "serial", None),
             ("T3", 2, "serial", None), ("T4", 2, "dp2", None),
-            ("T5", 0, "serial", None)}
+            ("T4", 3, "dp2", None), ("T5", 0, "serial", None)}
 
     def test_static_executor_hands_threads_the_schedule(self):
         live, statics, state = tracker()
@@ -429,7 +433,7 @@ class TestSpansNameTheProcessor:
                              runtime="threaded", static_inputs=statics).run(2)
         assert {(task, proc, variant) for task, proc, variant, _ in self.labels(res)} == {
             ("T1", 0, "serial"), ("T2", 1, "serial"), ("T3", 2, "serial"),
-            ("T4", 2, "dp2"), ("T5", 0, "serial")}
+            ("T4", 2, "dp2"), ("T4", 3, "dp2"), ("T5", 0, "serial")}
 
     def test_unscheduled_threaded_spans_keep_their_rows(self):
         live, statics, state = tracker()

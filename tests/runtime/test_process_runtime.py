@@ -280,7 +280,8 @@ class TestOneBrokerOp:
 
 class TestScheduleDriven:
     def test_tracker_dp_schedule(self):
-        """A dp2 placement runs T4 through the worker's chunk pool."""
+        """A dp2 placement runs T4 in both lanes it occupies: one span per
+        processor and frame, each the same execution."""
         live, statics, state = tracker_setup()
         ex = StaticExecutor(
             live, state, SINGLE_NODE_SMP(4), dp2_schedule(),
@@ -288,7 +289,9 @@ class TestScheduleDriven:
         )
         res = ex.run(4)
         assert res.completed_count == 4
-        assert res.meta["dp_plan"]["T4"] == (2, "dp2")
+        t4 = [s for s in res.trace.spans if s.task == "T4"]
+        assert sorted((s.timestamp, s.proc, s.variant) for s in t4) == [
+            (ts, proc, "dp2") for ts in range(4) for proc in (2, 3)]
         locs = res.meta["outputs"]["model_locations"]
         assert all(len(locs[ts]) == 2 for ts in range(4))
 
@@ -300,10 +303,9 @@ class TestScheduleDriven:
             runtime="process", static_inputs=statics,
         ).run(3)
         live2, statics2, _ = tracker_setup()
-        serial = StaticExecutor(
-            live2, state, SINGLE_NODE_SMP(4), dp2_schedule(),
-            runtime="threaded", static_inputs=statics2,
-        ).run(3)
+        # The reference is T4's serial kernel: threads run a dp2 slot's
+        # chunks too, so they run no schedule here.
+        serial = ThreadedRuntime(live2, state, static_inputs=statics2).run(3)
         for ts in range(3):
             assert (dp.meta["outputs"]["model_locations"][ts]
                     == serial.meta["outputs"]["model_locations"][ts])
