@@ -24,21 +24,31 @@ __all__ = [
     "record_from_dict",
 ]
 
-_KINDS = {"span": ExecSpan, "item": ItemEvent, "mark": Mark}
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_MARK_FIELDS = dataclasses.fields(Mark)
+#: Per record type: its kind, its field names in order and the defaults of
+#: those that have one (the two tuples carry theirs; ``Mark``'s ``args``
+#: default is its factory's empty dict).
+_SHAPES = {
+    ExecSpan: ("span", ExecSpan._fields, ExecSpan._field_defaults),
+    ItemEvent: ("item", ItemEvent._fields, ItemEvent._field_defaults),
+    Mark: ("mark", tuple(f.name for f in _MARK_FIELDS), {
+        f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+        for f in _MARK_FIELDS
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    }),
+}
+_KINDS = {kind: cls for cls, (kind, _names, _defaults) in _SHAPES.items()}
 
 
 def record_to_dict(record: Record) -> dict:
     """One JSONL line's object: the record's kind and every field that
     differs from its default."""
-    out = {"record": _KIND_OF[type(record)]}
-    for f in dataclasses.fields(record):
-        value = getattr(record, f.name)
-        if f.default_factory is not dataclasses.MISSING:
-            if value != f.default_factory():
-                out[f.name] = value
-        elif value != f.default:
-            out[f.name] = value
+    kind, names, defaults = _SHAPES[type(record)]
+    out = {"record": kind}
+    for name in names:
+        value = getattr(record, name)
+        if name not in defaults or value != defaults[name]:
+            out[name] = value
     return out
 
 

@@ -14,6 +14,12 @@ seconds, or wall-clock seconds since the live run started):
   transfer, a placement that started late, a confirmed failure and an
   executed failover.
 
+The two per-operation records, :class:`ExecSpan` and :class:`ItemEvent`,
+are ``NamedTuple`` classes: a replayed frame writes about twenty of them,
+and a tuple is built in one call where a frozen dataclass pays one
+``object.__setattr__`` per field.  :class:`Mark` is the low-rate frozen
+dataclass (its ``args`` default is a fresh dict per mark).
+
 Whoever wants records as they happen — the
 :class:`~repro.obs.Observability` bundle, a JSONL stream
 (:class:`~repro.obs.export.JsonlSpanSink`) — calls
@@ -27,13 +33,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 __all__ = ["ExecSpan", "ItemEvent", "Mark", "Record", "TraceRecorder"]
 
 
-@dataclass(frozen=True)
-class ExecSpan:
+class ExecSpan(NamedTuple):
     """One contiguous stretch of a task executing on a processor.
 
     ``timestamp`` is the stream timestamp (iteration number) being
@@ -76,13 +81,12 @@ class ExecSpan:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
-class ItemEvent:
+class ItemEvent(NamedTuple):
     """A put/get/consume on a channel, with the acting task and timestamp."""
 
     time: float
     channel: str
-    kind: str  # "put" | "get" | "consume" | "gc"
+    kind: str  # "put" | "get" | "consume"
     timestamp: int
     task: str = ""
 

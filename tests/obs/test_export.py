@@ -3,13 +3,18 @@ export of marks."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import pytest
 
+from repro.apps.tracker.graph import build_tracker_graph
+from repro.core.optimal import OptimalScheduler
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
 from repro.graph.builders import chain_graph
-from repro.obs.export import JsonlSpanSink, read_jsonl_spans
+from repro.obs import Observability
+from repro.obs.export import JsonlSpanSink, read_jsonl_spans, record_from_dict, record_to_dict
 from repro.runtime.static_exec import StaticExecutor
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
@@ -121,3 +126,106 @@ class TestChromeTrace:
             doc = json.load(fh)
         assert doc["traceEvents"] == trace.to_chrome_trace()
         assert any(e.get("ph") == "X" and e["pid"] == 2 for e in doc["traceEvents"])
+
+
+class _Streamed(Observability):
+    """An observed run that also streams every record into ``sink``."""
+
+    def __init__(self, sink: JsonlSpanSink) -> None:
+        super().__init__()
+        self.sink = sink
+
+    def on_record(self, record) -> None:
+        super().on_record(record)
+        self.sink(record)
+
+
+#: SHA-256 of the JSONL stream and of the Chrome trace of :func:`tracker_export`,
+#: written while the span and item records were frozen dataclasses.  A change of
+#: record representation must leave both files byte-identical.
+JSONL_SHA256 = "cc574c6f91632350934925db094b2cc6d696c27886af3eb9d0b62d724f1d53e0"
+CHROME_SHA256 = "b6ab396e292b1e4bdf0c39a2b611386c574b2e85b750438a16d7f5fb35fc3759"
+
+
+def tracker_export() -> tuple[bytes, bytes, list]:
+    """An 8-frame tracker run on the DES over a 2x4 cluster with paid
+    transfers (so comm marks are written beside the spans and items):
+    its JSONL stream, its Chrome trace as JSON, and its records."""
+    cluster = ClusterSpec(nodes=2, procs_per_node=4)
+    comm = CommModel.uniform(cluster, 2e-3, 5e7)
+    graph, state = build_tracker_graph(), State(n_models=8)
+    buf = io.StringIO()
+    sink = JsonlSpanSink(buf, flush_every=1)
+    result = StaticExecutor(
+        graph, state, cluster, OptimalScheduler(cluster, comm=comm).solve(graph, state),
+        comm=comm, obs=_Streamed(sink),
+    ).run(8)
+    trace = result.trace
+    chrome = json.dumps({"traceEvents": trace.to_chrome_trace()})
+    return buf.getvalue().encode(), chrome.encode(), [*trace.spans, *trace.items, *trace.marks]
+
+
+class TestExportDifferential:
+    @pytest.fixture(scope="class")
+    def export(self):
+        return tracker_export()
+
+    def test_run_writes_every_kind(self, export):
+        _jsonl, _chrome, records = export
+        kinds = {type(r) for r in records}
+        assert kinds == {ExecSpan, ItemEvent, Mark}
+        assert {r.variant for r in records if isinstance(r, ExecSpan)} == {"serial", "dp4"}
+
+    def test_jsonl_bytes_are_frozen(self, export):
+        assert hashlib.sha256(export[0]).hexdigest() == JSONL_SHA256
+
+    def test_chrome_trace_bytes_are_frozen(self, export):
+        assert hashlib.sha256(export[1]).hexdigest() == CHROME_SHA256
+
+    def test_jsonl_reads_back_every_record(self, export):
+        jsonl, _chrome, records = export
+        back = read_jsonl_spans(io.StringIO(jsonl.decode()))
+        assert sorted(map(repr, back)) == sorted(map(repr, records))
+
+
+#: Each record beside the object it writes: every field that differs from
+#: its default, the defaults left out (``0`` is not ``None``, ``""`` not ``None``).
+DICTS = [
+    (ExecSpan(2, "T4", 7, 0.25, 1.5, chunk=3, preempted=True, variant="dp4",
+              cost=0.75, node_class="nominal"),
+     {"record": "span", "proc": 2, "task": "T4", "timestamp": 7, "start": 0.25,
+      "end": 1.5, "chunk": 3, "preempted": True, "variant": "dp4", "cost": 0.75,
+      "node_class": "nominal"}),
+    (ExecSpan(0, "T1", 0, 0.0, 0.5),
+     {"record": "span", "proc": 0, "task": "T1", "timestamp": 0, "start": 0.0, "end": 0.5}),
+    (ExecSpan(1, "T2", 0, 0.0, 0.5, chunk=0, cost=0.0, node_class=""),
+     {"record": "span", "proc": 1, "task": "T2", "timestamp": 0, "start": 0.0,
+      "end": 0.5, "chunk": 0, "cost": 0.0, "node_class": ""}),
+    (ItemEvent(0.5, "frame", "put", 3, task="T1"),
+     {"record": "item", "time": 0.5, "channel": "frame", "kind": "put",
+      "timestamp": 3, "task": "T1"}),
+    (ItemEvent(1.0, "mask", "consume", 4),
+     {"record": "item", "time": 1.0, "channel": "mask", "kind": "consume", "timestamp": 4}),
+    (Mark("a", "t", 0.0, 1.0),
+     {"record": "mark", "name": "a", "cat": "t", "start": 0.0, "end": 1.0}),
+    (Mark("b", "t", 1.0, 1.0, track="0", timestamp=-1, args={}),
+     {"record": "mark", "name": "b", "cat": "t", "start": 1.0, "end": 1.0}),
+    (Mark.comm("frame", "inter_node", 0.5, 0.75, nbytes=64, timestamp=0),
+     {"record": "mark", "name": "xfer:frame", "cat": "comm", "start": 0.5, "end": 0.75,
+      "track": "comm:inter_node", "timestamp": 0,
+      "args": {"channel": "frame", "tier": "inter_node", "bytes": 64}}),
+]
+
+DICT_IDS = [f"{d['record']}-{i}" for i, (_r, d) in enumerate(DICTS)]
+
+
+class TestRecordDict:
+    @pytest.mark.parametrize("record, expected", DICTS, ids=DICT_IDS)
+    def test_defaults_are_left_out(self, record, expected):
+        assert record_to_dict(record) == expected
+        assert list(record_to_dict(record)) == list(expected)
+
+    @pytest.mark.parametrize("record, expected", DICTS, ids=DICT_IDS)
+    def test_round_trip(self, record, expected):
+        back = record_from_dict(record_to_dict(record))
+        assert type(back) is type(record) and back == record

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
@@ -21,6 +23,74 @@ class TestExecSpan:
         assert not a.overlaps(span(0, "b", 0, 2.0, 3.0))  # touching is fine
 
 
+FULL_SPAN = ExecSpan(2, "T4", 7, 0.25, 1.5, chunk=3, preempted=True,
+                     variant="dp4", cost=0.75, node_class="nominal")
+BARE_SPAN = ExecSpan(0, "T1", 0, 0.0, 0.5)
+FULL_ITEM = ItemEvent(0.5, "frame", "put", 3, task="T1")
+BARE_ITEM = ItemEvent(1.0, "mask", "consume", 4)
+RECORDS = (FULL_SPAN, BARE_SPAN, FULL_ITEM, BARE_ITEM)
+RECORD_IDS = ("full-span", "bare-span", "full-item", "bare-item")
+
+
+class TestRecordContract:
+    """What a caller may rely on in the two per-operation records,
+    whatever their representation: immutable values, picklable (the
+    process substrate ships them over pipes), with a fixed field order,
+    fixed defaults and a fixed ``repr``."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned(self, record):
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equality_and_hash_go_by_value(self):
+        twin = ExecSpan(2, "T4", 7, 0.25, 1.5, chunk=3, preempted=True,
+                        variant="dp4", cost=0.75, node_class="nominal")
+        assert twin == FULL_SPAN and hash(twin) == hash(FULL_SPAN)
+        assert ExecSpan(0, "T1", 0, 0.0, 0.5, preempted=True) != BARE_SPAN
+        assert ItemEvent(0.5, "frame", "put", 3, "T1") == FULL_ITEM
+        assert hash(ItemEvent(0.5, "frame", "put", 3, "T1")) == hash(FULL_ITEM)
+        assert ItemEvent(0.5, "frame", "get", 3, "T1") != FULL_ITEM
+        assert len({FULL_SPAN, twin, BARE_SPAN, FULL_ITEM, BARE_ITEM}) == 4
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_pickle_round_trip(self, record):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+
+    def test_repr_is_pinned(self):
+        assert repr(FULL_SPAN) == (
+            "ExecSpan(proc=2, task='T4', timestamp=7, start=0.25, end=1.5, "
+            "chunk=3, preempted=True, variant='dp4', cost=0.75, node_class='nominal')"
+        )
+        assert repr(BARE_SPAN) == (
+            "ExecSpan(proc=0, task='T1', timestamp=0, start=0.0, end=0.5, "
+            "chunk=None, preempted=False, variant='serial', cost=None, node_class=None)"
+        )
+        assert repr(FULL_ITEM) == (
+            "ItemEvent(time=0.5, channel='frame', kind='put', timestamp=3, task='T1')"
+        )
+        assert repr(BARE_ITEM) == (
+            "ItemEvent(time=1.0, channel='mask', kind='consume', timestamp=4, task='')"
+        )
+
+    def test_field_order_and_defaults_are_pinned(self):
+        assert ExecSpan._fields == (
+            "proc", "task", "timestamp", "start", "end",
+            "chunk", "preempted", "variant", "cost", "node_class",
+        )
+        assert ExecSpan._field_defaults == {
+            "chunk": None, "preempted": False, "variant": "serial",
+            "cost": None, "node_class": None,
+        }
+        assert ItemEvent._fields == ("time", "channel", "kind", "timestamp", "task")
+        assert ItemEvent._field_defaults == {"task": ""}
+        assert FULL_SPAN == ExecSpan(*(getattr(FULL_SPAN, f) for f in ExecSpan._fields))
+
+
 class TestTraceRecorder:
     @pytest.fixture
     def trace(self):
@@ -32,7 +102,7 @@ class TestTraceRecorder:
         return t
 
     def test_reversed_span_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ends before it starts"):
             TraceRecorder().record_span(span(0, "t", 0, 2.0, 1.0))
 
     def test_views(self, trace):
