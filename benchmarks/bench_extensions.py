@@ -2,8 +2,7 @@
 
 * the latency/throughput frontier (the [13]-style trade-off curve),
 * cost-error sensitivity of the optimal schedule,
-* schedule-table serialization round trip,
-* the live splitter/worker/joiner pool on the real T4 kernel.
+* schedule-table serialization round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro.core.optimal import OptimalScheduler
 from repro.core.sensitivity import sensitivity_profile
 from repro.core.serialize import table_from_json, table_to_json
 from repro.core.table import ScheduleTable
-from repro.state import State, StateSpace
+from repro.state import StateSpace
 
 
 def test_frontier_computation(benchmark, tracker_graph, smp4, m8):
@@ -56,38 +55,3 @@ def test_table_serialization_round_trip(benchmark, tracker_graph, smp4):
 
     restored = benchmark(round_trip)
     assert len(restored) == 5
-
-
-def test_sjw_pool_on_real_kernel(benchmark):
-    """Live Figure 9 machinery: split/farm/join the real T4 kernel."""
-    from repro.apps.colormodel import color_histogram
-    from repro.apps.tracker.kernels import (
-        change_detection,
-        frame_histogram,
-        target_detection_chunk,
-    )
-    from repro.apps.video import VideoSource
-    from repro.decomp.sjw import SplitJoinPool
-    from repro.decomp.strategies import Decomposition
-
-    video = VideoSource(n_targets=4, height=96, width=128, seed=0)
-    frame = video.frame(1)
-    mask = change_detection(frame, video.frame(0))
-    fh = frame_histogram(frame)
-    models = [color_histogram(video.model_patch(i)) for i in range(4)]
-    decomp = Decomposition(2, 2)
-
-    def split(state, inputs):
-        return [
-            (chunk, {}) for chunk in decomp.chunks(frame.shape[0], 4)
-        ]
-
-    def work(state, chunk, chunk_inputs):
-        return target_detection_chunk(frame, chunk, models, fh, mask)
-
-    def join(state, results):
-        return {"planes": results}
-
-    with SplitJoinPool(4, split, work, join) as pool:
-        out = benchmark(pool.compute, State(n_models=4), {})
-        assert len(out["planes"]) == decomp.n_chunks

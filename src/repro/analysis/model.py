@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.analysis.findings import AnalysisReport, Severity
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 from repro.errors import GraphError
 from repro.graph.taskgraph import TaskGraph
 

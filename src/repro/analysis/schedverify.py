@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from repro.analysis.findings import AnalysisReport
 from repro.core.enumerate import SearchProblem, static_lower_bound
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
 from repro.graph.taskgraph import TaskGraph

@@ -15,7 +15,7 @@ time:
   :class:`~repro.core.cache.ScheduleCache`.
 
 Every served schedule carries a
-:class:`~repro.core.optimal.GapCertificate`; rule ``S013``
+:class:`~repro.core.schedule.GapCertificate`; rule ``S013``
 (:mod:`repro.analysis`) re-derives its root bound independently, so a
 wrong gap claim is a verifier ERROR, not a silent quality loss.
 """

@@ -21,7 +21,8 @@ from __future__ import annotations
 import threading
 from typing import Iterator
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import ScheduleSolution
 from repro.core.parallel import solve_many
 from repro.core.table import ScheduleTable
 from repro.graph.taskgraph import TaskGraph

@@ -16,7 +16,7 @@ certified rung at a time:
    with the realized gap bounded against the critical-path/load root
    bound.
 
-Every rung attaches a :class:`~repro.core.optimal.GapCertificate`, and
+Every rung attaches a :class:`~repro.core.schedule.GapCertificate`, and
 rule ``S013`` (:mod:`repro.analysis`) re-derives the root bound
 independently — approximation stays as auditable as exactness.
 

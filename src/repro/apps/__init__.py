@@ -12,21 +12,3 @@
 * :mod:`repro.apps.surveillance` — a second application (multi-camera
   surveillance) showing the framework generalizes beyond the tracker.
 """
-
-from repro.apps.video import VideoSource, TargetSpec
-from repro.apps.colormodel import (
-    color_histogram,
-    back_projection,
-    histogram_intersection,
-)
-from repro.apps.kiosk import KioskEnvironment, StateInterval
-
-__all__ = [
-    "VideoSource",
-    "TargetSpec",
-    "color_histogram",
-    "back_projection",
-    "histogram_intersection",
-    "KioskEnvironment",
-    "StateInterval",
-]

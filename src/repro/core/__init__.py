@@ -33,66 +33,3 @@ Extensions beyond the paper's core (each motivated by its text):
 * :mod:`repro.core.cache` — content-addressed on-disk cache of solved
   schedules, so unchanged states are never re-solved.
 """
-
-from repro.core.schedule import Placement, IterationSchedule, PipelinedSchedule
-from repro.core.enumerate import (
-    enumerate_schedules,
-    search_schedules,
-    EnumerationResult,
-    SearchProblem,
-)
-from repro.core.pipeline import (
-    naive_pipeline,
-    min_initiation_interval,
-    best_pipelined,
-)
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.regime import RegimeDetector, RegimeChange
-from repro.core.table import ScheduleTable, RegimeSwitcher
-from repro.core.transition import TransitionPolicy, DrainTransition, ImmediateTransition
-from repro.core.replay import replay_with_state, replay_pipelined
-from repro.core.frontier import (
-    FrontierPoint,
-    latency_throughput_frontier,
-    frontier_sweep,
-)
-from repro.core.parallel import SolveRequest, make_request, solve_many
-from repro.core.cache import CacheStats, ScheduleCache
-from repro.core.sensitivity import sensitivity_profile, SensitivityProfile
-from repro.core.serialize import table_to_json, table_from_json
-
-__all__ = [
-    "replay_with_state",
-    "replay_pipelined",
-    "FrontierPoint",
-    "latency_throughput_frontier",
-    "frontier_sweep",
-    "SolveRequest",
-    "make_request",
-    "solve_many",
-    "CacheStats",
-    "ScheduleCache",
-    "sensitivity_profile",
-    "SensitivityProfile",
-    "table_to_json",
-    "table_from_json",
-    "Placement",
-    "IterationSchedule",
-    "PipelinedSchedule",
-    "enumerate_schedules",
-    "search_schedules",
-    "EnumerationResult",
-    "SearchProblem",
-    "naive_pipeline",
-    "min_initiation_interval",
-    "best_pipelined",
-    "OptimalScheduler",
-    "ScheduleSolution",
-    "RegimeDetector",
-    "RegimeChange",
-    "ScheduleTable",
-    "RegimeSwitcher",
-    "TransitionPolicy",
-    "DrainTransition",
-    "ImmediateTransition",
-]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 from repro.core.parallel import SolveRequest
 
 __all__ = [

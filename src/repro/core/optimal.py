@@ -25,132 +25,29 @@ builds, the solver ladder and the sweeps ship the same requests through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.enumerate import EnumerationResult
 from repro.errors import InfeasibleSchedule
 from repro.core.pipeline import PipelineSearch, best_pipelined
-from repro.core.schedule import IterationSchedule, PipelinedSchedule
+from repro.core.schedule import (
+    GapCertificate,
+    IterationSchedule,
+    PipelinedSchedule,
+    ScheduleSolution,
+)
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import CommModel
 from repro.state import State
 
 __all__ = [
-    "GapCertificate",
-    "ScheduleSolution",
     "OptimalScheduler",
     "solution_from_enumeration",
     "solution_from_fallback",
 ]
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class GapCertificate:
-    """The optimality-gap claim attached to a served schedule.
-
-    The solver ladder (:mod:`repro.approx`) serves schedules that may be
-    suboptimal; this certificate is what makes that safe — it states
-    *how* suboptimal, in a form rule ``S013`` can re-check independently:
-
-    Attributes
-    ----------
-    policy:
-        Which rung produced the schedule: ``"exact"`` (branch and bound
-        run to completion), ``"bounded"`` (ε-inflated branch and bound)
-        or ``"list"`` (HEFT list-scheduling fallback).
-    epsilon:
-        The requested suboptimality budget (0 for exact and list).
-    lower_bound:
-        Certified lower bound on the true optimum L*: the latency itself
-        for exact, ``max(root_bound, latency / (1 + ε))`` for bounded,
-        ``root_bound`` for list.
-    root_bound:
-        The static critical-path/load bound
-        (:func:`repro.core.enumerate.static_lower_bound`) — re-derivable
-        from the graph, state and cluster alone, anchoring the claim to
-        something no search artifact can fake.
-    gap_bound:
-        ``latency / lower_bound - 1`` — the claimed worst-case relative
-        gap.  Bounded rungs guarantee ``gap_bound <= epsilon``.
-    dp_cap:
-        The data-parallel width cap the search problem was built with
-        (the verifier must materialize the same variant sets to
-        reproduce ``root_bound``).
-    """
-
-    policy: str
-    epsilon: float
-    lower_bound: float
-    root_bound: float
-    gap_bound: float
-    dp_cap: int
-
-    def summary(self) -> str:
-        """One-line human-readable description."""
-        return (
-            f"{self.policy}(ε={self.epsilon:g}): "
-            f"gap<={self.gap_bound * 100:.2f}% "
-            f"(LB={self.lower_bound:.4g}s, root={self.root_bound:.4g}s)"
-        )
-
-
-@dataclass
-class ScheduleSolution:
-    """An optimal schedule for one application state.
-
-    Attributes
-    ----------
-    state:
-        The application state this solution is optimal for.
-    iteration:
-        The chosen member of S (minimal latency L).
-    pipelined:
-        The multi-iteration schedule M built from it.
-    alternatives:
-        Count of distinct optimal iteration schedules, |S| counted up to
-        the cap: exactly |S| while it is at most the request's
-        ``max_solutions``, at least that cap otherwise
-        (:attr:`~repro.core.enumerate.EnumerationResult.optimal_count`).
-    explored:
-        Branch-and-bound nodes visited while computing S.
-    certificate:
-        Optimality-gap claim (:class:`GapCertificate`); ``None`` only on
-        artifacts serialized before certificates existed.
-    """
-
-    state: State
-    iteration: IterationSchedule
-    pipelined: PipelinedSchedule
-    alternatives: int
-    explored: int
-    certificate: Optional[GapCertificate] = None
-
-    @property
-    def latency(self) -> float:
-        """Minimal single-iteration latency L (seconds)."""
-        return self.iteration.latency
-
-    @property
-    def period(self) -> float:
-        """Initiation interval of M (seconds)."""
-        return self.pipelined.period
-
-    @property
-    def throughput(self) -> float:
-        """Iterations completed per second under M."""
-        return self.pipelined.throughput
-
-    def summary(self) -> str:
-        """One-line human-readable description (|S| counted up to the cap)."""
-        return (
-            f"{self.state}: L={self.latency:.4g}s, II={self.period:.4g}s "
-            f"(throughput {self.throughput:.4g}/s), |S|={self.alternatives} "
-            "(counted up to the cap)"
-        )
 
 
 def _certificate(

@@ -51,12 +51,8 @@ from repro.core.enumerate import (
     search_schedules,
     static_lower_bound,
 )
-from repro.core.optimal import (
-    ScheduleSolution,
-    solution_from_enumeration,
-    solution_from_fallback,
-)
-from repro.core.schedule import IterationSchedule
+from repro.core.optimal import solution_from_enumeration, solution_from_fallback
+from repro.core.schedule import IterationSchedule, ScheduleSolution
 from repro.errors import InfeasibleSchedule, ReproError, ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec
@@ -83,7 +79,7 @@ class SolveRequest:
 
     ``mode`` selects what :func:`execute_request` returns:
 
-    * ``"solve"`` — a full :class:`~repro.core.optimal.ScheduleSolution`
+    * ``"solve"`` — a full :class:`~repro.core.schedule.ScheduleSolution`
       (steps 1-3 of Figure 6);
     * ``"enumerate"`` — the raw
       :class:`~repro.core.enumerate.EnumerationResult` (steps 1-2 only),

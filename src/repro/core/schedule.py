@@ -15,6 +15,11 @@ Two levels, mirroring §3.3 of the paper:
 Both validate themselves against a graph + cluster + communication model,
 so every scheduler in the package produces objects that can prove their own
 legality.
+
+:class:`ScheduleSolution` is one table entry: a state's iteration schedule,
+its M and the :class:`GapCertificate` the solver attached.  They live here,
+beside the schedules, so that the on-line half (table, transitions, loader,
+runtimes) reads an entry without importing the solver that wrote it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ from repro.state import State
 if TYPE_CHECKING:  # enumerate imports this module
     from repro.core.enumerate import SearchProblem
 
-__all__ = ["Placement", "IterationSchedule", "PipelinedSchedule"]
+__all__ = [
+    "Placement",
+    "IterationSchedule",
+    "PipelinedSchedule",
+    "GapCertificate",
+    "ScheduleSolution",
+]
 
 _EPS = 1e-9
 
@@ -185,17 +196,6 @@ class IterationSchedule:
     def busy_area(self) -> float:
         """Total processor-seconds consumed by one iteration."""
         return sum(p.duration * p.workers for p in self.placements)
-
-    def idle_fraction(self, n_procs: Optional[int] = None) -> float:
-        """Fraction of the latency x procs rectangle left idle.
-
-        The paper trades idle time for latency (Figure 5a "creates idle
-        time and reduces throughput"); this quantifies that trade.
-        """
-        procs = n_procs if n_procs is not None else len(self.procs_used())
-        if procs == 0 or self.latency <= 0:
-            return 0.0
-        return 1.0 - self.busy_area() / (procs * self.latency)
 
     def busy_spans(self) -> list[tuple[int, float, float]]:
         """``(processor, start, end)`` of every placement of positive duration,
@@ -442,4 +442,109 @@ class PipelinedSchedule:
         return (
             f"PipelinedSchedule({self.name!r}, latency={self.latency:.4g}, "
             f"II={self.period:.4g}, shift={self.shift})"
+        )
+
+
+@dataclass(frozen=True)
+class GapCertificate:
+    """The optimality-gap claim attached to a served schedule.
+
+    The solver ladder (:mod:`repro.approx`) serves schedules that may be
+    suboptimal; this certificate is what makes that safe — it states
+    *how* suboptimal, in a form rule ``S013`` can re-check independently:
+
+    Attributes
+    ----------
+    policy:
+        Which rung produced the schedule: ``"exact"`` (branch and bound
+        run to completion), ``"bounded"`` (ε-inflated branch and bound)
+        or ``"list"`` (HEFT list-scheduling fallback).
+    epsilon:
+        The requested suboptimality budget (0 for exact and list).
+    lower_bound:
+        Certified lower bound on the true optimum L*: the latency itself
+        for exact, ``max(root_bound, latency / (1 + ε))`` for bounded,
+        ``root_bound`` for list.
+    root_bound:
+        The static critical-path/load bound
+        (:func:`repro.core.enumerate.static_lower_bound`) — re-derivable
+        from the graph, state and cluster alone, anchoring the claim to
+        something no search artifact can fake.
+    gap_bound:
+        ``latency / lower_bound - 1`` — the claimed worst-case relative
+        gap.  Bounded rungs guarantee ``gap_bound <= epsilon``.
+    dp_cap:
+        The data-parallel width cap the search problem was built with
+        (the verifier must materialize the same variant sets to
+        reproduce ``root_bound``).
+    """
+
+    policy: str
+    epsilon: float
+    lower_bound: float
+    root_bound: float
+    gap_bound: float
+    dp_cap: int
+
+    def summary(self) -> str:
+        """One-line human-readable description."""
+        return (
+            f"{self.policy}(ε={self.epsilon:g}): "
+            f"gap<={self.gap_bound * 100:.2f}% "
+            f"(LB={self.lower_bound:.4g}s, root={self.root_bound:.4g}s)"
+        )
+
+
+@dataclass
+class ScheduleSolution:
+    """An optimal schedule for one application state.
+
+    Attributes
+    ----------
+    state:
+        The application state this solution is optimal for.
+    iteration:
+        The chosen member of S (minimal latency L).
+    pipelined:
+        The multi-iteration schedule M built from it.
+    alternatives:
+        Count of distinct optimal iteration schedules, |S| counted up to
+        the cap: exactly |S| while it is at most the request's
+        ``max_solutions``, at least that cap otherwise
+        (:attr:`~repro.core.enumerate.EnumerationResult.optimal_count`).
+    explored:
+        Branch-and-bound nodes visited while computing S.
+    certificate:
+        Optimality-gap claim (:class:`GapCertificate`); ``None`` only on
+        artifacts serialized before certificates existed.
+    """
+
+    state: State
+    iteration: IterationSchedule
+    pipelined: PipelinedSchedule
+    alternatives: int
+    explored: int
+    certificate: Optional[GapCertificate] = None
+
+    @property
+    def latency(self) -> float:
+        """Minimal single-iteration latency L (seconds)."""
+        return self.iteration.latency
+
+    @property
+    def period(self) -> float:
+        """Initiation interval of M (seconds)."""
+        return self.pipelined.period
+
+    @property
+    def throughput(self) -> float:
+        """Iterations completed per second under M."""
+        return self.pipelined.throughput
+
+    def summary(self) -> str:
+        """One-line human-readable description (|S| counted up to the cap)."""
+        return (
+            f"{self.state}: L={self.latency:.4g}s, II={self.period:.4g}s "
+            f"(throughput {self.throughput:.4g}/s), |S|={self.alternatives} "
+            "(counted up to the cap)"
         )

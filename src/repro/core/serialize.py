@@ -41,8 +41,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from repro.errors import ScheduleError
-from repro.core.optimal import GapCertificate, ScheduleSolution
-from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.core.schedule import (
+    GapCertificate,
+    IterationSchedule,
+    PipelinedSchedule,
+    Placement,
+    ScheduleSolution,
+)
 from repro.core.table import ScheduleTable
 from repro.state import State
 

@@ -26,14 +26,17 @@ re-built table) are thin adapters over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.errors import RegimeError, ReproError, ScheduleLookupError
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
 from repro.core.regime import RegimeDetector
+from repro.core.schedule import ScheduleSolution
 from repro.core.transition import DrainTransition, TransitionEffect, TransitionPolicy
 from repro.graph.taskgraph import TaskGraph
 from repro.state import State, StateSpace
+
+if TYPE_CHECKING:  # serving a table needs no solver; build() is handed one
+    from repro.core.optimal import OptimalScheduler
 
 __all__ = ["ScheduleTable", "SwitchRecord", "RegimeController", "RegimeSwitcher"]
 
@@ -41,6 +44,7 @@ __all__ = ["ScheduleTable", "SwitchRecord", "RegimeController", "RegimeSwitcher"
 class ScheduleTable:
     """Pre-computed optimal schedules, one per key — here an application state.
 
+    >>> from repro.core.optimal import OptimalScheduler
     >>> from repro.graph.builders import chain_graph
     >>> from repro.sim.cluster import SINGLE_NODE_SMP
     >>> from repro.state import StateSpace
@@ -102,7 +106,7 @@ class ScheduleTable:
             (``"exact"`` | ``"bounded[:eps]"`` | ``"list"``, see
             :func:`~repro.approx.resolve_policy`).  ``None`` keeps the
             exact search.  Every non-exact entry carries a
-            :class:`~repro.core.optimal.GapCertificate` stating its
+            :class:`~repro.core.schedule.GapCertificate` stating its
             certified optimality gap.
         """
         from repro.approx import resolve_policy  # deferred: leaf package

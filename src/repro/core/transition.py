@@ -31,7 +31,7 @@ import abc
 import math
 from dataclasses import dataclass
 
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 
 __all__ = [
     "TransitionEffect",

@@ -12,22 +12,7 @@ choice *depends on the application state* — that is Table 1.
 * :mod:`repro.decomp.planner` — the per-state decomposition table the
   splitter consults at run time ("the splitter will look-up the
   decomposition for the current state from a pre-computed table").
-* :mod:`repro.decomp.sjw` — the live splitter/worker/joiner machinery of
-  Figure 9 for the threaded runtime.
+
+Figure 9's live splitter / workers / joiner is a data-parallel placement run
+in the lanes it occupies (:class:`repro.runtime.live.LiveNode`).
 """
-
-from repro.decomp.strategies import Decomposition, WorkChunk, enumerate_decompositions
-from repro.decomp.costmodel import DetectionCostModel, TABLE1_CALIBRATION
-from repro.decomp.planner import DecompositionPlanner, DecompositionChoice
-from repro.decomp.sjw import SplitJoinPool
-
-__all__ = [
-    "Decomposition",
-    "WorkChunk",
-    "enumerate_decompositions",
-    "DetectionCostModel",
-    "TABLE1_CALIBRATION",
-    "DecompositionPlanner",
-    "DecompositionChoice",
-    "SplitJoinPool",
-]

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.apps.tracker.graph import build_tracker_graph, tracker_planner
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import ScheduleSolution
 from repro.experiments.report import format_table
 from repro.graph.dataparallel import expand_data_parallel
 from repro.graph.taskgraph import TaskGraph

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.tracker.graph import build_tracker_graph
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
 from repro.core.pipeline import naive_pipeline
-from repro.core.schedule import PipelinedSchedule
+from repro.core.schedule import PipelinedSchedule, ScheduleSolution
 from repro.metrics.gantt import render_schedule
 from repro.metrics.latency import latency_stats
 from repro.runtime.static_exec import StaticExecutor

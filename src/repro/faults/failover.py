@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import ScheduleSolution
 from repro.core.table import RegimeController, ScheduleTable, SwitchRecord
 from repro.core.transition import TransitionPolicy
 from repro.errors import (

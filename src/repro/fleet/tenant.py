@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.core.transition import TransitionPolicy
 from repro.errors import TenantError

@@ -20,35 +20,3 @@ data-parallel variants.  This package is that input:
   fork-joins, and the Figure 2 tracker shape).
 * :mod:`repro.graph.render` — ASCII rendering.
 """
-
-from repro.graph.cost import (
-    ConstantCost,
-    LinearCost,
-    TableCost,
-    CallableCost,
-    ZeroCost,
-    CostFn,
-)
-from repro.graph.channel import ChannelSpec
-from repro.graph.task import Task, DataParallelSpec, Variant
-from repro.graph.taskgraph import TaskGraph
-from repro.graph.dataparallel import expand_data_parallel
-from repro.graph.builders import chain_graph, fork_join_graph, tracker_shape_graph
-
-__all__ = [
-    "ConstantCost",
-    "LinearCost",
-    "TableCost",
-    "CallableCost",
-    "ZeroCost",
-    "CostFn",
-    "ChannelSpec",
-    "Task",
-    "DataParallelSpec",
-    "Variant",
-    "TaskGraph",
-    "expand_data_parallel",
-    "chain_graph",
-    "fork_join_graph",
-    "tracker_shape_graph",
-]

@@ -187,13 +187,6 @@ class DriftDetector:
         st.since_fire = 0
         return signal
 
-    def error_of(self, key: tuple, modeled: float) -> Optional[float]:
-        """Current smoothed relative error for ``key`` (None if unseen)."""
-        st = self._keys.get(key)
-        if st is None or st.ewma.value is None:
-            return None
-        return self.rel_error(modeled, st.ewma.value)
-
     @property
     def detection_count(self) -> int:
         return len(self.detections)

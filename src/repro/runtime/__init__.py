@@ -35,23 +35,3 @@
   nodes costs one :class:`~repro.stm.process.StepBatch` round trip to the
   broker per frame and task.
 """
-
-from repro.runtime.result import ExecutionResult
-from repro.runtime.dynamic import DynamicExecutor
-from repro.runtime.static_exec import StaticExecutor
-from repro.runtime.threaded import ThreadedRuntime
-from repro.runtime.process import (
-    KernelFault,
-    ProcessFaultPlan,
-    ProcessRuntime,
-)
-
-__all__ = [
-    "ExecutionResult",
-    "DynamicExecutor",
-    "StaticExecutor",
-    "ThreadedRuntime",
-    "KernelFault",
-    "ProcessFaultPlan",
-    "ProcessRuntime",
-]

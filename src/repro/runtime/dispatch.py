@@ -14,8 +14,7 @@ This module compiles those walks once, up front:
 * :class:`FlatSchedule` — a :class:`PipelinedSchedule` lowered once to
   plain tuples.  ``instantiate(k)`` is one comprehension over them that
   returns unvalidated :class:`FlatPlacement` rows (Figure 6 step 3: the
-  same pattern every II, processors rotated), and ``primary(task, k)``
-  answers the per-edge primary-processor query without building rows.
+  same pattern every II, processors rotated).
 
 :class:`FlatSchedule` is the one schedule lowering under both
 schedule-driven DES executors (:class:`~repro.runtime.static_exec.
@@ -29,8 +28,6 @@ measurement), so numpy is not imported here.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
@@ -129,18 +126,6 @@ class FlatPlacement:
         self.duration = duration
         self.variant = variant
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    @property
-    def primary(self) -> int:
-        return self.procs[0]
-
-    @property
-    def workers(self) -> int:
-        return len(self.procs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FlatPlacement({self.task!r}, procs={self.procs}, "
@@ -157,8 +142,7 @@ class FlatSchedule:
     ``start + k * period`` and ``(q + k * shift) % n_procs`` — so its rows
     are bitwise those of the reference (pinned by
     ``tests/runtime/test_dispatch.py``), minus the validated
-    :class:`Placement` construction; ``primary(task, k)`` answers the
-    point query without building rows at all.
+    :class:`Placement` construction.
     """
 
     def __init__(self, schedule: PipelinedSchedule) -> None:
@@ -169,14 +153,9 @@ class FlatSchedule:
         self.rows = tuple(
             (p.task, p.procs, p.start, p.duration, p.variant) for p in placements
         )
-        self._primary = {p.task: p.procs[0] for p in placements}
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def primary(self, task: str, k: int) -> int:
-        """Rotated primary processor of ``task`` in iteration ``k``."""
-        return (self._primary[task] + k * self.shift) % self.n_procs
 
     def instantiate(self, k: int) -> list[FlatPlacement]:
         """Absolute rows for iteration ``k`` — no :class:`Placement`
@@ -194,11 +173,6 @@ class FlatSchedule:
             )
             for task, procs, start, duration, variant in self.rows
         ]
-
-    def iter_iterations(self, iterations: int) -> Iterable[tuple[int, list[FlatPlacement]]]:
-        """Yield ``(k, rows)`` for ``k in range(iterations)``."""
-        for k in range(iterations):
-            yield k, self.instantiate(k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

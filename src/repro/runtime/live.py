@@ -84,7 +84,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
@@ -174,7 +174,7 @@ class Slot(NamedTuple):
 def schedule_slots(graph: TaskGraph, schedule, cluster=None) -> dict[str, Slot]:
     """Each task's :class:`Slot` under ``schedule`` (a
     :class:`~repro.core.schedule.PipelinedSchedule` or a full
-    :class:`~repro.core.optimal.ScheduleSolution`), in lane order: by
+    :class:`~repro.core.schedule.ScheduleSolution`), in lane order: by
     start in the iteration pattern, ties in topological order, so a lane
     never runs a consumer before a producer of a valid schedule.  The
     shift is ignored: iteration *k* only rotates the pattern's processors.

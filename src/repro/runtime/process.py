@@ -106,7 +106,7 @@ from repro.state import State
 from repro.stm.process import ChannelBroker, WorkerLink
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.core.optimal import ScheduleSolution
+    from repro.core.schedule import ScheduleSolution
     from repro.obs import Observability
     from repro.sim.cluster import ClusterSpec
 
@@ -262,7 +262,7 @@ class ProcessRuntime:
         As for :class:`~repro.runtime.threaded.ThreadedRuntime`.
     schedule:
         Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
-        :class:`~repro.core.optimal.ScheduleSolution`).  Placements
+        :class:`~repro.core.schedule.ScheduleSolution`).  Placements
         determine the task-to-node mapping and each node's lanes, a
         data-parallel placement in each lane it occupies
         (:func:`~repro.runtime.live.schedule_slots`, which refuses one that

@@ -51,8 +51,7 @@ from collections import deque
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Optional, Union
 
 from repro.errors import ExecutorConfigError, SimDeadlock
-from repro.core.optimal import ScheduleSolution
-from repro.core.schedule import PipelinedSchedule
+from repro.core.schedule import PipelinedSchedule, ScheduleSolution
 from repro.core.table import RegimeController, SwitchRecord
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans

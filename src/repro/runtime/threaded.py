@@ -44,8 +44,7 @@ from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.analysis.race import RaceChecker
-    from repro.core.optimal import ScheduleSolution
-    from repro.core.schedule import PipelinedSchedule
+    from repro.core.schedule import PipelinedSchedule, ScheduleSolution
     from repro.obs import Observability
 
 __all__ = ["ThreadedRuntime"]
@@ -68,7 +67,7 @@ class ThreadedRuntime:
         hanging on bugs).
     schedule:
         Optional :class:`~repro.core.schedule.PipelinedSchedule` (or full
-        :class:`~repro.core.optimal.ScheduleSolution`) that places every
+        :class:`~repro.core.schedule.ScheduleSolution`) that places every
         task: its placements' processors are the node's lanes, and a
         kernel execution records one span per processor it occupies,
         carrying its placement's variant.

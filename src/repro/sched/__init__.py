@@ -14,16 +14,3 @@ The paper's comparison points:
   scheduler, the "heuristics" alternative §3.4 mentions for filling the
   per-state table when exhaustive enumeration is unaffordable.
 """
-
-from repro.sched.online import PthreadScheduler
-from repro.sched.priority import TimestampPriorityScheduler
-from repro.sched.listsched import list_schedule
-from repro.sched.handtuned import TuningPoint, tuning_curve
-
-__all__ = [
-    "PthreadScheduler",
-    "TimestampPriorityScheduler",
-    "list_schedule",
-    "TuningPoint",
-    "tuning_curve",
-]

@@ -52,12 +52,6 @@ class TuningPoint:
     def latency_spread(self) -> float:
         return self.latency_max - self.latency_min
 
-    @property
-    def skipped_fraction(self) -> float:
-        """Fraction of digitized frames never fully processed."""
-        if self.emitted == 0:
-            return 0.0
-        return 1.0 - self.completed / self.emitted
 
 
 def with_source_period(graph: TaskGraph, period: Optional[float]) -> TaskGraph:

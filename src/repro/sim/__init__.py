@@ -18,24 +18,3 @@ discrete-event simulator:
 * :mod:`repro.sim.trace` — execution traces: Gantt spans and per-timestamp
   latency bookkeeping, consumed by metrics and figures.
 """
-
-from repro.sim.engine import Simulator, SimEvent
-from repro.sim.resources import Resource
-from repro.sim.cluster import ClusterSpec, Processor
-from repro.sim.network import CommModel, CommCost
-from repro.sim.trace import TraceRecorder, ExecSpan, ItemEvent
-from repro.sim.fabric import LinkFabric
-
-__all__ = [
-    "Simulator",
-    "SimEvent",
-    "Resource",
-    "ClusterSpec",
-    "Processor",
-    "CommModel",
-    "CommCost",
-    "TraceRecorder",
-    "ExecSpan",
-    "ItemEvent",
-    "LinkFabric",
-]

@@ -197,14 +197,6 @@ class ClusterSpec:
             return self.without_node(node)
         return ClusterSpec(procs_by_node=counts, node_speeds=self.node_speeds)
 
-    def with_node_speed(self, node: int, speed: float) -> "ClusterSpec":
-        """The same shape with ``node`` running at ``speed`` (slowdown regime)."""
-        if not 0 <= node < self.nodes:
-            raise ClusterError(f"node index {node} out of range 0..{self.nodes - 1}")
-        speeds = list(self.node_speeds)
-        speeds[node] = speed
-        return ClusterSpec(procs_by_node=self.procs_by_node, node_speeds=speeds)
-
     def shape_key(self) -> tuple:
         """Canonical identity of the *shape* irrespective of node order.
 

@@ -263,18 +263,6 @@ class TraceRecorder:
             ends.append(max(s.end for s in sink_spans))
         return max(ends)
 
-    def start_time(self, ts: int, source_tasks: Iterable[str] | None = None) -> Optional[float]:
-        """When processing of stream timestamp ``ts`` began."""
-        self._index()
-        spans = self._by_ts.get(ts)
-        if not spans:
-            return None
-        if source_tasks is None:
-            return min(s.start for s in spans)
-        sources = set(source_tasks)
-        starts = [s.start for s in spans if s.task in sources]
-        return min(starts) if starts else None
-
     def completed_timestamps(self, sink_tasks: Iterable[str] | None = None) -> list[int]:
         """Stream timestamps that ran to completion, sorted."""
         sinks = list(sink_tasks) if sink_tasks is not None else None

@@ -29,34 +29,3 @@ appendix, Figures 7-8).  This package implements the full API:
   :class:`~repro.stm.process.LocalLink`; a shared-memory ring carries
   array payloads.
 """
-
-from repro.stm.item import Item
-from repro.stm.connection import Connection, Direction
-from repro.stm.channel import STMChannel, TS, NEWEST, OLDEST, NEWEST_UNSEEN
-from repro.stm.gc import collect_channel, GCStats
-from repro.stm.threaded import ThreadedChannel, ChannelPoisoned
-from repro.stm.process import (
-    BrokerDied,
-    ChannelBroker,
-    ShmRing,
-    WorkerLink,
-)
-
-__all__ = [
-    "Item",
-    "Connection",
-    "Direction",
-    "STMChannel",
-    "TS",
-    "NEWEST",
-    "OLDEST",
-    "NEWEST_UNSEEN",
-    "collect_channel",
-    "GCStats",
-    "ThreadedChannel",
-    "ChannelPoisoned",
-    "BrokerDied",
-    "ChannelBroker",
-    "ShmRing",
-    "WorkerLink",
-]

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.analysis.findings import AnalysisReport
 from repro.core.enumerate import SearchProblem, static_lower_bound
-from repro.core.optimal import ScheduleSolution
+from repro.core.schedule import ScheduleSolution
 from repro.errors import InvalidSchedule
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.cluster import ClusterSpec

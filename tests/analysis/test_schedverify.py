@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import verify_schedule_table, verify_shape_table, verify_solution
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.schedule import IterationSchedule, Placement, PipelinedSchedule
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import IterationSchedule, PipelinedSchedule, ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.faults.failover import ShapeTable
 from repro.graph.builders import chain_graph, random_dag

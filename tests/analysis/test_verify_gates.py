@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.schedule import IterationSchedule
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import IterationSchedule, ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.errors import AnalysisError, ExecutorConfigError
 from repro.faults.failover import ShapeTable

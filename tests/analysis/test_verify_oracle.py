@@ -24,8 +24,8 @@ from repro.analysis import verify_solution
 from repro.analysis.model import schedule_in_flight
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
 from repro.core.enumerate import SearchProblem
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement, ScheduleSolution
 from repro.errors import InvalidSchedule
 from repro.graph.builders import random_dag
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec

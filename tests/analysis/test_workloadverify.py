@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.optimal import OptimalScheduler, ScheduleSolution
-from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement, ScheduleSolution
 from repro.core.table import ScheduleTable
 from repro.workloads import (
     capacity_bound,

@@ -11,7 +11,7 @@ import pytest
 from repro.approx.policy import resolve_policy
 from repro.core.enumerate import SearchProblem, enumerate_schedules, search_schedules
 from repro.core.frontier import latency_throughput_frontier
-from repro.core.optimal import OptimalScheduler, ScheduleSolution, solution_from_enumeration
+from repro.core.optimal import OptimalScheduler, solution_from_enumeration
 from repro.core.parallel import (
     SolveRequest,
     default_workers,
@@ -21,6 +21,7 @@ from repro.core.parallel import (
     solve_many,
 )
 from repro.core.pipeline import PipelineSearch
+from repro.core.schedule import ScheduleSolution
 from repro.core.serialize import table_to_json
 from repro.core.table import ScheduleTable
 from repro.errors import ScheduleError

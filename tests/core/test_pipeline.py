@@ -17,7 +17,7 @@ class TestNaivePipeline:
         p = naive_pipeline(tracker_graph, m8, smp4)
         # One processor, tasks back to back, no idle within the iteration.
         assert p.iteration.procs_used() == {0}
-        assert p.iteration.idle_fraction(n_procs=1) == pytest.approx(0.0)
+        assert p.iteration.busy_area() == pytest.approx(p.iteration.latency)
         # "This schedule has no idle time": II = serial / P.
         assert p.period == pytest.approx(tracker_graph.serial_time(m8) / 4)
         assert p.shift == 1

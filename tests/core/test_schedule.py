@@ -71,7 +71,8 @@ class TestIterationSchedule:
     def test_busy_area_and_idle(self):
         s = self.chain_schedule()
         assert s.busy_area() == pytest.approx(6.0)
-        assert s.idle_fraction(n_procs=2) == pytest.approx(0.5)
+        # Half of the 2-processor x latency rectangle is idle.
+        assert s.busy_area() / (2 * s.latency) == pytest.approx(0.5)
 
     def test_validate_passes_for_legal_schedule(self, m1):
         g = chain_graph([1.0, 2.0, 3.0])

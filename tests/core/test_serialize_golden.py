@@ -19,8 +19,14 @@ from unittest.mock import patch
 import pytest
 
 from repro.apps.tracker.graph import TRACKER_STATES, build_tracker_graph
-from repro.core.optimal import GapCertificate, OptimalScheduler, ScheduleSolution
-from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
+from repro.core.optimal import OptimalScheduler
+from repro.core.schedule import (
+    GapCertificate,
+    IterationSchedule,
+    PipelinedSchedule,
+    Placement,
+    ScheduleSolution,
+)
 from repro.core.serialize import (
     _dumps,
     solution_from_dict,

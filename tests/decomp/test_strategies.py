@@ -92,3 +92,36 @@ class TestEnumerate:
     def test_invalid_model_count(self):
         with pytest.raises(DecompositionError):
             list(enumerate_decompositions(0))
+
+
+class TestDataParallelT4Equivalence:
+    def test_chunked_t4_equals_serial_t4(self):
+        """Figure 9's requirement: the expansion 'exactly duplicates the
+        original task's behavior' — chunk reassembly is bit-exact."""
+        import numpy as np
+
+        from repro.apps.colormodel import color_histogram
+        from repro.apps.tracker.kernels import (
+            change_detection,
+            frame_histogram,
+            target_detection,
+            target_detection_chunk,
+        )
+        from repro.apps.video import VideoSource
+        from repro.decomp.strategies import Decomposition
+
+        video = VideoSource(n_targets=4, height=48, width=64, seed=5)
+        frame = video.frame(3)
+        mask = change_detection(frame, video.frame(2))
+        fh = frame_histogram(frame)
+        models = [color_histogram(video.model_patch(i)) for i in range(4)]
+
+        serial = target_detection(frame, models, fh, mask)
+        for decomp in (Decomposition(2, 2), Decomposition(4, 1), Decomposition(1, 4)):
+            reassembled = np.zeros_like(serial)
+            for chunk in decomp.chunks(frame.shape[0], 4):
+                part = target_detection_chunk(frame, chunk, models, fh, mask)
+                lo, hi = chunk.row_range
+                for j, mi in enumerate(chunk.model_indices):
+                    reassembled[mi, lo:hi] = part[j]
+            np.testing.assert_array_equal(reassembled, serial)

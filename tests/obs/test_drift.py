@@ -105,8 +105,6 @@ class TestDriftDetector:
             det.observe(KEY, 1.0, 2.0)
             det.observe(other, 1.0, 1.0)
         assert det.detection_count == 1
-        assert det.error_of(other, 1.0) == pytest.approx(0.0)
-        assert det.error_of(("unseen",), 1.0) is None
 
     def test_negative_drift_detected_too(self):
         det = self.detector()

@@ -100,13 +100,6 @@ class TestDegradedShapes:
         with pytest.raises(ClusterError):
             ClusterSpec(nodes=2, procs_per_node=2, procs_by_node=[2, 2])
 
-    def test_with_node_speed(self):
-        c = ClusterSpec(nodes=2, procs_per_node=2)
-        s = c.with_node_speed(1, 0.5)
-        assert s.node_speeds == (1.0, 0.5)
-        assert s.processor(2).speed == 0.5
-        assert s.procs_by_node == c.procs_by_node
-
     def test_shape_key_ignores_which_node_died(self):
         c = ClusterSpec(nodes=3, procs_per_node=2)
         assert c.without_node(0).shape_key() == c.without_node(2).shape_key()

@@ -128,10 +128,6 @@ class TestTraceRecorder:
         t.record_span(span(0, "T2", 0, 0.0, 1.0, preempted=True))
         assert t.completion_time(0, sink_tasks=["T2"]) is None
 
-    def test_start_time(self, trace):
-        assert trace.start_time(1) == 1.0
-        assert trace.start_time(1, source_tasks=["T2"]) == 2.0
-
     def test_completed_timestamps(self, trace):
         assert trace.completed_timestamps(["T2"]) == [0, 1]
 
