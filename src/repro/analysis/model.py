@@ -75,7 +75,7 @@ import time as _time
 from bisect import bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.findings import AnalysisReport, Severity
 from repro.core.schedule import ScheduleSolution

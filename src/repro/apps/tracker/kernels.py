@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.apps.colormodel import _check_image, color_histogram, model_table, quantize
 from repro.apps.video import VideoSource
-from repro.decomp.strategies import WorkChunk
 from repro.errors import ReproError
 from repro.state import State
 
@@ -22,7 +21,6 @@ __all__ = [
     "change_detection",
     "frame_histogram",
     "target_detection",
-    "target_detection_chunk",
     "peak_detection",
     "make_digitizer_kernel",
     "make_change_detection_kernel",
@@ -107,29 +105,6 @@ def target_detection(
         idx += 1
         idx *= motion_mask
     return np.take(table, idx, axis=1)
-
-
-def target_detection_chunk(
-    frame: np.ndarray,
-    chunk: WorkChunk,
-    model_histograms: Sequence[np.ndarray],
-    frame_hist: np.ndarray,
-    motion_mask: Optional[np.ndarray] = None,
-    bins: int = _BINS,
-) -> np.ndarray:
-    """The parameterized worker version of T4: one (FP, MP) chunk.
-
-    Scans only ``chunk.row_range`` of the frame for ``chunk.model_indices``;
-    returns (m_chunk, rows, W) planes.  Reassembling all chunks of a
-    decomposition reproduces :func:`target_detection` exactly — the
-    Figure 9 requirement that the subgraph "exactly duplicates the original
-    task's behavior".
-    """
-    lo, hi = chunk.row_range
-    sub = frame[lo:hi]
-    sub_mask = motion_mask[lo:hi] if motion_mask is not None else None
-    models = [model_histograms[i] for i in chunk.model_indices]
-    return target_detection(sub, models, frame_hist, sub_mask, bins)
 
 
 def peak_detection(

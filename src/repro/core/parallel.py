@@ -317,7 +317,6 @@ def solve_many(
     requests: Sequence[SolveRequest],
     workers: Optional[int] = None,
     return_exceptions: bool = False,
-    start_method: Optional[str] = None,
     cache=None,
 ) -> list:
     """Execute a batch of solve requests, results in request order.
@@ -339,13 +338,8 @@ def solve_many(
         of aborting the batch — callers like
         :class:`~repro.faults.failover.ShapeTable` filter those out.
         Non-domain failures (a broken pool, an unpicklable payload) are
-        never returned; they trigger the in-process fallback.
-    start_method:
-        Multiprocessing start method for the pool.  ``None`` keeps the
-        historical default (``fork``, falling back in-process where the
-        platform lacks it); ``"spawn"`` works because every
-        :class:`SolveRequest` is pure picklable data — see
-        ``tests/core/test_spawn_pickling.py``.
+        never returned; they trigger the in-process fallback, as does a
+        platform without ``fork``.
     cache:
         Optional :class:`~repro.core.cache.ScheduleCache`.  Requests that
         digest to a cached entry skip the solve entirely; only the misses
@@ -359,9 +353,7 @@ def solve_many(
     if cache is not None:
         results = [cache.fetch(request) for request in reqs]
     pending = [i for i, hit in enumerate(results) if hit is None]
-    solved = _dispatch(
-        [reqs[i] for i in pending], workers, return_exceptions, start_method
-    )
+    solved = _dispatch([reqs[i] for i in pending], workers, return_exceptions)
     for i, outcome in zip(pending, solved):
         results[i] = outcome
         if cache is not None and isinstance(outcome, ScheduleSolution):
@@ -370,10 +362,7 @@ def solve_many(
 
 
 def _dispatch(
-    reqs: list,
-    workers: Optional[int],
-    return_exceptions: bool,
-    start_method: Optional[str],
+    reqs: list, workers: Optional[int], return_exceptions: bool
 ) -> list:
     """Run the cache misses of :func:`solve_many`, in-process or pooled."""
     if workers is None:
@@ -381,8 +370,8 @@ def _dispatch(
     if workers <= 1 or len(reqs) <= 1:
         return _run_in_process(reqs, return_exceptions)
     try:
-        ctx = multiprocessing.get_context(start_method or "fork")
-    except ValueError:  # pragma: no cover - platform without the method
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform without fork
         return _run_in_process(reqs, return_exceptions)
     n_workers = min(workers, len(reqs))
     # Coalesced dispatch: map() ships requests to the pool in chunks, so

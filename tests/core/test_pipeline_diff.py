@@ -23,6 +23,7 @@ The one intended difference, zero-length placements, is pinned in
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from typing import Optional
 
@@ -375,7 +376,8 @@ def test_random_dag_step3_identical(seed):
 
 # Taken on the commit before the rotation-indexed search (PR 13); the "list"
 # row on the commit before HEFT read the cost snapshot (PR 16) — it pins the
-# list scheduler's placements bitwise.
+# list scheduler's placements bitwise.  The digests are over the payload's
+# ``indent=2`` spelling, the text a table file had when they were taken.
 GOLDEN_TRACKER_TABLES = {
     "2x4": (ClusterSpec(2, 4), None,
             "0b3d20c7ea8b920c25d7aa1282de43e0dccb85483dd3386e204cfc7942f6389f"),
@@ -393,4 +395,5 @@ def test_tracker_table_golden_digest(name):
         build_tracker_graph(), TRACKER_STATES, OptimalScheduler(cluster),
         parallel=1, policy=policy,
     )
-    assert hashlib.sha256(table_to_json(table).encode()).hexdigest() == digest
+    text = json.dumps(json.loads(table_to_json(table)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

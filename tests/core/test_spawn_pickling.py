@@ -1,11 +1,10 @@
-"""Spawn-start-method regression: solve payloads must pickle round-trip.
+"""Solve payloads must pickle round-trip.
 
 ``fork`` inherits everything by memory, which silently tolerates
-unpicklable payloads; ``spawn`` re-imports the world and ships every
-object through pickle.  These tests pin the contract that the off-line
+unpicklable payloads.  These tests pin the contract that the off-line
 solve pipeline (``SearchProblem`` → ``SolveRequest`` → ``solve_many``)
-and the ``ScheduleCache`` stay pure picklable data, so tables can be
-built on platforms where ``fork`` is unavailable or unsafe.
+and the ``ScheduleCache`` stay pure picklable data: a pool ships every
+request and its result through pickle.
 """
 
 from __future__ import annotations
@@ -69,17 +68,3 @@ class TestPickleRoundTrips:
         assert hit is not None
         assert hit.latency == pytest.approx(sol.latency)
 
-
-class TestSpawnExecution:
-    def test_solve_many_under_spawn(self, m1):
-        """A spawn pool produces the same solutions as the in-process path."""
-        cluster = SINGLE_NODE_SMP(2)
-        scheduler = OptimalScheduler(cluster)
-        graphs = [chain_graph([0.5, 0.5]), chain_graph([0.3, 0.3, 0.3])]
-        requests = [scheduler.request(g, m1) for g in graphs]
-        baseline = solve_many(requests, workers=1)
-        spawned = solve_many(requests, workers=2, start_method="spawn")
-        for base, spawn in zip(baseline, spawned):
-            assert spawn.latency == pytest.approx(base.latency)
-            assert spawn.period == pytest.approx(base.period)
-            assert spawn.iteration.placements == base.iteration.placements

@@ -105,7 +105,6 @@ class TestDataParallelT4Equivalence:
             change_detection,
             frame_histogram,
             target_detection,
-            target_detection_chunk,
         )
         from repro.apps.video import VideoSource
         from repro.decomp.strategies import Decomposition
@@ -120,8 +119,11 @@ class TestDataParallelT4Equivalence:
         for decomp in (Decomposition(2, 2), Decomposition(4, 1), Decomposition(1, 4)):
             reassembled = np.zeros_like(serial)
             for chunk in decomp.chunks(frame.shape[0], 4):
-                part = target_detection_chunk(frame, chunk, models, fh, mask)
                 lo, hi = chunk.row_range
+                part = target_detection(
+                    frame[lo:hi], [models[i] for i in chunk.model_indices], fh,
+                    mask[lo:hi],
+                )
                 for j, mi in enumerate(chunk.model_indices):
                     reassembled[mi, lo:hi] = part[j]
             np.testing.assert_array_equal(reassembled, serial)
