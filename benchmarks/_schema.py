@@ -15,6 +15,9 @@ the module's results in a fixed envelope::
 Consumers key on ``bench`` + ``schema_version`` and never need to guess a
 module's layout to find the metadata.  Bump ``SCHEMA_VERSION`` when the
 envelope (not a module payload) changes shape.
+
+The files land in ``benchmarks/out/`` (git-ignored): a run records the
+host it ran on, so its output is an artifact, never a committed file.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "host_info", "write_bench"]
+#: Where every ``BENCH_<bench>.json`` is written (git-ignored).
+OUT_DIR = Path(__file__).resolve().parent / "out"
+
+__all__ = ["SCHEMA_VERSION", "OUT_DIR", "host_info", "write_bench"]
 
 
 def host_info() -> dict:
@@ -41,11 +47,11 @@ def host_info() -> dict:
     }
 
 
-def write_bench(bench: str, results: dict, path: Path) -> Path:
-    """Write ``results`` to ``path`` under the shared envelope.
+def write_bench(bench: str, results: dict) -> Path:
+    """Write ``results`` under the shared envelope; return the file's path.
 
-    ``bench`` is the short module name ("fleet", "analysis", ...);
-    ``path`` is the target ``BENCH_<bench>.json``.  Returns ``path``.
+    ``bench`` is the short module name ("fleet", "analysis", ...); the
+    file is ``OUT_DIR / "BENCH_<bench>.json"``.
     """
     payload = {
         "bench": bench,
@@ -53,5 +59,7 @@ def write_bench(bench: str, results: dict, path: Path) -> Path:
         "host": host_info(),
         "results": results,
     }
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / f"BENCH_{bench}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

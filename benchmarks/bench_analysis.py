@@ -1,14 +1,13 @@
 """Benchmark: the static verifier must be cheap next to what it verifies.
 
-The ``verify=`` gates (ScheduleTable.build, ShapeTable.build, executor
-startup) are only free to leave on when the analysis passes cost a small
-fraction of the branch-and-bound work they certify.  This module times the
+The ``verify=`` gates (ScheduleTable.build, ShapeTable.build) are only
+free to leave on when the analysis passes cost a small fraction of the branch-and-bound work they certify.  This module times the
 full gate — graph lint + schedule certificates + coverage + STM protocol —
 against the table builds for the calibrated tracker, asserts the verifier
 stays under 5% of the failover ShapeTable build (and under an absolute
 per-state budget for the warm-started ScheduleTable build, whose prior
 optimizations make a ratio there meaningless), and emits
-``BENCH_analysis.json``.
+``benchmarks/out/BENCH_analysis.json`` (git-ignored).
 
 Timings use ``time.perf_counter`` directly so the module runs under plain
 ``pytest``; set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -48,9 +46,7 @@ MAX_CERTIFICATE_S = 0.05
 @pytest.fixture(scope="module", autouse=True)
 def _emit_summary():
     yield
-    out = write_bench(
-        "analysis", RESULTS, Path(__file__).with_name("BENCH_analysis.json")
-    )
+    out = write_bench("analysis", RESULTS)
     print(f"\nsummary written to {out}")
 
 

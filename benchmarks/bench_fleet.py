@@ -15,14 +15,13 @@ design prose:
 
 Timings use ``time.perf_counter`` inside the experiment driver so the
 module runs under plain ``pytest``; set ``REPRO_BENCH_QUICK=1`` for the
-CI smoke configuration.  Results land in ``BENCH_fleet.json`` via the
-shared :mod:`_schema` envelope (this module is its first user).
+CI smoke configuration.  Results land in ``benchmarks/out/BENCH_fleet.json``
+(git-ignored) via the shared :mod:`_schema` envelope.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -41,9 +40,7 @@ LADDER = [(2, 4), (4, 4)] if QUICK else [(4, 4), (8, 4), (16, 4)]
 def _emit_summary():
     yield
     if "scaling" in RESULTS:
-        out = write_bench(
-            "fleet", RESULTS, Path(__file__).with_name("BENCH_fleet.json")
-        )
+        out = write_bench("fleet", RESULTS)
         print(f"\nsummary written to {out}")
 
 

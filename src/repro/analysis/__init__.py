@@ -33,9 +33,9 @@ locks in the STM layer the race checker cannot see) is a test over the
 package sources, ``tests/test_determinism_lint.py``.
 
 Passes 1-3 and 5 are wired into :meth:`ScheduleTable.build` /
-:meth:`ShapeTable.build` / :class:`StaticExecutor` behind their opt-in
-``verify=`` parameter, and all static passes into CI as ``python -m
-repro.analysis --strict``.
+:meth:`ShapeTable.build` behind their opt-in ``verify=`` parameter, and
+all static passes into CI as ``python -m repro.analysis --strict``; an
+executor's inputs go through the same functions called directly.
 See ``docs/TUTORIAL.md`` §12 for the workflow, §16
 for reading model-checker counterexamples.
 """

@@ -113,7 +113,7 @@ class LazyScheduleTable(ScheduleTable):
     def _solve(self, state: State) -> ScheduleSolution:
         """One miss: the scheduler's request for ``state``, through the cache."""
         request = self.scheduler.request(self.graph, state)
-        (solution,) = solve_many([request], workers=1, cache=self.cache)
+        (solution,) = solve_many([request], cache=self.cache)
         self._observe_solve(solution)
         return solution
 

@@ -25,7 +25,7 @@ keywords its spec names, layered over the scheduler's own settings by
 :meth:`OptimalScheduler.request
 <repro.core.optimal.OptimalScheduler.request>` — so every rung inherits
 the cluster, communication model and caps from the same place, and runs
-through the pool, the cache and the verifier like an exact request.
+through the batch, the cache and the verifier like an exact request.
 """
 
 from __future__ import annotations

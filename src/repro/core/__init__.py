@@ -28,8 +28,8 @@ Extensions beyond the paper's core (each motivated by its text):
   machinery).
 * :mod:`repro.core.sensitivity` — robustness of schedules to error in the
   measured execution times Figure 6 consumes.
-* :mod:`repro.core.parallel` — batch fan-out of independent off-line
-  solves over worker processes, with deterministic results.
+* :mod:`repro.core.parallel` — the off-line solve path: snapshot a
+  request, execute it, run a batch in request order.
 * :mod:`repro.core.cache` — content-addressed on-disk cache of solved
   schedules, so unchanged states are never re-solved.
 """

@@ -97,8 +97,7 @@ The search core (:func:`search_schedules`) operates on a pure-data
 :class:`SearchProblem` snapshot in which every cost callable has already
 been evaluated — the one cost table Figure 6 takes as input.  The list
 scheduler reads the same snapshot, so a request evaluates each cost once;
-problems pickle cheaply for the process-pool fan-out in
-:mod:`repro.core.parallel` and digest stably for the on-disk cache in
+problems digest stably for the on-disk cache in
 :mod:`repro.core.cache`.  :func:`enumerate_schedules` is the
 ``(graph, state, cluster)`` convenience over that one path
 (:func:`~repro.core.parallel.make_request` →
@@ -214,10 +213,8 @@ class SearchProblem:
 
     Everything :func:`search_schedules` needs, with every cost callable
     already evaluated: task order, per-task variants, precedence, and
-    per-edge byte counts.  The object is picklable (it carries no
-    callables), so it can be shipped to worker processes
-    (:mod:`repro.core.parallel`) and digested into a stable cache key
-    (:mod:`repro.core.cache`).
+    per-edge byte counts.  The object carries no callables, so it
+    digests into a stable cache key (:mod:`repro.core.cache`).
     """
 
     graph_name: str

@@ -78,7 +78,6 @@ def latency_throughput_frontier(
         max_solutions=max_solutions,
         include_naive=include_naive,
         max_workers=max_workers,
-        workers=1,
     )[0]
 
 
@@ -137,15 +136,12 @@ def frontier_sweep(
     max_solutions: int = 256,
     include_naive: bool = True,
     max_workers: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> list[list[FrontierPoint]]:
     """One frontier per state, with the enumerations batched.
 
-    The per-state enumerations are independent, so they fan out through
-    :func:`repro.core.parallel.solve_many` (``workers=None``/``1`` =
-    in-process; the frontiers are identical for every worker count).
-    Pipelining and Pareto filtering run in the parent — they are linear
-    in the candidate count.
+    The per-state enumerations go through
+    :func:`repro.core.parallel.solve_many` as one batch; pipelining and
+    Pareto filtering follow, linear in the candidate count.
     """
     from repro.core.parallel import make_request, solve_many
 
@@ -163,7 +159,7 @@ def frontier_sweep(
         )
         for state in states
     ]
-    results = solve_many(requests, workers=workers)
+    results = solve_many(requests)
     return [
         _points_from_result(result, graph, state, cluster, include_naive)
         for state, result in zip(states, results)

@@ -14,12 +14,12 @@ stated priority ("without sacrificing latency, of course we would like to
 attain maximum possible throughput").
 
 There is one road from ``(graph, state, cluster)`` to an answer:
-:meth:`OptimalScheduler.request` snapshots the costs into a picklable
+:meth:`OptimalScheduler.request` snapshots the costs into a
 :class:`~repro.core.parallel.SolveRequest` and
 :func:`~repro.core.parallel.execute_request` runs it — the only caller of
 the search and of step 3.  :meth:`OptimalScheduler.solve` and
 :meth:`~OptimalScheduler.enumerate` are those two calls in-process; table
-builds, the solver ladder and the sweeps ship the same requests through
+builds, the solver ladder and the sweeps batch the same requests through
 :func:`~repro.core.parallel.solve_many`.
 """
 
@@ -194,11 +194,11 @@ class OptimalScheduler:
         self.node_limit = node_limit
 
     def request(self, graph: TaskGraph, state: State, tag=None, **overrides):
-        """A picklable :class:`~repro.core.parallel.SolveRequest` for this solve.
+        """A :class:`~repro.core.parallel.SolveRequest` for this solve.
 
-        The request snapshots all costs, so it can be executed in a worker
-        process (:func:`repro.core.parallel.solve_many`) or digested into a
-        cache key (:mod:`repro.core.cache`) without re-touching the graph.
+        The request snapshots all costs, so it can be executed
+        (:func:`repro.core.parallel.solve_many`) or digested into a cache
+        key (:mod:`repro.core.cache`) without re-touching the graph.
         ``overrides`` are :func:`~repro.core.parallel.make_request` keywords
         (``mode``, ``bound_inflation``, ...) layered over this scheduler's
         own settings — what a :mod:`repro.approx` rung contributes.

@@ -3,14 +3,13 @@
 Every answer the off-line phase produces comes through two functions.
 :func:`make_request` reads the inputs of Figure 6 once — it evaluates
 every cost callable into a :class:`~repro.core.enumerate.SearchProblem`
-snapshot — and packs the result as a picklable :class:`SolveRequest`; it
+snapshot — and packs the result as a :class:`SolveRequest`; it
 runs no scheduler, so everything before :meth:`ScheduleCache.fetch
 <repro.core.cache.ScheduleCache.fetch>` is the snapshot and its digest.
-:func:`execute_request` — the miss path, in whichever process the miss
-runs — first computes the warm-start incumbent (:func:`incumbent_of`: the
-HEFT list schedule of that snapshot, validated against it, and for
-approximate requests the fallback schedule), then runs the request to
-completion.  It is the only caller of
+:func:`execute_request` — the miss path — first computes the warm-start
+incumbent (:func:`incumbent_of`: the HEFT list schedule of that snapshot,
+validated against it, and for approximate requests the fallback
+schedule), then runs the request to completion.  It is the only caller of
 :func:`~repro.core.enumerate.search_schedules` (steps 1-2) and
 :func:`~repro.core.optimal.solution_from_enumeration` (step 3); both are
 resolved through this module's namespace at call time, which is the
@@ -19,28 +18,16 @@ ablation would swap in a cold search).  ``OptimalScheduler.solve`` /
 ``.enumerate``, ``enumerate_schedules``, the frontier and sensitivity
 sweeps, the table builders and every solver rung are these two calls.
 
-The off-line phase is embarrassingly parallel across *problems*: every
-state of a :class:`~repro.state.StateSpace`, every degraded shape of a
-:class:`~repro.faults.failover.ShapeTable`, every slack level of a
-frontier sweep is an independent branch-and-bound, so :func:`solve_many`
-runs batches of requests through a ``ProcessPoolExecutor``.
-
-Determinism is the contract: ``solve_many`` executes the *same* code path
-(:func:`execute_request`) whether it runs in-process or in worker
-processes, and returns results in request order — so a table built with
-``workers=8`` serializes bit-identically to one built with ``workers=1``.
-
-Fallbacks are graceful: ``workers=1`` (or a single request) never spawns
-a pool; a platform without the ``fork`` start method, or a pool that
-fails to start or breaks mid-flight, degrades to the in-process path
-rather than erroring out.
+Every state of a :class:`~repro.state.StateSpace`, every degraded shape
+of a :class:`~repro.faults.failover.ShapeTable`, every slack level of a
+frontier sweep is an independent branch-and-bound; :func:`solve_many`
+runs such a batch in request order, in this process.  The paper's table
+covers "a small number of states" (§1), and a batch that small does not
+repay the start-up and per-chunk shipping of a worker pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Union
 
@@ -65,17 +52,16 @@ __all__ = [
     "incumbent_of",
     "execute_request",
     "solve_many",
-    "default_workers",
 ]
 
 
 @dataclass
 class SolveRequest:
-    """One self-contained off-line solve, ready to ship to a worker.
+    """One self-contained off-line solve, ready to execute or digest.
 
     The request carries a :class:`~repro.core.enumerate.SearchProblem`
     (all cost callables pre-evaluated) instead of the graph itself, so it
-    pickles cheaply and digests stably for the on-disk cache.
+    digests stably for the on-disk cache.
 
     ``mode`` selects what :func:`execute_request` returns:
 
@@ -205,7 +191,7 @@ def incumbent_of(
 def execute_request(
     request: SolveRequest,
 ) -> Union[ScheduleSolution, EnumerationResult]:
-    """Run one request to completion (works in any process).
+    """Run one request to completion.
 
     This is the miss path, and the one place a list schedule is computed:
     :func:`incumbent_of` gives the bound the search runs under and
@@ -277,122 +263,43 @@ def _serve_fallback(
     )
 
 
-def default_workers() -> int:
-    """Usable CPU count (respects affinity masks where the OS exposes them)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _execute_trapping(request: SolveRequest) -> tuple[str, Any]:
-    """Pool trampoline: trap domain errors so a chunk survives them.
-
-    ``pool.map`` ships requests in chunks (one IPC message per chunk
-    instead of one per request); a raising request would poison its
-    whole chunk at iteration time, so errors travel as values and
-    ``solve_many`` re-raises or returns them per the caller's choice.
-    """
-    try:
-        return ("ok", execute_request(request))
-    except ReproError as exc:
-        return ("err", exc)
-
-
-def _run_in_process(
-    requests: Sequence[SolveRequest], return_exceptions: bool
-) -> list:
-    out: list = []
-    for request in requests:
-        try:
-            out.append(execute_request(request))
-        except ReproError as exc:
-            if not return_exceptions:
-                raise
-            out.append(exc)
-    return out
-
-
 def solve_many(
     requests: Sequence[SolveRequest],
-    workers: Optional[int] = None,
     return_exceptions: bool = False,
     cache=None,
 ) -> list:
-    """Execute a batch of solve requests, results in request order.
+    """Execute a batch of solve requests in this process, in request order.
 
     Parameters
     ----------
     requests:
         The batch; each element is solved independently.
-    workers:
-        Process count.  ``None`` uses :func:`default_workers`; ``1`` (or a
-        single-element batch) runs in-process with no pool.  Either way
-        the arithmetic is identical, so results — and any tables
-        serialized from them — are bitwise the same for every worker
-        count.
     return_exceptions:
         When true, a request that raises a domain error
         (:class:`~repro.errors.ReproError`, e.g. an infeasible degraded
         shape) contributes the *exception object* at its position instead
         of aborting the batch — callers like
         :class:`~repro.faults.failover.ShapeTable` filter those out.
-        Non-domain failures (a broken pool, an unpicklable payload) are
-        never returned; they trigger the in-process fallback, as does a
-        platform without ``fork``.
     cache:
         Optional :class:`~repro.core.cache.ScheduleCache`.  Requests that
         digest to a cached entry skip the solve entirely; only the misses
-        are dispatched, and their fresh solutions are stored back.  This
+        are executed, and their fresh solutions are stored back.  This
         is the one place the fetch / solve / store sequence lives — the
         table builders and the lazy table pass their ``cache`` down to
         here.
     """
     reqs = list(requests)
-    results: list = [None] * len(reqs)
-    if cache is not None:
-        results = [cache.fetch(request) for request in reqs]
+    results = [cache.fetch(r) if cache is not None else None for r in reqs]
     pending = [i for i, hit in enumerate(results) if hit is None]
-    solved = _dispatch([reqs[i] for i in pending], workers, return_exceptions)
-    for i, outcome in zip(pending, solved):
-        results[i] = outcome
-        if cache is not None and isinstance(outcome, ScheduleSolution):
-            cache.store(reqs[i], outcome)
+    for i in pending:
+        try:
+            results[i] = execute_request(reqs[i])
+        except ReproError as exc:
+            if not return_exceptions:
+                raise
+            results[i] = exc
+    if cache is not None:
+        for i in pending:
+            if isinstance(results[i], ScheduleSolution):
+                cache.store(reqs[i], results[i])
     return results
-
-
-def _dispatch(
-    reqs: list, workers: Optional[int], return_exceptions: bool
-) -> list:
-    """Run the cache misses of :func:`solve_many`, in-process or pooled."""
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(reqs) <= 1:
-        return _run_in_process(reqs, return_exceptions)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return _run_in_process(reqs, return_exceptions)
-    n_workers = min(workers, len(reqs))
-    # Coalesced dispatch: map() ships requests to the pool in chunks, so
-    # a big sweep (every state of a StateSpace, every degraded shape)
-    # costs ~4 IPC messages per worker rather than one per request.
-    chunksize = max(1, len(reqs) // (n_workers * 4))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=ctx
-        ) as pool:
-            out: list = []
-            for kind, payload in pool.map(
-                _execute_trapping, reqs, chunksize=chunksize
-            ):
-                if kind == "err" and not return_exceptions:
-                    raise payload
-                out.append(payload)
-            return out
-    except ReproError:
-        raise
-    except Exception:  # pragma: no cover - pool-level failure
-        # BrokenProcessPool, pickling trouble, fork refusal under an
-        # exotic runtime: the work itself is fine, so do it here instead.
-        return _run_in_process(reqs, return_exceptions)

@@ -125,14 +125,12 @@ def sensitivity_profile(
     trials: int = 20,
     seed: int = 0,
     comm: Optional[CommModel] = None,
-    workers: int = 1,
 ) -> SensitivityProfile:
     """How much does cost error cost?  (Monte-Carlo over perturbations.)
 
-    ``workers`` fans the per-trial re-optimizations out over worker
-    processes (:func:`repro.core.parallel.solve_many`); the perturbation
-    factors are drawn identically for every worker count, so the profile
-    is reproducible regardless of parallelism.
+    The per-trial re-optimizations run as one
+    :func:`repro.core.parallel.solve_many` batch; the perturbation
+    factors come from ``seed``, so the profile is reproducible.
     """
     from repro.core.parallel import make_request, solve_many
 
@@ -159,7 +157,7 @@ def sensitivity_profile(
         )
         for trial, factors in enumerate(all_factors)
     ]
-    results = solve_many(requests, workers=workers)
+    results = solve_many(requests)
     regrets = []
     stable = 0
     for fixed, result in zip(fixed_latencies, results):

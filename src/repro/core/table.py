@@ -26,7 +26,7 @@ re-built table) are thin adapters over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.errors import RegimeError, ReproError, ScheduleLookupError
 from repro.core.regime import RegimeDetector
@@ -77,8 +77,7 @@ class ScheduleTable:
         graph: TaskGraph,
         space: StateSpace,
         scheduler: OptimalScheduler,
-        progress: Optional[Callable[[State, ScheduleSolution], None]] = None,
-        parallel: Optional[int] = None,
+        parallel: int = 1,
         cache=None,
         verify: bool = False,
         policy=None,
@@ -88,10 +87,10 @@ class ScheduleTable:
         Parameters
         ----------
         parallel:
-            Worker-process count for the batch of per-state solves
-            (``None`` or ``1`` = in-process).  Every worker count yields
-            a bitwise-identical table — same solves, same order, same
-            arithmetic (see :mod:`repro.core.parallel`).
+            Only ``1``: the per-state solves run in this process (see
+            :func:`~repro.core.parallel.solve_many`).  Any other value
+            raises :class:`~repro.errors.RegimeError`.  The keyword stays
+            only because ``benchmarks/e2e`` passes ``parallel=1``.
         cache:
             Optional :class:`~repro.core.cache.ScheduleCache`; states
             whose solve request digests to a cached entry skip the
@@ -111,10 +110,15 @@ class ScheduleTable:
         """
         from repro.approx import resolve_policy  # deferred: leaf package
 
+        if parallel != 1:
+            raise RegimeError(
+                f"parallel={parallel!r}: the off-line solve runs in-process, "
+                "so a table build takes parallel=1 only"
+            )
         states = list(space)
         rung = resolve_policy(policy)
         requests = [scheduler.request(graph, state, **rung) for state in states]
-        table = cls(cls._solve_keyed(states, requests, parallel, cache, progress))
+        table = cls(cls._solve_keyed(states, requests, cache))
         if verify:
             table.verify(
                 graph, space, scheduler.cluster, comm=scheduler.comm,
@@ -123,19 +127,17 @@ class ScheduleTable:
         return table
 
     @classmethod
-    def _solve_keyed(cls, keys, requests, parallel, cache, progress, skip=()) -> dict:
+    def _solve_keyed(cls, keys, requests, cache, skip=()) -> dict:
         """The one builder path: solve ``requests``, file each under its key.
 
-        ``parallel`` of ``None`` or ``1`` solves in-process; ``cache`` hits
-        skip the solve (see :func:`~repro.core.parallel.solve_many`).  A
-        domain error of a type in ``skip`` leaves its key out of the table
-        instead of aborting the build.
+        ``cache`` hits skip the solve (see
+        :func:`~repro.core.parallel.solve_many`).  A domain error of a type
+        in ``skip`` leaves its key out of the table instead of aborting the
+        build.
         """
         from repro.core.parallel import solve_many  # deferred: avoids import cycle
 
-        outcomes = solve_many(
-            requests, workers=parallel or 1, cache=cache, return_exceptions=bool(skip)
-        )
+        outcomes = solve_many(requests, cache=cache, return_exceptions=bool(skip))
         solutions = {}
         for key, outcome in zip(keys, outcomes):
             if isinstance(outcome, skip):
@@ -143,8 +145,6 @@ class ScheduleTable:
             if isinstance(outcome, Exception):
                 raise outcome
             solutions[cls._key(key)] = outcome
-            if progress is not None:
-                progress(key, outcome)
         return solutions
 
     def verify(self, graph, space, cluster, comm=None, snapshots=None) -> None:

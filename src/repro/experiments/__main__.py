@@ -40,11 +40,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the report to FILE",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the off-line solves (default: in-process); "
-             "results are identical for every worker count",
-    )
-    parser.add_argument(
         "--policy", choices=["exact", "bounded", "list"], default=None,
         help="solver-ladder rung for the fleet experiment's table builds "
              "(repro.approx; default exact). Approximate rungs cut "
@@ -69,9 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         t0 = time.perf_counter()
         if name == "fleet":
-            body = _fleet(args.quick, args.workers, solve_policy=args.policy)
+            body = _fleet(args.quick, solve_policy=args.policy)
         else:
-            body = runners[name](args.quick, args.workers)
+            body = runners[name](args.quick)
         chunk = (
             f"=== {name} ===\n{body}\n"
             f"--- {name} done in {time.perf_counter() - t0:.1f}s ---\n"
@@ -85,13 +80,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _table1(quick: bool, workers: int | None = None) -> str:
+def _table1(quick: bool) -> str:
     from repro.experiments.table1 import run_table1
 
     return run_table1().render()
 
 
-def _figure3(quick: bool, workers: int | None = None) -> str:
+def _figure3(quick: bool) -> str:
     from repro.experiments.figure3 import DEFAULT_PERIODS, run_figure3
 
     periods = DEFAULT_PERIODS[::2] if quick else DEFAULT_PERIODS
@@ -99,53 +94,47 @@ def _figure3(quick: bool, workers: int | None = None) -> str:
     return run_figure3(periods=periods, horizon=horizon).render()
 
 
-def _figure4(quick: bool, workers: int | None = None) -> str:
+def _figure4(quick: bool) -> str:
     from repro.experiments.figure4 import run_figure4
 
     return run_figure4(horizon=60.0 if quick else 120.0).render()
 
 
-def _figure5(quick: bool, workers: int | None = None) -> str:
+def _figure5(quick: bool) -> str:
     from repro.experiments.figure5 import run_figure5
 
     return run_figure5(iterations=8 if quick else 20).render()
 
 
-def _regime(quick: bool, workers: int | None = None) -> str:
+def _regime(quick: bool) -> str:
     from repro.experiments.regime import run_regime
 
-    return run_regime(horizon=900.0 if quick else 3600.0, workers=workers).render()
+    return run_regime(horizon=900.0 if quick else 3600.0).render()
 
 
-def _frontier(quick: bool, workers: int | None = None) -> str:
+def _frontier(quick: bool) -> str:
     from repro.experiments.frontier_exp import run_frontier
 
     counts = (8,) if quick else (1, 4, 8)
-    return run_frontier(model_counts=counts, workers=workers).render()
+    return run_frontier(model_counts=counts).render()
 
 
-def _faults(quick: bool, workers: int | None = None) -> str:
+def _faults(quick: bool) -> str:
     from repro.experiments.faults_exp import run_faults
 
     rates = (0.0, 0.08) if quick else (0.0, 0.02, 0.08)
-    return run_faults(
-        rates=rates, iterations=20 if quick else 40, workers=workers
-    ).render()
+    return run_faults(rates=rates, iterations=20 if quick else 40).render()
 
 
-def _obs(quick: bool, workers: int | None = None) -> str:
+def _obs(quick: bool) -> str:
     from repro.experiments.obs_exp import run_obs
 
     return run_obs(
-        iterations=12 if quick else 24,
-        workers=workers,
-        overhead_frames=16 if quick else 32,
+        iterations=12 if quick else 24, overhead_frames=16 if quick else 32
     ).render()
 
 
-def _fleet(
-    quick: bool, workers: int | None = None, solve_policy: str | None = None
-) -> str:
+def _fleet(quick: bool, solve_policy: str | None = None) -> str:
     from repro.experiments.fleet_exp import run_fleet
     from repro.sim.cluster import ClusterSpec
 
@@ -155,13 +144,12 @@ def _fleet(
             wave_sizes=(12, 8),
             wave_gap=120.0,
             mean_dwell=200.0,
-            workers=workers,
             solve_policy=solve_policy,
         ).render()
-    return run_fleet(workers=workers, solve_policy=solve_policy).render()
+    return run_fleet(solve_policy=solve_policy).render()
 
 
-def _ablations(quick: bool, workers: int | None = None) -> str:
+def _ablations(quick: bool) -> str:
     from repro.experiments.ablations import render_all
 
     return render_all()

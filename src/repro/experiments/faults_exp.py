@@ -143,7 +143,6 @@ def run_faults(
     state: Optional[State] = None,
     seed: int = 7,
     mean_downtime: float = 8.0,
-    workers: Optional[int] = None,
 ) -> FaultsResult:
     """Sweep failure rate x transition policy over one fault subsystem run each.
 
@@ -157,7 +156,7 @@ def run_faults(
     graph = graph or chain_graph([1.0, 1.0])
     state = state or State(n_models=1)
     policies = policies or default_policies()
-    table = ShapeTable.build(graph, state, cluster, parallel=workers)
+    table = ShapeTable.build(graph, state, cluster)
     base_period = table.lookup(cluster).period
     # Rough wall-clock for the plan horizon: healthy cadence plus slack
     # for degraded stretches and transition stalls.

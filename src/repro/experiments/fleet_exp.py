@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from repro.apps.kiosk import KioskEnvironment
 from repro.core.cache import ScheduleCache
 from repro.core.transition import CheckpointTransition, TransitionPolicy
+from repro.errors import ExperimentError
 from repro.experiments.report import format_table
 from repro.fleet import FleetManager, TenantSpec
 from repro.graph.builders import chain_graph, fork_join_graph
@@ -214,7 +215,7 @@ def run_fleet(
     seed: int = 11,
     policy: Optional[TransitionPolicy] = None,
     cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     verify: bool = True,
     solve_policy: Optional[str] = None,
 ) -> FleetResult:
@@ -228,8 +229,16 @@ def run_fleet(
     ``solve_policy`` picks the :mod:`repro.approx` ladder rung for every
     table build (``exact`` | ``bounded[:eps]`` | ``list`` — admission
     latency drops under the approximate rungs while the F001/S013
-    verification still gates every served schedule).
+    verification still gates every served schedule).  ``workers`` takes
+    ``1`` only: the off-line solves run in-process, and any other value
+    raises :class:`~repro.errors.ExperimentError`.  The keyword stays only
+    because ``benchmarks/e2e`` passes ``workers=1``.
     """
+    if workers != 1:
+        raise ExperimentError(
+            f"workers={workers!r}: the off-line solve runs in-process, "
+            "so run_fleet takes workers=1 only"
+        )
     cluster = cluster or ClusterSpec(nodes=16, procs_per_node=4)
     policy = policy or CheckpointTransition(setup=0.25)
     rng = random.Random(seed)
@@ -238,10 +247,7 @@ def run_fleet(
     own_cache = cache_dir is None
     root = cache_dir or tempfile.mkdtemp(prefix="repro-fleet-cache-")
     cache = ScheduleCache(root)
-    mgr = FleetManager(
-        cluster, policy=policy, cache=cache, workers=workers,
-        solve_policy=solve_policy,
-    )
+    mgr = FleetManager(cluster, policy=policy, cache=cache, solve_policy=solve_policy)
 
     # Seeded event tape: Poisson arrivals per wave, exponential dwells,
     # kiosk-driven regime changes in between.

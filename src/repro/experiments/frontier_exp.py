@@ -70,20 +70,13 @@ def run_frontier(
     model_counts: Sequence[int] = (1, 4, 8),
     cluster: Optional[ClusterSpec] = None,
     latency_slack: float = 3.0,
-    workers: Optional[int] = None,
 ) -> FrontierResult:
-    """Compute the frontier for each state and mark the paper's choice.
-
-    ``workers`` fans the per-state enumerations out over worker
-    processes; the frontiers are identical for every worker count.
-    """
+    """Compute the frontier for each state and mark the paper's choice."""
     cluster = cluster or SINGLE_NODE_SMP(4)
     graph = build_tracker_graph()
     scheduler = OptimalScheduler(cluster)
     states = [State(n_models=m) for m in model_counts]
-    sweeps = frontier_sweep(
-        graph, states, cluster, latency_slack=latency_slack, workers=workers
-    )
+    sweeps = frontier_sweep(graph, states, cluster, latency_slack=latency_slack)
     frontiers: dict[int, list[FrontierPoint]] = {}
     chosen: dict[int, tuple[float, float]] = {}
     for m, state, points in zip(model_counts, states, sweeps):

@@ -14,7 +14,7 @@ executor feeds every span to the :class:`~repro.obs.CostCalibrator`:
 2. the drift detector confirms the modeled-vs-observed error (EWMA,
    consecutive breaches) and raises :class:`~repro.obs.DriftDetected`;
 3. the :class:`~repro.obs.CalibrationController` re-builds the schedule
-   table from the calibrated costs (warm path: ``parallel`` workers +
+   table from the calibrated costs (warm path: the
    :class:`~repro.core.cache.ScheduleCache`) and switches;
 4. the re-built schedule runs slip-free at its honest (longer) period,
    and measured latency collapses back to the service latency.
@@ -247,14 +247,12 @@ def run_obs(
     cluster: Optional[ClusterSpec] = None,
     space: Optional[StateSpace] = None,
     n_models: int = 2,
-    workers: Optional[int] = None,
     overhead_frames: int = 32,
 ) -> ObsResult:
     """Run the full drift demo: perturb, detect, re-build, re-measure.
 
-    ``workers`` parallelizes both the initial table build and the
-    drift-triggered re-build; ``overhead_frames=0`` skips the live
-    overhead measurement (it runs real kernels, ~seconds of wall clock).
+    ``overhead_frames=0`` skips the live overhead measurement (it runs
+    real kernels, ~seconds of wall clock).
     """
     from repro.apps.tracker.graph import build_tracker_graph
 
@@ -268,7 +266,7 @@ def run_obs(
     # state, the drift re-build misses them all (the calibrated costs
     # change every solve digest) and stores the corrected entries.
     cache = ScheduleCache(tempfile.mkdtemp(prefix="repro-obs-cache-"))
-    table = ScheduleTable.build(graph, space, scheduler, parallel=workers, cache=cache)
+    table = ScheduleTable.build(graph, space, scheduler, cache=cache)
     sol = table.lookup(state)
 
     # The world the runtime actually lives in: PERTURBED_TASK costs
@@ -304,7 +302,6 @@ def run_obs(
         scheduler=scheduler,
         calibrator=calibrator,
         policy=DrainTransition(setup=0.25),
-        parallel=workers,
         cache=cache,
     )
     stale_res = StaticExecutor(true, state, cluster, stale, obs=obs).run(iterations)

@@ -188,14 +188,11 @@ def run_regime(
     policy: Optional[TransitionPolicy] = None,
     kiosk: Optional[KioskEnvironment] = None,
     graph: Optional[TaskGraph] = None,
-    workers: Optional[int] = None,
 ) -> RegimeResult:
     """Run the regime-switching comparison over a kiosk trace.
 
     ``policy`` is the transition the executed regime-switched row pays at
-    every state change (default: drain plus 0.25 s of set-up).  ``workers``
-    parallelizes the off-line table build (same table for every worker
-    count).
+    every state change (default: drain plus 0.25 s of set-up).
     """
     cluster = cluster or SINGLE_NODE_SMP(4)
     space = space or StateSpace.range("n_models", 1, 5)
@@ -209,9 +206,7 @@ def run_regime(
     if not intervals:
         raise ExperimentError("kiosk trace is empty")
 
-    table = ScheduleTable.build(
-        graph, space, OptimalScheduler(cluster), parallel=workers
-    )
+    table = ScheduleTable.build(graph, space, OptimalScheduler(cluster))
 
     # perf[(k, m)] = (service latency, sustainable II) when the schedule
     # structure pre-computed for state k runs under actual state m.

@@ -132,8 +132,6 @@ class ShapeTable(ScheduleTable):
         max_node_failures: int = 1,
         proc_failures: bool = True,
         scheduler_factory: Optional[Callable[[ClusterSpec], OptimalScheduler]] = None,
-        progress: Optional[Callable[[ClusterSpec, ScheduleSolution], None]] = None,
-        parallel: Optional[int] = None,
         cache=None,
         verify: bool = False,
     ) -> "ShapeTable":
@@ -143,10 +141,8 @@ class ShapeTable(ScheduleTable):
         mandatory data-parallel width) are skipped; looking them up later
         raises :class:`~repro.errors.ShapeUnschedulable`.
 
-        ``parallel`` fans the per-shape solves out over worker processes
-        (``None``/``1`` = in-process; results are identical either way),
-        and ``cache`` is an optional
-        :class:`~repro.core.cache.ScheduleCache` consulted per shape.
+        ``cache`` is an optional :class:`~repro.core.cache.ScheduleCache`
+        consulted per shape.
         ``verify`` runs the static analyzer (passes 1-3 and 5) over the
         finished table — per-shape schedule certificates plus failover
         coverage for every node-failure shape — and raises
@@ -160,8 +156,7 @@ class ShapeTable(ScheduleTable):
         # mandatory data-parallel width), so those are left out of the
         # table instead of aborting the build.
         solutions = cls._solve_keyed(
-            shapes, requests, parallel, cache, progress,
-            skip=(InfeasibleSchedule, ScheduleError),
+            shapes, requests, cache, skip=(InfeasibleSchedule, ScheduleError),
         )
         if not solutions:
             raise ShapeUnschedulable(

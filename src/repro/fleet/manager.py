@@ -49,7 +49,6 @@ class FleetManager:
         policy: Optional[TransitionPolicy] = None,
         admission: Optional[AdmissionPolicy] = None,
         cache=None,
-        workers: Optional[int] = None,
         solve_policy=None,
     ) -> None:
         if isinstance(cluster, ClusterView):
@@ -66,11 +65,9 @@ class FleetManager:
             placer=placer,
             policy=policy,
             cache=cache,
-            workers=workers,
             solve_policy=solve_policy,
         )
         self.cache = cache
-        self.workers = workers
         self.solve_policy = solve_policy
         self.departures: int = 0
         self.departed: list[Tenant] = []  # audit: counters survive departure
@@ -219,9 +216,7 @@ class FleetManager:
         tenant.state = new_state
         if tenant.demand() == old_demand and tenant.granted > 0:
             new_sol = tenant.solution(
-                cache=self.cache,
-                workers=self.workers,
-                solve_policy=self.solve_policy,
+                cache=self.cache, solve_policy=self.solve_policy
             )
             if new_sol is not tenant.active:
                 tenant.switch(new_sol, self.controller.policy)

@@ -67,7 +67,6 @@ class RepackController:
         placer: Optional[FairSharePlacer] = None,
         policy: Optional[TransitionPolicy] = None,
         cache=None,
-        workers: Optional[int] = None,
         solve_policy=None,
     ) -> None:
         self.view = view
@@ -75,7 +74,6 @@ class RepackController:
         self.placer = placer or FairSharePlacer()
         self.policy = policy or DrainTransition()
         self.cache = cache
-        self.workers = workers
         # repro.approx ladder rung for every table build ("policy" is taken
         # by the transition policy in this layer, hence the longer name).
         self.solve_policy = solve_policy
@@ -133,7 +131,6 @@ class RepackController:
             new_sol = tenant.solution(
                 width=carve.width,
                 cache=self.cache,
-                workers=self.workers,
                 solve_policy=self.solve_policy,
             )
             old_carve = old_carves.get(tid)

@@ -151,12 +151,11 @@ class Tenant:
         self,
         width: int,
         cache=None,
-        workers: Optional[int] = None,
         solve_policy=None,
     ) -> ScheduleTable:
         """The schedule table for a ``width``-wide virtual cluster.
 
-        Built on first use via the existing parallel+cached table path;
+        Built on first use via the cached table path;
         subsequent calls (and other tenants of the same class sharing the
         cache) reuse the stored solutions.  ``solve_policy`` picks the
         :mod:`repro.approx` ladder rung per solve (``None`` = exact) —
@@ -174,7 +173,6 @@ class Tenant:
                 self.spec.graph,
                 self.spec.space,
                 scheduler,
-                parallel=workers,
                 cache=cache,
                 policy=solve_policy,
             )
@@ -186,15 +184,13 @@ class Tenant:
         state: Optional[State] = None,
         width: Optional[int] = None,
         cache=None,
-        workers: Optional[int] = None,
         solve_policy=None,
     ) -> ScheduleSolution:
         """The pre-computed solution for ``(state, width)`` (lazy build)."""
         state = state or self.state
         w = self.granted if width is None else width
-        return self.ensure_width(
-            w, cache=cache, workers=workers, solve_policy=solve_policy
-        ).lookup(state)
+        table = self.ensure_width(w, cache=cache, solve_policy=solve_policy)
+        return table.lookup(state)
 
     def switch(self, new: ScheduleSolution, policy: TransitionPolicy) -> float:
         """Make ``new`` the active solution; returns the transition's stall.

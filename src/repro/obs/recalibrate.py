@@ -7,9 +7,9 @@ the *cost* dimension rather than the state dimension, so the look-up step
 becomes a re-build: the :class:`CalibrationController` re-runs the
 off-line optimizer over the state space with the calibrator's corrected
 costs — through the warm :meth:`~repro.core.table.ScheduleTable.build`
-path (``parallel`` workers, :class:`~repro.core.cache.ScheduleCache`
-reuse for any state whose solve request is unchanged) — and looks the
-current state up in the re-built table.  The transition itself is the
+path (:class:`~repro.core.cache.ScheduleCache` reuse for any state
+whose solve request is unchanged) — and looks the current state up in
+the re-built table.  The transition itself is the
 base :class:`~repro.core.table.RegimeController`'s: one ``switch`` under a
 standard :class:`~repro.core.transition.TransitionPolicy`, recorded and
 accounted exactly like a state switch.
@@ -62,7 +62,7 @@ class CalibrationController(RegimeController):
         nominal cost model and accumulating observations.
     policy:
         Transition policy for the switch (default: drain).
-    parallel / cache:
+    cache:
         Forwarded to :meth:`ScheduleTable.build` — the warm path; the
         re-build makes the scheduler's exact requests.
     min_rel_change:
@@ -74,7 +74,6 @@ class CalibrationController(RegimeController):
     scheduler: OptimalScheduler
     calibrator: CostCalibrator
     policy: TransitionPolicy = field(default_factory=DrainTransition)
-    parallel: Optional[int] = None
     cache: object = None
     min_rel_change: float = 0.05
 
@@ -99,11 +98,7 @@ class CalibrationController(RegimeController):
         }
         calibrated = self.calibrator.calibrated_graph(self.min_rel_change)
         new_table = ScheduleTable.build(
-            calibrated,
-            self.space,
-            self.scheduler,
-            parallel=self.parallel,
-            cache=self.cache,
+            calibrated, self.space, self.scheduler, cache=self.cache
         )
         new = new_table.lookup(self.calibrator.state)
         self.table = new_table

@@ -6,7 +6,7 @@ show real wall-clock speedup.  :class:`ProcessRuntime` is the missing
 rung between the simulator and real hardware:
 
 * every scheduled cluster *node* becomes a worker ``multiprocessing``
-  process (fork-based, mirroring :mod:`repro.core.parallel`);
+  process (fork-based);
 * each worker is one :class:`~repro.runtime.live.LiveNode` — the body a
   threaded run is the one-node case of: its node's tasks in *lanes*, one
   thread per processor the schedule puts them on (one per task under an

@@ -56,7 +56,7 @@ from repro.core.table import RegimeController, SwitchRecord
 from repro.graph.taskgraph import TaskGraph
 from repro.runtime.dispatch import FlatPlacement, FlatSchedule, build_task_plans
 from repro.runtime.hub import SimWorld, build_hubs
-from repro.runtime.process import ProcessFaultPlan, ProcessRuntime
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.result import ExecutionResult
 from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import ClusterSpec
@@ -66,7 +66,6 @@ from repro.sim.trace import Mark, TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
-    from repro.analysis.race import RaceChecker
     from repro.obs import Observability
     from repro.sim.fabric import LinkFabric
 
@@ -487,12 +486,6 @@ class StaticExecutor:
         inputs sequentially).  The schedule was computed from the pure
         cost table, so contention shows up as slips —
         ``meta["contended_time"]`` reports the total link-wait.
-    faults:
-        Optional :class:`~repro.runtime.process.ProcessFaultPlan`, on
-        ``runtime="process"`` only: injected kernel errors and worker
-        deaths, recovered by retries and respawns.  A simulated fault run
-        (§3.4: failures as regime changes over a table of per-shape
-        schedules) is :class:`~repro.faults.runner.FaultTolerantExecutor`.
     obs:
         Optional :class:`~repro.obs.Observability` bundle, subscribed to
         the run's trace on every substrate: every placement execution,
@@ -513,16 +506,14 @@ class StaticExecutor:
         Values for static configuration channels, required by the live
         substrates (e.g. ``{"color_model": models}``); the simulation
         substrate fills statics with a stub and ignores this.
-    verify:
-        Run analysis passes 1-3 and 5 (graph lint, schedule certificate,
-        STM wiring, model check) over the inputs at construction time and
-        raise :class:`~repro.errors.AnalysisError` on any ERROR finding —
-        misconfigurations surface before anything executes.
-    analysis:
-        Optional :class:`~repro.analysis.race.RaceChecker` (pass 4).
-        Threaded runtime only: channels swap their lock for a tracked one
-        and report puts/gets, so the checker sees every happens-before
-        edge; read its findings with ``analysis.report()`` after the run.
+
+    A simulated fault run (§3.4: failures as regime changes over a table
+    of per-shape schedules) is
+    :class:`~repro.faults.runner.FaultTolerantExecutor`.  Injected process
+    faults (``ProcessRuntime(faults=)``) and the race checker
+    (``ThreadedRuntime(analysis=)``) are options of the runtimes
+    themselves, and the static analyzer (:mod:`repro.analysis`) runs over
+    these inputs directly.
     """
 
     def __init__(
@@ -533,12 +524,9 @@ class StaticExecutor:
         schedule: Union[PipelinedSchedule, ScheduleSolution],
         comm: Optional[CommModel] = None,
         contended: bool = False,
-        faults: Optional[ProcessFaultPlan] = None,
         obs: Optional["Observability"] = None,
         runtime: str = "sim",
         static_inputs: Optional[dict] = None,
-        verify: bool = False,
-        analysis: Optional["RaceChecker"] = None,
     ) -> None:
         graph.validate()
         if runtime not in ("sim", "threaded", "process"):
@@ -549,25 +537,11 @@ class StaticExecutor:
             raise ExecutorConfigError(
                 "contended transfers exist only on the sim substrate"
             )
-        if faults is not None and not (
-            runtime == "process" and isinstance(faults, ProcessFaultPlan)
-        ):
-            raise ExecutorConfigError(
-                "faults= takes a ProcessFaultPlan on runtime='process'; a "
-                "simulated fault run is FaultTolerantExecutor(graph, state, "
-                "cluster, FaultRuntime(...))"
-            )
-        if analysis is not None and runtime != "threaded":
-            raise ExecutorConfigError(
-                "the race checker (analysis=) instruments real threads; "
-                "it requires runtime='threaded'"
-            )
         if isinstance(schedule, ScheduleSolution):
             solution, schedule = schedule, schedule.pipelined
         else:
-            # A bare PipelinedSchedule carries no provenance; wrap it so the
-            # verifier can re-derive its claims — and a controller hold it —
-            # all the same.
+            # A bare PipelinedSchedule carries no provenance; wrap it so a
+            # controller can hold it all the same.
             solution = ScheduleSolution(
                 state=state,
                 iteration=schedule.iteration,
@@ -575,8 +549,6 @@ class StaticExecutor:
                 alternatives=0,
                 explored=0,
             )
-        if verify:
-            self._verify_startup(graph, state, cluster, solution, comm)
         if schedule.n_procs > cluster.total_processors:
             raise ExecutorConfigError(
                 f"schedule needs {schedule.n_procs} processors, cluster has "
@@ -589,27 +561,9 @@ class StaticExecutor:
         self.solution = solution
         self.comm = comm or CommModel.free(cluster)
         self.contended = contended
-        self.faults = faults
         self.obs = obs
         self.runtime = runtime
         self.static_inputs = dict(static_inputs or {})
-        self.analysis = analysis
-
-    @staticmethod
-    def _verify_startup(graph, state, cluster, solution, comm) -> None:
-        """Opt-in ``verify=`` gate: analysis passes 1-3 and 5 on this
-        executor's inputs; raises :class:`~repro.errors.AnalysisError` on
-        ERROR findings before anything runs."""
-        # Deferred import: repro.analysis imports schedule/graph modules.
-        from repro.analysis import check_model, check_stm, lint_graph, verify_solution
-        from repro.errors import AnalysisError
-
-        report = lint_graph(graph, states=[state])
-        verify_solution(solution, graph, cluster, comm=comm, report=report)
-        check_stm(graph, report=report)
-        check_model(graph, solution, report=report)
-        if not report.ok():
-            raise AnalysisError(report)
 
     def run(self, iterations: int) -> ExecutionResult:
         """Execute ``iterations`` timestamps and drain."""
@@ -644,13 +598,13 @@ class StaticExecutor:
         if self.runtime == "threaded":
             live = ThreadedRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
-                schedule=self.schedule, obs=self.obs, analysis=self.analysis,
+                schedule=self.schedule, obs=self.obs,
             )
         else:
             live = ProcessRuntime(
                 self.graph, self.state, static_inputs=self.static_inputs,
                 schedule=self.schedule, cluster=self.cluster,
-                obs=self.obs, faults=self.faults,
+                obs=self.obs,
             )
         result = live.run(iterations)
         result.meta["period"] = self.schedule.period

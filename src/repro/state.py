@@ -50,6 +50,8 @@ class State(Mapping[str, Any]):
         return len(self._vars)
 
     def __getattr__(self, key: str) -> Any:
+        if key == "_vars":  # unset slot: a copy or unpickle bypassed __init__
+            raise AttributeError(key)
         try:
             return self._vars[key]
         except KeyError:
@@ -74,20 +76,9 @@ class State(Mapping[str, Any]):
         merged.update(changes)
         return State(**merged)
 
-    def __reduce__(self):
-        # __slots__ plus the immutability guard in __setattr__ break the
-        # default pickle path; rebuild through the constructor instead so
-        # states can cross process boundaries (repro.core.parallel).
-        return (_rebuild_state, (dict(self._vars),))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self._vars.items())
         return f"State({inner})"
-
-
-def _rebuild_state(variables: dict) -> "State":
-    """Pickle helper: reconstruct a :class:`State` from its variables."""
-    return State(**variables)
 
 
 class StateSpace:

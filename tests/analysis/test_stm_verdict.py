@@ -21,7 +21,6 @@ from repro.errors import AnalysisError
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
-from repro.runtime.static_exec import StaticExecutor
 from repro.sim.cluster import SINGLE_NODE_SMP
 from repro.state import State, StateSpace
 
@@ -113,8 +112,15 @@ def _table_gate():
 
 
 def _executor_gate():
-    sol = OptimalScheduler(SINGLE_NODE_SMP(2)).solve(_pair(), State(n_models=1))
-    StaticExecutor(_pair(), State(n_models=1), SINGLE_NODE_SMP(2), sol, verify=True)
+    """Passes 1-3 and 5 run directly over one executor's inputs."""
+    graph, state, smp2 = _pair(), State(n_models=1), SINGLE_NODE_SMP(2)
+    sol = OptimalScheduler(smp2).solve(graph, state)
+    report = analysis.lint_graph(graph, states=[state])
+    analysis.verify_solution(sol, graph, smp2, report=report)
+    analysis.check_stm(graph, report=report)
+    analysis.check_model(graph, sol, report=report)
+    if not report.ok():
+        raise AnalysisError(report)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The opt-in ``verify=`` gates on tables and executors."""
+"""The opt-in ``verify=`` gates on tables, and the analyzer over executor inputs."""
 
 from __future__ import annotations
 
@@ -6,13 +6,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis import (
+    RaceChecker, check_model, check_stm, lint_graph, verify_solution,
+)
 from repro.core.optimal import OptimalScheduler
 from repro.core.schedule import IterationSchedule, ScheduleSolution
 from repro.core.table import ScheduleTable
-from repro.errors import AnalysisError, ExecutorConfigError
+from repro.errors import AnalysisError
 from repro.faults.failover import ShapeTable
 from repro.graph.builders import chain_graph
 from repro.runtime.static_exec import StaticExecutor
+from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.state import State, StateSpace
 
@@ -76,42 +80,44 @@ class TestShapeTableGate:
         assert any(f.rule == "S012" for f in exc.value.report.findings)
 
 
+def analyze(graph, state, cluster, solution):
+    """Passes 1-3 and 5 over one executor's inputs, run directly."""
+    report = lint_graph(graph, states=[state])
+    verify_solution(solution, graph, cluster, report=report)
+    check_stm(graph, report=report)
+    check_model(graph, solution, report=report)
+    return report
+
+
 class TestExecutorGate:
+    """An executor has no gate of its own: its inputs go through the analyzer."""
+
     def test_verify_passes_clean_solution(self, chain, smp2):
         sol = OptimalScheduler(smp2).solve(chain, State(n_models=1))
-        ex = StaticExecutor(chain, State(n_models=1), smp2, sol, verify=True)
-        result = ex.run(3)
+        report = analyze(chain, State(n_models=1), smp2, sol)
+        assert report.ok(), report.summary()
+        result = StaticExecutor(chain, State(n_models=1), smp2, sol).run(3)
         assert len(result.completion_times) == 3
 
     def test_verify_accepts_bare_pipelined_schedule(self, chain, smp2):
         sol = OptimalScheduler(smp2).solve(chain, State(n_models=1))
-        StaticExecutor(chain, State(n_models=1), smp2, sol.pipelined, verify=True)
+        ex = StaticExecutor(chain, State(n_models=1), smp2, sol.pipelined)
+        report = analyze(chain, State(n_models=1), smp2, ex.solution)
+        assert report.ok(), report.summary()
 
     def test_verify_rejects_corrupted_schedule(self, chain, smp2):
         sol = OptimalScheduler(smp2).solve(chain, State(n_models=1))
-        with pytest.raises(AnalysisError):
-            StaticExecutor(chain, State(n_models=1), smp2, corrupt(sol), verify=True)
-
-    def test_race_checker_requires_threaded_runtime(self, chain, smp2):
-        from repro.analysis import RaceChecker
-
-        sol = OptimalScheduler(smp2).solve(chain, State(n_models=1))
-        with pytest.raises(ExecutorConfigError, match="threaded"):
-            StaticExecutor(
-                chain, State(n_models=1), smp2, sol,
-                runtime="sim", analysis=RaceChecker(),
-            )
+        report = analyze(chain, State(n_models=1), smp2, corrupt(sol))
+        assert not report.ok()
+        assert {"S006", "S007"} <= {f.rule for f in report.findings}
 
     def test_threaded_executor_threads_checker_through(self, smp2):
-        from repro.analysis import RaceChecker
-
         graph = chain_graph([0.01, 0.01])
         sol = OptimalScheduler(smp2).solve(graph, State(n_models=1))
+        assert analyze(graph, State(n_models=1), smp2, sol).ok()
         checker = RaceChecker()
-        ex = StaticExecutor(
-            graph, State(n_models=1), smp2, sol,
-            runtime="threaded", analysis=checker, verify=True,
-        )
-        ex.run(4)
+        ThreadedRuntime(
+            graph, State(n_models=1), schedule=sol.pipelined, analysis=checker
+        ).run(4)
         report = checker.report()
         assert checker.race_count == 0 and not report.findings, report.summary()

@@ -23,7 +23,7 @@ EPSILONS = (0.0, 0.1, 0.5)
 def solve(graph, state, scheduler, spec=None, cache=None):
     """One request on rung ``spec``, in-process, through ``cache``."""
     request = scheduler.request(graph, state, **resolve_policy(spec))
-    return solve_many([request], workers=1, cache=cache)[0]
+    return solve_many([request], cache=cache)[0]
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ def test_bounded_blown_budget_serves_list_fallback():
     cluster = SINGLE_NODE_SMP(4)
     scheduler = OptimalScheduler(cluster, node_limit=1)
     request = scheduler.request(graph, State(n_models=4), **resolve_policy("bounded:0.01"))
-    sol = solve_many([request], workers=1)[0]
+    sol = solve_many([request])[0]
     cert = sol.certificate
     assert cert is not None and cert.policy == "list"
     _, heft = incumbent_of(request)
@@ -210,11 +210,11 @@ def test_solve_many_cached_batch(tracker, scheduler, exact_by_state, tmp_path):
     states = list(TRACKER_STATES)[:4]
     rung = resolve_policy("bounded:0.0")
     requests = [scheduler.request(tracker, state, **rung) for state in states]
-    sols = solve_many(requests, workers=1, cache=cache)
+    sols = solve_many(requests, cache=cache)
     assert [s.latency for s in sols] == [
         exact_by_state[st].latency for st in states
     ]
-    again = solve_many(requests, workers=1, cache=cache)
+    again = solve_many(requests, cache=cache)
     assert cache.stats.hits == len(states)
     assert [solution_to_dict(s) for s in again] == [
         solution_to_dict(s) for s in sols

@@ -85,16 +85,6 @@ class TestScheduleTable:
     def test_summary(self, table):
         assert table.summary().count("L=") == 3
 
-    def test_progress_callback(self):
-        seen = []
-        ScheduleTable.build(
-            chain_graph([1.0]),
-            StateSpace.range("n_models", 1, 2),
-            OptimalScheduler(SINGLE_NODE_SMP(1)),
-            progress=lambda s, sol: seen.append(s["n_models"]),
-        )
-        assert seen == [1, 2]
-
 
 class TestRegimeSwitcher:
     def make_switcher(self, policy=None):

@@ -156,13 +156,8 @@ def run_regime(
     kiosk: Optional[KioskEnvironment] = None,
     graph: Optional[TaskGraph] = None,
     buffered_frames: float = BUFFERED_FRAMES,
-    workers: Optional[int] = None,
 ) -> RegimeResult:
-    """Run the regime-switching comparison over a kiosk trace.
-
-    ``workers`` parallelizes the off-line table build (same table for
-    every worker count).
-    """
+    """Run the regime-switching comparison over a kiosk trace."""
     cluster = cluster or SINGLE_NODE_SMP(4)
     space = space or StateSpace.range("n_models", 1, 5)
     policy = policy or DrainTransition(setup=0.25)
@@ -175,9 +170,7 @@ def run_regime(
     if not intervals:
         raise ExperimentError("kiosk trace is empty")
 
-    table = ScheduleTable.build(
-        graph, space, OptimalScheduler(cluster), parallel=workers
-    )
+    table = ScheduleTable.build(graph, space, OptimalScheduler(cluster))
 
     # perf[(k, m)] = (service latency, sustainable II) when the schedule
     # structure pre-computed for state k runs under actual state m.

@@ -62,7 +62,7 @@ class TestFaultsExperiment:
 
 
 # The rendered ``faults`` reports as ``python -m repro.experiments faults
-# [--quick] --workers 1`` printed them when the fault runner still had its
+# [--quick]`` printed them when the fault runner still had its
 # own generator placement body (PR 19's commit), trailing blanks stripped.
 # Every cell is a whole inject -> detect -> fail over -> recover run, so the
 # text pins the runner end to end across a change of body.
@@ -111,5 +111,5 @@ class TestGoldenReports:
     def test_report_text_is_unchanged(self, quick, golden):
         from repro.experiments.__main__ import _faults
 
-        text = _faults(quick, 1)
+        text = _faults(quick)
         assert [line.rstrip() for line in text.splitlines()] == golden.splitlines()

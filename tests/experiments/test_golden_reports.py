@@ -1,7 +1,7 @@
 """The reports the dynamic executor draws, frozen as text.
 
 ``golden/<name>_quick.txt`` is the body ``python -m repro.experiments <name>
---quick --workers 1`` prints between its ``=== name ===`` and ``--- done
+--quick`` prints between its ``=== name ===`` and ``--- done
 in ---`` lines.  Figure 3 sweeps the digitizer period under the pthread
 model, Figure 4 draws its Gantt chart, and the ablations run the quantum
 sweep (478 685 preemptions at a 1 ms quantum), the scheduler-knowledge,
@@ -22,5 +22,5 @@ GOLDEN = Path(__file__).with_name("golden")
 def test_quick_report_text_is_unchanged(name):
     from repro.experiments import __main__ as cli
 
-    text = getattr(cli, f"_{name}")(True, 1)
+    text = getattr(cli, f"_{name}")(True)
     assert text == (GOLDEN / f"{name}_quick.txt").read_text(encoding="utf-8")

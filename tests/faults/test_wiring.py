@@ -3,8 +3,7 @@
 The subsystem is reachable from both execution models:
 
 * ``FaultTolerantExecutor`` runs the regime-change failover (§3.4);
-  ``StaticExecutor`` refuses a ``FaultRuntime`` and names it — its
-  ``faults=`` is the process runtime's ``ProcessFaultPlan`` only;
+  ``StaticExecutor`` takes no fault plan and runs the static path;
 * ``DynamicExecutor(..., faults=...)`` binds its on-line scheduler to a
   live cluster view — threads migrate off dead processors but nothing
   fails over (the §3.2 baseline merely survives).
@@ -15,9 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.optimal import OptimalScheduler
-from repro.core.transition import DrainTransition
-from repro.errors import ExecutorConfigError, ProcessError, ReproError
-from repro.faults import ClusterView, FaultPlan, FaultRuntime
+from repro.errors import ProcessError
+from repro.faults import ClusterView, FaultPlan
 from repro.graph.builders import chain_graph
 from repro.runtime.dynamic import DynamicExecutor
 from repro.runtime.static_exec import StaticExecutor
@@ -32,27 +30,12 @@ STATE = State(n_models=1)
 
 
 class TestStaticExecutorDelegation:
-    def make(self, faults):
+    def test_without_faults_static_path_unchanged(self):
         graph = chain_graph([1.0, 1.0])
         sol = OptimalScheduler(CLUSTER).solve(graph, STATE)
-        return StaticExecutor(graph, STATE, CLUSTER, sol, faults=faults)
-
-    def test_fault_runtime_refused(self):
-        rt = FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1), policy=DrainTransition())
-        with pytest.raises(ExecutorConfigError, match="FaultTolerantExecutor"):
-            self.make(rt)
-
-    def test_without_faults_static_path_unchanged(self):
-        res = self.make(None).run(5)
+        res = StaticExecutor(graph, STATE, CLUSTER, sol).run(5)
         assert res.meta["slips"] == 0
         assert "recovery" not in res.meta
-
-    def test_contended_plus_faults_rejected(self):
-        graph = chain_graph([1.0, 1.0])
-        sol = OptimalScheduler(CLUSTER).solve(graph, STATE)
-        rt = FaultRuntime(plan=FaultPlan([]))
-        with pytest.raises(ReproError):
-            StaticExecutor(graph, STATE, CLUSTER, sol, contended=True, faults=rt)
 
 
 def run_dynamic(plan, horizon=12.0, scheduler=None, cluster=CLUSTER, max_ts=None):

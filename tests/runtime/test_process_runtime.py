@@ -524,16 +524,6 @@ class TestExecutorGuards:
             StaticExecutor(live, state, SINGLE_NODE_SMP(4), dp2_schedule(),
                            runtime="quantum")
 
-    def test_live_faults_must_be_process_plan(self):
-        live, statics, state = tracker_setup()
-        with pytest.raises(ReproError):
-            StaticExecutor(
-                live, state, SINGLE_NODE_SMP(4), dp2_schedule(),
-                runtime="threaded",
-                faults=ProcessFaultPlan(),
-                static_inputs=statics,
-            )
-
     def test_contended_is_sim_only(self):
         live, statics, state = tracker_setup()
         with pytest.raises(ReproError):

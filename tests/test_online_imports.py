@@ -6,8 +6,8 @@ up and switches.  This test holds the import graph to that split.  The
 test process builds the tracker table and writes it with
 ``table_to_json``; then one fresh interpreter per substrate loads the file
 with ``table_from_json``, runs one entry through ``StaticExecutor(...,
-runtime=...)`` with ``obs=None`` and ``verify=False`` (the defaults) and
-reports ``sys.modules`` and what the run produced.  No solver, baseline
+runtime=...)`` with ``obs=None`` (the default) and reports
+``sys.modules`` and what the run produced.  No solver, baseline
 scheduler, solver ladder, analyzer or experiment module may have been
 loaded, and the run from the file must equal the same entry run in memory:
 terminal outputs and ``channel_stats`` on every substrate (the DES reports
