@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.errors import ReproError
@@ -124,3 +126,13 @@ class TestGuards:
         sched = PipelinedSchedule(it, period=1.0, shift=0, n_procs=4)
         with pytest.raises(ReproError):
             StaticExecutor(g, m1, SINGLE_NODE_SMP(2), sched)
+
+
+def test_executor_takes_the_nine_replay_parameters():
+    # The analyzer gate, the race checker and the fault plan are options of
+    # the analyzer and the runtimes, not of the executor.
+    params = list(inspect.signature(StaticExecutor.__init__).parameters)[1:]
+    assert params == [
+        "graph", "state", "cluster", "schedule", "comm", "contended", "obs",
+        "runtime", "static_inputs",
+    ]
