@@ -102,7 +102,8 @@ class ObsResult:
     cache_hits: int
     cache_misses: int
     prometheus_excerpt: str
-    overhead_pct: Optional[float]
+    #: The live overhead's block estimates, percent (see measure_overhead)
+    overhead_blocks: Optional[list[float]]
 
     @property
     def stale(self) -> ObsRunRow:
@@ -149,10 +150,14 @@ class ObsResult:
         lines.append("")
         lines.append("Prometheus exposition (excerpt):")
         lines.append(self.prometheus_excerpt)
-        if self.overhead_pct is not None:
+        if self.overhead_blocks:
+            # One figure would hide that the blocks disagree by more than
+            # the hooks cost; the range shows how far to trust the median.
+            blocks = self.overhead_blocks
             lines.append(
                 f"\nthreaded-runtime instrumentation overhead: "
-                f"{self.overhead_pct:+.2f}% CPU time"
+                f"{median(blocks):+.2f}% CPU time, median of {len(blocks)} blocks "
+                f"ranging {min(blocks):+.2f}% .. {max(blocks):+.2f}%"
             )
         lines.append(
             f"\ndrift detected, repaired and measurably faster: "
@@ -176,7 +181,7 @@ def measure_overhead(
     frames: int = 32,
     repeats: int = 16,
     frame_shape: tuple[int, int] = (144, 192),
-) -> float:
+) -> list[float]:
     """Relative CPU cost of the obs hooks on the live threaded tracker.
 
     Runs the real kernels through :class:`ThreadedRuntime` with and
@@ -192,10 +197,9 @@ def measure_overhead(
     alternate (order flipping every pair); pairs are grouped into
     blocks, each block compares its best bare CPU against its best
     instrumented CPU (CPU noise is strictly additive, so the minima are
-    the deterministic cost floors), and the median block estimate is
-    returned — a sustained load burst spoils one block, not the answer.
-    Returns percent overhead (can be slightly negative in the noise
-    floor).
+    the deterministic cost floors).  Returns every block's estimate, in
+    percent (slightly negative ones are the noise floor): their median is
+    the figure, their range what a load burst did to it.
     """
     import gc
     import time as _time
@@ -238,7 +242,7 @@ def measure_overhead(
             if bare > 0:
                 estimates.append((min(obs_cpus) - bare) / bare * 100.0)
             bare_cpus, obs_cpus = [], []
-    return median(estimates) if estimates else 0.0
+    return estimates
 
 
 def run_obs(
@@ -330,5 +334,5 @@ def run_obs(
         cache_hits=cache.stats.hits,
         cache_misses=cache.stats.misses,
         prometheus_excerpt=_prometheus_excerpt(obs),
-        overhead_pct=overhead,
+        overhead_blocks=overhead,
     )

@@ -262,6 +262,7 @@ def run_regime(
         driver.at(iv.start, switcher.observe, iv.start, iv.n_people)
     driver.start(switcher, horizon=horizon, on_loss=lambda ts, _cause: lost.append(ts))
     driver.sim.run()
+    driver.release()
     executed = driver.result({"frames_lost_transition": sorted(lost)})
     latencies = frame_latencies(executed, table).values()
     outcomes.append(

@@ -172,7 +172,7 @@ class FaultTolerantExecutor:
         if iterations < 1:
             raise ExecutorConfigError(f"iterations must be >= 1, got {iterations}")
         driver = EpochDriver(self.graph, self.state, self.cluster, self.comm, self.obs)
-        sim, record_mark = driver.sim, driver.trace.record_mark
+        sim, trace = driver.sim, driver.trace
 
         view = ClusterView(sim, self.cluster)
         injector = FaultInjector(sim, view, self.faults.plan)
@@ -202,7 +202,7 @@ class FaultTolerantExecutor:
         view.on_change(on_kill)
 
         def on_detection(det: Detection) -> None:
-            record_mark(Mark.detection(det.time, det.kind, f"node={det.node}"))
+            trace.record_mark(Mark.detection(det.time, det.kind, f"node={det.node}"))
             try:
                 record = controller.on_detection(det)
             except ShapeUnschedulable:
@@ -211,7 +211,7 @@ class FaultTolerantExecutor:
                 unschedulable.append(det)
                 return
             if record is not None:
-                record_mark(Mark.failover(
+                trace.record_mark(Mark.failover(
                     record.time, controller.resume_at, f"{det.kind}:{det.node}"
                 ))
             driver.switched(record)
@@ -232,6 +232,7 @@ class FaultTolerantExecutor:
                     driver.replay.lose(frame, "deadline")
                 break
             sim.step()
+        driver.release()
 
         base_solution = self.table.lookup(self.cluster)
         result = driver.result(

@@ -139,8 +139,9 @@ class FlatSchedule:
     ``rows`` holds the base iteration as ``(task, procs, start, duration,
     variant)`` tuples in placement order.  ``instantiate(k)`` applies
     exactly :meth:`PipelinedSchedule.instantiate`'s arithmetic —
-    ``start + k * period`` and ``(q + k * shift) % n_procs`` — so its rows
-    are bitwise those of the reference (pinned by
+    ``start + k * period`` and ``(q + k * shift) % n_procs``, the latter
+    through the ``n_procs`` rotations of the rows tabulated at construction
+    — so its rows are bitwise those of the reference (pinned by
     ``tests/runtime/test_dispatch.py``), minus the validated
     :class:`Placement` construction.
     """
@@ -153,6 +154,11 @@ class FlatSchedule:
         self.rows = tuple(
             (p.task, p.procs, p.start, p.duration, p.variant) for p in placements
         )
+        # The rows' processors under each rotation ``k * shift % n_procs``.
+        self._rotated = [
+            tuple(tuple([(q + r) % self.n_procs for q in row[1]]) for row in self.rows)
+            for r in range(self.n_procs)
+        ]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -161,17 +167,11 @@ class FlatSchedule:
         """Absolute rows for iteration ``k`` — no :class:`Placement`
         construction."""
         offset = k * self.period
-        rotation = k * self.shift
-        n_procs = self.n_procs
         return [
-            FlatPlacement(
-                task,
-                tuple([(q + rotation) % n_procs for q in procs]),
-                start + offset,
-                duration,
-                variant,
+            FlatPlacement(task, procs, start + offset, duration, variant)
+            for (task, _base, start, duration, variant), procs in zip(
+                self.rows, self._rotated[k * self.shift % self.n_procs]
             )
-            for task, procs, start, duration, variant in self.rows
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -18,8 +18,10 @@ A :class:`ChannelHub` couples one synchronous
   executor's threads alike, both through :meth:`SimWorld.try_emit`;
 * every mutation is recorded in the trace as an
   :class:`~repro.sim.trace.ItemEvent` (whoever listens to the trace —
-  ``obs=`` — hears it there), and garbage collection runs after each
-  consume.
+  ``obs=`` — hears it there; with nobody listening a record is one list
+  append, the trace's ``record_item`` being the list's ``append``, so the
+  hub looks it up on the trace at every record), and garbage collection
+  runs after each consume.
 
 A :class:`SimWorld` is the DES counterpart of :mod:`repro.runtime.live`:
 everything :class:`~repro.runtime.static_exec.StaticExecutor`,
@@ -37,6 +39,7 @@ task's outputs through the one emit body, :meth:`SimWorld.try_emit`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable
@@ -57,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 
 __all__ = ["ChannelHub", "SimWorld", "build_hubs"]
 
+# A record from the tuple of all its fields: ``tuple.__new__`` is all the
+# NamedTuple's generated ``__new__`` does, without a Python-level call a
+# record — the DES writes some twenty a frame.
+_span = partial(tuple.__new__, ExecSpan)
+_item = partial(tuple.__new__, ItemEvent)
+
 
 class ChannelHub:
     """One STM channel bound to the simulator and the trace."""
@@ -69,13 +78,10 @@ class ChannelHub:
     ) -> None:
         self.sim = sim
         self.stm = channel
+        self.name = channel.name
         self.trace = trace
         self.gc_stats = GCStats()
         self._changed: Optional[SimEvent] = None  # made by wait_change()
-
-    @property
-    def name(self) -> str:
-        return self.stm.name
 
     # -- notification -------------------------------------------------------
 
@@ -86,9 +92,9 @@ class ChannelHub:
         return self._changed
 
     def _notify(self) -> None:
+        # Called only when somebody asked for the next change.
         waited, self._changed = self._changed, None
-        if waited is not None:
-            waited.succeed()
+        waited.succeed()
 
     # -- operations ----------------------------------------------------------
 
@@ -100,8 +106,9 @@ class ChannelHub:
         now = self.sim.now
         self.stm.put(conn, ts, value, size=size, time=now)
         if self.trace is not None:
-            self.trace.record_item(ItemEvent(now, self.name, "put", ts, task=conn.task))
-        self._notify()
+            self.trace.record_item(_item((now, self.name, "put", ts, conn.task)))
+        if self._changed is not None:
+            self._notify()
         return True
 
     def try_get(self, conn: Connection, ts: Timestamp) -> Optional[tuple[int, Any]]:
@@ -118,7 +125,7 @@ class ChannelHub:
             return None
         if self.trace is not None:
             self.trace.record_item(
-                ItemEvent(self.sim.now, self.name, "get", got_ts, task=conn.task)
+                _item((self.sim.now, self.name, "get", got_ts, conn.task))
             )
         return got_ts, value
 
@@ -127,10 +134,11 @@ class ChannelHub:
         self.stm.consume(conn, ts)
         if self.trace is not None:
             self.trace.record_item(
-                ItemEvent(self.sim.now, self.name, "consume", ts, task=conn.task)
+                _item((self.sim.now, self.name, "consume", ts, conn.task))
             )
         collected = collect_channel(self.stm, self.gc_stats)
-        self._notify()
+        if self._changed is not None:
+            self._notify()
         return collected
 
     def __repr__(self) -> str:
@@ -299,9 +307,9 @@ class SimWorld:
         """One execution of ``task`` for frame ``ts``: a trace span per
         processor, the primary first."""
         for proc in procs:
-            self.trace.record_span(ExecSpan(
+            self.trace.record_span(_span((
                 proc, task, ts, start, end, None, preempted, variant, cost, node_class
-            ))
+            )))
 
     def try_emit(
         self, task: str, ts: int, first: int = 0, second: bool = False
@@ -323,13 +331,9 @@ class SimWorld:
             ):
                 return at, hub
             if collector is not None:
-                self._drain(hub, collector, ts)
+                hub.try_get(collector, ts)
+                hub.consume(collector, ts)
         return None
-
-    @staticmethod
-    def _drain(hub: ChannelHub, collector: Connection, ts: int) -> None:
-        hub.try_get(collector, ts)
-        hub.consume(collector, ts)
 
     def retire(self, task: str, ts: int, end: float) -> None:
         """``task`` is through with frame ``ts``: consume its streaming

@@ -30,11 +30,16 @@ of its placements
    :class:`~repro.runtime.hub.SimWorld` every DES executor shares).
 
 Heap and memory therefore follow the frames in flight, not the length of
-the run.  Any positive difference between the actual and scheduled start is
-recorded as a *slip*; a correct schedule executes with zero slips, and
-tests assert this for every schedule the optimizers produce.  A run whose
-heap drains with placements still parked raises
-:class:`~repro.errors.SimDeadlock` naming them ``<task>@<iteration>``.
+the run — and a finished run frees by reference counting: the body's steps
+reach one another and the launch loop re-arms itself, so both are cycles
+while the run lasts, and ``EpochDriver.release()`` (called by every
+driver's owner once the run is over) drops them with whatever is left on
+the heap, so no cycle holds the world or its trace.  Any positive
+difference between the actual and scheduled start is recorded as a
+*slip*; a correct schedule executes with zero slips, and tests assert this
+for every schedule the optimizers produce.  A run whose heap drains with
+placements still parked raises :class:`~repro.errors.SimDeadlock` naming
+them ``<task>@<iteration>``.
 
 A schedule switch — whatever caused it — is an *epoch* on that loop, and a
 failure is an event on that body (``lose(frame, cause)``), not a second
@@ -138,7 +143,7 @@ class PlacementReplay:
         dead: AbstractSet[int] = frozenset(),
         on_loss: Optional[Callable[[int, str], None]] = None,
     ) -> None:
-        sim, cluster, record_mark = world.sim, world.cluster, world.trace.record_mark
+        sim, cluster, trace = world.sim, world.cluster, world.trace
         call_at = sim.call_at
         edges = world.edges
         record_exec, try_emit, retire = world.record_exec, world.try_emit, world.retire
@@ -155,9 +160,17 @@ class PlacementReplay:
         prices: dict[tuple[int, int, int], tuple[float, str]] = {}
 
         def start(ts: int, rows: list[FlatPlacement], second: bool = False) -> None:
+            # What gather() would do with a frame where nothing has settled:
+            # a placement with inputs parks on its first, one without is
+            # ready at its scheduled start.
             in_flight[ts] = frame = _Frame(ts, rows, second)
+            parked, now = frame.parked, sim.now
             for pl in rows:
-                gather(frame, pl, 0, pl.start)
+                incoming = edges[pl.task]
+                if incoming:
+                    parked.setdefault(incoming[0][0], []).append((pl, 0, pl.start))
+                else:
+                    call_at(max(pl.start, now), acquire, frame, pl, 0)
 
         def gather(frame: _Frame, pl: FlatPlacement, at: int, ready: float) -> None:
             # Step 1.  Walk the incoming edges from ``at``: park on a
@@ -188,7 +201,7 @@ class PlacementReplay:
                         delay, tier_name(cluster, src, dst) if delay > 0 else "")
                 delay, tier = priced
                 if delay > 0:
-                    record_mark(Mark.comm(
+                    trace.record_mark(Mark.comm(
                         channels, tier, pred_end, pred_end + delay, nbytes, frame.ts,
                     ))
                 ready = max(ready, pred_end + delay)
@@ -232,7 +245,7 @@ class PlacementReplay:
             if start > pl.start + _EPS:
                 self.slips += 1
                 self.max_slip = max(self.max_slip, start - pl.start)
-                record_mark(Mark.slip(pl.task, start, start - pl.start, frame.ts))
+                trace.record_mark(Mark.slip(pl.task, start, start - pl.start, frame.ts))
             if pl.duration > 0:
                 frame.running[pl.task] = start
                 call_at(start + pl.duration, finish, frame, pl, start)
@@ -296,7 +309,16 @@ class PlacementReplay:
                 ):
                     lose(frame, "crash")
 
+        def close() -> None:
+            # The run is over.  The steps reach one another through these
+            # names, and acquire reaches this body: with them dropped
+            # nothing here is cyclic, and the world and its trace are freed
+            # by reference counting once the result is dropped.
+            nonlocal gather, release, acquire, finish, settle, give_up, lose
+            gather = release = acquire = finish = settle = give_up = lose = None
+
         self.start, self.lose, self.preempt_dead = start, lose, preempt_dead
+        self.close = close
 
 
 class EpochDriver:
@@ -325,8 +347,11 @@ class EpochDriver:
     The constructor builds the world (simulator, trace, STM wiring, frame
     ledger); :meth:`start` arms the loop over a controller and provides
     ``switched(record)`` (a None record — the cause switched nothing — is
-    ignored).  A run ends after ``iterations`` frames or when the next slot
-    would fall at or after ``horizon``; ``done`` turns true once nothing is
+    ignored) and ``release()``, which ends the run: it drops the loop, the
+    controller, the placement body's steps and what is left on the heap,
+    so that dropping the result frees the trace by reference counting.
+    A run ends after ``iterations`` frames or when the next slot would
+    fall at or after ``horizon``; ``done`` turns true once nothing is
     left to start.  ``dead`` and ``on_loss`` are :class:`PlacementReplay`'s.
     With a loss sink a lost frame may come back, so the loop keeps polling,
     one interval at a time, while anything is in flight; without one it
@@ -444,7 +469,18 @@ class EpochDriver:
                         replay_q.append(frame.ts)
                     replay.lose(frame, "replayed" if again else "transition")
 
-        self.switched = switched
+        def release() -> None:
+            # The run is over: drop the loop (it re-arms itself, so it
+            # reaches itself), the controller (a fault run's reaches this
+            # driver through the cluster view's listeners), the body's
+            # steps and whatever is still on the heap (heartbeats never
+            # stop).
+            nonlocal tick, controller
+            tick = controller = None
+            replay.close()
+            sim._heap.clear()
+
+        self.switched, self.release = switched, release
         call_at(sim.now, tick)
 
     def at(self, time: float, cause: Callable[..., Optional[SwitchRecord]], *args: Any) -> None:
@@ -577,6 +613,7 @@ class StaticExecutor:
         )
         driver.start(RegimeController(self.solution), iterations)
         driver.sim.run()
+        driver.release()
         if driver.replay.in_flight:
             raise SimDeadlock([
                 f"{task}@{k}"

@@ -28,21 +28,14 @@ __all__ = ["GCStats", "collect_channel"]
 
 @dataclass
 class GCStats:
-    """Cumulative collector statistics across calls."""
+    """Cumulative collector statistics across calls; the high-water marks
+    are the channel's live footprint before each collection."""
 
     collected: int = 0
     bytes_freed: int = 0
     calls: int = 0
     high_water_items: int = 0
     high_water_bytes: int = 0
-
-    def observe(self, channel: STMChannel) -> None:
-        """Record the channel's live footprint before collection."""
-        live = len(channel._order)
-        if live > self.high_water_items:
-            self.high_water_items = live
-        if channel._live_bytes > self.high_water_bytes:
-            self.high_water_bytes = channel._live_bytes
 
 
 def collect_channel(channel: STMChannel, stats: GCStats | None = None) -> int:
@@ -51,12 +44,26 @@ def collect_channel(channel: STMChannel, stats: GCStats | None = None) -> int:
     Returns the number of items collected.  Updates ``stats`` (including
     the pre-collection high-water mark) when provided.
     """
-    if stats is not None:
-        stats.observe(channel)
-        stats.calls += 1
     order = channel._order
-    low = channel.watermark()
-    if low is None or not order or order[0] >= low:
+    if stats is not None:
+        stats.calls += 1
+        if len(order) > stats.high_water_items:
+            stats.high_water_items = len(order)
+        if channel._live_bytes > stats.high_water_bytes:
+            stats.high_water_bytes = channel._live_bytes
+    if not order:
+        return 0
+    # The watermark (:meth:`STMChannel.watermark`), taken in the loop that
+    # stops at the first input still holding the oldest live item: with
+    # one, nothing is collectible.
+    oldest, low = order[0], None
+    for conn in channel._inputs.values():
+        vt = conn.virtual_time
+        if vt <= oldest:
+            return 0
+        if low is None or vt < low:
+            low = vt
+    if low is None:
         return 0
     # The collectible items are the prefix of the live timestamps below
     # the watermark: pop it, at a cost in the items freed.

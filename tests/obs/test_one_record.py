@@ -11,6 +11,7 @@ are the same observations.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,9 +20,14 @@ from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
 from repro.apps.video import VideoSource
 from repro.core.optimal import OptimalScheduler
 from repro.core.schedule import PipelinedSchedule
+from repro.core.table import RegimeController
+from repro.faults import FaultPlan, FaultRuntime, FaultTolerantExecutor
+from repro.graph.builders import chain_graph
 from repro.obs import CostCalibrator, Observability, ScaledCost, graph_with_costs
-from repro.runtime.static_exec import StaticExecutor
-from repro.sim.cluster import SINGLE_NODE_SMP
+from repro.runtime.static_exec import EpochDriver, StaticExecutor
+from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
+from repro.sim.network import CommModel
+from repro.sim.trace import ExecSpan, ItemEvent, Mark
 from repro.state import State
 
 SUBSTRATES = ("sim", "threaded", "process")
@@ -145,3 +151,73 @@ class TestOneCalibrationPath:
         assert new == replayed.drifts == live.drifts
         # the data-parallel T4 is one observation per frame, not four
         assert sum(s.count for (task, *_), s in live.exec_stats.items() if task == "T4") == 24
+
+
+def costly_comm_tracker():
+    """A tracker schedule solved for free communication and replayed over
+    a costly one, on two nodes: every frame records transfers and slips
+    besides its spans and STM operations."""
+    graph, state, cluster = build_tracker_graph(), State(n_models=3), ClusterSpec(2, 2)
+    solution = OptimalScheduler(cluster).solve(graph, state)
+    return graph, state, cluster, solution, CommModel.uniform(cluster, 0.01, 1e6)
+
+
+class TestLateListener:
+    def test_a_listener_subscribed_mid_run_hears_every_later_record(self):
+        """With nobody listening a recorder's item and mark writers are the
+        lists' own ``append``; a listener subscribed after the world is
+        built and records exist must still hear every span, item and mark
+        written after it — no writer may keep the writer it found first."""
+        graph, state, cluster, solution, comm = costly_comm_tracker()
+        driver = EpochDriver(graph, state, cluster, comm)
+        trace, heard, before = driver.trace, [], {}
+
+        def subscribe() -> None:
+            before.update(
+                spans=len(trace.spans), items=len(trace.items), marks=len(trace.marks)
+            )
+            trace.subscribe(heard.append)
+
+        driver.start(RegimeController(solution), iterations=20)
+        driver.sim.call_at(6 * solution.period, subscribe)
+        driver.sim.run()
+        driver.release()
+        assert all(before.values()), "nothing was recorded before the listener came"
+        later = {
+            ExecSpan: trace.spans[before["spans"]:],
+            ItemEvent: trace.items[before["items"]:],
+            Mark: trace.marks[before["marks"]:],
+        }
+        assert all(later.values())
+        for kind, records in later.items():
+            assert [r for r in heard if type(r) is kind] == records, kind.__name__
+        assert len(heard) == sum(map(len, later.values()))
+
+
+class TestObservedMetricValues:
+    """An observed DES run's exposition, byte for byte, as the record path
+    that called every listener method for every record produced it."""
+
+    def exposition(self, run) -> str:
+        obs = Observability()
+        run(obs)
+        return hashlib.sha256(obs.prometheus().encode()).hexdigest()
+
+    def test_a_replay_with_transfers_and_slips(self):
+        graph, state, cluster, solution, comm = costly_comm_tracker()
+        digest = self.exposition(
+            lambda obs: StaticExecutor(
+                graph, state, cluster, solution, comm=comm, obs=obs
+            ).run(40)
+        )
+        assert digest == "7d8db279c9cda5d2d6f7c770e22b2ffc879ec004cd3e3e2f8bbaa34c3a40f08a"
+
+    def test_a_fault_run_with_detections_and_failovers(self):
+        digest = self.exposition(
+            lambda obs: FaultTolerantExecutor(
+                chain_graph([1.0, 1.0]), State(n_models=1), ClusterSpec(2, 1),
+                FaultRuntime(plan=FaultPlan.crash_at(5.0, node=1, recover_at=20.0)),
+                obs=obs,
+            ).run(40)
+        )
+        assert digest == "9d58df88276a64af344acbc3fde69f314c7277d6b70f80010d72314701928207"
