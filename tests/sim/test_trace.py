@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import pytest
 
-from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
+from repro.sim.trace import ExecSpan, ItemEvent, Mark, TraceRecorder
 
 
 def span(proc, task, ts, start, end, **kw):
@@ -149,6 +150,37 @@ class TestTraceRecorder:
         assert t.completion_time(0) is None
         assert t.utilization([0]) == 0.0
         assert t.busy_time(5) == 0.0
+
+
+class TestRecordRouting:
+    """With nobody listening ``record_item`` / ``record_mark`` are the
+    lists' own ``append``; a listener, and a copy, must still get it right."""
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_records_into_its_own_lists(self, duplicate):
+        trace = TraceRecorder()
+        trace.record_item(ItemEvent(0.0, "c", "put", 0))
+        twin = duplicate(trace)
+        twin.record_item(ItemEvent(1.0, "c", "put", 1))
+        twin.record_mark(Mark.slip("t", 1.0, 0.5))
+        assert len(trace.items) == 1 and not trace.marks
+        assert len(twin.items) == 2 and len(twin.marks) == 1
+
+    def test_a_subscribed_recorder_tells_the_listener_and_so_does_its_copy(self):
+        trace, heard = TraceRecorder(), []
+        trace.record_item(ItemEvent(0.0, "c", "put", 0))
+        trace.subscribe(heard.append)
+        trace.record_item(ItemEvent(1.0, "c", "get", 0))
+        trace.record_mark(Mark.slip("t", 1.0, 0.5))
+        assert [type(r) for r in heard] == [ItemEvent, Mark]
+        twin = copy.deepcopy(trace)  # keeps the listener, a bound builtin
+        twin.record_item(ItemEvent(2.0, "c", "consume", 0))
+        assert len(twin.items) == 3 and len(trace.items) == 2
+        assert heard[-1].kind == "consume"
 
 
 class TestChromeTraceExport:
