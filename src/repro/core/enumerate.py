@@ -832,6 +832,10 @@ def _branch_and_bound(
         recurse(ready, 0.0, frozenset(), 0.0, sum(min_work.values()))
     except _EarlyStop:
         pass
+    finally:
+        # ``recurse`` reaches itself through its own closure cell; emptying
+        # the cell lets reference counting free the search's closures.
+        del recurse
     if not solutions:
         raise InfeasibleSchedule(
             f"no legal schedule for graph {problem.graph_name!r} on {cluster!r}"

@@ -12,9 +12,8 @@ The view is the single source of truth every fault-aware component reads:
 
 * the injector mutates it,
 * heartbeats consult it (a dead node stops beating),
-* schedulers refuse to grant dead processors through it,
-* the dynamic executor races its per-processor death events, and the
-  fault runner subscribes to its changes (:meth:`ClusterView.on_change`)
+* the failover controller reads the surviving shape off it, and
+* the fault runner subscribes to its changes (:meth:`ClusterView.on_change`)
   and reads ``dead_procs``, to model work lost mid-placement.
 """
 
@@ -24,7 +23,7 @@ from typing import Callable
 
 from repro.errors import ClusterError, FaultError
 from repro.sim.cluster import ClusterSpec, Processor
-from repro.sim.engine import SimEvent, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = ["ClusterView"]
 
@@ -43,7 +42,6 @@ class ClusterView:
         self.dead_nodes: set[int] = set()
         self.dead_procs: set[int] = set()  # physical indices, incl. crashed nodes'
         self.slow_factors: dict[int, float] = {}  # node -> multiplier
-        self._death_events: dict[int, SimEvent] = {}
         self._on_change: list[Callable[[str, int], None]] = []
 
     # -- queries --------------------------------------------------------------
@@ -68,21 +66,6 @@ class ClusterView:
         p = self.base.processor(proc)
         return p.speed * self.slow_factors.get(p.node, 1.0)
 
-    def death_event(self, proc: int) -> SimEvent:
-        """Event firing when ``proc`` dies (fresh per up-period).
-
-        The dynamic executor races this against the end of each slice so a
-        processor dying mid-slice loses exactly the work in flight.  While the
-        processor is dead, the already-fired event is returned (a callback
-        added to it runs at once — dead is dead).
-        """
-        self.base.processor(proc)
-        ev = self._death_events.get(proc)
-        if ev is None:
-            ev = self.sim.event(f"death:cpu{proc}")
-            self._death_events[proc] = ev
-        return ev
-
     # -- mutation (the injector's surface) ------------------------------------
 
     def on_change(self, fn: Callable[[str, int], None]) -> None:
@@ -99,14 +82,14 @@ class ClusterView:
             return
         self.dead_nodes.add(node)
         for p in self.base.node_processors(node):
-            self._kill_proc(p.index)
+            self.dead_procs.add(p.index)
         self._notify("crash", node)
 
     def kill_processor(self, proc: int) -> None:
         """Kill one physical processor (idempotent)."""
         if not self.alive(proc):
             return
-        self._kill_proc(proc)
+        self.dead_procs.add(proc)
         self._notify("proc-loss", proc)
 
     def slow_node(self, node: int, factor: float) -> None:
@@ -133,18 +116,7 @@ class ClusterView:
         self.slow_factors.pop(node, None)
         for p in self.base.node_processors(node):
             self.dead_procs.discard(p.index)
-            # Re-arm: the next death gets a fresh event.
-            self._death_events.pop(p.index, None)
         self._notify("recovery", node)
-
-    def _kill_proc(self, proc: int) -> None:
-        self.dead_procs.add(proc)
-        ev = self._death_events.get(proc)
-        if ev is None:
-            ev = self.sim.event(f"death:cpu{proc}")
-            self._death_events[proc] = ev
-        if not ev.triggered:
-            ev.succeed(proc)
 
     def _notify(self, kind: str, target: int) -> None:
         for fn in list(self._on_change):

@@ -21,15 +21,18 @@ Input policies:
 
 A thread is a small state machine on the simulator's heap, not a
 coroutine.  A grant is a callback on the scheduler's ``acquire`` event; a
-quantum is one :meth:`~repro.sim.engine.Simulator.call_at`; the race
-between a quantum's end and its processor's death, and a consumer's wait
-for whichever of its streaming inputs changes first, are tokens the first
-arrival takes and the others find gone.  Every continuation that follows
+quantum is one :meth:`~repro.sim.engine.Simulator.call_at`; a consumer's
+wait for whichever of its streaming inputs changes first is a token the
+first change takes and the others find gone.  Every continuation that follows
 an event runs one heap entry after it; the same-instant order that gives
 is pinned bit for bit by ``tests/runtime/test_dynamic_golden.py``.  A
 thread's outputs go through the one emit body,
 :meth:`~repro.runtime.hub.SimWorld.try_emit`, and a full channel is
 retried at its next change.
+
+The baseline takes no fault plan.  Failures are the schedule-driven
+path's (§3.4: :class:`~repro.faults.runner.FaultTolerantExecutor`, a
+failure as a regime change over a table of per-shape schedules).
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ from repro.sim.trace import TraceRecorder
 from repro.state import State
 from repro.stm.channel import STMChannel
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
-    from repro.faults.events import FaultPlan
+if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs import Observability
 
 __all__ = ["DynamicExecutor"]
@@ -70,16 +72,6 @@ class DynamicExecutor:
         ``"latest"`` (frame-skipping) or ``"inorder"``.
     capacity_override:
         Per-channel capacity overrides (flow-control ablation).
-    faults:
-        Optional :class:`~repro.faults.events.FaultPlan` injected during
-        the run.  The scheduler is bound with a live
-        :class:`~repro.faults.view.ClusterView`: dead processors are never
-        granted, a slice in flight on a dying processor is lost (the
-        thread migrates and redoes that quantum), and recovered nodes
-        rejoin the grant pool.  Note the contrast with the fault-tolerance
-        subsystem: the on-line model merely *survives* failures — it has
-        no shape table to fail over to, so throughput degrades however the
-        quantum lottery lands (§3.2 vs §3.4).
     obs:
         Optional :class:`~repro.obs.Observability` bundle, subscribed to
         the run's trace.  Every quantum is a span (with its ``preempted``
@@ -96,7 +88,6 @@ class DynamicExecutor:
         scheduler: PthreadScheduler,
         input_policy: str = "latest",
         capacity_override: Optional[dict[str, Optional[int]]] = None,
-        faults: Optional["FaultPlan"] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         if input_policy not in ("latest", "inorder"):
@@ -108,7 +99,6 @@ class DynamicExecutor:
         self.scheduler = scheduler
         self.input_policy = input_policy
         self.capacity_override = capacity_override
-        self.faults = faults
         self.obs = obs
         self._speed = {p.index: p.speed for p in cluster.processors}
 
@@ -128,17 +118,9 @@ class DynamicExecutor:
             build_hubs(sim, self.graph, trace, self.capacity_override),
             build_task_plans(self.graph), self.obs,
         )
-        view = injector = None
-        if self.faults is not None:
-            from repro.faults.inject import FaultInjector
-            from repro.faults.view import ClusterView
-
-            view = ClusterView(sim, self.cluster)
-            injector = FaultInjector(sim, view, self.faults)
-            injector.start()
-        scheduler.bind(sim, self.cluster, view=view)
+        scheduler.bind(sim, self.cluster)
         call_at, quantum = sim.call_at, scheduler.quantum
-        emitted = fault_preemptions = 0
+        emitted = 0
 
         def thread(task: Task) -> Callable[[], None]:
             """``task``'s thread as a state machine on the heap; returns the
@@ -215,21 +197,15 @@ class DynamicExecutor:
                 scheduler.acquire(name, priority=float(ts)).add_callback(granted)
 
             def granted(grant: SimEvent) -> None:
-                nonlocal proc, speed, slice_time, start, token
+                nonlocal proc, speed, slice_time, start
                 proc = grant.value
-                speed = view.speed(proc) if view is not None else self._speed[proc]
+                speed = self._speed[proc]
                 slice_time = min(quantum, remaining / speed)
                 start = sim.now
                 if slice_time <= 0:
                     sliced()
-                elif view is None:
-                    call_at(sim.now + slice_time, sliced)
                 else:
-                    # The slice's end races the processor's death: whichever
-                    # fires first takes the token, one heap entry later.
-                    token = mine = object()
-                    call_at(sim.now + slice_time, raced, mine, sliced)
-                    view.death_event(proc).add_callback(lambda _died: raced(mine, lost))
+                    call_at(sim.now + slice_time, sliced)
 
             def raced(mine: object, then: Callable[[], None]) -> None:
                 nonlocal token
@@ -254,16 +230,6 @@ class DynamicExecutor:
                     emit()
                 else:
                     acquire()
-
-            def lost() -> None:
-                # The processor died under the thread: the partial quantum is
-                # lost and the thread migrates, redoing this slice on
-                # whatever survives.
-                nonlocal fault_preemptions
-                world.record_exec(name, ts, (proc,), start, sim.now, preempted=True)
-                fault_preemptions += 1
-                scheduler.invalidate(name, proc)
-                acquire()
 
             def emit(first: int = 0) -> None:
                 # The outputs into STM; a full channel is retried at its
@@ -294,13 +260,7 @@ class DynamicExecutor:
         return world.result(
             horizon,
             emitted,
-            {
-                "scheduler": repr(scheduler),
-                "policy": self.input_policy,
-                "faults_applied": len(injector.applied) if injector else 0,
-                "fault_preemptions": fault_preemptions,
-                "dead_procs": sorted(view.dead_procs) if view else [],
-            },
+            {"scheduler": repr(scheduler), "policy": self.input_policy},
         )
 
     def _pick_timestamp(self, chans: list[STMChannel], last: int) -> Optional[int]:

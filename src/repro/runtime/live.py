@@ -43,25 +43,20 @@ the next.  So the blocked operation least in (frame, start) order waits
 on nothing that is itself waiting.
 The broker lands each put and get of a step as soon as it can and
 applies its consumes on arrival, so a batch carrying one placement's
-hand-over and the next one's fetch cannot park on itself.  A respawned
-node resumes each task at its own ``resume`` frame; its lanes skip the
-task until then.
+hand-over and the next one's fetch cannot park on itself.
 
 :class:`LiveNode` is one process's share of a live run: its channels,
 one thread per lane through the one lane body, and the
 :class:`NodeReport` it returns after joining them.  A collector — the
 reader that drains a terminal channel into the run's outputs — runs in
-its producer's lane, right after it, when the channel has one producer
-on the node; otherwise it is a sink task in a lane of its own, whose
-kernel keeps each value and when it arrived.
+its producer's lane, right after it (a streaming channel has exactly one
+producer, ``TaskGraph.validate``).
 A :class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
 every channel local that collects itself; a
 :class:`~repro.runtime.process.ProcessRuntime` worker is one node whose
 boundary ends reach the parent's broker and that collects the terminal
 channels its own tasks produce, so a frame crosses the broker only where
-its data crosses a node boundary.  The parent runs one more node, with
-no tasks, whose collectors drain the terminal channels left at the
-broker in-process.
+its data crosses a node boundary.
 :func:`merge_reports` turns node reports into the run's
 :class:`~repro.runtime.result.ExecutionResult` on both — the result every
 substrate returns, the DES included.
@@ -119,10 +114,6 @@ __all__ = [
 #: ``(lane position, timestamp, kernel result)`` of the placement a step
 #: hands over.
 Done = Optional[tuple[int, int, dict]]
-
-#: ``invoke(task, run, inputs, ts)``: how a primary lane executes one
-#: placement, ``run(inputs, ts)`` (a process worker adds injected faults).
-Invoke = Callable[[Task, Callable[[dict, int], dict], dict, int], dict]
 
 #: The task name a collector attaches under, on every substrate.
 COLLECTOR = "-collector-"
@@ -288,11 +279,10 @@ class Placed(NamedTuple):
     ``kernel(inputs, ts)`` computes one frame (``None`` passes the merged
     inputs through to every output); ``local`` / ``boundary`` are its
     :class:`ChannelEnds` on either side of the process boundary;
-    ``statics`` is merged under every frame's streaming inputs; ``first``
-    is the first frame it runs (later than the lane's on a respawned
-    node).  ``taps`` are the collectors drained right after it: ``(local
-    channel, connection, keep)``, ``keep(ts, value)`` taking each item
-    before it is consumed.
+    ``statics`` is merged under every frame's streaming inputs.  ``taps``
+    are the collectors drained right after it: ``(local channel,
+    connection, keep)``, ``keep(ts, value)`` taking each item before it is
+    consumed.
     """
 
     plan: TaskPlan
@@ -300,7 +290,6 @@ class Placed(NamedTuple):
     local: ChannelEnds = ChannelEnds()
     boundary: ChannelEnds = ChannelEnds()
     statics: dict = {}
-    first: int = 0
     taps: tuple = ()
 
 
@@ -377,23 +366,20 @@ def run_frames(
 ) -> None:
     """One lane's frame loop up to timestamp ``stop - 1``.
 
-    Each frame runs the lane's placements in order, a placement from its
-    own ``first`` frame on.  ``exchange(done, nxt, ts)`` is the
-    substrate's step: ``done`` is the ``(lane position, timestamp,
-    result)`` of the placement just computed (``None`` on the first call)
-    whose outputs it puts and whose streaming inputs it consumes; ``nxt``
-    and ``ts`` name the placement and frame whose merged inputs it returns
-    (``None`` on the final call, which only flushes).  In a one-task lane
-    that is ``(None, first), (first, first + 1), ..., (stop - 1, None)``.
+    Each frame runs the lane's placements in order.  ``exchange(done,
+    nxt, ts)`` is the substrate's step: ``done`` is the ``(lane position,
+    timestamp, result)`` of the placement just computed (``None`` on the
+    first call) whose outputs it puts and whose streaming inputs it
+    consumes; ``nxt`` and ``ts`` name the placement and frame whose merged
+    inputs it returns (``None`` on the final call, which only flushes).  In
+    a one-task lane that is ``(None, 0), (0, 1), ..., (stop - 1, None)``.
 
     A placement's result is checked here, before anything is handed to
     the next exchange.
     """
     done: Done = None
-    for ts in range(min((placed.first for placed in lane), default=stop), stop):
+    for ts in range(stop):
         for i, placed in enumerate(lane):
-            if ts < placed.first:
-                continue
             inputs = exchange(done, i, ts)
             plan = placed.plan
             if placed.kernel is None:
@@ -430,7 +416,6 @@ class NodeReport:
     digitize_times: dict[int, float] = field(default_factory=dict)
     spans: list[ExecSpan] = field(default_factory=list)
     items: list[ItemEvent] = field(default_factory=list)
-    kernel_retries: int = 0
     outputs: dict[str, dict[int, Any]] = field(default_factory=dict)
     arrivals: dict[str, dict[int, float]] = field(default_factory=dict)
 
@@ -456,17 +441,13 @@ class LiveNode:
     the ``"nominal"`` node class.
 
     ``collect`` names the terminal channels the node drains, each through
-    a collector attached as ``-collector-`` (its boundary conn ids under
-    that name in ``remote``) that keeps each value and when it arrived,
-    on the run's clock, and records no span: a tap right after the
-    channel's producer in its lane when the node holds exactly one
-    producer, else a sink task in a lane of its own.
+    a collector attached as ``-collector-`` that keeps each value and when
+    it arrived, on the run's clock, and records no span: a tap right after
+    the channel's one producer in its lane.
 
     Each lane thread reads its placements' static inputs, builds their
     local and boundary :class:`ChannelEnds`, and runs :func:`make_exchange`
-    and :func:`run_frames`, each task from ``resume`` (``{task: first
-    timestamp}``; a node that resumes is a respawned worker, whose
-    boundary puts replay idempotently), recording one
+    and :func:`run_frames`, recording one
     :class:`~repro.sim.trace.ExecSpan` per kernel call and processor it
     occupies into :attr:`trace` on the run's clock: seconds since ``t0``
     (the moment of :meth:`start` when ``None``).  A data-parallel slot's
@@ -490,7 +471,6 @@ class LiveNode:
     op_timeout: float
     remote: dict[str, dict[str, int]] = field(default_factory=dict)
     collect: tuple[str, ...] = ()
-    resume: Optional[dict[str, int]] = None
     slots: Optional[dict[str, Slot]] = None
     t0: Optional[float] = None
     observe: bool = False
@@ -515,7 +495,6 @@ class LiveNode:
                                  for ch in self.collect if ch in self.channels}
         self.trace = TraceRecorder()
         self.stamps = FrameStamps()
-        self.kernel_retries = 0
         self.errors: list[BaseException] = []
         self._handoff: list[ThreadedChannel] = []
         self._lock = threading.Lock()
@@ -525,23 +504,18 @@ class LiveNode:
         self._outputs: dict[str, dict[int, Any]] = {ch: {} for ch in self.collect}
         self._arrivals: dict[str, dict[int, float]] = {ch: {} for ch in self.collect}
 
-    def run(self, link=None, invoke: Optional[Invoke] = None) -> NodeReport:
+    def run(self, link=None) -> NodeReport:
         """:meth:`start` then :meth:`join`."""
-        self.start(link, invoke)
+        self.start(link)
         return self.join()
 
-    def start(self, link=None, invoke: Optional[Invoke] = None) -> None:
+    def start(self, link=None) -> None:
         """Start every lane's thread.
 
         ``link`` reaches the broker (a :class:`~repro.stm.process.
-        WorkerLink` or :class:`~repro.stm.process.LocalLink`; none when
-        every channel is the node's).  ``invoke(task, run, inputs, ts)``
-        executes one placement of ``task`` at its primary lane, ``run(inputs,
-        ts)`` — the serial kernel, or a data-parallel slot's hand-out,
-        chunk 0 and join (default: calls it).
+        WorkerLink`; none when every channel is the node's).
         """
         self._link = link
-        invoke = invoke or (lambda task, run, inputs, ts: run(inputs, ts))
         checker = self.analysis
 
         def spawn(name: str, body, *args) -> threading.Thread:
@@ -569,7 +543,7 @@ class LiveNode:
             _time.perf_counter() if self.t0 is None else self.t0
         )
         self._threads = [spawn(name, self._run, lane)
-                         for name, lane in self._lanes(invoke).items()]
+                         for name, lane in self._lanes().items()]
         if self.observe:
             # after any static fill: configuration is not a frame's traffic
             for ch in self.channels.values():
@@ -603,7 +577,6 @@ class LiveNode:
             digitize_times=self.stamps.times,
             spans=self.trace.spans,
             items=self.trace.items,
-            kernel_retries=self.kernel_retries,
             outputs=self._outputs,
             arrivals=self._arrivals,
         )
@@ -620,40 +593,33 @@ class LiveNode:
         if first and self._link is not None:
             self._link.notify("fatal", "".join(traceback.format_exception(error)))
 
-    def _lanes(self, invoke: Invoke) -> dict[str, list[Placed]]:
+    def _lanes(self) -> dict[str, list[Placed]]:
         """``{thread name: placements}``: the node's tasks in lanes (in slot
         order, a slot in the lane of each processor it occupies; each task
-        its own without slots), then a lane for each collector no
-        producer's lane taps."""
+        its own without slots), each collector a tap after its channel's
+        producer."""
         tasks = {t.name: t for t in self.tasks}
         taps: dict[str, list] = {}
-        collectors = {}
         for ch in self.collect:
-            keep = self._keeper(ch)
-            producers = [t.name for t in self.tasks if ch in t.outputs]
-            if len(producers) == 1:
-                taps.setdefault(producers[0], []).append(
-                    (self.channels[ch], self.conns[COLLECTOR][ch], keep))
-            else:
-                sink = TaskPlan(COLLECTOR, (), (ch,), (), -1, False)
-                collectors[f"collect:{ch}"] = [Placed(
-                    sink, lambda inputs, ts, ch=ch, keep=keep: keep(ts, inputs[ch]) or {})]
+            producer = next(t.name for t in self.tasks if ch in t.outputs)
+            taps.setdefault(producer, []).append(
+                (self.channels[ch], self.conns[COLLECTOR][ch], self._keeper(ch)))
         lanes: dict[str, list[Placed]] = {}
         order = [name for name in self.slots if name in tasks] if self.slots else tasks
         for name in order:
             plan = self.plans[name]
             procs = self.slots[name].procs if self.slots else (name,)
-            kernel, chunks = self._kernel(tasks[name], invoke)
+            kernel, chunks = self._kernel(tasks[name])
             lanes.setdefault(f"lane:{procs[0]}", []).append(
                 Placed(plan, kernel, taps=tuple(taps.get(name, ()))))
-            # A chunk lane's step has no channel end; its plan keeps the
-            # task's name, so it resumes with the task.
+            # A chunk lane's step has no channel end: its plan keeps the
+            # task's name and no channel.
             for proc, chunk in zip(procs[1:], chunks):
                 lanes.setdefault(f"lane:{proc}", []).append(
                     Placed(TaskPlan(name, (), (), (), plan.index, False), chunk))
-        return {**lanes, **collectors}
+        return lanes
 
-    def _kernel(self, task: Task, invoke: Invoke) -> tuple[Optional[Callable], list]:
+    def _kernel(self, task: Task) -> tuple[Optional[Callable], list]:
         """``task``'s kernel as its primary lane calls it, recording one span
         a call and processor (``None`` for a task without one: it passes
         inputs through), and the chunk kernels of its other lanes."""
@@ -668,7 +634,7 @@ class LiveNode:
 
         def run_kernel(inputs: dict, ts: int) -> dict:
             k0 = _time.perf_counter() - t0
-            result = invoke(task, run, inputs, ts)
+            result = run(inputs, ts)
             k1 = _time.perf_counter() - t0
             # One span per processor, back to back as the DES writes them,
             # so a listener counts the copies as one execution.
@@ -694,14 +660,9 @@ class LiveNode:
         self._handoff += [work, *dones]
         hand_out = work.attach_output(name)
         collect = [done.attach_input(name) for done in dones]
-        handed = [-1]  # the last frame handed out
 
         def run(inputs: dict, ts: int) -> dict:
-            # A retry after the hand-out (a kernel error in chunk 0 or the
-            # join) re-runs those over the partials the chunks already put.
-            if handed[0] != ts:
-                work.put(hand_out, ts, inputs, timeout=timeout)
-                handed[0] = ts
+            work.put(hand_out, ts, inputs, timeout=timeout)
             partials = [task.compute_chunk(state, inputs, 0, width)]
             partials += [done.get(conn, ts, timeout=timeout)[1]
                          for done, conn in zip(dones, collect)]
@@ -740,7 +701,7 @@ class LiveNode:
         :func:`make_exchange`, the boundary ends on one
         :class:`~repro.stm.process.StepBatch`."""
         local, timeout = self.channels, self.op_timeout
-        batch = (StepBatch(self._link, replay=self.resume is not None)
+        batch = (StepBatch(self._link)
                  if any(self.remote.get(p.plan.name) for p in placements) else None)
         lane, far = [], []
         for placed in placements:
@@ -757,7 +718,7 @@ class LiveNode:
             lane.append(placed._replace(
                 local=ChannelEnds.of(plan, local, conns, conns),
                 boundary=ChannelEnds.of(plan, dict(zip(remote, remote)), remote, remote),
-                statics=statics, first=(self.resume or {}).get(plan.name, 0)))
+                statics=statics))
         if far:
             for (statics, ch), (_, value) in zip(far, batch.commit(timeout=timeout)):
                 statics[ch] = value
@@ -776,7 +737,6 @@ def merge_reports(
     wall_time: float,
     obs=None,
     *,
-    respawns: int = 0,
     meta: dict,
 ) -> ExecutionResult:
     """The run's :class:`~repro.runtime.result.ExecutionResult` from its
@@ -786,13 +746,13 @@ def merge_reports(
     stamps merged (latest source wins), the item events and the spans (by
     start) recorded into ``trace``, and every completed frame reported to
     ``obs``.  The horizon is the wall time; ``meta`` holds the terminal
-    ``outputs``, the ``channel_stats``, ``wall_time``, ``respawns`` and
-    ``kernel_retries``, plus the caller's ``meta`` (its ``substrate``).
+    ``outputs``, the ``channel_stats`` and ``wall_time``, plus the
+    caller's ``meta`` (its ``substrate``).
     """
     stats: dict[str, dict[str, int]] = {}
     outputs: dict[str, dict[int, Any]] = {}
     arrivals: dict[str, dict[int, float]] = {}
-    collected = high_water = retries = 0
+    collected = high_water = 0
     digitize: dict[int, float] = {}
     spans: list[ExecSpan] = []
     for report in reports:
@@ -801,7 +761,6 @@ def merge_reports(
         arrivals.update(report.arrivals)
         collected += report.gc_collected
         high_water += report.live_item_high_water
-        retries += report.kernel_retries
         for ts, at in report.digitize_times.items():
             digitize[ts] = max(digitize.get(ts, 0.0), at)
         for event in report.items:
@@ -827,8 +786,6 @@ def merge_reports(
             "outputs": outputs,
             "channel_stats": stats,
             "wall_time": wall_time,
-            "respawns": respawns,
-            "kernel_retries": retries,
             **meta,
         },
     )

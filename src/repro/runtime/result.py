@@ -41,8 +41,8 @@ class ExecutionResult:
         Space-footprint accounting from the channels.
     meta:
         Executor-specific extras (scheduler stats, slip counts, ...; a
-        live run's terminal ``outputs``, ``channel_stats``, ``wall_time``,
-        ``respawns``, ``kernel_retries`` and ``substrate``).
+        live run's terminal ``outputs``, ``channel_stats``, ``wall_time``
+        and ``substrate``).
     """
 
     graph: TaskGraph

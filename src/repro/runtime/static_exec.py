@@ -545,10 +545,9 @@ class StaticExecutor:
 
     A simulated fault run (§3.4: failures as regime changes over a table
     of per-shape schedules) is
-    :class:`~repro.faults.runner.FaultTolerantExecutor`.  Injected process
-    faults (``ProcessRuntime(faults=)``) and the race checker
-    (``ThreadedRuntime(analysis=)``) are options of the runtimes
-    themselves, and the static analyzer (:mod:`repro.analysis`) runs over
+    :class:`~repro.faults.runner.FaultTolerantExecutor`.  The race checker
+    (``ThreadedRuntime(analysis=)``) is an option of the threaded runtime
+    itself, and the static analyzer (:mod:`repro.analysis`) runs over
     these inputs directly.
     """
 

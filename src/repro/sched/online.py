@@ -20,7 +20,7 @@ reproduces the "fairly erratic" timings the paper observed in the
 saturated region of the tuning curve.
 
 :class:`PthreadScheduler` is the one on-line scheduler body — the free
-pool, grants, releases, fault awareness.  Its ready queue is two methods,
+pool, grants, releases.  Its ready queue is two methods,
 ``_queue`` and ``_next``; :class:`~repro.sched.priority.
 TimestampPriorityScheduler` overrides only those.
 """
@@ -29,14 +29,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import ProcessError
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import SimEvent, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
-    from repro.faults.view import ClusterView
 
 __all__ = ["PthreadScheduler"]
 
@@ -45,9 +42,8 @@ class PthreadScheduler:
     """FIFO ready queue + free-processor pool + fixed quantum.
 
     The dynamic executor asks it for processors: ``acquire`` returns an
-    event that fires with the processor granted, ``release`` gives one back
-    at the end of a quantum or of a work item, and ``invalidate`` drops a
-    grant whose processor died mid-slice.
+    event that fires with the processor granted, and ``release`` gives one
+    back at the end of a quantum or of a work item.
 
     Parameters
     ----------
@@ -65,7 +61,6 @@ class PthreadScheduler:
         self._quantum = float(quantum)
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
         self._sim: Optional[Simulator] = None
-        self._view: Optional["ClusterView"] = None
         self._free: list[int] = []
         self._ready = deque()
         self._held: dict[str, int] = {}
@@ -77,28 +72,12 @@ class PthreadScheduler:
         """Maximum uninterrupted execution slice in seconds."""
         return self._quantum
 
-    def bind(
-        self,
-        sim: Simulator,
-        cluster: ClusterSpec,
-        view: Optional["ClusterView"] = None,
-    ) -> None:
-        """Attach to a simulation and cluster before execution starts.
-
-        ``view`` (optional) is a live :class:`~repro.faults.view.ClusterView`:
-        a processor it reports dead is never granted, and the processors of
-        a recovered node rejoin the pool.
-        """
+    def bind(self, sim: Simulator, cluster: ClusterSpec) -> None:
+        """Attach to a simulation and cluster before execution starts."""
         self._sim = sim
-        self._view = view
         self._free = sorted(p.index for p in cluster.processors)
         self._ready.clear()
         self._held.clear()
-        if view is not None:
-            view.on_change(self._on_cluster_change)
-
-    def _alive(self, proc: int) -> bool:
-        return self._view is None or self._view.alive(proc)
 
     def acquire(self, thread: str, priority: Optional[float] = None) -> SimEvent:
         """Event firing with a processor index granted to ``thread``.
@@ -112,8 +91,6 @@ class PthreadScheduler:
         if thread in self._held:
             raise ProcessError(f"thread {thread!r} already holds processor {self._held[thread]}")
         ev = self._sim.event(("cpu-grant:{}", thread))
-        if self._view is not None:
-            self._free = [p for p in self._free if self._view.alive(p)]
         if self._free:
             proc = self._free.pop(0)
             self._held[thread] = proc
@@ -130,22 +107,7 @@ class PthreadScheduler:
             raise ProcessError(
                 f"thread {thread!r} released processor {proc} but held {held}"
             )
-        if not self._alive(proc):
-            return  # died while held; recovery re-pools it
         self._grant_next(proc)
-
-    def invalidate(self, thread: str, proc: int) -> None:
-        """Drop ``thread``'s grant because ``proc`` died mid-slice.
-
-        Unlike :meth:`release`, the processor is *not* handed to the next
-        waiting thread — it is dead.  Recovery re-pools it via the bound
-        view's change notifications.
-        """
-        held = self._held.pop(thread, None)
-        if held != proc:
-            raise ProcessError(
-                f"thread {thread!r} invalidated processor {proc} but held {held}"
-            )
 
     def _queue(self, thread: str, ev: SimEvent, priority: Optional[float]) -> None:
         """Put a waiting thread on the ready queue (the pthread model is
@@ -173,18 +135,6 @@ class PthreadScheduler:
         else:
             self._free.append(proc)
             self._free.sort()
-
-    def _on_cluster_change(self, kind: str, target: int) -> None:
-        if kind != "recovery" or self._view is None:
-            return
-        busy = set(self._held.values()) | set(self._free)
-        returned = [
-            p.index
-            for p in self._view.base.node_processors(target)
-            if self._view.alive(p.index) and p.index not in busy
-        ]
-        for proc in sorted(returned):
-            self._grant_next(proc)
 
     @property
     def ready_queue_length(self) -> int:

@@ -15,8 +15,8 @@ Concepts
 
 ``SimEvent``
     A one-shot occurrence carrying a value, for a wait whose end somebody
-    else decides (a processor grant, a channel's next change, a processor's
-    death).  :meth:`SimEvent.add_callback` hangs a continuation on it;
+    else decides (a processor grant, a channel's next change).
+    :meth:`SimEvent.add_callback` hangs a continuation on it;
     :meth:`SimEvent.succeed` puts its firing on the heap, and firing runs
     the callbacks in the order they were added.  :meth:`Simulator.timeout`
     is an event that succeeds itself after a delay.
@@ -30,10 +30,10 @@ when it wakes is a small state machine over the two — the dynamic
 executor's threads, a contended link transfer, the fault injector, the
 heartbeats — and code that knows every continuation in advance is a chain
 of calls (the placement body and the launch loop of the schedule-driven
-executors).  A race between two waits (a quantum's end against the
-processor's death) is a token both continuations check: the first to fire
-takes it, and the other — still on the heap, or still on its event — finds
-it gone and does nothing.  Nothing is ever cancelled; the loser is removed
+executors).  A race between waits (a consumer's wait for whichever of
+its inputs changes first) is a token every continuation checks: the
+first to fire takes it, and the others — still on their events — find it
+gone and do nothing.  Nothing is ever cancelled; the loser is removed
 lazily.
 
 Time is checked on the way in: a call at a time before the clock, or a

@@ -24,8 +24,6 @@ appendix, Figures 7-8).  This package implements the full API:
   that cross nodes: a parent-side
   :class:`~repro.stm.process.ChannelBroker` owning real channels, and the
   broker serves one op (the *step*); :class:`~repro.stm.process.StepBatch`
-  issues it, from a worker over a :class:`~repro.stm.process.WorkerLink`
-  or from the parent's collectors — a collector is a sink task — over a
-  :class:`~repro.stm.process.LocalLink`; a shared-memory ring carries
-  array payloads.
+  issues it from a worker over a :class:`~repro.stm.process.WorkerLink`;
+  a shared-memory ring carries array payloads.
 """

@@ -25,16 +25,10 @@ This module supplies the two halves of the inter-node transport:
   them as one step (none when nothing was queued).  It owns the
   shared-memory rings of its producer connections and decodes the reply.
 
-A step reaches the broker over a link.  A worker's is a
-:class:`WorkerLink` (a request queue, a reply queue): a queue round trip,
-counted as ``step``.  The parent's own threads — the collectors that drain
-the terminal channels left at the broker, which are sink tasks like any
-other — use a :class:`LocalLink`: the same step, dispatched inline under
-the broker lock and counted as ``local_step``, so
-:meth:`ChannelBroker.roundtrips` counts queue round trips only.  (A
-terminal channel whose producers share a node is collected in that
-node's worker and never comes here; only a run that may respawn keeps
-them all at the broker.)
+A step reaches the broker over a worker's :class:`WorkerLink` (a request
+queue, a reply queue): a queue round trip, counted as ``step``.  (A
+terminal channel is collected in its producer's worker and never comes
+here.)
 
 Payloads travel on two planes.  ``numpy`` arrays of at least
 :data:`SHM_THRESHOLD_BYTES` (4 KiB, a constant) ride a shared-memory
@@ -73,7 +67,6 @@ except ImportError:  # pragma: no cover - platforms without shm
 __all__ = [
     "BrokerDied",
     "ChannelBroker",
-    "LocalLink",
     "ShmRing",
     "StepBatch",
     "WorkerLink",
@@ -223,13 +216,12 @@ def decode_value(encoded) -> Any:
 # ---------------------------------------------------------------------------
 #
 # Request (worker -> broker): (worker_id, seq, op, args)
-#   the one op with a reply:  step (local_step when a LocalLink sends it)
+#   the one op with a reply:  step
 #   fire-and-forget:          fatal (exc text), done (the node's report)
 #   anything else:            "error" reply
 # Reply (broker -> worker): (seq, status, data)
 #   status: "ok" | "timeout" | "poisoned" | "error"
-#   step args:       (consumes, puts, gets, timeout, replay) — one frame's
-#                    traffic.
+#   step args:       (consumes, puts, gets, timeout) — one frame's traffic.
 #                    consumes: ((channel, conn, ts),...) applied
 #                    IMMEDIATELY on arrival (even while the step waits —
 #                    withholding them would deadlock pipelines);
@@ -262,7 +254,6 @@ class _StepWaiter:
     consumes: tuple
     puts: list
     gets: list
-    replay: bool = False
     consumed: bool = False
     landed: Optional[float] = None
 
@@ -320,20 +311,15 @@ class ChannelBroker:
         }
         self._trace: Optional[TraceRecorder] = None
         self._conns: dict[int, tuple[str, Connection]] = {}
-        self._put_hw: dict[int, int] = {}
         self.errors: list[str] = []
         self.done_payloads: dict[int, Any] = {}
         self._thread: Optional[threading.Thread] = None
         self._t0 = _time.perf_counter()
         self._lock = threading.Lock()
-        #: a LocalLink's parked step waits here; notified after every
-        #: request served, every expiry and every poison
-        self._cond = threading.Condition(self._lock)
         #: parked steps, retried to fixpoint after every mutation
         self._steps: list[_StepWaiter] = []
         #: requests served, by op — the broker round-trip accounting the
-        #: scaling benchmark reads (``local_step`` is a LocalLink's step,
-        #: which costs no queue round trip)
+        #: scaling benchmark reads
         self.op_counts: dict[str, int] = {}
 
     # -- parent-side setup --------------------------------------------------
@@ -343,11 +329,6 @@ class ChannelBroker:
         q = _mp_context().Queue()
         self._replies[worker_id] = q
         return q
-
-    def local_link(self) -> "LocalLink":
-        """The link for threads of this process (worker id 0), shared by
-        them like a worker's threads share its :class:`WorkerLink`."""
-        return self._replies.setdefault(LocalLink.worker_id, LocalLink(self))
 
     def attach_input(self, channel: str, task: str) -> int:
         conn = self.channels[channel].stm.attach_input(task)
@@ -361,15 +342,6 @@ class ChannelBroker:
 
     def conn(self, conn_id: int) -> Connection:
         return self._conns[conn_id][1]
-
-    def conn_put_next(self, conn_id: int) -> int:
-        """First timestamp connection ``conn_id`` has not yet put.
-
-        Worker-respawn recovery resumes a source task here: everything at
-        or below the high water already lives in (or passed through) STM.
-        """
-        hw = self._put_hw.get(conn_id)
-        return 0 if hw is None else hw + 1
 
     def put_static(self, channel: str, value: Any, size: int = 0) -> None:
         """Populate a static configuration channel before workers start."""
@@ -398,10 +370,9 @@ class ChannelBroker:
         self._unlink_all()
 
     def poison_all(self) -> None:
-        with self._cond:
+        with self._lock:
             for name in self.channels:
                 self._poison_locked(name)
-            self._cond.notify_all()
 
     @property
     def now(self) -> float:
@@ -427,30 +398,19 @@ class ChannelBroker:
             try:
                 msg = self.requests.get(timeout=0.02)
             except queue.Empty:
-                with self._cond:
+                with self._lock:
                     self._expire_steps()
-                    self._cond.notify_all()
                 continue
             if msg[2] == "stop":
-                with self._cond:
-                    self._cond.notify_all()
                 return
             try:
-                with self._cond:
-                    self._serve_locked(msg)
+                with self._lock:
+                    self._dispatch(msg)
+                    self._retry_steps()
+                    self._expire_steps()
             except Exception as exc:  # pragma: no cover - broker bug guard
                 self.errors.append(f"broker: {exc!r}")
-                with self._cond:
-                    for name in self.channels:
-                        self._poison_locked(name)
-                    self._cond.notify_all()
-
-    def _serve_locked(self, msg) -> None:
-        """Serve one request (lock held) and wake every waiter."""
-        self._dispatch(msg)
-        self._retry_steps()
-        self._expire_steps()
-        self._cond.notify_all()
+                self.poison_all()
 
     def _reply(self, worker: int, seq: int, status: str, data: Any = None) -> None:
         q = self._replies.get(worker)
@@ -476,14 +436,13 @@ class ChannelBroker:
         if op == "done":
             self.done_payloads[worker] = args
             return
-        if op in ("step", "local_step"):
-            consumes, puts, gets, timeout, replay = args
+        if op == "step":
+            consumes, puts, gets, timeout = args
             st = _StepWaiter(
                 worker=worker, seq=seq, deadline=self._deadline(timeout),
                 consumes=tuple(consumes),
                 puts=[list(p) + [False] for p in puts],
                 gets=[list(g) + [None] for g in gets],
-                replay=replay,
             )
             completed, _ = self._try_step(st)
             if not completed:
@@ -499,26 +458,12 @@ class ChannelBroker:
     # -- steps --------------------------------------------------------------
 
     def _apply_put(self, bc: _BrokerChannel, conn_id: int, ts: int,
-                   encoded: Any, size: int, replay: bool) -> None:
-        """Insert one item with full bookkeeping (caller checked capacity).
-
-        With ``replay=True`` a :class:`~repro.errors.DuplicateTimestamp`
-        is an idempotent success — at-least-once delivery after a worker
-        respawn: the item from the first attempt survived in the parent.
-        Other STM errors propagate to the caller.
-        """
+                   encoded: Any, size: int) -> None:
+        """Insert one item with full bookkeeping (caller checked capacity);
+        an STM error propagates to the caller."""
         conn = self.conn(conn_id)
-        try:
-            bc.stm.put(conn, ts, encoded, size=size, time=self.now)
-        except STMError as exc:
-            from repro.errors import DuplicateTimestamp
-
-            if replay and isinstance(exc, DuplicateTimestamp):
-                return
-            raise
+        bc.stm.put(conn, ts, encoded, size=size, time=self.now)
         bc.producers[ts] = (conn_id, encoded)
-        if ts > self._put_hw.get(conn_id, -1):
-            self._put_hw[conn_id] = ts
         if encoded[0] == "shm":
             bc.segment_names.add(encoded[1])
         self._observe(bc.stm.name, "put", ts, conn.task)
@@ -553,8 +498,7 @@ class ChannelBroker:
             if bc.stm.is_full:
                 continue
             try:
-                self._apply_put(bc, entry[1], entry[2], entry[3], entry[4],
-                                st.replay)
+                self._apply_put(bc, entry[1], entry[2], entry[3], entry[4])
             except STMError as exc:
                 self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
                 return True, True
@@ -738,68 +682,19 @@ class WorkerLink:
         return slot[0], slot[1]
 
 
-
-class LocalLink:
-    """A link for threads of the broker's own process: the parent's
-    collectors, which drain the terminal channels left at the broker.
-
-    The same step a :class:`WorkerLink` ships over two queues, served
-    without them: the calling thread dispatches it itself, under the broker
-    lock, as ``local_step`` (no queue round trip, so
-    :meth:`ChannelBroker.roundtrips` does not count it).  A step that parks
-    is completed, expired or poisoned by the broker's one step path like any
-    other; the caller waits on the broker's condition, which each of those
-    notifies, so its reply takes no thread hop.  Made by
-    :meth:`ChannelBroker.local_link`.
-    """
-
-    worker_id = 0
-
-    def __init__(self, broker: ChannelBroker) -> None:
-        self._broker = broker
-        self._seq = itertools.count(1)
-        self._replies: dict[int, tuple[str, Any]] = {}
-
-    def put(self, reply) -> None:
-        """The broker's reply (called with its lock held)."""
-        seq, status, data = reply
-        self._replies[seq] = (status, data)
-
-    def notify(self, op: str, payload: Any) -> None:
-        """Fire-and-forget message (``fatal``)."""
-        with self._broker._cond:
-            self._broker._serve_locked((self.worker_id, 0, op, payload))
-
-    def call(self, op: str, args, timeout: Optional[float]) -> tuple[str, Any]:
-        seq = next(self._seq)
-        # As on a WorkerLink, the broker enforces the request timeout; the
-        # wait here only guards against its service thread being gone.
-        deadline = _time.monotonic() + (30.0 if timeout is None else timeout + 30.0)
-        cond = self._broker._cond
-        with cond:
-            self._broker._serve_locked((self.worker_id, seq, f"local_{op}", args))
-            while seq not in self._replies:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    raise BrokerDied(f"no broker reply to local {op}")
-                cond.wait(remaining)
-            return self._replies.pop(seq)
-
-
 class StepBatch:
     """One task thread's boundary traffic, one step per frame.
 
     A task's frame loop queues the previous frame's puts and consumes
     plus the current frame's gets, then :meth:`commit` ships them as one
-    ``step`` request over ``link`` (a :class:`WorkerLink` or a
-    :class:`LocalLink`).  The broker applies the consumes immediately (even
-    while the step waits for capacity or data — so batching can never
-    withhold resources and deadlock a pipeline), lands puts and gets as
-    they become possible, and replies once everything has been applied.
-    The reply carries the get results, the per-producer freed-timestamp
-    feed, which recycles the batch's shared-memory rings (one per producer
-    connection it has put through), and when the last put landed
-    (:attr:`landed`).  A thread makes one batch and commits it every frame.
+    ``step`` request over ``link`` (a :class:`WorkerLink`).  The broker
+    applies the consumes immediately (even while the step waits for
+    capacity or data — so batching can never withhold resources and
+    deadlock a pipeline), lands puts and gets as they become possible, and
+    replies once everything has been applied.  The reply carries the get
+    results, the per-producer freed-timestamp feed, which recycles the
+    batch's shared-memory rings (one per producer connection it has put
+    through), and when the last put landed (:attr:`landed`).  A thread makes one batch and commits it every frame.
 
     Gets are restricted to exact integer timestamps: a wildcard resolved
     while the rest of the batch is still parked could be stale by the
@@ -807,9 +702,8 @@ class StepBatch:
     all the schedule-driven runtimes ever issue.
     """
 
-    def __init__(self, link, replay: bool = False) -> None:
+    def __init__(self, link) -> None:
         self._link = link
-        self._replay = replay
         self._consumes: list[tuple[str, int, int]] = []
         self._puts: list[tuple[str, int, int, Any, int]] = []
         self._gets: list[tuple[str, int, int]] = []
@@ -841,7 +735,7 @@ class StepBatch:
         if not len(self):
             return []
         args = (tuple(self._consumes), tuple(self._puts), tuple(self._gets),
-                timeout, self._replay)
+                timeout)
         self._consumes.clear()
         self._puts.clear()
         self._gets.clear()

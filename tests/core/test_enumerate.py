@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
+from repro.apps.tracker.graph import build_tracker_graph
 from repro.errors import ScheduleError
 from repro.core.enumerate import enumerate_schedules, search_schedules
 from repro.core.parallel import incumbent_of, make_request
@@ -197,3 +201,27 @@ class TestSameProcessorPlacement:
         g = fork_join_graph(0.0, [1.0, 1.0], 0.0)
         res = enumerate_schedules(g, m1, SINGLE_NODE_SMP(2))
         assert res.latency == pytest.approx(1.0)
+
+
+class TestNoClosureCycle:
+    def test_a_solve_leaves_its_closures_to_reference_counting(self):
+        """The search's ``recurse`` reaches itself through its closure
+        cell; the search empties that cell, so with the collector off a
+        tracker solve leaves none of its closures for ``gc.collect()``."""
+        enabled, debug, garbage = gc.isenabled(), gc.get_debug(), list(gc.garbage)
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_schedules(build_tracker_graph(), State(n_models=3),
+                                SINGLE_NODE_SMP(4))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = sorted(o.__qualname__ for o in gc.garbage
+                          if isinstance(o, types.FunctionType)
+                          and o.__qualname__.startswith("_branch_and_bound."))
+        finally:
+            gc.set_debug(debug)
+            gc.garbage[:] = garbage
+            if enabled:
+                gc.enable()
+        assert left == []

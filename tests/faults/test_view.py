@@ -51,25 +51,7 @@ class TestLiveness:
         assert view.speed(2) == pytest.approx(1.0)
 
 
-class TestDeathEvents:
-    def test_death_event_fires_on_kill(self, view):
-        ev = view.death_event(2)
-        assert not ev.triggered
-        view.kill_node(1)
-        assert ev.triggered
-
-    def test_death_event_already_dead(self, view):
-        view.kill_processor(0)
-        assert view.death_event(0).triggered
-
-    def test_rearmed_after_recovery(self, view):
-        view.kill_node(0)
-        view.recover_node(0)
-        ev = view.death_event(0)
-        assert not ev.triggered
-        view.kill_node(0)
-        assert ev.triggered
-
+class TestOnChange:
     def test_on_change_callbacks(self, view):
         log: list[tuple[str, int]] = []
         view.on_change(lambda kind, target: log.append((kind, target)))

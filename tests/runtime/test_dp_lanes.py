@@ -7,8 +7,8 @@ one in lane 3: the primary (lane 2) gets, hands the merged inputs to lane
 its own placements.  These tests pin which thread runs each chunk, the
 outputs (the serial kernels', bit for bit), the spans the primary records
 (one per processor, as the DES writes them), what a listening calibrator
-files, no deadlock at capacity 1, a respawn that resumes the placement
-bitwise, retries, a failing chunk that ends the run promptly, a race-free
+files, no deadlock at capacity 1, a failing chunk — the primary's after
+the hand-out, or another lane's — that ends the run promptly, a race-free
 threaded run, and the two refusals raised before any thread starts or
 worker forks.
 """
@@ -29,7 +29,7 @@ from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import Observability
 from repro.obs.calibrate import CostCalibrator
-from repro.runtime.process import KernelFault, ProcessFaultPlan, ProcessRuntime
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.static_exec import StaticExecutor
 from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -148,44 +148,18 @@ class TestNoDeadlock:
         res = wide_run(substrate, frames=frames, graph={"capacity": 1})
         assert res.completed == list(range(frames))
 
-    @pytest.mark.parametrize("killed", ["wide", "post"])
-    def test_respawn_resumes_the_placement_bitwise(self, killed):
-        """The worker dies at the dp task (at its primary, before the
-        hand-out) or at the chunk lane's next placement; the respawned node
-        resumes and the outputs are a fault-free run's, bit for bit."""
-        clean = wide_run("process", frames=8, graph={"capacity": 2})
-        plan = ProcessFaultPlan(events=(KernelFault(killed, 3, kind="exit"),),
-                                max_respawns=1)
-        res = wide_run("process", frames=8, graph={"capacity": 2}, faults=plan)
-        assert res.meta["respawns"] == 1
-        assert res.completed == list(range(8))
-        assert_bitwise_equal(res.meta["outputs"], clean.meta["outputs"])
-
-    def test_injected_error_retries_the_whole_placement(self):
-        clean = wide_run("process", frames=5)
-        plan = ProcessFaultPlan(events=(KernelFault("wide", 2),), kernel_retries=1,
-                                max_respawns=0)
-        res = wide_run("process", frames=5, faults=plan)
-        assert res.meta["kernel_retries"] == 1
-        assert_bitwise_equal(res.meta["outputs"], clean.meta["outputs"])
-
-    def test_chunk_zero_error_after_the_hand_out_is_retried(self):
-        """Chunk 0 raises once, after the inputs went out: the retry re-runs
-        it and the join over the partial chunk 1 already put."""
-        clean = wide_run("process", frames=5)
-        res = wide_run("process", frames=5, graph={"failing_chunk": (0, 2)},
-                       faults=ProcessFaultPlan(kernel_retries=1, max_respawns=0))
-        assert res.meta["kernel_retries"] == 1
-        assert_bitwise_equal(res.meta["outputs"], clean.meta["outputs"])
-
 
 class TestBoundedFailure:
+    @pytest.mark.parametrize("chunk", [0, 1])
     @pytest.mark.parametrize("substrate", LIVE)
-    def test_a_failing_chunk_lane_ends_the_run_promptly(self, substrate):
+    def test_a_failing_chunk_lane_ends_the_run_promptly(self, substrate, chunk):
+        """Chunk 0 fails in the primary lane after the hand-out, chunk 1 in
+        the chunk lane: either way the run ends in a typed error."""
         t0 = time.monotonic()
-        with pytest.raises(ReproError, match="chunk 1 failed|process runtime failed"):
+        with pytest.raises(ReproError,
+                           match=f"chunk {chunk} failed|process runtime failed"):
             wide_run(substrate, frames=50,
-                     graph={"capacity": 1, "failing_chunk": (1, 3)})
+                     graph={"capacity": 1, "failing_chunk": (chunk, 3)})
         assert time.monotonic() - t0 < OP_TIMEOUT / 2
 
 

@@ -3,13 +3,12 @@
 ``golden_dynamic.json`` holds one run of :class:`DynamicExecutor` per case
 of a grid over what steers its heap: the graph, the input policy (``latest`` /
 ``inorder``), the on-line scheduler (FIFO pthread, pthread with seeded
-jitter, timestamp priority), capacity-1 streaming channels, and a fault
-plan (none; a node crash mid-slice and its recovery; a processor loss; a
-slowdown).  A case pins every execution span in order and every STM item
-event in order (as SHA-256 digests of their ``float.hex()`` rows), the
-digitize and completion times, the scheduler's grants and preemptions, the
-death-preempted slices and the GC totals.  Any change to the order in which
-same-instant heap entries fire moves one of them.
+jitter, timestamp priority) and capacity-1 streaming channels.  A case pins
+every execution span in order and every STM item event in order (as
+SHA-256 digests of their ``float.hex()`` rows), the digitize and completion
+times, the scheduler's grants and preemptions and the GC totals.  Any
+change to the order in which same-instant heap entries fire moves one of
+them.
 
 Re-record (only for an intended change of behaviour) with
 ``PYTHONPATH=src python -m tests.runtime.test_dynamic_golden``.
@@ -23,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.apps.tracker.graph import build_tracker_graph
-from repro.faults import FaultPlan, NodeSlowdown, ProcessorLoss
 from repro.graph.builders import fork_join_graph
 from repro.runtime.dynamic import DynamicExecutor
 from repro.sched.online import PthreadScheduler
@@ -54,25 +52,16 @@ SCHEDULERS = {
     "priority": lambda: TimestampPriorityScheduler(quantum=0.01),
 }
 CAPACITIES = ("unbounded", "capacity1")
-PLANS = {
-    "none": lambda cluster: None,
-    "crash+recover": lambda cluster: FaultPlan.crash_at(1.503, node=1, recover_at=2.757),
-    "procloss": lambda cluster: FaultPlan(
-        [ProcessorLoss(time=1.207, proc=cluster.total_processors - 1)]
-    ),
-    "slowdown": lambda cluster: FaultPlan([NodeSlowdown(time=0.803, node=0, factor=0.5)]),
-}
 GRID = [
-    (graph, policy, sched, cap, plan)
+    (graph, policy, sched, cap)
     for graph in GRAPHS
     for policy in ("latest", "inorder")
     for sched in SCHEDULERS
     for cap in CAPACITIES
-    for plan in PLANS
 ]
 
 
-def run(graph_name, policy, sched, cap, plan):
+def run(graph_name, policy, sched, cap):
     """One case: its result and its scheduler."""
     make_graph, cluster = GRAPHS[graph_name]
     graph = make_graph()
@@ -82,7 +71,7 @@ def run(graph_name, policy, sched, cap, plan):
     scheduler = SCHEDULERS[sched]()
     result = DynamicExecutor(
         graph, STATE, cluster, scheduler, input_policy=policy,
-        capacity_override=override, faults=PLANS[plan](cluster),
+        capacity_override=override,
     ).run(HORIZON)
     return result, scheduler
 
@@ -102,9 +91,6 @@ def summary(result, scheduler) -> dict:
         "emitted": result.emitted,
         "grants": scheduler.grants,
         "preemptions": scheduler.preemptions,
-        "fault_preemptions": result.meta["fault_preemptions"],
-        "faults_applied": result.meta["faults_applied"],
-        "dead_procs": result.meta["dead_procs"],
         "gc_collected": result.gc_collected,
         "live_item_high_water": result.live_item_high_water,
     })
@@ -116,7 +102,7 @@ def frozen_cases() -> dict:
 
 
 def test_the_fixture_has_one_entry_per_grid_case():
-    assert len(GRID) == 96
+    assert len(GRID) == 24
     assert sorted(frozen_cases()) == sorted("/".join(case) for case in GRID)
 
 
@@ -126,16 +112,15 @@ def test_same_run_bit_for_bit(case):
 
 
 def test_the_grid_exercises_every_branch():
-    """Slices cut short by a processor's death, quantum preemption and
-    frame skipping all happen somewhere in the grid, and on the fork-join
-    the three schedulers give three different runs of every case."""
+    """Quantum preemption and frame skipping both happen in the grid, and
+    on the fork-join the three schedulers give three different runs of
+    every case."""
     frozen = frozen_cases()
-    assert any(c["fault_preemptions"] > 0 for c in frozen.values())
     assert all(c["preemptions"] > 0 for c in frozen.values())
-    latest = frozen["forkjoin/latest/pthread/unbounded/none"]
+    latest = frozen["forkjoin/latest/pthread/unbounded"]
     assert len(latest["completion_times"]) < latest["emitted"]
-    for _graph, policy, _sched, cap, plan in GRID:
-        runs = {frozen[f"forkjoin/{policy}/{s}/{cap}/{plan}"]["spans"] for s in SCHEDULERS}
+    for _graph, policy, _sched, cap in GRID:
+        runs = {frozen[f"forkjoin/{policy}/{s}/{cap}"]["spans"] for s in SCHEDULERS}
         assert len(runs) == 3
 
 

@@ -36,7 +36,7 @@ from repro.runtime.live import (
     run_frames,
     schedule_slots,
 )
-from repro.runtime.process import KernelFault, ProcessFaultPlan, ProcessRuntime
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.static_exec import StaticExecutor
 from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
@@ -76,7 +76,7 @@ def tracker(n_models: int = 2, shape=(48, 64)):
 
 def lane_threads() -> tuple[str, ...]:
     return tuple(sorted(t.name for t in threading.enumerate()
-                        if t.name.startswith(("lane:", "collect:"))))
+                        if t.name.startswith("lane:")))
 
 
 def fan_graph(capacity=None, spy: bool = False) -> TaskGraph:
@@ -240,8 +240,8 @@ class TestLaneDerivation:
 
 @pytest.mark.slow
 class TestThreads:
-    """A node starts one thread per lane; a collector whose channel has
-    one producer on the node starts none."""
+    """A node starts one thread per lane; a collector, tapped in its
+    channel's producer's lane, starts none."""
 
     @pytest.mark.parametrize("substrate", LIVE)
     def test_one_thread_per_lane(self, substrate):
@@ -256,26 +256,6 @@ class TestThreads:
         assert res.meta["outputs"]["out"][0][1] == (
             "lane:join", "lane:left", "lane:right", "lane:src")
 
-    def test_collector_with_no_producer_on_its_node_is_a_lane(self, monkeypatch):
-        """A respawn-capable run leaves the terminal channel at the broker:
-        the parent's node holds no producer of it, so its collector is a
-        lane of its own there."""
-        import repro.runtime.process as process_module
-
-        started = []
-
-        class SpyNode(process_module.LiveNode):
-            def start(self, *args, **kwargs):
-                super().start(*args, **kwargs)
-                started.append(sorted(t.name for t in self._threads))
-
-        monkeypatch.setattr(process_module, "LiveNode", SpyNode)
-        res = run_live("process", fan_graph(capacity=1, spy=True),
-                       State(n_models=1), FAN_LANES, frames=3,
-                       faults=ProcessFaultPlan(max_respawns=1))
-        assert started == [["collect:out"]]  # the workers start in their fork
-        assert res.meta["outputs"]["out"][0][1] == ("lane:0", "lane:1")
-
 
 @pytest.mark.slow
 class TestNoDeadlock:
@@ -289,21 +269,6 @@ class TestNoDeadlock:
         assert res.completed == list(range(frames))
         for value in res.meta["outputs"]["out"].values():
             assert_bitwise_equal(value, np.arange(6.0) - 1)
-
-    @pytest.mark.parametrize("killed", ["left", "join"])
-    def test_respawn_resumes_each_task_of_a_lane_at_its_own_frame(self, killed):
-        """The worker dies inside a lane that holds three tasks; the
-        respawned node resumes each at its own frame and the run's outputs
-        are a fault-free run's, bit for bit."""
-        clean = run_live("process", fan_graph(capacity=2), State(n_models=1),
-                         FAN_LANES, frames=8)
-        plan = ProcessFaultPlan(events=(KernelFault(killed, 3, kind="exit"),),
-                                max_respawns=1)
-        res = run_live("process", fan_graph(capacity=2), State(n_models=1),
-                       FAN_LANES, frames=8, faults=plan)
-        assert res.meta["respawns"] == 1
-        assert res.completed == list(range(8))
-        assert_bitwise_equal(res.meta["outputs"], clean.meta["outputs"])
 
 
 def two_lane_schedule(graph: TaskGraph, state: State) -> PipelinedSchedule:

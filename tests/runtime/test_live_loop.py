@@ -50,9 +50,9 @@ class RecordingExchange:
         return None if ts is None else {"a": ts}
 
 
-def one_task(plan, kernel, first=0):
+def one_task(plan, kernel):
     """A lane of one placement: the task-per-thread loop."""
-    return [Placed(plan, kernel, first=first)]
+    return [Placed(plan, kernel)]
 
 
 @pytest.fixture
@@ -70,15 +70,9 @@ class TestRunFrames:
             (ts, {"b": ts, "c": ts}) for ts in range(4)
         ]
 
-    def test_resume_starts_at_first(self, plan):
-        exchange = RecordingExchange()
-        run_frames(one_task(plan, lambda ins, ts: {"b": 0, "c": 0}, first=2),
-                   exchange, 4)
-        assert exchange.calls == [(None, 2), (2, 3), (3, None)]
-
     def test_nothing_to_do_means_no_exchange(self, plan):
         exchange = RecordingExchange()
-        run_frames(one_task(plan, None, first=4), exchange, 4)
+        run_frames(one_task(plan, None), exchange, 0)
         assert exchange.calls == []
 
     def test_no_kernel_passes_inputs_to_every_output(self, plan):

@@ -3,11 +3,9 @@
 ``ThreadedRuntime.run`` and ``ProcessRuntime.run`` return the
 :class:`~repro.runtime.result.ExecutionResult` the DES returns, built once
 by ``runtime.live.merge_reports``; ``StaticExecutor(runtime=...)`` hands it
-on with the schedule's ``period`` added.  Checked on the tracker over four
-live setups: threads, one process node, two process nodes (T1–T3 | T4–T5)
-and a respawn-capable plan, which keeps every channel at the broker.  A
-fault plan is the process runtime's own option, so the executor is
-compared on the three setups without one.
+on with the schedule's ``period`` added.  Checked on the tracker over three
+live setups: threads, one process node and two process nodes (T1–T3 |
+T4–T5).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import pytest
 from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
 from repro.apps.video import VideoSource
 from repro.core.schedule import IterationSchedule, PipelinedSchedule, Placement
-from repro.runtime.process import ProcessFaultPlan, ProcessRuntime
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.result import ExecutionResult
 from repro.runtime.static_exec import StaticExecutor
 from repro.runtime.threaded import ThreadedRuntime
@@ -29,12 +27,11 @@ pytestmark = pytest.mark.slow
 FRAMES = 6
 TASKS = ("T1", "T2", "T3", "T4", "T5")
 CLUSTER = ClusterSpec(nodes=2, procs_per_node=1)
-#: setup -> (substrate, task -> node, process fault plan)
+#: setup -> (substrate, task -> node)
 SETUPS = {
-    "threaded": ("threaded", dict.fromkeys(TASKS, 0), None),
-    "one-node": ("process", dict.fromkeys(TASKS, 0), None),
-    "two-nodes": ("process", {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1}, None),
-    "respawn": ("process", dict.fromkeys(TASKS, 0), ProcessFaultPlan()),
+    "threaded": ("threaded", dict.fromkeys(TASKS, 0)),
+    "one-node": ("process", dict.fromkeys(TASKS, 0)),
+    "two-nodes": ("process", {"T1": 0, "T2": 0, "T3": 0, "T4": 1, "T5": 1}),
 }
 
 
@@ -54,18 +51,18 @@ def schedule(nodes: dict[str, int]) -> PipelinedSchedule:
 
 
 def run_direct(which: str) -> ExecutionResult:
-    substrate, nodes, faults = SETUPS[which]
+    substrate, nodes = SETUPS[which]
     graph, statics, state = tracker()
     if substrate == "threaded":
         return ThreadedRuntime(graph, state, static_inputs=statics,
                                op_timeout=30.0).run(FRAMES)
     return ProcessRuntime(graph, state, static_inputs=statics,
                           schedule=schedule(nodes), cluster=CLUSTER,
-                          op_timeout=30.0, faults=faults).run(FRAMES)
+                          op_timeout=30.0).run(FRAMES)
 
 
 def run_executor(which: str) -> ExecutionResult:
-    substrate, nodes, _faults = SETUPS[which]
+    substrate, nodes = SETUPS[which]
     graph, statics, state = tracker()
     return StaticExecutor(graph, state, CLUSTER, schedule(nodes),
                           runtime=substrate, static_inputs=statics).run(FRAMES)
@@ -86,9 +83,7 @@ def test_live_run_returns_the_execution_result(which):
     assert "live_item_high_water" not in res.meta
 
 
-@pytest.mark.parametrize(
-    "which", [which for which, setup in SETUPS.items() if setup[2] is None]
-)
+@pytest.mark.parametrize("which", list(SETUPS))
 def test_static_executor_adds_only_the_period(which):
     direct, via = run_direct(which), run_executor(which)
     assert isinstance(via, ExecutionResult)

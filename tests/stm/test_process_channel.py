@@ -8,8 +8,8 @@ service thread owns real :class:`~repro.stm.channel.STMChannel` objects,
 so most tests run the batches in the parent process over an in-process
 :class:`~repro.stm.process.WorkerLink` — the wire protocol is exercised
 end to end without forking.  One test forks for real to cover the
-cross-process shared-memory path, its consumer on the parent's
-:class:`~repro.stm.process.LocalLink`.
+cross-process shared-memory path, its consumer on a
+:class:`~repro.stm.process.WorkerLink` in the parent.
 """
 
 from __future__ import annotations
@@ -243,8 +243,11 @@ class TestCrossProcess:
         conn_out = broker.attach_output("c", "prod")
         conn_in = broker.attach_input("c", "cons")
         child_replies = broker.register_worker(7)
+        parent_replies = broker.register_worker(1)
         broker.start()
-        consumer = StepBatch(broker.local_link())
+        link = WorkerLink(1, broker.requests, parent_replies)
+        link.start()
+        consumer = StepBatch(link)
         try:
             ctx = _mp_context()
             p = ctx.Process(
@@ -266,6 +269,8 @@ class TestCrossProcess:
             stats = broker.stats()["c"]
             assert stats["puts"] == 3
             assert stats["collected"] == 3
-            assert broker.op_counts["local_step"] == 4
+            # the child's three puts, the parent's three gets and last consume
+            assert broker.op_counts["step"] == 3 + 4
         finally:
+            link.stop()
             broker.stop()

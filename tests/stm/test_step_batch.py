@@ -5,10 +5,7 @@ broker request (a one-entry step is a blocking channel call).  Its
 contract: byte-identical STM effects to issuing the ops one by one (same
 counters, same errors), with consumes applied immediately on first
 dispatch — even while the step's puts or gets are parked — so batching
-can never withhold capacity and deadlock a bounded pipeline.  The
-parent's collectors send the same step over a
-:class:`~repro.stm.process.LocalLink`: served inline, counted as
-``local_step``, never as a queue round trip.
+can never withhold capacity and deadlock a bounded pipeline.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ class Rig:
         self.link.start()
         self.batches: list[StepBatch] = []
 
-    def batch(self, replay=False, link=None) -> StepBatch:
-        batch = StepBatch(link or self.link, replay=replay)
+    def batch(self) -> StepBatch:
+        batch = StepBatch(self.link)
         self.batches.append(batch)
         return batch
 
@@ -207,22 +204,12 @@ class TestStepSemantics:
         t.join(timeout=5.0)
         assert seen == ["poisoned"]
 
-    def test_duplicate_put_raises_without_replay(self, rig):
+    def test_duplicate_put_raises(self, rig):
         rig.put("a", 0, "x")
         batch = rig.batch()
         batch.put("a", rig.out["a"], 0, "again")
         with pytest.raises(DuplicateTimestamp):
             batch.commit(timeout=5.0)
-
-    def test_duplicate_put_idempotent_with_replay(self, rig):
-        """Respawned workers replay their frame steps; puts must land
-        exactly once."""
-        rig.put("a", 0, "x")
-        batch = rig.batch(replay=True)
-        batch.put("a", rig.out["a"], 0, "x")
-        batch.get("a", rig.inp["a"], 0)
-        assert batch.commit(timeout=5.0) == [(0, "x")]
-        assert rig.broker.stats()["a"]["puts"] == 1
 
     def test_get_of_consumed_ts_is_error(self, rig):
         # Second input conn keeps the item alive past cons's consume, so
@@ -268,90 +255,6 @@ class TestStepSemantics:
         with pytest.raises(STMError, match="unknown op 'put'"):
             raise pickle.loads(data)
         assert rig.broker.stats()["a"]["puts"] == 0
-
-    def test_roundtrips_counts_queue_ops_only(self, rig):
-        batch = rig.batch()
-        batch.put("a", rig.out["a"], 0, "x")
-        batch.get("a", rig.inp["a"], 0)
-        batch.commit(timeout=5.0)
-        local = rig.batch(link=rig.broker.local_link())
-        local.get("a", rig.broker.attach_input("a", "lo"), 0)
-        assert local.commit(timeout=5.0) == [(0, "x")]
-        assert rig.broker.roundtrips() == 1
-        assert rig.broker.op_counts["local_step"] == 1
-
-
-class TestLocalCollectorPath:
-    """The parent's collectors: the same step over a LocalLink."""
-
-    @pytest.fixture
-    def drain(self, rig):
-        """A collector's batch on ``a``: ``(batch, conn)``."""
-        conn = rig.broker.attach_input("a", "-collector-")
-        return rig.batch(link=rig.broker.local_link()), conn
-
-    def park(self, batch, conn, out, timeout=5.0):
-        """Commit a get of ``a`` at 0 on its own thread; ``out`` gets the
-        result or the exception's type."""
-        def collect():
-            batch.get("a", conn, 0)
-            try:
-                out.extend(batch.commit(timeout=timeout))
-            except (TimeoutError, ChannelPoisoned) as exc:
-                out.append(type(exc))
-
-        t = threading.Thread(target=collect)
-        t.start()
-        return t
-
-    def test_local_step_woken_by_worker_put(self, rig, drain, wait_until):
-        """A parked local step completes when a worker's step puts."""
-        batch, conn = drain
-        got = []
-        t = self.park(batch, conn, got)
-        wait_until(lambda: rig.broker._steps)
-        assert not got
-        rig.put("a", 0, "via-step")
-        t.join(timeout=5.0)
-        assert got == [(0, "via-step")]
-        batch.consume("a", conn, 0)
-        batch.commit(timeout=5.0)
-        assert rig.broker.stats()["a"]["consumed"] == 1
-
-    def test_local_get_timeout(self, rig, drain, wait_until):
-        """A parked local step times out on the broker's expiry."""
-        batch, conn = drain
-        seen = []
-        t = self.park(batch, conn, seen, timeout=0.05)
-        t.join(timeout=5.0)
-        assert seen == [TimeoutError]
-        assert not rig.broker._steps  # expired step was reaped
-
-    def test_local_get_poisoned(self, rig, drain):
-        batch, conn = drain
-        rig.broker.poison_all()
-        batch.get("a", conn, 0)
-        with pytest.raises(ChannelPoisoned):
-            batch.commit(timeout=5.0)
-
-    def test_poison_wakes_parked_local_step(self, rig, drain, wait_until):
-        batch, conn = drain
-        seen = []
-        t = self.park(batch, conn, seen)
-        wait_until(lambda: rig.broker._steps)
-        rig.broker.poison_all()
-        t.join(timeout=5.0)
-        assert seen == [ChannelPoisoned]
-
-    def test_local_step_counts_apart_from_roundtrips(self, rig, drain):
-        batch, conn = drain
-        rig.put("a", 0, "x")
-        batch.get("a", conn, 0)
-        assert batch.commit(timeout=5.0) == [(0, "x")]
-        batch.consume("a", conn, 0)
-        batch.commit(timeout=5.0)
-        assert rig.broker.op_counts == {"step": 1, "local_step": 2}
-        assert rig.broker.roundtrips() == 1
 
 
 class TestShmThreshold:
