@@ -43,7 +43,7 @@ class FaultInjector:
 
     >>> from repro.sim.cluster import ClusterSpec
     >>> sim = Simulator()
-    >>> view = ClusterView(sim, ClusterSpec(nodes=2, procs_per_node=2))
+    >>> view = ClusterView(ClusterSpec(nodes=2, procs_per_node=2))
     >>> inj = FaultInjector(sim, view, FaultPlan.crash_at(5.0, node=1))
     >>> inj.start()
     >>> _ = sim.run()

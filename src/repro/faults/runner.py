@@ -174,7 +174,7 @@ class FaultTolerantExecutor:
         driver = EpochDriver(self.graph, self.state, self.cluster, self.comm, self.obs)
         sim, trace = driver.sim, driver.trace
 
-        view = ClusterView(sim, self.cluster)
+        view = ClusterView(self.cluster)
         injector = FaultInjector(sim, view, self.faults.plan)
         detector = FailureDetector(
             sim,

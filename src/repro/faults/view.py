@@ -23,7 +23,6 @@ from typing import Callable
 
 from repro.errors import ClusterError, FaultError
 from repro.sim.cluster import ClusterSpec, Processor
-from repro.sim.engine import Simulator
 
 __all__ = ["ClusterView"]
 
@@ -36,8 +35,7 @@ class ClusterView:
     :meth:`shape` / :meth:`shape_to_physical`.
     """
 
-    def __init__(self, sim: Simulator, base: ClusterSpec) -> None:
-        self.sim = sim
+    def __init__(self, base: ClusterSpec) -> None:
         self.base = base
         self.dead_nodes: set[int] = set()
         self.dead_procs: set[int] = set()  # physical indices, incl. crashed nodes'

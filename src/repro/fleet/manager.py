@@ -33,7 +33,6 @@ from repro.fleet.placer import Demand, FairSharePlacer, Packing
 from repro.fleet.repack import RepackController, RepackRecord
 from repro.fleet.tenant import Tenant, TenantSpec
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Simulator
 from repro.state import State
 
 __all__ = ["FleetManager"]
@@ -54,7 +53,7 @@ class FleetManager:
         if isinstance(cluster, ClusterView):
             self.view = cluster
         else:
-            self.view = ClusterView(Simulator(), cluster)
+            self.view = ClusterView(cluster)
         self.admission = admission or AdmissionPolicy()
         self.tenants: dict[str, Tenant] = {}
         self.queue = AdmissionQueue()

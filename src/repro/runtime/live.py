@@ -54,7 +54,8 @@ producer, ``TaskGraph.validate``).
 A :class:`~repro.runtime.threaded.ThreadedRuntime` run is one node with
 every channel local that collects itself; a
 :class:`~repro.runtime.process.ProcessRuntime` worker is one node whose
-boundary ends reach the parent's broker and that collects the terminal
+boundary ends reach the parent's broker, each lane that owns one on a
+pipe of its own, and that collects the terminal
 channels its own tasks produce, so a frame crosses the broker only where
 its data crosses a node boundary.
 :func:`merge_reports` turns node reports into the run's
@@ -73,6 +74,7 @@ STM operation.
 """
 from __future__ import annotations
 
+import contextlib
 import threading
 import time as _time
 import traceback
@@ -431,7 +433,8 @@ class LiveNode:
     consumer that attached late could find its items already collected.
     A task's channel that is not the node's is a *boundary* channel, at the
     broker behind :meth:`start`'s ``link``, reached through the broker
-    connection ids in ``remote`` (``{task: {channel: conn id}}``).
+    connection ids in ``remote`` (``{task: {channel: conn id}}``); each
+    lane that owns one (:meth:`boundary_lanes`) steps on a pipe of its own.
 
     ``slots`` is :func:`schedule_slots`' reading of the run's schedule:
     the node's tasks run in lanes by processor, in the slots' order, a
@@ -459,8 +462,8 @@ class LiveNode:
 
     A thread that leaves early poisons the node's channels, its hand-off
     channels included, so no sibling waits out ``op_timeout``; one that
-    raises also reports to the broker at once (``fatal``), which poisons
-    the boundary channels.
+    raises also reports to the broker at once (``fatal``, on the control
+    pipe), which poisons the boundary channels.
     """
 
     tasks: list[Task]
@@ -498,7 +501,8 @@ class LiveNode:
         self.errors: list[BaseException] = []
         self._handoff: list[ThreadedChannel] = []
         self._lock = threading.Lock()
-        self._link = None
+        self._control = None
+        self._pipes: dict[str, Any] = {}
         self._threads: list[threading.Thread] = []
         self._end_tokens: list = []
         self._outputs: dict[str, dict[int, Any]] = {ch: {} for ch in self.collect}
@@ -509,13 +513,21 @@ class LiveNode:
         self.start(link)
         return self.join()
 
+    def boundary_lanes(self) -> list[str]:
+        """The lanes that own a boundary end: each needs a pipe of its own
+        to the broker in :meth:`start`'s ``link``."""
+        return sorted({f"lane:{self._procs(t.name)[0]}" for t in self.tasks
+                       if self.remote.get(t.name)})
+
     def start(self, link=None) -> None:
         """Start every lane's thread.
 
-        ``link`` reaches the broker (a :class:`~repro.stm.process.
-        WorkerLink`; none when every channel is the node's).
+        ``link`` reaches the broker: ``(control, pipes)``, the worker's
+        control pipe for its ``fatal`` report and ``{lane: pipe}`` for
+        each of :meth:`boundary_lanes` (none when every channel is the
+        node's).
         """
-        self._link = link
+        self._control, self._pipes = link or (None, {})
         checker = self.analysis
 
         def spawn(name: str, body, *args) -> threading.Thread:
@@ -542,7 +554,7 @@ class LiveNode:
         t0 = self.stamps.t0 = (
             _time.perf_counter() if self.t0 is None else self.t0
         )
-        self._threads = [spawn(name, self._run, lane)
+        self._threads = [spawn(name, self._run, name, lane)
                          for name, lane in self._lanes().items()]
         if self.observe:
             # after any static fill: configuration is not a frame's traffic
@@ -590,8 +602,9 @@ class LiveNode:
         with self._lock:
             self.errors.append(error)
             first = len(self.errors) == 1
-        if first and self._link is not None:
-            self._link.notify("fatal", "".join(traceback.format_exception(error)))
+        if first and self._control is not None:
+            with contextlib.suppress(OSError):  # the parent gave the run up
+                self._control.send(("fatal", "".join(traceback.format_exception(error))))
 
     def _lanes(self) -> dict[str, list[Placed]]:
         """``{thread name: placements}``: the node's tasks in lanes (in slot
@@ -608,7 +621,7 @@ class LiveNode:
         order = [name for name in self.slots if name in tasks] if self.slots else tasks
         for name in order:
             plan = self.plans[name]
-            procs = self.slots[name].procs if self.slots else (name,)
+            procs = self._procs(name)
             kernel, chunks = self._kernel(tasks[name])
             lanes.setdefault(f"lane:{procs[0]}", []).append(
                 Placed(plan, kernel, taps=tuple(taps.get(name, ()))))
@@ -618,6 +631,11 @@ class LiveNode:
                 lanes.setdefault(f"lane:{proc}", []).append(
                     Placed(TaskPlan(name, (), (), (), plan.index, False), chunk))
         return lanes
+
+    def _procs(self, name: str) -> tuple:
+        """The processors task ``name`` occupies, its primary lane's first
+        (its own name alone without slots)."""
+        return self.slots[name].procs if self.slots else (name,)
 
     def _kernel(self, task: Task) -> tuple[Optional[Callable], list]:
         """``task``'s kernel as its primary lane calls it, recording one span
@@ -696,13 +714,12 @@ class LiveNode:
 
         return keep
 
-    def _run(self, placements: list[Placed]) -> None:
-        """One lane's frames: static reads, then :func:`run_frames` over
-        :func:`make_exchange`, the boundary ends on one
-        :class:`~repro.stm.process.StepBatch`."""
+    def _run(self, name: str, placements: list[Placed]) -> None:
+        """Lane ``name``'s frames: static reads, then :func:`run_frames`
+        over :func:`make_exchange`, the boundary ends on one
+        :class:`~repro.stm.process.StepBatch` over the lane's pipe."""
         local, timeout = self.channels, self.op_timeout
-        batch = (StepBatch(self._link)
-                 if any(self.remote.get(p.plan.name) for p in placements) else None)
+        batch = StepBatch(self._pipes[name]) if name in self._pipes else None
         lane, far = [], []
         for placed in placements:
             plan = placed.plan

@@ -11,9 +11,10 @@ rung between the simulator and real hardware:
   threaded run is the one-node case of: its node's tasks in *lanes*, one
   thread per processor the schedule puts them on (one per task under an
   explicit ``placement``), each through the one lane body.  The parent
-  builds the node (channels made, connections attached) and the worker
-  inherits it through the fork; the worker adds only what is its own: its
-  :class:`~repro.stm.process.WorkerLink`;
+  builds the node (channels made, connections attached) and its pipes to
+  the broker — one per lane that owns a boundary end, one control pipe
+  for the worker's reports — and the worker inherits both through the
+  fork;
 * STM follows the schedule's node boundaries — the paper's intra- versus
   inter-node communication distinction (Figure 6).  A streaming channel
   whose every producer and consumer is scheduled on one node is a
@@ -25,7 +26,10 @@ rung between the simulator and real hardware:
   :class:`~repro.stm.process.ChannelBroker` (shared-memory transport for
   array payloads, pickle otherwise), where a placement's boundary traffic
   for a frame is one :class:`~repro.stm.process.StepBatch` step — the
-  broker's one op.  A one-node schedule therefore crosses the broker
+  broker's one op, a round trip on the lane's pipe.  The broker is served
+  by :meth:`ProcessRuntime.run`'s one loop, which waits on every pipe and
+  every worker's sentinel at once: the parent runs no thread of its own.
+  A one-node schedule therefore crosses the broker
   only for its static reads, never per frame, and a task with no
   boundary channel never.  What the parent can then no longer read off
   the broker — the node-local channels' counters and GC totals, the
@@ -33,7 +37,9 @@ rung between the simulator and real hardware:
   the node's :class:`~repro.runtime.live.NodeReport`, which rides each
   worker's ``done`` message into :func:`~repro.runtime.live.
   merge_reports`, beside the broker's own counters as one more report.
-  A worker that exits cleanly without that report fails the run;
+  A worker that exits cleanly without that report fails the run: once its
+  sentinel fires, the loop reads whatever it sent before judging its
+  exit, so a report is never mistaken for missing;
 * a task placed with a data-parallel variant (``dp4``) runs its chunks in
   the four lanes it occupies, the node body's one data-parallel path
   (:mod:`repro.runtime.live`), as on threads — which is why S004's
@@ -50,13 +56,16 @@ rung between the simulator and real hardware:
   found by its process sentinel, the parent poisons the broker's
   channels, and every blocked sibling — on a node-local channel or
   parked on a step from another node — wakes with
-  :class:`~repro.stm.threaded.ChannelPoisoned`.  Nothing is retried or
+  :class:`~repro.stm.threaded.ChannelPoisoned`.  The run's error is the
+  kernel's own when one raised: its ``fatal`` report is read before the
+  exit it caused.  Nothing is retried or
   respawned: failures as regime changes (§3.4) are the simulator's
   :class:`~repro.faults.runner.FaultTolerantExecutor`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time as _time
 from typing import TYPE_CHECKING, Any, Optional, Union
@@ -77,7 +86,7 @@ from repro.runtime.live import (
 from repro.runtime.result import ExecutionResult
 from repro.sim.trace import TraceRecorder
 from repro.state import State
-from repro.stm.process import ChannelBroker, WorkerLink
+from repro.stm.process import ChannelBroker
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.schedule import ScheduleSolution
@@ -92,27 +101,22 @@ __all__ = ["ProcessRuntime"]
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(node: LiveNode, worker_id: int, requests, replies) -> None:
+def _worker_main(node: LiveNode, control, pipes: dict) -> None:
     """Entry point of one node worker (runs in the forked child).
 
     ``node`` was built in the parent — channels made, connections attached
-    — and is inherited through the fork, never pickled.  The worker adds
-    its link to the broker.
+    — and is inherited through the fork with the worker's pipes to the
+    broker, never pickled: ``control`` carries its reports, ``pipes`` holds
+    one per lane that owns a boundary end.
     """
-    link = WorkerLink(worker_id, requests, replies)
-    link.start()
     try:
-        report = node.run(link)
+        report = node.run((control, pipes))
     except BaseException:  # noqa: BLE001 - a task's error went out as "fatal"
         report = None  # and exit code 1 reports the worker's failure
     if report is not None:
         # What the parent can no longer read off the broker rides here.
-        link.notify("done", report)
-    link.stop()
-    # Flush the queue's feeder thread so the final message survives the
-    # hard exit (os._exit skips atexit handlers, including queue joins).
-    requests.close()
-    requests.join_thread()
+        with contextlib.suppress(OSError):  # the parent gave the run up
+            control.send(("done", report))
     os._exit(0 if report is not None else 1)
 
 
@@ -206,8 +210,6 @@ class ProcessRuntime:
         """Process ``timestamps`` frames in order across the worker fleet."""
         import multiprocessing
 
-        from multiprocessing.connection import wait as _wait
-
         check_timestamps(timestamps)
         try:
             ctx = multiprocessing.get_context("fork")
@@ -242,85 +244,67 @@ class ProcessRuntime:
             broker.record_into(trace)
 
         nodes = sorted(set(self.assignment.values()))
-        tasks_by_node = {
-            n: [t for t in self.graph.tasks if self.assignment[t.name] == n]
-            for n in nodes
-        }
-        workers: dict[int, tuple[Any, int]] = {}  # worker_id -> (Process, node)
+        workers: dict[int, tuple[Any, int]] = {}  # sentinel -> (Process, node)
         broker.start()
-        for worker_id, node in enumerate(nodes, 1):
+        for node in nodes:
             local = local_by_node.get(node, {})
             # The node is built here, channels made and connections
-            # attached, and inherited by the child.
+            # attached, and inherited by the child with its pipes.
             live = LiveNode(
-                tasks_by_node[node], plans, local, self.state,
+                [t for t in self.graph.tasks if self.assignment[t.name] == node],
+                plans, local, self.state,
                 timestamps, self.op_timeout, remote=remote,
                 collect=tuple(ch for ch in terminal if ch in local),
                 slots=self.slots, t0=broker._t0,
                 observe=self.obs is not None,
             )
-            proc = ctx.Process(
-                target=_worker_main, name=f"node{node}", daemon=True,
-                args=(live, worker_id, broker.requests,
-                      broker.register_worker(worker_id)),
-            )
+            control = broker.pipe(node)
+            pipes = {lane: broker.pipe(node) for lane in live.boundary_lanes()}
+            proc = ctx.Process(target=_worker_main, name=f"node{node}",
+                               daemon=True, args=(live, control, pipes))
             proc.start()
-            workers[worker_id] = (proc, node)
+            # The child holds these ends now; a copy left in the parent
+            # would hide the child's exit from the broker.
+            for end in (control, *pipes.values()):
+                end.close()
+            workers[proc.sentinel] = (proc, node)
 
-        completed_ok: dict[int, int] = {}  # worker_id -> node, exit code 0
-        hard_deadline = _time.monotonic() + self.op_timeout * (timestamps + 4)
+        deadline = _time.monotonic() + self.op_timeout * (timestamps + 4)
         failed: Optional[str] = None
+        stopping = False
         try:
-            while workers and not failed:
-                if broker.errors:
-                    failed = broker.errors[0]
-                    break
-                if _time.monotonic() > hard_deadline:
-                    failed = "worker processes did not finish in time"
-                    break
-                sentinels = {w.sentinel: wid
-                             for wid, (w, _n) in workers.items()}
-                ready = _wait(list(sentinels), timeout=0.05)
-                for sent in ready:
-                    wid = sentinels[sent]
-                    proc, node = workers.pop(wid)
+            while workers and _time.monotonic() < deadline:
+                for sentinel in broker.turn(0.02, workers):
+                    proc, node = workers.pop(sentinel)
+                    broker.hang_up(node)  # read what it sent before judging its exit
                     proc.join()
                     if proc.exitcode != 0:
-                        failed = (f"worker for node {node} died "
-                                  f"(exit {proc.exitcode})")
-                        break
-                    completed_ok[wid] = node
+                        failed = failed or f"worker for node {node} died (exit {proc.exitcode})"
+                    elif node not in broker.done_payloads:
+                        failed = failed or f"worker for node {node} exited without its done report"
+                if (failed or broker.errors) and not stopping:
+                    # Every sibling blocked on the broker wakes poisoned, and
+                    # the rest of the fleet gets a moment to leave.
+                    stopping = True
+                    broker.poison_all()
+                    deadline = _time.monotonic() + 5.0
+            if workers and not failed:
+                failed = "worker processes did not finish in time"
         finally:
-            if failed:
-                broker.poison_all()
-            for _wid, (proc, _node) in workers.items():
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
+            broker.close()
+            for proc, _node in workers.values():
+                proc.terminate()
+                proc.join()
         wall = broker.now  # the run's one clock, which every record is on
-
-        # Worker exit races the broker draining its "done" message; wait for
-        # every cleanly-exited worker's report before merging.  A report
-        # that never comes fails the run: it holds the node's outputs.
-        wait_until = _time.monotonic() + 10.0
-        while (not failed
-               and not completed_ok.keys() <= broker.done_payloads.keys()
-               and _time.monotonic() < wait_until):
-            _time.sleep(0.005)
-        missing = [node for wid, node in completed_ok.items()
-                   if wid not in broker.done_payloads]
-        if missing and not failed:
-            failed = f"worker for node {missing[0]} exited without its done report"
+        if broker.errors:  # a kernel's own error names the failure it caused
+            failed = broker.errors[0]
+        if failed:
+            raise ReproError(f"process runtime failed: {failed}")
         # The broker's counters, then each worker's share of the run (its
         # node-local channels, the stamps its sources took, its kernel
         # spans, what its collectors drained).
         reports = [NodeReport(broker.stats(), *broker.gc_totals()),
                    *broker.done_payloads.values()]
-        broker_ops = dict(broker.op_counts)
-        broker_roundtrips = broker.roundtrips()
-        broker.stop()
-        if failed:
-            raise ReproError(f"process runtime failed: {failed}")
         return merge_reports(
             self.graph, self.state, timestamps, reports, trace, wall, self.obs,
             meta={
@@ -328,7 +312,7 @@ class ProcessRuntime:
                 "nodes": nodes,
                 "assignment": dict(self.assignment),
                 "node_local_channels": sorted(node_local),
-                "broker_ops": broker_ops,
-                "broker_roundtrips": broker_roundtrips,
+                "broker_ops": dict(broker.op_counts),
+                "broker_roundtrips": broker.roundtrips(),
             },
         )

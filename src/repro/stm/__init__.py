@@ -23,7 +23,7 @@ appendix, Figures 7-8).  This package implements the full API:
 * :mod:`repro.stm.process` — the cross-process transport, for the edges
   that cross nodes: a parent-side
   :class:`~repro.stm.process.ChannelBroker` owning real channels, and the
-  broker serves one op (the *step*); :class:`~repro.stm.process.StepBatch`
-  issues it from a worker over a :class:`~repro.stm.process.WorkerLink`;
-  a shared-memory ring carries array payloads.
+  broker serves one op (the *step*) in the parent's own loop;
+  :class:`~repro.stm.process.StepBatch` issues it from a worker's lane on
+  the lane's own pipe; a shared-memory ring carries array payloads.
 """

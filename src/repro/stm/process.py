@@ -7,28 +7,32 @@ is scheduled on one node never comes here: it is a
 :class:`~repro.stm.threaded.ThreadedChannel` inside that node's worker.)
 This module supplies the two halves of the inter-node transport:
 
-* :class:`ChannelBroker` — lives in the parent.  One service thread owns
-  the real :class:`~repro.stm.channel.STMChannel` objects (a single
-  source of truth, exactly like the condition-variable wrapper in
-  :mod:`repro.stm.threaded` owns its channel), and the broker serves ONE
-  op, the *step*: a batch of consumes, puts and gets that the broker
-  applies as each becomes possible, parking the step until all have
-  landed, and running :func:`~repro.stm.gc.collect_channel` — the one
-  collector — after each consume.  Because
-  the broker literally reuses ``STMChannel``, the timestamp/consume
-  semantics — virtual-time advancement, born-consumed items — are
-  identical across the threaded and process substrates by construction.
+* :class:`ChannelBroker` — lives in the parent, single-threaded code that
+  the run's one loop drives a turn at a time (:meth:`ChannelBroker.turn`).
+  It owns the real :class:`~repro.stm.channel.STMChannel` objects (a
+  single source of truth, exactly like the condition-variable wrapper in
+  :mod:`repro.stm.threaded` owns its channel) and serves ONE op, the
+  *step*: a batch of consumes, puts and gets that the broker applies as
+  each becomes possible, parking the step until all have landed, and
+  running :func:`~repro.stm.gc.collect_channel` — the one collector —
+  after each consume.  Because the broker literally reuses
+  ``STMChannel``, the timestamp/consume semantics — virtual-time
+  advancement, born-consumed items — are identical across the threaded
+  and process substrates by construction.
 
-* :class:`StepBatch` — the one client of that op, made once per task
-  thread: a task's frame loop queues, for its boundary channels, the
-  previous frame's puts and consumes plus the next frame's gets and ships
-  them as one step (none when nothing was queued).  It owns the
+* :class:`StepBatch` — the one client of that op, made once per lane
+  thread: a lane's frame loop queues, for its boundary channels, the
+  previous placement's puts and consumes plus the next one's gets and
+  ships them as one step (none when nothing was queued).  It owns the
   shared-memory rings of its producer connections and decodes the reply.
 
-A step reaches the broker over a worker's :class:`WorkerLink` (a request
-queue, a reply queue): a queue round trip, counted as ``step``.  (A
-terminal channel is collected in its producer's worker and never comes
-here.)
+A step travels over a duplex :func:`multiprocessing.Pipe` of its own lane
+(:meth:`ChannelBroker.pipe`: one per lane that owns a boundary end), and
+its reply comes back on the same pipe: a round trip, counted as ``step``.
+A worker's reports — ``fatal`` and ``done`` — go up a control pipe of its
+own.  No thread serves the transport on either side: the broker runs in
+the parent's loop, a lane waits on its own pipe.  (A terminal channel is
+collected in its producer's worker and never comes here.)
 
 Payloads travel on two planes.  ``numpy`` arrays of at least
 :data:`SHM_THRESHOLD_BYTES` (4 KiB, a constant) ride a shared-memory
@@ -44,12 +48,10 @@ is never read after its item is collected.
 
 from __future__ import annotations
 
-import itertools
 import pickle
-import queue
-import threading
 import time as _time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Pipe, wait
 from typing import Any, Optional
 
 from repro.errors import ItemConsumed, ItemUnavailable, STMError
@@ -69,18 +71,18 @@ __all__ = [
     "ChannelBroker",
     "ShmRing",
     "StepBatch",
-    "WorkerLink",
     "decode_value",
     "resolve_shm_threshold",
 ]
 
 #: The pickle/shm crossover: ndarray payloads of at least this many bytes
-#: ride a shared-memory segment, everything smaller is pickled onto the
-#: queue.  A constant, not a per-host calibration: what shared memory saves
-#: is the queue hop of the pickled bytes (pipe write, feeder thread, pipe
-#: read), which timing the two codecs side by side cannot see — codec
-#: against codec pickling wins up to 64 KiB, while end to end pickling the
-#: 57.6 KB tracker frames costs ``live_process`` ~40 % of its frames/s.
+#: ride a shared-memory segment, everything smaller is pickled into the
+#: step.  A constant, not a per-host calibration: what shared memory saves
+#: is carrying the pickled bytes from process to process, which timing the
+#: two codecs side by side cannot see — codec against codec pickling wins
+#: up to 64 KiB, while end to end pickling the 57.6 KB tracker frames cost
+#: ``live_process`` ~40 % of its frames/s (measured over the queue
+#: transport the pipes replaced).
 SHM_THRESHOLD_BYTES = 4096
 
 
@@ -215,11 +217,12 @@ def decode_value(encoded) -> Any:
 # Wire protocol
 # ---------------------------------------------------------------------------
 #
-# Request (worker -> broker): (worker_id, seq, op, args)
-#   the one op with a reply:  step
-#   fire-and-forget:          fatal (exc text), done (the node's report)
-#   anything else:            "error" reply
-# Reply (broker -> worker): (seq, status, data)
+# Request (worker -> broker, on one of the worker's pipes): (op, args)
+#   the one op with a reply, on a lane's pipe:  step
+#   no reply, on the control pipe:              fatal (exc text),
+#                                               done (the node's report)
+#   anything else:                              "error" reply
+# Reply (broker -> the pipe the step came in on): (status, data)
 #   status: "ok" | "timeout" | "poisoned" | "error"
 #   step args:       (consumes, puts, gets, timeout) — one frame's traffic.
 #                    consumes: ((channel, conn, ts),...) applied
@@ -235,12 +238,10 @@ def decode_value(encoded) -> Any:
 #                     when the step's last put landed: a
 #                     time.perf_counter() reading, None without puts)
 
-_STOP = ("-stop-", -1, "stop", ())
-
 
 @dataclass
 class _StepWaiter:
-    """One step in flight inside the broker.
+    """One step in flight inside the broker, answered on ``pipe``.
 
     ``consumes`` are applied once, on first dispatch; ``puts`` entries
     are ``[channel, conn_id, ts, encoded, size, applied]`` and ``gets``
@@ -248,8 +249,7 @@ class _StepWaiter:
     completion flags make retries idempotent.
     """
 
-    worker: int
-    seq: int
+    pipe: Any
     deadline: Optional[float]
     consumes: tuple
     puts: list
@@ -280,14 +280,16 @@ class _BrokerChannel:
 
 
 class ChannelBroker:
-    """Parent-side STM service: one thread, all channels, exact semantics.
+    """Parent-side STM service: all channels, exact semantics, no thread.
 
     Parameters
     ----------
     channel_specs:
         ``{name: capacity}`` for every channel to host.
 
-    After :meth:`record_into`, every put/get/consume is an
+    The broker holds its end of every pipe :meth:`pipe` made and is served
+    by whoever calls :meth:`turn` — the process runtime's one loop.  After
+    :meth:`record_into`, every put/get/consume is an
     :class:`~repro.sim.trace.ItemEvent` stamped with the broker's clock
     (:attr:`now`, seconds since :meth:`start`), mirroring the threaded
     runtime's instrumentation point.
@@ -303,19 +305,17 @@ class ChannelBroker:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-        self.requests = _mp_context().Queue()
-        self._replies: dict[int, Any] = {}
         self.channels: dict[str, _BrokerChannel] = {
             name: _BrokerChannel(stm=STMChannel(name, capacity=cap))
             for name, cap in channel_specs.items()
         }
         self._trace: Optional[TraceRecorder] = None
         self._conns: dict[int, tuple[str, Connection]] = {}
+        #: the broker's end of every pipe it serves -> the worker it belongs to
+        self._pipes: dict[Any, int] = {}
         self.errors: list[str] = []
         self.done_payloads: dict[int, Any] = {}
-        self._thread: Optional[threading.Thread] = None
         self._t0 = _time.perf_counter()
-        self._lock = threading.Lock()
         #: parked steps, retried to fixpoint after every mutation
         self._steps: list[_StepWaiter] = []
         #: requests served, by op — the broker round-trip accounting the
@@ -324,11 +324,13 @@ class ChannelBroker:
 
     # -- parent-side setup --------------------------------------------------
 
-    def register_worker(self, worker_id: int):
-        """Create (and remember) the reply queue for one worker."""
-        q = _mp_context().Queue()
-        self._replies[worker_id] = q
-        return q
+    def pipe(self, worker: int):
+        """A new duplex pipe of ``worker``'s: the broker keeps and serves one
+        end, the caller hands the other to the worker (and closes its own
+        copy once the worker is forked)."""
+        mine, theirs = Pipe()
+        self._pipes[mine] = worker
+        return theirs
 
     def attach_input(self, channel: str, task: str) -> int:
         conn = self.channels[channel].stm.attach_input(task)
@@ -350,29 +352,50 @@ class ChannelBroker:
         bc.stm.put(self.conn(conn_id), 0, encode_value(value), size=size)
 
     def roundtrips(self) -> int:
-        """Total queue round trips served (requests that got a reply)."""
-        with self._lock:
-            return self.op_counts.get("step", 0)
+        """Total step round trips served (requests that got a reply)."""
+        return self.op_counts.get("step", 0)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
+        """Start the run's clock: :attr:`now` reads 0 here."""
         self._t0 = _time.perf_counter()
-        self._thread = threading.Thread(target=self._serve, name="stm-broker",
-                                        daemon=True)
-        self._thread.start()
 
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.requests.put(_STOP)
-            self._thread.join(timeout=10.0)
-            self._thread = None
+    def turn(self, timeout: float, others=()) -> list:
+        """One turn of the serving loop.
+
+        Waits up to ``timeout`` seconds for any of the broker's pipes or
+        ``others`` (anything :func:`multiprocessing.connection.wait` takes —
+        a worker's sentinel), serves every request that arrived, expires
+        the parked steps whose deadline passed, and returns the members of
+        ``others`` that are ready.
+        """
+        others = set(others)
+        ready = wait([*self._pipes, *others], timeout)
+        for pipe in ready:
+            if pipe in self._pipes:
+                self._serve(pipe)
+        self._expire_steps()
+        return [obj for obj in ready if obj in others]
+
+    def hang_up(self, worker: int) -> None:
+        """Serve everything ``worker`` sent, then close its pipes: called
+        once it has exited, so its last ``fatal`` or ``done`` is read
+        before its exit is judged."""
+        for pipe in [p for p, w in self._pipes.items() if w == worker]:
+            while pipe in self._pipes and pipe.poll():
+                self._serve(pipe)
+            self._close(pipe)
+
+    def close(self) -> None:
+        """Close every pipe and reclaim every shared-memory segment."""
+        for pipe in list(self._pipes):
+            self._close(pipe)
         self._unlink_all()
 
     def poison_all(self) -> None:
-        with self._lock:
-            for name in self.channels:
-                self._poison_locked(name)
+        for name in self.channels:
+            self._poison(name)
 
     @property
     def now(self) -> float:
@@ -380,42 +403,39 @@ class ChannelBroker:
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-channel put/get/consume/collected counters."""
-        with self._lock:
-            return {name: bc.stm.stats() for name, bc in self.channels.items()}
+        return {name: bc.stm.stats() for name, bc in self.channels.items()}
 
     def gc_totals(self) -> tuple[int, int]:
         """(items collected, live-item high water) summed over channels."""
-        with self._lock:
-            return (
-                sum(bc.gc_stats.collected for bc in self.channels.values()),
-                sum(bc.gc_stats.high_water_items for bc in self.channels.values()),
-            )
+        return (
+            sum(bc.gc_stats.collected for bc in self.channels.values()),
+            sum(bc.gc_stats.high_water_items for bc in self.channels.values()),
+        )
 
-    # -- service loop -------------------------------------------------------
+    # -- service ------------------------------------------------------------
 
-    def _serve(self) -> None:
-        while True:
-            try:
-                msg = self.requests.get(timeout=0.02)
-            except queue.Empty:
-                with self._lock:
-                    self._expire_steps()
-                continue
-            if msg[2] == "stop":
-                return
-            try:
-                with self._lock:
-                    self._dispatch(msg)
-                    self._retry_steps()
-                    self._expire_steps()
-            except Exception as exc:  # pragma: no cover - broker bug guard
-                self.errors.append(f"broker: {exc!r}")
-                self.poison_all()
+    def _serve(self, pipe) -> None:
+        """Read and serve one request from ``pipe``; a pipe whose worker end
+        is gone is closed."""
+        try:
+            op, args = pipe.recv()
+        except (EOFError, OSError):
+            self._close(pipe)
+            return
+        self._dispatch(pipe, op, args)
+        self._retry_steps()
 
-    def _reply(self, worker: int, seq: int, status: str, data: Any = None) -> None:
-        q = self._replies.get(worker)
-        if q is not None:
-            q.put((seq, status, data))
+    def _close(self, pipe) -> None:
+        if self._pipes.pop(pipe, None) is not None:
+            pipe.close()
+            self._steps = [st for st in self._steps if st.pipe is not pipe]
+
+    @staticmethod
+    def _reply(pipe, status: str, data: Any = None) -> None:
+        try:
+            pipe.send((status, data))
+        except OSError:  # the lane is gone; its worker's exit reports it
+            pass
 
     def record_into(self, trace: TraceRecorder) -> None:
         """Record every operation from now on into ``trace``."""
@@ -425,21 +445,19 @@ class ChannelBroker:
         if self._trace is not None:
             self._trace.record_item(ItemEvent(self.now, channel, kind, ts, task))
 
-    def _dispatch(self, msg) -> None:
-        worker, seq, op, args = msg
+    def _dispatch(self, pipe, op: str, args) -> None:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
         if op == "fatal":
             self.errors.append(args)
-            for name in self.channels:
-                self._poison_locked(name)
+            self.poison_all()
             return
         if op == "done":
-            self.done_payloads[worker] = args
+            self.done_payloads[self._pipes[pipe]] = args
             return
         if op == "step":
             consumes, puts, gets, timeout = args
             st = _StepWaiter(
-                worker=worker, seq=seq, deadline=self._deadline(timeout),
+                pipe=pipe, deadline=self._deadline(timeout),
                 consumes=tuple(consumes),
                 puts=[list(p) + [False] for p in puts],
                 gets=[list(g) + [None] for g in gets],
@@ -448,8 +466,7 @@ class ChannelBroker:
             if not completed:
                 self._steps.append(st)
             return
-        self._reply(worker, seq, "error",
-                    pickle.dumps(STMError(f"unknown op {op!r}")))
+        self._reply(pipe, "error", pickle.dumps(STMError(f"unknown op {op!r}")))
 
     @staticmethod
     def _deadline(timeout: Optional[float]) -> Optional[float]:
@@ -480,15 +497,15 @@ class ChannelBroker:
         progressed = False
         for name in st.channels():
             if self.channels[name].poisoned:
-                self._reply(st.worker, st.seq, "poisoned")
+                self._reply(st.pipe, "poisoned")
                 return True, True
         if not st.consumed:
             st.consumed = True
             for channel, conn_id, ts in st.consumes:
                 try:
-                    self._consume_locked(channel, conn_id, ts)
+                    self._consume(channel, conn_id, ts)
                 except STMError as exc:
-                    self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
+                    self._reply(st.pipe, "error", pickle.dumps(exc))
                     return True, True
                 progressed = True
         for entry in st.puts:
@@ -500,7 +517,7 @@ class ChannelBroker:
             try:
                 self._apply_put(bc, entry[1], entry[2], entry[3], entry[4])
             except STMError as exc:
-                self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
+                self._reply(st.pipe, "error", pickle.dumps(exc))
                 return True, True
             entry[5] = True
             st.landed = _time.perf_counter()
@@ -515,7 +532,7 @@ class ChannelBroker:
             except ItemUnavailable:
                 continue
             except ItemConsumed as exc:
-                self._reply(st.worker, st.seq, "error", pickle.dumps(exc))
+                self._reply(st.pipe, "error", pickle.dumps(exc))
                 return True, True
             self._observe(entry[0], "get", got_ts, conn.task)
             entry[3] = (got_ts, encoded)
@@ -531,7 +548,7 @@ class ChannelBroker:
                 timestamps = tuple(self.channels[entry[0]].freed.pop(entry[1], ()))
                 if timestamps:
                     freed.append((entry[0], entry[1], timestamps))
-            self._reply(st.worker, st.seq, "ok",
+            self._reply(st.pipe, "ok",
                         (tuple(e[3] for e in st.gets), tuple(freed), st.landed))
             return True, True
         return False, progressed
@@ -555,7 +572,7 @@ class ChannelBroker:
             if not progressed_any:
                 return
 
-    def _consume_locked(self, channel: str, conn_id: int, ts: int) -> None:
+    def _consume(self, channel: str, conn_id: int, ts: int) -> None:
         bc = self.channels[channel]
         conn = self.conn(conn_id)
         bc.stm.consume(conn, ts)
@@ -573,12 +590,12 @@ class ChannelBroker:
         keep = []
         for st in self._steps:
             if st.deadline is not None and now >= st.deadline:
-                self._reply(st.worker, st.seq, "timeout")
+                self._reply(st.pipe, "timeout")
             else:
                 keep.append(st)
         self._steps = keep
 
-    def _poison_locked(self, name: str) -> None:
+    def _poison(self, name: str) -> None:
         bc = self.channels[name]
         if bc.poisoned:
             return
@@ -587,7 +604,7 @@ class ChannelBroker:
         still = []
         for st in self._steps:
             if name in st.channels():
-                self._reply(st.worker, st.seq, "poisoned")
+                self._reply(st.pipe, "poisoned")
             else:
                 still.append(st)
         self._steps = still
@@ -607,94 +624,26 @@ class ChannelBroker:
             bc.segment_names.clear()
 
 
-def _mp_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform without fork
-        return multiprocessing.get_context()
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
 
-class WorkerLink:
-    """One worker process's connection to the broker.
-
-    Owns the request queue handle, the worker's reply queue, a sequence
-    allocator, and the receiver thread that demultiplexes replies to the
-    task threads waiting on them.
-    """
-
-    def __init__(self, worker_id: int, requests, replies) -> None:
-        self.worker_id = worker_id
-        self.requests = requests
-        self.replies = replies
-        self._seq = itertools.count(1)
-        self._pending: dict[int, tuple[threading.Event, list]] = {}
-        self._lock = threading.Lock()
-        self._receiver: Optional[threading.Thread] = None
-        self._stopped = False
-
-    def start(self) -> None:
-        self._receiver = threading.Thread(target=self._recv_loop,
-                                          name="stm-replies", daemon=True)
-        self._receiver.start()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _recv_loop(self) -> None:
-        while not self._stopped:
-            try:
-                seq, status, data = self.replies.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            except (OSError, EOFError):  # queue torn down at shutdown
-                return
-            with self._lock:
-                entry = self._pending.pop(seq, None)
-            if entry is not None:
-                entry[1].extend((status, data))
-                entry[0].set()
-
-    def notify(self, op: str, payload: Any) -> None:
-        """Fire-and-forget message (``fatal`` / ``done``)."""
-        self.requests.put((self.worker_id, 0, op, payload))
-
-    def call(self, op: str, args, timeout: Optional[float]) -> tuple[str, Any]:
-        seq = next(self._seq)
-        event = threading.Event()
-        slot: list = []
-        with self._lock:
-            self._pending[seq] = (event, slot)
-        self.requests.put((self.worker_id, seq, op, args))
-        # The broker enforces the request timeout; the local wait only
-        # guards against the broker itself dying, hence the grace margin.
-        grace = 30.0 if timeout is None else timeout + 30.0
-        if not event.wait(grace):
-            with self._lock:
-                self._pending.pop(seq, None)
-            raise BrokerDied(f"no broker reply to {op}")
-        return slot[0], slot[1]
-
-
 class StepBatch:
-    """One task thread's boundary traffic, one step per frame.
+    """One lane thread's boundary traffic, one step per placement.
 
-    A task's frame loop queues the previous frame's puts and consumes
-    plus the current frame's gets, then :meth:`commit` ships them as one
-    ``step`` request over ``link`` (a :class:`WorkerLink`).  The broker
-    applies the consumes immediately (even while the step waits for
-    capacity or data — so batching can never withhold resources and
+    A lane's frame loop queues the previous placement's puts and consumes
+    plus the next one's gets, then :meth:`commit` ships them as one
+    ``step`` request down ``pipe`` (the lane's end of a
+    :meth:`ChannelBroker.pipe`) and waits on the same pipe for the reply.
+    The broker applies the consumes immediately (even while the step waits
+    for capacity or data — so batching can never withhold resources and
     deadlock a pipeline), lands puts and gets as they become possible, and
     replies once everything has been applied.  The reply carries the get
     results, the per-producer freed-timestamp feed, which recycles the
     batch's shared-memory rings (one per producer connection it has put
-    through), and when the last put landed (:attr:`landed`).  A thread makes one batch and commits it every frame.
+    through), and when the last put landed (:attr:`landed`).  A lane makes
+    one batch and commits it every step.
 
     Gets are restricted to exact integer timestamps: a wildcard resolved
     while the rest of the batch is still parked could be stale by the
@@ -702,8 +651,8 @@ class StepBatch:
     all the schedule-driven runtimes ever issue.
     """
 
-    def __init__(self, link) -> None:
-        self._link = link
+    def __init__(self, pipe) -> None:
+        self._pipe = pipe
         self._consumes: list[tuple[str, int, int]] = []
         self._puts: list[tuple[str, int, int, Any, int]] = []
         self._gets: list[tuple[str, int, int]] = []
@@ -739,7 +688,16 @@ class StepBatch:
         self._consumes.clear()
         self._puts.clear()
         self._gets.clear()
-        status, data = self._link.call("step", args, timeout)
+        # The broker enforces the step's timeout; the wait here only guards
+        # against the broker itself dying, hence the grace margin.
+        grace = 30.0 if timeout is None else timeout + 30.0
+        try:
+            self._pipe.send(("step", args))
+            if not self._pipe.poll(grace):
+                raise BrokerDied("no broker reply to step")
+            status, data = self._pipe.recv()
+        except (EOFError, OSError) as exc:
+            raise BrokerDied(f"the broker hung up: {exc!r}") from None
         if status == "poisoned":
             raise ChannelPoisoned("step hit a poisoned channel")
         if status == "timeout":

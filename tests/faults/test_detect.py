@@ -24,7 +24,7 @@ def run_detect(
     **kwargs,
 ) -> tuple[FailureDetector, FaultInjector]:
     sim = Simulator()
-    view = ClusterView(sim, cluster or ClusterSpec(nodes=2, procs_per_node=2))
+    view = ClusterView(cluster or ClusterSpec(nodes=2, procs_per_node=2))
     inj = FaultInjector(sim, view, plan)
     det = FailureDetector(sim, view, **kwargs)
     inj.start()
@@ -36,7 +36,7 @@ def run_detect(
 class TestConfig:
     def test_timeout_must_cover_interval(self):
         sim = Simulator()
-        view = ClusterView(sim, ClusterSpec(nodes=1, procs_per_node=2))
+        view = ClusterView(ClusterSpec(nodes=1, procs_per_node=2))
         with pytest.raises(FaultError):
             FailureDetector(sim, view, heartbeat_interval=0.5, timeout=0.2)
 
@@ -118,7 +118,7 @@ class TestSlowdown:
 class TestSubscription:
     def test_subscribers_called_at_detection_instant(self):
         sim = Simulator()
-        view = ClusterView(sim, ClusterSpec(nodes=2, procs_per_node=1))
+        view = ClusterView(ClusterSpec(nodes=2, procs_per_node=1))
         inj = FaultInjector(sim, view, FaultPlan.crash_at(1.0, node=1))
         det = FailureDetector(sim, view, heartbeat_interval=0.1, timeout=0.2)
         seen: list[tuple[float, str]] = []

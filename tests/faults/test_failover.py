@@ -173,7 +173,7 @@ class TestFailoverController:
     def make(self, graph, state, policy):
         sim = Simulator()
         base = ClusterSpec(nodes=2, procs_per_node=1)
-        view = ClusterView(sim, base)
+        view = ClusterView(base)
         table = ShapeTable.build(graph, state, base)
         return view, FailoverController(table, view, policy)
 

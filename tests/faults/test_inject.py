@@ -9,7 +9,7 @@ from repro.sim.engine import Simulator
 
 def make(plan: FaultPlan) -> tuple[Simulator, ClusterView, FaultInjector]:
     sim = Simulator()
-    view = ClusterView(sim, ClusterSpec(nodes=2, procs_per_node=2))
+    view = ClusterView(ClusterSpec(nodes=2, procs_per_node=2))
     return sim, view, FaultInjector(sim, view, plan)
 
 

@@ -7,12 +7,11 @@ import pytest
 from repro.errors import FaultError
 from repro.faults import ClusterView
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Simulator
 
 
 @pytest.fixture
 def view() -> ClusterView:
-    return ClusterView(Simulator(), ClusterSpec(nodes=2, procs_per_node=2))
+    return ClusterView(ClusterSpec(nodes=2, procs_per_node=2))
 
 
 class TestLiveness:

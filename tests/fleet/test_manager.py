@@ -8,7 +8,6 @@ from repro.errors import TenantError
 from repro.faults.view import ClusterView
 from repro.fleet import AdmissionPolicy, FleetManager
 from repro.sim.cluster import ClusterSpec
-from repro.sim.engine import Simulator
 from repro.state import State
 
 from .conftest import make_spec
@@ -150,7 +149,7 @@ class TestRegimeAndPreemption:
 
 class TestClusterChurn:
     def test_node_crash_triggers_repack(self, spec):
-        view = ClusterView(Simulator(), ClusterSpec(nodes=2, procs_per_node=2))
+        view = ClusterView(ClusterSpec(nodes=2, procs_per_node=2))
         mgr = FleetManager(view)
         a = mgr.admit(spec, time=0.0)
         b = mgr.admit(spec, time=1.0)
@@ -164,7 +163,7 @@ class TestClusterChurn:
         assert mgr.verify().ok(strict=True)
 
     def test_crash_overflow_requeues_lowest_priority(self):
-        view = ClusterView(Simulator(), ClusterSpec(nodes=2, procs_per_node=1))
+        view = ClusterView(ClusterSpec(nodes=2, procs_per_node=1))
         mgr = FleetManager(view)
         lo = mgr.admit(make_spec(name="lo", max_width=1, priority=0), time=0.0)
         hi = mgr.admit(make_spec(name="hi", max_width=1, priority=1), time=1.0)
@@ -175,7 +174,7 @@ class TestClusterChurn:
         assert lo.tenant_id in mgr.queue
 
     def test_recovery_drains_queue(self, spec):
-        view = ClusterView(Simulator(), ClusterSpec(nodes=2, procs_per_node=1))
+        view = ClusterView(ClusterSpec(nodes=2, procs_per_node=1))
         mgr = FleetManager(view)
         mgr.admit(spec, time=0.0)
         mgr.admit(spec, time=1.0)

@@ -29,7 +29,6 @@ from repro.graph.builders import chain_graph
 from repro.obs import CalibrationController, CostCalibrator
 from repro.obs.drift import DriftDetector
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
-from repro.sim.engine import Simulator
 from repro.state import State, StateSpace
 
 
@@ -50,7 +49,7 @@ def state_switches(policy):
 
 def shape_switches(policy):
     base = ClusterSpec(nodes=2, procs_per_node=1)
-    view = ClusterView(Simulator(), base)
+    view = ClusterView(base)
     table = ShapeTable.build(chain_graph([1.0, 1.0]), State(n_models=1), base)
     controller = FailoverController(table, view, policy)
 

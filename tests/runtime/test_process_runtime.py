@@ -8,6 +8,7 @@ small — the cross-substrate semantics are covered separately by
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -232,14 +233,14 @@ class TestOneBrokerOp:
         """A worker that exits cleanly but never sends its report would
         leave the run short of the outputs it collected: a typed failure
         naming the node, not a short result."""
-        from repro.stm.process import WorkerLink
+        from multiprocessing.connection import Connection
 
-        notify = WorkerLink.notify
+        send = Connection.send
         # patched before the fork, so the worker inherits it
         monkeypatch.setattr(
-            WorkerLink, "notify",
-            lambda link, op, payload: None if op == "done"
-            else notify(link, op, payload))
+            Connection, "send",
+            lambda pipe, message: None if message[0] == "done"
+            else send(pipe, message))
         runtime = ProcessRuntime(chain_graph_live(), State(n_models=1),
                                  op_timeout=30.0)
         with pytest.raises(ReproError, match="node 0 exited without its done"):
@@ -397,8 +398,13 @@ class TestBoundedFailure:
                              ids=["one-node", "two-nodes"])
     @pytest.mark.parametrize("task", ["src", "dbl", "sink"])
     def test_kernel_raises_while_siblings_block(self, placement, task):
-        message = self.failing_run(bounded_chain(raising=task), placement)
-        assert "process runtime failed" in message
+        """The run's error is the kernel's own, every time (three runs
+        each): the worker's ``fatal`` report is read before the exit it
+        caused is judged."""
+        for _ in range(3):
+            message = self.failing_run(bounded_chain(raising=task), placement)
+            assert "process runtime failed" in message
+            assert "ValueError: kernel bug" in message
 
     @pytest.mark.parametrize("task", ["src", "dbl", "sink"])
     def test_kernel_raises_while_siblings_block_on_threads(self, task):
@@ -411,6 +417,63 @@ class TestBoundedFailure:
             ThreadedRuntime(bounded_chain(raising=task), State(n_models=1),
                             op_timeout=self.OP_TIMEOUT).run(50)
         assert time.monotonic() - t0 < self.WELL_INSIDE
+
+
+def census_chain() -> TaskGraph:
+    """src -> dbl -> sink over capacity-1 channels, each kernel adding the
+    names of the threads its process runs besides its main thread to the
+    value it passes on."""
+    def kernel(name, out):
+        def run(state, ins):
+            names = {t.name for t in threading.enumerate()
+                     if t is not threading.main_thread()}
+            return {out: {**next(iter(ins.values()), {}), name: names}}
+
+        return run
+
+    g = TaskGraph("census-chain")
+    for name in ("a", "b", "c"):
+        g.add_channel(ChannelSpec(name, capacity=1))
+    g.add_task(Task("src", cost=0.01, outputs=["a"], compute=kernel("src", "a")))
+    g.add_task(Task("dbl", cost=0.01, inputs=["a"], outputs=["b"],
+                    compute=kernel("dbl", "b")))
+    g.add_task(Task("sink", cost=0.01, inputs=["b"], outputs=["c"],
+                    compute=kernel("sink", "c")))
+    return g
+
+
+class TestNoTransportThread:
+    def test_two_node_run_starts_no_thread_but_lanes(self):
+        """The broker runs in the parent's own loop and a lane waits on its
+        own pipe: during a two-node run the parent starts no thread, and a
+        worker runs its lanes beside its main thread and nothing else."""
+        before = set(threading.enumerate())
+        started: set[str] = set()
+        stop = threading.Event()
+
+        def sample():
+            while not stop.is_set():
+                started.update(t.name for t in threading.enumerate()
+                               if t not in before and t is not threading.current_thread())
+                stop.wait(0.001)
+
+        sampler = threading.Thread(target=sample, name="census")
+        sampler.start()
+        try:
+            res = ProcessRuntime(census_chain(), State(n_models=1),
+                                 placement=TWO_NODES, op_timeout=30.0).run(20)
+        finally:
+            stop.set()
+            sampler.join(5.0)
+        assert not sampler.is_alive()
+        assert started == set()
+        lanes = {"src": {"lane:src", "lane:dbl"}, "dbl": {"lane:src", "lane:dbl"},
+                 "sink": {"lane:sink"}}
+        seen = {task: set() for task in lanes}
+        for value in res.meta["outputs"]["c"].values():
+            for task, names in value.items():
+                seen[task] |= names
+        assert seen == lanes
 
 
 class TestExecutorGuards:

@@ -3,18 +3,20 @@
 A worker reaches a boundary channel only through a
 :class:`~repro.stm.process.StepBatch` step; a one-entry step is a blocking
 ``put`` / ``get`` / ``consume``.  These tests hold that path to the
-threaded channel's blocking, timeout and poison behaviour.  The broker's
-service thread owns real :class:`~repro.stm.channel.STMChannel` objects,
-so most tests run the batches in the parent process over an in-process
-:class:`~repro.stm.process.WorkerLink` — the wire protocol is exercised
-end to end without forking.  One test forks for real to cover the
-cross-process shared-memory path, its consumer on a
-:class:`~repro.stm.process.WorkerLink` in the parent.
+threaded channel's blocking, timeout and poison behaviour.  The broker owns
+real :class:`~repro.stm.channel.STMChannel` objects, so most tests run the
+batches in the parent process, each on a pipe of its own, with the
+broker's serving loop on a thread — the wire protocol is exercised end to
+end without forking.  One test forks for real to cover the cross-process
+shared-memory path, its consumer in the parent.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,43 +27,38 @@ from repro.stm.process import (
     ChannelBroker,
     ShmRing,
     StepBatch,
-    WorkerLink,
-    _mp_context,
     decode_value,
     encode_value,
 )
 from repro.stm.threaded import ChannelPoisoned
+from tests.stm.test_step_batch import BrokerRig
 
 
-class Rig:
-    """One broker + one in-parent worker link, with conns pre-attached.
+class Rig(BrokerRig):
+    """A served broker over one channel ``c``, connections pre-attached.
 
     ``put`` / ``get`` / ``consume`` are one-entry steps.  Puts go through
     one producer batch, which owns the producer connection's ring; gets and
-    consumes through a fresh batch each, as separate threads would.
+    consumes through a fresh batch each, as separate lanes would.
     """
 
-    def __init__(self, capacity=None):
-        self.broker = ChannelBroker({"c": capacity})
+    def __init__(self, wait_until, capacity=None):
+        super().__init__({"c": capacity}, wait_until)
         self.out = self.broker.attach_output("c", "prod")
         self.inp = self.broker.attach_input("c", "cons")
-        replies = self.broker.register_worker(1)
-        self.broker.start()
-        self.link = WorkerLink(1, self.broker.requests, replies)
-        self.link.start()
-        self.producer = StepBatch(self.link)
+        self.producer = self.batch()
 
     def put(self, ts, value, timeout=None):
         self.producer.put("c", self.out, ts, value)
         self.producer.commit(timeout=timeout)
 
     def get(self, ts, timeout=None):
-        batch = StepBatch(self.link)
+        batch = self.batch()
         batch.get("c", self.inp, ts)
         return batch.commit(timeout=timeout)[0]
 
     def consume(self, ts):
-        batch = StepBatch(self.link)
+        batch = self.batch()
         batch.consume("c", self.inp, ts)
         batch.commit()
 
@@ -69,22 +66,17 @@ class Rig:
     def ring(self) -> ShmRing:
         return self.producer._rings[("c", self.out)]
 
-    def close(self):
-        self.link.stop()
-        self.producer.close()
-        self.broker.stop()
-
 
 @pytest.fixture
-def rig():
-    r = Rig()
+def rig(wait_until):
+    r = Rig(wait_until)
     yield r
     r.close()
 
 
 @pytest.fixture
-def bounded():
-    r = Rig(capacity=1)
+def bounded(wait_until):
+    r = Rig(wait_until, capacity=1)
     yield r
     r.close()
 
@@ -211,66 +203,67 @@ class TestCapacityAndPoison:
         t = threading.Thread(target=getter)
         t.start()
         wait_until(lambda: rig.broker._steps)
-        rig.broker.poison_all()
+        rig.poison()
         t.join(timeout=5.0)
         assert seen == ["poisoned"]
 
     def test_operations_after_poison_raise(self, rig):
-        rig.broker.poison_all()
+        rig.poison()
         with pytest.raises(ChannelPoisoned):
             rig.put(0, "x")
 
 
-def _child_producer(requests, replies, conn_out):
-    link = WorkerLink(7, requests, replies)
-    link.start()
-    batch = StepBatch(link)
+def _child_producer(pipe, control, conn_out):
+    batch = StepBatch(pipe)
     for ts in range(3):
         batch.put("c", conn_out, ts, np.full((64, 64), float(ts)))
         batch.commit(timeout=10.0)
-    link.notify("done", {})
-    link.stop()
-    import os
-
-    requests.close()
-    requests.join_thread()
+    control.send(("done", {}))
     os._exit(0)
 
 
 class TestCrossProcess:
     def test_fork_producer_parent_consumer(self):
+        """A forked producer and a consumer in the parent, the broker served
+        by the parent's main thread as in a process run."""
         broker = ChannelBroker({"c": 8})
         conn_out = broker.attach_output("c", "prod")
         conn_in = broker.attach_input("c", "cons")
-        child_replies = broker.register_worker(7)
-        parent_replies = broker.register_worker(1)
-        broker.start()
-        link = WorkerLink(1, broker.requests, parent_replies)
-        link.start()
-        consumer = StepBatch(link)
-        try:
-            ctx = _mp_context()
-            p = ctx.Process(
-                target=_child_producer,
-                args=(broker.requests, child_replies, conn_out),
-            )
-            p.start()
+        ends = (broker.pipe(7), broker.pipe(7))
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_producer, args=(*ends, conn_out))
+        child.start()
+        for end in ends:
+            end.close()
+        consumer = StepBatch(broker.pipe(1))
+        got = []
+
+        def consume():
             for ts in range(3):
                 if ts:
                     consumer.consume("c", conn_in, ts - 1)
                 consumer.get("c", conn_in, ts)
-                [(got_ts, val)] = consumer.commit(timeout=10.0)
-                assert got_ts == ts
-                assert val[0, 0] == float(ts)
+                got.extend(consumer.commit(timeout=10.0))
             consumer.consume("c", conn_in, 2)
             consumer.commit(timeout=10.0)
-            p.join(10.0)
-            assert p.exitcode == 0
+
+        lane = threading.Thread(target=consume)
+        lane.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while lane.is_alive() and time.monotonic() < deadline:
+                broker.turn(0.01)
+            lane.join(1.0)
+            child.join(10.0)
+            broker.hang_up(7)
+            assert not lane.is_alive()
+            assert child.exitcode == 0
+            assert [(ts, val[0, 0]) for ts, val in got] == [
+                (ts, float(ts)) for ts in range(3)]
             stats = broker.stats()["c"]
             assert stats["puts"] == 3
             assert stats["collected"] == 3
             # the child's three puts, the parent's three gets and last consume
-            assert broker.op_counts["step"] == 3 + 4
+            assert broker.op_counts == {"step": 3 + 4, "done": 1}
         finally:
-            link.stop()
-            broker.stop()
+            broker.close()

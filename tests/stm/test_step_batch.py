@@ -22,36 +22,65 @@ from repro.stm.process import (
     ChannelBroker,
     ShmRing,
     StepBatch,
-    WorkerLink,
     encode_value,
     resolve_shm_threshold,
 )
 from repro.stm.threaded import ChannelPoisoned
 
 
-class Rig:
-    """Broker + one in-parent link over two channels ``a`` -> ``b``.
+class BrokerRig:
+    """A broker and its serving loop, :meth:`ChannelBroker.turn` — the loop
+    the process runtime runs in the parent — on a thread of the test's.
+
+    :meth:`batch` is a lane's batch on a pipe of its own; :meth:`poison`
+    fails the run as a worker does, with a ``fatal`` report.  Everything
+    else reads the broker while it waits for requests.
+    """
+
+    def __init__(self, channel_specs, wait_until):
+        self.broker = ChannelBroker(channel_specs)
+        self.wait_until = wait_until
+        self.batches: list[StepBatch] = []
+        self._control = self.broker.pipe(0)
+        self._stop = threading.Event()
+        self._server = threading.Thread(target=self._serve, name="broker-loop")
+        self._server.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            self.broker.turn(0.005)
+
+    def batch(self) -> StepBatch:
+        batch = StepBatch(self.broker.pipe(1))
+        self.batches.append(batch)
+        return batch
+
+    def poison(self):
+        self._control.send(("fatal", "a lane raised"))
+        self.wait_until(lambda: self.broker.errors)
+
+    def close(self):
+        self._stop.set()
+        self._server.join(5.0)
+        assert not self._server.is_alive()
+        for batch in self.batches:
+            batch.close()
+        self.broker.close()
+
+
+class Rig(BrokerRig):
+    """A served broker over two channels ``a`` -> ``b``.
 
     ``put`` / ``get`` / ``consume`` are one-entry steps, each on a batch
     of its own.
     """
 
-    def __init__(self, capacity=None):
-        self.broker = ChannelBroker({"a": capacity, "b": capacity})
+    def __init__(self, wait_until, capacity=None):
+        super().__init__({"a": capacity, "b": capacity}, wait_until)
         self.out = {ch: self.broker.attach_output(ch, "prod")
                     for ch in ("a", "b")}
         self.inp = {ch: self.broker.attach_input(ch, "cons")
                     for ch in ("a", "b")}
-        replies = self.broker.register_worker(1)
-        self.broker.start()
-        self.link = WorkerLink(1, self.broker.requests, replies)
-        self.link.start()
-        self.batches: list[StepBatch] = []
-
-    def batch(self) -> StepBatch:
-        batch = StepBatch(self.link)
-        self.batches.append(batch)
-        return batch
 
     def put(self, ch, ts, value):
         batch = self.batch()
@@ -68,23 +97,17 @@ class Rig:
         batch.consume(ch, self.inp[ch], ts)
         batch.commit(timeout=5.0)
 
-    def close(self):
-        self.link.stop()
-        for batch in self.batches:
-            batch.close()
-        self.broker.stop()
-
 
 @pytest.fixture
-def rig():
-    r = Rig()
+def rig(wait_until):
+    r = Rig(wait_until)
     yield r
     r.close()
 
 
 @pytest.fixture
-def bounded():
-    r = Rig(capacity=1)
+def bounded(wait_until):
+    r = Rig(wait_until, capacity=1)
     yield r
     r.close()
 
@@ -180,7 +203,7 @@ class TestStepSemantics:
         assert not rig.broker._steps  # expired step was reaped
 
     def test_step_against_poisoned_channel(self, rig):
-        rig.broker.poison_all()
+        rig.poison()
         batch = rig.batch()
         batch.put("a", rig.out["a"], 0, "x")
         with pytest.raises(ChannelPoisoned):
@@ -200,7 +223,7 @@ class TestStepSemantics:
         t = threading.Thread(target=committer)
         t.start()
         wait_until(lambda: rig.broker._steps)
-        rig.broker.poison_all()
+        rig.poison()
         t.join(timeout=5.0)
         assert seen == ["poisoned"]
 
@@ -249,8 +272,10 @@ class TestStepSemantics:
 
     def test_unknown_op_gets_error_reply(self, rig):
         """The retired per-op protocol is refused, not left hanging."""
-        status, data = rig.link.call(
-            "put", ("a", rig.out["a"], 0, ("pickle", b""), 0), 5.0)
+        pipe = rig.broker.pipe(1)
+        pipe.send(("put", ("a", rig.out["a"], 0, ("pickle", b""), 0)))
+        assert pipe.poll(5.0)
+        status, data = pipe.recv()
         assert status == "error"
         with pytest.raises(STMError, match="unknown op 'put'"):
             raise pickle.loads(data)

@@ -18,7 +18,8 @@ quietly break it, and each is visible in the AST:
   outside an ``if`` on ``analysis``: channel-adjacent mutexes come from
   ``RaceChecker.tracked_lock`` when a checker is attached.  The exceptions
   are :data:`ALLOWED_LOCKS`, keyed by file and enclosing qualname, each
-  with its reason; an entry that matches nothing fails.
+  with its reason; an entry that matches nothing fails.  It is empty: the
+  cross-process transport (``repro/stm/process.py``) runs without a lock.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 WALLCLOCK = {"time", "perf_counter", "monotonic", "perf_counter_ns", "time_ns"}
 
-ALLOWED_LOCKS = {
-    ("repro/stm/process.py", "ChannelBroker.__init__"):
-        "the broker's mutex guards cross-process queues the vector-clock "
-        "checker cannot observe; per-process channel state is single-threaded",
-    ("repro/stm/process.py", "WorkerLink.__init__"):
-        "the worker's reply-client mutex pairs a queue with an Event across "
-        "the process boundary; no STM connection state crosses it",
-}
+ALLOWED_LOCKS: dict[tuple[str, str], str] = {}
 
 
 class Finding(NamedTuple):
