@@ -10,6 +10,13 @@ The detector is runtime-agnostic: feed it ``(time, observed_value)`` pairs
 and it returns a :class:`RegimeChange` whenever the confirmed state
 changes.  The experiments use it both with clean kiosk traces (``confirm=1``)
 and with injected observation noise.
+
+An observation is resolved by look-up, not by building a state: a value
+equal to the current one is no change, and every other value of the state
+space resolves through a map from value to confirmed state, one map per
+state of the space, built once with the detector (|S| x |values| entries).
+Only a value outside the map — or any value, on a detector with no space —
+is clamped the long way, uncached.
 """
 
 from __future__ import annotations
@@ -65,11 +72,27 @@ class RegimeDetector:
         self.variable = variable
         self.confirm = confirm
         self.space = space
-        self.current = self._clamp(initial)
+        # state -> {value: confirmed state}, the state's own value left out
+        self._maps: dict[State, dict[Any, State]] = {}
+        if space is not None:
+            members = {s: s for s in space if variable in s}
+            values = {s[variable] for s in members}
+            for s in members:
+                self._maps[s] = row = {}
+                for v in values - {s[variable]}:
+                    new = self._clamp(s.replace(**{variable: v}))
+                    row[v] = members.get(new, new)
+        self._enter(self._clamp(initial))
         self._pending_value: Optional[Any] = None
         self._pending_count = 0
         self._since_change = 0
         self.changes: list[RegimeChange] = []
+
+    def _enter(self, state: State) -> None:
+        """Confirm ``state``: it and its value map become the current ones."""
+        self.current = state
+        self._value = state[self.variable]
+        self._resolve = self._maps.get(state, {})
 
     def _clamp(self, state: State) -> State:
         if self.space is None or state in self.space:
@@ -84,12 +107,16 @@ class RegimeDetector:
     def observe(self, time: float, value: Any) -> Optional[RegimeChange]:
         """Feed one raw observation; returns a change iff one is confirmed."""
         self._since_change += 1
-        candidate = self._clamp(self.current.replace(**{self.variable: value}))
-        if candidate == self.current:
-            self._pending_value = None
-            self._pending_count = 0
-            return None
-        cand_value = candidate[self.variable]
+        candidate = self._resolve.get(value)
+        cand_value = value
+        if candidate is None:
+            if value != self._value:  # off the map: clamped the long way, uncached
+                candidate = self._clamp(self.current.replace(**{self.variable: value}))
+                cand_value = candidate[self.variable]
+            if candidate is None or candidate == self.current:
+                self._pending_value = None
+                self._pending_count = 0
+                return None
         if cand_value == self._pending_value:
             self._pending_count += 1
         else:
@@ -97,13 +124,10 @@ class RegimeDetector:
             self._pending_count = 1
         if self._pending_count < self.confirm:
             return None
-        change = RegimeChange(
-            time=time,
-            old=self.current,
-            new=candidate,
-            observations=self._since_change,
-        )
-        self.current = candidate
+        change = RegimeChange(time, self.current, candidate, self._since_change)
+        # ``_enter(candidate)`` without its two calls: the value is known
+        self.current, self._value = candidate, cand_value
+        self._resolve = self._maps.get(candidate, {})
         self._pending_value = None
         self._pending_count = 0
         self._since_change = 0
@@ -120,7 +144,7 @@ class RegimeDetector:
         if not self.changes or self.changes[-1] is not change:
             raise RegimeError(f"{change} is not the latest confirmed change")
         self.changes.pop()
-        self.current = change.old
+        self._enter(change.old)
         self._since_change = change.observations
 
     @property

@@ -21,6 +21,12 @@ solution comes from, so :class:`RegimeSwitcher` (detector → state key),
 :class:`~repro.faults.failover.FailoverController` (cluster view → shape
 key) and :class:`~repro.obs.recalibrate.CalibrationController` (drift →
 re-built table) are thin adapters over it.
+
+On-line, a regime switch is two look-ups: the detector's value map gives
+the confirmed state and the table gives its solution.  The controller
+prices each (old, new) pair once — every policy is a pure function of the
+two solutions and its own constants — and reuses the effect, filed with
+both solutions so that neither id can be reused while it is kept.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ if TYPE_CHECKING:  # serving a table needs no solver; build() is handed one
     from repro.core.optimal import OptimalScheduler
 
 __all__ = ["ScheduleTable", "SwitchRecord", "RegimeController", "RegimeSwitcher"]
+
+# The most (old, new) pairs a controller keeps priced: a table of n entries
+# has n(n-1), and a controller that re-builds its table makes new ones.
+_PRICED_PAIRS = 256
 
 
 class ScheduleTable:
@@ -269,15 +279,28 @@ class RegimeController:
         self.active = active
         self.policy = policy or DrainTransition()
         self.records: list[SwitchRecord] = []
+        # (id(old), id(new)) -> (old, new, effect): the entry holds both
+        # solutions, so neither id can be reused while it is filed.
+        self._priced: dict[tuple[int, int], tuple] = {}
         self.total_stall = 0.0
         self.total_lost_iterations = 0
         self.total_replayed_iterations = 0
         self.resume_at = 0.0
 
     def switch(self, time: float, cause: Any, new: ScheduleSolution) -> SwitchRecord:
-        """Transition from ``active`` to ``new`` and account for it."""
+        """Transition from ``active`` to ``new`` and account for it.
+
+        A policy prices a move from the two solutions alone, so each pair
+        is priced once and its effect reused.
+        """
         old = self.active
-        effect = self.policy.effect(old, new)
+        priced = self._priced.get((id(old), id(new)))
+        if priced is None:
+            if len(self._priced) >= _PRICED_PAIRS:
+                self._priced.clear()
+            priced = (old, new, self.policy.effect(old, new))
+            self._priced[id(old), id(new)] = priced
+        effect = priced[2]
         self.active = new
         record = SwitchRecord(time, cause, effect, old, new)
         self.records.append(record)

@@ -34,7 +34,8 @@ the run — and a finished run frees by reference counting: the body's steps
 reach one another and the launch loop re-arms itself, so both are cycles
 while the run lasts, and ``EpochDriver.release()`` (called by every
 driver's owner once the run is over) drops them with whatever is left on
-the heap, so no cycle holds the world or its trace.  Any positive
+the heap and detaches every STM connection (a channel and its connections
+point at each other), so no cycle holds the world or its trace.  Any positive
 difference between the actual and scheduled start is recorded as a
 *slip*; a correct schedule executes with zero slips, and tests assert this
 for every schedule the optimizers produce.  A run whose heap drains with
@@ -473,12 +474,16 @@ class EpochDriver:
             # The run is over: drop the loop (it re-arms itself, so it
             # reaches itself), the controller (a fault run's reaches this
             # driver through the cluster view's listeners), the body's
-            # steps and whatever is still on the heap (heartbeats never
-            # stop).
+            # steps, whatever is still on the heap (heartbeats never stop)
+            # and every STM connection (a channel and its connections
+            # point at each other).
             nonlocal tick, controller
             tick = controller = None
             replay.close()
             sim._heap.clear()
+            for hub in world.hubs.values():
+                for conn in hub.stm.connections:
+                    hub.stm.detach(conn)
 
         self.switched, self.release = switched, release
         call_at(sim.now, tick)

@@ -49,6 +49,10 @@ class CommCost:
         return self.latency + nbytes / self.bandwidth
 
 
+# The free tier: frozen, so every model shares it.
+_FREE = CommCost(latency=0.0, bandwidth=float("inf"))
+
+
 class CommModel:
     """Three-tier communication cost model over a :class:`ClusterSpec`.
 
@@ -80,13 +84,12 @@ class CommModel:
         self.cluster = cluster
         self.intra_node = intra_node or CommCost(latency=10e-6, bandwidth=100e6)
         self.inter_node = inter_node or CommCost(latency=30e-6, bandwidth=40e6)
-        self.same_proc = same_proc or CommCost(latency=0.0, bandwidth=float("inf"))
+        self.same_proc = same_proc or _FREE
 
     @classmethod
     def free(cls, cluster: ClusterSpec) -> "CommModel":
         """A model where all communication is free (idealized SMP)."""
-        zero = CommCost(latency=0.0, bandwidth=float("inf"))
-        return cls(cluster, intra_node=zero, inter_node=zero, same_proc=zero)
+        return cls(cluster, intra_node=_FREE, inter_node=_FREE, same_proc=_FREE)
 
     @classmethod
     def uniform(cls, cluster: ClusterSpec, latency: float, bandwidth: float) -> "CommModel":

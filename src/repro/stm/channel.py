@@ -227,7 +227,8 @@ class STMChannel:
             raise STMError(f"put needs a non-negative integer timestamp, got {ts!r}")
         if ts in self._items:
             raise DuplicateTimestamp(f"channel {self.name!r} already holds ts={ts}")
-        if self.is_full:
+        if self.capacity is not None and len(self._order) >= self.capacity:
+            # ``is_full``'s test, inlined: the substrate asked it before
             raise STMError(
                 f"channel {self.name!r} is full "
                 f"({len(self._order)}/{self.capacity} items)"

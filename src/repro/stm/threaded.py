@@ -2,13 +2,18 @@
 
 Stampede threads are "dynamic Posix threads"; our live runtime uses Python
 threads.  :class:`ThreadedChannel` wraps :class:`~repro.stm.channel.STMChannel`
-with a condition variable so that
+with two condition variables on one lock, so that
 
-* ``get`` blocks until an item satisfying the request exists,
-* ``put`` blocks while the channel is at capacity,
+* ``get`` blocks until an item satisfying the request exists, and is woken
+  only by a put ("an item landed"),
+* ``put`` blocks while the channel is at capacity, and is woken only by a
+  consume whose collection freed an item ("room was made"),
 * ``poison`` wakes all blocked threads with :class:`ChannelPoisoned`
   (end-of-stream shutdown), and
 * garbage collection runs opportunistically after each consume.
+
+A thread is woken only when the change may let it proceed: a consume that
+frees nothing wakes nobody, and a put wakes no other putter.
 
 Timeouts are supported on both operations so tests never hang; each
 operation's timeout is one deadline, however often the channel changes
@@ -49,6 +54,11 @@ class ThreadedChannel:
     All methods are thread-safe.  The wrapped synchronous channel is not
     exposed for mutation; inspection helpers proxy through the lock.
 
+    One lock, two conditions on it: a blocked ``get`` waits for "an item
+    landed", which only ``put`` notifies; a blocked ``put`` waits for "room
+    was made", which ``consume`` notifies only when its collection freed an
+    item.  ``poison`` and ``detach`` notify both.
+
     After :meth:`record_into`, every put/get/consume is an
     :class:`~repro.sim.trace.ItemEvent` of a run's trace; it is recorded
     *outside* the channel lock so telemetry never extends the critical
@@ -73,7 +83,8 @@ class ThreadedChannel:
             self._lock = analysis.tracked_lock(f"lock:channel:{name}")
         else:
             self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
+        self._landed = threading.Condition(self._lock)  # getters wait here
+        self._room = threading.Condition(self._lock)  # putters wait here
         self._poisoned = False
         self._trace: Optional[TraceRecorder] = None
         self._t0 = 0.0
@@ -108,27 +119,28 @@ class ThreadedChannel:
             return self._chan.attach_output(task)
 
     def detach(self, conn: Connection) -> None:
-        with self._changed:
+        with self._lock:
             self._chan.detach(conn)
-            self._changed.notify_all()
+            self._landed.notify_all()
+            self._room.notify_all()
 
     # -- blocking API ----------------------------------------------------------
 
-    def _wait(self, deadline: Optional[float], timeout: Optional[float],
-              op: str, why: str = "") -> Optional[float]:
-        """Sleep (lock held) until the channel changes; returns the deadline.
+    def _wait(self, cond: threading.Condition, deadline: Optional[float],
+              timeout: Optional[float], op: str, why: str = "") -> Optional[float]:
+        """Sleep (lock held) until ``cond`` is notified; returns the deadline.
 
         An operation has one absolute deadline, taken when it first has to
-        wait, so wake-ups by unrelated puts and consumes do not restart its
+        wait, so wake-ups that do not let it proceed do not restart its
         ``timeout`` — and an operation that never waits reads no clock.
         """
         if timeout is None:
-            self._changed.wait()
+            cond.wait()
             return None
         now = _time.monotonic()
         if deadline is None:
             deadline = now + timeout
-        if now >= deadline or not self._changed.wait(deadline - now):
+        if now >= deadline or not cond.wait(deadline - now):
             raise TimeoutError(
                 f"{op} {self.name!r} timed out after {timeout}s{why}"
             )
@@ -147,7 +159,7 @@ class ThreadedChannel:
         Returns when it landed (a ``time.perf_counter()`` reading).
         """
         deadline = None
-        with self._changed:
+        with self._lock:
             while True:
                 if self._poisoned:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
@@ -157,9 +169,9 @@ class ThreadedChannel:
                     if self._analysis is not None:
                         self._analysis.on_write(self._race_loc)
                         self._analysis.on_put(self.name, ts)
-                    self._changed.notify_all()
+                    self._landed.notify_all()
                     break
-                deadline = self._wait(deadline, timeout, "put to", " (full)")
+                deadline = self._wait(self._room, deadline, timeout, "put to", " (full)")
         self._observe("put", ts, conn.task)
         return landed
 
@@ -171,14 +183,14 @@ class ThreadedChannel:
     ) -> tuple[int, Any]:
         """Retrieve ``(timestamp, value)``, blocking until available."""
         deadline = None
-        with self._changed:
+        with self._lock:
             while True:
                 if self._poisoned:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
                 try:
                     got = self._chan.get(conn, ts)
                 except ItemUnavailable:
-                    deadline = self._wait(deadline, timeout, "get from")
+                    deadline = self._wait(self._landed, deadline, timeout, "get from")
                     continue
                 if self._analysis is not None:
                     self._analysis.on_read(self._race_loc)
@@ -206,23 +218,26 @@ class ThreadedChannel:
             return got
 
     def consume(self, conn: Connection, ts: int) -> None:
-        """Mark ``ts`` consumed and garbage-collect; wakes blocked putters."""
-        with self._changed:
+        """Mark ``ts`` consumed and garbage-collect; wakes blocked putters
+        if the collection made room."""
+        with self._lock:
             self._chan.consume(conn, ts)
-            collect_channel(self._chan, self.gc_stats)
+            freed = collect_channel(self._chan, self.gc_stats)
             if self._analysis is not None:
                 self._analysis.on_write(self._race_loc)
-            self._changed.notify_all()
+            if freed:
+                self._room.notify_all()
         self._observe("consume", ts, conn.task)
 
     def poison(self) -> None:
         """Wake every blocked thread with :class:`ChannelPoisoned`."""
-        with self._changed:
+        with self._lock:
             self._poisoned = True
             self._chan.close()
             if self._analysis is not None:
                 self._analysis.on_write(self._race_loc)
-            self._changed.notify_all()
+            self._landed.notify_all()
+            self._room.notify_all()
 
     # -- inspection ---------------------------------------------------------------
 
@@ -233,7 +248,7 @@ class ThreadedChannel:
         Test hook: lets tests wait deterministically for "the other thread
         has blocked" instead of sleeping a magic duration.
         """
-        return len(self._changed._waiters)  # type: ignore[attr-defined]
+        return len(self._landed._waiters) + len(self._room._waiters)  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         with self._lock:

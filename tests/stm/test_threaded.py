@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -108,6 +109,65 @@ class TestOneDeadline:
         assert waited and waited[0] < 1.0, waited
 
 
+class CountingCondition(threading.Condition):
+    """A condition that counts the waiters each notify wakes.
+
+    ``notify`` runs under the channel lock and takes its waiters off the
+    queue there, so the count is exact at the moment the notifying
+    operation returns — no sleep, no race with the woken thread."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.woken = 0
+
+    def notify(self, n: int = 1) -> None:
+        self.woken += min(n, len(self._waiters))
+        super().notify(n)
+
+
+class TestWakeUps:
+    """Each side waits on its own condition: a getter is woken by the put
+    that may satisfy it, a putter by the consume that made room, and
+    neither by a change that cannot let it proceed."""
+
+    def test_a_blocked_get_is_woken_by_a_put_and_not_by_a_consume_freeing_nothing(
+        self, wait_until
+    ):
+        chan = ThreadedChannel("c")
+        out = chan.attach_output("p")
+        getter, other = chan.attach_input("q"), chan.attach_input("r")
+        landed = chan._landed = CountingCondition(chan._lock)
+        room = chan._room = CountingCondition(chan._lock)
+        chan.put(out, 0, "a")
+        got = []
+        t = threading.Thread(target=lambda: got.append(chan.get(getter, 1, timeout=5.0)))
+        t.start()
+        wait_until(lambda: chan.waiting_threads == 1)
+        chan.consume(other, 0)  # ``getter`` still holds ts 0: nothing freed
+        assert (landed.woken, room.woken) == (0, 0)
+        assert chan.waiting_threads == 1 and len(chan) == 1
+        chan.put(out, 1, "b")
+        t.join(timeout=5.0)
+        assert got == [(1, "b")] and (landed.woken, room.woken) == (1, 0)
+
+    def test_a_blocked_put_is_woken_by_the_consume_that_frees_a_slot(self, wait_until):
+        chan = ThreadedChannel("c", capacity=1)
+        out = chan.attach_output("p")
+        first, second = chan.attach_input("q"), chan.attach_input("r")
+        landed = chan._landed = CountingCondition(chan._lock)
+        room = chan._room = CountingCondition(chan._lock)
+        chan.put(out, 0, "a")
+        t = threading.Thread(target=lambda: chan.put(out, 1, "b", timeout=5.0))
+        t.start()
+        wait_until(lambda: chan.waiting_threads == 1)
+        chan.consume(first, 0)  # ``second`` still holds ts 0: still full
+        assert (landed.woken, room.woken) == (0, 0)
+        chan.consume(second, 0)  # collected: room
+        t.join(timeout=5.0)
+        assert not t.is_alive() and chan.stats["puts"] == 2
+        assert (landed.woken, room.woken) == (0, 1)
+
+
 class TestPoison:
     def test_poison_wakes_blocked_getter(self, wait_until):
         chan = ThreadedChannel("c")
@@ -172,3 +232,39 @@ class TestConcurrency:
         # Everything consumed -> everything collected.
         assert a.stats["collected"] == N
         assert b.stats["collected"] == N
+
+    def test_fan_out_at_capacity_one_under_a_short_switch_interval(self):
+        """One producer, three consumers of every item, capacity 1: all but
+        the last consume of a timestamp free nothing and wake nobody, so a
+        lost "room was made" wake-up would stall the producer into its
+        timeout.  Four threads, switching every microsecond."""
+        chan = ThreadedChannel("fan", capacity=1)
+        out = chan.attach_output("prod")
+        inputs = [chan.attach_input(f"cons{i}") for i in range(3)]
+        N = 200
+        received = {conn.task: [] for conn in inputs}
+
+        def producer():
+            for ts in range(N):
+                chan.put(out, ts, ts, timeout=10.0)
+
+        def consumer(conn):
+            for ts in range(N):
+                received[conn.task].append(chan.get(conn, ts, timeout=10.0)[1])
+                chan.consume(conn, ts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=producer)] + [
+                threading.Thread(target=consumer, args=(conn,)) for conn in inputs
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got == list(range(N)) for got in received.values())
+        assert chan.stats["collected"] == N and chan.waiting_threads == 0
