@@ -32,10 +32,11 @@ node given a schedule runs several agents' programs in one lane thread
 (:class:`~repro.runtime.live.LiveNode`), in a fixed order, so its
 executions are among the agents' interleavings; :mod:`repro.runtime.live`
 argues why that order adds no deadlock.
-:class:`ChannelDecl` generalizes the access pattern — a consumer may hold
-a *window* of items before consuming the oldest, and either side may
-touch only a strided subset of timestamps — which is how real deadlocks
-arise (the default declarations on an acyclic graph are provably safe).
+A task's :attr:`~repro.graph.task.Task.windows` make it hold the last
+``w`` items of an input before consuming the oldest, as every substrate
+runs it, and a :class:`ChannelDecl` restricts either side to a strided
+subset of timestamps — which is how real deadlocks arise (an acyclic
+graph with neither is provably safe).
 
 **State canonicalization.**  Each agent is sequential and deterministic,
 so a global state is fully described by the tuple of per-agent operation
@@ -120,30 +121,27 @@ def collector_name(channel: str) -> str:
 
 @dataclass(frozen=True)
 class ChannelDecl:
-    """How one agent accesses one channel (the consume declaration).
+    """Which timestamps one agent touches on one channel.
 
-    The default (``window=1, stride=1, offset=0``) is exactly the
-    threaded runtime: touch every timestamp in order and consume each
-    item at the end of its own iteration.
-
-    ``window=w`` (consumers) holds the last ``w`` gotten items before
-    consuming the oldest — a sliding-window kernel.  ``stride``/``offset``
-    restrict either side to timestamps ``offset, offset+stride, ...`` — a
-    decimating consumer or a conditionally-emitting producer.  A decl may
-    also name a collector agent (:func:`collector_name`).
+    The default (``stride=1, offset=0``) is exactly the threaded runtime:
+    touch every timestamp in order.  ``stride``/``offset`` restrict either
+    side to timestamps ``offset, offset+stride, ...`` — a decimating
+    consumer or a conditionally-emitting producer.  A decl may also name a
+    collector agent (:func:`collector_name`).  How long a consumer holds
+    an item is the graph's: its task's
+    :attr:`~repro.graph.task.Task.windows`.
     """
 
     task: str
     channel: str
-    window: int = 1
     stride: int = 1
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.stride < 1 or self.offset < 0:
+        if self.stride < 1 or self.offset < 0:
             raise ValueError(
                 f"ChannelDecl({self.task!r}, {self.channel!r}) needs "
-                "window >= 1, stride >= 1, offset >= 0"
+                "stride >= 1, offset >= 0"
             )
 
     def timestamps(self, horizon: int) -> list[int]:
@@ -612,11 +610,15 @@ class StmModel:
 
 
 def _default_horizon(
-    decls: dict[tuple[str, str], ChannelDecl], capacities: dict[str, Optional[int]]
+    decls: dict[tuple[str, str], ChannelDecl],
+    windows: dict[tuple[str, str], int],
+    capacities: dict[str, Optional[int]],
 ) -> int:
     h = 4
     for d in decls.values():
-        h = max(h, d.window + d.offset + d.stride + 2)
+        h = max(h, windows.get((d.task, d.channel), 1) + d.offset + d.stride + 2)
+    for w in windows.values():
+        h = max(h, w + 3)
     for cap in capacities.values():
         if cap is not None:
             h = max(h, cap + 3)
@@ -634,13 +636,16 @@ def build_model(
 
     ``capacities`` overrides declared channel capacities by name;
     ``decls`` supplies :class:`ChannelDecl` access patterns (default:
-    every agent touches every timestamp, window 1 — the threaded
-    runtime's behavior).  Raises :class:`ValueError` for declarations
-    naming unknown agents/channels; structural defects (cycles, missing
-    producers) are pass-1 territory and make the model unbuildable.
+    every agent touches every timestamp — the threaded runtime's
+    behavior); each task consumes a windowed input ``w - 1`` items late
+    (:attr:`~repro.graph.task.Task.windows`).  Raises :class:`ValueError`
+    for declarations naming unknown agents/channels; structural defects
+    (cycles, missing producers) are pass-1 territory and make the model
+    unbuildable.
     """
     graph.validate()
     decl_map = _resolve_decls(decls)
+    windows = {(t.name, ch): w for t in graph.tasks for ch, w in t.windows.items()}
     streaming = [ch for ch in graph.channels if not ch.static]
     caps: dict[str, Optional[int]] = {ch.name: ch.capacity for ch in streaming}
     for name, cap in (capacities or {}).items():
@@ -682,7 +687,7 @@ def build_model(
             raise ValueError(f"ChannelDecl names unknown (agent, channel) pair {key}")
 
     if horizon is None:
-        horizon = _default_horizon(decl_map, caps)
+        horizon = _default_horizon(decl_map, windows, caps)
 
     def pattern(agent: str, channel: str) -> ChannelDecl:
         return decl_map.get(
@@ -703,8 +708,7 @@ def build_model(
             task = graph.task(name)
             stream_inputs = [c for c in task.inputs if c in channels]
             outputs = [c for c in task.outputs if c in channels]
-        get_plans = {c: pattern(name, c) for c in stream_inputs}
-        get_ts = {c: get_plans[c].timestamps(horizon) for c in stream_inputs}
+        get_ts = {c: pattern(name, c).timestamps(horizon) for c in stream_inputs}
         get_set = {c: set(ts) for c, ts in get_ts.items()}
         get_idx = {c: {t: i for i, t in enumerate(ts)} for c, ts in get_ts.items()}
         put_set = {
@@ -720,7 +724,7 @@ def build_model(
                     ops.append(Step(name, _PUT, c, ts))
             for c in stream_inputs:
                 if ts in get_set[c]:
-                    j = get_idx[c][ts] - get_plans[c].window + 1
+                    j = get_idx[c][ts] - windows.get((name, c), 1) + 1
                     if j >= 0:
                         ops.append(Step(name, _CONSUME, c, get_ts[c][j]))
         agents.append(_Agent(name, idx, ops))
@@ -817,8 +821,8 @@ def check_model(
 
     The exploration — :func:`build_model`, :meth:`StmModel.explore` and
     one :func:`minimal_capacity` scan per bounded channel — runs once per
-    process for each channel structure: every task's name, inputs and
-    outputs, every channel's name, ``static`` flag and capacity, and the
+    process for each channel structure: every task's name, inputs, outputs
+    and windows, every channel's name, ``static`` flag and capacity, and the
     ``decls`` / ``capacities`` / ``horizon`` / ``budget`` of the call.
     A repeated call (every build of one graph, a graph whose costs were
     recalibrated) reads that verdict back; the last 64 structures are
@@ -973,7 +977,8 @@ def _prove(
     ``decls`` / ``capacities`` reaches the caller.
     """
     key = (
-        tuple((t.name, t.inputs, t.outputs) for t in graph.tasks),
+        tuple((t.name, t.inputs, t.outputs, tuple(sorted(t.windows.items())))
+              for t in graph.tasks),
         tuple((ch.name, ch.static, ch.capacity) for ch in graph.channels),
         decls,
         tuple(sorted((capacities or {}).items())),

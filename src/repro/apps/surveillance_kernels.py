@@ -3,13 +3,14 @@
 Makes the second application executable end to end (like the tracker):
 per-camera synthetic video, motion detection, connected blob detection,
 cross-camera fusion by nearest association, and a zone alarm.  All real
-NumPy code, unit-tested against ground truth, runnable on the
-:class:`~repro.runtime.threaded.ThreadedRuntime`.
+NumPy code, unit-tested against ground truth, runnable on both live
+substrates; every kernel is ``compute(state, inputs, ts)`` and keeps no
+frame state.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,7 +115,10 @@ def attach_surveillance_kernels(
     """A copy of the surveillance graph with live compute kernels.
 
     ``videos[i]`` feeds camera ``i``; all cameras watch the same synthetic
-    scene when constructed with the same seed (overlapping views).
+    scene when constructed with the same seed (overlapping views).  Each
+    ``motion<i>`` reads its camera's frames through a window of 2
+    (:attr:`~repro.graph.task.Task.windows`): the previous frame is an STM
+    read, as for the tracker's T2.
     """
     max_cameras = len([t for t in graph.tasks if t.name.startswith("cam")])
     if len(videos) != max_cameras:
@@ -123,57 +127,38 @@ def attach_surveillance_kernels(
         )
 
     def make_camera(video: VideoSource, out_ch: str):
-        counter = {"ts": 0}
-
-        def compute(state: State, inputs: dict) -> dict:
-            frame = video.frame(counter["ts"])
-            counter["ts"] += 1
-            return {out_ch: frame}
+        def compute(state: State, inputs: dict, ts: int) -> dict:
+            return {out_ch: video.frame(ts)}
 
         return compute
 
     def make_motion(cam: int):
-        memory: dict[str, Optional[np.ndarray]] = {"prev": None}
-
-        def compute(state: State, inputs: dict) -> dict:
-            frame = inputs[f"cam{cam}_frames"]
-            mask = change_detection(frame, memory["prev"], threshold)
-            memory["prev"] = frame
-            return {f"cam{cam}_motion": mask}
+        def compute(state: State, inputs: dict, ts: int) -> dict:
+            *earlier, frame = inputs[f"cam{cam}_frames"]
+            previous = earlier[0] if earlier else None
+            return {f"cam{cam}_motion": change_detection(frame, previous, threshold)}
 
         return compute
 
     def make_detect(cam: int):
-        def compute(state: State, inputs: dict) -> dict:
+        def compute(state: State, inputs: dict, ts: int) -> dict:
             return {f"cam{cam}_objects": detect_blobs(inputs[f"cam{cam}_motion"])}
 
         return compute
 
-    def fuse_compute(state: State, inputs: dict) -> dict:
+    def fuse_compute(state: State, inputs: dict, ts: int) -> dict:
         per_camera = [
             inputs[ch] for ch in sorted(inputs) if ch.endswith("_objects")
         ]
         return {"tracks": fuse_detections(per_camera)}
 
-    def alarm_compute(state: State, inputs: dict) -> dict:
+    def alarm_compute(state: State, inputs: dict, ts: int) -> dict:
         return {"alarms": zone_alarm(inputs["tracks"], zone)}
 
-    out = TaskGraph(f"{graph.name}/live")
-    for ch in graph.channels:
-        out.add_channel(ch)
-    for t in graph.tasks:
-        compute = t.compute
-        if t.name.startswith("cam"):
-            cam = int(t.name[3:])
-            compute = make_camera(videos[cam], t.outputs[0])
-        elif t.name.startswith("motion"):
-            compute = make_motion(int(t.name[6:]))
-        elif t.name.startswith("detect"):
-            compute = make_detect(int(t.name[6:]))
-        elif t.name == "fuse":
-            compute = fuse_compute
-        elif t.name == "alarm":
-            compute = alarm_compute
-        out.add_task(t.replace(compute=compute))
-    out.validate()
-    return out
+    changes = {"fuse": {"compute": fuse_compute}, "alarm": {"compute": alarm_compute}}
+    for cam, video in enumerate(videos):
+        changes[f"cam{cam}"] = {"compute": make_camera(video, f"cam{cam}_frames")}
+        changes[f"motion{cam}"] = {"compute": make_motion(cam),
+                                   "windows": {f"cam{cam}_frames": 2}}
+        changes[f"detect{cam}"] = {"compute": make_detect(cam)}
+    return graph.with_tasks(f"{graph.name}/live", changes)

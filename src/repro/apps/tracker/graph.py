@@ -140,29 +140,24 @@ def attach_kernels(
     runtimes: the static ``color_model`` channel carries one histogram per
     video target, and T4 additionally carries the chunk/join kernel pair,
     which a data-parallel placement runs in the lanes it occupies on both
-    live substrates.
+    live substrates.  T2, whose kernel needs the previous frame, reads
+    ``frame`` through a window of 2 (:attr:`~repro.graph.task.Task.windows`),
+    declared here with the kernel so every graph that runs it, the DES
+    included, carries the window; the cost-only graphs do not.
     ``t4_work_scale`` scales T4's compute (identical outputs) to emulate
     the paper's Table 1 cost on modern hardware — benchmarks only.
     """
-    computes = {
-        "T1": kernels.make_digitizer_kernel(video),
-        "T2": kernels.make_change_detection_kernel(),
-        "T3": kernels.make_histogram_kernel(bins),
-        "T4": kernels.make_target_detection_kernel(bins, t4_work_scale),
-        "T5": kernels.make_peak_detection_kernel(),
-    }
     t4_chunk, t4_join = kernels.make_target_detection_chunk_kernels(
         bins, t4_work_scale
     )
-    chunked = {"T4": {"compute_chunk": t4_chunk, "compute_join": t4_join}}
-    out = TaskGraph(f"{graph.name}/live")
-    for ch in graph.channels:
-        out.add_channel(ch)
-    for t in graph.tasks:
-        out.add_task(
-            t.replace(compute=computes.get(t.name, t.compute), **chunked.get(t.name, {}))
-        )
-    out.validate()
+    out = graph.with_tasks(f"{graph.name}/live", {
+        "T1": {"compute": kernels.make_digitizer_kernel(video)},
+        "T2": {"compute": kernels.make_change_detection_kernel(), "windows": {"frame": 2}},
+        "T3": {"compute": kernels.make_histogram_kernel(bins)},
+        "T4": {"compute": kernels.make_target_detection_kernel(bins, t4_work_scale),
+               "compute_chunk": t4_chunk, "compute_join": t4_join},
+        "T5": {"compute": kernels.make_peak_detection_kernel()},
+    })
     models = [
         color_histogram(video.model_patch(i), bins) for i in range(video.n_targets)
     ]

@@ -1,9 +1,13 @@
 """Real NumPy kernels for the five tracker tasks.
 
 Plain functions first (unit-testable in isolation), then the
-``compute(state, inputs) -> outputs`` adapters the
-:class:`~repro.runtime.threaded.ThreadedRuntime` calls.  Channel names
-match the Figure 2 graph built in :mod:`repro.apps.tracker.graph`.
+``compute(state, inputs, ts) -> outputs`` kernels both live substrates
+run for frame ``ts``.  Each is a function of its arguments and keeps no
+frame state: the digitizer emits ``video.frame(ts)``, and change
+detection reads the previous frame from STM, as the window-2 input
+``frame`` that :func:`~repro.apps.tracker.graph.attach_kernels` declares
+on T2.  Channel names match the Figure 2 graph built in
+:mod:`repro.apps.tracker.graph`.
 """
 
 from __future__ import annotations
@@ -134,31 +138,28 @@ def peak_detection(
 
 
 # ---------------------------------------------------------------------------
-# ThreadedRuntime compute adapters (channel names of the Figure 2 graph)
+# Live compute kernels (channel names of the Figure 2 graph)
 # ---------------------------------------------------------------------------
 
 
 def make_digitizer_kernel(video: VideoSource):
-    """T1 compute: emit the next synthetic frame."""
-    counter = {"ts": 0}
+    """T1 compute: emit synthetic frame ``ts``."""
 
-    def compute(state: State, inputs: dict) -> dict:
-        ts = counter["ts"]
-        counter["ts"] += 1
+    def compute(state: State, inputs: dict, ts: int) -> dict:
         return {"frame": video.frame(ts)}
 
     return compute
 
 
 def make_change_detection_kernel(threshold: int = 40):
-    """T2 compute: motion mask vs the previously seen frame."""
-    memory: dict[str, Optional[np.ndarray]] = {"prev": None}
+    """T2 compute: motion mask of the window-2 input ``frame`` — frames
+    ``(ts - 1, ts)``, or ``(0,)`` alone on frame 0, where everything is in
+    motion."""
 
-    def compute(state: State, inputs: dict) -> dict:
-        frame = inputs["frame"]
-        mask = change_detection(frame, memory["prev"], threshold)
-        memory["prev"] = frame
-        return {"motion_mask": mask}
+    def compute(state: State, inputs: dict, ts: int) -> dict:
+        *earlier, frame = inputs["frame"]
+        previous = earlier[0] if earlier else None
+        return {"motion_mask": change_detection(frame, previous, threshold)}
 
     return compute
 
@@ -166,7 +167,7 @@ def make_change_detection_kernel(threshold: int = 40):
 def make_histogram_kernel(bins: int = _BINS):
     """T3 compute: whole-frame histogram."""
 
-    def compute(state: State, inputs: dict) -> dict:
+    def compute(state: State, inputs: dict, ts: int) -> dict:
         return {"histogram": frame_histogram(inputs["frame"], bins)}
 
     return compute
@@ -183,7 +184,7 @@ def make_target_detection_kernel(bins: int = _BINS, work_scale: int = 1):
     gather (motion mask folded into its index) takes at 120×160.
     """
 
-    def compute(state: State, inputs: dict) -> dict:
+    def compute(state: State, inputs: dict, ts: int) -> dict:
         for _ in range(max(1, work_scale)):
             planes = target_detection(
                 inputs["frame"],
@@ -235,7 +236,7 @@ def make_target_detection_chunk_kernels(bins: int = _BINS, work_scale: int = 1):
 def make_peak_detection_kernel(min_score: float = 0.0):
     """T5 compute: model locations from the back-projection planes."""
 
-    def compute(state: State, inputs: dict) -> dict:
+    def compute(state: State, inputs: dict, ts: int) -> dict:
         return {"model_locations": peak_detection(inputs["back_projections"], min_score)}
 
     return compute

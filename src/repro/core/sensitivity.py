@@ -48,9 +48,7 @@ def perturbed_graph(
     for task, f in factors.items():
         if f <= 0:
             raise ScheduleError(f"perturbation factor for {task!r} must be positive")
-    out = TaskGraph(name or f"{graph.name}/perturbed")
-    for ch in graph.channels:
-        out.add_channel(ch)
+    changes = {}
     for t in graph.tasks:
         f = factors.get(t.name, 1.0)
         base_cost = t.cost
@@ -72,9 +70,8 @@ def perturbed_graph(
                 per_chunk_overhead=dp.per_chunk_overhead * f,
                 chunks_for=dp.chunks_for,
             )
-        out.add_task(t.replace(cost=cost, data_parallel=dp))
-    out.validate()
-    return out
+        changes[t.name] = {"cost": cost, "data_parallel": dp}
+    return graph.with_tasks(name or f"{graph.name}/perturbed", changes)
 
 
 def perturbed_latency(

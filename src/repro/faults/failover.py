@@ -70,18 +70,15 @@ def _reachable_shapes(
     """:func:`reachable_shapes`, and how many of them are node-loss shapes
     (the prefix emitted before any processor loss)."""
     seen: dict[tuple, ClusterSpec] = {}
-
-    def add(spec: ClusterSpec) -> None:
+    # Depth first over the node losses, each shape before the ones its own
+    # losses reach, node 0's loss first: an explicit stack, so no function
+    # reaches itself and a finished run leaves nothing to the cycle collector.
+    stack = [(base, max_node_failures)]
+    while stack:
+        spec, budget = stack.pop()
         seen.setdefault(spec.shape_key(), spec)
-
-    def node_losses(spec: ClusterSpec, budget: int) -> None:
-        add(spec)
-        if budget <= 0 or spec.nodes <= 1:
-            return
-        for n in range(spec.nodes):
-            node_losses(spec.without_node(n), budget - 1)
-
-    node_losses(base, max_node_failures)
+        if budget > 0 and spec.nodes > 1:
+            stack += [(spec.without_node(n), budget - 1) for n in reversed(range(spec.nodes))]
     node_shapes = len(seen)
     if proc_failures:
         for spec in list(seen.values()):
@@ -90,7 +87,8 @@ def _reachable_shapes(
                 # node's first processor stands for all of them.
                 for proc in spec.processors:
                     if proc.slot == 0:
-                        add(spec.without_processor(proc.index))
+                        lost = spec.without_processor(proc.index)
+                        seen.setdefault(lost.shape_key(), lost)
     return list(seen.values()), node_shapes
 
 

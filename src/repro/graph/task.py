@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.errors import CostModelError, GraphError
 from repro.graph.cost import CostFn, as_cost
@@ -134,16 +134,28 @@ class Task:
         "primary tuning variable" — the digitizer period).  None means the
         task fires as soon as its inputs allow.
     compute:
-        Optional real kernel ``(state, inputs_dict) -> outputs_dict`` used
-        by the threaded runtime and calibration; the simulator ignores it.
+        Optional real kernel ``(state, inputs, ts) -> outputs`` for frame
+        ``ts``: ``inputs`` maps each input channel to its item (a windowed
+        one to a tuple, below) and the result each output channel to its
+        value.  A kernel is a function of its arguments and keeps no frame
+        state, so a run that starts again reproduces its frames.  Both live
+        substrates run it; the simulator ignores it.
     compute_chunk / compute_join:
-        Optional data-parallel kernel pair for the process runtime:
+        Optional data-parallel kernel pair, run by a placement of a dpN
+        variant in the lanes its processors hold:
         ``compute_chunk(state, inputs, chunk_index, n_chunks) -> partial``
-        runs one chunk of the work (in a pool worker, so it must be
-        picklable-friendly: module-level or fork-inherited), and
-        ``compute_join(state, inputs, partials) -> outputs_dict`` merges
-        the ``n_chunks`` partial results.  A task scheduled with a dpN
-        variant but lacking these falls back to its serial ``compute``.
+        runs one chunk of the work and ``compute_join(state, inputs,
+        partials) -> outputs_dict`` merges the ``n_chunks`` partial
+        results.  A task with a serial ``compute`` but no chunk pair cannot
+        be placed wider than one processor on a live substrate
+        (:func:`~repro.runtime.live.schedule_slots` refuses it).
+    windows:
+        ``{channel: w}`` for streaming inputs of which the task holds the
+        last ``w`` items: at frame ``ts`` it reads ``ts - w + 1 … ts``
+        (clipped at 0) as a tuple, oldest first, and consumes ``ts - w +
+        1``.  Change detection reads ``windows={"frame": 2}``: the previous
+        frame is an STM read, not a kernel's memory.  The cost model
+        charges no transfer for the earlier items.
     """
 
     def __init__(
@@ -157,6 +169,7 @@ class Task:
         compute: Optional[Callable[..., dict]] = None,
         compute_chunk: Optional[Callable[..., object]] = None,
         compute_join: Optional[Callable[..., dict]] = None,
+        windows: Optional[Mapping[str, int]] = None,
     ) -> None:
         if not name or not isinstance(name, str):
             raise GraphError(f"task needs a non-empty string name, got {name!r}")
@@ -167,6 +180,11 @@ class Task:
             raise GraphError(f"task {name!r}: channels {sorted(dup_in)} are both input and output")
         if len(set(inputs)) != len(tuple(inputs)) or len(set(outputs)) != len(tuple(outputs)):
             raise GraphError(f"task {name!r}: duplicate channel in inputs/outputs")
+        windows = dict(windows or {})
+        for ch, w in windows.items():
+            if ch not in inputs or type(w) is not int or w < 1:
+                raise GraphError(f"task {name!r}: window {w!r} on {ch!r} needs an "
+                                 "input channel and an integer >= 1")
         self.name = name
         self.cost: CostFn = as_cost(cost)
         self.inputs = tuple(inputs)
@@ -176,6 +194,7 @@ class Task:
         self.compute = compute
         self.compute_chunk = compute_chunk
         self.compute_join = compute_join
+        self.windows = windows
         if compute_chunk is not None and compute_join is None:
             raise GraphError(
                 f"task {name!r}: compute_chunk without compute_join"
@@ -184,9 +203,9 @@ class Task:
     def replace(self, **changes) -> "Task":
         """A copy of this task with the named constructor fields changed.
 
-        Every field not named is carried over — the kernels included, so a
-        derived graph cannot silently lose ``compute_chunk`` /
-        ``compute_join`` and fall back to serial execution.
+        Every field not named is carried over — the kernels and the
+        windows included, so a derived graph cannot silently lose its
+        chunk pair or read a windowed input as a single item.
         """
         fields = dict(
             name=self.name,
@@ -198,6 +217,7 @@ class Task:
             compute=self.compute,
             compute_chunk=self.compute_chunk,
             compute_join=self.compute_join,
+            windows=self.windows,
         )
         return Task(**{**fields, **changes})
 

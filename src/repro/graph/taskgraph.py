@@ -96,6 +96,21 @@ class TaskGraph:
         self._forget()
         return task
 
+    def with_tasks(self, name: str, changes: dict[str, dict]) -> "TaskGraph":
+        """A validated copy named ``name``: the same channels, and each task
+        ``changes`` names replaced by ``task.replace(**changes[task.name])``
+        (the others as they are); a name that is no task is refused."""
+        unknown = sorted(changes.keys() - self._tasks.keys())
+        if unknown:
+            raise UnknownNameError(f"no tasks named {unknown} in graph {self.name!r}")
+        out = TaskGraph(name)
+        for ch in self._channels.values():
+            out.add_channel(ch)
+        for t in self._tasks.values():
+            out.add_task(t.replace(**changes[t.name]) if t.name in changes else t)
+        out.validate()
+        return out
+
     # -- lookup -----------------------------------------------------------------
 
     def task(self, name: str) -> Task:
@@ -224,10 +239,11 @@ class TaskGraph:
     def validate(self) -> None:
         """Raise :class:`~repro.errors.GraphError` on any structural problem.
 
-        Checks: every referenced channel is declared; every streaming
-        channel has exactly one producer (STM permits more, our application
-        class uses single-writer streams); the precedence relation is
-        acyclic; the graph has at least one source.
+        Checks: every referenced channel is declared; no window sits on a
+        static channel; every streaming channel has exactly one producer
+        (STM permits more, our application class uses single-writer
+        streams); the precedence relation is acyclic; the graph has at
+        least one source.
         """
         if self._valid:
             return
@@ -237,6 +253,8 @@ class TaskGraph:
                     raise UnknownNameError(
                         f"task {t.name!r} references undeclared channel {ch!r}"
                     )
+            if any(self._channels[ch].static for ch in t.windows):
+                raise GraphError(f"task {t.name!r}: a window on a static channel")
         for ch in self._channels.values():
             if ch.static:
                 continue

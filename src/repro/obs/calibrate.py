@@ -138,13 +138,10 @@ def graph_with_costs(
     cost is scaled by the same factor so data-parallel variants drift
     consistently with the serial one.
     """
-    out = TaskGraph(name or f"{graph.name}+calibrated")
-    for ch in graph.channels:
-        out.add_channel(ch)
+    changes = {}
     for t in graph.tasks:
         new_cost = costs.get(t.name)
         if new_cost is None:
-            out.add_task(t)
             continue
         dp = t.data_parallel
         if dp is not None and dp.chunk_cost is not None and isinstance(new_cost, ScaledCost):
@@ -157,8 +154,8 @@ def graph_with_costs(
                 per_chunk_overhead=dp.per_chunk_overhead,
                 chunks_for=dp.chunks_for,
             )
-        out.add_task(t.replace(cost=new_cost, data_parallel=dp))
-    return out
+        changes[t.name] = {"cost": new_cost, "data_parallel": dp}
+    return graph.with_tasks(name or f"{graph.name}+calibrated", changes)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,15 @@ class TaskPlan:
         the runtimes use for span/processor bookkeeping.
     is_source:
         Whether the task has no streaming inputs (drives digitize times).
+    windows:
+        The task's :attr:`~repro.graph.task.Task.windows`, ``{streaming
+        input: w}``: every substrate reads frames ``ts - w + 1 … ts``
+        (clipped at 0) of such an input at frame ``ts`` and consumes ``ts -
+        w + 1``.
     """
 
-    __slots__ = ("name", "static_inputs", "stream_inputs", "outputs", "index", "is_source")
+    __slots__ = ("name", "static_inputs", "stream_inputs", "outputs", "index", "is_source",
+                 "windows")
 
     def __init__(
         self,
@@ -65,6 +71,7 @@ class TaskPlan:
         outputs: tuple[str, ...],
         index: int,
         is_source: bool,
+        windows: dict[str, int],
     ) -> None:
         self.name = name
         self.static_inputs = static_inputs
@@ -72,6 +79,7 @@ class TaskPlan:
         self.outputs = outputs
         self.index = index
         self.is_source = is_source
+        self.windows = windows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -97,6 +105,7 @@ def build_task_plans(graph: TaskGraph) -> dict[str, TaskPlan]:
             outputs=tuple(task.outputs),
             index=index,
             is_source=task.is_source,
+            windows=task.windows,
         )
     return plans
 

@@ -146,7 +146,7 @@ class DynamicExecutor:
                     (world.hubs[ch], conn, ch in statics)
                     for ch, conn in world.conns_in[name].items()
                 ]
-                streams = [hub for hub, _conn in world.stream_in[name]]
+                streams = [hub for hub, _conn, _lag in world.stream_in[name]]
                 chans = [hub.stm for hub in streams]
 
             def next_frame() -> None:

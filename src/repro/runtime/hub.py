@@ -184,8 +184,10 @@ class SimWorld:
         ``{task: {channel: Connection}}`` over every input, streaming and
         static, in declared order.
     stream_in:
-        ``{task: ((hub, connection), ...)}`` over the task's streaming
-        inputs — what :meth:`retire` consumes for a finished placement.
+        ``{task: ((hub, connection, lag), ...)}`` over the task's streaming
+        inputs — what :meth:`retire` consumes for a finished placement:
+        frame ``ts - lag``, where ``lag`` is the input's window less one (0
+        without a window).
     edges:
         ``{task: ((predecessor, bytes, channel label), ...)}`` — the one
         per-edge table of a run: whose completion a placement waits for,
@@ -242,7 +244,8 @@ class SimWorld:
             for t in graph.tasks
         }
         self.stream_in = {
-            name: tuple((hubs[ch], self.conns_in[name][ch]) for ch in plan.stream_inputs)
+            name: tuple((hubs[ch], self.conns_in[name][ch], plan.windows.get(ch, 1) - 1)
+                        for ch in plan.stream_inputs)
             for name, plan in plans.items()
         }
         # Sizes and bytes are what the world charges for its state: left
@@ -337,10 +340,12 @@ class SimWorld:
 
     def retire(self, task: str, ts: int, end: float) -> None:
         """``task`` is through with frame ``ts``: consume its streaming
-        inputs and stamp the ledger (digitize if a source, done at ``end``
+        inputs — the oldest frame of a window, none before the window is
+        full — and stamp the ledger (digitize if a source, done at ``end``
         if a sink)."""
-        for hub, conn in self.stream_in[task]:
-            hub.consume(conn, ts)
+        for hub, conn, lag in self.stream_in[task]:
+            if ts >= lag:
+                hub.consume(conn, ts - lag)
         digitized = self._digitized.get(task)
         if digitized is not None and ts not in digitized:
             digitized.add(ts)

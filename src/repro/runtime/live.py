@@ -33,7 +33,9 @@ Lanes cannot deadlock a run of a valid schedule.  A get waits only on a
 placement with an earlier start in the same frame: earlier in its own
 lane, and so already handed over, or in another lane.  A put blocked at
 capacity waits only on consumes of older frames, and a lane hands over
-frame ``ts - 1`` before it starts ``ts``.  Every lane of a data-parallel
+frame ``ts - 1`` before it starts ``ts`` (a window of ``w`` consumes
+``w - 1`` frames late, so this needs a capacity of ``w``, the least one
+the model checker certifies).  Every lane of a data-parallel
 placement reaches it in the same (start, topological) order, after its
 own earlier starts of the frame, and the hand-off waits only on those: a
 chunk lane on its primary's hand-out, the primary on the chunks of the
@@ -79,6 +81,8 @@ import threading
 import time as _time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from repro.core.schedule import ScheduleSolution
@@ -228,11 +232,13 @@ def report_frames(
 class ChannelEnds(NamedTuple):
     """One task's channel ends on one side of the process boundary.
 
-    ``outs`` and ``ins`` are ``(name, channel, conn)`` triples in the
-    plan's declared order; ``ins`` holds the *streaming* inputs only
-    (static inputs are read once, before the loop).  Local triples carry a
+    ``outs`` are ``(name, channel, conn)`` triples in the plan's declared
+    order, ``ins`` ``(name, channel, conn, lag)`` over the *streaming*
+    inputs only (static inputs are read once, before the loop), ``lag``
+    the input's window less one (:attr:`~repro.graph.task.Task.windows`,
+    0 without one).  Local ends carry a
     :class:`~repro.stm.threaded.ThreadedChannel` and its connection,
-    boundary triples whatever the batch's ``put`` / ``consume`` / ``get``
+    boundary ends whatever the batch's ``put`` / ``consume`` / ``get``
     take for a channel and a connection.
     """
 
@@ -246,7 +252,7 @@ class ChannelEnds(NamedTuple):
         return cls(
             outs=tuple((ch, channels[ch], conns_out[ch])
                        for ch in plan.outputs if ch in channels),
-            ins=tuple((ch, channels[ch], conns_in[ch])
+            ins=tuple((ch, channels[ch], conns_in[ch], plan.windows.get(ch, 1) - 1)
                       for ch in plan.stream_inputs if ch in channels),
         )
 
@@ -317,8 +323,14 @@ def make_exchange(
     applies a batch's consumes on arrival even while its puts or gets
     park — so bounded channels cannot deadlock on the deferral in either
     half.
+
+    A windowed input (``lag`` > 0) is fetched as the tuple of frames ``ts
+    - lag … ts``, clipped at 0, oldest first, each item by the same get,
+    and handed over by consuming frame ``done_ts - lag`` (none before the
+    window is full): a window keeps its earlier items alive in STM.
     """
-    fetched = [[name for name, _, _ in placed.boundary.ins] for placed in lane]
+    fetched = [[(name, lag) for name, _, _, lag in (*placed.boundary.ins, *placed.local.ins)]
+               for placed in lane]
     crosses = [bool(placed.boundary.outs or placed.boundary.ins) for placed in lane]
     stamped = [placed.plan.is_source and bool(placed.plan.outputs) for placed in lane]
 
@@ -334,13 +346,16 @@ def make_exchange(
                 landed = channel.put(conn, done_ts, result[name], timeout=op_timeout)
             for name, channel, conn in placed.boundary.outs:
                 batch.put(channel, conn, done_ts, result[name])
-            for _, channel, conn in placed.local.ins:
-                channel.consume(conn, done_ts)
-            for _, channel, conn in placed.boundary.ins:
-                batch.consume(channel, conn, done_ts)
+            for _, channel, conn, lag in placed.local.ins:
+                if done_ts >= lag:
+                    channel.consume(conn, done_ts - lag)
+            for _, channel, conn, lag in placed.boundary.ins:
+                if done_ts >= lag:
+                    batch.consume(channel, conn, done_ts - lag)
         if fetch is not None:
-            for _, channel, conn in fetch.boundary.ins:
-                batch.get(channel, conn, ts)
+            for _, channel, conn, lag in fetch.boundary.ins:
+                for at in range(max(0, ts - lag), ts + 1):
+                    batch.get(channel, conn, at)
         values = batch.commit(timeout=op_timeout) if batch is not None else []
         if done is not None:
             if stamped[i]:
@@ -352,10 +367,14 @@ def make_exchange(
                 channel.consume(conn, done_ts)
         if fetch is None:
             return None
+        # The batch's values, then the local gets: a window's items in a row.
+        got = iter([value for _, value in values]
+                   + [channel.get(conn, at, timeout=op_timeout)[1]
+                      for _, channel, conn, lag in fetch.local.ins
+                      for at in range(max(0, ts - lag), ts + 1)])
         inputs = dict(fetch.statics)
-        inputs.update(zip(fetched[nxt], (value for _, value in values)))
-        for name, channel, conn in fetch.local.ins:
-            inputs[name] = channel.get(conn, ts, timeout=op_timeout)[1]
+        for name, lag in fetched[nxt]:
+            inputs[name] = tuple(islice(got, min(ts, lag) + 1)) if lag else next(got)
         return inputs
 
     return exchange
@@ -629,7 +648,7 @@ class LiveNode:
             # task's name and no channel.
             for proc, chunk in zip(procs[1:], chunks):
                 lanes.setdefault(f"lane:{proc}", []).append(
-                    Placed(TaskPlan(name, (), (), (), plan.index, False), chunk))
+                    Placed(TaskPlan(name, (), (), (), plan.index, False, {}), chunk))
         return lanes
 
     def _procs(self, name: str) -> tuple:
@@ -648,7 +667,7 @@ class LiveNode:
                              else Slot(0, (self.plans[task.name].index,), "serial"))
         state, t0, trace, lock = self.state, self.stamps.t0, self.trace, self._lock
         run, chunks = (self._data_parallel(task, len(procs)) if len(procs) > 1
-                       else ((lambda inputs, ts: task.compute(state, inputs)), []))
+                       else (partial(task.compute, state), []))
 
         def run_kernel(inputs: dict, ts: int) -> dict:
             k0 = _time.perf_counter() - t0

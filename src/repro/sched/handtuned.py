@@ -56,17 +56,8 @@ class TuningPoint:
 
 def with_source_period(graph: TaskGraph, period: Optional[float]) -> TaskGraph:
     """A copy of ``graph`` whose source tasks fire with the given period."""
-    out = TaskGraph(f"{graph.name}@{period}")
-    for ch in graph.channels:
-        out.add_channel(ch)
-    sources = set(graph.source_tasks())
-    for t in graph.tasks:
-        if t.name in sources:
-            out.add_task(t.replace(period=period))
-        else:
-            out.add_task(t)
-    out.validate()
-    return out
+    return graph.with_tasks(f"{graph.name}@{period}",
+                            {name: {"period": period} for name in graph.source_tasks()})
 
 
 def measure_point(

@@ -188,16 +188,12 @@ class FusionFamily(WorkloadFamily):
     ) -> tuple[TaskGraph, dict]:
         p = instance.params
         seed, max_sensors = instance.seed, p["max_sensors"]
-        counter = {"ts": 0}
 
-        def trigger_compute(state: State, inputs: dict) -> dict:
-            ts = counter["ts"]
-            counter["ts"] += 1
+        def trigger_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"tick": ts}
 
         def make_sensor(index: int):
-            def compute(state: State, inputs: dict) -> dict:
-                ts = inputs["tick"]
+            def compute(state: State, inputs: dict, ts: int) -> dict:
                 if index < state["n_sensors"]:
                     obs = _obs_vector(seed, index, ts)
                 else:
@@ -206,7 +202,7 @@ class FusionFamily(WorkloadFamily):
 
             return compute
 
-        def fuse_compute(state: State, inputs: dict) -> dict:
+        def fuse_compute(state: State, inputs: dict, ts: int) -> dict:
             total = np.zeros(_FEAT, dtype=np.int64)
             for i in range(max_sensors):
                 total = total + inputs[f"obs{i}"]
@@ -225,29 +221,16 @@ class FusionFamily(WorkloadFamily):
                 total = total + part
             return {"fused": total * inputs["fusion_weights"]}
 
-        def classify_compute(state: State, inputs: dict) -> dict:
+        def classify_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"label": int(inputs["fused"].sum() % 9973)}
 
-        computes = {"trigger": trigger_compute, "fuse": fuse_compute,
-                    "classify": classify_compute}
+        changes = {"trigger": {"compute": trigger_compute},
+                   "fuse": {"compute": fuse_compute, "compute_chunk": fuse_chunk,
+                            "compute_join": fuse_join},
+                   "classify": {"compute": classify_compute}}
         for i in range(max_sensors):
-            computes[f"sensor{i}"] = make_sensor(i)
-
-        out = TaskGraph(f"{graph.name}/live")
-        for ch in graph.channels:
-            out.add_channel(ch)
-        for t in graph.tasks:
-            chunk_fn, join_fn = (
-                (fuse_chunk, fuse_join) if t.name == "fuse" else (None, None)
-            )
-            out.add_task(
-                t.replace(
-                    compute=computes[t.name],
-                    compute_chunk=chunk_fn,
-                    compute_join=join_fn,
-                )
-            )
-        out.validate()
+            changes[f"sensor{i}"] = {"compute": make_sensor(i)}
+        out = graph.with_tasks(f"{graph.name}/live", changes)
         weights = (np.arange(_FEAT, dtype=np.int64) + seed) % 13 + 1
         return out, {"fusion_weights": weights}
 

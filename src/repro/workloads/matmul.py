@@ -197,16 +197,12 @@ class MatMulFamily(WorkloadFamily):
     ) -> tuple[TaskGraph, dict]:
         p = instance.params
         seed, block_rows, dim = instance.seed, p["block_rows"], p["dim"]
-        max_rows = p["max_blocks"] * block_rows
-        counter = {"ts": 0}
 
-        def split_compute(state: State, inputs: dict) -> dict:
-            ts = counter["ts"]
-            counter["ts"] += 1
+        def split_compute(state: State, inputs: dict, ts: int) -> dict:
             rows = state["n_blocks"] * block_rows
             return {"a_bands": _a_matrix(seed, ts, rows, dim)}
 
-        def multiply_compute(state: State, inputs: dict) -> dict:
+        def multiply_compute(state: State, inputs: dict, ts: int) -> dict:
             a, b = inputs["a_bands"], inputs["b_matrix"]
             return {"partials": a @ b}
 
@@ -218,42 +214,26 @@ class MatMulFamily(WorkloadFamily):
         def multiply_join(state: State, inputs: dict, partials: list) -> dict:
             return {"partials": np.vstack(partials)}
 
-        def norm_compute(state: State, inputs: dict) -> dict:
+        def norm_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"scale": int(np.abs(inputs["a_bands"]).sum())}
 
-        def reduce_compute(state: State, inputs: dict) -> dict:
+        def reduce_compute(state: State, inputs: dict, ts: int) -> dict:
             col = inputs["partials"].sum(axis=0) % 100003
             return {"product": col * (inputs["scale"] % 11 + 1)}
 
-        def check_compute(state: State, inputs: dict) -> dict:
+        def check_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"result": int(inputs["product"].sum() % 1000003)}
 
-        computes = {
-            "split": split_compute,
-            "multiply": multiply_compute,
-            "norm": norm_compute,
-            "reduce": reduce_compute,
-            "check": check_compute,
-        }
-        out = TaskGraph(f"{graph.name}/live")
-        for ch in graph.channels:
-            out.add_channel(ch)
-        for t in graph.tasks:
-            chunk_fn, join_fn = (
-                (multiply_chunk, multiply_join) if t.name == "multiply" else (None, None)
-            )
-            out.add_task(
-                t.replace(
-                    compute=computes[t.name],
-                    compute_chunk=chunk_fn,
-                    compute_join=join_fn,
-                )
-            )
-        out.validate()
+        out = graph.with_tasks(f"{graph.name}/live", {
+            "split": {"compute": split_compute},
+            "multiply": {"compute": multiply_compute, "compute_chunk": multiply_chunk,
+                         "compute_join": multiply_join},
+            "norm": {"compute": norm_compute},
+            "reduce": {"compute": reduce_compute},
+            "check": {"compute": check_compute},
+        })
         b = (np.arange(dim * dim, dtype=np.int64).reshape(dim, dim) + seed) % 89
-        statics = {"b_matrix": b}
-        del max_rows  # documented shape bound; kernels slice per state
-        return out, statics
+        return out, {"b_matrix": b}
 
 
 MATMUL = register_family(MatMulFamily())

@@ -204,20 +204,17 @@ class WebInferFamily(WorkloadFamily):
         self, graph: TaskGraph, instance: WorkloadInstance
     ) -> tuple[TaskGraph, dict]:
         seed = instance.seed
-        counter = {"ts": 0}
 
-        def ingest_compute(state: State, inputs: dict) -> dict:
-            ts = counter["ts"]
-            counter["ts"] += 1
+        def ingest_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"requests": _request_batch(seed, ts, state["arrival_rate"])}
 
-        def sanitize_compute(state: State, inputs: dict) -> dict:
+        def sanitize_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"batch": inputs["requests"] % 97}
 
-        def audit_compute(state: State, inputs: dict) -> dict:
+        def audit_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"audit_log": int(inputs["requests"].sum() % 65521)}
 
-        def infer_compute(state: State, inputs: dict) -> dict:
+        def infer_compute(state: State, inputs: dict, ts: int) -> dict:
             return {"scores": inputs["batch"] @ inputs["model_weights"]}
 
         def infer_chunk(state: State, inputs: dict, chunk: int, n_chunks: int):
@@ -228,32 +225,18 @@ class WebInferFamily(WorkloadFamily):
         def infer_join(state: State, inputs: dict, partials: list) -> dict:
             return {"scores": np.vstack(partials)}
 
-        def respond_compute(state: State, inputs: dict) -> dict:
+        def respond_compute(state: State, inputs: dict, ts: int) -> dict:
             digest = int(inputs["scores"].sum() % 999983)
             return {"responses": digest * 31 + inputs["audit_log"] % 31}
 
-        computes = {
-            "ingest": ingest_compute,
-            "sanitize": sanitize_compute,
-            "audit": audit_compute,
-            "infer": infer_compute,
-            "respond": respond_compute,
-        }
-        out = TaskGraph(f"{graph.name}/live")
-        for ch in graph.channels:
-            out.add_channel(ch)
-        for t in graph.tasks:
-            chunk_fn, join_fn = (
-                (infer_chunk, infer_join) if t.name == "infer" else (None, None)
-            )
-            out.add_task(
-                t.replace(
-                    compute=computes[t.name],
-                    compute_chunk=chunk_fn,
-                    compute_join=join_fn,
-                )
-            )
-        out.validate()
+        out = graph.with_tasks(f"{graph.name}/live", {
+            "ingest": {"compute": ingest_compute},
+            "sanitize": {"compute": sanitize_compute},
+            "audit": {"compute": audit_compute},
+            "infer": {"compute": infer_compute, "compute_chunk": infer_chunk,
+                      "compute_join": infer_join},
+            "respond": {"compute": respond_compute},
+        })
         weights = (
             np.arange(_REQ_FEAT * _CLASSES, dtype=np.int64).reshape(_REQ_FEAT, _CLASSES)
             + seed

@@ -122,7 +122,7 @@ def test_g009_spec_and_serial_kernel_without_chunk_kernels():
             "A",
             1.0,
             data_parallel=DataParallelSpec([1, 2]),
-            compute=lambda s, i: {},
+            compute=lambda s, i, ts: {},
         )
     )
     assert "G009" in rules(lint_graph(g))

@@ -26,16 +26,14 @@ def by_rule(report, rid):
     return [f for f in report.findings if f.rule == rid]
 
 
-def _bounded_chain(capacity):
+def _bounded_chain(capacity, window=1):
+    """``A -c-> B``, B holding the last ``window`` items of ``c``."""
     g = TaskGraph("pipe")
     g.add_channel(ChannelSpec("c", capacity=capacity))
     g.add_channel(ChannelSpec("out"))
     g.add_task(Task("A", 1.0, outputs=["c"]))
-    g.add_task(Task("B", 1.0, inputs=["c"], outputs=["out"]))
+    g.add_task(Task("B", 1.0, inputs=["c"], outputs=["out"], windows={"c": window}))
     return g
-
-
-WINDOW2 = (ChannelDecl("B", "c", window=2),)
 
 
 class TestExplore:
@@ -48,7 +46,7 @@ class TestExplore:
     def test_window_exceeding_capacity_deadlocks(self):
         # B holds 2 items of a capacity-1 channel before consuming: A's
         # second put and B's second get wait on each other forever.
-        model = build_model(_bounded_chain(1), decls=WINDOW2)
+        model = build_model(_bounded_chain(1, window=2))
         result = model.explore()
         assert result.verdict == "deadlock"
         assert "A" in result.deadlocked and "B" in result.deadlocked
@@ -57,14 +55,14 @@ class TestExplore:
         model.run_trace(result.trace)
 
     def test_capacity_two_absorbs_the_window(self):
-        model = build_model(_bounded_chain(2), decls=WINDOW2)
+        model = build_model(_bounded_chain(2, window=2))
         assert model.explore().ok
 
     def test_por_and_full_bfs_agree(self):
-        for cap, decls in [(1, ()), (1, WINDOW2), (2, WINDOW2)]:
-            g = _bounded_chain(cap)
-            por = build_model(g, decls=decls).explore(por=True)
-            bfs = build_model(g, decls=decls).explore(por=False)
+        for cap, window in [(1, 1), (1, 2), (2, 2)]:
+            g = _bounded_chain(cap, window)
+            por = build_model(g).explore(por=True)
+            bfs = build_model(g).explore(por=False)
             assert por.verdict == bfs.verdict
             # POR explores a single interleaving; full BFS at least that.
             assert bfs.states >= por.states
@@ -89,25 +87,37 @@ class TestExplore:
         with pytest.raises(ValueError, match="unknown"):
             build_model(_bounded_chain(1), decls=(ChannelDecl("A", "nope"),))
 
-    def test_decl_bad_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            ChannelDecl("B", "c", window=0)
+    def test_decl_bad_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            ChannelDecl("B", "c", stride=0)
 
 
 class TestMinimalCapacity:
     def test_window_two_needs_capacity_two(self):
-        assert minimal_capacity(_bounded_chain(1), "c", decls=WINDOW2) == 2
+        assert minimal_capacity(_bounded_chain(1, window=2), "c") == 2
 
     def test_matches_brute_force_on_windowed_chains(self):
         # Property: the POR scan agrees with a full-BFS scan for every
         # window the horizon admits (monotone in capacity, so each scan
         # stops at its first safe value).
         for window in (1, 2, 3):
-            decls = (ChannelDecl("B", "c", window=window),)
-            g = _bounded_chain(1)
-            fast = minimal_capacity(g, "c", decls=decls, por=True)
-            slow = minimal_capacity(g, "c", decls=decls, por=False)
+            g = _bounded_chain(1, window)
+            fast = minimal_capacity(g, "c", por=True)
+            slow = minimal_capacity(g, "c", por=False)
             assert fast == slow == window
+
+    def test_the_attached_tracker_holds_two_frames(self):
+        """T2 reads the previous frame through its window-2 input, so with
+        every streaming channel at capacity 1 the frame channel needs 2;
+        the cost-only graph, which declares no window, needs 1."""
+        from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
+        from repro.apps.video import VideoSource
+
+        graph = build_tracker_graph(frame_shape=(16, 16))
+        live, _ = attach_kernels(graph, VideoSource(n_targets=1, height=16, width=16))
+        ones = {ch.name: 1 for ch in graph.channels if not ch.static}
+        assert minimal_capacity(graph, "frame", capacities=ones) == 1
+        assert minimal_capacity(live, "frame", capacities=ones) == 2
 
     def test_unfixable_wedge_returns_none(self):
         # Starvation from a stride mismatch: no capacity helps.
@@ -124,7 +134,7 @@ class TestCheckModel:
         assert "certified" in m3.message
 
     def test_under_capacity_emits_m001_and_m003_error(self):
-        report = check_model(_bounded_chain(1), decls=WINDOW2)
+        report = check_model(_bounded_chain(1, window=2))
         (m1,) = by_rule(report, "M001")
         assert m1.severity is Severity.ERROR
         assert "counterexample" in m1.message
@@ -155,18 +165,26 @@ class TestCheckModel:
 
     @pytest.mark.parametrize("once", [list, iter], ids=["list", "iterator"])
     def test_one_shot_decls_reach_the_capacity_scan(self, once):
-        # The window-3 sink wedges a capacity-2 channel; the M003 scan must
-        # see the declaration too, or it certifies capacity 1 beside M001.
+        # The stride-2 producer starves the sink whatever the capacity; the
+        # M003 scan must see the declaration too, or it certifies
+        # capacity 1 beside M002.
         from repro.analysis import model as model_mod
 
         model_mod._proofs.clear()  # explore afresh, whatever ran before
         report = check_model(
-            _bounded_chain(2), decls=once([ChannelDecl("B", "c", window=3)])
+            _bounded_chain(2), decls=once([ChannelDecl("A", "c", stride=2)])
         )
-        assert "M001" in rules(report)
+        assert "M002" in rules(report)
         (m3,) = by_rule(report, "M003")
         assert m3.severity is Severity.ERROR
-        assert "below the minimal safe capacity 3" in m3.message
+        assert "no capacity up to horizon" in m3.message
+
+    def test_the_window_is_the_graphs(self):
+        """A window on a task moves the default horizon as a window decl
+        did: window + offset + stride + 2, and w + 3 alone."""
+        assert build_model(_bounded_chain(None, window=5)).horizon == 8
+        assert build_model(_bounded_chain(None, window=5),
+                           decls=(ChannelDecl("B", "c", stride=2),)).horizon == 9
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -207,23 +225,21 @@ class TestCheckModel:
 
 class TestReplay:
     def test_counterexample_wedges_real_runtime(self):
-        g = _bounded_chain(1)
-        model = build_model(g, decls=WINDOW2)
+        g = _bounded_chain(1, window=2)
+        model = build_model(g)
         result = model.explore()
         assert result.verdict == "deadlock"
-        outcome = replay_trace(
-            g, result.trace, result.deadlocked, decls=WINDOW2, model=model
-        )
+        outcome = replay_trace(g, result.trace, result.deadlocked, model=model)
         assert outcome.wedged, (outcome.errors, outcome.progressed)
         assert not outcome.errors
         assert set(outcome.blocked) == set(result.deadlocked)
 
     def test_negative_control_capacity_two_progresses(self):
         # Same trace prefix on a capacity-2 channel: nothing wedges.
-        g1 = _bounded_chain(1)
-        result = build_model(g1, decls=WINDOW2).explore()
-        g2 = _bounded_chain(2)
-        outcome = replay_trace(g2, result.trace, result.deadlocked, decls=WINDOW2)
+        g1 = _bounded_chain(1, window=2)
+        result = build_model(g1).explore()
+        g2 = _bounded_chain(2, window=2)
+        outcome = replay_trace(g2, result.trace, result.deadlocked)
         assert not outcome.wedged
         assert "A" in outcome.progressed and "B" in outcome.progressed
 

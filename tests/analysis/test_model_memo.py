@@ -1,7 +1,7 @@
 """``check_model`` explores each channel structure once per process.
 
 What it remembers is keyed by what ``build_model`` reads — every task's
-name, inputs and outputs, every channel's name, ``static`` flag and
+name, inputs, outputs and windows, every channel's name, ``static`` flag and
 capacity, and the call's decls / capacities / horizon / budget — and holds
 verdict data only.  Everything a call locates or annotates (the graph's
 name, the schedule's in-flight notes, the P002 estimate where nothing is
@@ -52,12 +52,12 @@ def explored(monkeypatch):
     return count
 
 
-def _chain(capacity, name="pipe"):
+def _chain(capacity, name="pipe", window=1):
     g = TaskGraph(name)
     g.add_channel(ChannelSpec("c", capacity=capacity))
     g.add_channel(ChannelSpec("out"))
     g.add_task(Task("A", 1.0, outputs=["c"]))
-    g.add_task(Task("B", 1.0, inputs=["c"], outputs=["out"]))
+    g.add_task(Task("B", 1.0, inputs=["c"], outputs=["out"], windows={"c": window}))
     return g
 
 
@@ -99,8 +99,6 @@ def _solution(case):
     return OptimalScheduler(SINGLE_NODE_SMP(2)).solve(graph, State(n_models=1))
 
 
-WINDOW2 = (ChannelDecl("B", "c", window=2),)
-
 #: name -> (graph factory, solve a schedule for M003's notes, check_model kwargs)
 CASES = {
     "tracker": (build_tracker_graph, True, {}),
@@ -113,12 +111,12 @@ CASES = {
         )
         for seed in (0, 1, 2, 3)
     },
-    "deadlock": (lambda: _chain(1), False, {"decls": WINDOW2}),
+    "deadlock": (lambda: _chain(1, window=2), False, {}),
     "starvation": (lambda: _chain(1), False,
                    {"decls": (ChannelDecl("A", "c", stride=2),)}),
     "budget": (_waits, True, {"budget": 3}),
     "capacities": (_waits, False, {"capacities": {"c1": 3}}),
-    "decls": (lambda: _chain(4), False, {"decls": WINDOW2}),
+    "window": (lambda: _chain(4, window=2), False, {}),
     "overrun": (_pair, True, {}),
     "horizon": (lambda: _chain(2), False, {"horizon": 6}),
 }
@@ -163,7 +161,9 @@ def test_the_cases_cover_every_m_rule_and_the_fallback():
         pytest.param(lambda: (_chain(2), {}), id="recapacitated"),
         pytest.param(lambda: (_rewired(), {}), id="rewired"),
         pytest.param(lambda: (_chain(1), {"capacities": {"c": 2}}), id="capacities"),
-        pytest.param(lambda: (_chain(1), {"decls": WINDOW2}), id="decls"),
+        pytest.param(lambda: (_chain(1), {"decls": (ChannelDecl("A", "c", stride=2),)}),
+                     id="decls"),
+        pytest.param(lambda: (_chain(1, window=2), {}), id="window"),
         pytest.param(lambda: (_chain(1), {"horizon": 5}), id="horizon"),
         pytest.param(lambda: (_chain(1), {"budget": 3}), id="budget"),
     ],
@@ -208,13 +208,28 @@ def test_recalibrated_costs_reuse_the_proof(build, explored):
 
 def test_the_memo_keeps_no_graph_alive():
     graph = _chain(1)
-    check_model(graph, decls=WINDOW2)
+    check_model(graph, horizon=5)
     check_model(graph)
     assert len(model_mod._proofs) == 2
     ref = weakref.ref(graph)
     del graph
     gc.collect()
     assert ref() is None
+
+
+def test_two_graphs_that_differ_only_in_a_window_are_two_explorations(explored):
+    def certificate(graph):
+        (m3,) = [f.message for f in check_model(graph).findings if f.rule == "M003"]
+        return m3
+
+    assert "over-provisioned" in certificate(_chain(2))
+    plain = explored[0]
+    assert "certified: minimal safe capacity is 2" in certificate(_chain(2, window=2))
+    assert explored[0] > plain
+    both = explored[0]
+    assert "over-provisioned" in certificate(_chain(2))
+    assert "certified" in certificate(_chain(2, window=2))
+    assert explored[0] == both
 
 
 def test_the_memo_is_bounded():

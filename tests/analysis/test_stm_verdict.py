@@ -14,7 +14,7 @@ import functools
 import pytest
 
 import repro.analysis as analysis
-from repro.analysis import AnalysisReport, ChannelDecl, Severity, check_model, check_stm
+from repro.analysis import AnalysisReport, Severity, check_model, check_stm
 from repro.core.optimal import OptimalScheduler
 from repro.core.table import ScheduleTable
 from repro.errors import AnalysisError
@@ -29,13 +29,14 @@ def by_rule(report, rid):
     return [f for f in report.findings if f.rule == rid]
 
 
-def _waits(capacity=1):
-    """``A -> c1 (bounded), c2 -> B``: B waits on A through two channels."""
+def _waits(capacity=1, window=1):
+    """``A -> c1 (bounded), c2 -> B``: B waits on A through two channels,
+    holding the last ``window`` items of c1 before consuming the oldest."""
     g = TaskGraph("waits")
     g.add_channel(ChannelSpec("c1", capacity=capacity))
     g.add_channel(ChannelSpec("c2"))
     g.add_task(Task("A", 1.0, outputs=["c1", "c2"]))
-    g.add_task(Task("B", 1.0, inputs=["c1", "c2"]))
+    g.add_task(Task("B", 1.0, inputs=["c1", "c2"], windows={"c1": window}))
     return g
 
 
@@ -48,9 +49,6 @@ def _pair():
     return g
 
 
-#: B holds two items of c1 before consuming the oldest.
-WINDOW2 = (ChannelDecl("B", "c1", window=2),)
-
 #: What the capacity estimate says of ``_pair``'s schedule.
 OVERRUN = "schedule keeps 2 items of 'ab' in flight (II=1s) but capacity is 1"
 
@@ -61,7 +59,7 @@ def _stm_report(graph, **kwargs):
 
 
 def test_a_wait_cycle_that_wedges_is_an_m001_error():
-    report = _stm_report(_waits(), decls=WINDOW2)
+    report = _stm_report(_waits(window=2))
     (m1,) = by_rule(report, "M001")
     assert m1.severity is Severity.ERROR
     assert m1.location == "graph:waits/tasks:A+B"
@@ -70,10 +68,10 @@ def test_a_wait_cycle_that_wedges_is_an_m001_error():
 
 
 def test_a_capacity_one_below_the_certificate_is_an_m003_error():
-    (cert,) = by_rule(_stm_report(_waits(2), decls=WINDOW2), "M003")
+    (cert,) = by_rule(_stm_report(_waits(2, window=2)), "M003")
     assert cert.severity is Severity.INFO
     assert "certified: minimal safe capacity is 2" in cert.message
-    report = _stm_report(_waits(1), decls=WINDOW2)
+    report = _stm_report(_waits(1, window=2))
     (m3,) = by_rule(report, "M003")
     assert m3.severity is Severity.ERROR
     assert "below the minimal safe capacity 2" in m3.message

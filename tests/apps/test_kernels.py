@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.apps.colormodel import color_histogram
 from repro.apps.tracker import kernels
 from repro.apps.tracker.calibrate import calibrate_kernels
+from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
 from repro.apps.video import VideoSource
 from repro.errors import ReproError
 from repro.state import State
@@ -84,24 +87,63 @@ class TestTargetAndPeakDetection:
             kernels.peak_detection(np.zeros((8, 8)))
 
 
-class TestKernelAdapters:
-    def test_digitizer_advances(self, scene):
+def frame_by_hand(live, statics, state, video, ts):
+    """Every channel's value at frame ``ts`` of the attached tracker graph,
+    its kernels called in topological order; a windowed input is built
+    from ``video.frame`` of the earlier timestamps."""
+    values = dict(statics)
+    for name in live.topo_order():
+        task = live.task(name)
+        inputs = {ch: values[ch] for ch in task.inputs}
+        for ch, w in task.windows.items():
+            inputs[ch] = tuple(video.frame(at) for at in range(max(0, ts - w + 1), ts + 1))
+        values.update(task.compute(state, inputs, ts))
+    return values
+
+
+class TestKernelsArePure:
+    """A kernel is a function of ``(state, inputs, ts)``: no counter and no
+    memory, so a frame computed out of order is the frame computed in
+    order."""
+
+    FRAMES = 8
+
+    def test_shuffled_timestamps_give_the_in_order_frames(self):
+        video = VideoSource(n_targets=2, height=32, width=40, seed=5)
+        live, statics = attach_kernels(build_tracker_graph(frame_shape=(32, 40)), video)
+        state = State(n_models=2)
+        in_order = [frame_by_hand(live, statics, state, video, ts)
+                    for ts in range(self.FRAMES)]
+        order = list(range(self.FRAMES))
+        random.Random(3).shuffle(order)
+        for ts in order:
+            again = frame_by_hand(live, statics, state, video, ts)
+            for ch, value in in_order[ts].items():
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == again[ch].tobytes(), (ts, ch)
+                else:
+                    assert value == again[ch], (ts, ch)
+
+    def test_digitizer_emits_frame_ts(self):
         video = VideoSource(n_targets=1, height=32, width=32, seed=1)
         k = kernels.make_digitizer_kernel(video)
         st = State(n_models=1)
-        f0 = k(st, {})["frame"]
-        f1 = k(st, {})["frame"]
-        np.testing.assert_array_equal(f0, video.frame(0))
-        np.testing.assert_array_equal(f1, video.frame(1))
+        for ts in (3, 0, 1):
+            np.testing.assert_array_equal(k(st, {}, ts)["frame"], video.frame(ts))
 
-    def test_change_detection_remembers_previous(self, scene):
-        _, frame, prev, _ = scene
+    def test_change_detection_reads_its_window(self, scene):
+        _, _, prev, _ = scene
         k = kernels.make_change_detection_kernel(threshold=1)
         st = State(n_models=1)
-        first = k(st, {"frame": prev})["motion_mask"]
-        assert first.all()  # bootstrap
-        second = k(st, {"frame": prev.copy()})["motion_mask"]
-        assert not second.any()  # same frame again
+        assert k(st, {"frame": (prev,)}, 0)["motion_mask"].all()  # no previous frame
+        assert not k(st, {"frame": (prev, prev.copy())}, 1)["motion_mask"].any()
+
+    def test_only_change_detection_is_windowed(self):
+        video = VideoSource(n_targets=1, height=32, width=32, seed=1)
+        live, _ = attach_kernels(build_tracker_graph(frame_shape=(32, 32)), video)
+        assert {t.name: t.windows for t in live.tasks if t.windows} == {
+            "T2": {"frame": 2}}
+        assert not any(t.windows for t in build_tracker_graph().tasks)
 
 
 class TestCalibration:

@@ -37,6 +37,17 @@ class TestTaskValidation:
         with pytest.raises(GraphError):
             Task("t", cost=1.0, period=0.0)
 
+    def test_window_on_an_input(self):
+        assert Task("t", cost=1.0, inputs=["a"], windows={"a": 2}).windows == {"a": 2}
+        assert Task("t", cost=1.0, inputs=["a"]).windows == {}
+
+    @pytest.mark.parametrize("windows", [{"a": 0}, {"a": -1}, {"a": 1.5}, {"b": 2},
+                                         {"out": 2}],
+                             ids=["zero", "negative", "float", "unknown", "output"])
+    def test_bad_window_rejected(self, windows):
+        with pytest.raises(GraphError, match="window"):
+            Task("t", cost=1.0, inputs=["a"], outputs=["out"], windows=windows)
+
 
 class TestReplace:
     def test_every_field_not_named_is_carried(self):
@@ -44,11 +55,11 @@ class TestReplace:
         fns = [lambda *a: {} for _ in range(3)]
         t = Task("t", cost=1.0, inputs=["a"], outputs=["b"], data_parallel=dp,
                  period=None, compute=fns[0], compute_chunk=fns[1],
-                 compute_join=fns[2])
+                 compute_join=fns[2], windows={"a": 3})
         r = t.replace(cost=2.0)
         assert r is not t and r.cost(State(n=1)) == 2.0
         for field in ("name", "inputs", "outputs", "data_parallel", "period",
-                      "compute", "compute_chunk", "compute_join"):
+                      "compute", "compute_chunk", "compute_join", "windows"):
             assert getattr(r, field) == getattr(t, field)
 
     def test_replacement_is_validated_like_a_new_task(self):
@@ -88,6 +99,7 @@ class TestReplace:
                 for field in ("compute", "compute_chunk", "compute_join"):
                     assert getattr(c, field) is getattr(t, field), (helper, t.name, field)
                 assert c.period == t.period, (helper, t.name)
+                assert c.windows == t.windows, (helper, t.name)
                 assert (c.data_parallel is None) == (t.data_parallel is None)
                 if t.data_parallel is not None:
                     assert c.data_parallel.worker_counts == t.data_parallel.worker_counts

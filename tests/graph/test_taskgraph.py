@@ -90,6 +90,13 @@ class TestValidation:
         g.add_task(Task("q", cost=1.0, inputs=["c", "cfg"]))
         g.validate()
 
+    def test_window_on_a_static_channel_rejected(self):
+        g = TaskGraph()
+        g.add_channel(ChannelSpec("cfg", static=True))
+        g.add_task(Task("q", cost=1.0, inputs=["cfg"], windows={"cfg": 2}))
+        with pytest.raises(GraphError, match="static"):
+            g.validate()
+
     def test_cycle_detected(self):
         g = TaskGraph()
         g.add_channel(ChannelSpec("ab"))
@@ -98,6 +105,27 @@ class TestValidation:
         g.add_task(Task("b", cost=1.0, inputs=["ab"], outputs=["ba"]))
         with pytest.raises(CycleError):
             g.validate()
+
+
+class TestWithTasks:
+    def test_a_copy_with_the_named_tasks_replaced(self):
+        g = two_task_graph()
+        out = g.with_tasks("g/live", {"q": {"cost": 5.0, "windows": {"c": 2}}})
+        assert out.name == "g/live" and out.channels == g.channels
+        assert out.task("p") is g.task("p")
+        assert out.task("q").windows == {"c": 2} and out.task("q").cost(State(n=1)) == 5.0
+        assert g.task("q").windows == {}
+
+    def test_an_unknown_task_is_refused(self):
+        with pytest.raises(UnknownNameError, match="nope"):
+            two_task_graph().with_tasks("g2", {"nope": {"cost": 1.0}})
+
+    def test_the_copy_is_validated(self):
+        g = TaskGraph()
+        g.add_channel(ChannelSpec("cfg", static=True))
+        g.add_task(Task("q", cost=1.0, inputs=["cfg"]))
+        with pytest.raises(GraphError, match="static"):
+            g.with_tasks("bad", {"q": {"windows": {"cfg": 2}}})
 
 
 class TestConnectivity:

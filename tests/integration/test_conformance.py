@@ -41,7 +41,8 @@ LIVE = ("threaded", "process")
 
 
 def _fresh_setup():
-    """A new graph + video per run: T1/T2 kernels are stateful."""
+    """A new graph + video per run; the kernels keep no frame state, T2
+    reads the previous frame through its window-2 input."""
     video = VideoSource(n_targets=N_MODELS, height=48, width=64, seed=23)
     graph = build_tracker_graph(frame_shape=(48, 64))
     live, statics = attach_kernels(graph, video)

@@ -30,9 +30,9 @@ def chain() -> TaskGraph:
     g.add_channel(ChannelSpec("a"))
     g.add_channel(ChannelSpec("b"))
     g.add_task(Task("src", cost=0.01, outputs=["a"],
-                    compute=lambda s, ins: {"a": np.full((100, 100), 1.0)}))
+                    compute=lambda s, ins, ts: {"a": np.full((100, 100), 1.0)}))
     g.add_task(Task("dbl", cost=0.01, inputs=["a"], outputs=["b"],
-                    compute=lambda s, ins: {"b": ins["a"] * 2}))
+                    compute=lambda s, ins, ts: {"b": ins["a"] * 2}))
     return g
 
 

@@ -67,9 +67,9 @@ def wide_graph(capacity=None, failing_chunk=None) -> TaskGraph:
         g.add_channel(ChannelSpec(name, capacity=capacity))
     g.add_channel(ChannelSpec("out"))
     g.add_task(Task("src", cost=0.01, outputs=["a"],
-                    compute=lambda s, ins: {"a": np.arange(6.0)}))
+                    compute=lambda s, ins, ts: {"a": np.arange(6.0)}))
     g.add_task(Task("pre", cost=0.01, inputs=["a"], outputs=["p"],
-                    compute=lambda s, ins: {"p": ins["a"] + 1}))
+                    compute=lambda s, ins, ts: {"p": ins["a"] + 1}))
     calls = {}
 
     def chunk(state, ins, i, n):
@@ -85,11 +85,11 @@ def wide_graph(capacity=None, failing_chunk=None) -> TaskGraph:
                       np.concatenate([band for _, band in partials]))}
 
     g.add_task(Task("wide", cost=0.02, inputs=["a", "p"], outputs=["w"],
-                    compute=lambda s, ins: {"w": ([threading.current_thread().name],
+                    compute=lambda s, ins, ts: {"w": ([threading.current_thread().name],
                                                   (ins["a"] + ins["p"]) * 2)},
                     compute_chunk=chunk, compute_join=join))
     g.add_task(Task("post", cost=0.01, inputs=["w"], outputs=["out"],
-                    compute=lambda s, ins: {"out": ins["w"]}))
+                    compute=lambda s, ins, ts: {"out": ins["w"]}))
     g.validate()
     return g
 
@@ -204,9 +204,9 @@ class TestRefusals:
         graph = TaskGraph("serial-only")
         graph.add_channel(ChannelSpec("a"))
         graph.add_task(Task("src", cost=0.01, outputs=["a"],
-                            compute=lambda s, ins: {"a": 1}))
+                            compute=lambda s, ins, ts: {"a": 1}))
         graph.add_task(Task("sink", cost=0.01, inputs=["a"], outputs=[],
-                            compute=lambda s, ins: {}))
+                            compute=lambda s, ins, ts: {}))
         schedule = schedule_of([("src", (0, 1), 0), ("sink", (0,), 1)])
         with pytest.raises(ExecutorConfigError, match="'src' is placed dp2 .* no compute_chunk"):
             if runtime == "threaded":

@@ -89,17 +89,14 @@ def fan_graph(capacity=None, spy: bool = False) -> TaskGraph:
         g.add_channel(ChannelSpec(name, capacity=capacity))
     g.add_channel(ChannelSpec("out"))
     g.add_task(Task("src", cost=0.01, outputs=["a"],
-                    compute=lambda s, ins: {"a": np.arange(6.0)}))
+                    compute=lambda s, ins, ts: {"a": np.arange(6.0)}))
     g.add_task(Task("left", cost=0.01, inputs=["a"], outputs=["l"],
-                    compute=lambda s, ins: {"l": ins["a"] * 2}))
+                    compute=lambda s, ins, ts: {"l": ins["a"] * 2}))
     g.add_task(Task("right", cost=0.01, inputs=["a"], outputs=["r"],
-                    compute=lambda s, ins: {"r": ins["a"] + 1}))
+                    compute=lambda s, ins, ts: {"r": ins["a"] + 1}))
 
-    calls = []
-
-    def join(s, ins):
+    def join(s, ins, ts):
         out = ins["l"] - ins["r"]
-        calls.append(ts := len(calls))
         return {"out": (out, lane_threads() if ts == 0 else ()) if spy else out}
 
     g.add_task(Task("join", cost=0.01, inputs=["l", "r"], outputs=["out"],
@@ -305,20 +302,22 @@ APPS = {"tracker": tracker_app, "surveillance": surveillance_app}
 
 @pytest.mark.slow
 class TestLanesAgainstTasks:
-    """The same graph in multi-task lanes and one task a lane: the same
-    values, the same item counts, the same GC."""
+    """The same attached graph in multi-task lanes and one task a lane: the
+    same values, the same item counts, the same GC — with each windowed
+    reader (T2; ``motion0`` and ``motion1``) in a lane beside other tasks."""
 
     @pytest.mark.parametrize("substrate", LIVE)
     @pytest.mark.parametrize("app", list(APPS))
     def test_same_outputs_counts_and_gc(self, app, substrate):
-        results = {}
-        for mode in ("lanes", "tasks"):
-            live, statics, state = APPS[app]()   # kernels keep state: fresh
-            schedule = two_lane_schedule(live, state) if mode == "lanes" else None
-            if mode == "lanes":
-                assert max(map(len, lanes_of(schedule_slots(live, schedule)).values())) > 1
-            results[mode] = run_live(substrate, live, state, schedule,
-                                     statics or None, frames=5)
+        live, statics, state = APPS[app]()
+        schedule = two_lane_schedule(live, state)
+        lanes = lanes_of(schedule_slots(live, schedule)).values()
+        windowed = [t.name for t in live.tasks if t.windows]
+        assert windowed and all(len(lane) > 1 for lane in lanes
+                                if set(lane) & set(windowed))
+        results = {mode: run_live(substrate, live, state, sched, statics or None,
+                                  frames=5)
+                   for mode, sched in (("lanes", schedule), ("tasks", None))}
         lanes, tasks = results["lanes"], results["tasks"]
         assert lanes.completed == tasks.completed == list(range(5))
         assert_bitwise_equal(lanes.meta["outputs"], tasks.meta["outputs"])

@@ -93,7 +93,7 @@ class TestRunFrames:
         assert exchange.calls == [(None, 0)]
 
 
-def join_graph() -> TaskGraph:
+def join_graph(windows=None) -> TaskGraph:
     """One task with a static input, two streaming inputs, two outputs."""
     g = TaskGraph("join")
     g.add_channel(ChannelSpec("cfg", static=True))
@@ -101,7 +101,7 @@ def join_graph() -> TaskGraph:
         g.add_channel(ChannelSpec(name))
     g.add_task(Task("src", cost=0.0, outputs=["x", "y"]))
     g.add_task(Task("join", cost=0.0, inputs=["cfg", "x", "y"],
-                    outputs=["b", "c"]))
+                    outputs=["b", "c"], windows=windows))
     g.validate()
     return g
 
@@ -168,10 +168,10 @@ class TestExchange:
 
     LOCAL = {"x", "y", "b", "c"}
 
-    def drive(self, local_names, plan_name="join"):
+    def drive(self, local_names, plan_name="join", windows=None):
         """Log and per-frame inputs of a three-frame loop whose channels in
         ``local_names`` are local ends and the rest boundary ends."""
-        plan = build_task_plans(join_graph())[plan_name]
+        plan = build_task_plans(join_graph(windows))[plan_name]
         log = []
         chans = {ch: RecordingChannel(ch, log)
                  for ch in plan.stream_inputs + plan.outputs}
@@ -241,6 +241,22 @@ class TestExchange:
             ("get", "y", 1), ("commit",),   # boundary get rides the batch
             ("get", "x", 1),                # local get after the commit
         ]
+
+    @pytest.mark.parametrize("local_names", [LOCAL, set(), {"y", "b"}, {"x"}],
+                             ids=["local", "boundary", "x-boundary", "x-local"])
+    def test_a_window_gets_its_frames_and_consumes_the_oldest(self, local_names):
+        log, seen, _ = self.drive(local_names, windows={"x": 2})
+        assert seen == [{"cfg": 7, "x": ("x@0",), "y": "y@0"},
+                        {"cfg": 7, "x": ("x@0", "x@1"), "y": "y@1"},
+                        {"cfg": 7, "x": ("x@1", "x@2"), "y": "y@2"}]
+        assert [e for e in log if e[1:2] == ("x",)] == [
+            ("get", "x", 0),
+            ("get", "x", 0), ("get", "x", 1),
+            ("consume", "x", 0), ("get", "x", 1), ("get", "x", 2),
+            ("consume", "x", 1),
+        ]
+        assert [e for e in log if e[:2] == ("consume", "y")] == [
+            ("consume", "y", ts) for ts in range(3)]
 
     def test_source_is_stamped_after_all_its_puts_on_either_side(self):
         for local_names, commit in ((self.LOCAL, []), (set(), [("commit",)]),

@@ -35,9 +35,9 @@ def chain_graph_live() -> TaskGraph:
     g.add_channel(ChannelSpec("a", item_bytes=80_000))
     g.add_channel(ChannelSpec("b", item_bytes=80_000))
     g.add_task(Task("src", cost=0.01, outputs=["a"],
-                    compute=lambda s, ins: {"a": np.full((100, 100), 1.0)}))
+                    compute=lambda s, ins, ts: {"a": np.full((100, 100), 1.0)}))
     g.add_task(Task("dbl", cost=0.01, inputs=["a"], outputs=["b"],
-                    compute=lambda s, ins: {"b": ins["a"] * 2}))
+                    compute=lambda s, ins, ts: {"b": ins["a"] * 2}))
     return g
 
 
@@ -183,7 +183,7 @@ class TestBrokerRoundTrips:
             g = chain_graph_live()
             g.add_channel(ChannelSpec("c"))
             g.add_task(Task("sink", cost=0.01, inputs=["b"], outputs=["c"],
-                            compute=lambda s, ins: {"c": ins["b"] + 1}))
+                            compute=lambda s, ins, ts: {"c": ins["b"] + 1}))
             return ProcessRuntime(
                 g, State(n_models=1), op_timeout=30.0,
                 placement={"src": 0, "dbl": 0, "sink": 1})
@@ -340,7 +340,7 @@ def bounded_chain(raising: str = "", exiting: str = "") -> TaskGraph:
     def kernel(name, compute):
         calls = []
 
-        def run(state, ins):
+        def run(state, ins, ts):
             calls.append(1)
             if len(calls) == 3:
                 if name == raising:
@@ -424,7 +424,7 @@ def census_chain() -> TaskGraph:
     names of the threads its process runs besides its main thread to the
     value it passes on."""
     def kernel(name, out):
-        def run(state, ins):
+        def run(state, ins, ts):
             names = {t.name for t in threading.enumerate()
                      if t is not threading.main_thread()}
             return {out: {**next(iter(ins.values()), {}), name: names}}

@@ -19,14 +19,11 @@ def compute_chain_graph():
     g = TaskGraph("live-chain")
     g.add_channel(ChannelSpec("a"))
     g.add_channel(ChannelSpec("b"))
-    counter = {"ts": 0}
 
-    def src(state, inputs):
-        v = counter["ts"] * 2
-        counter["ts"] += 1
-        return {"a": v}
+    def src(state, inputs, ts):
+        return {"a": ts * 2}
 
-    def mid(state, inputs):
+    def mid(state, inputs, ts):
         return {"b": inputs["a"] + 1}
 
     g.add_task(Task("src", cost=0.0, outputs=["a"], compute=src))
@@ -71,7 +68,7 @@ class TestErrorPropagation:
         g = TaskGraph("boom")
         g.add_channel(ChannelSpec("a"))
 
-        def bad(state, inputs):
+        def bad(state, inputs, ts):
             raise RuntimeError("kernel exploded")
 
         g.add_task(Task("src", cost=0.0, outputs=["a"], compute=bad))
@@ -83,7 +80,7 @@ class TestErrorPropagation:
     def test_non_dict_kernel_result_rejected(self):
         g = TaskGraph("bad-shape")
         g.add_channel(ChannelSpec("a"))
-        g.add_task(Task("src", cost=0.0, outputs=["a"], compute=lambda s, i: 42))
+        g.add_task(Task("src", cost=0.0, outputs=["a"], compute=lambda s, i, ts: 42))
         g.validate()
         rt = ThreadedRuntime(g, State(n_models=1), op_timeout=5)
         with pytest.raises(ReproError, match="expected dict"):
@@ -92,7 +89,7 @@ class TestErrorPropagation:
     def test_missing_output_channel_rejected(self):
         g = TaskGraph("missing-out")
         g.add_channel(ChannelSpec("a"))
-        g.add_task(Task("src", cost=0.0, outputs=["a"], compute=lambda s, i: {}))
+        g.add_task(Task("src", cost=0.0, outputs=["a"], compute=lambda s, i, ts: {}))
         g.validate()
         rt = ThreadedRuntime(g, State(n_models=1), op_timeout=5)
         with pytest.raises(ReproError, match="no value for"):
@@ -104,7 +101,7 @@ class TestErrorPropagation:
         g.add_channel(ChannelSpec("out"))
         g.add_task(
             Task("src", cost=0.0, inputs=["cfg"], outputs=["out"],
-                 compute=lambda s, i: {"out": i["cfg"]})
+                 compute=lambda s, i, ts: {"out": i["cfg"]})
         )
         g.validate()
         with pytest.raises(ReproError, match="static"):
@@ -129,7 +126,7 @@ class TestStaticInputs:
         g.add_channel(ChannelSpec("out"))
         g.add_task(
             Task("src", cost=0.0, inputs=["cfg"], outputs=["out"],
-                 compute=lambda s, i: {"out": i["cfg"] * 2})
+                 compute=lambda s, i, ts: {"out": i["cfg"] * 2})
         )
         g.validate()
         rt = ThreadedRuntime(g, State(n_models=1), static_inputs={"cfg": 21})

@@ -206,7 +206,7 @@ SNIPPETS = {
         """
         import random
         import numpy as np
-        def compute(state, inputs):
+        def compute(state, inputs, ts):
             a = np.random.default_rng()
             b = np.random.rand(3)
             c = np.random.RandomState()
@@ -219,7 +219,7 @@ SNIPPETS = {
         "mod.py",
         """
         import time
-        def compute(state, inputs):
+        def compute(state, inputs, ts):
             return {"out": time.perf_counter()}
         """,
         ["D002"]),

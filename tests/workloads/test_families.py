@@ -109,8 +109,9 @@ class TestCluster:
             assert set(cluster.node_speeds) == {1.0}
 
 
-def _run_by_hand(live, statics, state, *, chunked_task=None, workers=2):
-    """Drive the kernels directly in topo order; returns all channel values.
+def _run_by_hand(live, statics, state, *, chunked_task=None, workers=2, ts=0):
+    """Drive the kernels of frame ``ts`` directly in topo order; returns all
+    channel values.
 
     ``chunked_task`` switches that task to its chunk/join path, which must
     be indistinguishable from the serial compute (the integer-exact
@@ -128,7 +129,7 @@ def _run_by_hand(live, statics, state, *, chunked_task=None, workers=2):
             ]
             values.update(task.compute_join(state, inputs, partials))
         else:
-            values.update(task.compute(state, inputs))
+            values.update(task.compute(state, inputs, ts))
     return values
 
 
@@ -137,19 +138,29 @@ class TestKernels:
         inst = family.generate(0)
         graph = family.build_graph(inst)
         state = list(family.state_space(inst))[-1]
-        # Fresh kernels per run: sources hold a timestamp counter.
-        serial_live, statics = family.attach_kernels(graph, inst)
-        serial = _run_by_hand(serial_live, statics, state)
-        chunked_live, statics = family.attach_kernels(graph, inst)
-        chunked = _run_by_hand(
-            chunked_live, statics, state, chunked_task=family.dp_task
-        )
+        live, statics = family.attach_kernels(graph, inst)
+        serial = _run_by_hand(live, statics, state)
+        chunked = _run_by_hand(live, statics, state, chunked_task=family.dp_task)
         assert set(serial) == set(chunked)
         for ch, value in serial.items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(value, chunked[ch]), ch
             else:
                 assert value == chunked[ch], ch
+
+    def test_shuffled_timestamps_give_the_in_order_frames(self, family):
+        """Every kernel, the source's included, is a function of its
+        arguments: frames computed out of order equal the in-order ones."""
+        inst = family.generate(0)
+        live, statics = family.attach_kernels(family.build_graph(inst), inst)
+        state = list(family.state_space(inst))[-1]
+        in_order = [_run_by_hand(live, statics, state, ts=ts) for ts in range(6)]
+        for ts in (4, 0, 5, 2, 1, 3):
+            again = _run_by_hand(live, statics, state, ts=ts)
+            for ch, value in in_order[ts].items():
+                assert np.array_equal(value, again[ch]), (ts, ch)
+        source = live.task(live.source_tasks()[0]).outputs[0]
+        assert not np.array_equal(in_order[0][source], in_order[1][source])
 
     def test_kernels_are_integer_exact(self, family):
         inst = family.generate(0)
