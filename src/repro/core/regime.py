@@ -14,7 +14,9 @@ and with injected observation noise.
 An observation is resolved by look-up, not by building a state: a value
 equal to the current one is no change, and every other value of the state
 space resolves through a map from value to confirmed state, one map per
-state of the space, built once with the detector (|S| x |values| entries).
+state of the space, built once with the detector (|S| x |values| entries,
+read off the members grouped by their other variables: a state is built
+only for a combination the space lacks).
 Only a value outside the map — or any value, on a detector with no space —
 is clamped the long way, uncached.
 """
@@ -75,13 +77,27 @@ class RegimeDetector:
         # state -> {value: confirmed state}, the state's own value left out
         self._maps: dict[State, dict[Any, State]] = {}
         if space is not None:
-            members = {s: s for s in space if variable in s}
-            values = {s[variable] for s in members}
-            for s in members:
-                self._maps[s] = row = {}
-                for v in values - {s[variable]}:
-                    new = self._clamp(s.replace(**{variable: v}))
-                    row[v] = members.get(new, new)
+            # The members indexed by their other variables' values: a state
+            # with ``variable`` set to v is the member filed beside it under
+            # v, or — in a sparse space — off the space, where clamping
+            # keeps it (v is a value of the space, so it is its own
+            # nearest).
+            by_rest: dict[tuple, dict[Any, State]] = {}
+            for s in space:
+                if variable in s:
+                    rest = tuple(item for item in s.items() if item[0] != variable)
+                    by_rest.setdefault(rest, {})[s[variable]] = s
+            values = {v for group in by_rest.values() for v in group}
+            for group in by_rest.values():
+                for own, s in group.items():
+                    self._maps[s] = row = {}
+                    for v in values:
+                        if v != own:
+                            member = group.get(v)
+                            row[v] = (
+                                member if member is not None
+                                else s.replace(**{variable: v})
+                            )
         self._enter(self._clamp(initial))
         self._pending_value: Optional[Any] = None
         self._pending_count = 0

@@ -67,12 +67,42 @@ class TransitionEffect:
             raise ValueError(f"invalid transition effect {self}")
 
 
+# The most (old, new) pairs a policy keeps priced: a table of n entries has
+# n(n-1), and a controller that re-builds its table makes new ones.
+_PRICED_PAIRS = 256
+
+
 class TransitionPolicy(abc.ABC):
-    """Strategy deciding the cost of switching between two solutions."""
+    """Strategy deciding the cost of switching between two solutions.
+
+    :meth:`effect` is a pure function of the two solutions and the
+    policy's own constants, so :meth:`price` — what a controller calls —
+    prices each pair once per policy and reuses the effect for every
+    controller that shares the policy (``sim_online`` builds a switcher
+    per round over one policy).
+    """
 
     @abc.abstractmethod
     def effect(self, old: ScheduleSolution, new: ScheduleSolution) -> TransitionEffect:
         """Cost of switching from ``old``'s schedule to ``new``'s."""
+
+    def price(self, old: ScheduleSolution, new: ScheduleSolution) -> TransitionEffect:
+        """:meth:`effect`, computed once per pair and then reused.
+
+        The pair is keyed by ``(id(old), id(new))`` and filed with both
+        solutions, so neither id can be reused while it is kept; at
+        :data:`_PRICED_PAIRS` pairs the memo starts again empty.
+        """
+        try:
+            priced = self._priced
+        except AttributeError:  # a subclass need not call an __init__ here
+            priced = self._priced = {}
+        entry = priced.get((id(old), id(new)))
+        if entry is None:
+            if len(priced) >= _PRICED_PAIRS:
+                priced.clear()
+            entry = priced[id(old), id(new)] = (old, new, self.effect(old, new))
+        return entry[2]
 
     @staticmethod
     def in_flight(solution: ScheduleSolution) -> int:

@@ -12,7 +12,7 @@ not induce precedence — they are readable at any time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.errors import (
     CycleError,
@@ -26,16 +26,22 @@ from repro.state import State
 
 __all__ = ["TaskGraph"]
 
+T = TypeVar("T")
+
 
 class TaskGraph:
     """A validated macro-dataflow graph of tasks and channels.
 
     The structure every consumer asks about — who produces and consumes
     each channel, each task's successors and predecessors (a few look-ups
-    in that), the topological order, and whether :meth:`validate`
-    passed — is derived on first use and kept on the instance: a table
-    build asks the same questions for every state and every entry of a
-    graph that does not change.  :meth:`add_task`,
+    in that), the channels between two tasks, the source and sink tasks,
+    the topological order, and whether :meth:`validate` passed — is
+    derived on first use and kept on the instance: a table build asks the
+    same questions for every state and every entry of a graph that does
+    not change, and a simulated run the same ones for every segment.  A
+    caller's own tables of the structure (a runtime's task plans, the
+    simulated world's edge labels) are kept the same way by
+    :meth:`derived`.  :meth:`add_task`,
     :meth:`add_channel` and :meth:`remove_task` are the only writers of
     the graph and each drops everything derived (tasks and channel specs
     are themselves fixed once constructed).  Only answers are remembered,
@@ -64,8 +70,14 @@ class TaskGraph:
         # task -> its predecessor / successor names, built per task on first ask
         self._preds: dict[str, tuple[str, ...]] = {}
         self._succs: dict[str, tuple[str, ...]] = {}
+        # (src, dst) -> the streaming channels between them, per pair on first ask
+        self._between: dict[tuple[str, str], tuple[ChannelSpec, ...]] = {}
+        self._sources: Optional[tuple[str, ...]] = None
+        self._sinks: Optional[tuple[str, ...]] = None
         self._topo: Optional[list[str]] = None
         self._valid = False
+        # derive -> derive(self), for derived()
+        self._derived: dict[Callable[["TaskGraph"], Any], Any] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -204,35 +216,59 @@ class TaskGraph:
             ))
         return list(preds)
 
+    def _channels_between(self, src: str, dst: str) -> tuple[ChannelSpec, ...]:
+        between = self._between.get((src, dst))
+        if between is None:
+            s, d = self.task(src), self.task(dst)
+            between = self._between[src, dst] = tuple(
+                self._channels[ch]
+                for ch in s.outputs
+                if ch in d.inputs and not self._channels[ch].static
+            )
+        return between
+
     def channels_between(self, src: str, dst: str) -> list[ChannelSpec]:
         """Streaming channels produced by ``src`` and consumed by ``dst``."""
-        s, d = self.task(src), self.task(dst)
-        return [
-            self._channels[ch]
-            for ch in s.outputs
-            if ch in d.inputs and not self._channels[ch].static
-        ]
+        return list(self._channels_between(src, dst))
 
     def comm_bytes(self, src: str, dst: str, state: State) -> int:
         """Bytes flowing from ``src`` to ``dst`` per timestamp in ``state``."""
-        return sum(ch.item_size(state) for ch in self.channels_between(src, dst))
+        return sum(ch.item_size(state) for ch in self._channels_between(src, dst))
 
     def source_tasks(self) -> list[str]:
         """Tasks with no streaming inputs (the digitizer)."""
-        return [
-            t.name
-            for t in self._tasks.values()
-            if all(self._channels[ch].static for ch in t.inputs) or not t.inputs
-        ]
+        if self._sources is None:
+            self._sources = tuple(
+                t.name
+                for t in self._tasks.values()
+                if all(self._channels[ch].static for ch in t.inputs) or not t.inputs
+            )
+        return list(self._sources)
 
     def sink_tasks(self) -> list[str]:
         """Tasks whose streaming outputs feed no other task."""
-        out = []
-        for t in self._tasks.values():
-            streaming_out = [ch for ch in t.outputs if not self._channels[ch].static]
-            if all(not self._ends(ch)[1] for ch in streaming_out):
-                out.append(t.name)
-        return out
+        if self._sinks is None:
+            out = []
+            for t in self._tasks.values():
+                streaming_out = [ch for ch in t.outputs if not self._channels[ch].static]
+                if all(not self._ends(ch)[1] for ch in streaming_out):
+                    out.append(t.name)
+            self._sinks = tuple(out)
+        return list(self._sinks)
+
+    def derived(self, derive: Callable[["TaskGraph"], T]) -> T:
+        """``derive(self)``, computed on first ask and kept, under ``derive``
+        itself, until a writer runs — for a caller's own table of the
+        graph's structure (:func:`~repro.runtime.dispatch.build_task_plans`,
+        the simulated world's edge labels and terminal channels), which a
+        run would otherwise rebuild for every segment.  The value is
+        shared by every caller: it must be read, never mutated.  A
+        ``derive`` that raises is asked again next time."""
+        try:
+            return self._derived[derive]
+        except KeyError:
+            value = self._derived[derive] = derive(self)
+            return value
 
     # -- validation -------------------------------------------------------------------
 

@@ -10,11 +10,15 @@ This module compiles those walks once, up front:
 
 * :class:`TaskPlan` — per-task channel classification (static inputs,
   streaming inputs, outputs) as plain tuples, so a runtime's frame loop
-  iterates precomputed name lists instead of consulting the graph;
+  iterates precomputed name lists instead of consulting the graph; a
+  graph's plans are compiled once and kept on the graph
+  (:meth:`~repro.graph.taskgraph.TaskGraph.derived`), so a run of a graph
+  that ran before compiles nothing;
 * :class:`FlatSchedule` — a :class:`PipelinedSchedule` lowered once to
-  plain tuples.  ``instantiate(k)`` is one comprehension over them that
-  returns unvalidated :class:`FlatPlacement` rows (Figure 6 step 3: the
-  same pattern every II, processors rotated).
+  plain tuples.  ``instantiate(k)`` is one loop over them that returns
+  unvalidated :class:`FlatPlacement` rows (Figure 6 step 3: the same
+  pattern every II, processors rotated), each filled in place with no
+  ``__init__`` call.
 
 :class:`FlatSchedule` is the one schedule lowering under both
 schedule-driven DES executors (:class:`~repro.runtime.static_exec.
@@ -33,6 +37,10 @@ from repro.core.schedule import PipelinedSchedule
 from repro.graph.taskgraph import TaskGraph
 
 __all__ = ["TaskPlan", "build_task_plans", "FlatPlacement", "FlatSchedule"]
+
+# An empty row: ``object.__new__`` is a C call, where a class call runs a
+# Python ``__init__``.
+_new_row = object.__new__
 
 
 class TaskPlan:
@@ -89,11 +97,16 @@ class TaskPlan:
 
 
 def build_task_plans(graph: TaskGraph) -> dict[str, TaskPlan]:
-    """Compile one :class:`TaskPlan` per task of ``graph``.
+    """One :class:`TaskPlan` per task of ``graph``, compiled once per graph
+    structure and shared (read them, never mutate them).
 
     A single pass over the graph replaces the per-timestamp
     ``graph.channel(ch).static`` queries in every runtime's frame loop.
     """
+    return graph.derived(_compile_task_plans)
+
+
+def _compile_task_plans(graph: TaskGraph) -> dict[str, TaskPlan]:
     plans: dict[str, TaskPlan] = {}
     for index, task in enumerate(graph.tasks):
         statics = tuple(ch for ch in task.inputs if graph.channel(ch).static)
@@ -114,26 +127,22 @@ class FlatPlacement:
     """One row of an instantiated iteration — a :class:`Placement` look-alike
     without the frozen-dataclass validation cost.
 
-    Carries absolute ``start`` and already-rotated ``procs`` for its
-    iteration.  A plain mutable row: the fault runner rewrites ``procs``
-    (shape → physical processors) and ``start`` (epoch offset) in place.
+    Carries ``task``, absolute ``start``, ``duration``, ``variant`` and
+    already-rotated ``procs`` for its iteration.  A plain mutable row: the
+    epoch driver rewrites ``procs`` (shape → physical processors) and
+    ``start`` (epoch offset) in place.  Only
+    :meth:`FlatSchedule.instantiate` makes rows, and it fills the slots
+    itself: the class has no ``__init__``, whose call would be a Python
+    call a placement of every replayed frame.
     """
 
     __slots__ = ("task", "procs", "start", "duration", "variant")
 
-    def __init__(
-        self,
-        task: str,
-        procs: tuple[int, ...],
-        start: float,
-        duration: float,
-        variant: str,
-    ) -> None:
-        self.task = task
-        self.procs = procs
-        self.start = start
-        self.duration = duration
-        self.variant = variant
+    task: str
+    procs: tuple[int, ...]
+    start: float
+    duration: float
+    variant: str
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -176,12 +185,18 @@ class FlatSchedule:
         """Absolute rows for iteration ``k`` — no :class:`Placement`
         construction."""
         offset = k * self.period
-        return [
-            FlatPlacement(task, procs, start + offset, duration, variant)
-            for (task, _base, start, duration, variant), procs in zip(
-                self.rows, self._rotated[k * self.shift % self.n_procs]
-            )
-        ]
+        rows = []
+        for (task, _base, start, duration, variant), procs in zip(
+            self.rows, self._rotated[k * self.shift % self.n_procs]
+        ):
+            pl = _new_row(FlatPlacement)
+            pl.task = task
+            pl.procs = procs
+            pl.start = start + offset
+            pl.duration = duration
+            pl.variant = variant
+            rows.append(pl)
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

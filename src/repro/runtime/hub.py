@@ -21,7 +21,10 @@ A :class:`ChannelHub` couples one synchronous
   ``obs=`` — hears it there; with nobody listening a record is one list
   append, the trace's ``record_item`` being the list's ``append``, so the
   hub looks it up on the trace at every record), and garbage collection
-  runs after each consume.
+  runs after each consume.  An execution's spans are bare appends the same
+  way (:meth:`SimWorld.record_exec` checks ``end >= start`` once and
+  appends through the trace's ``append_span``); a comm or slip mark goes
+  through ``record_mark``.
 
 A :class:`SimWorld` is the DES counterpart of :mod:`repro.runtime.live`:
 everything :class:`~repro.runtime.static_exec.StaticExecutor`,
@@ -101,10 +104,11 @@ class ChannelHub:
     def put(self, conn: Connection, ts: int, value: Any, size: int = 0) -> bool:
         """Put unless the channel is at capacity; False means "full, wait
         for the next change and call again"."""
-        if self.stm.is_full:
-            return False
+        stm = self.stm
+        if stm.capacity is not None and len(stm._order) >= stm.capacity:
+            return False  # ``stm.is_full``, without its call
         now = self.sim.now
-        self.stm.put(conn, ts, value, size=size, time=now)
+        stm.put(conn, ts, value, size=size, time=now)
         if self.trace is not None:
             self.trace.record_item(_item((now, self.name, "put", ts, conn.task)))
         if self._changed is not None:
@@ -143,6 +147,21 @@ class ChannelHub:
 
     def __repr__(self) -> str:
         return f"ChannelHub({self.name!r}, live={len(self.stm)})"
+
+
+def edge_labels(graph: TaskGraph) -> dict[str, tuple[tuple[str, str], ...]]:
+    """``{task: ((predecessor, channel label), ...)}``: every edge a
+    placement waits at, in ``graph.predecessors`` order, with the
+    ``+``-joined names of the channels it carries — a graph's alone, so a
+    world reads it through :meth:`~repro.graph.taskgraph.TaskGraph.derived`
+    (once per graph, not once per run)."""
+    return {
+        t.name: tuple(
+            (pred, "+".join(ch.name for ch in graph.channels_between(pred, t.name)))
+            for pred in graph.predecessors(t.name)
+        )
+        for t in graph.tasks
+    }
 
 
 def build_hubs(
@@ -237,7 +256,7 @@ class SimWorld:
         # would fill and block the sink task forever.
         collectors = {
             ch: hubs[ch].stm.attach_input("-collector-")
-            for ch in terminal_channels(graph)
+            for ch in graph.derived(terminal_channels)
         }
         self.conns_in = {
             t.name: {ch: hubs[ch].stm.attach_input(t.name) for ch in t.inputs}
@@ -257,17 +276,8 @@ class SimWorld:
             )
             for name, plan in plans.items()
         }
-        self.edges = {
-            t.name: tuple(
-                (
-                    pred,
-                    0,
-                    "+".join(ch.name for ch in graph.channels_between(pred, t.name)),
-                )
-                for pred in graph.predecessors(t.name)
-            )
-            for t in graph.tasks
-        }
+        self._labels = graph.derived(edge_labels)
+        self.edges: dict[str, tuple[tuple[str, int, str], ...]] = {}
         self.enter(state)
         self.digitize_times: dict[int, float] = {}
         self.sink_done: dict[str, dict[int, float]] = {
@@ -283,16 +293,16 @@ class SimWorld:
         a task puts and the bytes of every edge.  The epoch driver calls
         this at an epoch boundary, where it also re-lowers the schedule."""
         self.state = state
-        graph = self.graph
+        graph, edges = self.graph, self.edges
         for task, outputs in self._outputs.items():
             self._outputs[task] = tuple(
                 (hub, conn, graph.channel(hub.name).item_size(state), collector)
                 for hub, conn, _size, collector in outputs
             )
-        for task, incoming in self.edges.items():
-            self.edges[task] = tuple(
+        for task, incoming in self._labels.items():
+            edges[task] = tuple(
                 (pred, graph.comm_bytes(pred, task, state), label)
-                for pred, _bytes, label in incoming
+                for pred, label in incoming
             )
 
     def record_exec(
@@ -308,11 +318,15 @@ class SimWorld:
         node_class: Optional[str] = None,
     ) -> None:
         """One execution of ``task`` for frame ``ts``: a trace span per
-        processor, the primary first."""
+        processor, the primary first — ``end >= start`` checked once, each
+        span then appended through the trace's ``append_span`` (a bare list
+        append while nobody listens)."""
+        fields = (task, ts, start, end, None, preempted, variant, cost, node_class)
+        if end < start:
+            raise ValueError(f"span ends before it starts: {_span((procs[0], *fields))}")
+        append_span = self.trace.append_span
         for proc in procs:
-            self.trace.record_span(_span((
-                proc, task, ts, start, end, None, preempted, variant, cost, node_class
-            )))
+            append_span(_span((proc, *fields)))
 
     def try_emit(
         self, task: str, ts: int, first: int = 0, second: bool = False

@@ -157,8 +157,11 @@ class PlacementReplay:
         self.max_slip = 0.0
 
         # Each distinct transfer is priced once a run: its delay and, for a
-        # delay that is charged, the tier its comm mark names.
+        # delay that is charged, the tier its comm mark names.  Without a
+        # fabric, a model that is free on every tier charges nothing and
+        # marks nothing, so its transfers are not looked up at all.
         prices: dict[tuple[int, int, int], tuple[float, str]] = {}
+        free = fabric is None and comm.is_free
 
         def start(ts: int, rows: list[FlatPlacement], second: bool = False) -> None:
             # What gather() would do with a frame where nothing has settled:
@@ -186,8 +189,11 @@ class PlacementReplay:
                 if pred_end is None:
                     frame.parked.setdefault(pred, []).append((pl, at, ready))
                     return
-                src, dst = frame.rows[pred].procs[0], pl.procs[0]
                 at += 1
+                if free:
+                    ready = max(ready, pred_end)
+                    continue
+                src, dst = frame.rows[pred].procs[0], pl.procs[0]
                 if fabric is not None:
                     # Contended mode: fetch the input over the shared links
                     # (sequentially — a task pulls its inputs one by one).
@@ -209,9 +215,10 @@ class PlacementReplay:
             call_at(max(ready, sim.now), acquire, frame, pl, 0)
 
         def release(procs) -> None:
-            # Hand each processor to the placement queued behind, if any.
+            # Hand each processor to the placement queued behind, if any,
+            # in ascending order (a single processor needs no sort).
             now = sim.now
-            for proc in sorted(procs):
+            for proc in procs if len(procs) == 1 else sorted(procs):
                 if queued[proc]:
                     call_at(now, acquire, *queued[proc].popleft())
                 else:
@@ -238,7 +245,7 @@ class PlacementReplay:
                     busy.add(proc)
                     call_at(sim.now, acquire, frame, pl, held + 1)
                 return
-            if not dead.isdisjoint(pl.procs):
+            if dead and not dead.isdisjoint(pl.procs):
                 release(pl.procs)
                 lose(frame, "crash")
                 return

@@ -97,6 +97,15 @@ class CommModel:
         cost = CommCost(latency=latency, bandwidth=bandwidth)
         return cls(cluster, intra_node=cost, inter_node=cost)
 
+    @property
+    def is_free(self) -> bool:
+        """True when no transfer takes any time: every tier has zero latency
+        and infinite bandwidth (:meth:`free`'s model)."""
+        return all(
+            tier.latency == 0 and tier.bandwidth == float("inf")
+            for tier in (self.same_proc, self.intra_node, self.inter_node)
+        )
+
     def tier(self, src_proc: int, dst_proc: int) -> CommCost:
         """The :class:`CommCost` tier applying between two processors."""
         if src_proc == dst_proc:

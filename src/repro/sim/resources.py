@@ -71,9 +71,15 @@ class Resource:
         return ev
 
     def release(self, grant: SimEvent | None = None) -> None:
-        """Release one granted unit; wakes the oldest waiter, if any."""
+        """Release one granted unit; wakes the oldest waiter, if any.
+
+        A grant is its own request event, whose value is the grant: the
+        spent ``grant`` forgets that value, so a finished transfer leaves
+        no event pointing at itself for the cycle collector."""
         if self._in_use <= 0:
             raise ProcessError(f"release on idle resource {self.name}")
+        if grant is not None:
+            grant.value = None
         if self._waiters:
             waiter = self._waiters.popleft()
             waiter.succeed(waiter)  # unit transfers directly to the waiter

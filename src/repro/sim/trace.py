@@ -24,9 +24,12 @@ Whoever wants records as they happen — the
 :class:`~repro.obs.Observability` bundle, a JSONL stream
 (:class:`~repro.obs.export.JsonlSpanSink`) — calls
 :meth:`TraceRecorder.subscribe`; a recorder nobody listens to only
-appends, and until somebody does its ``record_item`` / ``record_mark`` *are*
-the lists' ``append`` — so whoever records looks them up on the recorder
-each time, never keeping one from before a subscription.  The recorder is
+appends, and until somebody does its ``record_item`` / ``record_mark`` /
+``append_span`` *are* the lists' ``append`` — so whoever records looks them
+up on the recorder each time, never keeping one from before a
+subscription.  ``append_span`` is for a writer that has checked ``end >=
+start`` itself (the DES checks once per execution, then appends a span per
+processor); :meth:`TraceRecorder.record_span` checks every span.  The recorder is
 deliberately dumb — append-only lists plus indexed views, built when first
 read — so the runtime stays fast and analysis code owns all the
 interpretation.
@@ -173,15 +176,16 @@ class TraceRecorder:
     # -- recording --------------------------------------------------------
 
     def _route(self) -> None:
-        # With nobody listening an item or a mark is one append: the lists'
-        # own ``append`` stands in for record_item / record_mark, bound to
-        # this recorder's lists.  Once somebody listens, the methods that
+        # With nobody listening an item, a mark or a checked span is one
+        # append: the lists' own ``append`` stands in for record_item /
+        # record_mark / append_span, bound to this recorder's lists.  Once somebody listens, the methods that
         # tell the listeners take over — so callers look them up at every
         # record.
-        vars(self).pop("record_item", None)
-        vars(self).pop("record_mark", None)
+        for name in ("record_item", "record_mark", "append_span"):
+            vars(self).pop(name, None)
         if not self._listeners:
             self.record_item, self.record_mark = self.items.append, self.marks.append
+            self.append_span = self.spans.append
 
     def __setstate__(self, state: dict) -> None:
         # A deep copy's state holds the original's shortcuts: bind its own.
@@ -197,6 +201,11 @@ class TraceRecorder:
         """Append one execution span (must have ``end >= start``)."""
         if span.end < span.start:
             raise ValueError(f"span ends before it starts: {span}")
+        self.append_span(span)
+
+    def append_span(self, span: ExecSpan) -> None:
+        """Append one execution span whose writer checked ``end >=
+        start``."""
         self.spans.append(span)
         for listener in self._listeners:
             listener(span)

@@ -54,6 +54,8 @@ from repro.stm.item import Item
 
 __all__ = ["TS", "NEWEST", "OLDEST", "NEWEST_UNSEEN", "STMChannel"]
 
+_new_item = object.__new__
+
 
 class TS(enum.Enum):
     """Timestamp wildcards accepted by :meth:`STMChannel.get`."""
@@ -228,14 +230,20 @@ class STMChannel:
         if ts in self._items:
             raise DuplicateTimestamp(f"channel {self.name!r} already holds ts={ts}")
         if self.capacity is not None and len(self._order) >= self.capacity:
-            # ``is_full``'s test, inlined: the substrate asked it before
+            # ``is_full``'s test, inlined: the substrate tested it before
             raise STMError(
                 f"channel {self.name!r} is full "
                 f"({len(self._order)}/{self.capacity} items)"
             )
         if size < 0:
             raise STMError(f"item size must be >= 0, got {size}")
-        self._items[ts] = item = Item(ts, value, size, time)
+        # An item built without a Python-level ``__init__`` (Item has none).
+        self._items[ts] = item = _new_item(Item)
+        item.timestamp = ts
+        item.value = value
+        item.size = size
+        item.put_time = time
+        item.seen = False
         insort(self._order, ts)
         self._live_bytes += size
         self.total_puts += 1

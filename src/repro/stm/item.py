@@ -16,17 +16,21 @@ class Item:
     when the item is gotten over any connection, or when an input
     connection that had consumed it detaches; together with the attached
     inputs' virtual times it drives the "newest value not previously
-    gotten" wildcard.  The channel validates what it stores.
+    gotten" wildcard.
+
+    Only :meth:`~repro.stm.channel.STMChannel.put` makes items: it
+    validates what it stores and fills the slots (``timestamp``,
+    ``value``, ``size``, ``put_time``, ``seen``) itself, so the class has
+    no ``__init__`` — its call would be a Python call every put.
     """
 
     __slots__ = ("timestamp", "value", "size", "put_time", "seen")
 
-    def __init__(self, timestamp: int, value: Any, size: int = 0, put_time: float = 0.0):
-        self.timestamp = timestamp
-        self.value = value
-        self.size = size
-        self.put_time = put_time
-        self.seen = False
+    timestamp: int
+    value: Any
+    size: int
+    put_time: float
+    seen: bool
 
     def __repr__(self) -> str:
         return f"Item(ts={self.timestamp}, size={self.size}, seen={self.seen})"

@@ -512,8 +512,9 @@ class ChannelBroker:
             if entry[5]:
                 continue
             bc = self.channels[entry[0]]
-            if bc.stm.is_full:
-                continue
+            stm = bc.stm
+            if stm.capacity is not None and len(stm._order) >= stm.capacity:
+                continue  # ``stm.is_full``, without its call
             try:
                 self._apply_put(bc, entry[1], entry[2], entry[3], entry[4])
             except STMError as exc:

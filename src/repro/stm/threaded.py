@@ -159,13 +159,15 @@ class ThreadedChannel:
         Returns when it landed (a ``time.perf_counter()`` reading).
         """
         deadline = None
+        chan = self._chan
         with self._lock:
             while True:
                 if self._poisoned:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
-                if not self._chan.is_full:
+                # ``chan.is_full``'s test, without its call
+                if chan.capacity is None or len(chan._order) < chan.capacity:
                     landed = _time.perf_counter()
-                    self._chan.put(conn, ts, value, size=size, time=landed)
+                    chan.put(conn, ts, value, size=size, time=landed)
                     if self._analysis is not None:
                         self._analysis.on_write(self._race_loc)
                         self._analysis.on_put(self.name, ts)

@@ -4,8 +4,8 @@ switch it replaced decided.
 The timing side lives in ``benchmarks/e2e`` (``sim_online``'s switch
 latency: ``switcher.observe`` plus the next ``StaticExecutor``); these are
 the counts behind it, which repeat exactly.  An observation resolves through
-the detector's per-state value map and builds no ``State``; a controller
-prices each (old, new) pair once; a simulated executor builds no
+the detector's per-state value map and builds no ``State``; a transition
+policy prices each (old, new) pair once, for every switcher that shares it; a simulated executor builds no
 communication model tier.  The differential replays the ``sim_online``
 kiosk rounds through the detector and switch kept in
 ``regime_reference_oracle.py``.
@@ -109,9 +109,11 @@ class TestCallsPerObservation:
         assert exactly(lambda: (sw.observe(1.0, 3), sw.observe(1.0, 2))) <= 7
 
     def test_a_switching_observation_makes_at_most_15_calls(self, table):
-        """14 calls for a pair's first switch, 10 for a pair priced before
-        (22 each when the policy priced every switch and the detector
-        built a ``State`` per observation)."""
+        """15 calls for a pair's first switch, 11 for a pair priced before
+        — the policy's ``price`` is one of them since the prices moved from
+        the controller onto the policy (14 and 10 before; 22 each when the
+        policy priced every switch and the detector built a ``State`` per
+        observation)."""
         sw = kiosk_switcher(table)
 
         def switch_to(value: int) -> int:
@@ -247,3 +249,70 @@ def test_a_lazy_table_switcher_solves_only_the_states_it_visits():
             visited.add(record.new_solution.state)
     assert sw.switch_count > 0
     assert set(lazy.states()) == visited < set(workloads.SIM_STATES)
+
+
+class CountingDrain(DrainTransition):
+    """A drain that lists every pair it is asked to price."""
+
+    def __init__(self, setup: float = 0.0) -> None:
+        super().__init__(setup)
+        self.asked: list[tuple[State, State]] = []
+
+    def effect(self, old, new):
+        self.asked.append((old.state, new.state))
+        return super().effect(old, new)
+
+
+def test_switchers_sharing_a_policy_price_each_pair_once(table):
+    """``sim_online`` builds a switcher a round over one policy: the policy
+    keeps the prices, so a pair a round before switched is not priced
+    again — ``effect`` runs once per distinct pair over both switchers."""
+    policy = CountingDrain(setup=0.25)
+    switched = []
+    for seed, r in ((1, 0), (2, 1)):
+        sw = RegimeSwitcher(table, RegimeDetector(
+            "n_models", State(n_models=1 + r), workloads.CONFIRM,
+            workloads.SIM_STATES), policy)
+        replay(sw, kiosk_round(seed, r))
+        switched += [(rec.old_solution.state, rec.new_solution.state)
+                     for rec in sw.records]
+        assert all(rec.effect == POLICIES["drain"].effect(
+            rec.old_solution, rec.new_solution) for rec in sw.records)
+    assert len(switched) > len(set(switched)) > 1
+    assert len(policy.asked) == len(set(policy.asked))
+    assert set(policy.asked) == set(switched)
+
+
+def clamped_maps(detector: RegimeDetector, space: StateSpace) -> dict:
+    """The value maps as built before the members were indexed: a
+    ``State.replace`` and a clamp per (state, value)."""
+    variable = detector.variable
+    members = {s: s for s in space if variable in s}
+    values = {s[variable] for s in members}
+    maps = {}
+    for s in members:
+        maps[s] = row = {}
+        for v in values - {s[variable]}:
+            new = detector._clamp(s.replace(**{variable: v}))
+            row[v] = members.get(new, new)
+    return maps
+
+
+@pytest.mark.parametrize("space, leaves", [
+    (workloads.SIM_STATES, False),
+    (StateSpace([State(n_models=n, cams=c) for n in (1, 2, 3) for c in (1, 2)
+                 if (n, c) != (3, 2)]), True),
+], ids=["kiosk", "sparse-product"])
+def test_value_maps_equal_the_clamped_construction(space, leaves):
+    """Equal maps, and a confirmed state in the space is the space's own
+    object; the sparse space's (2, cams=2) -> 3 leaves it."""
+    initial = next(iter(space))
+    detector = RegimeDetector("n_models", initial, 1, space)
+    expected = clamped_maps(detector, space)
+    assert detector._maps == expected
+    members = {s: s for s in space}
+    for row in detector._maps.values():
+        for state in row.values():
+            assert state not in members or state is members[state]
+    off = [s for row in detector._maps.values() for s in row.values() if s not in members]
+    assert bool(off) == leaves

@@ -1,8 +1,11 @@
 """The structure a ``TaskGraph`` remembers is the structure it has.
 
 ``producers`` / ``consumers`` / ``successors`` / ``predecessors`` /
-``topo_order`` and a passed ``validate`` are derived once and kept on the
-instance; ``add_task`` / ``add_channel`` / ``remove_task`` drop them.  These
+``channels_between`` / ``source_tasks`` / ``sink_tasks`` / ``topo_order``,
+a passed ``validate`` and a caller's ``derived`` tables (the task plans,
+the simulated world's edge labels and terminal channels) are derived once
+and kept on the instance; ``add_task`` / ``add_channel`` / ``remove_task``
+drop them.  These
 tests interleave the three writers with every query and compare each answer
 (or each raised error) with a graph rebuilt from scratch, and with the plain
 per-query scan the memo replaced.
@@ -21,6 +24,10 @@ from repro.errors import CycleError, GraphError, ReproError
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.runtime.dispatch import build_task_plans
+from repro.runtime.hub import edge_labels
+from repro.runtime.live import terminal_channels
+from repro.state import State
 
 CHANNELS = [f"c{i}" for i in range(5)]
 TASKS = [f"t{i}" for i in range(5)]
@@ -50,6 +57,17 @@ def answers(graph: TaskGraph) -> dict:
     for name in (*graph.task_names, "nobody"):
         out["successors", name] = _outcome(graph.successors, name)
         out["predecessors", name] = _outcome(graph.predecessors, name)
+        for dst in graph.task_names:
+            out["channels_between", name, dst] = _outcome(
+                graph.channels_between, name, dst)
+            out["comm_bytes", name, dst] = _outcome(
+                graph.comm_bytes, name, dst, State(n=1))
+    out["task_plans"] = _outcome(lambda: {
+        name: (p.static_inputs, p.stream_inputs, p.outputs, p.index, p.is_source)
+        for name, p in build_task_plans(graph).items()
+    })
+    out["edge_labels"] = _outcome(graph.derived, edge_labels)
+    out["terminal_channels"] = _outcome(graph.derived, terminal_channels)
     return out
 
 
@@ -253,3 +271,49 @@ def test_a_failed_neighbor_query_is_not_kept():
             g.predecessors("dst")
     g.add_channel(ChannelSpec("b", item_bytes=8))
     assert g.predecessors("dst") == ["src"]
+
+
+def test_derived_tables_are_kept_and_dropped_by_every_writer():
+    """A ``derived`` table is computed once and shared until a writer runs;
+    each of the three writers drops it, with the pair, source and sink
+    memos, and a table that raised is asked again."""
+    g = _diamond()
+    built = []
+
+    def names(graph):
+        built.append(graph.task_names)
+        return tuple(graph.task_names)
+
+    plans, labels = build_task_plans(g), g.derived(edge_labels)
+    assert g.derived(names) is g.derived(names) and len(built) == 1
+    assert build_task_plans(g) is plans and g.derived(edge_labels) is labels
+    assert labels["join"] == (("left", "c"), ("right", "d"))
+    assert (g.source_tasks(), g.sink_tasks()) == (["src"], ["join"])
+    assert [ch.name for ch in g.channels_between("src", "left")] == ["a"]
+
+    g.add_channel(ChannelSpec("e", item_bytes=8))
+    assert g.derived(names) == ("src", "left", "right", "join") and len(built) == 2
+    assert build_task_plans(g) is not plans
+    g.add_task(Task("side", cost=1.0, inputs=["a"], outputs=["e"]))
+    assert g.derived(names)[-1] == "side" and len(built) == 3
+    assert g.sink_tasks() == ["join", "side"]
+    assert g.derived(terminal_channels) == ["e"]
+    assert "side" in build_task_plans(g) and g.derived(edge_labels)["side"] == (
+        ("src", "a"),)
+    g.remove_task("join")
+    assert g.derived(names) == ("src", "left", "right", "side") and len(built) == 4
+    assert g.sink_tasks() == ["left", "right", "side"]
+    assert "join" not in build_task_plans(g)
+    assert g.derived(terminal_channels) == ["c", "d", "e"]
+    g.remove_task("left")  # the pair memo goes with it
+    with pytest.raises(ReproError):
+        g.channels_between("src", "left")
+
+    def broken(graph):
+        built.append(None)
+        raise GraphError("not derivable")
+
+    for _ in range(2):
+        with pytest.raises(GraphError):
+            g.derived(broken)
+    assert built[-2:] == [None, None]
