@@ -1,6 +1,8 @@
 """Static analysis & concurrency checking for schedules, graphs and STM.
 
-Five passes, one report model:
+Four passes, one report model (numbered 1-3 and 5: the retired pass 4, a
+dynamic race checker, watched only channel critical sections that each
+channel's own lock already orders):
 
 1. **Graph lint** (:func:`lint_graph`) — structural rules ``Gxxx``:
    cycles, dangling channels, unreachable tasks, data-parallel
@@ -15,9 +17,6 @@ Five passes, one report model:
    sub-cluster.
 3. **STM channel wiring** (:func:`check_stm`) — rules ``P003`` /
    ``P004``: consume leaks and born-consumed ``try_get`` hazards.
-4. **Dynamic race/deadlock detection** (:class:`RaceChecker`) — rules
-   ``Rxxx``: a vector-clock happens-before checker threaded through the
-   live runtime via the ``analysis=`` hook.
 5. **Explicit-state model checking** (:func:`check_model`) — rules
    ``Mxxx``: the (graph, capacity, consume-declaration) configuration
    compiled into a finite transition system and exhaustively explored;
@@ -28,13 +27,12 @@ Five passes, one report model:
    exploration proves nothing (budget exceeded), that count gates as
    ``P002``.
 
-The determinism lint (unseeded RNGs, wall-clock reads inside kernels, bare
-locks in the STM layer the race checker cannot see) is a test over the
-package sources, ``tests/test_determinism_lint.py``.
+The determinism lint (unseeded RNGs, wall-clock reads inside kernels) is a
+test over the package sources, ``tests/test_determinism_lint.py``.
 
 Passes 1-3 and 5 are wired into :meth:`ScheduleTable.build` /
 :meth:`ShapeTable.build` behind their opt-in ``verify=`` parameter, and
-all static passes into CI as ``python -m repro.analysis --strict``; an
+all four into CI as ``python -m repro.analysis --strict``; an
 executor's inputs go through the same functions called directly.
 See ``docs/TUTORIAL.md`` §12 for the workflow, §16
 for reading model-checker counterexamples.
@@ -53,7 +51,6 @@ from repro.analysis.model import (
     minimal_capacity,
     schedule_in_flight,
 )
-from repro.analysis.race import RaceChecker, TrackedLock
 from repro.analysis.replay import ReplayOutcome, replay_trace
 from repro.analysis.rules import RULES, Rule, get_rule
 from repro.analysis.schedverify import (
@@ -77,8 +74,6 @@ __all__ = [
     "verify_packing",
     "check_stm",
     "schedule_in_flight",
-    "RaceChecker",
-    "TrackedLock",
     "ChannelDecl",
     "Step",
     "StmModel",

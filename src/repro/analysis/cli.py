@@ -16,9 +16,8 @@ The default target set covers everything the repository itself ships:
 Every run is the whole sweep; ``--no-schedules`` leaves out the table
 builds.
 
-Pass 4 (the race detector) is dynamic and runs from the test suite and
-the ``analysis=`` runtime hook, not from this CLI; the determinism lint
-over the package sources is a test, ``tests/test_determinism_lint.py``.
+The determinism lint over the package sources is a test,
+``tests/test_determinism_lint.py``.
 
 Exit status: 0 when nothing gates, 1 when findings gate (ERROR, or
 WARNING under ``--strict``), 2 on usage errors.

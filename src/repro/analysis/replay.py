@@ -2,13 +2,12 @@
 
 A model-checker verdict is only as good as the model, so M001/M002
 counterexamples are validated rather than trusted: this harness builds
-real :class:`~repro.stm.threaded.ThreadedChannel` objects (instrumented
-with :class:`~repro.analysis.race.RaceChecker`'s tracked locks, the same
-instrumentation pass 4 uses), spawns one real thread per model agent, and
-drives the threads through the trace's exact interleaving with a
-turn-based gate.  After the trace prefix, each agent the model claims is
-wedged attempts its next channel operation with a short timeout — a
-genuine wedge means every one of them times out inside the real STM.
+real :class:`~repro.stm.threaded.ThreadedChannel` objects, spawns one
+real thread per model agent, and drives the threads through the trace's
+exact interleaving with a turn-based gate.  After the trace prefix, each
+agent the model claims is wedged attempts its next channel operation with
+a short timeout — a genuine wedge means every one of them times out
+inside the real STM.
 
 The thread bodies mirror the model's op lists, which mirror
 :class:`~repro.runtime.threaded.ThreadedRuntime`'s per-timestamp order
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.model import ChannelDecl, Step, StmModel, build_model
-from repro.analysis.race import RaceChecker
 from repro.graph.taskgraph import TaskGraph
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
@@ -137,9 +135,8 @@ def replay_trace(
     model.run_trace(trace)  # model-level validation before touching threads
     expect = set(expect_blocked)
 
-    checker = RaceChecker()
     channels = {
-        name: ThreadedChannel(name, capacity=ch.capacity, analysis=checker)
+        name: ThreadedChannel(name, capacity=ch.capacity)
         for name, ch in model.channels.items()
     }
     # Attach exactly the model's connection set before any thread starts,
@@ -203,17 +200,11 @@ def replay_trace(
                 outcome.errors.append(f"{agent_name}: {exc!r}")
                 probe_done.notify_all()
 
-    threads = []
-    for agent in model.agents:
-        token = checker.fork()
-
-        def wrapper(agent=agent, token=token):
-            checker.adopt(token)
-            agent_body(agent.name, agent.ops)
-
-        threads.append(
-            threading.Thread(target=wrapper, name=f"replay:{agent.name}", daemon=True)
-        )
+    threads = [
+        threading.Thread(target=agent_body, args=(agent.name, agent.ops),
+                         name=f"replay:{agent.name}", daemon=True)
+        for agent in model.agents
+    ]
     for th in threads:
         th.start()
 

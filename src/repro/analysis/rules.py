@@ -11,13 +11,11 @@ Rule ids are stable and prefixed by pass:
   (:mod:`repro.workloads.verify`);
 * ``Pxxx`` — pass 3, STM channel wiring (:mod:`repro.analysis.stmcheck`),
   and ``P002``, the capacity estimate pass 5 falls back on;
-* ``Rxxx`` — pass 4, dynamic race/deadlock detection
-  (:mod:`repro.analysis.race`);
 * ``Mxxx`` — pass 5, explicit-state model checking
   (:mod:`repro.analysis.model`).
 
-The determinism rules (unseeded RNG, wall clock in a kernel, untracked STM
-lock) are not in this catalog: they are a test over the package sources,
+The determinism rules (unseeded RNG, wall clock in a kernel) are not in
+this catalog: they are a test over the package sources,
 ``tests/test_determinism_lint.py``.
 
 Adding a rule is three steps: register it here (id, severity, description,
@@ -211,15 +209,6 @@ RULES: dict[str, Rule] = _catalog(
          "them; a consumer that skips ahead makes earlier timestamps arrive "
          "born-consumed, so non-blocking try_get reads silently miss.",
          "treat try_get misses as skips (never as errors) on this channel"),
-    # -- pass 4: dynamic race / deadlock -------------------------------------
-    Rule("R001", "data-race", E,
-         "Two threads accessed the same location without a happens-before "
-         "edge and at least one access was a write.",
-         "guard the location with one lock, or route it through a channel"),
-    Rule("R002", "lock-inversion", W,
-         "Threads acquire the same locks in conflicting orders; the cycle "
-         "can deadlock under the right interleaving.",
-         "impose a global lock acquisition order"),
     # -- pass 5: explicit-state model checking (repro.analysis.model) --------
     Rule("M001", "reachable-deadlock", E,
          "The model checker reached a state where tasks block on each "

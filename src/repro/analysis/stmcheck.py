@@ -6,8 +6,8 @@ consumer consumed it), and non-blocking ``try_get`` silently misses items
 that arrive *born-consumed* when a sibling consumer has already skipped
 past them.  Both are properties of the graph's wiring alone, so this pass
 runs off-line in microseconds.  Whether a configuration deadlocks or
-wedges on capacity is pass 5's verdict (:mod:`repro.analysis.model`); the
-dynamic complement is pass 4 (:mod:`repro.analysis.race`).
+wedges on capacity is pass 5's verdict (:mod:`repro.analysis.model`),
+confirmed on real threads by :func:`~repro.analysis.replay.replay_trace`.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class _Family:
         help: str,
         labelnames: Sequence[str],
     ) -> None:
-        self.registry = registry
+        self._lock = registry._lock  # the registry's: no back-reference, no cycle
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
@@ -112,7 +112,7 @@ class _Family:
                 f"{self.name}: got {len(key)} label values for "
                 f"{len(self.labelnames)} label names"
             )
-        with self.registry._lock:
+        with self._lock:
             child = self._children.get(key)
             if child is None:
                 child = self._make_child(key)
@@ -124,7 +124,7 @@ class _Family:
 
     def series(self) -> list[tuple[tuple[str, ...], Any]]:
         """``(label values, child)`` pairs in creation order."""
-        with self.registry._lock:
+        with self._lock:
             return list(self._children.items())
 
     def _label_suffix(self, key: tuple[str, ...], extra: str = "") -> str:

@@ -83,7 +83,7 @@ import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.schedule import ScheduleSolution
 from repro.errors import ExecutorConfigError, ReproError
@@ -95,9 +95,6 @@ from repro.sim.trace import ExecSpan, ItemEvent, TraceRecorder
 from repro.state import State
 from repro.stm.process import StepBatch
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.analysis.race import RaceChecker
 
 __all__ = [
     "ChannelEnds",
@@ -475,9 +472,7 @@ class LiveNode:
     (the moment of :meth:`start` when ``None``).  A data-parallel slot's
     chunks hand off through node-private channels (:meth:`_data_parallel`)
     that no report counts.  ``observe`` records the node's channel
-    operations too.  ``analysis`` threads a
-    :class:`~repro.analysis.race.RaceChecker` through: tracked channel
-    locks, and fork/adopt edges at thread start and join.
+    operations too.
 
     A thread that leaves early poisons the node's channels, its hand-off
     channels included, so no sibling waits out ``op_timeout``; one that
@@ -496,11 +491,10 @@ class LiveNode:
     slots: Optional[dict[str, Slot]] = None
     t0: Optional[float] = None
     observe: bool = False
-    analysis: Optional["RaceChecker"] = None
 
     def __post_init__(self) -> None:
         self.channels = {
-            name: ThreadedChannel(name, capacity=capacity, analysis=self.analysis)
+            name: ThreadedChannel(name, capacity=capacity)
             for name, capacity in self.capacities.items()
         }
         #: each task's connections to the node's channels, by channel
@@ -523,7 +517,6 @@ class LiveNode:
         self._control = None
         self._pipes: dict[str, Any] = {}
         self._threads: list[threading.Thread] = []
-        self._end_tokens: list = []
         self._outputs: dict[str, dict[int, Any]] = {ch: {} for ch in self.collect}
         self._arrivals: dict[str, dict[int, float]] = {ch: {} for ch in self.collect}
 
@@ -547,33 +540,20 @@ class LiveNode:
         node's).
         """
         self._control, self._pipes = link or (None, {})
-        checker = self.analysis
 
-        def spawn(name: str, body, *args) -> threading.Thread:
-            # Fork/join happens-before edges for the race checker: setup
-            # before start (the static fill) happens-before the thread's
-            # work, and its work happens-before post-join reads.
-            token = checker.fork() if checker is not None else None
-
-            def guarded() -> None:
-                if token is not None:
-                    checker.adopt(token)
-                try:
-                    body(*args)
-                except ChannelPoisoned:
-                    self._leave()
-                except BaseException as exc:  # noqa: BLE001 - re-raised by join
-                    self._leave(exc)
-                if checker is not None:
-                    with self._lock:
-                        self._end_tokens.append(checker.fork())
-
-            return threading.Thread(target=guarded, name=name, daemon=True)
+        def guarded(name: str, lane: list[Placed]) -> None:
+            try:
+                self._run(name, lane)
+            except ChannelPoisoned:
+                self._leave()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by join
+                self._leave(exc)
 
         t0 = self.stamps.t0 = (
             _time.perf_counter() if self.t0 is None else self.t0
         )
-        self._threads = [spawn(name, self._run, name, lane)
+        self._threads = [threading.Thread(target=guarded, args=(name, lane),
+                                          name=name, daemon=True)
                          for name, lane in self._lanes().items()]
         if self.observe:
             # after any static fill: configuration is not a frame's traffic
@@ -597,8 +577,6 @@ class LiveNode:
             raise ReproError(f"threads did not finish: {alive}")
         if self.errors:
             raise self.errors[0]
-        for token in self._end_tokens:
-            self.analysis.adopt(token)
         channels = self.channels.values()
         return NodeReport(
             channel_stats={name: ch.stats for name, ch in self.channels.items()},
@@ -691,9 +669,8 @@ class LiveNode:
         chunk lane for its partial.  They are poisoned with the node's and
         count in no report."""
         name, state, timeout = task.name, self.state, self.op_timeout
-        work = ThreadedChannel(f"{name}:work", analysis=self.analysis)
-        dones = [ThreadedChannel(f"{name}:done{i}", analysis=self.analysis)
-                 for i in range(1, width)]
+        work = ThreadedChannel(f"{name}:work")
+        dones = [ThreadedChannel(f"{name}:done{i}") for i in range(1, width)]
         self._handoff += [work, *dones]
         hand_out = work.attach_output(name)
         collect = [done.attach_input(name) for done in dones]

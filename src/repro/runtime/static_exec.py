@@ -557,10 +557,8 @@ class StaticExecutor:
 
     A simulated fault run (§3.4: failures as regime changes over a table
     of per-shape schedules) is
-    :class:`~repro.faults.runner.FaultTolerantExecutor`.  The race checker
-    (``ThreadedRuntime(analysis=)``) is an option of the threaded runtime
-    itself, and the static analyzer (:mod:`repro.analysis`) runs over
-    these inputs directly.
+    :class:`~repro.faults.runner.FaultTolerantExecutor`.  The static
+    analyzer (:mod:`repro.analysis`) runs over these inputs directly.
     """
 
     def __init__(

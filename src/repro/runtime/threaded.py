@@ -12,8 +12,7 @@ a task cannot run ahead of the processor it shares; without one, every
 task is its own lane.  Why lanes cannot
 deadlock is argued in :mod:`repro.runtime.live`.  The node collects
 itself: a terminal channel is drained in its producer's lane.  What is
-this runtime's own: the static fill and the race checker it threads
-through the node.
+this runtime's own: the static fill.
 
 This runtime demonstrates the programming model end to end and powers the
 kernel-calibration path; it is *not* used for latency experiments, because
@@ -43,7 +42,6 @@ from repro.sim.trace import TraceRecorder
 from repro.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.analysis.race import RaceChecker
     from repro.core.schedule import PipelinedSchedule, ScheduleSolution
     from repro.obs import Observability
 
@@ -80,11 +78,6 @@ class ThreadedRuntime:
         after the run; this is the live-measurement path behind kernel
         calibration — the ``obs`` experiment reports the measured
         overhead.
-    analysis:
-        Optional :class:`~repro.analysis.race.RaceChecker`.  Channels are
-        created with tracked locks and message edges, and thread
-        start/join add fork/adopt edges, so a clean run reports zero
-        races; read findings with ``analysis.report()`` after :meth:`run`.
     """
 
     def __init__(
@@ -95,7 +88,6 @@ class ThreadedRuntime:
         op_timeout: float = 60.0,
         schedule: Optional[Union["PipelinedSchedule", "ScheduleSolution"]] = None,
         obs: Optional["Observability"] = None,
-        analysis: Optional["RaceChecker"] = None,
     ) -> None:
         graph.validate()
         self.graph = graph
@@ -103,7 +95,6 @@ class ThreadedRuntime:
         self.static_inputs = dict(static_inputs or {})
         self.op_timeout = op_timeout
         self.obs = obs
-        self.analysis = analysis
         self.slots = None if schedule is None else schedule_slots(graph, schedule)
         check_static_inputs(graph, self.static_inputs)
 
@@ -116,7 +107,7 @@ class ThreadedRuntime:
             {spec.name: spec.capacity for spec in self.graph.channels},
             self.state, timestamps, self.op_timeout,
             collect=tuple(terminal_channels(self.graph)), slots=self.slots,
-            observe=self.obs is not None, analysis=self.analysis,
+            observe=self.obs is not None,
         )
         # Static configuration channels are filled before any thread starts.
         for name, value in self.static_inputs.items():

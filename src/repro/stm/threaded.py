@@ -30,16 +30,13 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
-from repro.errors import ItemConsumed, ItemUnavailable, STMError
+from repro.errors import ItemUnavailable, STMError
 from repro.sim.trace import ItemEvent, TraceRecorder
 from repro.stm.channel import STMChannel, Timestamp
 from repro.stm.connection import Connection
 from repro.stm.gc import GCStats, collect_channel
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.analysis.race import RaceChecker
 
 __all__ = ["ChannelPoisoned", "ThreadedChannel"]
 
@@ -63,33 +60,16 @@ class ThreadedChannel:
     :class:`~repro.sim.trace.ItemEvent` of a run's trace; it is recorded
     *outside* the channel lock so telemetry never extends the critical
     section.
-
-    ``analysis`` optionally threads a
-    :class:`~repro.analysis.race.RaceChecker` through the channel: the
-    internal mutex becomes a tracked lock (so every critical section —
-    including the release/re-acquire inside ``Condition.wait`` — reports
-    happens-before edges), channel state accesses report as reads/writes,
-    and each put publishes a message edge its get joins.
     """
 
-    def __init__(
-        self,
-        name: str,
-        capacity: Optional[int] = None,
-        analysis: Optional["RaceChecker"] = None,
-    ) -> None:
+    def __init__(self, name: str, capacity: Optional[int] = None) -> None:
         self._chan = STMChannel(name, capacity=capacity)
-        if analysis is not None:
-            self._lock = analysis.tracked_lock(f"lock:channel:{name}")
-        else:
-            self._lock = threading.Lock()
+        self._lock = threading.Lock()
         self._landed = threading.Condition(self._lock)  # getters wait here
         self._room = threading.Condition(self._lock)  # putters wait here
         self._poisoned = False
         self._trace: Optional[TraceRecorder] = None
         self._t0 = 0.0
-        self._analysis = analysis
-        self._race_loc = f"channel:{name}"
         self.gc_stats = GCStats()
 
     def record_into(self, trace: TraceRecorder, t0: float) -> None:
@@ -168,9 +148,6 @@ class ThreadedChannel:
                 if chan.capacity is None or len(chan._order) < chan.capacity:
                     landed = _time.perf_counter()
                     chan.put(conn, ts, value, size=size, time=landed)
-                    if self._analysis is not None:
-                        self._analysis.on_write(self._race_loc)
-                        self._analysis.on_put(self.name, ts)
                     self._landed.notify_all()
                     break
                 deadline = self._wait(self._room, deadline, timeout, "put to", " (full)")
@@ -191,33 +168,11 @@ class ThreadedChannel:
                     raise ChannelPoisoned(f"channel {self.name!r} poisoned")
                 try:
                     got = self._chan.get(conn, ts)
+                    break
                 except ItemUnavailable:
                     deadline = self._wait(self._landed, deadline, timeout, "get from")
-                    continue
-                if self._analysis is not None:
-                    self._analysis.on_read(self._race_loc)
-                    self._analysis.on_get(self.name, got[0])
-                break
         self._observe("get", got[0], conn.task)
         return got
-
-    def try_get(self, conn: Connection, ts: Timestamp) -> Optional[tuple[int, Any]]:
-        """Non-blocking get: None on a miss.
-
-        A born-consumed item is a miss too, not an error — same rule as
-        :meth:`repro.runtime.hub.ChannelHub.try_get`, so a drain that
-        skipped ahead under saturation behaves identically on both.
-        """
-        with self._lock:
-            if self._analysis is not None:
-                self._analysis.on_read(self._race_loc)
-            try:
-                got = self._chan.get(conn, ts)
-            except (ItemConsumed, ItemUnavailable):
-                return None
-            if self._analysis is not None:
-                self._analysis.on_get(self.name, got[0])
-            return got
 
     def consume(self, conn: Connection, ts: int) -> None:
         """Mark ``ts`` consumed and garbage-collect; wakes blocked putters
@@ -225,8 +180,6 @@ class ThreadedChannel:
         with self._lock:
             self._chan.consume(conn, ts)
             freed = collect_channel(self._chan, self.gc_stats)
-            if self._analysis is not None:
-                self._analysis.on_write(self._race_loc)
             if freed:
                 self._room.notify_all()
         self._observe("consume", ts, conn.task)
@@ -236,8 +189,6 @@ class ThreadedChannel:
         with self._lock:
             self._poisoned = True
             self._chan.close()
-            if self._analysis is not None:
-                self._analysis.on_write(self._race_loc)
             self._landed.notify_all()
             self._room.notify_all()
 
@@ -255,14 +206,6 @@ class ThreadedChannel:
     def __len__(self) -> int:
         with self._lock:
             return len(self._chan)
-
-    def newest_timestamp(self) -> Optional[int]:
-        with self._lock:
-            return self._chan.newest_timestamp()
-
-    def live_bytes(self) -> int:
-        with self._lock:
-            return self._chan.live_bytes()
 
     @property
     def stats(self) -> dict[str, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from repro.analysis.cli import main, repo_report
 from repro.analysis.rules import RULES
@@ -28,6 +29,15 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in RULES:
             assert rule_id in out
+
+    def test_list_rules_lists_exactly_the_live_passes_rules(self, capsys):
+        """One catalog line per rule, and only the families a pass still
+        reports: graph lint (G), schedule, fleet and workload verification
+        (S, F, W), the model checker (M) and STM wiring (P)."""
+        assert main(["--list-rules"]) == 0
+        listed = re.findall(r"^([A-Z]\d{3}) ", capsys.readouterr().out, re.M)
+        assert sorted(listed) == sorted(RULES)
+        assert {rule_id[0] for rule_id in listed} == set("FGMPSW")
 
     def test_repo_report_structure_only(self):
         report = repo_report(schedules=False)

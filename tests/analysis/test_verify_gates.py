@@ -6,9 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import (
-    RaceChecker, check_model, check_stm, lint_graph, verify_solution,
-)
+from repro.analysis import check_model, check_stm, lint_graph, verify_solution
 from repro.core.optimal import OptimalScheduler
 from repro.core.schedule import IterationSchedule, ScheduleSolution
 from repro.core.table import ScheduleTable
@@ -16,7 +14,6 @@ from repro.errors import AnalysisError
 from repro.faults.failover import ShapeTable
 from repro.graph.builders import chain_graph
 from repro.runtime.static_exec import StaticExecutor
-from repro.runtime.threaded import ThreadedRuntime
 from repro.sim.cluster import SINGLE_NODE_SMP, ClusterSpec
 from repro.state import State, StateSpace
 
@@ -111,13 +108,7 @@ class TestExecutorGate:
         assert not report.ok()
         assert {"S006", "S007"} <= {f.rule for f in report.findings}
 
-    def test_threaded_executor_threads_checker_through(self, smp2):
+    def test_threaded_executor_schedule_passes_the_analyzer(self, smp2):
         graph = chain_graph([0.01, 0.01])
         sol = OptimalScheduler(smp2).solve(graph, State(n_models=1))
         assert analyze(graph, State(n_models=1), smp2, sol).ok()
-        checker = RaceChecker()
-        ThreadedRuntime(
-            graph, State(n_models=1), schedule=sol.pipelined, analysis=checker
-        ).run(4)
-        report = checker.report()
-        assert checker.race_count == 0 and not report.findings, report.summary()

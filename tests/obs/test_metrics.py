@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 
@@ -13,6 +14,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
+from repro.obs import Observability
 
 
 class TestCounter:
@@ -161,6 +163,50 @@ class TestRegistry:
         samples = parse_prometheus_text(reg.to_prometheus_text())
         assert samples[("n_total", ())] == 8000
         assert samples[("v_seconds_count", ())] == 8000
+
+
+def cyclic_garbage(build) -> int:
+    """Objects ``build()``'s result leaves to the cycle collector once it
+    is dropped."""
+    build()  # lazy imports and first-call set-up out of the count
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def a_family(kind: str):
+    reg = MetricsRegistry()
+    family = getattr(reg, kind)(f"m_{kind}", "help", ("k",))
+    child = family.labels("v")
+    if kind == "histogram":
+        child.observe(0.5)
+    else:
+        child.inc()
+    return reg, family
+
+
+class TestNoCycle:
+    """A family serializes on its registry's lock but keeps no reference
+    to the registry, so a dropped registry goes by reference counting."""
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_a_family_holds_the_registry_lock_and_not_the_registry(self, kind):
+        reg, family = a_family(kind)
+        assert family._lock is reg._lock
+        assert reg not in gc.get_referents(family)
+        assert reg not in gc.get_referents(vars(family))
+        assert cyclic_garbage(lambda: a_family(kind)) == 0
+
+    def test_a_bare_observability_bundle_leaves_the_cycle_collector_nothing(self):
+        assert cyclic_garbage(Observability) == 0
 
 
 class TestParsePrometheusText:

@@ -8,9 +8,8 @@ its own placements.  These tests pin which thread runs each chunk, the
 outputs (the serial kernels', bit for bit), the spans the primary records
 (one per processor, as the DES writes them), what a listening calibrator
 files, no deadlock at capacity 1, a failing chunk — the primary's after
-the hand-out, or another lane's — that ends the run promptly, a race-free
-threaded run, and the two refusals raised before any thread starts or
-worker forks.
+the hand-out, or another lane's — that ends the run promptly, and the
+two refusals raised before any thread starts or worker forks.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.race import RaceChecker
 from repro.apps.tracker.graph import build_tracker_graph
 from repro.errors import ExecutorConfigError, ReproError
 from repro.graph.channel import ChannelSpec
@@ -164,13 +162,6 @@ class TestBoundedFailure:
 
 
 class TestObservers:
-    def test_threaded_dp_run_is_race_free(self):
-        checker = RaceChecker()
-        ThreadedRuntime(wide_graph(capacity=1), State(n_models=1),
-                        op_timeout=OP_TIMEOUT, schedule=schedule_of(WIDE_ROWS),
-                        analysis=checker).run(6)
-        assert not checker.report().findings
-
     @pytest.mark.parametrize("substrate", LIVE)
     def test_calibrator_files_one_dp_observation_per_frame(self, substrate):
         state = State(n_models=2)

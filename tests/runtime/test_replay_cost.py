@@ -328,8 +328,11 @@ class TestFinishedRunIsFreed:
             gc.enable()
 
     @pytest.mark.parametrize(
-        "run", [lambda: tracker_replay()(100), contended_run, fault_run, regime_run],
-        ids=["static", "static-contended", "fault", "regime"],
+        "run",
+        [lambda: tracker_replay()(100), contended_run, contended_observed_run,
+         fault_run, regime_run],
+        ids=["static", "static-contended", "static-contended-observed", "fault",
+             "regime"],
     )
     def test_a_finished_run_leaves_the_cycle_collector_nothing(self, run):
         """Not only the trace: nothing of the run is cyclic garbage.  Each
@@ -341,9 +344,9 @@ class TestFinishedRunIsFreed:
         closure that reached itself through its cell; a contended run left
         452 while each link grant — a request event whose value is itself —
         kept its cycle after the link was released (150 events, their
-        callback lists and names, and the simulator).  An observed run's
-        residue is the ``Observability`` bundle's own, which its caller
-        owns."""
+        callback lists and names, and the simulator); an observed contended
+        run left 106 while each metric family kept its registry only to
+        reach the registry's lock."""
         run()  # lazy imports and first-call set-up out of the count
         gc.collect()
         gc.disable()

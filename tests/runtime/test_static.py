@@ -129,8 +129,8 @@ class TestGuards:
 
 
 def test_executor_takes_the_nine_replay_parameters():
-    # The analyzer gate, the race checker and the fault plan are options of
-    # the analyzer and the runtimes, not of the executor.
+    # The analyzer gate and the fault plan are options of the analyzer and
+    # the fault runner, not of the executor.
     params = list(inspect.signature(StaticExecutor.__init__).parameters)[1:]
     assert params == [
         "graph", "state", "cluster", "schedule", "comm", "contended", "obs",

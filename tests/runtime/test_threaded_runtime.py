@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ExecutorConfigError, ReproError
-from repro.graph.builders import chain_graph
+from repro.graph.builders import chain_graph, fork_join_graph
 from repro.graph.channel import ChannelSpec
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
@@ -151,3 +153,36 @@ class TestLiveTracker:
                 assert tr <= r < tr + video.target_size
                 assert tc <= c < tc + video.target_size
                 assert score > 0.5
+
+
+def tracker_graph():
+    from repro.apps.tracker.graph import attach_kernels, build_tracker_graph
+    from repro.apps.video import VideoSource
+
+    live, statics = attach_kernels(build_tracker_graph(), VideoSource(n_targets=2))
+    return live, State(n_models=2), statics
+
+
+class TestCleanRun:
+    """A run starts its lane threads and joins every one of them before it
+    returns, and collects every stream item no windowed read still holds
+    (a static channel's one item stays for the run)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: (chain_graph([0.0, 0.0, 0.0]), State(n_models=1), None),
+        lambda: (fork_join_graph(0.0, [0.0, 0.0, 0.0], 0.0), State(n_models=1), None),
+        tracker_graph,
+    ], ids=["chain", "fork-join", "tracker"])
+    def test_a_clean_run_joins_its_threads_and_collects_every_item(self, build):
+        graph, state, statics = build()
+        before = set(threading.enumerate())
+        res = ThreadedRuntime(graph, state, static_inputs=statics,
+                              op_timeout=30).run(5)
+        assert set(threading.enumerate()) <= before
+        assert res.meta["channel_stats"]
+        for name, stats in res.meta["channel_stats"].items():
+            if graph.channel(name).static:
+                continue
+            held = max((t.windows.get(name, 1) for t in graph.tasks
+                        if name in t.inputs), default=1) - 1
+            assert (stats["puts"], stats["collected"]) == (5, 5 - held), name

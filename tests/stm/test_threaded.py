@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.sim.trace import TraceRecorder
 from repro.stm.channel import NEWEST
 from repro.stm.threaded import ChannelPoisoned, ThreadedChannel
 
@@ -35,13 +36,13 @@ class TestBlockingGet:
         with pytest.raises(TimeoutError):
             chan.get(inp, 0, timeout=0.05)
 
-    def test_try_get(self):
+    def test_newest_returns_the_latest_put(self):
         chan = ThreadedChannel("c")
         out = chan.attach_output("p")
         inp = chan.attach_input("q")
-        assert chan.try_get(inp, NEWEST) is None
-        chan.put(out, 3, "x")
-        assert chan.try_get(inp, NEWEST) == (3, "x")
+        for ts in (1, 2, 3):
+            chan.put(out, ts, f"v{ts}")
+        assert chan.get(inp, NEWEST, timeout=0.05) == (3, "v3")
 
 
 class TestBlockingPut:
@@ -194,6 +195,71 @@ class TestPoison:
         with pytest.raises(ChannelPoisoned):
             chan.put(out, 0, "x")
 
+    def test_poison_wakes_blocked_putter(self, wait_until):
+        chan = ThreadedChannel("c", capacity=1)
+        out = chan.attach_output("p")
+        chan.attach_input("q")
+        chan.put(out, 0, "a")
+        seen = []
+
+        def producer():
+            try:
+                chan.put(out, 1, "b", timeout=5.0)
+            except ChannelPoisoned:
+                seen.append("poisoned")
+
+        t = threading.Thread(target=producer)
+        t.start()
+        wait_until(lambda: chan.waiting_threads == 1)
+        chan.poison()
+        t.join(timeout=5.0)
+        assert seen == ["poisoned"] and chan.waiting_threads == 0
+
+    def test_get_after_poison_raises_even_with_an_item_held(self):
+        chan = ThreadedChannel("c")
+        out = chan.attach_output("p")
+        inp = chan.attach_input("q")
+        chan.put(out, 0, "x")
+        chan.poison()
+        with pytest.raises(ChannelPoisoned):
+            chan.get(inp, 0, timeout=0.05)
+
+
+class TestInspection:
+    def test_one_plain_lock_guards_both_conditions(self):
+        """Every operation is one critical section under the channel's own
+        mutex, a plain ``threading.Lock``; both conditions wait on it."""
+        chan = ThreadedChannel("c")
+        assert type(chan._lock) is type(threading.Lock())
+        assert chan._landed._lock is chan._lock and chan._room._lock is chan._lock
+
+    def test_len_and_stats_count_each_operation(self):
+        chan = ThreadedChannel("c")
+        out = chan.attach_output("p")
+        inp = chan.attach_input("q")
+        for ts in range(3):
+            chan.put(out, ts, ts)
+        chan.get(inp, 0)
+        chan.consume(inp, 0)
+        assert len(chan) == 2
+        stats = chan.stats
+        assert (stats["puts"], stats["gets"], stats["collected"]) == (3, 1, 1)
+
+    def test_record_into_stamps_every_operation_in_order(self):
+        chan = ThreadedChannel("c")
+        out = chan.attach_output("p")
+        inp = chan.attach_input("q")
+        trace = TraceRecorder()
+        chan.record_into(trace, time.perf_counter())
+        chan.put(out, 0, "x")
+        chan.get(inp, 0)
+        chan.consume(inp, 0)
+        assert [(e.channel, e.kind, e.timestamp, e.task) for e in trace.items] == [
+            ("c", "put", 0, "p"), ("c", "get", 0, "q"), ("c", "consume", 0, "q"),
+        ]
+        times = [e.time for e in trace.items]
+        assert times == sorted(times) and times[0] >= 0.0
+
 
 class TestConcurrency:
     def test_pipeline_of_three_threads(self):
@@ -232,6 +298,42 @@ class TestConcurrency:
         # Everything consumed -> everything collected.
         assert a.stats["collected"] == N
         assert b.stats["collected"] == N
+
+    def test_concurrent_producers_lose_no_item_under_a_short_switch_interval(self):
+        """Four producer threads put disjoint timestamps through one output
+        connection each while a consumer takes them in order: the channel
+        lock alone orders every access, so nothing is lost or doubled."""
+        chan = ThreadedChannel("many")
+        outs = [chan.attach_output(f"prod{i}") for i in range(4)]
+        inp = chan.attach_input("cons")
+        N = 200
+        received = []
+
+        def producer(i):
+            for ts in range(i, N, 4):
+                chan.put(outs[i], ts, ts * 3, timeout=10.0)
+
+        def consumer():
+            for ts in range(N):
+                received.append(chan.get(inp, ts, timeout=10.0))
+                chan.consume(inp, ts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consumer)] + [
+                threading.Thread(target=producer, args=(i,)) for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert received == [(ts, ts * 3) for ts in range(N)]
+        stats = chan.stats
+        assert (stats["puts"], stats["collected"], len(chan)) == (N, N, 0)
 
     def test_fan_out_at_capacity_one_under_a_short_switch_interval(self):
         """One producer, three consumers of every item, capacity 1: all but
